@@ -113,10 +113,9 @@ def measure_stateful(stream, k: int, chunk_size: int, repeats: int) -> dict:
         for path in ("per-edge", "chunked", "chunked-reference"):
             best = float("inf")
             for _ in range(repeats):
-                if path == "chunked-reference":
-                    partitioner = make_partitioner(name, k, seed=0, chunk_impl="reference")
-                else:
-                    partitioner = make_partitioner(name, k, seed=0)
+                # the numpy tiers are named: the default is the jit kernel
+                impl = "reference" if path == "chunked-reference" else "fast"
+                partitioner = make_partitioner(name, k, seed=0, chunk_impl=impl)
                 with Timer() as t:
                     if path == "per-edge":
                         partitioner.partition_per_edge(stream)
@@ -146,11 +145,12 @@ def check_bit_identical(num_edges: int, k: int, chunk_size: int) -> list[str]:
         if not np.array_equal(reference.edge_partition, chunked.edge_partition):
             mismatches.append(name)
         if name in STATEFUL_ALGORITHMS:
-            ref_loop = make_partitioner(
-                name, k, seed=1, chunk_impl="reference"
-            ).partition_chunked(stream, chunk_size=chunk_size)
-            if not np.array_equal(reference.edge_partition, ref_loop.edge_partition):
-                mismatches.append(f"{name}[reference-loop]")
+            for impl in ("fast", "reference"):
+                tier = make_partitioner(
+                    name, k, seed=1, chunk_impl=impl
+                ).partition_chunked(stream, chunk_size=chunk_size)
+                if not np.array_equal(reference.edge_partition, tier.edge_partition):
+                    mismatches.append(f"{name}[{impl}]")
     return mismatches
 
 

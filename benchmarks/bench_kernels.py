@@ -86,7 +86,7 @@ def measure_jit(stream: EdgeStream, k: int, chunk_size: int, repeats: int) -> di
         for path in ("per-edge", "fast", "jit"):
             best = float("inf")
             for _ in range(repeats):
-                kwargs = {"chunk_impl": "jit"} if path == "jit" else {}
+                kwargs = {} if path == "per-edge" else {"chunk_impl": path}
                 partitioner = make_partitioner(name, k, seed=0, **kwargs)
                 with Timer() as t:
                     if path == "per-edge":
@@ -108,7 +108,9 @@ def measure_jit(stream: EdgeStream, k: int, chunk_size: int, repeats: int) -> di
 def measure_clugp(stream: EdgeStream, k: int, repeats: int) -> dict:
     """End-to-end CLUGP per-pass timings: fast engines vs jit chunk
     kernels + the fused jit game."""
-    fast = clugp_stage_times(stream, k, repeats=repeats)
+    fast = clugp_stage_times(
+        stream, k, repeats=repeats, chunk_impl="fast", game_impl="fast"
+    )
     jit = clugp_stage_times(
         stream, k, repeats=repeats, chunk_impl="jit", game_impl="jit"
     )

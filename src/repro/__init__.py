@@ -13,6 +13,13 @@ Public API quick tour::
     result = ClugpPartitioner(num_partitions=32).partition(stream)
     print(result.replication_factor(), result.relative_balance())
 
+``partition()`` is the compiled path: ``chunk_impl`` / ``game_impl``
+default to ``"jit"`` (:mod:`repro.kernels` — numba, or ``kernels.c``
+built once per machine with the system C compiler, ~0.5 s inside the
+first call, then cached), degrading to the bit-identical numpy tier
+with one warning when no backend resolves.  ``partition_per_edge()`` is
+the per-edge Python oracle (and what the Figure-7 benches time).
+
 Subpackages
 -----------
 ``repro.graph``
@@ -21,6 +28,8 @@ Subpackages
     The CLUGP three-pass pipeline (clustering, game, transformation).
 ``repro.partitioners``
     Streaming baselines: Hashing, DBH, Greedy, HDRF, Mint.
+``repro.kernels``
+    Compiled decision cores behind the default ``"jit"`` implementations.
 ``repro.offline``
     Offline multilevel (METIS-style) comparator.
 ``repro.analysis``

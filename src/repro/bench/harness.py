@@ -119,9 +119,9 @@ def clugp_stage_times(
     seed: int = 0,
     chunk_size: int = 1 << 16,
     repeats: int = 3,
-    chunk_impl: str = "fast",
+    chunk_impl: str = "jit",
     kernel_backend: str = "auto",
-    game_impl: str = "fast",
+    game_impl: str = "jit",
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeats`` per-pass wall-clock of one CLUGP variant.
 
@@ -131,11 +131,11 @@ def clugp_stage_times(
     loops (:func:`repro.core.clustering.streaming_clustering`, the
     per-neighbor game scorer,
     :func:`repro.core.transform.transform_partitions`); the chunked side
-    times the vectorized chunk engines (:class:`ClusteringState`, the
-    CSR/adjacency-table game — or, with ``game_impl="jit"``, the fused
-    compiled rounds — and :class:`TransformState`) running
-    ``chunk_impl`` (``"fast"``/``"reference"``/``"jit"``).  Both paths
-    are asserted bit-identical before timings are returned.
+    times the chunk engines (:class:`ClusteringState`, the game, and
+    :class:`TransformState`) running ``chunk_impl`` / ``game_impl``
+    (``"jit"`` by default, like the configs; ``"fast"``/``"reference"``
+    name the numpy tiers).  Both paths are asserted bit-identical
+    before timings are returned.
     """
     import numpy as np
 
@@ -248,12 +248,18 @@ def runtime_vs_partitions(
     partition_counts: list[int],
     algorithms=DEFAULT_ALGORITHMS,
     seed: int = 0,
+    ingest: str = "default",
 ) -> SweepResult:
-    """Figure 7: partitioning wall-clock vs number of partitions."""
+    """Figure 7: partitioning wall-clock vs number of partitions.
+
+    The figure's claim is the k-dependence of scoring one edge at a
+    time; ``partition()`` runs hdrf/greedy through compiled kernels, so
+    a bench reproducing it passes ``ingest="per-edge"``.
+    """
     result = SweepResult(x_name="k", metric_name="seconds")
     for k in partition_counts:
         for name in algorithms:
-            _, assignment = run_algorithm(name, stream, k, seed=seed)
+            _, assignment = run_algorithm(name, stream, k, seed=seed, ingest=ingest)
             result.add(name, k, assignment.total_time())
     return result
 

@@ -26,9 +26,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .analysis.report import compare_partitioners
 from .analysis.metrics import quality_report
+from .config import ClugpConfig, GameConfig, ReliabilityConfig
 from .graph.datasets import DATASETS, load_dataset
 from .graph.io import read_edgelist
 from .graph.stream import EdgeStream
@@ -70,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     impl_common = argparse.ArgumentParser(add_help=False)
     impl_common.add_argument(
         "--chunk-impl",
-        default="fast",
+        default=ClugpConfig.chunk_impl,
         choices=["fast", "reference", "jit"],
         help=(
-            "chunked-ingestion implementation: 'fast' (adaptive numpy, "
-            "default), 'reference' (sequential oracle) or 'jit' (compiled "
-            "repro.kernels backend, degrading to 'fast' when unavailable); "
-            "all three are bit-identical"
+            "chunked-ingestion implementation: 'jit' (compiled "
+            "repro.kernels backend, degrading to 'fast' when unavailable), "
+            "'fast' (adaptive numpy) or 'reference' (sequential oracle); "
+            "all three are bit-identical (default: %(default)s)"
         ),
     )
     impl_common.add_argument(
@@ -88,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     impl_common.add_argument(
         "--game-impl",
-        default="fast",
+        default=GameConfig.game_impl,
         choices=["fast", "reference", "jit"],
         help=(
-            "pass-2 game engine: 'fast' (numpy adjacency-table rounds, "
-            "default), 'reference' (per-neighbor oracle) or 'jit' (fused "
-            "compiled rounds, degrading to 'fast' when unavailable); all "
-            "three are bit-identical"
+            "pass-2 game engine: 'jit' (fused compiled rounds, degrading "
+            "to 'fast' when unavailable), 'fast' (numpy adjacency-table "
+            "rounds) or 'reference' (per-neighbor oracle); all three are "
+            "bit-identical (default: %(default)s)"
         ),
     )
 
@@ -299,13 +300,23 @@ def _impl_kwargs(args) -> dict:
     friendly error instead of a bare TypeError.
     """
     kwargs = {}
-    if args.chunk_impl != "fast":
+    if args.chunk_impl != ClugpConfig.chunk_impl:
         kwargs["chunk_impl"] = args.chunk_impl
-    if args.kernel_backend != "auto":
+    if args.kernel_backend != ClugpConfig.kernel_backend:
         kwargs["kernel_backend"] = args.kernel_backend
-    if getattr(args, "game_impl", "fast") != "fast":
+    if args.game_impl != GameConfig.game_impl:
         kwargs["game_impl"] = args.game_impl
     return kwargs
+
+
+def _resolved_backend(knobs) -> str | None:
+    """Kernel backend the ``jit`` seams of a config (or an hdrf/greedy
+    partitioner) resolve — None when they degrade to numpy, none is
+    selected, or the algorithm has no compiled seam."""
+    game = getattr(knobs, "game", None)
+    if "jit" not in (getattr(knobs, "chunk_impl", None), getattr(game, "game_impl", None)):
+        return None
+    return kernels.backend_name(knobs.kernel_backend)
 
 
 def _cmd_partition(args) -> int:
@@ -333,12 +344,15 @@ def _cmd_partition(args) -> int:
         algorithm=partitioner.name,
         state_memory_bytes=partitioner.state_memory_bytes(stream),
     )
+    # the clugp family carries its knobs on .config, hdrf/greedy on themselves
+    backend = _resolved_backend(getattr(partitioner, "config", partitioner))
     print(
         f"algorithm={report.algorithm} k={report.num_partitions} "
         f"|V|={report.num_vertices} |E|={report.num_edges}\n"
         f"replication_factor={report.replication_factor:.4f} "
         f"balance={report.relative_balance:.4f} mirrors={report.mirrors} "
-        f"time={report.runtime_seconds:.3f}s"
+        f"time={report.runtime_seconds:.3f}s "
+        f"kernel_backend={backend}"
     )
     if args.output:
         np.savetxt(args.output, assignment.edge_partition, fmt="%d")
@@ -436,7 +450,6 @@ def _cmd_run_app(args) -> int:
 
 def _reliability_config(args):
     """Fold the distribute reliability flags into a ReliabilityConfig."""
-    from .config import ReliabilityConfig
     from .reliability.faults import FaultInjector, FaultSpecError
 
     kwargs = {}
@@ -461,7 +474,6 @@ def _reliability_config(args):
 
 def _cmd_distribute(args) -> int:
     from .analysis.report import distributed_modes_table
-    from .config import ClugpConfig, GameConfig
     from .core.distributed import distributed_clugp
 
     stream = _load_stream(args)
@@ -505,6 +517,7 @@ def _cmd_distribute(args) -> int:
         backend=args.backend,
     )
     print(result.summary())
+    print(f"kernel_backend={_resolved_backend(cfg)}")
     for node in result.nodes:
         print(
             f"  node {node.node}: edges={node.num_edges} "
@@ -517,7 +530,6 @@ def _cmd_distribute(args) -> int:
 def _cmd_serve(args) -> int:
     import json as _json
 
-    from .config import ClugpConfig, GameConfig, ReliabilityConfig
     from .reliability.checkpoint import CheckpointError
     from .service import PartitionService
 
@@ -581,6 +593,7 @@ def _cmd_serve(args) -> int:
     final = svc.assignment()
     summary["replication_factor"] = final.replication_factor()
     summary["relative_balance"] = final.relative_balance()
+    summary["kernel_backend"] = _resolved_backend(svc.config)
     if args.oracle:
         oracle_rf = svc.oracle_assignment().replication_factor()
         summary["rf_oracle"] = oracle_rf
@@ -599,7 +612,8 @@ def _cmd_serve(args) -> int:
         f"({summary['edges_per_second']:,.0f} e/s sustained)\n"
         f"replication_factor={summary['replication_factor']:.4f} "
         f"balance={summary['relative_balance']:.4f} "
-        f"moves={summary['applied_moves']} churn={summary['churn_edges']}"
+        f"moves={summary['applied_moves']} churn={summary['churn_edges']} "
+        f"kernel_backend={summary['kernel_backend']}"
     )
     if args.oracle:
         print(

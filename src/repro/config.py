@@ -118,12 +118,12 @@ class GameConfig:
     seed:
         Seed for the random initial cluster->partition assignment.
     game_impl:
-        Pass-2 engine: ``"fast"`` (default, the numpy adjacency-table
-        rounds), ``"reference"`` (the per-neighbor oracle loop) or
-        ``"jit"`` (the fused-round :mod:`repro.kernels` kernel,
-        degrading to ``"fast"`` when no backend is available).  All
-        three are bit-identical — same move sequences, rounds, and
-        potential traces.
+        Pass-2 engine: ``"jit"`` (default, the fused-round
+        :mod:`repro.kernels` kernel, degrading to ``"fast"`` with one
+        warning per process when no backend resolves), ``"fast"`` (the
+        numpy adjacency-table rounds) or ``"reference"`` (the
+        per-neighbor oracle loop).  All three are bit-identical — same
+        move sequences, rounds, and potential traces.
     kernel_backend:
         Which kernel backend ``game_impl="jit"`` resolves — one of
         ``"auto"``, ``"numba"``, ``"cc"``, ``"python"``, ``"none"``.
@@ -139,7 +139,7 @@ class GameConfig:
     batch_size: int = 6400
     num_threads: int = 4
     seed: int = 0
-    game_impl: str = "fast"
+    game_impl: str = "jit"
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
@@ -195,11 +195,14 @@ class ClugpConfig:
     game:
         The nested :class:`GameConfig`.
     chunk_impl:
-        Ingestion machinery for the chunked passes 1 and 3: ``"fast"``
-        (default, the adaptive numpy path), ``"reference"`` (the plain
-        sequential oracle) or ``"jit"`` (compiled kernels from
-        :mod:`repro.kernels`, degrading to ``"fast"`` when no backend is
-        available).  All three are bit-identical.
+        Ingestion machinery for the chunked passes 1 and 3: ``"jit"``
+        (default, compiled kernels from :mod:`repro.kernels`, degrading
+        to ``"fast"`` with one warning per process when no backend
+        resolves), ``"fast"`` (the adaptive numpy path) or
+        ``"reference"`` (the plain sequential oracle).  All three are
+        bit-identical.  The ``cc`` backend compiles ``kernels.c`` once
+        per machine (~0.5 s, cached on disk) inside the first call that
+        needs it.
     kernel_backend:
         Which kernel backend ``chunk_impl="jit"`` resolves — one of
         ``"auto"``, ``"numba"``, ``"cc"``, ``"python"``, ``"none"``.
@@ -218,7 +221,7 @@ class ClugpConfig:
     use_game: bool = True
     parallel_game: bool = False
     game: GameConfig = GameConfig()
-    chunk_impl: str = "fast"
+    chunk_impl: str = "jit"
     kernel_backend: str = "auto"
     reliability: ReliabilityConfig = ReliabilityConfig()
 

@@ -20,8 +20,8 @@ The graph is stored as three CSR triples over compact cluster ids:
   slices per cluster.
 
 Building it is one O(|E|) vectorized sweep (this is the I/O part of
-pass 2): endpoints are gathered through ``cluster_of``, inter-cluster
-pairs are radix-grouped with :func:`repro._util.stable_argsort_bounded`,
+pass 2): endpoints are gathered through ``cluster_of``, the
+``(cluster_u, cluster_v)`` keys are grouped by one bincount or one sort,
 and run-length encoding yields the CSR arrays directly — no per-edge
 Python, no dict-of-dicts.
 
@@ -353,56 +353,51 @@ def cluster_graph_from_labels(
     """Accumulate a :class:`ClusterGraph` from per-edge cluster-label pairs.
 
     ``cu[i]``/``cv[i]`` are the (already gathered) endpoint clusters of the
-    i-th edge.  Same-cluster pairs count as internal; the rest are
-    radix-grouped and run-length encoded into the CSR triples.  This is
-    the grouping core shared by :func:`build_cluster_graph` (labels
-    gathered through a clustering) and the distributed coordinator (labels
-    of cross-shard edges resolved from the merged vertex->cluster map).
+    i-th edge.  All ``cu * m + cv`` keys are grouped in one pass (dense
+    bincount or sort + run-length encode); same-cluster keys count as
+    internal, the rest become the CSR triples.  This is the grouping
+    core shared by :func:`build_cluster_graph` (labels gathered through
+    a clustering) and the distributed coordinator (labels of cross-shard
+    edges resolved from the merged vertex->cluster map).
     """
     m = int(num_clusters)
     cu = np.asarray(cu, dtype=np.int64)
     cv = np.asarray(cv, dtype=np.int64)
     internal = np.zeros(m, dtype=np.int64)
-    rows = cols = counts = np.empty(0, dtype=np.int64)
+    ukeys = counts = np.empty(0, dtype=np.int64)
     cells = m * m
     if m and cu.size and cells <= max(1 << 20, 2 * cu.size):
         # dense group-by: one bincount over the whole (u, v) key space
         # beats sorting the keys when the space is small relative to the
-        # edge count.  Diagonal cells are the same-cluster (internal)
-        # counts; flatnonzero of the rest yields the unique inter keys
-        # ascending — exactly the radix path's sorted ukeys — and the
-        # counts are integers, so both paths build identical CSR triples.
+        # edge count; flatnonzero yields the unique keys ascending
         key_counts = np.bincount(cu * np.int64(m) + cv, minlength=cells)
-        diag = np.arange(m, dtype=np.int64) * np.int64(m + 1)
-        internal += key_counts[diag]
-        key_counts[diag] = 0
         ukeys = np.flatnonzero(key_counts)
-        if ukeys.size:
-            counts = key_counts[ukeys]
-            rows = ukeys // m
-            cols = ukeys % m
+        counts = key_counts[ukeys]
     elif m and cu.size:
-        same = cu == cv
-        internal += np.bincount(cu[same], minlength=m)
-        inter_u = cu[~same]
-        inter_v = cv[~same]
-        if inter_u.size:
-            _, ukeys, starts = _radix_group(
-                inter_u * np.int64(m) + inter_v, cells
-            )
-            counts = np.diff(
-                np.concatenate([starts, [inter_u.size]])
-            ).astype(np.int64)
-            rows = ukeys // m
-            cols = ukeys % m
-    indptr, indices, weights = _csr_from_pairs(rows, cols, counts, m)
+        # sparse group-by: one sort of every key (the permutation is never
+        # needed; 32-bit keys sort ~2x faster), then run-length encode
+        keys = cu * np.int64(m) + cv
+        if cells <= np.iinfo(np.int32).max:
+            keys = keys.astype(np.int32)
+        keys.sort()
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        ukeys = keys[starts].astype(np.int64)
+        counts = np.diff(starts, append=keys.size)
+    # diagonal keys are the same-cluster (internal) counts; the rest are
+    # unique and ascending, i.e. already row-major: the out-CSR as is
+    rows, cols = np.divmod(ukeys, max(m, 1))
+    diag = rows == cols
+    internal[rows[diag]] = counts[diag]
+    rows, cols, counts = rows[~diag], cols[~diag], counts[~diag]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
     in_indptr, in_indices, in_weights = _csr_from_pairs(cols, rows, counts, m)
     return ClusterGraph(
         num_clusters=m,
         internal=internal,
         indptr=indptr,
-        indices=indices,
-        weights=weights,
+        indices=cols,
+        weights=counts,
         in_indptr=in_indptr,
         in_indices=in_indices,
         in_weights=in_weights,

@@ -316,13 +316,13 @@ class ClusteringState:
     :func:`streaming_clustering`.  See the module docstring for the
     boring/suspect decomposition; DESIGN.md proves its equivalence.
 
-    ``chunk_impl`` selects the ingestion machinery: ``"fast"`` (default)
-    is the adaptive classifier + list-backed scalar loop; ``"reference"``
-    sends every edge through the scalar loop (no classifier — the plain
-    sequential oracle); ``"jit"`` dispatches whole chunks into a compiled
-    kernel (:mod:`repro.kernels`) over the flat array state, degrading to
-    ``"fast"`` when no backend is available.  All three are bit-identical
-    at every chunk size.
+    ``chunk_impl`` selects the ingestion machinery: ``"jit"`` (default)
+    dispatches whole chunks into a compiled kernel (:mod:`repro.kernels`)
+    over the flat array state, degrading to ``"fast"`` when no backend
+    resolves; ``"fast"`` is the adaptive classifier + list-backed scalar
+    loop; ``"reference"`` sends every edge through the scalar loop (no
+    classifier — the plain sequential oracle).  All three are
+    bit-identical at every chunk size.
 
     Usage::
 
@@ -344,7 +344,7 @@ class ClusteringState:
         num_vertices: int,
         max_volume: int,
         enable_splitting: bool = True,
-        chunk_impl: str = "fast",
+        chunk_impl: str = "jit",
         kernel_backend: str = "auto",
     ) -> None:
         check_positive_int(max_volume, "max_volume")
@@ -729,7 +729,7 @@ class ClusteringState:
         cls,
         arrays: dict,
         meta: dict,
-        chunk_impl: str = "fast",
+        chunk_impl: str = "jit",
         kernel_backend: str = "auto",
     ) -> "ClusteringState":
         """Rebuild a live state from :meth:`state_dict` output.
@@ -828,7 +828,7 @@ def streaming_clustering_chunked(
     max_volume: int,
     enable_splitting: bool = True,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "fast",
+    chunk_impl: str = "jit",
     kernel_backend: str = "auto",
 ) -> ClusteringResult:
     """Run Algorithm 2 by chunked ingestion; bit-identical to

@@ -33,14 +33,14 @@ adjacency weights are integers, so the table path, the on-demand bincount
 path, and the retained per-neighbor reference loop (``vectorized=False``)
 produce bit-identical float costs and therefore identical move sequences.
 
-``GameConfig.game_impl`` selects the engine: ``"fast"`` (the numpy
-rounds above), ``"reference"`` (per-neighbor oracle), or ``"jit"``,
+``GameConfig.game_impl`` selects the engine: ``"jit"`` (the default),
 which fuses each round into one :mod:`repro.kernels` call — the kernel
 owns the flat adjacency table, loads and assignment, adds the
 decision-preserving epoch skip rule, and maintains the potential in
-O(1) per move instead of recomputing it per round (DESIGN.md §10).
-All three engines are bit-identical; ``"jit"`` degrades to ``"fast"``
-when no backend resolves, exactly like ``chunk_impl``.
+O(1) per move instead of recomputing it per round (DESIGN.md §10) —
+``"fast"`` (the numpy rounds above), or ``"reference"`` (per-neighbor
+oracle).  All three engines are bit-identical; ``"jit"`` degrades to
+``"fast"`` when no backend resolves, exactly like ``chunk_impl``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class ClusterPartitioningGame:
         if impl == "jit":
             self._backend = kernels.get_backend(self.config.kernel_backend)
             if self._backend is None:
-                impl = "fast"  # graceful degradation (one-time warning)
+                impl = "fast"  # no backend: same results (kernels warns once per process)
         self.game_impl = impl
         self.vectorized = impl != "reference"
         m = cluster_graph.num_clusters

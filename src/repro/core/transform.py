@@ -212,7 +212,7 @@ class TransformState:
         vertex_partition: np.ndarray | None = None,
         load_caps: np.ndarray | None = None,
         initial_loads: np.ndarray | None = None,
-        chunk_impl: str = "fast",
+        chunk_impl: str = "jit",
         kernel_backend: str = "auto",
     ) -> None:
         """Build pass-3 state for a stream of ``num_edges`` edges.
@@ -252,11 +252,11 @@ class TransformState:
             the retained edges first (loads are the only coupling
             between edges on the non-spill path).
         chunk_impl:
-            ``"fast"`` (default) is the vectorized prefix-commit scheme;
-            ``"reference"`` replays every edge through the exact scalar
-            loop; ``"jit"`` dispatches whole chunks into a compiled
+            ``"jit"`` (default) dispatches whole chunks into a compiled
             kernel (:mod:`repro.kernels`), degrading to ``"fast"`` when
-            no backend is available.  All three are bit-identical.
+            no backend resolves; ``"fast"`` is the vectorized
+            prefix-commit scheme; ``"reference"`` replays every edge
+            through the exact scalar loop.  All three are bit-identical.
         kernel_backend:
             Which kernel backend ``"jit"`` resolves.
         """
@@ -537,7 +537,7 @@ def replay_transform_chunked(
     imbalance_factor: float = 1.0,
     load_caps: np.ndarray | None = None,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "fast",
+    chunk_impl: str = "jit",
     kernel_backend: str = "auto",
 ) -> tuple[np.ndarray, TransformStats]:
     """Replay pass 3 under an externally supplied vertex->partition map.
@@ -578,7 +578,7 @@ def transform_partitions_chunked(
     num_partitions: int,
     imbalance_factor: float = 1.0,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "fast",
+    chunk_impl: str = "jit",
     kernel_backend: str = "auto",
 ) -> tuple[np.ndarray, TransformStats]:
     """Run Algorithm 1 by chunked ingestion; bit-identical to

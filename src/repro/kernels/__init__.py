@@ -1,12 +1,13 @@
-"""JIT-accelerated scalar decision cores (`chunk_impl="jit"` backends).
+"""JIT-accelerated scalar decision cores (the default ``"jit"`` backends).
 
 The chunked partitioners keep three scalar hot loops that DESIGN.md §4.3
 proved cannot be bulk-committed bit-identically: the HDRF decision core,
 the greedy decision core, and CLUGP's pass-1 allocation/splitting/
 migration replay (plus the pass-3 transform tail).  This package holds
 compiled implementations of those loops behind one numpy-level API, so
-``chunk_impl="jit"`` can dispatch whole chunks into machine code while
-remaining bit-identical to the per-edge references.
+``chunk_impl="jit"`` / ``game_impl="jit"`` — the defaults everywhere —
+dispatch whole chunks into machine code while remaining bit-identical
+to the per-edge references.
 
 Backends, in ``"auto"`` resolution order:
 
@@ -22,14 +23,18 @@ Backends, in ``"auto"`` resolution order:
 
 Importing this package never hard-fails: with neither numba nor a C
 compiler present, :func:`available` is False, :func:`get_backend`
-returns None, and ``chunk_impl="jit"`` silently degrades to the
-``"fast"`` numpy path.  The ``CLUGP_KERNEL_BACKEND`` environment
+returns None, and the ``"jit"`` default degrades to the ``"fast"`` numpy
+path with one warning per process (identical results; an error under
+``CLUGP_KERNEL_REQUIRE=1``).  The ``CLUGP_KERNEL_BACKEND`` environment
 variable overrides the default resolution (same values as
 ``kernel_backend``).
 
-:func:`warmup` triggers every deferred compile (numba nopython build or
-the one-off ``cc`` invocation) and runs each kernel once on tiny inputs,
-so benchmark timing regions never include compiler time.
+The ``cc`` backend compiles ``kernels.c`` once per machine (~0.5 s, the
+shared object is cached on disk) inside the first default
+``partition()`` / ``ingest`` that needs it.  :func:`warmup` triggers
+that deferred compile (or the numba nopython build) up front and runs
+each kernel once on tiny inputs, so benchmark timing regions never
+include compiler time.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ def _require_enabled() -> bool:
 
 
 def _degraded(requested: str, strict: bool):
-    """Handle a failed resolution: warn once, raise when strict."""
+    """Handle a failed resolution: warn once per process, raise when strict."""
     global _warned_degraded
     detail = "; ".join(
         f"{cand}: {_failures.get(cand, 'not attempted')}" for cand in _AUTO_ORDER
@@ -134,9 +139,10 @@ def _degraded(requested: str, strict: bool):
     if not _warned_degraded:
         _warned_degraded = True
         logger.warning(
-            "no compiled kernel backend available (%s); "
-            "chunk_impl='jit' degrades to the numpy fast path",
-            detail,
+            "compiled kernels are the default but no backend resolved "
+            "(tried %s); running the numpy fast path instead — results "
+            "are identical, only slower.  Set %s=1 to make this an error.",
+            detail, ENV_REQUIRE,
         )
     return None
 

@@ -158,9 +158,11 @@ class PartitionAssignment:
 class EdgePartitioner(ABC):
     """Abstract vertex-cut edge partitioner.
 
-    Subclasses implement :meth:`_assign` and may override
-    :meth:`state_memory_bytes` (the Figure 6 accounting) and
-    :attr:`passes` (1 for streaming baselines, 3 for CLUGP).
+    Subclasses implement :meth:`_assign` (the whole-stream path of
+    algorithms without a chunk protocol, and the default per-edge
+    reference) and may override :meth:`state_memory_bytes` (the Figure 6
+    accounting) and :attr:`passes` (1 for streaming baselines, 3 for
+    CLUGP).
 
     Chunked ingestion
     -----------------
@@ -172,9 +174,10 @@ class EdgePartitioner(ABC):
     end.  Single-pass partitioners commit each chunk as it arrives;
     batch-buffering (Mint) and multi-pass (CLUGP) algorithms may defer
     edges — up to all of them — and flush the outstanding assignments from
-    :meth:`finish_chunks`.  :meth:`partition_per_edge` keeps the faithful
-    per-edge streaming loop as the reference (and benchmark baseline)
-    path; both paths must produce bit-identical assignments.
+    :meth:`finish_chunks`.  :meth:`partition` is the chunk protocol at
+    :attr:`default_chunk_size`; :meth:`partition_per_edge` keeps the
+    faithful per-edge streaming loop as the reference (and benchmark
+    baseline) path; both paths must produce bit-identical assignments.
     """
 
     #: human-readable algorithm name (used in reports and the registry)
@@ -196,13 +199,13 @@ class EdgePartitioner(ABC):
         self._last_stream: EdgeStream | None = None
 
     def partition(self, stream: EdgeStream) -> PartitionAssignment:
-        """Partition ``stream``; returns the per-edge assignment."""
-        self._last_stream = stream
-        times = StageTimes()
-        with Timer() as t:
-            edge_partition = self._assign(stream)
-        times.add("total", t.elapsed)
-        return PartitionAssignment(stream, edge_partition, self.num_partitions, times)
+        """Partition ``stream``; returns the per-edge assignment.
+
+        Chunk-capable partitioners run the chunk protocol at
+        :attr:`default_chunk_size` — the path the compiled kernels sit
+        behind; :meth:`partition_per_edge` is the one per-edge loop.
+        """
+        return self.partition_chunked(stream)
 
     def partition_chunked(
         self, stream: EdgeStream, chunk_size: int | None = None
@@ -212,7 +215,7 @@ class EdgePartitioner(ABC):
         Chunk-capable partitioners run the incremental protocol and never
         see the stream as individual edges.  Algorithms without a chunk
         path fall back to :meth:`_assign`; either way the assignment is
-        bit-identical to :meth:`partition`.
+        bit-identical to :meth:`partition_per_edge` at every chunk size.
         """
         self._last_stream = stream
         if chunk_size is None:

@@ -46,9 +46,7 @@ class DBHPartitioner(EdgePartitioner):
         self.exact_degrees = bool(exact_degrees)
 
     def _assign(self, stream: EdgeStream) -> np.ndarray:
-        return self._assign_chunks(stream, max(1, stream.num_edges))
-
-    def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
+        # the per-edge reference; partition() runs the chunk protocol
         if self.exact_degrees:
             degrees = stream.degrees()
         else:

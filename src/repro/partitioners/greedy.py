@@ -28,11 +28,12 @@ C-speed ``list.index``/``min`` builtins).  Bit-identical to
 :meth:`_assign`; the previous numpy-per-edge chunk loop is retained as
 ``chunk_impl="reference"`` (correctness oracle and benchmark baseline).
 
-``chunk_impl="jit"`` (PR 7) dispatches each chunk into a compiled kernel
-(:mod:`repro.kernels`) running the same candidate-set argmin over flat
-load/bitmask-word arrays — integer-only state, so bit-identity is by
-construction (DESIGN.md §8).  When no kernel backend is available the
-run silently degrades to the ``"fast"`` path.
+``chunk_impl="jit"`` (PR 7; the default, so what :meth:`partition` runs)
+dispatches each chunk into a compiled kernel (:mod:`repro.kernels`)
+running the same candidate-set argmin over flat load/bitmask-word
+arrays — integer-only state, so bit-identity is by construction
+(DESIGN.md §8).  When no kernel backend is available the run degrades
+to the ``"fast"`` path above.
 """
 
 from __future__ import annotations
@@ -53,11 +54,14 @@ class GreedyPartitioner(EdgePartitioner):
     Parameters
     ----------
     chunk_impl:
-        ``"fast"`` (default) runs the lean int-bitmask core;
-        ``"reference"`` runs the retained numpy-per-edge chunk loop;
-        ``"jit"`` runs the compiled kernel (falling back to ``"fast"``
-        when no backend is available).  All are bit-identical to the
-        per-edge reference.
+        ``"jit"`` (default) runs the compiled kernel, falling back to
+        ``"fast"`` when no backend resolves (the ``cc`` backend compiles
+        once per machine, ~0.5 s, inside the first run that needs it);
+        ``"fast"`` runs the lean int-bitmask core; ``"reference"`` runs
+        the retained numpy-per-edge chunk loop.  All are bit-identical
+        to :meth:`partition_per_edge`, which is the only path that still
+        places one edge at a time in Python (what the fig-7
+        k-dependence benches time).
     kernel_backend:
         Which :mod:`repro.kernels` backend ``"jit"`` resolves
         (``"auto"``/``"numba"``/``"cc"``/``"python"``/``"none"``).
@@ -70,7 +74,7 @@ class GreedyPartitioner(EdgePartitioner):
         self,
         num_partitions: int,
         seed: int = 0,
-        chunk_impl: str = "fast",
+        chunk_impl: str = "jit",
         kernel_backend: str = "auto",
     ) -> None:
         super().__init__(num_partitions, seed)

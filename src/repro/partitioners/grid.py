@@ -77,9 +77,6 @@ class GridPartitioner(EdgePartitioner):
             self._intersections[key] = candidates
         return candidates
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        return self._assign_chunks(stream, max(1, stream.num_edges))
-
     def begin_chunks(self, stream: EdgeStream) -> None:
         pass  # stateless (the intersection cache is derived, not state)
 
@@ -104,7 +101,8 @@ class GridPartitioner(EdgePartitioner):
             out[group] = candidates[slots]
         return out
 
-    def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
+    def _assign(self, stream: EdgeStream) -> np.ndarray:
+        # the per-edge reference; partition() runs the chunk protocol
         k, seed = self.num_partitions, self.seed
         out = np.empty(stream.num_edges, dtype=np.int64)
         for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):

@@ -30,11 +30,7 @@ class HashingPartitioner(EdgePartitioner):
     supports_chunks = True
 
     def _assign(self, stream: EdgeStream) -> np.ndarray:
-        return hash_pair_to_partition(
-            stream.src, stream.dst, self.num_partitions, seed=self.seed
-        )
-
-    def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
+        # the per-edge reference; partition() runs the chunk protocol
         out = np.empty(stream.num_edges, dtype=np.int64)
         k, seed = self.num_partitions, self.seed
         for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):

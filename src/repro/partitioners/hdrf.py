@@ -38,12 +38,13 @@ Both paths are bit-identical to :meth:`_assign`; the previous
 numpy-per-edge chunk loop is retained as ``chunk_impl="reference"`` (the
 correctness oracle and the benchmark baseline the fast core replaces).
 
-``chunk_impl="jit"`` (PR 7) dispatches each chunk into a compiled kernel
-(:mod:`repro.kernels`): the full-k-scan reference loop runs in machine
-code over flat load/degree/bitmask-word arrays, bit-identical to
-:meth:`_assign` by construction (same IEEE double evaluation order; see
-DESIGN.md §8).  When no kernel backend is available the run silently
-degrades to the ``"fast"`` path.
+``chunk_impl="jit"`` (PR 7; the default, so what :meth:`partition` runs)
+dispatches each chunk into a compiled kernel (:mod:`repro.kernels`): the
+full-k-scan reference loop runs in machine code over flat
+load/degree/bitmask-word arrays, bit-identical to :meth:`_assign` by
+construction (same IEEE double evaluation order; see DESIGN.md §8).
+When no kernel backend is available the run degrades to the ``"fast"``
+path above.
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ class HDRFPartitioner(EdgePartitioner):
     epsilon:
         Tie-break constant in the balance term.
     chunk_impl:
-        ``"fast"`` (default) runs the vectorized-precompute + lean scalar
-        core; ``"reference"`` runs the retained numpy-per-edge chunk
-        loop; ``"jit"`` runs the compiled kernel (falling back to
-        ``"fast"`` when no backend is available).  All are bit-identical
-        to the per-edge reference.
+        ``"jit"`` (default) runs the compiled kernel, falling back to
+        ``"fast"`` when no backend resolves (the ``cc`` backend compiles
+        once per machine, ~0.5 s, inside the first run that needs it);
+        ``"fast"`` runs the vectorized-precompute + lean scalar core;
+        ``"reference"`` runs the retained numpy-per-edge chunk loop.
+        All are bit-identical to :meth:`partition_per_edge`, which is
+        the only path that still scores one edge at a time in Python
+        (what the fig-7 k-dependence benches time).
     kernel_backend:
         Which :mod:`repro.kernels` backend ``"jit"`` resolves
         (``"auto"``/``"numba"``/``"cc"``/``"python"``/``"none"``).
@@ -87,7 +91,7 @@ class HDRFPartitioner(EdgePartitioner):
         seed: int = 0,
         lambda_bal: float = 1.0,
         epsilon: float = 1.0,
-        chunk_impl: str = "fast",
+        chunk_impl: str = "jit",
         kernel_backend: str = "auto",
     ) -> None:
         super().__init__(num_partitions, seed)

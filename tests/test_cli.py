@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import ClugpConfig, GameConfig
 from repro.graph import io
 from repro.graph.generators import web_crawl_graph
 
@@ -215,7 +216,7 @@ class TestChunkImplFlags:
     def test_defaults(self):
         for command in ("partition", "serve", "distribute"):
             args = build_parser().parse_args([command])
-            assert args.chunk_impl == "fast"
+            assert args.chunk_impl == ClugpConfig.chunk_impl == "jit"
             assert args.kernel_backend == "auto"
 
     def test_rejects_unknown_impl(self):
@@ -249,7 +250,7 @@ class TestChunkImplFlags:
         with pytest.raises(SystemExit, match="not supported"):
             main([
                 "partition", "--scale", "0.02", "--algorithm", "hashing",
-                "--chunk-impl", "jit",
+                "--chunk-impl", "fast",  # any non-default value
             ])
 
     def test_serve_accepts_jit(self, capsys):
@@ -273,7 +274,7 @@ class TestGameImplFlags:
     def test_defaults(self):
         for command in ("partition", "serve", "distribute"):
             args = build_parser().parse_args([command])
-            assert args.game_impl == "fast"
+            assert args.game_impl == GameConfig.game_impl == "jit"
 
     def test_rejects_unknown_impl(self):
         with pytest.raises(SystemExit):
@@ -303,13 +304,13 @@ class TestGameImplFlags:
         with pytest.raises(SystemExit, match="not supported"):
             main([
                 "partition", "--scale", "0.02", "--algorithm", "hashing",
-                "--game-impl", "jit",
+                "--game-impl", "fast",  # any non-default value
             ])
         # chunk-capable but not clugp-family: still a friendly exit
         with pytest.raises(SystemExit, match="not supported"):
             main([
                 "partition", "--scale", "0.02", "--algorithm", "hdrf",
-                "--game-impl", "jit",
+                "--game-impl", "fast",
             ])
 
     def test_serve_accepts_game_jit(self, capsys):

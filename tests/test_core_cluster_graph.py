@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
-from repro.core.clustering import streaming_clustering
-from repro.core.cluster_graph import ClusterGraph, build_cluster_graph
+from repro.core.clustering import ClusteringResult, streaming_clustering
+from repro.core.cluster_graph import (
+    ClusterGraph,
+    build_cluster_graph,
+    cluster_graph_from_labels,
+)
 
 
 def clustered_stream(edges, vmax=1000):
@@ -262,3 +266,162 @@ def test_property_merge_of_halves_equals_whole_under_shared_clustering(
     assert np.array_equal(merged.indptr, whole.indptr)
     assert np.array_equal(merged.indices, whole.indices)
     assert np.array_equal(merged.weights, whole.weights)
+
+
+# --------------------------------------------------------------------- #
+# grouping-branch differential (dense bincount vs one-sort sparse)
+# --------------------------------------------------------------------- #
+
+CSR_FIELDS = (
+    "internal", "indptr", "indices", "weights",
+    "in_indptr", "in_indices", "in_weights",
+)
+#: ``m * m > 1 << 20`` — with few edges this forces the sparse branch,
+#: while any ``m <= 1024`` takes the dense one
+SPARSE_M = 1025
+
+
+def dict_oracle(cu, cv, m):
+    """Per-edge dict counting -> the ``from_dicts`` constructor."""
+    internal = np.zeros(m, dtype=np.int64)
+    out_edges = [dict() for _ in range(m)]
+    in_edges = [dict() for _ in range(m)]
+    for a, b in zip(cu, cv):
+        if a == b:
+            internal[a] += 1
+        else:
+            out_edges[a][b] = out_edges[a].get(b, 0) + 1
+            in_edges[b][a] = in_edges[b].get(a, 0) + 1
+    return ClusterGraph.from_dicts(m, internal, out_edges, in_edges)
+
+
+def assert_same_graph(got, want, num_edges):
+    assert got.num_clusters == want.num_clusters
+    for name in CSR_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+    assert got.total_cut() == want.total_cut()
+    assert got.total_internal() + got.total_cut() == num_edges
+    assert got.edge_count_check(num_edges)
+
+
+def assert_branches_agree(cu, cv, m):
+    """Dense branch at ``m`` clusters, sparse branch at ``SPARSE_M`` (the
+    extra clusters stay empty), each against its dict oracle — and the
+    two against each other on the shared prefix."""
+    cu = np.asarray(cu, dtype=np.int64)
+    cv = np.asarray(cv, dtype=np.int64)
+    assert m * m <= 1 << 20 < SPARSE_M * SPARSE_M and 2 * cu.size < SPARSE_M**2
+    dense = cluster_graph_from_labels(cu, cv, m)
+    sparse = cluster_graph_from_labels(cu, cv, SPARSE_M)
+    assert_same_graph(dense, dict_oracle(cu.tolist(), cv.tolist(), m), cu.size)
+    assert_same_graph(
+        sparse, dict_oracle(cu.tolist(), cv.tolist(), SPARSE_M), cu.size
+    )
+    assert np.array_equal(sparse.internal[:m], dense.internal)
+    assert not sparse.internal[m:].any()
+    for ptr, idx, w in (
+        ("indptr", "indices", "weights"),
+        ("in_indptr", "in_indices", "in_weights"),
+    ):
+        assert np.array_equal(getattr(sparse, ptr)[: m + 1], getattr(dense, ptr))
+        assert (getattr(sparse, ptr)[m:] == getattr(dense, ptr)[-1]).all()
+        assert np.array_equal(getattr(sparse, idx), getattr(dense, idx))
+        assert np.array_equal(getattr(sparse, w), getattr(dense, w))
+
+
+class TestGroupingBranches:
+    @pytest.mark.parametrize("m", [1, 5, SPARSE_M])
+    def test_empty_input(self, m):
+        cg = cluster_graph_from_labels([], [], m)
+        assert_same_graph(cg, dict_oracle([], [], m), 0)
+        assert cg.indices.size == 0 and not cg.internal.any()
+
+    def test_zero_clusters(self):
+        cg = cluster_graph_from_labels([], [], 0)
+        assert cg.num_clusters == 0 and cg.indptr.tolist() == [0]
+
+    def test_single_cluster(self):
+        # m = 1 is dense by construction; the sparse branch sees the same
+        # labels confined to cluster 0 of SPARSE_M
+        assert_branches_agree([0] * 7, [0] * 7, 1)
+
+    def test_all_internal(self):
+        labels = [3, 0, 3, 9, 9, 9, 0]
+        assert_branches_agree(labels, labels, 10)
+
+    def test_all_inter(self):
+        assert_branches_agree([0, 1, 2, 3, 0, 3], [1, 2, 3, 0, 2, 1], 4)
+
+    def test_duplicates_and_both_directions(self):
+        assert_branches_agree([4, 4, 4, 2, 2, 4], [2, 2, 2, 4, 4, 4], 6)
+
+    def test_last_cluster_and_last_key(self):
+        # the largest key (m-1, m-1) and the largest off-diagonal keys
+        assert_branches_agree([7, 7, 6, 7, 0], [7, 6, 7, 0, 7], 8)
+
+    @pytest.mark.parametrize("m", [46_340, 46_341])
+    def test_key_width_boundary(self, m):
+        # the sparse branch sorts 32-bit keys while m * m fits (m <= 46340)
+        # and 64-bit keys beyond; exercise the largest keys on both sides
+        assert (m * m <= np.iinfo(np.int32).max) == (m == 46_340)
+        cu = [m - 1, m - 1, m - 1, 0, m - 2, m - 1]
+        cv = [m - 1, m - 2, m - 2, m - 1, m - 1, 0]
+        cg = cluster_graph_from_labels(cu, cv, m)
+        assert_same_graph(cg, dict_oracle(cu, cv, m), len(cu))
+
+    @pytest.mark.parametrize("num_clusters", [40, SPARSE_M])
+    def test_stream_with_self_loops_and_duplicate_edges(self, num_clusters):
+        """Through ``build_cluster_graph``: vertex self-loops and repeated
+        edges of a stream land on the diagonal / in the run lengths."""
+        rng = np.random.default_rng(3)
+        n = 3 * num_clusters
+        src = rng.integers(0, n, size=400)
+        dst = rng.integers(0, n, size=400)
+        src = np.concatenate([src, src[:50], np.arange(30)])  # duplicates
+        dst = np.concatenate([dst, dst[:50], np.arange(30)])  # self-loops
+        stream = EdgeStream(src, dst, num_vertices=n)
+        cluster_of = np.arange(n, dtype=np.int64) % num_clusters
+        clustering = ClusteringResult(
+            cluster_of=cluster_of,
+            degree=np.zeros(n, dtype=np.int64),
+            volume=np.zeros(num_clusters, dtype=np.int64),
+            divided=np.zeros(n, dtype=bool),
+            mirror_source={},
+            num_clusters=num_clusters,
+            max_volume=1,
+        )
+        cg = build_cluster_graph(stream, clustering)
+        oracle = dict_oracle(
+            cluster_of[src].tolist(), cluster_of[dst].tolist(), num_clusters
+        )
+        assert_same_graph(cg, oracle, stream.num_edges)
+        assert cg.total_internal() >= 30  # every self-loop is internal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(1, 4)),
+        max_size=60,
+    ),
+    internal_only=st.booleans(),
+    inter_only=st.booleans(),
+)
+def test_property_sparse_branch_matches_dense_and_dict_oracle(
+    m, pairs, internal_only, inter_only
+):
+    cu, cv = [], []
+    for a, b, repeat in pairs:
+        a, b = a % m, b % m
+        if internal_only:
+            b = a
+        elif inter_only and a == b:
+            if m == 1:
+                continue
+            b = (a + 1) % m
+        cu += [a] * repeat  # repeat > 1: duplicate edges
+        cv += [b] * repeat
+    assert_branches_agree(cu, cv, m)

@@ -431,6 +431,7 @@ class TestDegradationReporting:
 
     def test_available_backend_short_circuits_warning(self, monkeypatch, caplog):
         monkeypatch.setattr(kernels, "_warned_degraded", False)
+        monkeypatch.delenv("CLUGP_KERNEL_BACKEND", raising=False)
         if not kernels.available():
             pytest.skip("no compiled backend on this machine")
         with caplog.at_level(logging.WARNING, logger="repro.kernels"):
