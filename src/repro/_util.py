@@ -17,6 +17,9 @@ __all__ = [
     "hash_pair_to_partition",
     "stable_argsort_bounded",
     "group_by_bounded",
+    "sorted_unique",
+    "ragged_take_indices",
+    "grow_buffer",
     "occurrence_ranks",
     "vertex_partition_pairs",
     "BitsetRows",
@@ -103,6 +106,54 @@ def group_by_bounded(keys: np.ndarray, upper: int) -> tuple[np.ndarray, np.ndarr
     indptr = np.zeros(upper + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=upper), out=indptr[1:])
     return order, indptr
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D integer array by sort + run-length
+    dedupe — several times faster than the hash-based ``np.unique`` at the
+    few-thousand-element sizes the service's per-batch sets have."""
+    values = np.sort(values)
+    if values.size == 0:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def ragged_take_indices(
+    starts: np.ndarray, lengths: np.ndarray, out_indptr: np.ndarray
+) -> np.ndarray:
+    """Flat source indices selecting ``[starts[i], starts[i]+lengths[i])``.
+
+    The standard vectorized ragged gather: repeat each slice's offset
+    delta and cumulatively sum, so no python loop touches the rows.
+    """
+    total = int(out_indptr[-1])
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    flat = np.ones(total, dtype=np.int64)
+    heads = out_indptr[:-1][lengths > 0]
+    flat[heads] = starts[lengths > 0] - np.concatenate(
+        ([0], (starts + lengths)[lengths > 0][:-1] - 1)
+    )
+    return np.cumsum(flat)
+
+
+def grow_buffer(
+    buf: np.ndarray, used: int, extra: int, fill: int | None = None
+) -> np.ndarray:
+    """Return ``buf`` with capacity for ``used + extra`` entries (amortized
+    doubling); newly exposed cells are ``fill`` when given."""
+    need = used + extra
+    if need <= buf.size:
+        return buf
+    cap = max(need, 2 * buf.size, 1024)
+    out = np.empty(cap, dtype=buf.dtype)
+    out[:used] = buf[:used]
+    if fill is not None:
+        out[used:] = fill
+    return out
 
 
 def occurrence_ranks(edges: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:

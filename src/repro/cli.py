@@ -607,6 +607,11 @@ def _cmd_serve(args) -> int:
             indent=2,
         ))
         return 0
+    spent = sum(summary["phase_seconds"].values())
+    if spent > 0:
+        print("phase seconds (sum over batches; quality is outside the e/s figure):")
+        for phase, seconds in summary["phase_seconds"].items():
+            print(f"  {phase:<14s}{seconds:9.4f}  {seconds / spent:6.1%}")
     print(
         f"served {summary['num_edges']} edges in {summary['batches']} batches "
         f"({summary['edges_per_second']:,.0f} e/s sustained)\n"

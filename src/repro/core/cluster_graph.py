@@ -40,7 +40,12 @@ from .._util import stable_argsort_bounded
 from ..graph.stream import EdgeStream
 from .clustering import ClusteringResult
 
-__all__ = ["ClusterGraph", "build_cluster_graph", "cluster_graph_from_labels"]
+__all__ = [
+    "ClusterGraph",
+    "ClusterGraphDelta",
+    "build_cluster_graph",
+    "cluster_graph_from_labels",
+]
 
 
 def _segment_sums(weights: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -347,6 +352,136 @@ class ClusterGraph:
         ) or num_self_loops > 0
 
 
+def _graph_from_grouped(
+    rows: np.ndarray, cols: np.ndarray, counts: np.ndarray, m: int
+) -> "ClusterGraph":
+    """:class:`ClusterGraph` from unique ``(row, col) -> count`` pairs in
+    row-major order, same-cluster pairs included.
+
+    Diagonal pairs are the same-cluster (internal) counts; the rest are
+    unique and ascending, i.e. already the out-CSR as is.  The in-CSR is
+    one stable regrouping by column: rows stay ascending within a column
+    because they were ascending to begin with.
+    """
+    internal = np.zeros(m, dtype=np.int64)
+    diag = rows == cols
+    internal[rows[diag]] = counts[diag]
+    rows, cols, counts = rows[~diag], cols[~diag], counts[~diag]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    by_col = stable_argsort_bounded(cols, max(m, 1))
+    in_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=m), out=in_indptr[1:])
+    return ClusterGraph(
+        num_clusters=m,
+        internal=internal,
+        indptr=indptr,
+        indices=cols,
+        weights=counts,
+        in_indptr=in_indptr,
+        in_indices=rows[by_col],
+        in_weights=counts[by_col],
+    )
+
+
+#: two raw cluster ids (each below 2**31) pack into one sortable int64 key
+_RAW_BITS = 32
+_RAW_MASK = (1 << _RAW_BITS) - 1
+
+
+def _pack_raw(raw_u: np.ndarray, raw_v: np.ndarray) -> np.ndarray:
+    return (np.asarray(raw_u, dtype=np.int64) << _RAW_BITS) | raw_v
+
+
+@dataclass(frozen=True)
+class ClusterGraphDelta:
+    """The mutable layer under the immutable :class:`ClusterGraph`.
+
+    A consumer that keeps one clustering alive across many batches (the
+    incremental service) cannot afford :func:`build_cluster_graph` over
+    everything it has ever ingested.  This layer holds the same multiset
+    of per-edge label pairs, but keyed by *raw* cluster ids — which are
+    stable for the lifetime of a :class:`~repro.core.clustering.
+    ClusteringState` — as one sorted COO: ``keys[i]`` packs
+    ``(raw_u, raw_v)`` and ``weights[i] > 0`` counts the edges carrying
+    that pair (``raw_u == raw_v`` entries are the internal counts).
+
+    Invariant: the layer equals the grouped label pairs of every edge
+    under the *current* raw labelling.  :meth:`updated` moves it forward
+    by what changed — new edges added under their labels, edges whose
+    endpoint changed cluster removed under the old pair and re-added
+    under the new one — in O(changes + nnz).  Because compaction
+    renumbers surviving raw ids order-preservingly, :meth:`freeze` maps
+    the sorted keys straight onto a row-major compact CSR: the result is
+    array for array what :func:`build_cluster_graph` returns.
+
+    Instances are immutable; :meth:`updated` returns a new layer, so a
+    caller can compute a batch on the side and adopt it only on success.
+    """
+
+    keys: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_graph(cls, graph: ClusterGraph, raw_ids: np.ndarray) -> "ClusterGraphDelta":
+        """The layer holding ``graph``, whose compact cluster ``c`` has raw
+        id ``raw_ids[c]`` (ascending, as ``ClusteringResult.raw_ids`` is)."""
+        raw_ids = np.asarray(raw_ids, dtype=np.int64)
+        inner = np.flatnonzero(graph.internal)
+        keys = np.concatenate([
+            _pack_raw(raw_ids[graph.out_rows()], raw_ids[graph.indices]),
+            _pack_raw(raw_ids[inner], raw_ids[inner]),
+        ])
+        weights = np.concatenate([graph.weights, graph.internal[inner]])
+        order = np.argsort(keys)
+        return cls(keys[order], weights[order])
+
+    def updated(
+        self,
+        add_u: np.ndarray,
+        add_v: np.ndarray,
+        sub_u: np.ndarray,
+        sub_v: np.ndarray,
+    ) -> "ClusterGraphDelta":
+        """The layer after adding one edge per ``(add_u[i], add_v[i])`` raw
+        label pair and removing one per ``(sub_u[i], sub_v[i])``."""
+        changes = np.concatenate([_pack_raw(add_u, add_v), _pack_raw(sub_u, sub_v)])
+        if changes.size == 0:
+            return self
+        sign = np.ones(changes.size, dtype=np.int64)
+        sign[len(add_u):] = -1
+        order = np.argsort(changes)
+        changes = changes[order]
+        starts = np.flatnonzero(np.concatenate(([True], changes[1:] != changes[:-1])))
+        ukeys = changes[starts]
+        change = np.add.reduceat(sign[order], starts)
+        pos = np.searchsorted(self.keys, ukeys)
+        held = pos < self.keys.size
+        held[held] = self.keys[pos[held]] == ukeys[held]
+        weights = self.weights.copy()
+        weights[pos[held]] += change[held]
+        fresh = ~held & (change != 0)
+        keys = np.insert(self.keys, pos[fresh], ukeys[fresh])
+        weights = np.insert(weights, pos[fresh], change[fresh])
+        if weights.size and int(weights.min()) < 0:
+            raise ValueError("removed a label pair the layer does not hold")
+        live = weights != 0
+        return ClusterGraphDelta(keys[live], weights[live])
+
+    def freeze(self, raw_ids: np.ndarray) -> ClusterGraph:
+        """The immutable graph over the compact ids ``0..len(raw_ids)-1`` of
+        the surviving raw clusters ``raw_ids`` (ascending)."""
+        m = int(raw_ids.size)
+        # raw -> compact table, deliberately uninitialized: only surviving
+        # ids are written and (by the layer's invariant) only they are
+        # read, so the cost is O(m + nnz) however many raw ids have died
+        compact = np.empty(int(raw_ids[-1]) + 1 if m else 0, dtype=np.int64)
+        compact[raw_ids] = np.arange(m, dtype=np.int64)
+        rows = compact[self.keys >> _RAW_BITS]
+        cols = compact[self.keys & _RAW_MASK]
+        return _graph_from_grouped(rows, cols, self.weights, m)
+
+
 def cluster_graph_from_labels(
     cu: np.ndarray, cv: np.ndarray, num_clusters: int
 ) -> ClusterGraph:
@@ -363,7 +498,6 @@ def cluster_graph_from_labels(
     m = int(num_clusters)
     cu = np.asarray(cu, dtype=np.int64)
     cv = np.asarray(cv, dtype=np.int64)
-    internal = np.zeros(m, dtype=np.int64)
     ukeys = counts = np.empty(0, dtype=np.int64)
     cells = m * m
     if m and cu.size and cells <= max(1 << 20, 2 * cu.size):
@@ -383,25 +517,8 @@ def cluster_graph_from_labels(
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         ukeys = keys[starts].astype(np.int64)
         counts = np.diff(starts, append=keys.size)
-    # diagonal keys are the same-cluster (internal) counts; the rest are
-    # unique and ascending, i.e. already row-major: the out-CSR as is
     rows, cols = np.divmod(ukeys, max(m, 1))
-    diag = rows == cols
-    internal[rows[diag]] = counts[diag]
-    rows, cols, counts = rows[~diag], cols[~diag], counts[~diag]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    in_indptr, in_indices, in_weights = _csr_from_pairs(cols, rows, counts, m)
-    return ClusterGraph(
-        num_clusters=m,
-        internal=internal,
-        indptr=indptr,
-        indices=cols,
-        weights=counts,
-        in_indptr=in_indptr,
-        in_indices=in_indices,
-        in_weights=in_weights,
-    )
+    return _graph_from_grouped(rows, cols, counts, m)
 
 
 def build_cluster_graph(stream: EdgeStream, clustering: ClusteringResult) -> ClusterGraph:

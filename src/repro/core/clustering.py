@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from .._util import check_positive_int, stable_argsort_bounded
+from .._util import check_positive_int, grow_buffer, stable_argsort_bounded
 from ..graph.stream import EdgeStream
 
 __all__ = [
@@ -372,8 +372,11 @@ class ClusteringState:
         self.num_raw = 0
         # list-mode state (authoritative when set): [clu, deg, div, vol]
         self._lists: tuple[list, list, list, list] | None = None
-        self._mirror_v: list[int] = []
-        self._mirror_c: list[int] = []
+        # mirror journal: parallel growable (vertex, raw cluster) arrays,
+        # the first _num_mirrors entries live
+        self._mirror_v = np.empty(16, dtype=np.int64)
+        self._mirror_c = np.empty(16, dtype=np.int64)
+        self._num_mirrors = 0
         self.splits = 0
         self.migrations = 0
         self.allocations = 0
@@ -409,6 +412,24 @@ class ClusteringState:
                 self._vol[: self.num_raw].tolist(),
             )
         return self._lists
+
+    def _append_mirrors(self, vertices, clusters) -> None:
+        """Append ``(vertex, raw cluster)`` pairs to the mirror journal."""
+        extra = len(vertices)
+        if extra:
+            used = self._num_mirrors
+            self._mirror_v = grow_buffer(self._mirror_v, used, extra)
+            self._mirror_c = grow_buffer(self._mirror_c, used, extra)
+            self._mirror_v[used : used + extra] = vertices
+            self._mirror_c[used : used + extra] = clusters
+            self._num_mirrors = used + extra
+
+    def _mirror_journal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live journal as ``(vertices, raw clusters)`` views."""
+        return (
+            self._mirror_v[: self._num_mirrors],
+            self._mirror_c[: self._num_mirrors],
+        )
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -500,9 +521,7 @@ class ClusteringState:
         )
         self.num_raw = int(counters[0])
         n_mirrors = int(counters[1])
-        if n_mirrors:
-            self._mirror_v.extend(mirror_v[:n_mirrors].tolist())
-            self._mirror_c.extend(mirror_c[:n_mirrors].tolist())
+        self._append_mirrors(mirror_v[:n_mirrors], mirror_c[:n_mirrors])
         self.splits = int(counters[2])
         self.migrations = int(counters[3])
         self.allocations = int(counters[4])
@@ -605,8 +624,8 @@ class ClusteringState:
         clu_l, deg_l, div_l, vol_l = self._to_lists()
         vmax = self.max_volume
         splitting = self.enable_splitting
-        mirror_v = self._mirror_v
-        mirror_c = self._mirror_c
+        mirror_v: list[int] = []
+        mirror_c: list[int] = []
         splits = self.splits
         migrations = self.migrations
         allocations = self.allocations
@@ -681,6 +700,7 @@ class ClusteringState:
                     vol_l[cui] = vcu + dv
                     clu_l[vi] = cui
                 migrations += 1
+        self._append_mirrors(mirror_v, mirror_c)
         self.splits = splits
         self.migrations = migrations
         self.allocations = allocations
@@ -702,13 +722,14 @@ class ClusteringState:
         restore onto a different backend than the one that saved.
         """
         self._to_arrays()
+        mirror_v, mirror_c = self._mirror_journal()
         arrays = {
             "clu": self._clu,
             "deg": self._deg,
             "div": self._div,
             "vol": self._vol[: self.num_raw],
-            "mirror_v": np.asarray(self._mirror_v, dtype=np.int64),
-            "mirror_c": np.asarray(self._mirror_c, dtype=np.int64),
+            "mirror_v": mirror_v,
+            "mirror_c": mirror_c,
         }
         meta = {
             "num_vertices": self.num_vertices,
@@ -753,8 +774,10 @@ class ClusteringState:
         state.num_raw = int(vol.size)
         state._vol = np.zeros(max(16, vol.size), dtype=np.int64)
         state._vol[: vol.size] = vol
-        state._mirror_v = np.asarray(arrays["mirror_v"], dtype=np.int64).tolist()
-        state._mirror_c = np.asarray(arrays["mirror_c"], dtype=np.int64).tolist()
+        state._append_mirrors(
+            np.asarray(arrays["mirror_v"], dtype=np.int64),
+            np.asarray(arrays["mirror_c"], dtype=np.int64),
+        )
         state.splits = int(meta["splits"])
         state.migrations = int(meta["migrations"])
         state.allocations = int(meta["allocations"])
@@ -779,6 +802,44 @@ class ClusteringState:
         self._to_arrays()
         return self._clu[np.asarray(vertices, dtype=np.int64)]
 
+    def savepoint(self, vertices: np.ndarray) -> tuple:
+        """Capture everything ingesting edges among ``vertices`` can change.
+
+        Allocation, splitting and migration act only on an edge's own
+        endpoints, and every volume they move belongs to a cluster that
+        held one of the endpoints at the savepoint or was born after it —
+        so the rows of ``vertices``, the volumes of their clusters and the
+        scalar counters are the whole footprint, O(``len(vertices)``).
+        :meth:`rollback` undoes any ingestion whose edges had all their
+        endpoints in ``vertices``.
+        """
+        self._to_arrays()
+        vertices = np.asarray(vertices, dtype=np.int64)
+        raw = self._clu[vertices]
+        clusters = raw[raw >= 0]
+        return (
+            vertices, raw, self._deg[vertices], self._div[vertices],
+            clusters, self._vol[clusters], self.num_raw, self._num_mirrors,
+            (self.splits, self.migrations, self.allocations,
+             self.edges_ingested, self.edges_suspect,
+             self._chunk_index, self._scalar_bias),
+        )
+
+    def rollback(self, saved: tuple) -> None:
+        """Restore the state captured by :meth:`savepoint`."""
+        self._to_arrays()
+        vertices, raw, deg, div, clusters, vol, num_raw, num_mirrors, scalars = saved
+        self._clu[vertices] = raw
+        self._deg[vertices] = deg
+        self._div[vertices] = div
+        self._vol[clusters] = vol
+        self._vol[num_raw : self.num_raw] = 0  # raw ids born since are unborn again
+        self.num_raw = num_raw
+        self._num_mirrors = num_mirrors
+        (self.splits, self.migrations, self.allocations,
+         self.edges_ingested, self.edges_suspect,
+         self._chunk_index, self._scalar_bias) = scalars
+
     def snapshot(self) -> ClusteringResult:
         """Compact the *current* state into a :class:`ClusteringResult`
         without ending ingestion.
@@ -794,12 +855,14 @@ class ClusteringState:
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
         self._to_arrays()
+        # _compact builds fresh arrays from cluster_of and the volumes;
+        # degree and divided it stores as given, so those two are copied
         return _compact(
-            self._clu.copy(),
+            self._clu,
             self._deg.copy(),
-            self._vol[: self.num_raw].copy(),
+            self._vol[: self.num_raw],
             self._div.copy(),
-            (self._mirror_v, self._mirror_c),
+            self._mirror_journal(),
             self.max_volume,
             self.splits,
             self.migrations,
@@ -815,7 +878,7 @@ class ClusteringState:
             self._deg,
             self._vol[: self.num_raw],
             self._div,
-            (self._mirror_v, self._mirror_c),
+            self._mirror_journal(),
             self.max_volume,
             self.splits,
             self.migrations,
@@ -878,13 +941,15 @@ def _compact(
     raw_count = len(volumes)
     used = np.zeros(raw_count, dtype=bool)
     active = cluster_of >= 0
-    used[cluster_of[active]] = True
-    num_used = int(used.sum())
+    labels = cluster_of[active]
+    used[labels] = True
+    raw_ids = np.flatnonzero(used)
+    num_used = int(raw_ids.size)
     remap = np.full(raw_count, -1, dtype=np.int64)
-    remap[used] = np.arange(num_used, dtype=np.int64)
+    remap[raw_ids] = np.arange(num_used, dtype=np.int64)
     compact_of = cluster_of.copy()
-    compact_of[active] = remap[cluster_of[active]]
-    compact_volumes = np.asarray(volumes, dtype=np.int64)[used]
+    compact_of[active] = remap[labels]
+    compact_volumes = np.asarray(volumes, dtype=np.int64)[raw_ids]
     mirror_source: dict[int, list[int]] | tuple[np.ndarray, np.ndarray, int]
     if isinstance(mirror_clusters, dict):
         compact_mirrors: dict[int, list[int]] = {}
@@ -907,10 +972,10 @@ def _compact(
         volume=compact_volumes,
         divided=divided,
         mirror_source=mirror_source,
-        num_clusters=int(used.sum()),
+        num_clusters=num_used,
         max_volume=max_volume,
         splits=splits,
         migrations=migrations,
         allocations=allocations,
-        raw_ids=np.flatnonzero(used),
+        raw_ids=raw_ids,
     )

@@ -77,7 +77,10 @@ class BatchStats:
     ``replication_factor`` / ``relative_balance`` are ``None`` on batches
     where quality collection was skipped (``quality_every`` > 1);
     ``rf_oracle`` is filled only when the caller ran the from-scratch
-    oracle against this batch's state.
+    oracle against this batch's state.  ``phase_seconds`` splits the batch
+    into the maintenance phases ``endpoints``, ``pass1``, ``snapshot``,
+    ``cluster_graph``, ``warm_start``, ``game``, ``plan``, ``pass3`` (they
+    sum to ``seconds``) plus ``quality`` on batches that sampled it.
     """
 
     batch: int
@@ -96,6 +99,7 @@ class BatchStats:
     replication_factor: float | None = None
     relative_balance: float | None = None
     rf_oracle: float | None = None
+    phase_seconds: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -137,6 +141,7 @@ class BatchStats:
             "relative_balance": self.relative_balance,
             "rf_oracle": self.rf_oracle,
             "rf_drift": self.rf_drift,
+            "phase_seconds": dict(self.phase_seconds),
             **self.extras,
         }
 
@@ -156,7 +161,7 @@ class BatchStats:
             "frontier_clusters", "game_rounds", "game_moves",
             "candidate_moves", "applied_moves", "deferred_moves",
             "reassigned_edges", "churn_edges", "replication_factor",
-            "relative_balance", "rf_oracle",
+            "relative_balance", "rf_oracle", "phase_seconds",
         }
         extras = {k: v for k, v in data.items() if k not in known}
         kwargs = {k: v for k, v in data.items() if k in known}

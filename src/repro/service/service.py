@@ -26,10 +26,17 @@ unbounded sequence of edge batches:
   MigrationPlan`; only edges incident to moved vertices plus the new
   batch re-stream through a :class:`~repro.core.transform.TransformState`
   seeded with the retained per-partition loads (``initial_loads``) and
-  per-partition caps from the PR-5 quota exchange
-  (:func:`~repro.core.distributed.balance_quotas`; single-node it
-  degenerates to the uniform ``L_max``), so churn is bounded by
-  construction and the hard balance cap keeps holding.
+  the uniform cap ``L_max`` of everything served so far (what the PR-5
+  quota exchange, :func:`~repro.core.distributed.balance_quotas`, hands
+  a single node), so churn is bounded by construction and the hard
+  balance cap keeps holding.
+
+What a batch costs is what it touches: the cluster graph is kept as a
+raw-id delta layer (:class:`~repro.core.cluster_graph.ClusterGraphDelta`)
+moved forward by the batch's own edges and the old edges of endpoints
+that changed cluster, and an :class:`~repro.service.index.EndpointIndex`
+finds those edges — and the ones a migration re-routes — without
+scanning the accumulated stream (DESIGN.md §7.6).
 
 The first batch takes the exact batch-pipeline path (no warm start, no
 frontier, no migration diff), so a service fed the whole stream as one
@@ -41,22 +48,24 @@ the measured drift/churn tradeoff.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
+import time
 
 import numpy as np
 
-from .._util import Timer
+from .._util import grow_buffer, sorted_unique
 from ..config import ClugpConfig
 from ..core.clustering import ClusteringState
-from ..core.cluster_graph import build_cluster_graph
-from ..core.distributed import balance_quotas
+from ..core.cluster_graph import ClusterGraphDelta, build_cluster_graph
 from ..core.game import ClusterPartitioningGame
 from ..core.partitioner import ClugpPartitioner
 from ..core.transform import TransformState
 from ..graph.stream import EdgeStream
 from ..partitioners.base import PartitionAssignment
 from ..reliability.checkpoint import BatchJournal, CheckpointError, CheckpointManager
+from .index import EndpointIndex
 from .plan import BatchStats, MigrationPlan, plan_migrations
 
 __all__ = ["PartitionService"]
@@ -76,18 +85,28 @@ def _jsonable(obj):
     return obj
 
 
-def _grow(buf: np.ndarray, used: int, extra: int, fill: int | None = None) -> np.ndarray:
-    """Return ``buf`` with capacity for ``used + extra`` entries (amortized
-    doubling); newly exposed cells are ``fill`` when given."""
-    need = used + extra
-    if need <= buf.size:
-        return buf
-    cap = max(need, 2 * buf.size, 1024)
-    out = np.empty(cap, dtype=buf.dtype)
-    out[:used] = buf[:used]
-    if fill is not None:
-        out[used:] = fill
-    return out
+class _PhaseClock:
+    """Books the time since the previous lap to a named batch phase."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + now - self._last
+        self._last = now
+
+
+def _labels_before(
+    vertices: np.ndarray, labels: np.ndarray, changed: np.ndarray, before: np.ndarray
+) -> np.ndarray:
+    """``labels`` of ``vertices`` with those in ``changed`` (ascending) put
+    back to their ``before`` value."""
+    if changed.size == 0:
+        return labels
+    pos = np.minimum(np.searchsorted(changed, vertices), changed.size - 1)
+    return np.where(changed[pos] == vertices, before[pos], labels)
 
 
 class PartitionService:
@@ -156,6 +175,10 @@ class PartitionService:
         self._vp = np.full(n, -1, dtype=np.int64)  # served vertex->partition
         self._raw_assign = np.full(0, -1, dtype=np.int64)  # raw cluster->partition
         self._loads = np.zeros(self.k, dtype=np.int64)
+        # derived state, rebuilt from the log and the clustering on restore:
+        # the cluster graph under raw labels, and vertex -> incident edges
+        self._delta: ClusterGraphDelta | None = None
+        self._index = EndpointIndex(n)
         self.batch_index = 0
         self.history: list[BatchStats] = []
         self.last_plan: MigrationPlan | None = None
@@ -239,6 +262,10 @@ class PartitionService:
     def summary(self) -> dict:
         """Aggregate service counters (CLI/bench reporting)."""
         secs = sum(s.seconds for s in self.history)
+        phases: dict[str, float] = {}
+        for stats in self.history:
+            for phase, spent in stats.phase_seconds.items():
+                phases[phase] = phases.get(phase, 0.0) + spent
         return {
             "batches": self.batch_index,
             "num_edges": self._num_edges,
@@ -251,6 +278,7 @@ class PartitionService:
             "deferred_moves": sum(s.deferred_moves for s in self.history),
             "churn_edges": sum(s.churn_edges for s in self.history),
             "reassigned_edges": sum(s.reassigned_edges for s in self.history),
+            "phase_seconds": phases,
         }
 
     # ------------------------------------------------------------------ #
@@ -331,6 +359,9 @@ class PartitionService:
                 chunk_impl=self.config.chunk_impl,
                 kernel_backend=self.config.kernel_backend,
             )
+            stream = self.stream()
+            _, self._delta = self._build_graph(stream, self._state.snapshot())
+            self._index.extend(stream.src, stream.dst)
 
     @classmethod
     def resume(cls, checkpoint_dir: str) -> "PartitionService":
@@ -491,135 +522,181 @@ class PartitionService:
             self._maybe_checkpoint()
             return stats
 
-        with Timer() as t:
-            stats = self._maintain(u, v, m_batch)
-        stats.seconds = t.elapsed
+        clock = _PhaseClock()
+        stats = self._maintain(u, v, m_batch, clock)
+        stats.seconds = sum(clock.seconds.values())
         if self.batch_index % self.quality_every == 0:
             a = self.assignment()
             stats.replication_factor = a.replication_factor()
             stats.relative_balance = a.relative_balance()
+            clock.lap("quality")
+        stats.phase_seconds = clock.seconds
         self.batch_index += 1
         self.history.append(stats)
         self._maybe_checkpoint()
         return stats
 
-    def _maintain(self, u: np.ndarray, v: np.ndarray, m_batch: int) -> BatchStats:
-        """One maintenance cycle (the hot path timed by :meth:`ingest_pair`)."""
+    @staticmethod
+    def _build_graph(stream: EdgeStream, snap):
+        """Cluster graph of ``stream`` from scratch, and the delta layer
+        holding it — the first batch (where it *is* the batch pipeline's
+        builder: anchor invariant I1) and checkpoint restore."""
+        graph = build_cluster_graph(stream, snap)
+        return graph, ClusterGraphDelta.from_graph(graph, snap.raw_ids)
+
+    def _maintain(
+        self, u: np.ndarray, v: np.ndarray, m_batch: int, clock: _PhaseClock
+    ) -> BatchStats:
+        """One maintenance cycle (the hot path timed by :meth:`ingest_pair`).
+
+        Transactional: the batch is computed against the committed state
+        and adopted in one step at the end; an exception anywhere leaves
+        the service — pass-1 state included — as it was before the call.
+        After the first batch nothing here re-reads the edges already
+        served, bar the endpoint index's bounded tail scan and its
+        amortized re-index (DESIGN.md §7.6).
+        """
         cfg = self.config
         k = self.k
         n = self.num_vertices
         first = self._state is None
+        state = self._state
         if first:
             vmax = cfg.resolve_vmax(
                 self.expected_edges if self.expected_edges else m_batch
             )
-            self._state = ClusteringState(
+            state = ClusteringState(
                 n,
                 vmax,
                 enable_splitting=cfg.enable_splitting,
                 chunk_impl=cfg.chunk_impl,
                 kernel_backend=cfg.kernel_backend,
             )
-        state = self._state
-
-        # -- pass 1 (warm): dirty raw clusters are those touching batch
-        #    endpoints before OR after ingestion (migration/splitting can
-        #    move an endpoint's whole neighborhood's cut structure)
-        endpoints = np.unique(np.concatenate([u, v]))
+        endpoints = sorted_unique(np.concatenate([u, v]))
         prev_raw = state.raw_clusters(endpoints)
-        state.ingest_pair(u, v)
-        new_raw = state.raw_clusters(endpoints)
-        snap = state.snapshot()
-        m_clusters = snap.num_clusters
-
+        saved = state.savepoint(endpoints)
+        # the log grows past _num_edges: invisible until the commit
         old_edges = self._num_edges
         total = old_edges + m_batch
-        self._src = _grow(self._src, old_edges, m_batch)
-        self._dst = _grow(self._dst, old_edges, m_batch)
-        self._edge_part = _grow(self._edge_part, old_edges, m_batch)
+        self._src = grow_buffer(self._src, old_edges, m_batch)
+        self._dst = grow_buffer(self._dst, old_edges, m_batch)
+        self._edge_part = grow_buffer(self._edge_part, old_edges, m_batch)
         self._src[old_edges:total] = u
         self._dst[old_edges:total] = v
+        src = self._src[:old_edges]
+        dst = self._dst[:old_edges]
+        vp = self._vp
+        vp_written = False
+        clock.lap("endpoints")
+        try:
+            # -- pass 1 (warm): dirty raw clusters are those touching batch
+            #    endpoints before OR after ingestion (migration/splitting can
+            #    move an endpoint's whole neighborhood's cut structure)
+            state.ingest_pair(u, v)
+            new_raw = state.raw_clusters(endpoints)
+            clock.lap("pass1")
+            snap = state.snapshot()
+            m_clusters = snap.num_clusters
+            clock.lap("snapshot")
+
+            # -- cluster graph: the batch's own edges under their labels,
+            #    plus the old edges at an endpoint that changed raw cluster
+            #    (only batch endpoints ever do) moved from the old label
+            #    pair to the new one
+            if first:
+                graph, delta = self._build_graph(EdgeStream(u, v, n), snap)
+            else:
+                moved = (prev_raw >= 0) & (prev_raw != new_raw)
+                movers, was = endpoints[moved], prev_raw[moved]
+                relabelled = self._index.incident(movers, src, dst)
+                old_u, old_v = src[relabelled], dst[relabelled]
+                now_u, now_v = state.raw_clusters(old_u), state.raw_clusters(old_v)
+                delta = self._delta.updated(
+                    np.concatenate([state.raw_clusters(u), now_u]),
+                    np.concatenate([state.raw_clusters(v), now_v]),
+                    _labels_before(old_u, now_u, movers, was),
+                    _labels_before(old_v, now_v, movers, was),
+                )
+                graph = delta.freeze(snap.raw_ids)
+            clock.lap("cluster_graph")
+
+            # -- pass 2 (frontier-restricted, warm-started)
+            if first:
+                init = None
+                active = None
+                frontier_size = m_clusters
+            else:
+                init, active = self._warm_start(snap, graph, endpoints, prev_raw, new_raw)
+                frontier_size = int(active.sum())
+            clock.lap("warm_start")
+            game = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init)
+            result = game.run(active=active)
+            clock.lap("game")
+
+            # -- migration plan: diff served map against the refreshed ideal,
+            #    over the seen vertices only (ascending, so the planner's
+            #    tie-breaks by position are tie-breaks by vertex id)
+            seen = np.flatnonzero(snap.cluster_of >= 0)
+            ideal = result.assignment[snap.cluster_of[seen]]
+            served = vp[seen]
+            plan = plan_migrations(served, ideal, snap.degree[seen], self.migration_cap)
+            plan = dataclasses.replace(plan, vertices=seen[plan.vertices])
+            placed = seen[served < 0]
+            placed_to = ideal[served < 0]
+            affected = self._index.incident(plan.vertices, src, dst)
+            clock.lap("plan")
+
+            # -- pass 3 (delta): re-route edges incident to moved vertices,
+            #    then stream the new batch, against retained loads and the
+            #    hard cap of everything served so far
+            vp_written = True
+            vp[placed] = placed_to
+            vp[plan.vertices] = plan.targets
+            old_parts = self._edge_part[affected]
+            loads = self._loads - np.bincount(old_parts, minlength=k)
+            cap = max(1, math.ceil(cfg.imbalance_factor * total / k))
+            transform = TransformState(
+                snap, None, k,
+                num_edges=int(affected.size) + m_batch,
+                num_vertices=n,
+                imbalance_factor=cfg.imbalance_factor,
+                vertex_partition=vp,
+                load_caps=np.full(k, cap, dtype=np.int64),
+                initial_loads=loads,
+                chunk_impl=cfg.chunk_impl,
+                kernel_backend=cfg.kernel_backend,
+            )
+            re_parts = transform.ingest_pair(src[affected], dst[affected])
+            new_parts = transform.ingest_pair(u, v)
+        except BaseException:
+            if vp_written:
+                vp[plan.vertices] = plan.sources
+                vp[placed] = -1
+            state.rollback(saved)
+            raise
+
+        # -- commit
+        self._state = state
+        self._edge_part[affected] = re_parts
+        self._edge_part[old_edges:total] = new_parts
         self._num_edges = total
-        stream = self.stream()
-
-        # -- pass 2 (frontier-restricted, warm-started)
-        graph = build_cluster_graph(stream, snap)
-        raw_to_compact = np.full(state.num_raw, -1, dtype=np.int64)
-        raw_to_compact[snap.raw_ids] = np.arange(m_clusters, dtype=np.int64)
-        if first:
-            init = None
-            active = None
-            frontier_size = m_clusters
-        else:
-            init, active = self._warm_start(snap, graph, prev_raw, new_raw,
-                                            raw_to_compact, m_clusters)
-            frontier_size = int(active.sum())
-        game = ClusterPartitioningGame(
-            graph, k, cfg.game, vectorized=True, initial_assignment=init
-        )
-        result = game.run(active=active)
-
-        # persist the equilibrium against stable raw ids for the next batch
-        self._raw_assign = _grow(
+        self._loads = transform.loads
+        # the equilibrium persists against stable raw ids for the next batch
+        self._raw_assign = grow_buffer(
             self._raw_assign, self._raw_assign.size,
             state.num_raw - self._raw_assign.size, fill=-1,
         )
         self._raw_assign[snap.raw_ids] = result.assignment
-
-        # -- migration plan: diff served map against the refreshed ideal
-        ideal = np.full(n, -1, dtype=np.int64)
-        seen = snap.cluster_of >= 0
-        ideal[seen] = result.assignment[snap.cluster_of[seen]]
-        plan = plan_migrations(self._vp, ideal, snap.degree, self.migration_cap)
+        self._delta = delta
+        self._index.extend(self._src[:total], self._dst[:total])
         self.last_plan = plan
-        newly_placed = (self._vp < 0) & (ideal >= 0)
-        self._vp[newly_placed] = ideal[newly_placed]
-        if plan.vertices.size:
-            self._vp[plan.vertices] = plan.targets
-
-        # -- pass 3 (delta): re-route edges incident to moved vertices,
-        #    then stream the new batch, against retained loads and the
-        #    quota-exchange caps
-        if plan.vertices.size and old_edges:
-            moved = np.zeros(n, dtype=bool)
-            moved[plan.vertices] = True
-            affected = np.flatnonzero(
-                moved[self._src[:old_edges]] | moved[self._dst[:old_edges]]
-            )
-        else:
-            affected = np.empty(0, dtype=np.int64)
-        loads = self._loads
-        old_parts = self._edge_part[affected].copy()
-        if affected.size:
-            loads -= np.bincount(old_parts, minlength=k)
-        cap = max(1, math.ceil(cfg.imbalance_factor * total / k))
-        caps = balance_quotas(loads.reshape(1, k), cap)[0]
-        transform = TransformState(
-            snap, None, k,
-            num_edges=int(affected.size) + m_batch,
-            num_vertices=n,
-            imbalance_factor=cfg.imbalance_factor,
-            vertex_partition=self._vp,
-            load_caps=caps,
-            initial_loads=loads,
-            chunk_impl=cfg.chunk_impl,
-            kernel_backend=cfg.kernel_backend,
-        )
-        churn = 0
-        if affected.size:
-            re_parts = transform.ingest_pair(
-                self._src[affected], self._dst[affected]
-            )
-            self._edge_part[affected] = re_parts
-            churn = int((re_parts != old_parts).sum())
-        self._edge_part[old_edges:total] = transform.ingest_pair(u, v)
-        self._loads = transform.loads
+        clock.lap("pass3")
 
         return BatchStats(
             batch=self.batch_index,
             num_edges=m_batch,
             total_edges=total,
-            seconds=0.0,  # stamped by ingest_pair
+            seconds=0.0,  # stamped by ingest_pair from the clock
             clusters=m_clusters,
             frontier_clusters=frontier_size,
             game_rounds=result.rounds,
@@ -628,17 +705,16 @@ class PartitionService:
             applied_moves=plan.applied,
             deferred_moves=plan.deferred,
             reassigned_edges=int(affected.size),
-            churn_edges=churn,
+            churn_edges=int((re_parts != old_parts).sum()),
         )
 
     def _warm_start(
         self,
         snap,
         graph,
+        endpoints: np.ndarray,
         prev_raw: np.ndarray,
         new_raw: np.ndarray,
-        raw_to_compact: np.ndarray,
-        m_clusters: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Build the warm-start assignment and the dirty-frontier mask.
 
@@ -646,7 +722,8 @@ class PartitionService:
         assignment last batch inherits it; a newborn cluster adopts the
         served partition of its highest-degree previously-placed member
         (it probably split or migrated out of that neighborhood), else
-        the least-loaded partition.
+        the least-loaded partition.  A newborn cluster's members all
+        joined it this batch, so they are found among ``endpoints``.
 
         *Frontier*: clusters that gained/lost batch endpoints, newborn
         clusters, and their one-hop cluster-graph neighbors (a changed
@@ -654,27 +731,26 @@ class PartitionService:
         to respond; anything further is provably cost-unchanged this
         batch and stays frozen).
         """
+        raw_ids = snap.raw_ids
+        m_clusters = snap.num_clusters
         dirty = np.zeros(m_clusters, dtype=bool)
-        touched_raw = np.concatenate([prev_raw[prev_raw >= 0], new_raw[new_raw >= 0]])
-        if touched_raw.size:
-            tc = raw_to_compact[np.unique(touched_raw)]
-            dirty[tc[tc >= 0]] = True
+        touched = np.concatenate([prev_raw[prev_raw >= 0], new_raw])
+        at = np.minimum(np.searchsorted(raw_ids, touched), m_clusters - 1)
+        dirty[at[raw_ids[at] == touched]] = True  # emptied clusters drop out
 
+        # raw ids ascend, so the clusters known to the last equilibrium
+        # are a prefix of the compact ids
         init = np.full(m_clusters, -1, dtype=np.int64)
-        known_raw = snap.raw_ids[snap.raw_ids < self._raw_assign.size]
-        known_compact = raw_to_compact[known_raw]
-        init[known_compact] = self._raw_assign[known_raw]
+        known = int(np.searchsorted(raw_ids, self._raw_assign.size))
+        init[:known] = self._raw_assign[raw_ids[:known]]
         dirty |= init < 0  # newborn clusters always play
 
         unknown = init < 0
         if unknown.any():
-            cand = np.flatnonzero(
-                (snap.cluster_of >= 0)
-                & unknown[np.maximum(snap.cluster_of, 0)]
-                & (self._vp >= 0)
-            )
+            cl = snap.cluster_of[endpoints]
+            pick = unknown[cl] & (self._vp[endpoints] >= 0)
+            cand, cl = endpoints[pick], cl[pick]
             if cand.size:
-                cl = snap.cluster_of[cand]
                 order = np.lexsort((cand, -snap.degree[cand], cl))
                 grouped = cand[order]
                 labels, firsts = np.unique(cl[order], return_index=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import group_by_bounded
+from .._util import group_by_bounded, ragged_take_indices
 
 __all__ = ["DensePayload", "RaggedPayload", "MessageBuffer"]
 
@@ -71,25 +71,6 @@ class RaggedPayload:
         np.cumsum(lengths, out=out_indptr[1:])
         flat = ragged_take_indices(self.indptr[rows], lengths, out_indptr)
         return RaggedPayload(out_indptr, self.labels[flat], self.counts[flat])
-
-
-def ragged_take_indices(
-    starts: np.ndarray, lengths: np.ndarray, out_indptr: np.ndarray
-) -> np.ndarray:
-    """Flat source indices selecting ``[starts[i], starts[i]+lengths[i])``.
-
-    The standard vectorized ragged gather: repeat each slice's offset
-    delta and cumulatively sum, so no python loop touches the rows.
-    """
-    total = int(out_indptr[-1])
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    flat = np.ones(total, dtype=np.int64)
-    heads = out_indptr[:-1][lengths > 0]
-    flat[heads] = starts[lengths > 0] - np.concatenate(
-        ([0], (starts + lengths)[lengths > 0][:-1] - 1)
-    )
-    return np.cumsum(flat)
 
 
 @dataclass
