@@ -19,6 +19,7 @@ __all__ = [
     "group_by_bounded",
     "sorted_unique",
     "ragged_take_indices",
+    "segment_sums",
     "grow_buffer",
     "occurrence_ranks",
     "vertex_partition_pairs",
@@ -138,6 +139,17 @@ def ragged_take_indices(
         ([0], (starts + lengths)[lengths > 0][:-1] - 1)
     )
     return np.cumsum(flat)
+
+
+def segment_sums(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-segment count of set entries: ``mask[indptr[g]:indptr[g+1]].sum()``.
+
+    Prefix-sum differences, so an empty segment counts 0 wherever it sits
+    (``np.add.reduceat`` returns the *next* element for one).
+    """
+    csum = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=csum[1:])
+    return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
 def grow_buffer(

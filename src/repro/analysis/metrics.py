@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import BitsetRows, vertex_partition_pairs
+from .._util import BitsetRows
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
@@ -74,9 +74,7 @@ def cut_edges(assignment: PartitionAssignment) -> int:
     bit = np.uint64(1) << (part % np.int64(64)).astype(np.uint64)
     # per-(vertex, partition) incidence counts: a partition survives the
     # "without this edge" discount iff >= 2 incident edges back it
-    pair_vertex, pair_part, counts = vertex_partition_pairs(
-        stream.src, stream.dst, part, k
-    )
+    pair_vertex, pair_part, counts = assignment.replica_table()
     placed = BitsetRows(stream.num_vertices, k)
     placed.add_many(pair_vertex, pair_part)
     masks = placed.rows

@@ -11,20 +11,28 @@ end-to-end on real processes.
 Per superstep, three command round trips:
 
 1. ``gas_gather`` — the coordinator ships packed active/selection bit
-   masks; each worker runs its partitions' local gather kernels, returns
+   masks (``None`` while every replica is active); each worker runs its
+   partitions' local gather kernels, returns
    the active mirrors' partial-accumulator chunks (and, for programs
    with a ``master_aggregate`` hook, one float partial per partition);
 2. ``gas_apply`` — the coordinator assembles the gather
    :class:`~repro.system.messages.MessageBuffer` (chunks concatenated in
-   pid order — float merge order is part of the bit contract), routes
-   each partition's incoming rows back, and ships the reduced global
-   aggregate; workers combine, apply at active masters, and return the
-   new master values;
-3. ``gas_sync`` — masters' applied values broadcast to mirrors through
-   the apply buffer (provably equal to ``new_global[routes.vertex[sel]]``
-   — masters are authoritative), plus the packed changed mask for the
-   workers' message-free scatter; workers return their activated local
-   frontiers and the coordinator OR-reduces.
+   pid order = route-row order — float merge order is part of the bit
+   contract), routes each master partition its incoming rows along the
+   index's by-master grouping, and ships the reduced global aggregate;
+   workers combine, apply at active masters, and return the new master
+   values;
+3. ``gas_sync`` — masters' applied values broadcast to mirrors (provably
+   the new global value of each selected row's vertex — masters are
+   authoritative), plus the packed changed mask for the workers'
+   message-free scatter; workers return their activated local frontiers
+   and the coordinator OR-reduces.  Skipped on the final superstep:
+   nothing changed, so nobody reads the refreshed mirrors or a frontier.
+
+The coordinator addresses everything by the replica slots of the one
+flat :class:`~repro.system.placement.LocalIndex`; a worker sees only its
+partitions' blocks (``LocalIndex.partition``), where
+``local id = slot - part_indptr[pid]``.
 
 ``SuperstepCost.messages``/``bytes`` are counted from the same buffers
 the oracle builds (the parity contract), while ``compute_seconds`` is
@@ -105,9 +113,22 @@ class DistributedGasRuntime:
     def _owned_pids(self, worker: int) -> list[int]:
         return [pid for pid in range(self.num_partitions) if self.owner[pid] == worker]
 
-    def _mirror_rows(self, pid: int) -> slice:
-        indptr = self.index.routes.mirror_indptr
-        return slice(indptr[pid], indptr[pid + 1])
+    def _call_owners(self, op: str, per_pid: dict, **shared) -> list:
+        """One command round trip: each worker gets its owned partitions'
+        share of every ``per_pid`` table plus the ``shared`` fields."""
+        return self.runtime.call_all(
+            [
+                {
+                    "op": op,
+                    **{
+                        name: {pid: table[pid] for pid in self._owned_pids(worker)}
+                        for name, table in per_pid.items()
+                    },
+                    **shared,
+                }
+                for worker in range(self.runtime.num_workers)
+            ]
+        )
 
     # ------------------------------------------------------------------ #
     # execution
@@ -133,37 +154,37 @@ class DistributedGasRuntime:
         values_global = np.ascontiguousarray(program.init(self))
         if hasattr(program, "setup"):
             program.setup(self)
-        parts = self.index.partitions
-        routes = self.index.routes
+        index = self.index
+        routes = index.routes
         n = self.num_vertices
-        k = self.num_partitions
+        pids = range(self.num_partitions)
+        first_slot = index.part_indptr
+        mirror_rows = [
+            slice(routes.mirror_indptr[pid], routes.mirror_indptr[pid + 1]) for pid in pids
+        ]
+        master_rows = [
+            routes.master_order[routes.master_indptr[pid] : routes.master_indptr[pid + 1]]
+            for pid in pids
+        ]
         has_aggregate = hasattr(program, "master_aggregate")
         undirected = program.edge_mode == "undirected"
         sparse = program.frontier != "dense"
 
-        # one-time placement: ship each worker its partitions (sub-graph,
-        # replica values, mirror route slice) plus the shared program
+        # one-time placement: ship each worker its partitions' blocks
+        # (sub-graph, replica values, mirror route slice) plus the program
         t_setup = time.perf_counter()
-        setup_msgs = []
-        for worker in range(self.runtime.num_workers):
-            owned = {
-                pid: {
-                    "part": parts[pid],
-                    "values": values_global[parts[pid].vertices].copy(),
-                    "mirror_local": routes.mirror_local[self._mirror_rows(pid)],
-                }
-                for pid in self._owned_pids(worker)
+        owned = {}
+        for pid in pids:
+            part = index.partition(pid)
+            owned[pid] = {
+                "part": part,
+                "values": values_global[part.vertices],
+                "mirror_local": routes.mirror_slot[mirror_rows[pid]] - first_slot[pid],
             }
-            setup_msgs.append(
-                {
-                    "op": "gas_setup",
-                    "program": program,
-                    "owned": owned,
-                    "num_vertices": n,
-                    "num_partitions": k,
-                }
-            )
-        self.runtime.call_all(setup_msgs)
+        self._call_owners(
+            "gas_setup", {"owned": owned}, program=program,
+            num_vertices=n, num_partitions=self.num_partitions,
+        )
         self.setup_seconds = time.perf_counter() - t_setup
 
         cost = RunCost()
@@ -171,44 +192,33 @@ class DistributedGasRuntime:
         active = np.ones(n, dtype=bool)
         for step in range(max_supersteps):
             t_step = time.perf_counter()
-            self.sync_masks.append(active.copy())
-            active_local = [active[p.vertices] for p in parts]
-            sel = active[routes.vertex]
+            self.sync_masks.append(active)
+            active_slots = None if active.all() else active[index.vertices]
 
             # (1)+(2a) gather on the workers; chunks stream back per pid
-            gather_msgs = []
-            for worker in range(self.runtime.num_workers):
-                pids = self._owned_pids(worker)
-                gather_msgs.append(
-                    {
-                        "op": "gas_gather",
-                        "active_bits": {
-                            pid: _packbits(active_local[pid]) for pid in pids
-                        },
-                        "sel_bits": {
-                            pid: _packbits(sel[self._mirror_rows(pid)]) for pid in pids
-                        },
-                    }
-                )
-            gather_replies = self.runtime.call_all(gather_msgs)
+            if active_slots is None:
+                sel = np.ones(routes.num_mirrors, dtype=bool)
+                active_bits = sel_bits = dict.fromkeys(pids)
+            else:
+                sel = active_slots[routes.mirror_slot]
+                active_bits = {
+                    pid: _packbits(active_slots[first_slot[pid] : first_slot[pid + 1]])
+                    for pid in pids
+                }
+                sel_bits = {pid: _packbits(sel[mirror_rows[pid]]) for pid in pids}
+            mirror, master = routes.mirror_slot[sel], routes.master_slot[sel]
+            gather_replies = self._call_owners(
+                "gas_gather", {"active_bits": active_bits, "sel_bits": sel_bits}
+            )
             chunks: dict[int, np.ndarray] = {}
             aggs: dict[int, float] = {}
             worker_seconds = [s for _, s in gather_replies]
             for payload, _ in gather_replies:
                 chunks.update(payload["chunks"])
                 aggs.update(payload["aggs"])
-            values = (
-                np.concatenate([chunks[pid] for pid in range(k)])
-                if k
-                else np.empty(0, dtype=spec.dtype)
-            )
             gather_buf = MessageBuffer(
-                round="gather",
-                vertex=routes.vertex[sel],
-                src_part=routes.mirror_part[sel],
-                dst_part=routes.master_part[sel],
-                dst_local=routes.master_local[sel],
-                payload=DensePayload(values),
+                "gather", mirror, master,
+                DensePayload(np.concatenate([chunks[pid] for pid in pids])),
             )
 
             # global aggregate: worker partials reduced in pid order, then
@@ -216,61 +226,44 @@ class DistributedGasRuntime:
             aggregate = None
             if has_aggregate:
                 total = 0.0
-                for pid in range(k):
+                for pid in pids:
                     total += aggs[pid]
                 total += program.unhosted_aggregate(self, values_global)
                 program.receive_aggregate(total)  # for the unhosted apply
                 aggregate = total
 
             # (2b)+(3) route gather rows home, apply at active masters
-            apply_msgs = []
-            for worker in range(self.runtime.num_workers):
-                deliver = {}
-                for pid in self._owned_pids(worker):
-                    locals_recv, payload = gather_buf.for_partition(pid)
-                    deliver[pid] = (locals_recv, payload.values)
-                apply_msgs.append(
-                    {
-                        "op": "gas_apply",
-                        "aggregate": aggregate,
-                        "deliver": deliver,
-                        "combine": spec.combine,
-                    }
-                )
-            apply_replies = self.runtime.call_all(apply_msgs)
+            row_values = np.empty(routes.num_mirrors, dtype=spec.dtype)
+            row_values[sel] = gather_buf.payload.values
+            deliver = {}
+            for pid in pids:
+                rows = master_rows[pid][sel[master_rows[pid]]]
+                deliver[pid] = (routes.master_slot[rows] - first_slot[pid], row_values[rows])
+            apply_replies = self._call_owners(
+                "gas_apply", {"deliver": deliver}, aggregate=aggregate, combine=spec.combine
+            )
             new_global = values_global.copy()
             changed = np.zeros(n, dtype=bool)
-            applied: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             for i, (payload, seconds) in enumerate(apply_replies):
                 worker_seconds[i] += seconds
-                applied.update(payload["applied"])
-            for pid in range(k):
-                ids, new_vals = applied[pid]
-                if ids.size == 0:
-                    continue
-                gids = parts[pid].vertices[ids]
-                new_global[gids] = new_vals
-                if sparse:
-                    changed[gids] = new_vals != values_global[gids]
-            isolated = active & self._unhosted
-            if isolated.any():
-                gids = np.nonzero(isolated)[0]
+                for pid, (ids, new_vals) in payload["applied"].items():
+                    gids = index.vertices[first_slot[pid] + ids]
+                    new_global[gids] = new_vals
+                    if sparse:
+                        changed[gids] = new_vals != values_global[gids]
+            isolated = np.flatnonzero(active & self._unhosted)
+            if isolated.size:
                 new_vals = program.apply(
-                    self, gids, values_global[gids], spec.empty(gids.size)
+                    self, isolated, values_global[isolated], spec.empty(isolated.size)
                 )
-                new_global[gids] = new_vals
+                new_global[isolated] = new_vals
                 if sparse:
-                    changed[gids] = new_vals != values_global[gids]
+                    changed[isolated] = new_vals != values_global[isolated]
 
             # (4) apply sync: masters are authoritative, so the broadcast
             # values are exactly the new globals at the selected routes
             apply_buf = MessageBuffer(
-                round="apply",
-                vertex=routes.vertex[sel],
-                src_part=routes.master_part[sel],
-                dst_part=routes.mirror_part[sel],
-                dst_local=routes.mirror_local[sel],
-                payload=DensePayload(new_global[routes.vertex[sel]]),
+                "apply", master, mirror, DensePayload(new_global[index.vertices[mirror]])
             )
             if not sparse:
                 converged = program.check_converged(self, values_global, new_global)
@@ -278,48 +271,39 @@ class DistributedGasRuntime:
             if hasattr(program, "post_superstep"):
                 changed = program.post_superstep(self, step, changed)
 
-            # (5) mirror refresh + message-free scatter on the workers
-            changed_bits = _packbits(changed) if sparse else None
-            sync_msgs = []
-            for worker in range(self.runtime.num_workers):
-                deliver = {}
-                for pid in self._owned_pids(worker):
-                    locals_recv, payload = apply_buf.for_partition(pid)
-                    deliver[pid] = (locals_recv, payload.values)
-                sync_msgs.append(
-                    {
-                        "op": "gas_sync",
-                        "deliver": deliver,
-                        "changed_bits": changed_bits,
-                        "undirected": undirected,
-                    }
+            # (5) mirror refresh + message-free scatter on the workers —
+            # only when a next superstep will read them
+            if changed.any():
+                # the buffer's rows are sorted by receiving slot, so each
+                # mirror partition's share is one contiguous run of them
+                bounds = np.searchsorted(mirror, first_slot)
+                deliver = {
+                    pid: (
+                        mirror[bounds[pid] : bounds[pid + 1]] - first_slot[pid],
+                        apply_buf.payload.values[bounds[pid] : bounds[pid + 1]],
+                    )
+                    for pid in pids
+                }
+                sync_replies = self._call_owners(
+                    "gas_sync", {"deliver": deliver},
+                    changed_bits=_packbits(changed) if sparse else None,
+                    undirected=undirected,
                 )
-            sync_replies = self.runtime.call_all(sync_msgs)
-            if sparse:
-                nxt = np.zeros(n, dtype=bool)
+                next_active = np.zeros(n, dtype=bool) if sparse else changed
                 for i, (payload, seconds) in enumerate(sync_replies):
                     worker_seconds[i] += seconds
                     for pid, acts in payload["activated"].items():
-                        nxt[parts[pid].vertices[acts]] = True
-                next_active = nxt
-            else:
-                for i, (_, seconds) in enumerate(sync_replies):
-                    worker_seconds[i] += seconds
-                next_active = changed.copy()
+                        next_active[index.vertices[first_slot[pid] + acts]] = True
 
             # measured superstep cost: oracle-identical message/byte
             # counts, real compute (slowest worker) and transport walls
             compute = max(worker_seconds, default=0.0)
             wall = time.perf_counter() - t_step
-            active_edges = sum(
-                int(np.count_nonzero(al[p.src_local] | al[p.dst_local]))
-                for p, al in zip(parts, active_local)
-            )
             cost.add(
                 SuperstepCost(
                     superstep=step,
                     active_vertices=int(np.count_nonzero(active)),
-                    active_edges=active_edges,
+                    active_edges=int(index.active_counts(active_slots)[0].sum()),
                     messages=gather_buf.count + apply_buf.count,
                     bytes=gather_buf.payload_nbytes + apply_buf.payload_nbytes,
                     compute_seconds=compute,
@@ -327,8 +311,8 @@ class DistributedGasRuntime:
                 )
             )
             values_global = new_global
-            active = next_active
             if not changed.any():
                 break
+            active = next_active
         self.wire_bytes = self.runtime.wire_bytes - wire_before
         return values_global, cost

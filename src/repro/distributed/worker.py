@@ -191,9 +191,9 @@ def _handle_gas_setup(state: _WorkerState, msg: dict) -> None:
     }
 
 
-def _unpack(bits: np.ndarray, n: int) -> np.ndarray:
-    """Unpack a packbits mask back to ``n`` booleans."""
-    return np.unpackbits(bits, count=n).astype(bool)
+def _unpack(bits: np.ndarray | None, n: int) -> np.ndarray | None:
+    """Unpack a packbits mask back to ``n`` booleans (``None`` = all set)."""
+    return None if bits is None else np.unpackbits(bits, count=n).astype(bool)
 
 
 def _handle_gas_gather(state: _WorkerState, msg: dict) -> dict:
@@ -214,7 +214,8 @@ def _handle_gas_gather(state: _WorkerState, msg: dict) -> dict:
         )
         gas["partials"][pid] = partial
         sel = _unpack(msg["sel_bits"][pid], slot["mirror_local"].size)
-        chunks[pid] = partial[slot["mirror_local"][sel]]
+        senders = slot["mirror_local"] if sel is None else slot["mirror_local"][sel]
+        chunks[pid] = partial[senders]
         if hasattr(program, "master_aggregate"):
             aggs[pid] = program.master_aggregate(part, slot["values"])
     return {"chunks": chunks, "aggs": aggs}
@@ -235,7 +236,10 @@ def _handle_gas_apply(state: _WorkerState, msg: dict) -> dict:
             locals_recv, values = deliver
             if locals_recv.size:
                 msg["combine"].at(partial, locals_recv, values)
-        ids = np.nonzero(part.is_master & gas["active_local"][pid])[0]
+        active_local = gas["active_local"][pid]
+        ids = np.flatnonzero(
+            part.is_master if active_local is None else part.is_master & active_local
+        )
         if ids.size == 0:
             applied[pid] = (ids, np.empty(0, dtype=slot["values"].dtype))
             continue

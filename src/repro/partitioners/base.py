@@ -67,6 +67,7 @@ class PartitionAssignment:
         self.edge_partition = edge_partition
         self.num_partitions = int(num_partitions)
         self.stage_times = stage_times or StageTimes()
+        self._replica_table = None
         self._vertex_partition_counts = None
         self._grouped_edges = None
 
@@ -80,6 +81,24 @@ class PartitionAssignment:
             self.edge_partition, minlength=self.num_partitions
         ).astype(np.int64)
 
+    def replica_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse replica incidence ``(vertices, partitions, counts)`` (cached).
+
+        One row per (vertex, partition) pair backed by at least one edge,
+        sorted by vertex then partition, with the number of incident
+        edges behind it.  Replica counts, the master/mirror placement and
+        the runtime's replica-slot index all read this one table, so they
+        agree by construction and the incidence is deduplicated once.
+        """
+        if self._replica_table is None:
+            self._replica_table = vertex_partition_pairs(
+                self.stream.src,
+                self.stream.dst,
+                self.edge_partition,
+                self.num_partitions,
+            )
+        return self._replica_table
+
     def vertex_partition_counts(self) -> np.ndarray:
         """``|P(v)|`` per vertex — number of partitions holding v.
 
@@ -87,13 +106,9 @@ class PartitionAssignment:
         there.  Vertices with no edges have count 0.
         """
         if self._vertex_partition_counts is None:
-            verts, _, _ = vertex_partition_pairs(
-                self.stream.src,
-                self.stream.dst,
-                self.edge_partition,
-                self.num_partitions,
+            counts = np.bincount(
+                self.replica_table()[0], minlength=self.stream.num_vertices
             )
-            counts = np.bincount(verts, minlength=self.stream.num_vertices)
             self._vertex_partition_counts = counts.astype(np.int64)
         return self._vertex_partition_counts
 

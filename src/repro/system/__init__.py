@@ -6,11 +6,13 @@ master/mirror placement a PowerGraph cluster would derive from a
 vertex-cut partitioning:
 
 * :class:`LocalGasRuntime` (``mode="local"``) — the partition-local
-  runtime: per-partition local index spaces and edge sub-graphs, gather/
-  apply/scatter as partition-local array kernels, mirror<->master
-  synchronization through explicit typed message buffers, and sparse
-  per-vertex frontier activation.  ``SuperstepCost.messages``/``bytes``
-  are *measured* by counting buffer rows.
+  runtime: per-partition local index spaces and edge sub-graphs stored
+  as one flat replica-slot index, gather/apply/scatter as partition-local
+  array kernels run once over its block-diagonal concatenation,
+  mirror<->master synchronization through explicit typed message
+  buffers, and sparse per-vertex frontier activation.
+  ``SuperstepCost.messages``/``bytes`` are *measured* by counting buffer
+  rows.
 * :class:`GasEngine` (``mode="global"``) — the retained oracle: program
   semantics evaluated on global arrays, costs *modeled* per partition
   (``2 * (|P(v)| - 1)`` sync messages per active replicated vertex).

@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import GasEngine, RunCost
-from ..runtime import (
-    DenseAccumulator,
-    LocalContext,
-    LocalGasRuntime,
-    undirected_incidences,
-)
+from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime
 
 __all__ = [
     "ConnectedComponentsProgram",
@@ -42,7 +37,7 @@ class ConnectedComponentsProgram:
 
 class LocalConnectedComponentsProgram(ConnectedComponentsProgram):
     """HashMin against the partition-local API (sharing the oracle's
-    ``init``): undirected min-gather over each partition's local edges,
+    ``init``): undirected min-gather over a block's local edges,
     exact int64 minima — bit-identical to the global oracle."""
 
     edge_mode = "undirected"
@@ -51,19 +46,12 @@ class LocalConnectedComponentsProgram(ConnectedComponentsProgram):
         np.dtype(np.int64), np.iinfo(np.int64).max, np.minimum
     )
 
-    _incidences: list | None = None
-
-    def setup(self, runtime: LocalGasRuntime) -> None:
-        self._incidences = undirected_incidences(runtime.index)
-
     def gather_local(self, ctx: LocalContext) -> np.ndarray:
-        part = ctx.part
         partial = np.full(
-            part.num_vertices, np.iinfo(np.int64).max, dtype=np.int64
+            ctx.part.num_vertices, np.iinfo(np.int64).max, dtype=np.int64
         )
-        targets, sources = self._incidences[part.pid]
-        mask = ctx.active[targets]
-        np.minimum.at(partial, targets[mask], ctx.values[sources[mask]])
+        targets, sources = ctx.select(*ctx.part.undirected())
+        np.minimum.at(partial, targets, ctx.values[sources])
         return partial
 
     def apply(self, runtime, vertex_ids, old_values, acc) -> np.ndarray:

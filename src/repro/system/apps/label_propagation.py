@@ -11,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine import GasEngine, RunCost
-from ..runtime import (
-    LABEL_COUNT,
-    LocalContext,
-    LocalGasRuntime,
-    group_label_counts,
-    undirected_incidences,
-)
+from ..runtime import LABEL_COUNT, LocalContext, LocalGasRuntime, group_label_counts
 
 __all__ = [
     "LabelPropagationProgram",
@@ -82,7 +76,7 @@ class LocalLabelPropagationProgram(LabelPropagationProgram):
     (sharing the oracle's ``max_iters`` validation and ``init``).
 
     The gather accumulator is a ragged per-vertex label histogram
-    (:data:`LABEL_COUNT`): each partition counts labels over its local
+    (:data:`LABEL_COUNT`): each block counts labels over its local
     undirected incidences, mirrors ship their histograms to the master,
     and the master's exact integer merge + (count desc, label asc) pick
     reproduces the oracle bit-for-bit.
@@ -92,16 +86,10 @@ class LocalLabelPropagationProgram(LabelPropagationProgram):
     frontier = "sparse"
     accumulator = LABEL_COUNT
 
-    _incidences: list | None = None
-
-    def setup(self, runtime: LocalGasRuntime) -> None:
-        self._incidences = undirected_incidences(runtime.index)
-
     def gather_local(self, ctx: LocalContext):
-        targets, sources = self._incidences[ctx.part.pid]
-        mask = ctx.active[targets]
+        targets, sources = ctx.select(*ctx.part.undirected())
         return group_label_counts(
-            targets[mask], ctx.values[sources[mask]], ctx.runtime.num_vertices
+            targets, ctx.values[sources], ctx.runtime.num_vertices
         )
 
     def apply(self, runtime, vertex_ids, old_values, acc):

@@ -69,7 +69,7 @@ class LocalPageRankProgram(PageRankProgram):
 
     Extends :class:`PageRankProgram` to share its knob validation and
     global-formula ``init`` (both engines accept it); the gather is a
-    partition-local ``add.at`` over each partition's edge sub-graph, the
+    partition-local ``add.at`` over a block's edge sub-graph, the
     dangling mass a global aggregator assembled from per-partition master
     partials, and convergence the oracle's L1 test on the coordinator
     view — so superstep counts match the global oracle exactly and values
@@ -80,54 +80,66 @@ class LocalPageRankProgram(PageRankProgram):
     frontier = "dense"
     accumulator = DenseAccumulator(np.dtype(np.float64), 0.0, np.add)
 
-    _out_degree_local: list[np.ndarray] | None = None
     _dangling_mass = 0.0
 
     def setup(self, runtime: LocalGasRuntime) -> None:
-        # static replica table: each partition holds the out-degrees of its
-        # local replicas (broadcast once at load time in a real deployment)
-        self._out_degree_local = [
-            self._out_degree[p.vertices] for p in runtime.index.partitions
-        ]
+        # static per-slot tables over the flat index (broadcast once at
+        # load time in a real deployment): every replica's out-degree, and
+        # the dangling masters' slots delimited per partition
+        index = runtime.index
+        self._out_degree_slot = self._out_degree[index.vertices]
+        self._dangling_slots = np.flatnonzero(
+            index.is_master & (self._out_degree_slot == 0)
+        )
+        self._dangling_indptr = np.searchsorted(
+            self._dangling_slots, index.part_indptr
+        ).tolist()
+        self._unhosted_dangling = np.flatnonzero(
+            (runtime.placement.replica_counts == 0) & (self._out_degree == 0)
+        )
 
     def gather_local(self, ctx: LocalContext) -> np.ndarray:
         part = ctx.part
-        out_degree = self._out_degree_local[part.pid]
+        out_degree = self._out_degree_slot[part.slots]
         contrib = np.where(
             out_degree > 0, ctx.values / np.maximum(out_degree, 1.0), 0.0
         )
         partial = np.zeros(part.num_vertices, dtype=np.float64)
-        mask = ctx.active[part.dst_local]
-        np.add.at(partial, part.dst_local[mask], contrib[part.src_local[mask]])
+        dst, src = ctx.select(part.dst_local, part.src_local)
+        np.add.at(partial, dst, contrib[src])
         return partial
 
     def master_aggregate(self, part, values: np.ndarray) -> float:
-        """This partition's dangling-mass partial: sum over local masters.
+        """Partition ``part.pid``'s dangling-mass partial: one pairwise
+        ``.sum()`` over its dangling masters' values, in slot order.
 
-        Split out of ``before_apply`` so a *distributed* runtime can
-        evaluate each partial on the process that owns the partition and
-        ship one float — the tree-reduction of a real deployment.
+        The float contract shared by every runtime: the global aggregate
+        is these k partials added in pid order, then the coordinator's
+        unhosted share.  Each partial must stay its own ``ndarray.sum()``
+        over the partition's contiguous slice — ``np.add.reduceat`` sums
+        sequentially instead of pairwise and changes the last bits — so a
+        *distributed* runtime can evaluate it on the process that owns the
+        partition, ship one float, and stay bit-identical.
         """
-        dangling = part.is_master & (self._out_degree_local[part.pid] == 0)
-        return float(values[dangling].sum())
+        lo, hi = self._dangling_indptr[part.pid : part.pid + 2]
+        return float(values[self._dangling_slots[lo:hi] - part.slots.start].sum())
 
     def unhosted_aggregate(self, runtime, values_global: np.ndarray) -> float:
         """The coordinator's share: edgeless vertices no partition hosts."""
-        unhosted = runtime.placement.replica_counts == 0
-        return float(values_global[unhosted & (self._out_degree == 0)].sum())
+        return float(values_global[self._unhosted_dangling].sum())
 
     def receive_aggregate(self, value: float) -> None:
         """Install the reduced global aggregate before ``apply`` runs."""
         self._dangling_mass = value
 
     def before_apply(self, runtime: LocalGasRuntime, values_global: np.ndarray):
-        # dangling-mass aggregator: per-partition partial sums over local
-        # masters (pid order — the reduction order is part of the float
-        # contract shared with the distributed runtime), plus the
-        # coordinator's edgeless vertices
+        # the master_aggregate partials of all partitions off one gather
+        # of the flat values: same slices, same pairwise sums, pid order
+        dangling = runtime.values_local[self._dangling_slots]
+        bounds = self._dangling_indptr
         total = 0.0
-        for i, part in enumerate(runtime.index.partitions):
-            total += self.master_aggregate(part, runtime.values_local[i])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            total += float(dangling[lo:hi].sum())
         total += self.unhosted_aggregate(runtime, values_global)
         self.receive_aggregate(total)
 

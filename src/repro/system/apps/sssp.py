@@ -57,34 +57,33 @@ class LocalSsspProgram(SsspProgram):
     """Bellman-Ford against the partition-local API.
 
     Extends :class:`SsspProgram` to share its source/weight validation
-    and ``init`` (both engines accept it).  Min-gather over each
-    partition's local in-edges of frontier-activated targets; edge
-    weights are sliced per partition by stream position
-    (``LocalPartition.edge_ids``).  Minimum is order-independent, so the
-    distances are bit-identical to the global oracle.
+    and ``init`` (both engines accept it).  Min-gather over a block's
+    local in-edges of frontier-activated targets; edge weights are
+    regrouped once by stream position (``LocalIndex.edge_ids``) and
+    sliced per block.  Minimum is order-independent, so the distances
+    are bit-identical to the global oracle.
     """
 
     edge_mode = "directed"
     frontier = "sparse"
     accumulator = DenseAccumulator(np.dtype(np.float64), np.inf, np.minimum)
 
-    _weights_local: list | None = None
-
     def setup(self, runtime: LocalGasRuntime) -> None:
-        self._weights_local = [
-            None if self.weights is None else self.weights[p.edge_ids]
-            for p in runtime.index.partitions
-        ]
+        self._weights_grouped = (
+            None if self.weights is None else self.weights[runtime.index.edge_ids]
+        )
 
     def gather_local(self, ctx: LocalContext) -> np.ndarray:
         part = ctx.part
         partial = np.full(part.num_vertices, np.inf, dtype=np.float64)
-        mask = ctx.active[part.dst_local]
-        weights = self._weights_local[part.pid]
-        w = 1.0 if weights is None else weights[mask]
-        np.minimum.at(
-            partial, part.dst_local[mask], ctx.values[part.src_local[mask]] + w
-        )
+        if self._weights_grouped is None:
+            dst, src = ctx.select(part.dst_local, part.src_local)
+            w = 1.0
+        else:
+            dst, src, w = ctx.select(
+                part.dst_local, part.src_local, self._weights_grouped[part.edges]
+            )
+        np.minimum.at(partial, dst, ctx.values[src] + w)
         return partial
 
     def apply(self, runtime, vertex_ids, old_values, acc) -> np.ndarray:

@@ -25,6 +25,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .._util import segment_sums
 from ..partitioners.base import PartitionAssignment
 from .network import NetworkModel
 from .placement import Placement, build_placement
@@ -195,11 +196,7 @@ class GasEngine:
         # evaluated in the partition-grouped CSR layout so per-partition
         # counts are prefix-sum differences over contiguous slices
         edge_active = changed[self._src_by_partition] | changed[self._dst_by_partition]
-        active_cumsum = np.zeros(edge_active.size + 1, dtype=np.int64)
-        np.cumsum(edge_active, out=active_cumsum[1:])
-        active_edge_counts = (
-            active_cumsum[self._edge_indptr[1:]] - active_cumsum[self._edge_indptr[:-1]]
-        )
+        active_edge_counts = segment_sums(edge_active, self._edge_indptr)
         master = self.placement.master
         active_master_counts = np.bincount(
             master[changed & (master >= 0)], minlength=k

@@ -1,12 +1,13 @@
 """Typed message buffers for the partition-local GAS runtime.
 
 Each BSP superstep exchanges two rounds of messages along the mirror
-routing table (:class:`~repro.system.placement.ReplicaRoutes`):
+routing table (:class:`~repro.system.placement.ReplicaRoutes`), addressed
+by replica slot:
 
 * **gather round** — every mirror of a sync-active vertex sends its local
-  gather accumulator to the vertex's master (``mirror_part -> master_part``);
+  gather accumulator to the vertex's master (``mirror_slot -> master_slot``);
 * **apply round** — the master sends the applied value back to every
-  mirror (``master_part -> mirror_part``).
+  mirror (``master_slot -> mirror_slot``).
 
 A buffer holds one round's messages as flat columns: one row per logical
 message, with either a fixed-width :class:`DensePayload` (one accumulator
@@ -23,11 +24,9 @@ dense accumulators this is exactly the 16 bytes/message the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .._util import group_by_bounded, ragged_take_indices
 
 __all__ = ["DensePayload", "RaggedPayload", "MessageBuffer"]
 
@@ -44,9 +43,6 @@ class DensePayload:
     @property
     def nbytes(self) -> int:
         return int(self.values.nbytes)
-
-    def take(self, rows: np.ndarray) -> "DensePayload":
-        return DensePayload(self.values[rows])
 
 
 @dataclass
@@ -65,13 +61,6 @@ class RaggedPayload:
     def nbytes(self) -> int:
         return int(self.labels.nbytes + self.counts.nbytes)
 
-    def take(self, rows: np.ndarray) -> "RaggedPayload":
-        lengths = self.indptr[rows + 1] - self.indptr[rows]
-        out_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=out_indptr[1:])
-        flat = ragged_take_indices(self.indptr[rows], lengths, out_indptr)
-        return RaggedPayload(out_indptr, self.labels[flat], self.counts[flat])
-
 
 @dataclass
 class MessageBuffer:
@@ -82,50 +71,26 @@ class MessageBuffer:
     round:
         ``"gather"`` (mirror -> master accumulators) or ``"apply"``
         (master -> mirror values).
-    vertex:
-        Global vertex id each message is about.
-    src_part, dst_part:
-        Sending and receiving partition per message.
-    dst_local:
-        The vertex's local id at the *receiving* partition, so delivery
-        is a fancy-index into the receiver's local arrays.
+    src_slot, dst_slot:
+        Sending and receiving replica slot per message; the slot names
+        the partition (its range in ``LocalIndex.part_indptr``) and the
+        local id there at once, so delivery is one fancy-index into the
+        flat per-slot arrays.
     payload:
         :class:`DensePayload` or :class:`RaggedPayload`.
     """
 
     round: str
-    vertex: np.ndarray
-    src_part: np.ndarray
-    dst_part: np.ndarray
-    dst_local: np.ndarray
+    src_slot: np.ndarray
+    dst_slot: np.ndarray
     payload: DensePayload | RaggedPayload
-    _dst_groups: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def count(self) -> int:
         """Number of logical messages (the measured message count)."""
-        return int(self.vertex.size)
+        return int(self.src_slot.size)
 
     @property
     def payload_nbytes(self) -> int:
         """Measured wire bytes: per-message vertex header + payload."""
         return self.count * VERTEX_HEADER_BYTES + self.payload.nbytes
-
-    def for_partition(self, pid: int) -> tuple[np.ndarray, DensePayload | RaggedPayload]:
-        """Deliver: (receiver-local vertex ids, payload) for partition ``pid``.
-
-        Rows are grouped by receiver once (stable bounded radix argsort,
-        so within-partition message order is buffer order) and sliced per
-        call — one O(rows) pass instead of one scan per partition.
-        """
-        if self._dst_groups is None:
-            k = int(self.dst_part.max()) + 1 if self.dst_part.size else 0
-            self._dst_groups = group_by_bounded(self.dst_part, k)
-        order, indptr = self._dst_groups
-        if pid + 1 >= indptr.size:
-            rows = np.empty(0, dtype=np.int64)
-        else:
-            rows = order[indptr[pid] : indptr[pid + 1]]
-        return self.dst_local[rows], self.payload.take(rows)

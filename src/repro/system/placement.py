@@ -8,20 +8,28 @@ locality-aware PowerGraph build does.
 
 Beyond the aggregate tables (:class:`Placement`), this module builds the
 *executable* layout the partition-local runtime runs on
-(:func:`build_local_index`): per-partition local vertex-id spaces with
-global<->local maps (:class:`LocalPartition`), the local edge sub-graphs
-sliced from the partition-grouped stream, and the flat mirror<->master
-routing table (:class:`ReplicaRoutes`) that message buffers are built
-from with one boolean mask per superstep.
+(:func:`build_local_index`): one flat **replica-slot index**
+(:class:`LocalIndex`).  Every (partition, vertex) replica is a *slot*;
+slots are numbered partition by partition, vertices ascending inside a
+partition, so a partition's local id space is one contiguous slot range
+and ``local id = slot - part_indptr[pid]``.  The partition-grouped edges
+carry slot endpoints — both inside the edge's own partition's range, i.e.
+the layout is block-diagonal — and the mirror<->master routing table
+(:class:`ReplicaRoutes`) is a pair of slot columns.  A partition-local
+kernel therefore runs unchanged on one block (:class:`LocalPartition`,
+what a distributed worker owns) or on the whole concatenation at once
+(:attr:`LocalIndex.flat`, what :class:`~repro.system.runtime.
+LocalGasRuntime` executes): see DESIGN.md section 5.3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .._util import group_by_bounded, vertex_partition_pairs
+from .._util import group_by_bounded, segment_sums
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
@@ -86,19 +94,20 @@ def build_placement(assignment: PartitionAssignment) -> Placement:
     stream = assignment.stream
     k = assignment.num_partitions
     n = stream.num_vertices
-    # sparse (vertex, partition) incidence counts via flat-key dedup
-    verts, parts, counts = vertex_partition_pairs(
-        stream.src, stream.dst, assignment.edge_partition, k
-    )
-    replica_counts = np.bincount(verts, minlength=n).astype(np.int64)
-    # per-vertex first maximal count: sort by (vertex, -count, partition)
-    # and take each vertex segment's head
+    # sparse (vertex, partition) incidence counts (cached on the assignment)
+    verts, parts, counts = assignment.replica_table()
+    replica_counts = assignment.vertex_partition_counts()
+    # per-vertex first maximal count: the table is sorted by (vertex,
+    # partition), so each hosted vertex is one contiguous run of rows and
+    # the first row reaching the run's maximum is the lowest partition id
     master = np.full(n, -1, dtype=np.int64)
     if verts.size:
-        order = np.lexsort((parts, -counts, verts))
-        verts_sorted = verts[order]
-        heads = order[np.r_[True, verts_sorted[1:] != verts_sorted[:-1]]]
-        master[verts[heads]] = parts[heads]
+        hosted = np.flatnonzero(replica_counts)
+        widths = replica_counts[hosted]
+        run_max = np.maximum.reduceat(counts, np.cumsum(widths) - widths)
+        at_max = np.flatnonzero(counts == np.repeat(run_max, widths))
+        owner = verts[at_max]
+        master[hosted] = parts[at_max[np.r_[True, owner[1:] != owner[:-1]]]]
     masters_per_partition = np.bincount(
         master[master >= 0], minlength=k
     ).astype(np.int64)
@@ -115,40 +124,49 @@ def build_placement(assignment: PartitionAssignment) -> Placement:
 
 
 # ---------------------------------------------------------------------- #
-# per-partition local index spaces (the executable layout)
+# the flat replica-slot index (the executable layout)
 # ---------------------------------------------------------------------- #
 
 
 @dataclass
 class LocalPartition:
-    """One partition's local index space and edge sub-graph.
+    """A contiguous block of replica slots and the edges among them.
 
-    Vertex replicas hosted by the partition get dense *local* ids
-    ``0..num_vertices-1`` in ascending global-id order; the partition's
-    edges are stored with local endpoints plus their positions in the
-    original stream (so per-edge attributes like SSSP weights can be
-    sliced without a global array).
+    Either one partition's block (``pid`` set — the view a distributed
+    worker owns) or the whole index as a single block-diagonal block
+    (``pid is None`` — what the local runtime runs on).  Replicas get
+    dense *local* ids ``0..num_vertices-1`` = slot minus the block's first
+    slot, in ascending global-id order per partition; edges carry local
+    endpoints plus their positions in the original stream (so per-edge
+    attributes like SSSP weights can be sliced without a global array).
 
     Attributes
     ----------
     pid:
-        Partition id.
+        Partition id, or ``None`` for the whole index.
+    slots, edges:
+        The block's slot / grouped-edge ranges in the flat index: static
+        per-slot or per-edge tables a program built over the flat index
+        are sliced with these.
     vertices:
-        Sorted global ids of the replicas hosted here (local -> global).
+        Global ids of the replicas hosted here (local -> global).
     is_master:
-        Per local vertex: this partition holds the master replica.
+        Per local vertex: this replica is its vertex's master.
     src_local, dst_local:
-        The partition's edges with local-id endpoints.
+        The block's edges with local-id endpoints.
     edge_ids:
         Position of each local edge in the original stream.
     """
 
-    pid: int
+    pid: int | None
+    slots: slice
+    edges: slice
     vertices: np.ndarray
     is_master: np.ndarray
     src_local: np.ndarray
     dst_local: np.ndarray
     edge_ids: np.ndarray
+    _undirected: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -158,33 +176,37 @@ class LocalPartition:
     def num_edges(self) -> int:
         return int(self.src_local.size)
 
-    @property
-    def num_masters(self) -> int:
-        return int(np.count_nonzero(self.is_master))
+    def undirected(self) -> tuple[np.ndarray, np.ndarray]:
+        """Static ``(targets, sources)`` incidences over both edge
+        directions, built on first use where the block lives — so
+        undirected gather kernels (connected components, label
+        propagation) concatenate nothing per superstep."""
+        if self._undirected is None:
+            self._undirected = (
+                np.concatenate([self.dst_local, self.src_local]),
+                np.concatenate([self.src_local, self.dst_local]),
+            )
+        return self._undirected
 
     def to_local(self, global_ids) -> np.ndarray:
-        """Map global vertex ids to this partition's local ids.
+        """Map global vertex ids to one partition's local ids.
 
         Every id must be hosted here (``KeyError`` otherwise) — the local
         runtime never addresses a replica a partition does not hold.
         """
         global_ids = np.asarray(global_ids, dtype=np.int64)
-        if self.vertices.size == 0:
-            if global_ids.size:
-                raise KeyError(f"partition {self.pid} hosts no replicas")
-            return np.empty(0, dtype=np.int64)
         local = np.searchsorted(self.vertices, global_ids)
-        in_range = local < self.vertices.size
-        valid = in_range & (self.vertices[np.where(in_range, local, 0)] == global_ids)
-        if not np.all(valid):
-            missing = global_ids[~valid]
+        hosted = local < self.vertices.size
+        hosted[hosted] = self.vertices[local[hosted]] == global_ids[hosted]
+        if not hosted.all():
             raise KeyError(
-                f"partition {self.pid} hosts no replica of vertices {missing[:5]}"
+                f"partition {self.pid} hosts no replica of vertices "
+                f"{global_ids[~hosted][:5]}"
             )
         return local
 
     def to_global(self, local_ids) -> np.ndarray:
-        """Map this partition's local ids back to global vertex ids."""
+        """Map local ids back to global vertex ids."""
         return self.vertices[np.asarray(local_ids, dtype=np.int64)]
 
 
@@ -192,123 +214,195 @@ class LocalPartition:
 class ReplicaRoutes:
     """Flat mirror<->master routing table: one row per mirror replica.
 
-    Rows are sorted by ``mirror_part`` (ties by global vertex id), with
-    ``mirror_indptr`` delimiting each partition's slice, so a superstep's
-    message buffer is one boolean mask over these columns: the rows whose
-    vertex is in the sync set *are* the gather messages (mirror -> master)
-    and, reversed, the apply broadcasts (master -> mirror).
+    Rows are sorted by ``mirror_slot`` — by mirror partition, ties by
+    global vertex id — so a superstep's message buffer is one boolean
+    mask over these columns: the rows whose replica is in the sync set
+    *are* the gather messages (mirror -> master) and, reversed, the apply
+    broadcasts (master -> mirror).
 
     Attributes
     ----------
-    vertex:
-        Global vertex id of the mirrored vertex.
-    mirror_part, mirror_local:
-        The mirror replica's partition and local id there.
-    master_part, master_local:
-        The master replica's partition and local id there.
+    mirror_slot, master_slot:
+        The mirror replica's slot and its vertex's master slot.
     mirror_indptr:
         ``(k + 1,)`` — rows ``[mirror_indptr[p], mirror_indptr[p+1])``
         belong to mirror partition ``p``.
+    master_order, master_indptr:
+        The rows stably grouped by *master* partition:
+        ``master_order[master_indptr[p]:master_indptr[p+1]]`` are the rows
+        partition ``p``'s masters receive, in row order.
     """
 
-    vertex: np.ndarray
-    mirror_part: np.ndarray
-    mirror_local: np.ndarray
-    master_part: np.ndarray
-    master_local: np.ndarray
+    mirror_slot: np.ndarray
+    master_slot: np.ndarray
     mirror_indptr: np.ndarray
+    master_order: np.ndarray
+    master_indptr: np.ndarray
 
     @property
     def num_mirrors(self) -> int:
-        return int(self.vertex.size)
+        return int(self.mirror_slot.size)
+
+    def select(self, active: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """``(mirror_slot, master_slot)`` of the rows whose replica is in
+        the slot frontier ``active`` (``None``: every row)."""
+        if active is None:
+            return self.mirror_slot, self.master_slot
+        rows = active[self.mirror_slot]
+        return self.mirror_slot[rows], self.master_slot[rows]
 
 
 @dataclass
 class LocalIndex:
-    """The full executable layout: all local partitions plus routing.
+    """The full executable layout: the flat replica-slot index.
 
-    Built once per deployment by :func:`build_local_index`; the runtime
-    holds per-partition value arrays indexed by each
-    :class:`LocalPartition`'s local ids and exchanges accumulator /
-    value messages along :class:`ReplicaRoutes`.
+    Built once per deployment by :func:`build_local_index`.  The runtime
+    holds one value per slot and exchanges accumulator / value messages
+    along :class:`ReplicaRoutes`.
+
+    Attributes
+    ----------
+    vertices, is_master:
+        Per slot: the replica's global vertex id, and whether it is the
+        master.  Slots are sorted by (partition, vertex).
+    master_slots:
+        The master replicas' slots, ascending (``flatnonzero(is_master)``).
+    part_indptr:
+        ``(k + 1,)`` — partition ``p`` owns slots
+        ``[part_indptr[p], part_indptr[p+1])``.
+    src_slot, dst_slot, edge_ids:
+        The partition-grouped edges: endpoint slots (both inside the
+        edge's partition's slot range) and stream positions.
+    edge_indptr:
+        ``(k + 1,)`` — partition ``p`` owns grouped edges
+        ``[edge_indptr[p], edge_indptr[p+1])``.
     """
 
     num_partitions: int
     num_vertices: int
-    partitions: list[LocalPartition]
+    vertices: np.ndarray
+    is_master: np.ndarray
+    master_slots: np.ndarray
+    part_indptr: np.ndarray
+    src_slot: np.ndarray
+    dst_slot: np.ndarray
+    edge_ids: np.ndarray
+    edge_indptr: np.ndarray
     routes: ReplicaRoutes
     placement: Placement
+
+    @cached_property
+    def flat(self) -> LocalPartition:
+        """The whole index as one block (zero-copy; local id = slot)."""
+        return LocalPartition(
+            pid=None,
+            slots=slice(0, self.vertices.size),
+            edges=slice(0, self.edge_ids.size),
+            vertices=self.vertices,
+            is_master=self.is_master,
+            src_local=self.src_slot,
+            dst_local=self.dst_slot,
+            edge_ids=self.edge_ids,
+        )
+
+    def partition(self, pid: int) -> LocalPartition:
+        """Partition ``pid``'s block, endpoints rebased to its local ids."""
+        lo = int(self.part_indptr[pid])
+        slots = slice(lo, int(self.part_indptr[pid + 1]))
+        edges = slice(int(self.edge_indptr[pid]), int(self.edge_indptr[pid + 1]))
+        return LocalPartition(
+            pid=pid,
+            slots=slots,
+            edges=edges,
+            vertices=self.vertices[slots],
+            is_master=self.is_master[slots],
+            src_local=self.src_slot[edges] - lo,
+            dst_local=self.dst_slot[edges] - lo,
+            edge_ids=self.edge_ids[edges],
+        )
+
+    @property
+    def partitions(self) -> list[LocalPartition]:
+        """Every partition's block, in pid order (built on each access)."""
+        return [self.partition(pid) for pid in range(self.num_partitions)]
+
+    def active_counts(self, active: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-partition ``(active edges, active masters)`` of a slot
+        frontier (``None``: every slot) — the compute-cost operands.  An
+        edge is active when either endpoint replica is."""
+        if active is None:
+            mirrors = np.diff(self.routes.mirror_indptr)
+            return np.diff(self.edge_indptr), np.diff(self.part_indptr) - mirrors
+        return (
+            segment_sums(active[self.src_slot] | active[self.dst_slot], self.edge_indptr),
+            segment_sums(self.is_master & active, self.part_indptr),
+        )
 
 
 def build_local_index(
     assignment: PartitionAssignment, placement: Placement | None = None
 ) -> LocalIndex:
-    """Derive the per-partition local index spaces from an assignment.
+    """Derive the flat replica-slot index from an assignment.
 
-    Slices the partition-grouped edge layout (one stable bounded radix
-    argsort of ``edge_partition``), builds each partition's sorted local
-    vertex space from its edge endpoints, and materializes the flat
-    mirror routing table from the same sparse (vertex, partition)
-    incidence pairs :func:`build_placement` uses — so the routes are
+    One stable bounded radix sort of the cached (vertex, partition)
+    replica table by partition numbers the slots; the partition-grouped
+    edge layout (cached on the assignment, shared with the global oracle
+    engine) gets its endpoint slots through one O(n) scratch
+    vertex -> slot lookup refilled per partition; and the routing table
+    is the non-master slots paired with their vertices' master slots —
     consistent with ``Placement.replica_counts`` by construction.
     """
     stream = assignment.stream
     k = assignment.num_partitions
+    n = stream.num_vertices
     if placement is None:
         placement = build_placement(assignment)
-    master = placement.master
-    # partition-grouped edge layout (cached on the assignment, shared
-    # with the global oracle engine)
-    order, indptr = assignment.grouped_edges()
-    src_g = stream.src[order]
-    dst_g = stream.dst[order]
-    partitions: list[LocalPartition] = []
+    verts, parts, _ = assignment.replica_table()
+    order, part_indptr = group_by_bounded(parts, k)
+    vertices = verts[order]
+    slot_part = parts[order]
+    is_master = placement.master[vertices] == slot_part
+    edge_ids, edge_indptr = assignment.grouped_edges()
+    src_slot = np.empty(edge_ids.size, dtype=np.int64)
+    dst_slot = np.empty(edge_ids.size, dtype=np.int64)
+    # entries written for earlier partitions are < lo, so one scratch
+    # array serves every partition without being cleared
+    slot_of = np.full(n, -1, dtype=np.int64)
     for pid in range(k):
-        lo, hi = indptr[pid], indptr[pid + 1]
-        s, d = src_g[lo:hi], dst_g[lo:hi]
-        vertices = np.unique(np.concatenate([s, d]))
-        partitions.append(
-            LocalPartition(
-                pid=pid,
-                vertices=vertices,
-                is_master=master[vertices] == pid,
-                src_local=np.searchsorted(vertices, s),
-                dst_local=np.searchsorted(vertices, d),
-                edge_ids=order[lo:hi],
-            )
-        )
-    # mirror routing table from the sparse replica incidence
-    verts, parts, _ = vertex_partition_pairs(
-        stream.src, stream.dst, assignment.edge_partition, k
-    )
-    is_mirror = parts != master[verts]
-    m_vertex = verts[is_mirror]
-    m_part = parts[is_mirror]
-    row_order, mirror_indptr = group_by_bounded(m_part, k)
-    m_vertex = m_vertex[row_order]
-    m_part = m_part[row_order]
-    m_master = master[m_vertex]
-    mirror_local = np.empty(m_vertex.size, dtype=np.int64)
-    master_local = np.empty(m_vertex.size, dtype=np.int64)
-    for pid, part in enumerate(partitions):
-        rows = slice(mirror_indptr[pid], mirror_indptr[pid + 1])
-        if mirror_indptr[pid + 1] > mirror_indptr[pid]:
-            mirror_local[rows] = part.to_local(m_vertex[rows])
-        at_master = m_master == pid
-        if at_master.any():
-            master_local[at_master] = part.to_local(m_vertex[at_master])
+        lo, hi = part_indptr[pid], part_indptr[pid + 1]
+        rows = slice(edge_indptr[pid], edge_indptr[pid + 1])
+        slot_of[vertices[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
+        src_slot[rows] = slot_of[stream.src[edge_ids[rows]]]
+        dst_slot[rows] = slot_of[stream.dst[edge_ids[rows]]]
+        if min(src_slot[rows].min(initial=lo), dst_slot[rows].min(initial=lo)) < lo:
+            raise KeyError(f"partition {pid} has an edge endpoint it does not host")
+    # routing: every non-master slot, paired with its vertex's master slot
+    master_slots = np.flatnonzero(is_master)
+    mirror_slot = np.flatnonzero(~is_master)
+    slot_of[:] = -1
+    slot_of[vertices[master_slots]] = master_slots
+    master_slot = slot_of[vertices[mirror_slot]]
+    if master_slot.size and master_slot.min() < 0:
+        raise KeyError("placement names a master partition that hosts no replica")
+    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
     routes = ReplicaRoutes(
-        vertex=m_vertex,
-        mirror_part=m_part,
-        mirror_local=mirror_local,
-        master_part=m_master,
-        master_local=master_local,
-        mirror_indptr=mirror_indptr,
+        mirror_slot=mirror_slot,
+        master_slot=master_slot,
+        mirror_indptr=np.searchsorted(mirror_slot, part_indptr),
+        master_order=master_order,
+        master_indptr=master_indptr,
     )
     return LocalIndex(
         num_partitions=k,
-        num_vertices=stream.num_vertices,
-        partitions=partitions,
+        num_vertices=n,
+        vertices=vertices,
+        is_master=is_master,
+        master_slots=master_slots,
+        part_indptr=part_indptr,
+        src_slot=src_slot,
+        dst_slot=dst_slot,
+        edge_ids=edge_ids,
+        edge_indptr=edge_indptr,
         routes=routes,
         placement=placement,
     )

@@ -2,10 +2,14 @@
 
 Unlike :class:`~repro.system.engine.GasEngine` (retained as the
 ``mode="global"`` oracle), this runtime holds **no global compute state**:
-every gather/apply/scatter runs as a vectorized array kernel over one
-partition's local sub-graph (:class:`~repro.system.placement.LocalPartition`),
-and replicas synchronize exclusively through explicit typed message
-buffers (:mod:`repro.system.messages`) routed along the mirror table.
+values live per replica *slot* of the flat index
+(:class:`~repro.system.placement.LocalIndex`), every gather/apply/scatter
+is the partition-local array kernel run once over the block-diagonal
+concatenation of all partitions (no edge leaves its partition's slot
+range, so that is exactly k partition-local runs), and replicas
+synchronize exclusively through explicit typed message buffers
+(:mod:`repro.system.messages`) routed along the mirror table.  A
+superstep is a fixed number of array operations whatever ``k`` is.
 
 One BSP superstep, with ``A`` the sync-active set entering the step
 (every vertex at step 0, then the scatter-activated frontier):
@@ -38,10 +42,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .._util import group_by_bounded
+from .._util import ragged_take_indices
 from ..partitioners.base import PartitionAssignment
 from .engine import RunCost, SuperstepCost
-from .messages import DensePayload, MessageBuffer, RaggedPayload, ragged_take_indices
+from .messages import DensePayload, MessageBuffer, RaggedPayload
 from .network import NetworkModel
 from .placement import LocalIndex, LocalPartition, build_local_index, build_placement
 
@@ -53,22 +57,7 @@ __all__ = [
     "LocalVertexProgram",
     "LocalGasRuntime",
     "group_label_counts",
-    "undirected_incidences",
 ]
-
-
-def undirected_incidences(index: LocalIndex) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-partition static ``(targets, sources)`` incidence tables over
-    both edge directions — built once at program setup so undirected
-    gather kernels (connected components, label propagation) do no
-    concatenation inside the per-superstep hot loop."""
-    return [
-        (
-            np.concatenate([p.dst_local, p.src_local]),
-            np.concatenate([p.src_local, p.dst_local]),
-        )
-        for p in index.partitions
-    ]
 
 
 def group_label_counts(
@@ -128,26 +117,34 @@ LABEL_COUNT = LabelCountAccumulator()
 
 @dataclass
 class LocalContext:
-    """What a vertex program sees inside one partition: local state only.
+    """What a vertex program sees inside one block: local state only.
 
     Attributes
     ----------
     part:
-        The partition's local index space and edge sub-graph.
+        The block's local index space and edge sub-graph — one partition
+        on a distributed worker, the whole flat index in the local runtime.
     values:
-        Current values of the partition's replicas, indexed by local id
+        Current values of the block's replicas, indexed by local id
         (mirrors hold the last value their master broadcast).
     active:
-        Sync-active frontier restricted to local ids.
+        Sync-active frontier restricted to local ids; ``None`` when every
+        replica is active (the dense case — kernels skip the mask).
     runtime:
-        The owning runtime, for immutable globals (``num_vertices``) and
-        static per-vertex tables built in ``setup``.
+        The owning runtime, for immutable globals (``num_vertices``).
     """
 
     part: LocalPartition
     values: np.ndarray
-    active: np.ndarray
+    active: np.ndarray | None
     runtime: "LocalGasRuntime"
+
+    def select(self, targets: np.ndarray, *columns: np.ndarray) -> tuple:
+        """Restrict per-incidence columns to active gather targets."""
+        if self.active is None:
+            return (targets, *columns)
+        mask = self.active[targets]
+        return (targets[mask], *(column[mask] for column in columns))
 
 
 @runtime_checkable
@@ -161,11 +158,12 @@ class LocalVertexProgram(Protocol):
     by ``check_converged``, PageRank-style); ``accumulator`` is a
     :class:`DenseAccumulator` or :data:`LABEL_COUNT`.
 
-    Optional hooks: ``setup(runtime)`` builds static tables after
-    ``init``; ``before_apply(runtime, values_global)`` computes global
-    aggregates (tree-reductions in a real deployment); and
-    ``post_superstep(runtime, step, changed)`` may rewrite the changed
-    mask (label propagation's iteration bound).
+    Optional hooks: ``setup(runtime)`` builds static per-slot / per-edge
+    tables over the flat index after ``init`` (kernels slice them with
+    ``ctx.part.slots`` / ``ctx.part.edges``); ``before_apply(runtime,
+    values_global)`` computes global aggregates (tree-reductions in a
+    real deployment); and ``post_superstep(runtime, step, changed)`` may
+    rewrite the changed mask (label propagation's iteration bound).
     """
 
     edge_mode: str
@@ -211,8 +209,8 @@ class LocalGasRuntime:
         self.num_vertices = self.stream.num_vertices
         self.num_partitions = assignment.num_partitions
         self._unhosted = self.placement.replica_counts == 0
-        #: per-partition replica values during a run (program hooks may read)
-        self.values_local: list[np.ndarray] | None = None
+        #: per-slot replica values during a run (program hooks may read)
+        self.values_local: np.ndarray | None = None
         #: per-superstep sync masks of the last run (for the parity test)
         self.sync_masks: list[np.ndarray] = []
 
@@ -229,233 +227,127 @@ class LocalGasRuntime:
         values_global = np.ascontiguousarray(program.init(self))
         if hasattr(program, "setup"):
             program.setup(self)
-        parts = self.index.partitions
+        index = self.index
         # deterministic replicated init: every worker evaluates init locally,
         # so the initial load crosses no wires (matching the oracle)
-        self.values_local = [values_global[p.vertices] for p in parts]
+        self.values_local = values = values_global[index.vertices]
         n = self.num_vertices
         undirected = program.edge_mode == "undirected"
+        sparse = program.frontier != "dense"
         spec = program.accumulator
         cost = RunCost()
         self.sync_masks = []
         active = np.ones(n, dtype=bool)
         for step in range(max_supersteps):
-            self.sync_masks.append(active.copy())
-            active_local = [active[p.vertices] for p in parts]
-            # (1) partition-local gather kernels
-            partials = [
-                program.gather_local(
-                    LocalContext(
-                        part=p,
-                        values=self.values_local[i],
-                        active=active_local[i],
-                        runtime=self,
-                    )
-                )
-                for i, p in enumerate(parts)
-            ]
+            self.sync_masks.append(active)
+            # slot frontier; None = every replica (no mask to gather or apply)
+            active_slots = None if active.all() else active[index.vertices]
+            # (1) the partition-local gather kernel, once over all blocks
+            partial = program.gather_local(
+                LocalContext(index.flat, values, active_slots, self)
+            )
             # (2) gather sync: mirror -> master accumulator messages
-            gather_buf = self._build_gather_buffer(active, partials, spec)
-            merged = self._deliver_gather(gather_buf, partials, spec)
+            mirror, master = index.routes.select(active_slots)
+            gather_buf = MessageBuffer(
+                "gather", mirror, master, self._pack_accumulator(partial, mirror, spec)
+            )
+            merged = self._deliver_gather(gather_buf, partial, spec)
             # (3) apply at active masters (+ coordinator for edgeless vertices)
             if hasattr(program, "before_apply"):
                 program.before_apply(self, values_global)
             new_global = values_global.copy()
-            sparse = program.frontier != "dense"
             changed = np.zeros(n, dtype=bool)
-            for i, p in enumerate(parts):
-                ids = np.nonzero(p.is_master & active_local[i])[0]
-                if ids.size == 0:
-                    continue
-                gids = p.vertices[ids]
-                acc = self._extract_accumulator(merged[i], ids, spec, p)
-                new_vals = program.apply(self, gids, self.values_local[i][ids], acc)
-                self.values_local[i][ids] = new_vals
+
+            def apply_at(gids, old_values, acc):
+                new_vals = program.apply(self, gids, old_values, acc)
                 new_global[gids] = new_vals
                 if sparse:
                     changed[gids] = new_vals != values_global[gids]
-            isolated = active & self._unhosted
-            if isolated.any():
-                gids = np.nonzero(isolated)[0]
-                acc = self._identity_accumulator(spec, gids.size)
-                new_vals = program.apply(self, gids, values_global[gids], acc)
-                new_global[gids] = new_vals
-                if sparse:
-                    changed[gids] = new_vals != values_global[gids]
+                return new_vals
+
+            if active_slots is None:
+                ids = index.master_slots
+            else:
+                ids = np.flatnonzero(index.is_master & active_slots)
+            if ids.size:
+                values[ids] = apply_at(
+                    index.vertices[ids], values[ids], self._take_accumulator(merged, ids, spec)
+                )
+            isolated = np.flatnonzero(active & self._unhosted)
+            if isolated.size:
+                apply_at(
+                    isolated, values_global[isolated],
+                    self._identity_accumulator(spec, isolated.size),
+                )
             # (4) apply sync: master -> mirror value broadcasts
-            apply_buf = self._build_apply_buffer(active)
-            self._deliver_apply(apply_buf)
+            apply_buf = MessageBuffer("apply", master, mirror, DensePayload(values[master]))
+            values[apply_buf.dst_slot] = apply_buf.payload.values
             # frontier policy
-            if program.frontier == "dense":
+            if not sparse:
                 converged = program.check_converged(self, values_global, new_global)
                 changed = np.full(n, not converged, dtype=bool)
             if hasattr(program, "post_superstep"):
                 changed = program.post_superstep(self, step, changed)
             # (5) measured superstep cost
-            cost.add(
-                self._superstep_cost(
-                    step, active, active_local, gather_buf, apply_buf
-                )
-            )
+            cost.add(self._superstep_cost(step, active, active_slots, gather_buf, apply_buf))
             values_global = new_global
-            if program.frontier == "dense":
-                active = changed.copy()
-            else:
-                active = self._scatter_frontier(changed, undirected)
             if not changed.any():
                 break
+            active = self._scatter_frontier(changed, undirected) if sparse else changed
         self.values_local = None
         return values_global, cost
-
-    # ------------------------------------------------------------------ #
-    # message buffers
-    # ------------------------------------------------------------------ #
-
-    def _build_gather_buffer(
-        self, active: np.ndarray, partials: list, spec
-    ) -> MessageBuffer:
-        """Pack every active mirror's partial accumulator for its master."""
-        routes = self.index.routes
-        sel = active[routes.vertex]
-        if isinstance(spec, DenseAccumulator):
-            chunks = []
-            for pid in range(self.num_partitions):
-                rows = slice(routes.mirror_indptr[pid], routes.mirror_indptr[pid + 1])
-                mask = sel[rows]
-                chunks.append(partials[pid][routes.mirror_local[rows][mask]])
-            values = (
-                np.concatenate(chunks)
-                if chunks
-                else np.empty(0, dtype=spec.dtype)
-            )
-            payload = DensePayload(values)
-        else:
-            lengths_all, labels_all, counts_all = [], [], []
-            for pid in range(self.num_partitions):
-                part = self.index.partitions[pid]
-                targets, labels, counts = partials[pid]
-                part_indptr = self._histogram_indptr(targets, part)
-                rows = slice(routes.mirror_indptr[pid], routes.mirror_indptr[pid + 1])
-                mask = sel[rows]
-                locals_sel = routes.mirror_local[rows][mask]
-                starts = part_indptr[locals_sel]
-                lengths = part_indptr[locals_sel + 1] - starts
-                sub_indptr = np.zeros(locals_sel.size + 1, dtype=np.int64)
-                np.cumsum(lengths, out=sub_indptr[1:])
-                flat = ragged_take_indices(starts, lengths, sub_indptr)
-                lengths_all.append(lengths)
-                labels_all.append(labels[flat])
-                counts_all.append(counts[flat])
-            lengths = (
-                np.concatenate(lengths_all)
-                if lengths_all
-                else np.empty(0, dtype=np.int64)
-            )
-            indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            payload = RaggedPayload(
-                indptr,
-                np.concatenate(labels_all) if labels_all else np.empty(0, np.int64),
-                np.concatenate(counts_all) if counts_all else np.empty(0, np.int64),
-            )
-        return MessageBuffer(
-            round="gather",
-            vertex=routes.vertex[sel],
-            src_part=routes.mirror_part[sel],
-            dst_part=routes.master_part[sel],
-            dst_local=routes.master_local[sel],
-            payload=payload,
-        )
-
-    def _deliver_gather(
-        self, buf: MessageBuffer, partials: list, spec
-    ) -> list:
-        """Merge mirror accumulators into each master partition's partial."""
-        if isinstance(spec, DenseAccumulator):
-            for pid in range(self.num_partitions):
-                locals_recv, payload = buf.for_partition(pid)
-                if locals_recv.size:
-                    spec.combine.at(partials[pid], locals_recv, payload.values)
-            return partials
-        merged = []
-        n_labels = self.num_vertices
-        for pid in range(self.num_partitions):
-            own_t, own_lab, own_cnt = partials[pid]
-            locals_recv, payload = buf.for_partition(pid)
-            if locals_recv.size == 0:
-                # nothing received: the own partial is already grouped
-                # and key-sorted, so it is its own merge
-                merged.append(partials[pid])
-                continue
-            recv_lengths = np.diff(payload.indptr)
-            recv_t = np.repeat(locals_recv, recv_lengths)
-            merged.append(
-                group_label_counts(
-                    np.concatenate([own_t, recv_t]),
-                    np.concatenate([own_lab, payload.labels]),
-                    n_labels,
-                    counts=np.concatenate([own_cnt, payload.counts]),
-                )
-            )
-        return merged
-
-    def _build_apply_buffer(self, active: np.ndarray) -> MessageBuffer:
-        """Broadcast every active vertex's applied value master -> mirrors."""
-        routes = self.index.routes
-        sel = active[routes.vertex]
-        master_part = routes.master_part[sel]
-        master_local = routes.master_local[sel]
-        dtype = (
-            self.values_local[0].dtype
-            if self.values_local
-            else np.float64
-        )
-        values = np.empty(master_part.size, dtype=dtype)
-        # pack grouped by sending master: one bounded radix argsort
-        # instead of one full scan per partition
-        order, indptr = group_by_bounded(master_part, self.num_partitions)
-        for pid in range(self.num_partitions):
-            rows = order[indptr[pid] : indptr[pid + 1]]
-            if rows.size:
-                values[rows] = self.values_local[pid][master_local[rows]]
-        return MessageBuffer(
-            round="apply",
-            vertex=routes.vertex[sel],
-            src_part=master_part,
-            dst_part=routes.mirror_part[sel],
-            dst_local=routes.mirror_local[sel],
-            payload=DensePayload(values),
-        )
-
-    def _deliver_apply(self, buf: MessageBuffer) -> None:
-        for pid in range(self.num_partitions):
-            locals_recv, payload = buf.for_partition(pid)
-            if locals_recv.size:
-                self.values_local[pid][locals_recv] = payload.values
 
     # ------------------------------------------------------------------ #
     # accumulator plumbing
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _histogram_indptr(targets: np.ndarray, part) -> np.ndarray:
-        """Per-local-vertex slice bounds of a target-sorted histogram
-        (O(V + H) bincount prefix sum)."""
-        indptr = np.zeros(part.num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=part.num_vertices), out=indptr[1:])
-        return indptr
-
-    def _extract_accumulator(self, merged, ids: np.ndarray, spec, part):
+    def _take_accumulator(self, acc, slots: np.ndarray, spec):
+        """The accumulators of ``slots``: dense values, or for the ragged
+        spec ``(indptr, labels, counts)`` histogram rows sliced out of
+        the slot-sorted COO triples (O(S + H) bincount prefix sum)."""
         if isinstance(spec, DenseAccumulator):
-            return merged[ids]
-        targets, labels, counts = merged
-        part_indptr = self._histogram_indptr(targets, part)
-        starts = part_indptr[ids]
-        lengths = part_indptr[ids + 1] - starts
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+            return acc[slots]
+        targets, labels, counts = acc
+        hist_indptr = np.zeros(self.index.vertices.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(targets, minlength=self.index.vertices.size), out=hist_indptr[1:]
+        )
+        starts = hist_indptr[slots]
+        lengths = hist_indptr[slots + 1] - starts
+        indptr = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         flat = ragged_take_indices(starts, lengths, indptr)
         return indptr, labels[flat], counts[flat]
+
+    def _pack_accumulator(self, partial, mirror: np.ndarray, spec):
+        """Every active mirror's partial accumulator, as a wire payload."""
+        taken = self._take_accumulator(partial, mirror, spec)
+        if isinstance(spec, DenseAccumulator):
+            return DensePayload(taken)
+        return RaggedPayload(*taken)
+
+    def _deliver_gather(self, buf: MessageBuffer, partial, spec):
+        """Merge mirror accumulators into their masters' partials.
+
+        ``combine.at`` folds messages in row order, i.e. per master in
+        ascending mirror partition — the merge order of a receiver
+        draining its inbox partition by partition."""
+        if isinstance(spec, DenseAccumulator):
+            spec.combine.at(partial, buf.dst_slot, buf.payload.values)
+            return partial
+        if buf.count == 0:
+            # nothing received: the partial is already grouped and
+            # key-sorted, so it is its own merge
+            return partial
+        own_t, own_lab, own_cnt = partial
+        payload = buf.payload
+        recv_t = np.repeat(buf.dst_slot, np.diff(payload.indptr))
+        return group_label_counts(
+            np.concatenate([own_t, recv_t]),
+            np.concatenate([own_lab, payload.labels]),
+            self.num_vertices,
+            counts=np.concatenate([own_cnt, payload.counts]),
+        )
 
     def _identity_accumulator(self, spec, n: int):
         if isinstance(spec, DenseAccumulator):
@@ -477,39 +369,25 @@ class LocalGasRuntime:
         marking is message-free; the barrier OR-reduces the bits (the
         control bits piggyback on the sync rounds in a real deployment).
         """
+        index = self.index
+        changed_slots = changed[index.vertices]
+        activated = np.zeros(index.vertices.size, dtype=bool)
+        activated[index.dst_slot[changed_slots[index.src_slot]]] = True
+        if undirected:
+            activated[index.src_slot[changed_slots[index.dst_slot]]] = True
         nxt = np.zeros(self.num_vertices, dtype=bool)
-        for p in self.index.partitions:
-            changed_local = changed[p.vertices]
-            activated = np.zeros(p.num_vertices, dtype=bool)
-            activated[p.dst_local[changed_local[p.src_local]]] = True
-            if undirected:
-                activated[p.src_local[changed_local[p.dst_local]]] = True
-            nxt[p.vertices[activated]] = True
+        nxt[index.vertices[activated]] = True
         return nxt
 
     def _superstep_cost(
         self,
         step: int,
         active: np.ndarray,
-        active_local: list[np.ndarray],
+        active_slots: np.ndarray | None,
         gather_buf: MessageBuffer,
         apply_buf: MessageBuffer,
     ) -> SuperstepCost:
-        parts = self.index.partitions
-        active_edges = np.array(
-            [
-                np.count_nonzero(al[p.src_local] | al[p.dst_local])
-                for p, al in zip(parts, active_local)
-            ],
-            dtype=np.int64,
-        )
-        active_masters = np.array(
-            [
-                np.count_nonzero(p.is_master & al)
-                for p, al in zip(parts, active_local)
-            ],
-            dtype=np.int64,
-        )
+        active_edges, active_masters = self.index.active_counts(active_slots)
         compute_per_partition = (
             active_edges / self.edges_per_second
             + active_masters / self.vertices_per_second

@@ -6,9 +6,16 @@ min/label programs bit-identical, PageRank allclose (atol 1e-12) with
 identical superstep counts, for k in {2, 4, 8} across hashing / hdrf /
 clugp — and on every run the *measured* sync messages must equal the
 modeled ``2 * sum(|P(v)| - 1)`` replication formula over the sync set.
+
+The flat replica-slot index is pinned three ways: against a naive
+per-partition ``np.unique``/``searchsorted`` builder kept here as the
+oracle, by its block-diagonal invariants, and by golden digests of all
+four apps recorded before the layout was flattened.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
@@ -32,7 +39,7 @@ from repro.system.apps import (
     pagerank,
     sssp,
 )
-from repro.system.messages import ragged_take_indices
+from repro._util import ragged_take_indices, segment_sums
 
 PARTITIONERS = ("hashing", "hdrf", "clugp")
 PARTITION_COUNTS = (2, 4, 8)
@@ -94,6 +101,72 @@ def build_random_assignment(data):
     return PartitionAssignment(stream, edge_partition, num_partitions=k)
 
 
+def naive_layout(assignment, placement):
+    """The per-partition builder the flat index replaced, as the oracle:
+    one ``np.unique`` + two ``searchsorted`` per partition, routes by
+    enumeration.  Returns ``(parts, routes)`` with ``routes`` rows
+    ``(mirror_part, vertex, mirror_local, master_part, master_local)``
+    sorted by (mirror_part, vertex)."""
+    stream = assignment.stream
+    parts, routes = [], []
+    for pid in range(assignment.num_partitions):
+        edge_ids = np.flatnonzero(assignment.edge_partition == pid)
+        s, d = stream.src[edge_ids], stream.dst[edge_ids]
+        vertices = np.unique(np.concatenate([s, d]))
+        parts.append(
+            {
+                "vertices": vertices,
+                "is_master": placement.master[vertices] == pid,
+                "src_local": np.searchsorted(vertices, s),
+                "dst_local": np.searchsorted(vertices, d),
+                "edge_ids": edge_ids,
+            }
+        )
+    for pid, part in enumerate(parts):
+        for local, v in enumerate(part["vertices"].tolist()):
+            home = int(placement.master[v])
+            if home != pid:
+                at_home = int(np.searchsorted(parts[home]["vertices"], v))
+                routes.append((pid, v, local, home, at_home))
+    return parts, np.array(routes, dtype=np.int64).reshape(-1, 5)
+
+
+def assert_index_matches_naive(assignment):
+    """Flat index == naive layout, per block and as one concatenation."""
+    placement = build_placement(assignment)
+    index = build_local_index(assignment, placement)
+    parts, routes = naive_layout(assignment, placement)
+    k = assignment.num_partitions
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum([p["vertices"].size for p in parts], out=offsets[1:])
+    assert np.array_equal(index.part_indptr, offsets)
+    assert np.array_equal(
+        index.edge_indptr, np.r_[0, np.cumsum([p["edge_ids"].size for p in parts])]
+    )
+    for pid, expect in enumerate(parts):
+        view = index.partition(pid)
+        assert view.pid == pid
+        assert view.slots == slice(offsets[pid], offsets[pid + 1])
+        for name, column in expect.items():
+            assert np.array_equal(getattr(view, name), column), (pid, name)
+        for name in ("src_local", "dst_local"):
+            flat = getattr(index, name.replace("local", "slot"))[view.edges]
+            assert np.array_equal(flat, expect[name] + offsets[pid])
+    for name in ("vertices", "is_master", "edge_ids"):
+        expect = np.concatenate([p[name] for p in parts])
+        assert np.array_equal(getattr(index, name), expect), name
+    # the whole index is itself one block: local id == slot, no copies
+    assert index.flat.pid is None and index.flat.src_local is index.src_slot
+    r = index.routes
+    assert np.array_equal(r.mirror_slot, offsets[routes[:, 0]] + routes[:, 2])
+    assert np.array_equal(r.master_slot, offsets[routes[:, 3]] + routes[:, 4])
+    assert np.array_equal(r.mirror_indptr, np.searchsorted(routes[:, 0], np.arange(k + 1)))
+    for pid in range(k):
+        rows = r.master_order[r.master_indptr[pid] : r.master_indptr[pid + 1]]
+        assert np.array_equal(rows, np.flatnonzero(routes[:, 3] == pid))
+    return index, placement
+
+
 class TestLocalIndex:
     @settings(deadline=None, max_examples=60)
     @given(edge_streams)
@@ -131,31 +204,59 @@ class TestLocalIndex:
         placement = build_placement(assignment)
         index = build_local_index(assignment, placement)
         routes = index.routes
+        k = assignment.num_partitions
+        slot_part = np.repeat(np.arange(k), np.diff(index.part_indptr))
         # one route row per mirror replica: counts match |P(v)| - 1
+        vertex = index.vertices[routes.mirror_slot]
         assert np.array_equal(
-            np.bincount(routes.vertex, minlength=assignment.stream.num_vertices),
+            np.bincount(vertex, minlength=assignment.stream.num_vertices),
             np.clip(placement.replica_counts - 1, 0, None),
         )
-        # every row routes a mirror to that vertex's master partition
-        assert np.array_equal(routes.master_part, placement.master[routes.vertex])
-        assert not np.any(routes.mirror_part == routes.master_part)
-        # local slots decode back to the routed vertex on both sides
-        for pid, part in enumerate(index.partitions):
-            rows = routes.mirror_part == pid
-            assert np.array_equal(
-                part.to_global(routes.mirror_local[rows]), routes.vertex[rows]
-            )
-            assert not part.is_master[routes.mirror_local[rows]].any()
-            at_master = routes.master_part == pid
-            assert np.array_equal(
-                part.to_global(routes.master_local[at_master]),
-                routes.vertex[at_master],
-            )
-            assert part.is_master[routes.master_local[at_master]].all()
-            # indptr delimits this partition's mirror rows
-            assert routes.mirror_indptr[pid + 1] - routes.mirror_indptr[pid] == int(
-                np.count_nonzero(rows)
-            )
+        # every row routes a mirror to that vertex's master replica
+        assert np.array_equal(index.vertices[routes.master_slot], vertex)
+        assert np.array_equal(slot_part[routes.master_slot], placement.master[vertex])
+        assert index.is_master[routes.master_slot].all()
+        assert not index.is_master[routes.mirror_slot].any()
+        assert np.array_equal(
+            np.sort(np.r_[routes.mirror_slot, index.master_slots]),
+            np.arange(index.vertices.size),
+        )
+        # rows are sorted by mirror slot and indptr delimits partitions
+        assert np.all(np.diff(routes.mirror_slot) > 0)
+        assert np.array_equal(
+            np.diff(routes.mirror_indptr),
+            np.bincount(slot_part[routes.mirror_slot], minlength=k),
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(edge_streams)
+    def test_flat_index_is_block_diagonal_and_matches_naive(self, data):
+        assignment = build_random_assignment(data)
+        index, _ = assert_index_matches_naive(assignment)
+        k = assignment.num_partitions
+        slot_part = np.repeat(np.arange(k), np.diff(index.part_indptr))
+        edge_part = np.repeat(np.arange(k), np.diff(index.edge_indptr))
+        # every edge's two slots lie in its own partition's slot range:
+        # the concatenation of partition-local kernels is itself local
+        assert np.array_equal(edge_part, assignment.edge_partition[index.edge_ids])
+        assert np.array_equal(slot_part[index.src_slot], edge_part)
+        assert np.array_equal(slot_part[index.dst_slot], edge_part)
+        # slots decode to the stream's endpoints
+        stream = assignment.stream
+        assert np.array_equal(index.vertices[index.src_slot], stream.src[index.edge_ids])
+        assert np.array_equal(index.vertices[index.dst_slot], stream.dst[index.edge_ids])
+
+    @settings(deadline=None, max_examples=60)
+    @given(edge_streams)
+    def test_master_rule_matches_dense_argmax(self, data):
+        """Most incident edges wins, ties to the lowest partition id."""
+        assignment = build_random_assignment(data)
+        stream = assignment.stream
+        table = np.zeros((stream.num_vertices, assignment.num_partitions), dtype=np.int64)
+        np.add.at(table, (stream.src, assignment.edge_partition), 1)
+        np.add.at(table, (stream.dst, assignment.edge_partition), 1)
+        expect = np.where(table.any(axis=1), table.argmax(axis=1), -1)
+        assert np.array_equal(build_placement(assignment).master, expect)
 
     def test_masters_partition_hosted_vertices(self):
         index = build_local_index(tiny_assignment())
@@ -171,6 +272,141 @@ class TestLocalIndex:
         # vertex 3 has no edge in partition 0
         with pytest.raises(KeyError):
             index.partitions[0].to_local([3])
+
+    def test_inconsistent_placement_rejected(self):
+        assignment = tiny_assignment()
+        placement = build_placement(assignment)
+        placement.master[1] = 1  # vertex 1 only lives in partition 0
+        with pytest.raises(KeyError, match="master"):
+            build_local_index(assignment, placement)
+
+    def test_unhosted_edge_endpoint_rejected(self):
+        assignment = tiny_assignment()
+        verts, parts, counts = assignment.replica_table()
+        # drop the (vertex 0, partition 0) replica the edge (0, 1) needs
+        assignment._replica_table = (verts[1:], parts[1:], counts[1:])
+        with pytest.raises(KeyError, match="does not host"):
+            build_local_index(assignment)
+
+    def test_replica_table_shared_by_counts_placement_and_index(self, monkeypatch):
+        """One dedup of the incidence per assignment, however many readers."""
+        import repro.partitioners.base as base
+
+        calls = []
+        real = base.vertex_partition_pairs
+        monkeypatch.setattr(
+            base, "vertex_partition_pairs", lambda *a: calls.append(1) or real(*a)
+        )
+        assignment = tiny_assignment()
+        assignment.replication_factor()
+        LocalGasRuntime(assignment)
+        build_local_index(assignment)
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------- #
+# adversarial layouts
+# ---------------------------------------------------------------------- #
+
+
+def _assignment(src, dst, n, parts, k):
+    return PartitionAssignment(EdgeStream(src, dst, num_vertices=n), parts, num_partitions=k)
+
+
+ADVERSARIAL = {
+    "k_exceeds_vertices": lambda: _assignment([0, 1, 2, 0], [1, 2, 0, 2], 3, [6, 0, 3, 6], 8),
+    "all_edges_one_partition": lambda: _assignment(
+        [0, 1, 2, 3, 1], [1, 2, 3, 0, 3], 5, [2, 2, 2, 2, 2], 4
+    ),
+    "self_loops": lambda: _assignment([0, 0, 1, 2, 2], [0, 1, 1, 2, 0], 3, [0, 1, 1, 0, 2], 3),
+    "isolated_vertices": lambda: _assignment([1, 4, 4], [4, 6, 1], 9, [0, 1, 2], 3),
+    "empty_stream": lambda: _assignment([], [], 4, [], 3),
+    "interleaved_empty_partitions": lambda: interleaved_empty_assignment(),
+}
+
+
+def interleaved_empty_assignment():
+    """k=5 with partitions 0, 2 and 4 empty (first, middle and last)."""
+    return _assignment([0, 1, 2, 3, 0, 4], [1, 2, 3, 4, 4, 5], 7, [1, 1, 3, 3, 1, 3], 5)
+
+
+@pytest.mark.parametrize("layout", sorted(ADVERSARIAL))
+class TestAdversarialLayouts:
+    def test_index_matches_naive(self, layout):
+        assert_index_matches_naive(ADVERSARIAL[layout]())
+
+    def test_all_apps_match_oracle(self, layout):
+        assignment = ADVERSARIAL[layout]()
+        runs = {
+            "pagerank": lambda e: pagerank(e, max_supersteps=60),
+            "sssp": lambda e: sssp(e, source=0),
+            "cc": connected_components,
+            "lp": lambda e: label_propagation(e, max_iters=5),
+        }
+        for app, run in runs.items():
+            runtime = LocalGasRuntime(assignment)
+            local_values, local_cost = run(runtime)
+            oracle_values, oracle_cost = run(GasEngine(assignment))
+            if app == "pagerank":
+                assert np.allclose(local_values, oracle_values, atol=1e-12, rtol=0.0)
+            else:
+                assert np.array_equal(local_values, oracle_values), app
+            assert local_cost.num_supersteps == oracle_cost.num_supersteps, app
+            assert_message_parity(runtime, local_cost)
+            assert_cost_matches_naive(runtime, local_cost)
+
+
+def assert_cost_matches_naive(runtime: LocalGasRuntime, cost) -> None:
+    """Segmented per-partition counts == one Python count per partition
+    block, superstep by superstep (empty partitions must count 0)."""
+    for superstep, mask in zip(cost.supersteps, runtime.sync_masks):
+        edges, seconds = 0, 0.0
+        for part in runtime.index.partitions:
+            local = mask[part.vertices]
+            active_edges = int(np.count_nonzero(local[part.src_local] | local[part.dst_local]))
+            active_masters = int(np.count_nonzero(part.is_master & local))
+            edges += active_edges
+            seconds = max(
+                seconds,
+                active_edges / runtime.edges_per_second
+                + active_masters / runtime.vertices_per_second,
+            )
+        assert superstep.active_edges == edges
+        assert superstep.compute_seconds == seconds
+
+
+class TestSegmentSums:
+    def test_empty_segments_count_zero(self):
+        mask = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+        indptr = np.array([0, 0, 2, 2, 5, 6, 6])
+        assert segment_sums(mask, indptr).tolist() == [0, 1, 0, 2, 1, 0]
+        # the reduceat shortcut this replaces reads the next element
+        # for an empty segment
+        clipped = np.minimum(indptr[:-1], mask.size - 1)
+        assert np.add.reduceat(mask.astype(np.int64), clipped).tolist() != [0, 1, 0, 2, 1, 0]
+
+    def test_no_elements(self):
+        assert segment_sums(np.zeros(0, dtype=bool), np.zeros(4, dtype=np.int64)).tolist() == [0, 0, 0]
+
+    def test_runtime_counts_on_interleaved_empty_partitions(self):
+        assignment = interleaved_empty_assignment()
+        runtime = LocalGasRuntime(assignment)
+        # sparse frontier: supersteps past the first take the masked path
+        _, cost = sssp(runtime, source=0)
+        assert cost.num_supersteps > 2
+        assert_cost_matches_naive(runtime, cost)
+        edges, masters = runtime.index.active_counts(None)
+        assert edges.tolist() == [0, 3, 0, 3, 0]
+        assert masters.tolist()[::2] == [0, 0, 0] and masters.sum() == 6
+
+    def test_oracle_engine_counts_on_interleaved_empty_partitions(self):
+        assignment = interleaved_empty_assignment()
+        engine = GasEngine(assignment)
+        changed = np.array([1, 0, 0, 0, 0, 1, 0], dtype=bool)
+        step = engine._superstep_cost(0, changed)
+        # active: (0,1) and (0,4) in partition 1, (4,5) in partition 3
+        assert step.active_edges == 3
+        assert step.compute_seconds == 2 / engine.edges_per_second + 1 / engine.vertices_per_second
 
 
 class TestRaggedTake:
@@ -255,6 +491,87 @@ def test_connected_components_parity_random(data):
     oracle_values, _ = connected_components(GasEngine(assignment))
     assert np.array_equal(local_values, oracle_values)
     assert_message_parity(runtime, local_cost)
+
+
+# ---------------------------------------------------------------------- #
+# golden digests (recorded at the commit before the layout was flattened)
+# ---------------------------------------------------------------------- #
+
+#: (app, partitioner, k) -> (CRC-32 of the value bytes, num_supersteps,
+#: total_messages, total_bytes, compute_seconds, comm_seconds) on
+#: ``parity_stream``, from the list-of-LocalPartition runtime the flat
+#: index replaced.  Exact equality, floats included: the flat layout
+#: keeps every per-target combine order and every pairwise partial sum.
+GOLDEN = {  # fmt: skip
+    ('pagerank', 'clugp', 1): (2535320640, 30, 0, 0, 0.022320000000000013, 0.6000000000000002),
+    ('sssp', 'clugp', 1): (3429267821, 5, 0, 0, 0.0011649499999999999, 0.1),
+    ('connected_components', 'clugp', 1): (3208569366, 5, 0, 0, 0.0033784, 0.1),
+    ('label_propagation', 'clugp', 1): (2276467566, 8, 0, 0, 0.00588775, 0.16),
+    ('pagerank', 'clugp', 4): (1887491185, 30, 39000, 624000, 0.0058845, 0.6784992),
+    ('sssp', 'clugp', 4): (3429267821, 5, 1964, 31424, 0.00040015, 0.1039531392),
+    ('connected_components', 'clugp', 4): (3208569366, 5, 5622, 89952, 0.00094155, 0.1113159616),
+    ('label_propagation', 'clugp', 4): (2276467566, 8, 10232, 269696, 0.0015605, 0.1806797568),
+    ('pagerank', 'clugp', 32): (3405985585, 30, 91380, 1462080, 0.0007454999999999996, 0.7839296639999995),
+    ('sssp', 'clugp', 32): (3429267821, 5, 4820, 77120, 0.0001084, 0.10970169599999999),
+    ('connected_components', 'clugp', 32): (3208569366, 5, 13052, 208832, 0.0001226, 0.12627106559999998),
+    ('label_propagation', 'clugp', 32): (2276467566, 8, 23762, 515896, 0.00019870000000000003, 0.20793671680000003),
+    ('pagerank', 'hdrf', 1): (2982732779, 30, 0, 0, 0.022320000000000013, 0.6000000000000002),
+    ('sssp', 'hdrf', 1): (3429267821, 5, 0, 0, 0.0011649499999999999, 0.1),
+    ('connected_components', 'hdrf', 1): (3208569366, 5, 0, 0, 0.0033784, 0.1),
+    ('label_propagation', 'hdrf', 1): (2276467566, 8, 0, 0, 0.00588775, 0.16),
+    ('pagerank', 'hdrf', 4): (2068080449, 30, 48360, 773760, 0.005616000000000004, 0.6973390079999997),
+    ('sssp', 'hdrf', 4): (3429267821, 5, 2202, 35232, 0.00031385, 0.1044321856),
+    ('connected_components', 'hdrf', 4): (3208569366, 5, 7068, 113088, 0.0008548, 0.1142264704),
+    ('label_propagation', 'hdrf', 4): (2276467566, 8, 12490, 406632, 0.0014885, 0.1853053056),
+    ('pagerank', 'hdrf', 32): (2081617085, 30, 105600, 1689600, 0.0007094999999999996, 0.81255168),
+    ('sssp', 'hdrf', 32): (3429267821, 5, 5020, 80320, 7.960000000000001e-05, 0.11010425600000001),
+    ('connected_components', 'hdrf', 32): (3208569366, 5, 15326, 245216, 0.00011394999999999999, 0.1308481728),
+    ('label_propagation', 'hdrf', 32): (2276467566, 8, 27298, 706600, 0.00018875, 0.21516128),
+    ('pagerank', 'hashing', 1): (2982732779, 30, 0, 0, 0.022320000000000013, 0.6000000000000002),
+    ('sssp', 'hashing', 1): (3429267821, 5, 0, 0, 0.0011649499999999999, 0.1),
+    ('connected_components', 'hashing', 1): (3208569366, 5, 0, 0, 0.0033784, 0.1),
+    ('label_propagation', 'hashing', 1): (2276467566, 8, 0, 0, 0.00588775, 0.16),
+    ('pagerank', 'hashing', 4): (27937069, 30, 98760, 1580160, 0.005842499999999997, 0.7987841279999998),
+    ('sssp', 'hashing', 4): (3429267821, 5, 4308, 68928, 0.00030915, 0.10867114239999999),
+    ('connected_components', 'hashing', 4): (3208569366, 5, 14460, 231360, 0.0008859, 0.129105088),
+    ('label_propagation', 'hashing', 4): (2276467566, 8, 25308, 724640, 0.0015408, 0.211195712),
+    ('pagerank', 'hashing', 32): (1959714801, 30, 300720, 4811520, 0.0008160000000000002, 1.2052892160000002),
+    ('sssp', 'hashing', 32): (3429267821, 5, 13938, 223008, 4.725e-05, 0.1280544064),
+    ('connected_components', 'hashing', 32): (3208569366, 5, 43776, 700416, 0.00012425, 0.18811233279999998),
+    ('label_propagation', 'hashing', 32): (2276467566, 8, 77328, 1605792, 0.00021574999999999999, 0.3159406336),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_assignments(parity_stream) -> dict:
+    return {
+        (name, k): run_algorithm(name, parity_stream, k, seed=0)[1]
+        for name in PARTITIONERS
+        for k in (1, 4, 32)
+    }
+
+
+@pytest.mark.parametrize("app,name,k", sorted(GOLDEN))
+def test_golden_digest(golden_assignments, parity_stream, app, name, k):
+    runtime = LocalGasRuntime(golden_assignments[(name, k)])
+    if app == "pagerank":
+        values, cost = pagerank(runtime, max_supersteps=40)
+    elif app == "sssp":
+        out_degree = np.bincount(parity_stream.src, minlength=parity_stream.num_vertices)
+        values, cost = sssp(runtime, source=int(out_degree.argmax()))
+    elif app == "connected_components":
+        values, cost = connected_components(runtime)
+    else:
+        values, cost = label_propagation(runtime, max_iters=8)
+    digest = (
+        zlib.crc32(values.tobytes()),
+        cost.num_supersteps,
+        cost.total_messages,
+        cost.total_bytes,
+        cost.compute_seconds,
+        cost.comm_seconds,
+    )
+    assert digest == GOLDEN[(app, name, k)]
 
 
 # ---------------------------------------------------------------------- #
