@@ -19,9 +19,8 @@ Standalone script pinning the three claims of the persistent backend
   edge data reaches the workers only through shared-memory rings, hard
   gate in every mode.
 
-The report also surfaces the pipeline accounting: how many seconds of
-coordinator merge were hidden behind still-running shards
-(``pipeline_overlap``) and the per-worker busy fractions.
+The report also surfaces the per-worker busy seconds of the resident
+pool.
 
 Usage::
 
@@ -127,7 +126,6 @@ def run_speedup_gate(stream, k, quick) -> tuple[dict, list[str]]:
     with Timer() as t_spawn:
         runtime = PersistentRuntime(NUM_NODES)
     t_persistent = float("inf")
-    overlap = 0.0
     busy = []
     try:
         for _ in range(REPEATS):
@@ -138,7 +136,6 @@ def run_speedup_gate(stream, k, quick) -> tuple[dict, list[str]]:
                 )
             t_persistent = min(t_persistent, t.elapsed)
         overlaps = persistent_result.assignment.stage_times.overlaps
-        overlap = overlaps.get("pipeline_overlap", 0.0)
         busy = [
             overlaps.get(f"node{i}_busy", 0.0) for i in range(NUM_NODES)
         ]
@@ -163,7 +160,6 @@ def run_speedup_gate(stream, k, quick) -> tuple[dict, list[str]]:
         "floor": floor,
         "identical": identical,
         "edge_pickle_bytes": pickle_bytes,
-        "pipeline_overlap_seconds": overlap,
         "worker_busy_seconds": busy,
     }
     failures = []
@@ -182,7 +178,7 @@ def run_speedup_gate(stream, k, quick) -> tuple[dict, list[str]]:
     print(
         f"persistent/speedup: process {t_process*1000:.0f}ms, resident "
         f"{t_persistent*1000:.0f}ms -> {speedup:.2f}x (floor {floor:.1f}x), "
-        f"spawn {t_spawn.elapsed*1000:.0f}ms, overlap {overlap*1000:.1f}ms, "
+        f"spawn {t_spawn.elapsed*1000:.0f}ms, "
         f"edge_pickle_bytes={pickle_bytes}"
     )
     return report, failures

@@ -5,8 +5,11 @@ CI runs this over a fixed seed matrix (``--seed N``); each seed picks a
 different victim node per stage via the deterministic
 :class:`~repro.reliability.faults.FaultInjector`, so the matrix together
 exercises crash, hang, corrupt, and slow recovery on every stage of the
-merged protocol.  The gate is exact: the chaotic edge partition must
-equal the fault-free one bit for bit, on both executor backends.
+merged protocol — the round-2 ``attribute`` stage and, on the persistent
+backend, the shared-memory result plane included.  The gate is exact:
+the chaotic edge partition must equal the fault-free one bit for bit, on
+all three executor backends, and no shared-memory segment may outlive a
+run.
 
 Usage::
 
@@ -30,6 +33,7 @@ import numpy as np
 
 from repro.config import ClugpConfig, ReliabilityConfig
 from repro.core.distributed import distributed_clugp
+from repro.distributed import leaked_segments
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
 
@@ -60,6 +64,7 @@ def main(argv=None) -> int:
          None),
         ("process", f"crash,seed={args.seed}", None),
         ("process", f"hang,seed={args.seed},hang_seconds=30", 2.0),
+        ("persistent", f"crash,corrupt,seed={args.seed}", None),
     ]
     status = 0
     for backend, spec, timeout in scenarios:
@@ -76,8 +81,13 @@ def main(argv=None) -> int:
         )
         if not identical:
             status = 1
+    leaked = leaked_segments()
+    if leaked:
+        print(f"chaos_smoke: leaked shared-memory segments: {leaked}")
+        status = 1
     if status:
-        print("FAIL: a chaotic run diverged from the fault-free partition")
+        print("FAIL: a chaotic run diverged from the fault-free partition "
+              "or leaked a segment")
     else:
         print(f"OK: seed {args.seed} chaos runs are bit-identical")
     return status

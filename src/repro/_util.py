@@ -338,12 +338,12 @@ class StageTimes:
     work total that single-machine comparisons rely on.
     ``counters`` holds integer event counts (retries, requeues, timeouts
     — the reliability layer's cost accounting) alongside the timings.
-    ``overlaps`` records *hidden* work of a pipelined schedule: seconds of
-    stage work that ran concurrently with another stage's wall (e.g. the
-    coordinator folding summaries while slower shards still compute) plus
-    per-worker busy/idle splits.  Overlap entries are diagnostics — they
-    never feed :attr:`total` or :attr:`critical_path`, which stay the
-    summed work and the longest measured wall respectively.
+    ``overlaps`` records work that ran *under* another wall rather than
+    after it: seconds of stage work concurrent with another stage's wall,
+    and per-worker busy/idle splits of a resident pool.  Overlap entries
+    are diagnostics — they never feed :attr:`total` or
+    :attr:`critical_path`, which stay the summed work and the longest
+    measured wall respectively.
     """
 
     stages: dict = field(default_factory=dict)

@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="thread",
         choices=["thread", "process", "persistent"],
-        help="executor the node pipelines run on (persistent = resident "
-        "shared-memory worker processes with the pipelined merge path)",
+        help="executor the node stages run on (persistent = resident "
+        "worker processes fed and read over shared memory)",
     )
     p_dist.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",

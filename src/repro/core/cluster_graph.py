@@ -72,6 +72,13 @@ def _radix_group(
     return order, skeys[starts], starts
 
 
+def _row_pointers(ids: np.ndarray, m: int) -> np.ndarray:
+    """CSR ``indptr`` over ``m`` rows from the (grouped) row id of every entry."""
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=m), out=indptr[1:])
+    return indptr
+
+
 def _csr_from_pairs(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,9 +88,7 @@ def _csr_from_pairs(
     sorted ascending within each row.
     """
     order = stable_argsort_bounded(rows * np.int64(m) + cols, m * m if m else 1)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return indptr, cols[order], weights[order]
+    return _row_pointers(rows, m), cols[order], weights[order]
 
 
 @dataclass
@@ -166,6 +171,38 @@ class ClusterGraph:
         return graph
 
     @classmethod
+    def from_out_csr(
+        cls,
+        internal: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        rows: np.ndarray | None = None,
+    ) -> "ClusterGraph":
+        """Complete a canonical out-CSR with its transpose.
+
+        The in-CSR is one stable regrouping by column: rows stay ascending
+        within a column because they were ascending to begin with.  This is
+        how the builders finish, and how the coordinator rebuilds a graph a
+        node shipped as its out-CSR only (the in-CSR never crosses the wire).
+        ``rows`` is the COO row of every entry, for callers that hold it.
+        """
+        m = int(internal.size)
+        if rows is None:
+            rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+        by_col = stable_argsort_bounded(indices, max(m, 1))
+        return cls(
+            num_clusters=m,
+            internal=internal,
+            indptr=indptr,
+            indices=indices,
+            weights=weights,
+            in_indptr=_row_pointers(indices, m),
+            in_indices=rows[by_col],
+            in_weights=weights[by_col],
+        )
+
+    @classmethod
     def merge(
         cls,
         graphs: list["ClusterGraph"],
@@ -241,17 +278,9 @@ class ClusterGraph:
             ucols = ukeys % m
         else:
             urows = ucols = merged_w = np.empty(0, dtype=np.int64)
-        indptr, indices, weights = _csr_from_pairs(urows, ucols, merged_w, m)
-        in_indptr, in_indices, in_weights = _csr_from_pairs(ucols, urows, merged_w, m)
-        return cls(
-            num_clusters=m,
-            internal=internal,
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            in_weights=in_weights,
+        # grouped keys are unique and row-major: already the out-CSR
+        return cls.from_out_csr(
+            internal, _row_pointers(urows, m), ucols, merged_w, rows=urows
         )
 
     # ------------------------------------------------------------------ #
@@ -359,28 +388,14 @@ def _graph_from_grouped(
     row-major order, same-cluster pairs included.
 
     Diagonal pairs are the same-cluster (internal) counts; the rest are
-    unique and ascending, i.e. already the out-CSR as is.  The in-CSR is
-    one stable regrouping by column: rows stay ascending within a column
-    because they were ascending to begin with.
+    unique and ascending, i.e. already the out-CSR as is.
     """
     internal = np.zeros(m, dtype=np.int64)
     diag = rows == cols
     internal[rows[diag]] = counts[diag]
     rows, cols, counts = rows[~diag], cols[~diag], counts[~diag]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    by_col = stable_argsort_bounded(cols, max(m, 1))
-    in_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=m), out=in_indptr[1:])
-    return ClusterGraph(
-        num_clusters=m,
-        internal=internal,
-        indptr=indptr,
-        indices=cols,
-        weights=counts,
-        in_indptr=in_indptr,
-        in_indices=rows[by_col],
-        in_weights=counts[by_col],
+    return ClusterGraph.from_out_csr(
+        internal, _row_pointers(rows, m), cols, counts, rows=rows
     )
 
 

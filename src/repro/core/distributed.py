@@ -19,39 +19,48 @@ under one of two protocols:
     parallel mode, visible as a replication factor that inflates with
     ``num_nodes``.
 
-``merge_mode="merged"`` (the cluster-summary merge)
-    Nodes run pass 1 and a *local* game, then ship a compact
+``merge_mode="merged"`` (the two-round cluster merge)
+    **Round 1.**  Nodes run pass 1 and a *local* game, then ship a
     :class:`~repro.core.partitioner.ClusterSummary` — per-cluster
-    volumes, the boundary-free local cluster graph, the vertex->cluster
-    map of shard-boundary vertices, and the raw endpoints of unresolved
-    cross-shard edges.  The coordinator unions the cluster graphs
-    (:meth:`~repro.core.cluster_graph.ClusterGraph.merge`), resolves each
-    boundary vertex to one global cluster (highest local degree wins),
-    attributes the unresolved cut weight exactly against that resolution,
+    volumes, the local equilibrium, and the ``(vertex, cluster, degree)``
+    triples of their shard-boundary vertices.  No edge is in it.  The
+    coordinator lays the node cluster tables end to end into one global
+    id space, resolves each boundary vertex to one global cluster
+    (highest local degree wins), and broadcasts that resolution.
+    **Round 2.**  Each node labels *its own* edges with global cluster
+    ids and ships them aggregated — a
+    :class:`~repro.core.partitioner.GraphContribution`, every shard edge
+    counted exactly once.  The coordinator unions the contributions in
+    one barrier :meth:`~repro.core.cluster_graph.ClusterGraph.merge`,
     runs the (parallel) game **once** on the merged global cluster graph
     — warm-started from the union of local equilibria, i.e. global game
     refinement — and broadcasts the cluster->partition map.  Each node
-    then replays pass 3 locally under the global decision.  No node ever
-    materializes another shard's edges; the sync cost is the measured
-    summary/broadcast wire bytes and the coordinator's merge+game wall.
+    then replays pass 3 locally under the global decision.  Nobody — no
+    node and not the coordinator — ever materializes another shard's
+    edges; the sync cost is the measured summary/contribution/broadcast
+    wire bytes and the coordinator's merge+game wall.
 
 With a single node the merged protocol degenerates exactly to the
 single-machine pipeline: no boundary vertices, an identity relabel, and a
 warm-started refinement game that proposes zero moves — the assignment is
 bit-identical (see ``tests/test_core_distributed.py``).
 
-Node pipelines execute on ``backend="thread"`` (in-process pool),
-``backend="process"`` (a ``ProcessPoolExecutor``; summaries, clusterings
-and shard arrays cross a real process boundary), or
+Node stages execute on ``backend="thread"`` (in-process pool),
+``backend="process"`` (a ``ProcessPoolExecutor``; node state and shard
+arrays cross a real process boundary every stage), or
 ``backend="persistent"`` (resident shared-memory workers from
-:mod:`repro.distributed` with a pipelined arrival-order merge, bit-identical
-to the process oracle), and :class:`DistributedResult` reports measured
-per-stage walls (shard/merge/game/transform critical path) plus wire bytes
-via ``to_dict()`` / ``summary()``.
+:mod:`repro.distributed`, bit-identical to the process oracle).  The
+protocol itself is written once (:func:`_run_merged`,
+:func:`_run_independent`) over a two-method stage runner; a backend is
+only a transport.  :class:`DistributedResult` reports measured per-stage
+walls (shard/merge/game/transform critical path) plus wire bytes via
+``to_dict()`` / ``summary()``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -63,11 +72,16 @@ from ..graph.stream import EdgeStream
 from ..reliability.faults import FaultInjector
 from ..reliability.retry import RetryPolicy, RetryStats, run_reliable
 from ..partitioners.base import EdgePartitioner, PartitionAssignment
-from .cluster_graph import ClusterGraph, cluster_graph_from_labels
+from .cluster_graph import ClusterGraph
 from .clustering import ClusteringResult
 from .game import ClusterPartitioningGame, GameResult
 from .parallel import parallel_game
-from .partitioner import ClugpPartitioner, ClusterSummary
+from .partitioner import (
+    ClugpPartitioner,
+    ClusterSummary,
+    GraphContribution,
+    graph_contribution,
+)
 from .transform import replay_transform_chunked
 
 __all__ = [
@@ -75,7 +89,7 @@ __all__ = [
     "MergeReport",
     "DistributedResult",
     "DistributedClugpPartitioner",
-    "IncrementalMerger",
+    "NodeStages",
     "balance_quotas",
     "distributed_clugp",
 ]
@@ -119,10 +133,10 @@ class MergeReport:
 
     num_global_clusters: int
     num_boundary_vertices: int
-    num_unresolved_edges: int
+    num_unresolved_edges: int  # edges with >= 1 boundary endpoint (counted node-side)
     max_cluster_volume: int  # largest global cluster (granularity check)
-    merge_bytes: int  # summed node->coordinator summary payloads
-    broadcast_bytes: int  # one coordinator->node broadcast payload
+    merge_bytes: int  # summed node->coordinator payloads, round 1 + round 2
+    broadcast_bytes: int  # each coordinator->node broadcast, one payload apiece
     quota_bytes: int  # balance quota exchange (loads up + quotas down)
     game_rounds: int
     game_moves: int
@@ -206,8 +220,8 @@ class DistributedResult:
             )
             lines.append(
                 f"  merge: {m.num_global_clusters} global clusters, "
-                f"{m.num_boundary_vertices} boundary vertices, "
-                f"{m.num_unresolved_edges} unresolved edges, "
+                f"{m.num_boundary_vertices} boundary vertices touched by "
+                f"{m.num_unresolved_edges} edges, "
                 f"wire={human_bytes(m.merge_bytes)} up + "
                 f"{human_bytes(m.broadcast_bytes)} down, "
                 f"refinement rounds={m.game_rounds} moves={m.game_moves}"
@@ -215,13 +229,10 @@ class DistributedResult:
         else:
             lines.append(f"  critical path (slowest node)={self.max_node_seconds():.3f}s")
         overlaps = a.stage_times.overlaps
-        if overlaps.get("pipeline_overlap"):
-            busy = sum(v for k, v in overlaps.items() if k.endswith("_busy"))
-            idle = sum(v for k, v in overlaps.items() if k.endswith("_idle"))
-            lines.append(
-                f"  pipeline: {overlaps['pipeline_overlap']:.3f}s of merge hidden "
-                f"under the shard wall (workers busy={busy:.3f}s idle={idle:.3f}s)"
-            )
+        busy = sum(v for name, v in overlaps.items() if name.endswith("_busy"))
+        if busy:
+            idle = sum(v for name, v in overlaps.items() if name.endswith("_idle"))
+            lines.append(f"  pipeline: resident workers busy={busy:.3f}s idle={idle:.3f}s")
         counters = a.stage_times.counters
         if counters.get("retries"):
             detail = ", ".join(
@@ -250,132 +261,201 @@ def _boundary_mask(stream: EdgeStream, ranges: list[tuple[int, int]]) -> np.ndar
     reading edge *content* beyond per-shard seen-sets (in a real
     deployment each node ships its seen-vertex set once; the mask is the
     ">= 2 shards" reduction broadcast back).
+
+    One reused seen-set and two running reductions ("seen in any shard
+    so far", "seen in two"): per shard the only work is the two scatters
+    that mark its endpoints — no per-shard allocation, no integer counts.
     """
-    counts = np.zeros(stream.num_vertices, dtype=np.int64)
+    n = stream.num_vertices
+    seen = np.zeros(n, dtype=bool)
+    seen_any = np.zeros(n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
     for start, stop in ranges:
-        seen = np.zeros(stream.num_vertices, dtype=bool)
+        seen.fill(False)
         seen[stream.src[start:stop]] = True
         seen[stream.dst[start:stop]] = True
-        counts += seen
-    return counts >= 2
+        mask |= seen & seen_any
+        seen_any |= seen
+    return mask
 
 
 # --------------------------------------------------------------------- #
-# node-side stage workers (module-level: picklable for the process pool)
+# node side: one stage = one method, whichever backend hosts the node
 # --------------------------------------------------------------------- #
 
 
-def _independent_node_worker(args) -> tuple[int, np.ndarray, NodeReport]:
-    """Full three-pass pipeline on one shard (merge_mode='independent')."""
-    node, src, dst, num_vertices, num_partitions, config, seed, chunk_size = args
-    shard = EdgeStream(src, dst, num_vertices)
-    partitioner = ClugpPartitioner(num_partitions, seed=seed + node, config=config)
-    with Timer() as timer:
-        assignment = partitioner.partition_chunked(shard, chunk_size=chunk_size)
-    report = NodeReport(
-        node=node,
-        num_edges=shard.num_edges,
-        num_clusters=partitioner.last_clustering.num_clusters,
-        splits=partitioner.last_clustering.splits,
-        game_rounds=partitioner.last_game_result.rounds,
-        seconds=timer.elapsed,
-    )
-    return node, assignment.edge_partition, report
+class NodeStages:
+    """One ingest node's half of the protocol.
 
+    A stage is a method ``(shard, msg) -> payload``; what a later stage
+    needs from an earlier one is an attribute.  A resident worker process
+    keeps one instance alive next to its shard; the pooled backends keep
+    it coordinator-side between stages and ship it, with the shard, to
+    whichever pool worker runs the next stage.  Either way the same code
+    runs, so the backends cannot drift.
 
-def _cluster_stage_worker(args) -> tuple[int, ClusterSummary, ClusteringResult, float]:
-    """Pass 1 + local game + summary on one shard (merged stage 1)."""
-    node, src, dst, num_vertices, boundary, num_partitions, config, seed, chunk_size = args
-    shard = EdgeStream(src, dst, num_vertices)
-    partitioner = ClugpPartitioner(num_partitions, seed=seed + node, config=config)
-    with Timer() as timer:
+    Stages only ever *rebind* attributes (no array is mutated in place),
+    so a shallow copy is an independent node — the pooled workers run on
+    one, which keeps a timed-out straggler thread from racing its own
+    retry.
+    """
+
+    #: stages whose effect a later stage reads — what a crash replay re-runs
+    RESIDENT = ("summary", "attribute", "probe")
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+        self.config: ClugpConfig | None = None
+        self.chunk_size: int | None = None
+        self.clustering: ClusteringResult | None = None
+        self.global_cluster_of: np.ndarray | None = None
+        self.vertex_partition: np.ndarray | None = None
+
+    def independent(self, shard: EdgeStream, msg: dict) -> dict:
+        """Full three-pass pipeline on the shard (merge_mode='independent')."""
+        partitioner = ClugpPartitioner(
+            msg["num_partitions"], seed=msg["seed"] + self.node, config=msg["config"]
+        )
+        assignment = partitioner.partition_chunked(shard, chunk_size=msg["chunk_size"])
+        return {
+            "edge_partition": assignment.edge_partition,
+            "num_clusters": partitioner.last_clustering.num_clusters,
+            "splits": partitioner.last_clustering.splits,
+            "game_rounds": partitioner.last_game_result.rounds,
+        }
+
+    def summary(self, shard: EdgeStream, msg: dict) -> ClusterSummary:
+        """Round 1: pass 1 + local game; ships cluster-level facts only."""
+        partitioner = ClugpPartitioner(
+            msg["num_partitions"], seed=msg["seed"] + self.node, config=msg["config"]
+        )
         summary = partitioner.cluster_summary(
-            shard, boundary_mask=boundary, chunk_size=chunk_size, node=node
+            shard, boundary_mask=msg["boundary"], chunk_size=msg["chunk_size"],
+            node=self.node,
         )
-    return node, summary, partitioner.last_clustering, timer.elapsed
+        self.config = msg["config"]
+        self.chunk_size = msg["chunk_size"]
+        self.clustering = partitioner.last_clustering
+        self.global_cluster_of = self.vertex_partition = None
+        return summary
 
-
-def _node_vertex_partition(
-    clustering: ClusteringResult,
-    offset: int,
-    cluster_partition: np.ndarray,
-    boundary_vertices: np.ndarray,
-    boundary_global_cluster: np.ndarray,
-    num_vertices: int,
-) -> np.ndarray:
-    """A node's shard-local view of the broadcast global decision.
-
-    Interior vertices map through the node's own cluster table (offset
-    into the global id space); boundary vertices through the broadcast
-    resolution.  Entries for vertices absent from this shard stay -1 (or
-    carry another shard's boundary placement — harmless either way, the
-    shard never streams an edge touching them).
-    """
-    vp = np.full(num_vertices, -1, dtype=np.int64)
-    seen = clustering.active_mask()
-    vp[seen] = cluster_partition[clustering.cluster_of[seen] + offset]
-    if boundary_vertices.size:
-        vp[boundary_vertices] = cluster_partition[boundary_global_cluster]
-    return vp
-
-
-def _transform_probe_worker(args) -> tuple[int, np.ndarray, float]:
-    """Uncapped tentative pass 3: measure this shard's per-partition load.
-
-    Without a binding cap the Algorithm 1 rule table is load-free, so the
-    probe is one vectorized pass; the node ships back ``k`` integers (its
-    tentative load vector) for the coordinator's balance quota exchange.
-    """
-    (
-        node, src, dst, num_vertices, clustering, offset, cluster_partition,
-        boundary_vertices, boundary_global_cluster, num_partitions, chunk_size,
-        chunk_impl, kernel_backend,
-    ) = args
-    shard = EdgeStream(src, dst, num_vertices)
-    with Timer() as timer:
-        vp = _node_vertex_partition(
-            clustering, offset, cluster_partition,
-            boundary_vertices, boundary_global_cluster, num_vertices,
+    def attribute(self, shard: EdgeStream, msg: dict) -> GraphContribution:
+        """Round 2: the shard's edges aggregated under global cluster ids."""
+        if self.clustering is None:
+            raise RuntimeError("attribute before summary: no resident clustering")
+        contribution, self.global_cluster_of = graph_contribution(
+            shard, self.clustering, msg["offset"], msg["num_global_clusters"],
+            msg["boundary_vertices"], msg["boundary_global_cluster"], node=self.node,
         )
+        self.vertex_partition = None
+        return contribution
+
+    def probe(self, shard: EdgeStream, msg: dict) -> np.ndarray:
+        """Uncapped tentative pass 3: this shard's per-partition load.
+
+        Builds the node's vertex -> partition view of the broadcast
+        decision (one gather through the round-2 global-cluster map) and
+        keeps it for :meth:`commit`.  Without a binding cap the
+        Algorithm 1 rule table is load-free, so the probe is one
+        vectorized pass; ``k`` integers go back for the quota exchange.
+        """
+        if self.global_cluster_of is None:
+            raise RuntimeError("transform before summary: no resident clustering")
+        known = self.global_cluster_of >= 0
+        vp = np.full(known.size, -1, dtype=np.int64)
+        vp[known] = msg["cluster_partition"][self.global_cluster_of[known]]
+        self.vertex_partition = vp
+        k = self.config.num_partitions
+        out = self._replay(
+            shard, load_caps=np.full(k, max(1, shard.num_edges), dtype=np.int64)
+        )
+        return np.bincount(out, minlength=k)
+
+    def commit(self, shard: EdgeStream, msg: dict) -> np.ndarray:
+        """Final pass-3 replay under the coordinator's per-partition quotas."""
+        if self.vertex_partition is None:
+            raise RuntimeError("commit before probe: no resident vertex partition")
+        return self._replay(
+            shard, imbalance_factor=self.config.imbalance_factor,
+            load_caps=msg["load_caps"],
+        )
+
+    def _replay(self, shard: EdgeStream, **caps) -> np.ndarray:
         out, _ = replay_transform_chunked(
             shard,
-            clustering,
-            vp,
-            num_partitions,
-            load_caps=np.full(num_partitions, max(1, shard.num_edges), dtype=np.int64),
-            chunk_size=chunk_size,
-            chunk_impl=chunk_impl,
-            kernel_backend=kernel_backend,
+            self.clustering,
+            self.vertex_partition,
+            self.config.num_partitions,
+            chunk_size=self.chunk_size,
+            chunk_impl=self.config.chunk_impl,
+            kernel_backend=self.config.kernel_backend,
+            **caps,
         )
-        loads = np.bincount(out, minlength=num_partitions)
-    return node, loads, timer.elapsed
+        return out
 
 
-def _transform_commit_worker(args) -> tuple[int, np.ndarray, float]:
-    """Final pass-3 replay under the coordinator's per-partition quotas."""
-    (
-        node, src, dst, num_vertices, clustering, offset, cluster_partition,
-        boundary_vertices, boundary_global_cluster, num_partitions,
-        imbalance_factor, load_caps, chunk_size, chunk_impl, kernel_backend,
-    ) = args
-    shard = EdgeStream(src, dst, num_vertices)
+def _pooled_stage_worker(task) -> tuple[object, NodeStages, float]:
+    """One stage of one node inside a pool worker (module-level: picklable)."""
+    stages, op, shard, msg = task
+    stages = copy.copy(stages)
     with Timer() as timer:
-        vp = _node_vertex_partition(
-            clustering, offset, cluster_partition,
-            boundary_vertices, boundary_global_cluster, num_vertices,
+        payload = getattr(stages, op)(shard, msg)
+    return payload, stages, timer.elapsed
+
+
+class _PooledStages:
+    """Stage runner of the thread/process backends.
+
+    The runner is the only thing the protocol drivers know of a backend:
+    ``run(stage, op, msgs, validate)`` executes ``NodeStages.<op>`` once
+    per node and returns ``(payload, node_seconds)`` in node order;
+    ``finish()`` lands whatever the transport itself measured in
+    ``times``, the call's :class:`~repro._util.StageTimes`.  Here
+    the pool is forked per stage, so node state (and the shard) is
+    re-shipped to it every stage; the persistent runner
+    (:mod:`repro.distributed.pipeline`) keeps both resident instead.
+
+    All execution routes through :func:`~repro.reliability.retry.
+    run_reliable`: failed, timed-out, or quarantined tasks are resubmitted
+    per ``policy`` and the retry cost lands in ``times``'s counters
+    (``<stage>_retries`` etc.).
+    """
+
+    def __init__(self, stream, ranges, parallel, backend, policy, inject):
+        self.times = StageTimes()
+        self.shards = [
+            EdgeStream(stream.src[start:stop], stream.dst[start:stop], stream.num_vertices)
+            for start, stop in ranges
+        ]
+        self.nodes = [NodeStages(node) for node in range(len(ranges))]
+        self.parallel = parallel
+        self.backend = backend
+        self.policy = policy
+        self.inject = inject
+
+    def run(self, stage: str, op: str, msgs: list[dict], validate=None):
+        tasks = [
+            (self.nodes[node], op, self.shards[node], msg)
+            for node, msg in enumerate(msgs)
+        ]
+        stats = RetryStats()
+        results = run_reliable(
+            tasks,
+            _pooled_stage_worker,
+            policy=self.policy,
+            parallel=self.parallel,
+            backend=self.backend,
+            stage=stage,
+            validate=validate and (lambda item, index: validate(item[0], index)),
+            inject=self.inject,
+            stats=stats,
         )
-        out, _ = replay_transform_chunked(
-            shard,
-            clustering,
-            vp,
-            num_partitions,
-            imbalance_factor=imbalance_factor,
-            load_caps=load_caps,
-            chunk_size=chunk_size,
-            chunk_impl=chunk_impl,
-            kernel_backend=kernel_backend,
-        )
-    return node, out, timer.elapsed
+        stats.report(stage, self.times)
+        self.nodes = [item[1] for item in results]
+        return [(item[0], item[2]) for item in results]
+
+    def finish(self) -> None:
+        """Nothing beyond the node seconds the drivers already recorded."""
 
 
 def balance_quotas(node_loads: np.ndarray, cap: int) -> np.ndarray:
@@ -439,172 +519,47 @@ def balance_quotas(node_loads: np.ndarray, cap: int) -> np.ndarray:
 
 
 @dataclass
-class _MergeDecision:
-    """Everything the coordinator derives from the shipped summaries."""
+class _Resolution:
+    """What the coordinator fixes between the two rounds: one global
+    cluster id space and one cluster per boundary vertex."""
 
-    merged_graph: ClusterGraph
     offsets: np.ndarray  # node -> first global cluster id of its range
+    num_global_clusters: int
     boundary_vertices: np.ndarray  # sorted unique boundary vertex ids
     boundary_global_cluster: np.ndarray  # their resolved global cluster
-    warm_start: np.ndarray  # union of local equilibria (global ids)
-    num_unresolved_edges: int
 
 
-class IncrementalMerger:
-    """Arrival-order incremental union of shard cluster summaries.
+def _resolve_boundaries(summaries: list[ClusterSummary]) -> _Resolution:
+    """Round 1 -> round 2: assign global ids and resolve boundary vertices.
 
-    ``ClusterGraph.merge`` produces a *canonical* CSR (sorted unique
-    ``(row, col)`` pairs, exact int64 weight sums, exact internal sums),
-    so merging is associative and commutative on the multiset of edge
-    contributions: folding summaries pairwise **in whatever order they
-    arrive** and applying one final permutation relabel is bit-identical
-    to the one-shot batch union in node order.  That equivalence (the
-    hypothesis gate of ``tests/test_persistent_runtime.py``) is what lets
-    the persistent backend overlap the coordinator's merge with the
-    slowest shard instead of barriering on all summaries:
-
-    * :meth:`add` folds one summary's resolved cluster graph into the
-      accumulator the moment it lands (ids offset in *arrival* order);
-    * :meth:`finalize` re-labels the accumulator into canonical
-      node-order global ids, resolves boundary vertices, attributes the
-      unresolved cross-shard edges, and returns the same
-      ``_MergeDecision`` the batch path produces.
-
-    The batch path (:func:`_merge_summaries`) itself folds through this
-    class in node order, so there is exactly one merge implementation.
+    Global cluster ids are the disjoint union of the per-node compact
+    ids (node ``i``'s cluster ``c`` becomes ``offsets[i] + c`` — a
+    bijection onto ``0..M-1``).  Each boundary vertex is resolved to the
+    local cluster where it has the highest degree (ties: lowest node id —
+    nodes are visited in order and only a strictly higher degree takes a
+    vertex over).  Every node then labels its own edges through this
+    resolution, which makes the merged graph *exactly* equal to
+    ``build_cluster_graph(full_stream, global_clustering)`` — see
+    DESIGN.md §6 for the argument and ``tests/test_distributed_merge.py``
+    for the oracle check.
     """
-
-    def __init__(self) -> None:
-        self._acc: ClusterGraph | None = None
-        self._acc_clusters = 0
-        self._arrival_offset: dict[int, int] = {}
-        self._summaries: dict[int, ClusterSummary] = {}
-
-    @property
-    def num_added(self) -> int:
-        """Summaries folded so far."""
-        return len(self._summaries)
-
-    def add(self, node: int, summary: ClusterSummary) -> None:
-        """Fold one node's summary into the accumulator (arrival order)."""
-        if node in self._summaries:
-            raise ValueError(f"node {node} already merged")
-        self._summaries[node] = summary
-        self._arrival_offset[node] = self._acc_clusters
-        graph = summary.resolved
-        if self._acc is None:
-            self._acc = graph
-            self._acc_clusters = graph.num_clusters
-            return
-        before = self._acc_clusters
-        total = before + graph.num_clusters
-        self._acc = ClusterGraph.merge(
-            [self._acc, graph],
-            [
-                np.arange(before, dtype=np.int64),
-                np.arange(graph.num_clusters, dtype=np.int64) + before,
-            ],
-            num_clusters=total,
-        )
-        self._acc_clusters = total
-
-    def finalize(self, num_vertices: int) -> _MergeDecision:
-        """Resolve boundaries and permute into node-order global ids.
-
-        Global cluster ids are the disjoint union of the per-node compact
-        ids (node ``i``'s cluster ``c`` becomes ``offsets[i] + c`` — a
-        bijection onto ``0..M-1``), independent of arrival order.  Each
-        boundary vertex is resolved to the local cluster where it has the
-        highest degree (ties: lowest node id); the unresolved cross-shard
-        edges are then attributed through that resolution, which makes
-        the merged graph *exactly* equal to
-        ``build_cluster_graph(full_stream, global_clustering)`` — see
-        DESIGN.md §6 for the argument and
-        ``tests/test_distributed_merge.py`` for the oracle check.
-        """
-        if not self._summaries:
-            raise ValueError("finalize() before any summary was added")
-        nodes = sorted(self._summaries)
-        summaries = [self._summaries[node] for node in nodes]
-        counts = np.asarray([s.num_clusters for s in summaries], dtype=np.int64)
-        offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-        num_global = int(offsets[-1])
-
-        # arrival-id space -> node-order global id space
-        perm = np.empty(num_global, dtype=np.int64)
-        for i, node in enumerate(nodes):
-            start = self._arrival_offset[node]
-            count = int(counts[i])
-            perm[start:start + count] = np.arange(count, dtype=np.int64) + offsets[i]
-
-        # boundary resolution: max local degree wins, ties to lowest node
-        bv = np.concatenate([s.boundary_vertices for s in summaries])
-        bc = np.concatenate(
-            [s.boundary_clusters + offsets[i] for i, s in enumerate(summaries)]
-        )
-        bd = np.concatenate([s.boundary_degrees for s in summaries])
-        bn = np.concatenate(
-            [
-                np.full(s.boundary_vertices.size, i, dtype=np.int64)
-                for i, s in enumerate(summaries)
-            ]
-        )
-        boundary_cluster_of = np.full(num_vertices, -1, dtype=np.int64)
-        if bv.size:
-            order = np.lexsort((bn, -bd, bv))
-            sv = bv[order]
-            first = np.ones(sv.size, dtype=bool)
-            first[1:] = sv[1:] != sv[:-1]
-            boundary_cluster_of[sv[first]] = bc[order][first]
-        boundary_vertices = np.flatnonzero(boundary_cluster_of >= 0)
-
-        # unresolved cross-shard edges: each endpoint maps through the
-        # resolution if it is boundary, else through its node's relabel
-        gu_parts: list[np.ndarray] = []
-        gv_parts: list[np.ndarray] = []
-        for i, s in enumerate(summaries):
-            if not s.unresolved_src.size:
-                continue
-            bu = boundary_cluster_of[s.unresolved_src]
-            bvv = boundary_cluster_of[s.unresolved_dst]
-            gu_parts.append(np.where(bu >= 0, bu, s.unresolved_src_cluster + offsets[i]))
-            gv_parts.append(np.where(bvv >= 0, bvv, s.unresolved_dst_cluster + offsets[i]))
-        if gu_parts:
-            gu = np.concatenate(gu_parts)
-            gv = np.concatenate(gv_parts)
-        else:
-            gu = gv = np.empty(0, dtype=np.int64)
-        unresolved_graph = cluster_graph_from_labels(gu, gv, num_global)
-
-        merged = ClusterGraph.merge(
-            [self._acc, unresolved_graph],
-            [perm, np.arange(num_global, dtype=np.int64)],
-            num_clusters=num_global,
-        )
-        warm = np.empty(0, dtype=np.int64)
-        if num_global:
-            warm = np.concatenate([s.local_assignment for s in summaries])
-        return _MergeDecision(
-            merged_graph=merged,
-            offsets=offsets[:-1],
-            boundary_vertices=boundary_vertices,
-            boundary_global_cluster=boundary_cluster_of[boundary_vertices],
-            warm_start=warm,
-            num_unresolved_edges=int(gu.size),
-        )
-
-
-def _merge_summaries(summaries: list[ClusterSummary], num_vertices: int) -> _MergeDecision:
-    """Union the shard summaries into the exact global cluster graph.
-
-    Folds through :class:`IncrementalMerger` in node order — one merge
-    implementation shared by the batch backends and the pipelined
-    persistent backend (which folds in arrival order instead).
-    """
-    merger = IncrementalMerger()
-    for node, summary in enumerate(summaries):
-        merger.add(node, summary)
-    return merger.finalize(num_vertices)
+    counts = np.asarray([s.num_clusters for s in summaries], dtype=np.int64)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+    num_vertices = summaries[0].num_vertices
+    best_degree = np.full(num_vertices, -1, dtype=np.int64)
+    cluster_of = np.full(num_vertices, -1, dtype=np.int64)
+    for i, s in enumerate(summaries):
+        wins = s.boundary_degrees > best_degree[s.boundary_vertices]
+        vertices = s.boundary_vertices[wins]
+        best_degree[vertices] = s.boundary_degrees[wins]
+        cluster_of[vertices] = s.boundary_clusters[wins] + offsets[i]
+    boundary_vertices = np.flatnonzero(cluster_of >= 0)
+    return _Resolution(
+        offsets=offsets[:-1],
+        num_global_clusters=int(offsets[-1]),
+        boundary_vertices=boundary_vertices,
+        boundary_global_cluster=cluster_of[boundary_vertices],
+    )
 
 
 def _global_game(
@@ -634,51 +589,6 @@ def _global_game(
 # --------------------------------------------------------------------- #
 # driver
 # --------------------------------------------------------------------- #
-
-
-def _summary_validator(item, index: int) -> str | None:
-    """Coordinator-side quarantine check of a stage-1 result tuple."""
-    _, summary, _, _ = item
-    return summary.validate()
-
-
-def _run_stage(
-    tasks,
-    worker,
-    parallel: bool,
-    backend: str,
-    stage: str = "stage",
-    policy: RetryPolicy | None = None,
-    inject: FaultInjector | None = None,
-    validate=None,
-    times: StageTimes | None = None,
-):
-    """Map ``worker`` over ``tasks`` on the configured executor.
-
-    All stage execution routes through :func:`~repro.reliability.retry.
-    run_reliable`: failed, timed-out, or quarantined tasks are
-    resubmitted per ``policy`` and the retry cost lands in ``times``'s
-    counters (``<stage>_retries`` etc.) so reliability overhead is
-    measurable per stage.
-    """
-    stats = RetryStats()
-    results = run_reliable(
-        tasks,
-        worker,
-        policy=policy,
-        parallel=parallel,
-        backend=backend,
-        stage=stage,
-        validate=validate,
-        inject=inject,
-        stats=stats,
-    )
-    if times is not None:
-        counters = stats.to_counters()
-        for name in ("retries", "crashes", "timeouts", "raises", "invalid"):
-            times.bump(f"{stage}_{name}", counters[name])
-        times.bump("retries", counters["retries"])
-    return results
 
 
 def distributed_clugp(
@@ -718,13 +628,13 @@ def distributed_clugp(
     merge_mode:
         ``"independent"`` concatenates per-shard pipelines (no node
         communication, the retained oracle); ``"merged"`` runs the
-        cluster-summary merge protocol with one global game (see the
-        module docstring).
+        two-round merge protocol with one global game (see the module
+        docstring).
     backend:
-        ``"thread"`` or ``"process"`` — pooled executors forked per call
-        — or ``"persistent"``: resident worker processes fed over shared
-        memory with the pipelined shard->merge schedule
-        (:mod:`repro.distributed`).
+        ``"thread"`` or ``"process"`` — pooled executors forked per stage
+        — or ``"persistent"``: resident worker processes fed and read
+        over shared memory (:mod:`repro.distributed`).  The protocol is
+        the same function for all three; only the stage runner differs.
     runtime:
         Optional resident :class:`~repro.distributed.runtime.
         PersistentRuntime` to run on (``backend="persistent"`` only); by
@@ -744,7 +654,6 @@ def distributed_clugp(
     if config.num_partitions != num_partitions:
         config = config.with_(num_partitions=num_partitions)
     ranges = _shard_ranges(stream.num_edges, num_nodes)
-    size = chunk_size if chunk_size is not None else ClugpPartitioner.default_chunk_size
     rel = config.reliability
     policy = RetryPolicy(
         max_retries=rel.max_retries,
@@ -754,65 +663,58 @@ def distributed_clugp(
         backoff_max=rel.backoff_max,
     )
     inject = FaultInjector.from_spec(rel.inject_faults)
+    if merge_mode == "merged":
+        protocol = _run_merged
+        if chunk_size is None:
+            chunk_size = ClugpPartitioner.default_chunk_size
+    else:
+        protocol = _run_independent
 
     if backend == "persistent":
-        from ..distributed.pipeline import run_persistent
+        from ..distributed.pipeline import resident_stages
 
-        return run_persistent(
-            stream, num_partitions, num_nodes, config, seed,
-            chunk_size if merge_mode == "independent" else size,
-            ranges, policy, inject, merge_mode, runtime=runtime,
-        )
-    if runtime is not None:
+        runner = resident_stages(stream, ranges, runtime, policy, inject)
+    elif runtime is not None:
         raise ValueError("runtime= requires backend='persistent'")
-    if merge_mode == "independent":
-        return _run_independent(
-            stream, num_partitions, num_nodes, config, seed, parallel_nodes,
-            chunk_size, ranges, backend, policy, inject,
+    else:
+        runner = contextlib.nullcontext(
+            _PooledStages(stream, ranges, parallel_nodes, backend, policy, inject)
         )
-    return _run_merged(
-        stream, num_partitions, num_nodes, config, seed, parallel_nodes,
-        size, ranges, backend, policy, inject,
-    )
+    with runner as stages:
+        return protocol(stream, config, seed, chunk_size, ranges, stages, backend)
 
 
 def _run_independent(
-    stream, num_partitions, num_nodes, config, seed, parallel_nodes,
-    chunk_size, ranges, backend, policy, inject,
+    stream, config, seed, chunk_size, ranges, stages, backend,
 ) -> DistributedResult:
-    tasks = [
-        (
-            node,
-            stream.src[start:stop],
-            stream.dst[start:stop],
-            stream.num_vertices,
-            num_partitions,
-            config,
-            seed,
-            chunk_size,
-        )
-        for node, (start, stop) in enumerate(ranges)
-    ]
-    times = StageTimes()
-    results = _run_stage(
-        tasks, _independent_node_worker, parallel_nodes, backend,
-        stage="independent", policy=policy, inject=inject, times=times,
-    )
-    results.sort(key=lambda item: item[0])
+    k = config.num_partitions
+    times = stages.times
+    msg = {"num_partitions": k, "seed": seed, "config": config, "chunk_size": chunk_size}
+    results = stages.run("independent", "independent", [msg] * len(ranges))
 
     edge_partition = np.empty(stream.num_edges, dtype=np.int64)
     reports: list[NodeReport] = []
-    for node, partial, report in results:
+    for node, (payload, seconds) in enumerate(results):
         start, stop = ranges[node]
-        edge_partition[start:stop] = partial
-        reports.append(report)
+        edge_partition[start:stop] = payload["edge_partition"]
+        reports.append(
+            NodeReport(
+                node=node,
+                num_edges=stop - start,
+                num_clusters=payload["num_clusters"],
+                splits=payload["splits"],
+                game_rounds=payload["game_rounds"],
+                seconds=seconds,
+            )
+        )
     # "total" is the summed node work (what a single machine would spend);
     # the deployment's wall-clock is the slowest node — nodes run
     # concurrently, so the critical path is a max, not a sum, and is
     # recorded as a non-additive wall so it never inflates `total`.
     times.add("total", sum(r.seconds for r in reports))
     times.add_wall("max_node", max((r.seconds for r in reports), default=0.0))
-    assignment = PartitionAssignment(stream, edge_partition, num_partitions, times)
+    stages.finish()
+    assignment = PartitionAssignment(stream, edge_partition, k, times)
     return DistributedResult(
         assignment=assignment,
         nodes=reports,
@@ -822,115 +724,100 @@ def _run_independent(
 
 
 def _run_merged(
-    stream, num_partitions, num_nodes, config, seed, parallel_nodes,
-    chunk_size, ranges, backend, policy, inject,
+    stream, config, seed, chunk_size, ranges, stages, backend,
 ) -> DistributedResult:
-    n = stream.num_vertices
-    times = StageTimes()
-    boundary = (
-        _boundary_mask(stream, ranges)
-        if num_nodes > 1
-        else np.zeros(n, dtype=bool)
-    )
+    """The two-round merge protocol — the one copy every backend runs.
 
-    # stage 1 (nodes): pass 1 + local game + summary
-    cluster_tasks = [
-        (
-            node,
-            stream.src[start:stop],
-            stream.dst[start:stop],
-            n,
-            boundary,
-            num_partitions,
-            config,
-            seed,
-            chunk_size,
-        )
-        for node, (start, stop) in enumerate(ranges)
-    ]
-    stage1 = _run_stage(
-        cluster_tasks, _cluster_stage_worker, parallel_nodes, backend,
-        stage="shard", policy=policy, inject=inject, times=times,
-        validate=_summary_validator if config.reliability.validate_summaries else None,
-    )
-    stage1.sort(key=lambda item: item[0])
-    summaries = [item[1] for item in stage1]
-    clusterings = [item[2] for item in stage1]
-    cluster_seconds = [item[3] for item in stage1]
+    round 1 (nodes) -> resolve (coordinator) -> round 2 (nodes) -> barrier
+    merge + one global game (coordinator) -> probe (nodes) -> quotas
+    (coordinator) -> commit (nodes).  An edge never leaves the node that
+    ingested it: up go cluster-level summaries and aggregated graphs,
+    down go the boundary resolution, the cluster -> partition map and one
+    quota row per node.
+    """
+    k = config.num_partitions
+    num_nodes = len(ranges)
+    times = stages.times
+    validate = config.reliability.validate_summaries
+    boundary = _boundary_mask(stream, ranges)
 
-    # stage 2 (coordinator): cluster-graph union + boundary resolution
+    # round 1 (nodes): pass 1 + local game -> cluster-level summary
+    msg = {
+        "num_partitions": k, "seed": seed, "config": config,
+        "boundary": boundary, "chunk_size": chunk_size,
+    }
+    round1 = stages.run(
+        "shard", "summary", [msg] * num_nodes,
+        validate=(lambda summary, node: summary.validate()) if validate else None,
+    )
+    summaries = [payload for payload, _ in round1]
+
+    # coordinator: one global id space, one cluster per boundary vertex
+    with Timer() as t_resolve:
+        resolution = _resolve_boundaries(summaries)
+    num_global = resolution.num_global_clusters
+
+    # round 2 (nodes): own edges, global labels -> aggregated contribution
+    def check_contribution(contribution, node):
+        if contribution.num_clusters != num_global:
+            return (
+                f"contribution spans {contribution.num_clusters} clusters, "
+                f"the resolution has {num_global}"
+            )
+        return contribution.validate()
+
+    round2 = stages.run(
+        "attribute", "attribute",
+        [
+            {
+                "offset": int(resolution.offsets[node]),
+                "num_global_clusters": num_global,
+                "boundary_vertices": resolution.boundary_vertices,
+                "boundary_global_cluster": resolution.boundary_global_cluster,
+            }
+            for node in range(num_nodes)
+        ],
+        validate=check_contribution if validate else None,
+    )
+    contributions = [payload for payload, _ in round2]
+
+    # coordinator: barrier merge of num_nodes small graphs, then one global
+    # game warm-started from the union of the local equilibria
     with Timer() as t_merge:
-        decision = _merge_summaries(summaries, n)
-    # stage 3 (coordinator): one global game, warm-started
+        identity = np.arange(num_global, dtype=np.int64)
+        merged_graph = ClusterGraph.merge(
+            [c.graph() for c in contributions], [identity] * num_nodes,
+            num_clusters=num_global,
+        )
+        warm_start = np.concatenate([s.local_assignment for s in summaries])
+    merge_seconds = t_resolve.elapsed + t_merge.elapsed
     with Timer() as t_game:
-        game_result = _global_game(
-            decision.merged_graph, config, seed, decision.warm_start
-        )
+        game_result = _global_game(merged_graph, config, seed, warm_start)
     cluster_partition = game_result.assignment
-    broadcast_bytes = int(
-        cluster_partition.nbytes
-        + decision.boundary_vertices.nbytes
-        + decision.boundary_global_cluster.nbytes
-    )
 
-    # stage 4a (nodes): uncapped tentative pass 3 -> per-partition loads
-    common = [
-        (
-            node,
-            stream.src[start:stop],
-            stream.dst[start:stop],
-            n,
-            clusterings[node],
-            int(decision.offsets[node]),
-            cluster_partition,
-            decision.boundary_vertices,
-            decision.boundary_global_cluster,
-            num_partitions,
-        )
-        for node, (start, stop) in enumerate(ranges)
-    ]
-    probe_tasks = [
-        task + (chunk_size, config.chunk_impl, config.kernel_backend)
-        for task in common
-    ]
-    stage4a = _run_stage(
-        probe_tasks, _transform_probe_worker, parallel_nodes, backend,
-        stage="probe", policy=policy, inject=inject, times=times,
+    # probe (nodes): uncapped tentative pass 3 -> per-partition loads
+    probe = stages.run(
+        "probe", "probe", [{"cluster_partition": cluster_partition}] * num_nodes
     )
-    stage4a.sort(key=lambda item: item[0])
-    node_loads = np.stack([item[1] for item in stage4a])
-    probe_seconds = [item[2] for item in stage4a]
+    node_loads = np.stack([payload for payload, _ in probe])
 
-    # stage 4b (coordinator): balance quota exchange — per-node caps that
-    # column-sum to the global L_max, so only the true global excess spills
-    global_cap = max(1, math.ceil(config.imbalance_factor * stream.num_edges / num_partitions))
+    # coordinator: balance quota exchange — per-node caps that column-sum
+    # to the global L_max, so only the true global excess spills
+    global_cap = max(1, math.ceil(config.imbalance_factor * stream.num_edges / k))
     quotas = balance_quotas(node_loads, global_cap)
 
-    # stage 4c (nodes): committed pass-3 replay under the quotas
-    commit_tasks = [
-        task
-        + (
-            config.imbalance_factor,
-            quotas[node],
-            chunk_size,
-            config.chunk_impl,
-            config.kernel_backend,
-        )
-        for node, task in enumerate(common)
-    ]
-    stage4c = _run_stage(
-        commit_tasks, _transform_commit_worker, parallel_nodes, backend,
-        stage="commit", policy=policy, inject=inject, times=times,
+    # commit (nodes): pass-3 replay under the quotas
+    commit = stages.run(
+        "commit", "commit", [{"load_caps": quotas[node]} for node in range(num_nodes)]
     )
-    stage4c.sort(key=lambda item: item[0])
 
     edge_partition = np.empty(stream.num_edges, dtype=np.int64)
     reports: list[NodeReport] = []
-    for node, (_, partial, t_commit) in enumerate(stage4c):
+    for node, s in enumerate(summaries):
         start, stop = ranges[node]
-        edge_partition[start:stop] = partial
-        s = summaries[node]
-        t_transform = probe_seconds[node] + t_commit
+        edge_partition[start:stop] = commit[node][0]
+        t_shard = round1[node][1] + round2[node][1]
+        t_transform = probe[node][1] + commit[node][1]
         reports.append(
             NodeReport(
                 node=node,
@@ -938,28 +825,33 @@ def _run_merged(
                 num_clusters=s.num_clusters,
                 splits=s.splits,
                 game_rounds=s.local_game_rounds,
-                seconds=cluster_seconds[node] + t_transform,
-                summary_bytes=s.wire_bytes(),
+                seconds=t_shard + t_transform,
+                summary_bytes=s.wire_bytes() + contributions[node].wire_bytes(),
                 boundary_vertices=int(s.boundary_vertices.size),
                 transform_seconds=t_transform,
             )
         )
 
-    times.add("shard", sum(cluster_seconds))
-    times.add("merge", t_merge.elapsed)
+    def slowest(*rounds) -> float:
+        """Wall of consecutive fan-outs: each waits for its slowest node."""
+        return sum(max(seconds for _, seconds in results) for results in rounds)
+
+    times.add("shard", sum(seconds for _, seconds in round1 + round2))
+    times.add("merge", merge_seconds)
     times.add("game", t_game.elapsed)
     times.add("transform", sum(r.transform_seconds for r in reports))
-    shard_wall = max(cluster_seconds, default=0.0)
-    transform_wall = max((r.transform_seconds for r in reports), default=0.0)
+    shard_wall = slowest(round1, round2)
+    transform_wall = slowest(probe, commit)
     times.add_wall("shard", shard_wall)
     times.add_wall("transform", transform_wall)
-    # the merged deployment is a fork-join pipeline: concurrent shard
-    # stage, serial coordinator merge+game, concurrent transform replay
+    # the merged deployment is a fork-join pipeline: concurrent node
+    # stages, serial coordinator steps between them
     times.add_wall(
         "critical_path",
-        shard_wall + t_merge.elapsed + t_game.elapsed + transform_wall,
+        shard_wall + merge_seconds + t_game.elapsed + transform_wall,
     )
-    assignment = PartitionAssignment(stream, edge_partition, num_partitions, times)
+    stages.finish()
+    assignment = PartitionAssignment(stream, edge_partition, k, times)
     # the shipped per-cluster volumes give the coordinator a granularity
     # diagnostic over the merged id space: the largest global cluster's
     # pass-1 volume (relabels are injective, so volumes concatenate)
@@ -967,16 +859,21 @@ def _run_merged(
         (int(s.volume.max()) for s in summaries if s.volume.size), default=0
     )
     merge_report = MergeReport(
-        num_global_clusters=decision.merged_graph.num_clusters,
-        num_boundary_vertices=int(decision.boundary_vertices.size),
-        num_unresolved_edges=decision.num_unresolved_edges,
+        num_global_clusters=num_global,
+        num_boundary_vertices=int(resolution.boundary_vertices.size),
+        num_unresolved_edges=sum(s.num_boundary_edges for s in summaries),
         max_cluster_volume=max_volume,
-        merge_bytes=sum(s.wire_bytes() for s in summaries),
-        broadcast_bytes=broadcast_bytes,
+        merge_bytes=sum(r.summary_bytes for r in reports),
+        broadcast_bytes=int(
+            boundary.nbytes
+            + resolution.boundary_vertices.nbytes
+            + resolution.boundary_global_cluster.nbytes
+            + cluster_partition.nbytes
+        ),
         quota_bytes=int(node_loads.nbytes + quotas.nbytes),
         game_rounds=game_result.rounds,
         game_moves=game_result.moves,
-        merge_seconds=t_merge.elapsed,
+        merge_seconds=merge_seconds,
         game_seconds=t_game.elapsed,
     )
     return DistributedResult(

@@ -57,6 +57,8 @@ from .transform import (
 
 __all__ = [
     "ClusterSummary",
+    "GraphContribution",
+    "graph_contribution",
     "ClugpPartitioner",
     "ClugpNoSplitPartitioner",
     "ClugpGreedyPartitioner",
@@ -64,32 +66,85 @@ __all__ = [
 ]
 
 
+class _SealedPayload:
+    """Seal/validate shared by the two payloads a node ships.
+
+    A subclass names its scalar header (:meth:`_header`) and its arrays
+    (:meth:`_wire_arrays`, fixed canonical order); the node's last act
+    before shipping is :meth:`seal`, the coordinator's first act on
+    receipt is ``validate()``, which ends in :meth:`_check_seal`.
+    """
+
+    checksum: int | None
+
+    def _header(self) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def _wire_arrays(self) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def wire_bytes(self) -> int:
+        """Measured serialized size: every array that crosses the wire."""
+        return int(sum(a.nbytes for a in self._wire_arrays()))
+
+    def compute_checksum(self) -> int:
+        """CRC-32 chained over the scalar header and the wire arrays.
+
+        Cheap enough to run on every payload (a few MB/ms) and exactly
+        what the coordinator recomputes to detect corruption in transit.
+        """
+        crc = zlib.crc32(np.asarray(self._header(), dtype=np.int64).tobytes())
+        for array in self._wire_arrays():
+            crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+        return crc
+
+    def seal(self):
+        """Stamp :attr:`checksum` (the node's last act before shipping)."""
+        self.checksum = self.compute_checksum()
+        return self
+
+    def _check_arrays(self, lengths: dict[str, int]) -> str | None:
+        """Every named array is a 1-d int64 array of the given length."""
+        for name, length in lengths.items():
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray) or array.dtype != np.int64:
+                return f"{name} has dtype {getattr(array, 'dtype', type(array))}, expected int64"
+            if array.shape != (length,):
+                return f"{name} has shape {array.shape}, expected ({length},)"
+        return None
+
+    def _check_seal(self) -> str | None:
+        """An unsealed payload is as unusable as a corrupt one: a seal of
+        ``None`` (never stamped) or a stamp the bytes no longer match —
+        including a corruption that landed on the stamp itself."""
+        if self.checksum is None:
+            return "payload was never sealed (no checksum to verify)"
+        if self.compute_checksum() != self.checksum:
+            return "checksum mismatch (payload corrupted in transit)"
+        return None
+
+
 @dataclass
-class ClusterSummary:
-    """The compact, serializable product of a node's pass 1 (+ local game).
+class ClusterSummary(_SealedPayload):
+    """Round 1 of the Section III-C merge: what a node knows about its
+    shard after pass 1 and the local game, at cluster granularity.
 
-    This is everything a distributed ingest node ships to the coordinator
-    for the Section III-C merge — no raw interior edges, only cluster-level
-    aggregates plus the boundary residue the node cannot resolve alone:
+    No edge — raw or aggregated — is in here.  The coordinator needs only
+    enough to fix one global cluster id per vertex:
 
-    * ``resolved`` — the shard's cluster graph restricted to edges with
-      **no** shard-boundary endpoint.  For those edges the local cluster
-      ids are final (an interior vertex lives in exactly one shard), so
-      the coordinator can union them into the global cluster graph by a
-      pure relabel (:meth:`ClusterGraph.merge`).
-    * ``unresolved_*`` — the raw endpoints *and* local endpoint clusters
-      of every edge that touches a boundary vertex.  Their cluster-graph
-      attribution depends on the coordinator's boundary resolution, so
-      they are shipped unaggregated and the coordinator attributes their
-      cut weight exactly against the merged vertex->cluster map.
-    * ``boundary_*`` — the vertex->cluster map (plus local degrees, used
-      by the resolution policy) restricted to boundary vertices seen in
-      this shard.
+    * ``volume`` / ``num_clusters`` — the node's cluster table; its ids
+      become the global range ``offset .. offset + num_clusters``;
+    * ``boundary_*`` — the ``(vertex, cluster, degree)`` triples of the
+      shard-boundary vertices seen in this shard, the input of the
+      coordinator's max-degree resolution;
     * ``local_assignment`` — the node's local game equilibrium, the warm
-      start of the coordinator's global refinement game.
+      start of the coordinator's global refinement game;
+    * ``num_boundary_edges`` — how many of the shard's edges touch a
+      boundary vertex (the edges whose cluster labels the resolution may
+      change), counted where the edges live.
 
-    ``wire_bytes`` measures the payload a real deployment would serialize
-    (the in-CSR of ``resolved`` is its transpose and is never shipped).
+    The edges follow in round 2, already aggregated under the resolved
+    ids (:class:`GraphContribution`).
     """
 
     node: int
@@ -97,108 +152,173 @@ class ClusterSummary:
     num_edges: int
     num_clusters: int
     volume: np.ndarray
-    resolved: ClusterGraph
     boundary_vertices: np.ndarray
     boundary_clusters: np.ndarray
     boundary_degrees: np.ndarray
-    unresolved_src: np.ndarray
-    unresolved_dst: np.ndarray
-    unresolved_src_cluster: np.ndarray
-    unresolved_dst_cluster: np.ndarray
+    num_boundary_edges: int
     local_assignment: np.ndarray
     local_game_rounds: int
     splits: int
-    checksum: int = 0
+    checksum: int | None = None
+
+    def _header(self) -> tuple[int, ...]:
+        return (self.node, self.num_vertices, self.num_edges, self.num_clusters,
+                self.num_boundary_edges, self.local_game_rounds, self.splits)
 
     def _wire_arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array that crosses the wire, in a fixed canonical order."""
         return (
             self.volume,
-            self.resolved.internal,
-            self.resolved.indptr,
-            self.resolved.indices,
-            self.resolved.weights,
             self.boundary_vertices,
             self.boundary_clusters,
             self.boundary_degrees,
-            self.unresolved_src,
-            self.unresolved_dst,
-            self.unresolved_src_cluster,
-            self.unresolved_dst_cluster,
             self.local_assignment,
         )
-
-    def wire_bytes(self) -> int:
-        """Measured serialized size: every array that crosses the wire."""
-        return int(sum(a.nbytes for a in self._wire_arrays()))
-
-    def compute_checksum(self) -> int:
-        """CRC-32 chained over the wire arrays plus the scalar header.
-
-        Cheap enough to run on every summary (a few MB/ms) and exactly
-        what the coordinator recomputes to detect payload corruption in
-        transit — see :meth:`validate`.
-        """
-        crc = zlib.crc32(
-            np.asarray(
-                [self.node, self.num_vertices, self.num_edges, self.num_clusters,
-                 self.local_game_rounds, self.splits],
-                dtype=np.int64,
-            ).tobytes()
-        )
-        for array in self._wire_arrays():
-            crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
-        return crc
-
-    def seal(self) -> "ClusterSummary":
-        """Stamp :attr:`checksum` (the node's last act before shipping)."""
-        self.checksum = self.compute_checksum()
-        return self
 
     def validate(self) -> str | None:
         """Coordinator-side schema + checksum check; None means healthy.
 
         Returns a short problem description for anything a corrupt or
-        truncated wire transfer could produce: inconsistent array
-        lengths, a CSR whose ``indptr`` disagrees with its graph, or a
-        checksum mismatch on byte-flipped payloads.
+        truncated wire transfer could produce: negative sizes, an array
+        of the wrong dtype or length, boundary ids outside the shard's
+        vertex/cluster space, or a checksum mismatch.
+        """
+        if min(self.num_clusters, self.num_edges, self.num_vertices) < 0:
+            return f"negative sizes (clusters={self.num_clusters}, edges={self.num_edges})"
+        if not 0 <= self.num_boundary_edges <= self.num_edges:
+            return f"{self.num_boundary_edges} boundary edges of {self.num_edges}"
+        num_boundary = np.size(self.boundary_vertices)
+        problem = self._check_arrays({
+            "volume": self.num_clusters,
+            "local_assignment": self.num_clusters,
+            "boundary_vertices": num_boundary,
+            "boundary_clusters": num_boundary,
+            "boundary_degrees": num_boundary,
+        })
+        if problem:
+            return problem
+        if num_boundary and not (
+            0 <= int(self.boundary_vertices.min())
+            and int(self.boundary_vertices.max()) < self.num_vertices
+            and 0 <= int(self.boundary_clusters.min())
+            and int(self.boundary_clusters.max()) < self.num_clusters
+        ):
+            return "boundary ids outside the shard's vertex/cluster space"
+        return self._check_seal()
+
+
+@dataclass
+class GraphContribution(_SealedPayload):
+    """Round 2 of the merge: a shard's edges, aggregated under *global*
+    cluster ids.
+
+    Once the coordinator has broadcast the boundary resolution, every
+    endpoint of every shard edge has a final global cluster, so the node
+    itself can label and group its edges.  What ships is the out-CSR of
+    that cluster graph over the whole global id space (the in-CSR is its
+    transpose and is rebuilt on receipt): ``internal[c]`` intra-cluster
+    edges plus ``(row, col) -> weight`` cut entries, each shard edge
+    counted exactly once.  The coordinator's merge is then one
+    :meth:`ClusterGraph.merge` of ``num_nodes`` such graphs under the
+    identity relabel.
+    """
+
+    node: int
+    num_clusters: int
+    num_edges: int
+    internal: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    checksum: int | None = None
+
+    @classmethod
+    def from_graph(cls, graph: ClusterGraph, node: int, num_edges: int) -> "GraphContribution":
+        """Seal the out-half of a node-built graph for shipping."""
+        return cls(
+            node=node,
+            num_clusters=graph.num_clusters,
+            num_edges=num_edges,
+            internal=graph.internal,
+            indptr=graph.indptr,
+            indices=graph.indices,
+            weights=graph.weights,
+        ).seal()
+
+    def graph(self) -> ClusterGraph:
+        """The shipped graph, its in-CSR rebuilt (coordinator side)."""
+        return ClusterGraph.from_out_csr(
+            self.internal, self.indptr, self.indices, self.weights
+        )
+
+    def _header(self) -> tuple[int, ...]:
+        return (self.node, self.num_clusters, self.num_edges)
+
+    def _wire_arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.internal, self.indptr, self.indices, self.weights)
+
+    def validate(self) -> str | None:
+        """Coordinator-side schema + checksum check; None means healthy.
+
+        Full schema: every array int64 and of the length the header
+        implies, a monotone ``indptr`` from 0 to ``indices.size``,
+        neighbour ids in ``[0, num_clusters)``, non-negative weights that
+        account for exactly ``num_edges`` edges — then the seal.
         """
         if self.num_clusters < 0 or self.num_edges < 0:
             return f"negative sizes (clusters={self.num_clusters}, edges={self.num_edges})"
-        if self.volume.shape != (self.num_clusters,):
-            return (
-                f"volume length {self.volume.shape} != num_clusters {self.num_clusters}"
-            )
-        if self.local_assignment.shape != (self.num_clusters,):
-            return (
-                f"local_assignment length {self.local_assignment.shape} "
-                f"!= num_clusters {self.num_clusters}"
-            )
-        if self.resolved.indptr.size != self.num_clusters + 1:
-            return (
-                f"resolved indptr size {self.resolved.indptr.size} "
-                f"!= num_clusters + 1 = {self.num_clusters + 1}"
-            )
-        if not (
-            self.boundary_vertices.shape
-            == self.boundary_clusters.shape
-            == self.boundary_degrees.shape
+        nnz = np.size(self.indices)
+        problem = self._check_arrays({
+            "internal": self.num_clusters,
+            "indptr": self.num_clusters + 1,
+            "indices": nnz,
+            "weights": nnz,
+        })
+        if problem:
+            return problem
+        if int(self.indptr[0]) != 0 or int(self.indptr[-1]) != nnz:
+            return f"indptr spans {int(self.indptr[0])}..{int(self.indptr[-1])}, not 0..{nnz}"
+        if (np.diff(self.indptr) < 0).any():
+            return "indptr is not monotone"
+        if nnz and not (
+            0 <= int(self.indices.min()) and int(self.indices.max()) < self.num_clusters
         ):
-            return "boundary arrays have mismatched lengths"
-        if not (
-            self.unresolved_src.shape
-            == self.unresolved_dst.shape
-            == self.unresolved_src_cluster.shape
-            == self.unresolved_dst_cluster.shape
-        ):
-            return "unresolved-edge arrays have mismatched lengths"
-        for name in ("volume", "boundary_vertices", "local_assignment",
-                     "unresolved_src"):
-            if getattr(self, name).dtype != np.int64:
-                return f"{name} has dtype {getattr(self, name).dtype}, expected int64"
-        if self.checksum and self.compute_checksum() != self.checksum:
-            return "checksum mismatch (payload corrupted in transit)"
-        return None
+            return f"neighbour ids outside [0, {self.num_clusters})"
+        if (self.internal < 0).any() or (self.weights < 0).any():
+            return "negative edge counts"
+        counted = int(self.internal.sum()) + int(self.weights.sum())
+        if counted != self.num_edges:
+            return f"graph accounts for {counted} edges, shard has {self.num_edges}"
+        return self._check_seal()
+
+
+def graph_contribution(
+    stream: EdgeStream,
+    clustering: ClusteringResult,
+    offset: int,
+    num_global_clusters: int,
+    boundary_vertices: np.ndarray,
+    boundary_global_cluster: np.ndarray,
+    node: int = 0,
+) -> tuple[GraphContribution, np.ndarray]:
+    """Round 2 (node-side): label this shard's edges with *global* cluster
+    ids and aggregate them for shipping.
+
+    Local cluster ``c`` of ``clustering`` is global ``offset + c``; the
+    broadcast resolution overrides that for boundary vertices (entries
+    for boundary vertices this shard never saw are written too —
+    harmless, no shard edge touches them).  Returns the sealed
+    contribution and the vertex -> global-cluster map it was built from
+    (-1 = not in this shard): pass 3's vertex -> partition view is one
+    gather through that map.
+    """
+    global_of = np.full(stream.num_vertices, -1, dtype=np.int64)
+    seen = clustering.active_mask()
+    global_of[seen] = clustering.cluster_of[seen] + offset
+    global_of[boundary_vertices] = boundary_global_cluster
+    graph = cluster_graph_from_labels(
+        global_of[stream.src], global_of[stream.dst], num_global_clusters
+    )
+    return GraphContribution.from_graph(graph, node, stream.num_edges), global_of
 
 
 def greedy_cluster_assignment(cluster_graph: ClusterGraph, num_partitions: int) -> np.ndarray:
@@ -468,19 +588,18 @@ class ClugpPartitioner(EdgePartitioner):
         chunk_size: int | None = None,
         node: int = 0,
     ) -> ClusterSummary:
-        """Stage 1+2 (node-side): pass 1 over ``stream``, the local game,
+        """Round 1 (node-side): pass 1 over ``stream``, the local game,
         and the serializable :class:`ClusterSummary` for the coordinator.
 
         ``boundary_mask`` flags shard-boundary vertices (vertices that
-        also appear in other shards); edges touching one are shipped
-        unresolved, everything else is aggregated into the ``resolved``
-        cluster graph.  With no mask (or a single shard) every edge is
-        resolved and the summary carries the full local cluster graph.
+        also appear in other shards); the summary reports their
+        ``(vertex, cluster, degree)`` triples and how many shard edges
+        touch one.  With no mask (or a single shard) there are none.
 
         The intermediate pipeline products are retained on
         :attr:`last_clustering` / :attr:`last_cluster_graph` /
-        :attr:`last_game_result`, so a node can replay pass 3 afterwards
-        via :meth:`transform_with_mapping`.
+        :attr:`last_game_result` for the later stages
+        (:func:`graph_contribution`, :meth:`transform_with_mapping`).
         """
         cfg = self.config
         vmax = cfg.resolve_vmax(stream.num_edges)
@@ -495,19 +614,16 @@ class ClugpPartitioner(EdgePartitioner):
         for src, dst in stream.batches(max(1, size)):
             state.ingest_pair(src, dst)
         clustering = state.finalize()
-        # the node's own (full) cluster graph drives its local game; the
-        # summary ships the boundary-free restriction of it
         cluster_graph = build_cluster_graph(stream, clustering)
         game_result = self._map_clusters(cluster_graph)
         if boundary_mask is None:
-            boundary_mask = np.zeros(stream.num_vertices, dtype=bool)
-        cu = clustering.cluster_of[stream.src]
-        cv = clustering.cluster_of[stream.dst]
-        unresolved = boundary_mask[stream.src] | boundary_mask[stream.dst]
-        resolved_graph = cluster_graph_from_labels(
-            cu[~unresolved], cv[~unresolved], clustering.num_clusters
-        )
-        bverts = np.flatnonzero(clustering.active_mask() & boundary_mask)
+            bverts = np.empty(0, dtype=np.int64)
+            num_boundary_edges = 0
+        else:
+            bverts = np.flatnonzero(clustering.active_mask() & boundary_mask)
+            num_boundary_edges = int(np.count_nonzero(
+                boundary_mask[stream.src] | boundary_mask[stream.dst]
+            ))
         self.last_clustering = clustering
         self.last_cluster_graph = cluster_graph
         self.last_game_result = game_result
@@ -517,14 +633,10 @@ class ClugpPartitioner(EdgePartitioner):
             num_edges=stream.num_edges,
             num_clusters=clustering.num_clusters,
             volume=clustering.volume,
-            resolved=resolved_graph,
             boundary_vertices=bverts,
             boundary_clusters=clustering.cluster_of[bverts],
             boundary_degrees=clustering.degree[bverts],
-            unresolved_src=stream.src[unresolved],
-            unresolved_dst=stream.dst[unresolved],
-            unresolved_src_cluster=cu[unresolved],
-            unresolved_dst_cluster=cv[unresolved],
+            num_boundary_edges=num_boundary_edges,
             local_assignment=game_result.assignment,
             local_game_rounds=game_result.rounds,
             splits=clustering.splits,

@@ -1,9 +1,10 @@
 """Persistent shared-memory worker runtime (the ``persistent`` backend).
 
 Long-lived node processes holding resident shard + clustering + app
-state, fed over ``multiprocessing.shared_memory`` rings, driving the
-pipelined shard→merge→serve schedule of ``distributed_clugp`` and the
-process-backed distributed GAS runtime.  See ``docs/distributed.md``.
+state, fed over ``multiprocessing.shared_memory`` rings and read back
+over per-worker result segments: the resident transport under
+``distributed_clugp``'s protocols and the process-backed distributed GAS
+runtime.  See ``docs/distributed.md``.
 """
 
 from .gas import DistributedGasRuntime

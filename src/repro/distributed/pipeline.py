@@ -1,69 +1,96 @@
-"""The pipelined shard→merge→serve drivers of the persistent backend.
+"""The persistent backend's stage runner.
 
-These are the ``backend="persistent"`` counterparts of
-``_run_independent`` / ``_run_merged`` in :mod:`repro.core.distributed`,
-producing the same :class:`~repro.core.distributed.DistributedResult`
-(bit-identical assignments, node reports, and merge reports — the bench
-gate) from resident workers instead of fork-per-call pools.  Two things
-change, and only two:
+The distributed protocols are written once, in
+:mod:`repro.core.distributed`, over a two-method stage runner
+(``run`` / ``finish``).  This module is that runner for
+``backend="persistent"``: the same stages, the same messages, the same
+:class:`~repro.core.distributed.DistributedResult` — bit for bit, the
+bench gate — on resident workers instead of fork-per-stage pools.  Only
+the transport differs:
 
-**Transport.**  Shards stream to the workers once through shared-memory
-rings (:meth:`~repro.distributed.runtime.PersistentRuntime.feed_shard`);
-stage commands then reference the *resident* shard and clustering, so
-pass 3 ships a broadcast decision instead of re-pickling shard arrays
-and clusterings the way the process pool must.
+**In.**  Shards stream to the workers once through shared-memory rings
+(:meth:`~repro.distributed.runtime.PersistentRuntime.feed_shard`); every
+stage then runs on the worker's *resident*
+:class:`~repro.core.distributed.NodeStages`, so a stage message carries
+only what is new (the boundary resolution, the cluster decision, one
+quota row) where a pool must re-ship shard and node state.
 
-**Schedule.**  The merged protocol drops the stage-1 barrier: summaries
-are folded into an :class:`~repro.core.distributed.IncrementalMerger`
-*in arrival order*, the moment each lands — the coordinator merges while
-the slowest shard is still clustering.  Fold order is irrelevant to the
-bits (``ClusterGraph.merge`` is associative/commutative; the hypothesis
-gate of ``tests/test_persistent_runtime.py``), so the warm-started global
-game starts the instant the last summary lands with only the *last* fold
-plus the finalize on the critical path.  The hidden folds are recorded in
-``StageTimes.overlaps["pipeline_overlap"]``, and per-worker busy/idle
-splits (``node<i>_busy`` / ``node<i>_idle``) expose how well the pipeline
-kept the pool fed; ``walls["critical_path"]`` is the *measured*
-end-to-end wall of the pipelined schedule, not a sum of stage maxima.
+**Out.**  Small payloads (summaries, graph contributions, load vectors)
+come back in the reply; the per-edge result of ``commit`` comes back
+through the worker's result segment and the reply is its length.
+
+Every stage is a barrier: the coordinator's steps between stages are
+microseconds to a few milliseconds against shard stages of tens, so there
+is nothing for an arrival-order schedule to hide (DESIGN.md §11.2 has the
+measurement that retired one).  ``walls["critical_path"]`` is the
+*measured* end-to-end wall of the call; per-worker busy/idle splits
+(``node<i>_busy`` / ``node<i>_idle``) show how well the pool was fed.
 """
 
 from __future__ import annotations
 
-import math
 import time
-
-import numpy as np
+from contextlib import contextmanager
 
 from .._util import StageTimes, Timer
-from ..core.distributed import (
-    DistributedResult,
-    IncrementalMerger,
-    MergeReport,
-    NodeReport,
-    _boundary_mask,
-    _global_game,
-    balance_quotas,
-)
-from ..partitioners.base import PartitionAssignment
+from ..core.distributed import NodeStages
 from .runtime import PersistentRuntime
 
-__all__ = ["run_persistent"]
+__all__ = ["resident_stages"]
 
 
-def run_persistent(
-    stream,
-    num_partitions: int,
-    num_nodes: int,
-    config,
-    seed: int,
-    chunk_size,
-    ranges,
-    policy,
-    inject,
-    merge_mode: str,
-    runtime: PersistentRuntime | None = None,
-) -> DistributedResult:
-    """Run one distributed CLUGP call on a persistent worker pool.
+class _ResidentStages:
+    """Stage runner over a :class:`PersistentRuntime` (see module doc)."""
+
+    def __init__(self, stream, ranges, runtime, policy, inject):
+        self.runtime = runtime
+        self.policy = policy
+        self.inject = inject
+        self.times = times = StageTimes()
+        self._busy_before = runtime.busy_snapshot()
+        self._wire_before = runtime.wire_bytes
+        self._start = time.perf_counter()
+        audit_before = runtime.edge_pickle_bytes
+        with Timer() as timer:
+            for node, (start, stop) in enumerate(ranges):
+                runtime.feed_shard(
+                    node, stream.src[start:stop], stream.dst[start:stop],
+                    stream.num_vertices,
+                )
+        times.add_wall("ingest", timer.elapsed)
+        # this call's measured pickled-ndarray bytes on the ingest plane —
+        # the zero-copy bench gate reads this counter and expects 0
+        times.bump("edge_pickle_bytes", runtime.edge_pickle_bytes - audit_before)
+
+    def run(self, stage: str, op: str, msgs: list[dict], validate=None):
+        """``NodeStages.<op>`` on every resident node; ``(payload,
+        node_seconds)`` in node order.  Stages that leave node state are
+        recorded for crash replay."""
+        results = self.runtime.run_stage(
+            stage, [{"op": op, **msg} for msg in msgs],
+            policy=self.policy, inject=self.inject, times=self.times,
+            validate=validate, durable=op in NodeStages.RESIDENT,
+        )
+        return [(r["payload"], r["seconds"]) for r in results]
+
+    def finish(self) -> None:
+        """Land what the transport measured: the end-to-end wall (stage
+        maxima miss the pipes), busy/idle per worker, control-plane bytes."""
+        times = self.times
+        elapsed = time.perf_counter() - self._start
+        times.add_wall("critical_path", elapsed)
+        for i, (before, after) in enumerate(
+            zip(self._busy_before, self.runtime.busy_snapshot())
+        ):
+            busy = after - before
+            times.add_overlap(f"node{i}_busy", busy)
+            times.add_overlap(f"node{i}_idle", max(0.0, elapsed - busy))
+        times.bump("control_plane_bytes", self.runtime.wire_bytes - self._wire_before)
+
+
+@contextmanager
+def resident_stages(stream, ranges, runtime, policy, inject):
+    """The stage runner for one distributed call on a persistent pool.
 
     ``runtime=None`` spawns an ephemeral pool for this call (and tears it
     down, segments unlinked); passing a resident runtime reuses its
@@ -71,275 +98,14 @@ def run_persistent(
     the >=2x over the fork-per-call process backend comes from.
     """
     owned = runtime is None
-    if runtime is None:
-        runtime = PersistentRuntime(num_nodes)
-    if runtime.num_workers != num_nodes:
-        raise ValueError(
-            f"runtime has {runtime.num_workers} workers but num_nodes={num_nodes}"
-        )
+    if owned:
+        runtime = PersistentRuntime(len(ranges))
     try:
-        if merge_mode == "independent":
-            return _persistent_independent(
-                stream, runtime, num_partitions, config, seed, chunk_size,
-                ranges, policy, inject,
+        if runtime.num_workers != len(ranges):
+            raise ValueError(
+                f"runtime has {runtime.num_workers} workers but num_nodes={len(ranges)}"
             )
-        return _persistent_merged(
-            stream, runtime, num_partitions, config, seed, chunk_size,
-            ranges, policy, inject,
-        )
+        yield _ResidentStages(stream, ranges, runtime, policy, inject)
     finally:
         if owned:
             runtime.close()
-
-
-def _feed_shards(stream, runtime: PersistentRuntime, ranges, times: StageTimes) -> None:
-    """Stream every shard through its worker's shared-memory ring."""
-    audit_before = runtime.edge_pickle_bytes
-    with Timer() as timer:
-        for node, (start, stop) in enumerate(ranges):
-            runtime.feed_shard(
-                node, stream.src[start:stop], stream.dst[start:stop],
-                stream.num_vertices,
-            )
-    times.add_wall("ingest", timer.elapsed)
-    # this call's measured pickled-ndarray bytes on the ingest plane —
-    # the zero-copy bench gate reads this counter and expects 0
-    times.bump("edge_pickle_bytes", runtime.edge_pickle_bytes - audit_before)
-
-
-def _busy_idle(runtime: PersistentRuntime, busy_before, elapsed, times) -> None:
-    """Record per-worker busy/idle splits over this call's elapsed wall."""
-    for i, (before, after) in enumerate(zip(busy_before, runtime.busy_snapshot())):
-        busy = after - before
-        times.add_overlap(f"node{i}_busy", busy)
-        times.add_overlap(f"node{i}_idle", max(0.0, elapsed - busy))
-
-
-def _persistent_independent(
-    stream, runtime, num_partitions, config, seed, chunk_size, ranges,
-    policy, inject,
-) -> DistributedResult:
-    times = StageTimes()
-    busy_before = runtime.busy_snapshot()
-    t_start = time.perf_counter()
-    _feed_shards(stream, runtime, ranges, times)
-    commands = [
-        {
-            "op": "independent",
-            "num_partitions": num_partitions,
-            "seed": seed,
-            "config": config,
-            "chunk_size": chunk_size,
-        }
-        for _ in ranges
-    ]
-    with Timer() as t_stage:
-        results = runtime.run_stage(
-            "independent", commands, policy=policy, inject=inject, times=times,
-        )
-    times.add_wall("independent", t_stage.elapsed)
-
-    edge_partition = np.empty(stream.num_edges, dtype=np.int64)
-    reports: list[NodeReport] = []
-    for node, result in enumerate(results):
-        payload = result["payload"]
-        start, stop = ranges[node]
-        edge_partition[start:stop] = payload["edge_partition"]
-        reports.append(
-            NodeReport(
-                node=node,
-                num_edges=payload["num_edges"],
-                num_clusters=payload["num_clusters"],
-                splits=payload["splits"],
-                game_rounds=payload["game_rounds"],
-                seconds=result["seconds"],
-            )
-        )
-    times.add("total", sum(r.seconds for r in reports))
-    times.add_wall("max_node", max((r.seconds for r in reports), default=0.0))
-    elapsed = time.perf_counter() - t_start
-    times.add_wall("critical_path", elapsed)
-    _busy_idle(runtime, busy_before, elapsed, times)
-    assignment = PartitionAssignment(stream, edge_partition, num_partitions, times)
-    return DistributedResult(
-        assignment=assignment,
-        nodes=reports,
-        merge_mode="independent",
-        backend="persistent",
-    )
-
-
-def _persistent_merged(
-    stream, runtime, num_partitions, config, seed, chunk_size, ranges,
-    policy, inject,
-) -> DistributedResult:
-    n = stream.num_vertices
-    num_nodes = len(ranges)
-    times = StageTimes()
-    busy_before = runtime.busy_snapshot()
-    wire_before = runtime.wire_bytes
-    t_start = time.perf_counter()
-    boundary = (
-        _boundary_mask(stream, ranges) if num_nodes > 1 else np.zeros(n, dtype=bool)
-    )
-    _feed_shards(stream, runtime, ranges, times)
-
-    # stage 1 (pipelined): pass 1 + local game on the workers; every
-    # summary folds into the incremental merger the moment it arrives,
-    # overlapping the coordinator's merge with the still-running shards
-    merger = IncrementalMerger()
-    fold_seconds: dict[int, float] = {}
-    arrival_order: list[int] = []
-
-    def on_summary(node: int, summary, arrival: float) -> None:
-        with Timer() as fold:
-            merger.add(node, summary)
-        fold_seconds[node] = fold.elapsed
-        arrival_order.append(node)
-
-    validator = None
-    if config.reliability.validate_summaries:
-        def validator(payload, index):
-            return payload.validate()
-
-    summary_commands = [
-        {
-            "op": "summary",
-            "num_partitions": num_partitions,
-            "seed": seed,
-            "config": config,
-            "boundary": boundary,
-            "chunk_size": chunk_size,
-        }
-        for _ in ranges
-    ]
-    with Timer() as t_stage1:
-        stage1 = runtime.run_stage(
-            "shard", summary_commands, policy=policy, inject=inject,
-            times=times, validate=validator, on_result=on_summary, durable=True,
-        )
-    times.add_wall("shard", t_stage1.elapsed)
-    cluster_seconds = [r["seconds"] for r in stage1]
-    summaries = [r["payload"] for r in stage1]
-    # every fold except the last ran while some shard was still busy
-    hidden = sum(fold_seconds[node] for node in arrival_order[:-1])
-    times.add_overlap("pipeline_overlap", hidden)
-
-    # stage 2 (coordinator): only the last fold + finalize are exposed
-    with Timer() as t_finalize:
-        decision = merger.finalize(n)
-    merge_seconds = sum(fold_seconds.values()) + t_finalize.elapsed
-
-    # stage 3 (coordinator): one global game, warm-started
-    with Timer() as t_game:
-        game_result = _global_game(
-            decision.merged_graph, config, seed, decision.warm_start
-        )
-    cluster_partition = game_result.assignment
-    broadcast_bytes = int(
-        cluster_partition.nbytes
-        + decision.boundary_vertices.nbytes
-        + decision.boundary_global_cluster.nbytes
-    )
-
-    # stage 4a (workers): uncapped probe on the *resident* clustering —
-    # only the broadcast decision crosses the wire, never the clustering
-    broadcast = {
-        "cluster_partition": cluster_partition,
-        "boundary_vertices": decision.boundary_vertices,
-        "boundary_global_cluster": decision.boundary_global_cluster,
-        "num_partitions": num_partitions,
-        "chunk_size": chunk_size,
-        "chunk_impl": config.chunk_impl,
-        "kernel_backend": config.kernel_backend,
-    }
-    probe_commands = [
-        {"op": "probe", "offset": int(decision.offsets[node]), **broadcast}
-        for node in range(num_nodes)
-    ]
-    with Timer() as t_probe:
-        stage4a = runtime.run_stage(
-            "probe", probe_commands, policy=policy, inject=inject, times=times,
-        )
-    node_loads = np.stack([r["payload"] for r in stage4a])
-    probe_seconds = [r["seconds"] for r in stage4a]
-
-    # stage 4b (coordinator): balance quota exchange
-    global_cap = max(
-        1, math.ceil(config.imbalance_factor * stream.num_edges / num_partitions)
-    )
-    quotas = balance_quotas(node_loads, global_cap)
-
-    # stage 4c (workers): committed pass-3 replay under the quotas
-    commit_commands = [
-        {
-            "op": "commit",
-            "offset": int(decision.offsets[node]),
-            "imbalance_factor": config.imbalance_factor,
-            "load_caps": quotas[node],
-            **broadcast,
-        }
-        for node in range(num_nodes)
-    ]
-    with Timer() as t_commit:
-        stage4c = runtime.run_stage(
-            "commit", commit_commands, policy=policy, inject=inject, times=times,
-        )
-
-    edge_partition = np.empty(stream.num_edges, dtype=np.int64)
-    reports: list[NodeReport] = []
-    for node, result in enumerate(stage4c):
-        start, stop = ranges[node]
-        edge_partition[start:stop] = result["payload"]
-        s = summaries[node]
-        t_transform = probe_seconds[node] + result["seconds"]
-        reports.append(
-            NodeReport(
-                node=node,
-                num_edges=s.num_edges,
-                num_clusters=s.num_clusters,
-                splits=s.splits,
-                game_rounds=s.local_game_rounds,
-                seconds=cluster_seconds[node] + t_transform,
-                summary_bytes=s.wire_bytes(),
-                boundary_vertices=int(s.boundary_vertices.size),
-                transform_seconds=t_transform,
-            )
-        )
-
-    times.add("shard", sum(cluster_seconds))
-    times.add("merge", merge_seconds)
-    times.add("game", t_game.elapsed)
-    times.add("transform", sum(r.transform_seconds for r in reports))
-    times.add_wall("transform", t_probe.elapsed + t_commit.elapsed)
-    elapsed = time.perf_counter() - t_start
-    # measured end-to-end wall of the pipelined schedule — folds that ran
-    # under the shard wall are *inside* this number, not added to it
-    times.add_wall("critical_path", elapsed)
-    _busy_idle(runtime, busy_before, elapsed, times)
-    times.bump("control_plane_bytes", runtime.wire_bytes - wire_before)
-
-    assignment = PartitionAssignment(stream, edge_partition, num_partitions, times)
-    max_volume = max(
-        (int(s.volume.max()) for s in summaries if s.volume.size), default=0
-    )
-    merge_report = MergeReport(
-        num_global_clusters=decision.merged_graph.num_clusters,
-        num_boundary_vertices=int(decision.boundary_vertices.size),
-        num_unresolved_edges=decision.num_unresolved_edges,
-        max_cluster_volume=max_volume,
-        merge_bytes=sum(s.wire_bytes() for s in summaries),
-        broadcast_bytes=broadcast_bytes,
-        quota_bytes=int(node_loads.nbytes + quotas.nbytes),
-        game_rounds=game_result.rounds,
-        game_moves=game_result.moves,
-        merge_seconds=merge_seconds,
-        game_seconds=t_game.elapsed,
-    )
-    return DistributedResult(
-        assignment=assignment,
-        nodes=reports,
-        merge_mode="merged",
-        backend="persistent",
-        merge=merge_report,
-    )

@@ -1,8 +1,9 @@
 """The persistent worker pool: spawn once, supervise forever.
 
 :class:`PersistentRuntime` owns ``num_workers`` long-lived node processes
-(:func:`~repro.distributed.worker.worker_main`), one shared-memory edge
-ring per worker, and the framed command/result pipes.  It is the
+(:func:`~repro.distributed.worker.worker_main`), two shared-memory
+segments per worker — the edge ring in, the result plane out — and the
+framed command/result pipes.  It is the
 ``backend="persistent"`` executor behind
 :func:`~repro.core.distributed.distributed_clugp`, the resident engine of
 :class:`~repro.core.distributed.DistributedClugpPartitioner` and
@@ -31,7 +32,11 @@ the process backend uses, and exhausted retries raise the same
 Shared-memory hygiene: the coordinator creates every segment (tracked by
 its resource tracker) and unlinks them all in :meth:`close` — also run
 from ``atexit`` and ``__exit__`` — so ``/dev/shm`` is clean even after
-injected worker crashes (asserted by the chaos tests).
+injected worker crashes (asserted by the chaos tests).  A worker's result
+segment is created with its first shard, sized to it, and replaced
+(old one unlinked) when a larger shard arrives; its name travels in
+``begin_shard``, so a respawned worker re-attaches during the replayed
+feed like any other.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .._util import StageTimes, check_positive_int
 from ..reliability.retry import RetryPolicy, RetryStats, ShardTaskError, TaskFailure
-from .shm import EdgeChunkRing, RingWriter, create_segment, unlink_segment
+from .shm import EdgeChunkRing, ResultSegment, RingWriter, create_segment, unlink_segment
 from .transport import FramedConnection, ndarray_nbytes
 from .worker import worker_main
 
@@ -71,6 +76,7 @@ class _WorkerHandle:
         self.res: FramedConnection | None = None
         self.ring: EdgeChunkRing | None = None
         self.writer: RingWriter | None = None
+        self.result: ResultSegment | None = None  # sized by the first feed
         self.shard: tuple[np.ndarray, np.ndarray, int] | None = None
         self.replay: list[dict] = []  # durable commands rebuilding resident state
         self.busy_seconds = 0.0
@@ -204,6 +210,9 @@ class PersistentRuntime:
             if handle.ring is not None:
                 handle.ring.close()
                 handle.ring = None
+            if handle.result is not None:
+                handle.result.close()
+                handle.result = None
         for shm in self._segments:
             unlink_segment(shm)
         self._segments = []
@@ -244,7 +253,23 @@ class PersistentRuntime:
         handle = self.workers[worker]
         handle.shard = (src, dst, num_vertices)
         handle.replay = []
+        if handle.result is None or handle.result.capacity < src.size:
+            self._replace_result_segment(handle, src.size)
         self._feed(handle, src, dst, num_vertices)
+
+    def _replace_result_segment(self, handle: _WorkerHandle, num_edges: int) -> None:
+        """Give a worker a result plane that holds ``num_edges`` values.
+
+        Same ownership as the ring: created (and later unlinked) here,
+        attached untracked by the worker when ``begin_shard`` names it.
+        """
+        if handle.result is not None:
+            self._segments.remove(handle.result.shm)
+            handle.result.close()
+            unlink_segment(handle.result.shm)
+        shm = create_segment(max(1, num_edges) * 8)
+        self._segments.append(shm)
+        handle.result = ResultSegment(shm)
 
     def _feed(self, handle, src, dst, num_vertices) -> None:
         def wait_ack() -> int:
@@ -257,7 +282,10 @@ class PersistentRuntime:
 
         self._send_ingest(
             handle,
-            {"op": "begin_shard", "num_vertices": num_vertices, "expected_edges": src.size},
+            {
+                "op": "begin_shard", "num_vertices": num_vertices,
+                "expected_edges": src.size, "result_segment": handle.result.shm.name,
+            },
         )
         for start in range(0, src.size, self.slot_edges):
             stop = min(start + self.slot_edges, src.size)
@@ -348,17 +376,19 @@ class PersistentRuntime:
         inject=None,
         times: StageTimes | None = None,
         validate=None,
-        on_result=None,
         durable: bool = False,
     ) -> list[dict]:
         """Supervised fan-out of one stage command per worker.
 
-        Returns per-worker dicts ``{"payload", "seconds", "arrival"}`` in
-        worker order.  ``on_result(worker, payload, arrival)`` streams
-        each validated result the moment it lands (the pipelined-merge
-        hook); ``durable=True`` records each worker's successful command
-        for crash replay.  Raises :class:`~repro.reliability.retry.
-        ShardTaskError` when a worker exhausts ``policy.max_retries``.
+        Returns per-worker dicts ``{"payload", "seconds"}`` in worker
+        order, once every worker has answered (a barrier).  A reply that
+        came back over the result plane carries a length instead of a
+        payload; its payload here is a view of the worker's result
+        segment, valid until that worker's next such reply — copy it out
+        before running another stage.  ``durable=True`` records each
+        worker's successful command for crash replay.  Raises
+        :class:`~repro.reliability.retry.ShardTaskError` when a worker
+        exhausts ``policy.max_retries``.
         """
         if len(commands) != self.num_workers:
             raise ValueError(
@@ -401,7 +431,7 @@ class PersistentRuntime:
                 if reason in ("crash", "timeout"):
                     # leave the pool healthy for the caller's teardown
                     self._respawn(self.workers[index])
-                self._record(stats, stage, times)
+                stats.report(stage, times)
                 raise ShardTaskError(
                     f"stage {stage!r}: worker {index} failed after "
                     f"{policy.max_retries + 1} attempts: {failure.describe()}"
@@ -438,18 +468,18 @@ class PersistentRuntime:
                 if not reply.get("ok"):
                     fail(index, "raise", RuntimeError(reply.get("error", "?")))
                     continue
-                payload = reply.get("payload")
+                if "result_length" in reply:
+                    payload = self.workers[index].result.read(reply["result_length"])
+                else:
+                    payload = reply.get("payload")
                 if validate is not None:
                     problem = validate(payload, index)
                     if problem:
                         fail(index, "invalid", ValueError(f"{stage}: {problem}"))
                         continue
-                arrival = time.perf_counter()
                 seconds = reply.get("seconds", 0.0)
                 self.workers[index].busy_seconds += seconds
-                results[index] = {
-                    "payload": payload, "seconds": seconds, "arrival": arrival,
-                }
+                results[index] = {"payload": payload, "seconds": seconds}
                 pending.discard(index)
                 if durable:
                     msg = dict(commands[index])
@@ -458,20 +488,8 @@ class PersistentRuntime:
                         attempt=attempts[index], inject=inject,
                     )
                     self.workers[index].replay.append(msg)
-                if on_result is not None:
-                    on_result(index, payload, arrival)
-        self._record(stats, stage, times)
+        stats.report(stage, times)
         return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _record(stats: RetryStats, stage: str, times: StageTimes | None) -> None:
-        """Land failure counters under the process-backend's names."""
-        if times is None:
-            return
-        counters = stats.to_counters()
-        for name in ("retries", "crashes", "timeouts", "raises", "invalid"):
-            times.bump(f"{stage}_{name}", counters[name])
-        times.bump("retries", counters["retries"])
 
     # ------------------------------------------------------------------ #
     # accounting

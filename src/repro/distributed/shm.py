@@ -1,11 +1,13 @@
-"""Shared-memory segments and the edge-chunk ring buffer.
+"""Shared-memory segments: the edge-chunk ring and the result plane.
 
 The persistent worker runtime moves edge data between the coordinator and
 its resident node processes through ``multiprocessing.shared_memory``
 segments instead of pickled task payloads: the coordinator writes a chunk
 of ``(src, dst)`` int64 pairs into a ring slot and sends only a
 ``(slot, length)`` descriptor over the command pipe — zero copies of edge
-bytes ever cross a pickle boundary on the ingest path.
+bytes ever cross a pickle boundary on the ingest path.  The way back is
+the mirror image: a worker writes its shard's edge partition into its
+:class:`ResultSegment` and replies with a length.
 
 Lifecycle rules (the part that goes wrong in real deployments):
 
@@ -40,6 +42,7 @@ __all__ = [
     "leaked_segments",
     "EdgeChunkRing",
     "RingWriter",
+    "ResultSegment",
 ]
 
 #: every segment the runtime creates is named ``clugp-shm-<pid>-<nonce>``
@@ -145,6 +148,49 @@ class EdgeChunkRing:
     def read(self, slot: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of one chunk's (src, dst) rows — valid until overwritten."""
         return self._array[slot, 0, :length], self._array[slot, 1, :length]
+
+    def close(self) -> None:
+        """Drop this process's mapping (does not unlink the segment)."""
+        self._array = None
+        try:
+            self.shm.close()
+        except Exception:  # pragma: no cover - already-closed race
+            pass
+
+
+class ResultSegment:
+    """One worker's result plane: a flat int64 buffer in a shared segment.
+
+    The worker copies in one per-edge result (:meth:`write` — its shard's
+    edge partition) and replies with the length; the coordinator takes
+    that many values back as a zero-copy view (:meth:`read`).  One writer, one
+    reader, strictly alternating under the command/reply handshake, so no
+    flow control is needed.  The coordinator sizes the segment to the
+    shard it feeds and replaces it when a larger shard arrives.
+    """
+
+    def __init__(self, shm: shared_memory.SharedMemory) -> None:
+        self.shm = shm
+        self._array = np.ndarray((shm.size // 8,), dtype=np.int64, buffer=shm.buf)
+
+    @property
+    def capacity(self) -> int:
+        """Values the segment can hold."""
+        return int(self._array.size)
+
+    def write(self, values: np.ndarray) -> int:
+        """Copy ``values`` to the front of the buffer; returns the length."""
+        m = int(values.size)
+        if m > self.capacity:
+            raise ValueError(f"result of {m} values exceeds segment capacity {self.capacity}")
+        self._array[:m] = values
+        return m
+
+    def read(self, length: int) -> np.ndarray:
+        """View of the first ``length`` values — valid until the next write."""
+        if not 0 <= length <= self.capacity:
+            raise ValueError(f"result length {length} outside segment capacity {self.capacity}")
+        return self._array[:length]
 
     def close(self) -> None:
         """Drop this process's mapping (does not unlink the segment)."""

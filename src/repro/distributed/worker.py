@@ -7,9 +7,13 @@ worker owns:
 
 * its **shard** — edge chunks copied out of the shared-memory ring into
   resident int64 arrays (the node's local crawl buffer);
-* its **pipeline state** — the :class:`~repro.core.partitioner.
-  ClugpPartitioner` whose pass-1 ``ClusteringState`` survives between the
-  summary and transform stages, so pass 3 replays with zero re-shipping;
+* its **pipeline state** — a :class:`~repro.core.distributed.NodeStages`
+  whose clustering, global-cluster map and vertex -> partition view
+  survive between the stages, so each later stage ships only what is new
+  (the resolution, the decision, one quota row);
+* its **result plane** — the coordinator-owned segment named by
+  ``begin_shard``, into which ``commit`` writes the edge partition so the
+  reply is a length, not a pickled array;
 * its **app state** — per-partition values/partials of the distributed
   GAS runtime (:mod:`repro.distributed.gas`), living on the same process
   that partitioned the shard.
@@ -32,12 +36,10 @@ import traceback
 import numpy as np
 
 from .._util import Timer
-from ..core.distributed import _node_vertex_partition
-from ..core.partitioner import ClugpPartitioner
-from ..core.transform import replay_transform_chunked
+from ..core.distributed import NodeStages
 from ..graph.stream import EdgeStream
 from ..system.runtime import LocalContext
-from .shm import EdgeChunkRing, attach_segment
+from .shm import EdgeChunkRing, ResultSegment, attach_segment
 from .transport import FramedConnection
 
 __all__ = ["worker_main"]
@@ -63,15 +65,27 @@ class _WorkerState:
     def __init__(self, node: int) -> None:
         self.node = node
         self.num_vertices = 0
-        self.src: np.ndarray | None = None
-        self.dst: np.ndarray | None = None
+        self.src = self.dst = np.empty(0, dtype=np.int64)
         self.count = 0
-        self.partitioner: ClugpPartitioner | None = None
+        self.stages = NodeStages(node)
+        self.result: ResultSegment | None = None
         self.gas: dict | None = None
+        self._shard: EdgeStream | None = None
 
-    def stream(self) -> EdgeStream:
-        """The resident shard as an :class:`EdgeStream` (zero-copy views)."""
-        return EdgeStream(self.src[: self.count], self.dst[: self.count], self.num_vertices)
+    def shard(self) -> EdgeStream:
+        """The resident shard as an :class:`EdgeStream` (zero-copy views),
+        built once per feed."""
+        if self._shard is None:
+            self._shard = EdgeStream(
+                self.src[: self.count], self.dst[: self.count], self.num_vertices
+            )
+        return self._shard
+
+    def close(self) -> None:
+        """Drop the result-plane mapping."""
+        if self.result is not None:
+            self.result.close()
+            self.result = None
 
 
 def _handle_begin_shard(state: _WorkerState, msg: dict) -> None:
@@ -80,7 +94,12 @@ def _handle_begin_shard(state: _WorkerState, msg: dict) -> None:
     state.src = np.empty(cap, dtype=np.int64)
     state.dst = np.empty(cap, dtype=np.int64)
     state.count = 0
-    state.partitioner = None
+    state._shard = None
+    state.stages = NodeStages(state.node)  # nothing of the old shard survives
+    name = msg["result_segment"]
+    if state.result is None or state.result.shm.name != name:
+        state.close()
+        state.result = ResultSegment(attach_segment(name))
 
 
 def _handle_chunk(state: _WorkerState, ring: EdgeChunkRing, msg: dict) -> None:
@@ -95,85 +114,30 @@ def _handle_chunk(state: _WorkerState, ring: EdgeChunkRing, msg: dict) -> None:
     state.src[state.count : need] = src
     state.dst[state.count : need] = dst
     state.count = need
+    state._shard = None
 
 
-def _handle_summary(state: _WorkerState, msg: dict):
-    shard = state.stream()
-    partitioner = ClugpPartitioner(
-        msg["num_partitions"], seed=msg["seed"] + state.node, config=msg["config"]
-    )
-    summary = partitioner.cluster_summary(
-        shard,
-        boundary_mask=msg["boundary"],
-        chunk_size=msg["chunk_size"],
-        node=state.node,
-    )
-    state.partitioner = partitioner  # clustering stays resident for pass 3
-    return summary
+def _run_stage_op(state: _WorkerState, msg: dict) -> dict:
+    """One protocol stage on the resident node; returns the reply body.
 
-
-def _handle_independent(state: _WorkerState, msg: dict):
-    shard = state.stream()
-    partitioner = ClugpPartitioner(
-        msg["num_partitions"], seed=msg["seed"] + state.node, config=msg["config"]
-    )
-    assignment = partitioner.partition_chunked(shard, chunk_size=msg["chunk_size"])
-    state.partitioner = partitioner
-    return {
-        "edge_partition": assignment.edge_partition,
-        "num_edges": shard.num_edges,
-        "num_clusters": partitioner.last_clustering.num_clusters,
-        "splits": partitioner.last_clustering.splits,
-        "game_rounds": partitioner.last_game_result.rounds,
-    }
-
-
-def _transform_args(state: _WorkerState, msg: dict) -> tuple[EdgeStream, np.ndarray]:
-    """Shared probe/commit prologue: shard view + broadcast vertex map."""
-    if state.partitioner is None or state.partitioner.last_clustering is None:
-        raise RuntimeError("transform before summary: no resident clustering")
-    shard = state.stream()
-    vp = _node_vertex_partition(
-        state.partitioner.last_clustering,
-        msg["offset"],
-        msg["cluster_partition"],
-        msg["boundary_vertices"],
-        msg["boundary_global_cluster"],
-        state.num_vertices,
-    )
-    return shard, vp
-
-
-def _handle_probe(state: _WorkerState, msg: dict):
-    shard, vp = _transform_args(state, msg)
-    k = msg["num_partitions"]
-    out, _ = replay_transform_chunked(
-        shard,
-        state.partitioner.last_clustering,
-        vp,
-        k,
-        load_caps=np.full(k, max(1, shard.num_edges), dtype=np.int64),
-        chunk_size=msg["chunk_size"],
-        chunk_impl=msg["chunk_impl"],
-        kernel_backend=msg["kernel_backend"],
-    )
-    return np.bincount(out, minlength=k)
-
-
-def _handle_commit(state: _WorkerState, msg: dict):
-    shard, vp = _transform_args(state, msg)
-    out, _ = replay_transform_chunked(
-        shard,
-        state.partitioner.last_clustering,
-        vp,
-        msg["num_partitions"],
-        imbalance_factor=msg["imbalance_factor"],
-        load_caps=msg["load_caps"],
-        chunk_size=msg["chunk_size"],
-        chunk_impl=msg["chunk_impl"],
-        kernel_backend=msg["kernel_backend"],
-    )
-    return out
+    ``commit``'s per-edge result goes back over the result plane — the
+    reply carries its length; every other stage's payload is small and
+    travels in the reply itself.
+    """
+    op = msg["op"]
+    inject = msg.get("inject")
+    if inject is not None:
+        inject.pre_task(
+            msg["stage"], state.node, msg["num_nodes"], msg["attempt"], in_process=True
+        )
+    payload = getattr(state.stages, op)(state.shard(), msg)
+    if inject is not None:
+        payload = inject.post_task(
+            msg["stage"], state.node, msg["num_nodes"], msg["attempt"], payload
+        )
+    if op == "commit":
+        return {"result_length": state.result.write(payload)}
+    return {"payload": payload}
 
 
 # --------------------------------------------------------------------- #
@@ -270,13 +234,6 @@ def _handle_gas_sync(state: _WorkerState, msg: dict) -> dict:
     return {"activated": activated}
 
 
-_STAGE_HANDLERS = {
-    "summary": _handle_summary,
-    "independent": _handle_independent,
-    "probe": _handle_probe,
-    "commit": _handle_commit,
-}
-
 _PLAIN_HANDLERS = {
     "gas_setup": _handle_gas_setup,
     "gas_gather": _handle_gas_gather,
@@ -325,24 +282,11 @@ def worker_main(node, cmd_conn, res_conn, ring_name, slot_edges, ring_slots) -> 
                 continue
             try:
                 with Timer() as timer:
-                    if op in _STAGE_HANDLERS:
-                        inject = msg.get("inject")
-                        if inject is not None:
-                            inject.pre_task(
-                                msg["stage"], node, msg["num_nodes"],
-                                msg["attempt"], in_process=True,
-                            )
-                        payload = _STAGE_HANDLERS[op](state, msg)
-                        if inject is not None:
-                            payload = inject.post_task(
-                                msg["stage"], node, msg["num_nodes"],
-                                msg["attempt"], payload,
-                            )
-                    else:
-                        payload = _PLAIN_HANDLERS[op](state, msg)
-                res.send(
-                    {"node": node, "ok": True, "payload": payload, "seconds": timer.elapsed}
-                )
+                    if op in _PLAIN_HANDLERS:
+                        body = {"payload": _PLAIN_HANDLERS[op](state, msg)}
+                    else:  # a protocol stage: a NodeStages method by name
+                        body = _run_stage_op(state, msg)
+                res.send({"node": node, "ok": True, "seconds": timer.elapsed, **body})
             except Exception:
                 res.send(
                     {
@@ -354,5 +298,6 @@ def worker_main(node, cmd_conn, res_conn, ring_name, slot_edges, ring_slots) -> 
                 )
     finally:
         ring.close()
+        state.close()
         cmd.close()
         res.close()

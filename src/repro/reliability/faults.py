@@ -33,9 +33,11 @@ Kinds
 ``corrupt``
     The worker flips bytes in its result payload *after* the payload's
     checksum was computed (wire corruption).  Only applied to results
-    that carry a ``checksum`` attribute (:class:`~repro.core.
-    partitioner.ClusterSummary`); the coordinator's validation
-    quarantines the summary and re-runs the shard.
+    that carry a ``checksum`` attribute — the two payloads of the merge
+    protocol, :class:`~repro.core.partitioner.ClusterSummary` (round 1)
+    and :class:`~repro.core.partitioner.GraphContribution` (round 2);
+    the coordinator's validation quarantines the payload and re-runs
+    that node's stage.
 
 Injectors are built from a compact spec string (``--inject-faults`` /
 ``CLUGP_INJECT_FAULTS`` / ``ClugpConfig.reliability.inject_faults``)::
@@ -206,10 +208,11 @@ class FaultInjector:
 def _corrupt_result(result) -> None:
     """Flip bytes in the first checksummed payload found in ``result``.
 
-    Walks tuples/lists for an object with a ``checksum`` attribute (the
-    shipped :class:`ClusterSummary`) and XORs a byte in its first
-    non-empty array *without* refreshing the checksum — exactly what a
-    corrupt wire transfer looks like to the coordinator's validator.
+    Walks tuples/lists for an object with a ``checksum`` attribute (a
+    shipped :class:`ClusterSummary` or :class:`GraphContribution`) and
+    XORs a byte in its first non-empty array *without* refreshing the
+    checksum — exactly what a corrupt wire transfer looks like to the
+    coordinator's validator.
     Results without a checksummed payload are left untouched (nothing
     downstream could detect the corruption, so injecting it would turn
     the bit-identity chaos gate into a false failure).
@@ -221,7 +224,8 @@ def _corrupt_result(result) -> None:
             stack.extend(obj)
             continue
         if hasattr(obj, "checksum"):
-            for name in ("volume", "local_assignment", "boundary_vertices"):
+            for name in ("volume", "local_assignment", "boundary_vertices",
+                         "internal", "weights", "indptr"):
                 array = getattr(obj, name, None)
                 if array is not None and getattr(array, "size", 0):
                     view = array.view("uint8")

@@ -159,6 +159,17 @@ class RetryStats:
             "invalid": self.invalid,
         }
 
+    def report(self, stage: str, times) -> None:
+        """Land this stage's failure counters in a ``StageTimes`` under
+        the names every backend uses (``<stage>_retries`` ... plus the
+        run-wide ``retries``)."""
+        if times is None:
+            return
+        counters = self.to_counters()
+        for name in ("retries", "crashes", "timeouts", "raises", "invalid"):
+            times.bump(f"{stage}_{name}", counters[name])
+        times.bump("retries", counters["retries"])
+
 
 def _reliable_call(payload):
     """Module-level (picklable) wrapper executed inside the pool worker.
@@ -297,7 +308,7 @@ def run_reliable(
     policy:
         :class:`RetryPolicy` (default: 2 retries, no deadline).
     parallel / backend:
-        Mirror ``_run_stage``: pooled ``"thread"``/``"process"``
+        Pooled ``"thread"``/``"process"``
         execution, or inline when ``parallel`` is false or there is a
         single task.  Deadlines require a pool (inline execution cannot
         preempt); the inline path still retries raises and validation

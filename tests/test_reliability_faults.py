@@ -22,7 +22,7 @@ class TestDecide:
 
     def test_exactly_one_victim_per_stage(self):
         inj = FaultInjector(kinds=("crash",), seed=3)
-        for stage in ("shard", "probe", "commit"):
+        for stage in ("shard", "attribute", "probe", "commit"):
             decisions = [inj.decide(stage, n, 6, 0) for n in range(6)]
             assert sum(d is not None for d in decisions) == 1
 
@@ -139,6 +139,25 @@ class TestEffects:
         _corrupt_result((0, payload, "extra"))
         assert not np.array_equal(payload.volume, before)
         assert payload.checksum == 1234  # stale on purpose: wire corruption
+
+    def test_corrupt_reaches_the_round_two_payload(self):
+        """A GraphContribution has none of the summary's arrays; the
+        injected flip must land in one of its own and break its seal."""
+        from repro.core.cluster_graph import cluster_graph_from_labels
+        from repro.core.partitioner import GraphContribution
+
+        cu = np.array([0, 0, 1, 2, 2], dtype=np.int64)
+        cv = np.array([0, 1, 2, 2, 0], dtype=np.int64)
+        payload = GraphContribution.from_graph(
+            cluster_graph_from_labels(cu, cv, 3), node=1, num_edges=5
+        )
+        assert payload.validate() is None
+        before = [a.copy() for a in payload._wire_arrays()]
+        _corrupt_result((payload, "node state", 0.1))
+        assert any(
+            not np.array_equal(a, b) for a, b in zip(payload._wire_arrays(), before)
+        )
+        assert payload.validate() is not None
 
     def test_corrupt_ignores_unchecksummed_results(self):
         data = np.arange(4, dtype=np.int64)

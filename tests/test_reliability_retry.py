@@ -276,6 +276,10 @@ class TestDistributedChaosGate:
         assert np.array_equal(
             baseline.assignment.edge_partition, chaotic.assignment.edge_partition
         )
+        counters = chaotic.to_dict()["reliability"]
+        # the round-1 summary and the round-2 contribution were both hit
+        assert counters.get("shard_invalid") == 1
+        assert counters.get("attribute_invalid") == 1
 
     def test_counters_reported_in_to_dict(self, chaos_stream):
         chaotic = _run_distributed(chaos_stream, "crash,seed=1")
