@@ -47,7 +47,7 @@ STAGES = ("clustering", "game", "transform", "total")
 
 
 def build_stream(num_edges: int, seed: int = 7) -> EdgeStream:
-    """The same power-law web-crawl stand-in bench_chunked_throughput uses."""
+    """A power-law web-crawl stand-in, streamed in random order."""
     avg_out = 10.0
     graph = web_crawl_graph(
         max(64, int(num_edges / avg_out)),

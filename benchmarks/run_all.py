@@ -9,18 +9,6 @@ machine-readable history of the repo's throughput claims.
 
 Sections (each with its own floors; exit status is non-zero if any fails):
 
-* ``chunked_throughput`` — bench_chunked_throughput: stateless >= 5x
-  chunked-vs-per-edge floors, hdrf/greedy >= 5x vs their retained
-  reference chunk loop plus a vs-per-edge floor, full-registry
-  bit-identity sweep.
-* ``kernels`` — bench_kernels: the compiled ``chunk_impl="jit"`` /
-  ``game_impl="jit"`` backends — hdrf/greedy >= 5x vs the fast scalar
-  core and >= 10x vs per-edge, the fused pass-2 game kernel >= 5x vs
-  the numpy adjacency-table engine (with three-way identity on move
-  sequences and potential traces), CLUGP end-to-end >= 20x vs
-  per-edge, jit-vs-per-edge bit-identity incl. the k=100 multiword
-  corner; warm-up (numba/cc compile) excluded from every timing
-  region.  Skipped (not failed) when no compiled backend resolves.
 * ``clugp_stages`` — bench_clugp_stages: per-pass timings and the >= 4x
   end-to-end CLUGP chunked floor.
 * ``parallel_game`` — batched vs sequential-reference best response:
@@ -86,11 +74,9 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 import numpy as np
 
-import bench_chunked_throughput
 import bench_clugp_stages
 import bench_fig8_pagerank
 import bench_incremental_service
-import bench_kernels
 import bench_persistent
 import bench_reliability
 from repro._util import Timer
@@ -334,17 +320,7 @@ def main(argv=None) -> int:
     consolidated: dict = {"quick": args.quick}
     failures: list[str] = []
 
-    print("=== chunked throughput ===")
-    report, fails = _run_sub_bench(bench_chunked_throughput, "chunked_throughput", args.quick)
-    consolidated["chunked_throughput"] = report
-    failures += fails
-
-    print("\n=== compiled kernels (chunk_impl=jit) ===")
-    report, fails = _run_sub_bench(bench_kernels, "kernels", args.quick)
-    consolidated["kernels"] = report
-    failures += fails
-
-    print("\n=== CLUGP stages ===")
+    print("=== CLUGP stages ===")
     report, fails = _run_sub_bench(bench_clugp_stages, "clugp_stages", args.quick)
     consolidated["clugp_stages"] = report
     failures += fails

@@ -13,12 +13,14 @@ Public API quick tour::
     result = ClugpPartitioner(num_partitions=32).partition(stream)
     print(result.replication_factor(), result.relative_balance())
 
-``partition()`` is the compiled path: ``chunk_impl`` / ``game_impl``
-default to ``"jit"`` (:mod:`repro.kernels` — numba, or ``kernels.c``
-built once per machine with the system C compiler, ~0.5 s inside the
-first call, then cached), degrading to the bit-identical numpy tier
-with one warning when no backend resolves.  ``partition_per_edge()`` is
-the per-edge Python oracle (and what the Figure-7 benches time).
+``partition()`` is the compiled path wherever a :mod:`repro.kernels`
+backend resolves (numba, or ``kernels.c`` built once per machine with
+the system C compiler, ~0.5 s at first use, then cached); on a host
+with neither it runs the bit-identical numpy tier, with one warning.
+The program picks the tier from what it can observe — no config field,
+argument or flag names an implementation; ``CLUGP_KERNEL_BACKEND`` is
+the one deployment/test override.  ``partition_per_edge()`` is the
+per-edge Python oracle (and what the Figure-7 benches time).
 
 Subpackages
 -----------
@@ -29,7 +31,7 @@ Subpackages
 ``repro.partitioners``
     Streaming baselines: Hashing, DBH, Greedy, HDRF, Mint.
 ``repro.kernels``
-    Compiled decision cores behind the default ``"jit"`` implementations.
+    Compiled decision cores, and the one place the executing tier is chosen.
 ``repro.offline``
     Offline multilevel (METIS-style) comparator.
 ``repro.analysis``

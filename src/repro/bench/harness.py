@@ -119,23 +119,19 @@ def clugp_stage_times(
     seed: int = 0,
     chunk_size: int = 1 << 16,
     repeats: int = 3,
-    chunk_impl: str = "jit",
-    kernel_backend: str = "auto",
-    game_impl: str = "jit",
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeats`` per-pass wall-clock of one CLUGP variant.
 
     Returns ``{"per-edge": {...}, "chunked": {...}}`` where each inner dict
     maps pass name (``clustering`` / ``game`` / ``transform``) and
-    ``total`` to seconds.  The per-edge side times the retained reference
-    loops (:func:`repro.core.clustering.streaming_clustering`, the
-    per-neighbor game scorer,
+    ``total`` to seconds.  The per-edge side times the three oracle
+    functions (:func:`repro.core.clustering.streaming_clustering`,
+    :func:`repro.core.game.best_response_dynamics`,
     :func:`repro.core.transform.transform_partitions`); the chunked side
     times the chunk engines (:class:`ClusteringState`, the game, and
-    :class:`TransformState`) running ``chunk_impl`` / ``game_impl``
-    (``"jit"`` by default, like the configs; ``"fast"``/``"reference"``
-    name the numpy tiers).  Both paths are asserted bit-identical
-    before timings are returned.
+    :class:`TransformState`) on whichever tier :mod:`repro.kernels`
+    resolves.  Both paths are asserted bit-identical before timings are
+    returned.
     """
     import numpy as np
 
@@ -144,10 +140,7 @@ def clugp_stage_times(
     from ..core.cluster_graph import build_cluster_graph
     from ..core.transform import TransformState, transform_partitions
 
-    partitioner = make_partitioner(
-        variant, num_partitions, seed=seed,
-        kernel_backend=kernel_backend, game_impl=game_impl,
-    )
+    partitioner = make_partitioner(variant, num_partitions, seed=seed)
     cfg = partitioner.config
     vmax = cfg.resolve_vmax(stream.num_edges)
     baseline = None
@@ -155,10 +148,7 @@ def clugp_stage_times(
     for ingest in ("per-edge", "chunked"):
         stages: dict[str, float] = {}
         for _ in range(repeats):
-            partitioner = make_partitioner(
-                variant, num_partitions, seed=seed,
-                kernel_backend=kernel_backend, game_impl=game_impl,
-            )
+            partitioner = make_partitioner(variant, num_partitions, seed=seed)
             if ingest == "per-edge":
                 with Timer() as t1:
                     clustering = streaming_clustering(
@@ -166,7 +156,7 @@ def clugp_stage_times(
                     )
                 with Timer() as t2:
                     cluster_graph = build_cluster_graph(stream, clustering)
-                    game = partitioner._map_clusters(cluster_graph, vectorized=False)
+                    game = partitioner._map_clusters_per_edge(cluster_graph)
                 with Timer() as t3:
                     edge_partition, _ = transform_partitions(
                         stream,
@@ -181,8 +171,6 @@ def clugp_stage_times(
                         stream.num_vertices,
                         vmax,
                         enable_splitting=cfg.enable_splitting,
-                        chunk_impl=chunk_impl,
-                        kernel_backend=kernel_backend,
                     )
                     for src, dst in stream.batches(chunk_size):
                         state.ingest_pair(src, dst)
@@ -198,8 +186,6 @@ def clugp_stage_times(
                         num_edges=stream.num_edges,
                         num_vertices=stream.num_vertices,
                         imbalance_factor=cfg.imbalance_factor,
-                        chunk_impl=chunk_impl,
-                        kernel_backend=kernel_backend,
                     )
                     parts = [
                         transform.ingest_pair(src, dst)

@@ -66,41 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lenient: drop bad rows and report the counts",
     )
 
-    # chunked-ingestion machinery knobs, shared by the subcommands that
-    # drive a chunk-capable pipeline (partition / distribute / serve)
-    impl_common = argparse.ArgumentParser(add_help=False)
-    impl_common.add_argument(
-        "--chunk-impl",
-        default=ClugpConfig.chunk_impl,
-        choices=["fast", "reference", "jit"],
-        help=(
-            "chunked-ingestion implementation: 'jit' (compiled "
-            "repro.kernels backend, degrading to 'fast' when unavailable), "
-            "'fast' (adaptive numpy) or 'reference' (sequential oracle); "
-            "all three are bit-identical (default: %(default)s)"
-        ),
-    )
-    impl_common.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=["auto", "numba", "cc", "python", "none"],
-        help="kernel backend --chunk-impl=jit / --game-impl=jit resolve "
-        "(default: auto)",
-    )
-    impl_common.add_argument(
-        "--game-impl",
-        default=GameConfig.game_impl,
-        choices=["fast", "reference", "jit"],
-        help=(
-            "pass-2 game engine: 'jit' (fused compiled rounds, degrading "
-            "to 'fast' when unavailable), 'fast' (numpy adjacency-table "
-            "rounds) or 'reference' (per-neighbor oracle); all three are "
-            "bit-identical (default: %(default)s)"
-        ),
-    )
-
     p_part = sub.add_parser(
-        "partition", parents=[common, impl_common], help="run one partitioner"
+        "partition", parents=[common], help="run one partitioner"
     )
     p_part.add_argument(
         "--algorithm", default="clugp", choices=sorted(PARTITIONERS), help="algorithm"
@@ -112,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "ingest the stream as (N, 2) edge chunks (vectorized hot path; "
+            "ingest the stream as (N, 2) edge chunks (the chunk protocol; "
             "multi-pass algorithms buffer the stream and ignore N)"
         ),
     )
@@ -170,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser(
         "distribute",
-        parents=[common, impl_common],
+        parents=[common],
         help="run the distributed CLUGP deployment (Section III-C)",
     )
     p_dist.add_argument(
@@ -214,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        parents=[common, impl_common],
+        parents=[common],
         help="replay the stream as a batch feed through PartitionService",
     )
     p_serve.add_argument(
@@ -291,48 +258,18 @@ def _load_stream(args) -> EdgeStream:
     return EdgeStream.from_graph(graph, order="natural")
 
 
-def _impl_kwargs(args) -> dict:
-    """Non-default --chunk-impl/--kernel-backend/--game-impl values as
-    ctor kwargs.
-
-    Only non-defaults are forwarded so algorithms without the knobs keep
-    working untouched; passing a non-default to one of those raises a
-    friendly error instead of a bare TypeError.
-    """
-    kwargs = {}
-    if args.chunk_impl != ClugpConfig.chunk_impl:
-        kwargs["chunk_impl"] = args.chunk_impl
-    if args.kernel_backend != ClugpConfig.kernel_backend:
-        kwargs["kernel_backend"] = args.kernel_backend
-    if args.game_impl != GameConfig.game_impl:
-        kwargs["game_impl"] = args.game_impl
-    return kwargs
-
-
-def _resolved_backend(knobs) -> str | None:
-    """Kernel backend the ``jit`` seams of a config (or an hdrf/greedy
-    partitioner) resolve — None when they degrade to numpy, none is
-    selected, or the algorithm has no compiled seam."""
-    game = getattr(knobs, "game", None)
-    if "jit" not in (getattr(knobs, "chunk_impl", None), getattr(game, "game_impl", None)):
+def _resolved_backend(partitioner) -> str | None:
+    """Kernel backend a partitioner's compiled seams run on — None on the
+    numpy tier, or when the algorithm has no compiled seam (only hdrf,
+    greedy and the clugp family do)."""
+    if not (hasattr(partitioner, "_backend") or hasattr(partitioner, "config")):
         return None
-    return kernels.backend_name(knobs.kernel_backend)
+    return kernels.backend_name()
 
 
 def _cmd_partition(args) -> int:
     stream = _load_stream(args)
-    impl_kwargs = _impl_kwargs(args)
-    try:
-        partitioner = make_partitioner(
-            args.algorithm, args.partitions, seed=args.seed, **impl_kwargs
-        )
-    except TypeError:
-        raise SystemExit(
-            f"--chunk-impl/--kernel-backend/--game-impl are not supported "
-            f"by {args.algorithm!r} (chunk-capable algorithms: hdrf, "
-            f"greedy, clugp and its ablations; --game-impl: clugp family "
-            f"only)"
-        )
+    partitioner = make_partitioner(args.algorithm, args.partitions, seed=args.seed)
     if partitioner.preferred_order != "natural":
         stream = stream.reordered(partitioner.preferred_order, seed=args.seed)
     if args.chunk_size is not None:
@@ -344,8 +281,7 @@ def _cmd_partition(args) -> int:
         algorithm=partitioner.name,
         state_memory_bytes=partitioner.state_memory_bytes(stream),
     )
-    # the clugp family carries its knobs on .config, hdrf/greedy on themselves
-    backend = _resolved_backend(getattr(partitioner, "config", partitioner))
+    backend = _resolved_backend(partitioner)
     print(
         f"algorithm={report.algorithm} k={report.num_partitions} "
         f"|V|={report.num_vertices} |E|={report.num_edges}\n"
@@ -479,9 +415,7 @@ def _cmd_distribute(args) -> int:
     stream = _load_stream(args)
     cfg = ClugpConfig(
         num_partitions=args.partitions,
-        game=GameConfig(seed=args.seed, game_impl=args.game_impl),
-        chunk_impl=args.chunk_impl,
-        kernel_backend=args.kernel_backend,
+        game=GameConfig(seed=args.seed),
         reliability=_reliability_config(args),
     )
     if args.compare_modes:
@@ -517,7 +451,7 @@ def _cmd_distribute(args) -> int:
         backend=args.backend,
     )
     print(result.summary())
-    print(f"kernel_backend={_resolved_backend(cfg)}")
+    print(f"kernel_backend={kernels.backend_name()}")
     for node in result.nodes:
         print(
             f"  node {node.node}: edges={node.num_edges} "
@@ -545,9 +479,7 @@ def _cmd_serve(args) -> int:
         rel = rel.with_(checkpoint_every=args.checkpoint_every)
     cfg = ClugpConfig(
         num_partitions=args.partitions,
-        game=GameConfig(seed=args.seed, game_impl=args.game_impl),
-        chunk_impl=args.chunk_impl,
-        kernel_backend=args.kernel_backend,
+        game=GameConfig(seed=args.seed),
         reliability=rel,
     )
     if args.resume:
@@ -593,7 +525,7 @@ def _cmd_serve(args) -> int:
     final = svc.assignment()
     summary["replication_factor"] = final.replication_factor()
     summary["relative_balance"] = final.relative_balance()
-    summary["kernel_backend"] = _resolved_backend(svc.config)
+    summary["kernel_backend"] = kernels.backend_name()
     if args.oracle:
         oracle_rf = svc.oracle_assignment().replication_factor()
         summary["rf_oracle"] = oracle_rf

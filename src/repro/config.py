@@ -16,6 +16,11 @@ from ._util import check_positive_int
 
 __all__ = ["ClugpConfig", "GameConfig", "ReliabilityConfig"]
 
+#: implementation selectors retired in PR 16 that checkpoints written
+#: before it still carry in ``config`` / ``config["game"]``
+_RETIRED_KEYS = ("chunk_impl", "kernel_backend")
+_RETIRED_GAME_KEYS = ("game_impl", "kernel_backend")
+
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
@@ -117,19 +122,6 @@ class GameConfig:
         Thread-pool width for the batched game (paper default 32).
     seed:
         Seed for the random initial cluster->partition assignment.
-    game_impl:
-        Pass-2 engine: ``"jit"`` (default, the fused-round
-        :mod:`repro.kernels` kernel, degrading to ``"fast"`` with one
-        warning per process when no backend resolves), ``"fast"`` (the
-        numpy adjacency-table rounds) or ``"reference"`` (the
-        per-neighbor oracle loop).  All three are bit-identical — same
-        move sequences, rounds, and potential traces.
-    kernel_backend:
-        Which kernel backend ``game_impl="jit"`` resolves — one of
-        ``"auto"``, ``"numba"``, ``"cc"``, ``"python"``, ``"none"``.
-        :class:`ClugpConfig` syncs its own ``kernel_backend`` into this
-        field when it is left at ``"auto"``, so one outer knob steers
-        both the chunked ingestion and the game.
     """
 
     lambda_mode: str = "max"
@@ -139,8 +131,6 @@ class GameConfig:
     batch_size: int = 6400
     num_threads: int = 4
     seed: int = 0
-    game_impl: str = "jit"
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.lambda_mode not in ("max", "balanced", "fixed"):
@@ -154,16 +144,6 @@ class GameConfig:
         check_positive_int(self.max_rounds, "max_rounds")
         check_positive_int(self.batch_size, "batch_size")
         check_positive_int(self.num_threads, "num_threads")
-        if self.game_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"game_impl must be 'fast', 'reference' or 'jit', "
-                f"got {self.game_impl!r}"
-            )
-        if self.kernel_backend not in ("auto", "numba", "cc", "python", "none"):
-            raise ValueError(
-                f"kernel_backend must be one of 'auto', 'numba', 'cc', "
-                f"'python', 'none', got {self.kernel_backend!r}"
-            )
 
     def with_(self, **kwargs) -> "GameConfig":
         """Return a copy with the given fields replaced."""
@@ -194,21 +174,6 @@ class ClugpConfig:
         the sequential round-robin best-response loop (Algorithm 3).
     game:
         The nested :class:`GameConfig`.
-    chunk_impl:
-        Ingestion machinery for the chunked passes 1 and 3: ``"jit"``
-        (default, compiled kernels from :mod:`repro.kernels`, degrading
-        to ``"fast"`` with one warning per process when no backend
-        resolves), ``"fast"`` (the adaptive numpy path) or
-        ``"reference"`` (the plain sequential oracle).  All three are
-        bit-identical.  The ``cc`` backend compiles ``kernels.c`` once
-        per machine (~0.5 s, cached on disk) inside the first call that
-        needs it.
-    kernel_backend:
-        Which kernel backend ``chunk_impl="jit"`` resolves — one of
-        ``"auto"``, ``"numba"``, ``"cc"``, ``"python"``, ``"none"``.
-        A non-default value also flows into ``game.kernel_backend``
-        (unless the nested game config pinned its own), so one knob
-        steers every compiled seam in the pipeline.
     reliability:
         The nested :class:`ReliabilityConfig` (retries, deadlines,
         checkpoint cadence, fault injection, ingest hardening).
@@ -221,8 +186,6 @@ class ClugpConfig:
     use_game: bool = True
     parallel_game: bool = False
     game: GameConfig = GameConfig()
-    chunk_impl: str = "jit"
-    kernel_backend: str = "auto"
     reliability: ReliabilityConfig = ReliabilityConfig()
 
     def __post_init__(self) -> None:
@@ -236,26 +199,6 @@ class ClugpConfig:
         if self.imbalance_factor < 1.0:
             raise ValueError(
                 f"imbalance_factor must be >= 1.0, got {self.imbalance_factor!r}"
-            )
-        if self.chunk_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"chunk_impl must be 'fast', 'reference' or 'jit', "
-                f"got {self.chunk_impl!r}"
-            )
-        if self.kernel_backend not in ("auto", "numba", "cc", "python", "none"):
-            raise ValueError(
-                f"kernel_backend must be one of 'auto', 'numba', 'cc', "
-                f"'python', 'none', got {self.kernel_backend!r}"
-            )
-        # one outer knob steers both seams: a non-default pipeline
-        # kernel_backend flows into the nested game config unless the
-        # game config pinned its own backend explicitly
-        if (
-            self.kernel_backend != "auto"
-            and self.game.kernel_backend == "auto"
-        ):
-            object.__setattr__(
-                self, "game", self.game.with_(kernel_backend=self.kernel_backend)
             )
 
     def with_(self, **kwargs) -> "ClugpConfig":
@@ -280,10 +223,19 @@ class ClugpConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClugpConfig":
-        """Rebuild a config from :meth:`to_dict` output (exact round trip)."""
-        data = dict(data)
+        """Rebuild a config from :meth:`to_dict` output (exact round trip).
+
+        Checkpoints written before the implementation selectors were
+        retired still carry them; those four keys are dropped (every
+        value produced the same arrays, so they were never state).  Any
+        other unknown key raises.
+        """
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         if isinstance(data.get("game"), dict):
-            data["game"] = GameConfig(**data["game"])
+            data["game"] = GameConfig(**{
+                k: v for k, v in data["game"].items() if k not in _RETIRED_GAME_KEYS
+            })
         if isinstance(data.get("reliability"), dict):
             data["reliability"] = ReliabilityConfig(**data["reliability"])
         return cls(**data)
+

@@ -349,31 +349,6 @@ class ClusterGraph:
                 self._sym = (indptr, ucols, merged.astype(np.int64))
         return self._sym
 
-    # ------------------------------------------------------------------ #
-    # dict-shaped compatibility shims
-    # ------------------------------------------------------------------ #
-
-    def out_dict(self, c: int) -> dict[int, int]:
-        """``{neighbor: weight}`` of edges leaving cluster ``c``."""
-        s, e = int(self.indptr[c]), int(self.indptr[c + 1])
-        return dict(zip(self.indices[s:e].tolist(), self.weights[s:e].tolist()))
-
-    def in_dict(self, c: int) -> dict[int, int]:
-        """``{neighbor: weight}`` of edges entering cluster ``c``."""
-        s, e = int(self.in_indptr[c]), int(self.in_indptr[c + 1])
-        return dict(zip(self.in_indices[s:e].tolist(), self.in_weights[s:e].tolist()))
-
-    def undirected_neighbors(self, c: int) -> dict[int, int]:
-        """Symmetrized neighbor weights ``w(c, n) = out + in``.
-
-        Compatibility shim over :meth:`sym` — diagnostic code and the
-        non-vectorized game reference still consume dicts; hot paths slice
-        the CSR arrays directly.
-        """
-        indptr, indices, weights = self.sym()
-        s, e = int(indptr[c]), int(indptr[c + 1])
-        return dict(zip(indices[s:e].tolist(), weights[s:e].tolist()))
-
     def edge_count_check(self, num_stream_edges: int, num_self_loops: int = 0) -> bool:
         """Invariant: internal + inter + self-loops accounts for every edge."""
         return (

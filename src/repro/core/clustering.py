@@ -37,10 +37,13 @@ Chunked ingestion
 -----------------
 :class:`ClusteringState` consumes ``(m, 2)`` int64 edge chunks (the PR-1
 chunk protocol) and produces **bit-identical** results to the per-edge
-reference loop :func:`streaming_clustering`.  The state is held in flat
+oracle :func:`streaming_clustering`.  The state is held in flat
 arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
-buffer, parallel mirror tables); per chunk a conservative vectorized
-classifier separates edges into
+buffer, parallel mirror tables).  When a :mod:`repro.kernels` backend
+resolves, each chunk is one call into the compiled
+allocation/splitting/migration replay over those arrays.  On a host
+with neither numba nor a C compiler the numpy tier runs instead: per
+chunk a conservative vectorized classifier separates edges into
 
 * a *boring* set — both endpoints already clustered and provably unable
   to allocate, split, or migrate anywhere in the chunk — committed as two
@@ -316,13 +319,10 @@ class ClusteringState:
     :func:`streaming_clustering`.  See the module docstring for the
     boring/suspect decomposition; DESIGN.md proves its equivalence.
 
-    ``chunk_impl`` selects the ingestion machinery: ``"jit"`` (default)
-    dispatches whole chunks into a compiled kernel (:mod:`repro.kernels`)
-    over the flat array state, degrading to ``"fast"`` when no backend
-    resolves; ``"fast"`` is the adaptive classifier + list-backed scalar
-    loop; ``"reference"`` sends every edge through the scalar loop (no
-    classifier — the plain sequential oracle).  All three are
-    bit-identical at every chunk size.
+    Whole chunks are dispatched into a compiled kernel
+    (:mod:`repro.kernels`) over the flat array state when a backend
+    resolves; otherwise the adaptive classifier + list-backed scalar
+    loop runs.  Both are bit-identical at every chunk size.
 
     Usage::
 
@@ -344,22 +344,9 @@ class ClusteringState:
         num_vertices: int,
         max_volume: int,
         enable_splitting: bool = True,
-        chunk_impl: str = "jit",
-        kernel_backend: str = "auto",
     ) -> None:
         check_positive_int(max_volume, "max_volume")
-        if chunk_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"chunk_impl must be 'fast', 'reference' or 'jit', got {chunk_impl!r}"
-            )
-        self.chunk_impl = chunk_impl
-        self.kernel_backend = kernel_backend
-        self._run_impl = chunk_impl
-        self._backend = None
-        if chunk_impl == "jit":
-            self._backend = kernels.get_backend(kernel_backend)
-            if self._backend is None:
-                self._run_impl = "fast"  # graceful degradation, same results
+        self._backend = kernels.get_backend()
         self.num_vertices = int(num_vertices)
         self.max_volume = int(max_volume)
         self.enable_splitting = bool(enable_splitting)
@@ -452,13 +439,8 @@ class ClusteringState:
         if m == 0:
             return
         self.edges_ingested += m
-        if self._run_impl == "jit":
-            self._ingest_jit(u, v)
-            return
-        if self._run_impl == "reference":
-            # plain sequential oracle: every edge through the scalar loop
-            self._scalar_loop(u.tolist(), v.tolist())
-            self.edges_suspect += m
+        if self._backend is not None:
+            self._ingest_kernel(u, v)
             return
         probe = self._chunk_index % self._PROBE_EVERY == 0
         self._chunk_index += 1
@@ -483,7 +465,7 @@ class ClusteringState:
                 sv = v[suspect].tolist()
             self._scalar_loop(su, sv)
 
-    def _ingest_jit(self, u: np.ndarray, v: np.ndarray) -> None:
+    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray) -> None:
         """Dispatch one chunk into the compiled allocation/splitting/
         migration kernel over the flat array state.
 
@@ -716,10 +698,10 @@ class ClusteringState:
         the vertex tables, raw cluster volumes, the mirror journal, and
         the operation counters.  Raw ids survive the round trip, so a
         restored state keeps the snapshot-stability invariant the
-        incremental service leans on.  The ingest-machinery settings
-        (``chunk_impl``/``kernel_backend``) are *not* state — all
-        implementations are bit-identical, so :meth:`from_state` may
-        restore onto a different backend than the one that saved.
+        incremental service leans on.  Which tier ingested is *not*
+        state — the tiers are bit-identical, so :meth:`from_state` may
+        restore in a process that resolves a different backend than the
+        one that saved.
         """
         self._to_arrays()
         mirror_v, mirror_c = self._mirror_journal()
@@ -746,13 +728,7 @@ class ClusteringState:
         return arrays, meta
 
     @classmethod
-    def from_state(
-        cls,
-        arrays: dict,
-        meta: dict,
-        chunk_impl: str = "jit",
-        kernel_backend: str = "auto",
-    ) -> "ClusteringState":
+    def from_state(cls, arrays: dict, meta: dict) -> "ClusteringState":
         """Rebuild a live state from :meth:`state_dict` output.
 
         The restored state continues ingestion exactly where the saved
@@ -764,8 +740,6 @@ class ClusteringState:
             int(meta["num_vertices"]),
             int(meta["max_volume"]),
             enable_splitting=bool(meta["enable_splitting"]),
-            chunk_impl=chunk_impl,
-            kernel_backend=kernel_backend,
         )
         state._clu = np.ascontiguousarray(arrays["clu"], dtype=np.int64).copy()
         state._deg = np.ascontiguousarray(arrays["deg"], dtype=np.int64).copy()
@@ -891,17 +865,11 @@ def streaming_clustering_chunked(
     max_volume: int,
     enable_splitting: bool = True,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "jit",
-    kernel_backend: str = "auto",
 ) -> ClusteringResult:
     """Run Algorithm 2 by chunked ingestion; bit-identical to
-    :func:`streaming_clustering` for every chunk size and ``chunk_impl``."""
+    :func:`streaming_clustering` for every chunk size."""
     state = ClusteringState(
-        stream.num_vertices,
-        max_volume,
-        enable_splitting=enable_splitting,
-        chunk_impl=chunk_impl,
-        kernel_backend=kernel_backend,
+        stream.num_vertices, max_volume, enable_splitting=enable_splitting
     )
     for chunk in stream.chunks(chunk_size):
         state.ingest(chunk)

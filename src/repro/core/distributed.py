@@ -387,8 +387,6 @@ class NodeStages:
             self.vertex_partition,
             self.config.num_partitions,
             chunk_size=self.chunk_size,
-            chunk_impl=self.config.chunk_impl,
-            kernel_backend=self.config.kernel_backend,
             **caps,
         )
         return out

@@ -20,27 +20,32 @@ equilibrium quality is bounded by PoA <= k+1 / PoS <= 2 (Theorems 7-8).
 experimental setting); Figure 11(b)'s *relative weight* knob scales the
 load term by ``w / (1 - w)`` on top.
 
-Vectorization and compilation
------------------------------
-Best response evaluates all ``k`` candidate costs of a cluster as one
-vectorized delta against the CSR neighbor slice of the symmetrized
-cluster graph (:meth:`ClusterGraph.sym`).  :meth:`run` additionally keeps
-an incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
-the merged weight from ``c``'s neighbors currently placed in partition
-``p`` — updated per move in O(deg(c)) array ops, so a full round costs
-O(m) small numpy calls instead of O(sum deg) Python iterations.  All
-adjacency weights are integers, so the table path, the on-demand bincount
-path, and the retained per-neighbor reference loop (``vectorized=False``)
-produce bit-identical float costs and therefore identical move sequences.
+Engines and the oracle
+----------------------
+:class:`ClusterPartitioningGame` plays the game in one of two tiers,
+chosen by what :func:`repro.kernels.get_backend` resolves:
 
-``GameConfig.game_impl`` selects the engine: ``"jit"`` (the default),
-which fuses each round into one :mod:`repro.kernels` call — the kernel
-owns the flat adjacency table, loads and assignment, adds the
-decision-preserving epoch skip rule, and maintains the potential in
-O(1) per move instead of recomputing it per round (DESIGN.md §10) —
-``"fast"`` (the numpy rounds above), or ``"reference"`` (per-neighbor
-oracle).  All three engines are bit-identical; ``"jit"`` degrades to
-``"fast"`` when no backend resolves, exactly like ``chunk_impl``.
+* the *kernel tier* (the default wherever numba or a C compiler exists)
+  fuses each round into one :mod:`repro.kernels` call — the kernel owns
+  the flat adjacency table, loads and assignment, adds the
+  decision-preserving epoch skip rule, and maintains the potential in
+  O(1) per move instead of recomputing it per round (DESIGN.md §10);
+* the *numpy tier* (hosts with neither) evaluates all ``k`` candidate
+  costs of a cluster as one vectorized delta against an
+  incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
+  the merged weight from ``c``'s neighbors currently placed in partition
+  ``p`` — updated per move in O(deg(c)) array ops, so a full round costs
+  O(m) small numpy calls instead of O(sum deg) Python iterations.
+
+:func:`best_response_dynamics` is the pass-2 oracle, the counterpart of
+:func:`~repro.core.clustering.streaming_clustering` and
+:func:`~repro.core.transform.transform_partitions`: Algorithm 3 as the
+paper writes it, every cluster rescored every round from the CSR
+neighbor slice of the symmetrized cluster graph
+(:meth:`ClusterGraph.sym`), no table, no skip rule.  All adjacency
+weights are integers, so the three produce bit-identical float costs
+and therefore identical move sequences, round counts and potential
+traces.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
     "compute_lambda_balanced",
     "ClusterPartitioningGame",
     "GameResult",
+    "best_response_dynamics",
     "exhaustive_optimum",
 ]
 
@@ -70,6 +76,11 @@ _IMPROVEMENT_EPS = 1e-9
 #: cap on the m*k adjacency table kept by :meth:`run` (8 bytes per cell);
 #: larger games fall back to per-cluster on-demand bincounts.
 _ADJ_TABLE_MAX_CELLS = 1 << 26
+
+#: float64 holds every integer below this exactly.  The kernel tier's
+#: O(1)-maintained ``sum(loads**2)`` is exact only under it, and
+#: ``sum(loads**2) <= (sum internal)**2`` bounds it before round 1.
+_EXACT_INT_LIMIT = float(2**53)
 
 
 def compute_lambda_max(cluster_graph: ClusterGraph, num_partitions: int) -> float:
@@ -136,12 +147,6 @@ class ClusterPartitioningGame:
         ``k``.
     config:
         Game parameters (lambda mode, relative weight, round cap, seed).
-    vectorized:
-        ``True`` (default) scores best responses against CSR neighbor
-        slices; ``False`` keeps the faithful per-neighbor Python loop as
-        the reference scorer (overriding ``config.game_impl`` to
-        ``"reference"``).  All engines produce bit-identical assignments
-        (integer adjacency sums are exact in either order).
     initial_assignment:
         Optional warm start: a length-``m`` cluster->partition array that
         replaces Algorithm 3's random initialization.  The distributed
@@ -158,22 +163,12 @@ class ClusterPartitioningGame:
         cluster_graph: ClusterGraph,
         num_partitions: int,
         config: GameConfig | None = None,
-        vectorized: bool = True,
         initial_assignment: np.ndarray | None = None,
     ) -> None:
         self.graph = cluster_graph
         self.k = check_positive_int(num_partitions, "num_partitions")
         self.config = config or GameConfig()
-        impl = self.config.game_impl
-        if not vectorized:
-            impl = "reference"  # legacy ctor knob forces the oracle loop
-        self._backend = None
-        if impl == "jit":
-            self._backend = kernels.get_backend(self.config.kernel_backend)
-            if self._backend is None:
-                impl = "fast"  # no backend: same results (kernels warns once per process)
-        self.game_impl = impl
-        self.vectorized = impl != "reference"
+        self._backend = kernels.get_backend()
         m = cluster_graph.num_clusters
         if initial_assignment is None:
             rng = as_rng(self.config.seed)
@@ -203,17 +198,6 @@ class ClusterPartitioningGame:
         self._cut_degree = cluster_graph.cut_degrees().astype(np.float64)
         self._internal_f = cluster_graph.internal.astype(np.float64)
         self._lam_over_k = self._lambda_eff / self.k
-        self._nbrs_cache: list[list[tuple[int, int]]] | None = None
-
-    @property
-    def _nbrs(self) -> list[list[tuple[int, int]]]:
-        """Per-cluster ``(neighbor, weight)`` lists — reference scorer view."""
-        if self._nbrs_cache is None:
-            self._nbrs_cache = [
-                list(self.graph.undirected_neighbors(c).items())
-                for c in range(self.graph.num_clusters)
-            ]
-        return self._nbrs_cache
 
     # ------------------------------------------------------------------ #
     # cost model
@@ -229,19 +213,14 @@ class ClusterPartitioningGame:
 
     def _adjacency_row(self, c: int) -> np.ndarray:
         """Merged neighbor weight of ``c`` into each partition (float64)."""
-        if self.vectorized:
-            s, e = int(self._sym_indptr[c]), int(self._sym_indptr[c + 1])
-            if s == e:
-                return np.zeros(self.k, dtype=np.float64)
-            return np.bincount(
-                self.assignment[self._sym_indices[s:e]],
-                weights=self._sym_weights[s:e],
-                minlength=self.k,
-            )
-        adj = np.zeros(self.k, dtype=np.float64)
-        for nbr, w in self._nbrs[c]:
-            adj[self.assignment[nbr]] += w
-        return adj
+        s, e = int(self._sym_indptr[c]), int(self._sym_indptr[c + 1])
+        if s == e:
+            return np.zeros(self.k, dtype=np.float64)
+        return np.bincount(
+            self.assignment[self._sym_indices[s:e]],
+            weights=self._sym_weights[s:e],
+            minlength=self.k,
+        )
 
     def cost_vector(self, c: int) -> np.ndarray:
         """Individual cost of cluster ``c`` for every partition choice.
@@ -275,7 +254,7 @@ class ClusterPartitioningGame:
         (:func:`repro.core.parallel.parallel_game`) and the vectorized
         :meth:`is_nash_equilibrium` scan: one segmented bincount over
         the batch's CSR slice replaces per-cluster neighbor bincounts.
-        With ``game_impl="jit"`` the rows come from the compiled
+        In the kernel tier the rows come from the compiled
         ``game_cost_rows`` primitive instead — same op sequence, so
         still bit-identical.
         """
@@ -360,7 +339,7 @@ class ClusterPartitioningGame:
     def _build_adj_table(self) -> np.ndarray | None:
         """The ``(m, k)`` merged-adjacency table, or None when too large."""
         m = self.graph.num_clusters
-        if not self.vectorized or m * self.k > _ADJ_TABLE_MAX_CELLS:
+        if m * self.k > _ADJ_TABLE_MAX_CELLS:
             return None
         adj = np.zeros((m, self.k), dtype=np.float64)
         if self._sym_indices.size:
@@ -377,11 +356,12 @@ class ClusterPartitioningGame:
     ) -> GameResult:
         """Iterate best responses until Nash equilibrium (Algorithm 3).
 
-        Uses the incremental adjacency table when it fits: each move
-        updates only the moved cluster's neighbor rows, so rounds are O(m)
-        vectorized cost evaluations plus O(moved degree) table updates.
-        With ``game_impl="jit"`` each round is a single fused kernel call
-        (see :meth:`_run_kernel`); the engines are bit-identical.
+        In the kernel tier each round is a single fused kernel call (see
+        :meth:`_run_kernel`).  The numpy tier uses the incremental
+        adjacency table when it fits: each move updates only the moved
+        cluster's neighbor rows, so rounds are O(m) vectorized cost
+        evaluations plus O(moved degree) table updates.  The tiers are
+        bit-identical.
 
         Parameters
         ----------
@@ -515,8 +495,12 @@ class ClusterPartitioningGame:
           partition cut are updated by each mover's exact delta, and the
           per-round trace entry is priced from them with the same IEEE
           op sequence as :meth:`potential` — bit-identical while all
-          quantities stay integer-valued below ``2**53`` (guarded by an
-          end-of-game recompute parity check).
+          quantities stay integer-valued below ``2**53``.  An instance
+          whose load mass could exceed that (``(sum internal)**2 >=
+          2**53``, from ~95M edges) has its trace priced by
+          :meth:`potential` instead; the maintained value feeds the
+          trace only, never a decision.  An end-of-game recompute
+          parity check stays as the tripwire.
         """
         m = self.graph.num_clusters
         k = self.k
@@ -547,6 +531,7 @@ class ClusterPartitioningGame:
             dtype=np.float64,
         )
         lam_over_2k = self._lambda_eff / (2 * k)
+        exact = float(self.graph.internal.sum()) ** 2 < _EXACT_INT_LIMIT
         trace = [self.potential()]
         move_buf = np.empty(2 * players.shape[0], dtype=np.int64)
         cost_buf = np.empty(k, dtype=np.float64)
@@ -571,7 +556,9 @@ class ClusterPartitioningGame:
                 )
             )
             total_moves += moves
-            trace.append(float(lam_over_2k * phi[0] + 0.5 * phi[1]))
+            trace.append(
+                float(lam_over_2k * phi[0] + 0.5 * phi[1]) if exact else self.potential()
+            )
             if move_log is not None:
                 for i in range(moves):
                     c = int(move_buf[2 * i])
@@ -586,8 +573,7 @@ class ClusterPartitioningGame:
         if abs(maintained - recomputed) > 1e-9 * max(1.0, abs(recomputed)):
             raise RuntimeError(
                 f"incremental potential drifted from the recomputed value: "
-                f"{maintained!r} != {recomputed!r} (load mass likely exceeds "
-                f"2**53 — use game_impl='fast' for such instances)"
+                f"{maintained!r} != {recomputed!r}"
             )
         return GameResult(
             assignment=self.assignment.copy(),
@@ -610,25 +596,13 @@ class ClusterPartitioningGame:
         equilibrium notion of the frontier-restricted game (see
         :meth:`run`).
 
-        Vectorized engines scan blocks of :meth:`batch_cost_matrix` rows
-        (the incremental service pays this check on every quality-gated
-        batch); the reference engine keeps the per-cluster
-        :meth:`cost_vector` loop.  Identical verdicts: the batch rows
+        Scans blocks of :meth:`batch_cost_matrix` rows (the incremental
+        service pays this check on every quality-gated batch).  Same
+        verdict as a per-cluster :meth:`cost_vector` loop: the batch rows
         are bit-identical to the per-cluster costs, and the per-row
         ``min < cost[cur] - eps`` test is the same scalar comparison.
         """
         m = self.graph.num_clusters
-        if not self.vectorized:
-            clusters = (
-                range(m)
-                if active is None
-                else np.flatnonzero(np.asarray(active, dtype=bool)).tolist()
-            )
-            for c in clusters:
-                costs = self.cost_vector(c)
-                if costs.min() < costs[self.assignment[c]] - _IMPROVEMENT_EPS:
-                    return False
-            return True
         mask = None if active is None else np.asarray(active, dtype=bool)
         for start in range(0, m, self._NASH_BLOCK):
             stop = min(start + self._NASH_BLOCK, m)
@@ -643,6 +617,50 @@ class ClusterPartitioningGame:
             if bool(improving.any()):
                 return False
         return True
+
+
+def best_response_dynamics(
+    cluster_graph: ClusterGraph,
+    num_partitions: int,
+    config: GameConfig | None = None,
+    initial_assignment: np.ndarray | None = None,
+) -> GameResult:
+    """Algorithm 3 as the paper writes it — the pass-2 oracle.
+
+    Round-robin over every cluster, every round: each one is rescored
+    from its :meth:`ClusterGraph.sym` neighbor slice
+    (:meth:`ClusterPartitioningGame.best_response`) and moved if it
+    strictly improves; a round with no move ends the game.  No adjacency
+    table, no skip rule, no kernel — what :meth:`ClusterPartitioningGame.
+    run` must reproduce bit for bit, ``move_log`` and
+    ``potential_trace`` included.
+    """
+    game = ClusterPartitioningGame(
+        cluster_graph, num_partitions, config, initial_assignment=initial_assignment
+    )
+    trace = [game.potential()]
+    move_log: list[tuple[int, int, int]] = []
+    rounds = 0
+    converged = False
+    for rounds in range(1, game.config.max_rounds + 1):
+        moved = len(move_log)
+        for c in range(cluster_graph.num_clusters):
+            cur = int(game.assignment[c])
+            if game.best_response(c):
+                move_log.append((c, cur, int(game.assignment[c])))
+        trace.append(game.potential())
+        if len(move_log) == moved:
+            converged = True
+            break
+    return GameResult(
+        assignment=game.assignment.copy(),
+        rounds=rounds,
+        moves=len(move_log),
+        lambda_value=game.lambda_value,
+        potential_trace=trace,
+        converged=converged,
+        move_log=move_log,
+    )
 
 
 def exhaustive_optimum(

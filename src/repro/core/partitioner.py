@@ -27,10 +27,13 @@ consumes each ``(m, 2)`` chunk incrementally while the chunk is also
 buffered (a multi-pass algorithm re-reads the stream; buffering is the
 in-memory stand-in for the re-scan, so the protocol defers every edge and
 flushes the full assignment from ``finish_chunks`` after passes 2-3 run).
-:meth:`partition` drives the same vectorized engines over the whole
-stream; :meth:`partition_per_edge` retains the faithful per-edge loops
-(and the per-neighbor game scorer) as the correctness reference.  All
-three paths produce bit-identical assignments.
+:meth:`partition` drives the same chunk engines over the whole
+stream; :meth:`partition_per_edge` chains the three per-edge oracles
+(:func:`~repro.core.clustering.streaming_clustering`,
+:func:`~repro.core.game.best_response_dynamics`,
+:func:`~repro.core.transform.transform_partitions`) as the correctness
+reference.  All three paths produce bit-identical assignments, whichever
+tier :mod:`repro.kernels` resolves for the engines.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..graph.stream import EdgeStream
 from ..partitioners.base import EdgePartitioner, PartitionAssignment
 from .clustering import ClusteringResult, ClusteringState, streaming_clustering
 from .cluster_graph import ClusterGraph, build_cluster_graph, cluster_graph_from_labels
-from .game import ClusterPartitioningGame, GameResult
+from .game import ClusterPartitioningGame, GameResult, best_response_dynamics
 from .parallel import parallel_game
 from .transform import (
     TransformState,
@@ -349,11 +352,8 @@ class ClugpPartitioner(EdgePartitioner):
     config:
         Full :class:`~repro.config.ClugpConfig`; when omitted, a default
         config with this ``k``/``seed`` is built.  Keyword conveniences
-        (``imbalance_factor``, ``max_cluster_volume``, ``parallel_game``,
-        ``game``, ``chunk_impl``, ``kernel_backend``, ``game_impl``)
-        override single fields; ``game_impl`` reaches into the nested
-        game config, and a non-default ``kernel_backend`` steers the
-        game's backend too (see :class:`~repro.config.ClugpConfig`).
+        (``imbalance_factor``, ``max_cluster_volume``, ``parallel``,
+        ``game``) override single fields.
 
     After :meth:`partition` (or a chunked run) the intermediate products
     of the three passes are exposed as :attr:`last_clustering`,
@@ -378,9 +378,6 @@ class ClugpPartitioner(EdgePartitioner):
         max_cluster_volume: int | None = None,
         parallel: bool | None = None,
         game: GameConfig | None = None,
-        chunk_impl: str | None = None,
-        kernel_backend: str | None = None,
-        game_impl: str | None = None,
     ) -> None:
         super().__init__(num_partitions, seed)
         if config is None:
@@ -394,10 +391,6 @@ class ClugpPartitioner(EdgePartitioner):
             overrides["max_cluster_volume"] = max_cluster_volume
         if parallel is not None:
             overrides["parallel_game"] = parallel
-        if chunk_impl is not None:
-            overrides["chunk_impl"] = chunk_impl
-        if kernel_backend is not None:
-            overrides["kernel_backend"] = kernel_backend
         overrides["enable_splitting"] = self._enable_splitting
         overrides["use_game"] = self._use_game
         if game is not None:
@@ -405,8 +398,6 @@ class ClugpPartitioner(EdgePartitioner):
         config = config.with_(**overrides)
         if config.game.seed != seed:
             config = config.with_(game=config.game.with_(seed=seed))
-        if game_impl is not None and config.game.game_impl != game_impl:
-            config = config.with_(game=config.game.with_(game_impl=game_impl))
         self.config = config
         self.last_clustering: ClusteringResult | None = None
         self.last_cluster_graph: ClusterGraph | None = None
@@ -418,7 +409,7 @@ class ClugpPartitioner(EdgePartitioner):
         self._chunk_stream_meta: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ #
-    # whole-stream ingestion (vectorized engines)
+    # whole-stream ingestion (chunk engines)
     # ------------------------------------------------------------------ #
 
     def partition(self, stream: EdgeStream) -> PartitionAssignment:
@@ -433,8 +424,6 @@ class ClugpPartitioner(EdgePartitioner):
                 stream.num_vertices,
                 vmax,
                 enable_splitting=cfg.enable_splitting,
-                chunk_impl=cfg.chunk_impl,
-                kernel_backend=cfg.kernel_backend,
             )
             for src, dst in stream.batches(max(1, self.default_chunk_size)):
                 state.ingest_pair(src, dst)
@@ -454,8 +443,6 @@ class ClugpPartitioner(EdgePartitioner):
                 num_edges=stream.num_edges,
                 num_vertices=stream.num_vertices,
                 imbalance_factor=cfg.imbalance_factor,
-                chunk_impl=cfg.chunk_impl,
-                kernel_backend=cfg.kernel_backend,
             )
             parts = [
                 transform.ingest_pair(src, dst)
@@ -485,15 +472,14 @@ class ClugpPartitioner(EdgePartitioner):
     # ------------------------------------------------------------------ #
 
     def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
-        """The faithful per-edge pipeline: reference loops for passes 1
-        and 3 and the per-neighbor game scorer for pass 2."""
+        """The faithful per-edge pipeline: the three oracle functions."""
         cfg = self.config
         vmax = cfg.resolve_vmax(stream.num_edges)
         clustering = streaming_clustering(
             stream, vmax, enable_splitting=cfg.enable_splitting
         )
         cluster_graph = build_cluster_graph(stream, clustering)
-        game_result = self._map_clusters(cluster_graph, vectorized=False)
+        game_result = self._map_clusters_per_edge(cluster_graph)
         edge_partition, stats = transform_partitions(
             stream,
             clustering,
@@ -520,8 +506,6 @@ class ClugpPartitioner(EdgePartitioner):
             stream.num_vertices,
             vmax,
             enable_splitting=cfg.enable_splitting,
-            chunk_impl=cfg.chunk_impl,
-            kernel_backend=cfg.kernel_backend,
         )
         self._chunk_buffer = []
         self._chunk_stream_meta = (stream.num_vertices, stream.num_edges)
@@ -560,8 +544,6 @@ class ClugpPartitioner(EdgePartitioner):
             num_edges=buffered.num_edges,
             num_vertices=num_vertices,
             imbalance_factor=cfg.imbalance_factor,
-            chunk_impl=cfg.chunk_impl,
-            kernel_backend=cfg.kernel_backend,
         )
         parts = [
             transform.ingest_pair(src, dst)
@@ -607,8 +589,6 @@ class ClugpPartitioner(EdgePartitioner):
             stream.num_vertices,
             vmax,
             enable_splitting=cfg.enable_splitting,
-            chunk_impl=cfg.chunk_impl,
-            kernel_backend=cfg.kernel_backend,
         )
         size = chunk_size if chunk_size is not None else self.default_chunk_size
         for src, dst in stream.batches(max(1, size)):
@@ -674,17 +654,13 @@ class ClugpPartitioner(EdgePartitioner):
             imbalance_factor=cfg.imbalance_factor,
             load_caps=load_caps,
             chunk_size=size,
-            chunk_impl=cfg.chunk_impl,
-            kernel_backend=cfg.kernel_backend,
         )
         self.last_transform_stats = stats
         return edge_partition
 
     # ------------------------------------------------------------------ #
 
-    def _map_clusters(
-        self, cluster_graph: ClusterGraph, vectorized: bool = True
-    ) -> GameResult:
+    def _map_clusters(self, cluster_graph: ClusterGraph) -> GameResult:
         cfg = self.config
         if not cfg.use_game:
             assignment = greedy_cluster_assignment(cluster_graph, cfg.num_partitions)
@@ -697,10 +673,15 @@ class ClugpPartitioner(EdgePartitioner):
             )
         if cfg.parallel_game:
             return parallel_game(cluster_graph, cfg.num_partitions, cfg.game)
-        game = ClusterPartitioningGame(
-            cluster_graph, cfg.num_partitions, cfg.game, vectorized=vectorized
-        )
-        return game.run()
+        return ClusterPartitioningGame(cluster_graph, cfg.num_partitions, cfg.game).run()
+
+    def _map_clusters_per_edge(self, cluster_graph: ClusterGraph) -> GameResult:
+        """Pass 2 of the per-edge pipeline: the oracle plays wherever
+        :meth:`_map_clusters` would run the sequential game."""
+        cfg = self.config
+        if cfg.use_game and not cfg.parallel_game:
+            return best_response_dynamics(cluster_graph, cfg.num_partitions, cfg.game)
+        return self._map_clusters(cluster_graph)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """O(2|V|) vertex tables + cluster tables (Section VI: CLUGP keeps

@@ -22,7 +22,10 @@ amortized O(k) total because partitions only fill up).
 Chunked ingestion
 -----------------
 :class:`TransformState` consumes ``(m, 2)`` edge chunks and is
-bit-identical to :func:`transform_partitions`.  The rule table
+bit-identical to the per-edge oracle :func:`transform_partitions`.  When
+a :mod:`repro.kernels` backend resolves, each chunk is one call into the
+compiled loop (spill branch included).  On a host with neither numba nor
+a C compiler the numpy tier runs instead: the rule table
 (agreement / mirror / degree) is evaluated for a whole chunk as boolean
 masks over the gathered vertex->partition join; the only sequential part
 of Algorithm 1 is the hard load cap.  Loads only ever grow, so the chunk
@@ -212,8 +215,6 @@ class TransformState:
         vertex_partition: np.ndarray | None = None,
         load_caps: np.ndarray | None = None,
         initial_loads: np.ndarray | None = None,
-        chunk_impl: str = "jit",
-        kernel_backend: str = "auto",
     ) -> None:
         """Build pass-3 state for a stream of ``num_edges`` edges.
 
@@ -251,28 +252,9 @@ class TransformState:
             stream through this state — bit-identical to re-ingesting
             the retained edges first (loads are the only coupling
             between edges on the non-spill path).
-        chunk_impl:
-            ``"jit"`` (default) dispatches whole chunks into a compiled
-            kernel (:mod:`repro.kernels`), degrading to ``"fast"`` when
-            no backend resolves; ``"fast"`` is the vectorized
-            prefix-commit scheme; ``"reference"`` replays every edge
-            through the exact scalar loop.  All three are bit-identical.
-        kernel_backend:
-            Which kernel backend ``"jit"`` resolves.
         """
         k = int(num_partitions)
-        if chunk_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"chunk_impl must be 'fast', 'reference' or 'jit', got {chunk_impl!r}"
-            )
-        self.chunk_impl = chunk_impl
-        self.kernel_backend = kernel_backend
-        self._run_impl = chunk_impl
-        self._backend = None
-        if chunk_impl == "jit":
-            self._backend = kernels.get_backend(kernel_backend)
-            if self._backend is None:
-                self._run_impl = "fast"  # graceful degradation, same results
+        self._backend = kernels.get_backend()
         if (cluster_partition is None) == (vertex_partition is None):
             raise ValueError(
                 "exactly one of cluster_partition and vertex_partition is required"
@@ -340,17 +322,11 @@ class TransformState:
         self.stats = TransformStats(self.load_cap)
         self.loads = seeded
         self.spill_ptr = 0
-        self._vp = vp
-        self._div = clustering.divided
-        self._deg = clustering.degree
-        if self._run_impl == "jit":
-            # kernel-facing views: contiguous uint8 divided flags, int64 rest
-            if self._div.dtype == np.bool_ and self._div.flags.c_contiguous:
-                self._div_u8 = self._div.view(np.uint8)
-            else:
-                self._div_u8 = np.ascontiguousarray(self._div, dtype=np.uint8)
-            self._deg = np.ascontiguousarray(self._deg, dtype=np.int64)
-            self._vp = np.ascontiguousarray(self._vp, dtype=np.int64)
+        # contiguous bool/int64 tables: what the numpy tier gathers from
+        # and (the flags viewed as uint8) what the kernels consume
+        self._vp = np.ascontiguousarray(vp, dtype=np.int64)
+        self._div = np.ascontiguousarray(clustering.divided, dtype=np.bool_)
+        self._deg = np.ascontiguousarray(clustering.degree, dtype=np.int64)
 
     def ingest(self, edges: np.ndarray) -> np.ndarray:
         """Assign one chunk of edges; returns their partition ids."""
@@ -366,8 +342,8 @@ class TransformState:
         m = u.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
-        if self._run_impl == "jit":
-            return self._ingest_jit(u, v)
+        if self._backend is not None:
+            return self._ingest_kernel(u, v)
         k = self.k
         caps = self._caps
         pu = self._vp[u]
@@ -391,23 +367,20 @@ class TransformState:
         rule = np.full(m, 2, dtype=np.int64)
         rule[mirror] = 1
         rule[agree] = 0
-        if self._run_impl == "reference":
-            cut = 0  # plain sequential oracle: scalar loop from edge 0
+        # fast path: no partition can reach its cap anywhere in this chunk
+        projected = self.loads + np.bincount(tentative, minlength=k)
+        candidates = np.flatnonzero(projected >= caps)
+        if candidates.size == 0:
+            cut = m
         else:
-            # fast path: no partition can reach its cap anywhere in this chunk
-            projected = self.loads + np.bincount(tentative, minlength=k)
-            candidates = np.flatnonzero(projected >= caps)
-            if candidates.size == 0:
-                cut = m
-            else:
-                # exact first index where the reference enters the spill branch
-                violated = np.zeros(m, dtype=bool)
-                for p in candidates.tolist():
-                    run = np.zeros(m, dtype=np.int64)
-                    np.cumsum(tentative[:-1] == p, out=run[1:])
-                    run += self.loads[p]
-                    violated |= ((pu == p) | (pv == p)) & (run >= caps[p])
-                cut = int(np.argmax(violated)) if violated.any() else m
+            # exact first index where the reference enters the spill branch
+            violated = np.zeros(m, dtype=bool)
+            for p in candidates.tolist():
+                run = np.zeros(m, dtype=np.int64)
+                np.cumsum(tentative[:-1] == p, out=run[1:])
+                run += self.loads[p]
+                violated |= ((pu == p) | (pv == p)) & (run >= caps[p])
+            cut = int(np.argmax(violated)) if violated.any() else m
         out = np.empty(m, dtype=np.int64)
         if cut:
             out[:cut] = tentative[:cut]
@@ -427,14 +400,14 @@ class TransformState:
             )
         return out
 
-    def _ingest_jit(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Dispatch one chunk into the compiled transform kernel.
 
         The kernel runs the whole reference loop (spill branch included)
         in machine code; the spill pointer and rule counters round-trip
         through a small int64 array.  The externally-mapped ``-1``
         endpoint check is performed by the kernel *before* any state
-        mutation (status 2), matching the fast path's pre-check.
+        mutation (status 2), matching the numpy tier's pre-check.
         """
         m = u.shape[0]
         out = np.empty(m, dtype=np.int64)
@@ -454,7 +427,7 @@ class TransformState:
             np.ascontiguousarray(v),
             self.k,
             self._vp,
-            self._div_u8,
+            self._div.view(np.uint8),
             self._deg,
             self.loads,
             self._caps,
@@ -537,8 +510,6 @@ def replay_transform_chunked(
     imbalance_factor: float = 1.0,
     load_caps: np.ndarray | None = None,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "jit",
-    kernel_backend: str = "auto",
 ) -> tuple[np.ndarray, TransformStats]:
     """Replay pass 3 under an externally supplied vertex->partition map.
 
@@ -558,8 +529,6 @@ def replay_transform_chunked(
         imbalance_factor=imbalance_factor,
         vertex_partition=vertex_partition,
         load_caps=load_caps,
-        chunk_impl=chunk_impl,
-        kernel_backend=kernel_backend,
     )
     parts = [
         state.ingest_pair(src, dst)
@@ -578,11 +547,9 @@ def transform_partitions_chunked(
     num_partitions: int,
     imbalance_factor: float = 1.0,
     chunk_size: int = 1 << 16,
-    chunk_impl: str = "jit",
-    kernel_backend: str = "auto",
 ) -> tuple[np.ndarray, TransformStats]:
     """Run Algorithm 1 by chunked ingestion; bit-identical to
-    :func:`transform_partitions` for every chunk size and ``chunk_impl``."""
+    :func:`transform_partitions` for every chunk size."""
     state = TransformState(
         clustering,
         cluster_partition,
@@ -590,8 +557,6 @@ def transform_partitions_chunked(
         num_edges=stream.num_edges,
         num_vertices=stream.num_vertices,
         imbalance_factor=imbalance_factor,
-        chunk_impl=chunk_impl,
-        kernel_backend=kernel_backend,
     )
     parts = [state.ingest(chunk) for chunk in stream.chunks(chunk_size)]
     if not parts:

@@ -1,40 +1,39 @@
-"""JIT-accelerated scalar decision cores (the default ``"jit"`` backends).
+"""Compiled scalar decision cores, and the one place a tier is chosen.
 
 The chunked partitioners keep three scalar hot loops that DESIGN.md §4.3
 proved cannot be bulk-committed bit-identically: the HDRF decision core,
 the greedy decision core, and CLUGP's pass-1 allocation/splitting/
-migration replay (plus the pass-3 transform tail).  This package holds
-compiled implementations of those loops behind one numpy-level API, so
-``chunk_impl="jit"`` / ``game_impl="jit"`` — the defaults everywhere —
-dispatch whole chunks into machine code while remaining bit-identical
-to the per-edge references.
+migration replay (plus the pass-3 transform tail and the pass-2 game
+round).  This package holds compiled implementations of those loops
+behind one numpy-level API.  Every hot class asks :func:`get_backend`
+once, with no argument, and runs the kernels when it answers with a
+backend and its own numpy tier when it answers None — bit-identical
+either way.  No caller names an implementation.
 
-Backends, in ``"auto"`` resolution order:
+Backends, in resolution order:
 
 * ``"numba"`` — ``@njit`` over :mod:`._pykernels` (needs the ``[jit]``
   extra installed);
 * ``"cc"`` — ``kernels.c`` compiled at first use with the system C
   compiler and bound via ctypes;
 * ``"python"`` — the plain-Python :mod:`._pykernels` functions.  Never
-  selected by ``"auto"`` (it is *slower* than the numpy fast path); it
-  exists so tests can exercise the kernel glue everywhere;
-* ``"none"`` — explicit empty resolution, forcing callers onto their
-  numpy fallback.
+  resolved unasked (it is *slower* than the numpy tier); it exists so
+  tests can exercise the kernel glue everywhere;
+* ``"none"`` — explicit empty resolution: the numpy tier.
 
 Importing this package never hard-fails: with neither numba nor a C
 compiler present, :func:`available` is False, :func:`get_backend`
-returns None, and the ``"jit"`` default degrades to the ``"fast"`` numpy
-path with one warning per process (identical results; an error under
-``CLUGP_KERNEL_REQUIRE=1``).  The ``CLUGP_KERNEL_BACKEND`` environment
-variable overrides the default resolution (same values as
-``kernel_backend``).
+returns None, and the process runs the numpy tier with one warning
+(identical results; an error under ``CLUGP_KERNEL_REQUIRE=1``).  The
+``CLUGP_KERNEL_BACKEND`` environment variable (one of
+:data:`BACKEND_NAMES`) is the one deployment and test override of the
+resolution.
 
 The ``cc`` backend compiles ``kernels.c`` once per machine (~0.5 s, the
-shared object is cached on disk) inside the first default
-``partition()`` / ``ingest`` that needs it.  :func:`warmup` triggers
-that deferred compile (or the numba nopython build) up front and runs
-each kernel once on tiny inputs, so benchmark timing regions never
-include compiler time.
+shared object is cached on disk) when the first hot class is
+constructed.  :func:`warmup` triggers that deferred compile (or the
+numba nopython build) up front and runs each kernel once on tiny
+inputs, so benchmark timing regions never include compiler time.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ ENV_REQUIRE = "CLUGP_KERNEL_REQUIRE"
 
 
 class KernelUnavailableError(RuntimeError):
-    """Raised in strict mode when no compiled kernel backend resolves."""
+    """Raised under ``CLUGP_KERNEL_REQUIRE=1`` when no backend resolves."""
 
 
 def popcount(words: np.ndarray) -> int:
@@ -125,42 +124,42 @@ def _require_enabled() -> bool:
     return os.environ.get(ENV_REQUIRE, "").strip().lower() in {"1", "true", "yes"}
 
 
-def _degraded(requested: str, strict: bool):
-    """Handle a failed resolution: warn once per process, raise when strict."""
+def _degraded(requested: str):
+    """Handle a failed resolution: warn once per process, raise when required."""
     global _warned_degraded
     detail = "; ".join(
         f"{cand}: {_failures.get(cand, 'not attempted')}" for cand in _AUTO_ORDER
     )
-    if strict or _require_enabled():
+    if _require_enabled():
         raise KernelUnavailableError(
             f"kernel backend {requested!r} is unavailable ({detail}) and a "
-            f"compiled backend was required (strict=True or {ENV_REQUIRE}=1)"
+            f"compiled backend was required ({ENV_REQUIRE}=1)"
         )
     if not _warned_degraded:
         _warned_degraded = True
         logger.warning(
             "compiled kernels are the default but no backend resolved "
-            "(tried %s); running the numpy fast path instead — results "
+            "(tried %s); running the numpy tier instead — results "
             "are identical, only slower.  Set %s=1 to make this an error.",
             detail, ENV_REQUIRE,
         )
     return None
 
 
-def get_backend(name: str | None = None, strict: bool = False) -> Any:
-    """Resolve a kernel backend; None means "use the numpy fallback".
+def get_backend(name: str | None = None) -> Any:
+    """Resolve a kernel backend; None means "run the numpy tier".
 
-    ``name`` is one of :data:`BACKEND_NAMES` (None means ``"auto"``).
-    ``"auto"`` honours the ``CLUGP_KERNEL_BACKEND`` environment variable,
-    then tries numba and the C backend in order; ``"python"`` and
-    ``"none"`` are explicit-only.
+    The hot classes call this with no argument: the
+    ``CLUGP_KERNEL_BACKEND`` environment variable is honoured first,
+    then numba and the C backend are tried in order.  ``name`` (one of
+    :data:`BACKEND_NAMES`) asks for one backend outright; ``"python"``
+    and ``"none"`` are only ever resolved by name or by the variable.
 
-    Asking for a backend that is unavailable normally returns None —
-    jit mode degrades gracefully to the numpy path, with a one-time
-    warning naming each backend that failed and why.  With
-    ``strict=True`` (or ``CLUGP_KERNEL_REQUIRE=1`` in the environment)
-    the degradation becomes a :class:`KernelUnavailableError` instead —
-    for deployments where silently losing the compiled kernels would
+    A backend that is unavailable resolves to None — the process runs
+    the numpy tier, with a one-time warning naming each backend that
+    failed and why.  With ``CLUGP_KERNEL_REQUIRE=1`` in the environment
+    that becomes a :class:`KernelUnavailableError` instead — for
+    deployments where silently losing the compiled kernels would
     invalidate a benchmark.  An explicit ``"none"`` is an intentional
     resolution of nothing and never raises.
     """
@@ -177,17 +176,17 @@ def get_backend(name: str | None = None, strict: bool = False) -> Any:
                 raise ValueError(
                     f"CLUGP_KERNEL_BACKEND={env!r} is not one of {BACKEND_NAMES}"
                 )
-            return get_backend(env, strict=strict)
+            return get_backend(env)
         for candidate in _AUTO_ORDER:
             backend = _load(candidate)
             if backend is not None:
                 return backend
-        return _degraded(name, strict)
+        return _degraded(name)
     if name == "none":
         return None
     backend = _load(name)
     if backend is None:
-        return _degraded(name, strict)
+        return _degraded(name)
     return backend
 
 

@@ -16,24 +16,25 @@ consults the global vertex-placement table and all k loads, so the runtime
 grows with k (Figure 7) and the state is O(|V| * k / 8 + k) bytes
 (Figure 6).
 
-Chunked hot path (PR 3)
------------------------
+Chunked hot path
+----------------
 The placement decision is an argmin of near-tied integer loads — provably
 order-chaotic at greedy's balanced-load attractor (DESIGN.md §4), so the
-chunked path keeps the mandatory per-edge decision order but strips it to
-a lean scalar core: vertex partition sets are plain Python int bitmasks,
-cases 1-3 collapse to two word operations (``wu & wv`` else ``wu | wv``)
-followed by a set-bit argmin, and only case 4 touches all k loads (via the
-C-speed ``list.index``/``min`` builtins).  Bit-identical to
-:meth:`_assign`; the previous numpy-per-edge chunk loop is retained as
-``chunk_impl="reference"`` (correctness oracle and benchmark baseline).
+chunked path keeps the mandatory per-edge decision order, in one of two
+tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
-``chunk_impl="jit"`` (PR 7; the default, so what :meth:`partition` runs)
-dispatches each chunk into a compiled kernel (:mod:`repro.kernels`)
-running the same candidate-set argmin over flat load/bitmask-word
-arrays — integer-only state, so bit-identity is by construction
-(DESIGN.md §8).  When no kernel backend is available the run degrades
-to the ``"fast"`` path above.
+* the *kernel tier* (the default wherever numba or a C compiler exists)
+  dispatches each chunk into a compiled kernel running the candidate-set
+  argmin over flat load/bitmask-word arrays — integer-only state, so
+  bit-identity is by construction (DESIGN.md §8);
+* the *numpy tier* (hosts with neither) strips the loop to a lean scalar
+  core: vertex partition sets are plain Python int bitmasks, cases 1-3
+  collapse to two word operations (``wu & wv`` else ``wu | wv``)
+  followed by a set-bit argmin, and only case 4 touches all k loads (via
+  the C-speed ``list.index``/``min`` builtins).
+
+Both tiers are bit-identical to :meth:`_assign`, the per-edge oracle
+behind :meth:`partition_per_edge`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from .._util import BitsetRows
 from ..graph.stream import EdgeStream
 from .base import EdgePartitioner
 
@@ -51,39 +51,20 @@ __all__ = ["GreedyPartitioner"]
 class GreedyPartitioner(EdgePartitioner):
     """PowerGraph coordinated-greedy vertex-cut partitioning.
 
-    Parameters
-    ----------
-    chunk_impl:
-        ``"jit"`` (default) runs the compiled kernel, falling back to
-        ``"fast"`` when no backend resolves (the ``cc`` backend compiles
-        once per machine, ~0.5 s, inside the first run that needs it);
-        ``"fast"`` runs the lean int-bitmask core; ``"reference"`` runs
-        the retained numpy-per-edge chunk loop.  All are bit-identical
-        to :meth:`partition_per_edge`, which is the only path that still
-        places one edge at a time in Python (what the fig-7
-        k-dependence benches time).
-    kernel_backend:
-        Which :mod:`repro.kernels` backend ``"jit"`` resolves
-        (``"auto"``/``"numba"``/``"cc"``/``"python"``/``"none"``).
+    The chunk protocol runs the compiled kernel when a
+    :mod:`repro.kernels` backend resolves (the ``cc`` backend compiles
+    once per machine, ~0.5 s) and the lean int-bitmask core otherwise.
+    Both are bit-identical to :meth:`partition_per_edge`, which is the
+    only path that still places one edge at a time in Python (what the
+    fig-7 k-dependence benches time).
     """
 
     name = "greedy"
     supports_chunks = True
 
-    def __init__(
-        self,
-        num_partitions: int,
-        seed: int = 0,
-        chunk_impl: str = "jit",
-        kernel_backend: str = "auto",
-    ) -> None:
+    def __init__(self, num_partitions: int, seed: int = 0) -> None:
         super().__init__(num_partitions, seed)
-        if chunk_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"chunk_impl must be 'fast', 'reference' or 'jit', got {chunk_impl!r}"
-            )
-        self.chunk_impl = chunk_impl
-        self.kernel_backend = kernel_backend
+        self._backend = kernels.get_backend()
 
     def _assign(self, stream: EdgeStream) -> np.ndarray:
         k = self.num_partitions
@@ -118,18 +99,7 @@ class GreedyPartitioner(EdgePartitioner):
 
     def begin_chunks(self, stream: EdgeStream) -> None:
         k = self.num_partitions
-        self._run_impl = self.chunk_impl
-        if self._run_impl == "jit":
-            self._backend = kernels.get_backend(self.kernel_backend)
-            if self._backend is None:
-                self._run_impl = "fast"  # graceful degradation, same results
-        if self._run_impl == "reference":
-            self._loads = np.zeros(k, dtype=np.int64)
-            # vertex -> partition set as packed uint64 bitset rows, 8x
-            # smaller than a (n, k) boolean table
-            self._placed = BitsetRows(stream.num_vertices, k)
-            return
-        if self._run_impl == "jit":
+        if self._backend is not None:
             self._nw = (k + 63) // 64
             self._loads = np.zeros(k, dtype=np.int64)
             # vertex -> partition set as flat multiword uint64 bitmask
@@ -144,10 +114,8 @@ class GreedyPartitioner(EdgePartitioner):
         self._words = [0] * stream.num_vertices
 
     def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        if self._run_impl == "reference":
-            return self._partition_chunk_reference(edges)
-        if self._run_impl == "jit":
-            return self._partition_chunk_jit(edges)
+        if self._backend is not None:
+            return self._partition_chunk_kernel(edges)
         m = edges.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
@@ -188,8 +156,8 @@ class GreedyPartitioner(EdgePartitioner):
             words[v] = wv | bit
         return np.asarray(out, dtype=np.int64)
 
-    def _partition_chunk_jit(self, edges: np.ndarray) -> np.ndarray:
-        """Compiled-kernel chunk path: the candidate argmin in machine code."""
+    def _partition_chunk_kernel(self, edges: np.ndarray) -> np.ndarray:
+        """Kernel-tier chunk: the candidate argmin in machine code."""
         m = edges.shape[0]
         out = np.empty(m, dtype=np.int64)
         if m == 0:
@@ -205,54 +173,10 @@ class GreedyPartitioner(EdgePartitioner):
         )
         return out
 
-    def _partition_chunk_reference(self, edges: np.ndarray) -> np.ndarray:
-        """Retained numpy-per-edge chunk loop (PR 1).
-
-        k-wide boolean mask operations per edge over the packed bitset
-        table; kept as the readable correctness oracle and as the baseline
-        the lean core's >=5x bench floor is measured against.
-        """
-        loads, placed = self._loads, self._placed
-        rows, unpack = placed.rows, placed.mask
-        place = placed.add
-        sentinel = np.iinfo(np.int64).max
-        out = np.empty(edges.shape[0], dtype=np.int64)
-        u_list = edges[:, 0].tolist()
-        v_list = edges[:, 1].tolist()
-        for i, (u, v) in enumerate(zip(u_list, v_list)):
-            words_u = rows[u]
-            words_v = rows[v]
-            common = words_u & words_v
-            if common.any():
-                candidates = unpack(common)
-            else:
-                has_u = words_u.any()
-                has_v = words_v.any()
-                if has_u and has_v:
-                    candidates = unpack(words_u | words_v)
-                elif has_u:
-                    candidates = unpack(words_u)
-                elif has_v:
-                    candidates = unpack(words_v)
-                else:
-                    candidates = None
-            if candidates is None:
-                p = int(np.argmin(loads))  # argmin ties -> lowest id
-            else:
-                p = int(np.argmin(np.where(candidates, loads, sentinel)))
-            out[i] = p
-            loads[p] += 1
-            place(u, p)
-            place(v, p)
-        return out
-
     def finish_chunks(self) -> np.ndarray:
-        if self._run_impl == "reference":
-            self._replica_entries = self._placed.count()
-        elif self._run_impl == "jit":
+        if self._backend is not None:
             self._replica_entries = kernels.popcount(self._kwords)
         else:
-            self._loads = np.asarray(self._loads_list, dtype=np.int64)
             self._replica_entries = sum(w.bit_count() for w in self._words)
         return np.empty(0, dtype=np.int64)
 

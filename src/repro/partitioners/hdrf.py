@@ -17,34 +17,31 @@ This is the Table I "high quality / high time cost" representative: each
 edge scores all k partitions against a global table, so runtime grows with
 k (Figure 7) and state is the largest of the one-pass set (Figure 6).
 
-Chunked hot path (PR 3)
------------------------
+Chunked hot path
+----------------
 HDRF's recurrence is split into its decision-independent and
-decision-dependent parts:
+decision-dependent parts.  The placement decision itself is provably
+order-chaotic (near-tied balance scores at the balanced-load attractor;
+see DESIGN.md §4), so it stays a sequential scalar core, in one of two
+tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
-* the partial-degree reads — the only per-edge state that does *not*
-  depend on earlier placement decisions — are lifted out of the loop
-  entirely: one radix group-by (:func:`repro._util.occurrence_ranks`)
-  turns a whole chunk's ``d(u)/d(v)``/``theta``/``g`` values into four
-  vectorized array expressions;
-* the placement decision itself is provably order-chaotic (near-tied
-  balance scores at the balanced-load attractor; see DESIGN.md §4) and
-  runs in a lean scalar core: vertex partition sets are plain Python int
-  bitmasks and each edge scores only ``A(u) | A(v)`` plus the least-loaded
-  partition — exact by the candidate-shortcut argument of DESIGN.md §4.2 —
-  instead of all k partitions.
+* the *kernel tier* (the default wherever numba or a C compiler exists)
+  dispatches each chunk into a compiled kernel: the full-k-scan loop in
+  machine code over flat load/degree/bitmask-word arrays, bit-identical
+  to :meth:`_assign` by construction (same IEEE double evaluation order;
+  see DESIGN.md §8);
+* the *numpy tier* (hosts with neither) lifts the partial-degree reads —
+  the only per-edge state that does *not* depend on earlier placement
+  decisions — out of the loop entirely: one radix group-by
+  (:func:`repro._util.occurrence_ranks`) turns a whole chunk's
+  ``d(u)/d(v)``/``theta``/``g`` values into four vectorized array
+  expressions; vertex partition sets are plain Python int bitmasks and
+  each edge scores only ``A(u) | A(v)`` plus the least-loaded partition —
+  exact by the candidate-shortcut argument of DESIGN.md §4.2 — instead
+  of all k partitions.
 
-Both paths are bit-identical to :meth:`_assign`; the previous
-numpy-per-edge chunk loop is retained as ``chunk_impl="reference"`` (the
-correctness oracle and the benchmark baseline the fast core replaces).
-
-``chunk_impl="jit"`` (PR 7; the default, so what :meth:`partition` runs)
-dispatches each chunk into a compiled kernel (:mod:`repro.kernels`): the
-full-k-scan reference loop runs in machine code over flat
-load/degree/bitmask-word arrays, bit-identical to :meth:`_assign` by
-construction (same IEEE double evaluation order; see DESIGN.md §8).
-When no kernel backend is available the run degrades to the ``"fast"``
-path above.
+Both tiers are bit-identical to :meth:`_assign`, the per-edge oracle
+behind :meth:`partition_per_edge`.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from .._util import BitsetRows, occurrence_ranks
+from .._util import occurrence_ranks
 from ..graph.stream import EdgeStream
 from .base import EdgePartitioner
 
@@ -68,18 +65,14 @@ class HDRFPartitioner(EdgePartitioner):
         Balance weight (paper default 1.0; >1 pushes harder for balance).
     epsilon:
         Tie-break constant in the balance term.
-    chunk_impl:
-        ``"jit"`` (default) runs the compiled kernel, falling back to
-        ``"fast"`` when no backend resolves (the ``cc`` backend compiles
-        once per machine, ~0.5 s, inside the first run that needs it);
-        ``"fast"`` runs the vectorized-precompute + lean scalar core;
-        ``"reference"`` runs the retained numpy-per-edge chunk loop.
-        All are bit-identical to :meth:`partition_per_edge`, which is
-        the only path that still scores one edge at a time in Python
-        (what the fig-7 k-dependence benches time).
-    kernel_backend:
-        Which :mod:`repro.kernels` backend ``"jit"`` resolves
-        (``"auto"``/``"numba"``/``"cc"``/``"python"``/``"none"``).
+
+    The chunk protocol runs the compiled kernel when a
+    :mod:`repro.kernels` backend resolves (the ``cc`` backend compiles
+    once per machine, ~0.5 s) and the vectorized-precompute + lean scalar
+    core otherwise.  Both are bit-identical to
+    :meth:`partition_per_edge`, which is the only path that still scores
+    one edge at a time in Python (what the fig-7 k-dependence benches
+    time).
     """
 
     name = "hdrf"
@@ -91,8 +84,6 @@ class HDRFPartitioner(EdgePartitioner):
         seed: int = 0,
         lambda_bal: float = 1.0,
         epsilon: float = 1.0,
-        chunk_impl: str = "jit",
-        kernel_backend: str = "auto",
     ) -> None:
         super().__init__(num_partitions, seed)
         if lambda_bal < 0:
@@ -102,14 +93,9 @@ class HDRFPartitioner(EdgePartitioner):
             # (e.g. the very first edge), so the balance term requires a
             # strictly positive tie-break constant
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        if chunk_impl not in ("fast", "reference", "jit"):
-            raise ValueError(
-                f"chunk_impl must be 'fast', 'reference' or 'jit', got {chunk_impl!r}"
-            )
         self.lambda_bal = float(lambda_bal)
         self.epsilon = float(epsilon)
-        self.chunk_impl = chunk_impl
-        self.kernel_backend = kernel_backend
+        self._backend = kernels.get_backend()
 
     def _assign(self, stream: EdgeStream) -> np.ndarray:
         k = self.num_partitions
@@ -160,22 +146,10 @@ class HDRFPartitioner(EdgePartitioner):
     def begin_chunks(self, stream: EdgeStream) -> None:
         k = self.num_partitions
         self._num_vertices = stream.num_vertices
-        self._run_impl = self.chunk_impl
-        if self._run_impl == "jit":
-            self._backend = kernels.get_backend(self.kernel_backend)
-            if self._backend is None:
-                self._run_impl = "fast"  # graceful degradation, same results
-        if self._run_impl == "reference":
-            self._loads = np.zeros(k, dtype=np.float64)
-            self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
-            # vertex -> partition set as packed uint64 bitset rows, 8x
-            # smaller than a (n, k) boolean table
-            self._placed = BitsetRows(stream.num_vertices, k)
-            return
-        if self._run_impl == "jit":
+        self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
+        if self._backend is not None:
             self._nw = (k + 63) // 64
             self._loads = np.zeros(k, dtype=np.float64)
-            self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
             # vertex -> partition set as flat multiword uint64 bitmask
             # rows, the layout the kernels consume directly
             self._kwords = np.zeros(
@@ -183,17 +157,14 @@ class HDRFPartitioner(EdgePartitioner):
             )
             return
         self._loads_list = [0.0] * k
-        self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
         # vertex -> partition set as one Python int bitmask per vertex:
         # arbitrary k, O(1) union/member tests, no per-edge numpy calls
         self._words = [0] * stream.num_vertices
         self._max_load = 0.0
 
     def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        if self._run_impl == "reference":
-            return self._partition_chunk_reference(edges)
-        if self._run_impl == "jit":
-            return self._partition_chunk_jit(edges)
+        if self._backend is not None:
+            return self._partition_chunk_kernel(edges)
         m = edges.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
@@ -285,8 +256,8 @@ class HDRFPartitioner(EdgePartitioner):
         degree += np.bincount(edges.ravel(), minlength=self._num_vertices)
         return np.asarray(out, dtype=np.int64)
 
-    def _partition_chunk_jit(self, edges: np.ndarray) -> np.ndarray:
-        """Compiled-kernel chunk path: the reference k-scan in machine code."""
+    def _partition_chunk_kernel(self, edges: np.ndarray) -> np.ndarray:
+        """Kernel-tier chunk: the full k-scan loop in machine code."""
         m = edges.shape[0]
         out = np.empty(m, dtype=np.int64)
         if m == 0:
@@ -305,46 +276,10 @@ class HDRFPartitioner(EdgePartitioner):
         )
         return out
 
-    def _partition_chunk_reference(self, edges: np.ndarray) -> np.ndarray:
-        """Retained numpy-per-edge chunk loop (PR 1).
-
-        One vectorized k-wide score computation per edge against the
-        shared state tables; kept as the readable correctness oracle and
-        as the baseline the lean core's >=5x bench floor is measured
-        against.
-        """
-        loads, degree, placed = self._loads, self._degree, self._placed
-        rows, unpack, place = placed.rows, placed.mask, placed.add
-        lam, eps = self.lambda_bal, self.epsilon
-        out = np.empty(edges.shape[0], dtype=np.int64)
-        u_list = edges[:, 0].tolist()
-        v_list = edges[:, 1].tolist()
-        for i, (u, v) in enumerate(zip(u_list, v_list)):
-            degree[u] += 1
-            degree[v] += 1
-            du, dv = int(degree[u]), int(degree[v])
-            theta_u = du / (du + dv)
-            gu = 1.0 + (1.0 - theta_u)
-            gv = 1.0 + theta_u
-            max_load = loads.max()
-            scale = lam / (eps + (max_load - loads.min()))
-            score = scale * (max_load - loads)
-            score[unpack(rows[u])] += gu
-            score[unpack(rows[v])] += gv
-            best = int(np.argmax(score))
-            out[i] = best
-            loads[best] += 1.0
-            place(u, best)
-            place(v, best)
-        return out
-
     def finish_chunks(self) -> np.ndarray:
-        if self._run_impl == "reference":
-            self._replica_entries = self._placed.count()
-        elif self._run_impl == "jit":
+        if self._backend is not None:
             self._replica_entries = kernels.popcount(self._kwords)
         else:
-            self._loads = np.asarray(self._loads_list, dtype=np.float64)
             self._replica_entries = sum(w.bit_count() for w in self._words)
         return np.empty(0, dtype=np.int64)
 

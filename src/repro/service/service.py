@@ -16,11 +16,11 @@ unbounded sequence of edge batches:
   equilibrium (warm-started via raw-cluster-id stability).  Because the
   game is an exact potential game, the restricted dynamics still strictly
   descend the same potential and terminate (see
-  :meth:`~repro.core.game.ClusterPartitioningGame.run`); with
-  ``game.game_impl="jit"`` the frontier-restricted rounds run inside the
-  fused :mod:`repro.kernels` game kernel (the ``active`` player list and
-  the warm-started assignment cross the kernel boundary unchanged, so
-  served partitions stay bit-identical to the numpy engine);
+  :meth:`~repro.core.game.ClusterPartitioningGame.run`); when a
+  :mod:`repro.kernels` backend resolves, the frontier-restricted rounds
+  run inside the fused game kernel (the ``active`` player list and the
+  warm-started assignment cross the kernel boundary unchanged, so
+  served partitions stay bit-identical to the numpy tier);
 * **pass 3 applies deltas** — the refreshed ideal map is diffed against
   the served map into a bounded :class:`~repro.service.plan.
   MigrationPlan`; only edges incident to moved vertices plus the new
@@ -353,12 +353,7 @@ class PartitionService:
                 for key, a in arrays.items()
                 if key.startswith(prefix)
             }
-            self._state = ClusteringState.from_state(
-                state_arrays,
-                meta["state_meta"],
-                chunk_impl=self.config.chunk_impl,
-                kernel_backend=self.config.kernel_backend,
-            )
+            self._state = ClusteringState.from_state(state_arrays, meta["state_meta"])
             stream = self.stream()
             _, self._delta = self._build_graph(stream, self._state.snapshot())
             self._index.extend(stream.src, stream.dst)
@@ -569,8 +564,6 @@ class PartitionService:
                 n,
                 vmax,
                 enable_splitting=cfg.enable_splitting,
-                chunk_impl=cfg.chunk_impl,
-                kernel_backend=cfg.kernel_backend,
             )
         endpoints = sorted_unique(np.concatenate([u, v]))
         prev_raw = state.raw_clusters(endpoints)
@@ -663,8 +656,6 @@ class PartitionService:
                 vertex_partition=vp,
                 load_caps=np.full(k, cap, dtype=np.int64),
                 initial_loads=loads,
-                chunk_impl=cfg.chunk_impl,
-                kernel_backend=cfg.kernel_backend,
             )
             re_parts = transform.ingest_pair(src[affected], dst[affected])
             new_parts = transform.ingest_pair(u, v)

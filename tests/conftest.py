@@ -7,6 +7,9 @@ failure reproduces bit-identically from the printed example.
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,10 @@ try:
 except ImportError:  # pragma: no cover - hypothesis not installed
     pass
 
+from repro import kernels
+from repro.core.clustering import ClusteringState
+from repro.core.game import ClusterPartitioningGame
+from repro.core.transform import TransformState
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     erdos_renyi_graph,
@@ -28,6 +35,54 @@ from repro.graph.generators import (
     web_crawl_graph,
 )
 from repro.graph.stream import EdgeStream
+
+
+def kernel_backend(name: str):
+    """Context manager: every hot class *constructed* inside resolves ``name``.
+
+    The only way left to force a tier — it patches ``CLUGP_KERNEL_BACKEND``
+    (``"auto"`` = the unforced numba-then-cc resolution, whatever the outer
+    environment says).  A context manager rather than a fixture so it also
+    works inside ``@given`` bodies; a ``PersistentRuntime`` resolves at
+    spawn, so enter this before constructing one.
+    """
+    return mock.patch.dict(os.environ, {"CLUGP_KERNEL_BACKEND": name})
+
+
+needs_compiled = pytest.mark.skipif(
+    not kernels.available(), reason="no compiled kernel backend (numba or cc)"
+)
+
+#: the tiers a differential compares, as pytest params: the numpy tier,
+#: the kernel glue in plain Python, and whichever of numba / cc an unset
+#: environment resolves (CI has a leg for each)
+BACKENDS = [
+    pytest.param("none", id="none"),
+    pytest.param("python", id="python"),
+    pytest.param("auto", id="compiled", marks=needs_compiled),
+]
+#: the two that run kernels
+KERNEL_BACKENDS = BACKENDS[1:]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Record the backend every pass-1/2/3 engine resolved (None = numpy tier)."""
+    ran = {"pass1": [], "game": [], "pass3": []}
+
+    def record(cls, key):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            ran[key].append(self._backend)
+
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    record(ClusteringState, "pass1")
+    record(ClusterPartitioningGame, "game")
+    record(TransformState, "pass3")
+    return ran
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
+from conftest import kernel_backend
 
+from repro import kernels
 from repro.cli import build_parser, main
-from repro.config import ClugpConfig, GameConfig
 from repro.graph import io
+from repro.graph.datasets import load_dataset
 from repro.graph.generators import web_crawl_graph
+from repro.graph.stream import EdgeStream
+from repro.partitioners.registry import make_partitioner
 
 
 class TestParser:
@@ -210,122 +216,114 @@ class TestServe:
         assert args.migration_cap is None
 
 
+def _partition_ids(tmp_path, *args):
+    """``clugp partition ... --output``'s written edge->partition ids."""
+    out = tmp_path / "parts.txt"
+    assert main(["partition", "--scale", "0.02", "-k", "4", "--output", str(out), *args]) == 0
+    return np.loadtxt(out, dtype=np.int64)
+
+
+def _out(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _assert_tiers_write_the_same_ids(tmp_path, *args):
+    with kernel_backend("none"):
+        fast = _partition_ids(tmp_path, *args)
+    with kernel_backend("auto"):
+        jit = _partition_ids(tmp_path, *args)
+    assert np.array_equal(fast, jit)
+
+
+def _per_edge_ids(algorithm):
+    """What ``_partition_ids`` should hold, by the per-edge reference."""
+    stream = EdgeStream.from_graph(load_dataset("uk", scale=0.02, seed=0), order="natural")
+    partitioner = make_partitioner(algorithm, 4, seed=0)
+    if partitioner.preferred_order != "natural":
+        stream = stream.reordered(partitioner.preferred_order, seed=0)
+    return partitioner.partition_per_edge(stream).edge_partition
+
+
 class TestChunkImplFlags:
-    """--chunk-impl / --kernel-backend on partition, serve, distribute."""
+    """``--chunk-impl`` / ``--kernel-backend`` are retired: the process picks
+    the tier, ``CLUGP_KERNEL_BACKEND`` forces one, the CLI reports it."""
 
     def test_defaults(self):
         for command in ("partition", "serve", "distribute"):
             args = build_parser().parse_args([command])
-            assert args.chunk_impl == ClugpConfig.chunk_impl == "jit"
-            assert args.kernel_backend == "auto"
+            assert not {"chunk_impl", "kernel_backend", "game_impl"} & set(vars(args))
 
     def test_rejects_unknown_impl(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["partition", "--chunk-impl", "bogus"])
+            build_parser().parse_args(["partition", "--chunk-impl", "jit"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--kernel-backend", "bogus"])
+            build_parser().parse_args(["serve", "--kernel-backend", "cc"])
 
     @pytest.mark.parametrize("algorithm", ["hdrf", "greedy", "clugp"])
-    def test_partition_jit_matches_fast(self, capsys, algorithm):
-        base_args = [
-            "partition", "--scale", "0.03", "-k", "4",
-            "--algorithm", algorithm, "--chunk-size", "512",
-        ]
-        assert main(base_args) == 0
-        fast_out = capsys.readouterr().out
-        assert main(base_args + ["--chunk-impl", "jit"]) == 0
-        jit_out = capsys.readouterr().out
-        # identical quality metrics (all but the timing): bit-identical path
-        strip = lambda out: out.split(" time=")[0]
-        assert strip(fast_out) == strip(jit_out)
+    def test_partition_jit_matches_fast(self, tmp_path, algorithm):
+        _assert_tiers_write_the_same_ids(
+            tmp_path, "--algorithm", algorithm, "--chunk-size", "512"
+        )
 
-    def test_partition_reference_impl(self, capsys):
-        assert main([
-            "partition", "--scale", "0.02", "-k", "4", "--algorithm", "hdrf",
-            "--chunk-size", "256", "--chunk-impl", "reference",
-        ]) == 0
-        assert "replication_factor=" in capsys.readouterr().out
-
-    def test_partition_unsupported_algorithm_friendly_error(self):
-        with pytest.raises(SystemExit, match="not supported"):
-            main([
-                "partition", "--scale", "0.02", "--algorithm", "hashing",
-                "--chunk-impl", "fast",  # any non-default value
-            ])
+    def test_partition_reference_impl(self, tmp_path):
+        # what the CLI writes is what the per-edge reference computes
+        ids = _partition_ids(tmp_path, "--algorithm", "hdrf", "--chunk-size", "256")
+        assert np.array_equal(ids, _per_edge_ids("hdrf"))
 
     def test_serve_accepts_jit(self, capsys):
-        assert main([
-            "serve", "--dataset", "uk", "--scale", "0.05", "-k", "4",
-            "--num-batches", "3", "--chunk-impl", "jit",
-        ]) == 0
-        assert "served" in capsys.readouterr().out
+        with kernel_backend("python"):
+            out = _out(capsys, "serve", "--scale", "0.05", "-k", "4", "--num-batches", "3")
+        assert "served" in out and "kernel_backend=python" in out
 
     def test_distribute_accepts_jit(self, capsys):
-        assert main([
-            "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
-            "--merge-mode", "merged", "--chunk-impl", "jit",
-        ]) == 0
-        assert "RF=" in capsys.readouterr().out
+        with kernel_backend("python"):
+            out = _out(capsys, "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2")
+        assert "RF=" in out and "kernel_backend=python" in out
 
 
 class TestGameImplFlags:
-    """--game-impl on partition, serve, distribute (PR 9)."""
+    """``--game-impl`` is retired with them; pass 2 follows the same tier."""
 
-    def test_defaults(self):
-        for command in ("partition", "serve", "distribute"):
-            args = build_parser().parse_args([command])
-            assert args.game_impl == GameConfig.game_impl == "jit"
+    def test_defaults(self, capsys, monkeypatch):
+        # environment unset: the compiled path wherever one loads; forced:
+        # that tier; and an algorithm with no compiled seam reports none
+        monkeypatch.delenv("CLUGP_KERNEL_BACKEND", raising=False)
+        for algorithm, tier, reported in (
+            ("clugp", "auto", kernels.backend_name()),
+            ("hdrf", "none", None),
+            ("hashing", "python", None),
+        ):
+            with kernel_backend(tier):
+                out = _out(capsys, "partition", "--scale", "0.02", "--algorithm", algorithm)
+            assert out.rstrip().endswith(f"kernel_backend={reported}")
+        assert (kernels.backend_name() is not None) == kernels.available()
 
     def test_rejects_unknown_impl(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["partition", "--game-impl", "bogus"])
+        for command in ("partition", "serve", "distribute"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--game-impl", "jit"])
 
     @pytest.mark.parametrize("algorithm", ["clugp", "clugp-s", "clugp-g"])
-    def test_partition_jit_matches_fast(self, capsys, algorithm):
-        base_args = [
-            "partition", "--scale", "0.03", "-k", "4",
-            "--algorithm", algorithm,
-        ]
-        assert main(base_args) == 0
-        fast_out = capsys.readouterr().out
-        assert main(base_args + ["--game-impl", "jit"]) == 0
-        jit_out = capsys.readouterr().out
-        strip = lambda out: out.split(" time=")[0]
-        assert strip(fast_out) == strip(jit_out)
+    def test_partition_jit_matches_fast(self, tmp_path, algorithm):
+        _assert_tiers_write_the_same_ids(tmp_path, "--algorithm", algorithm)
 
-    def test_partition_reference_impl(self, capsys):
-        assert main([
-            "partition", "--scale", "0.02", "-k", "4", "--algorithm", "clugp",
-            "--game-impl", "reference",
-        ]) == 0
-        assert "replication_factor=" in capsys.readouterr().out
-
-    def test_unsupported_algorithm_friendly_error(self):
-        with pytest.raises(SystemExit, match="not supported"):
-            main([
-                "partition", "--scale", "0.02", "--algorithm", "hashing",
-                "--game-impl", "fast",  # any non-default value
-            ])
-        # chunk-capable but not clugp-family: still a friendly exit
-        with pytest.raises(SystemExit, match="not supported"):
-            main([
-                "partition", "--scale", "0.02", "--algorithm", "hdrf",
-                "--game-impl", "fast",
-            ])
+    def test_partition_reference_impl(self, tmp_path):
+        # clugp's per-edge reference plays pass 2 with best_response_dynamics
+        ids = _partition_ids(tmp_path, "--algorithm", "clugp")
+        assert np.array_equal(ids, _per_edge_ids("clugp"))
 
     def test_serve_accepts_game_jit(self, capsys):
-        assert main([
-            "serve", "--dataset", "uk", "--scale", "0.05", "-k", "4",
-            "--num-batches", "3", "--game-impl", "jit",
-        ]) == 0
-        assert "served" in capsys.readouterr().out
+        out = _out(capsys, "serve", "--scale", "0.05", "-k", "4", "--num-batches", "3", "--json")
+        summary = json.loads(out)["summary"]
+        assert summary["kernel_backend"] == kernels.backend_name()
 
     def test_distribute_accepts_game_jit(self, capsys):
-        assert main([
-            "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
-            "--merge-mode", "merged", "--game-impl", "jit",
-        ]) == 0
-        assert "RF=" in capsys.readouterr().out
+        out = _out(
+            capsys, "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
+            "--backend", "process",
+        )
+        assert "RF=" in out and f"kernel_backend={kernels.backend_name()}" in out
 
 
 class TestReliabilityFlags:

@@ -22,7 +22,7 @@ from repro.core.clustering import (
 )
 from repro.core.cluster_graph import build_cluster_graph
 from repro.core.distributed import distributed_clugp
-from repro.core.game import ClusterPartitioningGame
+from repro.core.game import ClusterPartitioningGame, best_response_dynamics
 from repro.core.transform import (
     TransformState,
     transform_partitions,
@@ -239,12 +239,8 @@ class TestGameVectorization:
         clustering = streaming_clustering(stream, max(1, stream.num_edges // 16))
         cg = build_cluster_graph(stream, clustering)
         for seed in range(3):
-            ref = ClusterPartitioningGame(
-                cg, 8, GameConfig(seed=seed), vectorized=False
-            ).run()
-            vec = ClusterPartitioningGame(
-                cg, 8, GameConfig(seed=seed), vectorized=True
-            ).run()
+            ref = best_response_dynamics(cg, 8, GameConfig(seed=seed))
+            vec = ClusterPartitioningGame(cg, 8, GameConfig(seed=seed)).run()
             assert np.array_equal(ref.assignment, vec.assignment)
             assert (ref.rounds, ref.moves) == (vec.rounds, vec.moves)
             assert ref.potential_trace == vec.potential_trace

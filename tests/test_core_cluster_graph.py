@@ -19,6 +19,28 @@ def clustered_stream(edges, vmax=1000):
     return s, streaming_clustering(s, max_volume=vmax)
 
 
+def csr_row(indptr, indices, weights, c):
+    """Row ``c`` of a CSR triple as ``{column: weight}``."""
+    s, e = int(indptr[c]), int(indptr[c + 1])
+    return dict(zip(indices[s:e].tolist(), weights[s:e].tolist()))
+
+
+def out_row(cg, c):
+    return csr_row(cg.indptr, cg.indices, cg.weights, c)
+
+
+def in_row(cg, c):
+    return csr_row(cg.in_indptr, cg.in_indices, cg.in_weights, c)
+
+
+def assert_sym_is_out_plus_in(cg):
+    for c in range(cg.num_clusters):
+        out, inn = out_row(cg, c), in_row(cg, c)
+        assert csr_row(*cg.sym(), c) == {
+            nbr: out.get(nbr, 0) + inn.get(nbr, 0) for nbr in out.keys() | inn.keys()
+        }
+
+
 class TestBuild:
     def test_intra_cluster_edges_internal(self):
         s, clustering = clustered_stream([(0, 1), (1, 0)])
@@ -45,8 +67,8 @@ class TestBuild:
         )
         cg = build_cluster_graph(s, clustering)
         for c in range(cg.num_clusters):
-            for nbr, w in cg.out_dict(c).items():
-                assert cg.in_dict(nbr)[c] == w
+            for nbr, w in out_row(cg, c).items():
+                assert in_row(cg, nbr)[c] == w
 
     def test_csr_rows_sorted_and_consistent(self):
         s, clustering = clustered_stream(
@@ -64,27 +86,13 @@ class TestBuild:
 
     def test_undirected_neighbors_sums_directions(self):
         s, clustering = clustered_stream([(0, 1), (2, 0), (0, 2)], vmax=2)
-        cg = build_cluster_graph(s, clustering)
-        for c in range(cg.num_clusters):
-            merged = cg.undirected_neighbors(c)
-            for nbr, w in merged.items():
-                expected = cg.out_dict(c).get(nbr, 0) + cg.in_dict(c).get(nbr, 0)
-                assert w == expected
+        assert_sym_is_out_plus_in(build_cluster_graph(s, clustering))
 
     def test_sym_matches_undirected_neighbors(self):
         s, clustering = clustered_stream(
             [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (4, 1)], vmax=6
         )
-        cg = build_cluster_graph(s, clustering)
-        indptr, indices, weights = cg.sym()
-        for c in range(cg.num_clusters):
-            row = dict(
-                zip(
-                    indices[indptr[c] : indptr[c + 1]].tolist(),
-                    weights[indptr[c] : indptr[c + 1]].tolist(),
-                )
-            )
-            assert row == cg.undirected_neighbors(c)
+        assert_sym_is_out_plus_in(build_cluster_graph(s, clustering))
 
     def test_cut_degree(self):
         s, clustering = clustered_stream(
@@ -193,7 +201,7 @@ class TestMerge:
         assert merged.num_clusters == 2
         assert np.array_equal(merged.internal, [2 + 3 + 4, 1])
         assert merged.total_cut() == 5
-        assert merged.out_dict(0) == {1: 5}
+        assert out_row(merged, 0) == {1: 5}
         # total weight is conserved through the fold
         assert (
             merged.total_internal() + merged.total_cut()
@@ -211,8 +219,8 @@ class TestMerge:
         merged = ClusterGraph.merge(
             [a, b], [np.arange(2), np.arange(2)], num_clusters=2
         )
-        assert merged.out_dict(0) == {1: 9}
-        assert merged.out_dict(1) == {0: 3}
+        assert out_row(merged, 0) == {1: 9}
+        assert out_row(merged, 1) == {0: 3}
         assert np.array_equal(merged.internal, [1, 1])
 
     def test_infers_num_clusters(self):

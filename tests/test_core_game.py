@@ -62,9 +62,9 @@ class TestLambda:
         load_term = lam / 4 * np.sum(loads**2)
         cut = 0
         for c in range(cg.num_clusters):
-            for nbr, w in cg.out_dict(c).items():
-                if assignment[nbr] != assignment[c]:
-                    cut += w
+            for j in range(cg.indptr[c], cg.indptr[c + 1]):
+                if assignment[cg.indices[j]] != assignment[c]:
+                    cut += cg.weights[j]
         assert load_term == pytest.approx(cut)
 
     def test_lambda_nonnegative_and_bounded(self):

@@ -8,24 +8,32 @@ registered algorithm, and the same calls with no backend at all
 same arrays.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
+from conftest import kernel_backend, needs_compiled
 
 from repro import kernels
+from repro.bench.harness import clugp_stage_times
+from repro.cli import build_parser
 from repro.config import ClugpConfig, GameConfig
-from repro.core.clustering import ClusteringState
+from repro.core.clustering import ClusteringState, streaming_clustering_chunked
 from repro.core.distributed import distributed_clugp
 from repro.core.game import ClusterPartitioningGame
 from repro.core.partitioner import ClugpPartitioner
-from repro.core.transform import TransformState
+from repro.core.transform import (
+    TransformState,
+    replay_transform_chunked,
+    transform_partitions_chunked,
+)
+from repro.partitioners.greedy import GreedyPartitioner
+from repro.partitioners.hdrf import HDRFPartitioner
 from repro.partitioners.registry import PARTITIONERS, make_partitioner
 from repro.service import PartitionService
 
 K = 4
-
-needs_backend = pytest.mark.skipif(
-    not kernels.available(), reason="no compiled kernel backend (numba or cc)"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -34,30 +42,10 @@ def auto_resolution(monkeypatch):
     monkeypatch.delenv("CLUGP_KERNEL_BACKEND", raising=False)
 
 
-@pytest.fixture
-def spy(monkeypatch):
-    """Record the implementation every pass-1/2/3 engine resolved to."""
-    ran = {"pass1": [], "game": [], "pass3": []}
-
-    def record(cls, key, attr):
-        init = cls.__init__
-
-        def wrapped(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            ran[key].append(getattr(self, attr))
-
-        monkeypatch.setattr(cls, "__init__", wrapped)
-
-    record(ClusteringState, "pass1", "_run_impl")
-    record(ClusterPartitioningGame, "game", "game_impl")
-    record(TransformState, "pass3", "_run_impl")
-    return ran
-
-
-def assert_all(ran, impl):
-    for key, impls in ran.items():
-        assert impls, f"{key} never ran"
-        assert set(impls) == {impl}, (key, impls)
+def assert_all(ran, compiled):
+    for key, backends in ran.items():
+        assert backends, f"{key} never ran"
+        assert {b is not None and b.name in ("numba", "cc") for b in backends} == {compiled}, key
 
 
 def feed_service(stream, batches=4):
@@ -79,35 +67,56 @@ def run_distributed(stream):
 
 
 def test_config_defaults_are_jit():
-    assert ClugpConfig().chunk_impl == "jit"
-    assert GameConfig().game_impl == "jit"
-    assert ClugpConfig().game.game_impl == "jit"
+    # there is no default to read off a config any more: an unset
+    # environment *is* the compiled path wherever one loads
+    assert (kernels.backend_name() in ("numba", "cc")) == kernels.available()
 
 
-@needs_backend
+RETIRED = {"chunk_impl", "game_impl", "kernel_backend", "vectorized"}
+
+
+def test_no_caller_can_name_an_implementation(capsys):
+    """The surface PR 16 removed stays removed: fields, parameters, flags."""
+    for cfg in (ClugpConfig, GameConfig):
+        assert not RETIRED & {f.name for f in dataclasses.fields(cfg)}, cfg
+    for fn in (
+        HDRFPartitioner, GreedyPartitioner, ClusteringState, ClusteringState.from_state,
+        TransformState, ClusterPartitioningGame, ClugpPartitioner,
+        ClugpPartitioner._map_clusters, streaming_clustering_chunked,
+        transform_partitions_chunked, replay_transform_chunked, clugp_stage_times,
+        kernels.get_backend,
+    ):
+        assert not (RETIRED | {"strict"}) & set(inspect.signature(fn).parameters), fn
+    for command in ("partition", "serve", "distribute"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = capsys.readouterr().out.replace("-", "_")
+        assert not [word for word in RETIRED if word in text], command
+
+
+@needs_compiled
 class TestCompiledBackendRuns:
     def test_clugp_partitioner(self, crawl_stream, spy):
         ClugpPartitioner(K).partition(crawl_stream)
-        assert_all(spy, "jit")
+        assert_all(spy, compiled=True)
 
     def test_clugp_chunk_protocol(self, crawl_stream, spy):
         ClugpPartitioner(K).partition_chunked(crawl_stream, chunk_size=999)
-        assert_all(spy, "jit")
+        assert_all(spy, compiled=True)
 
     @pytest.mark.parametrize("name", ["hdrf", "greedy"])
     def test_stateful_baselines(self, crawl_stream, name):
         partitioner = make_partitioner(name, K)
-        assert partitioner.chunk_impl == "jit"
         partitioner.partition(crawl_stream)
-        assert partitioner._run_impl == "jit"
+        assert partitioner._backend.name in ("numba", "cc")
 
     def test_partition_service(self, crawl_stream, spy):
         feed_service(crawl_stream)
-        assert_all(spy, "jit")
+        assert_all(spy, compiled=True)
 
     def test_distributed_workers(self, crawl_stream, spy):
         run_distributed(crawl_stream)
-        assert_all(spy, "jit")
+        assert_all(spy, compiled=True)
 
 
 def test_registry_is_the_thirteen():
@@ -124,28 +133,20 @@ def test_partition_matches_per_edge_oracle(crawl_stream, name):
 class TestNumpyFallbackIdentical:
     """``CLUGP_KERNEL_BACKEND=none``: same calls, same arrays."""
 
-    @pytest.fixture
-    def no_backend(self, monkeypatch):
-        def switch():
-            monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "none")
-            assert kernels.get_backend() is None
-
-        return switch
-
     @pytest.mark.parametrize("name", ["clugp", "clugp-s", "clugp-g", "hdrf", "greedy"])
-    def test_partitioners(self, crawl_stream, no_backend, name):
+    def test_partitioners(self, crawl_stream, name):
         default = make_partitioner(name, K, seed=2).partition(crawl_stream)
-        no_backend()
-        partitioner = make_partitioner(name, K, seed=2)
-        fallback = partitioner.partition(crawl_stream)
-        assert getattr(partitioner, "_run_impl", "fast") == "fast"
+        with kernel_backend("none"):
+            partitioner = make_partitioner(name, K, seed=2)
+            fallback = partitioner.partition(crawl_stream)
+        assert getattr(partitioner, "_backend", None) is None
         assert np.array_equal(default.edge_partition, fallback.edge_partition)
 
-    def test_service_and_distributed(self, crawl_stream, no_backend, spy):
+    def test_service_and_distributed(self, crawl_stream, spy):
         served, distributed = feed_service(crawl_stream), run_distributed(crawl_stream)
         for impls in spy.values():
             impls.clear()
-        no_backend()
-        assert np.array_equal(served, feed_service(crawl_stream))
-        assert np.array_equal(distributed, run_distributed(crawl_stream))
-        assert_all(spy, "fast")
+        with kernel_backend("none"):
+            assert np.array_equal(served, feed_service(crawl_stream))
+            assert np.array_equal(distributed, run_distributed(crawl_stream))
+        assert_all(spy, compiled=False)

@@ -1,4 +1,4 @@
-"""``game_impl="jit"`` must be bit-identical to the numpy game engines.
+"""Both game engines must be bit-identical to the pass-2 oracle.
 
 PR 9 compiles the whole pass-2 best-response round into one
 :mod:`repro.kernels` call (``game_round``) with incremental
@@ -8,13 +8,14 @@ numpy cost row op-for-op, first-minimum argmin, no FMA contraction,
 and every quantity it folds incrementally (adjacency table, loads,
 ``S = sum(loads^2)``, cut) is integer-valued below ``2**53``, so
 "incremental" and "recomputed" are the *same* float64.  This module is
-the enforcement: three-way identity (reference / fast / jit) on
+the enforcement: the kernel tier and the numpy tier (forced through
+``conftest.kernel_backend``) against :func:`best_response_dynamics` on
 assignments, move sequences, round counts and full potential traces
 across seeds and k; warm starts; frontier-restricted active masks; the
 forced-tiny adjacency-table cap (`adj is None` on-demand-row path);
-the maintained-potential == recomputed-potential gate; the vectorized
-Nash check; and the batched cost-row primitive behind
-``parallel_game``.
+the maintained-potential == recomputed-potential gate and its 2**53
+fallback; the vectorized Nash check; and the batched cost-row primitive
+behind ``parallel_game``.
 
 The plain-Python kernel backend tests always run (no compiler
 needed); everything touching a compiled backend is skip-marked
@@ -23,29 +24,22 @@ cleanly, mirroring ``tests/test_kernels.py``.
 
 import numpy as np
 import pytest
+from conftest import KERNEL_BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
-from repro.config import ClugpConfig, GameConfig
+from repro.config import GameConfig
 from repro.core import game as game_mod
-from repro.core.cluster_graph import build_cluster_graph
+from repro.core.cluster_graph import ClusterGraph, build_cluster_graph
 from repro.core.clustering import streaming_clustering
-from repro.core.game import ClusterPartitioningGame
+from repro.core.game import (
+    _IMPROVEMENT_EPS,
+    ClusterPartitioningGame,
+    best_response_dynamics,
+)
 from repro.core.parallel import parallel_game
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-
-needs_compiled = pytest.mark.skipif(
-    not kernels.available(), reason="no compiled kernel backend (numba or cc)"
-)
-
-
-def _identity_backend_params():
-    return [
-        pytest.param("python", id="python"),
-        pytest.param("auto", id="compiled", marks=needs_compiled),
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -56,37 +50,23 @@ def cluster_graph():
     return build_cluster_graph(s, clustering)
 
 
-def _engines(backend):
-    """(label, ctor kwargs) for the three engines under test."""
-    return [
-        ("reference", dict(vectorized=False)),
-        ("fast", dict()),
-        (
-            "jit",
-            dict(
-                config_extra=dict(game_impl="jit", kernel_backend=backend)
-            ),
-        ),
-    ]
+def _make_game(cluster_graph, k, backend, seed=0, initial_assignment=None, config=None):
+    with kernel_backend(backend):
+        return ClusterPartitioningGame(
+            cluster_graph, k, config or GameConfig(seed=seed),
+            initial_assignment=initial_assignment,
+        )
 
 
-def _run_engine(
-    cluster_graph,
-    k,
-    seed,
-    *,
-    vectorized=True,
-    config_extra=None,
-    initial_assignment=None,
-    active=None,
-):
-    cfg = GameConfig(seed=seed, **(config_extra or {}))
-    game = ClusterPartitioningGame(
-        cluster_graph, k, cfg,
-        vectorized=vectorized, initial_assignment=initial_assignment,
+def _run_engine(cluster_graph, k, seed, backend, *, initial_assignment=None, active=None):
+    game = _make_game(cluster_graph, k, backend, seed, initial_assignment)
+    return game, game.run(active=active, record_moves=True)
+
+
+def _oracle(cluster_graph, k, seed, initial_assignment=None):
+    return best_response_dynamics(
+        cluster_graph, k, GameConfig(seed=seed), initial_assignment=initial_assignment
     )
-    result = game.run(active=active, record_moves=True)
-    return game, result
 
 
 def _assert_identical(a, b, label):
@@ -100,98 +80,69 @@ def _assert_identical(a, b, label):
     assert a.potential_trace == b.potential_trace, label
 
 
+def _assert_engines_match_oracle(cluster_graph, k, seed, backend, init=None, label=""):
+    oracle = _oracle(cluster_graph, k, seed, init)
+    for tier in ("none", backend):
+        run = _run_engine(cluster_graph, k, seed, tier, initial_assignment=init)[1]
+        _assert_identical(oracle, run, f"{label} oracle vs {tier}")
+    return oracle
+
+
+def _nash_by_cost_vector(game, active=None):
+    """The per-cluster definition ``is_nash_equilibrium`` must agree with."""
+    clusters = range(game.graph.num_clusters) if active is None else np.flatnonzero(active)
+    return not any(
+        game.cost_vector(c).min() < game.cost_vector(c)[game.assignment[c]] - _IMPROVEMENT_EPS
+        for c in clusters
+    )
+
+
 # --------------------------------------------------------------------- #
-# config plumbing (always runs)
+# no selector left to validate (always runs)
 # --------------------------------------------------------------------- #
 
 
 def test_game_config_validates_impl_fields():
-    with pytest.raises(ValueError, match="game_impl"):
-        GameConfig(game_impl="vectorized")
-    with pytest.raises(ValueError, match="kernel_backend"):
-        GameConfig(kernel_backend="fortran")
-    cfg = GameConfig(game_impl="jit", kernel_backend="python")
-    assert cfg.game_impl == "jit"
-
-
-def test_clugp_config_syncs_kernel_backend_into_game():
-    cfg = ClugpConfig(num_partitions=4, kernel_backend="python")
-    assert cfg.game.kernel_backend == "python"
-    # an explicitly pinned nested backend wins over the outer knob
-    pinned = ClugpConfig(
-        num_partitions=4,
-        kernel_backend="python",
-        game=GameConfig(kernel_backend="none"),
-    )
-    assert pinned.game.kernel_backend == "none"
-    # round-trips through the dict form
-    again = ClugpConfig.from_dict(cfg.to_dict())
-    assert again.game.kernel_backend == "python"
+    for retired in ("game_impl", "kernel_backend"):
+        with pytest.raises(TypeError):
+            GameConfig(**{retired: "jit"})
+    with pytest.raises(TypeError):
+        ClusterPartitioningGame(ClusterGraph.from_dicts(1, [1], [{}], [{}]), 2, vectorized=False)
 
 
 def test_jit_with_no_backend_degrades_to_fast(cluster_graph):
-    _, fast = _run_engine(cluster_graph, 8, seed=0)
-    game, degraded = _run_engine(
-        cluster_graph, 8, seed=0,
-        config_extra=dict(game_impl="jit", kernel_backend="none"),
-    )
-    assert game.game_impl == "fast"  # degraded, not broken
-    _assert_identical(fast, degraded, "jit/none vs fast")
-
-
-def test_legacy_vectorized_false_forces_reference(cluster_graph):
-    game = ClusterPartitioningGame(
-        cluster_graph, 4, GameConfig(seed=0, game_impl="jit",
-                                     kernel_backend="python"),
-        vectorized=False,
-    )
-    assert game.game_impl == "reference"
-    assert game._backend is None
+    game, degraded = _run_engine(cluster_graph, 8, 0, "none")
+    assert game._backend is None  # degraded, not broken
+    _assert_identical(_oracle(cluster_graph, 8, 0), degraded, "oracle vs numpy tier")
 
 
 # --------------------------------------------------------------------- #
-# three-way identity: reference == fast == jit
+# three-way identity: oracle == numpy tier == kernel tier
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("k", [2, 8, 100, 1024])
 def test_three_way_identity_across_k(cluster_graph, k, backend):
     for seed in (0, 1, 2):
-        runs = {
-            label: _run_engine(cluster_graph, k, seed, **kwargs)[1]
-            for label, kwargs in (
-                ("reference", dict(vectorized=False)),
-                ("fast", dict()),
-                ("jit", dict(config_extra=dict(
-                    game_impl="jit", kernel_backend=backend))),
-            )
-        }
-        _assert_identical(runs["reference"], runs["fast"], f"k={k} s={seed}")
-        _assert_identical(runs["fast"], runs["jit"], f"k={k} s={seed}")
+        _assert_engines_match_oracle(cluster_graph, k, seed, backend, label=f"k={k} s={seed}")
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_warm_start_identity(cluster_graph, backend):
     k = 8
     # a mid-descent warm start: random init from a different seed
     rng = np.random.default_rng(42)
     init = rng.integers(0, k, size=cluster_graph.num_clusters).astype(np.int64)
-    _, fast = _run_engine(cluster_graph, k, 0, initial_assignment=init)
-    _, jit = _run_engine(
-        cluster_graph, k, 0, initial_assignment=init,
-        config_extra=dict(game_impl="jit", kernel_backend=backend),
-    )
-    _assert_identical(fast, jit, "warm start")
-    # an equilibrium warm start must be a fixed point of the kernel too
-    _, again = _run_engine(
-        cluster_graph, k, 0, initial_assignment=fast.assignment,
-        config_extra=dict(game_impl="jit", kernel_backend=backend),
+    settled = _assert_engines_match_oracle(cluster_graph, k, 0, backend, init, "warm start")
+    # an equilibrium warm start must be a fixed point of every engine
+    again = _assert_engines_match_oracle(
+        cluster_graph, k, 0, backend, settled.assignment, "equilibrium start"
     )
     assert again.moves == 0 and again.rounds == 1
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_active_mask_identity(cluster_graph, backend):
     k = 8
     m = cluster_graph.num_clusters
@@ -199,11 +150,10 @@ def test_active_mask_identity(cluster_graph, backend):
     init = rng.integers(0, k, size=m).astype(np.int64)
     active = rng.random(m) < 0.4
     game_fast, fast = _run_engine(
-        cluster_graph, k, 0, initial_assignment=init, active=active
+        cluster_graph, k, 0, "none", initial_assignment=init, active=active
     )
     game_jit, jit = _run_engine(
-        cluster_graph, k, 0, initial_assignment=init, active=active,
-        config_extra=dict(game_impl="jit", kernel_backend=backend),
+        cluster_graph, k, 0, backend, initial_assignment=init, active=active
     )
     _assert_identical(fast, jit, "active mask")
     # frozen players really were frozen, and the frontier settled
@@ -213,22 +163,19 @@ def test_active_mask_identity(cluster_graph, backend):
     assert game_fast.is_nash_equilibrium(active=active)
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_empty_and_full_active_masks(cluster_graph, backend):
     k = 4
     m = cluster_graph.num_clusters
-    extra = dict(game_impl="jit", kernel_backend=backend)
     init = np.zeros(m, dtype=np.int64)
     _, noop = _run_engine(
-        cluster_graph, k, 0, initial_assignment=init,
-        active=np.zeros(m, dtype=bool), config_extra=extra,
+        cluster_graph, k, 0, backend,
+        initial_assignment=init, active=np.zeros(m, dtype=bool),
     )
     assert noop.moves == 0
     assert np.array_equal(noop.assignment, init)
-    _, full = _run_engine(
-        cluster_graph, k, 0, active=np.ones(m, dtype=bool), config_extra=extra
-    )
-    _, plain = _run_engine(cluster_graph, k, 0, config_extra=extra)
+    _, full = _run_engine(cluster_graph, k, 0, backend, active=np.ones(m, dtype=bool))
+    _, plain = _run_engine(cluster_graph, k, 0, backend)
     _assert_identical(full, plain, "all-true mask == no mask")
 
 
@@ -237,13 +184,10 @@ def test_empty_and_full_active_masks(cluster_graph, backend):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_maintained_potential_equals_recomputed(cluster_graph, backend):
     for k, seed in ((2, 0), (8, 1), (100, 2)):
-        game, result = _run_engine(
-            cluster_graph, k, seed,
-            config_extra=dict(game_impl="jit", kernel_backend=backend),
-        )
+        game, result = _run_engine(cluster_graph, k, seed, backend)
         # the last trace entry came from the kernel's O(1) maintained
         # (S, C); potential() recomputes from scratch — exact equality,
         # not approx: both are the same IEEE expression on the same
@@ -253,8 +197,36 @@ def test_maintained_potential_equals_recomputed(cluster_graph, backend):
 
 def test_fast_engine_trace_matches_recomputed(cluster_graph):
     # the numpy engine recomputes per round — anchor for the gate above
-    game, result = _run_engine(cluster_graph, 8, 1)
+    game, result = _run_engine(cluster_graph, 8, 1, "none")
     assert result.potential_trace[-1] == game.potential()
+
+
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [2**27, 2**27],
+        # odd sizes: here the O(1)-maintained sum(loads**2) really does
+        # round differently from the recompute (last trace digit)
+        [2**27 + 1, 2**26 + 7, 2**25 + 3, 2**27 + 11],
+    ],
+    ids=["pair", "ring4"],
+)
+def test_load_mass_past_2_53_prices_the_trace_by_recompute(backend, sizes):
+    # (sum internal)**2 >= 2**53: sum(loads**2) may not be an exact
+    # float64 integer, so the kernel tier must stop trusting its
+    # maintained value for the trace — decided from the input, no option
+    m = len(sizes)
+    ring = [{(c + 1) % m: 1} for c in range(m)]
+    graph = ClusterGraph.from_dicts(m, sizes, ring, [{(c - 1) % m: 1} for c in range(m)])
+    config = GameConfig(relative_weight=0.7)  # balance outweighs the cut edges
+    init = np.zeros(m, dtype=np.int64)
+    numpy_run, kernel_run = (
+        _make_game(graph, 2, tier, initial_assignment=init, config=config).run(record_moves=True)
+        for tier in ("none", backend)
+    )
+    _assert_identical(numpy_run, kernel_run, f"internal={sizes}")
+    assert numpy_run.moves >= 1 and numpy_run.converged
 
 
 # --------------------------------------------------------------------- #
@@ -262,30 +234,18 @@ def test_fast_engine_trace_matches_recomputed(cluster_graph):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_tiny_table_cap_unifies_paths(cluster_graph, backend, monkeypatch):
     k = 8
-    with_table = {
-        label: _run_engine(cluster_graph, k, 0, **kwargs)[1]
-        for label, kwargs in (
-            ("fast", dict()),
-            ("jit", dict(config_extra=dict(
-                game_impl="jit", kernel_backend=backend))),
-        )
-    }
+    oracle = _assert_engines_match_oracle(cluster_graph, k, 0, backend, label="table")
     # force every game over the cap: the table no longer fits, both
     # engines rebuild each mover's row on demand from the CSR view
     monkeypatch.setattr(game_mod, "_ADJ_TABLE_MAX_CELLS", 1)
     game = ClusterPartitioningGame(cluster_graph, k, GameConfig(seed=0))
     assert game._build_adj_table() is None  # the cap really engaged
-    no_table_fast = _run_engine(cluster_graph, k, 0)[1]
-    no_table_jit = _run_engine(
-        cluster_graph, k, 0,
-        config_extra=dict(game_impl="jit", kernel_backend=backend),
-    )[1]
-    _assert_identical(with_table["fast"], no_table_fast, "fast: cap")
-    _assert_identical(with_table["jit"], no_table_jit, "jit: cap")
-    _assert_identical(no_table_fast, no_table_jit, "fast == jit at cap")
+    assert _assert_engines_match_oracle(
+        cluster_graph, k, 0, backend, label="no table"
+    ).move_log == oracle.move_log
 
 
 # --------------------------------------------------------------------- #
@@ -293,14 +253,11 @@ def test_tiny_table_cap_unifies_paths(cluster_graph, backend, monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_batch_cost_matrix_kernel_matches_numpy(cluster_graph, backend):
     k = 8
-    numpy_game = ClusterPartitioningGame(cluster_graph, k, GameConfig(seed=3))
-    jit_game = ClusterPartitioningGame(
-        cluster_graph, k,
-        GameConfig(seed=3, game_impl="jit", kernel_backend=backend),
-    )
+    numpy_game = _make_game(cluster_graph, k, "none", seed=3)
+    jit_game = _make_game(cluster_graph, k, backend, seed=3)
     m = cluster_graph.num_clusters
     rng = np.random.default_rng(11)
     assignment = rng.integers(0, k, size=m).astype(np.int64)
@@ -321,20 +278,13 @@ def test_vectorized_nash_check_matches_reference_loop(cluster_graph):
     rng = np.random.default_rng(2)
     for trial in range(3):
         init = rng.integers(0, k, size=m).astype(np.int64)
-        vec = ClusterPartitioningGame(
-            cluster_graph, k, initial_assignment=init
-        )
-        ref = ClusterPartitioningGame(
-            cluster_graph, k, vectorized=False, initial_assignment=init
-        )
-        assert vec.is_nash_equilibrium() == ref.is_nash_equilibrium()
+        game = ClusterPartitioningGame(cluster_graph, k, initial_assignment=init)
+        assert game.is_nash_equilibrium() == _nash_by_cost_vector(game)
         active = rng.random(m) < 0.3
-        assert vec.is_nash_equilibrium(active=active) == ref.is_nash_equilibrium(
-            active=active
-        )
+        assert game.is_nash_equilibrium(active=active) == _nash_by_cost_vector(game, active)
     # after convergence both must agree it *is* an equilibrium
-    game, result = _run_engine(cluster_graph, k, 0)
-    assert result.converged and game.is_nash_equilibrium()
+    game, result = _run_engine(cluster_graph, k, 0, "auto")
+    assert result.converged and game.is_nash_equilibrium() and _nash_by_cost_vector(game)
 
 
 def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
@@ -344,26 +294,20 @@ def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
     rng = np.random.default_rng(4)
     init = rng.integers(0, k, size=m).astype(np.int64)
     game = ClusterPartitioningGame(cluster_graph, k, initial_assignment=init)
-    ref = ClusterPartitioningGame(
-        cluster_graph, k, vectorized=False, initial_assignment=init
-    )
     monkeypatch.setattr(ClusterPartitioningGame, "_NASH_BLOCK", 7)
     active = np.zeros(m, dtype=bool)
     active[m // 2 :] = True  # whole leading blocks all-masked
-    assert game.is_nash_equilibrium() == ref.is_nash_equilibrium()
-    assert game.is_nash_equilibrium(active=active) == ref.is_nash_equilibrium(
-        active=active
-    )
+    assert game.is_nash_equilibrium() == _nash_by_cost_vector(game)
+    assert game.is_nash_equilibrium(active=active) == _nash_by_cost_vector(game, active)
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_parallel_game_jit_matches_fast(cluster_graph, backend):
     k = 8
-    fast = parallel_game(cluster_graph, k, GameConfig(seed=0))
-    jit = parallel_game(
-        cluster_graph, k,
-        GameConfig(seed=0, game_impl="jit", kernel_backend=backend),
-    )
+    with kernel_backend("none"):
+        fast = parallel_game(cluster_graph, k, GameConfig(seed=0))
+    with kernel_backend(backend):
+        jit = parallel_game(cluster_graph, k, GameConfig(seed=0))
     assert np.array_equal(fast.assignment, jit.assignment)
     assert fast.rounds == jit.rounds
     assert fast.moves == jit.moves
@@ -388,14 +332,8 @@ def test_property_three_way_identity(edges, k, seed):
     s = EdgeStream.from_graph(DiGraph.from_edges(edges))
     clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2))
     cg = build_cluster_graph(s, clustering)
-    reference = _run_engine(cg, k, seed, vectorized=False)[1]
-    fast = _run_engine(cg, k, seed)[1]
-    jit_game, jit = _run_engine(
-        cg, k, seed,
-        config_extra=dict(game_impl="jit", kernel_backend="python"),
-    )
-    _assert_identical(reference, fast, "property: reference vs fast")
-    _assert_identical(fast, jit, "property: fast vs jit")
+    _assert_engines_match_oracle(cg, k, seed, "python", label="property")
+    jit_game, jit = _run_engine(cg, k, seed, "python")
     assert jit.potential_trace[-1] == jit_game.potential()
     assert jit_game.is_nash_equilibrium() or not jit.converged
 
@@ -417,12 +355,7 @@ def test_property_active_mask_identity(edges, k, frontier):
     active = np.array([(frontier >> (i % 15)) & 1 == 1 for i in range(m)])
     rng = np.random.default_rng(0)
     init = rng.integers(0, k, size=m).astype(np.int64)
-    fast = _run_engine(
-        cg, k, 0, initial_assignment=init, active=active
-    )[1]
-    jit = _run_engine(
-        cg, k, 0, initial_assignment=init, active=active,
-        config_extra=dict(game_impl="jit", kernel_backend="python"),
-    )[1]
+    fast = _run_engine(cg, k, 0, "none", initial_assignment=init, active=active)[1]
+    jit = _run_engine(cg, k, 0, "python", initial_assignment=init, active=active)[1]
     _assert_identical(fast, jit, "property: active mask")
     assert np.array_equal(jit.assignment[~active], init[~active])

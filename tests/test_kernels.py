@@ -1,15 +1,18 @@
-"""``chunk_impl="jit"`` must be bit-identical to the numpy oracles.
+"""Every tier :mod:`repro.kernels` can resolve is bit-identical to the oracles.
 
-The :mod:`repro.kernels` backends re-implement the three scalar decision
-cores (HDRF, greedy, CLUGP pass-1 replay + pass-3 transform tail) in
-compiled code.  DESIGN.md §8 argues bit-identity holds by construction:
-the kernels transliterate the per-edge reference semantics — same
-operation order, same IEEE doubles for HDRF, integer-only state
-everywhere else.  This module is the enforcement: three-way identity
-(jit == fast == reference) at awkward chunk sizes, a k=100 multiword
-bitmask corner, collision-heavy hypothesis streams, the spill-heavy
-tau=1.0 transform, and the graceful-degradation contract when no
-backend resolves.
+The :mod:`repro.kernels` backends re-implement the scalar decision cores
+(HDRF, greedy, CLUGP pass-1 replay + pass-3 transform tail) in compiled
+code.  DESIGN.md §8 argues bit-identity holds by construction: the
+kernels transliterate the per-edge reference semantics — same operation
+order, same IEEE doubles for HDRF, integer-only state everywhere else.
+This module is the enforcement.  No caller can name an implementation
+any more, so each tier is forced the one way that is left
+(``conftest.kernel_backend``, i.e. ``CLUGP_KERNEL_BACKEND``) and the
+differential runs ``partition()`` ≡ ``partition_chunked()`` ≡
+``partition_per_edge()`` for every registered partitioner at awkward
+chunk sizes, plus a k=100 multiword bitmask corner, collision-heavy
+hypothesis streams, the spill-heavy tau=1.0 transform, and the
+degradation contract when no backend resolves.
 
 The plain-Python backend tests always run (no compiler needed), so the
 kernel glue is exercised even on machines where :func:`kernels.available`
@@ -20,14 +23,12 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend, needs_compiled
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.config import ClugpConfig
-from repro.core.clustering import (
-    streaming_clustering,
-    streaming_clustering_chunked,
-)
+from repro.config import ClugpConfig, GameConfig
+from repro.core.clustering import streaming_clustering, streaming_clustering_chunked
 from repro.core.partitioner import ClugpPartitioner
 from repro.core.transform import (
     TransformState,
@@ -36,11 +37,7 @@ from repro.core.transform import (
 )
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-from repro.partitioners.registry import make_partitioner
-
-needs_compiled = pytest.mark.skipif(
-    not kernels.available(), reason="no compiled kernel backend (numba or cc)"
-)
+from repro.partitioners.registry import PARTITIONERS, make_partitioner
 
 CHUNK_SIZES = [1, 7, 1024, 10**9]  # 10**9 > |E|: one whole-stream chunk
 
@@ -53,9 +50,30 @@ def stream():
     return EdgeStream.from_graph(graph, order="random", seed=3)
 
 
-def _parts(name, stream, k, chunk_size, **kwargs):
-    p = make_partitioner(name, k, seed=1, **kwargs)
+def _make(name, k, backend, **kwargs):
+    with kernel_backend(backend):
+        return make_partitioner(name, k, seed=1, **kwargs)
+
+
+def _parts(name, stream, k, chunk_size, backend, **kwargs):
+    p = _make(name, k, backend, **kwargs)
     return p.partition_chunked(stream, chunk_size=chunk_size).edge_partition
+
+
+_whole_stream = {}
+
+
+def _oracle(name, stream, k, backend=None):
+    """``partition_per_edge()`` of ``name`` — or, given a tier, its
+    ``partition()`` there.  Neither takes a chunk size: memoized."""
+    key = (name, id(stream), k, backend)
+    if key not in _whole_stream:
+        if backend is None:
+            run = make_partitioner(name, k, seed=1).partition_per_edge(stream)
+        else:
+            run = _make(name, k, backend).partition(stream)
+        _whole_stream[key] = run.edge_partition
+    return _whole_stream[key]
 
 
 # --------------------------------------------------------------------- #
@@ -88,12 +106,12 @@ def test_python_backend_always_available():
 
 def test_env_override_respected(monkeypatch):
     monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "none")
-    assert kernels.get_backend("auto") is None
+    assert kernels.get_backend() is None
     monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "python")
     assert kernels.backend_name() == "python"
     monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "cobol")
     with pytest.raises(ValueError, match="CLUGP_KERNEL_BACKEND"):
-        kernels.get_backend("auto")
+        kernels.get_backend()
 
 
 def test_warmup_is_idempotent():
@@ -115,94 +133,91 @@ def test_popcount_matches_python_bit_count():
 
 
 def test_config_validates_kernel_fields():
-    with pytest.raises(ValueError, match="chunk_impl"):
-        ClugpConfig(chunk_impl="vectorized")
-    with pytest.raises(ValueError, match="kernel_backend"):
-        ClugpConfig(kernel_backend="fortran")
-    cfg = ClugpConfig(chunk_impl="jit", kernel_backend="cc")
-    assert cfg.chunk_impl == "jit"
+    # the selectors are not fields any more, but checkpoints written
+    # before PR 16 carry them: from_dict drops exactly those four keys
+    # and still rejects any other unknown one
+    old = ClugpConfig(num_partitions=4, game=GameConfig(seed=3)).to_dict()
+    old.update(chunk_impl="fast", kernel_backend="cc")
+    old["game"].update(game_impl="reference", kernel_backend="none")
+    assert ClugpConfig.from_dict(old) == ClugpConfig(
+        num_partitions=4, game=GameConfig(seed=3)
+    )
+    with pytest.raises(TypeError):
+        ClugpConfig.from_dict({**old, "vectorized": True})
+    with pytest.raises(TypeError):
+        ClugpConfig.from_dict({**old, "game": {**old["game"], "chunk_impl": "jit"}})
 
 
 # --------------------------------------------------------------------- #
-# graceful degradation (always runs)
+# degradation to the numpy tier (always runs)
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("name", ["hdrf", "greedy"])
 def test_jit_with_no_backend_degrades_to_fast(name, stream):
-    fast = _parts(name, stream, 8, 997)
-    degraded = _parts(
-        name, stream, 8, 997, chunk_impl="jit", kernel_backend="none"
-    )
-    assert np.array_equal(fast, degraded)
+    degraded = _make(name, 8, "none")
+    assert degraded._backend is None
+    parts = degraded.partition_chunked(stream, chunk_size=997).edge_partition
+    assert np.array_equal(parts, _parts(name, stream, 8, 997, "auto"))
 
 
 def test_clugp_jit_with_no_backend_degrades_to_fast(stream):
-    fast = _parts("clugp", stream, 8, 997)
-    degraded = _parts(
-        "clugp", stream, 8, 997, chunk_impl="jit", kernel_backend="none"
-    )
-    assert np.array_equal(fast, degraded)
+    degraded = _parts("clugp", stream, 8, 997, "none")
+    assert np.array_equal(degraded, _parts("clugp", stream, 8, 997, "auto"))
 
 
 # --------------------------------------------------------------------- #
-# three-way bit-identity: jit == fast == reference
+# the differential: partition() == partition_chunked() == per-edge oracle,
+# for every registered partitioner, chunk size and loadable tier
 # --------------------------------------------------------------------- #
 
 
-def _identity_backend_params():
-    params = [pytest.param("python", id="python")]
-    params.append(
-        pytest.param("auto", id="compiled", marks=needs_compiled)
-    )
-    return params
-
-
-@pytest.mark.parametrize("backend", _identity_backend_params())
-@pytest.mark.parametrize("name", ["hdrf", "greedy"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(PARTITIONERS))
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_streaming_three_way_identity(name, chunk_size, backend, stream):
-    reference = _parts(name, stream, 8, chunk_size, chunk_impl="reference")
-    fast = _parts(name, stream, 8, chunk_size)
-    jit = _parts(
-        name, stream, 8, chunk_size, chunk_impl="jit", kernel_backend=backend
-    )
-    assert np.array_equal(reference, fast)
-    assert np.array_equal(fast, jit)
+    oracle = _oracle(name, stream, 8)
+    assert np.array_equal(oracle, _parts(name, stream, 8, chunk_size, backend))
+    assert np.array_equal(oracle, _oracle(name, stream, 8, backend))
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_clugp_end_to_end_identity(chunk_size, backend, stream):
-    fast = _parts("clugp", stream, 8, chunk_size)
-    jit = _parts(
-        "clugp", stream, 8, chunk_size, chunk_impl="jit", kernel_backend=backend
+    # not just the final array: every pass's product matches the oracle's
+    oracle = make_partitioner("clugp", 8, seed=1)
+    oracle.partition_per_edge(stream)
+    engine = _make("clugp", 8, backend)
+    engine.partition_chunked(stream, chunk_size=chunk_size)
+    assert np.array_equal(
+        oracle.last_clustering.cluster_of, engine.last_clustering.cluster_of
     )
-    assert np.array_equal(fast, jit)
+    for field in ("assignment", "rounds", "moves", "potential_trace"):
+        a = getattr(oracle.last_game_result, field)
+        assert np.array_equal(a, getattr(engine.last_game_result, field)), field
+    for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
+        assert getattr(oracle.last_transform_stats, field) == getattr(
+            engine.last_transform_stats, field
+        )
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("name", ["hdrf", "greedy"])
 def test_multiword_bitmask_k100(name, backend, stream):
     # k=100 needs two uint64 words per vertex row — the multiword corner
-    reference = _parts(name, stream, 100, 1024, chunk_impl="reference")
-    jit = _parts(
-        name, stream, 100, 1024, chunk_impl="jit", kernel_backend=backend
-    )
-    assert np.array_equal(reference, jit)
+    jit = _parts(name, stream, 100, 1024, backend)
+    assert np.array_equal(_oracle(name, stream, 100), jit)
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_replica_accounting_matches(backend, stream):
-    # finish_chunks must report the same replica table size in every mode
+    # finish_chunks must report the replica table size the oracle counts
     for name in ("hdrf", "greedy"):
-        fast = make_partitioner(name, 8, seed=1)
-        fast.partition_chunked(stream, chunk_size=1024)
-        jit = make_partitioner(
-            name, 8, seed=1, chunk_impl="jit", kernel_backend=backend
-        )
+        oracle = make_partitioner(name, 8, seed=1)
+        oracle.partition_per_edge(stream)
+        jit = _make(name, 8, backend)
         jit.partition_chunked(stream, chunk_size=1024)
-        assert fast._replica_entries == jit._replica_entries
+        assert oracle._replica_entries == jit._replica_entries
 
 
 # --------------------------------------------------------------------- #
@@ -210,21 +225,17 @@ def test_replica_accounting_matches(backend, stream):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("enable_splitting", [True, False])
 def test_clustering_state_identity(backend, enable_splitting, stream):
     vmax = max(1, stream.num_edges // 8)
     oracle = streaming_clustering(
         stream, vmax, enable_splitting=enable_splitting
     )
-    jit = streaming_clustering_chunked(
-        stream,
-        vmax,
-        enable_splitting=enable_splitting,
-        chunk_size=611,
-        chunk_impl="jit",
-        kernel_backend=backend,
-    )
+    with kernel_backend(backend):
+        jit = streaming_clustering_chunked(
+            stream, vmax, enable_splitting=enable_splitting, chunk_size=611
+        )
     assert np.array_equal(oracle.cluster_of, jit.cluster_of)
     assert np.array_equal(oracle.volume, jit.volume)
     assert oracle.mirror_clusters == jit.mirror_clusters
@@ -233,13 +244,12 @@ def test_clustering_state_identity(backend, enable_splitting, stream):
     )
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_clustering_tiny_vmax_splitting_storm(backend, stream):
     # vmax=5 forces constant splitting/migration — the worst-case replay
     oracle = streaming_clustering(stream, 5)
-    jit = streaming_clustering_chunked(
-        stream, 5, chunk_size=13, chunk_impl="jit", kernel_backend=backend
-    )
+    with kernel_backend(backend):
+        jit = streaming_clustering_chunked(stream, 5, chunk_size=13)
     assert np.array_equal(oracle.cluster_of, jit.cluster_of)
     assert oracle.splits == jit.splits
 
@@ -257,72 +267,62 @@ def _clustered(stream, k):
     return clustering, cluster_partition.astype(np.int64)
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 @pytest.mark.parametrize("tau", [1.0, 1.05])
 def test_transform_identity_including_spills(backend, tau, stream):
     # tau=1.0 binds the cap tightly -> heavy balance-spill traffic
     k = 8
     clustering, cluster_partition = _clustered(stream, k)
-    oracle, stats_fast = transform_partitions_chunked(
-        stream, clustering, cluster_partition, k,
-        imbalance_factor=tau, chunk_size=389,
-    )
-    jit, stats_jit = transform_partitions_chunked(
-        stream, clustering, cluster_partition, k,
-        imbalance_factor=tau, chunk_size=389,
-        chunk_impl="jit", kernel_backend=backend,
-    )
-    assert np.array_equal(oracle, jit)
-    for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
-        assert getattr(stats_fast, field) == getattr(stats_jit, field)
-    reference, _ = transform_partitions(
+    oracle, stats_oracle = transform_partitions(
         stream, clustering, cluster_partition, k, imbalance_factor=tau
     )
-    assert np.array_equal(reference, jit)
+    with kernel_backend(backend):
+        jit, stats_jit = transform_partitions_chunked(
+            stream, clustering, cluster_partition, k,
+            imbalance_factor=tau, chunk_size=389,
+        )
+    assert np.array_equal(oracle, jit)
+    for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
+        assert getattr(stats_oracle, field) == getattr(stats_jit, field)
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
 def test_transform_rejects_unmapped_vertex(backend, stream):
-    # a -1 vertex_partition entry must raise in jit mode exactly as in fast
+    # a -1 vertex_partition entry must raise in the kernel tier as in numpy
     k = 4
     clustering, cluster_partition = _clustered(stream, k)
     vp = cluster_partition[clustering.cluster_of]
     vp[int(stream.src[0])] = -1
-    state = TransformState(
-        clustering, None, k,
-        num_edges=stream.num_edges,
-        num_vertices=stream.num_vertices,
-        vertex_partition=vp,
-        chunk_impl="jit",
-        kernel_backend=backend,
-    )
+    with kernel_backend(backend):
+        state = TransformState(
+            clustering, None, k,
+            num_edges=stream.num_edges,
+            num_vertices=stream.num_vertices,
+            vertex_partition=vp,
+        )
     with pytest.raises(ValueError, match="does not cover"):
         state.ingest_pair(stream.src, stream.dst)
 
 
 # --------------------------------------------------------------------- #
-# full pipeline + config threading
+# full pipeline: the override reaches every seam
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", _identity_backend_params())
-def test_clugp_partitioner_config_threads_jit(backend, stream):
-    cfg = ClugpConfig(
-        num_partitions=8, chunk_impl="jit", kernel_backend=backend
-    )
-    base = ClugpPartitioner(8, seed=1).partition_chunked(
-        stream, chunk_size=1024
-    )
-    jit = ClugpPartitioner(8, seed=1, config=cfg).partition_chunked(
-        stream, chunk_size=1024
-    )
-    assert np.array_equal(base.edge_partition, jit.edge_partition)
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+def test_clugp_partitioner_config_threads_jit(backend, stream, spy):
+    with kernel_backend(backend):
+        expected = kernels.get_backend()
+        partitioner = ClugpPartitioner(8, seed=1, config=ClugpConfig(num_partitions=8))
+        partitioner.partition_chunked(stream, chunk_size=1024)
+    assert list(spy.values()) == [[expected]] * 3
 
 
 def test_clugp_partitioner_ctor_overrides():
-    p = ClugpPartitioner(8, chunk_impl="jit", kernel_backend="none")
-    assert p.config.chunk_impl == "jit"
-    assert p.config.kernel_backend == "none"
+    # the three implementation overrides are gone; the rest still land
+    p = ClugpPartitioner(8, imbalance_factor=1.2, parallel=True, game=GameConfig(seed=9))
+    assert p.config.imbalance_factor == 1.2 and p.config.parallel_game
+    assert p.config.game.max_rounds == GameConfig().max_rounds
 
 
 # --------------------------------------------------------------------- #
@@ -342,18 +342,18 @@ def _tiny_stream(pairs):
     return EdgeStream(src, dst, 5)
 
 
-@given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
-@settings(max_examples=40, deadline=None)
-def test_hypothesis_streaming_identity_python_backend(pairs, chunk_size):
+def _assert_streaming_identity(pairs, chunk_size, backend):
     # 5 vertices x up to 120 edges: every edge collides with prior state
     tiny = _tiny_stream(pairs)
     for name in ("hdrf", "greedy"):
-        fast = _parts(name, tiny, 3, chunk_size)
-        jit = _parts(
-            name, tiny, 3, chunk_size,
-            chunk_impl="jit", kernel_backend="python",
-        )
-        assert np.array_equal(fast, jit)
+        numpy_tier = _parts(name, tiny, 3, chunk_size, "none")
+        assert np.array_equal(numpy_tier, _parts(name, tiny, 3, chunk_size, backend))
+
+
+@given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
+@settings(max_examples=40, deadline=None)
+def test_hypothesis_streaming_identity_python_backend(pairs, chunk_size):
+    _assert_streaming_identity(pairs, chunk_size, "python")
 
 
 @given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
@@ -361,10 +361,8 @@ def test_hypothesis_streaming_identity_python_backend(pairs, chunk_size):
 def test_hypothesis_clustering_identity_python_backend(pairs, chunk_size):
     tiny = _tiny_stream(pairs)
     oracle = streaming_clustering(tiny, 3)
-    jit = streaming_clustering_chunked(
-        tiny, 3, chunk_size=chunk_size,
-        chunk_impl="jit", kernel_backend="python",
-    )
+    with kernel_backend("python"):
+        jit = streaming_clustering_chunked(tiny, 3, chunk_size=chunk_size)
     assert np.array_equal(oracle.cluster_of, jit.cluster_of)
     assert oracle.mirror_clusters == jit.mirror_clusters
 
@@ -373,15 +371,11 @@ def test_hypothesis_clustering_identity_python_backend(pairs, chunk_size):
 @given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_streaming_identity_compiled_backend(pairs, chunk_size):
-    tiny = _tiny_stream(pairs)
-    for name in ("hdrf", "greedy"):
-        fast = _parts(name, tiny, 3, chunk_size)
-        jit = _parts(name, tiny, 3, chunk_size, chunk_impl="jit")
-        assert np.array_equal(fast, jit)
+    _assert_streaming_identity(pairs, chunk_size, "auto")
 
 
 class TestDegradationReporting:
-    """PR-8: failed backend resolution warns once, or raises in strict mode."""
+    """PR-8: failed backend resolution warns once, or raises when required."""
 
     @pytest.fixture
     def broken_kernels(self, monkeypatch):
@@ -405,28 +399,29 @@ class TestDegradationReporting:
         assert len(warnings) == 1
         message = warnings[0].getMessage()
         assert "numba" in message and "cc" in message
-        assert "numpy fast path" in message
+        assert "numpy tier" in message
 
-    def test_strict_raises_kernel_unavailable(self, broken_kernels):
-        with pytest.raises(kernels.KernelUnavailableError, match="numba"):
-            broken_kernels.get_backend("auto", strict=True)
-
-    def test_env_require_raises(self, broken_kernels, monkeypatch):
+    @pytest.fixture
+    def strict(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_REQUIRE, "1")
+
+    def test_strict_raises_kernel_unavailable(self, broken_kernels, strict):
+        with pytest.raises(kernels.KernelUnavailableError, match="numba"):
+            broken_kernels.get_backend("auto")
+
+    def test_env_require_raises(self, broken_kernels, strict):
         with pytest.raises(kernels.KernelUnavailableError):
             broken_kernels.get_backend("auto")
 
-    def test_concrete_backend_failure_raises_in_strict(self, broken_kernels):
+    def test_concrete_backend_failure_raises_in_strict(self, broken_kernels, strict):
         with pytest.raises(kernels.KernelUnavailableError):
-            broken_kernels.get_backend("numba", strict=True)
+            broken_kernels.get_backend("numba")
 
-    def test_explicit_none_never_raises(self, broken_kernels, monkeypatch):
-        assert broken_kernels.get_backend("none", strict=True) is None
-        monkeypatch.setenv(kernels.ENV_REQUIRE, "1")
+    def test_explicit_none_never_raises(self, broken_kernels, strict):
         assert broken_kernels.get_backend("none") is None
 
-    def test_python_backend_unaffected_by_strict(self, broken_kernels):
-        backend = broken_kernels.get_backend("python", strict=True)
+    def test_python_backend_unaffected_by_strict(self, broken_kernels, strict):
+        backend = broken_kernels.get_backend("python")
         assert backend is not None and backend.name == "python"
 
     def test_available_backend_short_circuits_warning(self, monkeypatch, caplog):

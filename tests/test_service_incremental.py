@@ -16,13 +16,14 @@ feeds below are checked against it after *every* batch:
 Also pinned: no ``build_cluster_graph`` / ``EdgeStream`` on the hot path
 after batch 0, a failed batch leaves the service untouched (I5 included),
 ``resume()`` rebuilds the derived state, ``phase_seconds`` add up, and
-the array journal round-trips for every ``chunk_impl``.
+the array journal round-trips on every tier.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ClugpConfig, GameConfig
@@ -35,6 +36,7 @@ from repro.core.partitioner import ClugpPartitioner
 from repro.core.transform import TransformState
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
+from repro.reliability.checkpoint import read_checkpoint, write_checkpoint
 from repro.service import BatchStats, PartitionService, plan_migrations
 from repro.service import service as service_mod
 from repro.service.index import EndpointIndex
@@ -88,8 +90,7 @@ class RebuildOracle:
         if first:
             vmax = cfg.resolve_vmax(self.expected_edges or m_batch)
             self.state = ClusteringState(
-                n, vmax, enable_splitting=cfg.enable_splitting,
-                chunk_impl=cfg.chunk_impl, kernel_backend=cfg.kernel_backend,
+                n, vmax, enable_splitting=cfg.enable_splitting
             )
         state = self.state
         endpoints = np.unique(np.concatenate([u, v]))
@@ -149,7 +150,6 @@ class RebuildOracle:
             snap, None, k, num_edges=int(affected.size) + m_batch, num_vertices=n,
             imbalance_factor=cfg.imbalance_factor, vertex_partition=self.vp,
             load_caps=caps, initial_loads=loads,
-            chunk_impl=cfg.chunk_impl, kernel_backend=cfg.kernel_backend,
         )
         churn = 0
         self.edge_part = np.concatenate([self.edge_part, np.empty(m_batch, dtype=np.int64)])
@@ -266,23 +266,36 @@ def feeds(draw):
     )
 
 
+#: ``conftest.kernel_backend`` names under the ids this module has always
+#: used: compiled kernels, numpy tier, and ``_pykernels`` — the kernels'
+#: own plain-Python reference, which numba jits and ``kernels.c`` follows
+TIERS = {"jit": "auto", "fast": "none", "reference": "python"}
+
+
+@pytest.fixture
+def tier(request):
+    with kernel_backend(TIERS[request.param]):
+        yield
+
+
 @settings(max_examples=60)
-@given(feed=feeds(), chunk_impl=st.sampled_from(["jit", "fast"]))
-def test_every_batch_matches_the_rebuild_oracle(feed, chunk_impl):
+@given(feed=feeds(), tier=st.sampled_from(["auto", "none"]))
+def test_every_batch_matches_the_rebuild_oracle(feed, tier):
     n, k, vmax, cap, batches = feed
     cfg = ClugpConfig(
         num_partitions=k, max_cluster_volume=vmax, imbalance_factor=1.2,
-        chunk_impl=chunk_impl, game=GameConfig(seed=5),
+        game=GameConfig(seed=5),
     )
     service = PartitionService(n, cfg, migration_cap=cap)
     oracle = RebuildOracle(n, cfg, cap)
-    for u, v in batches:
-        stats = service.ingest_pair(u, v)
-        if u.size == 0:
-            assert stats.num_edges == 0 and stats.phase_seconds == {}
-            continue
-        check_against_oracle(service, oracle, stats, oracle.ingest_pair(u, v))
-        check_derived_state(service)
+    with kernel_backend(tier):
+        for u, v in batches:
+            stats = service.ingest_pair(u, v)
+            if u.size == 0:
+                assert stats.num_edges == 0 and stats.phase_seconds == {}
+                continue
+            check_against_oracle(service, oracle, stats, oracle.ingest_pair(u, v))
+            check_derived_state(service)
 
 
 def crawl_batches(pages=500, batch=400, seed=3):
@@ -291,11 +304,11 @@ def crawl_batches(pages=500, batch=400, seed=3):
     return stream, list(stream.batches(batch))
 
 
-@pytest.mark.parametrize("chunk_impl", ["jit", "fast", "reference"])
-def test_crawl_feed_matches_the_rebuild_oracle(chunk_impl):
+@pytest.mark.parametrize("tier", list(TIERS), indirect=True)
+def test_crawl_feed_matches_the_rebuild_oracle(tier):
     """A feed long enough to split, migrate, re-index and hit the cap."""
     stream, batches = crawl_batches()
-    cfg = ClugpConfig(num_partitions=8, chunk_impl=chunk_impl)
+    cfg = ClugpConfig(num_partitions=8)
     service = PartitionService(
         stream.num_vertices, cfg, migration_cap=16, expected_edges=stream.num_edges
     )
@@ -379,11 +392,11 @@ def test_index_matches_linear_scan_as_the_log_grows(n, sizes, seed):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("chunk_impl", ["jit", "fast"])
+@pytest.mark.parametrize("tier", ["jit", "fast"], indirect=True)
 @pytest.mark.parametrize("fail_on_call", [1, 2])
-def test_failed_pass3_rolls_the_batch_back(monkeypatch, chunk_impl, fail_on_call):
+def test_failed_pass3_rolls_the_batch_back(monkeypatch, tier, fail_on_call):
     stream, batches = crawl_batches()
-    cfg = ClugpConfig(num_partitions=8, chunk_impl=chunk_impl)
+    cfg = ClugpConfig(num_partitions=8)
 
     def fresh():
         return PartitionService(
@@ -479,6 +492,13 @@ def test_resume_equals_uninterrupted_feed(tmp_path, stop_after):
     for u, v in batches[:stop_after]:
         first.ingest_pair(u, v)
     first.close()  # journal holds the batches since the last checkpoint
+    # put the checkpoints into the shape the commits before PR 16 wrote:
+    # their config carried the four implementation selectors
+    for path in tmp_path.glob("checkpoint-*.ckpt"):
+        arrays, meta = read_checkpoint(path)
+        meta["config"].update(chunk_impl="jit", kernel_backend="auto")
+        meta["config"]["game"].update(game_impl="jit", kernel_backend="auto")
+        write_checkpoint(path, arrays, meta)
     resumed = PartitionService.resume(str(tmp_path))
     assert resumed.batch_index == stop_after
     check_derived_state(resumed)
@@ -550,8 +570,9 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
     stream, batches = crawl_batches()
     half = len(batches) // 2
     results = {}
-    for impl in ("jit", "fast", "reference"):
-        state = ClusteringState(stream.num_vertices, 300, chunk_impl=impl)
+    for impl in ("auto", "none", "python"):
+        with kernel_backend(impl):
+            state = ClusteringState(stream.num_vertices, 300)
         for u, v in batches[:half]:
             state.ingest_pair(u, v)
         mid = state.snapshot()
@@ -559,9 +580,10 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
         for key in ("mirror_v", "mirror_c"):
             assert arrays[key].dtype == np.int64 and arrays[key].ndim == 1
         assert arrays["mirror_v"].size == state.splits > 0
-        restored = ClusteringState.from_state(
-            {key: a.copy() for key, a in arrays.items()}, meta, chunk_impl=impl
-        )
+        with kernel_backend(impl):
+            restored = ClusteringState.from_state(
+                {key: a.copy() for key, a in arrays.items()}, meta
+            )
         for u, v in batches[half:]:
             state.ingest_pair(u, v)
             restored.ingest_pair(u, v)
@@ -576,8 +598,8 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
         final = state.finalize()
         assert final.mirror_clusters == end.mirror_clusters
         results[impl] = (mid, final, state.state_dict()[0])
-    mid_ref, final_ref, arrays_ref = results["reference"]
-    for impl in ("jit", "fast"):
+    mid_ref, final_ref, arrays_ref = results["python"]
+    for impl in ("auto", "none"):
         mid, final, arrays = results[impl]
         assert mid.mirror_clusters == mid_ref.mirror_clusters
         assert final.mirror_clusters == final_ref.mirror_clusters
@@ -586,10 +608,10 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
             assert_same_array(arrays[key], want, key)
 
 
-@pytest.mark.parametrize("chunk_impl", ["jit", "fast", "reference"])
-def test_savepoint_rollback_is_exact(chunk_impl):
+@pytest.mark.parametrize("tier", list(TIERS), indirect=True)
+def test_savepoint_rollback_is_exact(tier):
     stream, batches = crawl_batches()
-    state = ClusteringState(stream.num_vertices, 300, chunk_impl=chunk_impl)
+    state = ClusteringState(stream.num_vertices, 300)
     for u, v in batches[:3]:
         state.ingest_pair(u, v)
     arrays, meta = state.state_dict()
@@ -604,7 +626,7 @@ def test_savepoint_rollback_is_exact(chunk_impl):
     for key, want in arrays.items():
         assert_same_array(arrays_after[key], want, key)
     # and ingestion carries on as if the batch was never seen
-    twin = ClusteringState.from_state(arrays, meta, chunk_impl=chunk_impl)
+    twin = ClusteringState.from_state(arrays, meta)
     for u, v in batches[3:6]:
         state.ingest_pair(u, v)
         twin.ingest_pair(u, v)

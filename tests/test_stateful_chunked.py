@@ -1,16 +1,16 @@
-"""Bit-identity of the hdrf/greedy chunked cores against their references.
+"""Bit-identity of the hdrf/greedy chunked cores against their oracle.
 
-PR 3 replaced the numpy-per-edge chunk loops of the two sequential-state
-baselines with lean scalar cores fed by vectorized exact precomputation
-(HDRF's partial-degree/g terms).  Three implementations of each algorithm
-must agree exactly, for every chunk geometry:
+The two sequential-state baselines run their chunks through a lean
+scalar core fed by vectorized exact precomputation (HDRF's
+partial-degree/g terms) on hosts without a kernel backend, and through a
+compiled kernel elsewhere.  Three implementations of each algorithm must
+agree exactly, for every chunk geometry:
 
-* ``partition_per_edge`` — the faithful per-edge streaming reference;
-* ``partition_chunked`` with ``chunk_impl="fast"`` (default) — the lean
-  core;
-* ``partition_chunked`` with ``chunk_impl="reference"`` — the retained
-  numpy-per-edge chunk loop (the correctness oracle the fast core is
-  benchmarked against).
+* ``partition_per_edge`` — the faithful per-edge streaming oracle;
+* ``partition_chunked`` on the numpy tier (``CLUGP_KERNEL_BACKEND=none``)
+  — the lean core;
+* ``partition_chunked`` on the kernel tier, through the always-loadable
+  plain-Python backend.
 
 The hypothesis cases deliberately generate collision-heavy streams (a
 handful of vertices, many repeated endpoints and self-loops per chunk):
@@ -20,6 +20,7 @@ precompute and the candidate-shortcut guard paths of both lean cores.
 
 import numpy as np
 import pytest
+from conftest import kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import DiGraph
@@ -39,19 +40,16 @@ def stream():
     return EdgeStream.from_graph(graph, order="random", seed=5)
 
 
-def _three_way(cls, stream, k, chunk_size, **kwargs):
+def _on_tier(cls, tier, k, **kwargs):
+    with kernel_backend(tier):
+        return cls(k, **kwargs)
+
+
+def _assert_three_way(cls, stream, k, chunk_size, **kwargs):
     per_edge = cls(k, **kwargs).partition_per_edge(stream).edge_partition
-    fast = (
-        cls(k, chunk_impl="fast", **kwargs)
-        .partition_chunked(stream, chunk_size=chunk_size)
-        .edge_partition
-    )
-    reference = (
-        cls(k, chunk_impl="reference", **kwargs)
-        .partition_chunked(stream, chunk_size=chunk_size)
-        .edge_partition
-    )
-    return per_edge, fast, reference
+    for tier in ("none", "python"):
+        chunked = _on_tier(cls, tier, k, **kwargs).partition_chunked(stream, chunk_size=chunk_size)
+        assert np.array_equal(per_edge, chunked.edge_partition), tier
 
 
 @pytest.mark.parametrize("name", sorted(STATEFUL))
@@ -59,19 +57,15 @@ def _three_way(cls, stream, k, chunk_size, **kwargs):
 def test_chunk_sizes_bit_identical(name, chunk_size, stream):
     if chunk_size == "all":
         chunk_size = stream.num_edges  # one chunk spanning the stream
-    per_edge, fast, reference = _three_way(STATEFUL[name], stream, 8, chunk_size)
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
+    _assert_three_way(STATEFUL[name], stream, 8, chunk_size)
 
 
 @pytest.mark.parametrize("name", sorted(STATEFUL))
 @pytest.mark.parametrize("k", [1, 3, 64, 100])
 def test_partition_counts_bit_identical(name, k, stream):
     # k = 64 exercises the top bit of a single mask word, k = 100 the
-    # multiword reference tables against the unbounded-int fast core
-    per_edge, fast, reference = _three_way(STATEFUL[name], stream, k, 509)
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
+    # multiword kernel tables against the unbounded-int fast core
+    _assert_three_way(STATEFUL[name], stream, k, 509)
 
 
 @pytest.mark.parametrize("lambda_bal", [0.0, 0.5, 3.0])
@@ -80,11 +74,9 @@ def test_hdrf_parameter_space_bit_identical(lambda_bal, epsilon, stream):
     # lambda_bal = 0 is the degenerate all-scores-tie regime where the
     # reference argmax collapses to partition 0; large lambda_bal defeats
     # the members-only shortcut and forces the exact full-scan fallback
-    per_edge, fast, reference = _three_way(
+    _assert_three_way(
         HDRFPartitioner, stream, 6, 777, lambda_bal=lambda_bal, epsilon=epsilon
     )
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
 
 
 @pytest.mark.parametrize("name", sorted(STATEFUL))
@@ -92,9 +84,9 @@ def test_replica_accounting_matches(name, stream):
     cls = STATEFUL[name]
     ref = cls(8)
     ref.partition_per_edge(stream)
-    fast = cls(8, chunk_impl="fast")
+    fast = _on_tier(cls, "none", 8)
     fast.partition_chunked(stream, chunk_size=311)
-    loop = cls(8, chunk_impl="reference")
+    loop = _on_tier(cls, "python", 8)
     loop.partition_chunked(stream, chunk_size=311)
     assert ref._replica_entries == fast._replica_entries == loop._replica_entries
     assert fast.state_memory_bytes(stream) == loop.state_memory_bytes(stream)
@@ -105,9 +97,7 @@ def test_self_loops_and_duplicate_edges(name):
     stream = EdgeStream(
         [0, 0, 1, 1, 0, 2, 2, 1], [0, 1, 1, 0, 1, 2, 0, 1], num_vertices=3
     )
-    per_edge, fast, reference = _three_way(STATEFUL[name], stream, 4, 3)
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
+    _assert_three_way(STATEFUL[name], stream, 4, 3)
 
 
 @pytest.mark.parametrize("name", sorted(STATEFUL))
@@ -116,20 +106,20 @@ def test_empty_and_single_edge(name):
     empty = EdgeStream([], [], num_vertices=0)
     assert cls(4).partition_chunked(empty).edge_partition.size == 0
     one = EdgeStream([0], [1], num_vertices=2)
-    per_edge, fast, reference = _three_way(cls, one, 4, 1)
-    assert np.array_equal(per_edge, fast) and np.array_equal(per_edge, reference)
+    _assert_three_way(cls, one, 4, 1)
 
 
 @pytest.mark.parametrize("name", sorted(STATEFUL))
 def test_invalid_chunk_impl_rejected(name):
-    with pytest.raises(ValueError, match="chunk_impl"):
-        STATEFUL[name](4, chunk_impl="vectorized")
+    # any value: the constructors take no implementation selector
+    for retired in ("chunk_impl", "kernel_backend"):
+        with pytest.raises(TypeError, match=retired):
+            STATEFUL[name](4, **{retired: "jit"})
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0])
 def test_hdrf_rejects_nonpositive_epsilon(epsilon):
-    # eps = 0 divides by zero at the first edge (all loads equal), and the
-    # numpy reference loop would silently return inf scores instead — the
+    # eps = 0 divides by zero at the first edge (all loads equal) — the
     # constructor closes the gap for every path at once
     with pytest.raises(ValueError, match="epsilon"):
         HDRFPartitioner(4, epsilon=epsilon)
@@ -148,9 +138,7 @@ collision_edges = st.lists(
 @given(edges=collision_edges, chunk_size=st.integers(1, 130), k=st.integers(1, 9))
 def test_greedy_collision_heavy_streams(edges, chunk_size, k):
     stream = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    per_edge, fast, reference = _three_way(GreedyPartitioner, stream, k, chunk_size)
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
+    _assert_three_way(GreedyPartitioner, stream, k, chunk_size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,8 +150,6 @@ def test_greedy_collision_heavy_streams(edges, chunk_size, k):
 )
 def test_hdrf_collision_heavy_streams(edges, chunk_size, k, lambda_bal):
     stream = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    per_edge, fast, reference = _three_way(
+    _assert_three_way(
         HDRFPartitioner, stream, k, chunk_size, lambda_bal=lambda_bal
     )
-    assert np.array_equal(per_edge, fast)
-    assert np.array_equal(per_edge, reference)
