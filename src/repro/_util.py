@@ -19,6 +19,7 @@ __all__ = [
     "group_by_bounded",
     "sorted_unique",
     "ragged_take_indices",
+    "run_starts",
     "segment_sums",
     "grow_buffer",
     "occurrence_ranks",
@@ -122,6 +123,16 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """First position of every run of equal values in a sorted 1-D array —
+    the run-length-encoding step of the sort-based group-bys (empty in,
+    empty out)."""
+    first = np.empty(sorted_values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def ragged_take_indices(
     starts: np.ndarray, lengths: np.ndarray, out_indptr: np.ndarray
 ) -> np.ndarray:
@@ -220,11 +231,20 @@ def vertex_partition_pairs(src, dst, edge_partition, num_partitions: int):
     pair.  This is the shared substrate behind replica counting, placement
     construction, and the cut-edge metric; keeping the flat-key encoding
     in one place keeps those paths consistent.
+
+    One value sort of the ``vertex * k + partition`` keys (32-bit whenever
+    the largest fits: about twice as fast to sort) and a run-length encode
+    — ``np.unique(return_counts=True)`` returns the same arrays slower.
     """
     k = np.int64(num_partitions)
     keys = np.concatenate([src * k + edge_partition, dst * k + edge_partition])
-    pairs, counts = np.unique(keys, return_counts=True)
-    return pairs // k, (pairs % k).astype(np.int64), counts
+    if keys.size and int(keys.max()) <= np.iinfo(np.int32).max:
+        keys = keys.astype(np.int32)
+    keys.sort()
+    starts = run_starts(keys)
+    pairs = keys[starts].astype(np.int64)
+    vertices = pairs // k
+    return vertices, pairs - vertices * k, np.diff(starts, append=keys.size)
 
 
 class BitsetRows:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import stable_argsort_bounded
+from .._util import run_starts, stable_argsort_bounded
 from ..graph.stream import EdgeStream
 from .clustering import ClusteringResult
 
@@ -65,10 +65,7 @@ def _radix_group(
     """
     order = stable_argsort_bounded(keys, upper)
     skeys = keys[order]
-    boundary = np.empty(skeys.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = skeys[1:] != skeys[:-1]
-    starts = np.flatnonzero(boundary)
+    starts = run_starts(skeys)
     return order, skeys[starts], starts
 
 
@@ -321,32 +318,35 @@ class ClusterGraph:
 
     def sym(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Symmetrized CSR ``(indptr, indices, weights)`` with merged
-        weights ``w(c, n) = out + in``; built lazily, cached."""
+        weights ``w(c, n) = out + in``; built lazily, cached.
+
+        Both CSRs are row-major with ascending neighbor ids, so their
+        ``row * m + col`` keys are two ascending runs: one stable sort of
+        the concatenation is a single merge of the two, and a pair held in
+        both directions ends up adjacent (out first) for the run-length sum.
+        """
         if self._sym is None:
             m = self.num_clusters
-            rows = np.concatenate(
-                [
-                    np.repeat(np.arange(m, dtype=np.int64), np.diff(self.indptr)),
-                    np.repeat(np.arange(m, dtype=np.int64), np.diff(self.in_indptr)),
-                ]
+            span = np.int64(m)
+            in_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.in_indptr))
+            keys = np.concatenate(
+                [self.out_rows() * span + self.indices, in_rows * span + self.in_indices]
             )
-            cols = np.concatenate([self.indices, self.in_indices])
-            ws = np.concatenate([self.weights, self.in_weights])
-            if rows.size == 0:
-                self._sym = (
-                    np.zeros(m + 1, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
+            if keys.size == 0:
+                empty = np.empty(0, dtype=np.int64)
+                self._sym = (np.zeros(m + 1, dtype=np.int64), empty, empty)
             else:
-                # merge duplicate (row, col) pairs with a run-length sum
-                order, ukeys, starts = _radix_group(rows * np.int64(m) + cols, m * m)
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                starts = run_starts(keys)
+                ws = np.concatenate([self.weights, self.in_weights])
                 merged = np.add.reduceat(ws[order], starts)
-                urows = ukeys // m
-                ucols = ukeys % m
-                indptr = np.zeros(m + 1, dtype=np.int64)
-                np.cumsum(np.bincount(urows, minlength=m), out=indptr[1:])
-                self._sym = (indptr, ucols, merged.astype(np.int64))
+                ukeys = keys[starts]
+                urows = ukeys // span
+                ucols = ukeys - urows * span  # a second division costs 3x this
+                self._sym = (
+                    _row_pointers(urows, m), ucols, merged.astype(np.int64, copy=False)
+                )
         return self._sym
 
     def edge_count_check(self, num_stream_edges: int, num_self_loops: int = 0) -> bool:
@@ -442,7 +442,7 @@ class ClusterGraphDelta:
         sign[len(add_u):] = -1
         order = np.argsort(changes)
         changes = changes[order]
-        starts = np.flatnonzero(np.concatenate(([True], changes[1:] != changes[:-1])))
+        starts = run_starts(changes)
         ukeys = changes[starts]
         change = np.add.reduceat(sign[order], starts)
         pos = np.searchsorted(self.keys, ukeys)
@@ -504,7 +504,7 @@ def cluster_graph_from_labels(
         if cells <= np.iinfo(np.int32).max:
             keys = keys.astype(np.int32)
         keys.sort()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        starts = run_starts(keys)
         ukeys = keys[starts].astype(np.int64)
         counts = np.diff(starts, append=keys.size)
     rows, cols = np.divmod(ukeys, max(m, 1))

@@ -73,6 +73,7 @@ from ..graph.stream import EdgeStream
 __all__ = [
     "ClusteringResult",
     "ClusteringState",
+    "LiveClustering",
     "streaming_clustering",
     "streaming_clustering_chunked",
 ]
@@ -203,6 +204,45 @@ class ClusteringResult:
         """Number of master vertices per cluster."""
         active = self.cluster_of[self.active_mask()]
         return np.bincount(active, minlength=self.num_clusters).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class LiveClustering:
+    """A :class:`ClusteringState` read in place (:meth:`ClusteringState.live`).
+
+    What :meth:`ClusteringState.snapshot` tells a consumer that keeps the
+    state alive across batches, without the |V|-sized copy, renumbering
+    and journal compaction: the three vertex tables are *views* of the
+    live arrays (valid until the state next ingests or rolls back; do not
+    write), and compact cluster ids are derived on demand — compaction
+    renumbers the surviving raw ids in ascending order, so the compact id
+    of a live raw id is its rank in ``raw_ids``.
+
+    Attributes
+    ----------
+    raw_ids:
+        The surviving raw cluster ids, ascending — array for array
+        ``snapshot().raw_ids``.
+    raw_of:
+        Raw cluster id of every vertex's master copy (-1 = never seen).
+    degree / divided:
+        As on :class:`ClusteringResult`; all pass 3 reads of a clustering
+        once it is handed a vertex->partition map.
+    """
+
+    raw_ids: np.ndarray
+    raw_of: np.ndarray
+    degree: np.ndarray
+    divided: np.ndarray
+
+    @property
+    def num_clusters(self) -> int:
+        """``m`` — number of non-empty clusters."""
+        return int(self.raw_ids.size)
+
+    def compact(self, vertices: np.ndarray) -> np.ndarray:
+        """``snapshot().cluster_of[vertices]`` for *seen* vertices."""
+        return np.searchsorted(self.raw_ids, self.raw_of[vertices])
 
 
 def streaming_clustering(
@@ -435,6 +475,9 @@ class ClusteringState:
         """
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
+        # the kernels index raw int64 memory; free for int64 columns
+        u = np.ascontiguousarray(u, dtype=np.int64)
+        v = np.ascontiguousarray(v, dtype=np.int64)
         m = u.shape[0]
         if m == 0:
             return
@@ -489,8 +532,8 @@ class ClusteringState:
             dtype=np.int64,
         )
         self._backend.clustering_chunk(
-            np.ascontiguousarray(u),
-            np.ascontiguousarray(v),
+            u,
+            v,
             self.max_volume,
             self.enable_splitting,
             self._clu,
@@ -814,6 +857,26 @@ class ClusteringState:
          self.edges_ingested, self.edges_suspect,
          self._chunk_index, self._scalar_bias) = scalars
 
+    def live(self) -> LiveClustering:
+        """The current clustering as views of the live tables; O(raw ids).
+
+        A raw cluster's volume is by construction the sum of its members'
+        degrees — allocation, splitting and migration all move a vertex's
+        whole degree with it — and a seen vertex has degree >= 1, so a raw
+        id has a member iff its volume is positive.  That makes the
+        surviving ids one ``flatnonzero`` over the raw volumes instead of
+        :func:`_compact`'s passes over every vertex.
+        """
+        if self._finalized:
+            raise RuntimeError("ClusteringState already finalized")
+        self._to_arrays()
+        return LiveClustering(
+            raw_ids=np.flatnonzero(self._vol[: self.num_raw] > 0),
+            raw_of=self._clu,
+            degree=self._deg,
+            divided=self._div,
+        )
+
     def snapshot(self) -> ClusteringResult:
         """Compact the *current* state into a :class:`ClusteringResult`
         without ending ingestion.
@@ -921,8 +984,8 @@ def _compact(
     mirror_source: dict[int, list[int]] | tuple[np.ndarray, np.ndarray, int]
     if isinstance(mirror_clusters, dict):
         compact_mirrors: dict[int, list[int]] = {}
-        for v, raw_ids in mirror_clusters.items():
-            kept = sorted({int(remap[c]) for c in raw_ids if used[c]})
+        for v, mirrors in mirror_clusters.items():
+            kept = sorted({int(remap[c]) for c in mirrors if used[c]})
             if kept:
                 compact_mirrors[v] = kept
         mirror_source = compact_mirrors

@@ -184,10 +184,11 @@ class ClusterPartitioningGame:
             if init.size and (int(init.min()) < 0 or int(init.max()) >= self.k):
                 raise ValueError("initial_assignment partitions out of range")
             self.assignment = init.copy()
+        self._internal_f = cluster_graph.internal.astype(np.float64)
+        # (astype: a bincount of no clusters is int64 zeros whatever the weights)
         self.loads = np.bincount(
-            self.assignment, weights=cluster_graph.internal.astype(np.float64),
-            minlength=self.k,
-        )
+            self.assignment, weights=self._internal_f, minlength=self.k
+        ).astype(np.float64, copy=False)
         self.lambda_value = self._resolve_lambda()
         w = self.config.relative_weight
         self._lambda_eff = self.lambda_value * (w / (1.0 - w))
@@ -196,7 +197,6 @@ class ClusterPartitioningGame:
         self._sym_indptr, self._sym_indices, sym_w = cluster_graph.sym()
         self._sym_weights = sym_w.astype(np.float64)
         self._cut_degree = cluster_graph.cut_degrees().astype(np.float64)
-        self._internal_f = cluster_graph.internal.astype(np.float64)
         self._lam_over_k = self._lambda_eff / self.k
 
     # ------------------------------------------------------------------ #
@@ -301,18 +301,14 @@ class ClusterPartitioningGame:
     def global_cost(self, assignment: np.ndarray | None = None) -> float:
         """``phi(Lambda)`` (Equation 10) for the given/current assignment."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(
-            a, weights=self.graph.internal.astype(np.float64), minlength=self.k
-        )
+        loads = np.bincount(a, weights=self._internal_f, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / self.k) * np.sum(loads**2) + cut)
 
     def potential(self, assignment: np.ndarray | None = None) -> float:
         """Exact potential ``Phi(Lambda)`` (Equation 13)."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(
-            a, weights=self.graph.internal.astype(np.float64), minlength=self.k
-        )
+        loads = np.bincount(a, weights=self._internal_f, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / (2 * self.k)) * np.sum(loads**2) + 0.5 * cut)
 
@@ -337,19 +333,23 @@ class ClusterPartitioningGame:
         return False
 
     def _build_adj_table(self) -> np.ndarray | None:
-        """The ``(m, k)`` merged-adjacency table, or None when too large."""
-        m = self.graph.num_clusters
-        if m * self.k > _ADJ_TABLE_MAX_CELLS:
+        """The ``(m, k)`` merged-adjacency table, or None when too large.
+
+        One ``bincount`` over the flat cell ``row * k + partition`` of every
+        symmetrized entry; the sums are integer-valued floats, so exact in
+        whatever order they are accumulated.
+        """
+        m, k = self.graph.num_clusters, self.k
+        if m * k > _ADJ_TABLE_MAX_CELLS:
             return None
-        adj = np.zeros((m, self.k), dtype=np.float64)
-        if self._sym_indices.size:
-            rows = np.repeat(
-                np.arange(m, dtype=np.int64), np.diff(self._sym_indptr)
-            )
-            np.add.at(
-                adj, (rows, self.assignment[self._sym_indices]), self._sym_weights
-            )
-        return adj
+        if self._sym_indices.size == 0:  # bincount of nothing is int64 zeros
+            return np.zeros((m, k), dtype=np.float64)
+        rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self._sym_indptr))
+        return np.bincount(
+            rows * k + self.assignment[self._sym_indices],
+            weights=self._sym_weights,
+            minlength=m * k,
+        ).reshape(m, k)
 
     def run(
         self, active: np.ndarray | None = None, record_moves: bool = False
@@ -532,7 +532,16 @@ class ClusterPartitioningGame:
         )
         lam_over_2k = self._lambda_eff / (2 * k)
         exact = float(self.graph.internal.sum()) ** 2 < _EXACT_INT_LIMIT
-        trace = [self.potential()]
+
+        def priced() -> float:
+            # the op sequence of potential() over the maintained [S, C]
+            if exact:
+                return float(lam_over_2k * phi[0] + 0.5 * phi[1])
+            return self.potential()
+
+        # the seed of phi already is the starting assignment's [S, C]:
+        # pricing it needs no second cut sum and load bincount
+        trace = [priced()]
         move_buf = np.empty(2 * players.shape[0], dtype=np.int64)
         cost_buf = np.empty(k, dtype=np.float64)
         row_buf = np.empty(k, dtype=np.float64)
@@ -556,9 +565,7 @@ class ClusterPartitioningGame:
                 )
             )
             total_moves += moves
-            trace.append(
-                float(lam_over_2k * phi[0] + 0.5 * phi[1]) if exact else self.potential()
-            )
+            trace.append(priced())
             if move_log is not None:
                 for i in range(moves):
                     c = int(move_buf[2 * i])

@@ -339,6 +339,9 @@ class TransformState:
         Same semantics as :meth:`ingest`; whole-stream drivers use this
         with :meth:`EdgeStream.batches` to skip the ``(m, 2)`` stack copy.
         """
+        # the kernels index raw int64 memory; free for int64 columns
+        u = np.ascontiguousarray(u, dtype=np.int64)
+        v = np.ascontiguousarray(v, dtype=np.int64)
         m = u.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
@@ -423,8 +426,8 @@ class TransformState:
             dtype=np.int64,
         )
         status = self._backend.transform_chunk(
-            np.ascontiguousarray(u),
-            np.ascontiguousarray(v),
+            u,
+            v,
             self.k,
             self._vp,
             self._div.view(np.uint8),

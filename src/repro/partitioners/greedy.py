@@ -114,6 +114,8 @@ class GreedyPartitioner(EdgePartitioner):
         self._words = [0] * stream.num_vertices
 
     def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
+        # the kernels index raw int64 memory; free for an int64 chunk
+        edges = np.asarray(edges, dtype=np.int64)
         if self._backend is not None:
             return self._partition_chunk_kernel(edges)
         m = edges.shape[0]

@@ -163,6 +163,8 @@ class HDRFPartitioner(EdgePartitioner):
         self._max_load = 0.0
 
     def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
+        # the kernels index raw int64 memory; free for an int64 chunk
+        edges = np.asarray(edges, dtype=np.int64)
         if self._backend is not None:
             return self._partition_chunk_kernel(edges)
         m = edges.shape[0]

@@ -6,10 +6,12 @@ the harder question "keep this graph partitioned while it grows".  The
 unbounded sequence of edge batches:
 
 * **pass 1 never restarts** — one :class:`~repro.core.clustering.
-  ClusteringState` ingests every batch; :meth:`~repro.core.clustering.
-  ClusteringState.snapshot` compacts the live state per batch without
-  ending ingestion, so the clustering is always exactly what the batch
-  pipeline would have produced on the concatenated stream;
+  ClusteringState` ingests every batch and is read in place through
+  :meth:`~repro.core.clustering.ClusteringState.live` (views of the
+  live tables; the copying :meth:`~repro.core.clustering.
+  ClusteringState.snapshot` is the first batch's and the restore path's),
+  so the clustering is always exactly what the batch pipeline would
+  have produced on the concatenated stream;
 * **pass 2 replays only the dirty frontier** — clusters whose vertex
   neighborhoods changed this batch, clusters born this batch, and their
   cluster-graph neighbors; everything else is frozen at the previous
@@ -588,8 +590,11 @@ class PartitionService:
             state.ingest_pair(u, v)
             new_raw = state.raw_clusters(endpoints)
             clock.lap("pass1")
-            snap = state.snapshot()
-            m_clusters = snap.num_clusters
+            # the warm state is read in place: views of the live tables,
+            # no |V|-sized copy or renumbering (DESIGN.md §7.1)
+            live = state.live()
+            raw_ids = live.raw_ids
+            m_clusters = live.num_clusters
             clock.lap("snapshot")
 
             # -- cluster graph: the batch's own edges under their labels,
@@ -597,7 +602,7 @@ class PartitionService:
             #    (only batch endpoints ever do) moved from the old label
             #    pair to the new one
             if first:
-                graph, delta = self._build_graph(EdgeStream(u, v, n), snap)
+                graph, delta = self._build_graph(EdgeStream(u, v, n), state.snapshot())
             else:
                 moved = (prev_raw >= 0) & (prev_raw != new_raw)
                 movers, was = endpoints[moved], prev_raw[moved]
@@ -610,7 +615,7 @@ class PartitionService:
                     _labels_before(old_u, now_u, movers, was),
                     _labels_before(old_v, now_v, movers, was),
                 )
-                graph = delta.freeze(snap.raw_ids)
+                graph = delta.freeze(raw_ids)
             clock.lap("cluster_graph")
 
             # -- pass 2 (frontier-restricted, warm-started)
@@ -619,7 +624,7 @@ class PartitionService:
                 active = None
                 frontier_size = m_clusters
             else:
-                init, active = self._warm_start(snap, graph, endpoints, prev_raw, new_raw)
+                init, active = self._warm_start(live, graph, endpoints, prev_raw, new_raw)
                 frontier_size = int(active.sum())
             clock.lap("warm_start")
             game = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init)
@@ -629,10 +634,14 @@ class PartitionService:
             # -- migration plan: diff served map against the refreshed ideal,
             #    over the seen vertices only (ascending, so the planner's
             #    tie-breaks by position are tie-breaks by vertex id)
-            seen = np.flatnonzero(snap.cluster_of >= 0)
-            ideal = result.assignment[snap.cluster_of[seen]]
+            seen = np.flatnonzero(live.raw_of >= 0)
+            # raw cluster -> partition, deliberately uninitialized: written
+            # at the live ids only, and only they label a seen vertex
+            raw_part = np.empty(state.num_raw, dtype=np.int64)
+            raw_part[raw_ids] = result.assignment
+            ideal = raw_part[live.raw_of[seen]]
             served = vp[seen]
-            plan = plan_migrations(served, ideal, snap.degree[seen], self.migration_cap)
+            plan = plan_migrations(served, ideal, live.degree[seen], self.migration_cap)
             plan = dataclasses.replace(plan, vertices=seen[plan.vertices])
             placed = seen[served < 0]
             placed_to = ideal[served < 0]
@@ -649,7 +658,7 @@ class PartitionService:
             loads = self._loads - np.bincount(old_parts, minlength=k)
             cap = max(1, math.ceil(cfg.imbalance_factor * total / k))
             transform = TransformState(
-                snap, None, k,
+                live, None, k,
                 num_edges=int(affected.size) + m_batch,
                 num_vertices=n,
                 imbalance_factor=cfg.imbalance_factor,
@@ -677,7 +686,7 @@ class PartitionService:
             self._raw_assign, self._raw_assign.size,
             state.num_raw - self._raw_assign.size, fill=-1,
         )
-        self._raw_assign[snap.raw_ids] = result.assignment
+        self._raw_assign[raw_ids] = result.assignment
         self._delta = delta
         self._index.extend(self._src[:total], self._dst[:total])
         self.last_plan = plan
@@ -701,7 +710,7 @@ class PartitionService:
 
     def _warm_start(
         self,
-        snap,
+        live,
         graph,
         endpoints: np.ndarray,
         prev_raw: np.ndarray,
@@ -722,8 +731,8 @@ class PartitionService:
         to respond; anything further is provably cost-unchanged this
         batch and stays frozen).
         """
-        raw_ids = snap.raw_ids
-        m_clusters = snap.num_clusters
+        raw_ids = live.raw_ids
+        m_clusters = live.num_clusters
         dirty = np.zeros(m_clusters, dtype=bool)
         touched = np.concatenate([prev_raw[prev_raw >= 0], new_raw])
         at = np.minimum(np.searchsorted(raw_ids, touched), m_clusters - 1)
@@ -738,11 +747,11 @@ class PartitionService:
 
         unknown = init < 0
         if unknown.any():
-            cl = snap.cluster_of[endpoints]
+            cl = live.compact(endpoints)
             pick = unknown[cl] & (self._vp[endpoints] >= 0)
             cand, cl = endpoints[pick], cl[pick]
             if cand.size:
-                order = np.lexsort((cand, -snap.degree[cand], cl))
+                order = np.lexsort((cand, -live.degree[cand], cl))
                 grouped = cand[order]
                 labels, firsts = np.unique(cl[order], return_index=True)
                 init[labels] = self._vp[grouped[firsts]]

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import GameConfig
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
 from repro.core.clustering import ClusteringResult, streaming_clustering
 from repro.core.cluster_graph import (
     ClusterGraph,
+    _radix_group,
     build_cluster_graph,
     cluster_graph_from_labels,
 )
+from repro.core.game import ClusterPartitioningGame
 
 
 def clustered_stream(edges, vmax=1000):
@@ -433,3 +436,80 @@ def test_property_sparse_branch_matches_dense_and_dict_oracle(
         cu += [a] * repeat  # repeat > 1: duplicate edges
         cv += [b] * repeat
     assert_branches_agree(cu, cv, m)
+
+
+# --------------------------------------------------------------------- #
+# pass 2's set-up: sym() as one merge, the adjacency table as one bincount
+# --------------------------------------------------------------------- #
+
+
+def sym_by_radix_group(cg):
+    """``ClusterGraph.sym()`` as it was built before the merge: a two-digit
+    radix argsort of all ``2 * nnz`` keys, then a run-length sum."""
+    m = cg.num_clusters
+    rows = np.concatenate([
+        np.repeat(np.arange(m, dtype=np.int64), np.diff(cg.indptr)),
+        np.repeat(np.arange(m, dtype=np.int64), np.diff(cg.in_indptr)),
+    ])
+    cols = np.concatenate([cg.indices, cg.in_indices])
+    ws = np.concatenate([cg.weights, cg.in_weights])
+    if rows.size == 0:
+        return np.zeros(m + 1, dtype=np.int64), cols, ws
+    order, ukeys, starts = _radix_group(rows * np.int64(m) + cols, m * m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ukeys // m, minlength=m), out=indptr[1:])
+    return indptr, ukeys % m, np.add.reduceat(ws[order], starts).astype(np.int64)
+
+
+def adj_table_by_add_at(game):
+    """``_build_adj_table`` as the 2-D scatter-add it replaced."""
+    indptr, indices, weights = game.graph.sym()
+    m = game.graph.num_clusters
+    adj = np.zeros((m, game.k), dtype=np.float64)
+    rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+    np.add.at(adj, (rows, game.assignment[indices]), weights.astype(np.float64))
+    return adj
+
+
+def assert_game_setup_unchanged(cg, k=3, seed=0):
+    for got, want in zip(cg.sym(), sym_by_radix_group(cg)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert cg.sym() is cg.sym()  # still cached
+    game = ClusterPartitioningGame(cg, k, GameConfig(seed=seed))
+    table = game._build_adj_table()
+    assert table.dtype == np.float64 and table.flags.c_contiguous
+    assert np.array_equal(table, adj_table_by_add_at(game))
+
+
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_game_setup_of_an_edgeless_graph(m):
+    assert_game_setup_unchanged(cluster_graph_from_labels([], [], m))
+    if m:  # internal edges only: still nothing to symmetrize
+        assert_game_setup_unchanged(cluster_graph_from_labels([0] * 3, [0] * 3, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 14),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 3)),
+        max_size=50,
+    ),
+    reciprocate=st.sampled_from(["none", "some", "all"]),
+    seed=st.integers(0, 50),
+)
+def test_property_game_setup_matches_the_forms_it_replaced(m, pairs, reciprocate, seed):
+    """Reciprocal pairs (a key in both runs), one-directional edges (a key
+    in one run only), isolated clusters (ids no pair draws) and m = 1."""
+    cu, cv = [], []
+    for i, (a, b, repeat) in enumerate(pairs):
+        a, b = a % m, b % m
+        cu += [a] * repeat
+        cv += [b] * repeat
+        if reciprocate == "all" or (reciprocate == "some" and i % 2):
+            cu.append(b)
+            cv.append(a)
+    cg = cluster_graph_from_labels(cu, cv, m)
+    assert_game_setup_unchanged(cg, k=1 + seed % 4, seed=seed)
+    assert_sym_is_out_plus_in(cg)

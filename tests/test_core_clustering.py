@@ -242,6 +242,19 @@ class TestRawClusterStability:
             raw[seen], snap.raw_ids[snap.cluster_of[seen]]
         )
 
+    def test_per_edge_oracle_records_the_same_raw_ids(self):
+        # with mirrors in play: the oracle's dict branch of _compact used
+        # to rebind raw_ids inside its mirror loop
+        rng = np.random.default_rng(0)
+        stream = EdgeStream(rng.integers(0, 50, 400), rng.integers(0, 50, 400), 50)
+        oracle = streaming_clustering(stream, max_volume=40)
+        state = ClusteringState(50, max_volume=40)
+        state.ingest_pair(stream.src, stream.dst)
+        assert oracle.splits > 0
+        assert isinstance(oracle.raw_ids, np.ndarray)
+        assert np.array_equal(oracle.raw_ids, state.live().raw_ids)
+        assert np.array_equal(oracle.raw_ids, state.finalize().raw_ids)
+
     def test_raw_ids_survive_further_ingestion(self):
         rng = np.random.default_rng(2)
         u = rng.integers(0, 40, size=200)

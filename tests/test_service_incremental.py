@@ -10,11 +10,14 @@ feeds below are checked against it after *every* batch:
 * the delta layer frozen over the live clusters ≡ ``build_cluster_graph``
   over the accumulated stream, array for array and dtype for dtype;
 * the index ≡ the linear scan over the accumulated stream;
+* the live view the hot path reads (``ClusteringState.live()``) ≡
+  ``snapshot()``: raw ids, count, degree, divided, seen vertices and
+  their compact ids;
 * ``edge_partition`` / ``vertex_partition`` / ``loads`` / the
   ``BatchStats`` counts ≡ the oracle's.
 
-Also pinned: no ``build_cluster_graph`` / ``EdgeStream`` on the hot path
-after batch 0, a failed batch leaves the service untouched (I5 included),
+Also pinned: no ``build_cluster_graph`` / ``EdgeStream`` / ``_compact`` on
+the hot path after batch 0, a failed batch leaves the service untouched (I5 included),
 ``resume()`` rebuilds the derived state, ``phase_seconds`` add up, and
 the array journal round-trips on every tier.
 """
@@ -27,6 +30,7 @@ from conftest import kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ClugpConfig, GameConfig
+from repro.core import clustering as clustering_mod
 from repro.core import transform as transform_mod
 from repro.core.cluster_graph import ClusterGraphDelta, build_cluster_graph
 from repro.core.clustering import ClusteringState
@@ -208,10 +212,29 @@ class RebuildOracle:
         return init, frontier
 
 
+def check_live_view(state, snap):
+    """What ``_maintain`` reads in place ≡ what ``snapshot()`` copies."""
+    live = state.live()
+    assert_same_array(live.raw_ids, snap.raw_ids, "raw_ids")
+    assert live.num_clusters == snap.num_clusters
+    assert_same_array(live.degree, snap.degree, "degree")
+    assert_same_array(live.divided, snap.divided, "divided")
+    seen = np.flatnonzero(snap.cluster_of >= 0)
+    assert_same_array(np.flatnonzero(live.raw_of >= 0), seen, "seen vertices")
+    assert_same_array(live.compact(seen), snap.cluster_of[seen], "compact ids")
+    # views of the live tables, not copies; the snapshot is the copy
+    again = state.live()
+    for name in ("raw_of", "degree", "divided"):
+        assert np.shares_memory(getattr(live, name), getattr(again, name)), name
+    assert not np.shares_memory(live.degree, snap.degree)
+    assert not np.shares_memory(live.divided, snap.divided)
+
+
 def check_derived_state(service):
-    """Delta layer ≡ full rebuild; index ≡ linear scan."""
+    """Delta layer ≡ full rebuild; index ≡ linear scan; live view ≡ snapshot."""
     stream = service.stream()
     snap = service._state.snapshot()
+    check_live_view(service._state, snap)
     assert_same_graph(service._delta.freeze(snap.raw_ids), build_cluster_graph(stream, snap))
     n = service.num_vertices
     rng = np.random.default_rng(service.num_edges)
@@ -279,12 +302,12 @@ def tier(request):
 
 
 @settings(max_examples=60)
-@given(feed=feeds(), tier=st.sampled_from(["auto", "none"]))
-def test_every_batch_matches_the_rebuild_oracle(feed, tier):
+@given(feed=feeds(), tier=st.sampled_from(["auto", "none"]), splitting=st.booleans())
+def test_every_batch_matches_the_rebuild_oracle(feed, tier, splitting):
     n, k, vmax, cap, batches = feed
     cfg = ClugpConfig(
         num_partitions=k, max_cluster_volume=vmax, imbalance_factor=1.2,
-        game=GameConfig(seed=5),
+        enable_splitting=splitting, game=GameConfig(seed=5),
     )
     service = PartitionService(n, cfg, migration_cap=cap)
     oracle = RebuildOracle(n, cfg, cap)
@@ -344,6 +367,8 @@ def test_hot_path_builds_no_stream_and_no_graph(monkeypatch):
 
     monkeypatch.setattr(service_mod, "build_cluster_graph", forbidden)
     monkeypatch.setattr(EdgeStream, "__init__", forbidden)
+    # nor a |V|-sized compaction: snapshot() and finalize() both end in it
+    monkeypatch.setattr(clustering_mod, "_compact", forbidden)
     for u, v in batches[1:6]:
         stats = service.ingest_pair(u, v)
         assert stats.replication_factor is None

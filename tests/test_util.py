@@ -19,6 +19,7 @@ from repro._util import (
     human_bytes,
     occurrence_ranks,
     splitmix64,
+    vertex_partition_pairs,
 )
 
 
@@ -272,6 +273,58 @@ class TestGroupByBounded:
         assert np.array_equal(
             np.diff(indptr), np.bincount(keys, minlength=7)
         )
+
+
+def _pairs_by_unique(src, dst, edge_partition, k):
+    """``vertex_partition_pairs`` as the ``np.unique`` call it replaced."""
+    k = np.int64(k)
+    keys = np.concatenate([src * k + edge_partition, dst * k + edge_partition])
+    pairs, counts = np.unique(keys, return_counts=True)
+    return pairs // k, (pairs % k).astype(np.int64), counts
+
+
+class TestVertexPartitionPairs:
+    @staticmethod
+    def check(src, dst, edge_partition, k):
+        src, dst, edge_partition = (
+            np.asarray(a, dtype=np.int64) for a in (src, dst, edge_partition)
+        )
+        got = vertex_partition_pairs(src, dst, edge_partition, k)
+        want = _pairs_by_unique(src, dst, edge_partition, k)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+        return got
+
+    def test_empty_stream(self):
+        for part in self.check([], [], [], 4):
+            assert part.size == 0
+
+    def test_self_loops_count_both_endpoints(self):
+        vertices, partitions, counts = self.check([3, 3, 1], [3, 3, 3], [0, 1, 0], 2)
+        assert vertices.tolist() == [1, 3, 3]
+        assert partitions.tolist() == [0, 0, 1]
+        assert counts.tolist() == [1, 3, 2]
+
+    def test_single_partition(self):
+        vertices, partitions, _ = self.check([0, 5, 5], [5, 2, 0], [0, 0, 0], 1)
+        assert vertices.tolist() == [0, 2, 5] and not partitions.any()
+
+    @pytest.mark.parametrize("top", [2**31 // 16 - 1, 2**31 // 16, 2**40])
+    def test_key_width_boundary(self, top):
+        # keys are sorted as int32 while the largest fits, as int64 beyond
+        self.check([0, top, top], [top, 1, top], [15, 15, 3], 16)
+
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 6)),
+            max_size=80,
+        ),
+        k=st.integers(7, 9),
+    )
+    def test_matches_np_unique(self, edges, k):
+        self.check([e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], k)
 
 
 class TestValidators:
