@@ -210,17 +210,16 @@ def read_edges_binary(
         avail = max(0, len(raw) - body_start)
         kept = min(m, avail // 16)
         report.bump("truncated", m - kept)
-        pairs = np.frombuffer(
-            raw, dtype="<i8", count=2 * kept, offset=body_start
-        ).reshape(kept, 2)
-        src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
     else:
-        body = raw[body_start:body_end]
+        kept = m
         (crc,) = _EDGES_TRAILER.unpack_from(raw, body_end)
-        if zlib.crc32(body) != crc:
+        if zlib.crc32(memoryview(raw)[body_start:body_end]) != crc:
             raise TruncatedPayloadError(f"{path}: CRC mismatch (corrupt body)")
-        pairs = np.frombuffer(body, dtype="<i8", count=2 * m).reshape(m, 2)
-        src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
+    # checksummed and decoded where it was read: no second copy of the body
+    pairs = np.frombuffer(
+        raw, dtype="<i8", count=2 * kept, offset=body_start
+    ).reshape(kept, 2)
+    src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
     src, dst, clean = sanitize_edges(src, dst, num_vertices=n, mode=mode)
     report.merge(clean)
     return DiGraph(src, dst, n)

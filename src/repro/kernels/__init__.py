@@ -1,14 +1,22 @@
-"""Compiled scalar decision cores, and the one place a tier is chosen.
+"""Compiled hot loops, and the one place a tier is chosen.
 
-The chunked partitioners keep three scalar hot loops that DESIGN.md §4.3
-proved cannot be bulk-committed bit-identically: the HDRF decision core,
-the greedy decision core, and CLUGP's pass-1 allocation/splitting/
-migration replay (plus the pass-3 transform tail and the pass-2 game
-round).  This package holds compiled implementations of those loops
-behind one numpy-level API.  Every hot class asks :func:`get_backend`
-once, with no argument, and runs the kernels when it answers with a
-backend and its own numpy tier when it answers None — bit-identical
-either way.  No caller names an implementation.
+Two kinds of loop live here.  *Scalar decision cores*: the chunked
+partitioners keep three scalar hot loops that DESIGN.md §4.3 proved
+cannot be bulk-committed bit-identically — the HDRF decision core, the
+greedy decision core, and CLUGP's pass-1 allocation/splitting/migration
+replay (plus the pass-3 transform tail and the pass-2 game round).
+*Index-table walks*: the fused take-and-combine primitives
+(``take_add_f64``, ``take_min_f64``, ``take_min_i64``, ``take_put_i64``:
+``out[dst[i]] (+)= table[src[i]]``, i.e. ``ufunc.at(out, dst,
+table[src])`` without the temporary) a dense GAS superstep is made of
+(DESIGN.md §5.3) — the only kernels whose indices are caller data, so
+they bounds-check every row and raise ``IndexError``.  This package holds
+compiled implementations of those loops behind one numpy-level API.
+Every hot class asks :func:`get_backend` with no argument (the
+partitioner classes once, at construction; the GAS dispatcher per call,
+because vertex programs are pickled to workers) and runs the kernels
+when it answers with a backend and its own numpy tier when it answers
+None — bit-identical either way.  No caller names an implementation.
 
 Backends, in resolution order:
 
@@ -89,6 +97,10 @@ class PythonBackend:
     transform_chunk = staticmethod(_pykernels.transform_chunk)
     game_round = staticmethod(_pykernels.game_round)
     game_cost_rows = staticmethod(_pykernels.game_cost_rows)
+    take_add_f64 = staticmethod(_pykernels.checked_take(_pykernels.take_add_f64))
+    take_min_f64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_f64))
+    take_min_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_i64))
+    take_put_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_put_i64))
 
 
 _cache: dict[str, Any] = {}
@@ -251,6 +263,8 @@ def warmup(name: str | None = None) -> str | None:
     g_cut = np.ones(2, dtype=np.float64)
     g_assign = np.array([0, 1], dtype=np.int64)
     g_loads = np.array([1.0, 1.0])
+    g_table = np.zeros(n, dtype=np.float64)
+    g_slots = np.zeros(n, dtype=np.int64)
     backend.game_round(
         np.arange(2, dtype=np.int64), k, 0.5, 1e-9, 1,
         g_indptr, g_indices, g_weights, g_internal, g_cut,
@@ -266,5 +280,10 @@ def warmup(name: str | None = None) -> str | None:
         g_indptr, g_indices, g_weights, g_internal, g_cut,
         g_assign, g_loads, np.zeros(2 * k, dtype=np.float64),
     )
+    # the take walks: rows 0 -> 1 and 2 -> 3 of a 4-entry table, in place
+    backend.take_add_f64(v, u, g_table, g_table)
+    backend.take_min_f64(v, u, g_table, g_table)
+    backend.take_min_i64(v, u, g_slots, g_slots)
+    backend.take_put_i64(v, u, g_slots, g_slots)
     _warmed.add(backend.name)
     return backend.name

@@ -25,6 +25,8 @@ import tempfile
 
 import numpy as np
 
+from ._pykernels import checked_take
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 
 # Array parameters are declared ``void *`` and fed plain integer addresses:
@@ -54,22 +56,30 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _library_path(source_path: str) -> str:
+    """Where the cache holds the library built from ``source_path``: the
+    name is keyed by the source's hash, so an edit is a new file (and
+    whoever puts a library there under that name — the sanitizer leg's
+    instrumented build — is what :func:`load` binds)."""
+    with open(source_path, "rb") as fh:
+        source = fh.read()
+    key = hashlib.sha256(source + sys.platform.encode()).hexdigest()[:16]
+    suffix = ".dylib" if sys.platform == "darwin" else ".so"
+    return os.path.join(_cache_dir(), f"kernels-{key}{suffix}")
+
+
 def _build(source_path: str) -> str | None:
     """Compile the kernel library if not cached; return the .so path."""
     compiler = _find_compiler()
     if compiler is None:
         return None
     try:
-        with open(source_path, "rb") as fh:
-            source = fh.read()
+        lib_path = _library_path(source_path)
     except OSError:
         return None
-    key = hashlib.sha256(source + sys.platform.encode()).hexdigest()[:16]
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"kernels-{key}{suffix}")
     if os.path.exists(lib_path):
         return lib_path
+    cache, suffix = os.path.dirname(lib_path), os.path.splitext(lib_path)[1]
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
@@ -110,6 +120,24 @@ def _addr(arr: np.ndarray, dtype: np.dtype) -> int:
             f"{arr.dtype} with strides {arr.strides}"
         )
     return arr.__array_interface__["data"][0]
+
+
+def _bind_take(fn, dtype: np.dtype):
+    """Bind one take kernel ``(dst, src, m, table, table_len, out, out_len)
+    -> first bad row | -1`` as ``take(dst, src, table, out)``."""
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [
+        _I64P, _I64P, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+    ]
+
+    def kernel(dst, src, table, out) -> int:
+        return fn(
+            _addr(dst, _I64), _addr(src, _I64), dst.shape[0],
+            _addr(table, dtype), table.shape[0], _addr(out, dtype), out.shape[0],
+        )
+
+    return checked_take(kernel)
 
 
 class CcBackend:
@@ -153,6 +181,10 @@ class CcBackend:
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
             _I64P, _I64P, _F64P, _F64P, _F64P, _I64P, _F64P, _F64P,
         ]
+        self.take_add_f64 = _bind_take(lib.take_add_f64, _F64)
+        self.take_min_f64 = _bind_take(lib.take_min_f64, _F64)
+        self.take_min_i64 = _bind_take(lib.take_min_i64, _I64)
+        self.take_put_i64 = _bind_take(lib.take_put_i64, _I64)
 
     def hdrf_chunk(self, u, v, k, nw, lam, eps, loads, degree, words, out) -> None:
         self._lib.hdrf_chunk(

@@ -25,6 +25,11 @@ class NumbaBackend:
         self.transform_chunk = njit(**opts)(_pykernels.transform_chunk)
         self.game_round = njit(**opts)(_pykernels.game_round)
         self.game_cost_rows = njit(**opts)(_pykernels.game_cost_rows)
+        checked = _pykernels.checked_take
+        self.take_add_f64 = checked(njit(**opts)(_pykernels.take_add_f64))
+        self.take_min_f64 = checked(njit(**opts)(_pykernels.take_min_f64))
+        self.take_min_i64 = checked(njit(**opts)(_pykernels.take_min_i64))
+        self.take_put_i64 = checked(njit(**opts)(_pykernels.take_put_i64))
 
 
 def load() -> NumbaBackend | None:

@@ -1,6 +1,6 @@
 """Numba-compilable Python form of the scalar decision cores.
 
-These four functions are the *source* of the numba backend (``@njit`` is
+These functions are the *source* of the numba backend (``@njit`` is
 applied to them unchanged by :mod:`._numba_backend`) and double as the
 pure-Python ``"python"`` backend — always importable, never fast, used by
 the tests to exercise the kernel call paths on machines with neither
@@ -21,7 +21,14 @@ files must be kept in lockstep — see DESIGN.md §8):
   with the decision-preserving epoch skip rule and O(1) potential
   maintenance (DESIGN.md §10);
 * :func:`game_cost_rows` — the batched cost-row primitive behind
-  ``ClusterPartitioningGame.batch_cost_matrix``.
+  ``ClusterPartitioningGame.batch_cost_matrix``;
+* :func:`take_add_f64`, :func:`take_min_f64`, :func:`take_min_i64`,
+  :func:`take_put_i64` — ``ufunc.at(out, dst, table[src])`` /
+  ``out[dst] = table[src]`` without the temporary: the index-table walks
+  of a dense GAS superstep (:mod:`repro.system.runtime`).  Their indices
+  are caller data, so each row is bounds-checked and the kernel returns
+  the first bad row (-1: none); :func:`checked_take` is the numpy-level
+  form every backend exposes, which raises it as ``IndexError``.
 
 Conventions shared with the C kernels: vertex partition sets are flat
 multiword uint64 bitmask rows (``nw = ceil(k / 64)`` words per vertex,
@@ -42,6 +49,11 @@ __all__ = [
     "transform_chunk",
     "game_round",
     "game_cost_rows",
+    "take_add_f64",
+    "take_min_f64",
+    "take_min_i64",
+    "take_put_i64",
+    "checked_take",
 ]
 
 _ONE = np.uint64(1)
@@ -413,3 +425,97 @@ def game_cost_rows(
             if p == cur:
                 t = (loads[cur] - size) + size
             out[base + p] = t * a + (cut_degree[c] - out[base + p]) * 0.5
+
+
+# ---------------------------------------------------------------------- #
+# fused take-and-combine: the walks of a dense GAS superstep
+# ---------------------------------------------------------------------- #
+#
+# ``out[dst[i]] (+)= table[src[i]]`` for ``i`` ascending — ufunc.at's own
+# sequential fold order, so float sums keep their bits.  ``out`` and
+# ``table`` may be the same array.  Each returns the first row whose
+# index is out of range (the rows before it are applied, none after it),
+# or -1.
+
+
+def take_add_f64(dst, src, table, out):
+    """``np.add.at(out, dst, table[src])`` without the temporary."""
+    n_out = out.shape[0]
+    n_table = table.shape[0]
+    for i in range(dst.shape[0]):
+        d = dst[i]
+        s = src[i]
+        if d < 0 or d >= n_out or s < 0 or s >= n_table:
+            return i
+        out[d] = out[d] + table[s]
+    return -1
+
+
+def take_min_f64(dst, src, table, out):
+    """``np.minimum.at(out, dst, table[src])`` on float64, np.minimum's
+    NaN rule included: a NaN accumulator stays, a NaN addend lands."""
+    n_out = out.shape[0]
+    n_table = table.shape[0]
+    for i in range(dst.shape[0]):
+        d = dst[i]
+        s = src[i]
+        if d < 0 or d >= n_out or s < 0 or s >= n_table:
+            return i
+        x = table[s]
+        o = out[d]
+        if not (o < x) and o == o:
+            out[d] = x
+    return -1
+
+
+def take_min_i64(dst, src, table, out):
+    """``np.minimum.at(out, dst, table[src])`` on int64."""
+    n_out = out.shape[0]
+    n_table = table.shape[0]
+    for i in range(dst.shape[0]):
+        d = dst[i]
+        s = src[i]
+        if d < 0 or d >= n_out or s < 0 or s >= n_table:
+            return i
+        x = table[s]
+        if x < out[d]:
+            out[d] = x
+    return -1
+
+
+def take_put_i64(dst, src, table, out):
+    """``out[dst] = table[src]`` for any 8-byte item viewed as int64."""
+    n_out = out.shape[0]
+    n_table = table.shape[0]
+    for i in range(dst.shape[0]):
+        d = dst[i]
+        s = src[i]
+        if d < 0 or d >= n_out or s < 0 or s >= n_table:
+            return i
+        out[d] = table[s]
+    return -1
+
+
+def checked_take(kernel):
+    """The numpy-level form of a take kernel (not itself compiled).
+
+    ``kernel(dst, src, table, out)`` returns its first bad row or -1;
+    the returned function raises that row as the ``IndexError``
+    ``ufunc.at`` raises for it.  Unlike ``ufunc.at`` it rejects negative
+    indices too, and the rows before the bad one have been applied.
+    """
+
+    def take(dst, src, table, out) -> None:
+        if dst.shape != src.shape:
+            raise ValueError(
+                f"dst and src must pair up row by row, got shapes "
+                f"{dst.shape} and {src.shape}"
+            )
+        row = kernel(dst, src, table, out)
+        if row >= 0:
+            raise IndexError(
+                f"row {row}: dst {dst[row]} / src {src[row]} out of bounds "
+                f"for sizes {out.shape[0]} / {table.shape[0]}"
+            )
+
+    return take

@@ -1,4 +1,5 @@
-/* Scalar decision cores for the chunked streaming partitioners.
+/* Scalar decision cores for the chunked streaming partitioners, and the
+ * fused take-and-combine walks of the GAS runtime.
  *
  * Each function is a line-for-line transliteration of the corresponding
  * per-edge Python reference loop (see DESIGN.md section 8 for the
@@ -14,6 +15,12 @@
  *                        (one fused best-response round, DESIGN.md s10)
  *   game_cost_rows    <- repro.core.game.ClusterPartitioningGame
  *                        .batch_cost_matrix
+ *   take_add_f64, take_min_f64, take_min_i64, take_put_i64
+ *                     <- ufunc.at(out, dst, table[src]) / out[dst] =
+ *                        table[src]: the index-table walks of a dense
+ *                        GAS superstep (repro.system.runtime, DESIGN.md
+ *                        s5.3); the only kernels whose indices are
+ *                        caller data, hence bounds-checked per row
  *
  * All state crosses the boundary as flat C-contiguous arrays; vertex
  * partition sets are multiword uint64 bitmask rows (nw = ceil(k / 64)
@@ -430,3 +437,38 @@ void game_cost_rows(
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Fused take-and-combine: the walks of a dense GAS superstep          */
+/* ------------------------------------------------------------------ */
+
+/* out[dst[i]] (+)= table[src[i]] for i ascending: ufunc.at(out, dst,
+ * table[src]) without the |dst|-sized temporary, in ufunc.at's own
+ * (sequential) fold order, so float sums keep their bits.  dst and src
+ * are caller data (a vertex program's index tables): every row is
+ * bounds-checked before memory is touched, and the first bad row is
+ * returned (the rows before it are applied, none after it); -1 = all
+ * rows applied.  out and table may be the same array: no restrict. */
+#define TAKE_KERNEL(NAME, T, COMBINE)                                   \
+    int64_t NAME(                                                       \
+        const int64_t *dst, const int64_t *src, int64_t m,              \
+        const T *table, int64_t table_len, T *out, int64_t out_len)     \
+    {                                                                   \
+        for (int64_t i = 0; i < m; i++) {                               \
+            int64_t d = dst[i];                                         \
+            int64_t s = src[i];                                         \
+            if (d < 0 || d >= out_len || s < 0 || s >= table_len)       \
+                return i;                                               \
+            T x = table[s];                                             \
+            T o = out[d];                                               \
+            COMBINE;                                                    \
+        }                                                               \
+        return -1;                                                      \
+    }
+
+TAKE_KERNEL(take_add_f64, double, out[d] = o + x)
+/* np.minimum's rule: a NaN accumulator stays, a NaN addend lands */
+TAKE_KERNEL(take_min_f64, double, if (!(o < x) && o == o) out[d] = x)
+TAKE_KERNEL(take_min_i64, int64_t, if (x < o) out[d] = x)
+/* plain copy of any 8-byte item (the caller views it as int64) */
+TAKE_KERNEL(take_put_i64, int64_t, (void)o; out[d] = x)

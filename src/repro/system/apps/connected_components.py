@@ -51,7 +51,7 @@ class LocalConnectedComponentsProgram(ConnectedComponentsProgram):
             ctx.part.num_vertices, np.iinfo(np.int64).max, dtype=np.int64
         )
         targets, sources = ctx.select(*ctx.part.undirected())
-        np.minimum.at(partial, targets, ctx.values[sources])
+        self.accumulator.fold(partial, targets, ctx.values, sources)
         return partial
 
     def apply(self, runtime, vertex_ids, old_values, acc) -> np.ndarray:

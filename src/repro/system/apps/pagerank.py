@@ -43,7 +43,14 @@ class PageRankProgram:
         self._out_degree = np.bincount(engine.stream.src, minlength=n).astype(
             np.float64
         )
-        return np.full(n, 1.0 / n, dtype=np.float64)
+        return np.full(n, 1.0 / self._divisor(n), dtype=np.float64)
+
+    @staticmethod
+    def _divisor(n: int) -> int:
+        """``|V|`` as the rank formula divides by it.  On the empty graph
+        every rank vector is empty, so what it is divided by is moot —
+        but ``x / 0`` on a Python float raises before numpy sees it."""
+        return max(n, 1)
 
     def superstep(self, engine: GasEngine, values: np.ndarray):
         n = engine.num_vertices
@@ -53,8 +60,9 @@ class PageRankProgram:
         gathered = np.zeros(n, dtype=np.float64)
         np.add.at(gathered, dst, contrib[src])
         dangling_mass = values[out_degree == 0].sum()
-        new_values = (1.0 - self.damping) / n + self.damping * (
-            gathered + dangling_mass / n
+        scale = self._divisor(n)
+        new_values = (1.0 - self.damping) / scale + self.damping * (
+            gathered + dangling_mass / scale
         )
         err = np.abs(new_values - values).sum()
         if err < self.tol * n:
@@ -69,7 +77,7 @@ class LocalPageRankProgram(PageRankProgram):
 
     Extends :class:`PageRankProgram` to share its knob validation and
     global-formula ``init`` (both engines accept it); the gather is a
-    partition-local ``add.at`` over a block's edge sub-graph, the
+    partition-local add-fold along a block's edge sub-graph, the
     dangling mass a global aggregator assembled from per-partition master
     partials, and convergence the oracle's L1 test on the coordinator
     view — so superstep counts match the global oracle exactly and values
@@ -87,10 +95,11 @@ class LocalPageRankProgram(PageRankProgram):
         # load time in a real deployment): every replica's out-degree, and
         # the dangling masters' slots delimited per partition
         index = runtime.index
-        self._out_degree_slot = self._out_degree[index.vertices]
-        self._dangling_slots = np.flatnonzero(
-            index.is_master & (self._out_degree_slot == 0)
-        )
+        out_degree_slot = self._out_degree[index.vertices]
+        # a sink's quotient is never read (no edge has it as source), so
+        # dividing it by 1 instead of zeroing it changes no gathered bit
+        self._divisor_slot = np.maximum(out_degree_slot, 1.0)
+        self._dangling_slots = np.flatnonzero(index.is_master & (out_degree_slot == 0))
         self._dangling_indptr = np.searchsorted(
             self._dangling_slots, index.part_indptr
         ).tolist()
@@ -100,13 +109,10 @@ class LocalPageRankProgram(PageRankProgram):
 
     def gather_local(self, ctx: LocalContext) -> np.ndarray:
         part = ctx.part
-        out_degree = self._out_degree_slot[part.slots]
-        contrib = np.where(
-            out_degree > 0, ctx.values / np.maximum(out_degree, 1.0), 0.0
-        )
+        contrib = ctx.values / self._divisor_slot[part.slots]
         partial = np.zeros(part.num_vertices, dtype=np.float64)
         dst, src = ctx.select(part.dst_local, part.src_local)
-        np.add.at(partial, dst, contrib[src])
+        self.accumulator.fold(partial, dst, contrib, src)
         return partial
 
     def master_aggregate(self, part, values: np.ndarray) -> float:
@@ -150,7 +156,7 @@ class LocalPageRankProgram(PageRankProgram):
         old_values: np.ndarray,
         acc: np.ndarray,
     ) -> np.ndarray:
-        n = runtime.num_vertices
+        n = self._divisor(runtime.num_vertices)
         return (1.0 - self.damping) / n + self.damping * (
             acc + self._dangling_mass / n
         )

@@ -36,13 +36,28 @@ VERTEX_HEADER_BYTES = 8
 
 @dataclass
 class DensePayload:
-    """Fixed-width payload: one accumulator/value per message."""
+    """Fixed-width payload: one accumulator/value per message.
 
-    values: np.ndarray
+    *Described*, not copied: message ``i`` carries ``table[slots[i]]``
+    (``slots=None``: ``table[i]`` — a payload that already is its own
+    array, as a transport hands it over).  The in-process runtime
+    delivers straight from the description (one fused walk, no
+    ``table[slots]`` temporary); ``values`` materializes it for anyone
+    who wants the wire form, and is only meaningful while the sending
+    slots of ``table`` hold what was sent — within the superstep.
+    """
+
+    table: np.ndarray
+    slots: np.ndarray | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.table if self.slots is None else self.table[self.slots]
 
     @property
     def nbytes(self) -> int:
-        return int(self.values.nbytes)
+        count = self.table.size if self.slots is None else self.slots.size
+        return int(count * self.table.itemsize)
 
 
 @dataclass

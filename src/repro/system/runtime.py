@@ -9,7 +9,12 @@ concatenation of all partitions (no edge leaves its partition's slot
 range, so that is exactly k partition-local runs), and replicas
 synchronize exclusively through explicit typed message buffers
 (:mod:`repro.system.messages`) routed along the mirror table.  A
-superstep is a fixed number of array operations whatever ``k`` is.
+superstep is a fixed number of array operations whatever ``k`` is, and
+with a dense accumulator its three index-table walks — the program's
+gather along the edges, the gather sync and the apply sync along the
+routes — are each one fused take-and-combine pass
+(:meth:`DenseAccumulator.fold`, :func:`take_put`) that materializes
+nothing the size of the table it walks.
 
 One BSP superstep, with ``A`` the sync-active set entering the step
 (every vertex at step 0, then the scatter-activated frontier):
@@ -42,6 +47,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .. import kernels
 from .._util import ragged_take_indices
 from ..partitioners.base import PartitionAssignment
 from .engine import RunCost, SuperstepCost
@@ -57,6 +63,7 @@ __all__ = [
     "LocalVertexProgram",
     "LocalGasRuntime",
     "group_label_counts",
+    "take_put",
 ]
 
 
@@ -85,6 +92,62 @@ def group_label_counts(
     return uniq // n_labels, uniq % n_labels, summed
 
 
+_INT64 = np.dtype(np.int64)
+
+#: (combine, dtype) -> the fused take-and-combine kernel that folds it
+_FOLD_KERNELS = {
+    (np.add, np.dtype(np.float64)): "take_add_f64",
+    (np.minimum, np.dtype(np.float64)): "take_min_f64",
+    (np.minimum, _INT64): "take_min_i64",
+}
+
+
+def _flat(arr, dtype: np.dtype) -> bool:
+    """``arr`` is what a kernel indexes: 1-d C-contiguous ``dtype``."""
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.ndim == 1
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+    )
+
+
+def _take_walk(kernel: str, dtype: np.dtype, out, dst, table, src) -> bool:
+    """One walk of the index table ``(dst, src)`` by the take kernel
+    named ``kernel``, when it can run: a kernel backend resolves and
+    every argument is exactly what the kernel indexes.  False means
+    nothing was touched and the caller runs the numpy form.
+
+    The one place the system layer asks for a backend — per call, never
+    stored: vertex programs are pickled to distributed workers, and a
+    backend holds ctypes function pointers.
+    """
+    backend = kernels.get_backend()
+    if backend is None or not (
+        _flat(out, dtype) and _flat(table, dtype)
+        and _flat(dst, _INT64) and _flat(src, _INT64)
+    ):
+        return False
+    getattr(backend, kernel)(dst, src, table, out)
+    return True
+
+
+def take_put(out: np.ndarray, dst, table: np.ndarray, src) -> None:
+    """``out[dst] = table[src]`` without the ``table[src]`` temporary
+    (a bit copy of 8-byte numbers on the kernel tier).
+
+    ``out`` may be ``table`` when the ``dst`` and ``src`` index sets are
+    disjoint — the apply sync's case: mirrors receive, masters send.
+    """
+    dtype = out.dtype
+    if (
+        dtype.kind in "iuf" and dtype.itemsize == 8 and table.dtype == dtype
+        and _take_walk("take_put_i64", _INT64, out.view(_INT64), dst, table.view(_INT64), src)
+    ):
+        return
+    out[dst] = table[src]
+
+
 @dataclass(frozen=True)
 class DenseAccumulator:
     """Fixed-width gather accumulator: one value per vertex.
@@ -100,6 +163,24 @@ class DenseAccumulator:
 
     def empty(self, n: int) -> np.ndarray:
         return np.full(n, self.identity, dtype=self.dtype)
+
+    def fold(self, out: np.ndarray, dst, table: np.ndarray, src) -> None:
+        """``out[dst[i]] = combine(out[dst[i]], table[src[i]])`` for ``i``
+        ascending: ``combine.at(out, dst, table[src])``, same fold order
+        and so the same bits, without materializing ``table[src]`` when
+        :mod:`repro.kernels` has the (combine, dtype) pair and the
+        arguments are flat int64-indexed arrays — and literally that
+        numpy expression otherwise (any ufunc, any dtype, no backend).
+
+        ``out`` may be ``table`` when the ``dst`` and ``src`` index sets
+        are disjoint.  Indices are checked on both tiers (``IndexError``);
+        the kernel tier also refuses the negative ones numpy would wrap,
+        and has applied the rows before the bad one when it raises.
+        """
+        dtype = np.dtype(self.dtype)
+        kernel = _FOLD_KERNELS.get((self.combine, dtype))
+        if kernel is None or not _take_walk(kernel, dtype, out, dst, table, src):
+            self.combine.at(out, dst, table[src])
 
 
 class LabelCountAccumulator:
@@ -235,6 +316,7 @@ class LocalGasRuntime:
         undirected = program.edge_mode == "undirected"
         sparse = program.frontier != "dense"
         spec = program.accumulator
+        master_vertices = index.vertices[index.master_slots]
         cost = RunCost()
         self.sync_masks = []
         active = np.ones(n, dtype=bool)
@@ -266,12 +348,13 @@ class LocalGasRuntime:
                 return new_vals
 
             if active_slots is None:
-                ids = index.master_slots
+                ids, gids = index.master_slots, master_vertices
             else:
                 ids = np.flatnonzero(index.is_master & active_slots)
+                gids = index.vertices[ids]
             if ids.size:
                 values[ids] = apply_at(
-                    index.vertices[ids], values[ids], self._take_accumulator(merged, ids, spec)
+                    gids, values[ids], self._take_accumulator(merged, ids, spec)
                 )
             isolated = np.flatnonzero(active & self._unhosted)
             if isolated.size:
@@ -279,9 +362,10 @@ class LocalGasRuntime:
                     isolated, values_global[isolated],
                     self._identity_accumulator(spec, isolated.size),
                 )
-            # (4) apply sync: master -> mirror value broadcasts
-            apply_buf = MessageBuffer("apply", master, mirror, DensePayload(values[master]))
-            values[apply_buf.dst_slot] = apply_buf.payload.values
+            # (4) apply sync: master -> mirror value broadcasts, one walk
+            # of the route table (masters send, mirrors receive: disjoint)
+            apply_buf = MessageBuffer("apply", master, mirror, DensePayload(values, master))
+            take_put(values, apply_buf.dst_slot, values, apply_buf.src_slot)
             # frontier policy
             if not sparse:
                 converged = program.check_converged(self, values_global, new_global)
@@ -320,20 +404,22 @@ class LocalGasRuntime:
         return indptr, labels[flat], counts[flat]
 
     def _pack_accumulator(self, partial, mirror: np.ndarray, spec):
-        """Every active mirror's partial accumulator, as a wire payload."""
-        taken = self._take_accumulator(partial, mirror, spec)
+        """Every active mirror's partial accumulator, as a wire payload
+        (dense: described as ``partial`` at the mirror slots, not copied)."""
         if isinstance(spec, DenseAccumulator):
-            return DensePayload(taken)
-        return RaggedPayload(*taken)
+            return DensePayload(partial, mirror)
+        return RaggedPayload(*self._take_accumulator(partial, mirror, spec))
 
     def _deliver_gather(self, buf: MessageBuffer, partial, spec):
         """Merge mirror accumulators into their masters' partials.
 
-        ``combine.at`` folds messages in row order, i.e. per master in
+        The fold takes messages in row order, i.e. per master in
         ascending mirror partition — the merge order of a receiver
-        draining its inbox partition by partition."""
+        draining its inbox partition by partition.  Dense partials merge
+        in place: mirror and master slots are disjoint, so no slot the
+        fold reads is one it writes."""
         if isinstance(spec, DenseAccumulator):
-            spec.combine.at(partial, buf.dst_slot, buf.payload.values)
+            spec.fold(partial, buf.dst_slot, partial, buf.src_slot)
             return partial
         if buf.count == 0:
             # nothing received: the partial is already grouped and

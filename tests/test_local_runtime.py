@@ -39,6 +39,7 @@ from repro.system.apps import (
     pagerank,
     sssp,
 )
+from repro.system.runtime import DenseAccumulator, take_put
 from repro._util import ragged_take_indices, segment_sums
 
 PARTITIONERS = ("hashing", "hdrf", "clugp")
@@ -227,6 +228,28 @@ class TestLocalIndex:
             np.diff(routes.mirror_indptr),
             np.bincount(slot_part[routes.mirror_slot], minlength=k),
         )
+
+    @settings(deadline=None, max_examples=60)
+    @given(edge_streams)
+    def test_routes_never_send_from_a_slot_they_deliver_to(self, data):
+        """``mirror_slot ∩ master_slot = ∅``: what lets both sync rounds
+        walk the route table in place — no slot a walk reads is one it
+        writes, so delivering from the live array equals delivering from
+        a packed copy of it, bit for bit."""
+        index = build_local_index(build_random_assignment(data))
+        mirror, master = index.routes.mirror_slot, index.routes.master_slot
+        assert np.intersect1d(mirror, master).size == 0
+        partial = np.random.default_rng(mirror.size).random(index.vertices.size)
+        packed = partial.copy()
+        np.add.at(packed, master, partial[mirror])
+        DenseAccumulator(np.dtype(np.float64), 0.0, np.add).fold(
+            partial, master, partial, mirror
+        )
+        assert partial.tobytes() == packed.tobytes()
+        values = packed.copy()
+        packed[mirror] = packed[master]
+        take_put(values, mirror, values, master)
+        assert values.tobytes() == packed.tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(edge_streams)
@@ -644,6 +667,27 @@ class TestLocalRuntime:
         labels, cost = connected_components(LocalGasRuntime(assignment))
         assert labels.tolist() == [0, 1, 2, 3, 4]
         assert cost.total_messages == 0
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_pagerank_on_the_empty_graph(self, mode):
+        """Zero vertices is a legal stream: the other apps return ``[]``
+        after one superstep on it; PageRank divided by ``n`` instead."""
+        stream = EdgeStream([], [], num_vertices=0)
+        assignment = PartitionAssignment(stream, [], num_partitions=2)
+        values, cost = pagerank(make_engine(assignment, mode=mode))
+        labels, label_cost = connected_components(make_engine(assignment, mode=mode))
+        assert values.shape == (0,) and values.dtype == np.float64
+        assert labels.shape == (0,)
+        assert cost.to_dict() == label_cost.to_dict()
+        assert cost.num_supersteps == 1 and cost.total_messages == 0
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_pagerank_without_edges_is_uniform(self, mode):
+        stream = EdgeStream([], [], num_vertices=5)
+        assignment = PartitionAssignment(stream, [], num_partitions=2)
+        values, cost = pagerank(make_engine(assignment, mode=mode))
+        assert np.allclose(values, 0.2, atol=1e-15, rtol=0.0)
+        assert cost.num_supersteps == 1 and cost.total_messages == 0
 
     def test_isolated_vertices_keep_pagerank_mass(self):
         # vertex 3 has no edges: its rank is applied by the coordinator

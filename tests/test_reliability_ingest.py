@@ -243,6 +243,26 @@ class TestBinaryEdges:
         with pytest.raises(TruncatedPayloadError, match="CRC"):
             read_edges_binary(path)
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("offset", [0, 7, -1])
+    def test_flipped_body_byte_is_caught_before_any_edge_is_used(
+        self, tmp_path, graph, mode, offset
+    ):
+        """The body is checksummed where it was read (no second copy) and
+        still *before* it is decoded: byte 7 is the first endpoint's sign
+        bit, which the sanitizer would otherwise report as a malformed
+        (strict) or dropped (lenient) edge."""
+        path = tmp_path / "g.bin"
+        write_edges_binary(graph, path)
+        raw = bytearray(path.read_bytes())
+        body = range(24, len(raw) - 4)  # after the header, before the CRC
+        raw[body[offset]] ^= 0x80
+        path.write_bytes(bytes(raw))
+        report = DropReport()
+        with pytest.raises(TruncatedPayloadError, match="CRC"):
+            read_edges_binary(path, mode=mode, report=report)
+        assert report.dropped == {}
+
     def test_bad_magic(self, tmp_path, graph):
         path = tmp_path / "g.bin"
         write_edges_binary(graph, path)
