@@ -11,6 +11,17 @@ the instrumented library through its normal path, with no switch in
 preloaded.  Any report aborts the test process, so the exit status is
 non-zero on any report (and on any ordinary test failure).
 
+``tests/test_kernels.py`` holds the identity differential of the
+partitioner contract (``test_streaming_three_way_identity``): under it
+``hdrf_chunk`` / ``greedy_chunk`` / ``transform_chunk`` write through
+``out`` *slices* of one preallocated result array at chunk sizes 1, 7,
+509, 65 536 and |E| — the pointer arithmetic a sanitizer is for.
+``tests/test_default_path.py`` puts the default-constructed objects of
+every host (single process, service, distributed) on the instrumented
+library too.  The whole leg is ~70 s here; the differential's
+``chunk_size = 1`` row alone is ~12 s, so no row is skipped under the
+instrumented build.
+
 The tests run in a child process, which ends by reading its own
 ``/proc/self/maps``: the instrumented library must be the kernel library
 mapped, the ASan runtime must be mapped, and an unforced resolution must
@@ -40,6 +51,7 @@ from repro.kernels import _cc_backend  # noqa: E402
 
 TESTS = [
     "tests/test_kernels.py",
+    "tests/test_default_path.py",
     "tests/test_game_kernels.py",
     "tests/test_kernel_seams.py",
     "tests/test_local_runtime.py",

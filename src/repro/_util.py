@@ -179,12 +179,14 @@ def grow_buffer(
     return out
 
 
-def occurrence_ranks(edges: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+def occurrence_ranks(
+    u: np.ndarray, v: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Within-chunk occurrence ranks of both endpoints of every edge.
 
-    For an ``(m, 2)`` edge chunk, returns int64 arrays ``(rank_u, rank_v)``
-    where ``rank_u[i]`` counts how often ``edges[i, 0]`` appears as *either*
-    endpoint of edges ``0..i`` inclusive (so the first occurrence has rank
+    For a chunk given as endpoint columns, returns int64 arrays
+    ``(rank_u, rank_v)`` where ``rank_u[i]`` counts how often ``u[i]``
+    appears as *either* endpoint of edges ``0..i`` inclusive (so the first occurrence has rank
     1).  Self-loop edges count both of their own slots at once: both ranks
     report the count *after* the whole edge, matching a sequential consumer
     that bumps ``state[u]`` and ``state[v]`` before reading either.
@@ -196,12 +198,13 @@ def occurrence_ranks(edges: np.ndarray, num_vertices: int) -> tuple[np.ndarray, 
     lets ``degree-at-edge-i = degree_at_chunk_entry + rank`` be evaluated
     for a whole chunk at once.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    m = edges.shape[0]
+    m = len(u)
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    flat = edges.ravel()  # u0, v0, u1, v1, ... keeps slot order = stream order
+    flat = np.empty(2 * m, dtype=np.int64)
+    flat[0::2] = u  # u0, v0, u1, v1, ... keeps slot order = stream order
+    flat[1::2] = v
     order = stable_argsort_bounded(flat, num_vertices)
     sorted_ids = flat[order]
     slots = np.arange(2 * m, dtype=np.int64)

@@ -90,25 +90,20 @@ def run_algorithm(
 ) -> tuple[EdgePartitioner, PartitionAssignment]:
     """Instantiate + run one registered algorithm under its best order.
 
-    ``ingest`` selects the ingestion path: ``"default"`` (the algorithm's
-    native :meth:`~EdgePartitioner.partition`), ``"chunked"`` (vectorized
-    ``(m, 2)`` chunk ingestion, optionally sized by ``chunk_size``), or
-    ``"per-edge"`` (the reference one-edge-at-a-time loop).  All three
-    produce identical assignments; they differ only in speed.
+    ``ingest`` selects the entry: ``"default"``
+    (:meth:`~EdgePartitioner.partition`, the stream read ``chunk_size``
+    edges at a time) or ``"per-edge"`` (the reference one-edge-at-a-time
+    loop).  Both produce identical assignments; they differ only in speed.
     """
     partitioner = make_partitioner(name, num_partitions, seed=seed, **kwargs)
     if use_preferred_order and partitioner.preferred_order != "natural":
         stream = stream.reordered(partitioner.preferred_order, seed=order_seed)
     if ingest == "default":
-        assignment = partitioner.partition(stream)
-    elif ingest == "chunked":
-        assignment = partitioner.partition_chunked(stream, chunk_size=chunk_size)
+        assignment = partitioner.partition(stream, chunk_size=chunk_size)
     elif ingest == "per-edge":
         assignment = partitioner.partition_per_edge(stream)
     else:
-        raise ValueError(
-            f"ingest must be 'default', 'chunked', or 'per-edge', got {ingest!r}"
-        )
+        raise ValueError(f"ingest must be 'default' or 'per-edge', got {ingest!r}")
     return partitioner, assignment
 
 
@@ -124,89 +119,31 @@ def clugp_stage_times(
 
     Returns ``{"per-edge": {...}, "chunked": {...}}`` where each inner dict
     maps pass name (``clustering`` / ``game`` / ``transform``) and
-    ``total`` to seconds.  The per-edge side times the three oracle
-    functions (:func:`repro.core.clustering.streaming_clustering`,
-    :func:`repro.core.game.best_response_dynamics`,
-    :func:`repro.core.transform.transform_partitions`); the chunked side
-    times the chunk engines (:class:`ClusteringState`, the game, and
-    :class:`TransformState`) on whichever tier :mod:`repro.kernels`
-    resolves.  Both paths are asserted bit-identical before timings are
-    returned.
+    ``total`` to seconds, read off the ``stage_times`` the two entries
+    record: :meth:`~EdgePartitioner.partition_per_edge` (the three oracle
+    functions) and :meth:`~EdgePartitioner.partition` at ``chunk_size``
+    (the chunk engines, on whichever tier :mod:`repro.kernels` resolves).
+    Both are asserted bit-identical before timings are returned.
     """
     import numpy as np
 
-    from .._util import Timer
-    from ..core.clustering import ClusteringState, streaming_clustering
-    from ..core.cluster_graph import build_cluster_graph
-    from ..core.transform import TransformState, transform_partitions
-
-    partitioner = make_partitioner(variant, num_partitions, seed=seed)
-    cfg = partitioner.config
-    vmax = cfg.resolve_vmax(stream.num_edges)
-    baseline = None
     results: dict[str, dict[str, float]] = {}
+    baseline = None
     for ingest in ("per-edge", "chunked"):
         stages: dict[str, float] = {}
         for _ in range(repeats):
             partitioner = make_partitioner(variant, num_partitions, seed=seed)
             if ingest == "per-edge":
-                with Timer() as t1:
-                    clustering = streaming_clustering(
-                        stream, vmax, enable_splitting=cfg.enable_splitting
-                    )
-                with Timer() as t2:
-                    cluster_graph = build_cluster_graph(stream, clustering)
-                    game = partitioner._map_clusters_per_edge(cluster_graph)
-                with Timer() as t3:
-                    edge_partition, _ = transform_partitions(
-                        stream,
-                        clustering,
-                        game.assignment,
-                        cfg.num_partitions,
-                        imbalance_factor=cfg.imbalance_factor,
-                    )
+                assignment = partitioner.partition_per_edge(stream)
             else:
-                with Timer() as t1:
-                    state = ClusteringState(
-                        stream.num_vertices,
-                        vmax,
-                        enable_splitting=cfg.enable_splitting,
-                    )
-                    for src, dst in stream.batches(chunk_size):
-                        state.ingest_pair(src, dst)
-                    clustering = state.finalize()
-                with Timer() as t2:
-                    cluster_graph = build_cluster_graph(stream, clustering)
-                    game = partitioner._map_clusters(cluster_graph)
-                with Timer() as t3:
-                    transform = TransformState(
-                        clustering,
-                        game.assignment,
-                        cfg.num_partitions,
-                        num_edges=stream.num_edges,
-                        num_vertices=stream.num_vertices,
-                        imbalance_factor=cfg.imbalance_factor,
-                    )
-                    parts = [
-                        transform.ingest_pair(src, dst)
-                        for src, dst in stream.batches(chunk_size)
-                    ]
-                    edge_partition = (
-                        np.concatenate(parts)
-                        if parts
-                        else np.empty(0, dtype=np.int64)
-                    )
-            run_stages = {
-                "clustering": t1.elapsed,
-                "game": t2.elapsed,
-                "transform": t3.elapsed,
-                "total": t1.elapsed + t2.elapsed + t3.elapsed,
-            }
+                assignment = partitioner.partition(stream, chunk_size=chunk_size)
+            run_stages = dict(assignment.stage_times.stages)
+            run_stages["total"] = assignment.total_time()
             for name, seconds in run_stages.items():
                 stages[name] = min(stages.get(name, float("inf")), seconds)
         if baseline is None:
-            baseline = edge_partition
-        elif not np.array_equal(baseline, edge_partition):
+            baseline = assignment.edge_partition
+        elif not np.array_equal(baseline, assignment.edge_partition):
             raise AssertionError(
                 f"{variant}: chunked and per-edge assignments diverged"
             )

@@ -43,6 +43,15 @@ from .system.apps.pagerank import pagerank
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` of the strictly-positive count flags: a usage
+    error (exit 2, the flag named) instead of a traceback further in."""
+    value = int(text)  # a ValueError is argparse's own "invalid value" error
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``clugp`` argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -57,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--edgelist", default=None, help="edge-list file instead of a dataset")
     common.add_argument("--scale", type=float, default=0.2, help="dataset scale factor")
     common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("-k", "--partitions", type=int, default=32, help="number of partitions")
+    common.add_argument(
+        "-k", "--partitions", type=_positive_int, default=32, help="number of partitions"
+    )
     common.add_argument(
         "--ingest-mode",
         default="strict",
@@ -75,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--output", default=None, help="write edge->partition ids to this file")
     p_part.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
-            "ingest the stream as (N, 2) edge chunks (the chunk protocol; "
-            "multi-pass algorithms buffer the stream and ignore N)"
+            "read the stream as chunks of at most N edges in every pass "
+            "(default 65536; the assignment does not depend on N)"
         ),
     )
 
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr = sub.add_parser("pagerank", parents=[common], help="partition + simulate PageRank")
     p_pr.add_argument("--algorithm", default="clugp", choices=sorted(PARTITIONERS))
     p_pr.add_argument("--rtt-ms", type=float, default=10.0, help="network RTT in ms")
-    p_pr.add_argument("--supersteps", type=int, default=30, help="max supersteps")
+    p_pr.add_argument("--supersteps", type=_positive_int, default=30, help="max supersteps")
     p_pr.add_argument(
         "--mode",
         default="local",
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="partitioning algorithm deployed under the runtime",
     )
     p_app.add_argument("--rtt-ms", type=float, default=10.0, help="network RTT in ms")
-    p_app.add_argument("--supersteps", type=int, default=30, help="max supersteps")
+    p_app.add_argument("--supersteps", type=_positive_int, default=30, help="max supersteps")
     p_app.add_argument(
         "--mode", default="local", choices=["local", "global"],
         help="execution engine (default: the partition-local runtime)",
@@ -141,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the distributed CLUGP deployment (Section III-C)",
     )
     p_dist.add_argument(
-        "--num-nodes", type=int, default=4, help="ingest nodes (default 4)"
+        "--num-nodes", type=_positive_int, default=4, help="ingest nodes (default 4)"
     )
     p_dist.add_argument(
         "--merge-mode",
@@ -158,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker processes fed and read over shared memory)",
     )
     p_dist.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="per-node chunked ingestion batch size",
+        "--chunk-size", type=_positive_int, default=None, metavar="N",
+        help="each node reads its shard as chunks of at most N edges",
     )
     p_dist.add_argument(
         "--compare-modes", action="store_true",
@@ -272,10 +283,7 @@ def _cmd_partition(args) -> int:
     partitioner = make_partitioner(args.algorithm, args.partitions, seed=args.seed)
     if partitioner.preferred_order != "natural":
         stream = stream.reordered(partitioner.preferred_order, seed=args.seed)
-    if args.chunk_size is not None:
-        assignment = partitioner.partition_chunked(stream, chunk_size=args.chunk_size)
-    else:
-        assignment = partitioner.partition(stream)
+    assignment = partitioner.partition(stream, chunk_size=args.chunk_size)
     report = quality_report(
         assignment,
         algorithm=partitioner.name,

@@ -35,9 +35,11 @@ Complexities (Section IV-A): time O(|E|), space O(|V|).
 
 Chunked ingestion
 -----------------
-:class:`ClusteringState` consumes ``(m, 2)`` int64 edge chunks (the PR-1
-chunk protocol) and produces **bit-identical** results to the per-edge
-oracle :func:`streaming_clustering`.  The state is held in flat
+:class:`ClusteringState` consumes chunks as contiguous int64 endpoint
+columns (:meth:`~ClusteringState.ingest_pair`; :meth:`~ClusteringState.run`
+is the one pass-1 driver over a stream's batches) and produces
+**bit-identical** results to the per-edge oracle
+:func:`streaming_clustering`.  The state is held in flat
 arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
 buffer, parallel mirror tables).  When a :mod:`repro.kernels` backend
 resolves, each chunk is one call into the compiled
@@ -75,7 +77,6 @@ __all__ = [
     "ClusteringState",
     "LiveClustering",
     "streaming_clustering",
-    "streaming_clustering_chunked",
 ]
 
 
@@ -353,7 +354,7 @@ def streaming_clustering(
 
 
 class ClusteringState:
-    """Incremental pass-1 state consuming ``(m, 2)`` int64 edge chunks.
+    """Incremental pass-1 state consuming chunks of endpoint columns.
 
     Drives Algorithm 2 over a chunked stream with results bit-identical to
     :func:`streaming_clustering`.  See the module docstring for the
@@ -366,10 +367,10 @@ class ClusteringState:
 
     Usage::
 
-        state = ClusteringState(stream.num_vertices, vmax)
-        for chunk in stream.chunks(chunk_size):
-            state.ingest(chunk)
-        result = state.finalize()
+        result = ClusteringState(stream.num_vertices, vmax).run(stream, chunk_size)
+
+    or, for a feed that arrives batch by batch, :meth:`ingest_pair` per
+    batch and :meth:`finalize` (or :meth:`snapshot` / :meth:`live`).
     """
 
     #: re-probe the classifier every this many chunks while in scalar mode
@@ -462,17 +463,15 @@ class ClusteringState:
     # ingestion
     # ------------------------------------------------------------------ #
 
-    def ingest(self, edges: np.ndarray) -> None:
-        """Consume one ``(m, 2)`` edge chunk."""
-        edges = np.asarray(edges, dtype=np.int64)
-        self.ingest_pair(edges[:, 0], edges[:, 1])
+    def run(self, stream: EdgeStream, chunk_size: int) -> ClusteringResult:
+        """Pass 1 over ``stream``, read as chunks of ``chunk_size`` edges:
+        the one driver every whole-stream caller of this state shares."""
+        for u, v in stream.batches(chunk_size):
+            self.ingest_pair(u, v)
+        return self.finalize()
 
     def ingest_pair(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Consume one chunk given as endpoint column arrays.
-
-        Same semantics as :meth:`ingest`; whole-stream drivers use this
-        with :meth:`EdgeStream.batches` to skip the ``(m, 2)`` stack copy.
-        """
+        """Consume one chunk given as endpoint column arrays."""
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
         # the kernels index raw int64 memory; free for int64 columns
@@ -882,7 +881,7 @@ class ClusteringState:
         without ending ingestion.
 
         Unlike :meth:`finalize` the state stays live — further
-        :meth:`ingest` calls continue exactly where the stream left off,
+        :meth:`ingest_pair` calls continue exactly where the stream left off,
         and the returned result is bit-identical to what
         :func:`streaming_clustering` produces on the prefix ingested so
         far (the warm-state invariant the service tests pin down).  The
@@ -921,22 +920,6 @@ class ClusteringState:
             self.migrations,
             self.allocations,
         )
-
-
-def streaming_clustering_chunked(
-    stream: EdgeStream,
-    max_volume: int,
-    enable_splitting: bool = True,
-    chunk_size: int = 1 << 16,
-) -> ClusteringResult:
-    """Run Algorithm 2 by chunked ingestion; bit-identical to
-    :func:`streaming_clustering` for every chunk size."""
-    state = ClusteringState(
-        stream.num_vertices, max_volume, enable_splitting=enable_splitting
-    )
-    for chunk in stream.chunks(chunk_size):
-        state.ingest(chunk)
-    return state.finalize()
 
 
 def _compact(

@@ -316,9 +316,10 @@ class NodeStages:
         partitioner = ClugpPartitioner(
             msg["num_partitions"], seed=msg["seed"] + self.node, config=msg["config"]
         )
-        assignment = partitioner.partition_chunked(shard, chunk_size=msg["chunk_size"])
+        assignment = partitioner.partition(shard, chunk_size=msg["chunk_size"])
         return {
             "edge_partition": assignment.edge_partition,
+            "stage_seconds": dict(assignment.stage_times.stages),
             "num_clusters": partitioner.last_clustering.num_clusters,
             "splits": partitioner.last_clustering.splits,
             "game_rounds": partitioner.last_game_result.rounds,
@@ -619,10 +620,10 @@ def distributed_clugp(
         Execute node pipelines concurrently (the deployment model) or
         sequentially (deterministic debugging).
     chunk_size:
-        Each node ingests its shard through the chunked pipeline in
-        ``(chunk_size, 2)`` batches (default: the partitioner's chunk
-        size) — the node-local equivalent of a crawler handing the
-        partitioner one fetch buffer at a time.
+        Each node reads its shard as chunks of at most ``chunk_size``
+        edges in every pass (default: the partitioner's chunk size) —
+        the node-local equivalent of a crawler handing the partitioner
+        one fetch buffer at a time.
     merge_mode:
         ``"independent"`` concatenates per-shard pipelines (no node
         communication, the retained oracle); ``"merged"`` runs the
@@ -640,6 +641,8 @@ def distributed_clugp(
         Its ``num_workers`` must equal ``num_nodes``.
     """
     check_positive_int(num_nodes, "num_nodes")
+    if chunk_size is not None:
+        check_positive_int(chunk_size, "chunk_size")
     if num_nodes > max(1, stream.num_edges):
         raise ValueError(
             f"num_nodes={num_nodes} exceeds the number of edges {stream.num_edges}"
@@ -703,6 +706,7 @@ def _run_independent(
                 splits=payload["splits"],
                 game_rounds=payload["game_rounds"],
                 seconds=seconds,
+                transform_seconds=payload["stage_seconds"]["transform"],
             )
         )
     # "total" is the summed node work (what a single machine would spend);
@@ -891,7 +895,8 @@ class DistributedClugpPartitioner(EdgePartitioner):
     num_nodes:
         Ingest nodes (default 4).
     chunk_size:
-        Per-node chunked ingestion batch size (None = partitioner default).
+        This instance's :attr:`default_chunk_size`: what each node reads
+        its shard in when :meth:`partition` is given none.
     merge_mode:
         ``"independent"`` (concatenate shard pipelines) or ``"merged"``
         (cluster-summary merge + one global game).
@@ -920,7 +925,8 @@ class DistributedClugpPartitioner(EdgePartitioner):
         super().__init__(num_partitions, seed)
         self.num_nodes = check_positive_int(num_nodes, "num_nodes")
         self.config = config
-        self.chunk_size = chunk_size
+        if chunk_size is not None:
+            self.default_chunk_size = check_positive_int(chunk_size, "chunk_size")
         self.merge_mode = merge_mode
         self.backend = backend
         self.last_result: DistributedResult | None = None
@@ -959,9 +965,13 @@ class DistributedClugpPartitioner(EdgePartitioner):
         """Context-manager exit: release resident workers."""
         self.close()
 
-    def partition(self, stream: EdgeStream) -> PartitionAssignment:
-        """Run the full distributed pipeline; keeps ``last_result``."""
-        self._last_stream = stream
+    def _run(
+        self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times: StageTimes
+    ) -> None:
+        """Hand the stream whole to :func:`distributed_clugp` — its nodes
+        make the passes, ``chunk_size`` edges at a time — and keep the
+        call's diagnostics (``last_result``) and every ledger of its
+        :class:`~repro._util.StageTimes`."""
         effective_nodes = min(self.num_nodes, max(1, stream.num_edges))
         result = distributed_clugp(
             stream,
@@ -969,16 +979,15 @@ class DistributedClugpPartitioner(EdgePartitioner):
             num_nodes=effective_nodes,
             config=self.config,
             seed=self.seed,
-            chunk_size=self.chunk_size,
+            chunk_size=chunk_size,
             merge_mode=self.merge_mode,
             backend=self.backend,
             runtime=self.runtime_for(effective_nodes),
         )
         self.last_result = result
-        return result.assignment
-
-    def _assign(self, stream: EdgeStream) -> np.ndarray:  # pragma: no cover
-        return self.partition(stream).edge_partition
+        out[:] = result.assignment.edge_partition
+        for ledger in ("stages", "walls", "counters", "overlaps"):
+            getattr(times, ledger).update(getattr(result.assignment.stage_times, ledger))
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Rough per-node state footprint for the memory comparisons."""

@@ -19,21 +19,22 @@ Ablations:
 * :class:`ClugpGreedyPartitioner` ("CLUGP-G") replaces the game with the
   greedy rule "biggest cluster into currently smallest partition".
 
-Ingestion paths
----------------
-All three variants implement the PR-1 chunk protocol
-(``begin_chunks`` / ``partition_chunk`` / ``finish_chunks``): pass 1
-consumes each ``(m, 2)`` chunk incrementally while the chunk is also
-buffered (a multi-pass algorithm re-reads the stream; buffering is the
-in-memory stand-in for the re-scan, so the protocol defers every edge and
-flushes the full assignment from ``finish_chunks`` after passes 2-3 run).
-:meth:`partition` drives the same chunk engines over the whole
-stream; :meth:`partition_per_edge` chains the three per-edge oracles
-(:func:`~repro.core.clustering.streaming_clustering`,
-:func:`~repro.core.game.best_response_dynamics`,
-:func:`~repro.core.transform.transform_partitions`) as the correctness
-reference.  All three paths produce bit-identical assignments, whichever
-tier :mod:`repro.kernels` resolves for the engines.
+The contract
+------------
+All three variants are ``partition(stream, chunk_size=None)``
+(:class:`~repro.partitioners.base.EdgePartitioner` owns the entry, the
+clock and the result array) and supply the run: three passes over
+``stream.batches(chunk_size)``, each recorded as its own stage
+(``clustering`` / ``game`` / ``transform``) at every chunk size.  Pass 1
+and pass 3 each have one driver, next to the state class it drives
+(:meth:`ClusteringState.run`, :meth:`TransformState.run` — which writes
+each chunk into its slice of the result); the staged API the distributed
+protocol calls (:meth:`~ClugpPartitioner.cluster_summary`,
+:meth:`~ClugpPartitioner.transform_with_mapping`) runs on the same two.
+:meth:`partition_per_edge` chains the three per-edge oracles
+(:func:`streaming_clustering`, :func:`best_response_dynamics`,
+:func:`transform_partitions`): bit-identical, whichever tier
+:mod:`repro.kernels` resolves for the engines.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .._util import StageTimes, Timer
 from ..config import ClugpConfig, GameConfig
 from ..graph.stream import EdgeStream
-from ..partitioners.base import EdgePartitioner, PartitionAssignment
+from ..partitioners.base import EdgePartitioner
 from .clustering import ClusteringResult, ClusteringState, streaming_clustering
 from .cluster_graph import ClusterGraph, build_cluster_graph, cluster_graph_from_labels
 from .game import ClusterPartitioningGame, GameResult, best_response_dynamics
@@ -355,8 +356,8 @@ class ClugpPartitioner(EdgePartitioner):
         (``imbalance_factor``, ``max_cluster_volume``, ``parallel``,
         ``game``) override single fields.
 
-    After :meth:`partition` (or a chunked run) the intermediate products
-    of the three passes are exposed as :attr:`last_clustering`,
+    After :meth:`partition` (or :meth:`partition_per_edge`) the
+    intermediate products of the three passes are exposed as :attr:`last_clustering`,
     :attr:`last_cluster_graph`, :attr:`last_game_result` and
     :attr:`last_transform_stats` for inspection, testing, and the
     ablation benchmarks.
@@ -365,7 +366,6 @@ class ClugpPartitioner(EdgePartitioner):
     name = "clugp"
     passes = 3
     preferred_order = "natural"
-    supports_chunks = True
     _enable_splitting = True
     _use_game = True
 
@@ -403,38 +403,20 @@ class ClugpPartitioner(EdgePartitioner):
         self.last_cluster_graph: ClusterGraph | None = None
         self.last_game_result: GameResult | None = None
         self.last_transform_stats: TransformStats | None = None
-        # chunk-protocol state
-        self._chunk_state: ClusteringState | None = None
-        self._chunk_buffer: list[np.ndarray] | None = None
-        self._chunk_stream_meta: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------ #
-    # whole-stream ingestion (chunk engines)
+    # the run: three passes over the stream, one recorded stage each
     # ------------------------------------------------------------------ #
 
-    def partition(self, stream: EdgeStream) -> PartitionAssignment:
-        """Run the three passes; stage timings are recorded per pass."""
-        self._last_stream = stream
-        times = StageTimes()
+    def _run(
+        self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times: StageTimes
+    ) -> None:
         cfg = self.config
-        vmax = cfg.resolve_vmax(stream.num_edges)
-
         with Timer() as t1:
-            state = ClusteringState(
-                stream.num_vertices,
-                vmax,
-                enable_splitting=cfg.enable_splitting,
-            )
-            for src, dst in stream.batches(max(1, self.default_chunk_size)):
-                state.ingest_pair(src, dst)
-            clustering = state.finalize()
-        times.add("clustering", t1.elapsed)
-
+            clustering = self._pass1(stream, chunk_size)
         with Timer() as t2:
             cluster_graph = build_cluster_graph(stream, clustering)
             game_result = self._map_clusters(cluster_graph)
-        times.add("game", t2.elapsed)
-
         with Timer() as t3:
             transform = TransformState(
                 clustering,
@@ -444,120 +426,51 @@ class ClugpPartitioner(EdgePartitioner):
                 num_vertices=stream.num_vertices,
                 imbalance_factor=cfg.imbalance_factor,
             )
-            parts = [
-                transform.ingest_pair(src, dst)
-                for src, dst in stream.batches(max(1, self.default_chunk_size))
-            ]
-            if not parts:
-                edge_partition = np.empty(0, dtype=np.int64)
-            else:
-                edge_partition = (
-                    parts[0] if len(parts) == 1 else np.concatenate(parts)
-                )
-        times.add("transform", t3.elapsed)
+            transform.run(stream, chunk_size, out)
+        self._record(
+            times, (t1, t2, t3), clustering, cluster_graph, game_result, transform.stats
+        )
 
-        self.last_clustering = clustering
-        self.last_cluster_graph = cluster_graph
-        self.last_game_result = game_result
-        self.last_transform_stats = transform.stats
-        return PartitionAssignment(stream, edge_partition, cfg.num_partitions, times)
-
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        # partition() is overridden wholesale; _assign exists to satisfy the
-        # abstract interface for callers that bypass partition().
-        return self.partition(stream).edge_partition
-
-    # ------------------------------------------------------------------ #
-    # per-edge reference path
-    # ------------------------------------------------------------------ #
-
-    def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times: StageTimes) -> None:
         """The faithful per-edge pipeline: the three oracle functions."""
         cfg = self.config
-        vmax = cfg.resolve_vmax(stream.num_edges)
-        clustering = streaming_clustering(
-            stream, vmax, enable_splitting=cfg.enable_splitting
-        )
-        cluster_graph = build_cluster_graph(stream, clustering)
-        game_result = self._map_clusters_per_edge(cluster_graph)
-        edge_partition, stats = transform_partitions(
-            stream,
-            clustering,
-            game_result.assignment,
-            cfg.num_partitions,
-            imbalance_factor=cfg.imbalance_factor,
-        )
+        with Timer() as t1:
+            clustering = streaming_clustering(
+                stream,
+                cfg.resolve_vmax(stream.num_edges),
+                enable_splitting=cfg.enable_splitting,
+            )
+        with Timer() as t2:
+            cluster_graph = build_cluster_graph(stream, clustering)
+            game_result = self._map_clusters_per_edge(cluster_graph)
+        with Timer() as t3:
+            out[:], stats = transform_partitions(
+                stream,
+                clustering,
+                game_result.assignment,
+                cfg.num_partitions,
+                imbalance_factor=cfg.imbalance_factor,
+            )
+        self._record(times, (t1, t2, t3), clustering, cluster_graph, game_result, stats)
+
+    def _pass1(self, stream: EdgeStream, chunk_size: int) -> ClusteringResult:
+        """Pass 1 as configured (``V_max`` resolves against ``num_edges``,
+        as Section VI-A prescribes)."""
+        cfg = self.config
+        return ClusteringState(
+            stream.num_vertices,
+            cfg.resolve_vmax(stream.num_edges),
+            enable_splitting=cfg.enable_splitting,
+        ).run(stream, chunk_size)
+
+    def _record(self, times, timers, clustering, cluster_graph, game_result, stats):
+        """One stage per pass, and the per-pass products for inspection."""
+        for stage, timer in zip(("clustering", "game", "transform"), timers):
+            times.add(stage, timer.elapsed)
         self.last_clustering = clustering
         self.last_cluster_graph = cluster_graph
         self.last_game_result = game_result
         self.last_transform_stats = stats
-        return edge_partition
-
-    # ------------------------------------------------------------------ #
-    # incremental chunk protocol
-    # ------------------------------------------------------------------ #
-
-    def begin_chunks(self, stream: EdgeStream) -> None:
-        """Reset pass-1 state; reads only stream metadata (``V_max``
-        resolves against ``num_edges``, as Section VI-A prescribes)."""
-        cfg = self.config
-        vmax = cfg.resolve_vmax(stream.num_edges)
-        self._chunk_state = ClusteringState(
-            stream.num_vertices,
-            vmax,
-            enable_splitting=cfg.enable_splitting,
-        )
-        self._chunk_buffer = []
-        self._chunk_stream_meta = (stream.num_vertices, stream.num_edges)
-
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        """Feed pass 1 and buffer the chunk for the later passes.
-
-        CLUGP is a three-pass algorithm, so no edge can be committed until
-        the clustering and the game have seen the whole stream — every
-        edge is deferred and flushed by :meth:`finish_chunks`."""
-        if self._chunk_state is None or self._chunk_buffer is None:
-            raise RuntimeError("begin_chunks must be called first")
-        edges = np.asarray(edges, dtype=np.int64)
-        self._chunk_state.ingest(edges)
-        self._chunk_buffer.append(edges)
-        return np.empty(0, dtype=np.int64)
-
-    def finish_chunks(self) -> np.ndarray:
-        """Run passes 2-3 over the buffered chunks; returns every edge's
-        partition in stream order."""
-        if self._chunk_state is None or self._chunk_buffer is None:
-            raise RuntimeError("begin_chunks must be called first")
-        num_vertices, _ = self._chunk_stream_meta
-        cfg = self.config
-        clustering = self._chunk_state.finalize()
-        buffered = EdgeStream.from_chunks(self._chunk_buffer, num_vertices)
-        # the concatenated stream supersedes the per-chunk copies; drop the
-        # buffer now so passes 2-3 run against a single copy of the edges
-        self._chunk_buffer = None
-        cluster_graph = build_cluster_graph(buffered, clustering)
-        game_result = self._map_clusters(cluster_graph)
-        transform = TransformState(
-            clustering,
-            game_result.assignment,
-            cfg.num_partitions,
-            num_edges=buffered.num_edges,
-            num_vertices=num_vertices,
-            imbalance_factor=cfg.imbalance_factor,
-        )
-        parts = [
-            transform.ingest_pair(src, dst)
-            for src, dst in buffered.batches(max(1, self.default_chunk_size))
-        ]
-        self.last_clustering = clustering
-        self.last_cluster_graph = cluster_graph
-        self.last_game_result = game_result
-        self.last_transform_stats = transform.stats
-        self._chunk_state = None
-        self._chunk_stream_meta = None
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ------------------------------------------------------------------ #
     # staged API (the distributed protocol's separable stages)
@@ -583,17 +496,8 @@ class ClugpPartitioner(EdgePartitioner):
         :attr:`last_game_result` for the later stages
         (:func:`graph_contribution`, :meth:`transform_with_mapping`).
         """
-        cfg = self.config
-        vmax = cfg.resolve_vmax(stream.num_edges)
-        state = ClusteringState(
-            stream.num_vertices,
-            vmax,
-            enable_splitting=cfg.enable_splitting,
-        )
         size = chunk_size if chunk_size is not None else self.default_chunk_size
-        for src, dst in stream.batches(max(1, size)):
-            state.ingest_pair(src, dst)
-        clustering = state.finalize()
+        clustering = self._pass1(stream, size)
         cluster_graph = build_cluster_graph(stream, clustering)
         game_result = self._map_clusters(cluster_graph)
         if boundary_mask is None:

@@ -21,11 +21,14 @@ amortized O(k) total because partitions only fill up).
 
 Chunked ingestion
 -----------------
-:class:`TransformState` consumes ``(m, 2)`` edge chunks and is
-bit-identical to the per-edge oracle :func:`transform_partitions`.  When
-a :mod:`repro.kernels` backend resolves, each chunk is one call into the
-compiled loop (spill branch included).  On a host with neither numba nor
-a C compiler the numpy tier runs instead: the rule table
+:class:`TransformState` consumes chunks as contiguous int64 endpoint
+columns (:meth:`~TransformState.ingest_pair`; :meth:`~TransformState.run`
+is the one pass-3 driver, writing each chunk's answer into its slice of
+a caller's result array) and is bit-identical to the per-edge oracle
+:func:`transform_partitions`.  When a :mod:`repro.kernels` backend
+resolves, each chunk is one call into the compiled loop (spill branch
+included).  On a host with neither numba nor a C compiler the numpy tier
+runs instead: the rule table
 (agreement / mirror / degree) is evaluated for a whole chunk as boolean
 masks over the gathered vertex->partition join; the only sequential part
 of Algorithm 1 is the hard load cap.  Loads only ever grow, so the chunk
@@ -49,7 +52,6 @@ from .clustering import ClusteringResult
 
 __all__ = [
     "transform_partitions",
-    "transform_partitions_chunked",
     "replay_transform_chunked",
     "TransformState",
     "TransformStats",
@@ -192,7 +194,7 @@ def transform_partitions(
 
 
 class TransformState:
-    """Incremental pass-3 state consuming ``(m, 2)`` edge chunks.
+    """Incremental pass-3 state consuming chunks of endpoint columns.
 
     Bit-identical to :func:`transform_partitions`; see the module
     docstring for the prefix-commit scheme.
@@ -201,7 +203,7 @@ class TransformState:
 
         state = TransformState(clustering, cluster_partition, k,
                                num_edges=stream.num_edges, num_vertices=n)
-        parts = [state.ingest(chunk) for chunk in stream.chunks(size)]
+        state.run(stream, chunk_size, out)  # out: one int64 per stream edge
     """
 
     def __init__(
@@ -328,25 +330,38 @@ class TransformState:
         self._div = np.ascontiguousarray(clustering.divided, dtype=np.bool_)
         self._deg = np.ascontiguousarray(clustering.degree, dtype=np.int64)
 
-    def ingest(self, edges: np.ndarray) -> np.ndarray:
-        """Assign one chunk of edges; returns their partition ids."""
-        edges = np.asarray(edges, dtype=np.int64)
-        return self.ingest_pair(edges[:, 0], edges[:, 1])
+    def run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray) -> None:
+        """Pass 3 over ``stream``, read as chunks of ``chunk_size`` edges,
+        into ``out`` (one int64 per stream edge): the one driver every
+        whole-stream caller of this state shares."""
+        for u, v, out_slice in stream.batches(chunk_size, out):
+            self.ingest_pair(u, v, out=out_slice)
 
-    def ingest_pair(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def ingest_pair(
+        self, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Assign one chunk given as endpoint column arrays.
 
-        Same semantics as :meth:`ingest`; whole-stream drivers use this
-        with :meth:`EdgeStream.batches` to skip the ``(m, 2)`` stack copy.
+        Returns the chunk's partition ids — written into ``out`` when one
+        is given (a contiguous int64 buffer of the chunk's length, e.g.
+        the chunk's slice of a preallocated result), else a fresh array.
         """
         # the kernels index raw int64 memory; free for int64 columns
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
         m = u.shape[0]
+        if out is None:
+            out = np.empty(m, dtype=np.int64)
+        elif out.dtype != np.int64 or out.shape != (m,) or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous int64 array of the chunk's {m} "
+                f"edges, got {out.dtype} with shape {out.shape}"
+            )
         if m == 0:
-            return np.empty(0, dtype=np.int64)
+            return out
         if self._backend is not None:
-            return self._ingest_kernel(u, v)
+            self._ingest_kernel(u, v, out)
+            return out
         k = self.k
         caps = self._caps
         pu = self._vp[u]
@@ -384,7 +399,6 @@ class TransformState:
                 run += self.loads[p]
                 violated |= ((pu == p) | (pv == p)) & (run >= caps[p])
             cut = int(np.argmax(violated)) if violated.any() else m
-        out = np.empty(m, dtype=np.int64)
         if cut:
             out[:cut] = tentative[:cut]
             self.loads += np.bincount(tentative[:cut], minlength=k)
@@ -403,7 +417,7 @@ class TransformState:
             )
         return out
 
-    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         """Dispatch one chunk into the compiled transform kernel.
 
         The kernel runs the whole reference loop (spill branch included)
@@ -412,8 +426,6 @@ class TransformState:
         endpoint check is performed by the kernel *before* any state
         mutation (status 2), matching the numpy tier's pre-check.
         """
-        m = u.shape[0]
-        out = np.empty(m, dtype=np.int64)
         stats = self.stats
         counters = np.array(
             [
@@ -450,7 +462,6 @@ class TransformState:
         stats.mirror_reuse = int(counters[2])
         stats.degree_cut = int(counters[3])
         stats.balance_spill = int(counters[4])
-        return out
 
     def _scalar_tail(
         self,
@@ -533,36 +544,6 @@ def replay_transform_chunked(
         vertex_partition=vertex_partition,
         load_caps=load_caps,
     )
-    parts = [
-        state.ingest_pair(src, dst)
-        for src, dst in stream.batches(max(1, chunk_size))
-    ]
-    if not parts:
-        return np.empty(0, dtype=np.int64), state.stats
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out, state.stats
-
-
-def transform_partitions_chunked(
-    stream: EdgeStream,
-    clustering: ClusteringResult,
-    cluster_partition: np.ndarray,
-    num_partitions: int,
-    imbalance_factor: float = 1.0,
-    chunk_size: int = 1 << 16,
-) -> tuple[np.ndarray, TransformStats]:
-    """Run Algorithm 1 by chunked ingestion; bit-identical to
-    :func:`transform_partitions` for every chunk size."""
-    state = TransformState(
-        clustering,
-        cluster_partition,
-        num_partitions,
-        num_edges=stream.num_edges,
-        num_vertices=stream.num_vertices,
-        imbalance_factor=imbalance_factor,
-    )
-    parts = [state.ingest(chunk) for chunk in stream.chunks(chunk_size)]
-    if not parts:
-        return np.empty(0, dtype=np.int64), state.stats
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = np.empty(stream.num_edges, dtype=np.int64)
+    state.run(stream, chunk_size, out)
     return out, state.stats

@@ -43,11 +43,16 @@ class EdgeStream:
         Size of the vertex-id space.
 
     The stream supports numpy-style bulk access (``stream.src``), chunked
-    iteration (:meth:`chunks` / :meth:`batches`), and per-edge iteration
-    (:meth:`__iter__`).  The chunked forms are the hot path: partitioners
-    consume ``(chunk_size, 2)`` int64 arrays so per-edge interpreter
-    overhead never touches the ingest loop.  Algorithms that need multiple
-    passes simply iterate again; the arrays are immutable by convention.
+    iteration (:meth:`batches`), and per-edge iteration (:meth:`__iter__`).
+    :meth:`batches` is the hot path and the whole partitioner contract:
+    it yields contiguous int64 ``(src, dst)`` column views — what the
+    kernels index, with no per-chunk copy — and can be restarted, so an
+    algorithm that needs several passes simply iterates again.
+
+    The columns are immutable by convention and *shared*, not copied: a
+    natural-order stream holds the very arrays of the graph it was built
+    from, and :meth:`batches` hands out views of them.  Nothing may store
+    into ``src`` / ``dst`` of a stream, a batch, or the source graph.
     """
 
     def __init__(self, src, dst, num_vertices: int) -> None:
@@ -104,7 +109,7 @@ class EdgeStream:
         """
         order = StreamOrder(order)
         if order is StreamOrder.NATURAL:
-            return cls(graph.src.copy(), graph.dst.copy(), graph.num_vertices)
+            return cls(graph.src, graph.dst, graph.num_vertices)
         if order is StreamOrder.RANDOM:
             rng = as_rng(seed)
             perm = rng.permutation(graph.num_edges)
@@ -118,23 +123,6 @@ class EdgeStream:
         key = rank_of[graph.src] * np.int64(graph.num_vertices) + rank_of[graph.dst]
         perm = np.argsort(key, kind="stable")
         return cls(graph.src[perm], graph.dst[perm], graph.num_vertices)
-
-    @classmethod
-    def from_chunks(cls, chunks, num_vertices: int) -> "EdgeStream":
-        """Rebuild a stream from ``(m, 2)`` int64 edge chunks in order.
-
-        The inverse of :meth:`chunks` — chunked consumers that buffer what
-        they ingest (multi-pass algorithms like CLUGP re-stream the edges
-        for passes 2-3) use this to recover a stream view without keeping
-        a second copy of the endpoint arrays per chunk.
-        """
-        arrays = [np.asarray(c, dtype=np.int64) for c in chunks]
-        arrays = [c for c in arrays if c.size]
-        if not arrays:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(empty, empty.copy(), num_vertices)
-        edges = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
-        return cls(edges[:, 0], edges[:, 1], num_vertices)
 
     # ------------------------------------------------------------------ #
 
@@ -150,36 +138,18 @@ class EdgeStream:
         for u, v in zip(self.src.tolist(), self.dst.tolist()):
             yield u, v
 
-    def batches(self, batch_size: int):
-        """Yield ``(src_chunk, dst_chunk)`` array pairs of ``batch_size``."""
+    def batches(self, batch_size: int, *aligned: np.ndarray):
+        """Yield ``(src, dst)`` column views of at most ``batch_size`` edges,
+        in stream order; every call starts again from the first edge.
+
+        Each edge-aligned array in ``aligned`` (a result array, say) adds
+        its view of the same edges to the tuple: ``(src, dst, out_slice)``.
+        """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         for start in range(0, self.num_edges, batch_size):
-            stop = start + batch_size
-            yield self.src[start:stop], self.dst[start:stop]
-
-    def edge_array(self) -> np.ndarray:
-        """The stream as one ``(num_edges, 2)`` int64 array (a copy).
-
-        Column 0 is ``src``, column 1 is ``dst``.  Each call builds a
-        fresh array; the stream itself never holds a second copy of its
-        endpoints.
-        """
-        return np.stack((self.src, self.dst), axis=1)
-
-    def chunks(self, chunk_size: int):
-        """Yield ``(<=chunk_size, 2)`` int64 edge arrays in stream order.
-
-        This is the vectorized ingestion path: chunks are transient
-        per-slice arrays (O(chunk_size) temporary memory, nothing
-        retained), sized so downstream partitioners can process whole
-        batches with array operations instead of per-edge Python loops.
-        """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        for start in range(0, self.num_edges, chunk_size):
-            stop = start + chunk_size
-            yield np.stack((self.src[start:stop], self.dst[start:stop]), axis=1)
+            span = slice(start, start + batch_size)
+            yield (self.src[span], self.dst[span], *(a[span] for a in aligned))
 
     def to_graph(self) -> DiGraph:
         """Materialize the stream back into a :class:`DiGraph`."""
@@ -187,7 +157,8 @@ class EdgeStream:
 
     def reordered(self, order: StreamOrder | str, seed=None) -> "EdgeStream":
         """Return a new stream over the same edges in a different order."""
-        return EdgeStream.from_graph(self.to_graph(), order=order, seed=seed)
+        graph = DiGraph(self.src, self.dst, self.num_vertices)  # shared, not copied
+        return EdgeStream.from_graph(graph, order=order, seed=seed)
 
     def active_vertices(self) -> np.ndarray:
         """Ids of vertices incident to at least one streamed edge."""

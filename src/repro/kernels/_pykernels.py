@@ -10,8 +10,8 @@ Each function is a line-for-line transliteration of the corresponding
 per-edge reference loop (the same algorithms as ``kernels.c``; the two
 files must be kept in lockstep — see DESIGN.md §8):
 
-* :func:`hdrf_chunk` — ``HDRFPartitioner._assign``;
-* :func:`greedy_chunk` — ``GreedyPartitioner._assign``;
+* :func:`hdrf_chunk` — ``HDRFPartitioner._per_edge``;
+* :func:`greedy_chunk` — ``GreedyPartitioner._per_edge``;
 * :func:`clustering_chunk` — :func:`repro.core.clustering.streaming_clustering`;
 * :func:`transform_chunk` — :func:`repro.core.transform.transform_partitions`
   (generalized to per-partition caps, matching

@@ -5,8 +5,8 @@
  * per-edge Python reference loop (see DESIGN.md section 8 for the
  * bit-identity argument):
  *
- *   hdrf_chunk        <- repro.partitioners.hdrf.HDRFPartitioner._assign
- *   greedy_chunk      <- repro.partitioners.greedy.GreedyPartitioner._assign
+ *   hdrf_chunk        <- repro.partitioners.hdrf.HDRFPartitioner._per_edge
+ *   greedy_chunk      <- repro.partitioners.greedy.GreedyPartitioner._per_edge
  *   clustering_chunk  <- repro.core.clustering.streaming_clustering
  *   transform_chunk   <- repro.core.transform.transform_partitions
  *                        (generalized to per-partition caps, matching

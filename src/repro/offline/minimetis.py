@@ -239,7 +239,8 @@ class MiniMetisPartitioner(EdgePartitioner):
             raise ValueError("imbalance must be >= 1.0")
         self.imbalance = float(imbalance)
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
+    def _run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times) -> None:
+        # offline: the multilevel hierarchy is built over the whole graph
         part = multilevel_vertex_partition(
             stream.src,
             stream.dst,
@@ -250,7 +251,7 @@ class MiniMetisPartitioner(EdgePartitioner):
         )
         degrees = stream.degrees()
         cut_src = degrees[stream.src] >= degrees[stream.dst]
-        return np.where(cut_src, part[stream.dst], part[stream.src]).astype(np.int64)
+        out[:] = np.where(cut_src, part[stream.dst], part[stream.src])
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         # whole-graph adjacency in memory: the offline profile of Figure 6

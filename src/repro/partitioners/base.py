@@ -1,16 +1,20 @@
 """Partitioner interface and the shared assignment result type.
 
 Every algorithm in this library — the five streaming baselines, CLUGP and
-its ablations, and the offline mini-METIS — consumes an
-:class:`~repro.graph.EdgeStream` and produces a
+its ablations, and the offline mini-METIS — is
+``partition(stream, chunk_size=None)``: it makes its passes over
+:meth:`EdgeStream.batches <repro.graph.EdgeStream.batches>`, a restartable
+source of ``(src, dst)`` column chunks, and produces a
 :class:`PartitionAssignment`: one partition id per edge (Problem 1 of the
-paper).  Quality metrics (replication factor, relative balance) live on the
-result object and in :mod:`repro.analysis.metrics`.
+paper).  :class:`EdgePartitioner` owns the entry, the chunk loop, the
+clock and the result array; a subclass supplies a per-chunk step or its
+own passes.  Quality metrics (replication factor, relative balance) live
+on the result object and in :mod:`repro.analysis.metrics`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 
 import numpy as np
 
@@ -171,28 +175,23 @@ class PartitionAssignment:
 
 
 class EdgePartitioner(ABC):
-    """Abstract vertex-cut edge partitioner.
+    """Abstract vertex-cut edge partitioner: passes over a restartable stream.
 
-    Subclasses implement :meth:`_assign` (the whole-stream path of
-    algorithms without a chunk protocol, and the default per-edge
-    reference) and may override :meth:`state_memory_bytes` (the Figure 6
-    accounting) and :attr:`passes` (1 for streaming baselines, 3 for
-    CLUGP).
+    Both public entries are final here.  :meth:`partition` validates
+    ``chunk_size`` and owns the clock, the :class:`~repro._util.StageTimes`
+    a run records its stages into, one preallocated int64 result array
+    and the :class:`PartitionAssignment`; :meth:`partition_per_edge` does
+    the same around the oracle.  A subclass *makes its passes over*
+    ``stream.batches(chunk_size)`` *and fills the result* (DESIGN §12):
 
-    Chunked ingestion
-    -----------------
-    Chunk-capable partitioners implement the incremental chunk protocol —
-    :meth:`begin_chunks`, :meth:`partition_chunk`, :meth:`finish_chunks` —
-    and set ``supports_chunks = True``.  The protocol consumes ``(m, 2)``
-    int64 edge arrays from :meth:`EdgeStream.chunks` so the hot path runs
-    as numpy batch operations; :meth:`partition_chunked` drives it end to
-    end.  Single-pass partitioners commit each chunk as it arrives;
-    batch-buffering (Mint) and multi-pass (CLUGP) algorithms may defer
-    edges — up to all of them — and flush the outstanding assignments from
-    :meth:`finish_chunks`.  :meth:`partition` is the chunk protocol at
-    :attr:`default_chunk_size`; :meth:`partition_per_edge` keeps the
-    faithful per-edge streaming loop as the reference (and benchmark
-    baseline) path; both paths must produce bit-identical assignments.
+    * a one-pass algorithm supplies the per-chunk step :meth:`_chunk`
+      over column pairs ``(u, v, out)``, optionally :meth:`_begin` /
+      :meth:`_end`, and inherits the loop (:meth:`_run`);
+    * everything else overrides :meth:`_run` — a pull over a restartable
+      source is what lets an algorithm read the stream again;
+      :attr:`passes` says how many times it does;
+    * :meth:`_per_edge` is the oracle, the faithful one-edge-at-a-time
+      loop; a class with no separate oracle does not define it.
     """
 
     #: human-readable algorithm name (used in reports and the registry)
@@ -203,113 +202,79 @@ class EdgePartitioner(ABC):
     #: paper evaluates every competitor under its best order — random for
     #: the one-pass heuristics/hashes, BFS/crawl order for Mint and CLUGP)
     preferred_order: str = "random"
-    #: whether the incremental chunk protocol is implemented
-    supports_chunks: bool = False
-    #: chunk size used by :meth:`partition_chunked` when none is given
+    #: chunk size :meth:`partition` reads the stream in when none is given
     default_chunk_size: int = 1 << 16
 
     def __init__(self, num_partitions: int, seed: int = 0) -> None:
         self.num_partitions = check_positive_int(num_partitions, "num_partitions")
         self.seed = int(seed)
-        self._last_stream: EdgeStream | None = None
 
-    def partition(self, stream: EdgeStream) -> PartitionAssignment:
-        """Partition ``stream``; returns the per-edge assignment.
-
-        Chunk-capable partitioners run the chunk protocol at
-        :attr:`default_chunk_size` — the path the compiled kernels sit
-        behind; :meth:`partition_per_edge` is the one per-edge loop.
-        """
-        return self.partition_chunked(stream)
-
-    def partition_chunked(
+    def partition(
         self, stream: EdgeStream, chunk_size: int | None = None
     ) -> PartitionAssignment:
-        """Partition ``stream`` by ingesting ``(m, 2)`` edge chunks.
+        """Partition ``stream``, read as chunks of at most ``chunk_size``
+        edges (default :attr:`default_chunk_size`) in every pass.
 
-        Chunk-capable partitioners run the incremental protocol and never
-        see the stream as individual edges.  Algorithms without a chunk
-        path fall back to :meth:`_assign`; either way the assignment is
-        bit-identical to :meth:`partition_per_edge` at every chunk size.
+        The assignment does not depend on ``chunk_size`` and is
+        bit-identical to :meth:`partition_per_edge`.
         """
-        self._last_stream = stream
         if chunk_size is None:
-            size = self.default_chunk_size
+            chunk_size = self.default_chunk_size
         else:
-            size = check_positive_int(chunk_size, "chunk_size")
-        times = StageTimes()
-        with Timer() as t:
-            if self.supports_chunks:
-                edge_partition = self._assign_chunks(stream, size)
-            else:
-                edge_partition = self._assign(stream)
-        times.add("total", t.elapsed)
-        return PartitionAssignment(stream, edge_partition, self.num_partitions, times)
+            chunk_size = check_positive_int(chunk_size, "chunk_size")
+        return self._assemble(self._run, stream, chunk_size)
 
     def partition_per_edge(self, stream: EdgeStream) -> PartitionAssignment:
         """Partition via the reference per-edge streaming loop.
 
         This is the faithful one-edge-at-a-time path a non-vectorized
         streaming system would execute; it is kept as the correctness
-        reference for the chunked path and as the benchmark baseline.
+        reference for :meth:`partition` and as the benchmark baseline.
         """
-        self._last_stream = stream
+        return self._assemble(self._per_edge, stream)
+
+    def _assemble(self, run, stream: EdgeStream, *args) -> PartitionAssignment:
         times = StageTimes()
+        out = np.empty(stream.num_edges, dtype=np.int64)
         with Timer() as t:
-            edge_partition = self._assign_per_edge(stream)
-        times.add("total", t.elapsed)
-        return PartitionAssignment(stream, edge_partition, self.num_partitions, times)
-
-    @abstractmethod
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        """Return the per-edge partition array for ``stream``."""
-
-    def _assign_per_edge(self, stream: EdgeStream) -> np.ndarray:
-        """Reference per-edge loop; defaults to :meth:`_assign`."""
-        return self._assign(stream)
-
-    def _assign_chunks(self, stream: EdgeStream, chunk_size: int) -> np.ndarray:
-        """Drive the incremental chunk protocol over the whole stream."""
-        self.begin_chunks(stream)
-        parts = [self.partition_chunk(chunk) for chunk in stream.chunks(chunk_size)]
-        tail = self.finish_chunks()
-        if tail.size:
-            parts.append(tail)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            run(stream, *args, out, times)
+        if not times.stages:  # a run that names no stage of its own
+            times.add("total", t.elapsed)
+        return PartitionAssignment(stream, out, self.num_partitions, times)
 
     # ------------------------------------------------------------------ #
-    # incremental chunk protocol (single-pass partitioners)
+    # what a subclass supplies
     # ------------------------------------------------------------------ #
 
-    def begin_chunks(self, stream: EdgeStream) -> None:
-        """Reset incremental state before a chunked run.
+    def _run(
+        self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times: StageTimes
+    ) -> None:
+        """Make the algorithm's passes over ``stream.batches(chunk_size)``
+        and fill ``out``; here, the one pass of a one-pass algorithm."""
+        self._begin(stream)
+        for u, v, out_slice in stream.batches(chunk_size, out):
+            self._chunk(u, v, out_slice)
+        self._end()
 
-        Implementations may read stream *metadata* (``num_vertices``,
-        ``num_edges``) but must not look at edges ahead of the chunks
-        subsequently passed to :meth:`partition_chunk` — except explicit
-        multi-pass variants (e.g. DBH with ``exact_degrees``).
-        """
+    def _begin(self, stream: EdgeStream) -> None:
+        """Reset per-run state.  May read stream *metadata*
+        (``num_vertices``, ``num_edges``), never edges."""
+
+    def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        """Place one chunk, given as contiguous int64 endpoint columns,
+        into ``out`` (same length, a contiguous slice of the result)."""
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement the chunk protocol"
+            f"{type(self).__name__} supplies neither _chunk nor _run"
         )
 
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        """Ingest one ``(m, 2)`` int64 edge chunk; return assignments.
+    def _end(self) -> None:
+        """Close the run (e.g. measure the state :meth:`state_memory_bytes`
+        reports)."""
 
-        Returns the partition ids of the edges *committed* by this call —
-        normally all ``m`` of them, in order.  Batch-buffering algorithms
-        (Mint) may defer a tail of the chunk to the next call; deferred
-        edges are flushed by :meth:`finish_chunks`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the chunk protocol"
-        )
-
-    def finish_chunks(self) -> np.ndarray:
-        """Flush any edges buffered across :meth:`partition_chunk` calls."""
-        return np.empty(0, dtype=np.int64)
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times: StageTimes) -> None:
+        """The per-edge oracle: fill ``out`` one edge at a time.  Default:
+        the algorithm has no separate oracle and is its own reference."""
+        self._run(stream, self.default_chunk_size, out, times)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Analytic size of the algorithm's live state tables, in bytes.

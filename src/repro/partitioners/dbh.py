@@ -11,9 +11,9 @@ In the streaming setting the true degrees are unknown, so DBH uses the
 The per-edge recurrence looks inherently sequential, but the partial
 degree of ``u`` at edge i is just "occurrences of ``u`` among the
 endpoints of edges 0..i-1" — an order-preserving group-by cumulative
-count, which the chunked path computes for a whole ``(m, 2)`` chunk with
-one stable argsort.  A vectorized two-pass variant (exact degrees) is
-used when ``exact_degrees=True``.
+count, which the chunk step computes for a whole chunk with one stable
+argsort.  With ``exact_degrees=True`` the algorithm reads the stream
+twice: a degree pass, then a fully vectorized placement pass.
 """
 
 from __future__ import annotations
@@ -34,19 +34,19 @@ class DBHPartitioner(EdgePartitioner):
     ----------
     exact_degrees:
         If True, a first pass computes exact degrees and the placement pass
-        is fully vectorized (2-pass variant).  If False (default, faithful
-        to the streaming setting), partial degrees observed so far decide.
+        is fully vectorized (2-pass variant; :attr:`passes` is 2).  If
+        False (default, faithful to the streaming setting), partial
+        degrees observed so far decide.
     """
 
     name = "dbh"
-    supports_chunks = True
 
     def __init__(self, num_partitions: int, seed: int = 0, exact_degrees: bool = False):
         super().__init__(num_partitions, seed)
         self.exact_degrees = bool(exact_degrees)
+        self.passes = 2 if self.exact_degrees else 1
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        # the per-edge reference; partition() runs the chunk protocol
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         if self.exact_degrees:
             degrees = stream.degrees()
         else:
@@ -54,7 +54,6 @@ class DBHPartitioner(EdgePartitioner):
         partial = np.zeros(stream.num_vertices, dtype=np.int64)
         src_hash = hash_to_partition(stream.src, self.num_partitions, seed=self.seed)
         dst_hash = hash_to_partition(stream.dst, self.num_partitions, seed=self.seed)
-        out = np.empty(stream.num_edges, dtype=np.int64)
         src_list = stream.src.tolist()
         dst_list = stream.dst.tolist()
         for i, (u, v) in enumerate(zip(src_list, dst_list)):
@@ -65,27 +64,23 @@ class DBHPartitioner(EdgePartitioner):
                 partial[v] += 1
             else:
                 out[i] = src_hash[i] if degrees[u] <= degrees[v] else dst_hash[i]
-        return out
 
-    # ------------------------------------------------------------------ #
-    # chunk protocol
-    # ------------------------------------------------------------------ #
-
-    def begin_chunks(self, stream: EdgeStream) -> None:
+    def _run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times) -> None:
+        # per-vertex degree table: exact (filled by a first pass over the
+        # stream) or partial (grown by the placement pass as it goes)
+        self._degrees = np.zeros(stream.num_vertices, dtype=np.int64)
         if self.exact_degrees:
-            # explicit 2-pass variant: exact degrees come from a first pass
-            self._degrees = stream.degrees()
-        else:
-            self._partial = np.zeros(stream.num_vertices, dtype=np.int64)
+            for u, v in stream.batches(chunk_size):
+                np.add.at(self._degrees, u, 1)
+                np.add.at(self._degrees, v, 1)
+        super()._run(stream, chunk_size, out, times)
 
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        u, v = edges[:, 0], edges[:, 1]
+    def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         if self.exact_degrees:
             anchor = np.where(self._degrees[u] <= self._degrees[v], u, v)
-            return hash_to_partition(anchor, self.num_partitions, seed=self.seed)
+            out[:] = hash_to_partition(anchor, self.num_partitions, seed=self.seed)
+            return
         m = u.size
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
         # partial degree of an endpoint at edge i = carried-in count plus
         # its occurrences among this chunk's earlier endpoint slots; the
         # within-chunk term is a group-by cumulative count over the
@@ -93,19 +88,18 @@ class DBHPartitioner(EdgePartitioner):
         seq = np.empty(2 * m, dtype=np.int64)
         seq[0::2] = u
         seq[1::2] = v
-        order = stable_argsort_bounded(seq, self._partial.size)
+        order = stable_argsort_bounded(seq, self._degrees.size)
         seq_sorted = seq[order]
         pos = np.arange(2 * m, dtype=np.int64)
         run_start = np.r_[True, seq_sorted[1:] != seq_sorted[:-1]]
         run_origin = np.maximum.accumulate(np.where(run_start, pos, 0))
         prior = np.empty(2 * m, dtype=np.int64)
         prior[order] = pos - run_origin
-        partial_u = self._partial[u] + prior[0::2]
-        partial_v = self._partial[v] + prior[1::2]
+        partial_u = self._degrees[u] + prior[0::2]
+        partial_v = self._degrees[v] + prior[1::2]
         anchor = np.where(partial_u <= partial_v, u, v)
-        out = hash_to_partition(anchor, self.num_partitions, seed=self.seed)
-        self._partial += np.bincount(seq, minlength=self._partial.size)
-        return out
+        out[:] = hash_to_partition(anchor, self.num_partitions, seed=self.seed)
+        self._degrees += np.bincount(seq, minlength=self._degrees.size)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         # one partial-degree counter per vertex

@@ -46,11 +46,13 @@ class EdgeCutAdapterPartitioner(EdgePartitioner):
     def _place_vertices(self, stream: EdgeStream) -> np.ndarray:
         raise NotImplementedError
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
+    def _run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times) -> None:
+        # whole-stream: a vertex is placed against its full earlier
+        # neighbourhood, which no bounded chunk holds
         part = self._place_vertices(stream)
         degrees = stream.degrees()
         cut_src = degrees[stream.src] >= degrees[stream.dst]
-        return np.where(cut_src, part[stream.dst], part[stream.src]).astype(np.int64)
+        out[:] = np.where(cut_src, part[stream.dst], part[stream.src])
 
     # shared helper: stream vertices in first-appearance order with their
     # already-seen neighborhood, the standard one-pass vertex-stream model

@@ -25,16 +25,17 @@ tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
 * the *kernel tier* (the default wherever numba or a C compiler exists)
   dispatches each chunk into a compiled kernel running the candidate-set
-  argmin over flat load/bitmask-word arrays — integer-only state, so
-  bit-identity is by construction (DESIGN.md §8);
+  argmin over flat load/bitmask-word arrays, writing the chunk's slice
+  of the result in place — integer-only state, so bit-identity is by
+  construction (DESIGN.md §8);
 * the *numpy tier* (hosts with neither) strips the loop to a lean scalar
   core: vertex partition sets are plain Python int bitmasks, cases 1-3
   collapse to two word operations (``wu & wv`` else ``wu | wv``)
   followed by a set-bit argmin, and only case 4 touches all k loads (via
   the C-speed ``list.index``/``min`` builtins).
 
-Both tiers are bit-identical to :meth:`_assign`, the per-edge oracle
-behind :meth:`partition_per_edge`.
+Both tiers are bit-identical to :meth:`_per_edge`, the oracle behind
+:meth:`partition_per_edge`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = ["GreedyPartitioner"]
 class GreedyPartitioner(EdgePartitioner):
     """PowerGraph coordinated-greedy vertex-cut partitioning.
 
-    The chunk protocol runs the compiled kernel when a
+    The chunk step runs the compiled kernel when a
     :mod:`repro.kernels` backend resolves (the ``cc`` backend compiles
     once per machine, ~0.5 s) and the lean int-bitmask core otherwise.
     Both are bit-identical to :meth:`partition_per_edge`, which is the
@@ -60,17 +61,15 @@ class GreedyPartitioner(EdgePartitioner):
     """
 
     name = "greedy"
-    supports_chunks = True
 
     def __init__(self, num_partitions: int, seed: int = 0) -> None:
         super().__init__(num_partitions, seed)
         self._backend = kernels.get_backend()
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         k = self.num_partitions
         loads = [0] * k
         placed: list[set[int]] = [set() for _ in range(stream.num_vertices)]
-        out = np.empty(stream.num_edges, dtype=np.int64)
         src_list = stream.src.tolist()
         dst_list = stream.dst.tolist()
         all_parts = range(k)
@@ -91,13 +90,12 @@ class GreedyPartitioner(EdgePartitioner):
             au.add(p)
             av.add(p)
         self._replica_entries = sum(len(s) for s in placed)
-        return out
 
     # ------------------------------------------------------------------ #
-    # chunk protocol
+    # the one pass: per-run state, chunk step, replica accounting
     # ------------------------------------------------------------------ #
 
-    def begin_chunks(self, stream: EdgeStream) -> None:
+    def _begin(self, stream: EdgeStream) -> None:
         k = self.num_partitions
         if self._backend is not None:
             self._nw = (k + 63) // 64
@@ -113,22 +111,19 @@ class GreedyPartitioner(EdgePartitioner):
         # arbitrary k, O(1) intersection/union, no per-edge numpy calls
         self._words = [0] * stream.num_vertices
 
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        # the kernels index raw int64 memory; free for an int64 chunk
-        edges = np.asarray(edges, dtype=np.int64)
+    def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         if self._backend is not None:
-            return self._partition_chunk_kernel(edges)
-        m = edges.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
+            # kernel tier: the candidate argmin in machine code
+            self._backend.greedy_chunk(
+                u, v, self.num_partitions, self._nw, self._loads, self._kwords, out
+            )
+            return
         loads = self._loads_list
         words = self._words
-        u_list = edges[:, 0].tolist()
-        v_list = edges[:, 1].tolist()
-        out = [0] * m
-        for i, (u, v) in enumerate(zip(u_list, v_list)):
-            wu = words[u]
-            wv = words[v]
+        picks = [0] * u.shape[0]
+        for i, (ui, vi) in enumerate(zip(u.tolist(), v.tolist())):
+            wu = words[ui]
+            wv = words[vi]
             cw = wu & wv
             if not cw:
                 cw = wu | wv  # cases 2/3 (either side may be empty)
@@ -151,36 +146,18 @@ class GreedyPartitioner(EdgePartitioner):
                 # case 4: least-loaded overall; list.index returns the
                 # first (lowest-id) minimum
                 p = loads.index(min(loads))
-            out[i] = p
+            picks[i] = p
             loads[p] += 1
             bit = 1 << p
-            words[u] = wu | bit
-            words[v] = wv | bit
-        return np.asarray(out, dtype=np.int64)
+            words[ui] = wu | bit
+            words[vi] = wv | bit
+        out[:] = picks
 
-    def _partition_chunk_kernel(self, edges: np.ndarray) -> np.ndarray:
-        """Kernel-tier chunk: the candidate argmin in machine code."""
-        m = edges.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        if m == 0:
-            return out
-        self._backend.greedy_chunk(
-            np.ascontiguousarray(edges[:, 0]),
-            np.ascontiguousarray(edges[:, 1]),
-            self.num_partitions,
-            self._nw,
-            self._loads,
-            self._kwords,
-            out,
-        )
-        return out
-
-    def finish_chunks(self) -> np.ndarray:
+    def _end(self) -> None:
         if self._backend is not None:
             self._replica_entries = kernels.popcount(self._kwords)
         else:
             self._replica_entries = sum(w.bit_count() for w in self._words)
-        return np.empty(0, dtype=np.int64)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Vertex->partition-set table (one 8-byte entry per replica, as in

@@ -10,9 +10,9 @@ vertex's replication at ``2*sqrt(k) - 1`` — a hashing-family algorithm
 with a structural quality guarantee, commonly used as a PowerGraph default
 and a natural extra baseline between Hashing and DBH.
 
-Like plain hashing the algorithm is stateless, so the chunked path groups
-a ``(m, 2)`` edge chunk by its (cell_u, cell_v) key and resolves each
-group with one vectorized candidate lookup + hash.
+Like plain hashing the algorithm is stateless, so the chunk step groups
+a chunk's edges by their (cell_u, cell_v) key and resolves each group
+with one vectorized candidate lookup + hash.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class GridPartitioner(EdgePartitioner):
     """
 
     name = "grid"
-    supports_chunks = True
 
     def __init__(self, num_partitions: int, seed: int = 0) -> None:
         super().__init__(num_partitions, seed)
@@ -77,16 +76,12 @@ class GridPartitioner(EdgePartitioner):
             self._intersections[key] = candidates
         return candidates
 
-    def begin_chunks(self, stream: EdgeStream) -> None:
-        pass  # stateless (the intersection cache is derived, not state)
-
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
+    def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        # stateless (the intersection cache is derived, not state)
         k = self.num_partitions
-        u, v = edges[:, 0], edges[:, 1]
         cell_u = hash_to_partition(u, k, seed=self.seed)
         cell_v = hash_to_partition(v, k, seed=self.seed)
         key = cell_u * np.int64(k) + cell_v
-        out = np.empty(u.size, dtype=np.int64)
         order = stable_argsort_bounded(key, k * k)
         key_sorted = key[order]
         starts = np.flatnonzero(np.r_[True, key_sorted[1:] != key_sorted[:-1]])
@@ -99,12 +94,9 @@ class GridPartitioner(EdgePartitioner):
                 u[group], v[group], candidates.size, seed=self.seed + _CHOICE_SEED
             )
             out[group] = candidates[slots]
-        return out
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        # the per-edge reference; partition() runs the chunk protocol
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         k, seed = self.num_partitions, self.seed
-        out = np.empty(stream.num_edges, dtype=np.int64)
         for i, (u, v) in enumerate(zip(stream.src.tolist(), stream.dst.tolist())):
             cu = int(hash_to_partition(u, k, seed=seed))
             cv = int(hash_to_partition(v, k, seed=seed))
@@ -115,7 +107,6 @@ class GridPartitioner(EdgePartitioner):
                 )
             )
             out[i] = candidates[slot]
-        return out
 
     def max_replication(self) -> int:
         """Structural replication cap: ``|row| + |col| - 1``."""

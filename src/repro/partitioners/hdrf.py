@@ -27,8 +27,9 @@ tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
 * the *kernel tier* (the default wherever numba or a C compiler exists)
   dispatches each chunk into a compiled kernel: the full-k-scan loop in
-  machine code over flat load/degree/bitmask-word arrays, bit-identical
-  to :meth:`_assign` by construction (same IEEE double evaluation order;
+  machine code over flat load/degree/bitmask-word arrays, writing the
+  chunk's slice of the result in place, bit-identical to
+  :meth:`_per_edge` by construction (same IEEE double evaluation order;
   see DESIGN.md §8);
 * the *numpy tier* (hosts with neither) lifts the partial-degree reads —
   the only per-edge state that does *not* depend on earlier placement
@@ -40,8 +41,8 @@ tiers chosen by what :func:`repro.kernels.get_backend` resolves:
   exact by the candidate-shortcut argument of DESIGN.md §4.2 — instead
   of all k partitions.
 
-Both tiers are bit-identical to :meth:`_assign`, the per-edge oracle
-behind :meth:`partition_per_edge`.
+Both tiers are bit-identical to :meth:`_per_edge`, the oracle behind
+:meth:`partition_per_edge`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class HDRFPartitioner(EdgePartitioner):
     epsilon:
         Tie-break constant in the balance term.
 
-    The chunk protocol runs the compiled kernel when a
+    The chunk step runs the compiled kernel when a
     :mod:`repro.kernels` backend resolves (the ``cc`` backend compiles
     once per machine, ~0.5 s) and the vectorized-precompute + lean scalar
     core otherwise.  Both are bit-identical to
@@ -76,7 +77,6 @@ class HDRFPartitioner(EdgePartitioner):
     """
 
     name = "hdrf"
-    supports_chunks = True
 
     def __init__(
         self,
@@ -97,12 +97,11 @@ class HDRFPartitioner(EdgePartitioner):
         self.epsilon = float(epsilon)
         self._backend = kernels.get_backend()
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
+    def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         k = self.num_partitions
         loads = np.zeros(k, dtype=np.float64)
         degree = np.zeros(stream.num_vertices, dtype=np.int64)
         placed: list[set[int]] = [set() for _ in range(stream.num_vertices)]
-        out = np.empty(stream.num_edges, dtype=np.int64)
         src_list = stream.src.tolist()
         dst_list = stream.dst.tolist()
         lam, eps = self.lambda_bal, self.epsilon
@@ -137,13 +136,12 @@ class HDRFPartitioner(EdgePartitioner):
             au.add(best_p)
             av.add(best_p)
         self._replica_entries = sum(len(s) for s in placed)
-        return out
 
     # ------------------------------------------------------------------ #
-    # chunk protocol
+    # the one pass: per-run state, chunk step, replica accounting
     # ------------------------------------------------------------------ #
 
-    def begin_chunks(self, stream: EdgeStream) -> None:
+    def _begin(self, stream: EdgeStream) -> None:
         k = self.num_partitions
         self._num_vertices = stream.num_vertices
         self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
@@ -162,14 +160,14 @@ class HDRFPartitioner(EdgePartitioner):
         self._words = [0] * stream.num_vertices
         self._max_load = 0.0
 
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        # the kernels index raw int64 memory; free for an int64 chunk
-        edges = np.asarray(edges, dtype=np.int64)
+    def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         if self._backend is not None:
-            return self._partition_chunk_kernel(edges)
-        m = edges.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.int64)
+            # kernel tier: the full k-scan loop in machine code
+            self._backend.hdrf_chunk(
+                u, v, self.num_partitions, self._nw, self.lambda_bal,
+                self.epsilon, self._loads, self._degree, self._kwords, out,
+            )
+            return
         k = self.num_partitions
         loads = self._loads_list
         words = self._words
@@ -178,23 +176,23 @@ class HDRFPartitioner(EdgePartitioner):
         # -- vectorized exact precompute of the degree-driven g terms --
         # (decision-independent: ranks depend only on the edge ids, so the
         # whole chunk is computed before any placement decision is made)
-        rank_u, rank_v = occurrence_ranks(edges, self._num_vertices)
+        rank_u, rank_v = occurrence_ranks(u, v, self._num_vertices)
         degree = self._degree
-        du = degree[edges[:, 0]] + rank_u
-        dv = degree[edges[:, 1]] + rank_v
+        du = degree[u] + rank_u
+        dv = degree[v] + rank_v
         theta_u = du / (du + dv)
         gu_list = (1.0 + (1.0 - theta_u)).tolist()
         gv_list = (1.0 + theta_u).tolist()
 
-        u_list = edges[:, 0].tolist()
-        v_list = edges[:, 1].tolist()
-        out = [0] * m
+        picks = [0] * u.shape[0]
         max_load = self._max_load
         min_load = min(loads)
         nmin = loads.count(min_load)
-        for i, (u, v, gu, gv) in enumerate(zip(u_list, v_list, gu_list, gv_list)):
-            wu = words[u]
-            wv = words[v]
+        for i, (ui, vi, gu, gv) in enumerate(
+            zip(u.tolist(), v.tolist(), gu_list, gv_list)
+        ):
+            wu = words[ui]
+            wv = words[vi]
             scale = lam / (eps + (max_load - min_load))
             w = wu | wv
             if w:
@@ -238,7 +236,7 @@ class HDRFPartitioner(EdgePartitioner):
                 # lambda_bal == 0 degenerate: every score is +0.0 and the
                 # reference first-maximum scan picks partition 0
                 p = 0
-            out[i] = p
+            picks[i] = p
             old = loads[p]
             new = old + 1.0
             loads[p] = new
@@ -250,40 +248,20 @@ class HDRFPartitioner(EdgePartitioner):
                     min_load = min(loads)
                     nmin = loads.count(min_load)
             bit = 1 << p
-            words[u] = wu | bit
-            words[v] = wv | bit
+            words[ui] = wu | bit
+            words[vi] = wv | bit
+        out[:] = picks
         self._max_load = max_load
         # chunk-end bulk degree update (the loop never reads `degree`
         # because the precomputed ranks already account for in-chunk edges)
-        degree += np.bincount(edges.ravel(), minlength=self._num_vertices)
-        return np.asarray(out, dtype=np.int64)
+        degree += np.bincount(u, minlength=self._num_vertices)
+        degree += np.bincount(v, minlength=self._num_vertices)
 
-    def _partition_chunk_kernel(self, edges: np.ndarray) -> np.ndarray:
-        """Kernel-tier chunk: the full k-scan loop in machine code."""
-        m = edges.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        if m == 0:
-            return out
-        self._backend.hdrf_chunk(
-            np.ascontiguousarray(edges[:, 0]),
-            np.ascontiguousarray(edges[:, 1]),
-            self.num_partitions,
-            self._nw,
-            self.lambda_bal,
-            self.epsilon,
-            self._loads,
-            self._degree,
-            self._kwords,
-            out,
-        )
-        return out
-
-    def finish_chunks(self) -> np.ndarray:
+    def _end(self) -> None:
         if self._backend is not None:
             self._replica_entries = kernels.popcount(self._kwords)
         else:
             self._replica_entries = sum(w.bit_count() for w in self._words)
-        return np.empty(0, dtype=np.int64)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Partial-degree table + vertex->partition-set table (one 8-byte

@@ -24,9 +24,10 @@ The batch-local incidence table is a dense ``(batch_vertices, k)`` array
 initialization, incidence construction, and the per-move cost evaluation
 are all array operations.  The best-response sweep itself stays
 Gauss-Seidel — each move must observe the previous ones, which is the
-game's semantics.  Chunked ingestion buffers arriving edge chunks and
-commits a game per full batch, so batch boundaries (and therefore
-results) are independent of the chunk size.
+game's semantics.  The batch *is* the algorithm's chunk: Mint reads the
+stream as ``stream.batches(batch_size)`` and plays one game per batch, so
+batch boundaries (and therefore results) do not depend on the
+``chunk_size`` :meth:`partition` is called with.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class MintPartitioner(EdgePartitioner):
 
     name = "mint"
     preferred_order = "natural"
-    supports_chunks = True
 
     def __init__(
         self,
@@ -74,66 +74,17 @@ class MintPartitioner(EdgePartitioner):
         self.alpha = float(alpha)
         self.max_rounds = int(max_rounds)
 
-    def _assign(self, stream: EdgeStream) -> np.ndarray:
-        return self._assign_chunks(stream, max(1, stream.num_edges))
-
-    # ------------------------------------------------------------------ #
-    # chunk protocol
-    # ------------------------------------------------------------------ #
-
-    def begin_chunks(self, stream: EdgeStream) -> None:
+    def _run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray, times) -> None:
         k = self.num_partitions
-        self._loads = np.zeros(k, dtype=np.int64)
-        self._degrees = np.zeros(stream.num_vertices, dtype=np.int64)
-        self._ideal = max(1.0, stream.num_edges / k)
-        self._pending_edges: list[np.ndarray] = []
-        self._pending_count = 0
-
-    def partition_chunk(self, edges: np.ndarray) -> np.ndarray:
-        """Buffer the chunk and commit a game per full batch.
-
-        Edges beyond the last full batch stay buffered for the next chunk
-        (or :meth:`finish_chunks`), so assignments depend only on the
-        batch size, never on how the stream was chunked.
-        """
-        self._pending_edges.append(edges)
-        self._pending_count += edges.shape[0]
-        if self._pending_count < self.batch_size:
-            return np.empty(0, dtype=np.int64)
-        buffered = (
-            self._pending_edges[0]
-            if len(self._pending_edges) == 1
-            else np.concatenate(self._pending_edges)
-        )
-        committed = []
-        start = 0
-        while buffered.shape[0] - start >= self.batch_size:
-            committed.append(self._commit_batch(buffered[start : start + self.batch_size]))
-            start += self.batch_size
-        remainder = buffered[start:]
-        self._pending_edges = [remainder] if remainder.shape[0] else []
-        self._pending_count = remainder.shape[0]
-        return committed[0] if len(committed) == 1 else np.concatenate(committed)
-
-    def finish_chunks(self) -> np.ndarray:
-        if not self._pending_count:
-            return np.empty(0, dtype=np.int64)
-        buffered = (
-            self._pending_edges[0]
-            if len(self._pending_edges) == 1
-            else np.concatenate(self._pending_edges)
-        )
-        self._pending_edges = []
-        self._pending_count = 0
-        return self._commit_batch(buffered)
-
-    def _commit_batch(self, edges: np.ndarray) -> np.ndarray:
-        src, dst = edges[:, 0], edges[:, 1]
-        choice = self._play_batch(src, dst, self._loads, self._degrees, self._ideal)
-        self._loads += np.bincount(choice, minlength=self.num_partitions)
-        np.add.at(self._degrees, src, 1)
-        np.add.at(self._degrees, dst, 1)
-        return choice
+        loads = np.zeros(k, dtype=np.int64)
+        degrees = np.zeros(stream.num_vertices, dtype=np.int64)
+        ideal = max(1.0, stream.num_edges / k)
+        for src, dst, out_slice in stream.batches(self.batch_size, out):
+            choice = self._play_batch(src, dst, loads, degrees, ideal)
+            out_slice[:] = choice
+            loads += np.bincount(choice, minlength=k)
+            np.add.at(degrees, src, 1)
+            np.add.at(degrees, dst, 1)
 
     def _play_batch(
         self,

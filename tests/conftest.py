@@ -65,6 +65,19 @@ BACKENDS = [
 KERNEL_BACKENDS = BACKENDS[1:]
 
 
+def assert_clustering_equal(a, b):
+    """Two pass-1 results agree in every table and counter."""
+    assert np.array_equal(a.cluster_of, b.cluster_of)
+    assert np.array_equal(a.degree, b.degree)
+    assert np.array_equal(a.volume, b.volume)
+    assert np.array_equal(a.divided, b.divided)
+    assert a.mirror_clusters == b.mirror_clusters
+    assert a.num_clusters == b.num_clusters
+    assert (a.splits, a.migrations, a.allocations) == (
+        b.splits, b.migrations, b.allocations,
+    )
+
+
 @pytest.fixture
 def spy(monkeypatch):
     """Record the backend every pass-1/2/3 engine resolved (None = numpy tier)."""

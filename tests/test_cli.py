@@ -30,6 +30,40 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["partition", "--algorithm", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["partition", "-k", "0"], "-k/--partitions"),
+            (["partition", "--chunk-size", "0"], "--chunk-size"),
+            (["partition", "--chunk-size", "-5"], "--chunk-size"),
+            (["distribute", "--num-nodes", "0"], "--num-nodes"),
+            (["distribute", "--chunk-size", "0"], "--chunk-size"),
+            (["pagerank", "--supersteps", "0"], "--supersteps"),
+            (["run-app", "pagerank", "--supersteps", "-1"], "--supersteps"),
+            (["serve", "-k", "x"], "-k/--partitions"),
+        ],
+    )
+    def test_nonpositive_count_is_a_usage_error(self, argv, flag, capsys):
+        # exit 2 from argparse with the flag named — these reached
+        # check_positive_int and died with a ValueError traceback
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--scale", "0.02"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_flags_whose_domain_includes_zero_keep_it(self):
+        args = build_parser().parse_args(
+            ["distribute", "--retries", "0", "--seed", "0"]
+        )
+        assert (args.retries, args.seed) == (0, 0)
+        assert build_parser().parse_args(["serve", "--migration-cap", "0"]).migration_cap == 0
+
+    def test_chunk_size_help_says_what_it_does(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["partition", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "at most N edges in every pass" in text and "ignore" not in text
+
 
 class TestCommands:
     def test_datasets(self, capsys):

@@ -1,7 +1,9 @@
-"""CLUGP chunk-size independence: the chunked three-pass pipeline must be
-bit-identical to the retained per-edge reference path for every chunk size.
+"""CLUGP chunk-size independence, pass by pass: each chunk engine must be
+bit-identical to its per-edge oracle for every chunk size.
 
-Covers the full pipeline (all three variants), each pass in isolation
+The whole pipeline (all three variants, per-pass products included) is a
+row of the one differential, ``test_kernels.py::
+test_streaming_three_way_identity``; here are each pass in isolation
 (:class:`ClusteringState`, :class:`TransformState`, the vectorized game),
 the distributed deployment, and the clustering invariants that the
 boring/suspect decomposition must preserve (exact volume accounting and
@@ -12,27 +14,17 @@ absorbing intra-cluster edges).
 
 import numpy as np
 import pytest
+from conftest import assert_clustering_equal
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GameConfig
-from repro.core.clustering import (
-    ClusteringState,
-    streaming_clustering,
-    streaming_clustering_chunked,
-)
+from repro.core.clustering import ClusteringState, streaming_clustering
 from repro.core.cluster_graph import build_cluster_graph
 from repro.core.distributed import distributed_clugp
 from repro.core.game import ClusterPartitioningGame, best_response_dynamics
-from repro.core.transform import (
-    TransformState,
-    transform_partitions,
-    transform_partitions_chunked,
-)
+from repro.core.transform import TransformState, transform_partitions
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-from repro.partitioners.registry import make_partitioner
-
-CLUGP_VARIANTS = ("clugp", "clugp-s", "clugp-g")
 
 
 @pytest.fixture(scope="module")
@@ -47,66 +39,18 @@ def chunk_sizes(stream):
     return (1, 7, 1024, stream.num_edges)
 
 
-def assert_clustering_equal(a, b):
-    assert np.array_equal(a.cluster_of, b.cluster_of)
-    assert np.array_equal(a.degree, b.degree)
-    assert np.array_equal(a.volume, b.volume)
-    assert np.array_equal(a.divided, b.divided)
-    assert a.mirror_clusters == b.mirror_clusters
-    assert a.num_clusters == b.num_clusters
-    assert (a.splits, a.migrations, a.allocations) == (
-        b.splits,
-        b.migrations,
-        b.allocations,
+def pass1(stream, vmax, chunk_size, enable_splitting=True):
+    return ClusteringState(stream.num_vertices, vmax, enable_splitting).run(stream, chunk_size)
+
+
+def pass3(stream, clustering, cluster_partition, k, tau, chunk_size):
+    state = TransformState(
+        clustering, cluster_partition, k, num_edges=stream.num_edges,
+        num_vertices=stream.num_vertices, imbalance_factor=tau,
     )
-
-
-class TestFullPipeline:
-    @pytest.mark.parametrize("name", CLUGP_VARIANTS)
-    def test_chunked_bit_identical_across_chunk_sizes(self, name, stream):
-        reference = make_partitioner(name, 8, seed=3).partition_per_edge(stream)
-        for cs in chunk_sizes(stream):
-            chunked = make_partitioner(name, 8, seed=3).partition_chunked(
-                stream, chunk_size=cs
-            )
-            assert np.array_equal(
-                reference.edge_partition, chunked.edge_partition
-            ), f"{name} diverged at chunk_size={cs}"
-
-    @pytest.mark.parametrize("name", CLUGP_VARIANTS)
-    def test_default_partition_matches_reference(self, name, stream):
-        reference = make_partitioner(name, 8, seed=3).partition_per_edge(stream)
-        default = make_partitioner(name, 8, seed=3).partition(stream)
-        assert np.array_equal(reference.edge_partition, default.edge_partition)
-
-    def test_chunk_protocol_exposes_pipeline_artifacts(self, stream):
-        p = make_partitioner("clugp", 8, seed=3)
-        p.partition_chunked(stream, chunk_size=101)
-        assert p.last_clustering is not None
-        assert p.last_cluster_graph is not None
-        assert p.last_game_result is not None
-        assert p.last_transform_stats is not None
-        assert p.last_transform_stats.total() == stream.num_edges
-
-    def test_chunk_protocol_empty_stream(self):
-        empty = EdgeStream([], [], num_vertices=0)
-        for name in CLUGP_VARIANTS:
-            assignment = make_partitioner(name, 4).partition_chunked(empty)
-            assert assignment.edge_partition.size == 0
-
-    def test_stats_identical_between_paths(self, stream):
-        ref = make_partitioner("clugp", 8, seed=3)
-        ref.partition_per_edge(stream)
-        chk = make_partitioner("clugp", 8, seed=3)
-        chk.partition_chunked(stream, chunk_size=509)
-        a, b = ref.last_transform_stats, chk.last_transform_stats
-        assert (a.agreement, a.mirror_reuse, a.degree_cut, a.balance_spill) == (
-            b.agreement,
-            b.mirror_reuse,
-            b.degree_cut,
-            b.balance_spill,
-        )
-        assert_clustering_equal(ref.last_clustering, chk.last_clustering)
+    out = np.empty(stream.num_edges, dtype=np.int64)
+    state.run(stream, chunk_size, out)
+    return out, state
 
 
 class TestClusteringState:
@@ -115,18 +59,13 @@ class TestClusteringState:
         vmax = max(1, stream.num_edges // 16)
         reference = streaming_clustering(stream, vmax, enable_splitting=splitting)
         for cs in chunk_sizes(stream):
-            got = streaming_clustering_chunked(
-                stream, vmax, enable_splitting=splitting, chunk_size=cs
-            )
-            assert_clustering_equal(reference, got)
+            assert_clustering_equal(reference, pass1(stream, vmax, cs, splitting))
 
     def test_invariant_volume_is_member_degree_sum(self, stream):
         # every allocation (+1 per endpoint), migration and split (+/- deg)
         # preserves vol(c) == sum of current member degrees exactly
         for cs in (7, 1024):
-            result = streaming_clustering_chunked(
-                stream, max(1, stream.num_edges // 16), chunk_size=cs
-            )
+            result = pass1(stream, max(1, stream.num_edges // 16), cs)
             recomputed = np.zeros(result.num_clusters, dtype=np.int64)
             np.add.at(
                 recomputed,
@@ -137,29 +76,24 @@ class TestClusteringState:
             assert recomputed.sum() == 2 * stream.num_edges
 
     def test_invariant_split_at_most_once(self, stream):
-        result = streaming_clustering_chunked(
-            stream, max(1, stream.num_edges // 32), chunk_size=777
-        )
+        result = pass1(stream, max(1, stream.num_edges // 32), 777)
         assert result.splits == int(result.divided.sum())
         for v, mirrors in result.mirror_clusters.items():
             assert result.divided[v]
             assert len(mirrors) == 1  # one mirror per divided vertex
 
     def test_no_splits_without_splitting(self, stream):
-        result = streaming_clustering_chunked(
-            stream, max(1, stream.num_edges // 32), enable_splitting=False,
-            chunk_size=777,
-        )
+        result = pass1(stream, max(1, stream.num_edges // 32), 777, enable_splitting=False)
         assert result.splits == 0
         assert not result.divided.any()
         assert not result.mirror_clusters
 
     def test_ingest_after_finalize_rejected(self):
         state = ClusteringState(4, 10)
-        state.ingest(np.array([[0, 1]], dtype=np.int64))
+        state.ingest_pair([0], [1])
         state.finalize()
         with pytest.raises(RuntimeError):
-            state.ingest(np.array([[1, 2]], dtype=np.int64))
+            state.ingest_pair([1], [2])
 
     def test_members_groupby_matches_loop(self, stream):
         result = streaming_clustering(stream, max(1, stream.num_edges // 16))
@@ -183,10 +117,8 @@ class TestTransformState:
             stream, clustering, game.assignment, 4, imbalance_factor=tau
         )
         for cs in chunk_sizes(stream):
-            got, stats = transform_partitions_chunked(
-                stream, clustering, game.assignment, 4,
-                imbalance_factor=tau, chunk_size=cs,
-            )
+            got, state = pass3(stream, clustering, game.assignment, 4, tau, cs)
+            stats = state.stats
             assert np.array_equal(ref, got), f"diverged at chunk_size={cs}"
             assert (
                 stats.agreement,
@@ -204,14 +136,9 @@ class TestTransformState:
         clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
         cg = build_cluster_graph(stream, clustering)
         game = ClusterPartitioningGame(cg, 4, GameConfig(seed=0)).run()
-        state = TransformState(
-            clustering, game.assignment, 4,
-            num_edges=stream.num_edges, num_vertices=stream.num_vertices,
-            imbalance_factor=1.0,
-        )
-        parts = [state.ingest(c) for c in stream.chunks(257)]
-        loads = np.bincount(np.concatenate(parts), minlength=4)
-        assert loads.max() <= state.load_cap
+        out, state = pass3(stream, clustering, game.assignment, 4, 1.0, 257)
+        loads = np.bincount(out, minlength=4)
+        assert loads.max() <= state.load_cap and np.array_equal(loads, state.loads)
 
     def test_rejects_bad_inputs(self, stream):
         clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
@@ -232,6 +159,16 @@ class TestTransformState:
                 num_vertices=stream.num_vertices,
                 imbalance_factor=0.5,
             )
+        # an ``out`` a kernel could not index as the chunk's int64 slice
+        state = TransformState(
+            clustering, np.zeros(clustering.num_clusters, dtype=np.int64), 4,
+            num_edges=stream.num_edges, num_vertices=stream.num_vertices,
+        )
+        u, v = stream.src[:10], stream.dst[:10]
+        for bad in (np.empty(9, np.int64), np.empty(10, np.int32), np.empty(20, np.int64)[::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                state.ingest_pair(u, v, out=bad)
+        assert state.stats.total() == 0  # refused before any edge was placed
 
 
 class TestGameVectorization:
@@ -273,7 +210,4 @@ def test_property_chunked_clustering_bit_identical(edges, vmax, split, chunk_siz
     src, dst = zip(*edges)
     s = EdgeStream(np.asarray(src), np.asarray(dst), max(max(src), max(dst)) + 1)
     reference = streaming_clustering(s, vmax, enable_splitting=split)
-    got = streaming_clustering_chunked(
-        s, vmax, enable_splitting=split, chunk_size=chunk_size
-    )
-    assert_clustering_equal(reference, got)
+    assert_clustering_equal(reference, pass1(s, vmax, chunk_size, split))

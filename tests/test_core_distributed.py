@@ -6,6 +6,7 @@ import pytest
 from repro.config import ClugpConfig
 from repro.core.distributed import (
     DistributedClugpPartitioner,
+    NodeStages,
     balance_quotas,
     _shard_ranges,
     distributed_clugp,
@@ -52,6 +53,19 @@ class TestDistributedClugp:
         assert sum(n.num_edges for n in result.nodes) == stream.num_edges
         assert all(n.num_clusters > 0 for n in result.nodes)
         assert result.max_node_seconds() > 0.0
+        # an independent node is the three-pass pipeline: its passes are timed
+        assert all(0.0 < n.transform_seconds < n.seconds for n in result.nodes)
+
+    def test_independent_node_reports_per_pass_times(self, stream):
+        msg = {"num_partitions": 8, "seed": 0, "config": ClugpConfig(num_partitions=8),
+               "chunk_size": 100}
+        payload = NodeStages(0).independent(stream, msg)
+        assert set(payload["stage_seconds"]) == {"clustering", "game", "transform"}
+
+    def test_rejects_nonpositive_chunk_size(self, stream):
+        for mode in ("independent", "merged"):
+            with pytest.raises(ValueError, match="chunk_size"):
+                distributed_clugp(stream, 8, num_nodes=2, chunk_size=0, merge_mode=mode)
 
     def test_parallel_matches_sequential(self, stream):
         par = distributed_clugp(stream, 8, num_nodes=4, seed=1, parallel_nodes=True)

@@ -1,9 +1,13 @@
 """End-to-end tests for the CLUGP pipeline and its ablations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.config import ClugpConfig, GameConfig
+from repro.core.clustering import ClusteringState
+from repro.core.transform import TransformState
 from repro.core.partitioner import (
     ClugpGreedyPartitioner,
     ClugpNoSplitPartitioner,
@@ -18,6 +22,48 @@ from repro.partitioners import HashingPartitioner
 @pytest.fixture(scope="module")
 def stream(crawl_graph):
     return EdgeStream.from_graph(crawl_graph, order="natural")
+
+
+def _traced_peak(run) -> int:
+    run()  # warm: kernel load, lazy imports, caches
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk_size", [100, None])
+@pytest.mark.parametrize(
+    "cls", [ClugpPartitioner, ClugpNoSplitPartitioner, ClugpGreedyPartitioner]
+)
+class TestOnePathAtEveryChunkSize:
+    """What the retired buffering path (``partition_chunked``) got wrong:
+    it recorded one ``total`` stage, ran passes 2-3 over a re-concatenated
+    copy of the stream, and ignored the chunk size after pass 1."""
+
+    def test_every_pass_is_a_recorded_stage(self, cls, chunk_size, stream):
+        times = cls(8).partition(stream, chunk_size=chunk_size).stage_times
+        assert set(times.stages) == {"clustering", "game", "transform"}
+
+    def test_no_pass_sees_a_longer_chunk(self, cls, chunk_size, stream, monkeypatch):
+        seen = {ClusteringState: [], TransformState: []}
+        for state, lengths in seen.items():
+            def spy(self, u, v, *args, _ingest=state.ingest_pair, _lengths=lengths, **kwargs):
+                _lengths.append(len(u))
+                return _ingest(self, u, v, *args, **kwargs)
+
+            monkeypatch.setattr(state, "ingest_pair", spy)
+        cls(8).partition(stream, chunk_size=chunk_size)
+        for lengths in seen.values():
+            assert sum(lengths) == stream.num_edges
+            assert max(lengths) <= (chunk_size or cls.default_chunk_size)
+
+    def test_no_edge_sized_copy_of_the_endpoints(self, cls, chunk_size, stream):
+        whole = _traced_peak(lambda: cls(8).partition(stream))
+        chunked = _traced_peak(lambda: cls(8).partition(stream, chunk_size=chunk_size))
+        assert chunked <= 1.05 * whole
 
 
 class TestPipeline:

@@ -33,7 +33,7 @@ class TestConstruction:
     def test_empty_stream(self):
         s = EdgeStream([], [], num_vertices=0)
         assert s.num_edges == 0
-        assert list(s) == []
+        assert list(s) == [] and list(s.batches(4)) == []
 
 
 class TestOrders:
@@ -41,6 +41,8 @@ class TestOrders:
         g = DiGraph([5, 3, 1], [4, 2, 0], num_vertices=6)
         s = EdgeStream.from_graph(g, order="natural")
         assert s.src.tolist() == [5, 3, 1]
+        # the columns are shared with the graph, not a second copy of it
+        assert np.shares_memory(s.src, g.src) and np.shares_memory(s.dst, g.dst)
 
     def test_random_is_permutation(self):
         g = DiGraph.from_edges([(i, i + 1) for i in range(50)])
@@ -94,6 +96,17 @@ class TestAccess:
         assert [c[0].size for c in chunks] == [2, 2, 1]
         rebuilt = np.concatenate([c[0] for c in chunks])
         assert np.array_equal(rebuilt, s.src)
+        # what a kernel indexes: contiguous int64 views, no per-chunk copy
+        for column in (c for pair in chunks for c in pair):
+            assert column.dtype == np.int64 and column.flags.c_contiguous
+            assert np.shares_memory(column, s.src) or np.shares_memory(column, s.dst)
+        # restartable: a second pass starts again from the first edge
+        assert [c[0].tolist() for c in s.batches(2)] == [c[0].tolist() for c in chunks]
+        # an edge-aligned array rides along as views of the same edges
+        out = np.arange(s.num_edges)
+        slices = [o for _, _, o in s.batches(2, out)]
+        assert [o.tolist() for o in slices] == [[0, 1], [2, 3], [4]]
+        assert all(np.shares_memory(o, out) for o in slices)
 
     def test_batches_rejects_nonpositive(self):
         with pytest.raises(ValueError):

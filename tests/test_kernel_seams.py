@@ -1,8 +1,9 @@
-"""The four public entry points that hand caller arrays to a kernel.
+"""The public entry points that hand caller arrays to a kernel.
 
-``ClusteringState.ingest_pair``, ``TransformState.ingest_pair``,
-``HDRFPartitioner.partition_chunk`` and ``GreedyPartitioner.partition_chunk``
-take endpoint arrays from anyone.  The compiled kernels index them as raw
+``ClusteringState.ingest_pair`` and ``TransformState.ingest_pair`` take
+endpoint arrays from anyone; HDRF's and greedy's chunk steps take the
+columns of whatever ``EdgeStream`` a caller built, so the stream
+constructor is their seam.  The compiled kernels index them as raw
 C-contiguous int64 memory, so an int32 column read as int64 runs past the
 buffer (SIGSEGV on the default tier before the seams coerced).  Pinned
 here: every integer dtype / list / strided view gives the int64 result on
@@ -44,32 +45,28 @@ u[:20] = v[:20]  # self-loops
 stream = EdgeStream(u, v, n)
 
 
-# an input is (u column, v column, (m, 2) chunk); a runner reads its form
-def clustering(a, b, _):
+def clustering(a, b):
     state = ClusteringState(n, 40)
     state.ingest_pair(a, b)
     out = state.finalize()
     return out.cluster_of, out.degree, out.volume, out.divided.view(np.uint8)
 
 
-def transform(a, b, _):
+def transform(a, b):
     clusters = streaming_clustering(stream, 40)
     to_partition = np.arange(clusters.num_clusters) % k
     state = TransformState(clusters, to_partition, k, num_edges=m, num_vertices=n)
     return state.ingest_pair(a, b), state.loads
 
 
-def chunk(cls):
-    def run(_, __, edges):
-        partitioner = cls(k)
-        partitioner.begin_chunks(stream)
-        return (partitioner.partition_chunk(edges),)
+def through_a_stream(cls):
+    def run(a, b):
+        return (cls(k).partition(EdgeStream(a, b, n), chunk_size=97).edge_partition,)
     return run
 
 
 def cast(dtype):
-    a, b = u.astype(dtype), v.astype(dtype)
-    return a, b, np.stack([a, b], axis=1)
+    return u.astype(dtype), v.astype(dtype)
 
 
 padded = np.stack([u, np.full(m, -1), v], axis=1)
@@ -77,11 +74,12 @@ inputs = {
     "int32": cast(np.int32),
     "uint32": cast(np.uint32),
     "int16": cast(np.int16),
-    "list": (u.tolist(), v.tolist(), np.stack([u, v], axis=1).tolist()),
-    "strided": (padded[:, 0], padded[:, 2], padded[:, ::2]),
+    "list": (u.tolist(), v.tolist()),
+    "strided": (padded[:, 0], padded[:, 2]),
 }
 run = {"clustering": clustering, "transform": transform,
-       "hdrf": chunk(HDRFPartitioner), "greedy": chunk(GreedyPartitioner)}[sys.argv[1]]
+       "hdrf": through_a_stream(HDRFPartitioner),
+       "greedy": through_a_stream(GreedyPartitioner)}[sys.argv[1]]
 want = run(*cast(np.int64))
 for name, given in inputs.items():
     for got, expected in zip(run(*given), want):

@@ -5,14 +5,16 @@ The :mod:`repro.kernels` backends re-implement the scalar decision cores
 code.  DESIGN.md §8 argues bit-identity holds by construction: the
 kernels transliterate the per-edge reference semantics — same operation
 order, same IEEE doubles for HDRF, integer-only state everywhere else.
-This module is the enforcement.  No caller can name an implementation
-any more, so each tier is forced the one way that is left
-(``conftest.kernel_backend``, i.e. ``CLUGP_KERNEL_BACKEND``) and the
-differential runs ``partition()`` ≡ ``partition_chunked()`` ≡
-``partition_per_edge()`` for every registered partitioner at awkward
-chunk sizes, plus a k=100 multiword bitmask corner, collision-heavy
-hypothesis streams, the spill-heavy tau=1.0 transform, and the
-degradation contract when no backend resolves.
+This module is the enforcement, and :func:`test_streaming_three_way_identity`
+is *the* identity test of the partitioner contract: for every registered
+partitioner, awkward chunk size and tier — each forced the one way that
+is left, ``conftest.kernel_backend`` (``CLUGP_KERNEL_BACKEND``) —
+``partition(stream, chunk_size=c)`` ≡ ``partition_per_edge(stream)`` as
+bytes, CLUGP's per-pass products included.  Corner inputs (empty and
+degenerate streams, multiword masks, HDRF's parameter space, Mint batches
+straddling chunks, DBH's exact variant) are rows of ``CASES``, not files
+of their own; collision-heavy hypothesis streams, the spill-heavy tau=1.0
+transform and the degradation contract when no backend resolves follow.
 
 The plain-Python backend tests always run (no compiler needed), so the
 kernel glue is exercised even on machines where :func:`kernels.available`
@@ -23,23 +25,25 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend, needs_compiled
+from conftest import (
+    BACKENDS,
+    KERNEL_BACKENDS,
+    assert_clustering_equal,
+    kernel_backend,
+    needs_compiled,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.config import ClugpConfig, GameConfig
-from repro.core.clustering import streaming_clustering, streaming_clustering_chunked
+from repro.core.clustering import ClusteringState, streaming_clustering
 from repro.core.partitioner import ClugpPartitioner
-from repro.core.transform import (
-    TransformState,
-    transform_partitions,
-    transform_partitions_chunked,
-)
+from repro.core.transform import TransformState, transform_partitions
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
 from repro.partitioners.registry import PARTITIONERS, make_partitioner
 
-CHUNK_SIZES = [1, 7, 1024, 10**9]  # 10**9 > |E|: one whole-stream chunk
+CHUNK_SIZES = [1, 7, 509, 65_536, "all"]  # "all" = |E|: one whole-stream chunk
 
 
 @pytest.fixture(scope="module")
@@ -55,25 +59,68 @@ def _make(name, k, backend, **kwargs):
         return make_partitioner(name, k, seed=1, **kwargs)
 
 
-def _parts(name, stream, k, chunk_size, backend, **kwargs):
-    p = _make(name, k, backend, **kwargs)
-    return p.partition_chunked(stream, chunk_size=chunk_size).edge_partition
+#: the degenerate streams every partitioner must survive: nothing, one
+#: edge, and self-loops + duplicate + parallel edges over three vertices
+TINY = [
+    EdgeStream([], [], num_vertices=0),
+    EdgeStream([0], [1], num_vertices=2),
+    EdgeStream([0, 0, 1, 1, 0, 2, 2, 1], [0, 1, 1, 0, 1, 2, 0, 1], num_vertices=3),
+]
+
+#: every input of the differential: id -> (registry name, k, ctor kwargs,
+#: streams — None = the module's crawl fixture)
+CASES = {name: (name, 8, {}, None) for name in sorted(PARTITIONERS)}
+CASES.update({f"{name}-tiny": (name, 3, {}, TINY) for name in sorted(PARTITIONERS)})
+for _name in ("hdrf", "greedy"):
+    # k = 1 is the degenerate partition space, k = 64 the top bit of one
+    # mask word, k = 100 two uint64 words per vertex row
+    CASES.update({f"{_name}-k{k}": (_name, k, {}, None) for k in (1, 64, 100)})
+# lambda_bal = 0 is the all-scores-tie regime where the reference argmax
+# collapses to partition 0; large lambda_bal defeats the numpy tier's
+# members-only shortcut and forces its exact full-scan fallback
+CASES.update({
+    f"hdrf-lam{lam}-eps{eps}": ("hdrf", 6, {"lambda_bal": lam, "epsilon": eps}, None)
+    for lam in (0.0, 0.5, 3.0) for eps in (0.25, 1.0)
+})
+# 256 is coprime with the chunk sizes 7 and 509: games straddle chunks
+CASES["mint-batch256"] = ("mint", 4, {"batch_size": 256}, None)
+CASES["dbh-exact"] = ("dbh", 8, {"exact_degrees": True}, None)
+
+_oracles = {}
 
 
-_whole_stream = {}
+def _oracle(name, k, kwargs, stream):
+    """The partitioner ``partition_per_edge(stream)`` ran on (it keeps
+    CLUGP's per-pass products) and the answer's bytes.  Memoized: the
+    oracle takes no chunk size and runs no kernel."""
+    key = (
+        name, k, tuple(sorted(kwargs.items())),
+        stream.num_vertices, stream.src.tobytes(), stream.dst.tobytes(),
+    )
+    if key not in _oracles:
+        partitioner = make_partitioner(name, k, seed=1, **kwargs)
+        answer = partitioner.partition_per_edge(stream).edge_partition
+        _oracles[key] = partitioner, answer.tobytes()
+    return _oracles[key]
 
 
-def _oracle(name, stream, k, backend=None):
-    """``partition_per_edge()`` of ``name`` — or, given a tier, its
-    ``partition()`` there.  Neither takes a chunk size: memoized."""
-    key = (name, id(stream), k, backend)
-    if key not in _whole_stream:
-        if backend is None:
-            run = make_partitioner(name, k, seed=1).partition_per_edge(stream)
-        else:
-            run = _make(name, k, backend).partition(stream)
-        _whole_stream[key] = run.edge_partition
-    return _whole_stream[key]
+def _assert_identity(name, k, kwargs, stream, chunk_size, backend):
+    oracle, answer = _oracle(name, k, kwargs, stream)
+    engine = _make(name, k, backend, **kwargs)
+    got = engine.partition(stream, chunk_size=chunk_size).edge_partition
+    assert got.dtype == np.int64 and got.tobytes() == answer
+    if not isinstance(engine, ClugpPartitioner):
+        return
+    # not just the final array: every pass's product matches the oracle's
+    assert_clustering_equal(oracle.last_clustering, engine.last_clustering)
+    for field in ("assignment", "rounds", "moves", "potential_trace"):
+        a = getattr(oracle.last_game_result, field)
+        assert np.array_equal(a, getattr(engine.last_game_result, field)), field
+    for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
+        assert getattr(oracle.last_transform_stats, field) == getattr(
+            engine.last_transform_stats, field
+        )
+    assert engine.last_transform_stats.total() == stream.num_edges
 
 
 # --------------------------------------------------------------------- #
@@ -149,75 +196,58 @@ def test_config_validates_kernel_fields():
 
 
 # --------------------------------------------------------------------- #
-# degradation to the numpy tier (always runs)
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("name", ["hdrf", "greedy"])
-def test_jit_with_no_backend_degrades_to_fast(name, stream):
-    degraded = _make(name, 8, "none")
-    assert degraded._backend is None
-    parts = degraded.partition_chunked(stream, chunk_size=997).edge_partition
-    assert np.array_equal(parts, _parts(name, stream, 8, 997, "auto"))
-
-
-def test_clugp_jit_with_no_backend_degrades_to_fast(stream):
-    degraded = _parts("clugp", stream, 8, 997, "none")
-    assert np.array_equal(degraded, _parts("clugp", stream, 8, 997, "auto"))
-
-
-# --------------------------------------------------------------------- #
-# the differential: partition() == partition_chunked() == per-edge oracle,
-# for every registered partitioner, chunk size and loadable tier
+# the differential: partition(chunk_size=c) == per-edge oracle, for every
+# registered partitioner, chunk size and loadable tier
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(PARTITIONERS))
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_streaming_three_way_identity(name, chunk_size, backend, stream):
-    oracle = _oracle(name, stream, 8)
-    assert np.array_equal(oracle, _parts(name, stream, 8, chunk_size, backend))
-    assert np.array_equal(oracle, _oracle(name, stream, 8, backend))
+@pytest.mark.parametrize("case", CASES)
+def test_streaming_three_way_identity(case, chunk_size, backend, stream):
+    name, k, kwargs, streams = CASES[case]
+    for s in streams or [stream]:
+        c = max(1, s.num_edges) if chunk_size == "all" else chunk_size
+        _assert_identity(name, k, kwargs, s, c, backend)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_clugp_end_to_end_identity(chunk_size, backend, stream):
-    # not just the final array: every pass's product matches the oracle's
-    oracle = make_partitioner("clugp", 8, seed=1)
-    oracle.partition_per_edge(stream)
-    engine = _make("clugp", 8, backend)
-    engine.partition_chunked(stream, chunk_size=chunk_size)
-    assert np.array_equal(
-        oracle.last_clustering.cluster_of, engine.last_clustering.cluster_of
-    )
-    for field in ("assignment", "rounds", "moves", "potential_trace"):
-        a = getattr(oracle.last_game_result, field)
-        assert np.array_equal(a, getattr(engine.last_game_result, field)), field
-    for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
-        assert getattr(oracle.last_transform_stats, field) == getattr(
-            engine.last_transform_stats, field
-        )
+edge_lists = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    min_size=1,
+    max_size=120,
+)
+#: the partitioners whose answer could depend on where a chunk ends
+CHUNK_STREAMING = [
+    "hashing", "dbh", "grid", "greedy", "hdrf", "mint", "clugp", "clugp-s", "clugp-g"
+]
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-@pytest.mark.parametrize("name", ["hdrf", "greedy"])
-def test_multiword_bitmask_k100(name, backend, stream):
-    # k=100 needs two uint64 words per vertex row — the multiword corner
-    jit = _parts(name, stream, 100, 1024, backend)
-    assert np.array_equal(_oracle(name, stream, 100), jit)
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    pairs=edge_lists,
+    chunk_size=st.integers(1, 130),
+    k=st.integers(1, 9),
+    name=st.sampled_from(CHUNK_STREAMING),
+    lambda_bal=st.sampled_from([0.0, 0.7, 1.0, 2.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_identity_on_collision_heavy_streams(backend, pairs, chunk_size, k, name, lambda_bal):
+    # 5 vertices x up to 120 edges: every edge collides with prior state —
+    # the within-chunk occurrence machinery behind HDRF's degree precompute
+    # and the candidate-shortcut guards of both numpy-tier cores
+    kwargs = {"lambda_bal": lambda_bal} if name == "hdrf" else {}
+    _assert_identity(name, k, kwargs, _tiny_stream(pairs), chunk_size, backend)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_replica_accounting_matches(backend, stream):
-    # finish_chunks must report the replica table size the oracle counts
+    # the run must report the replica table size the oracle counts
     for name in ("hdrf", "greedy"):
-        oracle = make_partitioner(name, 8, seed=1)
-        oracle.partition_per_edge(stream)
-        jit = _make(name, 8, backend)
-        jit.partition_chunked(stream, chunk_size=1024)
-        assert oracle._replica_entries == jit._replica_entries
+        oracle, _ = _oracle(name, 8, {}, stream)
+        engine = _make(name, 8, backend)
+        engine.partition(stream, chunk_size=311)
+        assert oracle._replica_entries == engine._replica_entries
+        assert oracle.state_memory_bytes(stream) == engine.state_memory_bytes(stream)
 
 
 # --------------------------------------------------------------------- #
@@ -233,15 +263,8 @@ def test_clustering_state_identity(backend, enable_splitting, stream):
         stream, vmax, enable_splitting=enable_splitting
     )
     with kernel_backend(backend):
-        jit = streaming_clustering_chunked(
-            stream, vmax, enable_splitting=enable_splitting, chunk_size=611
-        )
-    assert np.array_equal(oracle.cluster_of, jit.cluster_of)
-    assert np.array_equal(oracle.volume, jit.volume)
-    assert oracle.mirror_clusters == jit.mirror_clusters
-    assert (oracle.splits, oracle.migrations, oracle.allocations) == (
-        jit.splits, jit.migrations, jit.allocations,
-    )
+        state = ClusteringState(stream.num_vertices, vmax, enable_splitting)
+    assert_clustering_equal(oracle, state.run(stream, 611))
 
 
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
@@ -249,9 +272,8 @@ def test_clustering_tiny_vmax_splitting_storm(backend, stream):
     # vmax=5 forces constant splitting/migration — the worst-case replay
     oracle = streaming_clustering(stream, 5)
     with kernel_backend(backend):
-        jit = streaming_clustering_chunked(stream, 5, chunk_size=13)
-    assert np.array_equal(oracle.cluster_of, jit.cluster_of)
-    assert oracle.splits == jit.splits
+        state = ClusteringState(stream.num_vertices, 5)
+    assert_clustering_equal(oracle, state.run(stream, 13))
 
 
 # --------------------------------------------------------------------- #
@@ -277,13 +299,15 @@ def test_transform_identity_including_spills(backend, tau, stream):
         stream, clustering, cluster_partition, k, imbalance_factor=tau
     )
     with kernel_backend(backend):
-        jit, stats_jit = transform_partitions_chunked(
-            stream, clustering, cluster_partition, k,
-            imbalance_factor=tau, chunk_size=389,
+        state = TransformState(
+            clustering, cluster_partition, k, num_edges=stream.num_edges,
+            num_vertices=stream.num_vertices, imbalance_factor=tau,
         )
+    jit = np.empty_like(oracle)
+    state.run(stream, 389, jit)
     assert np.array_equal(oracle, jit)
     for field in ("agreement", "mirror_reuse", "degree_cut", "balance_spill"):
-        assert getattr(stats_oracle, field) == getattr(stats_jit, field)
+        assert getattr(stats_oracle, field) == getattr(state.stats, field)
 
 
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
@@ -314,7 +338,7 @@ def test_clugp_partitioner_config_threads_jit(backend, stream, spy):
     with kernel_backend(backend):
         expected = kernels.get_backend()
         partitioner = ClugpPartitioner(8, seed=1, config=ClugpConfig(num_partitions=8))
-        partitioner.partition_chunked(stream, chunk_size=1024)
+        partitioner.partition(stream, chunk_size=1024)
     assert list(spy.values()) == [[expected]] * 3
 
 
@@ -329,31 +353,11 @@ def test_clugp_partitioner_ctor_overrides():
 # collision-heavy property streams
 # --------------------------------------------------------------------- #
 
-edge_lists = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    min_size=1,
-    max_size=120,
-)
-
 
 def _tiny_stream(pairs):
     src = np.array([u for u, _ in pairs], dtype=np.int64)
     dst = np.array([v for _, v in pairs], dtype=np.int64)
     return EdgeStream(src, dst, 5)
-
-
-def _assert_streaming_identity(pairs, chunk_size, backend):
-    # 5 vertices x up to 120 edges: every edge collides with prior state
-    tiny = _tiny_stream(pairs)
-    for name in ("hdrf", "greedy"):
-        numpy_tier = _parts(name, tiny, 3, chunk_size, "none")
-        assert np.array_equal(numpy_tier, _parts(name, tiny, 3, chunk_size, backend))
-
-
-@given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
-@settings(max_examples=40, deadline=None)
-def test_hypothesis_streaming_identity_python_backend(pairs, chunk_size):
-    _assert_streaming_identity(pairs, chunk_size, "python")
 
 
 @given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
@@ -362,16 +366,8 @@ def test_hypothesis_clustering_identity_python_backend(pairs, chunk_size):
     tiny = _tiny_stream(pairs)
     oracle = streaming_clustering(tiny, 3)
     with kernel_backend("python"):
-        jit = streaming_clustering_chunked(tiny, 3, chunk_size=chunk_size)
-    assert np.array_equal(oracle.cluster_of, jit.cluster_of)
-    assert oracle.mirror_clusters == jit.mirror_clusters
-
-
-@needs_compiled
-@given(pairs=edge_lists, chunk_size=st.sampled_from([1, 3, 64]))
-@settings(max_examples=40, deadline=None)
-def test_hypothesis_streaming_identity_compiled_backend(pairs, chunk_size):
-    _assert_streaming_identity(pairs, chunk_size, "auto")
+        state = ClusteringState(tiny.num_vertices, 3)
+    assert_clustering_equal(oracle, state.run(tiny, chunk_size))
 
 
 class TestDegradationReporting:

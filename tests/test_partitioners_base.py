@@ -1,6 +1,5 @@
 """Tests for PartitionAssignment and the EdgePartitioner interface."""
 
-import numpy as np
 import pytest
 
 from repro.graph.stream import EdgeStream
@@ -78,8 +77,8 @@ class TestMetrics:
 class _ConstantPartitioner(EdgePartitioner):
     name = "constant"
 
-    def _assign(self, stream):
-        return np.zeros(stream.num_edges, dtype=np.int64)
+    def _chunk(self, u, v, out):
+        out[:] = 0
 
 
 class TestInterface:
@@ -89,6 +88,12 @@ class TestInterface:
         result = p.partition(stream)
         assert "total" in result.stage_times
         assert result.total_time() >= 0.0
+
+    @pytest.mark.parametrize("chunk_size", [0, -5, 2.5])
+    def test_partition_validates_chunk_size(self, chunk_size):
+        stream = EdgeStream([0, 1], [1, 0], num_vertices=2)
+        with pytest.raises(ValueError, match="chunk_size"):
+            _ConstantPartitioner(4).partition(stream, chunk_size=chunk_size)
 
     def test_default_state_memory_zero(self):
         stream = EdgeStream([0], [1], num_vertices=2)

@@ -66,8 +66,10 @@ class TestDBH:
         assert rf_dbh < rf_hash  # DBH's theoretical edge on skewed graphs
 
     def test_exact_degrees_variant(self, stream):
-        assignment = DBHPartitioner(8, exact_degrees=True).partition(stream)
-        assert assignment.edge_partition.max() < 8
+        exact = DBHPartitioner(8, exact_degrees=True)
+        assert exact.partition(stream).edge_partition.max() < 8
+        # a degree pass, then the placement pass — and it says so
+        assert (exact.passes, DBHPartitioner(8).passes) == (2, 1)
 
     def test_exact_anchors_low_degree_endpoint(self):
         # star: all leaves have degree 1, hub degree 4 -> each edge hashes
@@ -103,6 +105,13 @@ class TestHDRF:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             HDRFPartitioner(4, lambda_bal=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    def test_rejects_nonpositive_epsilon(self, epsilon):
+        # eps = 0 divides by zero at the first edge (all loads equal) — the
+        # constructor closes the gap for every path at once
+        with pytest.raises(ValueError, match="epsilon"):
+            HDRFPartitioner(4, epsilon=epsilon)
 
     def test_higher_lambda_improves_balance(self, stream):
         loose = HDRFPartitioner(8, lambda_bal=0.1).partition(stream)

@@ -148,26 +148,26 @@ class TestOccurrenceRanks:
     def test_matches_sequential_reference(self):
         rng = np.random.default_rng(3)
         edges = rng.integers(0, 12, size=(200, 2))
-        rank_u, rank_v = occurrence_ranks(edges, 12)
+        rank_u, rank_v = occurrence_ranks(edges[:, 0], edges[:, 1], 12)
         ref_u, ref_v = _ranks_reference(edges.tolist())
         assert np.array_equal(rank_u, ref_u)
         assert np.array_equal(rank_v, ref_v)
 
     def test_self_loops_read_after_both_increments(self):
         edges = np.array([[2, 2], [2, 3], [2, 2]])
-        rank_u, rank_v = occurrence_ranks(edges, 4)
+        rank_u, rank_v = occurrence_ranks(edges[:, 0], edges[:, 1], 4)
         # sequential consumer: after edge 0, seen[2] == 2 (both slots)
         assert rank_u.tolist() == [2, 3, 5]
         assert rank_v.tolist() == [2, 1, 5]
 
     def test_distinct_vertices_all_first(self):
         edges = np.array([[0, 1], [2, 3], [4, 5]])
-        rank_u, rank_v = occurrence_ranks(edges, 6)
+        rank_u, rank_v = occurrence_ranks(edges[:, 0], edges[:, 1], 6)
         assert rank_u.tolist() == [1, 1, 1]
         assert rank_v.tolist() == [1, 1, 1]
 
     def test_empty(self):
-        rank_u, rank_v = occurrence_ranks(np.empty((0, 2), dtype=np.int64), 5)
+        rank_u, rank_v = occurrence_ranks([], [], 5)
         assert rank_u.size == 0 and rank_v.size == 0
 
     @given(
@@ -177,7 +177,7 @@ class TestOccurrenceRanks:
     )
     def test_property_matches_reference(self, edges):
         arr = np.asarray(edges, dtype=np.int64)
-        rank_u, rank_v = occurrence_ranks(arr, 7)
+        rank_u, rank_v = occurrence_ranks(arr[:, 0], arr[:, 1], 7)
         ref_u, ref_v = _ranks_reference(edges)
         assert np.array_equal(rank_u, ref_u)
         assert np.array_equal(rank_v, ref_v)
