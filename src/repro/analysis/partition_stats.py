@@ -32,18 +32,9 @@ def communication_matrix(assignment: PartitionAssignment) -> np.ndarray:
     """
     placement = build_placement(assignment)
     k = assignment.num_partitions
-    stream = assignment.stream
     matrix = np.zeros((k, k), dtype=np.int64)
-    # replica presence per (vertex, partition)
-    keys = np.concatenate(
-        [
-            stream.src * np.int64(k) + assignment.edge_partition,
-            stream.dst * np.int64(k) + assignment.edge_partition,
-        ]
-    )
-    present = np.unique(keys)
-    vertices = (present // k).astype(np.int64)
-    partitions = (present % k).astype(np.int64)
+    # one row per replica: the table build_placement just cached
+    vertices, partitions, _ = assignment.replica_table()
     masters = placement.master[vertices]
     mirror_mask = partitions != masters
     np.add.at(matrix, (partitions[mirror_mask], masters[mirror_mask]), 1)
@@ -86,11 +77,10 @@ class PartitionSummary:
 def partition_summaries(assignment: PartitionAssignment) -> list[PartitionSummary]:
     """One :class:`PartitionSummary` per partition."""
     placement = build_placement(assignment)
-    sizes = assignment.partition_sizes()
     return [
         PartitionSummary(
             partition=p,
-            edges=int(sizes[p]),
+            edges=int(placement.edges_per_partition[p]),
             masters=int(placement.masters_per_partition[p]),
             mirrors=int(placement.mirrors_per_partition[p]),
         )

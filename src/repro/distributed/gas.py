@@ -58,7 +58,7 @@ from ..partitioners.base import PartitionAssignment
 from ..system.engine import RunCost, SuperstepCost
 from ..system.messages import DensePayload, MessageBuffer
 from ..system.runtime import DenseAccumulator
-from ..system.placement import build_local_index, build_placement
+from ..system.placement import build_local_index
 from .runtime import PersistentRuntime
 
 __all__ = ["DistributedGasRuntime"]
@@ -95,8 +95,8 @@ class DistributedGasRuntime:
         self.assignment = assignment
         self.stream = assignment.stream
         self.runtime = runtime
-        self.placement = build_placement(assignment)
-        self.index = build_local_index(assignment, self.placement)
+        self.index = build_local_index(assignment)
+        self.placement = self.index.placement
         self.num_vertices = self.stream.num_vertices
         self.num_partitions = assignment.num_partitions
         self._unhosted = self.placement.replica_counts == 0

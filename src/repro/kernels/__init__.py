@@ -1,6 +1,6 @@
 """Compiled hot loops, and the one place a tier is chosen.
 
-Two kinds of loop live here.  *Scalar decision cores*: the chunked
+Three kinds of loop live here.  *Scalar decision cores*: the chunked
 partitioners keep three scalar hot loops that DESIGN.md §4.3 proved
 cannot be bulk-committed bit-identically — the HDRF decision core, the
 greedy decision core, and CLUGP's pass-1 allocation/splitting/migration
@@ -9,9 +9,14 @@ replay (plus the pass-3 transform tail and the pass-2 game round).
 (``take_add_f64``, ``take_min_f64``, ``take_min_i64``, ``take_put_i64``:
 ``out[dst[i]] (+)= table[src[i]]``, i.e. ``ufunc.at(out, dst,
 table[src])`` without the temporary) a dense GAS superstep is made of
-(DESIGN.md §5.3) — the only kernels whose indices are caller data, so
-they bounds-check every row and raise ``IndexError``.  This package holds
-compiled implementations of those loops behind one numpy-level API.
+(DESIGN.md §5.3).  *The index build*: ``slot_index``, the deployment's
+whole replica-slot index, placement and routes in counting passes over
+the partition-grouped edges (DESIGN.md §5.3).  The walks and the build
+are the kernels whose indices are caller data, so they check every row
+before using it and report the first bad one (the walks raise it as
+``IndexError``; ``build_local_index`` raises it naming the edge).  This
+package holds compiled implementations of those loops behind one
+numpy-level API.
 Every hot class asks :func:`get_backend` with no argument (the
 partitioner classes once, at construction; the GAS dispatcher per call,
 because vertex programs are pickled to workers) and runs the kernels
@@ -61,6 +66,7 @@ __all__ = [
     "available",
     "backend_name",
     "get_backend",
+    "indexable",
     "popcount",
     "warmup",
 ]
@@ -73,6 +79,20 @@ ENV_REQUIRE = "CLUGP_KERNEL_REQUIRE"
 
 class KernelUnavailableError(RuntimeError):
     """Raised under ``CLUGP_KERNEL_REQUIRE=1`` when no backend resolves."""
+
+
+def indexable(arr, dtype: np.dtype) -> bool:
+    """``arr`` is what a kernel indexes: a 1-d C-contiguous ``dtype`` array.
+
+    The dispatch test of the kernels whose arguments are caller data: an
+    argument that fails it takes the numpy form instead.
+    """
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.ndim == 1
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+    )
 
 
 def popcount(words: np.ndarray) -> int:
@@ -101,6 +121,7 @@ class PythonBackend:
     take_min_f64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_f64))
     take_min_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_i64))
     take_put_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_put_i64))
+    slot_index = staticmethod(_pykernels.slot_index)
 
 
 _cache: dict[str, Any] = {}
@@ -285,5 +306,19 @@ def warmup(name: str | None = None) -> str | None:
     backend.take_min_f64(v, u, g_table, g_table)
     backend.take_min_i64(v, u, g_slots, g_slots)
     backend.take_put_i64(v, u, g_slots, g_slots)
+
+    # the replica-slot index of the two edges, one per partition
+    def i64(size):
+        return np.empty(size, dtype=np.int64)
+
+    cap = 2 * u.size
+    backend.slot_index(
+        u, v, np.arange(2, dtype=np.int64), n, k,
+        i64(2), i64(k + 1), i64(2), i64(2),
+        i64(cap), i64(k + 1), i64(n), i64(n),
+        np.empty(cap, dtype=bool), i64(cap), i64(cap), i64(cap), i64(k + 1),
+        i64(cap), i64(k + 1),
+        i64(n), np.empty(1, dtype=np.uint64), i64(2),
+    )
     _warmed.add(backend.name)
     return backend.name

@@ -35,6 +35,7 @@ _I64P = _U64P = _U8P = _F64P = ctypes.c_void_p
 _I64 = np.dtype(np.int64)
 _U64 = np.dtype(np.uint64)
 _U8 = np.dtype(np.uint8)
+_BOOL = np.dtype(np.bool_)  # one byte, 0 or 1: a uint8_t * on the C side
 _F64 = np.dtype(np.float64)
 
 
@@ -185,6 +186,13 @@ class CcBackend:
         self.take_min_f64 = _bind_take(lib.take_min_f64, _F64)
         self.take_min_i64 = _bind_take(lib.take_min_i64, _I64)
         self.take_put_i64 = _bind_take(lib.take_put_i64, _I64)
+        lib.slot_index.restype = ctypes.c_int64
+        lib.slot_index.argtypes = [
+            _I64P, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
+            _U8P, _I64P, _I64P, _I64P, _I64P, _I64P, _I64P,
+            _I64P, _U64P, _I64P,
+        ]
 
     def hdrf_chunk(self, u, v, k, nw, lam, eps, loads, degree, words, out) -> None:
         self._lib.hdrf_chunk(
@@ -263,6 +271,30 @@ class CcBackend:
                 _addr(deg, _I64), _addr(loads, _I64),
                 _addr(caps, _I64), _addr(counters, _I64),
                 1 if check_mapped else 0, _addr(out, _I64),
+            )
+        )
+
+    def slot_index(
+        self, src, dst, part, n, k,
+        edge_ids, edge_indptr, src_slot, dst_slot,
+        vertices, part_indptr, master, replica_counts,
+        is_master, master_slots, mirror_slot, master_slot, mirror_indptr,
+        master_order, master_indptr,
+        slot_of, words, sizes,
+    ) -> int:
+        return int(
+            self._lib.slot_index(
+                _addr(src, _I64), _addr(dst, _I64), _addr(part, _I64),
+                src.shape[0], n, k,
+                _addr(edge_ids, _I64), _addr(edge_indptr, _I64),
+                _addr(src_slot, _I64), _addr(dst_slot, _I64),
+                _addr(vertices, _I64), _addr(part_indptr, _I64),
+                _addr(master, _I64), _addr(replica_counts, _I64),
+                _addr(is_master, _BOOL), _addr(master_slots, _I64),
+                _addr(mirror_slot, _I64), _addr(master_slot, _I64),
+                _addr(mirror_indptr, _I64),
+                _addr(master_order, _I64), _addr(master_indptr, _I64),
+                _addr(slot_of, _I64), _addr(words, _U64), _addr(sizes, _I64),
             )
         )
 

@@ -30,6 +30,7 @@ class NumbaBackend:
         self.take_min_f64 = checked(njit(**opts)(_pykernels.take_min_f64))
         self.take_min_i64 = checked(njit(**opts)(_pykernels.take_min_i64))
         self.take_put_i64 = checked(njit(**opts)(_pykernels.take_put_i64))
+        self.slot_index = njit(**opts)(_pykernels.slot_index)
 
 
 def load() -> NumbaBackend | None:

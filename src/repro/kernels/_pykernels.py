@@ -28,7 +28,11 @@ files must be kept in lockstep — see DESIGN.md §8):
   of a dense GAS superstep (:mod:`repro.system.runtime`).  Their indices
   are caller data, so each row is bounds-checked and the kernel returns
   the first bad row (-1: none); :func:`checked_take` is the numpy-level
-  form every backend exposes, which raises it as ``IndexError``.
+  form every backend exposes, which raises it as ``IndexError``;
+* :func:`slot_index` — :func:`repro.system.placement.build_placement` and
+  the numpy ``build_local_index``: the runtime's whole replica-slot index
+  in counting passes, partition ids and endpoints checked before
+  anything is written.
 
 Conventions shared with the C kernels: vertex partition sets are flat
 multiword uint64 bitmask rows (``nw = ceil(k / 64)`` words per vertex,
@@ -54,6 +58,7 @@ __all__ = [
     "take_min_i64",
     "take_put_i64",
     "checked_take",
+    "slot_index",
 ]
 
 _ONE = np.uint64(1)
@@ -493,6 +498,138 @@ def take_put_i64(dst, src, table, out):
         if d < 0 or d >= n_out or s < 0 or s >= n_table:
             return i
         out[d] = table[s]
+    return -1
+
+
+def slot_index(
+    src, dst, part, n, k,
+    edge_ids, edge_indptr, src_slot, dst_slot,
+    vertices, part_indptr, master, replica_counts,
+    is_master, master_slots, mirror_slot, master_slot, mirror_indptr,
+    master_order, master_indptr,
+    slot_of, words, sizes,
+):
+    """The flat replica-slot index of a vertex-cut assignment in counting
+    passes — ``build_placement`` + the numpy ``build_local_index`` without
+    a sort (``kernels.c`` has the pass-by-pass account).
+
+    Every output is written in full; the per-slot arrays need capacity
+    ``2 * m`` (``master_order`` holds the per-slot counts until the last
+    pass) and ``sizes`` receives ``[slots, masters]``; ``slot_of`` (``n``)
+    and ``words`` (``ceil(n / 64)``) are scratch.  Returns the
+    first row whose partition id or endpoint is out of range, before
+    anything is written, or -1.
+    """
+    m = src.shape[0]
+    count = master_order
+    for i in range(m):
+        if part[i] < 0 or part[i] >= k or src[i] < 0 or src[i] >= n or dst[i] < 0 or dst[i] >= n:
+            return i
+    # 1: stable counting sort of the edges by partition; indptr[p + 1]
+    # holds p's count, then p's start, then (bumped per edge) p's end
+    for p in range(k + 1):
+        edge_indptr[p] = 0
+    for i in range(m):
+        edge_indptr[part[i] + 1] += 1
+    run = 0
+    for p in range(k):
+        c = edge_indptr[p + 1]
+        edge_indptr[p + 1] = run
+        run += c
+    for i in range(m):
+        at = edge_indptr[part[i] + 1]
+        edge_indptr[part[i] + 1] = at + 1
+        edge_ids[at] = i
+        src_slot[at] = src[i]
+        dst_slot[at] = dst[i]
+    # 2: slots partition by partition, from a bitmap over the partition's
+    # own word range read in ascending order; endpoints rewritten to slots
+    nw = (n + 63) >> 6
+    for w in range(nw):
+        words[w] = 0
+    slots = 0
+    part_indptr[0] = 0
+    for p in range(k):
+        lo = edge_indptr[p]
+        hi = edge_indptr[p + 1]
+        w_lo = nw
+        w_hi = -1
+        # from both ends at once, as kernels.c (which says why); the
+        # middle edge of an odd range is marked twice
+        j = lo
+        t = hi - 1
+        while j <= t:
+            for x in (src_slot[j], src_slot[t], dst_slot[j], dst_slot[t]):
+                words[x >> 6] |= _ONE << (np.uint64(x) & _M63)
+                w_lo = min(w_lo, x >> 6)
+                w_hi = max(w_hi, x >> 6)
+            j += 1
+            t -= 1
+        for w in range(w_lo, w_hi + 1):
+            bits = words[w]
+            words[w] = 0
+            v = w << 6
+            while bits:
+                if bits & _ONE:
+                    vertices[slots] = v
+                    slot_of[v] = slots
+                    count[slots] = 0
+                    slots += 1
+                bits >>= _ONE
+                v += 1
+        part_indptr[p + 1] = slots
+        for j in range(lo, hi):
+            s = slot_of[src_slot[j]]
+            d = slot_of[dst_slot[j]]
+            src_slot[j] = s
+            dst_slot[j] = d
+            count[s] += 1
+            count[d] += 1
+    # 3: masters — strict > over the slots in pid order keeps the first
+    # maximal count; slot_of now maps a vertex to its master's slot
+    for v in range(n):
+        master[v] = -1
+        replica_counts[v] = 0
+    for p in range(k):
+        for s in range(part_indptr[p], part_indptr[p + 1]):
+            v = vertices[s]
+            replica_counts[v] += 1
+            if master[v] < 0 or count[s] > count[slot_of[v]]:
+                master[v] = p
+                slot_of[v] = s
+    # 4: masters and mirror rows in slot order
+    masters = 0
+    rows = 0
+    for p in range(k + 1):
+        master_indptr[p] = 0
+    for p in range(k):
+        mirror_indptr[p] = rows
+        for s in range(part_indptr[p], part_indptr[p + 1]):
+            v = vertices[s]
+            if slot_of[v] == s:
+                is_master[s] = True
+                master_slots[masters] = s
+                masters += 1
+            else:
+                is_master[s] = False
+                mirror_slot[rows] = s
+                master_slot[rows] = slot_of[v]
+                master_indptr[master[v] + 1] += 1
+                rows += 1
+    mirror_indptr[k] = rows
+    # 5: rows stably grouped by master partition, as in pass 1
+    run = 0
+    for p in range(k):
+        c = master_indptr[p + 1]
+        master_indptr[p + 1] = run
+        run += c
+    for r in range(rows):
+        p = master[vertices[mirror_slot[r]]]
+        at = master_indptr[p + 1]
+        master_indptr[p + 1] = at + 1
+        master_order[at] = r
+    sizes[0] = slots
+    sizes[1] = masters
     return -1
 
 

@@ -1,9 +1,9 @@
-/* Scalar decision cores for the chunked streaming partitioners, and the
- * fused take-and-combine walks of the GAS runtime.
+/* Scalar decision cores for the chunked streaming partitioners, the
+ * fused take-and-combine walks of the GAS runtime, and the build of the
+ * runtime's replica-slot index.
  *
- * Each function is a line-for-line transliteration of the corresponding
- * per-edge Python reference loop (see DESIGN.md section 8 for the
- * bit-identity argument):
+ * Each function computes exactly what its Python reference computes (see
+ * DESIGN.md section 8 for the bit-identity argument):
  *
  *   hdrf_chunk        <- repro.partitioners.hdrf.HDRFPartitioner._per_edge
  *   greedy_chunk      <- repro.partitioners.greedy.GreedyPartitioner._per_edge
@@ -21,6 +21,10 @@
  *                        GAS superstep (repro.system.runtime, DESIGN.md
  *                        s5.3); the only kernels whose indices are
  *                        caller data, hence bounds-checked per row
+ *   slot_index        <- repro.system.placement.build_placement +
+ *                        build_local_index's numpy build: the whole
+ *                        replica-slot index in counting passes, every
+ *                        partition id and endpoint checked up front
  *
  * All state crosses the boundary as flat C-contiguous arrays; vertex
  * partition sets are multiword uint64 bitmask rows (nw = ceil(k / 64)
@@ -472,3 +476,172 @@ TAKE_KERNEL(take_min_f64, double, if (!(o < x) && o == o) out[d] = x)
 TAKE_KERNEL(take_min_i64, int64_t, if (x < o) out[d] = x)
 /* plain copy of any 8-byte item (the caller views it as int64) */
 TAKE_KERNEL(take_put_i64, int64_t, (void)o; out[d] = x)
+
+/* ------------------------------------------------------------------ */
+/* Deployment: the flat replica-slot index in counting passes          */
+/* ------------------------------------------------------------------ */
+
+/* counts c[p] at indptr[p + 1] -> indptr[p + 1] = c[0] + ... + c[p - 1],
+ * the cursor a stable counting scatter bumps to p's end */
+static void exclusive_starts(int64_t *indptr, int64_t k)
+{
+    int64_t run = 0;
+    for (int64_t p = 0; p < k; p++) {
+        int64_t c = indptr[p + 1];
+        indptr[p + 1] = run;
+        run += c;
+    }
+}
+
+/* set vertex x's bit, widening the marked word range [*lo, *hi] */
+static inline void mark(uint64_t *words, int64_t x, int64_t *lo, int64_t *hi)
+{
+    int64_t w = x >> 6;
+    words[w] |= 1ULL << (x & 63);
+    *lo = w < *lo ? w : *lo;
+    *hi = w > *hi ? w : *hi;
+}
+
+/* The executable layout of a vertex-cut assignment (edge i = (src[i],
+ * dst[i]) in partition part[i]) without a sort, in five passes:
+ *
+ *  1. a stable counting sort of the edges by partition: edge_ids /
+ *     edge_indptr, with each edge's endpoints carried into src_slot /
+ *     dst_slot;
+ *  2. per partition, a bitmap of its hosted vertices, scanned over that
+ *     partition's own word range only and read in ascending order: the
+ *     slots (vertices, part_indptr), numbered partition by partition,
+ *     vertices ascending inside; the endpoint columns are rewritten in
+ *     place from vertex ids to slots, and each slot's incident-edge
+ *     count (a self-loop counts twice) goes to master_order, which is
+ *     free until pass 5;
+ *  3. the slots in pid order: a strict > keeps each vertex's first
+ *     maximal count, i.e. the master is the partition with the most
+ *     incident edges, ties to the lowest pid; replica_counts counted;
+ *  4. the slots once more: is_master, master_slots, the mirror rows
+ *     (mirror_slot, master_slot) in slot order, mirror_indptr, and the
+ *     rows per master partition counted into master_indptr;
+ *  5. the rows stably grouped by master partition: master_order.
+ *
+ * Every output is written in full (no precondition on its contents);
+ * the per-slot arrays (vertices, is_master, master_slots, mirror_slot,
+ * master_slot, master_order) need capacity 2 * m, and sizes
+ * receives [slots, masters].  slot_of (n entries) and words
+ * (ceil(n / 64)) are scratch.  Cost O(m + slots + k + n / 64 + the sum of
+ * the partitions' word ranges): no k * n term.  Partition ids and
+ * endpoints are caller data: all of them are checked before anything is
+ * written, and the first bad row is returned; -1 = built. */
+int64_t slot_index(
+    const int64_t *src, const int64_t *dst, const int64_t *part,
+    int64_t m, int64_t n, int64_t k,
+    int64_t *edge_ids, int64_t *edge_indptr,
+    int64_t *src_slot, int64_t *dst_slot,
+    int64_t *vertices, int64_t *part_indptr,
+    int64_t *master, int64_t *replica_counts,
+    uint8_t *is_master, int64_t *master_slots,
+    int64_t *mirror_slot, int64_t *master_slot, int64_t *mirror_indptr,
+    int64_t *master_order, int64_t *master_indptr,
+    int64_t *slot_of, uint64_t *words, int64_t *sizes)
+{
+    int64_t *count = master_order;
+    for (int64_t i = 0; i < m; i++) {
+        if (part[i] < 0 || part[i] >= k || src[i] < 0 || src[i] >= n
+            || dst[i] < 0 || dst[i] >= n)
+            return i;
+    }
+    /* 1: counting sort by partition; indptr[p + 1] is p's cursor and
+     * ends at p's end */
+    for (int64_t p = 0; p <= k; p++) edge_indptr[p] = 0;
+    for (int64_t i = 0; i < m; i++) edge_indptr[part[i] + 1]++;
+    exclusive_starts(edge_indptr, k);
+    for (int64_t i = 0; i < m; i++) {
+        int64_t at = edge_indptr[part[i] + 1]++;
+        edge_ids[at] = i;
+        src_slot[at] = src[i];
+        dst_slot[at] = dst[i];
+    }
+    /* 2: slots, partition by partition */
+    int64_t nw = (n + 63) >> 6;
+    for (int64_t w = 0; w < nw; w++) words[w] = 0;
+    int64_t slots = 0;
+    part_indptr[0] = 0;
+    for (int64_t p = 0; p < k; p++) {
+        int64_t lo = edge_indptr[p], hi = edge_indptr[p + 1];
+        int64_t w_lo = nw, w_hi = -1;
+        /* from both ends at once: neighbouring edges mostly set bits of
+         * one word, and a single chain of read-modify-writes through
+         * memory runs at store-forwarding latency (1.8x slower on a
+         * crawl); the middle edge of an odd range is marked twice */
+        for (int64_t j = lo, t = hi - 1; j <= t; j++, t--) {
+            mark(words, src_slot[j], &w_lo, &w_hi);
+            mark(words, src_slot[t], &w_lo, &w_hi);
+            mark(words, dst_slot[j], &w_lo, &w_hi);
+            mark(words, dst_slot[t], &w_lo, &w_hi);
+        }
+        for (int64_t w = w_lo; w <= w_hi; w++) {
+            uint64_t bits = words[w];
+            if (!bits) continue;
+            words[w] = 0;
+            while (bits) {
+                int64_t v = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                vertices[slots] = v;
+                slot_of[v] = slots;
+                count[slots] = 0;
+                slots++;
+            }
+        }
+        part_indptr[p + 1] = slots;
+        for (int64_t j = lo; j < hi; j++) {
+            int64_t s = slot_of[src_slot[j]], d = slot_of[dst_slot[j]];
+            src_slot[j] = s;
+            dst_slot[j] = d;
+            count[s]++;
+            count[d]++;
+        }
+    }
+    /* 3: masters (slot_of now maps a vertex to its master's slot) */
+    for (int64_t v = 0; v < n; v++) {
+        master[v] = -1;
+        replica_counts[v] = 0;
+    }
+    for (int64_t p = 0; p < k; p++) {
+        for (int64_t s = part_indptr[p]; s < part_indptr[p + 1]; s++) {
+            int64_t v = vertices[s];
+            replica_counts[v]++;
+            if (master[v] < 0 || count[s] > count[slot_of[v]]) {
+                master[v] = p;
+                slot_of[v] = s;
+            }
+        }
+    }
+    /* 4: masters and mirror rows in slot order */
+    int64_t masters = 0, rows = 0;
+    for (int64_t p = 0; p <= k; p++) master_indptr[p] = 0;
+    for (int64_t p = 0; p < k; p++) {
+        mirror_indptr[p] = rows;
+        for (int64_t s = part_indptr[p]; s < part_indptr[p + 1]; s++) {
+            int64_t v = vertices[s];
+            if (slot_of[v] == s) {
+                is_master[s] = 1;
+                master_slots[masters++] = s;
+            } else {
+                is_master[s] = 0;
+                mirror_slot[rows] = s;
+                master_slot[rows] = slot_of[v];
+                master_indptr[master[v] + 1]++;
+                rows++;
+            }
+        }
+    }
+    mirror_indptr[k] = rows;
+    /* 5: rows stably grouped by master partition, as in pass 1 */
+    exclusive_starts(master_indptr, k);
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t p = master[vertices[mirror_slot[r]]];
+        master_order[master_indptr[p + 1]++] = r;
+    }
+    sizes[0] = slots;
+    sizes[1] = masters;
+    return -1;
+}

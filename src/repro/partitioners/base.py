@@ -90,9 +90,11 @@ class PartitionAssignment:
 
         One row per (vertex, partition) pair backed by at least one edge,
         sorted by vertex then partition, with the number of incident
-        edges behind it.  Replica counts, the master/mirror placement and
-        the runtime's replica-slot index all read this one table, so they
-        agree by construction and the incidence is deduplicated once.
+        edges behind it.  Replica counts, :func:`~repro.system.placement.
+        build_placement` and the numpy build of the runtime's replica-slot
+        index all read this one table, so they agree by construction and
+        the incidence is deduplicated once (the compiled index build
+        derives the same incidence from the edges without it).
         """
         if self._replica_table is None:
             self._replica_table = vertex_partition_pairs(
@@ -123,7 +125,8 @@ class PartitionAssignment:
         are one contiguous slice ``order[indptr[p]:indptr[p+1]]`` — the
         shared deployment substrate of the GAS engines (the global
         oracle's per-partition accounting and the local runtime's edge
-        sub-graphs slice the same layout).
+        sub-graphs slice the same layout; the compiled index build fills
+        this cache with the grouping it computes anyway).
         """
         if self._grouped_edges is None:
             self._grouped_edges = group_by_bounded(

@@ -20,15 +20,23 @@ kernel therefore runs unchanged on one block (:class:`LocalPartition`,
 what a distributed worker owns) or on the whole concatenation at once
 (:attr:`LocalIndex.flat`, what :class:`~repro.system.runtime.
 LocalGasRuntime` executes): see DESIGN.md section 5.3.
+
+A deployment builds all of it — index, routes and :class:`Placement` —
+in one compiled walk over the partition-grouped edges (``repro.kernels``
+``slot_index``, O(|E| + slots), no sort).  :func:`build_placement` stays
+the analysis API and, with the numpy build of the index, the oracle the
+walk is tested against: the same arrays, dtype for dtype.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .. import kernels
 from .._util import group_by_bounded, segment_sums
 from ..partitioners.base import PartitionAssignment
 
@@ -89,7 +97,9 @@ def build_placement(assignment: PartitionAssignment) -> Placement:
     space — rather than a dense ``n x k`` table, so placements of large
     graphs at high partition counts stay cheap to build.  Master choice is
     the partition with the most incident edges, ties to the lowest
-    partition id (same rule as the dense-table ``argmax``).
+    partition id (same rule as the dense-table ``argmax``).  The analysis
+    API; a deployment gets the same placement from
+    :func:`build_local_index` without the replica table's sort.
     """
     stream = assignment.stream
     k = assignment.num_partitions
@@ -339,19 +349,166 @@ class LocalIndex:
         )
 
 
+_INT64 = np.dtype(np.int64)
+
+
 def build_local_index(
     assignment: PartitionAssignment, placement: Placement | None = None
 ) -> LocalIndex:
-    """Derive the flat replica-slot index from an assignment.
+    """Derive the flat replica-slot index — and, unless the caller passes
+    one, its :class:`Placement` — from an assignment.
 
-    One stable bounded radix sort of the cached (vertex, partition)
-    replica table by partition numbers the slots; the partition-grouped
-    edge layout (cached on the assignment, shared with the global oracle
-    engine) gets its endpoint slots through one O(n) scratch
-    vertex -> slot lookup refilled per partition; and the routing table
-    is the non-master slots paired with their vertices' master slots —
-    consistent with ``Placement.replica_counts`` by construction.
+    With a kernel backend this is one compiled walk
+    (``repro.kernels`` ``slot_index``): a counting sort of the edges by
+    partition, one bitmap per partition over its own vertex range read in
+    ascending order (the slots), per-slot incidence counts read in pid
+    order (the masters) and one pass over the slots (the routes) —
+    O(|E| + slots) with no sort and no k x n term.  On the numpy tier
+    (``CLUGP_KERNEL_BACKEND=none``, or a column that is not a flat int64
+    array) it is the oracle build: the slots numbered by a stable sort of
+    the cached (vertex, partition) replica table by partition, and the
+    placement is :func:`build_placement`'s.  The two return the same
+    arrays, dtype for dtype.
+
+    A caller's ``placement`` decides ``is_master`` and the routes; one
+    naming a master partition that hosts no replica of the vertex raises
+    ``KeyError``.  A partition id outside ``[0, k)`` or an endpoint outside
+    ``[0, n)`` raises ``IndexError`` naming the edge, before anything is
+    built.
     """
+    stream = assignment.stream
+    k = assignment.num_partitions
+    n = stream.num_vertices
+    src, dst, part = columns = (stream.src, stream.dst, assignment.edge_partition)
+    backend = kernels.get_backend()
+    if backend is not None and all(kernels.indexable(c, _INT64) for c in columns):
+        return _compiled_index(backend, assignment, placement)
+    bad = np.flatnonzero(
+        (part < 0) | (part >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    )
+    if bad.size:
+        raise _out_of_range(int(bad[0]), *columns, n, k)
+    return _numpy_index(assignment, placement)
+
+
+def _compiled_index(
+    backend, assignment: PartitionAssignment, placement: Placement | None
+) -> LocalIndex:
+    """The one-walk build: ``slot_index`` into buffers sized from m, n, k."""
+    stream = assignment.stream
+    k = assignment.num_partitions
+    n = stream.num_vertices
+    columns = (stream.src, stream.dst, assignment.edge_partition)
+    m = columns[0].size
+    edge_ids, src_slot, dst_slot = (np.empty(m, dtype=np.int64) for _ in range(3))
+    edge_indptr, part_indptr, mirror_indptr, master_indptr = (
+        np.empty(k + 1, dtype=np.int64) for _ in range(4)
+    )
+    master, replica_counts, slot_of = (np.empty(n, dtype=np.int64) for _ in range(3))
+    vertices, master_slots, mirror_slot, master_slot, master_order = (
+        _capacity(2 * m, np.int64) for _ in range(5)
+    )
+    is_master = _capacity(2 * m, np.bool_)
+    sizes = np.empty(2, dtype=np.int64)
+    row = backend.slot_index(
+        *columns, n, k,
+        edge_ids, edge_indptr, src_slot, dst_slot,
+        vertices, part_indptr, master, replica_counts,
+        is_master, master_slots, mirror_slot, master_slot, mirror_indptr,
+        master_order, master_indptr,
+        slot_of, np.empty((n + 63) // 64, dtype=np.uint64), sizes,
+    )
+    if row >= 0:
+        raise _out_of_range(row, *columns, n, k)
+    slots, masters = (int(x) for x in sizes)
+    rows = slots - masters
+    vertices, is_master, master_slots = vertices[:slots], is_master[:slots], master_slots[:masters]
+    routes = ReplicaRoutes(
+        mirror_slot[:rows], master_slot[:rows], mirror_indptr, master_order[:rows], master_indptr
+    )
+    if placement is None:
+        mirrors = np.diff(mirror_indptr)
+        placement = Placement(
+            num_partitions=k,
+            master=master,
+            replica_counts=replica_counts,
+            mirrors_per_partition=mirrors,
+            masters_per_partition=np.diff(part_indptr) - mirrors,
+            edges_per_partition=np.diff(edge_indptr),
+        )
+    elif not np.array_equal(placement.master, master):
+        is_master, master_slots, routes = _routes(vertices, part_indptr, placement.master)
+    if assignment._grouped_edges is None:  # the layout the global engine slices too
+        assignment._grouped_edges = (edge_ids, edge_indptr)
+    edge_ids, edge_indptr = assignment.grouped_edges()
+    return LocalIndex(
+        num_partitions=k,
+        num_vertices=n,
+        vertices=vertices,
+        is_master=is_master,
+        master_slots=master_slots,
+        part_indptr=part_indptr,
+        src_slot=src_slot,
+        dst_slot=dst_slot,
+        edge_ids=edge_ids,
+        edge_indptr=edge_indptr,
+        routes=routes,
+        placement=placement,
+    )
+
+
+def _capacity(size: int, dtype) -> np.ndarray:
+    """``size`` uninitialized entries of ``dtype`` over a mapping of their
+    own: the pages a kernel never writes never become resident, and the
+    rest go back to the system when the last view of them is freed (heap
+    buffers of the 2|E| bound would keep every page ever written)."""
+    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)), dtype, size)
+
+
+def _out_of_range(row: int, src, dst, part, n: int, k: int) -> IndexError:
+    return IndexError(
+        f"edge {row}: partition {part[row]} with endpoints ({src[row]}, "
+        f"{dst[row]}) is out of range for k={k} partitions of n={n} vertices"
+    )
+
+
+def _routes(
+    vertices: np.ndarray, part_indptr: np.ndarray, master: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, ReplicaRoutes]:
+    """``(is_master, master_slots, routes)`` of the slots under a
+    placement's ``master`` column: every non-master slot paired with its
+    vertex's master slot."""
+    k = part_indptr.size - 1
+    slot_part = np.repeat(np.arange(k, dtype=np.int64), np.diff(part_indptr))
+    is_master = master[vertices] == slot_part
+    master_slots = np.flatnonzero(is_master)
+    mirror_slot = np.flatnonzero(~is_master)
+    slot_of = np.full(master.size, -1, dtype=np.int64)
+    slot_of[vertices[master_slots]] = master_slots
+    master_slot = slot_of[vertices[mirror_slot]]
+    if master_slot.size and master_slot.min() < 0:
+        raise KeyError("placement names a master partition that hosts no replica")
+    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
+    routes = ReplicaRoutes(
+        mirror_slot=mirror_slot,
+        master_slot=master_slot,
+        mirror_indptr=np.searchsorted(mirror_slot, part_indptr),
+        master_order=master_order,
+        master_indptr=master_indptr,
+    )
+    return is_master, master_slots, routes
+
+
+def _numpy_index(
+    assignment: PartitionAssignment, placement: Placement | None
+) -> LocalIndex:
+    """The oracle build: one stable bounded radix sort of the cached
+    (vertex, partition) replica table by partition numbers the slots; the
+    partition-grouped edge layout (cached on the assignment, shared with
+    the global oracle engine) gets its endpoint slots through one O(n)
+    scratch vertex -> slot lookup refilled per partition; the routes come
+    from :func:`_routes` — consistent with ``Placement.replica_counts`` by
+    construction."""
     stream = assignment.stream
     k = assignment.num_partitions
     n = stream.num_vertices
@@ -360,8 +517,6 @@ def build_local_index(
     verts, parts, _ = assignment.replica_table()
     order, part_indptr = group_by_bounded(parts, k)
     vertices = verts[order]
-    slot_part = parts[order]
-    is_master = placement.master[vertices] == slot_part
     edge_ids, edge_indptr = assignment.grouped_edges()
     src_slot = np.empty(edge_ids.size, dtype=np.int64)
     dst_slot = np.empty(edge_ids.size, dtype=np.int64)
@@ -376,22 +531,7 @@ def build_local_index(
         dst_slot[rows] = slot_of[stream.dst[edge_ids[rows]]]
         if min(src_slot[rows].min(initial=lo), dst_slot[rows].min(initial=lo)) < lo:
             raise KeyError(f"partition {pid} has an edge endpoint it does not host")
-    # routing: every non-master slot, paired with its vertex's master slot
-    master_slots = np.flatnonzero(is_master)
-    mirror_slot = np.flatnonzero(~is_master)
-    slot_of[:] = -1
-    slot_of[vertices[master_slots]] = master_slots
-    master_slot = slot_of[vertices[mirror_slot]]
-    if master_slot.size and master_slot.min() < 0:
-        raise KeyError("placement names a master partition that hosts no replica")
-    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
-    routes = ReplicaRoutes(
-        mirror_slot=mirror_slot,
-        master_slot=master_slot,
-        mirror_indptr=np.searchsorted(mirror_slot, part_indptr),
-        master_order=master_order,
-        master_indptr=master_indptr,
-    )
+    is_master, master_slots, routes = _routes(vertices, part_indptr, placement.master)
     return LocalIndex(
         num_partitions=k,
         num_vertices=n,

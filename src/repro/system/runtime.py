@@ -53,7 +53,7 @@ from ..partitioners.base import PartitionAssignment
 from .engine import RunCost, SuperstepCost
 from .messages import DensePayload, MessageBuffer, RaggedPayload
 from .network import NetworkModel
-from .placement import LocalIndex, LocalPartition, build_local_index, build_placement
+from .placement import LocalIndex, LocalPartition, build_local_index
 
 __all__ = [
     "DenseAccumulator",
@@ -102,16 +102,6 @@ _FOLD_KERNELS = {
 }
 
 
-def _flat(arr, dtype: np.dtype) -> bool:
-    """``arr`` is what a kernel indexes: 1-d C-contiguous ``dtype``."""
-    return (
-        isinstance(arr, np.ndarray)
-        and arr.ndim == 1
-        and arr.dtype == dtype
-        and arr.flags.c_contiguous
-    )
-
-
 def _take_walk(kernel: str, dtype: np.dtype, out, dst, table, src) -> bool:
     """One walk of the index table ``(dst, src)`` by the take kernel
     named ``kernel``, when it can run: a kernel backend resolves and
@@ -124,8 +114,8 @@ def _take_walk(kernel: str, dtype: np.dtype, out, dst, table, src) -> bool:
     """
     backend = kernels.get_backend()
     if backend is None or not (
-        _flat(out, dtype) and _flat(table, dtype)
-        and _flat(dst, _INT64) and _flat(src, _INT64)
+        kernels.indexable(out, dtype) and kernels.indexable(table, dtype)
+        and kernels.indexable(dst, _INT64) and kernels.indexable(src, _INT64)
     ):
         return False
     getattr(backend, kernel)(dst, src, table, out)
@@ -285,8 +275,8 @@ class LocalGasRuntime:
         self.network = network or NetworkModel()
         self.edges_per_second = float(edges_per_second)
         self.vertices_per_second = float(vertices_per_second)
-        self.placement = build_placement(assignment)
-        self.index: LocalIndex = build_local_index(assignment, self.placement)
+        self.index: LocalIndex = build_local_index(assignment)
+        self.placement = self.index.placement
         self.num_vertices = self.stream.num_vertices
         self.num_partitions = assignment.num_partitions
         self._unhosted = self.placement.replica_counts == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.partition_stats import (
     communication_matrix,
@@ -13,6 +15,7 @@ from repro.graph.stream import EdgeStream
 from repro.partitioners import HashingPartitioner
 from repro.partitioners.base import PartitionAssignment
 from repro.core.partitioner import ClugpPartitioner
+from repro.system.placement import build_placement
 
 
 def make_assignment():
@@ -41,6 +44,33 @@ class TestCommunicationMatrix:
         bad = HashingPartitioner(8).partition(crawl_stream)
         good = ClugpPartitioner(8).partition(crawl_stream)
         assert communication_matrix(good).sum() < communication_matrix(bad).sum()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 20).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, 70),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50),
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_the_unique_key_formula(self, data, rng):
+        """The matrix read off the cached replica table == the per-call
+        ``np.unique`` of ``v * k + p`` keys it replaced."""
+        n, k, edges = data
+        stream = EdgeStream([u for u, _ in edges], [v for _, v in edges], num_vertices=n)
+        a = PartitionAssignment(stream, [rng.randrange(k) for _ in edges], num_partitions=k)
+        keys = np.concatenate([stream.src * k + a.edge_partition, stream.dst * k + a.edge_partition])
+        present = np.unique(keys)
+        vertices, partitions = present // k, present % k
+        masters = build_placement(a).master[vertices]
+        mirror = partitions != masters
+        expect = np.zeros((k, k), dtype=np.int64)
+        np.add.at(expect, (partitions[mirror], masters[mirror]), 1)
+        got = communication_matrix(a)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
 class TestVertexBalance:

@@ -7,18 +7,22 @@ identical superstep counts, for k in {2, 4, 8} across hashing / hdrf /
 clugp — and on every run the *measured* sync messages must equal the
 modeled ``2 * sum(|P(v)| - 1)`` replication formula over the sync set.
 
-The flat replica-slot index is pinned three ways: against a naive
+The flat replica-slot index is pinned four ways: against a naive
 per-partition ``np.unique``/``searchsorted`` builder kept here as the
-oracle, by its block-diagonal invariants, and by golden digests of all
-four apps recorded before the layout was flattened.
+oracle, by its block-diagonal invariants, by golden digests of all four
+apps recorded before the layout was flattened, and — the compiled
+one-walk build on every kernel tier — field for field and dtype for
+dtype against the numpy build.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
+from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,23 +300,34 @@ class TestLocalIndex:
         with pytest.raises(KeyError):
             index.partitions[0].to_local([3])
 
-    def test_inconsistent_placement_rejected(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_inconsistent_placement_rejected(self, backend):
         assignment = tiny_assignment()
         placement = build_placement(assignment)
         placement.master[1] = 1  # vertex 1 only lives in partition 0
-        with pytest.raises(KeyError, match="master"):
+        with kernel_backend(backend), pytest.raises(KeyError, match="master"):
             build_local_index(assignment, placement)
 
-    def test_unhosted_edge_endpoint_rejected(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unhosted_edge_endpoint_rejected(self, backend):
+        """The numpy build numbers the slots from the cached replica table,
+        so a table missing a replica an edge needs is refused; a kernel
+        tier derives the slots from the edges and never reads the table."""
         assignment = tiny_assignment()
         verts, parts, counts = assignment.replica_table()
         # drop the (vertex 0, partition 0) replica the edge (0, 1) needs
         assignment._replica_table = (verts[1:], parts[1:], counts[1:])
-        with pytest.raises(KeyError, match="does not host"):
-            build_local_index(assignment)
+        with kernel_backend(backend):
+            if backend == "none":
+                with pytest.raises(KeyError, match="does not host"):
+                    build_local_index(assignment)
+            else:
+                assert_same_index(build_local_index(assignment), numpy_index(tiny_assignment()))
 
-    def test_replica_table_shared_by_counts_placement_and_index(self, monkeypatch):
-        """One dedup of the incidence per assignment, however many readers."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replica_table_shared_by_counts_placement_and_index(self, backend, monkeypatch):
+        """One dedup of the incidence per assignment, however many readers
+        — and on a kernel tier a deployment makes none."""
         import repro.partitioners.base as base
 
         calls = []
@@ -320,11 +335,126 @@ class TestLocalIndex:
         monkeypatch.setattr(
             base, "vertex_partition_pairs", lambda *a: calls.append(1) or real(*a)
         )
-        assignment = tiny_assignment()
-        assignment.replication_factor()
-        LocalGasRuntime(assignment)
-        build_local_index(assignment)
+        with kernel_backend(backend):
+            assignment = tiny_assignment()
+            LocalGasRuntime(assignment)
+            build_local_index(assignment)
+            assert len(calls) == (1 if backend == "none" else 0)
+            assignment.replication_factor()
+            build_placement(assignment)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_deployment_builds_no_placement_and_reads_no_replica_table(
+        self, backend, monkeypatch, crawl_stream
+    ):
+        import repro.system.placement as placement_module
+
+        calls = []
+        monkeypatch.setattr(
+            placement_module, "build_placement", lambda *a: calls.append("build_placement")
+        )
+        monkeypatch.setattr(
+            PartitionAssignment, "replica_table", lambda self: calls.append("replica_table")
+        )
+        assignment = PartitionAssignment(
+            crawl_stream, np.arange(crawl_stream.num_edges) % 5, num_partitions=5
+        )
+        with kernel_backend(backend):
+            runtime = LocalGasRuntime(assignment)
+        assert calls == []
+        assert runtime.placement is runtime.index.placement
+        # the kernel's grouped edges are the assignment's cached layout
+        assert runtime.index.edge_ids is assignment.grouped_edges()[0]
+
+
+# ---------------------------------------------------------------------- #
+# the compiled build == the numpy build, array for array
+# ---------------------------------------------------------------------- #
+
+
+def index_fields(index) -> dict:
+    """Every scalar and array of an index, its routes and its placement."""
+    fields = {}
+    for owner in (index, index.routes, index.placement):
+        for f in dataclasses.fields(owner):
+            value = getattr(owner, f.name)
+            if not dataclasses.is_dataclass(value):
+                fields[f"{type(owner).__name__}.{f.name}"] = value
+    return fields
+
+
+def assert_same_index(got, expect) -> None:
+    got, expect = index_fields(got), index_fields(expect)
+    assert got.keys() == expect.keys()
+    for name, want in expect.items():
+        have = got[name]
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype and have.shape == want.shape, name
+            assert np.array_equal(have, want), name
+        else:
+            assert type(have) is type(want) and have == want, name
+
+
+def numpy_index(assignment, placement=None):
+    """The oracle: the numpy build, on the assignment's own caches."""
+    with kernel_backend("none"):
+        return build_local_index(assignment, placement)
+
+
+layouts = st.integers(0, 25).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60
+        ) if n else st.just([]),
+        st.sampled_from([1, 3, 64, 100, 4096]),
+        # the partitions in use (mod k): with a large k most are empty
+        st.lists(st.integers(0, 4095), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(deadline=None, max_examples=80)
+@given(layouts, st.booleans())
+def test_index_equals_numpy_build(backend, data, with_placement):
+    """Self-loops, duplicate edges, edgeless and isolated vertices, n = 0,
+    |E| = 0, empty partitions anywhere, k from 1 to 4096, with and without
+    a caller's placement: every field, dtype for dtype."""
+    n, edges, k, used, rng = data
+    src = [u for u, _ in edges]
+    dst = [v for _, v in edges]
+    parts = [rng.choice(used) % k for _ in edges]
+
+    def fresh():
+        return PartitionAssignment(EdgeStream(src, dst, n), parts, num_partitions=k)
+
+    def build(tier):
+        placement = numpy_index(fresh()).placement if with_placement else None
+        with kernel_backend(tier):
+            return build_local_index(fresh(), placement)
+
+    assert_same_index(build(backend), build("none"))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(deadline=None, max_examples=40)
+@given(edge_streams)
+def test_callers_placement_decides_the_masters(backend, data):
+    """A consistent placement other than the master rule's — every vertex's
+    master in the *highest* partition hosting it — is the one obeyed."""
+    assignment = build_random_assignment(data)
+    placement = build_placement(assignment)
+    verts, parts, _ = assignment.replica_table()
+    last = np.flatnonzero(np.r_[verts[1:] != verts[:-1], True]) if verts.size else verts
+    placement.master[verts[last]] = parts[last]
+    fresh = PartitionAssignment(assignment.stream, assignment.edge_partition, assignment.num_partitions)
+    with kernel_backend(backend):
+        index = build_local_index(fresh, placement)
+    assert index.placement is placement
+    assert_same_index(index, numpy_index(assignment, placement))
 
 
 # ---------------------------------------------------------------------- #
