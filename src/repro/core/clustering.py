@@ -44,7 +44,7 @@ arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
 buffer, parallel mirror tables).  When a :mod:`repro.kernels` backend
 resolves, each chunk is one call into the compiled
 allocation/splitting/migration replay over those arrays.  On a host
-with neither numba nor a C compiler the numpy tier runs instead: per
+without a C compiler the numpy tier runs instead: per
 chunk a conservative vectorized classifier separates edges into
 
 * a *boring* set — both endpoints already clustered and provably unable

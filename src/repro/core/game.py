@@ -25,12 +25,12 @@ Engines and the oracle
 :class:`ClusterPartitioningGame` plays the game in one of two tiers,
 chosen by what :func:`repro.kernels.get_backend` resolves:
 
-* the *kernel tier* (the default wherever numba or a C compiler exists)
+* the *kernel tier* (the default wherever a C compiler exists)
   fuses each round into one :mod:`repro.kernels` call — the kernel owns
   the flat adjacency table, loads and assignment, adds the
   decision-preserving epoch skip rule, and maintains the potential in
   O(1) per move instead of recomputing it per round (DESIGN.md §10);
-* the *numpy tier* (hosts with neither) evaluates all ``k`` candidate
+* the *numpy tier* (hosts without one) evaluates all ``k`` candidate
   costs of a cluster as one vectorized delta against an
   incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
   the merged weight from ``c``'s neighbors currently placed in partition

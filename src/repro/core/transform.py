@@ -27,7 +27,7 @@ is the one pass-3 driver, writing each chunk's answer into its slice of
 a caller's result array) and is bit-identical to the per-edge oracle
 :func:`transform_partitions`.  When a :mod:`repro.kernels` backend
 resolves, each chunk is one call into the compiled loop (spill branch
-included).  On a host with neither numba nor a C compiler the numpy tier
+included).  On a host without a C compiler the numpy tier
 runs instead: the rule table
 (agreement / mirror / degree) is evaluated for a whole chunk as boolean
 masks over the gathered vertex->partition join; the only sequential part

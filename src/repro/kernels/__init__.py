@@ -1,59 +1,43 @@
 """Compiled hot loops, and the one place a tier is chosen.
 
-Three kinds of loop live here.  *Scalar decision cores*: the chunked
-partitioners keep three scalar hot loops that DESIGN.md §4.3 proved
-cannot be bulk-committed bit-identically — the HDRF decision core, the
-greedy decision core, and CLUGP's pass-1 allocation/splitting/migration
-replay (plus the pass-3 transform tail and the pass-2 game round).
-*Index-table walks*: the fused take-and-combine primitives
-(``take_add_f64``, ``take_min_f64``, ``take_min_i64``, ``take_put_i64``:
-``out[dst[i]] (+)= table[src[i]]``, i.e. ``ufunc.at(out, dst,
-table[src])`` without the temporary) a dense GAS superstep is made of
-(DESIGN.md §5.3).  *The index build*: ``slot_index``, the deployment's
-whole replica-slot index, placement and routes in counting passes over
-the partition-grouped edges (DESIGN.md §5.3).  The walks and the build
-are the kernels whose indices are caller data, so they check every row
-before using it and report the first bad one (the walks raise it as
-``IndexError``; ``build_local_index`` raises it naming the edge).  This
-package holds compiled implementations of those loops behind one
-numpy-level API.
-Every hot class asks :func:`get_backend` with no argument (the
-partitioner classes once, at construction; the GAS dispatcher per call,
-because vertex programs are pickled to workers) and runs the kernels
-when it answers with a backend and its own numpy tier when it answers
-None — bit-identical either way.  No caller names an implementation.
+The kernels are the scalar loops DESIGN.md §4.3 proved cannot be
+bulk-committed bit-identically (the HDRF and greedy decision cores,
+CLUGP's pass-1 replay, pass-2 game round and pass-3 transform tail), the
+fused take-and-combine walks a dense GAS superstep is made of
+(``out[dst[i]] (+)= table[src[i]]``), and ``slot_index``, the
+deployment's replica-slot index in counting passes (DESIGN.md §5.3).
+The walks and the index build index with caller data, so they check
+every row and report the first bad one.
 
-Backends, in resolution order:
+A kernel is a C function in ``kernels.c``, its plain-Python oracle in
+:mod:`._pykernels` and one row of :data:`KERNELS`.  Both backends bind
+every row from the table alone, and both refuse, with a ``TypeError``
+before the kernel runs, an array that is not a C-contiguous array of its
+kind's element type.  Every hot class asks :func:`get_backend` with no
+argument (the partitioner classes once, at construction; the GAS
+dispatcher per call, because vertex programs are pickled to workers) and
+runs the kernels when it answers with a backend, its own numpy tier when
+it answers None — bit-identical either way:
 
-* ``"numba"`` — ``@njit`` over :mod:`._pykernels` (needs the ``[jit]``
-  extra installed);
-* ``"cc"`` — ``kernels.c`` compiled at first use with the system C
-  compiler and bound via ctypes;
-* ``"python"`` — the plain-Python :mod:`._pykernels` functions.  Never
-  resolved unasked (it is *slower* than the numpy tier); it exists so
-  tests can exercise the kernel glue everywhere;
-* ``"none"`` — explicit empty resolution: the numpy tier.
+* ``"cc"`` — ``kernels.c`` compiled once per machine with the system C
+  compiler (~0.5 s, cached on disk), bound via ctypes; what an unset
+  environment resolves;
+* ``"python"`` — the :mod:`._pykernels` functions, slower than the numpy
+  tier, so only ever resolved by name: tests run the kernel glue on it;
+* ``"none"`` — the numpy tier.
 
-Importing this package never hard-fails: with neither numba nor a C
-compiler present, :func:`available` is False, :func:`get_backend`
-returns None, and the process runs the numpy tier with one warning
-(identical results; an error under ``CLUGP_KERNEL_REQUIRE=1``).  The
-``CLUGP_KERNEL_BACKEND`` environment variable (one of
-:data:`BACKEND_NAMES`) is the one deployment and test override of the
-resolution.
-
-The ``cc`` backend compiles ``kernels.c`` once per machine (~0.5 s, the
-shared object is cached on disk) when the first hot class is
-constructed.  :func:`warmup` triggers that deferred compile (or the
-numba nopython build) up front and runs each kernel once on tiny
-inputs, so benchmark timing regions never include compiler time.
+Without a working C compiler :func:`get_backend` returns None and the
+process runs the numpy tier with one warning naming the failed build
+step (an error under ``CLUGP_KERNEL_REQUIRE=1``).  ``CLUGP_KERNEL_BACKEND``
+(one of :data:`BACKEND_NAMES`) is the one deployment and test override.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import Any
+from operator import itemgetter
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -62,6 +46,7 @@ from . import _pykernels
 __all__ = [
     "BACKEND_NAMES",
     "ENV_REQUIRE",
+    "KERNELS",
     "KernelUnavailableError",
     "available",
     "backend_name",
@@ -79,6 +64,151 @@ ENV_REQUIRE = "CLUGP_KERNEL_REQUIRE"
 
 class KernelUnavailableError(RuntimeError):
     """Raised under ``CLUGP_KERNEL_REQUIRE=1`` when no backend resolves."""
+
+
+class Kernel(NamedTuple):
+    """One row of :data:`KERNELS`: the C parameters in order as ``(name,
+    kind)`` pairs — an array kind of :data:`ARRAY_KINDS`, a scalar
+    ``i64`` / ``f64``, or ``len(arg)``, a length only C takes, read off
+    array ``arg`` (the numpy-level call takes the others, in order) —
+    and ``ret``: None, ``"i64"`` (a count or status), or ``"row"`` (a
+    first bad row, raised by :func:`._pykernels.checked_take`)."""
+
+    args: tuple[tuple[str, str], ...]
+    ret: str | None
+
+    @property
+    def params(self) -> list[str]:
+        """The numpy-level call's parameters: every C one but the lengths."""
+        return [arg for arg, kind in self.args if not kind.startswith("len(")]
+
+
+def _row(signature: str, ret: str | None = None) -> Kernel:
+    return Kernel(tuple(tuple(arg.split(":")) for arg in signature.split()), ret)
+
+
+def _take(t: str) -> Kernel:
+    return _row(
+        f"dst:i64[] src:i64[] m:len(dst) table:{t}[] table_len:len(table) "
+        f"out:{t}[] out_len:len(out)",
+        "row",
+    )
+
+
+#: every kernel: ``kernels.c`` and :mod:`._pykernels` define one function
+#: per row, under the row's name
+KERNELS: dict[str, Kernel] = {
+    "hdrf_chunk": _row(
+        "u:i64[] v:i64[] m:len(u) k:i64 nw:i64 lam:f64 eps:f64 "
+        "loads:f64[] degree:i64[] words:u64[] out:i64[]"
+    ),
+    "greedy_chunk": _row(
+        "u:i64[] v:i64[] m:len(u) k:i64 nw:i64 loads:i64[] words:u64[] out:i64[]"
+    ),
+    "clustering_chunk": _row(
+        "u:i64[] v:i64[] m:len(u) vmax:i64 splitting:i64 clu:i64[] deg:i64[] "
+        "divided:u8[] vol:i64[] mirror_v:i64[] mirror_c:i64[] counters:i64[]"
+    ),
+    "transform_chunk": _row(
+        "u:i64[] v:i64[] m:len(u) k:i64 vp:i64[] divided:u8[] deg:i64[] "
+        "loads:i64[] caps:i64[] counters:i64[] check_mapped:i64 out:i64[]",
+        "i64",
+    ),
+    "game_round": _row(
+        "players:i64[] n:len(players) k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
+        "indptr:i64[] indices:i64[] weights:f64[] internal:f64[] cut_degree:f64[] "
+        "assignment:i64[] loads:f64[] adj:f64[] has_adj:i64 "
+        "last_eval:i64[] nbr_epoch:i64[] inc_epoch:i64[] dec_epoch:i64[] "
+        "counters:i64[] phi:f64[] move_log:i64[] cost_buf:f64[] row_buf:f64[]",
+        "i64",
+    ),
+    "game_cost_rows": _row(
+        "start:i64 stop:i64 k:i64 lam_over_k:f64 "
+        "indptr:i64[] indices:i64[] weights:f64[] internal:f64[] cut_degree:f64[] "
+        "assignment:i64[] loads:f64[] out:f64[]"
+    ),
+    "take_add_f64": _take("f64"),
+    "take_min_f64": _take("f64"),
+    "take_min_i64": _take("i64"),
+    "take_put_i64": _take("i64"),
+    "slot_index": _row(
+        "src:i64[] dst:i64[] part:i64[] m:len(src) n:i64 k:i64 "
+        "edge_ids:i64[] edge_indptr:i64[] src_slot:i64[] dst_slot:i64[] "
+        "vertices:i64[] part_indptr:i64[] master:i64[] replica_counts:i64[] "
+        "is_master:bool[] master_slots:i64[] mirror_slot:i64[] master_slot:i64[] "
+        "mirror_indptr:i64[] master_order:i64[] master_indptr:i64[] "
+        "slot_of:i64[] words:u64[] sizes:i64[]",
+        "i64",
+    ),
+}
+
+#: element type of each array kind (``bool[]`` is a ``uint8_t *`` in C)
+ARRAY_KINDS = {
+    "i64[]": np.dtype(np.int64),
+    "f64[]": np.dtype(np.float64),
+    "u64[]": np.dtype(np.uint64),
+    "u8[]": np.dtype(np.uint8),
+    "bool[]": np.dtype(np.bool_),
+}
+
+
+def _addr(arr: np.ndarray, dtype: np.dtype) -> int:
+    """Address of ``arr``'s first element, once it is checked to be what
+    a kernel indexes.
+
+    The kernels index raw memory, so a wrong element type or a stride
+    reads past the buffer: both are a ``TypeError`` here, whatever the
+    caller promised.  No ctypes object is built — the interface dict is
+    ~1 us, a ``data_as`` pointer ~4 us, and a feed marshals ~13 000
+    arguments.
+    """
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(
+            f"kernel argument must be a C-contiguous {dtype} array, got "
+            f"{arr.dtype} with strides {arr.strides}"
+        )
+    return arr.__array_interface__["data"][0]
+
+
+def bind(name: str, fn, native: bool):
+    """The numpy-level call of kernel ``name`` over ``fn``: the C function
+    (``native``), handed checked addresses and the ``len(...)`` lengths,
+    or the :mod:`._pykernels` function, handed the arguments after the
+    same checks.  The per-argument work is chosen here, once."""
+    kernel = KERNELS[name]
+    params = kernel.params
+    at = {arg: i for i, arg in enumerate(params)}
+
+    def marshal(arg: str, kind: str):
+        if kind.startswith("len("):
+            i = at[kind[4:-1]]
+            return lambda args: args[i].shape[0]
+        i = at[arg]
+        if kind in ARRAY_KINDS:
+            dtype = ARRAY_KINDS[kind]
+            return lambda args: _addr(args[i], dtype)
+        return itemgetter(i)
+
+    def arity(args) -> None:
+        if len(args) != len(params):
+            raise TypeError(f"{name}() takes {len(params)} arguments, got {len(args)}")
+
+    if native:
+        steps = [marshal(arg, kind) for arg, kind in kernel.args]
+
+        def call(*args):
+            arity(args)
+            return fn(*[step(args) for step in steps])
+    else:
+        arrays = [(at[arg], ARRAY_KINDS[kind]) for arg, kind in kernel.args if kind in ARRAY_KINDS]
+
+        def call(*args):
+            arity(args)
+            for i, dtype in arrays:
+                _addr(args[i], dtype)
+            return fn(*args)
+
+    return _pykernels.checked_take(call) if kernel.ret == "row" else call
 
 
 def indexable(arr, dtype: np.dtype) -> bool:
@@ -101,9 +231,9 @@ def popcount(words: np.ndarray) -> int:
         return int(np.bitwise_count(words).sum())
     return int(np.unpackbits(words.view(np.uint8)).sum())  # numpy < 2.0
 
-BACKEND_NAMES = ("auto", "numba", "cc", "python", "none")
+BACKEND_NAMES = ("auto", "cc", "python", "none")
 
-_AUTO_ORDER = ("numba", "cc")
+_AUTO_ORDER = ("cc",)
 
 
 class PythonBackend:
@@ -111,17 +241,9 @@ class PythonBackend:
 
     name = "python"
 
-    hdrf_chunk = staticmethod(_pykernels.hdrf_chunk)
-    greedy_chunk = staticmethod(_pykernels.greedy_chunk)
-    clustering_chunk = staticmethod(_pykernels.clustering_chunk)
-    transform_chunk = staticmethod(_pykernels.transform_chunk)
-    game_round = staticmethod(_pykernels.game_round)
-    game_cost_rows = staticmethod(_pykernels.game_cost_rows)
-    take_add_f64 = staticmethod(_pykernels.checked_take(_pykernels.take_add_f64))
-    take_min_f64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_f64))
-    take_min_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_min_i64))
-    take_put_i64 = staticmethod(_pykernels.checked_take(_pykernels.take_put_i64))
-    slot_index = staticmethod(_pykernels.slot_index)
+    def __init__(self) -> None:
+        for name in KERNELS:
+            setattr(self, name, bind(name, getattr(_pykernels, name), native=False))
 
 
 _cache: dict[str, Any] = {}
@@ -134,18 +256,13 @@ def _load(name: str) -> Any:
     if name in _cache:
         return _cache[name]
     backend = None
-    if name == "numba":
-        from . import _numba_backend
-
-        backend = _numba_backend.load()
-        if backend is None:
-            _failures[name] = "numba not importable (or broken install)"
-    elif name == "cc":
+    if name == "cc":
         from . import _cc_backend
 
-        backend = _cc_backend.load()
-        if backend is None:
-            _failures[name] = "no working C compiler, or compile/bind failed"
+        try:
+            backend = _cc_backend.load()
+        except _cc_backend.BuildError as exc:
+            _failures[name] = str(exc)
     elif name == "python":
         backend = PythonBackend()
     _cache[name] = backend
@@ -184,13 +301,13 @@ def get_backend(name: str | None = None) -> Any:
 
     The hot classes call this with no argument: the
     ``CLUGP_KERNEL_BACKEND`` environment variable is honoured first,
-    then numba and the C backend are tried in order.  ``name`` (one of
+    then the C backend is tried.  ``name`` (one of
     :data:`BACKEND_NAMES`) asks for one backend outright; ``"python"``
     and ``"none"`` are only ever resolved by name or by the variable.
 
     A backend that is unavailable resolves to None — the process runs
-    the numpy tier, with a one-time warning naming each backend that
-    failed and why.  With ``CLUGP_KERNEL_REQUIRE=1`` in the environment
+    the numpy tier, with a one-time warning naming why the C backend
+    failed.  With ``CLUGP_KERNEL_REQUIRE=1`` in the environment
     that becomes a :class:`KernelUnavailableError` instead — for
     deployments where silently losing the compiled kernels would
     invalidate a benchmark.  An explicit ``"none"`` is an intentional
@@ -224,7 +341,7 @@ def get_backend(name: str | None = None) -> Any:
 
 
 def available() -> bool:
-    """True when a *compiled* backend (numba or cc) can be resolved."""
+    """True when the compiled backend (``cc``) can be resolved."""
     return any(_load(candidate) is not None for candidate in _AUTO_ORDER)
 
 
@@ -234,91 +351,12 @@ def backend_name(name: str | None = None) -> str | None:
     return None if backend is None else backend.name
 
 
-_warmed: set[str] = set()
-
-
 def warmup(name: str | None = None) -> str | None:
-    """One-shot compile + tiny-input run of every kernel.
+    """Resolve the backend now: ``cc`` compiles (first time on a machine)
+    and binds every kernel at load, so nothing is left to a first call.
 
-    Returns the resolved backend name (None if no backend is available,
-    in which case there is nothing to warm).  Idempotent per backend, so
-    benchmark harnesses can call it unconditionally before timing.
+    Returns the resolved backend name (None for the numpy tier).
+    Idempotent, so benchmark harnesses call it unconditionally before
+    timing.
     """
-    backend = get_backend(name)
-    if backend is None:
-        return None
-    if backend.name in _warmed:
-        return backend.name
-    k, nw, n = 2, 1, 4
-    u = np.array([0, 2], dtype=np.int64)
-    v = np.array([1, 3], dtype=np.int64)
-    out = np.zeros(2, dtype=np.int64)
-    backend.hdrf_chunk(
-        u, v, k, nw, 1.0, 1.0,
-        np.zeros(k, dtype=np.float64), np.zeros(n, dtype=np.int64),
-        np.zeros(n * nw, dtype=np.uint64), out,
-    )
-    backend.greedy_chunk(
-        u, v, k, nw,
-        np.zeros(k, dtype=np.int64), np.zeros(n * nw, dtype=np.uint64), out,
-    )
-    backend.clustering_chunk(
-        u, v, 4, 1,
-        np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=np.uint8), np.zeros(16, dtype=np.int64),
-        np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64),
-        np.zeros(5, dtype=np.int64),
-    )
-    backend.transform_chunk(
-        u, v, k,
-        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.uint8),
-        np.ones(n, dtype=np.int64), np.zeros(k, dtype=np.int64),
-        np.full(k, 8, dtype=np.int64), np.zeros(5, dtype=np.int64),
-        1, out,
-    )
-    # tiny 2-cluster game: one undirected inter-cluster edge, k=2
-    g_indptr = np.array([0, 1, 2], dtype=np.int64)
-    g_indices = np.array([1, 0], dtype=np.int64)
-    g_weights = np.ones(2, dtype=np.float64)
-    g_internal = np.ones(2, dtype=np.float64)
-    g_cut = np.ones(2, dtype=np.float64)
-    g_assign = np.array([0, 1], dtype=np.int64)
-    g_loads = np.array([1.0, 1.0])
-    g_table = np.zeros(n, dtype=np.float64)
-    g_slots = np.zeros(n, dtype=np.int64)
-    backend.game_round(
-        np.arange(2, dtype=np.int64), k, 0.5, 1e-9, 1,
-        g_indptr, g_indices, g_weights, g_internal, g_cut,
-        g_assign, g_loads, np.zeros(2 * k, dtype=np.float64), 1,
-        np.full(2, -1, dtype=np.int64), np.zeros(2, dtype=np.int64),
-        np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.float64),
-        np.zeros(4, dtype=np.int64),
-        np.zeros(k, dtype=np.float64), np.zeros(k, dtype=np.float64),
-    )
-    backend.game_cost_rows(
-        0, 2, k, 0.5,
-        g_indptr, g_indices, g_weights, g_internal, g_cut,
-        g_assign, g_loads, np.zeros(2 * k, dtype=np.float64),
-    )
-    # the take walks: rows 0 -> 1 and 2 -> 3 of a 4-entry table, in place
-    backend.take_add_f64(v, u, g_table, g_table)
-    backend.take_min_f64(v, u, g_table, g_table)
-    backend.take_min_i64(v, u, g_slots, g_slots)
-    backend.take_put_i64(v, u, g_slots, g_slots)
-
-    # the replica-slot index of the two edges, one per partition
-    def i64(size):
-        return np.empty(size, dtype=np.int64)
-
-    cap = 2 * u.size
-    backend.slot_index(
-        u, v, np.arange(2, dtype=np.int64), n, k,
-        i64(2), i64(k + 1), i64(2), i64(2),
-        i64(cap), i64(k + 1), i64(n), i64(n),
-        np.empty(cap, dtype=bool), i64(cap), i64(cap), i64(cap), i64(k + 1),
-        i64(cap), i64(k + 1),
-        i64(n), np.empty(1, dtype=np.uint64), i64(2),
-    )
-    _warmed.add(backend.name)
-    return backend.name
+    return backend_name(name)

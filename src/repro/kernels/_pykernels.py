@@ -1,45 +1,23 @@
-"""Numba-compilable Python form of the scalar decision cores.
+"""The ``"python"`` kernel tier, and the oracle of ``kernels.c``.
 
-These functions are the *source* of the numba backend (``@njit`` is
-applied to them unchanged by :mod:`._numba_backend`) and double as the
-pure-Python ``"python"`` backend — always importable, never fast, used by
-the tests to exercise the kernel call paths on machines with neither
-numba nor a C compiler.
+One plain-Python function per :data:`repro.kernels.KERNELS` row, under
+the row's name, taking the row's arguments minus its ``len(...)`` ones.
+Always importable, never fast: the ``"python"`` backend binds these
+(after the same argument checks as the C tier), so the tests run the
+kernel call paths on any machine, and the C code is checked against
+them.
 
-Each function is a line-for-line transliteration of the corresponding
-per-edge reference loop (the same algorithms as ``kernels.c``; the two
-files must be kept in lockstep — see DESIGN.md §8):
-
-* :func:`hdrf_chunk` — ``HDRFPartitioner._per_edge``;
-* :func:`greedy_chunk` — ``GreedyPartitioner._per_edge``;
-* :func:`clustering_chunk` — :func:`repro.core.clustering.streaming_clustering`;
-* :func:`transform_chunk` — :func:`repro.core.transform.transform_partitions`
-  (generalized to per-partition caps, matching
-  ``TransformState._scalar_tail``);
-* :func:`game_round` — one fused best-response round of
-  ``repro.core.game.ClusterPartitioningGame.run`` (pass 2, Algorithm 3),
-  with the decision-preserving epoch skip rule and O(1) potential
-  maintenance (DESIGN.md §10);
-* :func:`game_cost_rows` — the batched cost-row primitive behind
-  ``ClusterPartitioningGame.batch_cost_matrix``;
-* :func:`take_add_f64`, :func:`take_min_f64`, :func:`take_min_i64`,
-  :func:`take_put_i64` — ``ufunc.at(out, dst, table[src])`` /
-  ``out[dst] = table[src]`` without the temporary: the index-table walks
-  of a dense GAS superstep (:mod:`repro.system.runtime`).  Their indices
-  are caller data, so each row is bounds-checked and the kernel returns
-  the first bad row (-1: none); :func:`checked_take` is the numpy-level
-  form every backend exposes, which raises it as ``IndexError``;
-* :func:`slot_index` — :func:`repro.system.placement.build_placement` and
-  the numpy ``build_local_index``: the runtime's whole replica-slot index
-  in counting passes, partition ids and endpoints checked before
-  anything is written.
+Each function is a line-for-line transliteration of the per-edge
+reference loop ``kernels.c``'s header names for it, and the two files
+are kept in lockstep (DESIGN.md §8).  The take kernels and
+:func:`slot_index` index with caller data: they return the first bad row
+(-1: none), which :func:`checked_take` raises as ``IndexError``.
 
 Conventions shared with the C kernels: vertex partition sets are flat
 multiword uint64 bitmask rows (``nw = ceil(k / 64)`` words per vertex,
 vertex ``x`` owns ``words[x * nw : (x + 1) * nw]``); counters cross the
-boundary in small int64 arrays so one signature fits nopython mode,
-ctypes, and plain Python.  Only nopython-subset constructs are used —
-no Python int bitmasks, no lists, no dicts.
+boundary in small int64 arrays so one signature fits ctypes and plain
+Python.
 """
 
 from __future__ import annotations

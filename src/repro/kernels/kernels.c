@@ -33,8 +33,9 @@
  * evaluation order and must be compiled WITHOUT -ffast-math and with
  * -ffp-contract=off so IEEE double semantics match CPython's exactly.
  *
- * The same algorithms exist in numba-compilable Python form in
- * _pykernels.py; the two must be kept in lockstep.
+ * The same algorithms exist in plain Python in _pykernels.py, the
+ * python tier and this file's oracle; the two must be kept in lockstep.
+ * Every function here is one row of repro.kernels.KERNELS.
  */
 
 #include <stdint.h>

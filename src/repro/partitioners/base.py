@@ -18,6 +18,7 @@ from abc import ABC
 
 import numpy as np
 
+from .. import kernels
 from .._util import (
     StageTimes,
     Timer,
@@ -289,3 +290,33 @@ class EdgePartitioner(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(k={self.num_partitions})"
+
+
+class ReplicaSetPartitioner(EdgePartitioner):
+    """A one-pass heuristic over each vertex's partition set ``A(x)``
+    (HDRF, greedy): the set table in the resolved tier's layout, and the
+    replica count :meth:`state_memory_bytes` reports after a run.
+
+    Kernel tier: flat multiword uint64 bitmask rows, ``_nw = ceil(k /
+    64)`` words per vertex (vertex ``x`` owns ``_words[x * _nw : (x + 1)
+    * _nw]``), the layout the kernels read.  Numpy tier: one Python int
+    bitmask per vertex — arbitrary k, O(1) set operations, no per-edge
+    numpy calls.
+    """
+
+    def __init__(self, num_partitions: int, seed: int = 0) -> None:
+        super().__init__(num_partitions, seed)
+        self._backend = kernels.get_backend()
+
+    def _begin(self, stream: EdgeStream) -> None:
+        if self._backend is not None:
+            self._nw = (self.num_partitions + 63) // 64
+            self._words = np.zeros(stream.num_vertices * self._nw, dtype=np.uint64)
+        else:
+            self._words = [0] * stream.num_vertices
+
+    def _end(self) -> None:
+        if self._backend is not None:
+            self._replica_entries = kernels.popcount(self._words)
+        else:
+            self._replica_entries = sum(w.bit_count() for w in self._words)

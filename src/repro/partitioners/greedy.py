@@ -23,12 +23,12 @@ order-chaotic at greedy's balanced-load attractor (DESIGN.md §4), so the
 chunked path keeps the mandatory per-edge decision order, in one of two
 tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
-* the *kernel tier* (the default wherever numba or a C compiler exists)
+* the *kernel tier* (the default wherever a C compiler exists)
   dispatches each chunk into a compiled kernel running the candidate-set
   argmin over flat load/bitmask-word arrays, writing the chunk's slice
   of the result in place — integer-only state, so bit-identity is by
   construction (DESIGN.md §8);
-* the *numpy tier* (hosts with neither) strips the loop to a lean scalar
+* the *numpy tier* (hosts without one) strips the loop to a lean scalar
   core: vertex partition sets are plain Python int bitmasks, cases 1-3
   collapse to two word operations (``wu & wv`` else ``wu | wv``)
   followed by a set-bit argmin, and only case 4 touches all k loads (via
@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels
 from ..graph.stream import EdgeStream
-from .base import EdgePartitioner
+from .base import ReplicaSetPartitioner
 
 __all__ = ["GreedyPartitioner"]
 
 
-class GreedyPartitioner(EdgePartitioner):
+class GreedyPartitioner(ReplicaSetPartitioner):
     """PowerGraph coordinated-greedy vertex-cut partitioning.
 
     The chunk step runs the compiled kernel when a
@@ -61,10 +60,6 @@ class GreedyPartitioner(EdgePartitioner):
     """
 
     name = "greedy"
-
-    def __init__(self, num_partitions: int, seed: int = 0) -> None:
-        super().__init__(num_partitions, seed)
-        self._backend = kernels.get_backend()
 
     def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         k = self.num_partitions
@@ -96,26 +91,17 @@ class GreedyPartitioner(EdgePartitioner):
     # ------------------------------------------------------------------ #
 
     def _begin(self, stream: EdgeStream) -> None:
-        k = self.num_partitions
+        super()._begin(stream)
         if self._backend is not None:
-            self._nw = (k + 63) // 64
-            self._loads = np.zeros(k, dtype=np.int64)
-            # vertex -> partition set as flat multiword uint64 bitmask
-            # rows, the layout the kernels consume directly
-            self._kwords = np.zeros(
-                stream.num_vertices * self._nw, dtype=np.uint64
-            )
-            return
-        self._loads_list = [0] * k
-        # vertex -> partition set as one Python int bitmask per vertex:
-        # arbitrary k, O(1) intersection/union, no per-edge numpy calls
-        self._words = [0] * stream.num_vertices
+            self._loads = np.zeros(self.num_partitions, dtype=np.int64)
+        else:
+            self._loads_list = [0] * self.num_partitions
 
     def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         if self._backend is not None:
             # kernel tier: the candidate argmin in machine code
             self._backend.greedy_chunk(
-                u, v, self.num_partitions, self._nw, self._loads, self._kwords, out
+                u, v, self.num_partitions, self._nw, self._loads, self._words, out
             )
             return
         loads = self._loads_list
@@ -152,12 +138,6 @@ class GreedyPartitioner(EdgePartitioner):
             words[ui] = wu | bit
             words[vi] = wv | bit
         out[:] = picks
-
-    def _end(self) -> None:
-        if self._backend is not None:
-            self._replica_entries = kernels.popcount(self._kwords)
-        else:
-            self._replica_entries = sum(w.bit_count() for w in self._words)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Vertex->partition-set table (one 8-byte entry per replica, as in

@@ -25,13 +25,13 @@ order-chaotic (near-tied balance scores at the balanced-load attractor;
 see DESIGN.md §4), so it stays a sequential scalar core, in one of two
 tiers chosen by what :func:`repro.kernels.get_backend` resolves:
 
-* the *kernel tier* (the default wherever numba or a C compiler exists)
+* the *kernel tier* (the default wherever a C compiler exists)
   dispatches each chunk into a compiled kernel: the full-k-scan loop in
   machine code over flat load/degree/bitmask-word arrays, writing the
   chunk's slice of the result in place, bit-identical to
   :meth:`_per_edge` by construction (same IEEE double evaluation order;
   see DESIGN.md §8);
-* the *numpy tier* (hosts with neither) lifts the partial-degree reads —
+* the *numpy tier* (hosts without one) lifts the partial-degree reads —
   the only per-edge state that does *not* depend on earlier placement
   decisions — out of the loop entirely: one radix group-by
   (:func:`repro._util.occurrence_ranks`) turns a whole chunk's
@@ -49,15 +49,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels
 from .._util import occurrence_ranks
 from ..graph.stream import EdgeStream
-from .base import EdgePartitioner
+from .base import ReplicaSetPartitioner
 
 __all__ = ["HDRFPartitioner"]
 
 
-class HDRFPartitioner(EdgePartitioner):
+class HDRFPartitioner(ReplicaSetPartitioner):
     """HDRF streaming vertex-cut partitioning.
 
     Parameters
@@ -95,7 +94,6 @@ class HDRFPartitioner(EdgePartitioner):
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.lambda_bal = float(lambda_bal)
         self.epsilon = float(epsilon)
-        self._backend = kernels.get_backend()
 
     def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         k = self.num_partitions
@@ -142,22 +140,14 @@ class HDRFPartitioner(EdgePartitioner):
     # ------------------------------------------------------------------ #
 
     def _begin(self, stream: EdgeStream) -> None:
+        super()._begin(stream)
         k = self.num_partitions
         self._num_vertices = stream.num_vertices
         self._degree = np.zeros(stream.num_vertices, dtype=np.int64)
         if self._backend is not None:
-            self._nw = (k + 63) // 64
             self._loads = np.zeros(k, dtype=np.float64)
-            # vertex -> partition set as flat multiword uint64 bitmask
-            # rows, the layout the kernels consume directly
-            self._kwords = np.zeros(
-                stream.num_vertices * self._nw, dtype=np.uint64
-            )
             return
         self._loads_list = [0.0] * k
-        # vertex -> partition set as one Python int bitmask per vertex:
-        # arbitrary k, O(1) union/member tests, no per-edge numpy calls
-        self._words = [0] * stream.num_vertices
         self._max_load = 0.0
 
     def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -165,7 +155,7 @@ class HDRFPartitioner(EdgePartitioner):
             # kernel tier: the full k-scan loop in machine code
             self._backend.hdrf_chunk(
                 u, v, self.num_partitions, self._nw, self.lambda_bal,
-                self.epsilon, self._loads, self._degree, self._kwords, out,
+                self.epsilon, self._loads, self._degree, self._words, out,
             )
             return
         k = self.num_partitions
@@ -256,12 +246,6 @@ class HDRFPartitioner(EdgePartitioner):
         # because the precomputed ranks already account for in-chunk edges)
         degree += np.bincount(u, minlength=self._num_vertices)
         degree += np.bincount(v, minlength=self._num_vertices)
-
-    def _end(self) -> None:
-        if self._backend is not None:
-            self._replica_entries = kernels.popcount(self._kwords)
-        else:
-            self._replica_entries = sum(w.bit_count() for w in self._words)
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Partial-degree table + vertex->partition-set table (one 8-byte

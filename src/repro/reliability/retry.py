@@ -239,14 +239,26 @@ def _pooled_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
     pool = pool_cls(max_workers=len(indices))
     dirty = False
     try:
+        stats.attempts += len(indices)
+        if attempt:
+            stats.retries += len(indices)
         future_of = {}
-        for i in indices:
-            stats.attempts += 1
-            if attempt:
-                stats.retries += 1
+        for n, i in enumerate(indices):
             payload = (worker, tasks[i], stage, i, num_tasks, attempt, inject,
                        in_process)
-            future_of[pool.submit(_reliable_call, payload)] = i
+            try:
+                future_of[pool.submit(_reliable_call, payload)] = i
+            except Exception as exc:
+                if not _is_pool_break(exc):
+                    raise
+                # a task submitted earlier broke the pool before this
+                # submit: this task and the ones after it never started —
+                # crash casualties, resubmitted like the in-flight ones
+                failures.extend(
+                    TaskFailure(j, "crash", attempt, exc) for j in indices[n:]
+                )
+                dirty = True
+                break
         pending = set(future_of)
         deadline = None if timeout is None else time.monotonic() + timeout
         while pending:

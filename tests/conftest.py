@@ -41,8 +41,8 @@ def kernel_backend(name: str):
     """Context manager: every hot class *constructed* inside resolves ``name``.
 
     The only way left to force a tier — it patches ``CLUGP_KERNEL_BACKEND``
-    (``"auto"`` = the unforced numba-then-cc resolution, whatever the outer
-    environment says).  A context manager rather than a fixture so it also
+    (``"auto"`` = the unforced resolution, ``cc`` wherever it builds,
+    whatever the outer environment says).  A context manager rather than a fixture so it also
     works inside ``@given`` bodies; a ``PersistentRuntime`` resolves at
     spawn, so enter this before constructing one.
     """
@@ -50,12 +50,12 @@ def kernel_backend(name: str):
 
 
 needs_compiled = pytest.mark.skipif(
-    not kernels.available(), reason="no compiled kernel backend (numba or cc)"
+    not kernels.available(), reason="no compiled kernel backend (cc: no working C compiler)"
 )
 
 #: the tiers a differential compares, as pytest params: the numpy tier,
-#: the kernel glue in plain Python, and whichever of numba / cc an unset
-#: environment resolves (CI has a leg for each)
+#: the kernel glue in plain Python, and the compiled ``cc`` tier an unset
+#: environment resolves
 BACKENDS = [
     pytest.param("none", id="none"),
     pytest.param("python", id="python"),

@@ -44,7 +44,7 @@ def auto_resolution(monkeypatch):
 def assert_all(ran, compiled):
     for key, backends in ran.items():
         assert backends, f"{key} never ran"
-        assert {b is not None and b.name in ("numba", "cc") for b in backends} == {compiled}, key
+        assert {b is not None and b.name == "cc" for b in backends} == {compiled}, key
 
 
 def feed_service(stream, batches=4):
@@ -68,7 +68,7 @@ def run_distributed(stream):
 def test_config_defaults_are_jit():
     # there is no default to read off a config any more: an unset
     # environment *is* the compiled path wherever one loads
-    assert (kernels.backend_name() in ("numba", "cc")) == kernels.available()
+    assert (kernels.backend_name() == "cc") == kernels.available()
 
 
 RETIRED = {"chunk_impl", "game_impl", "kernel_backend", "vectorized"}
@@ -117,7 +117,7 @@ class TestCompiledBackendRuns:
     def test_stateful_baselines(self, crawl_stream, name):
         partitioner = make_partitioner(name, K)
         partitioner.partition(crawl_stream)
-        assert partitioner._backend.name in ("numba", "cc")
+        assert partitioner._backend.name == "cc"
 
     def test_partition_service(self, crawl_stream, spy):
         feed_service(crawl_stream)

@@ -18,10 +18,14 @@ Each (tier, entry point) case runs in a child process, so a regression
 that crashes the interpreter fails one test instead of killing pytest.
 """
 
+import ctypes
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
 import repro
 from repro import kernels
 from repro.graph.stream import EdgeStream
-from repro.kernels import _cc_backend
+from repro.kernels import _cc_backend, _pykernels
 from repro.partitioners.base import PartitionAssignment
 from repro.system.placement import build_local_index
 
@@ -139,20 +143,6 @@ def test_any_integer_input_equals_the_int64_run(entry, backend):
     )
 
 
-def test_cc_marshal_refuses_what_it_cannot_index():
-    """Called on ``_addr`` itself: a kernel handed one of these would crash."""
-    i64, u64 = np.dtype(np.int64), np.dtype(np.uint64)
-    column = np.arange(6, dtype=np.int64).reshape(3, 2)[:, 0]
-    with pytest.raises(TypeError, match="C-contiguous int64"):
-        _cc_backend._addr(np.arange(3, dtype=np.int32), i64)
-    with pytest.raises(TypeError, match="C-contiguous int64"):
-        _cc_backend._addr(column, i64)
-    with pytest.raises(TypeError, match="uint64"):  # right width, wrong type
-        _cc_backend._addr(np.arange(3, dtype=np.int64), u64)
-    with pytest.raises(TypeError, match="int64"):
-        _cc_backend._addr(np.zeros(3, dtype=np.float64), i64)
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("column,value", [("part", -1), ("part", 3), ("src", 5), ("dst", -2)])
 def test_index_refuses_an_out_of_range_row(backend, column, value):
@@ -191,27 +181,162 @@ def test_slot_index_writes_nothing_before_refusing(backend):
         assert all((out == (True if out.dtype == bool else 77)).all() for out in outs)
 
 
-def test_cc_slot_index_type_checks_every_argument():
-    backend = kernels._load("cc")
-    if backend is None:
-        pytest.skip("no C compiler")
-    columns = [np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), np.array([0, 1, 2, 0])]
-    args = [*columns, 5, 3, *_slot_index_args(5, 3, 4)]
-    assert backend.slot_index(*args) == -1
-    for at, arg in enumerate(args):
-        if not isinstance(arg, np.ndarray):
-            continue
-        strided = np.repeat(arg, 2)[::2]  # one entry is contiguous at any stride
-        for wrong in (arg.astype(np.int32), strided) if arg.size > 1 else (arg.astype(np.int32),):
-            with pytest.raises(TypeError, match="C-contiguous"):
-                backend.slot_index(*args[:at], wrong, *args[at + 1:])
-
-
 def test_cc_marshal_passes_plain_addresses():
     """No ctypes object is built per argument: an address is an ``int``."""
     for dtype in (np.int64, np.uint64, np.uint8, np.float64):
         arr = np.zeros(5, dtype=dtype)
-        addr = _cc_backend._addr(arr, np.dtype(dtype))
+        addr = kernels._addr(arr, np.dtype(dtype))
         assert type(addr) is int and addr == arr.ctypes.data
     empty = np.empty(0, dtype=np.int64)
-    assert type(_cc_backend._addr(empty, np.dtype(np.int64))) is int
+    assert type(kernels._addr(empty, np.dtype(np.int64))) is int
+
+
+# ---------------------------------------------------------------------- #
+# the kernel table: every array argument of every row, on both tiers
+# ---------------------------------------------------------------------- #
+
+TIERS = ["python", "cc"]
+
+#: (kernel, array argument): every one the table declares
+ARRAY_ARGS = [
+    (name, arg)
+    for name, kernel in kernels.KERNELS.items()
+    for arg, kind in kernel.args
+    if kind in kernels.ARRAY_KINDS
+]
+
+#: a wrong element type of the kind's own width
+SAME_WIDTH = {"i64[]": np.uint64, "f64[]": np.int64, "u64[]": np.int64,
+              "u8[]": np.int8, "bool[]": np.uint8}
+
+
+class _Spy:
+    """Stands in for a kernel implementation: records what reaches it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return -1
+
+
+def _spied(tier, monkeypatch):
+    """Tier ``tier`` bound, as it binds, over spies instead of kernels."""
+    spies = {name: _Spy() for name in kernels.KERNELS}
+    if tier == "cc":  # a stand-in library: no compiler needed
+        return _cc_backend.CcBackend(types.SimpleNamespace(**spies)), spies
+    for name, spy in spies.items():
+        monkeypatch.setattr(_pykernels, name, spy)
+    return kernels.PythonBackend(), spies
+
+
+def _table_args(kernel):
+    """The numpy-level arguments from the row alone: size-4 arrays of the
+    kind's element type, zero scalars."""
+    kinds = dict(kernel.args)
+    return {
+        arg: np.zeros(4, kernels.ARRAY_KINDS[kinds[arg]]) if kinds[arg] in kernels.ARRAY_KINDS else 0
+        for arg in kernel.params
+    }
+
+
+def test_the_seam_test_covers_every_array_argument():
+    """Counted against the C source, not the table: every pointer
+    parameter of every exported kernel is a parametrized case."""
+    pointers = [
+        (name, arg)
+        for name, params in _c_signatures().items()
+        for ctype, arg in params
+        if ctype.endswith("*")
+    ]
+    assert sorted(ARRAY_ARGS) == sorted(pointers)
+    assert {name for name, _ in ARRAY_ARGS} == set(kernels.KERNELS)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_the_table_arguments_reach_the_kernel(tier, monkeypatch):
+    """The control: what the table describes goes through, once, as the
+    tier's implementation takes it (C: addresses and the lengths)."""
+    backend, spies = _spied(tier, monkeypatch)
+    for name, kernel in kernels.KERNELS.items():
+        args = _table_args(kernel)
+        getattr(backend, name)(*args.values())
+        (got,) = spies[name].calls
+        if tier == "python":
+            assert all(a is b for a, b in zip(got, args.values(), strict=True))
+            continue
+        for (arg, kind), value in zip(kernel.args, got, strict=True):
+            if kind in kernels.ARRAY_KINDS:
+                assert value == args[arg].ctypes.data, (name, arg)
+            else:
+                assert value == (4 if kind.startswith("len(") else 0), (name, arg)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("wrong", ["int32", "strided", "same_width"])
+@pytest.mark.parametrize("name,arg", ARRAY_ARGS)
+def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tier, monkeypatch):
+    backend, spies = _spied(tier, monkeypatch)
+    kernel = kernels.KERNELS[name]
+    kind = dict(kernel.args)[arg]
+    args = _table_args(kernel)
+    args[arg] = {
+        "int32": lambda: np.zeros(4, np.int32),
+        "strided": lambda: np.zeros(8, kernels.ARRAY_KINDS[kind])[::2],
+        "same_width": lambda: np.zeros(4, SAME_WIDTH[kind]),
+    }[wrong]()
+    with pytest.raises(TypeError, match="C-contiguous"):
+        getattr(backend, name)(*args.values())
+    assert spies[name].calls == []
+
+
+#: C parameter type -> the kinds the table may give it
+_C_KINDS = {
+    "const int64_t *": {"i64[]"}, "int64_t *": {"i64[]"},
+    "const double *": {"f64[]"}, "double *": {"f64[]"},
+    "uint64_t *": {"u64[]"}, "const uint8_t *": {"u8[]"}, "uint8_t *": {"u8[]", "bool[]"},
+    "int64_t ": {"i64", "len"}, "double ": {"f64"},
+}
+
+
+def _c_signatures() -> dict[str, list[tuple[str, str]]]:
+    """Every exported function of ``kernels.c`` -> its ``(type, name)``
+    parameters, the ``TAKE_KERNEL`` instances expanded."""
+    source = pathlib.Path(_cc_backend._SOURCE).read_text()
+    params = re.compile(r"((?:const )?\w+ \*?)\s*(\w+)$")
+
+    def parse(text):
+        return [params.match(p.strip()).groups() for p in text.split(",")]
+
+    found = {
+        name: parse(text)
+        for name, text in re.findall(r"^(?:void|int64_t) (\w+)\(([^)]*)\)", source, re.M)
+    }
+    macro = re.search(r"#define TAKE_KERNEL\(NAME, T, COMBINE\)[\\\s]*int64_t NAME\(([^)]*)\)",
+                      source)
+    for name, t in re.findall(r"^TAKE_KERNEL\((\w+), (\w+),", source, re.M):
+        found[name] = parse(macro.group(1).replace("\\", " ").replace("T ", f"{t} "))
+    return found
+
+
+def test_the_table_is_the_c_source_and_the_python_tier():
+    """Drift: ``kernels.c``, ``_pykernels`` and the table name the same
+    kernels with the same parameters, and the built library exports every
+    row."""
+    c = _c_signatures()
+    assert set(c) == set(kernels.KERNELS)
+    python = {
+        name for name, fn in vars(_pykernels).items()
+        if inspect.isfunction(fn) and fn.__module__ == _pykernels.__name__
+    }
+    assert python - {"checked_take"} == set(kernels.KERNELS)
+    for name, kernel in kernels.KERNELS.items():
+        assert [arg for _, arg in c[name]] == [arg for arg, _ in kernel.args], name
+        for (ctype, arg), (_, kind) in zip(c[name], kernel.args):
+            assert kind.split("(")[0] in _C_KINDS[ctype], (name, arg, ctype, kind)
+        parameters = list(inspect.signature(getattr(_pykernels, name)).parameters)
+        assert parameters == kernel.params, name
+    if kernels.available():
+        lib = ctypes.CDLL(_cc_backend._build(_cc_backend._SOURCE))
+        assert all(hasattr(lib, name) for name in kernels.KERNELS)

@@ -22,6 +22,7 @@ is False; everything touching a compiled backend is skip-marked cleanly.
 """
 
 import logging
+import subprocess
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from repro.core.partitioner import ClugpPartitioner
 from repro.core.transform import TransformState, transform_partitions
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
+from repro.kernels import _cc_backend
 from repro.partitioners.registry import PARTITIONERS, make_partitioner
 
 CHUNK_SIZES = [1, 7, 509, 65_536, "all"]  # "all" = |E|: one whole-stream chunk
@@ -170,7 +172,7 @@ def test_warmup_is_idempotent():
 @needs_compiled
 def test_warmup_resolves_compiled_backend(monkeypatch):
     monkeypatch.delenv("CLUGP_KERNEL_BACKEND", raising=False)
-    assert kernels.warmup() in ("numba", "cc")
+    assert kernels.warmup() == "cc"
 
 
 def test_popcount_matches_python_bit_count():
@@ -370,18 +372,41 @@ def test_hypothesis_clustering_identity_python_backend(pairs, chunk_size):
     assert_clustering_equal(oracle, state.run(tiny, chunk_size))
 
 
+@pytest.mark.parametrize(
+    "compiled,reason",
+    [
+        (subprocess.TimeoutExpired("cc", 120), "timed out after 120 s"),
+        (subprocess.CompletedProcess([], 1, "", "kernels.c:9: error: boom\n"),
+         "exited 1: kernels.c:9: error: boom"),
+    ],
+    ids=["timeout", "exit"],
+)
+def test_failed_build_names_its_step_and_leaves_no_file(monkeypatch, tmp_path, compiled, reason):
+    if _cc_backend._find_compiler() is None:
+        pytest.skip("no C compiler: the build fails before compiling")
+
+    def run(*args, **kwargs):
+        if isinstance(compiled, Exception):
+            raise compiled
+        return compiled
+
+    monkeypatch.setenv("CLUGP_KERNEL_CACHE", str(tmp_path))
+    monkeypatch.setattr(_cc_backend.subprocess, "run", run)
+    monkeypatch.setattr(kernels, "_cache", {})
+    monkeypatch.setattr(kernels, "_failures", {})
+    assert kernels._load("cc") is None
+    assert reason in kernels._failures["cc"]
+    assert list(tmp_path.iterdir()) == []  # the compiler's temp output is gone
+
+
 class TestDegradationReporting:
-    """PR-8: failed backend resolution warns once, or raises when required."""
+    """A failed backend resolution warns once, or raises when required."""
 
     @pytest.fixture
     def broken_kernels(self, monkeypatch):
-        """Force both compiled backends to look unavailable."""
-        monkeypatch.setattr(kernels, "_cache", {"numba": None, "cc": None})
-        monkeypatch.setattr(
-            kernels, "_failures",
-            {"numba": "numba not importable (or broken install)",
-             "cc": "no working C compiler, or compile/bind failed"},
-        )
+        """Force the compiled backend to look unavailable."""
+        monkeypatch.setattr(kernels, "_cache", {"cc": None})
+        monkeypatch.setattr(kernels, "_failures", {"cc": "no C compiler found"})
         monkeypatch.setattr(kernels, "_warned_degraded", False)
         monkeypatch.delenv("CLUGP_KERNEL_BACKEND", raising=False)
         monkeypatch.delenv(kernels.ENV_REQUIRE, raising=False)
@@ -394,7 +419,7 @@ class TestDegradationReporting:
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         message = warnings[0].getMessage()
-        assert "numba" in message and "cc" in message
+        assert "cc: no C compiler found" in message
         assert "numpy tier" in message
 
     @pytest.fixture
@@ -402,7 +427,7 @@ class TestDegradationReporting:
         monkeypatch.setenv(kernels.ENV_REQUIRE, "1")
 
     def test_strict_raises_kernel_unavailable(self, broken_kernels, strict):
-        with pytest.raises(kernels.KernelUnavailableError, match="numba"):
+        with pytest.raises(kernels.KernelUnavailableError, match="cc: no C compiler"):
             broken_kernels.get_backend("auto")
 
     def test_env_require_raises(self, broken_kernels, strict):
@@ -411,7 +436,7 @@ class TestDegradationReporting:
 
     def test_concrete_backend_failure_raises_in_strict(self, broken_kernels, strict):
         with pytest.raises(kernels.KernelUnavailableError):
-            broken_kernels.get_backend("numba")
+            broken_kernels.get_backend("cc")
 
     def test_explicit_none_never_raises(self, broken_kernels, strict):
         assert broken_kernels.get_backend("none") is None

@@ -7,6 +7,8 @@ bit-identical to the fault-free run.
 """
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.config import ClugpConfig, ReliabilityConfig
 from repro.core.distributed import distributed_clugp
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
+from repro.reliability import retry
 from repro.reliability.faults import FaultInjector, InjectedCrash
 from repro.reliability.retry import (
     RetryPolicy,
@@ -118,6 +121,29 @@ class TestCrashRecovery:
         # os._exit broke the pool; at least the victim was counted and retried
         assert stats.crashes >= 1
         assert stats.retries >= 1
+
+    def test_pool_broken_between_two_submits_recovers(self, monkeypatch):
+        """A crash can break the pool before the next ``submit``: that
+        task and every one after it are crash casualties, resubmitted."""
+        submits = []
+
+        class BreaksOnSecondSubmit(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submits.append(fn)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(retry, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        stats = RetryStats()
+        results = run_reliable(
+            list(range(4)), _double, policy=RetryPolicy(backoff_base=0.0),
+            backend="process", stats=stats, stage="s",
+        )
+        assert results == run_reliable(list(range(4)), _double, parallel=False)
+        assert [f.index for f in stats.failures] == [1, 2, 3]
+        assert (stats.crashes, stats.retries, stats.attempts) == (3, 3, 7)
+        assert len(submits) == 2 + 3  # the fresh pool took the three again
 
     def test_persistent_crash_exhausts_retries(self):
         inj = FaultInjector(kinds=("crash",), seed=1, persist=True)

@@ -291,7 +291,7 @@ def feeds(draw):
 
 #: ``conftest.kernel_backend`` names under the ids this module has always
 #: used: compiled kernels, numpy tier, and ``_pykernels`` — the kernels'
-#: own plain-Python reference, which numba jits and ``kernels.c`` follows
+#: own plain-Python reference, which ``kernels.c`` follows
 TIERS = {"jit": "auto", "fast": "none", "reference": "python"}
 
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
 from repro import kernels
 from repro.graph.stream import EdgeStream
-from repro.kernels import _cc_backend
 from repro.partitioners.base import PartitionAssignment
 from repro.system import (
     DensePayload,
@@ -232,28 +231,6 @@ def test_arguments_a_kernel_cannot_index_take_the_numpy_form(backend, spied):
         assert out.tolist() == [4.0, -np.inf, 1.0] and calls["take_add_f64"] == 1
 
 
-def test_cc_binding_refuses_what_it_cannot_index():
-    """Handed to the binding directly, the same arguments never reach C."""
-    cc = _cc_backend.load()
-    if cc is None:
-        pytest.skip("no C compiler")
-    dst, src = np.array([0, 1], dtype=I64), np.array([1, 0], dtype=I64)
-    table, out = np.ones(2), np.zeros(2)
-    with pytest.raises(TypeError, match="C-contiguous int64"):
-        cc.take_add_f64(dst.astype(np.int32), src, table, out)
-    with pytest.raises(TypeError, match="C-contiguous int64"):
-        cc.take_add_f64(dst, np.zeros((2, 2), dtype=I64)[:, 0], table, out)
-    with pytest.raises(TypeError, match="float64"):
-        cc.take_add_f64(dst, src, table.astype(np.float32), out)
-    with pytest.raises(TypeError, match="float64"):
-        cc.take_min_f64(dst, src, table, np.zeros(4)[::2])
-    with pytest.raises(TypeError, match="int64"):
-        cc.take_min_i64(dst, src, table, out)
-    with pytest.raises(TypeError, match="int64"):
-        cc.take_put_i64(dst, src, table, out)
-    assert out.tolist() == [0.0, 0.0]
-
-
 # ---------------------------------------------------------------------- #
 # bounds: the indices are caller data
 # ---------------------------------------------------------------------- #
@@ -383,28 +360,3 @@ def test_dense_payload_is_described_not_copied():
     narrow = MessageBuffer("apply", slots, slots, DensePayload(table.astype(np.float32), slots))
     assert narrow.payload_nbytes == 3 * (8 + 4)
 
-
-def test_warmup_calls_every_kernel(monkeypatch):
-    """Fails when the next kernel is added to the backends and forgotten
-    in ``warmup()`` (a first call inside a timed region would compile)."""
-    exposed = {
-        name for name in vars(kernels.PythonBackend)
-        if not name.startswith("_") and name != "name"
-    }
-    assert {"hdrf_chunk", "game_round", *FOLDS, "take_put_i64"} <= exposed
-    real, called = kernels.PythonBackend(), set()
-
-    class Spy:
-        name = "spy"
-
-        def __getattr__(self, attr):
-            called.add(attr)
-            return getattr(real, attr)
-
-    monkeypatch.setattr(kernels, "_warmed", set())
-    monkeypatch.setattr(kernels, "get_backend", lambda name=None: Spy())
-    assert kernels.warmup() == "spy"
-    assert called == exposed
-    for backend in ("cc", "numba"):  # the compiled backends expose the same set
-        loaded = kernels._load(backend)
-        assert loaded is None or all(callable(getattr(loaded, name)) for name in exposed)
