@@ -18,7 +18,9 @@ partitioner contract (``test_streaming_three_way_identity``): under it
 509, 65 536 and |E| — the pointer arithmetic a sanitizer is for.
 ``tests/test_default_path.py`` puts the default-constructed objects of
 every host (single process, service, distributed) on the instrumented
-library too.  The whole leg is ~70 s here; the differential's
+library too, and ``tests/test_distributed_gas.py`` the worker side of the
+GAS superstep, whose folds and puts run through the take kernels.  The
+whole leg is ~70 s here; the differential's
 ``chunk_size = 1`` row alone is ~12 s, so no row is skipped under the
 instrumented build.
 
@@ -56,6 +58,7 @@ TESTS = [
     "tests/test_kernel_seams.py",
     "tests/test_local_runtime.py",
     "tests/test_take_kernels.py",
+    "tests/test_distributed_gas.py",
 ]
 
 # -ffp-contract=off as in the shipped build: the float kernels' bits are

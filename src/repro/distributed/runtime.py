@@ -8,7 +8,9 @@ framed command/result pipes.  It is the
 :func:`~repro.core.distributed.distributed_clugp`, the resident engine of
 :class:`~repro.core.distributed.DistributedClugpPartitioner` and
 :class:`~repro.service.service.PartitionService`, and the process fabric
-the distributed GAS runtime (:mod:`repro.distributed.gas`) runs apps on.
+the distributed GAS runtime (:mod:`repro.distributed.gas`) runs apps on —
+the local runtime's superstep loop, each worker owning a contiguous
+range of partitions.
 
 Supervision (:meth:`run_stage`) mirrors the PR-8 semantics of
 :func:`~repro.reliability.retry.run_reliable` on resident processes:

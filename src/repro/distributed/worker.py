@@ -14,9 +14,12 @@ worker owns:
 * its **result plane** — the coordinator-owned segment named by
   ``begin_shard``, into which ``commit`` writes the edge partition so the
   reply is a length, not a pickled array;
-* its **app state** — per-partition values/partials of the distributed
-  GAS runtime (:mod:`repro.distributed.gas`), living on the same process
-  that partitioned the shard.
+* its **app state** — one :class:`~repro.system.runtime.BlockRange` of
+  the distributed GAS runtime (:mod:`repro.distributed.gas`): a
+  contiguous range of partitions and their replica values, living on
+  the same process that partitioned the shard.  The ``gas_*`` handlers
+  only unpack a command and call that range's block functions — the
+  superstep code the local runtime runs.
 
 Protocol: commands arrive as dicts over the framed command pipe; every
 stage command gets exactly one reply ``{"node", "ok", "payload"/"error",
@@ -32,31 +35,18 @@ deterministic replay.
 from __future__ import annotations
 
 import traceback
+from types import SimpleNamespace
 
 import numpy as np
 
 from .._util import Timer
 from ..core.distributed import NodeStages
 from ..graph.stream import EdgeStream
-from ..system.runtime import LocalContext
+from ..system.messages import DensePayload
 from .shm import EdgeChunkRing, ResultSegment, attach_segment
 from .transport import FramedConnection
 
 __all__ = ["worker_main"]
-
-
-class _GasFacade:
-    """The minimal runtime surface a shipped vertex program touches.
-
-    Programs running worker-side only read immutable globals
-    (``num_vertices`` / ``num_partitions``) — every per-partition table
-    was built coordinator-side in ``setup`` and travels inside the
-    program object.
-    """
-
-    def __init__(self, num_vertices: int, num_partitions: int) -> None:
-        self.num_vertices = num_vertices
-        self.num_partitions = num_partitions
 
 
 class _WorkerState:
@@ -147,11 +137,13 @@ def _run_stage_op(state: _WorkerState, msg: dict) -> dict:
 
 def _handle_gas_setup(state: _WorkerState, msg: dict) -> None:
     state.gas = {
+        "block": msg["block"],  # a BlockRange: the worker's partitions
         "program": msg["program"],
-        "owned": msg["owned"],  # pid -> {"part", "values", "mirror_local"}
-        "facade": _GasFacade(msg["num_vertices"], msg["num_partitions"]),
-        "partials": {},
-        "active_local": {},
+        # what a program reads of the runtime worker-side: immutable
+        # globals (its static tables travel inside the program)
+        "facade": SimpleNamespace(
+            num_vertices=msg["num_vertices"], num_partitions=msg["num_partitions"]
+        ),
     }
 
 
@@ -160,78 +152,33 @@ def _unpack(bits: np.ndarray | None, n: int) -> np.ndarray | None:
     return None if bits is None else np.unpackbits(bits, count=n).astype(bool)
 
 
-def _handle_gas_gather(state: _WorkerState, msg: dict) -> dict:
-    gas = state.gas
-    program = gas["program"]
-    chunks: dict[int, np.ndarray] = {}
-    aggs: dict[int, float] = {}
-    for pid in sorted(gas["owned"]):
-        slot = gas["owned"][pid]
-        part = slot["part"]
-        active_local = _unpack(msg["active_bits"][pid], part.num_vertices)
-        gas["active_local"][pid] = active_local
-        partial = program.gather_local(
-            LocalContext(
-                part=part, values=slot["values"], active=active_local,
-                runtime=gas["facade"],
-            )
-        )
-        gas["partials"][pid] = partial
-        sel = _unpack(msg["sel_bits"][pid], slot["mirror_local"].size)
-        senders = slot["mirror_local"] if sel is None else slot["mirror_local"][sel]
-        chunks[pid] = partial[senders]
-        if hasattr(program, "master_aggregate"):
-            aggs[pid] = program.master_aggregate(part, slot["values"])
-    return {"chunks": chunks, "aggs": aggs}
+def _inbox(rows: np.ndarray) -> DensePayload:
+    """Received rows as a payload: message ``i`` carries ``rows[i]``."""
+    return DensePayload(rows, np.arange(rows.size))
 
 
-def _handle_gas_apply(state: _WorkerState, msg: dict) -> dict:
-    gas = state.gas
-    program = gas["program"]
+def _handle_gas_gather(state: _WorkerState, msg: dict):
+    block, program = state.gas["block"], state.gas["program"]
+    active = _unpack(msg["active"], block.part.num_vertices)
+    payload, partials = block.gather(program, active, state.gas["facade"])
+    return payload.values, partials
+
+
+def _handle_gas_apply(state: _WorkerState, msg: dict):
+    block, program = state.gas["block"], state.gas["program"]
     if msg["aggregate"] is not None:
         program.receive_aggregate(msg["aggregate"])
-    applied: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for pid in sorted(gas["owned"]):
-        slot = gas["owned"][pid]
-        part = slot["part"]
-        partial = gas["partials"][pid]
-        deliver = msg["deliver"].get(pid)
-        if deliver is not None:
-            locals_recv, values = deliver
-            if locals_recv.size:
-                msg["combine"].at(partial, locals_recv, values)
-        active_local = gas["active_local"][pid]
-        ids = np.flatnonzero(
-            part.is_master if active_local is None else part.is_master & active_local
-        )
-        if ids.size == 0:
-            applied[pid] = (ids, np.empty(0, dtype=slot["values"].dtype))
-            continue
-        new_vals = program.apply(
-            gas["facade"], part.vertices[ids], slot["values"][ids], partial[ids]
-        )
-        slot["values"][ids] = new_vals
-        applied[pid] = (ids, new_vals)
-    return {"applied": applied}
+    gids, new_values, payload = block.apply(
+        program, msg["dst"], _inbox(msg["rows"]), state.gas["facade"]
+    )
+    return gids, new_values, payload.values
 
 
-def _handle_gas_sync(state: _WorkerState, msg: dict) -> dict:
-    gas = state.gas
-    for pid, (locals_recv, values) in msg["deliver"].items():
-        if locals_recv.size:
-            gas["owned"][pid]["values"][locals_recv] = values
-    activated: dict[int, np.ndarray] = {}
-    if msg["changed_bits"] is not None:
-        changed = _unpack(msg["changed_bits"], state.gas["facade"].num_vertices)
-        for pid in sorted(gas["owned"]):
-            part = gas["owned"][pid]["part"]
-            changed_local = changed[part.vertices]
-            marks = np.zeros(part.num_vertices, dtype=bool)
-            marks[part.dst_local[changed_local[part.src_local]]] = True
-            if msg["undirected"]:
-                marks[part.src_local[changed_local[part.dst_local]]] = True
-            activated[pid] = np.flatnonzero(marks)
-    return {"activated": activated}
+def _handle_gas_sync(state: _WorkerState, msg: dict):
+    block = state.gas["block"]
+    block.put(_inbox(msg["rows"]))
+    changed = _unpack(msg["changed"], state.gas["facade"].num_vertices)
+    return None if changed is None else block.scatter(changed, msg["undirected"])
 
 
 _PLAIN_HANDLERS = {

@@ -1,28 +1,23 @@
 """PowerGraph-style distributed GAS system layer.
 
 The paper evaluates partitionings on a real 32-node PowerGraph deployment
-(Figure 8).  This package provides two executable engines over the same
+(Figure 8).  This package executes vertex programs over the same
 master/mirror placement a PowerGraph cluster would derive from a
 vertex-cut partitioning:
 
 * :class:`LocalGasRuntime` (``mode="local"``) — the partition-local
-  runtime: per-partition local index spaces and edge sub-graphs stored
-  as one flat replica-slot index, gather/apply/scatter as partition-local
-  array kernels run once over its block-diagonal concatenation,
-  mirror<->master synchronization through explicit typed message
-  buffers, and sparse per-vertex frontier activation.
-  ``SuperstepCost.messages``/``bytes`` are *measured* by counting buffer
-  rows.
+  runtime: one flat replica-slot index, the superstep written once as
+  block functions over contiguous partition ranges plus one loop,
+  mirror<->master synchronization through typed message payloads, sparse
+  frontiers, ``SuperstepCost.messages``/``bytes`` *measured* by counting
+  the exchanged rows.  The same loop runs on worker processes as
+  :class:`repro.distributed.DistributedGasRuntime`.
 * :class:`GasEngine` (``mode="global"``) — the retained oracle: program
   semantics evaluated on global arrays, costs *modeled* per partition
   (``2 * (|P(v)| - 1)`` sync messages per active replicated vertex).
 
-Both charge compute/communication where the real system pays them: per
-superstep every partition gathers over its local edges and applies at its
-local masters, every mirror exchanges one accumulator and one value with
-its master, and wall-clock = slowest partition + network time (BSP).
-The apps (PageRank, connected components, SSSP, label propagation) accept
-either engine; the parity tests pin local == global results.
+The apps (PageRank, connected components, SSSP, label propagation) run
+on any of them; the parity tests pin runtime == oracle results.
 """
 
 from .placement import (
@@ -35,7 +30,7 @@ from .placement import (
 )
 from .network import NetworkModel
 from .engine import GasEngine, SuperstepCost, RunCost
-from .messages import DensePayload, MessageBuffer, RaggedPayload
+from .messages import DensePayload, RaggedPayload
 from .runtime import (
     LABEL_COUNT,
     DenseAccumulator,
@@ -57,7 +52,6 @@ __all__ = [
     "GasEngine",
     "SuperstepCost",
     "RunCost",
-    "MessageBuffer",
     "DensePayload",
     "RaggedPayload",
     "DenseAccumulator",

@@ -1,8 +1,9 @@
 """Vertex programs for the GAS system layer: the paper's evaluation
 workloads, each in two executable forms — a global-array oracle program
-(``*Program``) and a partition-local program (``Local*Program``) against
-the :class:`~repro.system.runtime.LocalContext` API.  The public entry
-points (``pagerank`` etc.) dispatch on the engine they are handed."""
+(``*Program``) and its subclass, a partition-local program
+(``Local*Program``) against the :class:`~repro.system.runtime.LocalContext`
+API.  The public entry points (``pagerank`` etc.) run the subclass on any
+engine: the oracle reads its global half, the runtimes the local one."""
 
 from .pagerank import LocalPageRankProgram, PageRankProgram, pagerank
 from .connected_components import (

@@ -66,8 +66,4 @@ def connected_components(
     Labels equal the minimum vertex id of each component, matching
     :meth:`repro.graph.DiGraph.weakly_connected_components`.
     """
-    if isinstance(engine, LocalGasRuntime):
-        program = LocalConnectedComponentsProgram()
-    else:
-        program = ConnectedComponentsProgram()
-    return engine.run(program, max_supersteps=max_supersteps)
+    return engine.run(LocalConnectedComponentsProgram(), max_supersteps=max_supersteps)

@@ -118,8 +118,4 @@ def label_propagation(
     engine: GasEngine | LocalGasRuntime, max_iters: int = 10
 ) -> tuple[np.ndarray, RunCost]:
     """Run LPA for at most ``max_iters`` supersteps; returns (labels, cost)."""
-    if isinstance(engine, LocalGasRuntime):
-        program = LocalLabelPropagationProgram(max_iters)
-    else:
-        program = LabelPropagationProgram(max_iters)
-    return engine.run(program, max_supersteps=max_iters + 1)
+    return engine.run(LocalLabelPropagationProgram(max_iters), max_supersteps=max_iters + 1)

@@ -115,19 +115,21 @@ class LocalPageRankProgram(PageRankProgram):
         self.accumulator.fold(partial, dst, contrib, src)
         return partial
 
-    def master_aggregate(self, part, values: np.ndarray) -> float:
-        """Partition ``part.pid``'s dangling-mass partial: one pairwise
-        ``.sum()`` over its dangling masters' values, in slot order.
+    def master_aggregate(self, part, values: np.ndarray, pid: int) -> float:
+        """Partition ``pid``'s dangling-mass partial: one pairwise
+        ``.sum()`` over its dangling masters' values, in slot order, read
+        from the block ``part`` (any block spanning ``pid``) and its
+        per-replica ``values``.
 
-        The float contract shared by every runtime: the global aggregate
-        is these k partials added in pid order, then the coordinator's
+        The float contract shared by every host: the global aggregate is
+        these k partials added in pid order, then the coordinator's
         unhosted share.  Each partial must stay its own ``ndarray.sum()``
         over the partition's contiguous slice — ``np.add.reduceat`` sums
-        sequentially instead of pairwise and changes the last bits — so a
-        *distributed* runtime can evaluate it on the process that owns the
-        partition, ship one float, and stay bit-identical.
+        sequentially instead of pairwise and changes the last bits — so
+        the process that holds the partition evaluates it, ships one
+        float, and every host reads the same bits.
         """
-        lo, hi = self._dangling_indptr[part.pid : part.pid + 2]
+        lo, hi = self._dangling_indptr[pid : pid + 2]
         return float(values[self._dangling_slots[lo:hi] - part.slots.start].sum())
 
     def unhosted_aggregate(self, runtime, values_global: np.ndarray) -> float:
@@ -137,17 +139,6 @@ class LocalPageRankProgram(PageRankProgram):
     def receive_aggregate(self, value: float) -> None:
         """Install the reduced global aggregate before ``apply`` runs."""
         self._dangling_mass = value
-
-    def before_apply(self, runtime: LocalGasRuntime, values_global: np.ndarray):
-        # the master_aggregate partials of all partitions off one gather
-        # of the flat values: same slices, same pairwise sums, pid order
-        dangling = runtime.values_local[self._dangling_slots]
-        bounds = self._dangling_indptr
-        total = 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            total += float(dangling[lo:hi].sum())
-        total += self.unhosted_aggregate(runtime, values_global)
-        self.receive_aggregate(total)
 
     def apply(
         self,
@@ -173,9 +164,6 @@ def pagerank(
     tol: float = 1e-8,
     max_supersteps: int = 100,
 ) -> tuple[np.ndarray, RunCost]:
-    """Run PageRank on a global oracle engine or local runtime."""
-    if isinstance(engine, LocalGasRuntime):
-        program = LocalPageRankProgram(damping, tol)
-    else:
-        program = PageRankProgram(damping, tol)
-    return engine.run(program, max_supersteps=max_supersteps)
+    """Run PageRank on any engine (the oracle runs the program's
+    ``superstep``, the runtimes its partition-local half)."""
+    return engine.run(LocalPageRankProgram(damping, tol), max_supersteps=max_supersteps)

@@ -100,8 +100,4 @@ def sssp(
 
     Unreached vertices have distance ``inf``.
     """
-    if isinstance(engine, LocalGasRuntime):
-        program = LocalSsspProgram(source, weights)
-    else:
-        program = SsspProgram(source, weights)
-    return engine.run(program, max_supersteps=max_supersteps)
+    return engine.run(LocalSsspProgram(source, weights), max_supersteps=max_supersteps)

@@ -3,45 +3,34 @@
 Unlike :class:`~repro.system.engine.GasEngine` (retained as the
 ``mode="global"`` oracle), this runtime holds **no global compute state**:
 values live per replica *slot* of the flat index
-(:class:`~repro.system.placement.LocalIndex`), every gather/apply/scatter
-is the partition-local array kernel run once over the block-diagonal
-concatenation of all partitions (no edge leaves its partition's slot
-range, so that is exactly k partition-local runs), and replicas
-synchronize exclusively through explicit typed message buffers
-(:mod:`repro.system.messages`) routed along the mirror table.  A
-superstep is a fixed number of array operations whatever ``k`` is, and
-with a dense accumulator its three index-table walks — the program's
-gather along the edges, the gather sync and the apply sync along the
-routes — are each one fused take-and-combine pass
-(:meth:`DenseAccumulator.fold`, :func:`take_put`) that materializes
-nothing the size of the table it walks.
+(:class:`~repro.system.placement.LocalIndex`), and replicas synchronize
+exclusively through explicit typed message payloads
+(:mod:`repro.system.messages`) along the mirror table's rows.
 
-One BSP superstep, with ``A`` the sync-active set entering the step
-(every vertex at step 0, then the scatter-activated frontier):
+The superstep is written once: the partition-local work is the block
+functions of :class:`BlockRange`, each run over a contiguous range of
+partitions — one slot range and one edge range of the index — and one
+superstep loop, :meth:`LocalGasRuntime.run`, owns the rest.  The local host runs
+the one range ``[0, k)`` in-process, where with a dense accumulator each
+of a superstep's three index-table walks (the gather along the edges,
+both syncs along the routes) is one fused take-and-combine pass
+(:meth:`DenseAccumulator.fold`, :func:`take_put`);
+:class:`~repro.distributed.gas.DistributedGasRuntime` gives each worker
+process a range and ships route rows.
 
-1. **local gather** — each partition computes partial accumulators for
-   its active local targets from its local edges only;
-2. **gather sync** — every mirror of every ``v in A`` sends its partial
-   to ``v``'s master: ``sum(|P(v)| - 1 for v in A)`` messages, *measured*
-   by counting buffer rows;
-3. **apply** — each partition applies at its active masters (plus the
-   coordinator for edgeless vertices, which no partition hosts);
-4. **apply sync** — masters broadcast applied values back to mirrors:
-   another ``sum(|P(v)| - 1 for v in A)`` measured messages;
-5. **scatter/frontier** — partitions locally mark the neighbors of
-   locally-changed vertices (every edge is co-located with replicas of
-   both endpoints, so this needs no messages); the barrier OR-reduces
-   the per-partition bits into the next ``A``.
-
-Per superstep the measured message count therefore equals the paper's
-replication-cost formula ``2 * sum(|P(v)| - 1)`` over the sync-active
-set — the parity test asserts this on every run, and for PageRank
-(dense activation, the Figure 8 workload) it coincides superstep-by-
-superstep with the global oracle's modeled cost.
+One BSP superstep over the sync-active set ``A`` (every vertex at step
+0, then the scatter-activated frontier), DESIGN.md section 5.1: local
+gather; gather sync, one message per mirror of each ``v in A``; apply at
+the active masters (and, by the coordinator, at edgeless vertices no
+partition hosts); apply sync, one message back per mirror; message-free
+scatter, OR-reduced into the next ``A``.  The measured message count is
+the paper's ``2 * sum(|P(v)| - 1)`` over ``A`` on every superstep — for
+PageRank (the Figure 8 workload) superstep by superstep the oracle's.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -51,11 +40,12 @@ from .. import kernels
 from .._util import ragged_take_indices
 from ..partitioners.base import PartitionAssignment
 from .engine import RunCost, SuperstepCost
-from .messages import DensePayload, MessageBuffer, RaggedPayload
+from .messages import VERTEX_HEADER_BYTES, DensePayload, RaggedPayload
 from .network import NetworkModel
 from .placement import LocalIndex, LocalPartition, build_local_index
 
 __all__ = [
+    "BlockRange",
     "DenseAccumulator",
     "LabelCountAccumulator",
     "LABEL_COUNT",
@@ -193,8 +183,8 @@ class LocalContext:
     Attributes
     ----------
     part:
-        The block's local index space and edge sub-graph — one partition
-        on a distributed worker, the whole flat index in the local runtime.
+        The block's local index space and edge sub-graph — a distributed
+        worker's partition range, the whole flat index in the local runtime.
     values:
         Current values of the block's replicas, indexed by local id
         (mirrors hold the last value their master broadcast).
@@ -202,7 +192,8 @@ class LocalContext:
         Sync-active frontier restricted to local ids; ``None`` when every
         replica is active (the dense case — kernels skip the mask).
     runtime:
-        The owning runtime, for immutable globals (``num_vertices``).
+        The driving runtime (a worker's stand-in for it), for immutable
+        globals (``num_vertices``).
     """
 
     part: LocalPartition
@@ -231,10 +222,12 @@ class LocalVertexProgram(Protocol):
 
     Optional hooks: ``setup(runtime)`` builds static per-slot / per-edge
     tables over the flat index after ``init`` (kernels slice them with
-    ``ctx.part.slots`` / ``ctx.part.edges``); ``before_apply(runtime,
-    values_global)`` computes global aggregates (tree-reductions in a
-    real deployment); and ``post_superstep(runtime, step, changed)`` may
-    rewrite the changed mask (label propagation's iteration bound).
+    ``ctx.part.slots`` / ``ctx.part.edges``); a global aggregate is
+    ``master_aggregate(part, values, pid)`` (partition ``pid``'s partial,
+    on the host holding it), ``unhosted_aggregate(runtime,
+    values_global)`` and ``receive_aggregate(total)``; and
+    ``post_superstep(runtime, step, changed)`` may rewrite the changed
+    mask (label propagation's iteration bound).
     """
 
     edge_mode: str
@@ -251,12 +244,141 @@ class LocalVertexProgram(Protocol):
     ) -> np.ndarray: ...
 
 
+def _identity(spec, n: int):
+    """``n`` empty accumulators (the unhosted apply's)."""
+    if isinstance(spec, DenseAccumulator):
+        return spec.empty(n)
+    empty = np.empty(0, dtype=np.int64)
+    return np.zeros(n + 1, dtype=np.int64), empty, empty
+
+
+class BlockRange:
+    """Partitions ``[lo, hi)`` and their replicas' values: what a host
+    runs the block functions over (local id = slot minus the range's
+    first slot).  The local host holds ``[0, k)`` (the flat index,
+    zero-copy), a distributed worker its contiguous share.
+
+    ``senders`` are the local ids of the range's mirrors in route-row
+    order — a range's route rows are one contiguous run.  Per superstep:
+    :meth:`gather`; :meth:`apply` with the rows the range's masters
+    received; when a next superstep reads them, :meth:`put` with the
+    rows its mirrors receive, and :meth:`scatter`.
+    """
+
+    def __init__(
+        self, index: LocalIndex, lo: int, hi: int, values_global: np.ndarray
+    ) -> None:
+        whole = (lo, hi) == (0, index.num_partitions)
+        self.part = part = index.flat if whole else index.block(lo, hi)
+        routes = index.routes
+        mirrors = routes.mirror_slot[routes.mirror_indptr[lo] : routes.mirror_indptr[hi]]
+        first = part.slots.start
+        self.senders = mirrors - first if first else mirrors
+        self.masters = index.master_slots if whole else np.flatnonzero(part.is_master)
+        self.master_vertices = part.vertices[self.masters]
+        # deterministic replicated init: every host evaluates init for its
+        # own replicas, so the initial load crosses no wires (the oracle's)
+        self.values = values_global[part.vertices]
+        self.active = self.partial = self.sent = None
+
+    def gather(self, program, active, runtime):
+        """Local gather under the local frontier ``active`` (``None``:
+        all).  Returns the selected mirrors' partials as the gather
+        payload, described, and the range's aggregate partials in pid
+        order."""
+        part, senders = self.part, self.senders
+        self.active = active
+        self.sent = senders if active is None else senders[active[senders]]
+        self.partial = program.gather_local(LocalContext(part, self.values, active, runtime))
+        aggregates = []
+        if hasattr(program, "master_aggregate"):
+            aggregates = [program.master_aggregate(part, self.values, pid) for pid in part.pids]
+        spec = program.accumulator
+        if isinstance(spec, DenseAccumulator):
+            return DensePayload(self.partial, self.sent), aggregates
+        return RaggedPayload(*self._take(self.partial, self.sent, spec)), aggregates
+
+    def apply(self, program, dst: np.ndarray, payload, runtime):
+        """Fold the received rows (``payload`` for the local master ids
+        ``dst``) into the partials and apply at the active masters.
+        Returns their global ids and new values, and the apply payload
+        back to ``dst``'s mirrors."""
+        spec = program.accumulator
+        merged = self._deliver(dst, payload, spec, runtime.num_vertices)
+        if self.active is None:
+            ids, gids = self.masters, self.master_vertices
+        else:
+            ids = np.flatnonzero(self.part.is_master & self.active)
+            gids = self.part.vertices[ids]
+        old = self.values[ids]
+        new_values = (
+            program.apply(runtime, gids, old, self._take(merged, ids, spec)) if ids.size else old
+        )
+        self.values[ids] = new_values
+        return gids, new_values, DensePayload(self.values, dst)
+
+    def put(self, payload: DensePayload) -> None:
+        """Apply sync: the mirrors that sent receive their masters' new
+        values (in place on the local host: mirror and master slots are
+        disjoint)."""
+        take_put(self.values, self.sent, payload.table, payload.slots)
+
+    def scatter(self, changed: np.ndarray, undirected: bool) -> np.ndarray:
+        """Global ids of the range's replicas with a changed neighbor —
+        message-free: every edge is co-located with both endpoints."""
+        part = self.part
+        changed_local = changed[part.vertices]
+        marks = np.zeros(part.num_vertices, dtype=bool)
+        marks[part.dst_local[changed_local[part.src_local]]] = True
+        if undirected:
+            marks[part.src_local[changed_local[part.dst_local]]] = True
+        return part.vertices[marks]
+
+    def _take(self, acc, ids: np.ndarray, spec):
+        """The accumulators of ``ids``: dense values, or for the ragged
+        spec ``(indptr, labels, counts)`` histogram rows sliced out of
+        the id-sorted COO triples (O(S + H) bincount prefix sum)."""
+        if isinstance(spec, DenseAccumulator):
+            return acc[ids]
+        targets, labels, counts = acc
+        size = self.part.num_vertices
+        hist_indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=size), out=hist_indptr[1:])
+        starts = hist_indptr[ids]
+        lengths = hist_indptr[ids + 1] - starts
+        indptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        flat = ragged_take_indices(starts, lengths, indptr)
+        return indptr, labels[flat], counts[flat]
+
+    def _deliver(self, dst: np.ndarray, payload, spec, n_labels: int):
+        """Merge received accumulators into the masters' partials, in row
+        order: per master, ascending mirror partition.  Dense partials
+        merge in place (on the local host the payload's table *is* the
+        partials; the fold never reads a slot it writes)."""
+        if isinstance(spec, DenseAccumulator):
+            spec.fold(self.partial, dst, payload.table, payload.slots)
+            return self.partial
+        if dst.size == 0:  # a grouped, key-sorted partial is its own merge
+            return self.partial
+        own_t, own_lab, own_cnt = self.partial
+        recv_t = np.repeat(dst, np.diff(payload.indptr))
+        return group_label_counts(
+            np.concatenate([own_t, recv_t]),
+            np.concatenate([own_lab, payload.labels]),
+            n_labels,
+            counts=np.concatenate([own_cnt, payload.counts]),
+        )
+
+
 class LocalGasRuntime:
-    """Partition-local GAS runtime bound to one vertex-cut deployment.
+    """Partition-local GAS runtime bound to one vertex-cut deployment:
+    the superstep loop, hosting its one block range in-process.
 
     Drop-in alternative to :class:`~repro.system.engine.GasEngine` with
     the same cost-model knobs; ``SuperstepCost.messages``/``bytes`` are
-    measured from the exchanged buffers instead of modeled.
+    measured from the exchanged rows instead of modeled.  Another
+    host overrides the ``_start`` … ``_finish`` hooks, never :meth:`run`.
     """
 
     mode = "local"
@@ -280,14 +402,9 @@ class LocalGasRuntime:
         self.num_vertices = self.stream.num_vertices
         self.num_partitions = assignment.num_partitions
         self._unhosted = self.placement.replica_counts == 0
-        #: per-slot replica values during a run (program hooks may read)
-        self.values_local: np.ndarray | None = None
+        self._block: BlockRange | None = None  # during a run
         #: per-superstep sync masks of the last run (for the parity test)
         self.sync_masks: list[np.ndarray] = []
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
 
     def run(
         self, program: LocalVertexProgram, max_supersteps: int = 100
@@ -299,183 +416,101 @@ class LocalGasRuntime:
         if hasattr(program, "setup"):
             program.setup(self)
         index = self.index
-        # deterministic replicated init: every worker evaluates init locally,
-        # so the initial load crosses no wires (matching the oracle)
-        self.values_local = values = values_global[index.vertices]
         n = self.num_vertices
-        undirected = program.edge_mode == "undirected"
         sparse = program.frontier != "dense"
-        spec = program.accumulator
-        master_vertices = index.vertices[index.master_slots]
+        undirected = program.edge_mode == "undirected"
         cost = RunCost()
         self.sync_masks = []
         active = np.ones(n, dtype=bool)
-        for step in range(max_supersteps):
-            self.sync_masks.append(active)
-            # slot frontier; None = every replica (no mask to gather or apply)
-            active_slots = None if active.all() else active[index.vertices]
-            # (1) the partition-local gather kernel, once over all blocks
-            partial = program.gather_local(
-                LocalContext(index.flat, values, active_slots, self)
-            )
-            # (2) gather sync: mirror -> master accumulator messages
-            mirror, master = index.routes.select(active_slots)
-            gather_buf = MessageBuffer(
-                "gather", mirror, master, self._pack_accumulator(partial, mirror, spec)
-            )
-            merged = self._deliver_gather(gather_buf, partial, spec)
-            # (3) apply at active masters (+ coordinator for edgeless vertices)
-            if hasattr(program, "before_apply"):
-                program.before_apply(self, values_global)
-            new_global = values_global.copy()
-            changed = np.zeros(n, dtype=bool)
-
-            def apply_at(gids, old_values, acc):
-                new_vals = program.apply(self, gids, old_values, acc)
-                new_global[gids] = new_vals
-                if sparse:
-                    changed[gids] = new_vals != values_global[gids]
-                return new_vals
-
-            if active_slots is None:
-                ids, gids = index.master_slots, master_vertices
-            else:
-                ids = np.flatnonzero(index.is_master & active_slots)
-                gids = index.vertices[ids]
-            if ids.size:
-                values[ids] = apply_at(
-                    gids, values[ids], self._take_accumulator(merged, ids, spec)
-                )
-            isolated = np.flatnonzero(active & self._unhosted)
-            if isolated.size:
-                apply_at(
-                    isolated, values_global[isolated],
-                    self._identity_accumulator(spec, isolated.size),
-                )
-            # (4) apply sync: master -> mirror value broadcasts, one walk
-            # of the route table (masters send, mirrors receive: disjoint)
-            apply_buf = MessageBuffer("apply", master, mirror, DensePayload(values, master))
-            take_put(values, apply_buf.dst_slot, values, apply_buf.src_slot)
-            # frontier policy
-            if not sparse:
-                converged = program.check_converged(self, values_global, new_global)
-                changed = np.full(n, not converged, dtype=bool)
-            if hasattr(program, "post_superstep"):
-                changed = program.post_superstep(self, step, changed)
-            # (5) measured superstep cost
-            cost.add(self._superstep_cost(step, active, active_slots, gather_buf, apply_buf))
-            values_global = new_global
-            if not changed.any():
-                break
-            active = self._scatter_frontier(changed, undirected) if sparse else changed
-        self.values_local = None
+        self._start(program, values_global)
+        try:
+            for step in range(max_supersteps):
+                started = time.perf_counter()
+                self.sync_masks.append(active)
+                # slot frontier; None = every replica (no mask to gather or apply)
+                active_slots = None if active.all() else active[index.vertices]
+                mirror, master = index.routes.select(active_slots)
+                # (1) gather on every range; the global aggregate is the
+                # partitions' partials added in pid order, then the
+                # unhosted share (a loop, not sum(): the float contract)
+                gathered, partials = self._gather(program, active_slots)
+                aggregate = None
+                if hasattr(program, "master_aggregate"):
+                    aggregate = 0.0
+                    for partial in partials:
+                        aggregate += partial
+                    aggregate += program.unhosted_aggregate(self, values_global)
+                    program.receive_aggregate(aggregate)
+                # (2)+(3) gather sync, apply at the active masters — and
+                # here at the active edgeless vertices no partition hosts
+                applied, applied_rows = self._apply(program, master, gathered, aggregate)
+                isolated = np.flatnonzero(active & self._unhosted)
+                if isolated.size:
+                    applied.append((isolated, program.apply(
+                        self, isolated, values_global[isolated],
+                        _identity(program.accumulator, isolated.size),
+                    )))
+                new_global = values_global.copy()
+                changed = np.zeros(n, dtype=bool)
+                for gids, new_values in applied:
+                    new_global[gids] = new_values
+                    if sparse:
+                        changed[gids] = new_values != values_global[gids]
+                if not sparse:
+                    converged = program.check_converged(self, values_global, new_global)
+                    changed = np.full(n, not converged, dtype=bool)
+                if hasattr(program, "post_superstep"):
+                    changed = program.post_superstep(self, step, changed)
+                # (4)+(5) apply sync and scatter, only when a next superstep
+                # reads them; the barrier ORs the activated replicas
+                more = bool(changed.any())
+                next_active = changed
+                if more:
+                    activated = self._sync(applied_rows, changed if sparse else None, undirected)
+                    if sparse:
+                        next_active = np.zeros(n, dtype=bool)
+                        for gids in activated:
+                            next_active[gids] = True
+                active_edges, active_masters = index.active_counts(active_slots)
+                # one gather and one apply message per selected route row
+                messages = 2 * mirror.size
+                volume = messages * VERTEX_HEADER_BYTES + gathered.nbytes + applied_rows.nbytes
+                cost.add(SuperstepCost(
+                    step, int(np.count_nonzero(active)), int(active_edges.sum()), messages,
+                    volume, *self._seconds(active_edges, active_masters, messages, volume, started),
+                ))
+                values_global = new_global
+                if not more:
+                    break
+                active = next_active
+        finally:
+            self._finish()
         return values_global, cost
 
-    # ------------------------------------------------------------------ #
-    # accumulator plumbing
-    # ------------------------------------------------------------------ #
+    # the in-process host: one range [0, k), rows never copied
 
-    def _take_accumulator(self, acc, slots: np.ndarray, spec):
-        """The accumulators of ``slots``: dense values, or for the ragged
-        spec ``(indptr, labels, counts)`` histogram rows sliced out of
-        the slot-sorted COO triples (O(S + H) bincount prefix sum)."""
-        if isinstance(spec, DenseAccumulator):
-            return acc[slots]
-        targets, labels, counts = acc
-        hist_indptr = np.zeros(self.index.vertices.size + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(targets, minlength=self.index.vertices.size), out=hist_indptr[1:]
-        )
-        starts = hist_indptr[slots]
-        lengths = hist_indptr[slots + 1] - starts
-        indptr = np.zeros(slots.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        flat = ragged_take_indices(starts, lengths, indptr)
-        return indptr, labels[flat], counts[flat]
+    def _start(self, program, values_global: np.ndarray) -> None:
+        self._block = BlockRange(self.index, 0, self.num_partitions, values_global)
 
-    def _pack_accumulator(self, partial, mirror: np.ndarray, spec):
-        """Every active mirror's partial accumulator, as a wire payload
-        (dense: described as ``partial`` at the mirror slots, not copied)."""
-        if isinstance(spec, DenseAccumulator):
-            return DensePayload(partial, mirror)
-        return RaggedPayload(*self._take_accumulator(partial, mirror, spec))
+    def _gather(self, program, active_slots):
+        """-> (gather payload, aggregate partials in pid order)"""
+        return self._block.gather(program, active_slots, self)
 
-    def _deliver_gather(self, buf: MessageBuffer, partial, spec):
-        """Merge mirror accumulators into their masters' partials.
+    def _apply(self, program, master, gathered, aggregate):
+        """Deliver the gather rows to the ``master`` slots and apply.
+        -> ([(global ids, new values)], apply payload in row order)"""
+        gids, new_values, payload = self._block.apply(program, master, gathered, self)
+        return [(gids, new_values)], payload
 
-        The fold takes messages in row order, i.e. per master in
-        ascending mirror partition — the merge order of a receiver
-        draining its inbox partition by partition.  Dense partials merge
-        in place: mirror and master slots are disjoint, so no slot the
-        fold reads is one it writes."""
-        if isinstance(spec, DenseAccumulator):
-            spec.fold(partial, buf.dst_slot, partial, buf.src_slot)
-            return partial
-        if buf.count == 0:
-            # nothing received: the partial is already grouped and
-            # key-sorted, so it is its own merge
-            return partial
-        own_t, own_lab, own_cnt = partial
-        payload = buf.payload
-        recv_t = np.repeat(buf.dst_slot, np.diff(payload.indptr))
-        return group_label_counts(
-            np.concatenate([own_t, recv_t]),
-            np.concatenate([own_lab, payload.labels]),
-            self.num_vertices,
-            counts=np.concatenate([own_cnt, payload.counts]),
-        )
+    def _sync(self, applied_rows, changed, undirected: bool) -> list:
+        """-> activated global ids per range (none without ``changed``)"""
+        self._block.put(applied_rows)
+        return [] if changed is None else [self._block.scatter(changed, undirected)]
 
-    def _identity_accumulator(self, spec, n: int):
-        if isinstance(spec, DenseAccumulator):
-            return spec.empty(n)
-        return (
-            np.zeros(n + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
+    def _seconds(self, active_edges, active_masters, messages, volume, started):
+        """-> (compute, comm): the slowest partition's work, modeled."""
+        compute = active_edges / self.edges_per_second + active_masters / self.vertices_per_second
+        return float(compute.max(initial=0.0)), self.network.comm_seconds(messages, volume)
 
-    # ------------------------------------------------------------------ #
-    # frontier + cost
-    # ------------------------------------------------------------------ #
-
-    def _scatter_frontier(self, changed: np.ndarray, undirected: bool) -> np.ndarray:
-        """Partition-local scatter: activate neighbors of changed vertices.
-
-        Every edge is co-located with replicas of both endpoints, so the
-        marking is message-free; the barrier OR-reduces the bits (the
-        control bits piggyback on the sync rounds in a real deployment).
-        """
-        index = self.index
-        changed_slots = changed[index.vertices]
-        activated = np.zeros(index.vertices.size, dtype=bool)
-        activated[index.dst_slot[changed_slots[index.src_slot]]] = True
-        if undirected:
-            activated[index.src_slot[changed_slots[index.dst_slot]]] = True
-        nxt = np.zeros(self.num_vertices, dtype=bool)
-        nxt[index.vertices[activated]] = True
-        return nxt
-
-    def _superstep_cost(
-        self,
-        step: int,
-        active: np.ndarray,
-        active_slots: np.ndarray | None,
-        gather_buf: MessageBuffer,
-        apply_buf: MessageBuffer,
-    ) -> SuperstepCost:
-        active_edges, active_masters = self.index.active_counts(active_slots)
-        compute_per_partition = (
-            active_edges / self.edges_per_second
-            + active_masters / self.vertices_per_second
-        )
-        messages = gather_buf.count + apply_buf.count
-        volume = gather_buf.payload_nbytes + apply_buf.payload_nbytes
-        return SuperstepCost(
-            superstep=step,
-            active_vertices=int(np.count_nonzero(active)),
-            active_edges=int(active_edges.sum()),
-            messages=messages,
-            bytes=volume,
-            compute_seconds=float(compute_per_partition.max(initial=0.0)),
-            comm_seconds=self.network.comm_seconds(messages, volume),
-        )
+    def _finish(self) -> None:
+        self._block = None

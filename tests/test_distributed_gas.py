@@ -10,11 +10,14 @@ processes and its ``wire_bytes`` reflects actual pipe traffic.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.bench.harness import run_algorithm
 from repro.distributed import DistributedGasRuntime, PersistentRuntime, leaked_segments
+from repro.distributed.worker import _PLAIN_HANDLERS, _WorkerState
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
 from repro.system import LocalGasRuntime
@@ -23,7 +26,22 @@ from repro.system.apps import (
     LocalLabelPropagationProgram,
     LocalPageRankProgram,
     LocalSsspProgram,
+    label_propagation,
+    pagerank,
 )
+from repro.system.runtime import BlockRange
+
+
+def _hub(stream: EdgeStream) -> int:
+    return int(np.bincount(stream.src).argmax())
+
+
+#: name -> (program factory over the stream, max_supersteps)
+PROGRAMS = {
+    "pagerank": (lambda stream: LocalPageRankProgram(), 40),
+    "sssp": (lambda stream: LocalSsspProgram(_hub(stream)), 100),
+    "cc": (lambda stream: LocalConnectedComponentsProgram(), 100),
+}
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +104,33 @@ class TestOracleParity:
         )
         _assert_parity(local, dist)
 
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
-    def test_worker_count_does_not_change_bits(self, gas_assignment, num_workers):
-        local = LocalGasRuntime(gas_assignment).run(
-            LocalPageRankProgram(), max_supersteps=40
-        )
+    @pytest.mark.parametrize("app", sorted(PROGRAMS))
+    @pytest.mark.parametrize("num_workers", [1, 2, 4, 5])
+    def test_worker_count_does_not_change_bits(
+        self, gas_assignment, gas_stream, app, num_workers
+    ):
+        """k = 4: one partition per worker at 4, a worker with no
+        partition at 5."""
+        make, supersteps = PROGRAMS[app]
+        local = LocalGasRuntime(gas_assignment).run(make(gas_stream), supersteps)
         before = set(leaked_segments())  # the module pool's live segments
         with PersistentRuntime(num_workers) as runtime:
-            dist = DistributedGasRuntime(gas_assignment, runtime).run(
-                LocalPageRankProgram(), max_supersteps=40
-            )
+            dist_runtime = DistributedGasRuntime(gas_assignment, runtime)
+            dist = dist_runtime.run(make(gas_stream), supersteps)
         _assert_parity(local, dist)
         assert set(leaked_segments()) == before
+        if num_workers > gas_assignment.num_partitions:
+            assert (0, 0) in dist_runtime.ranges
+
+    def test_app_entry_points_run_on_the_distributed_host(self, gas_assignment, pool):
+        """``pagerank(engine)`` picks the partition-local program for
+        either host; ragged programs stay local-only."""
+        local = pagerank(LocalGasRuntime(gas_assignment), max_supersteps=40)
+        dist = pagerank(DistributedGasRuntime(gas_assignment, pool), max_supersteps=40)
+        _assert_parity(local, dist)
+        assert local[0].tobytes() == dist[0].tobytes()
+        with pytest.raises(ValueError, match="dense accumulators only"):
+            label_propagation(DistributedGasRuntime(gas_assignment, pool))
 
 
 class TestRuntimeBehaviour:
@@ -123,11 +156,9 @@ class TestRuntimeBehaviour:
 
     def test_partition_ownership_covers_all(self, gas_assignment, pool):
         runtime = DistributedGasRuntime(gas_assignment, pool)
-        owned = sorted(
-            pid
-            for worker in range(pool.num_workers)
-            for pid in runtime._owned_pids(worker)
-        )
+        # one contiguous range per worker, in worker order, covering [0, k)
+        assert len(runtime.ranges) == pool.num_workers
+        owned = [pid for lo, hi in runtime.ranges for pid in range(lo, hi)]
         assert owned == list(range(gas_assignment.num_partitions))
 
     def test_partitioning_and_app_share_one_pool(self, gas_stream):
@@ -148,3 +179,83 @@ class TestRuntimeBehaviour:
             )
             _assert_parity(local, dist)
         assert set(leaked_segments()) == before
+
+
+class _InProcessPool:
+    """A worker pool whose workers are :class:`_WorkerState` objects in
+    this process: every command goes through pickle and the worker's own
+    handler, exactly as it would over a pipe."""
+
+    wire_bytes = 0
+
+    def __init__(self, num_workers: int) -> None:
+        self.num_workers = num_workers
+        self.states = [_WorkerState(node) for node in range(num_workers)]
+
+    def busy_snapshot(self) -> list[float]:
+        return [0.0] * self.num_workers
+
+    def call_all(self, msgs: list[dict]) -> list:
+        replies = []
+        for state, msg in zip(self.states, msgs):
+            msg = pickle.loads(pickle.dumps(msg))
+            reply = _PLAIN_HANDLERS[msg["op"]](state, msg)
+            replies.append((pickle.loads(pickle.dumps(reply)), 0.0))
+        return replies
+
+
+class TestWrittenOnce:
+    @pytest.mark.parametrize("app", sorted(PROGRAMS))
+    def test_worker_handlers_run_the_local_block_functions(
+        self, gas_assignment, gas_stream, app, monkeypatch
+    ):
+        """The ``gas_*`` handlers, driven in-process over contiguous pid
+        ranges, enter the block functions the local host runs over
+        ``[0, k)`` and leave the same per-slot values after every
+        superstep."""
+        entered = []
+        for name in ("gather", "apply", "put", "scatter"):
+            def spy(self, *args, _name=name, _real=getattr(BlockRange, name)):
+                entered.append((_name, self.part.pids))
+                return _real(self, *args)
+
+            monkeypatch.setattr(BlockRange, name, spy)
+
+        def per_superstep(runtime, read):
+            """The per-slot values at each superstep's end."""
+            taken, real = [], runtime._seconds
+
+            def spy(*args):
+                taken.append(read())
+                return real(*args)
+
+            runtime._seconds = spy
+            return taken
+
+        make, supersteps = PROGRAMS[app]
+        k = gas_assignment.num_partitions
+        local = LocalGasRuntime(gas_assignment)
+        local_values = per_superstep(local, lambda: local._block.values.copy())
+        local_result = local.run(make(gas_stream), supersteps)
+        local_entered, entered[:] = list(entered), []
+
+        pool = _InProcessPool(3)
+        dist = DistributedGasRuntime(gas_assignment, pool)
+        dist_values = per_superstep(dist, lambda: np.concatenate(
+            [state.gas["block"].values for state in pool.states]
+        ))
+        dist_result = dist.run(make(gas_stream), supersteps)
+
+        _assert_parity(local_result, dist_result)
+        assert len(local_values) == len(dist_values) == local_result[1].num_supersteps
+        for want, got in zip(local_values, dist_values):
+            assert want.tobytes() == got.tobytes()
+        ranges = [range(lo, hi) for lo, hi in dist.ranges]
+        assert ranges == [range(0, 1), range(1, 2), range(2, 4)]
+        assert {pids for _, pids in local_entered} == {range(k)}
+        assert {pids for _, pids in entered} == set(ranges)
+        # every block function the local host ran, each worker ran too
+        assert {name for name, _ in local_entered} == {name for name, _ in entered}
+        for name in {name for name, _ in local_entered}:
+            calls = [pids for entry, pids in entered if entry == name]
+            assert len(calls) == len(ranges) * sum(e == name for e, _ in local_entered)

@@ -852,6 +852,8 @@ class TestLocalRuntime:
             sssp(runtime, source=0, weights=[-1.0, 1.0, 1.0, 1.0])
 
     def test_values_local_released_after_run(self):
+        """The per-slot values live in the run's block range, which the
+        runtime drops when the run ends."""
         runtime = LocalGasRuntime(tiny_assignment())
         connected_components(runtime)
-        assert runtime.values_local is None
+        assert runtime._block is None
