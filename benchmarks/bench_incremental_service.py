@@ -8,7 +8,7 @@ incremental service (DESIGN.md §7):
   batch produces the exact edge partition of the batch pipeline
   (``ClugpPartitioner.partition``), hard gate;
 * **sustained ingest** over >= 50 batches with per-batch stats (edges/sec,
-  frontier fraction, applied/deferred moves, churned edges);
+  applied/deferred moves, churned edges);
 * **migration cap** — no batch applies more than ``--migration-cap``
   served-vertex moves, hard gate;
 * **balance** — the served loads never exceed the Algorithm-1 hard cap
@@ -18,7 +18,7 @@ incremental service (DESIGN.md §7):
   oracle on the same edges, hard gate.  The ceiling is deliberately loose
   against the measured drift (see DESIGN.md §7 for the measured numbers
   and the churn tradeoff) to absorb fixture noise, but tight enough to
-  catch a broken warm start or frontier.
+  catch a broken warm start.
 
 Usage::
 
@@ -51,7 +51,7 @@ from repro.graph.stream import EdgeStream
 from repro.service import PartitionService
 
 #: relative RF excess over the from-scratch oracle allowed at feed end.
-#: Measured on this fixture: +27.9% (cap 256), +24.8% (cap 1024) — the
+#: Measured on this fixture: +27.6% (cap 256), +27.8% (cap 1024) — the
 #: residual is the price of never re-placing retained edges whose
 #: endpoints did not move; see DESIGN.md §7 for the full tradeoff.
 DRIFT_CEILING = 0.35
@@ -127,9 +127,6 @@ def run_feed(
         "num_batches": len(service.history),
         "sustained_eps": summary["edges_per_second"],
         "median_batch_eps": float(np.median([s.edges_per_second for s in active])),
-        "mean_frontier_fraction": float(
-            np.mean([s.frontier_clusters / max(s.clusters, 1) for s in active])
-        ),
         "max_applied_moves": max(s.applied_moves for s in active),
         "mean_churn_edges": float(np.mean([s.churn_edges for s in active])),
         "max_loads": int(service.loads.max()),
@@ -191,7 +188,6 @@ def main(argv=None) -> int:
         f"feed: {s['num_edges']} edges / {feed['num_batches']} batches, "
         f"sustained {feed['sustained_eps']:,.0f} e/s "
         f"(median batch {feed['median_batch_eps']:,.0f} e/s)\n"
-        f"frontier fraction mean={feed['mean_frontier_fraction']:.3f}, "
         f"moves applied={s['applied_moves']} deferred={s['deferred_moves']}, "
         f"churn mean={feed['mean_churn_edges']:.0f} edges/batch"
     )
@@ -235,7 +231,6 @@ def main(argv=None) -> int:
             "drift_curve": feed["drift_curve"],
             "sustained_eps": feed["sustained_eps"],
             "median_batch_eps": feed["median_batch_eps"],
-            "mean_frontier_fraction": feed["mean_frontier_fraction"],
             "mean_churn_edges": feed["mean_churn_edges"],
             "max_applied_moves": feed["max_applied_moves"],
             "max_loads": feed["max_loads"],

@@ -525,7 +525,6 @@ def _cmd_serve(args) -> int:
             print(
                 f"batch {stats.batch:4d}: +{stats.num_edges} edges "
                 f"({stats.edges_per_second:,.0f} e/s) "
-                f"frontier={stats.frontier_clusters}/{stats.clusters} "
                 f"moves={stats.applied_moves}/{stats.candidate_moves} "
                 f"churn={stats.churn_edges}{rf}"
             )

@@ -813,7 +813,8 @@ class ClusteringState:
         between existing ids, so a cluster that survives keeps its raw id
         across every subsequent :meth:`snapshot`.  ``-1`` marks vertices
         not yet seen.  The service layer reads these before and after a
-        batch to compute the dirty-cluster frontier.
+        batch to find the endpoints that changed cluster, and carries its
+        game's equilibrium from batch to batch under them.
         """
         self._to_arrays()
         return self._clu[np.asarray(vertices, dtype=np.int64)]

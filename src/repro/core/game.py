@@ -351,9 +351,7 @@ class ClusterPartitioningGame:
             minlength=m * k,
         ).reshape(m, k)
 
-    def run(
-        self, active: np.ndarray | None = None, record_moves: bool = False
-    ) -> GameResult:
+    def run(self, record_moves: bool = False) -> GameResult:
         """Iterate best responses until Nash equilibrium (Algorithm 3).
 
         In the kernel tier each round is a single fused kernel call (see
@@ -368,37 +366,10 @@ class ClusterPartitioningGame:
         record_moves:
             Collect every committed move as ``(cluster, from, to)`` on
             ``GameResult.move_log`` — the cross-engine identity hook.
-        active:
-            Optional boolean mask (length ``m``) restricting the *player
-            set*: only clusters with ``active[c]`` may move; the rest are
-            frozen at their initial assignment (they still contribute to
-            loads and adjacency, i.e. they act as fixed constraints).
-            ``None`` plays the full game — ``run(active=all_true)`` and
-            ``run()`` are bit-identical.
-
-            Restricting players preserves convergence: the game is an
-            exact potential game (Theorem 4) and every improving move by
-            an active player strictly decreases the same potential
-            ``Phi``, regardless of which players are allowed to respond —
-            so the restricted dynamics terminate in an equilibrium *of
-            the restricted game* (no active player can improve; frozen
-            players may retain improving moves).  This is what lets the
-            incremental service re-run only the dirty-cluster frontier
-            warm-started from the previous equilibrium.
         """
-        m = self.graph.num_clusters
-        if active is not None:
-            active = np.asarray(active, dtype=bool)
-            if active.shape != (m,):
-                raise ValueError(f"active mask must have shape ({m},)")
         if self._backend is not None:
-            players_arr = (
-                np.arange(m, dtype=np.int64)
-                if active is None
-                else np.flatnonzero(active).astype(np.int64)
-            )
-            return self._run_kernel(players_arr, record_moves)
-        players = range(m) if active is None else np.flatnonzero(active).tolist()
+            return self._run_kernel(record_moves)
+        m = self.graph.num_clusters
         adj = self._build_adj_table()
         cut_degree = self._cut_degree
         lam_over_k = self._lam_over_k
@@ -421,7 +392,7 @@ class ClusterPartitioningGame:
         last_eval = [-1] * m
         for rounds in range(1, self.config.max_rounds + 1):
             moves = 0
-            for c in players:
+            for c in range(m):
                 if last_eval[c] == move_counter:
                     continue
                 last_eval[c] = move_counter
@@ -475,9 +446,7 @@ class ClusterPartitioningGame:
             move_log=move_log,
         )
 
-    def _run_kernel(
-        self, players: np.ndarray, record_moves: bool
-    ) -> GameResult:
+    def _run_kernel(self, record_moves: bool) -> GameResult:
         """Compiled rounds: each round is one fused ``game_round`` call.
 
         The kernel owns the flat ``(m, k)`` adjacency table, the load
@@ -542,7 +511,7 @@ class ClusterPartitioningGame:
         # the seed of phi already is the starting assignment's [S, C]:
         # pricing it needs no second cut sum and load bincount
         trace = [priced()]
-        move_buf = np.empty(2 * players.shape[0], dtype=np.int64)
+        move_buf = np.empty(2 * m, dtype=np.int64)
         cost_buf = np.empty(k, dtype=np.float64)
         row_buf = np.empty(k, dtype=np.float64)
         move_log: list[tuple[int, int, int]] | None = None
@@ -556,7 +525,7 @@ class ClusterPartitioningGame:
         for rounds in range(1, self.config.max_rounds + 1):
             moves = int(
                 backend.game_round(
-                    players, k, lam_over_k, _IMPROVEMENT_EPS, relaxed,
+                    k, lam_over_k, _IMPROVEMENT_EPS, relaxed,
                     self._sym_indptr, self._sym_indices, self._sym_weights,
                     self._internal_f, self._cut_degree,
                     self.assignment, self.loads, adj, has_adj,
@@ -596,32 +565,21 @@ class ClusterPartitioningGame:
     #: matrix materialized per step to block * k float64 cells)
     _NASH_BLOCK = 4096
 
-    def is_nash_equilibrium(self, active: np.ndarray | None = None) -> bool:
-        """True iff no (active) cluster has a strictly improving move.
+    def is_nash_equilibrium(self) -> bool:
+        """True iff no cluster has a strictly improving move.
 
-        With ``active`` given, only the masked players are checked — the
-        equilibrium notion of the frontier-restricted game (see
-        :meth:`run`).
-
-        Scans blocks of :meth:`batch_cost_matrix` rows (the incremental
-        service pays this check on every quality-gated batch).  Same
-        verdict as a per-cluster :meth:`cost_vector` loop: the batch rows
-        are bit-identical to the per-cluster costs, and the per-row
+        Scans blocks of :meth:`batch_cost_matrix` rows.  Same verdict as a
+        per-cluster :meth:`cost_vector` loop: the batch rows are
+        bit-identical to the per-cluster costs, and the per-row
         ``min < cost[cur] - eps`` test is the same scalar comparison.
         """
         m = self.graph.num_clusters
-        mask = None if active is None else np.asarray(active, dtype=bool)
         for start in range(0, m, self._NASH_BLOCK):
             stop = min(start + self._NASH_BLOCK, m)
-            if mask is not None and not mask[start:stop].any():
-                continue
             costs = self.batch_cost_matrix(start, stop, self.assignment, self.loads)
             cur = self.assignment[start:stop]
             staying = costs[np.arange(stop - start), cur]
-            improving = costs.min(axis=1) < staying - _IMPROVEMENT_EPS
-            if mask is not None:
-                improving &= mask[start:stop]
-            if bool(improving.any()):
+            if bool((costs.min(axis=1) < staying - _IMPROVEMENT_EPS).any()):
                 return False
         return True
 

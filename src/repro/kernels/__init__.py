@@ -13,11 +13,12 @@ A kernel is a C function in ``kernels.c``, its plain-Python oracle in
 :mod:`._pykernels` and one row of :data:`KERNELS`.  Both backends bind
 every row from the table alone, and both refuse, with a ``TypeError``
 before the kernel runs, an array that is not a C-contiguous array of its
-kind's element type.  Every hot class asks :func:`get_backend` with no
-argument (the partitioner classes once, at construction; the GAS
-dispatcher per call, because vertex programs are pickled to workers) and
-runs the kernels when it answers with a backend, its own numpy tier when
-it answers None — bit-identical either way:
+kind's element type and a scalar that is not of its kind.  Every hot
+class asks :func:`get_backend` with no argument (the partitioner classes
+once, at construction; the GAS dispatcher per call, because vertex
+programs are pickled to workers) and runs the kernels when it answers
+with a backend, its own numpy tier when it answers None — bit-identical
+either way:
 
 * ``"cc"`` — ``kernels.c`` compiled once per machine with the system C
   compiler (~0.5 s, cached on disk), bound via ctypes; what an unset
@@ -35,8 +36,9 @@ step (an error under ``CLUGP_KERNEL_REQUIRE=1``).  ``CLUGP_KERNEL_BACKEND``
 from __future__ import annotations
 
 import logging
+import numbers
+import operator
 import os
-from operator import itemgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -115,9 +117,9 @@ KERNELS: dict[str, Kernel] = {
         "i64",
     ),
     "game_round": _row(
-        "players:i64[] n:len(players) k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
+        "k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
         "indptr:i64[] indices:i64[] weights:f64[] internal:f64[] cut_degree:f64[] "
-        "assignment:i64[] loads:f64[] adj:f64[] has_adj:i64 "
+        "assignment:i64[] m:len(assignment) loads:f64[] adj:f64[] has_adj:i64 "
         "last_eval:i64[] nbr_epoch:i64[] inc_epoch:i64[] dec_epoch:i64[] "
         "counters:i64[] phi:f64[] move_log:i64[] cost_buf:f64[] row_buf:f64[]",
         "i64",
@@ -170,42 +172,58 @@ def _addr(arr: np.ndarray, dtype: np.dtype) -> int:
     return arr.__array_interface__["data"][0]
 
 
+def _real(value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"kernel argument must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
+#: what a scalar kind accepts, as what C takes: ``i64`` anything
+#: ``operator.index`` takes, ``f64`` any real number
+SCALAR_KINDS = {"i64": operator.index, "f64": _real}
+
+
 def bind(name: str, fn, native: bool):
     """The numpy-level call of kernel ``name`` over ``fn``: the C function
-    (``native``), handed checked addresses and the ``len(...)`` lengths,
-    or the :mod:`._pykernels` function, handed the arguments after the
-    same checks.  The per-argument work is chosen here, once."""
+    (``native``), handed checked addresses, checked scalars and the
+    ``len(...)`` lengths, or the :mod:`._pykernels` function, handed the
+    arguments after the same checks.  The per-argument work is chosen
+    here, once."""
     kernel = KERNELS[name]
     params = kernel.params
     at = {arg: i for i, arg in enumerate(params)}
 
-    def marshal(arg: str, kind: str):
-        if kind.startswith("len("):
-            i = at[kind[4:-1]]
-            return lambda args: args[i].shape[0]
+    def check(arg: str, kind: str):
         i = at[arg]
         if kind in ARRAY_KINDS:
             dtype = ARRAY_KINDS[kind]
             return lambda args: _addr(args[i], dtype)
-        return itemgetter(i)
+        convert = SCALAR_KINDS[kind]
+        return lambda args: convert(args[i])
 
     def arity(args) -> None:
         if len(args) != len(params):
             raise TypeError(f"{name}() takes {len(params)} arguments, got {len(args)}")
 
     if native:
+        def marshal(arg: str, kind: str):
+            if kind.startswith("len("):
+                i = at[kind[4:-1]]
+                return lambda args: args[i].shape[0]
+            return check(arg, kind)
+
         steps = [marshal(arg, kind) for arg, kind in kernel.args]
 
         def call(*args):
             arity(args)
             return fn(*[step(args) for step in steps])
     else:
-        arrays = [(at[arg], ARRAY_KINDS[kind]) for arg, kind in kernel.args if kind in ARRAY_KINDS]
+        checks = [check(arg, kind) for arg, kind in kernel.args if not kind.startswith("len(")]
 
         def call(*args):
             arity(args)
-            for i, dtype in arrays:
-                _addr(args[i], dtype)
+            for step in checks:
+                step(args)
             return fn(*args)
 
     return _pykernels.checked_take(call) if kernel.ret == "row" else call

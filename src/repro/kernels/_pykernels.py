@@ -277,13 +277,13 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
 
 
 def game_round(
-    players, k, lam_over_k, eps, relaxed,
+    k, lam_over_k, eps, relaxed,
     indptr, indices, weights, internal, cut_degree,
     assignment, loads, adj, has_adj,
     last_eval, nbr_epoch, inc_epoch, dec_epoch,
     counters, phi, move_log, cost_buf, row_buf,
 ):
-    """One best-response round over ``players`` (mutates the game state).
+    """One best-response round over every cluster (mutates the game state).
 
     Transliteration of the in-place cost rewrite in
     ``ClusterPartitioningGame.run``: per cluster the k-vector
@@ -312,11 +312,9 @@ def game_round(
     target)`` pairs for the round's moves.  ``cost_buf``/``row_buf`` are
     k-sized scratch.  Returns the number of moves committed.
     """
-    n = players.shape[0]
     mc = counters[0]
     moves = 0
-    for idx in range(n):
-        c = players[idx]
+    for c in range(assignment.shape[0]):
         le = last_eval[c]
         if le == mc:
             continue

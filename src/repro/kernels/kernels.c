@@ -312,7 +312,7 @@ int64_t transform_chunk(
 /* Pass 2: fused best-response round (Algorithm 3, DESIGN.md s10)     */
 /* ------------------------------------------------------------------ */
 
-/* One round over the player list.  Float expressions keep the exact
+/* One round over every cluster c = 0..m-1.  Float expressions keep the exact
  * op sequence of ClusterPartitioningGame.run's in-place cost rewrite:
  * (loads[p] + size) * (lam_over_k * size) + (cut_degree - row) * 0.5,
  * with the current column (loads[cur] - size) + size; no -ffast-math,
@@ -334,11 +334,10 @@ int64_t transform_chunk(
  * [move_counter]; move_log records (cluster, target) pairs; cost_buf /
  * row_buf are k-sized scratch.  Returns the number of moves. */
 int64_t game_round(
-    const int64_t *players, int64_t n,
     int64_t k, double lam_over_k, double eps, int64_t relaxed,
     const int64_t *indptr, const int64_t *indices, const double *weights,
     const double *internal, const double *cut_degree,
-    int64_t *assignment, double *loads,
+    int64_t *assignment, int64_t m, double *loads,
     double *adj, int64_t has_adj,
     int64_t *last_eval, int64_t *nbr_epoch,
     int64_t *inc_epoch, int64_t *dec_epoch,
@@ -347,8 +346,7 @@ int64_t game_round(
 {
     int64_t mc = counters[0];
     int64_t moves = 0;
-    for (int64_t idx = 0; idx < n; idx++) {
-        int64_t c = players[idx];
+    for (int64_t c = 0; c < m; c++) {
         int64_t le = last_eval[c];
         if (le == mc) continue;
         int64_t cur = assignment[c];

@@ -14,8 +14,6 @@ on the result object and in :mod:`repro.analysis.metrics`.
 
 from __future__ import annotations
 
-from abc import ABC
-
 import numpy as np
 
 from .. import kernels
@@ -178,8 +176,8 @@ class PartitionAssignment:
         )
 
 
-class EdgePartitioner(ABC):
-    """Abstract vertex-cut edge partitioner: passes over a restartable stream.
+class EdgePartitioner:
+    """Base vertex-cut edge partitioner: passes over a restartable stream.
 
     Both public entries are final here.  :meth:`partition` validates
     ``chunk_size`` and owns the clock, the :class:`~repro._util.StageTimes`

@@ -88,6 +88,8 @@ class BatchStats:
     total_edges: int
     seconds: float
     clusters: int
+    #: clusters that played the game: every one (kept for the readers of
+    #: stored histories and the benchmark's frontier fraction)
     frontier_clusters: int
     game_rounds: int
     game_moves: int

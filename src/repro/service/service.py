@@ -12,17 +12,12 @@ unbounded sequence of edge batches:
   ClusteringState.snapshot` is the first batch's and the restore path's),
   so the clustering is always exactly what the batch pipeline would
   have produced on the concatenated stream;
-* **pass 2 replays only the dirty frontier** — clusters whose vertex
-  neighborhoods changed this batch, clusters born this batch, and their
-  cluster-graph neighbors; everything else is frozen at the previous
-  equilibrium (warm-started via raw-cluster-id stability).  Because the
-  game is an exact potential game, the restricted dynamics still strictly
-  descend the same potential and terminate (see
-  :meth:`~repro.core.game.ClusterPartitioningGame.run`); when a
-  :mod:`repro.kernels` backend resolves, the frontier-restricted rounds
-  run inside the fused game kernel (the ``active`` player list and the
-  warm-started assignment cross the kernel boundary unchanged, so
-  served partitions stay bit-identical to the numpy tier);
+* **pass 2 plays the whole game, warm-started** — every cluster plays,
+  starting from the previous batch's equilibrium (carried across batches
+  by raw-cluster-id stability; a newborn cluster starts where its
+  highest-degree served member is), so each batch ends at a full Nash
+  equilibrium of its cluster graph; a cluster the batch left settled is
+  evaluated once, then skipped by the game kernel's epoch rule;
 * **pass 3 applies deltas** — the refreshed ideal map is diffed against
   the served map into a bounded :class:`~repro.service.plan.
   MigrationPlan`; only edges incident to moved vertices plus the new
@@ -41,7 +36,7 @@ finds those edges — and the ones a migration re-routes — without
 scanning the accumulated stream (DESIGN.md §7.6).
 
 The first batch takes the exact batch-pipeline path (no warm start, no
-frontier, no migration diff), so a service fed the whole stream as one
+migration diff), so a service fed the whole stream as one
 batch is **bit-identical** to :meth:`~repro.core.partitioner.
 ClugpPartitioner.partition` — the anchor invariant of
 ``tests/test_service.py``.  DESIGN.md §7 states all the invariants and
@@ -57,7 +52,7 @@ import time
 
 import numpy as np
 
-from .._util import grow_buffer, sorted_unique
+from .._util import check_positive_int, grow_buffer, sorted_unique
 from ..config import ClugpConfig
 from ..core.clustering import ClusteringState
 from ..core.cluster_graph import ClusterGraphDelta, build_cluster_graph
@@ -122,16 +117,15 @@ class PartitionService:
         online would need growable vertex tables — see docs/service.md).
     config:
         Pipeline configuration; ``config.num_partitions`` is ``k``.  The
-        service always runs the sequential vectorized game (the batched
-        parallel game produces identical assignments but has no
-        frontier-restriction hook) and always uses the game
-        (``use_game=False`` has no warm-startable equilibrium).
+        service always runs the sequential game, warm-started, and always
+        uses the game (``use_game=False`` has no warm-startable
+        equilibrium).
     migration_cap:
         Per-batch budget of served-vertex moves (``None`` = unbounded).
         Initial placements of new vertices never consume budget.
     expected_edges:
-        Resolve ``V_max`` against this count instead of the first batch's
-        size.  With neither this nor ``config.max_cluster_volume`` set,
+        Resolve ``V_max`` against this count (a positive int) instead of
+        the first batch's size.  With neither this nor ``config.max_cluster_volume`` set,
         ``V_max`` locks to ``config.resolve_vmax(first batch size)`` —
         which is exactly what the batch pipeline uses when the whole
         stream arrives as one batch (the bit-identity anchor), but is a
@@ -164,7 +158,10 @@ class PartitionService:
         if migration_cap is not None and migration_cap < 0:
             raise ValueError(f"migration_cap must be >= 0 or None, got {migration_cap}")
         self.migration_cap = migration_cap
-        self.expected_edges = expected_edges
+        self.expected_edges = (
+            None if expected_edges is None
+            else check_positive_int(expected_edges, "expected_edges")
+        )
         if quality_every < 1:
             raise ValueError(f"quality_every must be >= 1, got {quality_every}")
         self.quality_every = int(quality_every)
@@ -190,10 +187,6 @@ class PartitionService:
         self._ckpt: CheckpointManager | None = None
         self._journal: BatchJournal | None = None
         self._durability_paused = False  # True while replaying the journal
-        # -- resident distributed worker pool (attach_runtime /
-        #    distributed_refresh); spawned lazily, survives across batches
-        self._runtime = None
-        self._owns_runtime = False
         if checkpoint_dir is not None:
             self._ckpt = CheckpointManager(
                 checkpoint_dir, keep=self.config.reliability.checkpoint_keep
@@ -416,64 +409,10 @@ class PartitionService:
         return svc
 
     def close(self) -> None:
-        """Release the journal handle and any owned worker pool (idempotent)."""
+        """Release the journal handle (idempotent)."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        if self._runtime is not None and self._owns_runtime:
-            self._runtime.close()
-        self._runtime = None
-        self._owns_runtime = False
-
-    # ------------------------------------------------------------------ #
-    # distributed refresh on resident workers
-    # ------------------------------------------------------------------ #
-
-    def attach_runtime(self, runtime) -> None:
-        """Attach an externally owned persistent worker pool.
-
-        Subsequent :meth:`distributed_refresh` calls reuse its resident
-        workers (the service never closes an attached pool — the caller
-        owns its lifecycle; pools the service spawns itself are owned and
-        closed by :meth:`close`).
-        """
-        if self._runtime is not None and self._owns_runtime:
-            self._runtime.close()
-        self._runtime = runtime
-        self._owns_runtime = False
-
-    def distributed_refresh(self, num_nodes: int | None = None,
-                            merge_mode: str = "merged"):
-        """Re-partition everything ingested on the persistent backend.
-
-        The distributed drift oracle: what the ``backend="persistent"``
-        deployment would produce from scratch on the accumulated stream,
-        with the service's locked ``V_max``.  The worker pool is resident
-        — first call spawns it (unless :meth:`attach_runtime` provided
-        one), later calls re-feed the grown stream to the *same*
-        processes, so periodic refreshes pay no spawn cost.  Returns the
-        :class:`~repro.core.distributed.DistributedResult`; the served
-        state is not touched.
-        """
-        from ..core.distributed import distributed_clugp
-
-        cfg = self._locked_config()
-        stream = self.stream()
-        nodes = num_nodes if num_nodes is not None else (
-            self._runtime.num_workers if self._runtime is not None else 4
-        )
-        nodes = min(int(nodes), max(1, stream.num_edges))
-        if self._runtime is None or self._runtime.num_workers != nodes:
-            from ..distributed.runtime import PersistentRuntime
-
-            if self._runtime is not None and self._owns_runtime:
-                self._runtime.close()
-            self._runtime = PersistentRuntime(nodes)
-            self._owns_runtime = True
-        return distributed_clugp(
-            stream, self.k, nodes, config=cfg, seed=cfg.game.seed,
-            merge_mode=merge_mode, backend="persistent", runtime=self._runtime,
-        )
 
     # ------------------------------------------------------------------ #
     # ingest
@@ -489,7 +428,7 @@ class PartitionService:
     def ingest_pair(self, u: np.ndarray, v: np.ndarray) -> BatchStats:
         """Ingest one batch given as endpoint column arrays.
 
-        Runs the full maintenance cycle — warm pass 1, frontier game,
+        Runs the full maintenance cycle — warm pass 1, warm-started game,
         capped migration plan, delta pass 3 — and appends the resulting
         :class:`BatchStats` to :attr:`history`.
         """
@@ -559,9 +498,7 @@ class PartitionService:
         first = self._state is None
         state = self._state
         if first:
-            vmax = cfg.resolve_vmax(
-                self.expected_edges if self.expected_edges else m_batch
-            )
+            vmax = cfg.resolve_vmax(self.expected_edges or m_batch)
             state = ClusteringState(
                 n,
                 vmax,
@@ -584,11 +521,8 @@ class PartitionService:
         vp_written = False
         clock.lap("endpoints")
         try:
-            # -- pass 1 (warm): dirty raw clusters are those touching batch
-            #    endpoints before OR after ingestion (migration/splitting can
-            #    move an endpoint's whole neighborhood's cut structure)
+            # -- pass 1 (warm)
             state.ingest_pair(u, v)
-            new_raw = state.raw_clusters(endpoints)
             clock.lap("pass1")
             # the warm state is read in place: views of the live tables,
             # no |V|-sized copy or renumbering (DESIGN.md §7.1)
@@ -604,7 +538,7 @@ class PartitionService:
             if first:
                 graph, delta = self._build_graph(EdgeStream(u, v, n), state.snapshot())
             else:
-                moved = (prev_raw >= 0) & (prev_raw != new_raw)
+                moved = (prev_raw >= 0) & (prev_raw != state.raw_clusters(endpoints))
                 movers, was = endpoints[moved], prev_raw[moved]
                 relabelled = self._index.incident(movers, src, dst)
                 old_u, old_v = src[relabelled], dst[relabelled]
@@ -618,17 +552,10 @@ class PartitionService:
                 graph = delta.freeze(raw_ids)
             clock.lap("cluster_graph")
 
-            # -- pass 2 (frontier-restricted, warm-started)
-            if first:
-                init = None
-                active = None
-                frontier_size = m_clusters
-            else:
-                init, active = self._warm_start(live, graph, endpoints, prev_raw, new_raw)
-                frontier_size = int(active.sum())
+            # -- pass 2 (the whole game, warm-started)
+            init = None if first else self._warm_start(live, graph, endpoints)
             clock.lap("warm_start")
-            game = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init)
-            result = game.run(active=active)
+            result = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init).run()
             clock.lap("game")
 
             # -- migration plan: diff served map against the refreshed ideal,
@@ -698,7 +625,7 @@ class PartitionService:
             total_edges=total,
             seconds=0.0,  # stamped by ingest_pair from the clock
             clusters=m_clusters,
-            frontier_clusters=frontier_size,
+            frontier_clusters=m_clusters,
             game_rounds=result.rounds,
             game_moves=result.moves,
             candidate_moves=plan.candidates,
@@ -708,42 +635,23 @@ class PartitionService:
             churn_edges=int((re_parts != old_parts).sum()),
         )
 
-    def _warm_start(
-        self,
-        live,
-        graph,
-        endpoints: np.ndarray,
-        prev_raw: np.ndarray,
-        new_raw: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Build the warm-start assignment and the dirty-frontier mask.
+    def _warm_start(self, live, graph, endpoints: np.ndarray) -> np.ndarray:
+        """The warm-start assignment of this batch's game.
 
-        *Warm start*: every compact cluster whose raw id carried an
-        assignment last batch inherits it; a newborn cluster adopts the
-        served partition of its highest-degree previously-placed member
-        (it probably split or migrated out of that neighborhood), else
-        the least-loaded partition.  A newborn cluster's members all
-        joined it this batch, so they are found among ``endpoints``.
-
-        *Frontier*: clusters that gained/lost batch endpoints, newborn
-        clusters, and their one-hop cluster-graph neighbors (a changed
-        cluster shifts its neighbors' cut costs, so they must be allowed
-        to respond; anything further is provably cost-unchanged this
-        batch and stays frozen).
+        Every compact cluster whose raw id carried an assignment last
+        batch inherits it; a newborn cluster adopts the served partition
+        of its highest-degree previously-placed member (it probably split
+        or migrated out of that neighborhood), else the least-loaded
+        partition.  A newborn cluster's members all joined it this batch,
+        so they are found among ``endpoints``.
         """
         raw_ids = live.raw_ids
         m_clusters = live.num_clusters
-        dirty = np.zeros(m_clusters, dtype=bool)
-        touched = np.concatenate([prev_raw[prev_raw >= 0], new_raw])
-        at = np.minimum(np.searchsorted(raw_ids, touched), m_clusters - 1)
-        dirty[at[raw_ids[at] == touched]] = True  # emptied clusters drop out
-
         # raw ids ascend, so the clusters known to the last equilibrium
         # are a prefix of the compact ids
         init = np.full(m_clusters, -1, dtype=np.int64)
         known = int(np.searchsorted(raw_ids, self._raw_assign.size))
         init[:known] = self._raw_assign[raw_ids[:known]]
-        dirty |= init < 0  # newborn clusters always play
 
         unknown = init < 0
         if unknown.any():
@@ -766,12 +674,4 @@ class PartitionService:
                     p = int(np.argmin(load_init))
                     init[c] = p
                     load_init[p] += float(graph.internal[c])
-
-        indptr, indices, _ = graph.sym()
-        frontier = dirty.copy()
-        if indices.size:
-            rows = np.repeat(
-                np.arange(m_clusters, dtype=np.int64), np.diff(indptr)
-            )
-            frontier[indices[dirty[rows]]] = True
-        return init, frontier
+        return init

@@ -289,57 +289,3 @@ class TestInitialAssignment:
                 cg, 4,
                 initial_assignment=np.full(cg.num_clusters, 9, dtype=np.int64),
             )
-
-
-class TestFrontierRestrictedRun:
-    """run(active=...) — the incremental service's restricted game."""
-
-    def test_active_all_is_bit_identical_to_full_run(self):
-        cg = crawl_cluster_graph(seed=5)
-        full = ClusterPartitioningGame(cg, 4, GameConfig(seed=2)).run()
-        masked = ClusterPartitioningGame(cg, 4, GameConfig(seed=2)).run(
-            active=np.ones(cg.num_clusters, dtype=bool)
-        )
-        assert np.array_equal(full.assignment, masked.assignment)
-        assert full.moves == masked.moves
-        assert full.rounds == masked.rounds
-        assert full.potential_trace == masked.potential_trace
-
-    def test_frozen_clusters_never_move(self):
-        cg = crawl_cluster_graph(seed=5)
-        rng = np.random.default_rng(0)
-        init = rng.integers(0, 4, size=cg.num_clusters).astype(np.int64)
-        active = np.zeros(cg.num_clusters, dtype=bool)
-        active[:: 3] = True
-        game = ClusterPartitioningGame(cg, 4, initial_assignment=init)
-        result = game.run(active=active)
-        frozen = ~active
-        assert np.array_equal(result.assignment[frozen], init[frozen])
-
-    def test_restricted_run_descends_potential_to_restricted_equilibrium(self):
-        cg = crawl_cluster_graph(seed=5)
-        rng = np.random.default_rng(1)
-        init = rng.integers(0, 4, size=cg.num_clusters).astype(np.int64)
-        active = np.zeros(cg.num_clusters, dtype=bool)
-        active[: cg.num_clusters // 2] = True
-        game = ClusterPartitioningGame(cg, 4, initial_assignment=init)
-        result = game.run(active=active)
-        trace = result.potential_trace
-        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-        assert result.converged
-        # equilibrium of the *restricted* game: no active player improves
-        assert game.is_nash_equilibrium(active=active)
-
-    def test_empty_active_set_is_a_noop(self):
-        cg = crawl_cluster_graph(seed=5)
-        init = np.zeros(cg.num_clusters, dtype=np.int64)
-        game = ClusterPartitioningGame(cg, 4, initial_assignment=init)
-        result = game.run(active=np.zeros(cg.num_clusters, dtype=bool))
-        assert result.moves == 0
-        assert np.array_equal(result.assignment, init)
-
-    def test_validates_active_shape(self):
-        cg = crawl_cluster_graph(seed=5)
-        game = ClusterPartitioningGame(cg, 4, GameConfig(seed=0))
-        with pytest.raises(ValueError, match="active mask"):
-            game.run(active=np.ones(3, dtype=bool))

@@ -11,7 +11,7 @@ and every quantity it folds incrementally (adjacency table, loads,
 the enforcement: the kernel tier and the numpy tier (forced through
 ``conftest.kernel_backend``) against :func:`best_response_dynamics` on
 assignments, move sequences, round counts and full potential traces
-across seeds and k; warm starts; frontier-restricted active masks; the
+across seeds and k; warm starts; the
 forced-tiny adjacency-table cap (`adj is None` on-demand-row path);
 the maintained-potential == recomputed-potential gate and its 2**53
 fallback; the vectorized Nash check; and the batched cost-row primitive
@@ -58,9 +58,9 @@ def _make_game(cluster_graph, k, backend, seed=0, initial_assignment=None, confi
         )
 
 
-def _run_engine(cluster_graph, k, seed, backend, *, initial_assignment=None, active=None):
+def _run_engine(cluster_graph, k, seed, backend, *, initial_assignment=None):
     game = _make_game(cluster_graph, k, backend, seed, initial_assignment)
-    return game, game.run(active=active, record_moves=True)
+    return game, game.run(record_moves=True)
 
 
 def _oracle(cluster_graph, k, seed, initial_assignment=None):
@@ -88,12 +88,11 @@ def _assert_engines_match_oracle(cluster_graph, k, seed, backend, init=None, lab
     return oracle
 
 
-def _nash_by_cost_vector(game, active=None):
+def _nash_by_cost_vector(game):
     """The per-cluster definition ``is_nash_equilibrium`` must agree with."""
-    clusters = range(game.graph.num_clusters) if active is None else np.flatnonzero(active)
     return not any(
         game.cost_vector(c).min() < game.cost_vector(c)[game.assignment[c]] - _IMPROVEMENT_EPS
-        for c in clusters
+        for c in range(game.graph.num_clusters)
     )
 
 
@@ -140,43 +139,6 @@ def test_warm_start_identity(cluster_graph, backend):
         cluster_graph, k, 0, backend, settled.assignment, "equilibrium start"
     )
     assert again.moves == 0 and again.rounds == 1
-
-
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_active_mask_identity(cluster_graph, backend):
-    k = 8
-    m = cluster_graph.num_clusters
-    rng = np.random.default_rng(5)
-    init = rng.integers(0, k, size=m).astype(np.int64)
-    active = rng.random(m) < 0.4
-    game_fast, fast = _run_engine(
-        cluster_graph, k, 0, "none", initial_assignment=init, active=active
-    )
-    game_jit, jit = _run_engine(
-        cluster_graph, k, 0, backend, initial_assignment=init, active=active
-    )
-    _assert_identical(fast, jit, "active mask")
-    # frozen players really were frozen, and the frontier settled
-    frozen = ~active
-    assert np.array_equal(jit.assignment[frozen], init[frozen])
-    assert game_jit.is_nash_equilibrium(active=active)
-    assert game_fast.is_nash_equilibrium(active=active)
-
-
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_empty_and_full_active_masks(cluster_graph, backend):
-    k = 4
-    m = cluster_graph.num_clusters
-    init = np.zeros(m, dtype=np.int64)
-    _, noop = _run_engine(
-        cluster_graph, k, 0, backend,
-        initial_assignment=init, active=np.zeros(m, dtype=bool),
-    )
-    assert noop.moves == 0
-    assert np.array_equal(noop.assignment, init)
-    _, full = _run_engine(cluster_graph, k, 0, backend, active=np.ones(m, dtype=bool))
-    _, plain = _run_engine(cluster_graph, k, 0, backend)
-    _assert_identical(full, plain, "all-true mask == no mask")
 
 
 # --------------------------------------------------------------------- #
@@ -280,25 +242,23 @@ def test_vectorized_nash_check_matches_reference_loop(cluster_graph):
         init = rng.integers(0, k, size=m).astype(np.int64)
         game = ClusterPartitioningGame(cluster_graph, k, initial_assignment=init)
         assert game.is_nash_equilibrium() == _nash_by_cost_vector(game)
-        active = rng.random(m) < 0.3
-        assert game.is_nash_equilibrium(active=active) == _nash_by_cost_vector(game, active)
     # after convergence both must agree it *is* an equilibrium
     game, result = _run_engine(cluster_graph, k, 0, "auto")
     assert result.converged and game.is_nash_equilibrium() and _nash_by_cost_vector(game)
 
 
 def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
-    # tiny blocks exercise the block loop + early-exit on masked blocks
+    # tiny blocks exercise the block loop, on a state that is not an
+    # equilibrium and on one that is
     k = 4
     m = cluster_graph.num_clusters
     rng = np.random.default_rng(4)
     init = rng.integers(0, k, size=m).astype(np.int64)
     game = ClusterPartitioningGame(cluster_graph, k, initial_assignment=init)
     monkeypatch.setattr(ClusterPartitioningGame, "_NASH_BLOCK", 7)
-    active = np.zeros(m, dtype=bool)
-    active[m // 2 :] = True  # whole leading blocks all-masked
     assert game.is_nash_equilibrium() == _nash_by_cost_vector(game)
-    assert game.is_nash_equilibrium(active=active) == _nash_by_cost_vector(game, active)
+    game.run()
+    assert game.is_nash_equilibrium() and _nash_by_cost_vector(game)
 
 
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
@@ -336,26 +296,3 @@ def test_property_three_way_identity(edges, k, seed):
     jit_game, jit = _run_engine(cg, k, seed, "python")
     assert jit.potential_trace[-1] == jit_game.potential()
     assert jit_game.is_nash_equilibrium() or not jit.converged
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    edges=st.lists(
-        st.tuples(st.integers(0, 15), st.integers(0, 15)),
-        min_size=3, max_size=50,
-    ),
-    k=st.integers(2, 4),
-    frontier=st.integers(0, 2**15 - 1),
-)
-def test_property_active_mask_identity(edges, k, frontier):
-    s = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2))
-    cg = build_cluster_graph(s, clustering)
-    m = cg.num_clusters
-    active = np.array([(frontier >> (i % 15)) & 1 == 1 for i in range(m)])
-    rng = np.random.default_rng(0)
-    init = rng.integers(0, k, size=m).astype(np.int64)
-    fast = _run_engine(cg, k, 0, "none", initial_assignment=init, active=active)[1]
-    jit = _run_engine(cg, k, 0, "python", initial_assignment=init, active=active)[1]
-    _assert_identical(fast, jit, "property: active mask")
-    assert np.array_equal(jit.assignment[~active], init[~active])

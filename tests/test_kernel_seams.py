@@ -291,6 +291,28 @@ def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tie
     assert spies[name].calls == []
 
 
+#: (kernel, scalar argument, wrong value): every scalar the table
+#: declares, given what neither kind takes; an ``i64`` also a float
+SCALAR_CASES = [
+    (name, arg, wrong)
+    for name, kernel in kernels.KERNELS.items()
+    for arg, kind in kernel.args
+    if kind in kernels.SCALAR_KINDS
+    for wrong in (None, "1", *((1.5,) if kind == "i64" else ()))
+]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("name,arg,wrong", SCALAR_CASES)
+def test_every_scalar_argument_is_refused_before_the_kernel(name, arg, wrong, tier, monkeypatch):
+    backend, spies = _spied(tier, monkeypatch)
+    args = _table_args(kernels.KERNELS[name])
+    args[arg] = wrong
+    with pytest.raises(TypeError):
+        getattr(backend, name)(*args.values())
+    assert spies[name].calls == []
+
+
 #: C parameter type -> the kinds the table may give it
 _C_KINDS = {
     "const int64_t *": {"i64[]"}, "int64_t *": {"i64[]"},

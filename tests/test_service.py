@@ -7,9 +7,8 @@ The §7 invariants, each pinned here:
 * I2 (warm pass 1): the clustering snapshot after any batch split is
   bit-identical to the batch pipeline's pass 1 on the concatenated
   prefix (raw-id stability included);
-* I3 (frontier safety): the restricted game never leaves the potential
-  higher than the warm start, and the service's ideal map comes from an
-  equilibrium of the restricted game;
+* I3 (equilibrium): after every batch, the persisted cluster assignment
+  is a full Nash equilibrium of that batch's cluster graph;
 * I4 (migration cap): no batch applies more moves than the cap, and the
   moves chosen are the highest-degree candidates;
 * I5 (hard balance): the served loads respect ``ceil(tau * |E| / k)``
@@ -25,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ClugpConfig, GameConfig
 from repro.core.clustering import ClusteringState, streaming_clustering
+from repro.core.game import ClusterPartitioningGame
 from repro.core.partitioner import ClugpPartitioner
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
@@ -145,9 +145,27 @@ def test_snapshot_after_finalize_raises():
 
 
 # --------------------------------------------------------------------- #
-# I3 is covered by test_core_game.py (frontier-restricted run);
-# service-level: the served map always comes from a valid assignment
+# I3: every batch ends at a full Nash equilibrium; the served map always
+# comes from a valid assignment
 # --------------------------------------------------------------------- #
+
+
+def test_every_batch_persists_a_full_equilibrium():
+    """Small batches at k = 32 leave most clusters untouched by a batch:
+    the feed where a game restricted to the touched clusters and their
+    neighbours stops at an assignment some other cluster can improve."""
+    stream = crawl_stream()
+    k = 32
+    cfg = ClugpConfig(num_partitions=k)
+    service = PartitionService(stream.num_vertices, cfg, expected_edges=stream.num_edges)
+    for src, dst in stream.batches(max(1, stream.num_edges // 100)):
+        service.ingest_pair(src, dst)
+        raw_ids = service._state.live().raw_ids
+        game = ClusterPartitioningGame(
+            service._delta.freeze(raw_ids), k, cfg.game,
+            initial_assignment=service._raw_assign[raw_ids],
+        )
+        assert game.is_nash_equilibrium(), f"batch {service.batch_index - 1}"
 
 
 def test_served_map_consistent_with_edge_partition():
@@ -326,6 +344,15 @@ def test_service_input_validation():
         service.oracle_assignment()  # nothing ingested yet
 
 
+@pytest.mark.parametrize("bad", [-5, 0, 2.5, "500"])
+def test_expected_edges_must_be_a_positive_int(bad):
+    """``V_max`` is resolved against ``expected_edges``: a non-positive
+    count must not lock it to 1 or fall back to the first batch's size."""
+    with pytest.raises(ValueError, match="expected_edges"):
+        PartitionService(10, expected_edges=bad)
+    assert PartitionService(10, expected_edges=500).expected_edges == 500
+
+
 def test_ingest_matrix_matches_ingest_pair():
     stream = crawl_stream(150)
     cfg = ClugpConfig(num_partitions=4)
@@ -356,58 +383,3 @@ def test_summary_and_plan_exposure():
     row = service.history[-1].to_dict()
     assert row["batch"] == len(service.history) - 1
     assert "edges_per_second" in row and "rf_drift" in row
-
-
-# --------------------------------------------------------------------- #
-# distributed refresh on the resident worker pool (PR 10)
-# --------------------------------------------------------------------- #
-
-
-def test_distributed_refresh_matches_process_oracle():
-    from repro.core.distributed import distributed_clugp
-    from repro.distributed import leaked_segments
-
-    stream = crawl_stream(300)
-    cfg = ClugpConfig(num_partitions=4, game=GameConfig(seed=1))
-    service = feed(
-        PartitionService(stream.num_vertices, cfg),
-        stream,
-        max(1, stream.num_edges // 4),
-    )
-    result = service.distributed_refresh(num_nodes=3)
-    reference = distributed_clugp(
-        service.stream(), 4, num_nodes=3, config=service._locked_config(),
-        seed=1, merge_mode="merged", backend="process",
-    )
-    assert np.array_equal(
-        result.assignment.edge_partition, reference.assignment.edge_partition
-    )
-    # the pool is resident: a second refresh reuses the same processes
-    runtime = service._runtime
-    pids = [h.process.pid for h in runtime.workers]
-    again = service.distributed_refresh()
-    assert service._runtime is runtime
-    assert [h.process.pid for h in runtime.workers] == pids
-    assert np.array_equal(
-        result.assignment.edge_partition, again.assignment.edge_partition
-    )
-    service.close()
-    assert leaked_segments() == []
-
-
-def test_distributed_refresh_attached_runtime_not_closed():
-    from repro.distributed import PersistentRuntime, leaked_segments
-
-    stream = crawl_stream(200)
-    service = feed(
-        PartitionService(stream.num_vertices, ClugpConfig(num_partitions=4)),
-        stream,
-        max(1, stream.num_edges // 3),
-    )
-    with PersistentRuntime(2) as runtime:
-        service.attach_runtime(runtime)
-        service.distributed_refresh(num_nodes=2)
-        assert service._runtime is runtime
-        service.close()  # must NOT close a pool it does not own
-        assert runtime.call(0, {"op": "ping"}) == "pong"
-    assert leaked_segments() == []

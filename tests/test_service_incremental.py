@@ -97,10 +97,7 @@ class RebuildOracle:
                 n, vmax, enable_splitting=cfg.enable_splitting
             )
         state = self.state
-        endpoints = np.unique(np.concatenate([u, v]))
-        prev_raw = state.raw_clusters(endpoints)
         state.ingest_pair(u, v)
-        new_raw = state.raw_clusters(endpoints)
         snap = state.snapshot()
         m_clusters = snap.num_clusters
         old_edges = self.src.size
@@ -112,16 +109,8 @@ class RebuildOracle:
         graph = build_cluster_graph(stream, snap)
         raw_to_compact = np.full(state.num_raw, -1, dtype=np.int64)
         raw_to_compact[snap.raw_ids] = np.arange(m_clusters, dtype=np.int64)
-        if first:
-            init = active = None
-            frontier_size = m_clusters
-        else:
-            init, active = self._warm_start(
-                snap, graph, prev_raw, new_raw, raw_to_compact, m_clusters
-            )
-            frontier_size = int(active.sum())
-        game = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init)
-        result = game.run(active=active)
+        init = None if first else self._warm_start(snap, graph, raw_to_compact, m_clusters)
+        result = ClusterPartitioningGame(graph, k, cfg.game, initial_assignment=init).run()
         grown = np.full(state.num_raw, -1, dtype=np.int64)
         grown[: self.raw_assign.size] = self.raw_assign
         self.raw_assign = grown
@@ -165,22 +154,16 @@ class RebuildOracle:
         self.loads = transform.loads
         return {
             "num_edges": m_batch, "total_edges": total, "clusters": m_clusters,
-            "frontier_clusters": frontier_size, "game_rounds": result.rounds,
+            "frontier_clusters": m_clusters, "game_rounds": result.rounds,
             "game_moves": result.moves, "candidate_moves": plan.candidates,
             "applied_moves": plan.applied, "deferred_moves": plan.deferred,
             "reassigned_edges": int(affected.size), "churn_edges": churn,
         }
 
-    def _warm_start(self, snap, graph, prev_raw, new_raw, raw_to_compact, m_clusters):
-        dirty = np.zeros(m_clusters, dtype=bool)
-        touched_raw = np.concatenate([prev_raw[prev_raw >= 0], new_raw[new_raw >= 0]])
-        if touched_raw.size:
-            tc = raw_to_compact[np.unique(touched_raw)]
-            dirty[tc[tc >= 0]] = True
+    def _warm_start(self, snap, graph, raw_to_compact, m_clusters):
         init = np.full(m_clusters, -1, dtype=np.int64)
         known_raw = snap.raw_ids[snap.raw_ids < self.raw_assign.size]
         init[raw_to_compact[known_raw]] = self.raw_assign[known_raw]
-        dirty |= init < 0
         unknown = init < 0
         if unknown.any():
             cand = np.flatnonzero(
@@ -204,12 +187,7 @@ class RebuildOracle:
                     p = int(np.argmin(load_init))
                     init[c] = p
                     load_init[p] += float(graph.internal[c])
-        indptr, indices, _ = graph.sym()
-        frontier = dirty.copy()
-        if indices.size:
-            rows = np.repeat(np.arange(m_clusters, dtype=np.int64), np.diff(indptr))
-            frontier[indices[dirty[rows]]] = True
-        return init, frontier
+        return init
 
 
 def check_live_view(state, snap):
