@@ -21,8 +21,12 @@ every host (single process, service, distributed) on the instrumented
 library too, ``tests/test_distributed_gas.py`` the worker side of the
 GAS superstep, whose folds and puts run through the take kernels, and
 ``tests/test_service_incremental.py`` the game kernel warm-started batch
-after batch from the previous equilibrium.  The
-whole leg is ~70 s here; the differential's
+after batch from the previous equilibrium.
+``tests/test_kernel_seams.py`` pins the seams where caller arrays reach
+a kernel: every integer dtype is coerced to int64 before the call, and
+both chunk states refuse an endpoint id outside ``[0, num_vertices)``
+with ``VertexRangeError`` before the kernel could index past a table.
+The whole leg is ~70 s on a 2-core x86-64 VM; the differential's
 ``chunk_size = 1`` row alone is ~12 s, so no row is skipped under the
 instrumented build.
 

@@ -24,7 +24,6 @@ __all__ = [
     "grow_buffer",
     "occurrence_ranks",
     "vertex_partition_pairs",
-    "BitsetRows",
     "as_rng",
     "Timer",
     "StageTimes",
@@ -152,14 +151,15 @@ def ragged_take_indices(
     return np.cumsum(flat)
 
 
-def segment_sums(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment count of set entries: ``mask[indptr[g]:indptr[g+1]].sum()``.
+def segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-segment int64 sums ``values[indptr[g]:indptr[g+1]].sum()`` of a
+    boolean mask (a count of set entries) or integer weights.
 
     Prefix-sum differences, so an empty segment counts 0 wherever it sits
     (``np.add.reduceat`` returns the *next* element for one).
     """
-    csum = np.zeros(mask.size + 1, dtype=np.int64)
-    np.cumsum(mask, out=csum[1:])
+    csum = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=csum[1:])
     return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
@@ -248,78 +248,6 @@ def vertex_partition_pairs(src, dst, edge_partition, num_partitions: int):
     pairs = keys[starts].astype(np.int64)
     vertices = pairs // k
     return vertices, pairs - vertices * k, np.diff(starts, append=keys.size)
-
-
-class BitsetRows:
-    """Packed per-row bit membership: ``(rows, ceil(bits / 64))`` uint64.
-
-    The chunked HDRF/greedy paths track each vertex's partition set this
-    way — 8x smaller than a boolean table — while still exposing k-length
-    boolean masks for vectorized scoring.  ``rows`` is exposed directly so
-    hot loops can do word-level set algebra (``rows[u] & rows[v]``).
-    """
-
-    def __init__(self, num_rows: int, num_bits: int) -> None:
-        self.rows = np.zeros((num_rows, (num_bits + 63) // 64), dtype=np.uint64)
-        self._word = np.arange(num_bits, dtype=np.int64) // 64
-        self._shift = (np.arange(num_bits, dtype=np.int64) % 64).astype(np.uint64)
-        self._bit_word = [b >> 6 for b in range(num_bits)]
-        self._bit_mask = [np.uint64(1) << np.uint64(b & 63) for b in range(num_bits)]
-
-    def mask(self, words: np.ndarray) -> np.ndarray:
-        """Expand one packed row (or any word combination) to bool[bits]."""
-        return ((words[self._word] >> self._shift) & np.uint64(1)).astype(bool)
-
-    def masks(self, rows_idx) -> np.ndarray:
-        """Bulk gather: ``(len(rows_idx), bits)`` boolean membership table.
-
-        One fancy-index gather plus one broadcast shift, so callers that
-        need the masks of a whole batch of rows (vectorized scoring, state
-        cross-checks) never loop per row.
-        """
-        rows_idx = np.asarray(rows_idx, dtype=np.int64)
-        gathered = self.rows[rows_idx]  # (n, words)
-        return (
-            (gathered[:, self._word] >> self._shift[None, :]) & np.uint64(1)
-        ).astype(bool)
-
-    def add(self, row: int, bit: int) -> None:
-        self.rows[row, self._bit_word[bit]] |= self._bit_mask[bit]
-
-    def add_many(self, rows_idx, bits) -> None:
-        """Bulk scatter: set ``bits[i]`` in row ``rows_idx[i]`` for all i.
-
-        Safe under duplicate rows (uses ``np.bitwise_or.at``), including
-        the same (row, bit) pair appearing twice, and spans multiword
-        layouts (bits >= 64) by scattering each word column separately.
-        """
-        rows_idx = np.asarray(rows_idx, dtype=np.int64)
-        bits = np.asarray(bits, dtype=np.int64)
-        if rows_idx.shape != bits.shape:
-            raise ValueError(
-                f"rows_idx and bits must have the same shape, "
-                f"got {rows_idx.shape} vs {bits.shape}"
-            )
-        if rows_idx.size == 0:
-            return
-        num_bits = self._shift.size
-        lo, hi = int(bits.min()), int(bits.max())
-        if lo < 0 or hi >= num_bits:
-            # match add()'s loud failure; the single-word fast path would
-            # otherwise wrap an out-of-range bit into word 0 silently
-            raise IndexError(f"bit {lo if lo < 0 else hi} out of range [0, {num_bits})")
-        words = bits >> 6
-        masks = np.uint64(1) << (bits & 63).astype(np.uint64)
-        if self.rows.shape[1] == 1:
-            np.bitwise_or.at(self.rows[:, 0], rows_idx, masks)
-            return
-        for w in np.unique(words):
-            sel = words == w
-            np.bitwise_or.at(self.rows[:, int(w)], rows_idx[sel], masks[sel])
-
-    def count(self) -> int:
-        """Total set bits across all rows."""
-        return int(np.unpackbits(self.rows.view(np.uint8)).sum())
 
 
 def as_rng(seed) -> np.random.Generator:

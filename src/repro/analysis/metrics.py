@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import BitsetRows
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
@@ -75,13 +74,16 @@ def cut_edges(assignment: PartitionAssignment) -> int:
     # per-(vertex, partition) incidence counts: a partition survives the
     # "without this edge" discount iff >= 2 incident edges back it
     pair_vertex, pair_part, counts = assignment.replica_table()
-    placed = BitsetRows(stream.num_vertices, k)
-    placed.add_many(pair_vertex, pair_part)
-    masks = placed.rows
+
+    def packed(vertices, parts):
+        rows = np.zeros((stream.num_vertices, (k + 63) // 64), dtype=np.uint64)
+        bits = np.uint64(1) << (parts % 64).astype(np.uint64)
+        np.bitwise_or.at(rows, (vertices, parts // 64), bits)
+        return rows
+
+    masks = packed(pair_vertex, pair_part)
     backed = counts >= 2
-    placed2 = BitsetRows(stream.num_vertices, k)
-    placed2.add_many(pair_vertex[backed], pair_part[backed])
-    masks2 = placed2.rows
+    masks2 = packed(pair_vertex[backed], pair_part[backed])
     degrees = stream.degrees()
     # chunk the (edges, words) intersection to bound temporary memory
     cut = 0

@@ -10,6 +10,7 @@ normalization factor ``lambda`` at its Theorem-5 maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from ._util import check_positive_int
@@ -192,13 +193,15 @@ class ClugpConfig:
         check_positive_int(self.num_partitions, "num_partitions")
         if self.max_cluster_volume is not None:
             check_positive_int(self.max_cluster_volume, "max_cluster_volume")
+        if not isinstance(self.game, GameConfig):
+            raise ValueError(f"game must be a GameConfig, got {self.game!r}")
         if not isinstance(self.reliability, ReliabilityConfig):
             raise ValueError(
                 f"reliability must be a ReliabilityConfig, got {self.reliability!r}"
             )
-        if self.imbalance_factor < 1.0:
+        if not (math.isfinite(self.imbalance_factor) and self.imbalance_factor >= 1.0):
             raise ValueError(
-                f"imbalance_factor must be >= 1.0, got {self.imbalance_factor!r}"
+                f"imbalance_factor must be finite and >= 1.0, got {self.imbalance_factor!r}"
             )
 
     def with_(self, **kwargs) -> "ClugpConfig":

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import run_starts, stable_argsort_bounded
+from .._util import run_starts, segment_sums, stable_argsort_bounded
 from ..graph.stream import EdgeStream
 from .clustering import ClusteringResult
 
@@ -46,12 +46,6 @@ __all__ = [
     "build_cluster_graph",
     "cluster_graph_from_labels",
 ]
-
-
-def _segment_sums(weights: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row integer weight sums of a CSR — exact (no float round-trip)."""
-    csum = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(weights)])
-    return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
 def _radix_group(
@@ -295,7 +289,7 @@ class ClusterGraph:
     def cut_degrees(self) -> np.ndarray:
         """``|e(c, V\\c)| + |e(V\\c, c)|`` per cluster, as one int64 array."""
         if self._cut_degrees is None:
-            self._cut_degrees = _segment_sums(self.weights, self.indptr) + _segment_sums(
+            self._cut_degrees = segment_sums(self.weights, self.indptr) + segment_sums(
                 self.in_weights, self.in_indptr
             )
         return self._cut_degrees

@@ -44,22 +44,10 @@ arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
 buffer, parallel mirror tables).  When a :mod:`repro.kernels` backend
 resolves, each chunk is one call into the compiled
 allocation/splitting/migration replay over those arrays.  On a host
-without a C compiler the numpy tier runs instead: per
-chunk a conservative vectorized classifier separates edges into
-
-* a *boring* set — both endpoints already clustered and provably unable
-  to allocate, split, or migrate anywhere in the chunk — committed as two
-  ``bincount`` adds (degree and volume increments), and
-* a *suspect* set — handled by a tight list-backed scalar loop that
-  replays the exact reference semantics.
-
-Boring and suspect edges touch **disjoint** vertex/cluster state (the
-classifier's dirty-set cascade guarantees it), so their effects commute
-and the interleaving does not matter — this is the chunked-equivalence
-argument spelled out in DESIGN.md.  On streams where migrations never die
-out the classifier marks most edges suspect; the state then adaptively
-skips classification and stays in the tight scalar mode, which alone is
-several times faster than the numpy-scalar-indexing reference loop.
+without a C compiler the numpy tier runs the same replay as a
+list-backed Python loop (:meth:`ClusteringState._scalar_loop`): Algorithm 2
+is sequential per edge, and list indexing is several times faster than
+numpy scalar indexing.
 """
 
 from __future__ import annotations
@@ -70,7 +58,7 @@ import numpy as np
 
 from .. import kernels
 from .._util import check_positive_int, grow_buffer, stable_argsort_bounded
-from ..graph.stream import EdgeStream
+from ..graph.stream import EdgeStream, check_edge_columns
 
 __all__ = [
     "ClusteringResult",
@@ -357,13 +345,10 @@ class ClusteringState:
     """Incremental pass-1 state consuming chunks of endpoint columns.
 
     Drives Algorithm 2 over a chunked stream with results bit-identical to
-    :func:`streaming_clustering`.  See the module docstring for the
-    boring/suspect decomposition; DESIGN.md proves its equivalence.
-
-    Whole chunks are dispatched into a compiled kernel
-    (:mod:`repro.kernels`) over the flat array state when a backend
-    resolves; otherwise the adaptive classifier + list-backed scalar
-    loop runs.  Both are bit-identical at every chunk size.
+    :func:`streaming_clustering`.  Whole chunks are dispatched into a
+    compiled kernel (:mod:`repro.kernels`) over the flat array state when
+    a backend resolves; otherwise the list-backed scalar loop runs.  Both
+    are bit-identical at every chunk size.
 
     Usage::
 
@@ -372,13 +357,6 @@ class ClusteringState:
     or, for a feed that arrives batch by batch, :meth:`ingest_pair` per
     batch and :meth:`finalize` (or :meth:`snapshot` / :meth:`live`).
     """
-
-    #: re-probe the classifier every this many chunks while in scalar mode
-    _PROBE_EVERY = 16
-    #: suspect fraction above which classification is skipped
-    _SCALAR_THRESHOLD = 0.5
-    #: cascade iterations before conservatively marking everything suspect
-    _MAX_CASCADE = 64
 
     def __init__(
         self,
@@ -409,9 +387,6 @@ class ClusteringState:
         self.migrations = 0
         self.allocations = 0
         self.edges_ingested = 0
-        self.edges_suspect = 0
-        self._chunk_index = 0
-        self._scalar_bias = False
         self._finalized = False
 
     # ------------------------------------------------------------------ #
@@ -471,12 +446,18 @@ class ClusteringState:
         return self.finalize()
 
     def ingest_pair(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Consume one chunk given as endpoint column arrays."""
+        """Consume one chunk given as endpoint column arrays.
+
+        An id outside ``[0, num_vertices)`` raises
+        :class:`~repro.reliability.ingest.VertexRangeError` before any
+        state changes.
+        """
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
         # the kernels index raw int64 memory; free for int64 columns
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
+        check_edge_columns(u, v, self.num_vertices)
         m = u.shape[0]
         if m == 0:
             return
@@ -484,28 +465,7 @@ class ClusteringState:
         if self._backend is not None:
             self._ingest_kernel(u, v)
             return
-        probe = self._chunk_index % self._PROBE_EVERY == 0
-        self._chunk_index += 1
-        if self._scalar_bias and not probe:
-            # stay in tight scalar mode: no classification, no conversions
-            self._scalar_loop(u.tolist(), v.tolist())
-            self.edges_suspect += m
-            return
-        self._to_arrays()
-        suspect = self._classify(u, v)
-        ns = int(suspect.sum())
-        self.edges_suspect += ns
-        self._scalar_bias = ns > self._SCALAR_THRESHOLD * m
-        if ns < m:
-            self._commit_boring(u, v, ~suspect)
-        if ns:
-            if ns == m:
-                su = u.tolist()
-                sv = v.tolist()
-            else:
-                su = u[suspect].tolist()
-                sv = v[suspect].tolist()
-            self._scalar_loop(su, sv)
+        self._scalar_loop(u.tolist(), v.tolist())
 
     def _ingest_kernel(self, u: np.ndarray, v: np.ndarray) -> None:
         """Dispatch one chunk into the compiled allocation/splitting/
@@ -550,101 +510,12 @@ class ClusteringState:
         self.migrations = int(counters[3])
         self.allocations = int(counters[4])
 
-    def _classify(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Conservative suspect mask: edges that *may* allocate, split, or
-        migrate given any execution of the chunk, closed over the dirty-set
-        cascade (suspect edges dirty their endpoints and clusters; edges
-        touching dirty state become suspect in turn)."""
-        n = self.num_vertices
-        nr = self.num_raw
-        vmax = self.max_volume
-        clu = self._clu
-        cu = clu[u]
-        cv = clu[v]
-        endpoints = np.concatenate([u, v])
-        alloc_s = (cu < 0) | (cv < 0)
-        both = ~alloc_s
-        suspect = alloc_s.copy()
-        if nr:
-            vol0 = self._vol[:nr]
-            ecl = np.concatenate([cu, cv])
-            seen_ecl = ecl[ecl >= 0]
-            vol_up = vol0 + np.bincount(seen_ecl, minlength=nr)
-            cu0 = np.maximum(cu, 0)
-            cv0 = np.maximum(cv, 0)
-            if self.enable_splitting:
-                cnt = np.bincount(endpoints, minlength=n)
-                deg0u = self._deg[u]
-                deg0v = self._deg[v]
-                not_loop = u != v
-                suspect |= (
-                    both
-                    & not_loop
-                    & ~self._div[u]
-                    & (deg0u + cnt[u] > 1)
-                    & (deg0u + 1 < vmax)
-                    & (vol_up[cu0] >= vmax)
-                )
-                suspect |= (
-                    both
-                    & not_loop
-                    & ~self._div[v]
-                    & (deg0v + cnt[v] > 1)
-                    & (deg0v + 1 < vmax)
-                    & (vol_up[cv0] >= vmax)
-                )
-            suspect |= both & (cu != cv) & (vol0[cu0] < vmax) & (vol0[cv0] < vmax)
-        if suspect.mean() > self._SCALAR_THRESHOLD:
-            # the cascade only grows the set and the chunk is going to the
-            # scalar path regardless — all-suspect is always conservative
-            suspect[:] = True
-            return suspect
-        # dirty-set cascade to fixpoint
-        dirty_v = np.zeros(n, dtype=bool)
-        dirty_c = np.zeros(max(nr, 1), dtype=bool)
-        cu0 = np.maximum(cu, 0)
-        cv0 = np.maximum(cv, 0)
-        for _ in range(self._MAX_CASCADE):
-            dirty_v[u[suspect]] = True
-            dirty_v[v[suspect]] = True
-            scu = cu[suspect]
-            scv = cv[suspect]
-            dirty_c[scu[scu >= 0]] = True
-            dirty_c[scv[scv >= 0]] = True
-            fresh = ~suspect & (
-                dirty_v[u]
-                | dirty_v[v]
-                | ((cu >= 0) & dirty_c[cu0])
-                | ((cv >= 0) & dirty_c[cv0])
-            )
-            if not fresh.any():
-                return suspect
-            suspect |= fresh
-            if suspect.mean() > self._SCALAR_THRESHOLD:
-                break
-        suspect[:] = True  # conservative fallback: everything scalar
-        return suspect
-
-    def _commit_boring(
-        self, u: np.ndarray, v: np.ndarray, boring: np.ndarray
-    ) -> None:
-        """Apply the boring edges' degree/volume increments in bulk.
-
-        Boring edges only increment state of *clean* vertices and clusters
-        (disjoint from everything the scalar loop touches), so a bulk
-        commit is order-independent and exact."""
-        bend = np.concatenate([u[boring], v[boring]])
-        self._deg += np.bincount(bend, minlength=self.num_vertices)
-        if self.num_raw:
-            bc = np.concatenate([self._clu[u[boring]], self._clu[v[boring]]])
-            self._vol[: self.num_raw] += np.bincount(bc, minlength=self.num_raw)
-
-    def _scalar_loop(self, su: list[int], sv: list[int]) -> None:
-        """Replay the exact reference semantics over the suspect edges.
+    def _scalar_loop(self, us: list[int], vs: list[int]) -> None:
+        """Replay the exact reference semantics over one chunk's edges.
 
         List-backed: Python list indexing is several times faster than
         numpy scalar indexing, which is what makes the sequential
-        allocation/splitting/migration tail cheap."""
+        allocation/splitting/migration loop cheap."""
         clu_l, deg_l, div_l, vol_l = self._to_lists()
         vmax = self.max_volume
         splitting = self.enable_splitting
@@ -658,7 +529,7 @@ class ClusteringState:
         # vcu/vcv shadow vol_l[cui]/vol_l[cvi] through the whole edge body so
         # the hot path does one list read per cluster instead of four; every
         # write keeps the shadow and the list in lockstep
-        for ui, vi in zip(su, sv):
+        for ui, vi in zip(us, vs):
             cui = clu_l[ui]
             if cui == -1:
                 cui = next_raw
@@ -763,9 +634,6 @@ class ClusteringState:
             "migrations": self.migrations,
             "allocations": self.allocations,
             "edges_ingested": self.edges_ingested,
-            "edges_suspect": self.edges_suspect,
-            "chunk_index": self._chunk_index,
-            "scalar_bias": self._scalar_bias,
         }
         return arrays, meta
 
@@ -776,7 +644,9 @@ class ClusteringState:
         The restored state continues ingestion exactly where the saved
         one stopped — same clusters, same raw ids, same counters — which
         is the pass-1 half of the bit-identical-resume invariant
-        (DESIGN.md §9).
+        (DESIGN.md §9).  Meta keys it does not read are ignored: older
+        checkpoints carry the counters of the numpy tier's retired chunk
+        classifier (``edges_suspect``, ``chunk_index``, ``scalar_bias``).
         """
         state = cls(
             int(meta["num_vertices"]),
@@ -798,9 +668,6 @@ class ClusteringState:
         state.migrations = int(meta["migrations"])
         state.allocations = int(meta["allocations"])
         state.edges_ingested = int(meta["edges_ingested"])
-        state.edges_suspect = int(meta["edges_suspect"])
-        state._chunk_index = int(meta["chunk_index"])
-        state._scalar_bias = bool(meta["scalar_bias"])
         return state
 
     # ------------------------------------------------------------------ #
@@ -837,9 +704,7 @@ class ClusteringState:
         return (
             vertices, raw, self._deg[vertices], self._div[vertices],
             clusters, self._vol[clusters], self.num_raw, self._num_mirrors,
-            (self.splits, self.migrations, self.allocations,
-             self.edges_ingested, self.edges_suspect,
-             self._chunk_index, self._scalar_bias),
+            (self.splits, self.migrations, self.allocations, self.edges_ingested),
         )
 
     def rollback(self, saved: tuple) -> None:
@@ -853,9 +718,7 @@ class ClusteringState:
         self._vol[num_raw : self.num_raw] = 0  # raw ids born since are unborn again
         self.num_raw = num_raw
         self._num_mirrors = num_mirrors
-        (self.splits, self.migrations, self.allocations,
-         self.edges_ingested, self.edges_suspect,
-         self._chunk_index, self._scalar_bias) = scalars
+        self.splits, self.migrations, self.allocations, self.edges_ingested = scalars
 
     def live(self) -> LiveClustering:
         """The current clustering as views of the live tables; O(raw ids).

@@ -27,17 +27,12 @@ is the one pass-3 driver, writing each chunk's answer into its slice of
 a caller's result array) and is bit-identical to the per-edge oracle
 :func:`transform_partitions`.  When a :mod:`repro.kernels` backend
 resolves, each chunk is one call into the compiled loop (spill branch
-included).  On a host without a C compiler the numpy tier
-runs instead: the rule table
-(agreement / mirror / degree) is evaluated for a whole chunk as boolean
-masks over the gathered vertex->partition join; the only sequential part
-of Algorithm 1 is the hard load cap.  Loads only ever grow, so the chunk
-is committed vectorized up to the first position where any partition
-*could* reach ``L_max`` (computed from per-partition running counts of the
-tentative targets), and the exact reference loop — including the O(k)
-rotating spill pointer — finishes the remainder.  Before the cap bites
-(the overwhelming majority of the stream for ``tau >= 1``) every chunk
-takes the all-vectorized path.
+included).  On a host without a C compiler the numpy tier runs instead:
+the load-independent rule table (agreement / mirror / degree) is
+evaluated for the whole chunk as boolean masks over the gathered
+vertex->partition join, and the reference loop — hard load cap and
+O(k) rotating spill pointer included — walks the chunk from its first
+edge over Python lists (:meth:`TransformState._scalar_loop`).
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ import math
 import numpy as np
 
 from .. import kernels
-from ..graph.stream import EdgeStream
+from ..graph.stream import EdgeStream, check_edge_columns
 from .clustering import ClusteringResult
 
 __all__ = [
@@ -197,7 +192,7 @@ class TransformState:
     """Incremental pass-3 state consuming chunks of endpoint columns.
 
     Bit-identical to :func:`transform_partitions`; see the module
-    docstring for the prefix-commit scheme.
+    docstring for the two tiers.
 
     Usage::
 
@@ -329,6 +324,8 @@ class TransformState:
         self._vp = np.ascontiguousarray(vp, dtype=np.int64)
         self._div = np.ascontiguousarray(clustering.divided, dtype=np.bool_)
         self._deg = np.ascontiguousarray(clustering.degree, dtype=np.int64)
+        if self._div.shape != vp.shape or self._deg.shape != vp.shape:
+            raise ValueError(f"clustering must cover all {num_vertices} vertices")
 
     def run(self, stream: EdgeStream, chunk_size: int, out: np.ndarray) -> None:
         """Pass 3 over ``stream``, read as chunks of ``chunk_size`` edges,
@@ -345,10 +342,14 @@ class TransformState:
         Returns the chunk's partition ids — written into ``out`` when one
         is given (a contiguous int64 buffer of the chunk's length, e.g.
         the chunk's slice of a preallocated result), else a fresh array.
+        An id outside ``[0, num_vertices)`` raises
+        :class:`~repro.reliability.ingest.VertexRangeError` before any
+        state changes.
         """
         # the kernels index raw int64 memory; free for int64 columns
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
+        check_edge_columns(u, v, self._vp.size)
         m = u.shape[0]
         if out is None:
             out = np.empty(m, dtype=np.int64)
@@ -362,8 +363,6 @@ class TransformState:
         if self._backend is not None:
             self._ingest_kernel(u, v, out)
             return out
-        k = self.k
-        caps = self._caps
         pu = self._vp[u]
         pv = self._vp[v]
         if self._external and (int(pu.min()) < 0 or int(pv.min()) < 0):
@@ -385,36 +384,7 @@ class TransformState:
         rule = np.full(m, 2, dtype=np.int64)
         rule[mirror] = 1
         rule[agree] = 0
-        # fast path: no partition can reach its cap anywhere in this chunk
-        projected = self.loads + np.bincount(tentative, minlength=k)
-        candidates = np.flatnonzero(projected >= caps)
-        if candidates.size == 0:
-            cut = m
-        else:
-            # exact first index where the reference enters the spill branch
-            violated = np.zeros(m, dtype=bool)
-            for p in candidates.tolist():
-                run = np.zeros(m, dtype=np.int64)
-                np.cumsum(tentative[:-1] == p, out=run[1:])
-                run += self.loads[p]
-                violated |= ((pu == p) | (pv == p)) & (run >= caps[p])
-            cut = int(np.argmax(violated)) if violated.any() else m
-        if cut:
-            out[:cut] = tentative[:cut]
-            self.loads += np.bincount(tentative[:cut], minlength=k)
-            rule_counts = np.bincount(rule[:cut], minlength=3)
-            self.stats.agreement += int(rule_counts[0])
-            self.stats.mirror_reuse += int(rule_counts[1])
-            self.stats.degree_cut += int(rule_counts[2])
-        if cut < m:
-            self._scalar_tail(
-                out,
-                cut,
-                pu.tolist(),
-                pv.tolist(),
-                tentative.tolist(),
-                rule.tolist(),
-            )
+        self._scalar_loop(out, pu.tolist(), pv.tolist(), tentative.tolist(), rule.tolist())
         return out
 
     def _ingest_kernel(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -463,16 +433,17 @@ class TransformState:
         stats.degree_cut = int(counters[3])
         stats.balance_spill = int(counters[4])
 
-    def _scalar_tail(
+    def _scalar_loop(
         self,
         out: np.ndarray,
-        start: int,
         pu_l: list[int],
         pv_l: list[int],
         t_l: list[int],
         rule_l: list[int],
     ) -> None:
-        """Exact reference loop (spill branch included) from ``start`` on."""
+        """The reference loop over one chunk, spill branch included: an
+        edge takes its rule-table target ``t_l[i]`` (rule ``rule_l[i]``)
+        unless an endpoint partition is at its cap."""
         k = self.k
         caps_l = self._caps.tolist()
         loads_l = self.loads.tolist()
@@ -480,8 +451,8 @@ class TransformState:
         stats = self.stats
         agree_ct = mirror_ct = degree_ct = spill_ct = 0
         m = len(pu_l)
-        out_l = [0] * (m - start)
-        for i in range(start, m):
+        out_l = [0] * m
+        for i in range(m):
             p_u = pu_l[i]
             p_v = pv_l[i]
             if loads_l[p_u] < caps_l[p_u] and loads_l[p_v] < caps_l[p_v]:
@@ -505,9 +476,9 @@ class TransformState:
                             raise RuntimeError("no underfull partition available")
                     target = sp
                 spill_ct += 1
-            out_l[i - start] = target
+            out_l[i] = target
             loads_l[target] += 1
-        out[start:] = out_l
+        out[:] = out_l
         self.loads[:] = loads_l
         self.spill_ptr = sp
         stats.agreement += agree_ct

@@ -23,6 +23,26 @@ from .digraph import DiGraph
 __all__ = ["StreamOrder", "EdgeStream"]
 
 
+def check_edge_columns(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> None:
+    """Refuse endpoint columns a table of ``num_vertices`` rows cannot index.
+
+    ``ValueError`` unless both are 1-D of one length,
+    :class:`VertexRangeError` unless every id lies in ``[0, num_vertices)``.
+    The stream constructor runs it, and so does every chunk state that
+    indexes its tables with a caller's columns, before anything is written.
+    """
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ValueError("src/dst must be 1-D arrays of equal length")
+    if src.size:
+        top = int(max(src.max(), dst.max()))
+        if top >= num_vertices:
+            raise VertexRangeError(
+                f"vertex id {top} out of range for num_vertices={num_vertices}"
+            )
+        if int(min(src.min(), dst.min())) < 0:
+            raise VertexRangeError("vertex ids must be non-negative")
+
+
 class StreamOrder(str, Enum):
     """Supported edge arrival orders."""
 
@@ -58,17 +78,8 @@ class EdgeStream:
     def __init__(self, src, dst, num_vertices: int) -> None:
         self.src = np.ascontiguousarray(src, dtype=np.int64)
         self.dst = np.ascontiguousarray(dst, dtype=np.int64)
-        if self.src.shape != self.dst.shape or self.src.ndim != 1:
-            raise ValueError("src/dst must be 1-D arrays of equal length")
         self.num_vertices = int(num_vertices)
-        if self.src.size:
-            top = int(max(self.src.max(), self.dst.max()))
-            if top >= self.num_vertices:
-                raise VertexRangeError(
-                    f"vertex id {top} out of range for num_vertices={num_vertices}"
-                )
-            if int(min(self.src.min(), self.dst.min())) < 0:
-                raise VertexRangeError("vertex ids must be non-negative")
+        check_edge_columns(self.src, self.dst, self.num_vertices)
 
     # ------------------------------------------------------------------ #
 

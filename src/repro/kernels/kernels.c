@@ -10,7 +10,7 @@
  *   clustering_chunk  <- repro.core.clustering.streaming_clustering
  *   transform_chunk   <- repro.core.transform.transform_partitions
  *                        (generalized to per-partition caps, matching
- *                        TransformState._scalar_tail)
+ *                        TransformState._scalar_loop)
  *   game_round        <- repro.core.game.ClusterPartitioningGame.run
  *                        (one fused best-response round, DESIGN.md s10)
  *   game_cost_rows    <- repro.core.game.ClusterPartitioningGame

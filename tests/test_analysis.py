@@ -68,6 +68,28 @@ class TestMetrics:
         )
         assert cut_edges(backed) == 1  # loop is backed; the (0,1) edge forces v1
 
+    def test_cut_edges_matches_brute_force_past_two_words(self):
+        # k = 130 spans three 64-bit words; partitions sit on the word
+        # edges so intersections cross them, with self-loops and repeats
+        rng = np.random.default_rng(3)
+        n, m, k = 150, 400, 130
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        src[:30] = dst[:30]
+        part = rng.choice([0, 1, 63, 64, 65, 127, 128, 129], m)
+        assignment = PartitionAssignment(EdgeStream(src, dst, n), part, num_partitions=k)
+        incident = [[] for _ in range(n)]  # vertex -> its (edge, partition)s
+        for i, (a, b, p) in enumerate(zip(src.tolist(), dst.tolist(), part.tolist())):
+            incident[a].append((i, p))
+            if b != a:
+                incident[b].append((i, p))
+        # an edge is cut when its endpoints share no partition without it
+        expected = sum(
+            not {p for j, p in incident[a] if j != i} & {p for j, p in incident[b] if j != i}
+            for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist()))
+        )
+        assert 0 < expected < m
+        assert cut_edges(assignment) == expected
+
     def test_quality_report_fields(self):
         a = make_assignment([0, 0, 1, 1])
         report = quality_report(a, algorithm="test", state_memory_bytes=64)

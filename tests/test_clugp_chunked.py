@@ -5,11 +5,14 @@ The whole pipeline (all three variants, per-pass products included) is a
 row of the one differential, ``test_kernels.py::
 test_streaming_three_way_identity``; here are each pass in isolation
 (:class:`ClusteringState`, :class:`TransformState`, the vectorized game),
-the distributed deployment, and the clustering invariants that the
-boring/suspect decomposition must preserve (exact volume accounting and
-the split-at-most-once guard; see DESIGN.md — ``volume <= V_max`` itself
-is *not* an invariant of the guarded algorithm, full clusters keep
-absorbing intra-cluster edges).
+the distributed deployment, and the clustering invariants every chunk
+engine must preserve (exact volume accounting and the split-at-most-once
+guard; see DESIGN.md — ``volume <= V_max`` itself is *not* an invariant
+of the guarded algorithm, full clusters keep absorbing intra-cluster
+edges).  Chunk sizes 1, 7, 1 024 and the whole stream pin that a chunk
+boundary carries all the state an engine needs: the loads, the spill
+pointer and the rule counters through pass 3, the list-backed tables
+through pass 1.
 """
 
 import numpy as np
@@ -108,8 +111,8 @@ class TestClusteringState:
 class TestTransformState:
     @pytest.mark.parametrize("tau", [1.0, 1.05, 1.5])
     def test_bit_identical_across_chunk_sizes(self, stream, tau):
-        # tau=1.0 forces the load cap to bite early, exercising the exact
-        # prefix-commit cut and the spill-pointer scalar tail heavily
+        # tau=1.0 makes the load cap bite early, so the spill branch and
+        # the rotating spill pointer run often and cross chunk boundaries
         clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
         cg = build_cluster_graph(stream, clustering)
         game = ClusterPartitioningGame(cg, 4, GameConfig(seed=0)).run()

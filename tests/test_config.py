@@ -49,6 +49,24 @@ class TestClugpConfig:
         with pytest.raises(ValueError, match="imbalance_factor"):
             ClugpConfig(imbalance_factor=0.9)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau(self, tau):
+        # NaN passed the >= 1 check and failed in pass 3's int cast
+        with pytest.raises(ValueError, match="imbalance_factor"):
+            ClugpConfig(imbalance_factor=tau)
+
+    @pytest.mark.parametrize("game", [None, {"seed": 1}])
+    def test_game_must_be_a_game_config(self, game):
+        # was an AttributeError deep in pass 2
+        with pytest.raises(ValueError, match="game must be a GameConfig"):
+            ClugpConfig(game=game)
+        with pytest.raises(ValueError, match="game must be a GameConfig"):
+            ClugpConfig().with_(game=game)
+
+    def test_from_dict_rebuilds_the_nested_configs(self):
+        cfg = ClugpConfig(game=GameConfig(seed=3))
+        assert ClugpConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_invalid_vmax(self):
         with pytest.raises(ValueError):
             ClugpConfig(max_cluster_volume=-5)

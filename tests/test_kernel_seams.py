@@ -12,7 +12,11 @@ compiled kernels index their arguments as raw C-contiguous int64 memory,
 so an int32 column read as int64 runs past the buffer (SIGSEGV on the
 default tier before the seams coerced).  Pinned here: every integer dtype
 / list / strided view gives the int64 result on every tier, and the
-ctypes marshal itself refuses what it cannot index.
+ctypes marshal itself refuses what it cannot index.  The two chunk states
+index their vertex tables with the caller's ids as well: an id outside
+``[0, num_vertices)`` is refused on every tier before any state changes
+(the compiled tier died with SIGSEGV on ``10**6``, and every tier took
+``-1`` as the last vertex), and so are endpoint columns of unequal length.
 
 Each (tier, entry point) case runs in a child process, so a regression
 that crashes the interpreter fails one test instead of killing pytest.
@@ -33,9 +37,12 @@ from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
 
 import repro
 from repro import kernels
+from repro.core.clustering import ClusteringState, streaming_clustering
+from repro.core.transform import TransformState
 from repro.graph.stream import EdgeStream
 from repro.kernels import _cc_backend, _pykernels
 from repro.partitioners.base import PartitionAssignment
+from repro.reliability import VertexRangeError
 from repro.system.placement import build_local_index
 
 ENTRY_POINTS = ["clustering", "transform", "hdrf", "greedy", "index"]
@@ -362,3 +369,51 @@ def test_the_table_is_the_c_source_and_the_python_tier():
     if kernels.available():
         lib = ctypes.CDLL(_cc_backend._build(_cc_backend._SOURCE))
         assert all(hasattr(lib, name) for name in kernels.KERNELS)
+
+
+# ---------------------------------------------------------------------- #
+# vertex ids: the chunk states index their tables with them
+# ---------------------------------------------------------------------- #
+
+N = 4
+
+
+def _chunk_state(entry):
+    if entry == "clustering":
+        return ClusteringState(N, 10)
+    clusters = streaming_clustering(EdgeStream([0, 1, 2], [1, 2, 3], N), 10)
+    to_partition = np.arange(clusters.num_clusters) % 2
+    return TransformState(clusters, to_partition, 2, num_edges=8, num_vertices=N)
+
+
+def _footprint(state):
+    """Everything an ingest can change, copied."""
+    if isinstance(state, ClusteringState):
+        arrays, meta = state.state_dict()
+        return meta, {key: a.copy() for key, a in arrays.items()}
+    stats = state.stats
+    counters = (stats.agreement, stats.mirror_reuse, stats.degree_cut, stats.balance_spill)
+    return state.loads.copy(), state.spill_ptr, counters
+
+
+@pytest.mark.parametrize("tier", ["none", *TIERS])
+@pytest.mark.parametrize("entry", ["clustering", "transform"])
+@pytest.mark.parametrize("bad", [-1, N, 10**6, "unequal"])
+def test_a_chunk_the_tables_cannot_index_is_refused_before_the_kernel(
+    bad, entry, tier, monkeypatch
+):
+    if bad == "unequal":  # v one short: the kernel would read past it
+        error, chunks = ValueError, [([0, 1], [1])]
+    else:
+        error, chunks = VertexRangeError, [([0, bad], [1, 2]), ([0, 1], [1, bad])]
+    with kernel_backend("none"):
+        state = _chunk_state(entry)
+    spies = {}
+    if tier != "none":  # the state bound to the tier's kernels, spied
+        state._backend, spies = _spied(tier, monkeypatch)
+    before = _footprint(state)
+    for u, v in chunks:
+        with pytest.raises(error):
+            state.ingest_pair(u, v)
+    assert all(spy.calls == [] for spy in spies.values())
+    np.testing.assert_equal(_footprint(state), before)

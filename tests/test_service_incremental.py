@@ -476,8 +476,9 @@ def test_failed_first_batch_leaves_an_empty_service(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("tier", ["jit", "fast"], indirect=True)
 @pytest.mark.parametrize("stop_after", [1, 4])
-def test_resume_equals_uninterrupted_feed(tmp_path, stop_after):
+def test_resume_equals_uninterrupted_feed(tmp_path, stop_after, tier):
     stream, batches = crawl_batches()
     cfg = ClugpConfig(num_partitions=8)
 
@@ -495,12 +496,15 @@ def test_resume_equals_uninterrupted_feed(tmp_path, stop_after):
     for u, v in batches[:stop_after]:
         first.ingest_pair(u, v)
     first.close()  # journal holds the batches since the last checkpoint
-    # put the checkpoints into the shape the commits before PR 16 wrote:
-    # their config carried the four implementation selectors
+    # put the checkpoints into the shape older commits wrote: the config
+    # carried the four retired implementation selectors, and the pass-1
+    # state the counters of the numpy tier's retired chunk classifier
     for path in tmp_path.glob("checkpoint-*.ckpt"):
         arrays, meta = read_checkpoint(path)
         meta["config"].update(chunk_impl="jit", kernel_backend="auto")
         meta["config"]["game"].update(game_impl="jit", kernel_backend="auto")
+        if meta["state_meta"] is not None:
+            meta["state_meta"].update(edges_suspect=123, chunk_index=5, scalar_bias=True)
         write_checkpoint(path, arrays, meta)
     resumed = PartitionService.resume(str(tmp_path))
     assert resumed.batch_index == stop_after
@@ -514,6 +518,10 @@ def test_resume_equals_uninterrupted_feed(tmp_path, stop_after):
     assert np.array_equal(resumed.edge_partition, whole.edge_partition)
     assert np.array_equal(resumed.vertex_partition, whole.vertex_partition)
     assert np.array_equal(resumed.loads, whole.loads)
+    (got, got_meta), (want, want_meta) = resumed._state.state_dict(), whole._state.state_dict()
+    assert got_meta == want_meta
+    for key, array in want.items():
+        assert_same_array(got[key], array, key)
 
 
 # --------------------------------------------------------------------- #

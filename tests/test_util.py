@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro._util import (
-    BitsetRows,
     StageTimes,
     Timer,
     as_rng,
@@ -181,74 +180,6 @@ class TestOccurrenceRanks:
         ref_u, ref_v = _ranks_reference(edges)
         assert np.array_equal(rank_u, ref_u)
         assert np.array_equal(rank_v, ref_v)
-
-
-class TestBitsetRowsBulkOps:
-    def test_masks_matches_per_row_mask(self):
-        rows = BitsetRows(6, 10)
-        pairs = [(0, 3), (0, 7), (2, 9), (5, 0), (5, 9)]
-        for r, b in pairs:
-            rows.add(r, b)
-        idx = np.array([0, 2, 5, 1, 0])
-        bulk = rows.masks(idx)
-        assert bulk.shape == (5, 10)
-        for row_out, r in zip(bulk, idx):
-            assert np.array_equal(row_out, rows.mask(rows.rows[r]))
-
-    def test_masks_empty_rows_and_empty_index(self):
-        rows = BitsetRows(4, 8)
-        assert not rows.masks(np.array([1, 3])).any()
-        assert rows.masks(np.array([], dtype=np.int64)).shape == (0, 8)
-
-    def test_add_many_matches_per_row_adds(self):
-        a = BitsetRows(8, 12)
-        b = BitsetRows(8, 12)
-        rng = np.random.default_rng(0)
-        rows_idx = rng.integers(0, 8, size=50)
-        bits = rng.integers(0, 12, size=50)
-        a.add_many(rows_idx, bits)
-        for r, bit in zip(rows_idx.tolist(), bits.tolist()):
-            b.add(r, bit)
-        assert np.array_equal(a.rows, b.rows)
-
-    def test_add_many_duplicate_pairs(self):
-        rows = BitsetRows(3, 5)
-        rows.add_many(np.array([1, 1, 1]), np.array([2, 2, 4]))
-        assert rows.mask(rows.rows[1]).tolist() == [False, False, True, False, True]
-        assert rows.count() == 2
-
-    def test_add_many_multiword(self):
-        # bits beyond 64 land in later words and round-trip through masks
-        a = BitsetRows(4, 130)
-        b = BitsetRows(4, 130)
-        rows_idx = np.array([0, 0, 1, 3, 3, 3])
-        bits = np.array([0, 64, 129, 63, 64, 128])
-        a.add_many(rows_idx, bits)
-        for r, bit in zip(rows_idx.tolist(), bits.tolist()):
-            b.add(r, bit)
-        assert np.array_equal(a.rows, b.rows)
-        got = a.masks(np.arange(4))
-        assert got[0, 0] and got[0, 64] and got[1, 129] and got[3, 128]
-        assert got.sum() == 6
-
-    def test_add_many_shape_mismatch(self):
-        rows = BitsetRows(2, 4)
-        with pytest.raises(ValueError, match="same shape"):
-            rows.add_many(np.array([0, 1]), np.array([1]))
-
-    def test_add_many_empty_noop(self):
-        rows = BitsetRows(2, 4)
-        rows.add_many(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert rows.count() == 0
-
-    @pytest.mark.parametrize("bad_bit", [-1, 4, 64])
-    def test_add_many_rejects_out_of_range_bits(self, bad_bit):
-        # the single-word layout must fail as loudly as add() instead of
-        # wrapping bit >= 64 into word 0
-        rows = BitsetRows(2, 4)
-        with pytest.raises(IndexError, match="out of range"):
-            rows.add_many(np.array([0, 1]), np.array([1, bad_bit]))
-        assert rows.count() == 0
 
 
 class TestGroupByBounded:
