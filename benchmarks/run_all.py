@@ -39,14 +39,14 @@ Sections (each with its own floors; exit status is non-zero if any fails):
   under the <= 5% ceiling (relaxed in --quick), resume-from-checkpoint
   beating a full recompute, and the chaos bit-identity gates
   (deterministic crash/hang/corrupt/slow injection leaves the partition
-  bit-identical on the thread and process backends).
+  bit-identical on the thread and persistent backends).
 * ``persistent_workers`` — bench_persistent: the persistent
-  shared-memory worker runtime — ``backend="persistent"`` bit-identical
-  to the process oracle for both merge modes at num_nodes in {1, 4, 8},
-  resident-pool per-call wall >= 2x faster than fork-per-call at 8
-  nodes on the ~100k-edge fixture (floor relaxed in --quick), exactly 0
-  pickled ndarray bytes on the shared-memory ingest plane, and no
-  leaked ``/dev/shm`` segments after pool teardown.
+  shared-memory worker runtime — ``backend="persistent"``, spawned per
+  call and resident, bit-identical to ``thread`` for both merge modes at
+  num_nodes in {1, 4, 8}, the pool's spawn seconds and resident per-call
+  wall at 8 nodes on the ~100k-edge fixture (reported, not gated),
+  exactly 0 pickled ndarray bytes on the shared-memory ingest plane, and
+  no leaked ``/dev/shm`` segments after pool teardown.
 
 Usage::
 
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     consolidated["reliability"] = report
     failures += fails
 
-    print("\n=== persistent workers: identity, speedup, zero-copy ===")
+    print("\n=== persistent workers: identity, resident wall, zero-copy ===")
     report, fails = _run_sub_bench(bench_persistent, "persistent_workers", args.quick)
     consolidated["persistent_workers"] = report
     failures += fails

@@ -6,10 +6,11 @@ different victim node per stage via the deterministic
 :class:`~repro.reliability.faults.FaultInjector`, so the matrix together
 exercises crash, hang, corrupt, and slow recovery on every stage of the
 merged protocol — the round-2 ``attribute`` stage and, on the persistent
-backend, the shared-memory result plane included.  The gate is exact:
-the chaotic edge partition must equal the fault-free one bit for bit, on
-all three executor backends, and no shared-memory segment may outlive a
-run.
+backend, the shared-memory result plane included.  Real process deaths
+and hangs run on the persistent backend, the one process transport.  The
+gate is exact: every chaotic edge partition, on both executor backends,
+must equal the fault-free one bit for bit, and no shared-memory segment
+may outlive a run.
 
 Usage::
 
@@ -62,13 +63,13 @@ def main(argv=None) -> int:
     scenarios = [
         ("thread", f"crash,slow,corrupt,seed={args.seed},slow_seconds=0.05",
          None),
-        ("process", f"crash,seed={args.seed}", None),
-        ("process", f"hang,seed={args.seed},hang_seconds=30", 2.0),
+        ("persistent", f"crash,seed={args.seed}", None),
+        ("persistent", f"hang,seed={args.seed},hang_seconds=30", 2.0),
         ("persistent", f"crash,corrupt,seed={args.seed}", None),
     ]
+    baseline = _run(stream, "", "thread")
     status = 0
     for backend, spec, timeout in scenarios:
-        baseline = _run(stream, "", backend)
         chaotic = _run(stream, spec, backend, timeout)
         identical = np.array_equal(
             baseline.assignment.edge_partition,

@@ -12,7 +12,7 @@ Commands
                --partitioner clugp -k 8``)
 ``distribute`` shard the stream across ingest nodes and run the
                distributed CLUGP deployment (``distribute --num-nodes 8
-               --merge-mode merged --backend process``)
+               --merge-mode merged --backend persistent``)
 ``serve``      replay a dataset as a timed batch feed through the
                incremental :class:`~repro.service.PartitionService`
                (``serve --num-batches 50 --migration-cap 64``); see
@@ -164,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--backend",
         default="thread",
-        choices=["thread", "process", "persistent"],
-        help="executor the node stages run on (persistent = resident "
-        "worker processes fed and read over shared memory)",
+        choices=["thread", "persistent"],
+        help="executor the node stages run on: an in-process thread pool, "
+        "or worker processes fed and read over shared memory",
     )
     p_dist.add_argument(
         "--chunk-size", type=_positive_int, default=None, metavar="N",

@@ -33,8 +33,8 @@ class ReliabilityConfig:
         Additional attempts per failed/timed-out/invalid stage task
         (0 = fail fast on the first fault).
     task_timeout:
-        Per-attempt deadline in seconds for each stage task on the
-        pooled backends (``None`` = no deadline).
+        Per-attempt deadline in seconds for each stage task, on
+        either backend (``None`` = no deadline).
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff before each retry attempt:
         ``min(base * factor**(n-1), max)`` seconds.

@@ -45,16 +45,15 @@ single-machine pipeline: no boundary vertices, an identity relabel, and a
 warm-started refinement game that proposes zero moves — the assignment is
 bit-identical (see ``tests/test_core_distributed.py``).
 
-Node stages execute on ``backend="thread"`` (in-process pool),
-``backend="process"`` (a ``ProcessPoolExecutor``; node state and shard
-arrays cross a real process boundary every stage), or
-``backend="persistent"`` (resident shared-memory workers from
-:mod:`repro.distributed`, bit-identical to the process oracle).  The
-protocol itself is written once (:func:`_run_merged`,
-:func:`_run_independent`) over a two-method stage runner; a backend is
-only a transport.  :class:`DistributedResult` reports measured per-stage
-walls (shard/merge/game/transform critical path) plus wire bytes via
-``to_dict()`` / ``summary()``.
+Node stages execute on ``backend="thread"`` (an in-process thread pool)
+or ``backend="persistent"`` (worker processes from
+:mod:`repro.distributed`, fed and read over shared memory — the one
+process transport, and the oracle for real crashes, hangs and corrupt
+payloads; bit-identical to ``thread``).  The protocol itself is written
+once (:func:`_run_merged`, :func:`_run_independent`) over a two-method
+stage runner; a backend is only a transport.  :class:`DistributedResult`
+reports measured per-stage walls (shard/merge/game/transform critical
+path) plus wire bytes via ``to_dict()`` / ``summary()``.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ __all__ = [
 ]
 
 _MERGE_MODES = ("independent", "merged")
-_BACKENDS = ("thread", "process", "persistent")
+_BACKENDS = ("thread", "persistent")
 
 
 @dataclass(frozen=True)
@@ -289,13 +288,13 @@ class NodeStages:
 
     A stage is a method ``(shard, msg) -> payload``; what a later stage
     needs from an earlier one is an attribute.  A resident worker process
-    keeps one instance alive next to its shard; the pooled backends keep
-    it coordinator-side between stages and ship it, with the shard, to
-    whichever pool worker runs the next stage.  Either way the same code
-    runs, so the backends cannot drift.
+    keeps one instance alive next to its shard; the thread backend keeps
+    it coordinator-side and hands it to whichever pool thread runs the
+    next stage.  Either way the same code runs, so the backends cannot
+    drift.
 
     Stages only ever *rebind* attributes (no array is mutated in place),
-    so a shallow copy is an independent node — the pooled workers run on
+    so a shallow copy is an independent node — the pool threads run on
     one, which keeps a timed-out straggler thread from racing its own
     retry.
     """
@@ -394,7 +393,7 @@ class NodeStages:
 
 
 def _pooled_stage_worker(task) -> tuple[object, NodeStages, float]:
-    """One stage of one node inside a pool worker (module-level: picklable)."""
+    """One stage of one node on a pool thread, on its own copy of the node."""
     stages, op, shard, msg = task
     stages = copy.copy(stages)
     with Timer() as timer:
@@ -403,16 +402,16 @@ def _pooled_stage_worker(task) -> tuple[object, NodeStages, float]:
 
 
 class _PooledStages:
-    """Stage runner of the thread/process backends.
+    """Stage runner of the thread backend.
 
     The runner is the only thing the protocol drivers know of a backend:
     ``run(stage, op, msgs, validate)`` executes ``NodeStages.<op>`` once
     per node and returns ``(payload, node_seconds)`` in node order;
     ``finish()`` lands whatever the transport itself measured in
-    ``times``, the call's :class:`~repro._util.StageTimes`.  Here
-    the pool is forked per stage, so node state (and the shard) is
-    re-shipped to it every stage; the persistent runner
-    (:mod:`repro.distributed.pipeline`) keeps both resident instead.
+    ``times``, the call's :class:`~repro._util.StageTimes`.  Here node
+    state and shards stay in the coordinator's memory, shared with the
+    pool threads; the persistent runner (:mod:`repro.distributed.
+    pipeline`) keeps both resident in worker processes instead.
 
     All execution routes through :func:`~repro.reliability.retry.
     run_reliable`: failed, timed-out, or quarantined tasks are resubmitted
@@ -420,7 +419,7 @@ class _PooledStages:
     (``<stage>_retries`` etc.).
     """
 
-    def __init__(self, stream, ranges, parallel, backend, policy, inject):
+    def __init__(self, stream, ranges, parallel, policy, inject):
         self.times = StageTimes()
         self.shards = [
             EdgeStream(stream.src[start:stop], stream.dst[start:stop], stream.num_vertices)
@@ -428,7 +427,6 @@ class _PooledStages:
         ]
         self.nodes = [NodeStages(node) for node in range(len(ranges))]
         self.parallel = parallel
-        self.backend = backend
         self.policy = policy
         self.inject = inject
 
@@ -443,7 +441,6 @@ class _PooledStages:
             _pooled_stage_worker,
             policy=self.policy,
             parallel=self.parallel,
-            backend=self.backend,
             stage=stage,
             validate=validate and (lambda item, index: validate(item[0], index)),
             inject=self.inject,
@@ -590,6 +587,14 @@ def _global_game(
 # --------------------------------------------------------------------- #
 
 
+def _check_modes(merge_mode: str, backend: str) -> None:
+    """Refuse an unknown merge mode or backend, naming the allowed values."""
+    if merge_mode not in _MERGE_MODES:
+        raise ValueError(f"merge_mode must be one of {_MERGE_MODES}, got {merge_mode!r}")
+    if backend not in _BACKENDS:
+        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+
+
 def distributed_clugp(
     stream: EdgeStream,
     num_partitions: int,
@@ -630,10 +635,10 @@ def distributed_clugp(
         two-round merge protocol with one global game (see the module
         docstring).
     backend:
-        ``"thread"`` or ``"process"`` — pooled executors forked per stage
-        — or ``"persistent"``: resident worker processes fed and read
-        over shared memory (:mod:`repro.distributed`).  The protocol is
-        the same function for all three; only the stage runner differs.
+        ``"thread"`` — an in-process thread pool per stage — or
+        ``"persistent"``: worker processes fed and read over shared
+        memory (:mod:`repro.distributed`).  The protocol is the same
+        function for both; only the stage runner differs.
     runtime:
         Optional resident :class:`~repro.distributed.runtime.
         PersistentRuntime` to run on (``backend="persistent"`` only); by
@@ -647,10 +652,7 @@ def distributed_clugp(
         raise ValueError(
             f"num_nodes={num_nodes} exceeds the number of edges {stream.num_edges}"
         )
-    if merge_mode not in _MERGE_MODES:
-        raise ValueError(f"merge_mode must be one of {_MERGE_MODES}, got {merge_mode!r}")
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+    _check_modes(merge_mode, backend)
     config = config or ClugpConfig(num_partitions=num_partitions)
     if config.num_partitions != num_partitions:
         config = config.with_(num_partitions=num_partitions)
@@ -679,7 +681,7 @@ def distributed_clugp(
         raise ValueError("runtime= requires backend='persistent'")
     else:
         runner = contextlib.nullcontext(
-            _PooledStages(stream, ranges, parallel_nodes, backend, policy, inject)
+            _PooledStages(stream, ranges, parallel_nodes, policy, inject)
         )
     with runner as stages:
         return protocol(stream, config, seed, chunk_size, ranges, stages, backend)
@@ -901,7 +903,7 @@ class DistributedClugpPartitioner(EdgePartitioner):
         ``"independent"`` (concatenate shard pipelines) or ``"merged"``
         (cluster-summary merge + one global game).
     backend:
-        Node executor: ``"thread"``, ``"process"``, or ``"persistent"``.
+        Node executor: ``"thread"`` or ``"persistent"``.
         The persistent backend keeps a resident
         :class:`~repro.distributed.runtime.PersistentRuntime` across
         ``partition()`` calls — spawn once, reuse forever; release it
@@ -927,6 +929,7 @@ class DistributedClugpPartitioner(EdgePartitioner):
         self.config = config
         if chunk_size is not None:
             self.default_chunk_size = check_positive_int(chunk_size, "chunk_size")
+        _check_modes(merge_mode, backend)
         self.merge_mode = merge_mode
         self.backend = backend
         self.last_result: DistributedResult | None = None
@@ -952,7 +955,7 @@ class DistributedClugpPartitioner(EdgePartitioner):
         return self._runtime
 
     def close(self) -> None:
-        """Shut down the resident worker pool (no-op for pooled backends)."""
+        """Shut down the resident worker pool (no-op for ``thread``)."""
         if self._runtime is not None:
             self._runtime.close()
             self._runtime = None

@@ -4,16 +4,16 @@ The distributed protocols are written once, in
 :mod:`repro.core.distributed`, over a two-method stage runner
 (``run`` / ``finish``).  This module is that runner for
 ``backend="persistent"``: the same stages, the same messages, the same
-:class:`~repro.core.distributed.DistributedResult` — bit for bit, the
-bench gate — on resident workers instead of fork-per-stage pools.  Only
-the transport differs:
+:class:`~repro.core.distributed.DistributedResult` as the ``thread``
+runner — bit for bit, the bench gate — on worker processes instead of
+pool threads.  Only the transport differs:
 
 **In.**  Shards stream to the workers once through shared-memory rings
 (:meth:`~repro.distributed.runtime.PersistentRuntime.feed_shard`); every
 stage then runs on the worker's *resident*
 :class:`~repro.core.distributed.NodeStages`, so a stage message carries
 only what is new (the boundary resolution, the cluster decision, one
-quota row) where a pool must re-ship shard and node state.
+quota row) and no shard or node state crosses a pipe.
 
 **Out.**  Small payloads (summaries, graph contributions, load vectors)
 come back in the reply; the per-edge result of ``commit`` comes back
@@ -92,10 +92,9 @@ class _ResidentStages:
 def resident_stages(stream, ranges, runtime, policy, inject):
     """The stage runner for one distributed call on a persistent pool.
 
-    ``runtime=None`` spawns an ephemeral pool for this call (and tears it
-    down, segments unlinked); passing a resident runtime reuses its
-    workers — the spawn/feed cost amortizes across calls, which is where
-    the >=2x over the fork-per-call process backend comes from.
+    ``runtime=None`` spawns a pool for this call (and tears it down,
+    segments unlinked); passing a resident runtime reuses its workers, so
+    the spawn cost is paid once across calls.
     """
     owned = runtime is None
     if owned:

@@ -3,8 +3,8 @@
 :class:`PersistentRuntime` owns ``num_workers`` long-lived node processes
 (:func:`~repro.distributed.worker.worker_main`), two shared-memory
 segments per worker — the edge ring in, the result plane out — and the
-framed command/result pipes.  It is the
-``backend="persistent"`` executor behind
+framed command/result pipes.  It is the one process backend,
+``backend="persistent"``, behind
 :func:`~repro.core.distributed.distributed_clugp`, the resident engine of
 :class:`~repro.core.distributed.DistributedClugpPartitioner` and
 :class:`~repro.service.service.PartitionService`, and the process fabric
@@ -12,8 +12,10 @@ the distributed GAS runtime (:mod:`repro.distributed.gas`) runs apps on —
 the local runtime's superstep loop, each worker owning a contiguous
 range of partitions.
 
-Supervision (:meth:`run_stage`) mirrors the PR-8 semantics of
-:func:`~repro.reliability.retry.run_reliable` on resident processes:
+Supervision (:meth:`run_stage`) applies the retry policy of
+:func:`~repro.reliability.retry.run_reliable` (the thread backend's
+retry loop) to real processes, which makes this runtime the oracle for
+real crashes, hangs and corrupt payloads:
 
 * **crash** — the result pipe EOFs; the worker is respawned and its
   resident state rebuilt by deterministic replay (re-feed the shard from
@@ -28,8 +30,10 @@ Supervision (:meth:`run_stage`) mirrors the PR-8 semantics of
 
 Failure counters land in ``StageTimes.counters`` under the same
 ``<stage>_retries``/``crashes``/``timeouts``/``raises``/``invalid`` names
-the process backend uses, and exhausted retries raise the same
-:class:`~repro.reliability.retry.ShardTaskError`.
+the thread backend uses, and exhausted retries raise the same
+:class:`~repro.reliability.retry.ShardTaskError` — after respawning every
+worker whose reply is still outstanding, so the pool serves its next
+call from clean pipes.
 
 Shared-memory hygiene: the coordinator creates every segment (tracked by
 its resource tracker) and unlinks them all in :meth:`close` — also run
@@ -401,6 +405,7 @@ class PersistentRuntime:
         results: list[dict | None] = [None] * self.num_workers
         attempts = [0] * self.num_workers
         deadlines: dict[int, float | None] = {}
+        pending = set(range(self.num_workers))
         last_error: BaseException | None = None
 
         def dispatch(index: int) -> None:
@@ -430,9 +435,13 @@ class PersistentRuntime:
                 last_error = error
             attempts[index] += 1
             if attempts[index] > policy.max_retries:
-                if reason in ("crash", "timeout"):
-                    # leave the pool healthy for the caller's teardown
-                    self._respawn(self.workers[index])
+                # leave no reply unread for the runtime's next call: the
+                # failed worker if it died or hung, and every worker that
+                # still owes this stage a reply, is respawned (replay
+                # rebuilds its state as of the previous stage)
+                for other in sorted(pending):
+                    if other != index or reason in ("crash", "timeout"):
+                        self._respawn(self.workers[other])
                 stats.report(stage, times)
                 raise ShardTaskError(
                     f"stage {stage!r}: worker {index} failed after "
@@ -442,7 +451,6 @@ class PersistentRuntime:
                 self._respawn(self.workers[index])
             dispatch(index)
 
-        pending = set(range(self.num_workers))
         for index in sorted(pending):
             dispatch(index)
         while pending:

@@ -27,9 +27,9 @@ stage command gets exactly one reply ``{"node", "ok", "payload"/"error",
 coordinator's busy/idle accounting).  Stage commands carry the PR-8
 :class:`~repro.reliability.faults.FaultInjector` plus their attempt
 number, and the worker applies ``pre_task``/``post_task`` exactly like
-the process-pool path — an injected ``crash`` is a real ``os._exit`` that
-the coordinator observes as a broken pipe and answers with respawn +
-deterministic replay.
+the thread backend's retry loop — except that an injected ``crash`` is a
+real ``os._exit`` that the coordinator observes as a broken pipe and
+answers with respawn + deterministic replay.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Four pieces, one goal — worker death, stragglers, corrupt payloads, and
 garbage input are *normal operating conditions*, not crashes:
 
 * :mod:`~repro.reliability.retry` — retrying stage execution with
-  per-task deadlines, pool kill/rebuild, and coordinator-side result
-  validation (:func:`run_reliable`);
+  per-task deadlines, a fresh thread pool per attempt, and
+  coordinator-side result validation (:func:`run_reliable`);
 * :mod:`~repro.reliability.checkpoint` — versioned checksummed atomic
   snapshots plus a write-ahead batch journal for bit-identical
   :meth:`PartitionService.resume`;

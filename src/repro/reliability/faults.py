@@ -3,8 +3,8 @@
 A serving deployment meets worker death, stragglers, and corrupt payloads
 as *normal inputs*; reproducing those conditions in CI requires the
 faults themselves to be reproducible.  :class:`FaultInjector` is a frozen
-value object (picklable — it crosses the process boundary inside task
-payloads) whose decisions are pure functions of ``(seed, stage, node)``:
+value object (picklable — it crosses the process boundary inside the
+persistent workers' stage commands) whose decisions are pure functions of ``(seed, stage, node)``:
 
 * at most **one victim node per stage** (the chaos gate of
   ``benchmarks/bench_reliability.py``), chosen by a SplitMix64 hash of
@@ -19,14 +19,14 @@ payloads) whose decisions are pure functions of ``(seed, stage, node)``:
 Kinds
 -----
 ``crash``
-    Process backend: the worker calls ``os._exit`` (a ``kill -9``
-    stand-in — no exception, no cleanup, the pool breaks).  Thread or
-    serial execution cannot kill the host process, so the crash
-    degrades to raising :class:`InjectedCrash`.
+    Persistent backend: the worker process calls ``os._exit`` (a
+    ``kill -9`` stand-in — no exception, no cleanup, the pipe breaks)
+    and is respawned.  Thread or serial execution cannot kill the host
+    process, so the crash degrades to raising :class:`InjectedCrash`.
 ``hang``
     The worker sleeps ``hang_seconds`` before doing its work — past any
-    sane per-task deadline, so the retry layer times it out and kills
-    the pool.
+    sane per-task deadline, so the retry layer times it out (a worker
+    process is killed and respawned, a pool thread abandoned).
 ``slow``
     A straggler: the worker sleeps ``slow_seconds`` and then completes
     normally.  Exercises deadline headroom without triggering retries.
@@ -181,7 +181,7 @@ class FaultInjector:
         fault = self.decide(stage, node, num_nodes, attempt)
         if fault == "crash":
             if in_process:
-                os._exit(17)  # the kill -9 stand-in: no unwinding, pool breaks
+                os._exit(17)  # the kill -9 stand-in: no unwinding, pipe breaks
             raise InjectedCrash(
                 f"injected crash: stage={stage!r} node={node} attempt={attempt}"
             )

@@ -1,21 +1,25 @@
 """Retrying task execution with per-task deadlines and result validation.
 
-:func:`run_reliable` is the fault-tolerant replacement for the naive
-``pool.map`` stage driver in :mod:`repro.core.distributed`.  It maps a
-picklable worker over a task list and survives the three ways a real
-shard task dies:
+:func:`run_reliable` is the fault-tolerant stage loop of the ``thread``
+backend in :mod:`repro.core.distributed`.  It maps a worker over a task
+list on a thread pool (or inline) and survives the ways a shard task
+fails in-process:
 
-* **crash** — the worker process exits without returning (``kill -9``,
-  OOM, a segfault in native code).  The pool breaks
-  (``BrokenProcessPool``); every task that had not delivered a result is
-  resubmitted to a fresh pool.
+* **raise** — the worker raises (an injected crash degrades to
+  :class:`~repro.reliability.faults.InjectedCrash` here: a thread cannot
+  die without taking the host with it).  The task is resubmitted.
 * **hang** — the worker never returns.  Each attempt runs under
   ``task_timeout`` seconds; tasks still pending at the deadline are
-  declared timed out, the pool's processes are terminated (a hung worker
-  never honors a graceful shutdown), and the stragglers are resubmitted.
+  declared timed out, the pool is abandoned without waiting on them,
+  and the stragglers are resubmitted to a fresh pool.
 * **corruption** — the worker returns, but the payload fails the
   caller's ``validate`` hook (schema or checksum mismatch).  The result
   is quarantined and the shard re-run, exactly like a failure.
+
+Real process deaths (``os._exit``, a segfault in native code) are the
+resident pool's job: :meth:`~repro.distributed.runtime.PersistentRuntime.
+run_stage` applies the same policy, counters and :class:`ShardTaskError`
+to worker processes, respawning a dead one and replaying its stages.
 
 Retries back off exponentially (``backoff_base * backoff_factor**n``,
 capped) and are counted in :class:`RetryStats` so the reliability cost
@@ -23,8 +27,7 @@ is measurable (`StageTimes.counters` in the distributed driver).  When a
 task keeps failing past ``max_retries`` the run raises
 :class:`ShardTaskError` chained from the last underlying exception — a
 clear, single error naming the stage, the task, and every failure
-reason, instead of a bare ``BrokenProcessPool`` surfacing at an
-arbitrary ``.result()`` call.
+reason.
 
 Determinism: workers are pure functions of their task payload, so
 re-running a shard after any fault reproduces the exact bytes the
@@ -35,12 +38,7 @@ fault-free run produces — retries never change the final merged result
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .faults import FaultInjector
@@ -58,8 +56,8 @@ class ShardTaskError(RuntimeError):
     """A stage task failed on every allowed attempt.
 
     Raised chained (``from``) the last underlying exception so the
-    original traceback — the injected crash, the pickled worker
-    exception, the pool break — stays attached.
+    original traceback — the injected crash, the worker's exception, a
+    dead worker's EOF — stays attached.
     """
 
 
@@ -171,39 +169,18 @@ class RetryStats:
         times.bump("retries", counters["retries"])
 
 
-def _reliable_call(payload):
-    """Module-level (picklable) wrapper executed inside the pool worker.
+def _reliable_call(worker, task, stage, node, num_nodes, attempt, inject):
+    """One task attempt: entry faults, the real worker, result faults.
 
-    Applies entry faults (crash/hang/slow), runs the real worker, then
-    applies payload-corruption faults to the result before it is pickled
-    back — modelling wire corruption after the node computed its
-    checksum.
+    Payload-corruption faults hit the result after the worker computed
+    its checksum — modelling wire corruption on the way back.
     """
-    worker, task, stage, node, num_nodes, attempt, inject, in_process = payload
     if inject is not None:
-        inject.pre_task(stage, node, num_nodes, attempt, in_process)
+        inject.pre_task(stage, node, num_nodes, attempt, in_process=False)
     result = worker(task)
     if inject is not None:
         result = inject.post_task(stage, node, num_nodes, attempt, result)
     return result
-
-
-def _kill_pool(pool) -> None:
-    """Tear a pool down without waiting on hung or dead workers.
-
-    ``shutdown(wait=True)`` would block forever on a hung worker, so the
-    pool's processes are terminated first.  ``_processes`` is a CPython
-    implementation detail; guarded so an interpreter without it still
-    gets the non-blocking shutdown.
-    """
-    processes = getattr(pool, "_processes", None)
-    if processes:
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already-dead process race
-                pass
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _serial_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
@@ -216,7 +193,7 @@ def _serial_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
             stats.retries += 1
         try:
             results[i] = _reliable_call(
-                (worker, tasks[i], stage, i, num_tasks, attempt, inject, False)
+                worker, tasks[i], stage, i, num_tasks, attempt, inject
             )
         except Exception as exc:
             failures.append(TaskFailure(i, "raise", attempt, exc))
@@ -224,41 +201,29 @@ def _serial_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
 
 
 def _pooled_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
-                    backend, timeout, results, stats):
-    """One attempt over ``indices`` on a fresh pool with a deadline.
+                    timeout, results, stats):
+    """One attempt over ``indices`` on a fresh thread pool with a deadline.
 
-    A fresh pool per attempt is deliberate: after a crash the old pool is
-    broken, after a hang its workers are occupied, and pool startup
-    (~ms on fork) is noise against a shard pipeline.  The pool is sized
-    to the attempt so every task starts immediately and the deadline is
-    a true per-task window.
+    A fresh pool per attempt is deliberate: after a hang its threads are
+    occupied.  The pool is sized to the attempt so every task starts
+    immediately and the deadline is a true per-task window.  A
+    timed-out pool is shut down without waiting (a hung thread never
+    returns in time); its stragglers finish or sleep on in the
+    background, writing nowhere the retry reads.
     """
-    in_process = backend == "process"
-    pool_cls = ProcessPoolExecutor if in_process else ThreadPoolExecutor
     failures: list[TaskFailure] = []
-    pool = pool_cls(max_workers=len(indices))
-    dirty = False
+    pool = ThreadPoolExecutor(max_workers=len(indices))
+    timed_out = False
     try:
         stats.attempts += len(indices)
         if attempt:
             stats.retries += len(indices)
-        future_of = {}
-        for n, i in enumerate(indices):
-            payload = (worker, tasks[i], stage, i, num_tasks, attempt, inject,
-                       in_process)
-            try:
-                future_of[pool.submit(_reliable_call, payload)] = i
-            except Exception as exc:
-                if not _is_pool_break(exc):
-                    raise
-                # a task submitted earlier broke the pool before this
-                # submit: this task and the ones after it never started —
-                # crash casualties, resubmitted like the in-flight ones
-                failures.extend(
-                    TaskFailure(j, "crash", attempt, exc) for j in indices[n:]
-                )
-                dirty = True
-                break
+        future_of = {
+            pool.submit(
+                _reliable_call, worker, tasks[i], stage, i, num_tasks, attempt, inject
+            ): i
+            for i in indices
+        }
         pending = set(future_of)
         deadline = None if timeout is None else time.monotonic() + timeout
         while pending:
@@ -266,7 +231,7 @@ def _pooled_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
             if remaining is not None and remaining <= 0:
                 for fut in pending:
                     failures.append(TaskFailure(future_of[fut], "timeout", attempt))
-                dirty = True
+                timed_out = True
                 break
             done, pending = wait(pending, timeout=remaining,
                                  return_when=FIRST_EXCEPTION)
@@ -275,26 +240,11 @@ def _pooled_attempt(indices, tasks, worker, stage, num_tasks, attempt, inject,
                 exc = fut.exception()
                 if exc is None:
                     results[i] = fut.result()
-                    continue
-                # a broken pool surfaces on every in-flight future; those
-                # tasks never misbehaved themselves — they are crash
-                # casualties and are simply resubmitted
-                reason = "crash" if _is_pool_break(exc) else "raise"
-                failures.append(TaskFailure(i, reason, attempt, exc))
-                dirty = True
+                else:
+                    failures.append(TaskFailure(i, "raise", attempt, exc))
     finally:
-        if dirty:
-            _kill_pool(pool)
-        else:
-            pool.shutdown(wait=True)
+        pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
     return failures
-
-
-def _is_pool_break(exc: BaseException) -> bool:
-    """Whether an exception means the pool itself died (vs the task raising)."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(exc, (BrokenProcessPool, BrokenPipeError, EOFError))
 
 
 def run_reliable(
@@ -302,7 +252,6 @@ def run_reliable(
     worker,
     policy: RetryPolicy | None = None,
     parallel: bool = True,
-    backend: str = "thread",
     stage: str = "stage",
     validate=None,
     inject: FaultInjector | None = None,
@@ -313,16 +262,15 @@ def run_reliable(
     Parameters
     ----------
     tasks:
-        Picklable task payloads; task ``i``'s node id for fault-injection
-        victim selection is its index.
+        Task payloads; task ``i``'s node id for fault-injection victim
+        selection is its index.
     worker:
-        Module-level picklable function of one task.
+        Function of one task.
     policy:
         :class:`RetryPolicy` (default: 2 retries, no deadline).
-    parallel / backend:
-        Pooled ``"thread"``/``"process"``
-        execution, or inline when ``parallel`` is false or there is a
-        single task.  Deadlines require a pool (inline execution cannot
+    parallel:
+        Thread-pool execution, or inline when false or there is a single
+        task.  Deadlines require a pool (inline execution cannot
         preempt); the inline path still retries raises and validation
         failures.
     validate:
@@ -363,7 +311,7 @@ def run_reliable(
         if pooled:
             failures = _pooled_attempt(
                 pending, tasks, worker, stage, num_tasks, attempt, inject,
-                backend, policy.task_timeout, results, stats,
+                policy.task_timeout, results, stats,
             )
         else:
             failures = _serial_attempt(

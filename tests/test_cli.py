@@ -198,13 +198,20 @@ class TestCommands:
         if mode == "merged":
             assert "boundary" in out and "wire=" in out
 
-    def test_distribute_process_backend(self, capsys):
+    def test_distribute_persistent_backend(self, capsys):
         rc = main(
             ["distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
-             "--merge-mode", "merged", "--backend", "process"]
+             "--merge-mode", "merged", "--backend", "persistent"]
         )
         assert rc == 0
-        assert "[merged/process]" in capsys.readouterr().out
+        assert "[merged/persistent]" in capsys.readouterr().out
+
+    def test_distribute_refuses_process_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["distribute", "--scale", "0.03", "--backend", "process"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--backend" in err and "'thread', 'persistent'" in err
 
     def test_distribute_compare_modes(self, capsys):
         rc = main(
@@ -355,7 +362,7 @@ class TestGameImplFlags:
     def test_distribute_accepts_game_jit(self, capsys):
         out = _out(
             capsys, "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
-            "--backend", "process",
+            "--backend", "persistent",
         )
         assert "RF=" in out and f"kernel_backend={kernels.backend_name()}" in out
 

@@ -180,26 +180,27 @@ class TestMergedMode:
             par.assignment.edge_partition, seq.assignment.edge_partition
         )
 
-    def test_process_backend_matches_thread(self, stream):
+    def test_persistent_backend_matches_thread(self, stream):
         thread = distributed_clugp(
             stream, 8, num_nodes=3, seed=2, merge_mode="merged", backend="thread"
         )
-        process = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="merged", backend="process"
+        persistent = distributed_clugp(
+            stream, 8, num_nodes=3, seed=2, merge_mode="merged", backend="persistent"
         )
         assert np.array_equal(
-            thread.assignment.edge_partition, process.assignment.edge_partition
+            thread.assignment.edge_partition, persistent.assignment.edge_partition
         )
 
-    def test_process_backend_independent_mode(self, stream):
+    def test_persistent_backend_independent_mode(self, stream):
         thread = distributed_clugp(
             stream, 8, num_nodes=3, seed=2, merge_mode="independent", backend="thread"
         )
-        process = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="independent", backend="process"
+        persistent = distributed_clugp(
+            stream, 8, num_nodes=3, seed=2, merge_mode="independent",
+            backend="persistent",
         )
         assert np.array_equal(
-            thread.assignment.edge_partition, process.assignment.edge_partition
+            thread.assignment.edge_partition, persistent.assignment.edge_partition
         )
 
     def test_stage_walls_and_critical_path(self, stream):
@@ -266,6 +267,9 @@ class TestMergedMode:
             distributed_clugp(stream, 8, num_nodes=2, merge_mode="bogus")
         with pytest.raises(ValueError, match="backend"):
             distributed_clugp(stream, 8, num_nodes=2, backend="mpi")
+        # one process transport remains; the refusal names both backends
+        with pytest.raises(ValueError, match="'thread', 'persistent'.*'process'"):
+            distributed_clugp(stream, 8, num_nodes=2, backend="process")
 
 
 class TestBalanceQuotas:
@@ -305,6 +309,21 @@ class TestPartitionerInterface:
 
         p = make_partitioner("clugp-dist", 8, num_nodes=2)
         assert isinstance(p, DistributedClugpPartitioner)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"merge_mode": "nope"}, "merge_mode must be one of .*'independent', 'merged'"),
+            ({"backend": "bogus"}, "backend must be one of .*'thread', 'persistent'"),
+            ({"backend": "process"}, "backend must be one of .*'thread', 'persistent'"),
+        ],
+        ids=["merge_mode", "backend", "process"],
+    )
+    def test_constructor_rejects_unknown_mode_and_backend(self, kwargs, match):
+        """Refused at construction, with distributed_clugp's message —
+        not later, inside partition()."""
+        with pytest.raises(ValueError, match=match):
+            DistributedClugpPartitioner(8, num_nodes=2, **kwargs)
 
     def test_partition_and_diagnostics(self, stream):
         p = DistributedClugpPartitioner(8, num_nodes=4)

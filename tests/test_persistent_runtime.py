@@ -2,9 +2,9 @@
 
 Acceptance gates covered here:
 
-* ``backend="persistent"`` is bit-identical to the ``process`` oracle and
-  to ``thread`` for both merge modes at num_nodes in {1, 4, 8} — one
-  protocol function, three transports;
+* ``backend="persistent"``, spawned per call or resident, is
+  bit-identical to ``thread`` for both merge modes at num_nodes in
+  {1, 4, 8} — one protocol function, two transports;
 * zero pickled ndarray bytes ever cross the ingest plane, and the pass-3
   result comes back through each worker's result segment (grown when a
   larger shard arrives, re-attached by a respawned worker);
@@ -12,11 +12,16 @@ Acceptance gates covered here:
   close, including after injected worker crashes (``/dev/shm``
   cleanliness);
 * crash / hang / corrupt faults on every stage, the round-2 ``attribute``
-  stage included, heal to the fault-free bits;
+  stage included, heal to the fault-free bits; faults that never heal
+  raise :class:`ShardTaskError` naming the stage and the worker, and
+  leave a resident pool that serves its next call;
 * resident workers survive across calls (same PIDs, same bits).
 """
 
 from __future__ import annotations
+
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,11 +38,13 @@ from repro.distributed import (
 from repro.distributed.shm import ResultSegment, create_segment, unlink_segment
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
+from repro.reliability.faults import FaultInjector
+from repro.reliability.retry import RetryPolicy, ShardTaskError
 
 
 @pytest.fixture(scope="module")
 def ident_stream() -> EdgeStream:
-    """~3.2K-edge crawl used for the process-vs-persistent identity matrix."""
+    """~3.2K-edge crawl used for the thread-vs-persistent identity matrix."""
     graph = web_crawl_graph(400, avg_out_degree=8.0, host_size=25, seed=3)
     return EdgeStream.from_graph(graph, order="natural")
 
@@ -182,63 +189,61 @@ class TestRuntimeLifecycle:
 
 
 # --------------------------------------------------------------------- #
-# bit-identity against the process oracle
+# bit-identity against the thread backend
 # --------------------------------------------------------------------- #
 
 
-class TestProcessParity:
-    """The acceptance matrix: persistent == process == thread, bit for bit."""
+class TestThreadParity:
+    """The acceptance matrix: persistent — spawned per call and resident —
+    == thread, bit for bit."""
 
     @pytest.mark.parametrize("merge_mode", ["merged", "independent"])
     @pytest.mark.parametrize("num_nodes", [1, 4, 8])
-    def test_bit_identical_to_process(self, ident_stream, merge_mode, num_nodes):
-        reference = distributed_clugp(
-            ident_stream, 8, num_nodes=num_nodes, seed=0,
-            merge_mode=merge_mode, backend="process",
-        )
-        result = distributed_clugp(
-            ident_stream, 8, num_nodes=num_nodes, seed=0,
-            merge_mode=merge_mode, backend="persistent",
-        )
-        assert np.array_equal(
-            reference.assignment.edge_partition, result.assignment.edge_partition
-        )
-        threaded = distributed_clugp(
-            ident_stream, 8, num_nodes=num_nodes, seed=0,
-            merge_mode=merge_mode, backend="thread",
-        )
-        assert np.array_equal(
-            reference.assignment.edge_partition, threaded.assignment.edge_partition
-        )
-        if merge_mode == "merged":
-            assert reference.merge.to_dict().keys() == result.merge.to_dict().keys()
-            for field in (
-                "num_global_clusters", "num_boundary_vertices",
-                "num_unresolved_edges", "merge_bytes", "broadcast_bytes",
-                "quota_bytes", "game_rounds", "game_moves",
-            ):
-                assert getattr(reference.merge, field) == getattr(result.merge, field)
+    def test_bit_identical_to_thread(self, ident_stream, merge_mode, num_nodes):
+        def run(backend, runtime=None):
+            return distributed_clugp(
+                ident_stream, 8, num_nodes=num_nodes, seed=0,
+                merge_mode=merge_mode, backend=backend, runtime=runtime,
+            )
+
+        reference = run("thread")
+        spawned = run("persistent")
+        with PersistentRuntime(num_nodes) as runtime:
+            resident = [run("persistent", runtime) for _ in range(2)]
+        for result in (spawned, *resident):
+            assert np.array_equal(
+                reference.assignment.edge_partition, result.assignment.edge_partition
+            )
+            if merge_mode == "merged":
+                assert reference.merge.to_dict().keys() == result.merge.to_dict().keys()
+                for field in (
+                    "num_global_clusters", "num_boundary_vertices",
+                    "num_unresolved_edges", "max_cluster_volume", "merge_bytes",
+                    "broadcast_bytes", "quota_bytes", "game_rounds", "game_moves",
+                ):
+                    assert getattr(reference.merge, field) == getattr(result.merge, field)
         _assert_shm_clean()
 
-    def test_node_reports_match_process(self, ident_stream):
+    def test_node_reports_match_thread(self, ident_stream):
         reference = distributed_clugp(
-            ident_stream, 8, num_nodes=4, seed=0, backend="process"
+            ident_stream, 8, num_nodes=4, seed=0, backend="thread"
         )
         result = distributed_clugp(
             ident_stream, 8, num_nodes=4, seed=0, backend="persistent"
         )
         for ref, got in zip(reference.nodes, result.nodes):
-            assert (ref.node, ref.num_edges, ref.num_clusters, ref.splits) == (
-                got.node, got.num_edges, got.num_clusters, got.splits
-            )
+            assert (
+                ref.node, ref.num_edges, ref.num_clusters, ref.splits,
+                ref.game_rounds,
+            ) == (got.node, got.num_edges, got.num_clusters, got.splits, got.game_rounds)
 
-    def test_merged_node_reports_match_process(self, ident_stream):
+    def test_merged_node_reports_match_thread(self, ident_stream):
         reference, result = (
             distributed_clugp(
                 ident_stream, 8, num_nodes=4, seed=0, merge_mode="merged",
                 backend=backend,
             )
-            for backend in ("process", "persistent")
+            for backend in ("thread", "persistent")
         )
         for ref, got in zip(reference.nodes, result.nodes):
             assert (
@@ -478,3 +483,82 @@ class TestPersistentChaos:
                 clean.assignment.edge_partition,
             )
         _assert_shm_clean()
+
+
+# --------------------------------------------------------------------- #
+# retry exhaustion: a fault that never heals
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class _CrashOneStallTheRest(FaultInjector):
+    """The stage's victim fails at once; every other worker first stalls
+    ``slow_seconds``, so its reply is still owed when the victim exhausts
+    its retries."""
+
+    def pre_task(self, stage, node, num_nodes, attempt, in_process):
+        if self.decide(stage, node, num_nodes, attempt) is None:
+            time.sleep(self.slow_seconds)
+        super().pre_task(stage, node, num_nodes, attempt, in_process)
+
+
+class TestPersistentExhaustion:
+    @pytest.mark.parametrize(
+        "spec, timeout, reason",
+        [
+            ("crash,persist,seed=1", None, "crash"),
+            ("hang,persist,seed=0,hang_seconds=30", 0.5, "timeout"),
+            ("corrupt,persist,seed=3", None, "invalid"),
+        ],
+    )
+    def test_exhaustion_names_stage_and_worker(self, chaos_stream, spec, timeout, reason):
+        reliability = ReliabilityConfig(
+            inject_faults=spec, task_timeout=timeout, max_retries=1,
+            backoff_base=0.0, backoff_max=0.0,
+        )
+        cfg = ClugpConfig(num_partitions=4, reliability=reliability)
+        # every stage has a victim, so the first stage is the one that fails
+        victim = next(
+            n for n in range(3)
+            if FaultInjector.from_spec(spec).decide("shard", n, 3, 0)
+        )
+        with pytest.raises(
+            ShardTaskError,
+            match=f"stage 'shard': worker {victim} failed after 2 attempts: "
+            f"task {victim} {reason}",
+        ):
+            distributed_clugp(
+                chaos_stream, 4, num_nodes=3, config=cfg, seed=0,
+                merge_mode="merged", backend="persistent",
+            )
+        _assert_shm_clean()
+
+    def test_exhausted_stage_leaves_resident_pool_clean(self, chaos_stream):
+        """The other workers' replies to the failed stage must not be left
+        in their pipes for the runtime's next call to read."""
+        inject = _CrashOneStallTheRest(
+            kinds=("crash",), seed=1, persist=True, slow_seconds=2.0
+        )
+        policy = RetryPolicy(max_retries=1, backoff_base=0.0)
+        with PersistentRuntime(3) as runtime:
+            distributed_clugp(
+                chaos_stream, 4, num_nodes=3, seed=0, backend="persistent",
+                runtime=runtime,
+            )
+            msg = {
+                "op": "independent", "num_partitions": 4, "seed": 0,
+                "config": ClugpConfig(num_partitions=4), "chunk_size": None,
+            }
+            with pytest.raises(ShardTaskError, match="stage 'stall'"):
+                runtime.run_stage("stall", [msg] * 3, policy=policy, inject=inject)
+            after = distributed_clugp(
+                chaos_stream, 4, num_nodes=3, seed=0, merge_mode="merged",
+                backend="persistent", runtime=runtime,
+            )
+        _assert_shm_clean()
+        oracle = distributed_clugp(
+            chaos_stream, 4, num_nodes=3, seed=0, merge_mode="merged", backend="thread"
+        )
+        assert np.array_equal(
+            oracle.assignment.edge_partition, after.assignment.edge_partition
+        )

@@ -2,13 +2,11 @@
 
 Includes the chaos gate for the distributed driver: with deterministic
 fault injection killing, hanging, or corrupting one worker per stage,
-``distributed_clugp`` on every backend produces edge partitions
+``distributed_clugp`` on both backends produces edge partitions
 bit-identical to the fault-free run.
 """
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from repro.config import ClugpConfig, ReliabilityConfig
 from repro.core.distributed import distributed_clugp
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-from repro.reliability import retry
 from repro.reliability.faults import FaultInjector, InjectedCrash
 from repro.reliability.retry import (
     RetryPolicy,
@@ -90,13 +87,6 @@ class TestRaisePropagation:
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert "worker rejected task" in str(excinfo.value.__cause__)
 
-    def test_process_worker_exception_is_not_a_bare_pool_error(self):
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
-        with pytest.raises(ShardTaskError) as excinfo:
-            run_reliable([1, 2], _raise_value_error, policy=policy,
-                         backend="process", stage="shard")
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
 
 class TestCrashRecovery:
     def test_injected_crash_recovers_in_thread_mode(self):
@@ -109,41 +99,6 @@ class TestCrashRecovery:
         assert results == [0, 2, 4, 6]
         assert stats.raises == 1  # thread crash degrades to InjectedCrash
         assert stats.retries == 1
-
-    def test_process_crash_breaks_pool_and_recovers(self):
-        stats = RetryStats()
-        inj = FaultInjector(kinds=("crash",), seed=1)
-        results = run_reliable(
-            list(range(4)), _double, policy=RetryPolicy(backoff_base=0.0),
-            backend="process", inject=inj, stats=stats, stage="s",
-        )
-        assert results == [0, 2, 4, 6]
-        # os._exit broke the pool; at least the victim was counted and retried
-        assert stats.crashes >= 1
-        assert stats.retries >= 1
-
-    def test_pool_broken_between_two_submits_recovers(self, monkeypatch):
-        """A crash can break the pool before the next ``submit``: that
-        task and every one after it are crash casualties, resubmitted."""
-        submits = []
-
-        class BreaksOnSecondSubmit(ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                submits.append(fn)
-                if len(submits) == 2:
-                    raise BrokenProcessPool("a child process terminated abruptly")
-                return super().submit(fn, *args)
-
-        monkeypatch.setattr(retry, "ProcessPoolExecutor", BreaksOnSecondSubmit)
-        stats = RetryStats()
-        results = run_reliable(
-            list(range(4)), _double, policy=RetryPolicy(backoff_base=0.0),
-            backend="process", stats=stats, stage="s",
-        )
-        assert results == run_reliable(list(range(4)), _double, parallel=False)
-        assert [f.index for f in stats.failures] == [1, 2, 3]
-        assert (stats.crashes, stats.retries, stats.attempts) == (3, 3, 7)
-        assert len(submits) == 2 + 3  # the fresh pool took the three again
 
     def test_persistent_crash_exhausts_retries(self):
         inj = FaultInjector(kinds=("crash",), seed=1, persist=True)
@@ -166,28 +121,16 @@ class TestCrashRecovery:
 
 
 class TestTimeouts:
-    def test_hung_process_worker_times_out_and_recovers(self):
-        stats = RetryStats()
-        inj = FaultInjector(kinds=("hang",), seed=0, hang_seconds=30.0)
-        # make sure this seed's single victim actually hangs
-        assert any(inj.decide("s", n, 3, 0) == "hang" for n in range(3))
-        results = run_reliable(
-            [1, 2, 3], _double,
-            policy=RetryPolicy(task_timeout=1.0, backoff_base=0.0),
-            backend="process", inject=inj, stats=stats, stage="s",
-        )
-        assert results == [2, 4, 6]
-        assert stats.timeouts >= 1
-
     def test_timeout_exhaustion_raises_shard_error(self):
-        inj = FaultInjector(kinds=("hang",), seed=0, hang_seconds=30.0,
+        # the abandoned thread sleeps out its hang in the background
+        inj = FaultInjector(kinds=("hang",), seed=0, hang_seconds=1.0,
                             persist=True)
         with pytest.raises(ShardTaskError, match="timeout"):
             run_reliable(
                 [1, 2, 3], _double,
-                policy=RetryPolicy(max_retries=0, task_timeout=0.5,
+                policy=RetryPolicy(max_retries=0, task_timeout=0.2,
                                    backoff_base=0.0),
-                backend="process", inject=inj, stage="s",
+                inject=inj, stage="s",
             )
 
     def test_slow_worker_within_deadline_is_not_retried(self):
@@ -276,20 +219,20 @@ class TestDistributedChaosGate:
             baseline.assignment.edge_partition, chaotic.assignment.edge_partition
         )
 
-    def test_process_backend_crash_bit_identical(self, chaos_stream):
-        baseline = _run_distributed(chaos_stream, "", backend="process")
+    def test_persistent_backend_crash_bit_identical(self, chaos_stream):
+        baseline = _run_distributed(chaos_stream, "")
         chaotic = _run_distributed(
-            chaos_stream, "crash,seed=1", backend="process"
+            chaos_stream, "crash,seed=1", backend="persistent"
         )
         assert np.array_equal(
             baseline.assignment.edge_partition, chaotic.assignment.edge_partition
         )
         assert chaotic.to_dict()["reliability"].get("retries", 0) >= 1
 
-    def test_process_backend_hang_bit_identical(self, chaos_stream):
-        baseline = _run_distributed(chaos_stream, "", backend="process")
+    def test_persistent_backend_hang_bit_identical(self, chaos_stream):
+        baseline = _run_distributed(chaos_stream, "")
         chaotic = _run_distributed(
-            chaos_stream, "hang,seed=0,hang_seconds=30", backend="process",
+            chaos_stream, "hang,seed=0,hang_seconds=30", backend="persistent",
             timeout=2.0,
         )
         assert np.array_equal(
