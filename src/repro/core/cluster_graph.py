@@ -6,28 +6,26 @@ clusters:
 
 * ``internal[c]`` = ``|c|`` = number of intra-cluster edges (paper notation
   ``|e(c_i, c_i)|``) — the *size* a cluster contributes to a partition;
-* ``indptr/indices/weights`` = the weighted inter-cluster adjacency in
-  immutable CSR form (the DGL-style immutable graph index) — the cut
-  volumes the game's edge-cutting term optimizes.
+* the weighted inter-cluster adjacency, in immutable CSR form (the
+  DGL-style immutable graph index) — the cut volumes the game's
+  edge-cutting term optimizes.
 
-The graph is stored as three CSR triples over compact cluster ids:
+The adjacency is stored as two CSR triples over compact cluster ids:
 
 * out-CSR (``indptr``, ``indices``, ``weights``) — edges leaving a cluster,
   neighbor ids sorted ascending within each row;
-* in-CSR (``in_indptr``, ``in_indices``, ``in_weights``) — edges entering;
-* a lazily-built symmetrized CSR (:meth:`sym`) with merged weights
-  ``w(c, n) = out + in``, which is what the game's best-response scoring
-  slices per cluster.
+* in-CSR (``in_indptr``, ``in_indices``, ``in_weights``) — edges entering.
 
-Building it is one O(|E|) vectorized sweep (this is the I/O part of
-pass 2): endpoints are gathered through ``cluster_of``, the
-``(cluster_u, cluster_v)`` keys are grouped by one bincount or one sort,
-and run-length encoding yields the CSR arrays directly — no per-edge
-Python, no dict-of-dicts.
+Every consumer reads views of these two; there is no third, symmetrized
+copy.  The game scores a cluster by walking its out-row, then its in-row
+(``w(c, n) = out + in`` is an integer sum, exact in any order).
 
-:meth:`undirected_neighbors` / :meth:`out_dict` / :meth:`in_dict` remain
-as dict-shaped compatibility shims for diagnostic code and tests; the hot
-paths (game scoring, partition-cut sums) consume the arrays.
+Building it is one O(|E|) sweep (this is the I/O part of pass 2): the
+stream is read in chunks, each chunk's endpoints are gathered through
+``cluster_of`` and packed as ``cu * m + cv`` into one preallocated key
+column (int32 while ``m * m`` fits), and one in-place sort plus a
+run-length encode yields the CSR arrays — the only |E|-sized array is
+that key column, no per-edge Python, no dict-of-dicts.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ __all__ = [
     "ClusterGraphDelta",
     "build_cluster_graph",
     "cluster_graph_from_labels",
+    "grouped_cluster_graph",
 ]
 
 
@@ -70,16 +69,9 @@ def _row_pointers(ids: np.ndarray, m: int) -> np.ndarray:
     return indptr
 
 
-def _csr_from_pairs(
-    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triple from (row, col, weight) pairs already unique per (row, col).
-
-    Pairs are radix-grouped by row then column, so ``indices`` come out
-    sorted ascending within each row.
-    """
-    order = stable_argsort_bounded(rows * np.int64(m) + cols, m * m if m else 1)
-    return _row_pointers(rows, m), cols[order], weights[order]
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """COO row of every entry of a CSR with row pointers ``indptr``."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
 
 
 @dataclass
@@ -108,9 +100,6 @@ class ClusterGraph:
     in_indptr: np.ndarray
     in_indices: np.ndarray
     in_weights: np.ndarray
-    _sym: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
     _cut_degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
     _out_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -133,22 +122,14 @@ class ClusterGraph:
                 rows.append(c)
                 cols.append(nbr)
                 ws.append(w)
+        # appended row by row, columns sorted: already a row-major out-CSR
         rows_a = np.asarray(rows, dtype=np.int64)
-        cols_a = np.asarray(cols, dtype=np.int64)
-        ws_a = np.asarray(ws, dtype=np.int64)
-        indptr, indices, weights = _csr_from_pairs(rows_a, cols_a, ws_a, num_clusters)
-        in_indptr, in_indices, in_weights = _csr_from_pairs(
-            cols_a, rows_a, ws_a, num_clusters
-        )
-        graph = cls(
-            num_clusters=num_clusters,
-            internal=np.asarray(internal, dtype=np.int64),
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            in_weights=in_weights,
+        graph = cls.from_out_csr(
+            np.asarray(internal, dtype=np.int64),
+            _row_pointers(rows_a, num_clusters),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(ws, dtype=np.int64),
+            rows=rows_a,
         )
         # in_edges is accepted for interface symmetry; it must be the exact
         # transpose of out_edges (every builder in the repo guarantees this)
@@ -180,7 +161,7 @@ class ClusterGraph:
         """
         m = int(internal.size)
         if rows is None:
-            rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+            rows = _csr_rows(indptr)
         by_col = stable_argsort_bounded(indices, max(m, 1))
         return cls(
             num_clusters=m,
@@ -196,12 +177,16 @@ class ClusterGraph:
     @classmethod
     def merge(
         cls,
-        graphs: list["ClusterGraph"],
+        graphs: list,
         relabels: list[np.ndarray],
         num_clusters: int | None = None,
     ) -> "ClusterGraph":
         """Union per-shard cluster graphs under a cluster-id relabeling.
 
+        Only the out-CSR of each input is read: ``graphs[i]`` is anything
+        carrying ``num_clusters``, ``internal``, ``indptr``, ``indices``
+        and ``weights`` — a :class:`ClusterGraph`, or a node's shipped
+        :class:`~repro.core.partitioner.GraphContribution` as it arrived.
         ``relabels[i]`` maps graph ``i``'s local cluster ids onto the
         merged id space: ``relabels[i][c]`` is the global id of local
         cluster ``c``.  The map must be total (one entry per local
@@ -247,7 +232,7 @@ class ClusterGraph:
         for g, r in zip(graphs, maps):
             np.add.at(internal, r, g.internal)
             if g.indices.size:
-                rows_parts.append(r[g.out_rows()])
+                rows_parts.append(r[_csr_rows(g.indptr)])
                 cols_parts.append(r[g.indices])
                 ws_parts.append(g.weights)
         if rows_parts:
@@ -301,53 +286,15 @@ class ClusterGraph:
     def out_rows(self) -> np.ndarray:
         """Row (source-cluster) id of every out-CSR entry; cached COO view."""
         if self._out_rows is None:
-            self._out_rows = np.repeat(
-                np.arange(self.num_clusters, dtype=np.int64), np.diff(self.indptr)
-            )
+            self._out_rows = _csr_rows(self.indptr)
         return self._out_rows
 
-    # ------------------------------------------------------------------ #
-    # symmetrized adjacency (the game's view)
-    # ------------------------------------------------------------------ #
-
-    def sym(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetrized CSR ``(indptr, indices, weights)`` with merged
-        weights ``w(c, n) = out + in``; built lazily, cached.
-
-        Both CSRs are row-major with ascending neighbor ids, so their
-        ``row * m + col`` keys are two ascending runs: one stable sort of
-        the concatenation is a single merge of the two, and a pair held in
-        both directions ends up adjacent (out first) for the run-length sum.
-        """
-        if self._sym is None:
-            m = self.num_clusters
-            span = np.int64(m)
-            in_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.in_indptr))
-            keys = np.concatenate(
-                [self.out_rows() * span + self.indices, in_rows * span + self.in_indices]
-            )
-            if keys.size == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._sym = (np.zeros(m + 1, dtype=np.int64), empty, empty)
-            else:
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                starts = run_starts(keys)
-                ws = np.concatenate([self.weights, self.in_weights])
-                merged = np.add.reduceat(ws[order], starts)
-                ukeys = keys[starts]
-                urows = ukeys // span
-                ucols = ukeys - urows * span  # a second division costs 3x this
-                self._sym = (
-                    _row_pointers(urows, m), ucols, merged.astype(np.int64, copy=False)
-                )
-        return self._sym
-
     def edge_count_check(self, num_stream_edges: int, num_self_loops: int = 0) -> bool:
-        """Invariant: internal + inter + self-loops accounts for every edge."""
-        return (
-            self.total_internal() + self.total_cut() == num_stream_edges
-        ) or num_self_loops > 0
+        """Invariant: internal + inter accounts for every edge exactly, and
+        the internal count covers the stream's ``num_self_loops`` vertex
+        self-loops (a self-loop is an intra-cluster edge)."""
+        internal = self.total_internal()
+        return internal + self.total_cut() == num_stream_edges and internal >= num_self_loops
 
 
 def _graph_from_grouped(
@@ -466,54 +413,65 @@ class ClusterGraphDelta:
         return _graph_from_grouped(rows, cols, self.weights, m)
 
 
+#: edges per chunk of the grouping sweep: one chunk's labels are the only
+#: per-edge temporaries besides the key column
+_GROUP_CHUNK = 1 << 14
+
+
+def grouped_cluster_graph(
+    stream: EdgeStream, label_of: np.ndarray, num_clusters: int
+) -> ClusterGraph:
+    """The :class:`ClusterGraph` of ``stream`` under the vertex -> cluster
+    map ``label_of`` (a negative label is refused).
+
+    The grouping core shared by :func:`build_cluster_graph` (labels of a
+    clustering) and the distributed round 2 (a shard's edges under the
+    resolved global labels).  Each ``stream.batches`` chunk is gathered
+    through ``label_of`` and packed as ``cu * m + cv`` into one
+    preallocated key column — int32 while ``m * m`` fits, so 4 bytes per
+    edge — diagonal keys included, so nothing is masked per edge.  One
+    in-place sort and a run-length encode give the unique keys in
+    row-major order, i.e. the out-CSR plus the internal counts.
+    """
+    m = int(num_clusters)
+    label_of = np.asarray(label_of, dtype=np.int64)
+    fits = m * m <= np.iinfo(np.int32).max
+    keys = np.empty(stream.num_edges, dtype=np.int32 if fits else np.int64)
+    start = 0
+    for u, v in stream.batches(_GROUP_CHUNK):
+        cu = label_of[u]
+        cv = label_of[v]
+        if min(int(cu.min()), int(cv.min())) < 0:
+            raise ValueError("stream contains vertices absent from the clustering")
+        cu *= m
+        cu += cv
+        keys[start : start + cu.size] = cu
+        start += cu.size
+    keys.sort()
+    starts = run_starts(keys)
+    rows, cols = np.divmod(keys[starts].astype(np.int64), max(m, 1))
+    return _graph_from_grouped(rows, cols, np.diff(starts, append=keys.size), m)
+
+
 def cluster_graph_from_labels(
     cu: np.ndarray, cv: np.ndarray, num_clusters: int
 ) -> ClusterGraph:
     """Accumulate a :class:`ClusterGraph` from per-edge cluster-label pairs.
 
     ``cu[i]``/``cv[i]`` are the (already gathered) endpoint clusters of the
-    i-th edge.  All ``cu * m + cv`` keys are grouped in one pass (dense
-    bincount or sort + run-length encode); same-cluster keys count as
-    internal, the rest become the CSR triples.  This is the grouping
-    core shared by :func:`build_cluster_graph` (labels gathered through
-    a clustering) and the distributed coordinator (labels of cross-shard
-    edges resolved from the merged vertex->cluster map).
+    i-th edge, each in ``[0, num_clusters)``: the label columns are a
+    stream over the cluster ids, grouped under the identity map.
     """
     m = int(num_clusters)
-    cu = np.asarray(cu, dtype=np.int64)
-    cv = np.asarray(cv, dtype=np.int64)
-    ukeys = counts = np.empty(0, dtype=np.int64)
-    cells = m * m
-    if m and cu.size and cells <= max(1 << 20, 2 * cu.size):
-        # dense group-by: one bincount over the whole (u, v) key space
-        # beats sorting the keys when the space is small relative to the
-        # edge count; flatnonzero yields the unique keys ascending
-        key_counts = np.bincount(cu * np.int64(m) + cv, minlength=cells)
-        ukeys = np.flatnonzero(key_counts)
-        counts = key_counts[ukeys]
-    elif m and cu.size:
-        # sparse group-by: one sort of every key (the permutation is never
-        # needed; 32-bit keys sort ~2x faster), then run-length encode
-        keys = cu * np.int64(m) + cv
-        if cells <= np.iinfo(np.int32).max:
-            keys = keys.astype(np.int32)
-        keys.sort()
-        starts = run_starts(keys)
-        ukeys = keys[starts].astype(np.int64)
-        counts = np.diff(starts, append=keys.size)
-    rows, cols = np.divmod(ukeys, max(m, 1))
-    return _graph_from_grouped(rows, cols, counts, m)
+    return grouped_cluster_graph(
+        EdgeStream(cu, cv, num_vertices=m), np.arange(m, dtype=np.int64), m
+    )
 
 
 def build_cluster_graph(stream: EdgeStream, clustering: ClusteringResult) -> ClusterGraph:
     """Map every stream edge through ``cluster_of`` and accumulate weights.
 
     Self-cluster edges (including vertex self-loops) count as internal.
-    One vectorized O(|E|) sweep: gather, radix group-by, run-length encode.
+    One chunked O(|E|) sweep (:func:`grouped_cluster_graph`).
     """
-    m = clustering.num_clusters
-    cu_arr = clustering.cluster_of[stream.src]
-    cv_arr = clustering.cluster_of[stream.dst]
-    if m and ((cu_arr < 0).any() or (cv_arr < 0).any()):
-        raise ValueError("stream contains vertices absent from the clustering")
-    return cluster_graph_from_labels(cu_arr, cv_arr, m)
+    return grouped_cluster_graph(stream, clustering.cluster_of, clustering.num_clusters)

@@ -790,7 +790,7 @@ def _run_merged(
     with Timer() as t_merge:
         identity = np.arange(num_global, dtype=np.int64)
         merged_graph = ClusterGraph.merge(
-            [c.graph() for c in contributions], [identity] * num_nodes,
+            contributions, [identity] * num_nodes,
             num_clusters=num_global,
         )
         warm_start = np.concatenate([s.local_assignment for s in summaries])

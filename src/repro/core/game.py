@@ -33,16 +33,20 @@ chosen by what :func:`repro.kernels.get_backend` resolves:
 * the *numpy tier* (hosts without one) evaluates all ``k`` candidate
   costs of a cluster as one vectorized delta against an
   incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
-  the merged weight from ``c``'s neighbors currently placed in partition
-  ``p`` — updated per move in O(deg(c)) array ops, so a full round costs
-  O(m) small numpy calls instead of O(sum deg) Python iterations.
+  the weight between ``c`` and its neighbors currently placed in
+  partition ``p``, both directions summed — updated per move in
+  O(deg(c)) array ops, so a full round costs O(m) small numpy calls
+  instead of O(sum deg) Python iterations.
+
+Every tier reads a cluster's adjacency as its out-row, then its in-row
+of the cluster graph: integer-valued sums below ``2**53``, exact in any
+order, so no symmetrized copy is needed.
 
 :func:`best_response_dynamics` is the pass-2 oracle, the counterpart of
 :func:`~repro.core.clustering.streaming_clustering` and
 :func:`~repro.core.transform.transform_partitions`: Algorithm 3 as the
-paper writes it, every cluster rescored every round from the CSR
-neighbor slice of the symmetrized cluster graph
-(:meth:`ClusterGraph.sym`), no table, no skip rule.  All adjacency
+paper writes it, every cluster rescored every round from its out- and
+in-row of the cluster graph, no table, no skip rule.  All adjacency
 weights are integers, so the three produce bit-identical float costs
 and therefore identical move sequences, round counts and potential
 traces.
@@ -192,10 +196,13 @@ class ClusterPartitioningGame:
         self.lambda_value = self._resolve_lambda()
         w = self.config.relative_weight
         self._lambda_eff = self.lambda_value * (w / (1.0 - w))
-        # symmetrized CSR neighbor view (weights as float64 so the per-call
-        # bincount needs no cast; values are integers, hence exact)
-        self._sym_indptr, self._sym_indices, sym_w = cluster_graph.sym()
-        self._sym_weights = sym_w.astype(np.float64)
+        # the out- and the in-CSR, weights as float64 so the per-call
+        # bincount needs no cast (the values are integers, hence exact)
+        g = cluster_graph
+        self._csrs = (
+            (g.indptr, g.indices, g.weights.astype(np.float64)),
+            (g.in_indptr, g.in_indices, g.in_weights.astype(np.float64)),
+        )
         self._cut_degree = cluster_graph.cut_degrees().astype(np.float64)
         self._lam_over_k = self._lambda_eff / self.k
 
@@ -211,16 +218,32 @@ class ClusterPartitioningGame:
             return compute_lambda_balanced(self.graph, self.k, self.assignment)
         return float(self.config.lambda_value)
 
-    def _adjacency_row(self, c: int) -> np.ndarray:
-        """Merged neighbor weight of ``c`` into each partition (float64)."""
-        s, e = int(self._sym_indptr[c]), int(self._sym_indptr[c + 1])
-        if s == e:
-            return np.zeros(self.k, dtype=np.float64)
-        return np.bincount(
-            self.assignment[self._sym_indices[s:e]],
-            weights=self._sym_weights[s:e],
-            minlength=self.k,
+    def _adjacency_rows(
+        self, start: int, stop: int, assignment: np.ndarray
+    ) -> np.ndarray:
+        """``(stop - start, k)`` float64 table: the weight between each
+        cluster of ``[start, stop)`` and its neighbors in each partition
+        under ``assignment``, both directions summed — one bincount over
+        the cell ``row * k + partition`` of the range's entries in both
+        CSR triples."""
+        k = self.k
+        length = stop - start
+        rows = np.arange(length, dtype=np.int64)
+        cells, weights = [], []
+        for indptr, indices, w in self._csrs:
+            lo, hi = int(indptr[start]), int(indptr[stop])
+            row_of = np.repeat(rows, np.diff(indptr[start : stop + 1]))
+            cells.append(row_of * k + assignment[indices[lo:hi]])
+            weights.append(w[lo:hi])
+        adj = np.bincount(
+            np.concatenate(cells), weights=np.concatenate(weights), minlength=length * k
         )
+        # (astype: a bincount of nothing is int64 zeros whatever the weights)
+        return adj.astype(np.float64, copy=False).reshape(length, k)
+
+    def _adjacency_row(self, c: int, assignment: np.ndarray) -> np.ndarray:
+        """Neighbor weight of ``c`` into each partition (float64)."""
+        return self._adjacency_rows(c, c + 1, assignment)[0]
 
     def cost_vector(self, c: int) -> np.ndarray:
         """Individual cost of cluster ``c`` for every partition choice.
@@ -234,7 +257,7 @@ class ClusterPartitioningGame:
         loads_wo = self.loads.copy()
         loads_wo[cur] -= size
         load_cost = (self._lambda_eff / self.k) * size * (loads_wo + size)
-        cut_cost = 0.5 * (self._cut_degree[c] - self._adjacency_row(c))
+        cut_cost = 0.5 * (self._cut_degree[c] - self._adjacency_row(c, self.assignment))
         return load_cost + cut_cost
 
     def batch_cost_matrix(
@@ -253,7 +276,8 @@ class ClusterPartitioningGame:
         This is the shared kernel behind the batched parallel game
         (:func:`repro.core.parallel.parallel_game`) and the vectorized
         :meth:`is_nash_equilibrium` scan: one segmented bincount over
-        the batch's CSR slice replaces per-cluster neighbor bincounts.
+        the batch's out- and in-CSR slices replaces per-cluster neighbor
+        bincounts.
         In the kernel tier the rows come from the compiled
         ``game_cost_rows`` primitive instead — same op sequence, so
         still bit-identical.
@@ -264,7 +288,7 @@ class ClusterPartitioningGame:
             out = np.empty(length * k, dtype=np.float64)
             self._backend.game_cost_rows(
                 start, stop, k, self._lam_over_k,
-                self._sym_indptr, self._sym_indices, self._sym_weights,
+                *self._csrs[0], *self._csrs[1],
                 self._internal_f, self._cut_degree,
                 np.ascontiguousarray(assignment, dtype=np.int64),
                 np.ascontiguousarray(loads, dtype=np.float64),
@@ -279,18 +303,7 @@ class ClusterPartitioningGame:
         occupied = sizes[:, None] + loads[None, :]
         occupied[rows, cur] = (loads[cur] - sizes) + sizes
         load_cost = (self._lambda_eff / k * sizes)[:, None] * occupied
-        lo = int(self._sym_indptr[start])
-        hi = int(self._sym_indptr[stop])
-        if lo == hi:
-            adj = np.zeros((length, k), dtype=np.float64)
-        else:
-            nbr_parts = assignment[self._sym_indices[lo:hi]]
-            row_of = np.repeat(rows, np.diff(self._sym_indptr[start : stop + 1]))
-            adj = np.bincount(
-                row_of * k + nbr_parts,
-                weights=self._sym_weights[lo:hi],
-                minlength=length * k,
-            ).reshape(length, k)
+        adj = self._adjacency_rows(start, stop, assignment)
         cut_cost = 0.5 * (self._cut_degree[start:stop, None] - adj)
         return load_cost + cut_cost
 
@@ -333,23 +346,11 @@ class ClusterPartitioningGame:
         return False
 
     def _build_adj_table(self) -> np.ndarray | None:
-        """The ``(m, k)`` merged-adjacency table, or None when too large.
-
-        One ``bincount`` over the flat cell ``row * k + partition`` of every
-        symmetrized entry; the sums are integer-valued floats, so exact in
-        whatever order they are accumulated.
-        """
-        m, k = self.graph.num_clusters, self.k
-        if m * k > _ADJ_TABLE_MAX_CELLS:
+        """The ``(m, k)`` adjacency table, or None when too large."""
+        m = self.graph.num_clusters
+        if m * self.k > _ADJ_TABLE_MAX_CELLS:
             return None
-        if self._sym_indices.size == 0:  # bincount of nothing is int64 zeros
-            return np.zeros((m, k), dtype=np.float64)
-        rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(self._sym_indptr))
-        return np.bincount(
-            rows * k + self.assignment[self._sym_indices],
-            weights=self._sym_weights,
-            minlength=m * k,
-        ).reshape(m, k)
+        return self._adjacency_rows(0, m, self.assignment)
 
     def run(self, record_moves: bool = False) -> GameResult:
         """Iterate best responses until Nash equilibrium (Algorithm 3).
@@ -373,8 +374,6 @@ class ClusterPartitioningGame:
         adj = self._build_adj_table()
         cut_degree = self._cut_degree
         lam_over_k = self._lam_over_k
-        indptr, indices = self._sym_indptr, self._sym_indices
-        sym_w = self._sym_weights
         trace = [self.potential()]
         total_moves = 0
         rounds = 0
@@ -404,7 +403,7 @@ class ClusterPartitioningGame:
                 # elementwise ops match the reference expression
                 # bit-for-bit (IEEE multiplication is commutative and the
                 # addition order is unchanged)
-                row = adj[c] if adj is not None else self._adjacency_row(c)
+                row = adj[c] if adj is not None else self._adjacency_row(c, assignment)
                 costs = loads + size
                 costs[cur] = (loads[cur] - size) + size
                 costs *= lam_over_k * size
@@ -417,12 +416,13 @@ class ClusterPartitioningGame:
                     loads[best] += size
                     assignment[c] = best
                     if adj is not None:
-                        s, e = int(indptr[c]), int(indptr[c + 1])
-                        if s != e:
-                            nbrs = indices[s:e]
-                            w = sym_w[s:e]
-                            adj[nbrs, cur] -= w
-                            adj[nbrs, best] += w
+                        for indptr, indices, weights in self._csrs:
+                            s, e = int(indptr[c]), int(indptr[c + 1])
+                            if s != e:
+                                nbrs = indices[s:e]
+                                w = weights[s:e]
+                                adj[nbrs, cur] -= w
+                                adj[nbrs, best] += w
                     if move_log is not None:
                         move_log.append((c, cur, best))
                     moves += 1
@@ -526,7 +526,7 @@ class ClusterPartitioningGame:
             moves = int(
                 backend.game_round(
                     k, lam_over_k, _IMPROVEMENT_EPS, relaxed,
-                    self._sym_indptr, self._sym_indices, self._sym_weights,
+                    *self._csrs[0], *self._csrs[1],
                     self._internal_f, self._cut_degree,
                     self.assignment, self.loads, adj, has_adj,
                     last_eval, nbr_epoch, inc_epoch, dec_epoch,
@@ -593,7 +593,7 @@ def best_response_dynamics(
     """Algorithm 3 as the paper writes it — the pass-2 oracle.
 
     Round-robin over every cluster, every round: each one is rescored
-    from its :meth:`ClusterGraph.sym` neighbor slice
+    from its out- and in-row of the cluster graph
     (:meth:`ClusterPartitioningGame.best_response`) and moved if it
     strictly improves; a round with no move ends the game.  No adjacency
     table, no skip rule, no kernel — what :meth:`ClusterPartitioningGame.

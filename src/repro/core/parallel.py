@@ -10,7 +10,7 @@ barriers, and outer rounds repeat until no cluster moves.
 Batched evaluation (PR 3): a thread no longer loops per cluster — it
 scores its whole remaining batch as one ``(batch, k)`` cost matrix
 (:meth:`ClusterPartitioningGame.batch_cost_matrix`: segmented bincount
-over the batch's CSR slice + one matrix expression — in the kernel
+over the batch's out- and in-CSR slices + one matrix expression — in the kernel
 tier the rows come from the compiled ``game_cost_rows`` primitive
 instead, bit-identically), commits every cluster before the
 first mover wholesale (their frozen evaluation *is* the sequential
@@ -55,8 +55,8 @@ def _batch_best_response_reference(
     Returns proposed moves ``(cluster, new_partition)``.  Within the batch
     the snapshot is updated locally so the thread's own decisions compose
     (this mirrors the paper's per-thread task that finds the equilibrium of
-    its batch).  Each cluster's adjacency is one bincount over its CSR
-    neighbor slice of the symmetrized cluster graph.
+    its batch).  Each cluster's adjacency is one bincount over its out-row
+    and in-row of the cluster graph.
 
     This is the sequential reference loop: the correctness oracle for the
     batched evaluator below, and the fallback it hands mover-dense
@@ -65,9 +65,6 @@ def _batch_best_response_reference(
     k = game.k
     lam_eff = game._lambda_eff
     internal = game.graph.internal
-    indptr = game._sym_indptr
-    indices = game._sym_indices
-    weights = game._sym_weights
     moves: list[tuple[int, int]] = []
     local_assign = assignment_snapshot
     local_loads = loads_snapshot
@@ -77,14 +74,7 @@ def _batch_best_response_reference(
         loads_wo = local_loads.copy()
         loads_wo[cur] -= size
         load_cost = (lam_eff / k) * size * (loads_wo + size)
-        s, e = int(indptr[c]), int(indptr[c + 1])
-        if s == e:
-            adj = np.zeros(k, dtype=np.float64)
-        else:
-            adj = np.bincount(
-                local_assign[indices[s:e]], weights=weights[s:e], minlength=k
-            )
-        cut_cost = 0.5 * (game._cut_degree[c] - adj)
+        cut_cost = 0.5 * (game._cut_degree[c] - game._adjacency_row(c, local_assign))
         costs = load_cost + cut_cost
         best = int(np.argmin(costs))
         if costs[best] < costs[cur] - _IMPROVEMENT_EPS:
@@ -106,8 +96,8 @@ def _batch_best_response(
 
     The whole remaining batch is scored as one
     :meth:`~repro.core.game.ClusterPartitioningGame.batch_cost_matrix`
-    call (segmented bincount over the batch's CSR slice + one matrix
-    expression).  Every cluster before the first mover provably repeats
+    call (one segmented bincount over the batch's two CSR slices + one
+    matrix expression).  Every cluster before the first mover provably repeats
     its sequential no-move decision (the frozen state it was scored
     against *is* the state the sequential loop would see), so the scan
     commits all of them at once, applies the first mover, and re-evaluates

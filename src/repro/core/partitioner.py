@@ -49,7 +49,7 @@ from ..config import ClugpConfig, GameConfig
 from ..graph.stream import EdgeStream
 from ..partitioners.base import EdgePartitioner
 from .clustering import ClusteringResult, ClusteringState, streaming_clustering
-from .cluster_graph import ClusterGraph, build_cluster_graph, cluster_graph_from_labels
+from .cluster_graph import ClusterGraph, build_cluster_graph, grouped_cluster_graph
 from .game import ClusterPartitioningGame, GameResult, best_response_dynamics
 from .parallel import parallel_game
 from .transform import (
@@ -218,12 +218,12 @@ class GraphContribution(_SealedPayload):
     Once the coordinator has broadcast the boundary resolution, every
     endpoint of every shard edge has a final global cluster, so the node
     itself can label and group its edges.  What ships is the out-CSR of
-    that cluster graph over the whole global id space (the in-CSR is its
-    transpose and is rebuilt on receipt): ``internal[c]`` intra-cluster
-    edges plus ``(row, col) -> weight`` cut entries, each shard edge
-    counted exactly once.  The coordinator's merge is then one
-    :meth:`ClusterGraph.merge` of ``num_nodes`` such graphs under the
-    identity relabel.
+    that cluster graph over the whole global id space (the in-CSR never
+    crosses the wire): ``internal[c]`` intra-cluster edges plus
+    ``(row, col) -> weight`` cut entries, each shard edge counted exactly
+    once.  The coordinator's merge is then one :meth:`ClusterGraph.merge`
+    of the ``num_nodes`` contributions as they arrived, under the
+    identity relabel; only the merged graph gets an in-CSR.
     """
 
     node: int
@@ -247,12 +247,6 @@ class GraphContribution(_SealedPayload):
             indices=graph.indices,
             weights=graph.weights,
         ).seal()
-
-    def graph(self) -> ClusterGraph:
-        """The shipped graph, its in-CSR rebuilt (coordinator side)."""
-        return ClusterGraph.from_out_csr(
-            self.internal, self.indptr, self.indices, self.weights
-        )
 
     def _header(self) -> tuple[int, ...]:
         return (self.node, self.num_clusters, self.num_edges)
@@ -319,9 +313,7 @@ def graph_contribution(
     seen = clustering.active_mask()
     global_of[seen] = clustering.cluster_of[seen] + offset
     global_of[boundary_vertices] = boundary_global_cluster
-    graph = cluster_graph_from_labels(
-        global_of[stream.src], global_of[stream.dst], num_global_clusters
-    )
+    graph = grouped_cluster_graph(stream, global_of, num_global_clusters)
     return GraphContribution.from_graph(graph, node, stream.num_edges), global_of
 
 

@@ -45,6 +45,8 @@ __all__ = [
 _EDGES_MAGIC = b"CLUGPED1"
 _EDGES_HEADER = struct.Struct("<8sqq")  # magic, num_edges, num_vertices
 _EDGES_TRAILER = struct.Struct("<I")  # crc32 of the endpoint body
+#: edges per read of :func:`read_edges_binary` (256 KiB of body)
+_SLAB_EDGES = 1 << 14
 
 
 def write_edgelist(graph: DiGraph, path: str | os.PathLike, comment: str = "") -> None:
@@ -186,42 +188,58 @@ def read_edges_binary(
     missing rows in ``report`` (the CRC cannot be checked on a short
     body, so lenient reads of torn files trade integrity for liveness —
     exactly the operator call the mode encodes).
+
+    Nothing sized from the header is allocated before the file size
+    vouches for it; the body is read, CRC-folded and deinterleaved one
+    slab at a time, so the peak is the two columns plus one slab.
     """
     _check_mode(mode)
     if report is None:
         report = DropReport()
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _EDGES_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: truncated header")
-    magic, m, n = _EDGES_HEADER.unpack_from(raw, 0)
-    if magic != _EDGES_MAGIC:
-        raise MalformedEdgeError(f"{path}: bad magic {magic!r}")
-    if m < 0 or n < 0:
-        raise MalformedEdgeError(f"{path}: negative count in header (m={m}, n={n})")
-    body_start = _EDGES_HEADER.size
-    body_end = body_start + 16 * m
-    if body_end + _EDGES_TRAILER.size > len(raw):
-        if mode == "strict":
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_EDGES_HEADER.size)
+        if len(head) < _EDGES_HEADER.size:
+            raise TruncatedPayloadError(f"{path}: truncated header")
+        magic, m, n = _EDGES_HEADER.unpack(head)
+        if magic != _EDGES_MAGIC:
+            raise MalformedEdgeError(f"{path}: bad magic {magic!r}")
+        if m < 0 or n < 0:
+            raise MalformedEdgeError(f"{path}: negative count in header (m={m}, n={n})")
+        avail = size - _EDGES_HEADER.size
+        whole = 16 * m + _EDGES_TRAILER.size <= avail
+        if whole:
+            kept = m
+        elif mode == "strict":
             raise TruncatedPayloadError(
-                f"{path}: declares {m} edges but holds "
-                f"{max(0, len(raw) - body_start)} body bytes of {16 * m}"
+                f"{path}: declares {m} edges but holds {avail} body bytes of {16 * m}"
             )
-        avail = max(0, len(raw) - body_start)
-        kept = min(m, avail // 16)
-        report.bump("truncated", m - kept)
+        else:
+            kept = min(m, avail // 16)
+            report.bump("truncated", m - kept)
+        src = np.empty(kept, dtype=np.int64)
+        dst = np.empty(kept, dtype=np.int64)
+        slab = np.empty((min(kept, _SLAB_EDGES), 2), dtype="<i8")
+        crc = 0
+        lo, hi = 0, -1
+        for start in range(0, kept, _SLAB_EDGES):
+            pairs = slab[: min(_SLAB_EDGES, kept - start)]
+            if f.readinto(pairs) != pairs.nbytes:
+                raise TruncatedPayloadError(f"{path}: file shrank while being read")
+            crc = zlib.crc32(pairs, crc)
+            lo = min(lo, int(pairs.min()))
+            hi = max(hi, int(pairs.max()))
+            src[start : start + pairs.shape[0]] = pairs[:, 0]
+            dst[start : start + pairs.shape[0]] = pairs[:, 1]
+        if whole:
+            (want,) = _EDGES_TRAILER.unpack(f.read(_EDGES_TRAILER.size))
+            if crc != want:
+                raise TruncatedPayloadError(f"{path}: CRC mismatch (corrupt body)")
+    if lo < 0 or hi >= n:  # only then is there anything to sanitize
+        src, dst, clean = sanitize_edges(src, dst, num_vertices=n, mode=mode)
+        report.merge(clean)
     else:
-        kept = m
-        (crc,) = _EDGES_TRAILER.unpack_from(raw, body_end)
-        if zlib.crc32(memoryview(raw)[body_start:body_end]) != crc:
-            raise TruncatedPayloadError(f"{path}: CRC mismatch (corrupt body)")
-    # checksummed and decoded where it was read: no second copy of the body
-    pairs = np.frombuffer(
-        raw, dtype="<i8", count=2 * kept, offset=body_start
-    ).reshape(kept, 2)
-    src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
-    src, dst, clean = sanitize_edges(src, dst, num_vertices=n, mode=mode)
-    report.merge(clean)
+        report.kept += kept
     return DiGraph(src, dst, n)
 
 

@@ -118,7 +118,9 @@ KERNELS: dict[str, Kernel] = {
     ),
     "game_round": _row(
         "k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
-        "indptr:i64[] indices:i64[] weights:f64[] internal:f64[] cut_degree:f64[] "
+        "indptr:i64[] indices:i64[] weights:f64[] "
+        "in_indptr:i64[] in_indices:i64[] in_weights:f64[] "
+        "internal:f64[] cut_degree:f64[] "
         "assignment:i64[] m:len(assignment) loads:f64[] adj:f64[] has_adj:i64 "
         "last_eval:i64[] nbr_epoch:i64[] inc_epoch:i64[] dec_epoch:i64[] "
         "counters:i64[] phi:f64[] move_log:i64[] cost_buf:f64[] row_buf:f64[]",
@@ -126,7 +128,9 @@ KERNELS: dict[str, Kernel] = {
     ),
     "game_cost_rows": _row(
         "start:i64 stop:i64 k:i64 lam_over_k:f64 "
-        "indptr:i64[] indices:i64[] weights:f64[] internal:f64[] cut_degree:f64[] "
+        "indptr:i64[] indices:i64[] weights:f64[] "
+        "in_indptr:i64[] in_indices:i64[] in_weights:f64[] "
+        "internal:f64[] cut_degree:f64[] "
         "assignment:i64[] loads:f64[] out:f64[]"
     ),
     "take_add_f64": _take("f64"),

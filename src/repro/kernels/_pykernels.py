@@ -278,7 +278,8 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
 
 def game_round(
     k, lam_over_k, eps, relaxed,
-    indptr, indices, weights, internal, cut_degree,
+    indptr, indices, weights, in_indptr, in_indices, in_weights,
+    internal, cut_degree,
     assignment, loads, adj, has_adj,
     last_eval, nbr_epoch, inc_epoch, dec_epoch,
     counters, phi, move_log, cost_buf, row_buf,
@@ -291,9 +292,10 @@ def game_round(
     (current column ``(loads[cur] - size) + size``), first-minimum argmin,
     strict-improvement test against ``eps``, move commit, and the O(deg)
     adjacency-table update.  ``adj`` is the flat ``(m, k)`` table when
-    ``has_adj`` is set; otherwise rows are rebuilt on demand from the
-    symmetrized CSR (the over-cap fallback), which changes nothing — the
-    table entries are the same integer-valued sums.
+    ``has_adj`` is set; otherwise rows are rebuilt on demand from the two
+    CSR triples (the over-cap fallback), which changes nothing — the
+    table entries are the same integer-valued sums.  A cluster's
+    neighbors are its out-row, then its in-row (see ``kernels.c``).
 
     Skip rules (both decision-preserving, DESIGN.md §10): a cluster whose
     ``last_eval`` equals the move counter has seen zero moves anywhere
@@ -312,6 +314,7 @@ def game_round(
     target)`` pairs for the round's moves.  ``cost_buf``/``row_buf`` are
     k-sized scratch.  Returns the number of moves committed.
     """
+    csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
     mc = counters[0]
     moves = 0
     for c in range(assignment.shape[0]):
@@ -339,8 +342,9 @@ def game_round(
         else:
             for p in range(k):
                 row_buf[p] = 0.0
-            for j in range(indptr[c], indptr[c + 1]):
-                row_buf[assignment[indices[j]]] += weights[j]
+            for ptr, nbrs, ws in csrs:
+                for j in range(ptr[c], ptr[c + 1]):
+                    row_buf[assignment[nbrs[j]]] += ws[j]
         a = lam_over_k * size
         best = 0
         best_cost = 0.0
@@ -363,13 +367,13 @@ def game_round(
             loads[best] = l_best + size
             assignment[c] = best
             mc += 1
-            for j in range(indptr[c], indptr[c + 1]):
-                nb = indices[j]
-                w = weights[j]
-                if has_adj != 0:
-                    adj[nb * k + cur] -= w
-                    adj[nb * k + best] += w
-                nbr_epoch[nb] = mc
+            for ptr, nbrs, ws in csrs:
+                for j in range(ptr[c], ptr[c + 1]):
+                    nb = nbrs[j]
+                    if has_adj != 0:
+                        adj[nb * k + cur] -= ws[j]
+                        adj[nb * k + best] += ws[j]
+                    nbr_epoch[nb] = mc
             dec_epoch[cur] = mc
             inc_epoch[best] = mc
             move_log[2 * moves] = c
@@ -382,7 +386,8 @@ def game_round(
 
 def game_cost_rows(
     start, stop, k, lam_over_k,
-    indptr, indices, weights, internal, cut_degree,
+    indptr, indices, weights, in_indptr, in_indices, in_weights,
+    internal, cut_degree,
     assignment, loads, out,
 ):
     """Cost rows of clusters ``[start, stop)`` against a frozen state.
@@ -392,12 +397,14 @@ def game_cost_rows(
     to the numpy path (same per-element IEEE op sequence; the adjacency
     accumulation is an integer sum, exact in any order).
     """
+    csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
     for c in range(start, stop):
         base = (c - start) * k
         for p in range(k):
             out[base + p] = 0.0
-        for j in range(indptr[c], indptr[c + 1]):
-            out[base + assignment[indices[j]]] += weights[j]
+        for ptr, nbrs, ws in csrs:
+            for j in range(ptr[c], ptr[c + 1]):
+                out[base + assignment[nbrs[j]]] += ws[j]
         size = internal[c]
         a = lam_over_k * size
         cur = assignment[c]

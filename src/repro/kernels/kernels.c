@@ -312,15 +312,31 @@ int64_t transform_chunk(
 /* Pass 2: fused best-response round (Algorithm 3, DESIGN.md s10)     */
 /* ------------------------------------------------------------------ */
 
+/* BODY for every neighbor nb of cluster c, with weight wt: its out-row,
+ * then its in-row.  One held both ways comes twice, which is harmless:
+ * weights are integer-valued doubles (exact sums in any order) and
+ * nbr_epoch is assigned, not counted. */
+#define FOR_NEIGHBOR(c, BODY)                                           \
+    for (int64_t d_ = 0; d_ < 2; d_++) {                                \
+        const int64_t *ip_ = d_ ? in_indptr : indptr;                   \
+        const int64_t *ix_ = d_ ? in_indices : indices;                 \
+        const double *w_ = d_ ? in_weights : weights;                   \
+        for (int64_t j_ = ip_[c]; j_ < ip_[(c) + 1]; j_++) {            \
+            int64_t nb = ix_[j_];                                       \
+            double wt = w_[j_];                                         \
+            BODY;                                                       \
+        }                                                               \
+    }
+
 /* One round over every cluster c = 0..m-1.  Float expressions keep the exact
  * op sequence of ClusterPartitioningGame.run's in-place cost rewrite:
  * (loads[p] + size) * (lam_over_k * size) + (cut_degree - row) * 0.5,
  * with the current column (loads[cur] - size) + size; no -ffast-math,
  * -ffp-contract=off (no FMA contraction of the final multiply-add).
  *
- * adj is the flat (m, k) merged-adjacency table when has_adj != 0;
- * otherwise rows are rebuilt on demand from the symmetrized CSR (the
- * over-cap fallback) — same integer-valued sums either way.
+ * adj is the flat (m, k) adjacency table (both directions summed) when
+ * has_adj != 0; otherwise rows are rebuilt on demand from the two CSRs
+ * (the over-cap fallback) — same integer-valued sums either way.
  *
  * Skip rules (decision-preserving): last_eval[c] == move_counter means
  * zero moves anywhere since c last declined; with `relaxed`, c also
@@ -336,6 +352,7 @@ int64_t transform_chunk(
 int64_t game_round(
     int64_t k, double lam_over_k, double eps, int64_t relaxed,
     const int64_t *indptr, const int64_t *indices, const double *weights,
+    const int64_t *in_indptr, const int64_t *in_indices, const double *in_weights,
     const double *internal, const double *cut_degree,
     int64_t *assignment, int64_t m, double *loads,
     double *adj, int64_t has_adj,
@@ -368,8 +385,7 @@ int64_t game_round(
             for (int64_t p = 0; p < k; p++) row_buf[p] = row[p];
         } else {
             for (int64_t p = 0; p < k; p++) row_buf[p] = 0.0;
-            for (int64_t j = indptr[c]; j < indptr[c + 1]; j++)
-                row_buf[assignment[indices[j]]] += weights[j];
+            FOR_NEIGHBOR(c, row_buf[assignment[nb]] += wt);
         }
         double a = lam_over_k * size;
         int64_t best = 0;
@@ -394,15 +410,13 @@ int64_t game_round(
             loads[best] = l_best + size;
             assignment[c] = best;
             mc++;
-            for (int64_t j = indptr[c]; j < indptr[c + 1]; j++) {
-                int64_t nb = indices[j];
-                double w = weights[j];
+            FOR_NEIGHBOR(c, {
                 if (has_adj) {
-                    adj[nb * k + cur] -= w;
-                    adj[nb * k + best] += w;
+                    adj[nb * k + cur] -= wt;
+                    adj[nb * k + best] += wt;
                 }
                 nbr_epoch[nb] = mc;
-            }
+            });
             dec_epoch[cur] = mc;
             inc_epoch[best] = mc;
             move_log[2 * moves] = c;
@@ -421,6 +435,7 @@ int64_t game_round(
 void game_cost_rows(
     int64_t start, int64_t stop, int64_t k, double lam_over_k,
     const int64_t *indptr, const int64_t *indices, const double *weights,
+    const int64_t *in_indptr, const int64_t *in_indices, const double *in_weights,
     const double *internal, const double *cut_degree,
     const int64_t *assignment, const double *loads,
     double *out)
@@ -428,8 +443,7 @@ void game_cost_rows(
     for (int64_t c = start; c < stop; c++) {
         double *row = out + (c - start) * k;
         for (int64_t p = 0; p < k; p++) row[p] = 0.0;
-        for (int64_t j = indptr[c]; j < indptr[c + 1]; j++)
-            row[assignment[indices[j]]] += weights[j];
+        FOR_NEIGHBOR(c, row[assignment[nb]] += wt);
         double size = internal[c];
         double a = lam_over_k * size;
         int64_t cur = assignment[c];

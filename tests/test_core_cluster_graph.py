@@ -36,12 +36,16 @@ def in_row(cg, c):
     return csr_row(cg.in_indptr, cg.in_indices, cg.in_weights, c)
 
 
-def assert_sym_is_out_plus_in(cg):
+def assert_game_adjacency_is_out_plus_in(cg, k=3, seed=0):
+    """The game's adjacency row of every cluster is its out-row plus its
+    in-row, summed per partition of the neighbor."""
+    game = ClusterPartitioningGame(cg, k, GameConfig(seed=seed))
     for c in range(cg.num_clusters):
-        out, inn = out_row(cg, c), in_row(cg, c)
-        assert csr_row(*cg.sym(), c) == {
-            nbr: out.get(nbr, 0) + inn.get(nbr, 0) for nbr in out.keys() | inn.keys()
-        }
+        want = np.zeros(k)
+        for row in (out_row(cg, c), in_row(cg, c)):
+            for nbr, w in row.items():
+                want[game.assignment[nbr]] += w
+        assert np.array_equal(game._adjacency_row(c, game.assignment), want)
 
 
 class TestBuild:
@@ -87,15 +91,28 @@ class TestBuild:
         assert (cg.weights > 0).all()
         assert int(cg.in_weights.sum()) == int(cg.weights.sum())
 
-    def test_undirected_neighbors_sums_directions(self):
+    def test_game_adjacency_sums_directions(self):
         s, clustering = clustered_stream([(0, 1), (2, 0), (0, 2)], vmax=2)
-        assert_sym_is_out_plus_in(build_cluster_graph(s, clustering))
+        assert_game_adjacency_is_out_plus_in(build_cluster_graph(s, clustering))
 
-    def test_sym_matches_undirected_neighbors(self):
+    def test_game_adjacency_of_two_linked_triangles(self):
         s, clustering = clustered_stream(
             [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (4, 1)], vmax=6
         )
-        assert_sym_is_out_plus_in(build_cluster_graph(s, clustering))
+        assert_game_adjacency_is_out_plus_in(build_cluster_graph(s, clustering))
+
+    def test_edge_count_check_with_self_loops(self):
+        """Self-loops are internal, so ``internal + cut == |E|`` is exact
+        on a graph that has them, and one corrupted weight breaks it."""
+        s, clustering = clustered_stream(
+            [(0, 0), (1, 1), (0, 1), (2, 3), (3, 3), (3, 2), (1, 2)], vmax=3
+        )
+        loops = int((s.src == s.dst).sum())
+        cg = build_cluster_graph(s, clustering)
+        assert cg.total_cut() > 0 and cg.edge_count_check(s.num_edges, loops)
+        assert not cg.edge_count_check(s.num_edges, cg.total_internal() + 1)
+        cg.weights[0] += 1
+        assert not cg.edge_count_check(s.num_edges, loops)
 
     def test_cut_degree(self):
         s, clustering = clustered_stream(
@@ -280,15 +297,15 @@ def test_property_merge_of_halves_equals_whole_under_shared_clustering(
 
 
 # --------------------------------------------------------------------- #
-# grouping-branch differential (dense bincount vs one-sort sparse)
+# the packed-key grouping against the dict oracle, at two id-space widths
 # --------------------------------------------------------------------- #
 
 CSR_FIELDS = (
     "internal", "indptr", "indices", "weights",
     "in_indptr", "in_indices", "in_weights",
 )
-#: ``m * m > 1 << 20`` — with few edges this forces the sparse branch,
-#: while any ``m <= 1024`` takes the dense one
+#: a wider cluster-id space than any test label draws: the same labels
+#: grouped over it must give the same rows, the extra clusters empty
 SPARSE_M = 1025
 
 
@@ -318,9 +335,9 @@ def assert_same_graph(got, want, num_edges):
 
 
 def assert_branches_agree(cu, cv, m):
-    """Dense branch at ``m`` clusters, sparse branch at ``SPARSE_M`` (the
-    extra clusters stay empty), each against its dict oracle — and the
-    two against each other on the shared prefix."""
+    """The grouping at ``m`` clusters and at ``SPARSE_M`` (the extra
+    clusters stay empty), each against its dict oracle — and the two
+    against each other on the shared prefix."""
     cu = np.asarray(cu, dtype=np.int64)
     cv = np.asarray(cv, dtype=np.int64)
     assert m * m <= 1 << 20 < SPARSE_M * SPARSE_M and 2 * cu.size < SPARSE_M**2
@@ -354,8 +371,7 @@ class TestGroupingBranches:
         assert cg.num_clusters == 0 and cg.indptr.tolist() == [0]
 
     def test_single_cluster(self):
-        # m = 1 is dense by construction; the sparse branch sees the same
-        # labels confined to cluster 0 of SPARSE_M
+        # the same labels, confined to cluster 0 of SPARSE_M
         assert_branches_agree([0] * 7, [0] * 7, 1)
 
     def test_all_internal(self):
@@ -374,8 +390,8 @@ class TestGroupingBranches:
 
     @pytest.mark.parametrize("m", [46_340, 46_341])
     def test_key_width_boundary(self, m):
-        # the sparse branch sorts 32-bit keys while m * m fits (m <= 46340)
-        # and 64-bit keys beyond; exercise the largest keys on both sides
+        # the key column is int32 while m * m fits (m <= 46340) and int64
+        # beyond; exercise the largest keys on both sides
         assert (m * m <= np.iinfo(np.int32).max) == (m == 46_340)
         cu = [m - 1, m - 1, m - 1, 0, m - 2, m - 1]
         cv = [m - 1, m - 2, m - 2, m - 1, m - 1, 0]
@@ -439,13 +455,13 @@ def test_property_sparse_branch_matches_dense_and_dict_oracle(
 
 
 # --------------------------------------------------------------------- #
-# pass 2's set-up: sym() as one merge, the adjacency table as one bincount
+# pass 2's set-up: the adjacency table read off the two CSR triples
 # --------------------------------------------------------------------- #
 
 
 def sym_by_radix_group(cg):
-    """``ClusterGraph.sym()`` as it was built before the merge: a two-digit
-    radix argsort of all ``2 * nnz`` keys, then a run-length sum."""
+    """The symmetrized CSR the game once read (``w(c, n) = out + in``): a
+    two-digit radix argsort of all ``2 * nnz`` keys, then a run-length sum."""
     m = cg.num_clusters
     rows = np.concatenate([
         np.repeat(np.arange(m, dtype=np.int64), np.diff(cg.indptr)),
@@ -462,8 +478,8 @@ def sym_by_radix_group(cg):
 
 
 def adj_table_by_add_at(game):
-    """``_build_adj_table`` as the 2-D scatter-add it replaced."""
-    indptr, indices, weights = game.graph.sym()
+    """``_build_adj_table`` as a 2-D scatter-add over the symmetrized CSR."""
+    indptr, indices, weights = sym_by_radix_group(game.graph)
     m = game.graph.num_clusters
     adj = np.zeros((m, game.k), dtype=np.float64)
     rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
@@ -472,10 +488,6 @@ def adj_table_by_add_at(game):
 
 
 def assert_game_setup_unchanged(cg, k=3, seed=0):
-    for got, want in zip(cg.sym(), sym_by_radix_group(cg)):
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
-    assert cg.sym() is cg.sym()  # still cached
     game = ClusterPartitioningGame(cg, k, GameConfig(seed=seed))
     table = game._build_adj_table()
     assert table.dtype == np.float64 and table.flags.c_contiguous
@@ -512,4 +524,4 @@ def test_property_game_setup_matches_the_forms_it_replaced(m, pairs, reciprocate
             cv.append(a)
     cg = cluster_graph_from_labels(cu, cv, m)
     assert_game_setup_unchanged(cg, k=1 + seed % 4, seed=seed)
-    assert_sym_is_out_plus_in(cg)
+    assert_game_adjacency_is_out_plus_in(cg, k=1 + seed % 4, seed=seed)

@@ -298,6 +298,20 @@ def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tie
     assert spies[name].calls == []
 
 
+#: the game's adjacency: the out-CSR triple, then the in-CSR triple
+GAME_CSR_ARGS = ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights")
+
+
+@pytest.mark.parametrize("name", ["game_round", "game_cost_rows"])
+def test_the_game_kernels_take_both_csr_triples(name):
+    """The game reads the cluster graph's two CSR triples as they are, so
+    each of the six arrays is a case of the refusal test above."""
+    params = kernels.KERNELS[name].params
+    start = params.index("indptr")
+    assert tuple(params[start : start + 6]) == GAME_CSR_ARGS
+    assert {(name, arg) for arg in GAME_CSR_ARGS} <= set(ARRAY_ARGS)
+
+
 #: (kernel, scalar argument, wrong value): every scalar the table
 #: declares, given what neither kind takes; an ``i64`` also a float
 SCALAR_CASES = [

@@ -1,0 +1,71 @@
+"""Peak-memory bounds of the two |E|-sized steps between file and game.
+
+CLUGP's state is bounded by |V| and the cluster count, so the process
+peak of a run should be set by the edge columns themselves, not by
+transients of reading or grouping them.  Measured with ``tracemalloc``
+(numpy reports its buffers to it) as the peak above what was allocated
+before the call, on a generated ~200k-edge crawl:
+
+* ``read_edges_binary`` holds the two int64 columns it returns plus one
+  slab: at most 1.25x the 16 B/edge body (the whole-file reader held the
+  body twice, ~2.5x);
+* ``build_cluster_graph`` holds one packed key column (4 B/edge while
+  ``m * m`` fits int32) and a run mask (1 B/edge): at most 8 B/edge plus
+  a per-pair term for the grouped output (the label-array build took
+  ~50 B/edge).
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.core.cluster_graph import build_cluster_graph
+from repro.core.clustering import streaming_clustering
+from repro.graph.datasets import load_dataset
+from repro.graph.io import read_edges_binary, write_edges_binary
+from repro.graph.stream import EdgeStream
+
+#: bytes per grouped ``(cu, cv)`` pair the build may hold on top of the key
+#: column: unique keys, rows, columns, counts and the in-CSR regrouping
+PER_PAIR_BYTES = 96
+
+
+@pytest.fixture(scope="module")
+def crawl():
+    graph = load_dataset("uk", scale=1.0)
+    assert 150_000 < graph.num_edges < 250_000
+    return graph
+
+
+def peak_above_inputs(fn, *args):
+    """``fn(*args)`` and the bytes its peak held above what existed before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_edges_binary_holds_the_columns_and_one_slab(crawl, tmp_path):
+    path = tmp_path / "crawl.bin"
+    write_edges_binary(crawl, path)
+    graph, peak = peak_above_inputs(read_edges_binary, path)
+    assert graph.num_edges == crawl.num_edges
+    body = 16 * crawl.num_edges
+    assert peak <= 1.25 * body, f"peak {peak / body:.2f}x the body"
+
+
+def test_build_cluster_graph_holds_one_key_column(crawl):
+    stream = EdgeStream.from_graph(crawl)
+    clustering = streaming_clustering(stream, max_volume=crawl.num_edges // 256)
+    assert clustering.num_clusters**2 < 2**31  # the 4-byte key column
+    graph, peak = peak_above_inputs(build_cluster_graph, stream, clustering)
+    pairs = graph.indices.size + int((graph.internal > 0).sum())
+    bound = 8 * stream.num_edges + PER_PAIR_BYTES * pairs
+    assert peak <= bound, (
+        f"peak {peak / stream.num_edges:.1f} B/edge, bound "
+        f"{bound / stream.num_edges:.1f} B/edge ({pairs} pairs)"
+    )

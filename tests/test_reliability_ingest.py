@@ -1,11 +1,15 @@
 """Hardened ingestion: typed errors in strict mode, counted drops in lenient."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
+    _SLAB_EDGES,
     read_edgelist,
     read_edges_binary,
     read_npz,
@@ -271,6 +275,107 @@ class TestBinaryEdges:
         path.write_bytes(bytes(raw))
         with pytest.raises(MalformedEdgeError, match="magic"):
             read_edges_binary(path)
+
+
+#: a file of two full read slabs and a partial third
+SLABBED_EDGES = 2 * _SLAB_EDGES + 37
+_BODY_START = 24
+_BODY_END = _BODY_START + 16 * SLABBED_EDGES
+_FILE_SIZE = _BODY_END + 4
+#: slab boundaries of the body +-1 byte (a torn header, a torn edge, one
+#: byte past a whole edge), the body's end and every cut inside the trailer
+CUTS = sorted({
+    cut
+    for edge in (0, _SLAB_EDGES, 2 * _SLAB_EDGES, SLABBED_EDGES)
+    for cut in (_BODY_START + 16 * edge - 1, _BODY_START + 16 * edge,
+                _BODY_START + 16 * edge + 1)
+} | {_FILE_SIZE - 3, _FILE_SIZE - 2, _FILE_SIZE - 1})
+
+
+@pytest.fixture(scope="module")
+def slabbed_graph():
+    rng = np.random.default_rng(11)
+    n = 5000
+    graph = DiGraph(rng.integers(0, n, SLABBED_EDGES), rng.integers(0, n, SLABBED_EDGES), n)
+    return graph
+
+
+def whole_file_prefix(raw: bytes):
+    """The lenient prefix as the whole-file reader decoded it: the body in
+    one buffer, ``min(m, body bytes // 16)`` edges by one ``frombuffer``."""
+    _, m, _ = struct.unpack_from("<8sqq", raw)
+    if _BODY_START + 16 * m + 4 <= len(raw):
+        kept = m
+    else:
+        kept = min(m, max(0, len(raw) - _BODY_START) // 16)
+    pairs = np.frombuffer(raw, "<i8", 2 * kept, _BODY_START).reshape(kept, 2)
+    return pairs[:, 0], pairs[:, 1], m - kept
+
+
+class TestBinaryEdgeSlabs:
+    """The reader decodes fixed slabs; every way a file can be torn or
+    flipped across them is a typed error, never a short or wrong graph."""
+
+    @pytest.fixture
+    def write(self, tmp_path, slabbed_graph):
+        path = tmp_path / "g.bin"
+        write_edges_binary(slabbed_graph, path)
+        raw = path.read_bytes()
+        assert len(raw) == _FILE_SIZE
+
+        def rewrite(data):
+            path.write_bytes(bytes(data))
+            return path
+
+        return raw, rewrite
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_truncation(self, write, cut):
+        raw, rewrite = write
+        path = rewrite(raw[:cut])
+        with pytest.raises(TruncatedPayloadError):
+            read_edges_binary(path)
+        if cut < _BODY_START:
+            with pytest.raises(TruncatedPayloadError, match="header"):
+                read_edges_binary(path, mode="lenient")
+            return
+        report = DropReport()
+        loaded = read_edges_binary(path, mode="lenient", report=report)
+        src, dst, missing = whole_file_prefix(raw[:cut])
+        assert np.array_equal(loaded.src, src) and np.array_equal(loaded.dst, dst)
+        assert report.kept == src.size
+        assert report.dropped == ({"truncated": missing} if missing else {})
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("byte", [_BODY_START + 3, _BODY_END - 5],
+                             ids=["first_slab", "last_slab"])
+    def test_bit_flip(self, write, mode, byte):
+        raw, rewrite = write
+        flipped = bytearray(raw)
+        flipped[byte] ^= 0x10
+        report = DropReport()
+        with pytest.raises(TruncatedPayloadError, match="CRC"):
+            read_edges_binary(rewrite(flipped), mode=mode, report=report)
+        assert report.dropped == {}
+
+    def test_header_declaring_2_to_the_40_edges(self, write):
+        """The declared count is checked against the file size before
+        anything sized from it is allocated."""
+        raw, rewrite = write
+        header = struct.pack("<8sqq", b"CLUGPED1", 1 << 40, 5000)
+        path = rewrite(header + raw[_BODY_START:_BODY_START + 16 * 10])
+        with pytest.raises(TruncatedPayloadError, match="declares"):
+            read_edges_binary(path)
+        report = DropReport()
+        tracemalloc.start()
+        try:
+            loaded = read_edges_binary(path, mode="lenient", report=report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert loaded.num_edges == 10
+        assert report.dropped == {"truncated": (1 << 40) - 10}
 
 
 class TestNpzHardening:
