@@ -16,11 +16,10 @@ Public API quick tour::
 Every partitioner is ``partition(stream, chunk_size=None)``: it makes
 its passes (``passes`` says how many) over ``stream.batches(chunk_size)``,
 a restartable source of ``(src, dst)`` column chunks, and the assignment
-does not depend on the chunk size.  It is the compiled path wherever a
-:mod:`repro.kernels` backend resolves (``kernels.c`` built once per
-machine with the system C compiler, ~0.5 s at first use, then cached);
-on a host without one it runs the bit-identical numpy tier, with one
-warning.
+does not depend on the chunk size.  It runs :mod:`repro.kernels`: the
+compiled ``cc`` tier (``kernels.c`` built once per machine with the
+system C compiler, ~0.5 s at first use, then cached), or on a host
+without one the bit-identical ``python`` kernels, with one warning.
 The program picks the tier from what it can observe — no config field,
 argument or flag names an implementation; ``CLUGP_KERNEL_BACKEND`` is
 the one deployment/test override.  ``partition_per_edge()`` is the

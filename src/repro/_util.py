@@ -24,6 +24,9 @@ __all__ = [
     "grow_buffer",
     "occurrence_ranks",
     "vertex_partition_pairs",
+    "first_max_partition",
+    "replica_routes",
+    "adjacency_rows",
     "as_rng",
     "Timer",
     "StageTimes",
@@ -248,6 +251,71 @@ def vertex_partition_pairs(src, dst, edge_partition, num_partitions: int):
     pairs = keys[starts].astype(np.int64)
     vertices = pairs // k
     return vertices, pairs - vertices * k, np.diff(starts, append=keys.size)
+
+
+def first_max_partition(vertices, partitions, counts, replica_counts) -> np.ndarray:
+    """Per vertex, the partition holding the most of its edges, ties to
+    the lowest id (-1 for a vertex with no edge), from a
+    :func:`vertex_partition_pairs` table and each vertex's number of rows
+    in it (``replica_counts``).
+
+    The table is sorted by (vertex, partition), so each hosted vertex is
+    one contiguous run of rows and the first row reaching the run's
+    maximum is the lowest partition id.
+    """
+    master = np.full(replica_counts.size, -1, dtype=np.int64)
+    if vertices.size:
+        hosted = np.flatnonzero(replica_counts)
+        widths = replica_counts[hosted]
+        run_max = np.maximum.reduceat(counts, np.cumsum(widths) - widths)
+        at_max = np.flatnonzero(counts == np.repeat(run_max, widths))
+        owner = vertices[at_max]
+        master[hosted] = partitions[at_max[np.r_[True, owner[1:] != owner[:-1]]]]
+    return master
+
+
+def replica_routes(vertices: np.ndarray, part_indptr: np.ndarray, master: np.ndarray):
+    """The mirror<->master routes of a replica-slot layout (slots grouped
+    by partition, ``vertices[s]`` the vertex of slot ``s``) under a
+    ``master`` column: ``(is_master, master_slots, mirror_slot,
+    master_slot, mirror_indptr, master_order, master_indptr)`` — every
+    non-master slot paired with its vertex's master slot (-1 where the
+    master partition hosts no replica), the rows stably grouped by mirror
+    and by master partition."""
+    k = part_indptr.size - 1
+    slot_part = np.repeat(np.arange(k, dtype=np.int64), np.diff(part_indptr))
+    is_master = master[vertices] == slot_part
+    master_slots = np.flatnonzero(is_master)
+    mirror_slot = np.flatnonzero(~is_master)
+    slot_of = np.full(master.size, -1, dtype=np.int64)
+    slot_of[vertices[master_slots]] = master_slots
+    master_slot = slot_of[vertices[mirror_slot]]
+    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
+    return (
+        is_master, master_slots, mirror_slot, master_slot,
+        np.searchsorted(mirror_slot, part_indptr), master_order, master_indptr,
+    )
+
+
+def adjacency_rows(start: int, stop: int, k: int, assignment: np.ndarray, csrs) -> np.ndarray:
+    """``(stop - start, k)`` float64 table: the weight between each row of
+    ``[start, stop)`` and its neighbors in each partition under
+    ``assignment``, summed over the ``(indptr, indices, weights)`` CSR
+    triples ``csrs`` — one bincount over the cells ``row * k +
+    partition``.  Integer weights give exact sums in any order."""
+    length = stop - start
+    rows = np.arange(length, dtype=np.int64)
+    cells, weights = [], []
+    for indptr, indices, w in csrs:
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        row_of = np.repeat(rows, np.diff(indptr[start : stop + 1]))
+        cells.append(row_of * k + assignment[indices[lo:hi]])
+        weights.append(w[lo:hi])
+    adj = np.bincount(
+        np.concatenate(cells), weights=np.concatenate(weights), minlength=length * k
+    )
+    # (astype: a bincount of nothing is int64 zeros whatever the weights)
+    return adj.astype(np.float64, copy=False).reshape(length, k)
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -270,9 +270,9 @@ def _load_stream(args) -> EdgeStream:
 
 
 def _resolved_backend(partitioner) -> str | None:
-    """Kernel backend a partitioner's compiled seams run on — None on the
-    numpy tier, or when the algorithm has no compiled seam (only hdrf,
-    greedy and the clugp family do)."""
+    """Kernel backend a partitioner's kernel seams run on (``cc`` or
+    ``python``) — None when the algorithm has none (only hdrf, greedy and
+    the clugp family do)."""
     if not (hasattr(partitioner, "_backend") or hasattr(partitioner, "config")):
         return None
     return kernels.backend_name()

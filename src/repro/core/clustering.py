@@ -41,13 +41,9 @@ is the one pass-1 driver over a stream's batches) and produces
 **bit-identical** results to the per-edge oracle
 :func:`streaming_clustering`.  The state is held in flat
 arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
-buffer, parallel mirror tables).  When a :mod:`repro.kernels` backend
-resolves, each chunk is one call into the compiled
-allocation/splitting/migration replay over those arrays.  On a host
-without a C compiler the numpy tier runs the same replay as a
-list-backed Python loop (:meth:`ClusteringState._scalar_loop`): Algorithm 2
-is sequential per edge, and list indexing is several times faster than
-numpy scalar indexing.
+buffer, parallel mirror tables), and each chunk is one call into the
+resolved :mod:`repro.kernels` backend's allocation/splitting/migration
+replay over them.
 """
 
 from __future__ import annotations
@@ -345,10 +341,9 @@ class ClusteringState:
     """Incremental pass-1 state consuming chunks of endpoint columns.
 
     Drives Algorithm 2 over a chunked stream with results bit-identical to
-    :func:`streaming_clustering`.  Whole chunks are dispatched into a
-    compiled kernel (:mod:`repro.kernels`) over the flat array state when
-    a backend resolves; otherwise the list-backed scalar loop runs.  Both
-    are bit-identical at every chunk size.
+    :func:`streaming_clustering` at every chunk size: whole chunks are
+    dispatched into the :mod:`repro.kernels` replay over the flat array
+    state.
 
     Usage::
 
@@ -370,14 +365,11 @@ class ClusteringState:
         self.max_volume = int(max_volume)
         self.enable_splitting = bool(enable_splitting)
         n = self.num_vertices
-        # array-mode state (authoritative when _lists is None)
         self._clu = np.full(n, -1, dtype=np.int64)
         self._deg = np.zeros(n, dtype=np.int64)
         self._div = np.zeros(n, dtype=bool)
         self._vol = np.zeros(16, dtype=np.int64)
         self.num_raw = 0
-        # list-mode state (authoritative when set): [clu, deg, div, vol]
-        self._lists: tuple[list, list, list, list] | None = None
         # mirror journal: parallel growable (vertex, raw cluster) arrays,
         # the first _num_mirrors entries live
         self._mirror_v = np.empty(16, dtype=np.int64)
@@ -388,33 +380,6 @@ class ClusteringState:
         self.allocations = 0
         self.edges_ingested = 0
         self._finalized = False
-
-    # ------------------------------------------------------------------ #
-    # state-mode management
-    # ------------------------------------------------------------------ #
-
-    def _to_arrays(self) -> None:
-        if self._lists is None:
-            return
-        clu_l, deg_l, div_l, vol_l = self._lists
-        self._clu = np.asarray(clu_l, dtype=np.int64)
-        self._deg = np.asarray(deg_l, dtype=np.int64)
-        self._div = np.asarray(div_l, dtype=bool)
-        self.num_raw = len(vol_l)
-        if self.num_raw > self._vol.size:
-            self._vol = np.zeros(max(self.num_raw, 2 * self._vol.size), dtype=np.int64)
-        self._vol[: self.num_raw] = vol_l
-        self._lists = None
-
-    def _to_lists(self) -> tuple[list, list, list, list]:
-        if self._lists is None:
-            self._lists = (
-                self._clu.tolist(),
-                self._deg.tolist(),
-                self._div.tolist(),
-                self._vol[: self.num_raw].tolist(),
-            )
-        return self._lists
 
     def _append_mirrors(self, vertices, clusters) -> None:
         """Append ``(vertex, raw cluster)`` pairs to the mirror journal."""
@@ -462,22 +427,10 @@ class ClusteringState:
         if m == 0:
             return
         self.edges_ingested += m
-        if self._backend is not None:
-            self._ingest_kernel(u, v)
-            return
-        self._scalar_loop(u.tolist(), v.tolist())
-
-    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Dispatch one chunk into the compiled allocation/splitting/
-        migration kernel over the flat array state.
-
-        The kernel mutates ``_clu``/``_deg``/``_div``/``_vol`` in place and
-        reports raw-cluster growth, new mirrors and the operation counters
-        through a small int64 array; the per-chunk mirror buffers are sized
-        ``2 * m`` (each edge can split at most both endpoints once).
-        """
-        m = u.shape[0]
-        self._to_arrays()
+        # the kernel mutates _clu/_deg/_div/_vol in place and reports
+        # raw-cluster growth, new mirrors and the operation counters
+        # through a small int64 array; the per-chunk mirror buffers are
+        # sized 2 * m (each edge splits each endpoint at most once)
         # worst case: 2 allocations + 2 splits per edge, one raw id each
         need = self.num_raw + 4 * m
         if need > self._vol.size:
@@ -510,96 +463,6 @@ class ClusteringState:
         self.migrations = int(counters[3])
         self.allocations = int(counters[4])
 
-    def _scalar_loop(self, us: list[int], vs: list[int]) -> None:
-        """Replay the exact reference semantics over one chunk's edges.
-
-        List-backed: Python list indexing is several times faster than
-        numpy scalar indexing, which is what makes the sequential
-        allocation/splitting/migration loop cheap."""
-        clu_l, deg_l, div_l, vol_l = self._to_lists()
-        vmax = self.max_volume
-        splitting = self.enable_splitting
-        mirror_v: list[int] = []
-        mirror_c: list[int] = []
-        splits = self.splits
-        migrations = self.migrations
-        allocations = self.allocations
-        next_raw = len(vol_l)
-        vol_append = vol_l.append
-        # vcu/vcv shadow vol_l[cui]/vol_l[cvi] through the whole edge body so
-        # the hot path does one list read per cluster instead of four; every
-        # write keeps the shadow and the list in lockstep
-        for ui, vi in zip(us, vs):
-            cui = clu_l[ui]
-            if cui == -1:
-                cui = next_raw
-                next_raw += 1
-                vol_append(0)
-                clu_l[ui] = cui
-                allocations += 1
-            cvi = clu_l[vi]
-            if cvi == -1:
-                cvi = next_raw
-                next_raw += 1
-                vol_append(0)
-                clu_l[vi] = cvi
-                allocations += 1
-            du = deg_l[ui] + 1
-            deg_l[ui] = du
-            dv = deg_l[vi] + 1
-            deg_l[vi] = dv
-            if cui == cvi:
-                vcu = vcv = vol_l[cui] + 2
-                vol_l[cui] = vcu
-            else:
-                vcu = vol_l[cui] + 1
-                vol_l[cui] = vcu
-                vcv = vol_l[cvi] + 1
-                vol_l[cvi] = vcv
-            if splitting and ui != vi:
-                if vcu >= vmax and 1 < du < vmax and not div_l[ui]:
-                    div_l[ui] = True
-                    mirror_v.append(ui)
-                    mirror_c.append(cui)
-                    vcu -= du
-                    vol_l[cui] = vcu
-                    if cvi == cui:
-                        vcv = vcu  # u split out of the shared cluster
-                    vol_append(du)
-                    # u moves to the fresh cluster (v's cluster id is
-                    # untouched; only the old cluster's volume dropped)
-                    clu_l[ui] = cui = next_raw
-                    next_raw += 1
-                    vcu = du
-                    splits += 1
-                if vcv >= vmax and 1 < dv < vmax and not div_l[vi]:
-                    div_l[vi] = True
-                    mirror_v.append(vi)
-                    mirror_c.append(cvi)
-                    vcv -= dv
-                    vol_l[cvi] = vcv
-                    if cui == cvi:
-                        vcu = vcv  # v split out of the shared cluster
-                    vol_append(dv)
-                    clu_l[vi] = cvi = next_raw
-                    next_raw += 1
-                    vcv = dv
-                    splits += 1
-            if cui != cvi and vcu < vmax and vcv < vmax:
-                if vcu <= vcv:
-                    vol_l[cui] = vcu - du
-                    vol_l[cvi] = vcv + du
-                    clu_l[ui] = cvi
-                else:
-                    vol_l[cvi] = vcv - dv
-                    vol_l[cui] = vcu + dv
-                    clu_l[vi] = cui
-                migrations += 1
-        self._append_mirrors(mirror_v, mirror_c)
-        self.splits = splits
-        self.migrations = migrations
-        self.allocations = allocations
-
     # ------------------------------------------------------------------ #
     # checkpoint serialization
     # ------------------------------------------------------------------ #
@@ -616,7 +479,6 @@ class ClusteringState:
         restore in a process that resolves a different backend than the
         one that saved.
         """
-        self._to_arrays()
         mirror_v, mirror_c = self._mirror_journal()
         arrays = {
             "clu": self._clu,
@@ -647,23 +509,38 @@ class ClusteringState:
         (DESIGN.md §9).  Meta keys it does not read are ignored: older
         checkpoints carry the counters of the numpy tier's retired chunk
         classifier (``edges_suspect``, ``chunk_index``, ``scalar_bias``).
+
+        The kernels index the tables with vertex and raw cluster ids, so
+        shapes and ids that do not fit ``num_vertices`` and the saved
+        volumes raise ``ValueError`` here instead of at the next ingest.
         """
         state = cls(
             int(meta["num_vertices"]),
             int(meta["max_volume"]),
             enable_splitting=bool(meta["enable_splitting"]),
         )
-        state._clu = np.ascontiguousarray(arrays["clu"], dtype=np.int64).copy()
-        state._deg = np.ascontiguousarray(arrays["deg"], dtype=np.int64).copy()
-        state._div = np.ascontiguousarray(arrays["div"], dtype=bool).copy()
+        n = state.num_vertices
+        clu, deg, div = (
+            np.array(arrays[key], dtype=dtype)
+            for key, dtype in (("clu", np.int64), ("deg", np.int64), ("div", bool))
+        )
         vol = np.ascontiguousarray(arrays["vol"], dtype=np.int64)
+        mirror_v = np.asarray(arrays["mirror_v"], dtype=np.int64)
+        mirror_c = np.asarray(arrays["mirror_c"], dtype=np.int64)
+        for key, table in (("clu", clu), ("deg", deg), ("div", div)):
+            if table.shape != (n,):
+                raise ValueError(f"checkpoint {key} has shape {table.shape}, not ({n},)")
+        if not _within(clu, -1, vol.size):
+            raise ValueError(f"checkpoint clu names a cluster outside [-1, {vol.size})")
+        if mirror_v.shape != mirror_c.shape:
+            raise ValueError("checkpoint mirror_v and mirror_c differ in length")
+        if not (_within(mirror_v, 0, n) and _within(mirror_c, 0, vol.size)):
+            raise ValueError("checkpoint mirror journal names a vertex or cluster out of range")
+        state._clu, state._deg, state._div = clu, deg, div
         state.num_raw = int(vol.size)
         state._vol = np.zeros(max(16, vol.size), dtype=np.int64)
         state._vol[: vol.size] = vol
-        state._append_mirrors(
-            np.asarray(arrays["mirror_v"], dtype=np.int64),
-            np.asarray(arrays["mirror_c"], dtype=np.int64),
-        )
+        state._append_mirrors(mirror_v, mirror_c)
         state.splits = int(meta["splits"])
         state.migrations = int(meta["migrations"])
         state.allocations = int(meta["allocations"])
@@ -683,7 +560,6 @@ class ClusteringState:
         batch to find the endpoints that changed cluster, and carries its
         game's equilibrium from batch to batch under them.
         """
-        self._to_arrays()
         return self._clu[np.asarray(vertices, dtype=np.int64)]
 
     def savepoint(self, vertices: np.ndarray) -> tuple:
@@ -697,7 +573,6 @@ class ClusteringState:
         :meth:`rollback` undoes any ingestion whose edges had all their
         endpoints in ``vertices``.
         """
-        self._to_arrays()
         vertices = np.asarray(vertices, dtype=np.int64)
         raw = self._clu[vertices]
         clusters = raw[raw >= 0]
@@ -709,7 +584,6 @@ class ClusteringState:
 
     def rollback(self, saved: tuple) -> None:
         """Restore the state captured by :meth:`savepoint`."""
-        self._to_arrays()
         vertices, raw, deg, div, clusters, vol, num_raw, num_mirrors, scalars = saved
         self._clu[vertices] = raw
         self._deg[vertices] = deg
@@ -732,7 +606,6 @@ class ClusteringState:
         """
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
-        self._to_arrays()
         return LiveClustering(
             raw_ids=np.flatnonzero(self._vol[: self.num_raw] > 0),
             raw_of=self._clu,
@@ -754,7 +627,6 @@ class ClusteringState:
         """
         if self._finalized:
             raise RuntimeError("ClusteringState already finalized")
-        self._to_arrays()
         # _compact builds fresh arrays from cluster_of and the volumes;
         # degree and divided it stores as given, so those two are copied
         return _compact(
@@ -772,7 +644,6 @@ class ClusteringState:
     def finalize(self) -> ClusteringResult:
         """Compact cluster ids and return the :class:`ClusteringResult`."""
         self._finalized = True
-        self._to_arrays()
         return _compact(
             self._clu,
             self._deg,
@@ -784,6 +655,11 @@ class ClusteringState:
             self.migrations,
             self.allocations,
         )
+
+
+def _within(ids: np.ndarray, lo: int, hi: int) -> bool:
+    """Every entry of ``ids`` lies in ``[lo, hi)``."""
+    return ids.size == 0 or (int(ids.min()) >= lo and int(ids.max()) < hi)
 
 
 def _compact(

@@ -20,36 +20,28 @@ equilibrium quality is bounded by PoA <= k+1 / PoS <= 2 (Theorems 7-8).
 experimental setting); Figure 11(b)'s *relative weight* knob scales the
 load term by ``w / (1 - w)`` on top.
 
-Engines and the oracle
-----------------------
-:class:`ClusterPartitioningGame` plays the game in one of two tiers,
-chosen by what :func:`repro.kernels.get_backend` resolves:
-
-* the *kernel tier* (the default wherever a C compiler exists)
-  fuses each round into one :mod:`repro.kernels` call — the kernel owns
-  the flat adjacency table, loads and assignment, adds the
-  decision-preserving epoch skip rule, and maintains the potential in
-  O(1) per move instead of recomputing it per round (DESIGN.md §10);
-* the *numpy tier* (hosts without one) evaluates all ``k`` candidate
-  costs of a cluster as one vectorized delta against an
-  incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
-  the weight between ``c`` and its neighbors currently placed in
-  partition ``p``, both directions summed — updated per move in
-  O(deg(c)) array ops, so a full round costs O(m) small numpy calls
-  instead of O(sum deg) Python iterations.
-
-Every tier reads a cluster's adjacency as its out-row, then its in-row
-of the cluster graph: integer-valued sums below ``2**53``, exact in any
-order, so no symmetrized copy is needed.
+Engine and the oracle
+---------------------
+:class:`ClusterPartitioningGame` fuses each round into one
+:mod:`repro.kernels` call (``game_round``, on either tier): the kernel
+scores every cluster's ``k`` candidate costs against an
+incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
+the weight between ``c`` and its neighbors currently placed in
+partition ``p``, both directions summed — updated per move in
+O(deg(c)), adds the decision-preserving epoch skip rule, and maintains
+the potential in O(1) per move instead of recomputing it per round
+(DESIGN.md §10).  It reads a cluster's adjacency as its out-row, then
+its in-row of the cluster graph: integer-valued sums below ``2**53``,
+exact in any order, so no symmetrized copy is needed.
 
 :func:`best_response_dynamics` is the pass-2 oracle, the counterpart of
 :func:`~repro.core.clustering.streaming_clustering` and
 :func:`~repro.core.transform.transform_partitions`: Algorithm 3 as the
 paper writes it, every cluster rescored every round from its out- and
 in-row of the cluster graph, no table, no skip rule.  All adjacency
-weights are integers, so the three produce bit-identical float costs
-and therefore identical move sequences, round counts and potential
-traces.
+weights are integers, so the engine on either tier and the oracle
+produce bit-identical float costs and therefore identical move
+sequences, round counts and potential traces.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from itertools import product
 import numpy as np
 
 from .. import kernels
-from .._util import as_rng, check_positive_int
+from .._util import adjacency_rows, as_rng, check_positive_int
 from ..config import GameConfig
 from .cluster_graph import ClusterGraph
 
@@ -81,7 +73,7 @@ _IMPROVEMENT_EPS = 1e-9
 #: larger games fall back to per-cluster on-demand bincounts.
 _ADJ_TABLE_MAX_CELLS = 1 << 26
 
-#: float64 holds every integer below this exactly.  The kernel tier's
+#: float64 holds every integer below this exactly.  The game kernel's
 #: O(1)-maintained ``sum(loads**2)`` is exact only under it, and
 #: ``sum(loads**2) <= (sum internal)**2`` bounds it before round 1.
 _EXACT_INT_LIMIT = float(2**53)
@@ -218,32 +210,9 @@ class ClusterPartitioningGame:
             return compute_lambda_balanced(self.graph, self.k, self.assignment)
         return float(self.config.lambda_value)
 
-    def _adjacency_rows(
-        self, start: int, stop: int, assignment: np.ndarray
-    ) -> np.ndarray:
-        """``(stop - start, k)`` float64 table: the weight between each
-        cluster of ``[start, stop)`` and its neighbors in each partition
-        under ``assignment``, both directions summed — one bincount over
-        the cell ``row * k + partition`` of the range's entries in both
-        CSR triples."""
-        k = self.k
-        length = stop - start
-        rows = np.arange(length, dtype=np.int64)
-        cells, weights = [], []
-        for indptr, indices, w in self._csrs:
-            lo, hi = int(indptr[start]), int(indptr[stop])
-            row_of = np.repeat(rows, np.diff(indptr[start : stop + 1]))
-            cells.append(row_of * k + assignment[indices[lo:hi]])
-            weights.append(w[lo:hi])
-        adj = np.bincount(
-            np.concatenate(cells), weights=np.concatenate(weights), minlength=length * k
-        )
-        # (astype: a bincount of nothing is int64 zeros whatever the weights)
-        return adj.astype(np.float64, copy=False).reshape(length, k)
-
     def _adjacency_row(self, c: int, assignment: np.ndarray) -> np.ndarray:
         """Neighbor weight of ``c`` into each partition (float64)."""
-        return self._adjacency_rows(c, c + 1, assignment)[0]
+        return adjacency_rows(c, c + 1, self.k, assignment, self._csrs)[0]
 
     def cost_vector(self, c: int) -> np.ndarray:
         """Individual cost of cluster ``c`` for every partition choice.
@@ -273,39 +242,22 @@ class ClusterPartitioningGame:
         the scalar path performs, and the adjacency rows are integer
         sums in float64, hence exact in any accumulation order.
 
-        This is the shared kernel behind the batched parallel game
+        This is the shared primitive behind the batched parallel game
         (:func:`repro.core.parallel.parallel_game`) and the vectorized
-        :meth:`is_nash_equilibrium` scan: one segmented bincount over
-        the batch's out- and in-CSR slices replaces per-cluster neighbor
-        bincounts.
-        In the kernel tier the rows come from the compiled
-        ``game_cost_rows`` primitive instead — same op sequence, so
-        still bit-identical.
+        :meth:`is_nash_equilibrium` scan: one ``game_cost_rows`` kernel
+        call per batch.
         """
-        k = self.k
         length = stop - start
-        if self._backend is not None:
-            out = np.empty(length * k, dtype=np.float64)
-            self._backend.game_cost_rows(
-                start, stop, k, self._lam_over_k,
-                *self._csrs[0], *self._csrs[1],
-                self._internal_f, self._cut_degree,
-                np.ascontiguousarray(assignment, dtype=np.int64),
-                np.ascontiguousarray(loads, dtype=np.float64),
-                out,
-            )
-            return out.reshape(length, k)
-        sizes = self.graph.internal[start:stop].astype(np.float64)
-        cur = assignment[start:stop]
-        rows = np.arange(length)
-        # loads_wo + size: array+scalar per row, with the cur column being
-        # (loads[cur] - size) + size exactly as cost_vector computes it
-        occupied = sizes[:, None] + loads[None, :]
-        occupied[rows, cur] = (loads[cur] - sizes) + sizes
-        load_cost = (self._lambda_eff / k * sizes)[:, None] * occupied
-        adj = self._adjacency_rows(start, stop, assignment)
-        cut_cost = 0.5 * (self._cut_degree[start:stop, None] - adj)
-        return load_cost + cut_cost
+        out = np.empty(length * self.k, dtype=np.float64)
+        self._backend.game_cost_rows(
+            start, stop, self.k, self._lam_over_k,
+            *self._csrs[0], *self._csrs[1],
+            self._internal_f, self._cut_degree,
+            np.ascontiguousarray(assignment, dtype=np.int64),
+            np.ascontiguousarray(loads, dtype=np.float64),
+            out,
+        )
+        return out.reshape(length, self.k)
 
     def individual_cost(self, c: int) -> float:
         """``phi(a_c)`` under the current assignment."""
@@ -350,109 +302,15 @@ class ClusterPartitioningGame:
         m = self.graph.num_clusters
         if m * self.k > _ADJ_TABLE_MAX_CELLS:
             return None
-        return self._adjacency_rows(0, m, self.assignment)
+        return adjacency_rows(0, m, self.k, self.assignment, self._csrs)
 
     def run(self, record_moves: bool = False) -> GameResult:
         """Iterate best responses until Nash equilibrium (Algorithm 3).
 
-        In the kernel tier each round is a single fused kernel call (see
-        :meth:`_run_kernel`).  The numpy tier uses the incremental
-        adjacency table when it fits: each move updates only the moved
-        cluster's neighbor rows, so rounds are O(m) vectorized cost
-        evaluations plus O(moved degree) table updates.  The tiers are
-        bit-identical.
-
-        Parameters
-        ----------
-        record_moves:
-            Collect every committed move as ``(cluster, from, to)`` on
-            ``GameResult.move_log`` — the cross-engine identity hook.
-        """
-        if self._backend is not None:
-            return self._run_kernel(record_moves)
-        m = self.graph.num_clusters
-        adj = self._build_adj_table()
-        cut_degree = self._cut_degree
-        lam_over_k = self._lam_over_k
-        trace = [self.potential()]
-        total_moves = 0
-        rounds = 0
-        converged = False
-        internal_l = self.graph.internal.tolist()
-        loads = self.loads
-        assignment = self.assignment
-        move_log: list[tuple[int, int, int]] | None = [] if record_moves else None
-        # a cluster re-evaluated with zero moves anywhere since its last
-        # evaluation sees the exact same loads and neighbor assignment, so
-        # it provably repeats its no-move decision — skip it.  This makes
-        # sparse late rounds (and the final all-quiet round) nearly free
-        # without changing the move sequence.
-        move_counter = 0
-        last_eval = [-1] * m
-        for rounds in range(1, self.config.max_rounds + 1):
-            moves = 0
-            for c in range(m):
-                if last_eval[c] == move_counter:
-                    continue
-                last_eval[c] = move_counter
-                size = internal_l[c] + 0.0
-                cur = int(assignment[c])
-                # one decision routine for both the table and the
-                # on-demand row (games over the table cell cap): an exact
-                # in-place rewrite of cost_vector() — scalar factors and
-                # elementwise ops match the reference expression
-                # bit-for-bit (IEEE multiplication is commutative and the
-                # addition order is unchanged)
-                row = adj[c] if adj is not None else self._adjacency_row(c, assignment)
-                costs = loads + size
-                costs[cur] = (loads[cur] - size) + size
-                costs *= lam_over_k * size
-                cut = cut_degree[c] - row
-                cut *= 0.5
-                costs += cut
-                best = int(costs.argmin())
-                if costs[best] < costs[cur] - _IMPROVEMENT_EPS:
-                    loads[cur] -= size
-                    loads[best] += size
-                    assignment[c] = best
-                    if adj is not None:
-                        for indptr, indices, weights in self._csrs:
-                            s, e = int(indptr[c]), int(indptr[c + 1])
-                            if s != e:
-                                nbrs = indices[s:e]
-                                w = weights[s:e]
-                                adj[nbrs, cur] -= w
-                                adj[nbrs, best] += w
-                    if move_log is not None:
-                        move_log.append((c, cur, best))
-                    moves += 1
-                    move_counter += 1
-                    # a mover must be re-evaluated: its post-move cost
-                    # involves a float load roundtrip, so the no-move
-                    # proof does not apply to it
-                    last_eval[c] = -1
-            total_moves += moves
-            trace.append(self.potential())
-            if moves == 0:
-                converged = True
-                break
-        return GameResult(
-            assignment=self.assignment.copy(),
-            rounds=rounds,
-            moves=total_moves,
-            lambda_value=self.lambda_value,
-            potential_trace=trace,
-            converged=converged,
-            move_log=move_log,
-        )
-
-    def _run_kernel(self, record_moves: bool) -> GameResult:
-        """Compiled rounds: each round is one fused ``game_round`` call.
-
-        The kernel owns the flat ``(m, k)`` adjacency table, the load
-        vector, and the assignment array for the whole round — no Python
-        between clusters.  Two additions over the numpy path, both
-        decision-preserving (DESIGN.md §10):
+        Each round is one fused ``game_round`` kernel call, which owns
+        the flat ``(m, k)`` adjacency table, the load vector, and the
+        assignment array for the whole round.  Two additions over the
+        oracle, both decision-preserving (DESIGN.md §10):
 
         * the *epoch skip rule*: a cluster is rescored only when a
           neighbor moved, its own partition gained load, or any other
@@ -470,6 +328,12 @@ class ClusterPartitioningGame:
           :meth:`potential` instead; the maintained value feeds the
           trace only, never a decision.  An end-of-game recompute
           parity check stays as the tripwire.
+
+        Parameters
+        ----------
+        record_moves:
+            Collect every committed move as ``(cluster, from, to)`` on
+            ``GameResult.move_log`` — the cross-engine identity hook.
         """
         m = self.graph.num_clusters
         k = self.k

@@ -9,10 +9,9 @@ barriers, and outer rounds repeat until no cluster moves.
 
 Batched evaluation (PR 3): a thread no longer loops per cluster — it
 scores its whole remaining batch as one ``(batch, k)`` cost matrix
-(:meth:`ClusterPartitioningGame.batch_cost_matrix`: segmented bincount
-over the batch's out- and in-CSR slices + one matrix expression — in the kernel
-tier the rows come from the compiled ``game_cost_rows`` primitive
-instead, bit-identically), commits every cluster before the
+(:meth:`ClusterPartitioningGame.batch_cost_matrix`: one
+``game_cost_rows`` kernel call over the batch's out- and in-CSR
+slices), commits every cluster before the
 first mover wholesale (their frozen evaluation *is* the sequential
 one), applies that mover, and re-scores only the perturbed suffix.  Mover-dense stretches fall back to the retained
 sequential loop (:func:`_batch_best_response_reference`); proposed moves

@@ -25,14 +25,8 @@ Chunked ingestion
 columns (:meth:`~TransformState.ingest_pair`; :meth:`~TransformState.run`
 is the one pass-3 driver, writing each chunk's answer into its slice of
 a caller's result array) and is bit-identical to the per-edge oracle
-:func:`transform_partitions`.  When a :mod:`repro.kernels` backend
-resolves, each chunk is one call into the compiled loop (spill branch
-included).  On a host without a C compiler the numpy tier runs instead:
-the load-independent rule table (agreement / mirror / degree) is
-evaluated for the whole chunk as boolean masks over the gathered
-vertex->partition join, and the reference loop — hard load cap and
-O(k) rotating spill pointer included — walks the chunk from its first
-edge over Python lists (:meth:`TransformState._scalar_loop`).
+:func:`transform_partitions`: each chunk is one call into the resolved
+:mod:`repro.kernels` backend's loop, spill branch included.
 """
 
 from __future__ import annotations
@@ -319,8 +313,8 @@ class TransformState:
         self.stats = TransformStats(self.load_cap)
         self.loads = seeded
         self.spill_ptr = 0
-        # contiguous bool/int64 tables: what the numpy tier gathers from
-        # and (the flags viewed as uint8) what the kernels consume
+        # contiguous bool/int64 tables: what the kernels consume (the
+        # flags viewed as uint8)
         self._vp = np.ascontiguousarray(vp, dtype=np.int64)
         self._div = np.ascontiguousarray(clustering.divided, dtype=np.bool_)
         self._deg = np.ascontiguousarray(clustering.degree, dtype=np.int64)
@@ -360,65 +354,19 @@ class TransformState:
             )
         if m == 0:
             return out
-        if self._backend is not None:
-            self._ingest_kernel(u, v, out)
-            return out
-        pu = self._vp[u]
-        pv = self._vp[v]
-        if self._external and (int(pu.min()) < 0 or int(pv.min()) < 0):
-            raise ValueError(
-                "vertex_partition does not cover every streamed vertex "
-                "(-1 entry gathered for a chunk endpoint)"
-            )
-        # Algorithm 1 rule table as masks (the non-spill elif chain):
-        # agreement -> pu; u-mirrored -> pv; v-mirrored -> pu; else the
-        # higher-degree endpoint is cut (ties cut v) -> pu iff deg[v] > deg[u]
-        agree = pu == pv
-        du = self._div[u]
-        dv = self._div[v]
-        mirror = du ^ dv  # exactly one endpoint already has mirrors
-        mirror_u = du & mirror  # u is cut again -> edge follows v
-        deg_to_u = self._deg[v] > self._deg[u]  # cut u -> target pu
-        take_pu = agree | (mirror & ~mirror_u) | (~mirror & deg_to_u)
-        tentative = np.where(take_pu, pu, pv)
-        rule = np.full(m, 2, dtype=np.int64)
-        rule[mirror] = 1
-        rule[agree] = 0
-        self._scalar_loop(out, pu.tolist(), pv.tolist(), tentative.tolist(), rule.tolist())
-        return out
-
-    def _ingest_kernel(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        """Dispatch one chunk into the compiled transform kernel.
-
-        The kernel runs the whole reference loop (spill branch included)
-        in machine code; the spill pointer and rule counters round-trip
-        through a small int64 array.  The externally-mapped ``-1``
-        endpoint check is performed by the kernel *before* any state
-        mutation (status 2), matching the numpy tier's pre-check.
-        """
+        # the kernel runs the whole reference loop, spill branch included;
+        # the spill pointer and rule counters round-trip through a small
+        # int64 array, and an externally mapped -1 endpoint is refused
+        # before any state changes (status 2)
         stats = self.stats
         counters = np.array(
-            [
-                self.spill_ptr,
-                stats.agreement,
-                stats.mirror_reuse,
-                stats.degree_cut,
-                stats.balance_spill,
-            ],
+            [self.spill_ptr, stats.agreement, stats.mirror_reuse,
+             stats.degree_cut, stats.balance_spill],
             dtype=np.int64,
         )
         status = self._backend.transform_chunk(
-            u,
-            v,
-            self.k,
-            self._vp,
-            self._div.view(np.uint8),
-            self._deg,
-            self.loads,
-            self._caps,
-            counters,
-            self._external,
-            out,
+            u, v, self.k, self._vp, self._div.view(np.uint8), self._deg,
+            self.loads, self._caps, counters, self._external, out,
         )
         if status == 2:
             raise ValueError(
@@ -427,64 +375,11 @@ class TransformState:
             )
         if status == 1:  # pragma: no cover - caps sum guarantees room
             raise RuntimeError("no underfull partition available")
-        self.spill_ptr = int(counters[0])
-        stats.agreement = int(counters[1])
-        stats.mirror_reuse = int(counters[2])
-        stats.degree_cut = int(counters[3])
-        stats.balance_spill = int(counters[4])
-
-    def _scalar_loop(
-        self,
-        out: np.ndarray,
-        pu_l: list[int],
-        pv_l: list[int],
-        t_l: list[int],
-        rule_l: list[int],
-    ) -> None:
-        """The reference loop over one chunk, spill branch included: an
-        edge takes its rule-table target ``t_l[i]`` (rule ``rule_l[i]``)
-        unless an endpoint partition is at its cap."""
-        k = self.k
-        caps_l = self._caps.tolist()
-        loads_l = self.loads.tolist()
-        sp = self.spill_ptr
-        stats = self.stats
-        agree_ct = mirror_ct = degree_ct = spill_ct = 0
-        m = len(pu_l)
-        out_l = [0] * m
-        for i in range(m):
-            p_u = pu_l[i]
-            p_v = pv_l[i]
-            if loads_l[p_u] < caps_l[p_u] and loads_l[p_v] < caps_l[p_v]:
-                target = t_l[i]
-                rc = rule_l[i]
-                if rc == 0:
-                    agree_ct += 1
-                elif rc == 1:
-                    mirror_ct += 1
-                else:
-                    degree_ct += 1
-            else:
-                if loads_l[p_u] < caps_l[p_u]:
-                    target = p_u
-                elif loads_l[p_v] < caps_l[p_v]:
-                    target = p_v
-                else:
-                    while loads_l[sp] >= caps_l[sp]:
-                        sp += 1
-                        if sp == k:  # pragma: no cover - caps sum guarantees room
-                            raise RuntimeError("no underfull partition available")
-                    target = sp
-                spill_ct += 1
-            out_l[i] = target
-            loads_l[target] += 1
-        out[:] = out_l
-        self.loads[:] = loads_l
-        self.spill_ptr = sp
-        stats.agreement += agree_ct
-        stats.mirror_reuse += mirror_ct
-        stats.degree_cut += degree_ct
-        stats.balance_spill += spill_ct
+        (
+            self.spill_ptr, stats.agreement, stats.mirror_reuse,
+            stats.degree_cut, stats.balance_spill,
+        ) = counters.tolist()
+        return out
 
 
 def replay_transform_chunked(

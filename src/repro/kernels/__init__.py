@@ -5,31 +5,29 @@ bulk-committed bit-identically (the HDRF and greedy decision cores,
 CLUGP's pass-1 replay, pass-2 game round and pass-3 transform tail), the
 fused take-and-combine walks a dense GAS superstep is made of
 (``out[dst[i]] (+)= table[src[i]]``), and ``slot_index``, the
-deployment's replica-slot index in counting passes (DESIGN.md §5.3).
-The walks and the index build index with caller data, so they check
-every row and report the first bad one.
+deployment's replica-slot index (DESIGN.md §5.3).  The walks and the
+index build index with caller data, so they check every row and report
+the first bad one.
 
-A kernel is a C function in ``kernels.c``, its plain-Python oracle in
+A kernel is a C function in ``kernels.c``, its Python twin in
 :mod:`._pykernels` and one row of :data:`KERNELS`.  Both backends bind
 every row from the table alone, and both refuse, with a ``TypeError``
 before the kernel runs, an array that is not a C-contiguous array of its
 kind's element type and a scalar that is not of its kind.  Every hot
 class asks :func:`get_backend` with no argument (the partitioner classes
 once, at construction; the GAS dispatcher per call, because vertex
-programs are pickled to workers) and runs the kernels when it answers
-with a backend, its own numpy tier when it answers None — bit-identical
-either way:
+programs are pickled to workers) and runs its kernels — bit-identical on
+either tier, both implementations of the per-edge oracles:
 
 * ``"cc"`` — ``kernels.c`` compiled once per machine with the system C
   compiler (~0.5 s, cached on disk), bound via ctypes; what an unset
   environment resolves;
-* ``"python"`` — the :mod:`._pykernels` functions, slower than the numpy
-  tier, so only ever resolved by name: tests run the kernel glue on it;
-* ``"none"`` — the numpy tier.
+* ``"python"`` — the :mod:`._pykernels` functions: list loops and numpy,
+  what a host without a working C compiler runs.
 
-Without a working C compiler :func:`get_backend` returns None and the
-process runs the numpy tier with one warning naming the failed build
-step (an error under ``CLUGP_KERNEL_REQUIRE=1``).  ``CLUGP_KERNEL_BACKEND``
+:func:`get_backend` always returns a backend: without a working C
+compiler it is ``python``, with one warning naming the failed build step
+(an error under ``CLUGP_KERNEL_REQUIRE=1``).  ``CLUGP_KERNEL_BACKEND``
 (one of :data:`BACKEND_NAMES`) is the one deployment and test override.
 """
 
@@ -65,7 +63,7 @@ ENV_REQUIRE = "CLUGP_KERNEL_REQUIRE"
 
 
 class KernelUnavailableError(RuntimeError):
-    """Raised under ``CLUGP_KERNEL_REQUIRE=1`` when no backend resolves."""
+    """Raised under ``CLUGP_KERNEL_REQUIRE=1`` when ``cc`` does not build."""
 
 
 class Kernel(NamedTuple):
@@ -253,13 +251,12 @@ def popcount(words: np.ndarray) -> int:
         return int(np.bitwise_count(words).sum())
     return int(np.unpackbits(words.view(np.uint8)).sum())  # numpy < 2.0
 
-BACKEND_NAMES = ("auto", "cc", "python", "none")
 
-_AUTO_ORDER = ("cc",)
+BACKEND_NAMES = ("auto", "cc", "python")
 
 
 class PythonBackend:
-    """Plain-Python kernels; the always-available glue-test backend."""
+    """The :mod:`._pykernels` functions behind the table's checks."""
 
     name = "python"
 
@@ -285,7 +282,7 @@ def _load(name: str) -> Any:
             backend = _cc_backend.load()
         except _cc_backend.BuildError as exc:
             _failures[name] = str(exc)
-    elif name == "python":
+    else:
         backend = PythonBackend()
     _cache[name] = backend
     return backend
@@ -297,11 +294,10 @@ def _require_enabled() -> bool:
 
 
 def _degraded(requested: str):
-    """Handle a failed resolution: warn once per process, raise when required."""
+    """``cc`` failed to build: the ``python`` backend, with one warning per
+    process naming the failed step — or an error when required."""
     global _warned_degraded
-    detail = "; ".join(
-        f"{cand}: {_failures.get(cand, 'not attempted')}" for cand in _AUTO_ORDER
-    )
+    detail = f"cc: {_failures.get('cc', 'not attempted')}"
     if _require_enabled():
         raise KernelUnavailableError(
             f"kernel backend {requested!r} is unavailable ({detail}) and a "
@@ -310,30 +306,28 @@ def _degraded(requested: str):
     if not _warned_degraded:
         _warned_degraded = True
         logger.warning(
-            "compiled kernels are the default but no backend resolved "
-            "(tried %s); running the numpy tier instead — results "
-            "are identical, only slower.  Set %s=1 to make this an error.",
+            "the compiled kernels did not build (%s); running the python "
+            "kernels instead — results are identical, only slower.  Set "
+            "%s=1 to make this an error.",
             detail, ENV_REQUIRE,
         )
-    return None
+    return _load("python")
 
 
 def get_backend(name: str | None = None) -> Any:
-    """Resolve a kernel backend; None means "run the numpy tier".
+    """Resolve a kernel backend; never None.
 
     The hot classes call this with no argument: the
     ``CLUGP_KERNEL_BACKEND`` environment variable is honoured first,
     then the C backend is tried.  ``name`` (one of
     :data:`BACKEND_NAMES`) asks for one backend outright; ``"python"``
-    and ``"none"`` are only ever resolved by name or by the variable.
+    is only ever resolved by name, by the variable, or when ``cc`` fails.
 
-    A backend that is unavailable resolves to None — the process runs
-    the numpy tier, with a one-time warning naming why the C backend
-    failed.  With ``CLUGP_KERNEL_REQUIRE=1`` in the environment
-    that becomes a :class:`KernelUnavailableError` instead — for
-    deployments where silently losing the compiled kernels would
-    invalidate a benchmark.  An explicit ``"none"`` is an intentional
-    resolution of nothing and never raises.
+    A ``cc`` that does not build resolves to ``python``, with a one-time
+    warning naming the failed build step.  With ``CLUGP_KERNEL_REQUIRE=1``
+    in the environment that becomes a :class:`KernelUnavailableError`
+    instead — for deployments where silently losing the compiled kernels
+    would invalidate a benchmark.
     """
     if name is None:
         name = "auto"
@@ -349,36 +343,25 @@ def get_backend(name: str | None = None) -> Any:
                     f"CLUGP_KERNEL_BACKEND={env!r} is not one of {BACKEND_NAMES}"
                 )
             return get_backend(env)
-        for candidate in _AUTO_ORDER:
-            backend = _load(candidate)
-            if backend is not None:
-                return backend
-        return _degraded(name)
-    if name == "none":
-        return None
-    backend = _load(name)
-    if backend is None:
-        return _degraded(name)
-    return backend
+        name = "cc"
+    return _load(name) or _degraded(name)
 
 
 def available() -> bool:
     """True when the compiled backend (``cc``) can be resolved."""
-    return any(_load(candidate) is not None for candidate in _AUTO_ORDER)
+    return _load("cc") is not None
 
 
-def backend_name(name: str | None = None) -> str | None:
-    """Name of the backend :func:`get_backend` would return (or None)."""
-    backend = get_backend(name)
-    return None if backend is None else backend.name
+def backend_name(name: str | None = None) -> str:
+    """Name of the backend :func:`get_backend` would return."""
+    return get_backend(name).name
 
 
-def warmup(name: str | None = None) -> str | None:
+def warmup(name: str | None = None) -> str:
     """Resolve the backend now: ``cc`` compiles (first time on a machine)
     and binds every kernel at load, so nothing is left to a first call.
 
-    Returns the resolved backend name (None for the numpy tier).
-    Idempotent, so benchmark harnesses call it unconditionally before
-    timing.
+    Returns the resolved backend name.  Idempotent, so benchmark
+    harnesses call it unconditionally before timing.
     """
     return backend_name(name)

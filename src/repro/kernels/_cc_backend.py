@@ -12,7 +12,7 @@ are ``void *`` fed checked addresses, lengths and scalars are
 
 Nothing here hard-fails the caller: no compiler, a failed or timed-out
 compile, or a failed load raises :class:`BuildError` naming the step,
-which the resolver records and reports before running the numpy tier.
+which the resolver records and reports before running the python tier.
 """
 
 from __future__ import annotations

@@ -1,28 +1,44 @@
-"""The ``"python"`` kernel tier, and the oracle of ``kernels.c``.
+"""The ``"python"`` kernel tier: what a host without a C compiler runs.
 
 One plain-Python function per :data:`repro.kernels.KERNELS` row, under
-the row's name, taking the row's arguments minus its ``len(...)`` ones.
-Always importable, never fast: the ``"python"`` backend binds these
-(after the same argument checks as the C tier), so the tests run the
-kernel call paths on any machine, and the C code is checked against
-them.
+the row's name, taking the row's arguments minus its ``len(...)`` ones;
+the ``"python"`` backend binds these after the same argument checks as
+the C tier.  Each computes exactly what its ``kernels.c`` twin computes
+— both implement the per-edge oracle (``streaming_clustering``, the
+partitioners' ``_per_edge``, ``best_response_dynamics``,
+``transform_partitions``), and the differential tests compare both
+tiers against it — but in whatever form numpy runs fastest:
 
-Each function is a line-for-line transliteration of the per-edge
-reference loop ``kernels.c``'s header names for it, and the two files
-are kept in lockstep (DESIGN.md §8).  The take kernels and
-:func:`slot_index` index with caller data: they return the first bad row
-(-1: none), which :func:`checked_take` raises as ``IndexError``.
+* the sequential cores (HDRF, greedy, pass 1, pass 3) are list loops
+  over the chunk: state goes in with ``tolist()`` and comes back by
+  slice assignment; a vertex's uint64 mask words become one Python int
+  (``int.from_bytes``) for the chunk, and HDRF's partial degrees and
+  pass 3's rule table are precomputed for the whole chunk;
+* the game scores one cluster as a numpy ``k``-vector, with the C
+  kernel's epoch skip rule and maintained potential;
+* the take walks and :func:`slot_index` are vectorized over the rows
+  before the first bad one (the rows they index with are caller data:
+  they return that row, -1 for none, which :func:`checked_take` raises
+  as ``IndexError``).
 
 Conventions shared with the C kernels: vertex partition sets are flat
 multiword uint64 bitmask rows (``nw = ceil(k / 64)`` words per vertex,
 vertex ``x`` owns ``words[x * nw : (x + 1) * nw]``); counters cross the
-boundary in small int64 arrays so one signature fits ctypes and plain
-Python.
+boundary in small int64 arrays so one signature fits both tiers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .._util import (
+    adjacency_rows,
+    first_max_partition,
+    group_by_bounded,
+    occurrence_ranks,
+    replica_routes,
+    vertex_partition_pairs,
+)
 
 __all__ = [
     "hdrf_chunk",
@@ -39,97 +55,175 @@ __all__ = [
     "slot_index",
 ]
 
-_ONE = np.uint64(1)
-_U6 = np.uint64(6)  # word index shift (p >> 6 == p // 64)
-_M63 = np.uint64(63)
+
+def _local_ids(u, v, n):
+    """The chunk's distinct vertices, ascending, and each endpoint's
+    position among them (as lists): O(n) numpy, O(m) Python."""
+    mark = np.zeros(n, dtype=bool)
+    mark[u] = True
+    mark[v] = True
+    local = np.cumsum(mark) - 1
+    return np.flatnonzero(mark), local[u].tolist(), local[v].tolist()
+
+
+def _sets_in(u, v, words, nw):
+    """The chunk's vertices as local ids: ``(vertices, local u, local v,
+    sets)``, ``sets[i]`` the partition set of ``vertices[i]`` as one
+    Python int (bit ``p`` = partition ``p``)."""
+    vertices, lu, lv = _local_ids(u, v, words.shape[0] // nw)
+    rows = words.reshape(-1, nw)[vertices]
+    if nw == 1:
+        sets = rows[:, 0].tolist()
+    else:
+        raw = rows.astype("<u8", copy=False).tobytes()
+        step = 8 * nw
+        sets = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+    return vertices, lu, lv, sets
+
+
+def _sets_out(words, nw, vertices, sets) -> None:
+    """Write the chunk's partition sets back as mask words."""
+    if nw == 1:
+        words[vertices] = np.array(sets, dtype=np.uint64)
+        return
+    raw = b"".join(s.to_bytes(8 * nw, "little") for s in sets)
+    words.reshape(-1, nw)[vertices] = np.frombuffer(raw, dtype="<u8").reshape(-1, nw)
 
 
 def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
-    """HDRF decision core over one chunk (mutates loads/degree/words)."""
+    """HDRF decision core over one chunk (mutates loads/degree/words).
+
+    The partial degrees are the only per-edge state independent of the
+    placements, so the chunk's ``g`` terms are computed up front from
+    within-chunk occurrence ranks; each edge then scores only the members
+    of ``A(u) | A(v)`` and falls back to the full k-scan only when a
+    non-member's balance score could tie or beat them (DESIGN.md §4.2).
+    """
     m = u.shape[0]
+    if m == 0:
+        return
+    rank_u, rank_v = occurrence_ranks(u, v, degree.shape[0])
+    du = degree[u] + rank_u
+    dv = degree[v] + rank_v
+    theta_u = du / (du + dv)
+    gu_list = (1.0 + (1.0 - theta_u)).tolist()
+    gv_list = (1.0 + theta_u).tolist()
+    vertices, lu, lv, sets = _sets_in(u, v, words, nw)
+    loads_l = loads.tolist()
+    picks = [0] * m
+    max_load = max(loads_l)
+    min_load = min(loads_l)
+    nmin = loads_l.count(min_load)
     for i in range(m):
-        ui = u[i]
-        vi = v[i]
-        degree[ui] += 1
-        degree[vi] += 1
-        du = degree[ui]
-        dv = degree[vi]
-        theta_u = du / (du + dv)
-        gu = 1.0 + (1.0 - theta_u)
-        gv = 1.0 + theta_u
-        max_load = loads[0]
-        min_load = loads[0]
-        for p in range(1, k):
-            if loads[p] > max_load:
-                max_load = loads[p]
-            if loads[p] < min_load:
-                min_load = loads[p]
+        a = lu[i]
+        b = lv[i]
+        gu = gu_list[i]
+        gv = gv_list[i]
+        wu = sets[a]
+        wv = sets[b]
         scale = lam / (eps + (max_load - min_load))
-        base_u = ui * nw
-        base_v = vi * nw
-        best_p = 0
-        best_score = -1e300
-        for p in range(k):
-            score = scale * (max_load - loads[p])
-            pw = np.uint64(p)
-            bit = _ONE << (pw & _M63)
-            if words[base_u + (p >> 6)] & bit:
-                score += gu
-            if words[base_v + (p >> 6)] & bit:
-                score += gv
-            if score > best_score:
-                best_score = score
-                best_p = p
-        out[i] = best_p
-        loads[best_p] += 1.0
-        bw = np.uint64(best_p)
-        bit = _ONE << (bw & _M63)
-        words[base_u + (best_p >> 6)] |= bit
-        words[base_v + (best_p >> 6)] |= bit
+        w = wu | wv
+        if w:
+            # score only the member partitions; ascending bit order and
+            # strict > keep the reference's first-maximum tie-break
+            best_p = -1
+            best_s = 0.0
+            while w:
+                bit = w & -w
+                p = bit.bit_length() - 1
+                w ^= bit
+                sc = scale * (max_load - loads_l[p])
+                if (wu >> p) & 1:
+                    sc += gu
+                if (wv >> p) & 1:
+                    sc += gv
+                if sc > best_s:
+                    best_s = sc
+                    best_p = p
+            if best_s <= scale * (max_load - min_load):
+                # a non-member's pure balance score could tie or beat the
+                # best member: the exact k-scan
+                best_p = 0
+                best_s = -1e300
+                for p in range(k):
+                    sc = scale * (max_load - loads_l[p])
+                    if (wu >> p) & 1:
+                        sc += gu
+                    if (wv >> p) & 1:
+                        sc += gv
+                    if sc > best_s:
+                        best_s = sc
+                        best_p = p
+            p = best_p
+        elif scale > 0.0:
+            # no members: the argmax is the first least-loaded partition
+            p = loads_l.index(min_load)
+        else:
+            # lambda_bal == 0: every score is +0.0, the first one wins
+            p = 0
+        picks[i] = p
+        old = loads_l[p]
+        new = old + 1.0
+        loads_l[p] = new
+        if new > max_load:
+            max_load = new
+        if old == min_load:
+            nmin -= 1
+            if nmin == 0:
+                min_load = min(loads_l)
+                nmin = loads_l.count(min_load)
+        bit = 1 << p
+        sets[a] = wu | bit
+        sets[b] = wv | bit
+    out[:] = picks
+    loads[:] = loads_l
+    _sets_out(words, nw, vertices, sets)
+    np.add.at(degree, u, 1)
+    np.add.at(degree, v, 1)
 
 
 def greedy_chunk(u, v, k, nw, loads, words, out):
-    """Greedy decision core over one chunk (mutates loads/words)."""
+    """Greedy decision core over one chunk (mutates loads/words): the
+    least-loaded partition of ``A(u) & A(v)``, else of ``A(u) | A(v)``,
+    else of all k, ties to the lowest id."""
     m = u.shape[0]
+    if m == 0:
+        return
+    vertices, lu, lv, sets = _sets_in(u, v, words, nw)
+    loads_l = loads.tolist()
+    picks = [0] * m
     for i in range(m):
-        ui = u[i]
-        vi = v[i]
-        base_u = ui * nw
-        base_v = vi * nw
-        any_common = False
-        for w in range(nw):
-            if words[base_u + w] & words[base_v + w]:
-                any_common = True
-                break
-        # cases 1-3: argmin load over the candidate bits, ascending p with
-        # strict < (the (load, id) lexicographic rule); case 4: first
-        # least-loaded partition overall
-        best_p = -1
-        best_l = 0
-        for p in range(k):
-            pw = np.uint64(p)
-            bit = _ONE << (pw & _M63)
-            wu = words[base_u + (p >> 6)]
-            wv = words[base_v + (p >> 6)]
-            member = (wu & wv & bit) if any_common else ((wu | wv) & bit)
-            if member:
-                lp = loads[p]
+        a = lu[i]
+        b = lv[i]
+        wu = sets[a]
+        wv = sets[b]
+        w = wu & wv
+        if not w:
+            w = wu | wv  # cases 2/3 (either side may be empty)
+        if w:
+            # ascending bit order with strict < is the (load, id) rule
+            best_p = -1
+            best_l = 0
+            while w:
+                bit = w & -w
+                p = bit.bit_length() - 1
+                w ^= bit
+                lp = loads_l[p]
                 if best_p < 0 or lp < best_l:
                     best_l = lp
                     best_p = p
-        if best_p < 0:
-            best_p = 0
-            best_l = loads[0]
-            for p in range(1, k):
-                if loads[p] < best_l:
-                    best_l = loads[p]
-                    best_p = p
-        out[i] = best_p
-        loads[best_p] += 1
-        bw = np.uint64(best_p)
-        bit = _ONE << (bw & _M63)
-        words[base_u + (best_p >> 6)] |= bit
-        words[base_v + (best_p >> 6)] |= bit
+            p = best_p
+        else:
+            # case 4: list.index finds the first (lowest-id) minimum
+            p = loads_l.index(min(loads_l))
+        picks[i] = p
+        loads_l[p] += 1
+        bit = 1 << p
+        sets[a] = wu | bit
+        sets[b] = wv | bit
+    out[:] = picks
+    loads[:] = loads_l
+    _sets_out(words, nw, vertices, sets)
 
 
 def clustering_chunk(
@@ -140,80 +234,98 @@ def clustering_chunk(
     ``counters``: ``[num_raw, num_mirrors, splits, migrations,
     allocations]``; ``vol`` needs capacity ``num_raw + 4 * m`` and the
     mirror buffers ``2 * m`` (the caller guarantees both).
+
+    An edge only reads and writes its endpoints' rows and the volumes of
+    clusters that held a chunk vertex when the chunk began or were born
+    in it, so the loop runs over those rows alone, renumbered: vertices
+    by rank among the chunk's, old clusters by rank among theirs, new
+    ones after them in birth order — which is the order of their raw ids.
     """
-    m = u.shape[0]
-    next_raw = counters[0]
-    n_mirrors = counters[1]
-    splits = counters[2]
-    migrations = counters[3]
-    allocations = counters[4]
-    for i in range(m):
-        ui = u[i]
-        vi = v[i]
-        # --- allocation ---
-        cu = clu[ui]
-        if cu == -1:
-            cu = next_raw
-            next_raw += 1
-            vol[cu] = 0
-            clu[ui] = cu
+    num_raw, _, splits, migrations, allocations = counters.tolist()
+    vertices, us, vs = _local_ids(u, v, clu.shape[0])
+    raw = clu[vertices]
+    seen = raw >= 0
+    held = np.zeros(num_raw, dtype=bool)
+    held[raw[seen]] = True
+    clusters = np.flatnonzero(held)
+    raw[seen] = (np.cumsum(held) - 1)[raw[seen]]
+    clu_l = raw.tolist()
+    deg_l = deg[vertices].tolist()
+    div_l = divided[vertices].tolist()
+    vol_l = vol[clusters].tolist()
+    vol_append = vol_l.append
+    mv: list[int] = []
+    mc: list[int] = []
+    # vcu/vcv shadow vol_l[cui]/vol_l[cvi] through the edge body, so the
+    # hot path reads each cluster's volume once; every write keeps the
+    # shadow and the list in step
+    for ui, vi in zip(us, vs):
+        cui = clu_l[ui]
+        if cui == -1:
+            clu_l[ui] = cui = len(vol_l)
+            vol_append(0)
             allocations += 1
-        cv = clu[vi]
-        if cv == -1:
-            cv = next_raw
-            next_raw += 1
-            vol[cv] = 0
-            clu[vi] = cv
+        cvi = clu_l[vi]
+        if cvi == -1:
+            clu_l[vi] = cvi = len(vol_l)
+            vol_append(0)
             allocations += 1
-        deg[ui] += 1
-        deg[vi] += 1
-        vol[cu] += 1
-        vol[cv] += 1
-        # --- splitting ---
+        du = deg_l[ui] + 1
+        deg_l[ui] = du
+        dv = deg_l[vi] + 1
+        deg_l[vi] = dv
+        if cui == cvi:
+            vcu = vcv = vol_l[cui] + 2
+            vol_l[cui] = vcu
+        else:
+            vcu = vol_l[cui] + 1
+            vol_l[cui] = vcu
+            vcv = vol_l[cvi] + 1
+            vol_l[cvi] = vcv
         if splitting and ui != vi:
-            du = deg[ui]
-            if vol[cu] >= vmax and 1 < du < vmax and not divided[ui]:
-                c_new = next_raw
-                next_raw += 1
-                divided[ui] = 1
-                mirror_v[n_mirrors] = ui
-                mirror_c[n_mirrors] = cu
-                n_mirrors += 1
-                vol[cu] -= du
-                vol[c_new] = du
-                clu[ui] = c_new
+            if vcu >= vmax and 1 < du < vmax and not div_l[ui]:
+                div_l[ui] = 1
+                mv.append(ui)
+                mc.append(cui)
+                vcu -= du
+                vol_l[cui] = vcu
+                if cvi == cui:
+                    vcv = vcu  # u split out of the shared cluster
+                clu_l[ui] = cui = len(vol_l)
+                vol_append(du)
+                vcu = du
                 splits += 1
-            cv = clu[vi]  # u's split may have lowered vol[cv] when cv == cu
-            dv = deg[vi]
-            if vol[cv] >= vmax and 1 < dv < vmax and not divided[vi]:
-                c_new = next_raw
-                next_raw += 1
-                divided[vi] = 1
-                mirror_v[n_mirrors] = vi
-                mirror_c[n_mirrors] = cv
-                n_mirrors += 1
-                vol[cv] -= dv
-                vol[c_new] = dv
-                clu[vi] = c_new
+            if vcv >= vmax and 1 < dv < vmax and not div_l[vi]:
+                div_l[vi] = 1
+                mv.append(vi)
+                mc.append(cvi)
+                vcv -= dv
+                vol_l[cvi] = vcv
+                if cui == cvi:
+                    vcu = vcv  # v split out of the shared cluster
+                clu_l[vi] = cvi = len(vol_l)
+                vol_append(dv)
+                vcv = dv
                 splits += 1
-        # --- migration ---
-        cu = clu[ui]
-        cv = clu[vi]
-        if cu != cv and vol[cu] < vmax and vol[cv] < vmax:
-            if vol[cu] <= vol[cv]:
-                vol[cu] -= deg[ui]
-                vol[cv] += deg[ui]
-                clu[ui] = cv
+        if cui != cvi and vcu < vmax and vcv < vmax:
+            if vcu <= vcv:
+                vol_l[cui] = vcu - du
+                vol_l[cvi] = vcv + du
+                clu_l[ui] = cvi
             else:
-                vol[cv] -= deg[vi]
-                vol[cu] += deg[vi]
-                clu[vi] = cu
+                vol_l[cvi] = vcv - dv
+                vol_l[cui] = vcu + dv
+                clu_l[vi] = cui
             migrations += 1
-    counters[0] = next_raw
-    counters[1] = n_mirrors
-    counters[2] = splits
-    counters[3] = migrations
-    counters[4] = allocations
+    born = len(vol_l) - clusters.size
+    ids = np.concatenate([clusters, np.arange(num_raw, num_raw + born)])
+    clu[vertices] = ids[clu_l]
+    deg[vertices] = deg_l
+    divided[vertices] = div_l
+    vol[ids] = vol_l
+    mirror_v[: len(mv)] = vertices[mv]
+    mirror_c[: len(mc)] = ids[mc]
+    counters[:] = (num_raw + born, len(mv), splits, migrations, allocations)
 
 
 def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapped, out):
@@ -224,55 +336,66 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
     partition exists (unreachable once caps were validated to hold the
     stream), 2 when ``check_mapped`` is set and an endpoint maps to -1
     (checked up front, before any state mutation).
+
+    The rule table (agreement / mirror / degree) does not read the
+    loads, so it is evaluated for the whole chunk as masks; the loop
+    applies the hard cap and the rotating spill pointer.
     """
     m = u.shape[0]
-    if check_mapped:
-        for i in range(m):
-            if vp[u[i]] < 0 or vp[v[i]] < 0:
-                return 2
-    sp = counters[0]
-    agreement = counters[1]
-    mirror_reuse = counters[2]
-    degree_cut = counters[3]
-    balance_spill = counters[4]
+    if m == 0:
+        return 0
+    pu = vp[u]
+    pv = vp[v]
+    if check_mapped and (int(pu.min()) < 0 or int(pv.min()) < 0):
+        return 2
+    agree = pu == pv
+    du = divided[u].view(np.bool_)
+    dv = divided[v].view(np.bool_)
+    mirror = du ^ dv  # exactly one endpoint already has mirrors
+    mirror_u = du & mirror  # u is cut again: the edge follows v
+    deg_to_u = deg[v] > deg[u]  # cut u (ties cut v): target pu
+    take_pu = agree | (mirror & ~mirror_u) | (~mirror & deg_to_u)
+    tentative = np.where(take_pu, pu, pv).tolist()
+    rule = np.full(m, 2, dtype=np.int64)
+    rule[mirror] = 1
+    rule[agree] = 0
+    rule_l = rule.tolist()
+    pu_l = pu.tolist()
+    pv_l = pv.tolist()
+    caps_l = caps.tolist()
+    loads_l = loads.tolist()
+    sp, agreement, mirror_reuse, degree_cut, balance_spill = counters.tolist()
+    out_l = [0] * m
     for i in range(m):
-        ui = u[i]
-        vi = v[i]
-        pu = vp[ui]
-        pv = vp[vi]
-        if loads[pu] >= caps[pu] or loads[pv] >= caps[pv]:
-            if loads[pu] < caps[pu]:
-                target = pu
-            elif loads[pv] < caps[pv]:
-                target = pv
+        p_u = pu_l[i]
+        p_v = pv_l[i]
+        if loads_l[p_u] < caps_l[p_u] and loads_l[p_v] < caps_l[p_v]:
+            target = tentative[i]
+            rc = rule_l[i]
+            if rc == 0:
+                agreement += 1
+            elif rc == 1:
+                mirror_reuse += 1
             else:
-                while loads[sp] >= caps[sp]:
+                degree_cut += 1
+        else:
+            if loads_l[p_u] < caps_l[p_u]:
+                target = p_u
+            elif loads_l[p_v] < caps_l[p_v]:
+                target = p_v
+            else:
+                while loads_l[sp] >= caps_l[sp]:
                     sp += 1
                     if sp == k:
                         counters[0] = sp
                         return 1
                 target = sp
             balance_spill += 1
-        elif pu == pv:
-            target = pu
-            agreement += 1
-        elif divided[ui] and not divided[vi]:
-            target = pv  # u already has mirrors: cut u again
-            mirror_reuse += 1
-        elif divided[vi] and not divided[ui]:
-            target = pu
-            mirror_reuse += 1
-        else:
-            # both or neither divided: cut the higher-degree endpoint
-            target = pu if deg[vi] > deg[ui] else pv
-            degree_cut += 1
-        out[i] = target
-        loads[target] += 1
-    counters[0] = sp
-    counters[1] = agreement
-    counters[2] = mirror_reuse
-    counters[3] = degree_cut
-    counters[4] = balance_spill
+        out_l[i] = target
+        loads_l[target] += 1
+    out[:] = out_l
+    loads[:] = loads_l
+    counters[:] = (sp, agreement, mirror_reuse, degree_cut, balance_spill)
     return 0
 
 
@@ -286,102 +409,98 @@ def game_round(
 ):
     """One best-response round over every cluster (mutates the game state).
 
-    Transliteration of the in-place cost rewrite in
-    ``ClusterPartitioningGame.run``: per cluster the k-vector
-    ``(loads + size) * (lam_over_k * size) + (cut_degree - adj_row) * 0.5``
-    (current column ``(loads[cur] - size) + size``), first-minimum argmin,
-    strict-improvement test against ``eps``, move commit, and the O(deg)
-    adjacency-table update.  ``adj`` is the flat ``(m, k)`` table when
-    ``has_adj`` is set; otherwise rows are rebuilt on demand from the two
-    CSR triples (the over-cap fallback), which changes nothing — the
-    table entries are the same integer-valued sums.  A cluster's
-    neighbors are its out-row, then its in-row (see ``kernels.c``).
+    Per cluster the k-vector ``(loads + size) * (lam_over_k * size) +
+    (cut_degree - adj_row) * 0.5`` (current column ``(loads[cur] - size)
+    + size``), first-minimum argmin, strict-improvement test against
+    ``eps``, move commit, and the adjacency-table update of the mover's
+    neighbors.  ``adj`` is the flat ``(m, k)`` table when ``has_adj`` is
+    set; otherwise a row is rebuilt on demand from the two CSR triples
+    (the over-cap fallback) — the same integer-valued sums.
 
     Skip rules (both decision-preserving, DESIGN.md §10): a cluster whose
     ``last_eval`` equals the move counter has seen zero moves anywhere
     since it last declined; with ``relaxed`` set, a cluster also skips
     when no neighbor moved (``nbr_epoch``), its own partition gained no
     load (``inc_epoch``), and no other partition lost load
-    (``dec_epoch``) since its last evaluation — its stay cost can only
-    have dropped and every alternative can only have risen.
+    (``dec_epoch``) since its last evaluation.  The latest and the
+    runner-up ``dec_epoch`` make that last test O(1): the partition a
+    move drains takes the move counter, larger than every epoch before.
 
-    O(1) potential maintenance: ``phi`` carries ``[sum(loads^2),
-    total_partition_cut]``; each move updates both by the mover's exact
-    delta (pre-move loads, pre-move adjacency row), so the caller prices
-    ``Phi`` per round without the O(|E|) recompute.
-
-    ``counters``: ``[move_counter]``.  ``move_log`` records ``(cluster,
-    target)`` pairs for the round's moves.  ``cost_buf``/``row_buf`` are
-    k-sized scratch.  Returns the number of moves committed.
+    ``phi`` carries ``[sum(loads^2), total_partition_cut]``, updated per
+    move by the mover's exact delta.  ``counters``: ``[move_counter]``;
+    ``move_log`` records ``(cluster, target)`` pairs.  ``cost_buf`` and
+    ``row_buf`` are the C kernel's scratch.  Returns the number of moves.
     """
     csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
-    mc = counters[0]
-    moves = 0
-    for c in range(assignment.shape[0]):
-        le = last_eval[c]
+    table = adj.reshape(-1, k) if has_adj else None
+    mc = int(counters[0])
+    last = last_eval.tolist()
+    cur_of = assignment.tolist()
+    inc = inc_epoch.tolist()
+    dec = dec_epoch.tolist()
+    top_p = int(np.argmax(dec_epoch))
+    top = dec[top_p]
+    second = max(dec[:top_p] + dec[top_p + 1 :], default=-1)
+    sizes = internal.tolist()
+    cuts = cut_degree.tolist()
+    s_loads, s_cut = phi.tolist()
+    log: list[int] = []
+    for c in range(len(cur_of)):
+        le = last[c]
         if le == mc:
             continue
-        cur = assignment[c]
-        if relaxed != 0 and le >= 0 and nbr_epoch[c] <= le and inc_epoch[cur] <= le:
-            ok = True
-            for p in range(k):
-                if p != cur and dec_epoch[p] > le:
-                    ok = False
-                    break
-            if ok:
-                # the prior no-move decision provably stands at the
-                # current state, so it counts as an evaluation *now*
-                last_eval[c] = mc
-                continue
-        last_eval[c] = mc
-        size = internal[c]
-        if has_adj != 0:
-            base = c * k
-            for p in range(k):
-                row_buf[p] = adj[base + p]
-        else:
-            for p in range(k):
-                row_buf[p] = 0.0
-            for ptr, nbrs, ws in csrs:
-                for j in range(ptr[c], ptr[c + 1]):
-                    row_buf[assignment[nbrs[j]]] += ws[j]
-        a = lam_over_k * size
-        best = 0
-        best_cost = 0.0
-        for p in range(k):
-            t = loads[p] + size
-            if p == cur:
-                t = (loads[cur] - size) + size
-            cost = t * a + (cut_degree[c] - row_buf[p]) * 0.5
-            cost_buf[p] = cost
-            if p == 0 or cost < best_cost:
-                best_cost = cost
-                best = p
-        if best_cost < cost_buf[cur] - eps:
-            l_cur = loads[cur]
-            l_best = loads[best]
-            phi[0] += (l_cur - size) * (l_cur - size) - l_cur * l_cur
-            phi[0] += (l_best + size) * (l_best + size) - l_best * l_best
-            phi[1] += row_buf[cur] - row_buf[best]
+        cur = cur_of[c]
+        if (
+            relaxed and le >= 0 and nbr_epoch[c] <= le and inc[cur] <= le
+            and (top if top_p != cur else second) <= le
+        ):
+            # the prior no-move decision provably stands at the current
+            # state, so it counts as an evaluation *now*
+            last[c] = mc
+            continue
+        last[c] = mc
+        size = sizes[c]
+        row = table[c] if table is not None else adjacency_rows(c, c + 1, k, assignment, csrs)[0]
+        costs = loads + size
+        costs[cur] = (loads[cur] - size) + size
+        costs *= lam_over_k * size
+        cut = cuts[c] - row
+        cut *= 0.5
+        costs += cut
+        best = int(costs.argmin())
+        if costs[best] < costs[cur] - eps:
+            l_cur = float(loads[cur])
+            l_best = float(loads[best])
+            s_loads += (l_cur - size) * (l_cur - size) - l_cur * l_cur
+            s_loads += (l_best + size) * (l_best + size) - l_best * l_best
+            s_cut += float(row[cur]) - float(row[best])
             loads[cur] = l_cur - size
             loads[best] = l_best + size
-            assignment[c] = best
+            assignment[c] = cur_of[c] = best
             mc += 1
             for ptr, nbrs, ws in csrs:
-                for j in range(ptr[c], ptr[c + 1]):
-                    nb = nbrs[j]
-                    if has_adj != 0:
-                        adj[nb * k + cur] -= ws[j]
-                        adj[nb * k + best] += ws[j]
+                lo, hi = ptr[c], ptr[c + 1]
+                if lo != hi:
+                    nb = nbrs[lo:hi]
+                    if table is not None:
+                        table[nb, cur] -= ws[lo:hi]
+                        table[nb, best] += ws[lo:hi]
                     nbr_epoch[nb] = mc
-            dec_epoch[cur] = mc
-            inc_epoch[best] = mc
-            move_log[2 * moves] = c
-            move_log[2 * moves + 1] = best
-            moves += 1
-            last_eval[c] = -1  # movers are always re-evaluated
+            dec[cur] = mc
+            if cur == top_p:
+                top = mc
+            else:
+                top_p, top, second = cur, mc, top
+            inc[best] = mc
+            log += (c, best)
+            last[c] = -1  # movers are always re-evaluated
+    last_eval[:] = last
+    inc_epoch[:] = inc
+    dec_epoch[:] = dec
     counters[0] = mc
-    return moves
+    phi[:] = (s_loads, s_cut)
+    move_log[: len(log)] = log
+    return len(log) // 2
 
 
 def game_cost_rows(
@@ -390,29 +509,21 @@ def game_cost_rows(
     internal, cut_degree,
     assignment, loads, out,
 ):
-    """Cost rows of clusters ``[start, stop)`` against a frozen state.
-
-    Compiled form of ``ClusterPartitioningGame.batch_cost_matrix`` —
-    ``out`` is the flat ``(stop - start, k)`` cost matrix, bit-identical
-    to the numpy path (same per-element IEEE op sequence; the adjacency
-    accumulation is an integer sum, exact in any order).
-    """
+    """Cost rows of clusters ``[start, stop)`` against a frozen state,
+    into ``out``, the flat ``(stop - start, k)`` matrix: the per-element
+    op sequence of :func:`game_round`'s k-vector, every row at once."""
     csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
-    for c in range(start, stop):
-        base = (c - start) * k
-        for p in range(k):
-            out[base + p] = 0.0
-        for ptr, nbrs, ws in csrs:
-            for j in range(ptr[c], ptr[c + 1]):
-                out[base + assignment[nbrs[j]]] += ws[j]
-        size = internal[c]
-        a = lam_over_k * size
-        cur = assignment[c]
-        for p in range(k):
-            t = loads[p] + size
-            if p == cur:
-                t = (loads[cur] - size) + size
-            out[base + p] = t * a + (cut_degree[c] - out[base + p]) * 0.5
+    length = stop - start
+    sizes = internal[start:stop]
+    cur = assignment[start:stop]
+    rows = np.arange(length)
+    costs = sizes[:, None] + loads[None, :]
+    costs[rows, cur] = (loads[cur] - sizes) + sizes
+    costs *= (lam_over_k * sizes)[:, None]
+    cut = cut_degree[start:stop, None] - adjacency_rows(start, stop, k, assignment, csrs)
+    cut *= 0.5
+    costs += cut
+    out.reshape(length, k)[:] = costs
 
 
 # ---------------------------------------------------------------------- #
@@ -421,67 +532,51 @@ def game_cost_rows(
 #
 # ``out[dst[i]] (+)= table[src[i]]`` for ``i`` ascending — ufunc.at's own
 # sequential fold order, so float sums keep their bits.  ``out`` and
-# ``table`` may be the same array.  Each returns the first row whose
-# index is out of range (the rows before it are applied, none after it),
-# or -1.
+# ``table`` may be the same array when the dst and src index sets are
+# disjoint.  Each returns the first row whose index is out of range (the
+# rows before it are applied, none after it), or -1.
+
+
+def _valid_rows(dst, src, table, out) -> tuple[int, int]:
+    """``(rows to apply, first bad row or -1)`` of a take walk."""
+    m = dst.shape[0]
+    if m == 0 or (
+        dst.min() >= 0 and dst.max() < out.shape[0]
+        and src.min() >= 0 and src.max() < table.shape[0]
+    ):
+        return m, -1
+    bad = (dst < 0) | (dst >= out.shape[0]) | (src < 0) | (src >= table.shape[0])
+    row = int(bad.argmax())
+    return row, row
 
 
 def take_add_f64(dst, src, table, out):
-    """``np.add.at(out, dst, table[src])`` without the temporary."""
-    n_out = out.shape[0]
-    n_table = table.shape[0]
-    for i in range(dst.shape[0]):
-        d = dst[i]
-        s = src[i]
-        if d < 0 or d >= n_out or s < 0 or s >= n_table:
-            return i
-        out[d] = out[d] + table[s]
-    return -1
+    """``np.add.at(out, dst, table[src])``."""
+    rows, bad = _valid_rows(dst, src, table, out)
+    np.add.at(out, dst[:rows], table[src[:rows]])
+    return bad
 
 
 def take_min_f64(dst, src, table, out):
-    """``np.minimum.at(out, dst, table[src])`` on float64, np.minimum's
-    NaN rule included: a NaN accumulator stays, a NaN addend lands."""
-    n_out = out.shape[0]
-    n_table = table.shape[0]
-    for i in range(dst.shape[0]):
-        d = dst[i]
-        s = src[i]
-        if d < 0 or d >= n_out or s < 0 or s >= n_table:
-            return i
-        x = table[s]
-        o = out[d]
-        if not (o < x) and o == o:
-            out[d] = x
-    return -1
+    """``np.minimum.at(out, dst, table[src])`` on float64 (a NaN
+    accumulator stays, a NaN addend lands)."""
+    rows, bad = _valid_rows(dst, src, table, out)
+    np.minimum.at(out, dst[:rows], table[src[:rows]])
+    return bad
 
 
 def take_min_i64(dst, src, table, out):
     """``np.minimum.at(out, dst, table[src])`` on int64."""
-    n_out = out.shape[0]
-    n_table = table.shape[0]
-    for i in range(dst.shape[0]):
-        d = dst[i]
-        s = src[i]
-        if d < 0 or d >= n_out or s < 0 or s >= n_table:
-            return i
-        x = table[s]
-        if x < out[d]:
-            out[d] = x
-    return -1
+    rows, bad = _valid_rows(dst, src, table, out)
+    np.minimum.at(out, dst[:rows], table[src[:rows]])
+    return bad
 
 
 def take_put_i64(dst, src, table, out):
     """``out[dst] = table[src]`` for any 8-byte item viewed as int64."""
-    n_out = out.shape[0]
-    n_table = table.shape[0]
-    for i in range(dst.shape[0]):
-        d = dst[i]
-        s = src[i]
-        if d < 0 or d >= n_out or s < 0 or s >= n_table:
-            return i
-        out[d] = table[s]
-    return -1
+    rows, bad = _valid_rows(dst, src, table, out)
+    out[dst[:rows]] = table[src[:rows]]
+    return bad
 
 
 def slot_index(
@@ -492,127 +587,44 @@ def slot_index(
     master_order, master_indptr,
     slot_of, words, sizes,
 ):
-    """The flat replica-slot index of a vertex-cut assignment in counting
-    passes — ``build_placement`` + the numpy ``build_local_index`` without
-    a sort (``kernels.c`` has the pass-by-pass account).
+    """The flat replica-slot index of a vertex-cut assignment, built by
+    sorting: the (vertex, partition) replica table regrouped by partition
+    numbers the slots, each grouped edge's endpoints find their slots by
+    one ``searchsorted`` over the slots' (partition, vertex) keys, and
+    the masters are each vertex's first maximal incidence count.
 
-    Every output is written in full; the per-slot arrays need capacity
-    ``2 * m`` (``master_order`` holds the per-slot counts until the last
-    pass) and ``sizes`` receives ``[slots, masters]``; ``slot_of`` (``n``)
-    and ``words`` (``ceil(n / 64)``) are scratch.  Returns the
-    first row whose partition id or endpoint is out of range, before
-    anything is written, or -1.
+    Every output is written in full (the per-slot arrays hold ``2 * m``;
+    ``sizes`` receives ``[slots, masters]``; ``slot_of`` and ``words``
+    are the C kernel's scratch).  Returns the first row whose partition id
+    or endpoint is out of range, before anything is written, or -1.
     """
-    m = src.shape[0]
-    count = master_order
-    for i in range(m):
-        if part[i] < 0 or part[i] >= k or src[i] < 0 or src[i] >= n or dst[i] < 0 or dst[i] >= n:
-            return i
-    # 1: stable counting sort of the edges by partition; indptr[p + 1]
-    # holds p's count, then p's start, then (bumped per edge) p's end
-    for p in range(k + 1):
-        edge_indptr[p] = 0
-    for i in range(m):
-        edge_indptr[part[i] + 1] += 1
-    run = 0
-    for p in range(k):
-        c = edge_indptr[p + 1]
-        edge_indptr[p + 1] = run
-        run += c
-    for i in range(m):
-        at = edge_indptr[part[i] + 1]
-        edge_indptr[part[i] + 1] = at + 1
-        edge_ids[at] = i
-        src_slot[at] = src[i]
-        dst_slot[at] = dst[i]
-    # 2: slots partition by partition, from a bitmap over the partition's
-    # own word range read in ascending order; endpoints rewritten to slots
-    nw = (n + 63) >> 6
-    for w in range(nw):
-        words[w] = 0
-    slots = 0
-    part_indptr[0] = 0
-    for p in range(k):
-        lo = edge_indptr[p]
-        hi = edge_indptr[p + 1]
-        w_lo = nw
-        w_hi = -1
-        # from both ends at once, as kernels.c (which says why); the
-        # middle edge of an odd range is marked twice
-        j = lo
-        t = hi - 1
-        while j <= t:
-            for x in (src_slot[j], src_slot[t], dst_slot[j], dst_slot[t]):
-                words[x >> 6] |= _ONE << (np.uint64(x) & _M63)
-                w_lo = min(w_lo, x >> 6)
-                w_hi = max(w_hi, x >> 6)
-            j += 1
-            t -= 1
-        for w in range(w_lo, w_hi + 1):
-            bits = words[w]
-            words[w] = 0
-            v = w << 6
-            while bits:
-                if bits & _ONE:
-                    vertices[slots] = v
-                    slot_of[v] = slots
-                    count[slots] = 0
-                    slots += 1
-                bits >>= _ONE
-                v += 1
-        part_indptr[p + 1] = slots
-        for j in range(lo, hi):
-            s = slot_of[src_slot[j]]
-            d = slot_of[dst_slot[j]]
-            src_slot[j] = s
-            dst_slot[j] = d
-            count[s] += 1
-            count[d] += 1
-    # 3: masters — strict > over the slots in pid order keeps the first
-    # maximal count; slot_of now maps a vertex to its master's slot
-    for v in range(n):
-        master[v] = -1
-        replica_counts[v] = 0
-    for p in range(k):
-        for s in range(part_indptr[p], part_indptr[p + 1]):
-            v = vertices[s]
-            replica_counts[v] += 1
-            if master[v] < 0 or count[s] > count[slot_of[v]]:
-                master[v] = p
-                slot_of[v] = s
-    # 4: masters and mirror rows in slot order
-    masters = 0
-    rows = 0
-    for p in range(k + 1):
-        master_indptr[p] = 0
-    for p in range(k):
-        mirror_indptr[p] = rows
-        for s in range(part_indptr[p], part_indptr[p + 1]):
-            v = vertices[s]
-            if slot_of[v] == s:
-                is_master[s] = True
-                master_slots[masters] = s
-                masters += 1
-            else:
-                is_master[s] = False
-                mirror_slot[rows] = s
-                master_slot[rows] = slot_of[v]
-                master_indptr[master[v] + 1] += 1
-                rows += 1
-    mirror_indptr[k] = rows
-    # 5: rows stably grouped by master partition, as in pass 1
-    run = 0
-    for p in range(k):
-        c = master_indptr[p + 1]
-        master_indptr[p + 1] = run
-        run += c
-    for r in range(rows):
-        p = master[vertices[mirror_slot[r]]]
-        at = master_indptr[p + 1]
-        master_indptr[p + 1] = at + 1
-        master_order[at] = r
-    sizes[0] = slots
-    sizes[1] = masters
+    bad = (part < 0) | (part >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if bad.any():
+        return int(bad.argmax())
+    edge_ids[:], edge_indptr[:] = group_by_bounded(part, k)
+    verts, parts, counts = vertex_partition_pairs(src, dst, part, k)
+    replica_counts[:] = np.bincount(verts, minlength=n)
+    master[:] = first_max_partition(verts, parts, counts, replica_counts)
+    by_part, part_indptr[:] = group_by_bounded(parts, k)
+    slots = verts.size
+    slot_vertices = verts[by_part]
+    vertices[:slots] = slot_vertices
+    keys = parts[by_part] * n + slot_vertices
+    edge_part = part[edge_ids] * n
+    src_slot[:] = np.searchsorted(keys, edge_part + src[edge_ids])
+    dst_slot[:] = np.searchsorted(keys, edge_part + dst[edge_ids])
+    flags, masters, mirrors, master_of, mirror_ptr, order, order_ptr = replica_routes(
+        slot_vertices, part_indptr, master
+    )
+    rows = mirrors.size
+    is_master[:slots] = flags
+    master_slots[: masters.size] = masters
+    mirror_slot[:rows] = mirrors
+    master_slot[:rows] = master_of
+    mirror_indptr[:] = mirror_ptr
+    master_order[:rows] = order
+    master_indptr[:] = order_ptr
+    sizes[:] = (slots, masters.size)
     return -1
 
 

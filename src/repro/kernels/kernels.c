@@ -9,9 +9,8 @@
  *   greedy_chunk      <- repro.partitioners.greedy.GreedyPartitioner._per_edge
  *   clustering_chunk  <- repro.core.clustering.streaming_clustering
  *   transform_chunk   <- repro.core.transform.transform_partitions
- *                        (generalized to per-partition caps, matching
- *                        TransformState._scalar_loop)
- *   game_round        <- repro.core.game.ClusterPartitioningGame.run
+ *                        (generalized to per-partition caps)
+ *   game_round        <- repro.core.game.best_response_dynamics
  *                        (one fused best-response round, DESIGN.md s10)
  *   game_cost_rows    <- repro.core.game.ClusterPartitioningGame
  *                        .batch_cost_matrix
@@ -22,7 +21,7 @@
  *                        s5.3); the only kernels whose indices are
  *                        caller data, hence bounds-checked per row
  *   slot_index        <- repro.system.placement.build_placement +
- *                        build_local_index's numpy build: the whole
+ *                        the sort-based slot numbering: the whole
  *                        replica-slot index in counting passes, every
  *                        partition id and endpoint checked up front
  *
@@ -33,9 +32,9 @@
  * evaluation order and must be compiled WITHOUT -ffast-math and with
  * -ffp-contract=off so IEEE double semantics match CPython's exactly.
  *
- * The same algorithms exist in plain Python in _pykernels.py, the
- * python tier and this file's oracle; the two must be kept in lockstep.
- * Every function here is one row of repro.kernels.KERNELS.
+ * _pykernels.py implements the same references in Python and numpy (the
+ * python tier); both tiers are tested against the references.  Every
+ * function here is one row of repro.kernels.KERNELS.
  */
 
 #include <stdint.h>
@@ -329,7 +328,7 @@ int64_t transform_chunk(
     }
 
 /* One round over every cluster c = 0..m-1.  Float expressions keep the exact
- * op sequence of ClusterPartitioningGame.run's in-place cost rewrite:
+ * op sequence of ClusterPartitioningGame.cost_vector:
  * (loads[p] + size) * (lam_over_k * size) + (cut_degree - row) * 0.5,
  * with the current column (loads[cur] - size) + size; no -ffast-math,
  * -ffp-contract=off (no FMA contraction of the final multiply-add).

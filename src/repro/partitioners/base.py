@@ -89,11 +89,11 @@ class PartitionAssignment:
 
         One row per (vertex, partition) pair backed by at least one edge,
         sorted by vertex then partition, with the number of incident
-        edges behind it.  Replica counts, :func:`~repro.system.placement.
-        build_placement` and the numpy build of the runtime's replica-slot
-        index all read this one table, so they agree by construction and
-        the incidence is deduplicated once (the compiled index build
-        derives the same incidence from the edges without it).
+        edges behind it.  Replica counts and :func:`~repro.system.placement.
+        build_placement` read this one table, so they agree by
+        construction and the incidence is deduplicated once (the
+        runtime's index build derives the same incidence from the edges
+        without it).
         """
         if self._replica_table is None:
             self._replica_table = vertex_partition_pairs(
@@ -124,8 +124,8 @@ class PartitionAssignment:
         are one contiguous slice ``order[indptr[p]:indptr[p+1]]`` — the
         shared deployment substrate of the GAS engines (the global
         oracle's per-partition accounting and the local runtime's edge
-        sub-graphs slice the same layout; the compiled index build fills
-        this cache with the grouping it computes anyway).
+        sub-graphs slice the same layout; the index build fills this
+        cache with the grouping it computes anyway).
         """
         if self._grouped_edges is None:
             self._grouped_edges = group_by_bounded(
@@ -292,14 +292,12 @@ class EdgePartitioner:
 
 class ReplicaSetPartitioner(EdgePartitioner):
     """A one-pass heuristic over each vertex's partition set ``A(x)``
-    (HDRF, greedy): the set table in the resolved tier's layout, and the
+    (HDRF, greedy): the set table in the layout the kernels read, and the
     replica count :meth:`state_memory_bytes` reports after a run.
 
-    Kernel tier: flat multiword uint64 bitmask rows, ``_nw = ceil(k /
+    The sets are flat multiword uint64 bitmask rows, ``_nw = ceil(k /
     64)`` words per vertex (vertex ``x`` owns ``_words[x * _nw : (x + 1)
-    * _nw]``), the layout the kernels read.  Numpy tier: one Python int
-    bitmask per vertex — arbitrary k, O(1) set operations, no per-edge
-    numpy calls.
+    * _nw]``).
     """
 
     def __init__(self, num_partitions: int, seed: int = 0) -> None:
@@ -307,14 +305,8 @@ class ReplicaSetPartitioner(EdgePartitioner):
         self._backend = kernels.get_backend()
 
     def _begin(self, stream: EdgeStream) -> None:
-        if self._backend is not None:
-            self._nw = (self.num_partitions + 63) // 64
-            self._words = np.zeros(stream.num_vertices * self._nw, dtype=np.uint64)
-        else:
-            self._words = [0] * stream.num_vertices
+        self._nw = (self.num_partitions + 63) // 64
+        self._words = np.zeros(stream.num_vertices * self._nw, dtype=np.uint64)
 
     def _end(self) -> None:
-        if self._backend is not None:
-            self._replica_entries = kernels.popcount(self._words)
-        else:
-            self._replica_entries = sum(w.bit_count() for w in self._words)
+        self._replica_entries = kernels.popcount(self._words)

@@ -18,24 +18,14 @@ grows with k (Figure 7) and the state is O(|V| * k / 8 + k) bytes
 
 Chunked hot path
 ----------------
-The placement decision is an argmin of near-tied integer loads — provably
-order-chaotic at greedy's balanced-load attractor (DESIGN.md §4), so the
-chunked path keeps the mandatory per-edge decision order, in one of two
-tiers chosen by what :func:`repro.kernels.get_backend` resolves:
-
-* the *kernel tier* (the default wherever a C compiler exists)
-  dispatches each chunk into a compiled kernel running the candidate-set
-  argmin over flat load/bitmask-word arrays, writing the chunk's slice
-  of the result in place — integer-only state, so bit-identity is by
-  construction (DESIGN.md §8);
-* the *numpy tier* (hosts without one) strips the loop to a lean scalar
-  core: vertex partition sets are plain Python int bitmasks, cases 1-3
-  collapse to two word operations (``wu & wv`` else ``wu | wv``)
-  followed by a set-bit argmin, and only case 4 touches all k loads (via
-  the C-speed ``list.index``/``min`` builtins).
-
-Both tiers are bit-identical to :meth:`_per_edge`, the oracle behind
-:meth:`partition_per_edge`.
+The placement decision is an argmin of near-tied integer loads —
+provably order-chaotic at greedy's balanced-load attractor (DESIGN.md
+§4), so the chunked path keeps the per-edge decision order: each chunk
+is one call into the resolved :mod:`repro.kernels` backend's
+``greedy_chunk``, the candidate-set argmin over flat load/bitmask-word
+arrays, writing the chunk's slice of the result in place.  Integer-only
+state, so it is bit-identical by construction to :meth:`_per_edge`, the
+oracle behind :meth:`partition_per_edge` (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -51,12 +41,10 @@ __all__ = ["GreedyPartitioner"]
 class GreedyPartitioner(ReplicaSetPartitioner):
     """PowerGraph coordinated-greedy vertex-cut partitioning.
 
-    The chunk step runs the compiled kernel when a
-    :mod:`repro.kernels` backend resolves (the ``cc`` backend compiles
-    once per machine, ~0.5 s) and the lean int-bitmask core otherwise.
-    Both are bit-identical to :meth:`partition_per_edge`, which is the
-    only path that still places one edge at a time in Python (what the
-    fig-7 k-dependence benches time).
+    The chunk step is the :mod:`repro.kernels` ``greedy_chunk`` kernel,
+    bit-identical to :meth:`partition_per_edge`, which is the only path
+    that still places one edge at a time in Python (what the fig-7
+    k-dependence benches time).
     """
 
     name = "greedy"
@@ -92,52 +80,12 @@ class GreedyPartitioner(ReplicaSetPartitioner):
 
     def _begin(self, stream: EdgeStream) -> None:
         super()._begin(stream)
-        if self._backend is not None:
-            self._loads = np.zeros(self.num_partitions, dtype=np.int64)
-        else:
-            self._loads_list = [0] * self.num_partitions
+        self._loads = np.zeros(self.num_partitions, dtype=np.int64)
 
     def _chunk(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        if self._backend is not None:
-            # kernel tier: the candidate argmin in machine code
-            self._backend.greedy_chunk(
-                u, v, self.num_partitions, self._nw, self._loads, self._words, out
-            )
-            return
-        loads = self._loads_list
-        words = self._words
-        picks = [0] * u.shape[0]
-        for i, (ui, vi) in enumerate(zip(u.tolist(), v.tolist())):
-            wu = words[ui]
-            wv = words[vi]
-            cw = wu & wv
-            if not cw:
-                cw = wu | wv  # cases 2/3 (either side may be empty)
-            if cw:
-                # argmin over the candidate bits; ascending bit order with
-                # strict < replicates the (load, id) lexicographic rule
-                best_p = -1
-                best_l = 0
-                ww = cw
-                while ww:
-                    b = ww & -ww
-                    p = b.bit_length() - 1
-                    ww ^= b
-                    lp = loads[p]
-                    if best_p < 0 or lp < best_l:
-                        best_l = lp
-                        best_p = p
-                p = best_p
-            else:
-                # case 4: least-loaded overall; list.index returns the
-                # first (lowest-id) minimum
-                p = loads.index(min(loads))
-            picks[i] = p
-            loads[p] += 1
-            bit = 1 << p
-            words[ui] = wu | bit
-            words[vi] = wv | bit
-        out[:] = picks
+        self._backend.greedy_chunk(
+            u, v, self.num_partitions, self._nw, self._loads, self._words, out
+        )
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Vertex->partition-set table (one 8-byte entry per replica, as in

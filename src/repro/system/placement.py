@@ -22,10 +22,10 @@ whole concatenation at once (:attr:`LocalIndex.flat`, what
 :class:`~repro.system.runtime.LocalGasRuntime` runs): DESIGN.md §5.3.
 
 A deployment builds all of it — index, routes and :class:`Placement` —
-in one compiled walk over the partition-grouped edges (``repro.kernels``
-``slot_index``, O(|E| + slots), no sort).  :func:`build_placement` stays
-the analysis API and, with the numpy build of the index, the oracle the
-walk is tested against: the same arrays, dtype for dtype.
+in one kernel call (``repro.kernels`` ``slot_index``: on ``cc`` one walk
+over the partition-grouped edges, O(|E| + slots), no sort; on
+``python`` a sort of the replica table).  :func:`build_placement` stays
+the analysis API.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .. import kernels
-from .._util import group_by_bounded, segment_sums
+from .._util import first_max_partition, replica_routes, segment_sums
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
@@ -101,23 +101,11 @@ def build_placement(assignment: PartitionAssignment) -> Placement:
     API; a deployment gets the same placement from
     :func:`build_local_index` without the replica table's sort.
     """
-    stream = assignment.stream
     k = assignment.num_partitions
-    n = stream.num_vertices
     # sparse (vertex, partition) incidence counts (cached on the assignment)
     verts, parts, counts = assignment.replica_table()
     replica_counts = assignment.vertex_partition_counts()
-    # per-vertex first maximal count: the table is sorted by (vertex,
-    # partition), so each hosted vertex is one contiguous run of rows and
-    # the first row reaching the run's maximum is the lowest partition id
-    master = np.full(n, -1, dtype=np.int64)
-    if verts.size:
-        hosted = np.flatnonzero(replica_counts)
-        widths = replica_counts[hosted]
-        run_max = np.maximum.reduceat(counts, np.cumsum(widths) - widths)
-        at_max = np.flatnonzero(counts == np.repeat(run_max, widths))
-        owner = verts[at_max]
-        master[hosted] = parts[at_max[np.r_[True, owner[1:] != owner[:-1]]]]
+    master = first_max_partition(verts, parts, counts, replica_counts)
     masters_per_partition = np.bincount(
         master[master >= 0], minlength=k
     ).astype(np.int64)
@@ -358,26 +346,19 @@ class LocalIndex:
         )
 
 
-_INT64 = np.dtype(np.int64)
-
-
 def build_local_index(
     assignment: PartitionAssignment, placement: Placement | None = None
 ) -> LocalIndex:
     """Derive the flat replica-slot index — and, unless the caller passes
-    one, its :class:`Placement` — from an assignment.
-
-    With a kernel backend this is one compiled walk
-    (``repro.kernels`` ``slot_index``): a counting sort of the edges by
-    partition, one bitmap per partition over its own vertex range read in
-    ascending order (the slots), per-slot incidence counts read in pid
-    order (the masters) and one pass over the slots (the routes) —
-    O(|E| + slots) with no sort and no k x n term.  On the numpy tier
-    (``CLUGP_KERNEL_BACKEND=none``, or a column that is not a flat int64
-    array) it is the oracle build: the slots numbered by a stable sort of
-    the cached (vertex, partition) replica table by partition, and the
-    placement is :func:`build_placement`'s.  The two return the same
-    arrays, dtype for dtype.
+    one, its :class:`Placement` — from an assignment, in one
+    ``slot_index`` kernel call (``repro.kernels``).  On ``cc`` that is a
+    counting sort of the edges by partition, one bitmap per partition
+    over its own vertex range read in ascending order (the slots),
+    per-slot incidence counts read in pid order (the masters) and one
+    pass over the slots (the routes) — O(|E| + slots) with no sort and no
+    k x n term; on ``python`` the same arrays, dtype for dtype, from a
+    sort of the replica table.  The placement's masters are
+    :func:`build_placement`'s.
 
     A caller's ``placement`` decides ``is_master`` and the routes; one
     naming a master partition that hosts no replica of the vertex raises
@@ -388,26 +369,9 @@ def build_local_index(
     stream = assignment.stream
     k = assignment.num_partitions
     n = stream.num_vertices
-    src, dst, part = columns = (stream.src, stream.dst, assignment.edge_partition)
-    backend = kernels.get_backend()
-    if backend is not None and all(kernels.indexable(c, _INT64) for c in columns):
-        return _compiled_index(backend, assignment, placement)
-    bad = np.flatnonzero(
-        (part < 0) | (part >= k) | (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-    )
-    if bad.size:
-        raise _out_of_range(int(bad[0]), *columns, n, k)
-    return _numpy_index(assignment, placement)
-
-
-def _compiled_index(
-    backend, assignment: PartitionAssignment, placement: Placement | None
-) -> LocalIndex:
-    """The one-walk build: ``slot_index`` into buffers sized from m, n, k."""
-    stream = assignment.stream
-    k = assignment.num_partitions
-    n = stream.num_vertices
-    columns = (stream.src, stream.dst, assignment.edge_partition)
+    given = (stream.src, stream.dst, assignment.edge_partition)
+    # the kernel indexes raw int64 memory; free for int64 columns
+    columns = [np.ascontiguousarray(c, dtype=np.int64) for c in given]
     m = columns[0].size
     edge_ids, src_slot, dst_slot = (np.empty(m, dtype=np.int64) for _ in range(3))
     edge_indptr, part_indptr, mirror_indptr, master_indptr = (
@@ -419,7 +383,7 @@ def _compiled_index(
     )
     is_master = _capacity(2 * m, np.bool_)
     sizes = np.empty(2, dtype=np.int64)
-    row = backend.slot_index(
+    row = kernels.get_backend().slot_index(
         *columns, n, k,
         edge_ids, edge_indptr, src_slot, dst_slot,
         vertices, part_indptr, master, replica_counts,
@@ -428,7 +392,7 @@ def _compiled_index(
         slot_of, np.empty((n + 63) // 64, dtype=np.uint64), sizes,
     )
     if row >= 0:
-        raise _out_of_range(row, *columns, n, k)
+        raise _out_of_range(row, *given, n, k)
     slots, masters = (int(x) for x in sizes)
     rows = slots - masters
     vertices, is_master, master_slots = vertices[:slots], is_master[:slots], master_slots[:masters]
@@ -487,71 +451,8 @@ def _routes(
     """``(is_master, master_slots, routes)`` of the slots under a
     placement's ``master`` column: every non-master slot paired with its
     vertex's master slot."""
-    k = part_indptr.size - 1
-    slot_part = np.repeat(np.arange(k, dtype=np.int64), np.diff(part_indptr))
-    is_master = master[vertices] == slot_part
-    master_slots = np.flatnonzero(is_master)
-    mirror_slot = np.flatnonzero(~is_master)
-    slot_of = np.full(master.size, -1, dtype=np.int64)
-    slot_of[vertices[master_slots]] = master_slots
-    master_slot = slot_of[vertices[mirror_slot]]
-    if master_slot.size and master_slot.min() < 0:
+    is_master, master_slots, *columns = replica_routes(vertices, part_indptr, master)
+    routes = ReplicaRoutes(*columns)
+    if routes.master_slot.size and routes.master_slot.min() < 0:
         raise KeyError("placement names a master partition that hosts no replica")
-    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
-    routes = ReplicaRoutes(
-        mirror_slot=mirror_slot,
-        master_slot=master_slot,
-        mirror_indptr=np.searchsorted(mirror_slot, part_indptr),
-        master_order=master_order,
-        master_indptr=master_indptr,
-    )
     return is_master, master_slots, routes
-
-
-def _numpy_index(
-    assignment: PartitionAssignment, placement: Placement | None
-) -> LocalIndex:
-    """The oracle build: one stable bounded radix sort of the cached
-    (vertex, partition) replica table by partition numbers the slots; the
-    partition-grouped edge layout (cached on the assignment, shared with
-    the global oracle engine) gets its endpoint slots through one O(n)
-    scratch vertex -> slot lookup refilled per partition; the routes come
-    from :func:`_routes` — consistent with ``Placement.replica_counts`` by
-    construction."""
-    stream = assignment.stream
-    k = assignment.num_partitions
-    n = stream.num_vertices
-    if placement is None:
-        placement = build_placement(assignment)
-    verts, parts, _ = assignment.replica_table()
-    order, part_indptr = group_by_bounded(parts, k)
-    vertices = verts[order]
-    edge_ids, edge_indptr = assignment.grouped_edges()
-    src_slot = np.empty(edge_ids.size, dtype=np.int64)
-    dst_slot = np.empty(edge_ids.size, dtype=np.int64)
-    # entries written for earlier partitions are < lo, so one scratch
-    # array serves every partition without being cleared
-    slot_of = np.full(n, -1, dtype=np.int64)
-    for pid in range(k):
-        lo, hi = part_indptr[pid], part_indptr[pid + 1]
-        rows = slice(edge_indptr[pid], edge_indptr[pid + 1])
-        slot_of[vertices[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
-        src_slot[rows] = slot_of[stream.src[edge_ids[rows]]]
-        dst_slot[rows] = slot_of[stream.dst[edge_ids[rows]]]
-        if min(src_slot[rows].min(initial=lo), dst_slot[rows].min(initial=lo)) < lo:
-            raise KeyError(f"partition {pid} has an edge endpoint it does not host")
-    is_master, master_slots, routes = _routes(vertices, part_indptr, placement.master)
-    return LocalIndex(
-        num_partitions=k,
-        num_vertices=n,
-        vertices=vertices,
-        is_master=is_master,
-        master_slots=master_slots,
-        part_indptr=part_indptr,
-        src_slot=src_slot,
-        dst_slot=dst_slot,
-        edge_ids=edge_ids,
-        edge_indptr=edge_indptr,
-        routes=routes,
-        placement=placement,
-    )

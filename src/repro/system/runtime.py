@@ -94,27 +94,26 @@ _FOLD_KERNELS = {
 
 def _take_walk(kernel: str, dtype: np.dtype, out, dst, table, src) -> bool:
     """One walk of the index table ``(dst, src)`` by the take kernel
-    named ``kernel``, when it can run: a kernel backend resolves and
-    every argument is exactly what the kernel indexes.  False means
-    nothing was touched and the caller runs the numpy form.
+    named ``kernel``, when it can run: every argument is exactly what the
+    kernel indexes.  False means nothing was touched and the caller runs
+    the numpy form.
 
     The one place the system layer asks for a backend — per call, never
     stored: vertex programs are pickled to distributed workers, and a
     backend holds ctypes function pointers.
     """
-    backend = kernels.get_backend()
-    if backend is None or not (
+    if not (
         kernels.indexable(out, dtype) and kernels.indexable(table, dtype)
         and kernels.indexable(dst, _INT64) and kernels.indexable(src, _INT64)
     ):
         return False
-    getattr(backend, kernel)(dst, src, table, out)
+    getattr(kernels.get_backend(), kernel)(dst, src, table, out)
     return True
 
 
 def take_put(out: np.ndarray, dst, table: np.ndarray, src) -> None:
     """``out[dst] = table[src]`` without the ``table[src]`` temporary
-    (a bit copy of 8-byte numbers on the kernel tier).
+    (a bit copy of 8-byte numbers through the take kernel).
 
     ``out`` may be ``table`` when the ``dst`` and ``src`` index sets are
     disjoint — the apply sync's case: mirrors receive, masters send.
@@ -150,12 +149,12 @@ class DenseAccumulator:
         and so the same bits, without materializing ``table[src]`` when
         :mod:`repro.kernels` has the (combine, dtype) pair and the
         arguments are flat int64-indexed arrays — and literally that
-        numpy expression otherwise (any ufunc, any dtype, no backend).
+        numpy expression otherwise (any ufunc, any dtype).
 
         ``out`` may be ``table`` when the ``dst`` and ``src`` index sets
-        are disjoint.  Indices are checked on both tiers (``IndexError``);
-        the kernel tier also refuses the negative ones numpy would wrap,
-        and has applied the rows before the bad one when it raises.
+        are disjoint.  Indices are checked either way (``IndexError``);
+        the kernel also refuses the negative ones numpy would wrap, and
+        has applied the rows before the bad one when it raises.
         """
         dtype = np.dtype(self.dtype)
         kernel = _FOLD_KERNELS.get((self.combine, dtype))

@@ -53,16 +53,13 @@ needs_compiled = pytest.mark.skipif(
     not kernels.available(), reason="no compiled kernel backend (cc: no working C compiler)"
 )
 
-#: the tiers a differential compares, as pytest params: the numpy tier,
-#: the kernel glue in plain Python, and the compiled ``cc`` tier an unset
-#: environment resolves
+#: the tiers a differential compares, as pytest params: the ``python``
+#: kernels a host without a C compiler runs, and the compiled ``cc`` tier
+#: an unset environment resolves
 BACKENDS = [
-    pytest.param("none", id="none"),
     pytest.param("python", id="python"),
     pytest.param("auto", id="compiled", marks=needs_compiled),
 ]
-#: the two that run kernels
-KERNEL_BACKENDS = BACKENDS[1:]
 
 
 def assert_clustering_equal(a, b):
@@ -80,7 +77,7 @@ def assert_clustering_equal(a, b):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Record the backend every pass-1/2/3 engine resolved (None = numpy tier)."""
+    """Record the backend every pass-1/2/3 engine resolved."""
     ran = {"pass1": [], "game": [], "pass3": []}
 
     def record(cls, key):

@@ -1,10 +1,10 @@
 """The default path is the compiled path.
 
 Default-constructed objects in every host (single process, service,
-distributed) must actually run the :mod:`repro.kernels` backend when one
-resolves, and the same calls with no backend at all
-(``CLUGP_KERNEL_BACKEND=none`` — the numpy fallback) must return the
-same arrays.  (``partition()`` ≡ the per-edge oracle for every registered
+distributed) must actually run the compiled :mod:`repro.kernels` backend
+when it builds, and the same calls on the ``python`` kernels
+(``CLUGP_KERNEL_BACKEND=python`` — what a host without a C compiler
+runs) must return the same arrays.  (``partition()`` ≡ the per-edge oracle for every registered
 algorithm is ``test_kernels.py::test_streaming_three_way_identity``.)
 The public surface — no implementation selector anywhere, two entries
 and one accounting method on :class:`EdgePartitioner` — is pinned here.
@@ -44,7 +44,7 @@ def auto_resolution(monkeypatch):
 def assert_all(ran, compiled):
     for key, backends in ran.items():
         assert backends, f"{key} never ran"
-        assert {b is not None and b.name == "cc" for b in backends} == {compiled}, key
+        assert {b.name == "cc" for b in backends} == {compiled}, key
 
 
 def feed_service(stream, batches=4):
@@ -132,23 +132,22 @@ def test_registry_is_the_thirteen():
     assert len(PARTITIONERS) == 13  # test_kernels.py's differential sweeps all of them
 
 
-class TestNumpyFallbackIdentical:
-    """``CLUGP_KERNEL_BACKEND=none``: same calls, same arrays."""
+class TestPythonTierIdentical:
+    """``CLUGP_KERNEL_BACKEND=python``: same calls, same arrays."""
 
     @pytest.mark.parametrize("name", ["clugp", "clugp-s", "clugp-g", "hdrf", "greedy"])
     def test_partitioners(self, crawl_stream, name):
         default = make_partitioner(name, K, seed=2).partition(crawl_stream)
-        with kernel_backend("none"):
-            partitioner = make_partitioner(name, K, seed=2)
-            fallback = partitioner.partition(crawl_stream)
-        assert getattr(partitioner, "_backend", None) is None
+        with kernel_backend("python"):
+            assert kernels.backend_name() == "python"
+            fallback = make_partitioner(name, K, seed=2).partition(crawl_stream)
         assert np.array_equal(default.edge_partition, fallback.edge_partition)
 
     def test_service_and_distributed(self, crawl_stream, spy):
         served, distributed = feed_service(crawl_stream), run_distributed(crawl_stream)
         for impls in spy.values():
             impls.clear()
-        with kernel_backend("none"):
+        with kernel_backend("python"):
             assert np.array_equal(served, feed_service(crawl_stream))
             assert np.array_equal(distributed, run_distributed(crawl_stream))
         assert_all(spy, compiled=False)

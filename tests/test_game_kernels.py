@@ -1,30 +1,28 @@
-"""Both game engines must be bit-identical to the pass-2 oracle.
+"""The game engine must be bit-identical to the pass-2 oracle on both tiers.
 
-PR 9 compiles the whole pass-2 best-response round into one
-:mod:`repro.kernels` call (``game_round``) with incremental
-delta-scoring and O(1) potential maintenance.  DESIGN.md §10 argues
-bit-identity holds by construction — the kernel transliterates the
-numpy cost row op-for-op, first-minimum argmin, no FMA contraction,
-and every quantity it folds incrementally (adjacency table, loads,
-``S = sum(loads^2)``, cut) is integer-valued below ``2**53``, so
-"incremental" and "recomputed" are the *same* float64.  This module is
-the enforcement: the kernel tier and the numpy tier (forced through
+The whole pass-2 best-response round is one :mod:`repro.kernels` call
+(``game_round``) with incremental delta-scoring and O(1) potential
+maintenance.  DESIGN.md §10 argues bit-identity holds by construction —
+both tiers compute the oracle's cost row op-for-op, first-minimum
+argmin, no FMA contraction, and every quantity they fold incrementally
+(adjacency table, loads, ``S = sum(loads^2)``, cut) is integer-valued
+below ``2**53``, so "incremental" and "recomputed" are the *same*
+float64.  This module is the enforcement: each tier (forced through
 ``conftest.kernel_backend``) against :func:`best_response_dynamics` on
 assignments, move sequences, round counts and full potential traces
-across seeds and k; warm starts; the
-forced-tiny adjacency-table cap (`adj is None` on-demand-row path);
-the maintained-potential == recomputed-potential gate and its 2**53
-fallback; the vectorized Nash check; and the batched cost-row primitive
-behind ``parallel_game``.
+across seeds and k; warm starts; the forced-tiny adjacency-table cap
+(`adj is None` on-demand-row path); the maintained-potential ==
+recomputed-potential gate and its 2**53 fallback; the vectorized Nash
+check; and the batched cost-row primitive behind ``parallel_game``.
 
-The plain-Python kernel backend tests always run (no compiler
-needed); everything touching a compiled backend is skip-marked
-cleanly, mirroring ``tests/test_kernels.py``.
+The ``python`` tier's tests always run (no compiler needed); everything
+touching a compiled backend is skip-marked cleanly, mirroring
+``tests/test_kernels.py``.
 """
 
 import numpy as np
 import pytest
-from conftest import KERNEL_BACKENDS, kernel_backend
+from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GameConfig
@@ -82,9 +80,8 @@ def _assert_identical(a, b, label):
 
 def _assert_engines_match_oracle(cluster_graph, k, seed, backend, init=None, label=""):
     oracle = _oracle(cluster_graph, k, seed, init)
-    for tier in ("none", backend):
-        run = _run_engine(cluster_graph, k, seed, tier, initial_assignment=init)[1]
-        _assert_identical(oracle, run, f"{label} oracle vs {tier}")
+    run = _run_engine(cluster_graph, k, seed, backend, initial_assignment=init)[1]
+    _assert_identical(oracle, run, f"{label} oracle vs {backend}")
     return oracle
 
 
@@ -109,25 +106,19 @@ def test_game_config_validates_impl_fields():
         ClusterPartitioningGame(ClusterGraph.from_dicts(1, [1], [{}], [{}]), 2, vectorized=False)
 
 
-def test_jit_with_no_backend_degrades_to_fast(cluster_graph):
-    game, degraded = _run_engine(cluster_graph, 8, 0, "none")
-    assert game._backend is None  # degraded, not broken
-    _assert_identical(_oracle(cluster_graph, 8, 0), degraded, "oracle vs numpy tier")
-
-
 # --------------------------------------------------------------------- #
-# three-way identity: oracle == numpy tier == kernel tier
+# identity: oracle == the engine on each tier
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("k", [2, 8, 100, 1024])
 def test_three_way_identity_across_k(cluster_graph, k, backend):
     for seed in (0, 1, 2):
         _assert_engines_match_oracle(cluster_graph, k, seed, backend, label=f"k={k} s={seed}")
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_warm_start_identity(cluster_graph, backend):
     k = 8
     # a mid-descent warm start: random init from a different seed
@@ -146,7 +137,7 @@ def test_warm_start_identity(cluster_graph, backend):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_maintained_potential_equals_recomputed(cluster_graph, backend):
     for k, seed in ((2, 0), (8, 1), (100, 2)):
         game, result = _run_engine(cluster_graph, k, seed, backend)
@@ -157,13 +148,7 @@ def test_maintained_potential_equals_recomputed(cluster_graph, backend):
         assert result.potential_trace[-1] == game.potential()
 
 
-def test_fast_engine_trace_matches_recomputed(cluster_graph):
-    # the numpy engine recomputes per round — anchor for the gate above
-    game, result = _run_engine(cluster_graph, 8, 1, "none")
-    assert result.potential_trace[-1] == game.potential()
-
-
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "sizes",
     [
@@ -183,12 +168,12 @@ def test_load_mass_past_2_53_prices_the_trace_by_recompute(backend, sizes):
     graph = ClusterGraph.from_dicts(m, sizes, ring, [{(c - 1) % m: 1} for c in range(m)])
     config = GameConfig(relative_weight=0.7)  # balance outweighs the cut edges
     init = np.zeros(m, dtype=np.int64)
-    numpy_run, kernel_run = (
-        _make_game(graph, 2, tier, initial_assignment=init, config=config).run(record_moves=True)
-        for tier in ("none", backend)
+    oracle = best_response_dynamics(graph, 2, config, initial_assignment=init)
+    run = _make_game(graph, 2, backend, initial_assignment=init, config=config).run(
+        record_moves=True
     )
-    _assert_identical(numpy_run, kernel_run, f"internal={sizes}")
-    assert numpy_run.moves >= 1 and numpy_run.converged
+    _assert_identical(oracle, run, f"internal={sizes}")
+    assert run.moves >= 1 and run.converged
 
 
 # --------------------------------------------------------------------- #
@@ -196,7 +181,7 @@ def test_load_mass_past_2_53_prices_the_trace_by_recompute(backend, sizes):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_tiny_table_cap_unifies_paths(cluster_graph, backend, monkeypatch):
     k = 8
     oracle = _assert_engines_match_oracle(cluster_graph, k, 0, backend, label="table")
@@ -215,23 +200,18 @@ def test_tiny_table_cap_unifies_paths(cluster_graph, backend, monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_batch_cost_matrix_kernel_matches_numpy(cluster_graph, backend):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batch_cost_matrix_matches_cost_vector(cluster_graph, backend):
     k = 8
-    numpy_game = _make_game(cluster_graph, k, "none", seed=3)
-    jit_game = _make_game(cluster_graph, k, backend, seed=3)
     m = cluster_graph.num_clusters
     rng = np.random.default_rng(11)
     assignment = rng.integers(0, k, size=m).astype(np.int64)
-    loads = np.bincount(
-        assignment, weights=cluster_graph.internal.astype(np.float64),
-        minlength=k,
-    )
+    game = _make_game(cluster_graph, k, backend, initial_assignment=assignment)
     for start, stop in ((0, m), (m // 3, 2 * m // 3), (m - 1, m), (5, 5)):
-        a = numpy_game.batch_cost_matrix(start, stop, assignment, loads)
-        b = jit_game.batch_cost_matrix(start, stop, assignment, loads)
-        assert a.shape == b.shape == (stop - start, k)
-        assert np.array_equal(a, b)  # bit-identical, not approx
+        got = game.batch_cost_matrix(start, stop, game.assignment, game.loads)
+        want = np.array([game.cost_vector(c) for c in range(start, stop)]).reshape(-1, k)
+        assert got.shape == want.shape == (stop - start, k)
+        assert np.array_equal(got, want)  # bit-identical, not approx
 
 
 def test_vectorized_nash_check_matches_reference_loop(cluster_graph):
@@ -261,10 +241,10 @@ def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
     assert game.is_nash_equilibrium() and _nash_by_cost_vector(game)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_parallel_game_jit_matches_fast(cluster_graph, backend):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parallel_game_is_the_same_on_both_tiers(cluster_graph, backend):
     k = 8
-    with kernel_backend("none"):
+    with kernel_backend("python"):
         fast = parallel_game(cluster_graph, k, GameConfig(seed=0))
     with kernel_backend(backend):
         jit = parallel_game(cluster_graph, k, GameConfig(seed=0))

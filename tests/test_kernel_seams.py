@@ -6,8 +6,8 @@ columns of whatever ``EdgeStream`` a caller built, so the stream
 constructor is their seam.  ``build_local_index`` reads an assignment's
 three columns as they are (an array can be rewritten after its
 constructor checked it), so it is one more: a column the deployment
-kernel cannot index takes the numpy build, and an out-of-range partition
-id or endpoint is refused by name before anything is written.  The
+kernel cannot index is coerced to int64 first, and an out-of-range
+partition id or endpoint is refused by name before anything is written.  The
 compiled kernels index their arguments as raw C-contiguous int64 memory,
 so an int32 column read as int64 runs past the buffer (SIGSEGV on the
 default tier before the seams coerced).  Pinned here: every integer dtype
@@ -33,7 +33,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
+from conftest import BACKENDS, kernel_backend
 
 import repro
 from repro import kernels
@@ -177,7 +177,7 @@ def _slot_index_args(n: int, k: int, m: int) -> list:
     )
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_slot_index_writes_nothing_before_refusing(backend):
     src, dst = np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4])
     with kernel_backend(backend):
@@ -372,6 +372,7 @@ def test_the_table_is_the_c_source_and_the_python_tier():
     python = {
         name for name, fn in vars(_pykernels).items()
         if inspect.isfunction(fn) and fn.__module__ == _pykernels.__name__
+        and not name.startswith("_")
     }
     assert python - {"checked_take"} == set(kernels.KERNELS)
     for name, kernel in kernels.KERNELS.items():
@@ -410,7 +411,7 @@ def _footprint(state):
     return state.loads.copy(), state.spill_ptr, counters
 
 
-@pytest.mark.parametrize("tier", ["none", *TIERS])
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("entry", ["clustering", "transform"])
 @pytest.mark.parametrize("bad", [-1, N, 10**6, "unequal"])
 def test_a_chunk_the_tables_cannot_index_is_refused_before_the_kernel(
@@ -420,11 +421,8 @@ def test_a_chunk_the_tables_cannot_index_is_refused_before_the_kernel(
         error, chunks = ValueError, [([0, 1], [1])]
     else:
         error, chunks = VertexRangeError, [([0, bad], [1, 2]), ([0, 1], [1, bad])]
-    with kernel_backend("none"):
-        state = _chunk_state(entry)
-    spies = {}
-    if tier != "none":  # the state bound to the tier's kernels, spied
-        state._backend, spies = _spied(tier, monkeypatch)
+    state = _chunk_state(entry)
+    state._backend, spies = _spied(tier, monkeypatch)  # the tier's kernels, spied
     before = _footprint(state)
     for u, v in chunks:
         with pytest.raises(error):

@@ -14,11 +14,12 @@ bytes, CLUGP's per-pass products included.  Corner inputs (empty and
 degenerate streams, multiword masks, HDRF's parameter space, Mint batches
 straddling chunks, DBH's exact variant) are rows of ``CASES``, not files
 of their own; collision-heavy hypothesis streams, the spill-heavy tau=1.0
-transform and the degradation contract when no backend resolves follow.
+transform, the checkpoint shapes a pass-1 state refuses to restore and
+the degradation contract when ``cc`` does not build follow.
 
-The plain-Python backend tests always run (no compiler needed), so the
-kernel glue is exercised even on machines where :func:`kernels.available`
-is False; everything touching a compiled backend is skip-marked cleanly.
+The ``python`` tier's tests always run (no compiler needed), so every
+kernel is exercised even on machines where :func:`kernels.available` is
+False; everything touching a compiled backend is skip-marked cleanly.
 """
 
 import logging
@@ -28,7 +29,6 @@ import numpy as np
 import pytest
 from conftest import (
     BACKENDS,
-    KERNEL_BACKENDS,
     assert_clustering_equal,
     kernel_backend,
     needs_compiled,
@@ -75,10 +75,11 @@ CASES = {name: (name, 8, {}, None) for name in sorted(PARTITIONERS)}
 CASES.update({f"{name}-tiny": (name, 3, {}, TINY) for name in sorted(PARTITIONERS)})
 for _name in ("hdrf", "greedy"):
     # k = 1 is the degenerate partition space, k = 64 the top bit of one
-    # mask word, k = 100 two uint64 words per vertex row
-    CASES.update({f"{_name}-k{k}": (_name, k, {}, None) for k in (1, 64, 100)})
+    # mask word, k = 65 the first bit of the second, k = 100 two uint64
+    # words per vertex row, k = 128 two full ones
+    CASES.update({f"{_name}-k{k}": (_name, k, {}, None) for k in (1, 64, 65, 100, 128)})
 # lambda_bal = 0 is the all-scores-tie regime where the reference argmax
-# collapses to partition 0; large lambda_bal defeats the numpy tier's
+# collapses to partition 0; large lambda_bal defeats the python tier's
 # members-only shortcut and forces its exact full-scan fallback
 CASES.update({
     f"hdrf-lam{lam}-eps{eps}": ("hdrf", 6, {"lambda_bal": lam, "epsilon": eps}, None)
@@ -131,21 +132,17 @@ def _assert_identity(name, k, kwargs, stream, chunk_size, backend):
 
 
 def test_backend_names_and_probe_never_raise():
-    # import-safe contract: probing must work on any machine
+    # import-safe contract: probing must work on any machine, and every
+    # name resolves to a backend
     assert kernels.available() in (True, False)
+    assert "none" not in kernels.BACKEND_NAMES
     for name in kernels.BACKEND_NAMES:
-        backend = kernels.get_backend(name)
-        assert backend is None or hasattr(backend, "hdrf_chunk")
+        assert hasattr(kernels.get_backend(name), "hdrf_chunk")
 
 
 def test_get_backend_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.get_backend("fortran")
-
-
-def test_none_backend_resolves_to_none():
-    assert kernels.get_backend("none") is None
-    assert kernels.backend_name("none") is None
 
 
 def test_python_backend_always_available():
@@ -154,8 +151,6 @@ def test_python_backend_always_available():
 
 
 def test_env_override_respected(monkeypatch):
-    monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "none")
-    assert kernels.get_backend() is None
     monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "python")
     assert kernels.backend_name() == "python"
     monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "cobol")
@@ -257,7 +252,7 @@ def test_replica_accounting_matches(backend, stream):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("enable_splitting", [True, False])
 def test_clustering_state_identity(backend, enable_splitting, stream):
     vmax = max(1, stream.num_edges // 8)
@@ -269,13 +264,49 @@ def test_clustering_state_identity(backend, enable_splitting, stream):
     assert_clustering_equal(oracle, state.run(stream, 611))
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_clustering_tiny_vmax_splitting_storm(backend, stream):
     # vmax=5 forces constant splitting/migration — the worst-case replay
     oracle = streaming_clustering(stream, 5)
     with kernel_backend(backend):
         state = ClusteringState(stream.num_vertices, 5)
     assert_clustering_equal(oracle, state.run(stream, 13))
+
+
+def _cut_rows(arrays, rows=3):
+    return {**arrays, **{key: arrays[key][:rows] for key in ("clu", "deg", "div")}}
+
+
+def _shift(key, by):
+    return lambda arrays: {**arrays, key: arrays[key] + by}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _cut_rows,
+        _shift("clu", 100),
+        _shift("clu", -5),
+        lambda arrays: {**arrays, "mirror_c": arrays["mirror_c"][:-1]},
+        _shift("mirror_v", 10),
+        _shift("mirror_c", 100),
+    ],
+    ids=["rows", "clu-high", "clu-low", "mirror-lengths", "mirror-vertex", "mirror-cluster"],
+)
+def test_from_state_refuses_what_the_kernel_cannot_index(backend, corrupt):
+    # the kernels index the restored tables with vertex and raw cluster
+    # ids: a checkpoint they do not fit is refused at restore, before an
+    # ingest reads past a table (cc died with SIGSEGV on the cut rows)
+    with kernel_backend(backend):
+        state = ClusteringState(10, 4)
+        state.ingest_pair([0, 1, 1, 2, 2, 0, 3], [1, 2, 2, 0, 3, 3, 1])
+        arrays, meta = state.state_dict()
+        assert state.splits and arrays["mirror_v"].size  # a journal to corrupt
+        restored = ClusteringState.from_state(arrays, meta)
+        restored.ingest_pair([9, 8], [8, 7])
+        with pytest.raises(ValueError, match="checkpoint"):
+            ClusteringState.from_state(corrupt(arrays), meta)
 
 
 # --------------------------------------------------------------------- #
@@ -291,7 +322,7 @@ def _clustered(stream, k):
     return clustering, cluster_partition.astype(np.int64)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("tau", [1.0, 1.05])
 def test_transform_identity_including_spills(backend, tau, stream):
     # tau=1.0 binds the cap tightly -> heavy balance-spill traffic
@@ -312,7 +343,7 @@ def test_transform_identity_including_spills(backend, tau, stream):
         assert getattr(stats_oracle, field) == getattr(state.stats, field)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_transform_rejects_unmapped_vertex(backend, stream):
     # a -1 vertex_partition entry must raise in the kernel tier as in numpy
     k = 4
@@ -335,7 +366,7 @@ def test_transform_rejects_unmapped_vertex(backend, stream):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_clugp_partitioner_config_threads_jit(backend, stream, spy):
     with kernel_backend(backend):
         expected = kernels.get_backend()
@@ -412,15 +443,23 @@ class TestDegradationReporting:
         monkeypatch.delenv(kernels.ENV_REQUIRE, raising=False)
         return kernels
 
-    def test_auto_failure_warns_once_naming_backends(self, broken_kernels, caplog):
+    def test_broken_cc_resolves_python_with_one_warning(self, broken_kernels, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert broken_kernels.get_backend("auto") is None
-            assert broken_kernels.get_backend("auto") is None
+            for name in ("auto", "cc", None):
+                assert broken_kernels.get_backend(name).name == "python"
+            assert broken_kernels.backend_name() == "python"
+            assert broken_kernels.warmup() == "python"
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         message = warnings[0].getMessage()
         assert "cc: no C compiler found" in message
-        assert "numpy tier" in message
+        assert "python kernels" in message
+
+    def test_env_none_is_an_unknown_name(self, broken_kernels, monkeypatch):
+        monkeypatch.setenv("CLUGP_KERNEL_BACKEND", "none")
+        with pytest.raises(ValueError, match="not one of") as err:
+            broken_kernels.get_backend()
+        assert str(kernels.BACKEND_NAMES) in str(err.value)
 
     @pytest.fixture
     def strict(self, monkeypatch):
@@ -430,16 +469,9 @@ class TestDegradationReporting:
         with pytest.raises(kernels.KernelUnavailableError, match="cc: no C compiler"):
             broken_kernels.get_backend("auto")
 
-    def test_env_require_raises(self, broken_kernels, strict):
-        with pytest.raises(kernels.KernelUnavailableError):
-            broken_kernels.get_backend("auto")
-
     def test_concrete_backend_failure_raises_in_strict(self, broken_kernels, strict):
         with pytest.raises(kernels.KernelUnavailableError):
             broken_kernels.get_backend("cc")
-
-    def test_explicit_none_never_raises(self, broken_kernels, strict):
-        assert broken_kernels.get_backend("none") is None
 
     def test_python_backend_unaffected_by_strict(self, broken_kernels, strict):
         backend = broken_kernels.get_backend("python")
@@ -451,5 +483,5 @@ class TestDegradationReporting:
         if not kernels.available():
             pytest.skip("no compiled backend on this machine")
         with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert kernels.get_backend("auto") is not None
+            assert kernels.get_backend("auto").name == "cc"
         assert not caplog.records

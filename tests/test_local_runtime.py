@@ -10,9 +10,10 @@ modeled ``2 * sum(|P(v)| - 1)`` replication formula over the sync set.
 The flat replica-slot index is pinned four ways: against a naive
 per-partition ``np.unique``/``searchsorted`` builder kept here as the
 oracle, by its block-diagonal invariants, by golden digests of all four
-apps recorded before the layout was flattened, and — the compiled
-one-walk build on every kernel tier — field for field and dtype for
-dtype against the numpy build.
+apps recorded before the layout was flattened, and — the ``slot_index``
+kernel on both tiers — field for field and dtype for dtype, the compiled
+one-walk build against the ``python`` sort-based one and both against
+:func:`build_placement`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import zlib
 
 import numpy as np
 import pytest
-from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
+from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -309,25 +310,20 @@ class TestLocalIndex:
             build_local_index(assignment, placement)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unhosted_edge_endpoint_rejected(self, backend):
-        """The numpy build numbers the slots from the cached replica table,
-        so a table missing a replica an edge needs is refused; a kernel
-        tier derives the slots from the edges and never reads the table."""
+    def test_index_ignores_a_corrupt_replica_table(self, backend):
+        """Both tiers derive the slots from the edges and never read the
+        assignment's cached replica table, however wrong it is."""
         assignment = tiny_assignment()
         verts, parts, counts = assignment.replica_table()
         # drop the (vertex 0, partition 0) replica the edge (0, 1) needs
         assignment._replica_table = (verts[1:], parts[1:], counts[1:])
         with kernel_backend(backend):
-            if backend == "none":
-                with pytest.raises(KeyError, match="does not host"):
-                    build_local_index(assignment)
-            else:
-                assert_same_index(build_local_index(assignment), numpy_index(tiny_assignment()))
+            assert_same_index(build_local_index(assignment), python_index(tiny_assignment()))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replica_table_shared_by_counts_placement_and_index(self, backend, monkeypatch):
         """One dedup of the incidence per assignment, however many readers
-        — and on a kernel tier a deployment makes none."""
+        — and a deployment makes none."""
         import repro.partitioners.base as base
 
         calls = []
@@ -339,12 +335,12 @@ class TestLocalIndex:
             assignment = tiny_assignment()
             LocalGasRuntime(assignment)
             build_local_index(assignment)
-            assert len(calls) == (1 if backend == "none" else 0)
+            assert calls == []
             assignment.replication_factor()
             build_placement(assignment)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_deployment_builds_no_placement_and_reads_no_replica_table(
         self, backend, monkeypatch, crawl_stream
     ):
@@ -369,7 +365,7 @@ class TestLocalIndex:
 
 
 # ---------------------------------------------------------------------- #
-# the compiled build == the numpy build, array for array
+# the compiled build == the python build == build_placement, array for array
 # ---------------------------------------------------------------------- #
 
 
@@ -396,9 +392,9 @@ def assert_same_index(got, expect) -> None:
             assert type(have) is type(want) and have == want, name
 
 
-def numpy_index(assignment, placement=None):
-    """The oracle: the numpy build, on the assignment's own caches."""
-    with kernel_backend("none"):
+def python_index(assignment, placement=None):
+    """The ``python`` tier's build, on the assignment's own caches."""
+    with kernel_backend("python"):
         return build_local_index(assignment, placement)
 
 
@@ -419,10 +415,11 @@ layouts = st.integers(0, 25).flatmap(
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(deadline=None, max_examples=80)
 @given(layouts, st.booleans())
-def test_index_equals_numpy_build(backend, data, with_placement):
+def test_index_is_the_same_on_both_tiers(backend, data, with_placement):
     """Self-loops, duplicate edges, edgeless and isolated vertices, n = 0,
     |E| = 0, empty partitions anywhere, k from 1 to 4096, with and without
-    a caller's placement: every field, dtype for dtype."""
+    a caller's placement: every field, dtype for dtype, and the placement
+    is :func:`build_placement`'s."""
     n, edges, k, used, rng = data
     src = [u for u, _ in edges]
     dst = [v for _, v in edges]
@@ -432,11 +429,17 @@ def test_index_equals_numpy_build(backend, data, with_placement):
         return PartitionAssignment(EdgeStream(src, dst, n), parts, num_partitions=k)
 
     def build(tier):
-        placement = numpy_index(fresh()).placement if with_placement else None
+        placement = build_placement(fresh()) if with_placement else None
         with kernel_backend(tier):
             return build_local_index(fresh(), placement)
 
-    assert_same_index(build(backend), build("none"))
+    index = build(backend)
+    assert_same_index(index, build("python"))
+    expect = build_placement(fresh())
+    for f in dataclasses.fields(expect):
+        want, have = getattr(expect, f.name), getattr(index.placement, f.name)
+        assert type(have) is type(want) and np.array_equal(have, want), f.name
+        assert not isinstance(want, np.ndarray) or have.dtype == want.dtype, f.name
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -454,7 +457,7 @@ def test_callers_placement_decides_the_masters(backend, data):
     with kernel_backend(backend):
         index = build_local_index(fresh, placement)
     assert index.placement is placement
-    assert_same_index(index, numpy_index(assignment, placement))
+    assert_same_index(index, python_index(assignment, placement))
 
 
 # ---------------------------------------------------------------------- #

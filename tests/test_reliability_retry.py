@@ -229,16 +229,6 @@ class TestDistributedChaosGate:
         )
         assert chaotic.to_dict()["reliability"].get("retries", 0) >= 1
 
-    def test_persistent_backend_hang_bit_identical(self, chaos_stream):
-        baseline = _run_distributed(chaos_stream, "")
-        chaotic = _run_distributed(
-            chaos_stream, "hang,seed=0,hang_seconds=30", backend="persistent",
-            timeout=2.0,
-        )
-        assert np.array_equal(
-            baseline.assignment.edge_partition, chaotic.assignment.edge_partition
-        )
-
     def test_corruption_quarantined_by_summary_validation(self, chaos_stream):
         baseline = _run_distributed(chaos_stream, "")
         chaotic = _run_distributed(chaos_stream, "corrupt,seed=3")

@@ -268,9 +268,8 @@ def feeds(draw):
 
 
 #: ``conftest.kernel_backend`` names under the ids this module has always
-#: used: compiled kernels, numpy tier, and ``_pykernels`` — the kernels'
-#: own plain-Python reference, which ``kernels.c`` follows
-TIERS = {"jit": "auto", "fast": "none", "reference": "python"}
+#: used: the compiled kernels and the ``python`` ones
+TIERS = {"jit": "auto", "python": "python"}
 
 
 @pytest.fixture
@@ -280,7 +279,7 @@ def tier(request):
 
 
 @settings(max_examples=60)
-@given(feed=feeds(), tier=st.sampled_from(["auto", "none"]), splitting=st.booleans())
+@given(feed=feeds(), tier=st.sampled_from(["auto", "python"]), splitting=st.booleans())
 def test_every_batch_matches_the_rebuild_oracle(feed, tier, splitting):
     n, k, vmax, cap, batches = feed
     cfg = ClugpConfig(
@@ -395,7 +394,7 @@ def test_index_matches_linear_scan_as_the_log_grows(n, sizes, seed):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("tier", ["jit", "fast"], indirect=True)
+@pytest.mark.parametrize("tier", list(TIERS), indirect=True)
 @pytest.mark.parametrize("fail_on_call", [1, 2])
 def test_failed_pass3_rolls_the_batch_back(monkeypatch, tier, fail_on_call):
     stream, batches = crawl_batches()
@@ -476,7 +475,7 @@ def test_failed_first_batch_leaves_an_empty_service(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("tier", ["jit", "fast"], indirect=True)
+@pytest.mark.parametrize("tier", list(TIERS), indirect=True)
 @pytest.mark.parametrize("stop_after", [1, 4])
 def test_resume_equals_uninterrupted_feed(tmp_path, stop_after, tier):
     stream, batches = crawl_batches()
@@ -581,7 +580,7 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
     stream, batches = crawl_batches()
     half = len(batches) // 2
     results = {}
-    for impl in ("auto", "none", "python"):
+    for impl in ("auto", "python"):
         with kernel_backend(impl):
             state = ClusteringState(stream.num_vertices, 300)
         for u, v in batches[:half]:
@@ -610,13 +609,12 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
         assert final.mirror_clusters == end.mirror_clusters
         results[impl] = (mid, final, state.state_dict()[0])
     mid_ref, final_ref, arrays_ref = results["python"]
-    for impl in ("auto", "none"):
-        mid, final, arrays = results[impl]
-        assert mid.mirror_clusters == mid_ref.mirror_clusters
-        assert final.mirror_clusters == final_ref.mirror_clusters
-        assert np.array_equal(final.cluster_of, final_ref.cluster_of)
-        for key, want in arrays_ref.items():
-            assert_same_array(arrays[key], want, key)
+    mid, final, arrays = results["auto"]
+    assert mid.mirror_clusters == mid_ref.mirror_clusters
+    assert final.mirror_clusters == final_ref.mirror_clusters
+    assert np.array_equal(final.cluster_of, final_ref.cluster_of)
+    for key, want in arrays_ref.items():
+        assert_same_array(arrays[key], want, key)
 
 
 @pytest.mark.parametrize("tier", list(TIERS), indirect=True)

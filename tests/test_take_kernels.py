@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BACKENDS, KERNEL_BACKENDS, kernel_backend
+from conftest import BACKENDS, kernel_backend
 from repro import kernels
 from repro.graph.stream import EdgeStream
 from repro.partitioners.base import PartitionAssignment
@@ -180,7 +180,7 @@ def spied(monkeypatch):
     return spy_on
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_dense_superstep_is_three_walks(backend, spied):
     """PageRank's superstep: one gather fold over the edges, one gather
     sync fold and one apply-sync put over the routes — and no other."""
@@ -197,7 +197,7 @@ def test_dense_superstep_is_three_walks(backend, spied):
     }
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_arguments_a_kernel_cannot_index_take_the_numpy_form(backend, spied):
     spec = FOLDS["take_add_f64"]
     dst, src = np.array([0, 0, 2], dtype=I64), np.array([2, 1, 0], dtype=I64)
@@ -235,7 +235,7 @@ def test_arguments_a_kernel_cannot_index_take_the_numpy_form(backend, spied):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", [*sorted(FOLDS), "take_put_i64"])
 @pytest.mark.parametrize("column", ["dst", "src"])
 @pytest.mark.parametrize("bad", [3, 10**12, -1, I64_MIN])
@@ -272,7 +272,7 @@ def test_dispatcher_raises_index_error_on_every_tier(backend):
             take_put(np.zeros(3), dst, np.ones(3), src)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_unpaired_columns_are_refused(backend):
     with kernel_backend(backend):
         take = kernels.get_backend().take_min_i64
