@@ -26,6 +26,10 @@ after batch from the previous equilibrium.
 a kernel: every integer dtype is coerced to int64 before the call, and
 both chunk states refuse an endpoint id outside ``[0, num_vertices)``
 with ``VertexRangeError`` before the kernel could index past a table.
+``tests/test_core_cluster_graph.py`` runs the cluster-graph grouping
+(``pack_pairs`` / ``group_keys``) on both key widths — the boundary
+cases m = 46 340 (int32 keys) and 46 341 (int64 keys), the differential
+against the numpy twins, and labels outside ``[0, m)``.
 The whole leg is ~70 s on a 2-core x86-64 VM; the differential's
 ``chunk_size = 1`` row alone is ~12 s, so no row is skipped under the
 instrumented build.
@@ -66,6 +70,7 @@ TESTS = [
     "tests/test_take_kernels.py",
     "tests/test_distributed_gas.py",
     "tests/test_service_incremental.py",
+    "tests/test_core_cluster_graph.py",
 ]
 
 # -ffp-contract=off as in the shipped build: the float kernels' bits are

@@ -19,6 +19,7 @@ __all__ = [
     "group_by_bounded",
     "sorted_unique",
     "ragged_take_indices",
+    "row_pointers",
     "run_starts",
     "segment_sums",
     "grow_buffer",
@@ -123,6 +124,13 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def row_pointers(ids: np.ndarray, m: int) -> np.ndarray:
+    """CSR ``indptr`` over ``m`` rows from the (grouped) row id of every entry."""
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=m), out=indptr[1:])
+    return indptr
 
 
 def run_starts(sorted_values: np.ndarray) -> np.ndarray:

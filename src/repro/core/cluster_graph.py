@@ -16,16 +16,20 @@ The adjacency is stored as two CSR triples over compact cluster ids:
   neighbor ids sorted ascending within each row;
 * in-CSR (``in_indptr``, ``in_indices``, ``in_weights``) — edges entering.
 
-Every consumer reads views of these two; there is no third, symmetrized
-copy.  The game scores a cluster by walking its out-row, then its in-row
-(``w(c, n) = out + in`` is an integer sum, exact in any order).
+Every consumer reads these two as they are, int64 weights included;
+there is no third, symmetrized copy and no ``(m, k)`` table.  The game
+rebuilds a cluster's partition row by walking its out-row, then its
+in-row (``w(c, n) = out + in`` is an integer sum, exact in any order).
 
-Building it is one O(|E|) sweep (this is the I/O part of pass 2): the
-stream is read in chunks, each chunk's endpoints are gathered through
-``cluster_of`` and packed as ``cu * m + cv`` into one preallocated key
-column (int32 while ``m * m`` fits), and one in-place sort plus a
-run-length encode yields the CSR arrays — the only |E|-sized array is
-that key column, no per-edge Python, no dict-of-dicts.
+Building it is one O(|E|) sweep (this is the I/O part of pass 2) in two
+:mod:`repro.kernels` calls, each instantiated for an int32 and an int64
+key column: ``pack_pairs`` gathers each stream chunk's endpoints through
+``cluster_of`` and packs them as ``cu * m + cv`` into one preallocated
+key column (int32 while ``m * m`` fits), refusing a label outside
+``[0, m)``; after one in-place sort, ``group_keys`` writes ``internal``,
+the out-CSR and the in-CSR in two counting passes over the runs.  The
+only |E|-sized array is that key column: no run mask, no per-edge
+Python, no dict-of-dicts.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import run_starts, segment_sums, stable_argsort_bounded
+from .. import kernels
+from .._util import row_pointers, run_starts, segment_sums, stable_argsort_bounded
 from ..graph.stream import EdgeStream
 from .clustering import ClusteringResult
 
@@ -60,13 +65,6 @@ def _radix_group(
     skeys = keys[order]
     starts = run_starts(skeys)
     return order, skeys[starts], starts
-
-
-def _row_pointers(ids: np.ndarray, m: int) -> np.ndarray:
-    """CSR ``indptr`` over ``m`` rows from the (grouped) row id of every entry."""
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=m), out=indptr[1:])
-    return indptr
 
 
 def _csr_rows(indptr: np.ndarray) -> np.ndarray:
@@ -126,7 +124,7 @@ class ClusterGraph:
         rows_a = np.asarray(rows, dtype=np.int64)
         graph = cls.from_out_csr(
             np.asarray(internal, dtype=np.int64),
-            _row_pointers(rows_a, num_clusters),
+            row_pointers(rows_a, num_clusters),
             np.asarray(cols, dtype=np.int64),
             np.asarray(ws, dtype=np.int64),
             rows=rows_a,
@@ -169,7 +167,7 @@ class ClusterGraph:
             indptr=indptr,
             indices=indices,
             weights=weights,
-            in_indptr=_row_pointers(indices, m),
+            in_indptr=row_pointers(indices, m),
             in_indices=rows[by_col],
             in_weights=weights[by_col],
         )
@@ -256,7 +254,7 @@ class ClusterGraph:
             urows = ucols = merged_w = np.empty(0, dtype=np.int64)
         # grouped keys are unique and row-major: already the out-CSR
         return cls.from_out_csr(
-            internal, _row_pointers(urows, m), ucols, merged_w, rows=urows
+            internal, row_pointers(urows, m), ucols, merged_w, rows=urows
         )
 
     # ------------------------------------------------------------------ #
@@ -311,7 +309,7 @@ def _graph_from_grouped(
     internal[rows[diag]] = counts[diag]
     rows, cols, counts = rows[~diag], cols[~diag], counts[~diag]
     return ClusterGraph.from_out_csr(
-        internal, _row_pointers(rows, m), cols, counts, rows=rows
+        internal, row_pointers(rows, m), cols, counts, rows=rows
     )
 
 
@@ -413,44 +411,59 @@ class ClusterGraphDelta:
         return _graph_from_grouped(rows, cols, self.weights, m)
 
 
-#: edges per chunk of the grouping sweep: one chunk's labels are the only
-#: per-edge temporaries besides the key column
-_GROUP_CHUNK = 1 << 14
+#: edges per ``pack_pairs`` call: the compiled kernel holds nothing per
+#: chunk, the python one the chunk's two gathered label columns
+_GROUP_CHUNK = 1 << 16
 
 
 def grouped_cluster_graph(
     stream: EdgeStream, label_of: np.ndarray, num_clusters: int
 ) -> ClusterGraph:
     """The :class:`ClusterGraph` of ``stream`` under the vertex -> cluster
-    map ``label_of`` (a negative label is refused).
+    map ``label_of``; a label outside ``[0, num_clusters)`` is refused.
 
     The grouping core shared by :func:`build_cluster_graph` (labels of a
     clustering) and the distributed round 2 (a shard's edges under the
-    resolved global labels).  Each ``stream.batches`` chunk is gathered
-    through ``label_of`` and packed as ``cu * m + cv`` into one
+    resolved global labels).  ``pack_pairs`` packs each
+    ``stream.batches`` chunk's label pairs as ``cu * m + cv`` into one
     preallocated key column — int32 while ``m * m`` fits, so 4 bytes per
-    edge — diagonal keys included, so nothing is masked per edge.  One
-    in-place sort and a run-length encode give the unique keys in
-    row-major order, i.e. the out-CSR plus the internal counts.
+    edge — diagonal keys included, so nothing is masked per edge.  After
+    one in-place sort, ``group_keys`` counts the runs into ``internal``
+    and the two row-pointer arrays, which sizes the pair arrays, then
+    fills the out-CSR and the in-CSR: the key column is the only per-edge
+    array.
     """
     m = int(num_clusters)
-    label_of = np.asarray(label_of, dtype=np.int64)
-    fits = m * m <= np.iinfo(np.int32).max
-    keys = np.empty(stream.num_edges, dtype=np.int32 if fits else np.int64)
+    label_of = np.ascontiguousarray(label_of, dtype=np.int64)
+    width = "i32" if m * m <= np.iinfo(np.int32).max else "i64"
+    backend = kernels.get_backend()
+    pack = getattr(backend, f"pack_pairs_{width}")
+    group = getattr(backend, f"group_keys_{width}")
+    keys = np.empty(stream.num_edges, dtype=np.int32 if width == "i32" else np.int64)
     start = 0
     for u, v in stream.batches(_GROUP_CHUNK):
-        cu = label_of[u]
-        cv = label_of[v]
-        if min(int(cu.min()), int(cv.min())) < 0:
-            raise ValueError("stream contains vertices absent from the clustering")
-        cu *= m
-        cu += cv
-        keys[start : start + cu.size] = cu
-        start += cu.size
+        stop = start + u.shape[0]
+        row = pack(u, v, label_of, m, keys[start:stop])
+        if row >= 0:
+            raise ValueError(
+                f"edge {start + row}: an endpoint without a cluster in "
+                f"[0, {m}) (stream contains vertices absent from the clustering)"
+            )
+        start = stop
     keys.sort()
-    starts = run_starts(keys)
-    rows, cols = np.divmod(keys[starts].astype(np.int64), max(m, 1))
-    return _graph_from_grouped(rows, cols, np.diff(starts, append=keys.size), m)
+    internal = np.empty(m, dtype=np.int64)
+    indptr = np.empty(m + 1, dtype=np.int64)
+    in_indptr = np.empty(m + 1, dtype=np.int64)
+    pair_arrays = [np.empty(0, dtype=np.int64)] * 4
+    heads = (keys, m, internal, indptr, in_indptr)
+    pairs = group(*heads, *pair_arrays)  # the count: sizes the pair arrays
+    if pairs:
+        pair_arrays = [np.empty(pairs, dtype=np.int64) for _ in range(4)]
+        group(*heads, *pair_arrays)  # the fill
+    indices, weights, in_indices, in_weights = pair_arrays
+    return ClusterGraph(
+        m, internal, indptr, indices, weights, in_indptr, in_indices, in_weights
+    )
 
 
 def cluster_graph_from_labels(

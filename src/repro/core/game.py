@@ -24,15 +24,16 @@ Engine and the oracle
 ---------------------
 :class:`ClusterPartitioningGame` fuses each round into one
 :mod:`repro.kernels` call (``game_round``, on either tier): the kernel
-scores every cluster's ``k`` candidate costs against an
-incrementally-maintained ``(m, k)`` adjacency table — ``ADJ[c, p]`` is
-the weight between ``c`` and its neighbors currently placed in
-partition ``p``, both directions summed — updated per move in
-O(deg(c)), adds the decision-preserving epoch skip rule, and maintains
-the potential in O(1) per move instead of recomputing it per round
-(DESIGN.md §10).  It reads a cluster's adjacency as its out-row, then
-its in-row of the cluster graph: integer-valued sums below ``2**53``,
-exact in any order, so no symmetrized copy is needed.
+scores an evaluated cluster's ``k`` candidate costs against its
+adjacency row — the weight between ``c`` and its neighbors currently
+placed in each partition, both directions summed — rebuilt from its
+out-row, then its in-row of the cluster graph, adds the
+decision-preserving epoch skip rule, and maintains the potential in
+O(1) per move instead of recomputing it per round (DESIGN.md §10).  The
+kernel reads the graph's int64 arrays as they are, converting each
+weight as it reads it: integer-valued sums below ``2**53``, exact in
+any order, so neither a symmetrized copy nor an ``(m, k)`` table is
+kept.
 
 :func:`best_response_dynamics` is the pass-2 oracle, the counterpart of
 :func:`~repro.core.clustering.streaming_clustering` and
@@ -68,10 +69,6 @@ __all__ = [
 #: strict-improvement tolerance; moves must beat the current cost by this
 #: much, which (with integer cut weights) guarantees termination.
 _IMPROVEMENT_EPS = 1e-9
-
-#: cap on the m*k adjacency table kept by :meth:`run` (8 bytes per cell);
-#: larger games fall back to per-cluster on-demand bincounts.
-_ADJ_TABLE_MAX_CELLS = 1 << 26
 
 #: float64 holds every integer below this exactly.  The game kernel's
 #: O(1)-maintained ``sum(loads**2)`` is exact only under it, and
@@ -171,31 +168,35 @@ class ClusterPartitioningGame:
             # Algorithm 3 line 2: random initial assignment
             self.assignment = rng.integers(0, self.k, size=m, dtype=np.int64)
         else:
-            init = np.asarray(initial_assignment, dtype=np.int64)
-            if init.shape != (m,):
+            given = np.asarray(initial_assignment)
+            if given.shape != (m,):
                 raise ValueError(
                     f"initial_assignment must map all {m} clusters, "
-                    f"got shape {init.shape}"
+                    f"got shape {given.shape}"
                 )
+            with np.errstate(invalid="ignore"):  # NaN / inf: refused below
+                init = given.astype(np.int64)  # a copy: the game owns it
+            if given.dtype.kind not in "biu" and not np.array_equal(init, given):
+                raise ValueError("initial_assignment partitions must be whole numbers")
             if init.size and (int(init.min()) < 0 or int(init.max()) >= self.k):
                 raise ValueError("initial_assignment partitions out of range")
-            self.assignment = init.copy()
-        self._internal_f = cluster_graph.internal.astype(np.float64)
+            self.assignment = init
         # (astype: a bincount of no clusters is int64 zeros whatever the weights)
         self.loads = np.bincount(
-            self.assignment, weights=self._internal_f, minlength=self.k
+            self.assignment, weights=cluster_graph.internal, minlength=self.k
         ).astype(np.float64, copy=False)
         self.lambda_value = self._resolve_lambda()
         w = self.config.relative_weight
         self._lambda_eff = self.lambda_value * (w / (1.0 - w))
-        # the out- and the in-CSR, weights as float64 so the per-call
-        # bincount needs no cast (the values are integers, hence exact)
+        # the graph's own out- and in-CSR and int64 counts, read as they
+        # are: every consumer converts a weight as it reads it (exact
+        # below 2**53), so the game holds no float copy of the graph
         g = cluster_graph
         self._csrs = (
-            (g.indptr, g.indices, g.weights.astype(np.float64)),
-            (g.in_indptr, g.in_indices, g.in_weights.astype(np.float64)),
+            (g.indptr, g.indices, g.weights),
+            (g.in_indptr, g.in_indices, g.in_weights),
         )
-        self._cut_degree = cluster_graph.cut_degrees().astype(np.float64)
+        self._cut_degree = cluster_graph.cut_degrees()
         self._lam_over_k = self._lambda_eff / self.k
 
     # ------------------------------------------------------------------ #
@@ -252,7 +253,7 @@ class ClusterPartitioningGame:
         self._backend.game_cost_rows(
             start, stop, self.k, self._lam_over_k,
             *self._csrs[0], *self._csrs[1],
-            self._internal_f, self._cut_degree,
+            self.graph.internal, self._cut_degree,
             np.ascontiguousarray(assignment, dtype=np.int64),
             np.ascontiguousarray(loads, dtype=np.float64),
             out,
@@ -266,14 +267,14 @@ class ClusterPartitioningGame:
     def global_cost(self, assignment: np.ndarray | None = None) -> float:
         """``phi(Lambda)`` (Equation 10) for the given/current assignment."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(a, weights=self._internal_f, minlength=self.k)
+        loads = np.bincount(a, weights=self.graph.internal, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / self.k) * np.sum(loads**2) + cut)
 
     def potential(self, assignment: np.ndarray | None = None) -> float:
         """Exact potential ``Phi(Lambda)`` (Equation 13)."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(a, weights=self._internal_f, minlength=self.k)
+        loads = np.bincount(a, weights=self.graph.internal, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / (2 * self.k)) * np.sum(loads**2) + 0.5 * cut)
 
@@ -297,20 +298,14 @@ class ClusterPartitioningGame:
             return True
         return False
 
-    def _build_adj_table(self) -> np.ndarray | None:
-        """The ``(m, k)`` adjacency table, or None when too large."""
-        m = self.graph.num_clusters
-        if m * self.k > _ADJ_TABLE_MAX_CELLS:
-            return None
-        return adjacency_rows(0, m, self.k, self.assignment, self._csrs)
-
     def run(self, record_moves: bool = False) -> GameResult:
         """Iterate best responses until Nash equilibrium (Algorithm 3).
 
         Each round is one fused ``game_round`` kernel call, which owns
-        the flat ``(m, k)`` adjacency table, the load vector, and the
-        assignment array for the whole round.  Two additions over the
-        oracle, both decision-preserving (DESIGN.md §10):
+        the load vector and the assignment array for the whole round and
+        rebuilds each evaluated cluster's adjacency row from its out- and
+        in-row of the cluster graph — no ``(m, k)`` table.  Two additions
+        over the oracle, both decision-preserving (DESIGN.md §10):
 
         * the *epoch skip rule*: a cluster is rescored only when a
           neighbor moved, its own partition gained load, or any other
@@ -338,14 +333,6 @@ class ClusterPartitioningGame:
         m = self.graph.num_clusters
         k = self.k
         backend = self._backend
-        adj2d = self._build_adj_table()
-        if adj2d is not None:
-            adj = adj2d.reshape(-1)
-            has_adj = 1
-        else:
-            # over the table cap: the kernel rebuilds rows on demand
-            adj = np.zeros(1, dtype=np.float64)
-            has_adj = 0
         lam_over_k = self._lam_over_k
         # the epoch rule's monotonicity argument needs a nonnegative load
         # coefficient; lambda only goes negative via a user-supplied
@@ -391,8 +378,8 @@ class ClusterPartitioningGame:
                 backend.game_round(
                     k, lam_over_k, _IMPROVEMENT_EPS, relaxed,
                     *self._csrs[0], *self._csrs[1],
-                    self._internal_f, self._cut_degree,
-                    self.assignment, self.loads, adj, has_adj,
+                    self.graph.internal, self._cut_degree,
+                    self.assignment, self.loads,
                     last_eval, nbr_epoch, inc_epoch, dec_epoch,
                     counters, phi, move_buf, cost_buf, row_buf,
                 )

@@ -221,23 +221,25 @@ def read_edges_binary(
         dst = np.empty(kept, dtype=np.int64)
         slab = np.empty((min(kept, _SLAB_EDGES), 2), dtype="<i8")
         crc = 0
-        lo, hi = 0, -1
+        # one unsigned max per slab (a negative id reads as one >= 2**63);
+        # once a slab fails, sanitize_edges finds the rows
+        limit = np.uint64(n)
+        clean = True
         for start in range(0, kept, _SLAB_EDGES):
             pairs = slab[: min(_SLAB_EDGES, kept - start)]
             if f.readinto(pairs) != pairs.nbytes:
                 raise TruncatedPayloadError(f"{path}: file shrank while being read")
             crc = zlib.crc32(pairs, crc)
-            lo = min(lo, int(pairs.min()))
-            hi = max(hi, int(pairs.max()))
+            clean = clean and pairs.view("<u8").max() < limit
             src[start : start + pairs.shape[0]] = pairs[:, 0]
             dst[start : start + pairs.shape[0]] = pairs[:, 1]
         if whole:
             (want,) = _EDGES_TRAILER.unpack(f.read(_EDGES_TRAILER.size))
             if crc != want:
                 raise TruncatedPayloadError(f"{path}: CRC mismatch (corrupt body)")
-    if lo < 0 or hi >= n:  # only then is there anything to sanitize
-        src, dst, clean = sanitize_edges(src, dst, num_vertices=n, mode=mode)
-        report.merge(clean)
+    if not clean:  # only then is there anything to sanitize
+        src, dst, dropped = sanitize_edges(src, dst, num_vertices=n, mode=mode)
+        report.merge(dropped)
     else:
         report.kept += kept
     return DiGraph(src, dst, n)

@@ -29,18 +29,21 @@ def check_edge_columns(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> N
     ``ValueError`` unless both are 1-D of one length,
     :class:`VertexRangeError` unless every id lies in ``[0, num_vertices)``.
     The stream constructor runs it, and so does every chunk state that
-    indexes its tables with a caller's columns, before anything is written.
+    indexes its tables with a caller's int64 columns, before anything is
+    written.  One unsigned max per column decides: a negative id reads as
+    one at or above ``2**63``.  Only a refused column pays for the signed
+    extremes the message names.
     """
     if src.shape != dst.shape or src.ndim != 1:
         raise ValueError("src/dst must be 1-D arrays of equal length")
-    if src.size:
+    limit = np.uint64(max(num_vertices, 0))
+    if src.size and (src.view(np.uint64).max() >= limit or dst.view(np.uint64).max() >= limit):
         top = int(max(src.max(), dst.max()))
         if top >= num_vertices:
             raise VertexRangeError(
                 f"vertex id {top} out of range for num_vertices={num_vertices}"
             )
-        if int(min(src.min(), dst.min())) < 0:
-            raise VertexRangeError("vertex ids must be non-negative")
+        raise VertexRangeError("vertex ids must be non-negative")
 
 
 class StreamOrder(str, Enum):

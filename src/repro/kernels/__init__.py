@@ -3,11 +3,12 @@
 The kernels are the scalar loops DESIGN.md §4.3 proved cannot be
 bulk-committed bit-identically (the HDRF and greedy decision cores,
 CLUGP's pass-1 replay, pass-2 game round and pass-3 transform tail), the
-fused take-and-combine walks a dense GAS superstep is made of
-(``out[dst[i]] (+)= table[src[i]]``), and ``slot_index``, the
-deployment's replica-slot index (DESIGN.md §5.3).  The walks and the
-index build index with caller data, so they check every row and report
-the first bad one.
+two passes that group the cluster graph (``pack_pairs`` / ``group_keys``,
+one instance per key width), the fused take-and-combine walks a dense
+GAS superstep is made of (``out[dst[i]] (+)= table[src[i]]``), and
+``slot_index``, the deployment's replica-slot index (DESIGN.md §5.3).
+The walks, the index build and ``pack_pairs`` index with caller data, so
+they check every row and report the first bad one.
 
 A kernel is a C function in ``kernels.c``, its Python twin in
 :mod:`._pykernels` and one row of :data:`KERNELS`.  Both backends bind
@@ -95,6 +96,20 @@ def _take(t: str) -> Kernel:
     )
 
 
+def _pack(t: str) -> Kernel:
+    return _row(
+        f"u:i64[] v:i64[] n:len(u) label:i64[] labels:len(label) m:i64 keys:{t}[]", "i64"
+    )
+
+
+def _group(t: str) -> Kernel:
+    return _row(
+        f"keys:{t}[] n:len(keys) m:i64 internal:i64[] indptr:i64[] in_indptr:i64[] "
+        "indices:i64[] cap:len(indices) weights:i64[] in_indices:i64[] in_weights:i64[]",
+        "i64",
+    )
+
+
 #: every kernel: ``kernels.c`` and :mod:`._pykernels` define one function
 #: per row, under the row's name
 KERNELS: dict[str, Kernel] = {
@@ -116,21 +131,25 @@ KERNELS: dict[str, Kernel] = {
     ),
     "game_round": _row(
         "k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
-        "indptr:i64[] indices:i64[] weights:f64[] "
-        "in_indptr:i64[] in_indices:i64[] in_weights:f64[] "
-        "internal:f64[] cut_degree:f64[] "
-        "assignment:i64[] m:len(assignment) loads:f64[] adj:f64[] has_adj:i64 "
+        "indptr:i64[] indices:i64[] weights:i64[] "
+        "in_indptr:i64[] in_indices:i64[] in_weights:i64[] "
+        "internal:i64[] cut_degree:i64[] "
+        "assignment:i64[] m:len(assignment) loads:f64[] "
         "last_eval:i64[] nbr_epoch:i64[] inc_epoch:i64[] dec_epoch:i64[] "
         "counters:i64[] phi:f64[] move_log:i64[] cost_buf:f64[] row_buf:f64[]",
         "i64",
     ),
     "game_cost_rows": _row(
         "start:i64 stop:i64 k:i64 lam_over_k:f64 "
-        "indptr:i64[] indices:i64[] weights:f64[] "
-        "in_indptr:i64[] in_indices:i64[] in_weights:f64[] "
-        "internal:f64[] cut_degree:f64[] "
+        "indptr:i64[] indices:i64[] weights:i64[] "
+        "in_indptr:i64[] in_indices:i64[] in_weights:i64[] "
+        "internal:i64[] cut_degree:i64[] "
         "assignment:i64[] loads:f64[] out:f64[]"
     ),
+    "pack_pairs_i32": _pack("i32"),
+    "pack_pairs_i64": _pack("i64"),
+    "group_keys_i32": _group("i32"),
+    "group_keys_i64": _group("i64"),
     "take_add_f64": _take("f64"),
     "take_min_f64": _take("f64"),
     "take_min_i64": _take("i64"),
@@ -149,6 +168,7 @@ KERNELS: dict[str, Kernel] = {
 #: element type of each array kind (``bool[]`` is a ``uint8_t *`` in C)
 ARRAY_KINDS = {
     "i64[]": np.dtype(np.int64),
+    "i32[]": np.dtype(np.int32),
     "f64[]": np.dtype(np.float64),
     "u64[]": np.dtype(np.uint64),
     "u8[]": np.dtype(np.uint8),

@@ -16,6 +16,8 @@ tiers against it — but in whatever form numpy runs fastest:
   pass 3's rule table are precomputed for the whole chunk;
 * the game scores one cluster as a numpy ``k``-vector, with the C
   kernel's epoch skip rule and maintained potential;
+* the cluster-graph grouping is the sort-based numpy group-by:
+  gathered labels packed per chunk, then one run-length encode;
 * the take walks and :func:`slot_index` are vectorized over the rows
   before the first bad one (the rows they index with are caller data:
   they return that row, -1 for none, which :func:`checked_take` raises
@@ -37,6 +39,9 @@ from .._util import (
     group_by_bounded,
     occurrence_ranks,
     replica_routes,
+    row_pointers,
+    run_starts,
+    stable_argsort_bounded,
     vertex_partition_pairs,
 )
 
@@ -47,6 +52,10 @@ __all__ = [
     "transform_chunk",
     "game_round",
     "game_cost_rows",
+    "pack_pairs_i32",
+    "pack_pairs_i64",
+    "group_keys_i32",
+    "group_keys_i64",
     "take_add_f64",
     "take_min_f64",
     "take_min_i64",
@@ -403,7 +412,7 @@ def game_round(
     k, lam_over_k, eps, relaxed,
     indptr, indices, weights, in_indptr, in_indices, in_weights,
     internal, cut_degree,
-    assignment, loads, adj, has_adj,
+    assignment, loads,
     last_eval, nbr_epoch, inc_epoch, dec_epoch,
     counters, phi, move_log, cost_buf, row_buf,
 ):
@@ -412,10 +421,10 @@ def game_round(
     Per cluster the k-vector ``(loads + size) * (lam_over_k * size) +
     (cut_degree - adj_row) * 0.5`` (current column ``(loads[cur] - size)
     + size``), first-minimum argmin, strict-improvement test against
-    ``eps``, move commit, and the adjacency-table update of the mover's
-    neighbors.  ``adj`` is the flat ``(m, k)`` table when ``has_adj`` is
-    set; otherwise a row is rebuilt on demand from the two CSR triples
-    (the over-cap fallback) — the same integer-valued sums.
+    ``eps``, and the move commit.  The adjacency rows come from one
+    ``(m, k)`` table built from the two CSR triples for this call and
+    updated per move — the C kernel rebuilds each evaluated row instead;
+    the same integer-valued sums either way.
 
     Skip rules (both decision-preserving, DESIGN.md §10): a cluster whose
     ``last_eval`` equals the move counter has seen zero moves anywhere
@@ -432,7 +441,7 @@ def game_round(
     ``row_buf`` are the C kernel's scratch.  Returns the number of moves.
     """
     csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
-    table = adj.reshape(-1, k) if has_adj else None
+    table = adjacency_rows(0, assignment.shape[0], k, assignment, csrs)
     mc = int(counters[0])
     last = last_eval.tolist()
     cur_of = assignment.tolist()
@@ -441,8 +450,9 @@ def game_round(
     top_p = int(np.argmax(dec_epoch))
     top = dec[top_p]
     second = max(dec[:top_p] + dec[top_p + 1 :], default=-1)
-    sizes = internal.tolist()
-    cuts = cut_degree.tolist()
+    # float64 as the C kernel reads them (exact below 2**53)
+    sizes = internal.astype(np.float64).tolist()
+    cuts = cut_degree.astype(np.float64).tolist()
     s_loads, s_cut = phi.tolist()
     log: list[int] = []
     for c in range(len(cur_of)):
@@ -460,7 +470,7 @@ def game_round(
             continue
         last[c] = mc
         size = sizes[c]
-        row = table[c] if table is not None else adjacency_rows(c, c + 1, k, assignment, csrs)[0]
+        row = table[c]
         costs = loads + size
         costs[cur] = (loads[cur] - size) + size
         costs *= lam_over_k * size
@@ -482,9 +492,8 @@ def game_round(
                 lo, hi = ptr[c], ptr[c + 1]
                 if lo != hi:
                     nb = nbrs[lo:hi]
-                    if table is not None:
-                        table[nb, cur] -= ws[lo:hi]
-                        table[nb, best] += ws[lo:hi]
+                    table[nb, cur] -= ws[lo:hi]
+                    table[nb, best] += ws[lo:hi]
                     nbr_epoch[nb] = mc
             dec[cur] = mc
             if cur == top_p:
@@ -514,7 +523,7 @@ def game_cost_rows(
     op sequence of :func:`game_round`'s k-vector, every row at once."""
     csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
     length = stop - start
-    sizes = internal[start:stop]
+    sizes = internal[start:stop].astype(np.float64)
     cur = assignment[start:stop]
     rows = np.arange(length)
     costs = sizes[:, None] + loads[None, :]
@@ -524,6 +533,77 @@ def game_cost_rows(
     cut *= 0.5
     costs += cut
     out.reshape(length, k)[:] = costs
+
+
+# ---------------------------------------------------------------------- #
+# pass 2 input: the cluster graph grouped from one key column
+# ---------------------------------------------------------------------- #
+
+
+def _below(col, top) -> np.ndarray:
+    """``0 <= col < top`` per entry of an int64 column, as one compare."""
+    return col.view(np.uint64) < np.uint64(max(top, 0))
+
+
+def pack_pairs_i64(u, v, label, m, keys):
+    """``keys[i] = label[u[i]] * m + label[v[i]]`` for one chunk; the first
+    row whose endpoint ``label`` cannot index or whose label lies outside
+    ``[0, m)``, or -1."""
+    if u.shape[0] == 0:
+        return -1
+    n = label.shape[0]
+    if max(u.view(np.uint64).max(), v.view(np.uint64).max()) < n:
+        cu = label[u]
+        cv = label[v]
+        if max(cu.view(np.uint64).max(), cv.view(np.uint64).max()) < m:
+            cu *= m
+            cu += cv
+            keys[:] = cu
+            return -1
+    ends = _below(u, n) & _below(v, n)
+    ok = ends.copy()
+    ok[ends] = _below(label[u[ends]], m) & _below(label[v[ends]], m)
+    return int(ok.argmin())
+
+
+pack_pairs_i32 = pack_pairs_i64
+
+
+def group_keys_i64(keys, m, internal, indptr, in_indptr, indices, weights, in_indices, in_weights):
+    """The sorted key column grouped, in the C kernel's two calls: with
+    empty pair arrays ``internal`` and the out- and in-CSR row pointers,
+    else the out-CSR and the in-CSR pairs (rows ascending within a
+    column).  Returns the pair count; -1 when a key lies outside
+    ``[0, m * m)``, the keys are not sorted, or the pairs do not fit."""
+    starts = run_starts(keys)
+    ukeys = keys[starts].astype(np.int64)
+    if ukeys.size and (
+        not _below(ukeys, m * m).all() or (ukeys[1:] <= ukeys[:-1]).any()
+    ):
+        return -1
+    rows, cols = np.divmod(ukeys, max(m, 1))
+    counts = np.diff(starts, append=keys.size)
+    off = rows != cols
+    cap = indices.shape[0]
+    if cap == 0:
+        internal[:] = 0
+        internal[rows[~off]] = counts[~off]
+        indptr[:] = row_pointers(rows[off], m)
+        in_indptr[:] = row_pointers(cols[off], m)
+        return int(off.sum())
+    rows, cols, counts = rows[off], cols[off], counts[off]
+    pairs = rows.size
+    if pairs > cap:
+        return -1
+    by_col = stable_argsort_bounded(cols, max(m, 1))
+    indices[:pairs] = cols
+    weights[:pairs] = counts
+    in_indices[:pairs] = rows[by_col]
+    in_weights[:pairs] = counts[by_col]
+    return pairs
+
+
+group_keys_i32 = group_keys_i64
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 /* Scalar decision cores for the chunked streaming partitioners, the
- * fused take-and-combine walks of the GAS runtime, and the build of the
- * runtime's replica-slot index.
+ * grouping of the cluster graph, the fused take-and-combine walks of
+ * the GAS runtime, and the build of the runtime's replica-slot index.
  *
  * Each function computes exactly what its Python reference computes (see
  * DESIGN.md section 8 for the bit-identity argument):
@@ -14,6 +14,11 @@
  *                        (one fused best-response round, DESIGN.md s10)
  *   game_cost_rows    <- repro.core.game.ClusterPartitioningGame
  *                        .batch_cost_matrix
+ *   pack_pairs_i32, pack_pairs_i64, group_keys_i32, group_keys_i64
+ *                     <- repro.core.cluster_graph.grouped_cluster_graph:
+ *                        a chunk's label pairs packed into the key
+ *                        column (endpoints and labels checked per row),
+ *                        and the sorted column grouped into the two CSRs
  *   take_add_f64, take_min_f64, take_min_i64, take_put_i64
  *                     <- ufunc.at(out, dst, table[src]) / out[dst] =
  *                        table[src]: the index-table walks of a dense
@@ -313,16 +318,17 @@ int64_t transform_chunk(
 
 /* BODY for every neighbor nb of cluster c, with weight wt: its out-row,
  * then its in-row.  One held both ways comes twice, which is harmless:
- * weights are integer-valued doubles (exact sums in any order) and
- * nbr_epoch is assigned, not counted. */
+ * weights are integer counts, converted as read (exact below 2^53, so
+ * the sums are exact in any order), and nbr_epoch is assigned, not
+ * counted. */
 #define FOR_NEIGHBOR(c, BODY)                                           \
     for (int64_t d_ = 0; d_ < 2; d_++) {                                \
         const int64_t *ip_ = d_ ? in_indptr : indptr;                   \
         const int64_t *ix_ = d_ ? in_indices : indices;                 \
-        const double *w_ = d_ ? in_weights : weights;                   \
+        const int64_t *w_ = d_ ? in_weights : weights;                  \
         for (int64_t j_ = ip_[c]; j_ < ip_[(c) + 1]; j_++) {            \
             int64_t nb = ix_[j_];                                       \
-            double wt = w_[j_];                                         \
+            double wt = (double)w_[j_];                                 \
             BODY;                                                       \
         }                                                               \
     }
@@ -333,9 +339,10 @@ int64_t transform_chunk(
  * with the current column (loads[cur] - size) + size; no -ffast-math,
  * -ffp-contract=off (no FMA contraction of the final multiply-add).
  *
- * adj is the flat (m, k) adjacency table (both directions summed) when
- * has_adj != 0; otherwise rows are rebuilt on demand from the two CSRs
- * (the over-cap fallback) — same integer-valued sums either way.
+ * The evaluated cluster's adjacency row (its weight into each partition,
+ * both directions summed) is rebuilt into row_buf from its out-row and
+ * in-row: no (m, k) table is kept.  internal and cut_degree are the
+ * cluster graph's int64 arrays, converted as read.
  *
  * Skip rules (decision-preserving): last_eval[c] == move_counter means
  * zero moves anywhere since c last declined; with `relaxed`, c also
@@ -350,11 +357,10 @@ int64_t transform_chunk(
  * row_buf are k-sized scratch.  Returns the number of moves. */
 int64_t game_round(
     int64_t k, double lam_over_k, double eps, int64_t relaxed,
-    const int64_t *indptr, const int64_t *indices, const double *weights,
-    const int64_t *in_indptr, const int64_t *in_indices, const double *in_weights,
-    const double *internal, const double *cut_degree,
+    const int64_t *indptr, const int64_t *indices, const int64_t *weights,
+    const int64_t *in_indptr, const int64_t *in_indices, const int64_t *in_weights,
+    const int64_t *internal, const int64_t *cut_degree,
     int64_t *assignment, int64_t m, double *loads,
-    double *adj, int64_t has_adj,
     int64_t *last_eval, int64_t *nbr_epoch,
     int64_t *inc_epoch, int64_t *dec_epoch,
     int64_t *counters, double *phi, int64_t *move_log,
@@ -378,21 +384,17 @@ int64_t game_round(
             }
         }
         last_eval[c] = mc;
-        double size = internal[c];
-        if (has_adj) {
-            const double *row = adj + c * k;
-            for (int64_t p = 0; p < k; p++) row_buf[p] = row[p];
-        } else {
-            for (int64_t p = 0; p < k; p++) row_buf[p] = 0.0;
-            FOR_NEIGHBOR(c, row_buf[assignment[nb]] += wt);
-        }
+        double size = (double)internal[c];
+        double cut = (double)cut_degree[c];
+        for (int64_t p = 0; p < k; p++) row_buf[p] = 0.0;
+        FOR_NEIGHBOR(c, row_buf[assignment[nb]] += wt);
         double a = lam_over_k * size;
         int64_t best = 0;
         double best_cost = 0.0;
         for (int64_t p = 0; p < k; p++) {
             double t = loads[p] + size;
             if (p == cur) t = (loads[cur] - size) + size;
-            double cost = t * a + (cut_degree[c] - row_buf[p]) * 0.5;
+            double cost = t * a + (cut - row_buf[p]) * 0.5;
             cost_buf[p] = cost;
             if (p == 0 || cost < best_cost) {
                 best_cost = cost;
@@ -409,13 +411,7 @@ int64_t game_round(
             loads[best] = l_best + size;
             assignment[c] = best;
             mc++;
-            FOR_NEIGHBOR(c, {
-                if (has_adj) {
-                    adj[nb * k + cur] -= wt;
-                    adj[nb * k + best] += wt;
-                }
-                nbr_epoch[nb] = mc;
-            });
+            FOR_NEIGHBOR(c, (void)wt; nbr_epoch[nb] = mc);
             dec_epoch[cur] = mc;
             inc_epoch[best] = mc;
             move_log[2 * moves] = c;
@@ -433,9 +429,9 @@ int64_t game_round(
  * (stop - start, k) cost matrix. */
 void game_cost_rows(
     int64_t start, int64_t stop, int64_t k, double lam_over_k,
-    const int64_t *indptr, const int64_t *indices, const double *weights,
-    const int64_t *in_indptr, const int64_t *in_indices, const double *in_weights,
-    const double *internal, const double *cut_degree,
+    const int64_t *indptr, const int64_t *indices, const int64_t *weights,
+    const int64_t *in_indptr, const int64_t *in_indices, const int64_t *in_weights,
+    const int64_t *internal, const int64_t *cut_degree,
     const int64_t *assignment, const double *loads,
     double *out)
 {
@@ -443,16 +439,131 @@ void game_cost_rows(
         double *row = out + (c - start) * k;
         for (int64_t p = 0; p < k; p++) row[p] = 0.0;
         FOR_NEIGHBOR(c, row[assignment[nb]] += wt);
-        double size = internal[c];
+        double size = (double)internal[c];
+        double cut = (double)cut_degree[c];
         double a = lam_over_k * size;
         int64_t cur = assignment[c];
         for (int64_t p = 0; p < k; p++) {
             double t = loads[p] + size;
             if (p == cur) t = (loads[cur] - size) + size;
-            row[p] = t * a + (cut_degree[c] - row[p]) * 0.5;
+            row[p] = t * a + (cut - row[p]) * 0.5;
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Pass 2 input: the cluster graph grouped from one key column        */
+/* ------------------------------------------------------------------ */
+
+/* BODY for every run of equal keys in the sorted keys[0..n): its key,
+ * row r = key / m, column c = key % m and length count.  The row is
+ * carried forward instead of divided out (keys ascend, so rows do).  A
+ * key outside [0, mm) or below its predecessor returns -1 before it is
+ * used. */
+#define FOR_RUN(BODY)                                                   \
+    for (int64_t i_ = 0, j_, r = 0, base_ = 0, prev_ = -1; i_ < n; i_ = j_) { \
+        int64_t key = keys[i_];                                         \
+        if (key <= prev_ || key >= mm) return -1;                       \
+        prev_ = key;                                                    \
+        for (j_ = i_ + 1; j_ < n && keys[j_] == keys[i_]; j_++) {}      \
+        while (key - base_ >= m) {                                      \
+            r++;                                                        \
+            base_ += m;                                                 \
+        }                                                               \
+        int64_t count = j_ - i_, c = key - base_;                       \
+        BODY;                                                           \
+    }
+
+/* keys[i] = label[u[i]] * m + label[v[i]] for one stream chunk, into a
+ * key column of element type T (int32_t while m * m fits).  The
+ * endpoints index label (labels entries) and the labels must lie in
+ * [0, m): both are checked per row, and the first bad row is returned
+ * (keys is then partly written); -1 = all rows packed. */
+#define PACK_KERNEL(NAME, T)                                            \
+    int64_t NAME(                                                       \
+        const int64_t *u, const int64_t *v, int64_t n,                  \
+        const int64_t *label, int64_t labels, int64_t m, T *keys)       \
+    {                                                                   \
+        /* unsigned compares: a negative id or label reads as huge */   \
+        uint64_t nl = (uint64_t)labels, nm = (uint64_t)m;               \
+        for (int64_t i = 0; i < n; i++) {                               \
+            uint64_t a = (uint64_t)u[i], b = (uint64_t)v[i];            \
+            if ((a >= nl) | (b >= nl)) return i;                        \
+            uint64_t la = (uint64_t)label[a], lb = (uint64_t)label[b];  \
+            if ((la >= nm) | (lb >= nm)) return i;                      \
+            keys[i] = (T)(la * nm + lb);                                \
+        }                                                               \
+        return -1;                                                      \
+    }
+
+PACK_KERNEL(pack_pairs_i32, int32_t)
+PACK_KERNEL(pack_pairs_i64, int64_t)
+
+/* The sorted key column (key = row * m + col) grouped into the cluster
+ * graph in two calls, one counting pass over its runs each, with no
+ * |keys|-sized temporary:
+ *
+ *  1. cap = 0, the count: a diagonal run is internal[row], any other one
+ *     pair of the out-CSR (counted into indptr[row + 1]) and of the
+ *     in-CSR (into in_indptr[col + 1]); internal, indptr and in_indptr
+ *     (m, m + 1 and m + 1 entries) are written in full, as the two row
+ *     pointer arrays, and the number of pairs is returned;
+ *  2. cap > 0, the fill, into pair arrays of cap entries each: the pairs
+ *     in key order are the out-CSR (indices, weights) as they come, and
+ *     a stable counting scatter by column, from the column starts call 1
+ *     left in in_indptr, gives the in-CSR (in_indices, in_weights), rows
+ *     ascending within each column.  in_indptr ends as it began; every
+ *     write is checked against cap.
+ *
+ * Returns the number of pairs; -1 if a key lies outside [0, m * m), the
+ * keys are not sorted, or (call 2) a pair falls outside the arrays —
+ * nothing is indexed by such a key or written past cap. */
+#define GROUP_KERNEL(NAME, T)                                           \
+    int64_t NAME(                                                       \
+        const T *keys, int64_t n, int64_t m,                            \
+        int64_t *internal, int64_t *indptr, int64_t *in_indptr,         \
+        int64_t *indices, int64_t cap, int64_t *weights,                \
+        int64_t *in_indices, int64_t *in_weights)                       \
+    {                                                                   \
+        int64_t mm = m * m, pairs = 0;                                  \
+        if (cap == 0) {                                                 \
+            for (int64_t r = 0; r < m; r++) internal[r] = 0;            \
+            for (int64_t r = 0; r <= m; r++) {                          \
+                indptr[r] = 0;                                          \
+                in_indptr[r] = 0;                                       \
+            }                                                           \
+            FOR_RUN({                                                   \
+                if (r == c) {                                           \
+                    internal[r] = count;                                \
+                } else {                                                \
+                    indptr[r + 1]++;                                    \
+                    in_indptr[c + 1]++;                                 \
+                    pairs++;                                            \
+                }                                                       \
+            });                                                         \
+            for (int64_t r = 0; r < m; r++) {                           \
+                indptr[r + 1] += indptr[r];                             \
+                in_indptr[r + 1] += in_indptr[r];                       \
+            }                                                           \
+            return pairs;                                               \
+        }                                                               \
+        /* in_indptr[c + 1] becomes column c's cursor, ending at c's end */ \
+        for (int64_t c = m; c > 0; c--) in_indptr[c] = in_indptr[c - 1]; \
+        FOR_RUN({                                                       \
+            if (r != c) {                                               \
+                int64_t s = in_indptr[c + 1]++;                         \
+                if (pairs >= cap || s < 0 || s >= cap) return -1;       \
+                indices[pairs] = c;                                     \
+                weights[pairs++] = count;                               \
+                in_indices[s] = r;                                      \
+                in_weights[s] = count;                                  \
+            }                                                           \
+        });                                                             \
+        return pairs;                                                   \
+    }
+
+GROUP_KERNEL(group_keys_i32, int32_t)
+GROUP_KERNEL(group_keys_i64, int64_t)
 
 /* ------------------------------------------------------------------ */
 /* Fused take-and-combine: the walks of a dense GAS superstep          */

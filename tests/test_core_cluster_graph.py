@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
+from repro._util import adjacency_rows
 from repro.config import GameConfig
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
@@ -13,6 +15,7 @@ from repro.core.cluster_graph import (
     _radix_group,
     build_cluster_graph,
     cluster_graph_from_labels,
+    grouped_cluster_graph,
 )
 from repro.core.game import ClusterPartitioningGame
 
@@ -131,6 +134,18 @@ class TestBuild:
         # same clustering works for a permuted stream over the same vertices
         cg = build_cluster_graph(bigger, clustering)
         assert cg.total_internal() + cg.total_cut() == 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "labels", [[0, 4, 1], [0, 3, 1], [0, 1, -1], [0, 1]],
+        ids=["above", "at_m", "negative", "short_map"],
+    )
+    def test_refuses_a_label_outside_the_cluster_range(self, labels, backend):
+        # a label at or above num_clusters once packed into another
+        # cluster's key: edge 0 -> 1 became an internal edge of cluster 1
+        stream = EdgeStream([0, 2], [1, 0], num_vertices=3)
+        with kernel_backend(backend), pytest.raises(ValueError, match="edge [01]: "):
+            grouped_cluster_graph(stream, np.array(labels), 3)
 
     def test_empty_stream(self):
         s = EdgeStream([], [], num_vertices=0)
@@ -398,6 +413,30 @@ class TestGroupingBranches:
         cg = cluster_graph_from_labels(cu, cv, m)
         assert_same_graph(cg, dict_oracle(cu, cv, m), len(cu))
 
+    @pytest.mark.parametrize("m", [46_340, 46_341])
+    def test_both_tiers_group_alike_at_both_key_widths(self, m):
+        """The compiled ``pack_pairs`` / ``group_keys`` against the numpy
+        twins, array for array, on a stream that spans several packing
+        chunks: duplicates, reciprocal pairs and diagonal keys near the
+        largest key of each width."""
+        rng = np.random.default_rng(m)
+        n = 3000
+        labels = rng.integers(0, m, size=n)
+        labels[:40] = m - 1 - np.arange(40) % 3
+        src = rng.integers(0, n, size=70_000)
+        dst = rng.integers(0, n, size=70_000)
+        src[:5000], dst[:5000] = dst[5000:10000], src[5000:10000]  # reciprocal
+        src[-3000:] = dst[-3000:] = rng.integers(0, 40, size=3000)  # near the top
+        stream = EdgeStream(src, dst, num_vertices=n)
+        with kernel_backend("python"):
+            want = grouped_cluster_graph(stream, labels, m)
+        assert_same_graph(
+            want, dict_oracle(labels[src].tolist(), labels[dst].tolist(), m), src.size
+        )
+        with kernel_backend("auto"):
+            got = grouped_cluster_graph(stream, labels, m)
+        assert_same_graph(got, want, src.size)
+
     @pytest.mark.parametrize("num_clusters", [40, SPARSE_M])
     def test_stream_with_self_loops_and_duplicate_edges(self, num_clusters):
         """Through ``build_cluster_graph``: vertex self-loops and repeated
@@ -455,7 +494,7 @@ def test_property_sparse_branch_matches_dense_and_dict_oracle(
 
 
 # --------------------------------------------------------------------- #
-# pass 2's set-up: the adjacency table read off the two CSR triples
+# pass 2's set-up: the adjacency rows read off the two CSR triples
 # --------------------------------------------------------------------- #
 
 
@@ -478,7 +517,8 @@ def sym_by_radix_group(cg):
 
 
 def adj_table_by_add_at(game):
-    """``_build_adj_table`` as a 2-D scatter-add over the symmetrized CSR."""
+    """The game's adjacency rows as one 2-D scatter-add over the
+    symmetrized CSR."""
     indptr, indices, weights = sym_by_radix_group(game.graph)
     m = game.graph.num_clusters
     adj = np.zeros((m, game.k), dtype=np.float64)
@@ -488,10 +528,19 @@ def adj_table_by_add_at(game):
 
 
 def assert_game_setup_unchanged(cg, k=3, seed=0):
+    """``adjacency_rows`` over the game's two CSR triples — one row at a
+    time, as the cost vector reads it, and all rows at once, as the
+    python ``game_round`` reads them — equals the ``add.at`` oracle."""
     game = ClusterPartitioningGame(cg, k, GameConfig(seed=seed))
-    table = game._build_adj_table()
+    want = adj_table_by_add_at(game)
+    m = cg.num_clusters
+    for c in range(m):
+        row = adjacency_rows(c, c + 1, k, game.assignment, game._csrs)
+        assert row.dtype == np.float64 and row.shape == (1, k)
+        assert np.array_equal(row[0], want[c]), c
+    table = adjacency_rows(0, m, k, game.assignment, game._csrs)
     assert table.dtype == np.float64 and table.flags.c_contiguous
-    assert np.array_equal(table, adj_table_by_add_at(game))
+    assert np.array_equal(table, want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])

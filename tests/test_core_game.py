@@ -289,3 +289,13 @@ class TestInitialAssignment:
                 cg, 4,
                 initial_assignment=np.full(cg.num_clusters, 9, dtype=np.int64),
             )
+
+    def test_refuses_partitions_that_are_not_whole_numbers(self):
+        # astype(int64) truncates: [0.5, 1.2, 0] once played from [0, 1, 0]
+        cg = ClusterGraph.from_dicts(3, [1, 1, 1], [{1: 1}, {2: 1}, {}], [{}, {0: 1}, {1: 1}])
+        for bad in ([0.5, 1.2, 0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                ClusterPartitioningGame(cg, 2, initial_assignment=bad)
+        game = ClusterPartitioningGame(cg, 2, initial_assignment=[1.0, 0.0, 1.0])
+        assert game.assignment.dtype == np.int64
+        assert game.assignment.tolist() == [1, 0, 1]

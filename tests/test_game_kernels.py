@@ -5,13 +5,12 @@ The whole pass-2 best-response round is one :mod:`repro.kernels` call
 maintenance.  DESIGN.md §10 argues bit-identity holds by construction —
 both tiers compute the oracle's cost row op-for-op, first-minimum
 argmin, no FMA contraction, and every quantity they fold incrementally
-(adjacency table, loads, ``S = sum(loads^2)``, cut) is integer-valued
+(adjacency rows, loads, ``S = sum(loads^2)``, cut) is integer-valued
 below ``2**53``, so "incremental" and "recomputed" are the *same*
 float64.  This module is the enforcement: each tier (forced through
 ``conftest.kernel_backend``) against :func:`best_response_dynamics` on
 assignments, move sequences, round counts and full potential traces
-across seeds and k; warm starts; the forced-tiny adjacency-table cap
-(`adj is None` on-demand-row path); the maintained-potential ==
+across seeds and k; warm starts; the maintained-potential ==
 recomputed-potential gate and its 2**53 fallback; the vectorized Nash
 check; and the batched cost-row primitive behind ``parallel_game``.
 
@@ -26,7 +25,6 @@ from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GameConfig
-from repro.core import game as game_mod
 from repro.core.cluster_graph import ClusterGraph, build_cluster_graph
 from repro.core.clustering import streaming_clustering
 from repro.core.game import (
@@ -174,25 +172,6 @@ def test_load_mass_past_2_53_prices_the_trace_by_recompute(backend, sizes):
     )
     _assert_identical(oracle, run, f"internal={sizes}")
     assert run.moves >= 1 and run.converged
-
-
-# --------------------------------------------------------------------- #
-# forced-tiny adjacency-table cap: the `adj is None` on-demand-row path
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tiny_table_cap_unifies_paths(cluster_graph, backend, monkeypatch):
-    k = 8
-    oracle = _assert_engines_match_oracle(cluster_graph, k, 0, backend, label="table")
-    # force every game over the cap: the table no longer fits, both
-    # engines rebuild each mover's row on demand from the CSR view
-    monkeypatch.setattr(game_mod, "_ADJ_TABLE_MAX_CELLS", 1)
-    game = ClusterPartitioningGame(cluster_graph, k, GameConfig(seed=0))
-    assert game._build_adj_table() is None  # the cap really engaged
-    assert _assert_engines_match_oracle(
-        cluster_graph, k, 0, backend, label="no table"
-    ).move_log == oracle.move_log
 
 
 # --------------------------------------------------------------------- #

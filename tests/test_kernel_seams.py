@@ -188,6 +188,61 @@ def test_slot_index_writes_nothing_before_refusing(backend):
         assert all((out == (True if out.dtype == bool else 77)).all() for out in outs)
 
 
+#: the cluster-graph grouping: one ``pack_pairs`` / ``group_keys``
+#: instance per key-column width
+KEY_WIDTHS = [("i32", np.int32), ("i64", np.int64)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("width,dtype", KEY_WIDTHS)
+def test_pack_pairs_names_the_first_row_it_cannot_pack(width, dtype, backend):
+    """The endpoints index the caller's label map and the labels must lie
+    in ``[0, m)``: the first row breaking either is returned, on every
+    tier and at both widths."""
+    with kernel_backend(backend):
+        pack = getattr(kernels.get_backend(), f"pack_pairs_{width}")
+    label = np.array([0, 2, 1, 2, 5, -1])
+    u, v = np.array([0, 1, 2, 3]), np.array([1, 2, 0, 3])
+    keys = np.full(4, 77, dtype=dtype)
+    assert pack(u, v, label, 3, keys) == -1
+    assert keys.tolist() == (label[u] * 3 + label[v]).tolist()
+    # label 5 / label -1 / no label (6 = len(label)) / endpoint -1
+    for bad_u, row in (([0, 1, 4, 0], 2), ([0, 5, 1, 0], 1), ([0, 1, 2, 6], 3), ([-1, 0, 0, 0], 0)):
+        assert pack(np.array(bad_u), v, label, 3, np.empty(4, dtype=dtype)) == row, bad_u
+    assert pack(u, v, label, 2, np.empty(4, dtype=dtype)) == 0  # label 2 at m = 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("width,dtype", KEY_WIDTHS)
+def test_group_keys_sizes_then_fills_and_refuses_a_key_outside_m_squared(
+    width, dtype, backend
+):
+    """A first call with empty pair arrays writes the three per-cluster
+    arrays in full and returns the pair count; the second fills both CSRs
+    and writes nothing past the pair arrays; a key outside ``[0, m * m)``
+    or out of order is -1 on every tier and at both widths."""
+    with kernel_backend(backend):
+        group = getattr(kernels.get_backend(), f"group_keys_{width}")
+    m = 3
+    # (0, 0) x2, (0, 1), (0, 2) x3, (1, 1), (1, 2), (2, 1)
+    keys = np.array([0, 0, 1, 2, 2, 2, 4, 5, 7], dtype=dtype)
+    heads = [np.full(size, 77, dtype=np.int64) for size in (m, m + 1, m + 1)]
+    none = np.empty(0, dtype=np.int64)
+    assert group(keys, m, *heads, none, none, none, none) == 4
+    internal, indptr, in_indptr = heads
+    assert internal.tolist() == [2, 1, 0] and indptr.tolist() == [0, 2, 3, 4]
+    assert in_indptr.tolist() == [0, 0, 2, 4]
+    pairs = [np.full(4, 77, dtype=np.int64) for _ in range(4)]
+    assert group(keys, m, *heads, *pairs) == 4
+    indices, weights, in_indices, in_weights = (p.tolist() for p in pairs)
+    assert (indices, weights) == ([1, 2, 2, 1], [1, 3, 1, 1])
+    assert (in_indices, in_weights) == ([0, 2, 0, 1], [1, 1, 3, 1])
+    short = [np.empty(3, dtype=np.int64) for _ in range(4)]
+    assert group(keys, m, *heads, *short) == -1
+    for bad in ([0, 9], [-1, 0], [2, 1]):
+        assert group(np.array(bad, dtype=dtype), m, *heads, none, none, none, none) == -1
+
+
 def test_cc_marshal_passes_plain_addresses():
     """No ctypes object is built per argument: an address is an ``int``."""
     for dtype in (np.int64, np.uint64, np.uint8, np.float64):
@@ -213,7 +268,7 @@ ARRAY_ARGS = [
 ]
 
 #: a wrong element type of the kind's own width
-SAME_WIDTH = {"i64[]": np.uint64, "f64[]": np.int64, "u64[]": np.int64,
+SAME_WIDTH = {"i64[]": np.uint64, "i32[]": np.uint32, "f64[]": np.int64, "u64[]": np.int64,
               "u8[]": np.int8, "bool[]": np.uint8}
 
 
@@ -289,7 +344,8 @@ def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tie
     kind = dict(kernel.args)[arg]
     args = _table_args(kernel)
     args[arg] = {
-        "int32": lambda: np.zeros(4, np.int32),
+        # (an i32[] argument is given int64: the wrong width either way)
+        "int32": lambda: np.zeros(4, np.int64 if kind == "i32[]" else np.int32),
         "strided": lambda: np.zeros(8, kernels.ARRAY_KINDS[kind])[::2],
         "same_width": lambda: np.zeros(4, SAME_WIDTH[kind]),
     }[wrong]()
@@ -337,6 +393,7 @@ def test_every_scalar_argument_is_refused_before_the_kernel(name, arg, wrong, ti
 #: C parameter type -> the kinds the table may give it
 _C_KINDS = {
     "const int64_t *": {"i64[]"}, "int64_t *": {"i64[]"},
+    "const int32_t *": {"i32[]"}, "int32_t *": {"i32[]"},
     "const double *": {"f64[]"}, "double *": {"f64[]"},
     "uint64_t *": {"u64[]"}, "const uint8_t *": {"u8[]"}, "uint8_t *": {"u8[]", "bool[]"},
     "int64_t ": {"i64", "len"}, "double ": {"f64"},
@@ -345,7 +402,9 @@ _C_KINDS = {
 
 def _c_signatures() -> dict[str, list[tuple[str, str]]]:
     """Every exported function of ``kernels.c`` -> its ``(type, name)``
-    parameters, the ``TAKE_KERNEL`` instances expanded."""
+    parameters, the instances of the kernel macros (``TAKE_KERNEL``,
+    ``PACK_KERNEL``, ``GROUP_KERNEL``: one per element type ``T``)
+    expanded."""
     source = pathlib.Path(_cc_backend._SOURCE).read_text()
     params = re.compile(r"((?:const )?\w+ \*?)\s*(\w+)$")
 
@@ -356,10 +415,12 @@ def _c_signatures() -> dict[str, list[tuple[str, str]]]:
         name: parse(text)
         for name, text in re.findall(r"^(?:void|int64_t) (\w+)\(([^)]*)\)", source, re.M)
     }
-    macro = re.search(r"#define TAKE_KERNEL\(NAME, T, COMBINE\)[\\\s]*int64_t NAME\(([^)]*)\)",
-                      source)
-    for name, t in re.findall(r"^TAKE_KERNEL\((\w+), (\w+),", source, re.M):
-        found[name] = parse(macro.group(1).replace("\\", " ").replace("T ", f"{t} "))
+    macros = dict(
+        re.findall(r"#define (\w+)\(NAME, T[^)]*\)[\\\s]*int64_t NAME\(([^)]*)\)", source)
+    )
+    for macro, name, t in re.findall(r"^(\w+)\((\w+), (\w+)[,)]", source, re.M):
+        if macro in macros:
+            found[name] = parse(macros[macro].replace("\\", " ").replace("T ", f"{t} "))
     return found
 
 

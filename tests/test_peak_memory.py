@@ -1,4 +1,5 @@
-"""Peak-memory bounds of the two |E|-sized steps between file and game.
+"""Peak-memory bounds of the |E|-sized steps between file and game, and
+of the game itself.
 
 CLUGP's state is bounded by |V| and the cluster count, so the process
 peak of a run should be set by the edge columns themselves, not by
@@ -10,17 +11,24 @@ before the call, on a generated ~200k-edge crawl:
   slab: at most 1.25x the 16 B/edge body (the whole-file reader held the
   body twice, ~2.5x);
 * ``build_cluster_graph`` holds one packed key column (4 B/edge while
-  ``m * m`` fits int32) and a run mask (1 B/edge): at most 8 B/edge plus
-  a per-pair term for the grouped output (the label-array build took
-  ~50 B/edge).
+  ``m * m`` fits int32) and nothing else per edge: at most 5 B/edge plus
+  a per-pair term for the grouped output (8 B/edge while a run mask was
+  built next to the key column; the label-array build took ~50 B/edge);
+* the game on the compiled tier rebuilds each evaluated cluster's
+  adjacency row from the cluster graph and holds nothing sized ``m * k``:
+  under ``2 * m * k`` bytes at ``k = 1024`` (an ``(m, k)`` float64 table
+  alone is ``8 * m * k``).
 """
 
 import tracemalloc
 
 import pytest
+from conftest import kernel_backend, needs_compiled
 
+from repro.config import GameConfig
 from repro.core.cluster_graph import build_cluster_graph
 from repro.core.clustering import streaming_clustering
+from repro.core.game import ClusterPartitioningGame
 from repro.graph.datasets import load_dataset
 from repro.graph.io import read_edges_binary, write_edges_binary
 from repro.graph.stream import EdgeStream
@@ -64,8 +72,25 @@ def test_build_cluster_graph_holds_one_key_column(crawl):
     assert clustering.num_clusters**2 < 2**31  # the 4-byte key column
     graph, peak = peak_above_inputs(build_cluster_graph, stream, clustering)
     pairs = graph.indices.size + int((graph.internal > 0).sum())
-    bound = 8 * stream.num_edges + PER_PAIR_BYTES * pairs
+    bound = 5 * stream.num_edges + PER_PAIR_BYTES * pairs
     assert peak <= bound, (
         f"peak {peak / stream.num_edges:.1f} B/edge, bound "
         f"{bound / stream.num_edges:.1f} B/edge ({pairs} pairs)"
     )
+
+
+@needs_compiled
+def test_the_game_holds_nothing_sized_m_times_k(crawl):
+    stream = EdgeStream.from_graph(crawl)
+    graph = build_cluster_graph(stream, streaming_clustering(stream, max_volume=80))
+    m, k = graph.num_clusters, 1024
+    assert 1500 < m < 2500
+    graph.cut_degrees(), graph.out_rows()  # the graph's own lazy views
+
+    def play():
+        with kernel_backend("auto"):
+            return ClusterPartitioningGame(graph, k, GameConfig(seed=0)).run()
+
+    result, peak = peak_above_inputs(play)
+    assert result.converged and result.moves > 0
+    assert peak < 2 * m * k, f"peak {peak / (m * k):.2f} B per (cluster, partition) cell"
