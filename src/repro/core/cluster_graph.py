@@ -413,7 +413,7 @@ class ClusterGraphDelta:
 
 #: edges per ``pack_pairs`` call: the compiled kernel holds nothing per
 #: chunk, the python one the chunk's two gathered label columns
-_GROUP_CHUNK = 1 << 16
+_GROUP_CHUNK = 1 << 14
 
 
 def grouped_cluster_graph(
@@ -456,10 +456,16 @@ def grouped_cluster_graph(
     in_indptr = np.empty(m + 1, dtype=np.int64)
     pair_arrays = [np.empty(0, dtype=np.int64)] * 4
     heads = (keys, m, internal, indptr, in_indptr)
-    pairs = group(*heads, *pair_arrays)  # the count: sizes the pair arrays
-    if pairs:
+    pairs = filled = group(*heads, *pair_arrays)  # the count: sizes the pair arrays
+    if pairs > 0:
         pair_arrays = [np.empty(pairs, dtype=np.int64) for _ in range(4)]
-        group(*heads, *pair_arrays)  # the fill
+        filled = group(*heads, *pair_arrays)  # the fill
+    if pairs < 0 or filled != pairs:
+        # pack_pairs and the sort guarantee neither; the kernel reports both
+        raise RuntimeError(
+            f"group_keys_{width} refused the sorted key column: "
+            f"{pairs} pairs counted, {filled} filled"
+        )
     indices, weights, in_indices, in_weights = pair_arrays
     return ClusterGraph(
         m, internal, indptr, indices, weights, in_indptr, in_indices, in_weights

@@ -408,6 +408,11 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
     return 0
 
 
+#: cap on the (m, k) float64 table one :func:`game_round` call builds
+#: (8 bytes per cell); larger games rebuild each evaluated row instead
+_ROW_TABLE_MAX_CELLS = 1 << 26
+
+
 def game_round(
     k, lam_over_k, eps, relaxed,
     indptr, indices, weights, in_indptr, in_indices, in_weights,
@@ -421,10 +426,11 @@ def game_round(
     Per cluster the k-vector ``(loads + size) * (lam_over_k * size) +
     (cut_degree - adj_row) * 0.5`` (current column ``(loads[cur] - size)
     + size``), first-minimum argmin, strict-improvement test against
-    ``eps``, and the move commit.  The adjacency rows come from one
+    ``eps``, and the move commit.  While ``m * k`` fits
+    :data:`_ROW_TABLE_MAX_CELLS` the adjacency rows come from one
     ``(m, k)`` table built from the two CSR triples for this call and
-    updated per move — the C kernel rebuilds each evaluated row instead;
-    the same integer-valued sums either way.
+    updated per move; past it each evaluated row is rebuilt from the CSRs,
+    as the C kernel always does — the same integer-valued sums either way.
 
     Skip rules (both decision-preserving, DESIGN.md §10): a cluster whose
     ``last_eval`` equals the move counter has seen zero moves anywhere
@@ -441,7 +447,11 @@ def game_round(
     ``row_buf`` are the C kernel's scratch.  Returns the number of moves.
     """
     csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
-    table = adjacency_rows(0, assignment.shape[0], k, assignment, csrs)
+    m = assignment.shape[0]
+    table = (
+        adjacency_rows(0, m, k, assignment, csrs)
+        if m * k <= _ROW_TABLE_MAX_CELLS else None
+    )
     mc = int(counters[0])
     last = last_eval.tolist()
     cur_of = assignment.tolist()
@@ -470,7 +480,7 @@ def game_round(
             continue
         last[c] = mc
         size = sizes[c]
-        row = table[c]
+        row = table[c] if table is not None else adjacency_rows(c, c + 1, k, assignment, csrs)[0]
         costs = loads + size
         costs[cur] = (loads[cur] - size) + size
         costs *= lam_over_k * size
@@ -492,8 +502,9 @@ def game_round(
                 lo, hi = ptr[c], ptr[c + 1]
                 if lo != hi:
                     nb = nbrs[lo:hi]
-                    table[nb, cur] -= ws[lo:hi]
-                    table[nb, best] += ws[lo:hi]
+                    if table is not None:
+                        table[nb, cur] -= ws[lo:hi]
+                        table[nb, best] += ws[lo:hi]
                     nbr_epoch[nb] = mc
             dec[cur] = mc
             if cur == top_p:

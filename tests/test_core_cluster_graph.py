@@ -5,6 +5,7 @@ import pytest
 from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro._util import adjacency_rows
 from repro.config import GameConfig
 from repro.graph.digraph import DiGraph
@@ -146,6 +147,27 @@ class TestBuild:
         stream = EdgeStream([0, 2], [1, 0], num_vertices=3)
         with kernel_backend(backend), pytest.raises(ValueError, match="edge [01]: "):
             grouped_cluster_graph(stream, np.array(labels), 3)
+
+    @pytest.mark.parametrize(
+        "count, fill", [(-1, None), (2, 1), (2, -1)],
+        ids=["count_refused", "fill_short", "fill_refused"],
+    )
+    def test_a_grouping_the_kernel_refuses_is_an_error(self, count, fill, monkeypatch):
+        # pack_pairs and the sort rule both out; the kernel still reports them
+        python = kernels.get_backend("python")
+        replies = iter([count, fill])
+
+        class Refusing:
+            pack_pairs_i32 = staticmethod(python.pack_pairs_i32)
+
+            @staticmethod
+            def group_keys_i32(*args):
+                return next(replies)
+
+        monkeypatch.setattr(kernels, "get_backend", lambda name=None: Refusing)
+        stream = EdgeStream([0, 2], [1, 0], num_vertices=3)
+        with pytest.raises(RuntimeError, match="group_keys_i32 refused"):
+            grouped_cluster_graph(stream, np.arange(3), 3)
 
     def test_empty_stream(self):
         s = EdgeStream([], [], num_vertices=0)

@@ -1,5 +1,6 @@
 """End-to-end tests for the CLUGP pipeline and its ablations."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,22 +25,43 @@ def stream(crawl_graph):
     return EdgeStream.from_graph(crawl_graph, order="natural")
 
 
+def _resize_interned_strings() -> None:
+    """Have CPython resize its interned-string table now.
+
+    The table is a dict (about 1.9 MB past ~44k strings).  An interned
+    string that dies leaves a used slot behind, so the dict resizes after
+    a fixed number of insertions; when that lands inside a traced window
+    it adds the whole block to the peak, at a moment set by everything
+    the process interned before.  Interning fresh strings that die at once
+    reaches the resize (the one ``sys.intern`` call whose traced peak
+    jumps), which leaves more free slots than the table holds strings.
+    Where interned strings are immortal (CPython 3.12) the table grows
+    only with new strings, and this returns at once.
+    """
+    if sys.getrefcount(sys.intern(f"{id(_resize_interned_strings)}_pad")) > 1 << 30:
+        return
+    tracemalloc.start()
+    try:
+        for i in range(1 << 20):
+            pad = f"{i}_interned_pad"
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sys.intern(pad)
+            if tracemalloc.get_traced_memory()[1] - before > 1 << 16:
+                return
+    finally:
+        tracemalloc.stop()
+
+
 def _traced_peak(run) -> int:
-    """The smaller traced peak of two runs after a warm one.  CPython grows
-    its interned-string table (one ~1.9 MB block past ~44k strings) at a
-    moment set by everything the process interned before: inside a full
-    tier-1 session it landed in one run's window.  It cannot land in two
-    consecutive windows; an edge-sized copy shows in both."""
     run()  # warm: kernel load, lazy imports, caches
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks)
+    _resize_interned_strings()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("chunk_size", [100, None])

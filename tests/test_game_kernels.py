@@ -36,6 +36,7 @@ from repro.core.parallel import parallel_game
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
+from repro.kernels import _pykernels
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,25 @@ def test_load_mass_past_2_53_prices_the_trace_by_recompute(backend, sizes):
     )
     _assert_identical(oracle, run, f"internal={sizes}")
     assert run.moves >= 1 and run.converged
+
+
+def test_python_rounds_past_the_table_cap_rebuild_each_row(cluster_graph, monkeypatch):
+    # the python game_round keeps one (m, k) table per call only while
+    # m * k fits its cap; past it each evaluated row is rebuilt from the
+    # CSRs, like the C kernel, and the game is the same
+    k = 8
+    oracle = _assert_engines_match_oracle(cluster_graph, k, 0, "python", label="table")
+    spans = []
+
+    def spy(start, stop, *args, _rows=_pykernels.adjacency_rows):
+        spans.append(stop - start)
+        return _rows(start, stop, *args)
+
+    monkeypatch.setattr(_pykernels, "_ROW_TABLE_MAX_CELLS", cluster_graph.num_clusters * k - 1)
+    monkeypatch.setattr(_pykernels, "adjacency_rows", spy)
+    rows = _assert_engines_match_oracle(cluster_graph, k, 0, "python", label="rows")
+    assert rows.move_log == oracle.move_log and rows.moves > 0
+    assert spans and set(spans) == {1}  # the cap really engaged: no table
 
 
 # --------------------------------------------------------------------- #
