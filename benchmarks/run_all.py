@@ -11,9 +11,6 @@ Sections (each with its own floors; exit status is non-zero if any fails):
 
 * ``clugp_stages`` — bench_clugp_stages: per-pass timings and the >= 4x
   end-to-end CLUGP chunked floor.
-* ``parallel_game`` — batched vs sequential-reference best response:
-  proposed moves / rounds / assignment must be identical, and the batched
-  path must be faster (floor relaxed in --quick for noisy CI runners).
 * ``distributed_stages`` — stage-accounting smoke: the ``max_node``
   critical-path wall must be positive and strictly below the summed node
   total on a multi-node run.
@@ -79,17 +76,10 @@ import bench_fig8_pagerank
 import bench_incremental_service
 import bench_persistent
 import bench_reliability
-from repro._util import Timer
-from repro.config import ClugpConfig, GameConfig
-from repro.core.cluster_graph import build_cluster_graph
-from repro.core.clustering import streaming_clustering
+from repro.config import ClugpConfig
 from repro.core.distributed import distributed_clugp
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-
-PARALLEL_SPEEDUP_FLOOR = 1.15
-PARALLEL_SPEEDUP_FLOOR_QUICK = 0.85  # identity is the hard gate on CI
-
 
 def _run_sub_bench(module, label: str, quick: bool) -> tuple[dict, list[str]]:
     """Run a standalone bench module, returning its JSON report + failures."""
@@ -103,75 +93,6 @@ def _run_sub_bench(module, label: str, quick: bool) -> tuple[dict, list[str]]:
     finally:
         os.unlink(path)
     failures = [] if status == 0 else [f"{label}: floors failed (see output above)"]
-    return report, failures
-
-
-def run_parallel_game_bench(quick: bool) -> tuple[dict, list[str]]:
-    """Batched vs reference best response: identity + wall-clock floor."""
-    import repro.core.parallel as parallel_mod
-    from repro.core.parallel import (
-        _batch_best_response,
-        _batch_best_response_reference,
-        parallel_game,
-    )
-
-    num_pages = 8_000 if quick else 40_000
-    graph = web_crawl_graph(num_pages, avg_out_degree=8, host_size=25, seed=8)
-    stream = EdgeStream.from_graph(graph)
-    clustering = streaming_clustering(stream, max_volume=stream.num_edges // 64)
-    cluster_graph = build_cluster_graph(stream, clustering)
-    k = 32
-    config = GameConfig(seed=0, batch_size=64, num_threads=4)
-    repeats = 1 if quick else 3
-
-    def timed(run):
-        best = float("inf")
-        result = None
-        for _ in range(repeats):
-            with Timer() as t:
-                result = run()
-            best = min(best, t.elapsed)
-        return result, best
-
-    batched, t_batched = timed(lambda: parallel_game(cluster_graph, k, config))
-    parallel_mod._batch_best_response = _batch_best_response_reference
-    try:
-        reference, t_reference = timed(lambda: parallel_game(cluster_graph, k, config))
-    finally:
-        parallel_mod._batch_best_response = _batch_best_response
-
-    identical = (
-        np.array_equal(batched.assignment, reference.assignment)
-        and batched.moves == reference.moves
-        and batched.rounds == reference.rounds
-        and batched.potential_trace == reference.potential_trace
-    )
-    speedup = t_reference / max(t_batched, 1e-9)
-    floor = PARALLEL_SPEEDUP_FLOOR_QUICK if quick else PARALLEL_SPEEDUP_FLOOR
-    report = {
-        "clusters": cluster_graph.num_clusters,
-        "partitions": k,
-        "batch_size": config.batch_size,
-        "rounds": batched.rounds,
-        "moves": batched.moves,
-        "reference_seconds": t_reference,
-        "batched_seconds": t_batched,
-        "speedup": speedup,
-        "floor": floor,
-        "identical": identical,
-    }
-    failures = []
-    if not identical:
-        failures.append("parallel_game: batched path proposed different moves")
-    if speedup < floor:
-        failures.append(
-            f"parallel_game: batched speedup {speedup:.2f}x below the {floor:.2f}x floor"
-        )
-    print(
-        f"parallel_game: {cluster_graph.num_clusters} clusters, k={k}: "
-        f"reference {t_reference*1000:.0f}ms, batched {t_batched*1000:.0f}ms "
-        f"({speedup:.2f}x, floor {floor:.2f}x), identical={identical}"
-    )
     return report, failures
 
 
@@ -323,11 +244,6 @@ def main(argv=None) -> int:
     print("=== CLUGP stages ===")
     report, fails = _run_sub_bench(bench_clugp_stages, "clugp_stages", args.quick)
     consolidated["clugp_stages"] = report
-    failures += fails
-
-    print("\n=== parallel game ===")
-    report, fails = run_parallel_game_bench(args.quick)
-    consolidated["parallel_game"] = report
     failures += fails
 
     print("\n=== distributed stage accounting ===")

@@ -5,7 +5,7 @@
 2. verify its degree structure (power-law fit, Gini skew);
 3. persist and reload it through the edge-list format;
 4. run streaming clustering alone and inspect the clusters it finds;
-5. partition with CLUGP (parallel batched game) and check the tau cap;
+5. partition with CLUGP (the default game) and check the tau cap;
 6. run connected components on the simulated cluster.
 
 Run:  python examples/web_crawl_pipeline.py
@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from repro import ClugpPartitioner, EdgeStream
-from repro.config import ClugpConfig, GameConfig
+from repro.config import ClugpConfig
 from repro.core import build_cluster_graph, streaming_clustering
 from repro.graph import io, properties
 from repro.graph.generators import web_crawl_graph
@@ -54,13 +54,8 @@ print(f"pass-1 clusters: m={clustering.num_clusters}, "
       f"{internal_frac:.0%} of edges intra-cluster, "
       f"largest cluster {sizes.max()} vertices")
 
-# 5. full CLUGP with the parallel batched game --------------------------
-config = ClugpConfig(
-    num_partitions=16,
-    imbalance_factor=1.02,
-    parallel_game=True,
-    game=GameConfig(batch_size=64, num_threads=4),
-)
+# 5. full CLUGP with the default game -----------------------------------
+config = ClugpConfig(num_partitions=16, imbalance_factor=1.02)
 partitioner = ClugpPartitioner(16, config=config)
 assignment = partitioner.partition(stream)
 print(f"CLUGP k=16: RF={assignment.replication_factor():.3f} "

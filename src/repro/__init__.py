@@ -74,7 +74,6 @@ from .core import (
     streaming_clustering,
     build_cluster_graph,
     ClusterPartitioningGame,
-    parallel_game,
     transform_partitions,
 )
 from .partitioners import (
@@ -120,7 +119,6 @@ __all__ = [
     "streaming_clustering",
     "build_cluster_graph",
     "ClusterPartitioningGame",
-    "parallel_game",
     "transform_partitions",
     "PartitionService",
     "MigrationPlan",

@@ -4,8 +4,10 @@ The defaults mirror the experimental setup of the paper (Section VI-A):
 ``V_max = |E|/k``, imbalance factor ``tau = 1.0`` (the paper's Algorithm 1
 uses the cap ``L_max = tau * |E| / k``; with tau exactly 1.0 the cap is the
 perfectly balanced size, so we default to a small slack like the published
-implementation does in practice), batch size 6400, 32 game threads, and the
-normalization factor ``lambda`` at its Theorem-5 maximum.
+implementation does in practice), and the normalization factor ``lambda``
+at its Theorem-5 maximum.  The paper's batched multi-threaded game
+(Section V-D) is not reproduced, so there is no batch-size or
+thread-count knob: under CPython it only adds cost (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from ._util import check_positive_int
 
 __all__ = ["ClugpConfig", "GameConfig", "ReliabilityConfig"]
 
-#: implementation selectors retired in PR 16 that checkpoints written
-#: before it still carry in ``config`` / ``config["game"]``
-_RETIRED_KEYS = ("chunk_impl", "kernel_backend")
-_RETIRED_GAME_KEYS = ("game_impl", "kernel_backend")
+#: fields that older checkpoints still carry in ``config`` /
+#: ``config["game"]`` and that were never state: the implementation
+#: selectors (every value produced the same arrays) and the batched
+#: game's knobs (the service always played the sequential game)
+_RETIRED_KEYS = ("chunk_impl", "kernel_backend", "parallel_game")
+_RETIRED_GAME_KEYS = ("game_impl", "kernel_backend", "batch_size", "num_threads")
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,8 @@ class GameConfig:
         ``"balanced"`` solves Equation 15 iteratively from the current
         assignment, and ``"fixed"`` uses :attr:`lambda_value` directly.
     lambda_value:
-        Normalization factor when ``lambda_mode == "fixed"``.
+        Normalization factor when ``lambda_mode == "fixed"``: finite and
+        ``>= 0`` (``0`` plays a pure edge-cut game).
     relative_weight:
         Figure 11(b) knob ``w`` in (0, 1): the load term is scaled by
         ``w / (1 - w)`` on top of the chosen lambda. ``0.5`` leaves the two
@@ -117,10 +122,6 @@ class GameConfig:
         Safety cap on best-response rounds; Theorem 6 bounds rounds by the
         total number of inter-cluster edges, but we stop far earlier in
         practice because each full round with no move terminates the game.
-    batch_size:
-        Number of clusters per parallel game task (paper default 6400).
-    num_threads:
-        Thread-pool width for the batched game (paper default 32).
     seed:
         Seed for the random initial cluster->partition assignment.
     """
@@ -129,8 +130,6 @@ class GameConfig:
     lambda_value: float = 1.0
     relative_weight: float = 0.5
     max_rounds: int = 64
-    batch_size: int = 6400
-    num_threads: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -142,9 +141,11 @@ class GameConfig:
             raise ValueError(
                 f"relative_weight must be in (0, 1), got {self.relative_weight!r}"
             )
+        if not (math.isfinite(self.lambda_value) and self.lambda_value >= 0.0):
+            raise ValueError(
+                f"lambda_value must be finite and >= 0, got {self.lambda_value!r}"
+            )
         check_positive_int(self.max_rounds, "max_rounds")
-        check_positive_int(self.batch_size, "batch_size")
-        check_positive_int(self.num_threads, "num_threads")
 
     def with_(self, **kwargs) -> "GameConfig":
         """Return a copy with the given fields replaced."""
@@ -170,9 +171,6 @@ class ClugpConfig:
     use_game:
         ``False`` gives the CLUGP-G ablation: clusters are assigned
         greedily, biggest cluster into the currently smallest partition.
-    parallel_game:
-        Whether pass 2 uses the batched thread-pool game (Section V-D) or
-        the sequential round-robin best-response loop (Algorithm 3).
     game:
         The nested :class:`GameConfig`.
     reliability:
@@ -185,7 +183,6 @@ class ClugpConfig:
     imbalance_factor: float = 1.05
     enable_splitting: bool = True
     use_game: bool = True
-    parallel_game: bool = False
     game: GameConfig = GameConfig()
     reliability: ReliabilityConfig = ReliabilityConfig()
 
@@ -228,9 +225,9 @@ class ClugpConfig:
     def from_dict(cls, data: dict) -> "ClugpConfig":
         """Rebuild a config from :meth:`to_dict` output (exact round trip).
 
-        Checkpoints written before the implementation selectors were
-        retired still carry them; those four keys are dropped (every
-        value produced the same arrays, so they were never state).  Any
+        Older checkpoints still carry the retired fields
+        (:data:`_RETIRED_KEYS`, :data:`_RETIRED_GAME_KEYS`); those keys
+        are dropped at any value, since none of them was ever state.  Any
         other unknown key raises.
         """
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}

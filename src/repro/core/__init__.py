@@ -10,7 +10,6 @@ from .bounds import (
 )
 from .cluster_graph import ClusterGraph, build_cluster_graph, cluster_graph_from_labels
 from .game import ClusterPartitioningGame, GameResult, compute_lambda_max
-from .parallel import parallel_game
 from .transform import transform_partitions
 from .distributed import (
     DistributedClugpPartitioner,
@@ -40,7 +39,6 @@ __all__ = [
     "ClusterPartitioningGame",
     "GameResult",
     "compute_lambda_max",
-    "parallel_game",
     "transform_partitions",
     "DistributedClugpPartitioner",
     "DistributedResult",

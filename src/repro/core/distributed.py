@@ -32,7 +32,7 @@ under one of two protocols:
     :class:`~repro.core.partitioner.GraphContribution`, every shard edge
     counted exactly once.  The coordinator unions the contributions in
     one barrier :meth:`~repro.core.cluster_graph.ClusterGraph.merge`,
-    runs the (parallel) game **once** on the merged global cluster graph
+    runs the game **once** on the merged global cluster graph
     — warm-started from the union of local equilibria, i.e. global game
     refinement — and broadcasts the cluster->partition map.  Each node
     then replays pass 3 locally under the global decision.  Nobody — no
@@ -74,7 +74,6 @@ from ..partitioners.base import EdgePartitioner, PartitionAssignment
 from .cluster_graph import ClusterGraph
 from .clustering import ClusteringResult
 from .game import ClusterPartitioningGame, GameResult
-from .parallel import parallel_game
 from .partitioner import (
     ClugpPartitioner,
     ClusterSummary,
@@ -565,21 +564,15 @@ def _global_game(
     warm_start: np.ndarray,
 ) -> GameResult:
     """The coordinator's single global pass 2: refinement from the union
-    of local equilibria, honoring the configured game flavor.
+    of local equilibria.
 
     Distributed nodes always play the game (``ClugpPartitioner`` pins
-    ``use_game=True``), so the coordinator does too — the choice here is
-    only sequential vs batched-parallel dynamics.
+    ``use_game=True``), so the coordinator does too.
     """
     game_config = config.game if config.game.seed == seed else config.game.with_(seed=seed)
-    if config.parallel_game:
-        return parallel_game(
-            merged, config.num_partitions, game_config, initial_assignment=warm_start
-        )
-    game = ClusterPartitioningGame(
+    return ClusterPartitioningGame(
         merged, config.num_partitions, game_config, initial_assignment=warm_start
-    )
-    return game.run()
+    ).run()
 
 
 # --------------------------------------------------------------------- #

@@ -243,22 +243,22 @@ class ClusterPartitioningGame:
         the scalar path performs, and the adjacency rows are integer
         sums in float64, hence exact in any accumulation order.
 
-        This is the shared primitive behind the batched parallel game
-        (:func:`repro.core.parallel.parallel_game`) and the vectorized
-        :meth:`is_nash_equilibrium` scan: one ``game_cost_rows`` kernel
-        call per batch.
+        The block primitive of the vectorized :meth:`is_nash_equilibrium`
+        scan: the rows come from one bincount over the block's out- and
+        in-CSR slices, and every cost is one numpy expression over the
+        ``(stop - start, k)`` matrix.
         """
-        length = stop - start
-        out = np.empty(length * self.k, dtype=np.float64)
-        self._backend.game_cost_rows(
-            start, stop, self.k, self._lam_over_k,
-            *self._csrs[0], *self._csrs[1],
-            self.graph.internal, self._cut_degree,
-            np.ascontiguousarray(assignment, dtype=np.int64),
-            np.ascontiguousarray(loads, dtype=np.float64),
-            out,
+        sizes = self.graph.internal[start:stop].astype(np.float64)
+        cur = assignment[start:stop]
+        costs = sizes[:, None] + loads[None, :]
+        costs[np.arange(stop - start), cur] = (loads[cur] - sizes) + sizes
+        costs *= (self._lam_over_k * sizes)[:, None]
+        cut = self._cut_degree[start:stop, None] - adjacency_rows(
+            start, stop, self.k, assignment, self._csrs
         )
-        return out.reshape(length, self.k)
+        cut *= 0.5
+        costs += cut
+        return costs
 
     def individual_cost(self, c: int) -> float:
         """``phi(a_c)`` under the current assignment."""
@@ -335,8 +335,9 @@ class ClusterPartitioningGame:
         backend = self._backend
         lam_over_k = self._lam_over_k
         # the epoch rule's monotonicity argument needs a nonnegative load
-        # coefficient; lambda only goes negative via a user-supplied
-        # fixed value, where the strict "no moves anywhere" rule remains
+        # coefficient.  GameConfig refuses a negative lambda_value, so this
+        # is always 1 here; the kernel keeps the strict "no moves
+        # anywhere" rule for a caller that passes 0
         relaxed = 1 if lam_over_k >= 0.0 else 0
         last_eval = np.full(m, -1, dtype=np.int64)
         nbr_epoch = np.zeros(m, dtype=np.int64)

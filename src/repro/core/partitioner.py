@@ -6,8 +6,8 @@ Three restreaming passes:
    :func:`~repro.core.clustering.streaming_clustering` (per-edge
    reference) — vertex clusters;
 2. :func:`~repro.core.cluster_graph.build_cluster_graph` +
-   :class:`~repro.core.game.ClusterPartitioningGame` (or the batched
-   :func:`~repro.core.parallel.parallel_game`) — cluster -> partition map;
+   :class:`~repro.core.game.ClusterPartitioningGame` — cluster ->
+   partition map;
 3. :class:`~repro.core.transform.TransformState` (chunk-by-chunk) /
    :func:`~repro.core.transform.transform_partitions` (per-edge
    reference) — edge -> partition.
@@ -51,7 +51,6 @@ from ..partitioners.base import EdgePartitioner
 from .clustering import ClusteringResult, ClusteringState, streaming_clustering
 from .cluster_graph import ClusterGraph, build_cluster_graph, grouped_cluster_graph
 from .game import ClusterPartitioningGame, GameResult, best_response_dynamics
-from .parallel import parallel_game
 from .transform import (
     TransformState,
     TransformStats,
@@ -345,8 +344,8 @@ class ClugpPartitioner(EdgePartitioner):
     config:
         Full :class:`~repro.config.ClugpConfig`; when omitted, a default
         config with this ``k``/``seed`` is built.  Keyword conveniences
-        (``imbalance_factor``, ``max_cluster_volume``, ``parallel``,
-        ``game``) override single fields.
+        (``imbalance_factor``, ``max_cluster_volume``, ``game``) override
+        single fields.
 
     After :meth:`partition` (or :meth:`partition_per_edge`) the
     intermediate products of the three passes are exposed as :attr:`last_clustering`,
@@ -368,7 +367,6 @@ class ClugpPartitioner(EdgePartitioner):
         config: ClugpConfig | None = None,
         imbalance_factor: float | None = None,
         max_cluster_volume: int | None = None,
-        parallel: bool | None = None,
         game: GameConfig | None = None,
     ) -> None:
         super().__init__(num_partitions, seed)
@@ -381,8 +379,6 @@ class ClugpPartitioner(EdgePartitioner):
             overrides["imbalance_factor"] = imbalance_factor
         if max_cluster_volume is not None:
             overrides["max_cluster_volume"] = max_cluster_volume
-        if parallel is not None:
-            overrides["parallel_game"] = parallel
         overrides["enable_splitting"] = self._enable_splitting
         overrides["use_game"] = self._use_game
         if game is not None:
@@ -567,15 +563,13 @@ class ClugpPartitioner(EdgePartitioner):
                 lambda_value=0.0,
                 potential_trace=[],
             )
-        if cfg.parallel_game:
-            return parallel_game(cluster_graph, cfg.num_partitions, cfg.game)
         return ClusterPartitioningGame(cluster_graph, cfg.num_partitions, cfg.game).run()
 
     def _map_clusters_per_edge(self, cluster_graph: ClusterGraph) -> GameResult:
         """Pass 2 of the per-edge pipeline: the oracle plays wherever
-        :meth:`_map_clusters` would run the sequential game."""
+        :meth:`_map_clusters` would run the game."""
         cfg = self.config
-        if cfg.use_game and not cfg.parallel_game:
+        if cfg.use_game:
             return best_response_dynamics(cluster_graph, cfg.num_partitions, cfg.game)
         return self._map_clusters(cluster_graph)
 

@@ -139,13 +139,6 @@ KERNELS: dict[str, Kernel] = {
         "counters:i64[] phi:f64[] move_log:i64[] cost_buf:f64[] row_buf:f64[]",
         "i64",
     ),
-    "game_cost_rows": _row(
-        "start:i64 stop:i64 k:i64 lam_over_k:f64 "
-        "indptr:i64[] indices:i64[] weights:i64[] "
-        "in_indptr:i64[] in_indices:i64[] in_weights:i64[] "
-        "internal:i64[] cut_degree:i64[] "
-        "assignment:i64[] loads:f64[] out:f64[]"
-    ),
     "pack_pairs_i32": _pack("i32"),
     "pack_pairs_i64": _pack("i64"),
     "group_keys_i32": _group("i32"),

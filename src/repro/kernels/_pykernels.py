@@ -51,7 +51,6 @@ __all__ = [
     "clustering_chunk",
     "transform_chunk",
     "game_round",
-    "game_cost_rows",
     "pack_pairs_i32",
     "pack_pairs_i64",
     "group_keys_i32",
@@ -521,29 +520,6 @@ def game_round(
     phi[:] = (s_loads, s_cut)
     move_log[: len(log)] = log
     return len(log) // 2
-
-
-def game_cost_rows(
-    start, stop, k, lam_over_k,
-    indptr, indices, weights, in_indptr, in_indices, in_weights,
-    internal, cut_degree,
-    assignment, loads, out,
-):
-    """Cost rows of clusters ``[start, stop)`` against a frozen state,
-    into ``out``, the flat ``(stop - start, k)`` matrix: the per-element
-    op sequence of :func:`game_round`'s k-vector, every row at once."""
-    csrs = ((indptr, indices, weights), (in_indptr, in_indices, in_weights))
-    length = stop - start
-    sizes = internal[start:stop].astype(np.float64)
-    cur = assignment[start:stop]
-    rows = np.arange(length)
-    costs = sizes[:, None] + loads[None, :]
-    costs[rows, cur] = (loads[cur] - sizes) + sizes
-    costs *= (lam_over_k * sizes)[:, None]
-    cut = cut_degree[start:stop, None] - adjacency_rows(start, stop, k, assignment, csrs)
-    cut *= 0.5
-    costs += cut
-    out.reshape(length, k)[:] = costs
 
 
 # ---------------------------------------------------------------------- #

@@ -12,8 +12,6 @@
  *                        (generalized to per-partition caps)
  *   game_round        <- repro.core.game.best_response_dynamics
  *                        (one fused best-response round, DESIGN.md s10)
- *   game_cost_rows    <- repro.core.game.ClusterPartitioningGame
- *                        .batch_cost_matrix
  *   pack_pairs_i32, pack_pairs_i64, group_keys_i32, group_keys_i64
  *                     <- repro.core.cluster_graph.grouped_cluster_graph:
  *                        a chunk's label pairs packed into the key
@@ -422,33 +420,6 @@ int64_t game_round(
     }
     counters[0] = mc;
     return moves;
-}
-
-/* Batched cost rows of clusters [start, stop) against a frozen state —
- * the compiled form of batch_cost_matrix; out is the flat
- * (stop - start, k) cost matrix. */
-void game_cost_rows(
-    int64_t start, int64_t stop, int64_t k, double lam_over_k,
-    const int64_t *indptr, const int64_t *indices, const int64_t *weights,
-    const int64_t *in_indptr, const int64_t *in_indices, const int64_t *in_weights,
-    const int64_t *internal, const int64_t *cut_degree,
-    const int64_t *assignment, const double *loads,
-    double *out)
-{
-    for (int64_t c = start; c < stop; c++) {
-        double *row = out + (c - start) * k;
-        for (int64_t p = 0; p < k; p++) row[p] = 0.0;
-        FOR_NEIGHBOR(c, row[assignment[nb]] += wt);
-        double size = (double)internal[c];
-        double cut = (double)cut_degree[c];
-        double a = lam_over_k * size;
-        int64_t cur = assignment[c];
-        for (int64_t p = 0; p < k; p++) {
-            double t = loads[p] + size;
-            if (p == cur) t = (loads[cur] - size) + size;
-            row[p] = t * a + (cut - row[p]) * 0.5;
-        }
-    }
 }
 
 /* ------------------------------------------------------------------ */

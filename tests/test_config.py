@@ -10,7 +10,6 @@ class TestGameConfig:
         cfg = GameConfig()
         assert cfg.lambda_mode == "max"  # Section VI-A: lambda at maximum
         assert cfg.relative_weight == 0.5  # equal importance
-        assert cfg.batch_size == 6400  # paper default batch size
 
     def test_invalid_lambda_mode(self):
         with pytest.raises(ValueError, match="lambda_mode"):
@@ -21,16 +20,27 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="relative_weight"):
             GameConfig(relative_weight=w)
 
-    @pytest.mark.parametrize("field", ["max_rounds", "batch_size", "num_threads"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_invalid_lambda_value(self, value):
+        # a NaN/inf lambda makes every cost NaN/inf, so the game would
+        # "converge" after one round with no move on the random assignment
+        with pytest.raises(ValueError, match="lambda_value"):
+            GameConfig(lambda_mode="fixed", lambda_value=value)
+
+    def test_zero_lambda_value_is_valid(self):
+        # lambda = 0 drops the load term: a pure edge-cut game
+        assert GameConfig(lambda_mode="fixed", lambda_value=0.0).lambda_value == 0.0
+
+    @pytest.mark.parametrize("field", ["max_rounds"])
     def test_positive_int_fields(self, field):
         with pytest.raises(ValueError):
             GameConfig(**{field: 0})
 
     def test_with_returns_new_instance(self):
         cfg = GameConfig()
-        cfg2 = cfg.with_(batch_size=128)
-        assert cfg2.batch_size == 128
-        assert cfg.batch_size == 6400
+        cfg2 = cfg.with_(max_rounds=128)
+        assert cfg2.max_rounds == 128
+        assert cfg.max_rounds == 64
         assert cfg2.lambda_mode == cfg.lambda_mode
 
 

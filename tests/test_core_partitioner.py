@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.config import ClugpConfig, GameConfig
+from repro.config import ClugpConfig
 from repro.core.clustering import ClusteringState
 from repro.core.transform import TransformState
 from repro.core.partitioner import (
@@ -140,13 +140,6 @@ class TestPipeline:
     def test_single_partition(self, stream):
         assignment = ClugpPartitioner(1).partition(stream)
         assert assignment.replication_factor() == 1.0
-
-    def test_parallel_flag(self, stream):
-        p = ClugpPartitioner(
-            8, parallel=True, game=GameConfig(batch_size=32, num_threads=2)
-        )
-        assignment = p.partition(stream)
-        assert assignment.edge_partition.max() < 8
 
     def test_explicit_vmax(self, stream):
         p = ClugpPartitioner(8, max_cluster_volume=50)

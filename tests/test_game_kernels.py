@@ -11,8 +11,8 @@ float64.  This module is the enforcement: each tier (forced through
 ``conftest.kernel_backend``) against :func:`best_response_dynamics` on
 assignments, move sequences, round counts and full potential traces
 across seeds and k; warm starts; the maintained-potential ==
-recomputed-potential gate and its 2**53 fallback; the vectorized Nash
-check; and the batched cost-row primitive behind ``parallel_game``.
+recomputed-potential gate and its 2**53 fallback; and the vectorized
+Nash check with its block primitive, ``batch_cost_matrix``.
 
 The ``python`` tier's tests always run (no compiler needed); everything
 touching a compiled backend is skip-marked cleanly, mirroring
@@ -32,7 +32,6 @@ from repro.core.game import (
     ClusterPartitioningGame,
     best_response_dynamics,
 )
-from repro.core.parallel import parallel_game
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
@@ -195,7 +194,7 @@ def test_python_rounds_past_the_table_cap_rebuild_each_row(cluster_graph, monkey
 
 
 # --------------------------------------------------------------------- #
-# batched cost rows + the vectorized Nash check + parallel_game
+# batched cost rows + the vectorized Nash check
 # --------------------------------------------------------------------- #
 
 
@@ -238,19 +237,6 @@ def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
     assert game.is_nash_equilibrium() == _nash_by_cost_vector(game)
     game.run()
     assert game.is_nash_equilibrium() and _nash_by_cost_vector(game)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_game_is_the_same_on_both_tiers(cluster_graph, backend):
-    k = 8
-    with kernel_backend("python"):
-        fast = parallel_game(cluster_graph, k, GameConfig(seed=0))
-    with kernel_backend(backend):
-        jit = parallel_game(cluster_graph, k, GameConfig(seed=0))
-    assert np.array_equal(fast.assignment, jit.assignment)
-    assert fast.rounds == jit.rounds
-    assert fast.moves == jit.moves
-    assert fast.potential_trace == jit.potential_trace
 
 
 # --------------------------------------------------------------------- #

@@ -358,7 +358,7 @@ def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tie
 GAME_CSR_ARGS = ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights")
 
 
-@pytest.mark.parametrize("name", ["game_round", "game_cost_rows"])
+@pytest.mark.parametrize("name", ["game_round"])
 def test_the_game_kernels_take_both_csr_triples(name):
     """The game reads the cluster graph's two CSR triples as they are, so
     each of the six arrays is a case of the refusal test above."""

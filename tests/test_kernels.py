@@ -188,15 +188,22 @@ def test_popcount_matches_python_bit_count():
 
 
 def test_config_validates_kernel_fields():
-    # the selectors are not fields any more, but checkpoints written
-    # before PR 16 carry them: from_dict drops exactly those four keys
-    # and still rejects any other unknown one
+    # the selectors and the batched game's knobs are not fields any more,
+    # but older checkpoints carry them: from_dict drops exactly those
+    # keys, at any value, and still rejects any other unknown one
     old = ClugpConfig(num_partitions=4, game=GameConfig(seed=3)).to_dict()
     old.update(chunk_impl="fast", kernel_backend="cc")
-    old["game"].update(game_impl="reference", kernel_backend="none")
-    assert ClugpConfig.from_dict(old) == ClugpConfig(
-        num_partitions=4, game=GameConfig(seed=3)
+    old["game"].update(
+        game_impl="reference", kernel_backend="none", batch_size=64, num_threads=4
     )
+    for parallel_game in (False, True):
+        assert ClugpConfig.from_dict({**old, "parallel_game": parallel_game}) == (
+            ClugpConfig(num_partitions=4, game=GameConfig(seed=3))
+        )
+    with pytest.raises(TypeError):
+        ClugpConfig(parallel_game=True)
+    with pytest.raises(TypeError):
+        GameConfig(batch_size=64)
     with pytest.raises(TypeError):
         ClugpConfig.from_dict({**old, "vectorized": True})
     with pytest.raises(TypeError):
@@ -399,10 +406,13 @@ def test_clugp_partitioner_config_threads_jit(backend, stream, spy):
 
 
 def test_clugp_partitioner_ctor_overrides():
-    # the three implementation overrides are gone; the rest still land
-    p = ClugpPartitioner(8, imbalance_factor=1.2, parallel=True, game=GameConfig(seed=9))
-    assert p.config.imbalance_factor == 1.2 and p.config.parallel_game
+    # the implementation overrides and ``parallel=`` are gone; the rest
+    # still land
+    p = ClugpPartitioner(8, imbalance_factor=1.2, game=GameConfig(seed=9))
+    assert p.config.imbalance_factor == 1.2
     assert p.config.game.max_rounds == GameConfig().max_rounds
+    with pytest.raises(TypeError):
+        ClugpPartitioner(8, parallel=True)
 
 
 # --------------------------------------------------------------------- #
