@@ -13,8 +13,8 @@ they check every row and report the first bad one.
 A kernel is a C function in ``kernels.c``, its Python twin in
 :mod:`._pykernels` and one row of :data:`KERNELS`.  Both backends bind
 every row from the table alone, and both refuse, with a ``TypeError``
-before the kernel runs, an array that is not a C-contiguous array of its
-kind's element type and a scalar that is not of its kind.  Every hot
+before the kernel runs, an argument that is not a 1-d C-contiguous array
+of its kind's element type and a scalar that is not of its kind.  Every hot
 class asks :func:`get_backend` with no argument (the partitioner classes
 once, at construction; the GAS dispatcher per call, because vertex
 programs are pickled to workers) and runs its kernels — bit-identical on
@@ -173,17 +173,19 @@ def _addr(arr: np.ndarray, dtype: np.dtype) -> int:
     """Address of ``arr``'s first element, once it is checked to be what
     a kernel indexes.
 
-    The kernels index raw memory, so a wrong element type or a stride
-    reads past the buffer: both are a ``TypeError`` here, whatever the
-    caller promised.  No ctypes object is built — the interface dict is
-    ~1 us, a ``data_as`` pointer ~4 us, and a feed marshals ~13 000
-    arguments.
+    The kernels index raw memory, so a wrong element type, a stride or a
+    0-d array (one element, whatever length the kernel indexes) reads
+    past the buffer: each is a ``TypeError`` here, whatever the caller
+    promised, and so is an argument that is no array at all.  No ctypes
+    object is built — the interface dict is ~1 us, a ``data_as`` pointer
+    ~4 us, and a feed marshals ~13 000 arguments.
     """
-    if arr.dtype != dtype or not arr.flags.c_contiguous:
-        raise TypeError(
-            f"kernel argument must be a C-contiguous {dtype} array, got "
-            f"{arr.dtype} with strides {arr.strides}"
+    if getattr(arr, "ndim", None) != 1 or arr.dtype != dtype or not arr.flags.c_contiguous:
+        got = (
+            f"{arr.dtype} of shape {arr.shape} with strides {arr.strides}"
+            if isinstance(arr, np.ndarray) else type(arr).__name__
         )
+        raise TypeError(f"kernel argument must be a 1-d C-contiguous {dtype} array, got {got}")
     return arr.__array_interface__["data"][0]
 
 
@@ -220,6 +222,12 @@ def bind(name: str, fn, native: bool):
         if len(args) != len(params):
             raise TypeError(f"{name}() takes {len(params)} arguments, got {len(args)}")
 
+    checks = [check(arg, kind) for arg, kind in kernel.args if not kind.startswith("len(")]
+
+    def typed(args) -> None:
+        for step in checks:
+            step(args)
+
     if native:
         def marshal(arg: str, kind: str):
             if kind.startswith("len("):
@@ -233,15 +241,12 @@ def bind(name: str, fn, native: bool):
             arity(args)
             return fn(*[step(args) for step in steps])
     else:
-        checks = [check(arg, kind) for arg, kind in kernel.args if not kind.startswith("len(")]
-
         def call(*args):
             arity(args)
-            for step in checks:
-                step(args)
+            typed(args)
             return fn(*args)
 
-    return _pykernels.checked_take(call) if kernel.ret == "row" else call
+    return _pykernels.checked_take(call, typed) if kernel.ret == "row" else call
 
 
 def indexable(arr, dtype: np.dtype) -> bool:

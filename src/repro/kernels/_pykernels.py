@@ -695,16 +695,20 @@ def slot_index(
     return -1
 
 
-def checked_take(kernel):
+def checked_take(kernel, typed):
     """The numpy-level form of a take kernel (not itself compiled).
 
     ``kernel(dst, src, table, out)`` returns its first bad row or -1;
     the returned function raises that row as the ``IndexError``
     ``ufunc.at`` raises for it.  Unlike ``ufunc.at`` it rejects negative
     indices too, and the rows before the bad one have been applied.
+    ``typed`` refuses a mistyped argument first, as the kernel's own
+    call does, so that ``dst`` and ``src`` are arrays before they are
+    paired.
     """
 
     def take(dst, src, table, out) -> None:
+        typed((dst, src, table, out))
         if dst.shape != src.shape:
             raise ValueError(
                 f"dst and src must pair up row by row, got shapes "

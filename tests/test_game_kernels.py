@@ -193,6 +193,16 @@ def test_python_rounds_past_the_table_cap_rebuild_each_row(cluster_graph, monkey
     assert spans and set(spans) == {1}  # the cap really engaged: no table
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_empty_cluster_graph_makes_no_move(backend):
+    empty = ClusterGraph.from_dicts(0, np.empty(0, dtype=np.int64), [], [])
+    game, result = _run_engine(empty, 4, 0, backend)
+    oracle = best_response_dynamics(empty, 4, GameConfig(seed=0))
+    assert result.assignment.size == 0 and result.moves == 0 and result.move_log == []
+    assert result.converged and game.is_nash_equilibrium()
+    assert (result.rounds, result.potential_trace) == (oracle.rounds, oracle.potential_trace)
+
+
 # --------------------------------------------------------------------- #
 # batched cost rows + the vectorized Nash check
 # --------------------------------------------------------------------- #

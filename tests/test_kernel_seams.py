@@ -336,7 +336,7 @@ def test_the_table_arguments_reach_the_kernel(tier, monkeypatch):
 
 
 @pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("wrong", ["int32", "strided", "same_width"])
+@pytest.mark.parametrize("wrong", ["int32", "strided", "same_width", "zero_d", "list"])
 @pytest.mark.parametrize("name,arg", ARRAY_ARGS)
 def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tier, monkeypatch):
     backend, spies = _spied(tier, monkeypatch)
@@ -348,6 +348,9 @@ def test_every_array_argument_is_refused_before_the_kernel(name, arg, wrong, tie
         "int32": lambda: np.zeros(4, np.int64 if kind == "i32[]" else np.int32),
         "strided": lambda: np.zeros(8, kernels.ARRAY_KINDS[kind])[::2],
         "same_width": lambda: np.zeros(4, SAME_WIDTH[kind]),
+        # one element, however long the kernel reads it
+        "zero_d": lambda: np.zeros((), kernels.ARRAY_KINDS[kind]),
+        "list": lambda: [0, 0, 0, 0],
     }[wrong]()
     with pytest.raises(TypeError, match="C-contiguous"):
         getattr(backend, name)(*args.values())
