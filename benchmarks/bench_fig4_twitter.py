@@ -9,7 +9,7 @@ Paper's claims:
 """
 
 from repro.bench.harness import rf_vs_partitions, series_table, run_algorithm
-from repro.system import make_engine
+from repro.system import LocalGasRuntime
 from repro.system.apps.pagerank import pagerank
 
 from conftest import run_once
@@ -40,9 +40,7 @@ def test_fig4b_total_task_runtime(benchmark, twitter_stream):
         rows = {}
         for name in ("hdrf", "clugp"):
             _, assignment = run_algorithm(name, twitter_stream, k, seed=0)
-            _, cost = pagerank(
-                make_engine(assignment, mode="local"), max_supersteps=15
-            )
+            _, cost = pagerank(LocalGasRuntime(assignment), max_supersteps=15)
             rows[name] = {
                 "partition_s": assignment.total_time(),
                 "pagerank_s": cost.total_seconds,

@@ -26,11 +26,9 @@ Sections (each with its own floors; exit status is non-zero if any fails):
   hard balance cap respected, and end-of-feed RF drift vs the
   from-scratch oracle under the documented ceiling.
 * ``fig8_pagerank`` — bench_fig8_pagerank: the partition-local runtime
-  parity gate (local PageRank values/supersteps/per-superstep messages
-  vs the retained global oracle, and measured messages vs the
-  ``2*sum(|P(v)|-1)`` replication formula) plus both engines'
-  ``RunCost.to_dict()`` profiles, so app runtime enters the perf
-  trajectory.
+  parity gate (measured messages vs the ``2*sum(|P(v)|-1)`` replication
+  formula on every superstep) plus the runtime's ``RunCost.to_dict()``
+  profile, so app runtime enters the perf trajectory.
 * ``reliability`` — bench_reliability: the fault-tolerance runtime —
   checkpoint+journal and summary-validation overhead on fault-free runs
   under the <= 5% ceiling (relaxed in --quick), resume-from-checkpoint

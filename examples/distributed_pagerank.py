@@ -12,7 +12,7 @@ Run:  python examples/distributed_pagerank.py
 """
 
 from repro import EdgeStream, load_dataset, make_partitioner
-from repro.system import NetworkModel, make_engine, pagerank
+from repro.system import LocalGasRuntime, NetworkModel, pagerank
 
 ALGORITHMS = ["hashing", "dbh", "mint", "hdrf", "clugp"]
 
@@ -23,7 +23,7 @@ def run_once(stream, name: str, k: int, network: NetworkModel):
     if partitioner.preferred_order != "natural":
         ordered = stream.reordered(partitioner.preferred_order, seed=0)
     assignment = partitioner.partition(ordered)
-    engine = make_engine(assignment, mode="local", network=network)
+    engine = LocalGasRuntime(assignment, network=network)
     _, cost = pagerank(engine, max_supersteps=25)
     return assignment, cost
 

@@ -21,7 +21,7 @@ from repro.config import ClugpConfig
 from repro.core import build_cluster_graph, streaming_clustering
 from repro.graph import io, properties
 from repro.graph.generators import web_crawl_graph
-from repro.system import connected_components, make_engine
+from repro.system import LocalGasRuntime, connected_components
 
 # 1. generate -----------------------------------------------------------
 graph = web_crawl_graph(
@@ -63,7 +63,7 @@ print(f"CLUGP k=16: RF={assignment.replication_factor():.3f} "
 assert assignment.relative_balance() <= 1.02 + 16 / stream.num_edges
 
 # 6. connected components on the partition-local runtime ----------------
-engine = make_engine(assignment, mode="local")
+engine = LocalGasRuntime(assignment)
 labels, cost = connected_components(engine)
 print(f"components: {len(np.unique(labels))} "
       f"(in {cost.num_supersteps} supersteps, "

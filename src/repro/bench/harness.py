@@ -16,8 +16,7 @@ from ..analysis.report import format_table
 from ..graph.stream import EdgeStream
 from ..partitioners.base import EdgePartitioner, PartitionAssignment
 from ..partitioners.registry import make_partitioner
-from ..system import make_engine
-from ..system.engine import RunCost
+from ..system.runtime import LocalGasRuntime, RunCost
 from ..system.network import NetworkModel
 from ..system.apps.pagerank import pagerank
 
@@ -209,19 +208,16 @@ def pagerank_costs(
     network: NetworkModel | None = None,
     max_supersteps: int = 30,
     seed: int = 0,
-    mode: str = "local",
 ) -> dict[str, RunCost]:
     """Figure 8: run PageRank on the GAS system layer per partitioning.
 
-    ``mode="local"`` (default) executes on the partition-local runtime, so
-    the reported messages/bytes are *measured* off its sync buffers;
-    ``mode="global"`` uses the retained oracle's modeled costs.  For
-    PageRank's dense activation the two agree superstep for superstep.
+    Executes on the partition-local runtime, so the reported
+    messages/bytes are *measured* off its sync buffers.
     """
     costs: dict[str, RunCost] = {}
     for name in algorithms:
         _, assignment = run_algorithm(name, stream, num_partitions, seed=seed)
-        engine = make_engine(assignment, mode=mode, network=network)
+        engine = LocalGasRuntime(assignment, network=network)
         _, cost = pagerank(engine, max_supersteps=max_supersteps)
         costs[name] = cost
     return costs

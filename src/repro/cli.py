@@ -35,7 +35,7 @@ from .graph.io import read_edgelist
 from .graph.stream import EdgeStream
 from .reliability.ingest import DropReport, IngestError
 from .partitioners.registry import PARTITIONERS, make_partitioner
-from .system import make_engine
+from .system import LocalGasRuntime
 from .system.network import NetworkModel
 from .system.apps import APPS
 from .system.apps.pagerank import pagerank
@@ -117,13 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--algorithm", default="clugp", choices=sorted(PARTITIONERS))
     p_pr.add_argument("--rtt-ms", type=float, default=10.0, help="network RTT in ms")
     p_pr.add_argument("--supersteps", type=_positive_int, default=30, help="max supersteps")
-    p_pr.add_argument(
-        "--mode",
-        default="local",
-        choices=["local", "global"],
-        help="execution engine: partition-local runtime (measured costs) "
-        "or the global-array oracle (modeled costs)",
-    )
 
     p_app = sub.add_parser(
         "run-app",
@@ -137,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_app.add_argument("--rtt-ms", type=float, default=10.0, help="network RTT in ms")
     p_app.add_argument("--supersteps", type=_positive_int, default=30, help="max supersteps")
-    p_app.add_argument(
-        "--mode", default="local", choices=["local", "global"],
-        help="execution engine (default: the partition-local runtime)",
-    )
     p_app.add_argument(
         "--source", type=int, default=None,
         help="sssp source vertex (default: highest out-degree vertex)",
@@ -346,7 +335,7 @@ def _deploy(stream, algorithm: str, args):
         stream = stream.reordered(partitioner.preferred_order, seed=args.seed)
     assignment = partitioner.partition(stream)
     network = NetworkModel().with_rtt(args.rtt_ms / 1000.0)
-    engine = make_engine(assignment, mode=args.mode, network=network)
+    engine = LocalGasRuntime(assignment, network=network)
     return partitioner, assignment, engine
 
 

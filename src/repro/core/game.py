@@ -334,11 +334,9 @@ class ClusterPartitioningGame:
         k = self.k
         backend = self._backend
         lam_over_k = self._lam_over_k
-        # the epoch rule's monotonicity argument needs a nonnegative load
-        # coefficient.  GameConfig refuses a negative lambda_value, so this
-        # is always 1 here; the kernel keeps the strict "no moves
-        # anywhere" rule for a caller that passes 0
-        relaxed = 1 if lam_over_k >= 0.0 else 0
+        # the kernel's epoch skip needs lam_over_k >= 0: GameConfig
+        # refuses a negative or NaN lambda_value, and lambda_max /
+        # lambda_balanced are >= 0
         last_eval = np.full(m, -1, dtype=np.int64)
         nbr_epoch = np.zeros(m, dtype=np.int64)
         inc_epoch = np.zeros(k, dtype=np.int64)
@@ -377,7 +375,7 @@ class ClusterPartitioningGame:
         for rounds in range(1, self.config.max_rounds + 1):
             moves = int(
                 backend.game_round(
-                    k, lam_over_k, _IMPROVEMENT_EPS, relaxed,
+                    k, lam_over_k, _IMPROVEMENT_EPS,
                     *self._csrs[0], *self._csrs[1],
                     self.graph.internal, self._cut_degree,
                     self.assignment, self.loads,

@@ -130,7 +130,7 @@ KERNELS: dict[str, Kernel] = {
         "i64",
     ),
     "game_round": _row(
-        "k:i64 lam_over_k:f64 eps:f64 relaxed:i64 "
+        "k:i64 lam_over_k:f64 eps:f64 "
         "indptr:i64[] indices:i64[] weights:i64[] "
         "in_indptr:i64[] in_indices:i64[] in_weights:i64[] "
         "internal:i64[] cut_degree:i64[] "

@@ -413,7 +413,7 @@ _ROW_TABLE_MAX_CELLS = 1 << 26
 
 
 def game_round(
-    k, lam_over_k, eps, relaxed,
+    k, lam_over_k, eps,
     indptr, indices, weights, in_indptr, in_indices, in_weights,
     internal, cut_degree,
     assignment, loads,
@@ -431,9 +431,9 @@ def game_round(
     updated per move; past it each evaluated row is rebuilt from the CSRs,
     as the C kernel always does — the same integer-valued sums either way.
 
-    Skip rules (both decision-preserving, DESIGN.md §10): a cluster whose
-    ``last_eval`` equals the move counter has seen zero moves anywhere
-    since it last declined; with ``relaxed`` set, a cluster also skips
+    Skip rules (both decision-preserving for ``lam_over_k >= 0``, DESIGN.md
+    §10): a cluster whose ``last_eval`` equals the move counter has seen
+    zero moves anywhere since it last declined; a cluster also skips
     when no neighbor moved (``nbr_epoch``), its own partition gained no
     load (``inc_epoch``), and no other partition lost load
     (``dec_epoch``) since its last evaluation.  The latest and the
@@ -470,7 +470,7 @@ def game_round(
             continue
         cur = cur_of[c]
         if (
-            relaxed and le >= 0 and nbr_epoch[c] <= le and inc[cur] <= le
+            le >= 0 and nbr_epoch[c] <= le and inc[cur] <= le
             and (top if top_p != cur else second) <= le
         ):
             # the prior no-move decision provably stands at the current

@@ -343,18 +343,18 @@ int64_t transform_chunk(
  * cluster graph's int64 arrays, converted as read.
  *
  * Skip rules (decision-preserving): last_eval[c] == move_counter means
- * zero moves anywhere since c last declined; with `relaxed`, c also
- * skips when nbr_epoch[c] <= last_eval[c] (no neighbor moved),
- * inc_epoch[cur] <= last_eval[c] (own partition gained no load) and
- * every other partition's dec_epoch <= last_eval[c] (no alternative
- * got cheaper) — requires lam_over_k >= 0, which the caller checks.
+ * zero moves anywhere since c last declined; c also skips when
+ * nbr_epoch[c] <= last_eval[c] (no neighbor moved), inc_epoch[cur] <=
+ * last_eval[c] (own partition gained no load) and every other
+ * partition's dec_epoch <= last_eval[c] (no alternative got cheaper)
+ * — requires lam_over_k >= 0, the caller's precondition.
  *
  * phi = [sum(loads^2), total_partition_cut], updated per move by the
  * mover's exact delta (pre-move loads and adjacency row); counters =
  * [move_counter]; move_log records (cluster, target) pairs; cost_buf /
  * row_buf are k-sized scratch.  Returns the number of moves. */
 int64_t game_round(
-    int64_t k, double lam_over_k, double eps, int64_t relaxed,
+    int64_t k, double lam_over_k, double eps,
     const int64_t *indptr, const int64_t *indices, const int64_t *weights,
     const int64_t *in_indptr, const int64_t *in_indices, const int64_t *in_weights,
     const int64_t *internal, const int64_t *cut_degree,
@@ -370,7 +370,7 @@ int64_t game_round(
         int64_t le = last_eval[c];
         if (le == mc) continue;
         int64_t cur = assignment[c];
-        if (relaxed && le >= 0 && nbr_epoch[c] <= le && inc_epoch[cur] <= le) {
+        if (le >= 0 && nbr_epoch[c] <= le && inc_epoch[cur] <= le) {
             int64_t ok = 1;
             for (int64_t p = 0; p < k; p++) {
                 if (p != cur && dec_epoch[p] > le) { ok = 0; break; }

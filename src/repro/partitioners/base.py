@@ -21,7 +21,6 @@ from .._util import (
     StageTimes,
     Timer,
     check_positive_int,
-    group_by_bounded,
     vertex_partition_pairs,
 )
 from ..graph.stream import EdgeStream
@@ -72,7 +71,6 @@ class PartitionAssignment:
         self.stage_times = stage_times or StageTimes()
         self._replica_table = None
         self._vertex_partition_counts = None
-        self._grouped_edges = None
 
     # ------------------------------------------------------------------ #
     # core quantities (Section II-B)
@@ -116,22 +114,6 @@ class PartitionAssignment:
             )
             self._vertex_partition_counts = counts.astype(np.int64)
         return self._vertex_partition_counts
-
-    def grouped_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Partition-grouped edge layout: ``(order, indptr)`` (cached).
-
-        ``order`` stably reorders stream edges so each partition's edges
-        are one contiguous slice ``order[indptr[p]:indptr[p+1]]`` — the
-        shared deployment substrate of the GAS engines (the global
-        oracle's per-partition accounting and the local runtime's edge
-        sub-graphs slice the same layout; the index build fills this
-        cache with the grouping it computes anyway).
-        """
-        if self._grouped_edges is None:
-            self._grouped_edges = group_by_bounded(
-                self.edge_partition, self.num_partitions
-            )
-        return self._grouped_edges
 
     def replication_factor(self) -> float:
         """``RF = (1/|V'|) * sum_v |P(v)|`` over vertices with >=1 edge."""

@@ -3,21 +3,18 @@
 The paper evaluates partitionings on a real 32-node PowerGraph deployment
 (Figure 8).  This package executes vertex programs over the same
 master/mirror placement a PowerGraph cluster would derive from a
-vertex-cut partitioning:
+vertex-cut partitioning, on one engine: :class:`LocalGasRuntime`, the
+partition-local runtime.  It holds one flat replica-slot index, writes
+the superstep once as block functions over contiguous partition ranges
+plus one loop, synchronizes mirrors and masters through typed message
+payloads, keeps sparse frontiers, and *measures*
+``SuperstepCost.messages``/``bytes`` by counting the exchanged rows.
+The same loop runs on worker processes as
+:class:`repro.distributed.DistributedGasRuntime`.
 
-* :class:`LocalGasRuntime` (``mode="local"``) — the partition-local
-  runtime: one flat replica-slot index, the superstep written once as
-  block functions over contiguous partition ranges plus one loop,
-  mirror<->master synchronization through typed message payloads, sparse
-  frontiers, ``SuperstepCost.messages``/``bytes`` *measured* by counting
-  the exchanged rows.  The same loop runs on worker processes as
-  :class:`repro.distributed.DistributedGasRuntime`.
-* :class:`GasEngine` (``mode="global"``) — the retained oracle: program
-  semantics evaluated on global arrays, costs *modeled* per partition
-  (``2 * (|P(v)| - 1)`` sync messages per active replicated vertex).
-
-The apps (PageRank, connected components, SSSP, label propagation) run
-on any of them; the parity tests pin runtime == oracle results.
+The apps (PageRank, connected components, SSSP, label propagation) are
+one program class each against :class:`LocalContext`; the tests pin
+their values to a global-array numpy reference and to networkx.
 """
 
 from .placement import (
@@ -29,7 +26,6 @@ from .placement import (
     build_placement,
 )
 from .network import NetworkModel
-from .engine import GasEngine, SuperstepCost, RunCost
 from .messages import DensePayload, RaggedPayload
 from .runtime import (
     LABEL_COUNT,
@@ -38,6 +34,8 @@ from .runtime import (
     LocalContext,
     LocalGasRuntime,
     LocalVertexProgram,
+    RunCost,
+    SuperstepCost,
 )
 from .apps import APPS, pagerank, connected_components, sssp, label_propagation
 
@@ -49,7 +47,6 @@ __all__ = [
     "LocalIndex",
     "build_local_index",
     "NetworkModel",
-    "GasEngine",
     "SuperstepCost",
     "RunCost",
     "DensePayload",
@@ -74,15 +71,11 @@ def make_engine(
     mode: str = "local",
     network: NetworkModel | None = None,
     **throughputs,
-) -> "GasEngine | LocalGasRuntime":
-    """Deploy an assignment on the requested engine.
-
-    ``mode="local"`` builds the partition-local :class:`LocalGasRuntime`
-    (measured costs); ``mode="global"`` the retained global-array
-    :class:`GasEngine` oracle (modeled costs).
-    """
-    if mode == "local":
-        return LocalGasRuntime(assignment, network=network, **throughputs)
-    if mode == "global":
-        return GasEngine(assignment, network=network, **throughputs)
-    raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
+) -> LocalGasRuntime:
+    """Deploy an assignment on the partition-local :class:`LocalGasRuntime`
+    (``mode="local"``, the only engine)."""
+    if mode != "local":
+        raise ValueError(
+            f"mode must be 'local', got {mode!r}: the global-array engine was removed"
+        )
+    return LocalGasRuntime(assignment, network=network, **throughputs)

@@ -1,50 +1,33 @@
 """Connected components via min-label propagation (HashMin), a GAS program.
 
 Treats edges as undirected (weakly connected components).  Only vertices
-whose label changed stay active, so later supersteps get cheaper — the
-frontier behaviour the engine's active-edge cost model captures.
+whose label changed activate their neighbors, so later supersteps get
+cheaper — the frontier behaviour the runtime's active-edge accounting
+captures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine import GasEngine, RunCost
-from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime
+from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime, RunCost
 
-__all__ = [
-    "ConnectedComponentsProgram",
-    "LocalConnectedComponentsProgram",
-    "connected_components",
-]
+__all__ = ["ConnectedComponentsProgram", "connected_components"]
 
 
 class ConnectedComponentsProgram:
     """HashMin label propagation: every vertex adopts the minimum label in
-    its closed undirected neighborhood each superstep."""
-
-    def init(self, engine: GasEngine) -> np.ndarray:
-        return np.arange(engine.num_vertices, dtype=np.int64)
-
-    def superstep(self, engine: GasEngine, values: np.ndarray):
-        src, dst = engine.stream.src, engine.stream.dst
-        new_values = values.copy()
-        np.minimum.at(new_values, dst, values[src])
-        np.minimum.at(new_values, src, values[dst])
-        changed = new_values != values
-        return new_values, changed
-
-
-class LocalConnectedComponentsProgram(ConnectedComponentsProgram):
-    """HashMin against the partition-local API (sharing the oracle's
-    ``init``): undirected min-gather over a block's local edges,
-    exact int64 minima — bit-identical to the global oracle."""
+    its closed undirected neighborhood each superstep — an undirected
+    min-gather over a block's local edges, exact int64 minima."""
 
     edge_mode = "undirected"
     frontier = "sparse"
     accumulator = DenseAccumulator(
         np.dtype(np.int64), np.iinfo(np.int64).max, np.minimum
     )
+
+    def init(self, runtime: LocalGasRuntime) -> np.ndarray:
+        return np.arange(runtime.num_vertices, dtype=np.int64)
 
     def gather_local(self, ctx: LocalContext) -> np.ndarray:
         partial = np.full(
@@ -59,11 +42,11 @@ class LocalConnectedComponentsProgram(ConnectedComponentsProgram):
 
 
 def connected_components(
-    engine: GasEngine | LocalGasRuntime, max_supersteps: int = 200
+    runtime: LocalGasRuntime, max_supersteps: int = 200
 ) -> tuple[np.ndarray, RunCost]:
     """Run weakly-connected components; returns (labels, cost).
 
     Labels equal the minimum vertex id of each component, matching
     :meth:`repro.graph.DiGraph.weakly_connected_components`.
     """
-    return engine.run(LocalConnectedComponentsProgram(), max_supersteps=max_supersteps)
+    return runtime.run(ConnectedComponentsProgram(), max_supersteps=max_supersteps)

@@ -10,18 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import GasEngine, RunCost
-from ..runtime import LABEL_COUNT, LocalContext, LocalGasRuntime, group_label_counts
+from ..runtime import (
+    LABEL_COUNT,
+    LocalContext,
+    LocalGasRuntime,
+    RunCost,
+    group_label_counts,
+)
 
-__all__ = [
-    "LabelPropagationProgram",
-    "LocalLabelPropagationProgram",
-    "label_propagation",
-]
+__all__ = ["LabelPropagationProgram", "label_propagation"]
 
 
 class LabelPropagationProgram:
     """Deterministic synchronous majority-label propagation.
+
+    The gather accumulator is a ragged per-vertex label histogram
+    (:data:`LABEL_COUNT`): each block counts labels over its local
+    undirected incidences, mirrors ship their histograms to the master,
+    and the master's exact integer merge + (count desc, label asc) pick
+    is independent of how the edges are partitioned.
 
     Parameters
     ----------
@@ -29,62 +36,17 @@ class LabelPropagationProgram:
         Hard iteration bound (synchronous LPA may oscillate forever).
     """
 
+    edge_mode = "undirected"
+    frontier = "sparse"
+    accumulator = LABEL_COUNT
+
     def __init__(self, max_iters: int = 10) -> None:
         if max_iters <= 0:
             raise ValueError("max_iters must be positive")
         self.max_iters = int(max_iters)
-        self._iteration = 0
 
-    def init(self, engine: GasEngine) -> np.ndarray:
-        self._iteration = 0
-        return np.arange(engine.num_vertices, dtype=np.int64)
-
-    def superstep(self, engine: GasEngine, values: np.ndarray):
-        self._iteration += 1
-        n = engine.num_vertices
-        src, dst = engine.stream.src, engine.stream.dst
-        # count (vertex, neighbor_label) pairs over the undirected adjacency
-        nbr_vertex = np.concatenate([src, dst])
-        nbr_label = np.concatenate([values[dst], values[src]])
-        # majority by sorting (vertex, label) pairs and run-length counting
-        order = np.lexsort((nbr_label, nbr_vertex))
-        vtx = nbr_vertex[order]
-        lab = nbr_label[order]
-        boundary = np.ones(vtx.size, dtype=bool)
-        boundary[1:] = (vtx[1:] != vtx[:-1]) | (lab[1:] != lab[:-1])
-        starts = np.nonzero(boundary)[0]
-        counts = np.diff(np.append(starts, vtx.size))
-        group_vtx = vtx[starts]
-        group_lab = lab[starts]
-        new_values = values.copy()
-        # for each vertex keep the (count desc, label asc) best group
-        best_count = np.zeros(n, dtype=np.int64)
-        for gv, gl, gc in zip(
-            group_vtx.tolist(), group_lab.tolist(), counts.tolist()
-        ):
-            if gc > best_count[gv]:
-                best_count[gv] = gc
-                new_values[gv] = gl
-        changed = new_values != values
-        if self._iteration >= self.max_iters:
-            changed = np.zeros(n, dtype=bool)
-        return new_values, changed
-
-
-class LocalLabelPropagationProgram(LabelPropagationProgram):
-    """Majority-label propagation against the partition-local API
-    (sharing the oracle's ``max_iters`` validation and ``init``).
-
-    The gather accumulator is a ragged per-vertex label histogram
-    (:data:`LABEL_COUNT`): each block counts labels over its local
-    undirected incidences, mirrors ship their histograms to the master,
-    and the master's exact integer merge + (count desc, label asc) pick
-    reproduces the oracle bit-for-bit.
-    """
-
-    edge_mode = "undirected"
-    frontier = "sparse"
-    accumulator = LABEL_COUNT
+    def init(self, runtime: LocalGasRuntime) -> np.ndarray:
+        return np.arange(runtime.num_vertices, dtype=np.int64)
 
     def gather_local(self, ctx: LocalContext):
         targets, sources = ctx.select(*ctx.part.undirected())
@@ -115,7 +77,7 @@ class LocalLabelPropagationProgram(LabelPropagationProgram):
 
 
 def label_propagation(
-    engine: GasEngine | LocalGasRuntime, max_iters: int = 10
+    runtime: LocalGasRuntime, max_iters: int = 10
 ) -> tuple[np.ndarray, RunCost]:
     """Run LPA for at most ``max_iters`` supersteps; returns (labels, cost)."""
-    return engine.run(LocalLabelPropagationProgram(max_iters), max_supersteps=max_iters + 1)
+    return runtime.run(LabelPropagationProgram(max_iters), max_supersteps=max_iters + 1)

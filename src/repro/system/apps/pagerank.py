@@ -9,16 +9,22 @@ replication factor drives PowerGraph performance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..engine import GasEngine, RunCost
-from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime
+from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime, RunCost
 
-__all__ = ["PageRankProgram", "LocalPageRankProgram", "pagerank"]
+__all__ = ["PageRankProgram", "pagerank"]
 
 
 class PageRankProgram:
-    """Damped PageRank vertex program.
+    """Damped PageRank against the partition-local :class:`LocalContext` API.
+
+    The gather is a partition-local add-fold along a block's edge
+    sub-graph, the dangling mass a global aggregator assembled from
+    per-partition master partials, and convergence an L1 test on the
+    coordinator view.
 
     Parameters
     ----------
@@ -29,18 +35,24 @@ class PageRankProgram:
         networkx (``err < tol * n`` with per-vertex tolerance semantics).
     """
 
+    edge_mode = "directed"
+    frontier = "dense"
+    accumulator = DenseAccumulator(np.dtype(np.float64), 0.0, np.add)
+
+    _dangling_mass = 0.0
+
     def __init__(self, damping: float = 0.85, tol: float = 1e-8) -> None:
         if not 0.0 < damping < 1.0:
             raise ValueError(f"damping must be in (0, 1), got {damping}")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         self.damping = float(damping)
         self.tol = float(tol)
         self._out_degree: np.ndarray | None = None
 
-    def init(self, engine: GasEngine) -> np.ndarray:
-        n = engine.num_vertices
-        self._out_degree = np.bincount(engine.stream.src, minlength=n).astype(
+    def init(self, runtime: LocalGasRuntime) -> np.ndarray:
+        n = runtime.num_vertices
+        self._out_degree = np.bincount(runtime.stream.src, minlength=n).astype(
             np.float64
         )
         return np.full(n, 1.0 / self._divisor(n), dtype=np.float64)
@@ -51,44 +63,6 @@ class PageRankProgram:
         every rank vector is empty, so what it is divided by is moot —
         but ``x / 0`` on a Python float raises before numpy sees it."""
         return max(n, 1)
-
-    def superstep(self, engine: GasEngine, values: np.ndarray):
-        n = engine.num_vertices
-        out_degree = self._out_degree
-        src, dst = engine.stream.src, engine.stream.dst
-        contrib = np.where(out_degree > 0, values / np.maximum(out_degree, 1.0), 0.0)
-        gathered = np.zeros(n, dtype=np.float64)
-        np.add.at(gathered, dst, contrib[src])
-        dangling_mass = values[out_degree == 0].sum()
-        scale = self._divisor(n)
-        new_values = (1.0 - self.damping) / scale + self.damping * (
-            gathered + dangling_mass / scale
-        )
-        err = np.abs(new_values - values).sum()
-        if err < self.tol * n:
-            changed = np.zeros(n, dtype=bool)
-        else:
-            changed = np.ones(n, dtype=bool)
-        return new_values, changed
-
-
-class LocalPageRankProgram(PageRankProgram):
-    """PageRank against the partition-local :class:`LocalContext` API.
-
-    Extends :class:`PageRankProgram` to share its knob validation and
-    global-formula ``init`` (both engines accept it); the gather is a
-    partition-local add-fold along a block's edge sub-graph, the
-    dangling mass a global aggregator assembled from per-partition master
-    partials, and convergence the oracle's L1 test on the coordinator
-    view — so superstep counts match the global oracle exactly and values
-    agree to summation-order rounding (<= 1e-12).
-    """
-
-    edge_mode = "directed"
-    frontier = "dense"
-    accumulator = DenseAccumulator(np.dtype(np.float64), 0.0, np.add)
-
-    _dangling_mass = 0.0
 
     def setup(self, runtime: LocalGasRuntime) -> None:
         # static per-slot tables over the flat index (broadcast once at
@@ -159,11 +133,10 @@ class LocalPageRankProgram(PageRankProgram):
 
 
 def pagerank(
-    engine: GasEngine | LocalGasRuntime,
+    runtime: LocalGasRuntime,
     damping: float = 0.85,
     tol: float = 1e-8,
     max_supersteps: int = 100,
 ) -> tuple[np.ndarray, RunCost]:
-    """Run PageRank on any engine (the oracle runs the program's
-    ``superstep``, the runtimes its partition-local half)."""
-    return engine.run(LocalPageRankProgram(damping, tol), max_supersteps=max_supersteps)
+    """Run PageRank on a runtime; returns (ranks, cost)."""
+    return runtime.run(PageRankProgram(damping, tol), max_supersteps=max_supersteps)

@@ -1,7 +1,7 @@
 """Single-source shortest paths (synchronous Bellman-Ford) as a GAS program.
 
 Directed, with optional per-edge weights (unit weights by default).  The
-frontier shrinks as distances settle, exercising the engine's
+frontier shrinks as distances settle, exercising the runtime's
 active-vertex cost accounting on a workload whose superstep count equals
 the graph's hop eccentricity from the source.
 """
@@ -10,63 +10,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import GasEngine, RunCost
-from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime
+from ..runtime import DenseAccumulator, LocalContext, LocalGasRuntime, RunCost
 
-__all__ = ["SsspProgram", "LocalSsspProgram", "sssp"]
+__all__ = ["SsspProgram", "sssp"]
 
 
 class SsspProgram:
     """Bellman-Ford relaxation from a single source vertex.
 
+    Min-gather over a block's local in-edges of frontier-activated
+    targets; edge weights are regrouped once by stream position
+    (``LocalIndex.edge_ids``) and sliced per block.  Minimum is
+    order-independent, so the distances do not depend on the partitioning.
+
     Parameters
     ----------
     source:
-        Source vertex id.
+        Source vertex id (an integer; a bool or a float is a ``TypeError``).
     weights:
-        Optional per-edge non-negative weights (stream order); defaults to
-        unit weights (hop distance).
-    """
-
-    def __init__(self, source: int, weights=None) -> None:
-        self.source = int(source)
-        self.weights = None if weights is None else np.asarray(weights, np.float64)
-        if self.weights is not None and (self.weights < 0).any():
-            raise ValueError("weights must be non-negative")
-
-    def init(self, engine: GasEngine) -> np.ndarray:
-        if not 0 <= self.source < engine.num_vertices:
-            raise ValueError(f"source {self.source} out of range")
-        if self.weights is not None and self.weights.shape != engine.stream.src.shape:
-            raise ValueError("weights must have one entry per edge")
-        dist = np.full(engine.num_vertices, np.inf, dtype=np.float64)
-        dist[self.source] = 0.0
-        return dist
-
-    def superstep(self, engine: GasEngine, values: np.ndarray):
-        src, dst = engine.stream.src, engine.stream.dst
-        w = self.weights if self.weights is not None else 1.0
-        candidate = values[src] + w
-        new_values = values.copy()
-        np.minimum.at(new_values, dst, candidate)
-        changed = new_values < values
-        return new_values, changed
-
-
-class LocalSsspProgram(SsspProgram):
-    """Bellman-Ford against the partition-local API.
-
-    Extends :class:`SsspProgram` to share its source/weight validation
-    and ``init`` (both engines accept it).  Min-gather over a block's
-    local in-edges of frontier-activated targets; edge weights are
-    regrouped once by stream position (``LocalIndex.edge_ids``) and
-    sliced per block.  Minimum is order-independent, so the distances
-    are bit-identical to the global oracle.
+        Optional per-edge non-negative weights (stream order; NaN is
+        refused); defaults to unit weights (hop distance).
     """
 
     edge_mode = "directed"
     frontier = "sparse"
     accumulator = DenseAccumulator(np.dtype(np.float64), np.inf, np.minimum)
+
+    def __init__(self, source: int, weights=None) -> None:
+        if isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+            raise TypeError(f"source must be an integer vertex id, got {source!r}")
+        self.source = int(source)
+        self.weights = None if weights is None else np.asarray(weights, np.float64)
+        # NaN fails the comparison too: it would poison every later relaxation
+        if self.weights is not None and not (self.weights >= 0).all():
+            raise ValueError("weights must be non-negative (and not NaN)")
+
+    def init(self, runtime: LocalGasRuntime) -> np.ndarray:
+        if not 0 <= self.source < runtime.num_vertices:
+            raise ValueError(f"source {self.source} out of range")
+        if self.weights is not None and self.weights.shape != runtime.stream.src.shape:
+            raise ValueError("weights must have one entry per edge")
+        dist = np.full(runtime.num_vertices, np.inf, dtype=np.float64)
+        dist[self.source] = 0.0
+        return dist
 
     def setup(self, runtime: LocalGasRuntime) -> None:
         self._weights_grouped = (
@@ -91,7 +77,7 @@ class LocalSsspProgram(SsspProgram):
 
 
 def sssp(
-    engine: GasEngine | LocalGasRuntime,
+    runtime: LocalGasRuntime,
     source: int,
     weights=None,
     max_supersteps: int = 500,
@@ -100,4 +86,4 @@ def sssp(
 
     Unreached vertices have distance ``inf``.
     """
-    return engine.run(LocalSsspProgram(source, weights), max_supersteps=max_supersteps)
+    return runtime.run(SsspProgram(source, weights), max_supersteps=max_supersteps)

@@ -1,13 +1,14 @@
-"""Network cost model for the GAS simulator.
+"""Network cost model for the GAS runtime.
 
 The paper's Figure 8(c) varies the inter-node RTT with PUMBA from 10ms to
-100ms; bandwidth and message size are properties of their cluster.  We
-expose all three as parameters; defaults approximate a 10GbE cluster with
-PowerGraph's ~16-byte accumulator messages.
+100ms; bandwidth is a property of their cluster.  Both are parameters;
+defaults approximate a 10GbE cluster.  Message counts and byte volumes
+are not modeled here: the runtime measures them off its sync buffers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["NetworkModel"]
@@ -23,8 +24,6 @@ class NetworkModel:
         Aggregate cluster bisection bandwidth.
     rtt_seconds:
         Round-trip latency between any two nodes.
-    bytes_per_message:
-        Payload of one mirror<->master sync message.
     seconds_per_message:
         Per-message CPU/RPC overhead (serialization, syscalls); this is
         what actually dominates PowerGraph's sync phase on fast LANs, so it
@@ -37,44 +36,30 @@ class NetworkModel:
 
     bandwidth_bytes_per_s: float = 1.25e9  # 10 GbE
     rtt_seconds: float = 0.010
-    bytes_per_message: int = 16
     seconds_per_message: float = 2e-6
     rounds_per_superstep: int = 2
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.rtt_seconds < 0:
-            raise ValueError("rtt_seconds must be non-negative")
-        if self.bytes_per_message <= 0:
-            raise ValueError("bytes_per_message must be positive")
-        if self.seconds_per_message < 0:
-            raise ValueError("seconds_per_message must be non-negative")
-        if self.rounds_per_superstep <= 0:
-            raise ValueError("rounds_per_superstep must be positive")
-
-    def superstep_comm_seconds(self, num_messages: int) -> float:
-        """Wall-clock of one superstep's synchronization phase (modeled
-        volume: every message carries ``bytes_per_message``)."""
-        return self.comm_seconds(num_messages, num_messages * self.bytes_per_message)
+        for name, positive in (
+            ("bandwidth_bytes_per_s", True),
+            ("rtt_seconds", False),
+            ("seconds_per_message", False),
+            ("rounds_per_superstep", True),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                sign = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
     def comm_seconds(self, num_messages: int, volume_bytes: float) -> float:
-        """Wall-clock of one sync phase from a *measured* byte volume.
-
-        The local runtime counts messages and payload bytes off its
-        buffers and prices them here; with the default 8-byte dense
-        accumulators (8-byte vertex header + 8-byte payload = 16 bytes)
-        this agrees exactly with :meth:`superstep_comm_seconds`.
-        """
+        """Wall-clock of one sync phase from a *measured* byte volume:
+        the runtime counts messages and payload bytes off its buffers
+        and prices them here."""
         return (
             volume_bytes / self.bandwidth_bytes_per_s
             + num_messages * self.seconds_per_message
             + self.rounds_per_superstep * self.rtt_seconds
         )
-
-    def message_volume_bytes(self, num_messages: int) -> int:
-        """Total bytes moved for ``num_messages`` sync messages."""
-        return num_messages * self.bytes_per_message
 
     def with_rtt(self, rtt_seconds: float) -> "NetworkModel":
         """Copy with a different RTT (the Figure 8(c) sweep)."""

@@ -411,9 +411,6 @@ def build_local_index(
         )
     elif not np.array_equal(placement.master, master):
         is_master, master_slots, routes = _routes(vertices, part_indptr, placement.master)
-    if assignment._grouped_edges is None:  # the layout the global engine slices too
-        assignment._grouped_edges = (edge_ids, edge_indptr)
-    edge_ids, edge_indptr = assignment.grouped_edges()
     return LocalIndex(
         num_partitions=k,
         num_vertices=n,

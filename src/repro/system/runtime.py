@@ -1,8 +1,7 @@
 """The partition-local GAS runtime: executable master/mirror dataflow.
 
-Unlike :class:`~repro.system.engine.GasEngine` (retained as the
-``mode="global"`` oracle), this runtime holds **no global compute state**:
-values live per replica *slot* of the flat index
+The runtime holds **no global compute state**: values live per replica
+*slot* of the flat index
 (:class:`~repro.system.placement.LocalIndex`), and replicas synchronize
 exclusively through explicit typed message payloads
 (:mod:`repro.system.messages`) along the mirror table's rows.
@@ -24,14 +23,16 @@ gather; gather sync, one message per mirror of each ``v in A``; apply at
 the active masters (and, by the coordinator, at edgeless vertices no
 partition hosts); apply sync, one message back per mirror; message-free
 scatter, OR-reduced into the next ``A``.  The measured message count is
-the paper's ``2 * sum(|P(v)| - 1)`` over ``A`` on every superstep — for
-PageRank (the Figure 8 workload) superstep by superstep the oracle's.
+the paper's ``2 * sum(|P(v)| - 1)`` over ``A`` on every superstep, and
+the measured bytes are the exchanged rows' (a vertex header plus the
+payload), priced by :meth:`NetworkModel.comm_seconds`.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -39,7 +40,6 @@ import numpy as np
 from .. import kernels
 from .._util import ragged_take_indices
 from ..partitioners.base import PartitionAssignment
-from .engine import RunCost, SuperstepCost
 from .messages import VERTEX_HEADER_BYTES, DensePayload, RaggedPayload
 from .network import NetworkModel
 from .placement import LocalIndex, LocalPartition, build_local_index
@@ -52,9 +52,97 @@ __all__ = [
     "LocalContext",
     "LocalVertexProgram",
     "LocalGasRuntime",
+    "RunCost",
+    "SuperstepCost",
     "group_label_counts",
     "take_put",
 ]
+
+
+@dataclass(frozen=True)
+class SuperstepCost:
+    """Cost accounting of one superstep."""
+
+    superstep: int
+    active_vertices: int
+    active_edges: int
+    messages: int
+    bytes: int
+    compute_seconds: float
+    comm_seconds: float
+
+    @property
+    def total_seconds(self) -> float:
+        return self.compute_seconds + self.comm_seconds
+
+    def to_dict(self) -> dict:
+        return {
+            "superstep": self.superstep,
+            "active_vertices": self.active_vertices,
+            "active_edges": self.active_edges,
+            "messages": self.messages,
+            "bytes": self.bytes,
+            "compute_seconds": self.compute_seconds,
+            "comm_seconds": self.comm_seconds,
+            "total_seconds": self.total_seconds,
+        }
+
+
+@dataclass
+class RunCost:
+    """Aggregate cost of a vertex-program run."""
+
+    supersteps: list[SuperstepCost] = field(default_factory=list)
+
+    def add(self, cost: SuperstepCost) -> None:
+        self.supersteps.append(cost)
+
+    @property
+    def num_supersteps(self) -> int:
+        return len(self.supersteps)
+
+    @property
+    def total_messages(self) -> int:
+        return sum(s.messages for s in self.supersteps)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(s.bytes for s in self.supersteps)
+
+    @property
+    def compute_seconds(self) -> float:
+        return sum(s.compute_seconds for s in self.supersteps)
+
+    @property
+    def comm_seconds(self) -> float:
+        return sum(s.comm_seconds for s in self.supersteps)
+
+    @property
+    def total_seconds(self) -> float:
+        return self.compute_seconds + self.comm_seconds
+
+    def to_dict(self, per_superstep: bool = False) -> dict:
+        """JSON-ready aggregate (for the ``run_all.py --json`` payload)."""
+        out = {
+            "supersteps": self.num_supersteps,
+            "messages": self.total_messages,
+            "bytes": self.total_bytes,
+            "compute_seconds": self.compute_seconds,
+            "comm_seconds": self.comm_seconds,
+            "total_seconds": self.total_seconds,
+        }
+        if per_superstep:
+            out["per_superstep"] = [s.to_dict() for s in self.supersteps]
+        return out
+
+    def summary(self) -> str:
+        """One-line human-readable digest of the run."""
+        return (
+            f"supersteps={self.num_supersteps} messages={self.total_messages} "
+            f"volume={self.total_bytes / 1e6:.2f}MB "
+            f"compute={self.compute_seconds:.4f}s comm={self.comm_seconds:.4f}s "
+            f"total={self.total_seconds:.4f}s"
+        )
 
 
 def group_label_counts(
@@ -276,7 +364,7 @@ class BlockRange:
         self.masters = index.master_slots if whole else np.flatnonzero(part.is_master)
         self.master_vertices = part.vertices[self.masters]
         # deterministic replicated init: every host evaluates init for its
-        # own replicas, so the initial load crosses no wires (the oracle's)
+        # own replicas, so the initial load crosses no wires
         self.values = values_global[part.vertices]
         self.active = self.partial = self.sent = None
 
@@ -374,10 +462,11 @@ class LocalGasRuntime:
     """Partition-local GAS runtime bound to one vertex-cut deployment:
     the superstep loop, hosting its one block range in-process.
 
-    Drop-in alternative to :class:`~repro.system.engine.GasEngine` with
-    the same cost-model knobs; ``SuperstepCost.messages``/``bytes`` are
-    measured from the exchanged rows instead of modeled.  Another
-    host overrides the ``_start`` … ``_finish`` hooks, never :meth:`run`.
+    ``SuperstepCost.messages``/``bytes`` are measured from the exchanged
+    rows; compute seconds are modeled from the active edges and masters
+    at ``edges_per_second`` / ``vertices_per_second`` per partition.
+    Another host overrides the ``_start`` … ``_finish`` hooks, never
+    :meth:`run`.
     """
 
     mode = "local"
@@ -389,8 +478,12 @@ class LocalGasRuntime:
         edges_per_second: float = 5e6,
         vertices_per_second: float = 2e7,
     ) -> None:
-        if edges_per_second <= 0 or vertices_per_second <= 0:
-            raise ValueError("throughput parameters must be positive")
+        for name, value in (
+            ("edges_per_second", edges_per_second),
+            ("vertices_per_second", vertices_per_second),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.assignment = assignment
         self.stream = assignment.stream
         self.network = network or NetworkModel()

@@ -15,7 +15,7 @@ from repro.core.distributed import distributed_clugp
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
 from repro.partitioners.registry import make_partitioner
-from repro.system.engine import GasEngine
+from repro.system.runtime import LocalGasRuntime
 from repro.system.apps.pagerank import pagerank
 
 ALGORITHMS = [
@@ -111,7 +111,7 @@ def test_engine_on_single_vertex_loop():
     from repro.partitioners.base import PartitionAssignment
 
     a = PartitionAssignment(stream, [0, 0], num_partitions=1)
-    ranks, cost = pagerank(GasEngine(a), max_supersteps=10)
+    ranks, cost = pagerank(LocalGasRuntime(a), max_supersteps=10)
     assert ranks[0] == pytest.approx(1.0)
     assert cost.total_messages == 0  # one replica -> nothing to sync
 

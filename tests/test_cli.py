@@ -151,12 +151,12 @@ class TestCommands:
         assert "mode=local" in out
         assert "simulated" in out
 
-    def test_pagerank_global_mode(self, capsys):
-        rc = main(
-            ["pagerank", "--scale", "0.02", "-k", "4", "--supersteps", "3", "--mode", "global"]
-        )
-        assert rc == 0
-        assert "mode=global" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["pagerank", "run-app pagerank"])
+    def test_mode_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--scale", "0.02", "--mode", "global"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "app", ["pagerank", "sssp", "connected_components", "label_propagation"]

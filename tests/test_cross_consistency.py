@@ -11,8 +11,8 @@ from repro.analysis.partition_stats import communication_matrix
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
 from repro.partitioners.base import PartitionAssignment
-from repro.system.engine import GasEngine
 from repro.system.network import NetworkModel
+from repro.system.runtime import LocalGasRuntime
 from repro.system.placement import build_placement
 from repro.system.apps.pagerank import pagerank
 
@@ -62,7 +62,7 @@ def test_engine_message_accounting(edges, k, seed):
     # in the first superstep every active vertex syncs: messages must be
     # exactly 2 * total mirrors
     a = random_assignment(edges, k, seed)
-    engine = GasEngine(a, network=NetworkModel(rtt_seconds=0.0))
+    engine = LocalGasRuntime(a, network=NetworkModel(rtt_seconds=0.0))
     _, cost = pagerank(engine, max_supersteps=1)
     placement = build_placement(a)
     assert cost.supersteps[0].messages == 2 * placement.total_mirrors

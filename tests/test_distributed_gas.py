@@ -22,10 +22,10 @@ from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
 from repro.system import LocalGasRuntime
 from repro.system.apps import (
-    LocalConnectedComponentsProgram,
-    LocalLabelPropagationProgram,
-    LocalPageRankProgram,
-    LocalSsspProgram,
+    ConnectedComponentsProgram,
+    LabelPropagationProgram,
+    PageRankProgram,
+    SsspProgram,
     label_propagation,
     pagerank,
 )
@@ -38,9 +38,9 @@ def _hub(stream: EdgeStream) -> int:
 
 #: name -> (program factory over the stream, max_supersteps)
 PROGRAMS = {
-    "pagerank": (lambda stream: LocalPageRankProgram(), 40),
-    "sssp": (lambda stream: LocalSsspProgram(_hub(stream)), 100),
-    "cc": (lambda stream: LocalConnectedComponentsProgram(), 100),
+    "pagerank": (lambda stream: PageRankProgram(), 40),
+    "sssp": (lambda stream: SsspProgram(_hub(stream)), 100),
+    "cc": (lambda stream: ConnectedComponentsProgram(), 100),
 }
 
 
@@ -80,27 +80,27 @@ def _assert_parity(local_pair, dist_pair):
 class TestOracleParity:
     def test_pagerank_bit_identical(self, gas_assignment, pool):
         local = LocalGasRuntime(gas_assignment).run(
-            LocalPageRankProgram(), max_supersteps=40
+            PageRankProgram(), max_supersteps=40
         )
         dist = DistributedGasRuntime(gas_assignment, pool).run(
-            LocalPageRankProgram(), max_supersteps=40
+            PageRankProgram(), max_supersteps=40
         )
         _assert_parity(local, dist)
 
     def test_sssp_bit_identical(self, gas_assignment, gas_stream, pool):
         source = int(np.bincount(gas_stream.src).argmax())
-        local = LocalGasRuntime(gas_assignment).run(LocalSsspProgram(source))
+        local = LocalGasRuntime(gas_assignment).run(SsspProgram(source))
         dist = DistributedGasRuntime(gas_assignment, pool).run(
-            LocalSsspProgram(source)
+            SsspProgram(source)
         )
         _assert_parity(local, dist)
 
     def test_connected_components_bit_identical(self, gas_assignment, pool):
         local = LocalGasRuntime(gas_assignment).run(
-            LocalConnectedComponentsProgram()
+            ConnectedComponentsProgram()
         )
         dist = DistributedGasRuntime(gas_assignment, pool).run(
-            LocalConnectedComponentsProgram()
+            ConnectedComponentsProgram()
         )
         _assert_parity(local, dist)
 
@@ -136,13 +136,13 @@ class TestOracleParity:
 class TestRuntimeBehaviour:
     def test_measured_wire_bytes_positive(self, gas_assignment, pool):
         runtime = DistributedGasRuntime(gas_assignment, pool)
-        runtime.run(LocalPageRankProgram(), max_supersteps=5)
+        runtime.run(PageRankProgram(), max_supersteps=5)
         assert runtime.wire_bytes > 0
         assert runtime.setup_seconds > 0.0
 
     def test_costs_are_measured_not_modeled(self, gas_assignment, pool):
         _, cost = DistributedGasRuntime(gas_assignment, pool).run(
-            LocalPageRankProgram(), max_supersteps=5
+            PageRankProgram(), max_supersteps=5
         )
         for superstep in cost.supersteps:
             assert superstep.compute_seconds > 0.0
@@ -151,7 +151,7 @@ class TestRuntimeBehaviour:
     def test_ragged_program_rejected(self, gas_assignment, pool):
         with pytest.raises(ValueError, match="dense accumulators"):
             DistributedGasRuntime(gas_assignment, pool).run(
-                LocalLabelPropagationProgram()
+                LabelPropagationProgram()
             )
 
     def test_partition_ownership_covers_all(self, gas_assignment, pool):
@@ -172,10 +172,10 @@ class TestRuntimeBehaviour:
                 runtime=runtime,
             )
             local = LocalGasRuntime(result.assignment).run(
-                LocalPageRankProgram(), max_supersteps=40
+                PageRankProgram(), max_supersteps=40
             )
             dist = DistributedGasRuntime(result.assignment, runtime).run(
-                LocalPageRankProgram(), max_supersteps=40
+                PageRankProgram(), max_supersteps=40
             )
             _assert_parity(local, dist)
         assert set(leaked_segments()) == before

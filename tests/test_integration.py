@@ -16,7 +16,7 @@ from repro.graph.generators import (
     planted_partition_graph,
     star_graph,
 )
-from repro.system import GasEngine, pagerank
+from repro.system import LocalGasRuntime, pagerank
 
 ALL_ALGORITHMS = [
     "hashing",
@@ -109,7 +109,7 @@ class TestEndToEndSystem:
             if partitioner.preferred_order != "natural":
                 s = stream.reordered(partitioner.preferred_order, seed=0)
             assignment = partitioner.partition(s)
-            values, cost = pagerank(GasEngine(assignment), max_supersteps=20)
+            values, cost = pagerank(LocalGasRuntime(assignment), max_supersteps=20)
             ranks[name] = values
             assert cost.total_messages > 0
         # algorithm values are partitioning-invariant
@@ -125,6 +125,6 @@ class TestEndToEndSystem:
             if partitioner.preferred_order != "natural":
                 s = stream.reordered(partitioner.preferred_order, seed=0)
             assignment = partitioner.partition(s)
-            _, cost = pagerank(GasEngine(assignment), max_supersteps=10)
+            _, cost = pagerank(LocalGasRuntime(assignment), max_supersteps=10)
             volumes[name] = cost.total_bytes
         assert volumes["clugp"] < volumes["hashing"]

@@ -155,13 +155,12 @@ def test_any_integer_input_equals_the_int64_run(entry, backend):
 def test_index_refuses_an_out_of_range_row(backend, column, value):
     """``build_local_index`` is a seam too: an assignment's arrays can be
     written after its constructor checked them.  The bad edge is named on
-    every tier and nothing — not even the grouped-edge cache — is built."""
+    every tier."""
     stream = EdgeStream([0, 1, 2, 3], [1, 2, 3, 4], num_vertices=5)
     assignment = PartitionAssignment(stream, [0, 1, 2, 0], num_partitions=3)
     {"part": assignment.edge_partition, "src": stream.src, "dst": stream.dst}[column][2] = value
     with kernel_backend(backend), pytest.raises(IndexError, match="edge 2: partition"):
         build_local_index(assignment)
-    assert assignment._grouped_edges is None
 
 
 def _slot_index_args(n: int, k: int, m: int) -> list:

@@ -1,11 +1,12 @@
 """Tests for the partition-local GAS runtime: local index spaces, typed
-message buffers, and the local-vs-global parity contract.
+message buffers, and the runtime-vs-reference parity contract.
 
-The acceptance matrix pins the runtime to the retained global oracle:
-min/label programs bit-identical, PageRank allclose (atol 1e-12) with
-identical superstep counts, for k in {2, 4, 8} across hashing / hdrf /
-clugp — and on every run the *measured* sync messages must equal the
-modeled ``2 * sum(|P(v)| - 1)`` replication formula over the sync set.
+The acceptance matrix pins the runtime to the global-array numpy
+reference (``gas_reference``): min/label programs bit-identical, PageRank
+allclose (atol 1e-12) with identical superstep counts, for k in
+{2, 4, 8} across hashing / hdrf / clugp — and on every run the *measured*
+sync messages must equal the ``2 * sum(|P(v)| - 1)`` replication formula
+over the sync set.
 
 The flat replica-slot index is pinned four ways: against a naive
 per-partition ``np.unique``/``searchsorted`` builder kept here as the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 
+import gas_reference as ref
 import numpy as np
 import pytest
 from conftest import BACKENDS, kernel_backend
@@ -32,8 +34,8 @@ from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
 from repro.partitioners.base import PartitionAssignment
 from repro.system import (
-    GasEngine,
     LocalGasRuntime,
+    apps,
     build_local_index,
     build_placement,
     make_engine,
@@ -360,8 +362,6 @@ class TestLocalIndex:
             runtime = LocalGasRuntime(assignment)
         assert calls == []
         assert runtime.placement is runtime.index.placement
-        # the kernel's grouped edges are the assignment's cached layout
-        assert runtime.index.edge_ids is assignment.grouped_edges()[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -494,20 +494,20 @@ class TestAdversarialLayouts:
     def test_all_apps_match_oracle(self, layout):
         assignment = ADVERSARIAL[layout]()
         runs = {
-            "pagerank": lambda e: pagerank(e, max_supersteps=60),
-            "sssp": lambda e: sssp(e, source=0),
-            "cc": connected_components,
-            "lp": lambda e: label_propagation(e, max_iters=5),
+            "pagerank": lambda app, e: app.pagerank(e, max_supersteps=60),
+            "sssp": lambda app, e: app.sssp(e, source=0),
+            "cc": lambda app, e: app.connected_components(e),
+            "lp": lambda app, e: app.label_propagation(e, max_iters=5),
         }
         for app, run in runs.items():
             runtime = LocalGasRuntime(assignment)
-            local_values, local_cost = run(runtime)
-            oracle_values, oracle_cost = run(GasEngine(assignment))
+            local_values, local_cost = run(apps, runtime)
+            oracle_values, oracle_steps = run(ref, assignment.stream)
             if app == "pagerank":
                 assert np.allclose(local_values, oracle_values, atol=1e-12, rtol=0.0)
             else:
                 assert np.array_equal(local_values, oracle_values), app
-            assert local_cost.num_supersteps == oracle_cost.num_supersteps, app
+            assert local_cost.num_supersteps == oracle_steps, app
             assert_message_parity(runtime, local_cost)
             assert_cost_matches_naive(runtime, local_cost)
 
@@ -555,15 +555,6 @@ class TestSegmentSums:
         assert edges.tolist() == [0, 3, 0, 3, 0]
         assert masters.tolist()[::2] == [0, 0, 0] and masters.sum() == 6
 
-    def test_oracle_engine_counts_on_interleaved_empty_partitions(self):
-        assignment = interleaved_empty_assignment()
-        engine = GasEngine(assignment)
-        changed = np.array([1, 0, 0, 0, 0, 1, 0], dtype=bool)
-        step = engine._superstep_cost(0, changed)
-        # active: (0,1) and (0,4) in partition 1, (4,5) in partition 3
-        assert step.active_edges == 3
-        assert step.compute_seconds == 2 / engine.edges_per_second + 1 / engine.vertices_per_second
-
 
 class TestRaggedTake:
     def test_interleaved_empty_slices(self):
@@ -582,7 +573,7 @@ class TestRaggedTake:
 
 
 # ---------------------------------------------------------------------- #
-# local-vs-global parity (the acceptance matrix)
+# runtime-vs-reference parity (the acceptance matrix)
 # ---------------------------------------------------------------------- #
 
 
@@ -593,13 +584,9 @@ class TestParityMatrix:
         assignment = assignments[(name, k)]
         runtime = LocalGasRuntime(assignment)
         local_values, local_cost = pagerank(runtime, max_supersteps=40)
-        oracle_values, oracle_cost = pagerank(GasEngine(assignment), max_supersteps=40)
-        assert local_cost.num_supersteps == oracle_cost.num_supersteps
+        oracle_values, oracle_steps = ref.pagerank(assignment.stream, max_supersteps=40)
+        assert local_cost.num_supersteps == oracle_steps
         assert np.allclose(local_values, oracle_values, atol=1e-12, rtol=0.0)
-        # dense activation: measured messages == oracle-modeled, per superstep
-        assert [s.messages for s in local_cost.supersteps] == [
-            s.messages for s in oracle_cost.supersteps
-        ]
         assert_message_parity(runtime, local_cost)
 
     def test_sssp(self, assignments, parity_stream, name, k):
@@ -611,40 +598,38 @@ class TestParityMatrix:
         )
         runtime = LocalGasRuntime(assignment)
         local_values, local_cost = sssp(runtime, source=source)
-        oracle_values, oracle_cost = sssp(GasEngine(assignment), source=source)
+        oracle_values, oracle_steps = ref.sssp(assignment.stream, source=source)
         assert np.array_equal(local_values, oracle_values)
-        assert local_cost.num_supersteps == oracle_cost.num_supersteps
+        assert local_cost.num_supersteps == oracle_steps
         assert_message_parity(runtime, local_cost)
 
     def test_connected_components(self, assignments, parity_stream, name, k):
         assignment = assignments[(name, k)]
         runtime = LocalGasRuntime(assignment)
         local_values, local_cost = connected_components(runtime)
-        oracle_values, oracle_cost = connected_components(GasEngine(assignment))
+        oracle_values, oracle_steps = ref.connected_components(assignment.stream)
         assert np.array_equal(local_values, oracle_values)
-        assert local_cost.num_supersteps == oracle_cost.num_supersteps
+        assert local_cost.num_supersteps == oracle_steps
         assert_message_parity(runtime, local_cost)
 
     def test_label_propagation(self, assignments, parity_stream, name, k):
         assignment = assignments[(name, k)]
         runtime = LocalGasRuntime(assignment)
         local_values, local_cost = label_propagation(runtime, max_iters=8)
-        oracle_values, oracle_cost = label_propagation(
-            GasEngine(assignment), max_iters=8
-        )
+        oracle_values, oracle_steps = ref.label_propagation(assignment.stream, max_iters=8)
         assert np.array_equal(local_values, oracle_values)
-        assert local_cost.num_supersteps == oracle_cost.num_supersteps
+        assert local_cost.num_supersteps == oracle_steps
         assert_message_parity(runtime, local_cost)
 
 
 @settings(deadline=None, max_examples=40)
 @given(edge_streams)
 def test_connected_components_parity_random(data):
-    """Random streams/cuts: HashMin bit-identical local vs global."""
+    """Random streams/cuts: HashMin bit-identical to the reference."""
     assignment = build_random_assignment(data)
     runtime = LocalGasRuntime(assignment)
     local_values, local_cost = connected_components(runtime)
-    oracle_values, _ = connected_components(GasEngine(assignment))
+    oracle_values, _ = ref.connected_components(assignment.stream)
     assert np.array_equal(local_values, oracle_values)
     assert_message_parity(runtime, local_cost)
 
@@ -731,7 +716,7 @@ def test_golden_digest(golden_assignments, parity_stream, app, name, k):
 
 
 # ---------------------------------------------------------------------- #
-# measured-vs-modeled golden test
+# hand-checked message golden
 # ---------------------------------------------------------------------- #
 
 
@@ -754,15 +739,6 @@ class TestMessageParityGolden:
         # the buffers carried 16 bytes/message (8B vertex id + 8B value)
         assert [s.bytes for s in cost.supersteps] == [64, 64, 0]
 
-    def test_frontier_sync_differs_from_oracle_changed_model(self):
-        """The oracle charges changed vertices; the runtime syncs the
-        scatter-activated frontier.  On the golden graph they diverge
-        after the first superstep — both satisfy the formula on their
-        own activation sets."""
-        assignment = tiny_assignment()
-        _, oracle_cost = connected_components(GasEngine(assignment))
-        assert [s.messages for s in oracle_cost.supersteps] == [4, 2, 2]
-
 
 # ---------------------------------------------------------------------- #
 # runtime behaviour
@@ -773,7 +749,8 @@ class TestLocalRuntime:
     def test_make_engine_modes(self):
         assignment = tiny_assignment()
         assert isinstance(make_engine(assignment, mode="local"), LocalGasRuntime)
-        assert isinstance(make_engine(assignment, mode="global"), GasEngine)
+        with pytest.raises(ValueError, match="global-array engine was removed"):
+            make_engine(assignment, mode="global")
         with pytest.raises(ValueError, match="mode"):
             make_engine(assignment, mode="async")
 
@@ -801,24 +778,22 @@ class TestLocalRuntime:
         assert labels.tolist() == [0, 1, 2, 3, 4]
         assert cost.total_messages == 0
 
-    @pytest.mark.parametrize("mode", ["local", "global"])
-    def test_pagerank_on_the_empty_graph(self, mode):
+    def test_pagerank_on_the_empty_graph(self):
         """Zero vertices is a legal stream: the other apps return ``[]``
         after one superstep on it; PageRank divided by ``n`` instead."""
         stream = EdgeStream([], [], num_vertices=0)
         assignment = PartitionAssignment(stream, [], num_partitions=2)
-        values, cost = pagerank(make_engine(assignment, mode=mode))
-        labels, label_cost = connected_components(make_engine(assignment, mode=mode))
+        values, cost = pagerank(LocalGasRuntime(assignment))
+        labels, label_cost = connected_components(LocalGasRuntime(assignment))
         assert values.shape == (0,) and values.dtype == np.float64
         assert labels.shape == (0,)
         assert cost.to_dict() == label_cost.to_dict()
         assert cost.num_supersteps == 1 and cost.total_messages == 0
 
-    @pytest.mark.parametrize("mode", ["local", "global"])
-    def test_pagerank_without_edges_is_uniform(self, mode):
+    def test_pagerank_without_edges_is_uniform(self):
         stream = EdgeStream([], [], num_vertices=5)
         assignment = PartitionAssignment(stream, [], num_partitions=2)
-        values, cost = pagerank(make_engine(assignment, mode=mode))
+        values, cost = pagerank(LocalGasRuntime(assignment))
         assert np.allclose(values, 0.2, atol=1e-15, rtol=0.0)
         assert cost.num_supersteps == 1 and cost.total_messages == 0
 
@@ -827,7 +802,7 @@ class TestLocalRuntime:
         stream = EdgeStream([0, 1], [1, 0], num_vertices=4)
         assignment = PartitionAssignment(stream, [0, 1], num_partitions=2)
         local_values, _ = pagerank(LocalGasRuntime(assignment), max_supersteps=60)
-        oracle_values, _ = pagerank(GasEngine(assignment), max_supersteps=60)
+        oracle_values, _ = ref.pagerank(stream, max_supersteps=60)
         assert np.allclose(local_values, oracle_values, atol=1e-12, rtol=0.0)
         assert local_values.sum() == pytest.approx(1.0)
 
@@ -835,7 +810,7 @@ class TestLocalRuntime:
         stream = EdgeStream([0, 0, 1], [0, 1, 2], num_vertices=3)
         assignment = PartitionAssignment(stream, [0, 1, 1], num_partitions=2)
         local_values, _ = label_propagation(LocalGasRuntime(assignment), max_iters=4)
-        oracle_values, _ = label_propagation(GasEngine(assignment), max_iters=4)
+        oracle_values, _ = ref.label_propagation(stream, max_iters=4)
         assert np.array_equal(local_values, oracle_values)
 
     def test_weighted_sssp_slices_weights_per_partition(self):
@@ -843,16 +818,34 @@ class TestLocalRuntime:
         assignment = PartitionAssignment(stream, [0, 1, 0], num_partitions=2)
         weights = [5.0, 1.0, 1.0]
         local_values, _ = sssp(LocalGasRuntime(assignment), source=0, weights=weights)
-        oracle_values, _ = sssp(GasEngine(assignment), source=0, weights=weights)
+        oracle_values, _ = ref.sssp(stream, source=0, weights=weights)
         assert np.array_equal(local_values, oracle_values)
         assert local_values.tolist() == [0.0, 5.0, 1.0]
 
-    def test_sssp_validation_matches_oracle(self):
+    def test_sssp_validation(self):
         runtime = LocalGasRuntime(tiny_assignment())
         with pytest.raises(ValueError, match="source"):
             sssp(runtime, source=99)
         with pytest.raises(ValueError, match="non-negative"):
             sssp(runtime, source=0, weights=[-1.0, 1.0, 1.0, 1.0])
+
+    def test_sssp_refuses_nan_weights(self):
+        """A NaN weight used to poison every distance relaxed through it:
+        ``[0, nan, nan, nan]`` where vertex 3 is at distance 1 (0 -> 3)."""
+        runtime = LocalGasRuntime(tiny_assignment())
+        with pytest.raises(ValueError, match="NaN"):
+            sssp(runtime, source=0, weights=[np.nan, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "source", [1.7, 1.0, True, np.True_, "1"],
+        ids=["float", "integral_float", "bool", "numpy_bool", "str"],
+    )
+    def test_sssp_refuses_a_non_integral_source(self, source):
+        """``int()`` used to truncate: 1.7 and True both ran from vertex 1."""
+        runtime = LocalGasRuntime(tiny_assignment())
+        with pytest.raises(TypeError, match="source"):
+            sssp(runtime, source=source)
+        assert sssp(runtime, source=np.int64(1))[0].tolist() == [np.inf, 0.0, 1.0, 2.0]
 
     def test_values_local_released_after_run(self):
         """The per-slot values live in the run's block range, which the

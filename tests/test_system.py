@@ -1,4 +1,4 @@
-"""Tests for the GAS simulator: placement, network, engine, apps."""
+"""Tests for the GAS system layer: placement, network, runtime, apps."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.graph.stream import EdgeStream
 from repro.partitioners import HashingPartitioner
 from repro.partitioners.base import PartitionAssignment
 from repro.core.partitioner import ClugpPartitioner
-from repro.system.engine import GasEngine
+from repro.system.runtime import LocalGasRuntime
 from repro.system.network import NetworkModel
 from repro.system.placement import build_placement
 from repro.system.apps import (
@@ -58,26 +58,21 @@ class TestNetworkModel:
         net = NetworkModel(
             bandwidth_bytes_per_s=1e6,
             rtt_seconds=0.01,
-            bytes_per_message=100,
             seconds_per_message=0.0,
             rounds_per_superstep=2,
         )
-        # 1000 messages * 100B / 1e6 B/s = 0.1s + 2*0.01 RTT
-        assert net.superstep_comm_seconds(1000) == pytest.approx(0.12)
-
-    def test_message_volume(self):
-        net = NetworkModel(bytes_per_message=16)
-        assert net.message_volume_bytes(10) == 160
+        # 100 kB / 1e6 B/s = 0.1s + 2*0.01 RTT
+        assert net.comm_seconds(1000, 100_000) == pytest.approx(0.12)
 
     def test_with_rtt(self):
         net = NetworkModel().with_rtt(0.5)
         assert net.rtt_seconds == 0.5
 
     def test_with_rtt_preserves_other_fields(self):
-        base = NetworkModel(bandwidth_bytes_per_s=7e8, bytes_per_message=32)
+        base = NetworkModel(bandwidth_bytes_per_s=7e8, seconds_per_message=3e-6)
         net = base.with_rtt(0.5)
         assert net.bandwidth_bytes_per_s == 7e8
-        assert net.bytes_per_message == 32
+        assert net.seconds_per_message == 3e-6
 
     def test_with_bandwidth(self):
         base = NetworkModel().with_rtt(0.05)
@@ -90,14 +85,7 @@ class TestNetworkModel:
     def test_lower_bandwidth_costs_more(self):
         fast = NetworkModel().with_bandwidth(1.25e9)
         slow = NetworkModel().with_bandwidth(1e6)
-        assert slow.superstep_comm_seconds(10_000) > fast.superstep_comm_seconds(10_000)
-
-    def test_measured_comm_seconds_matches_modeled_at_default_size(self):
-        net = NetworkModel()
-        messages = 1000
-        assert net.comm_seconds(
-            messages, messages * net.bytes_per_message
-        ) == pytest.approx(net.superstep_comm_seconds(messages))
+        assert slow.comm_seconds(10_000, 160_000) > fast.comm_seconds(10_000, 160_000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,38 +96,61 @@ class TestNetworkModel:
     def test_higher_rtt_costs_more(self):
         low = NetworkModel().with_rtt(0.01)
         high = NetworkModel().with_rtt(0.1)
-        assert high.superstep_comm_seconds(10) > low.superstep_comm_seconds(10)
+        assert high.comm_seconds(10, 160) > low.comm_seconds(10, 160)
 
 
 class TestEngine:
     def test_run_reports_costs(self, crawl_stream):
         a = HashingPartitioner(4).partition(crawl_stream)
-        engine = GasEngine(a)
+        engine = LocalGasRuntime(a)
         _, cost = pagerank(engine, max_supersteps=5)
         assert cost.num_supersteps == 5
         assert cost.total_messages > 0
         assert cost.total_seconds > 0
-        assert cost.total_bytes == cost.total_messages * engine.network.bytes_per_message
+        # PageRank's dense float64 accumulator: an 8-byte vertex header
+        # plus an 8-byte value per message, both directions
+        assert cost.total_bytes == 16 * cost.total_messages
 
     def test_more_mirrors_more_messages(self, crawl_stream):
         bad = HashingPartitioner(8).partition(crawl_stream)
         good = ClugpPartitioner(8).partition(crawl_stream)
         net = NetworkModel()
-        _, cost_bad = pagerank(GasEngine(bad, network=net), max_supersteps=5)
-        _, cost_good = pagerank(GasEngine(good, network=net), max_supersteps=5)
+        _, cost_bad = pagerank(LocalGasRuntime(bad, network=net), max_supersteps=5)
+        _, cost_good = pagerank(LocalGasRuntime(good, network=net), max_supersteps=5)
         assert cost_good.total_messages < cost_bad.total_messages
 
     def test_rejects_bad_throughput(self):
         with pytest.raises(ValueError):
-            GasEngine(tiny_assignment(), edges_per_second=0)
+            LocalGasRuntime(tiny_assignment(), edges_per_second=0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pagerank(LocalGasRuntime(tiny_assignment()), tol=float("nan")),
+            lambda: LocalGasRuntime(tiny_assignment(), edges_per_second=float("nan")),
+            lambda: LocalGasRuntime(tiny_assignment(), vertices_per_second=float("nan")),
+            lambda: NetworkModel(bandwidth_bytes_per_s=float("nan")),
+            lambda: NetworkModel(rtt_seconds=float("nan")),
+            lambda: NetworkModel(seconds_per_message=float("nan")),
+        ],
+        ids=[
+            "tol", "edges_per_second", "vertices_per_second",
+            "bandwidth_bytes_per_s", "rtt_seconds", "seconds_per_message",
+        ],
+    )
+    def test_rejects_nan_knobs(self, build, request):
+        """NaN passes every ``x <= 0`` test: PageRank then never converged
+        and each superstep was priced at NaN seconds."""
+        with pytest.raises(ValueError, match=request.node.callspec.id):
+            build()
 
     def test_rejects_bad_max_supersteps(self):
-        engine = GasEngine(tiny_assignment())
+        engine = LocalGasRuntime(tiny_assignment())
         with pytest.raises(ValueError):
             engine.run(PageRankProgram(), max_supersteps=0)
 
     def test_run_cost_to_dict(self):
-        _, cost = pagerank(GasEngine(tiny_assignment()), max_supersteps=3)
+        _, cost = pagerank(LocalGasRuntime(tiny_assignment()), max_supersteps=3)
         payload = cost.to_dict()
         assert payload["supersteps"] == cost.num_supersteps
         assert payload["messages"] == cost.total_messages
@@ -153,7 +164,7 @@ class TestEngine:
         )
 
     def test_run_cost_summary(self):
-        _, cost = pagerank(GasEngine(tiny_assignment()), max_supersteps=3)
+        _, cost = pagerank(LocalGasRuntime(tiny_assignment()), max_supersteps=3)
         text = cost.summary()
         assert f"supersteps={cost.num_supersteps}" in text
         assert f"messages={cost.total_messages}" in text
@@ -163,7 +174,7 @@ class TestPageRank:
     def test_matches_networkx(self, crawl_graph):
         stream = EdgeStream.from_graph(crawl_graph)
         a = HashingPartitioner(4).partition(stream)
-        ranks, _ = pagerank(GasEngine(a), tol=1e-12, max_supersteps=200)
+        ranks, _ = pagerank(LocalGasRuntime(a), tol=1e-12, max_supersteps=200)
         G = networkx.MultiDiGraph()
         G.add_nodes_from(range(crawl_graph.num_vertices))
         G.add_edges_from(zip(crawl_graph.src.tolist(), crawl_graph.dst.tolist()))
@@ -172,15 +183,15 @@ class TestPageRank:
         assert np.abs(ranks - vec).max() < 1e-8
 
     def test_ranks_sum_to_one(self):
-        engine = GasEngine(tiny_assignment())
+        engine = LocalGasRuntime(tiny_assignment())
         ranks, _ = pagerank(engine, max_supersteps=100)
         assert ranks.sum() == pytest.approx(1.0)
 
     def test_partitioning_does_not_change_values(self, crawl_stream):
         a1 = HashingPartitioner(2).partition(crawl_stream)
         a2 = ClugpPartitioner(8).partition(crawl_stream)
-        r1, _ = pagerank(GasEngine(a1), max_supersteps=30)
-        r2, _ = pagerank(GasEngine(a2), max_supersteps=30)
+        r1, _ = pagerank(LocalGasRuntime(a1), max_supersteps=30)
+        r2, _ = pagerank(LocalGasRuntime(a2), max_supersteps=30)
         assert np.allclose(r1, r2)
 
     def test_validation(self):
@@ -194,13 +205,13 @@ class TestConnectedComponents:
     def test_matches_union_find(self, crawl_graph):
         stream = EdgeStream.from_graph(crawl_graph)
         a = HashingPartitioner(4).partition(stream)
-        labels, _ = connected_components(GasEngine(a))
+        labels, _ = connected_components(LocalGasRuntime(a))
         assert np.array_equal(labels, crawl_graph.weakly_connected_components())
 
     def test_two_components(self):
         stream = EdgeStream([0, 2], [1, 3], num_vertices=4)
         a = PartitionAssignment(stream, [0, 1], num_partitions=2)
-        labels, cost = connected_components(GasEngine(a))
+        labels, cost = connected_components(LocalGasRuntime(a))
         assert labels.tolist() == [0, 0, 2, 2]
         assert cost.num_supersteps >= 1
 
@@ -209,19 +220,19 @@ class TestSssp:
     def test_path_distances(self):
         stream = EdgeStream([0, 1, 2], [1, 2, 3], num_vertices=4)
         a = PartitionAssignment(stream, [0, 0, 1], num_partitions=2)
-        dist, _ = sssp(GasEngine(a), source=0)
+        dist, _ = sssp(LocalGasRuntime(a), source=0)
         assert dist.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_unreachable_is_inf(self):
         stream = EdgeStream([0], [1], num_vertices=3)
         a = PartitionAssignment(stream, [0], num_partitions=1)
-        dist, _ = sssp(GasEngine(a), source=0)
+        dist, _ = sssp(LocalGasRuntime(a), source=0)
         assert np.isinf(dist[2])
 
     def test_weighted(self):
         stream = EdgeStream([0, 0, 1], [1, 2, 2], num_vertices=3)
         a = PartitionAssignment(stream, [0, 0, 0], num_partitions=1)
-        dist, _ = sssp(GasEngine(a), source=0, weights=[5.0, 1.0, 1.0])
+        dist, _ = sssp(LocalGasRuntime(a), source=0, weights=[5.0, 1.0, 1.0])
         assert dist[2] == 1.0
         assert dist[1] == 5.0
 
@@ -229,7 +240,7 @@ class TestSssp:
         stream = EdgeStream.from_graph(crawl_graph)
         a = HashingPartitioner(4).partition(stream)
         source = int(np.argmax(crawl_graph.out_degrees()))
-        dist, _ = sssp(GasEngine(a), source=source)
+        dist, _ = sssp(LocalGasRuntime(a), source=source)
         G = networkx.DiGraph()
         G.add_nodes_from(range(crawl_graph.num_vertices))
         G.add_edges_from(zip(crawl_graph.src.tolist(), crawl_graph.dst.tolist()))
@@ -242,7 +253,7 @@ class TestSssp:
             SsspProgram(0, weights=[-1.0])
 
     def test_rejects_bad_source(self):
-        engine = GasEngine(tiny_assignment())
+        engine = LocalGasRuntime(tiny_assignment())
         with pytest.raises(ValueError, match="source"):
             engine.run(SsspProgram(99))
 
@@ -251,19 +262,19 @@ class TestLabelPropagation:
     def test_communities_converge_on_planted(self, community_graph):
         stream = EdgeStream.from_graph(community_graph)
         a = HashingPartitioner(4).partition(stream)
-        labels, _ = label_propagation(GasEngine(a), max_iters=8)
+        labels, _ = label_propagation(LocalGasRuntime(a), max_iters=8)
         # vertices in one planted block should mostly share a label
         block = labels[:40]
         dominant = np.bincount(block).max()
         assert dominant > 20
 
     def test_deterministic(self):
-        engine = GasEngine(tiny_assignment())
+        engine = LocalGasRuntime(tiny_assignment())
         a, _ = label_propagation(engine, max_iters=3)
         b, _ = label_propagation(engine, max_iters=3)
         assert np.array_equal(a, b)
 
     def test_bounded_iterations(self):
-        engine = GasEngine(tiny_assignment())
+        engine = LocalGasRuntime(tiny_assignment())
         _, cost = label_propagation(engine, max_iters=2)
         assert cost.num_supersteps <= 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 
+import gas_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,15 +24,13 @@ from repro.graph.stream import EdgeStream
 from repro.partitioners.base import PartitionAssignment
 from repro.system import (
     DensePayload,
-    GasEngine,
     LocalGasRuntime,
-    connected_components,
     pagerank,
 )
 from repro.system.apps import (
-    LocalConnectedComponentsProgram,
-    LocalPageRankProgram,
-    LocalSsspProgram,
+    ConnectedComponentsProgram,
+    PageRankProgram,
+    SsspProgram,
 )
 from repro.system.runtime import DenseAccumulator, LocalContext, take_put
 
@@ -189,7 +188,7 @@ def test_dense_superstep_is_three_walks(backend, spied):
     with kernel_backend(backend):
         _, calls = spied(backend)
         values, cost = pagerank(LocalGasRuntime(assignment), max_supersteps=7)
-        oracle, _ = pagerank(GasEngine(assignment), max_supersteps=7)
+    oracle, _ = ref.pagerank(stream, max_supersteps=7)
     assert np.allclose(values, oracle, atol=1e-12, rtol=0.0)
     assert cost.num_supersteps == 7 and cost.total_messages > 0
     assert calls == {
@@ -314,7 +313,7 @@ def test_user_defined_accumulator_program_runs(backend, crawl_stream):
     )
     with kernel_backend(backend):
         labels, cost = LocalGasRuntime(assignment).run(LocalMaxLabelProgram(), 200)
-        component, _ = connected_components(GasEngine(assignment))
+    component, _ = ref.connected_components(crawl_stream)
     largest = np.zeros(crawl_stream.num_vertices, dtype=np.int64)
     np.maximum.at(largest, component, np.arange(component.size))
     assert np.array_equal(labels, largest[component])
@@ -331,7 +330,7 @@ def test_programs_hold_no_backend_handle(backend, crawl_stream):
     with kernel_backend(backend):
         runtime = LocalGasRuntime(assignment)
         for program in (
-            LocalPageRankProgram(), LocalConnectedComponentsProgram(), LocalSsspProgram(0)
+            PageRankProgram(), ConnectedComponentsProgram(), SsspProgram(0)
         ):
             values = program.init(runtime)[runtime.index.vertices]
             if hasattr(program, "setup"):
