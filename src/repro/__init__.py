@@ -14,9 +14,9 @@ Public API quick tour::
     print(result.replication_factor(), result.relative_balance())
 
 Every partitioner is ``partition(stream, chunk_size=None)``: it makes
-its passes (``passes`` says how many) over ``stream.batches(chunk_size)``,
-a restartable source of ``(src, dst)`` column chunks, and the assignment
-does not depend on the chunk size.  It runs :mod:`repro.kernels`: the
+its passes over ``stream.batches(chunk_size)``, a restartable source of
+``(src, dst)`` column chunks, and the assignment does not depend on the
+chunk size.  It runs :mod:`repro.kernels`: the
 compiled ``cc`` tier (``kernels.c`` built once per machine with the
 system C compiler, ~0.5 s at first use, then cached), or on a host
 without one the bit-identical ``python`` kernels, with one warning.
@@ -35,8 +35,6 @@ Subpackages
     Streaming baselines: Hashing, DBH, Greedy, HDRF, Mint.
 ``repro.kernels``
     Compiled decision cores, and the one place the executing tier is chosen.
-``repro.offline``
-    Offline multilevel (METIS-style) comparator.
 ``repro.analysis``
     Quality metrics and comparison reports.
 ``repro.service``

@@ -904,7 +904,6 @@ class DistributedClugpPartitioner(EdgePartitioner):
     """
 
     name = "clugp-dist"
-    passes = 3
     preferred_order = "natural"
 
     def __init__(

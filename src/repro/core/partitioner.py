@@ -355,7 +355,6 @@ class ClugpPartitioner(EdgePartitioner):
     """
 
     name = "clugp"
-    passes = 3
     preferred_order = "natural"
     _enable_splitting = True
     _use_game = True

@@ -4,8 +4,6 @@ from .base import EdgePartitioner, PartitionAssignment
 from .hashing import HashingPartitioner
 from .dbh import DBHPartitioner
 from .greedy import GreedyPartitioner
-from .edgecut import EdgeCutAdapterPartitioner, FennelPartitioner, LdgPartitioner
-from .grid import GridPartitioner
 from .hdrf import HDRFPartitioner
 from .mint import MintPartitioner
 from .registry import PARTITIONERS, make_partitioner
@@ -18,10 +16,6 @@ __all__ = [
     "GreedyPartitioner",
     "HDRFPartitioner",
     "MintPartitioner",
-    "GridPartitioner",
-    "LdgPartitioner",
-    "FennelPartitioner",
-    "EdgeCutAdapterPartitioner",
     "PARTITIONERS",
     "make_partitioner",
 ]

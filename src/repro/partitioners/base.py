@@ -1,7 +1,7 @@
 """Partitioner interface and the shared assignment result type.
 
-Every algorithm in this library — the five streaming baselines, CLUGP and
-its ablations, and the offline mini-METIS — is
+Every algorithm in this library — the five streaming baselines, CLUGP,
+its ablations and its distributed form — is
 ``partition(stream, chunk_size=None)``: it makes its passes over
 :meth:`EdgeStream.batches <repro.graph.EdgeStream.batches>`, a restartable
 source of ``(src, dst)`` column chunks, and produces a
@@ -173,15 +173,12 @@ class EdgePartitioner:
       :meth:`_end`, and inherits the loop (:meth:`_run`);
     * everything else overrides :meth:`_run` — a pull over a restartable
       source is what lets an algorithm read the stream again;
-      :attr:`passes` says how many times it does;
     * :meth:`_per_edge` is the oracle, the faithful one-edge-at-a-time
       loop; a class with no separate oracle does not define it.
     """
 
     #: human-readable algorithm name (used in reports and the registry)
     name: str = "base"
-    #: number of passes over the stream the algorithm makes
-    passes: int = 1
     #: stream order the algorithm performs best under (Section VI-A: the
     #: paper evaluates every competitor under its best order — random for
     #: the one-pass heuristics/hashes, BFS/crawl order for Mint and CLUGP)

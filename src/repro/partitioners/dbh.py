@@ -34,7 +34,7 @@ class DBHPartitioner(EdgePartitioner):
     ----------
     exact_degrees:
         If True, a first pass computes exact degrees and the placement pass
-        is fully vectorized (2-pass variant; :attr:`passes` is 2).  If
+        is fully vectorized (the 2-pass variant).  If
         False (default, faithful to the streaming setting), partial
         degrees observed so far decide.
     """
@@ -44,7 +44,6 @@ class DBHPartitioner(EdgePartitioner):
     def __init__(self, num_partitions: int, seed: int = 0, exact_degrees: bool = False):
         super().__init__(num_partitions, seed)
         self.exact_degrees = bool(exact_degrees)
-        self.passes = 2 if self.exact_degrees else 1
 
     def _per_edge(self, stream: EdgeStream, out: np.ndarray, times) -> None:
         if self.exact_degrees:

@@ -33,6 +33,8 @@ by the candidate-shortcut argument of DESIGN.md §4.2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..graph.stream import EdgeStream
@@ -67,13 +69,15 @@ class HDRFPartitioner(ReplicaSetPartitioner):
         epsilon: float = 1.0,
     ) -> None:
         super().__init__(num_partitions, seed)
-        if lambda_bal < 0:
-            raise ValueError(f"lambda_bal must be >= 0, got {lambda_bal}")
-        if epsilon <= 0:
+        # a nan or infinite knob turns every balance score into nan or 0,
+        # and the argmax then puts every edge on partition 0
+        if not (math.isfinite(lambda_bal) and lambda_bal >= 0):
+            raise ValueError(f"lambda_bal must be finite and >= 0, got {lambda_bal!r}")
+        if not (math.isfinite(epsilon) and epsilon > 0):
             # eps = 0 would divide by zero whenever loads are all equal
             # (e.g. the very first edge), so the balance term requires a
             # strictly positive tie-break constant
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
         self.lambda_bal = float(lambda_bal)
         self.epsilon = float(epsilon)
 

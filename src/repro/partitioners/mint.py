@@ -32,9 +32,11 @@ batch boundaries (and therefore results) do not depend on the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .._util import hash_to_partition
+from .._util import check_positive_int, hash_to_partition
 from ..graph.stream import EdgeStream
 from .base import EdgePartitioner
 
@@ -51,7 +53,7 @@ class MintPartitioner(EdgePartitioner):
     alpha:
         Weight of the load term relative to the replica term.
     max_rounds:
-        Best-response round cap per batch.
+        Best-response round cap per batch (0: keep the initial strategy).
     """
 
     name = "mint"
@@ -66,11 +68,11 @@ class MintPartitioner(EdgePartitioner):
         max_rounds: int = 8,
     ) -> None:
         super().__init__(num_partitions, seed)
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.batch_size = int(batch_size)
+        self.batch_size = check_positive_int(batch_size, "batch_size")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+        if int(max_rounds) != max_rounds or max_rounds < 0:
+            raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
         self.alpha = float(alpha)
         self.max_rounds = int(max_rounds)
 

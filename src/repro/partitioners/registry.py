@@ -10,8 +10,6 @@ from .base import EdgePartitioner
 from .dbh import DBHPartitioner
 from .greedy import GreedyPartitioner
 from .hashing import HashingPartitioner
-from .edgecut import FennelPartitioner, LdgPartitioner
-from .grid import GridPartitioner
 from .hdrf import HDRFPartitioner
 from .mint import MintPartitioner
 
@@ -23,15 +21,11 @@ PARTITIONERS: dict[str, type | str] = {
     "greedy": GreedyPartitioner,
     "hdrf": HDRFPartitioner,
     "mint": MintPartitioner,
-    "grid": GridPartitioner,
-    "ldg": LdgPartitioner,
-    "fennel": FennelPartitioner,
     # lazy entries resolved in make_partitioner:
     "clugp": "repro.core.partitioner:ClugpPartitioner",
     "clugp-s": "repro.core.partitioner:ClugpNoSplitPartitioner",
     "clugp-g": "repro.core.partitioner:ClugpGreedyPartitioner",
     "clugp-dist": "repro.core.distributed:DistributedClugpPartitioner",
-    "minimetis": "repro.offline.minimetis:MiniMetisPartitioner",
 }
 
 

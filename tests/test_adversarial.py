@@ -24,11 +24,7 @@ ALGORITHMS = [
     "greedy",
     "hdrf",
     "mint",
-    "grid",
-    "ldg",
-    "fennel",
     "clugp",
-    "minimetis",
 ]
 
 

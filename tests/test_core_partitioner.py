@@ -133,8 +133,7 @@ class TestPipeline:
         rf_hash = HashingPartitioner(16).partition(stream).replication_factor()
         assert rf_clugp < rf_hash
 
-    def test_three_passes_declared(self):
-        assert ClugpPartitioner.passes == 3
+    def test_prefers_natural_order(self):
         assert ClugpPartitioner.preferred_order == "natural"
 
     def test_single_partition(self, stream):

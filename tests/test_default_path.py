@@ -95,7 +95,7 @@ def test_no_caller_can_name_an_implementation(capsys):
     public = {name for name in vars(EdgePartitioner) if not name.startswith("_")}
     assert public == {
         "partition", "partition_per_edge", "state_memory_bytes",
-        "name", "passes", "preferred_order", "default_chunk_size",
+        "name", "preferred_order", "default_chunk_size",
     }
     for name in sorted(PARTITIONERS):  # both entries are final: nobody overrides one
         for cls in type(make_partitioner(name, 2)).__mro__:
@@ -128,8 +128,13 @@ class TestCompiledBackendRuns:
         assert_all(spy, compiled=True)
 
 
-def test_registry_is_the_thirteen():
-    assert len(PARTITIONERS) == 13  # test_kernels.py's differential sweeps all of them
+def test_registry_is_the_nine():
+    # the paper's comparators and CLUGP's variants; test_kernels.py's
+    # differential sweeps every one of them
+    assert set(PARTITIONERS) == {
+        "hashing", "dbh", "greedy", "hdrf", "mint",
+        "clugp", "clugp-s", "clugp-g", "clugp-dist",
+    }
 
 
 class TestPythonTierIdentical:

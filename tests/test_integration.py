@@ -27,7 +27,6 @@ ALL_ALGORITHMS = [
     "clugp",
     "clugp-s",
     "clugp-g",
-    "minimetis",
 ]
 
 

@@ -98,7 +98,26 @@ CASES.update({
 })
 # 256 is coprime with the chunk sizes 7 and 509: games straddle chunks
 CASES["mint-batch256"] = ("mint", 4, {"batch_size": 256}, None)
+# Mint's other knobs: batches of one edge (a game per edge), no balance
+# term, a balance term that outweighs every replica, no best-response
+# round (the hashed start stands) and a single round
+CASES["mint-batch1"] = ("mint", 4, {"batch_size": 1}, None)
+CASES.update({
+    f"mint-alpha{alpha:g}": ("mint", 4, {"alpha": alpha}, None) for alpha in (0.0, 8.0)
+})
+CASES.update({
+    f"mint-rounds{r}": ("mint", 4, {"max_rounds": r}, None) for r in (0, 1)
+})
 CASES["dbh-exact"] = ("dbh", 8, {"exact_degrees": True}, None)
+# CLUGP's knobs: the tightest balance cap (pass 3 spills the most edges),
+# small clusters (pass 1 splits often) with and without splitting, and
+# k = 1, where the game has one strategy
+CASES["clugp-imb1"] = ("clugp", 8, {"imbalance_factor": 1.0}, None)
+CASES.update({
+    f"{_name}-vol32": (_name, 8, {"max_cluster_volume": 32}, None)
+    for _name in ("clugp", "clugp-s")
+})
+CASES["clugp-k1"] = ("clugp", 1, {}, None)
 
 _oracles = {}
 
@@ -245,7 +264,7 @@ edge_lists = st.lists(
 )
 #: the partitioners whose answer could depend on where a chunk ends
 CHUNK_STREAMING = [
-    "hashing", "dbh", "grid", "greedy", "hdrf", "mint", "clugp", "clugp-s", "clugp-g"
+    "hashing", "dbh", "greedy", "hdrf", "mint", "clugp", "clugp-s", "clugp-g"
 ]
 
 

@@ -14,9 +14,6 @@ class TestRegistry:
     def test_ablations_registered(self):
         assert "clugp-s" in PARTITIONERS and "clugp-g" in PARTITIONERS
 
-    def test_offline_comparator_registered(self):
-        assert "minimetis" in PARTITIONERS
-
     def test_make_basic(self):
         p = make_partitioner("hashing", 8)
         assert p.num_partitions == 8

@@ -68,8 +68,6 @@ class TestDBH:
     def test_exact_degrees_variant(self, stream):
         exact = DBHPartitioner(8, exact_degrees=True)
         assert exact.partition(stream).edge_partition.max() < 8
-        # a degree pass, then the placement pass — and it says so
-        assert (exact.passes, DBHPartitioner(8).passes) == (2, 1)
 
     def test_exact_anchors_low_degree_endpoint(self):
         # star: all leaves have degree 1, hub degree 4 -> each edge hashes
@@ -113,6 +111,13 @@ class TestHDRF:
         with pytest.raises(ValueError, match="epsilon"):
             HDRFPartitioner(4, epsilon=epsilon)
 
+    @pytest.mark.parametrize("field", ["lambda_bal", "epsilon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_bad_knobs(self, field, value):
+        # a nan or infinite knob once put every edge on partition 0
+        with pytest.raises(ValueError, match=field):
+            HDRFPartitioner(4, **{field: value})
+
     def test_higher_lambda_improves_balance(self, stream):
         loose = HDRFPartitioner(8, lambda_bal=0.1).partition(stream)
         tight = HDRFPartitioner(8, lambda_bal=4.0).partition(stream)
@@ -143,9 +148,29 @@ class TestMint:
         with pytest.raises(ValueError):
             MintPartitioner(4, batch_size=0)
 
+    def test_rejects_fractional_batch_size(self):
+        # 2.5 once ran as batches of 2
+        with pytest.raises(ValueError, match="batch_size"):
+            MintPartitioner(4, batch_size=2.5)
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             MintPartitioner(4, alpha=-1)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])  # nan once put every edge on 0
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MintPartitioner(4, alpha=alpha)
+
+    @pytest.mark.parametrize("max_rounds", [-3, 1.5])  # -3 once ran as 0 rounds
+    def test_rejects_bad_max_rounds(self, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds"):
+            MintPartitioner(4, max_rounds=max_rounds)
+
+    def test_zero_rounds_is_accepted(self, stream):
+        # 0 means no best-response round: every edge keeps its hashed start
+        assignment = MintPartitioner(8, max_rounds=0).partition(stream)
+        assert assignment.edge_partition.size == stream.num_edges
 
     def test_quality_between_hashing_and_hdrf(self, stream):
         rf_mint = MintPartitioner(16).partition(stream).replication_factor()
