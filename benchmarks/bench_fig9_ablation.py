@@ -1,21 +1,29 @@
-"""Figure 9 — ablation study: CLUGP vs CLUGP-S (no splitting) vs CLUGP-G
-(greedy placement instead of the game), on the IT stand-in across k.
+"""Figure 9 — ablation study on the IT stand-in across k: the default
+CLUGP (no splitting), CLUGP with the paper's split rule
+(``ClugpConfig(enable_splitting=True)``, the figure's "CLUGP"; the
+default plays its "CLUGP-S") and CLUGP-G (greedy placement instead of
+the game).
 
-Paper's claims:
+Paper's claims, and what this reproduction finds:
   * CLUGP-G (no game) is clearly worse than CLUGP at every k — the
     game-based cluster placement is the dominant quality ingredient
-    (the paper quotes 60-70% lower RF with the game);
-  * CLUGP's RF curve is more stable in k than CLUGP-S's.
-
-Reproduction note (see EXPERIMENTS.md): at laptop scale the splitting
-benefit only materializes at large k, where oversized clusters would
-otherwise starve partitions; at small k the synthetic stand-ins do not
-trigger the paper's deep-crawl splitting pattern, so CLUGP-S can tie or
-slightly beat CLUGP there.  We assert the game claim strictly and the
-splitting claim in its large-k/stability form.
+    (the paper quotes 60-70% lower RF with the game).  **Holds**;
+    asserted at every k.
+  * Splitting lowers RF.  **Fails** on these stand-ins: the split rule
+    divides most vertices, far from the rare-split regime the paper's
+    analysis assumes, and no split gives the lower RF at small k
+    (DESIGN.md §1: 26-50 % lower at k = 32 on every web stand-in) —
+    which is why the default does not split.  Asserted as measured: the
+    default is below the split rule at k = 4 and 16 (here 2.06 vs 2.81
+    and 3.46 vs 4.76; level at 64, 0.7 % above it at 256).
+  * CLUGP's RF curve is more stable in k than CLUGP-S's.  Holds in its
+    relative-growth form, asserted with its original bound (the split
+    rule's RF grows from k = 4 to 256 by no more than 1.25x the
+    default's growth) — but only because the split rule starts higher.
 """
 
-from repro.bench.harness import rf_vs_partitions, series_table
+from repro.bench.harness import rf_vs_partitions, run_algorithm, series_table
+from repro.config import ClugpConfig
 
 from conftest import run_once
 
@@ -24,9 +32,15 @@ K_VALUES = [4, 16, 64, 256]
 
 def test_fig9_ablation(benchmark, it_stream):
     def sweep():
-        return rf_vs_partitions(
-            it_stream, K_VALUES, algorithms=("clugp", "clugp-s", "clugp-g"), seed=0
+        result = rf_vs_partitions(
+            it_stream, K_VALUES, algorithms=("clugp", "clugp-g"), seed=0
         )
+        for k in K_VALUES:
+            _, assignment = run_algorithm(
+                "clugp", it_stream, k, seed=0, config=ClugpConfig(enable_splitting=True)
+            )
+            result.add("clugp+split", k, assignment.replication_factor())
+        return result
 
     result = run_once(benchmark, sweep)
     print()
@@ -36,7 +50,12 @@ def test_fig9_ablation(benchmark, it_stream):
     for k in K_VALUES:
         assert result.get("clugp", k) <= result.get("clugp-g", k) * 1.02, f"k={k}"
 
-    # relative growth of CLUGP across the k sweep is no worse than CLUGP-S
-    growth_full = result.get("clugp", 256) / result.get("clugp", 4)
-    growth_nosplit = result.get("clugp-s", 256) / result.get("clugp-s", 4)
-    assert growth_full <= 1.25 * growth_nosplit
+    # splitting does not lower RF at small k: the claim fails
+    for k in (4, 16):
+        assert result.get("clugp", k) < result.get("clugp+split", k), f"k={k}"
+
+    # relative growth of the split rule across the k sweep is no worse
+    # than the default's
+    growth_split = result.get("clugp+split", 256) / result.get("clugp+split", 4)
+    growth_default = result.get("clugp", 256) / result.get("clugp", 4)
+    assert growth_split <= 1.25 * growth_default

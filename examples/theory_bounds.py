@@ -12,7 +12,8 @@ Run:  python examples/theory_bounds.py
 
 import numpy as np
 
-from repro import ClugpPartitioner, ClugpNoSplitPartitioner, EdgeStream
+from repro import ClugpPartitioner, EdgeStream
+from repro.config import ClugpConfig
 from repro.core.bounds import (
     PowerLawModel,
     min_degree_for_replicas_clugp,
@@ -48,14 +49,15 @@ graph = web_crawl_graph(3000, avg_out_degree=12, host_size=30, seed=21)
 stream = EdgeStream.from_graph(graph, order="natural")
 stats = properties.degree_stats(graph)
 k = 16
-partitioner = ClugpPartitioner(k)
+# the paper's split rule; the default pipeline does not split
+partitioner = ClugpPartitioner(k, config=ClugpConfig(enable_splitting=True))
 rf_end_to_end = partitioner.partition(stream).replication_factor()
 clustering = partitioner.last_clustering
 active = int((clustering.degree > 0).sum())
 clustering_rf = 1.0 + sum(
     len(m) for m in clustering.mirror_clusters.values()
 ) / max(1, active)
-rf_holl = ClugpNoSplitPartitioner(k).partition(stream).replication_factor()
+rf_holl = ClugpPartitioner(k).partition(stream).replication_factor()
 bound = PowerLawModel(
     alpha=max(1.5, stats.alpha if np.isfinite(stats.alpha) else 2.1),
     gamma=1,

@@ -67,7 +67,6 @@ from .graph import (
 )
 from .core import (
     ClugpPartitioner,
-    ClugpNoSplitPartitioner,
     ClugpGreedyPartitioner,
     streaming_clustering,
     build_cluster_graph,
@@ -112,7 +111,6 @@ __all__ = [
     "load_dataset",
     "DATASETS",
     "ClugpPartitioner",
-    "ClugpNoSplitPartitioner",
     "ClugpGreedyPartitioner",
     "streaming_clustering",
     "build_cluster_graph",

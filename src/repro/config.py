@@ -166,8 +166,10 @@ class ClugpConfig:
     imbalance_factor:
         ``tau >= 1.0``; pass-3 hard cap is ``L_max = tau * |E| / k``.
     enable_splitting:
-        ``False`` gives the CLUGP-S ablation (Holl-style
-        allocation-migration without the splitting operation, Figure 9).
+        ``True`` runs pass 1 with the paper's splitting operation
+        (Algorithm 2); the default ``False`` is Holl-style
+        allocation-migration, which gives the lower replication factor
+        (DESIGN.md §1, Figure 9).
     use_game:
         ``False`` gives the CLUGP-G ablation: clusters are assigned
         greedily, biggest cluster into the currently smallest partition.
@@ -181,7 +183,7 @@ class ClugpConfig:
     num_partitions: int = 32
     max_cluster_volume: int | None = None
     imbalance_factor: float = 1.05
-    enable_splitting: bool = True
+    enable_splitting: bool = False
     use_game: bool = True
     game: GameConfig = GameConfig()
     reliability: ReliabilityConfig = ReliabilityConfig()

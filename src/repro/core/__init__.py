@@ -20,7 +20,6 @@ from .distributed import (
 )
 from .partitioner import (
     ClugpPartitioner,
-    ClugpNoSplitPartitioner,
     ClugpGreedyPartitioner,
     ClusterSummary,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "NodeReport",
     "distributed_clugp",
     "ClugpPartitioner",
-    "ClugpNoSplitPartitioner",
     "ClugpGreedyPartitioner",
     "ClusterSummary",
 ]

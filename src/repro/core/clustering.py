@@ -29,7 +29,9 @@ Extends Hollocou et al.'s streaming vertex clustering (*allocation* +
   clusters are below ``V_max``), gluing communities together bottom-up.
 
 With ``enable_splitting=False`` the procedure degenerates to Holl's
-allocation-migration (the CLUGP-S ablation of Figure 9).
+allocation-migration (Figure 9's CLUGP-S ablation) — what the default
+pipeline runs, since ``ClugpConfig.enable_splitting`` defaults to
+``False`` (DESIGN.md §1).
 
 Complexities (Section IV-A): time O(|E|), space O(|V|).
 

@@ -12,16 +12,18 @@ Three restreaming passes:
    :func:`~repro.core.transform.transform_partitions` (per-edge
    reference) — edge -> partition.
 
-Ablations:
+Ablations (Figure 9):
 
-* :class:`ClugpNoSplitPartitioner` ("CLUGP-S") disables the splitting
-  operation — pass 1 degenerates to Hollocou's allocation-migration;
+* the default does not split (``ClugpConfig.enable_splitting`` is
+  ``False``: pass 1 is Hollocou's allocation-migration, measured to give
+  a lower RF than the paper's split rule, DESIGN.md §1);
+  ``ClugpConfig(enable_splitting=True)`` runs the paper's split rule;
 * :class:`ClugpGreedyPartitioner` ("CLUGP-G") replaces the game with the
   greedy rule "biggest cluster into currently smallest partition".
 
 The contract
 ------------
-All three variants are ``partition(stream, chunk_size=None)``
+Both classes are ``partition(stream, chunk_size=None)``
 (:class:`~repro.partitioners.base.EdgePartitioner` owns the entry, the
 clock and the result array) and supply the run: three passes over
 ``stream.batches(chunk_size)``, each recorded as its own stage
@@ -63,7 +65,6 @@ __all__ = [
     "GraphContribution",
     "graph_contribution",
     "ClugpPartitioner",
-    "ClugpNoSplitPartitioner",
     "ClugpGreedyPartitioner",
     "greedy_cluster_assignment",
 ]
@@ -356,8 +357,8 @@ class ClugpPartitioner(EdgePartitioner):
 
     name = "clugp"
     preferred_order = "natural"
-    _enable_splitting = True
-    _use_game = True
+    #: config fields a variant fixes, whatever the config says
+    _pinned: dict = {}
 
     def __init__(
         self,
@@ -378,10 +379,9 @@ class ClugpPartitioner(EdgePartitioner):
             overrides["imbalance_factor"] = imbalance_factor
         if max_cluster_volume is not None:
             overrides["max_cluster_volume"] = max_cluster_volume
-        overrides["enable_splitting"] = self._enable_splitting
-        overrides["use_game"] = self._use_game
         if game is not None:
             overrides["game"] = game
+        overrides.update(self._pinned)
         config = config.with_(**overrides)
         if config.game.seed != seed:
             config = config.with_(game=config.game.with_(seed=seed))
@@ -574,20 +574,15 @@ class ClugpPartitioner(EdgePartitioner):
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """O(2|V|) vertex tables + cluster tables (Section VI: CLUGP keeps
-        the vertex->cluster map and the degree array)."""
+        the vertex->cluster map and the degree array) + pass 3's replica
+        bitset, ``ceil(k / 64)`` uint64 words per vertex."""
         m = self.last_clustering.num_clusters if self.last_clustering else 0
-        return 2 * stream.num_vertices * 8 + 3 * m * 8
-
-
-class ClugpNoSplitPartitioner(ClugpPartitioner):
-    """CLUGP-S ablation: splitting disabled (Holl-style pass 1)."""
-
-    name = "clugp-s"
-    _enable_splitting = False
+        nw = -(-self.config.num_partitions // 64)
+        return 2 * stream.num_vertices * 8 + 3 * m * 8 + stream.num_vertices * nw * 8
 
 
 class ClugpGreedyPartitioner(ClugpPartitioner):
     """CLUGP-G ablation: greedy cluster placement instead of the game."""
 
     name = "clugp-g"
-    _use_game = False
+    _pinned = {"use_game": False}

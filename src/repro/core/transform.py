@@ -5,8 +5,13 @@ Joins the vertex->cluster table (pass 1) with the cluster->partition table
 and re-streams the edges to produce the final edge->partition assignment:
 
 * **hard load cap** (lines 6-14): ``L_max = tau * |E| / k``; an edge whose
-  both endpoint partitions are full spills to any underfull partition, so
-  the relative balance *strictly* conforms to ``tau``;
+  both endpoint partitions are full spills to an underfull partition, so
+  the relative balance *strictly* conforms to ``tau``.  Of Algorithm 1's
+  "any underfull partition" it takes the least-loaded one that already
+  holds a replica of both u and v, else of u or v (ties to the lowest
+  index), else the first underfull one from a rotating pointer — so a
+  spilled edge adds the fewest new replicas the underfull partitions
+  allow (zero, one, then two);
 * **agreement** (lines 15-16): both endpoints in the same partition — the
   edge goes there, no replica;
 * **mirror reuse** (lines 18-19): a *divided* vertex already has mirrors
@@ -16,8 +21,10 @@ and re-streams the edges to produce the final edge->partition assignment:
   cut (it will be replicated anyway on a power-law graph — the HDRF/DBH
   insight).
 
-Space O(k) beyond the pass-1 tables, time O(|E|) (the spill scan is
-amortized O(k) total because partitions only fill up).
+Space O(|V| * ceil(k / 64)) beyond the pass-1 tables: the replica
+bitset, one bit per (vertex, partition) an edge of this pass was placed
+on.  Time O(|E|) plus O(ceil(k / 64) + candidates) per spilled edge (the
+pointer's scan is amortized O(k) total because partitions only fill up).
 
 Chunked ingestion
 -----------------
@@ -144,6 +151,20 @@ def transform_partitions(
     loads = np.zeros(k, dtype=np.int64)
     out = np.empty(num_edges, dtype=np.int64)
     spill_ptr = 0  # rotates forward over partitions; loads only grow
+    # replicas[x]: bit p once an edge of x is placed on p
+    replicas = [0] * stream.num_vertices
+
+    def least_loaded(cand: int) -> int:
+        """The least-loaded underfull partition among ``cand``'s bits,
+        ties to the lowest index; -1 when there is none."""
+        best = -1
+        for p in range(k):
+            if cand >> p & 1 and loads[p] < load_cap and (
+                best < 0 or loads[p] < loads[best]
+            ):
+                best = p
+        return best
+
     src_list = stream.src.tolist()
     dst_list = stream.dst.tolist()
     vp = vertex_partition
@@ -158,11 +179,17 @@ def transform_partitions(
             elif loads[pv] < load_cap:
                 target = pv
             else:
-                while loads[spill_ptr] >= load_cap:
-                    spill_ptr += 1
-                    if spill_ptr == k:  # pragma: no cover - tau>=1 guarantees room
-                        raise RuntimeError("no underfull partition available")
-                target = spill_ptr
+                # both full: where u and v already are, else where either
+                # is, else the rotating pointer
+                target = least_loaded(replicas[u] & replicas[v])
+                if target < 0:
+                    target = least_loaded(replicas[u] | replicas[v])
+                if target < 0:
+                    while loads[spill_ptr] >= load_cap:
+                        spill_ptr += 1
+                        if spill_ptr == k:  # pragma: no cover - tau>=1 guarantees room
+                            raise RuntimeError("no underfull partition available")
+                    target = spill_ptr
             stats.balance_spill += 1
         elif pu == pv:
             target = pu
@@ -179,6 +206,8 @@ def transform_partitions(
             stats.degree_cut += 1
         out[i] = target
         loads[target] += 1
+        replicas[u] |= 1 << target
+        replicas[v] |= 1 << target
     return out, stats
 
 
@@ -313,6 +342,14 @@ class TransformState:
         self.stats = TransformStats(self.load_cap)
         self.loads = seeded
         self.spill_ptr = 0
+        # the spill rule's state, crossing chunks: each vertex's replica
+        # bitset (nw = ceil(k / 64) words a row) and the underfull mask
+        # (bit p while loads[p] < caps[p]; the kernel clears it as p fills)
+        self._nw = -(-k // 64)
+        self._replicas = np.zeros(num_vertices * self._nw, dtype=np.uint64)
+        underfull = np.zeros(64 * self._nw, dtype=np.bool_)
+        underfull[:k] = seeded < self._caps
+        self._underfull = np.packbits(underfull, bitorder="little").view(np.uint64)
         # contiguous bool/int64 tables: what the kernels consume (the
         # flags viewed as uint8)
         self._vp = np.ascontiguousarray(vp, dtype=np.int64)
@@ -365,8 +402,9 @@ class TransformState:
             dtype=np.int64,
         )
         status = self._backend.transform_chunk(
-            u, v, self.k, self._vp, self._div.view(np.uint8), self._deg,
-            self.loads, self._caps, counters, self._external, out,
+            u, v, self.k, self._nw, self._vp, self._div.view(np.uint8), self._deg,
+            self.loads, self._caps, self._replicas, self._underfull, counters,
+            self._external, out,
         )
         if status == 2:
             raise ValueError(

@@ -190,6 +190,21 @@ def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
     np.add.at(degree, v, 1)
 
 
+def _least_loaded(cand, loads_l):
+    """The least-loaded partition among ``cand``'s set bits, ties to the
+    lowest index (ascending bit order, strict <); -1 when ``cand`` is 0."""
+    best_p = -1
+    best_l = 0
+    while cand:
+        bit = cand & -cand
+        p = bit.bit_length() - 1
+        cand ^= bit
+        if best_p < 0 or loads_l[p] < best_l:
+            best_l = loads_l[p]
+            best_p = p
+    return best_p
+
+
 def greedy_chunk(u, v, k, nw, loads, words, out):
     """Greedy decision core over one chunk (mutates loads/words): the
     least-loaded partition of ``A(u) & A(v)``, else of ``A(u) | A(v)``,
@@ -208,20 +223,8 @@ def greedy_chunk(u, v, k, nw, loads, words, out):
         w = wu & wv
         if not w:
             w = wu | wv  # cases 2/3 (either side may be empty)
-        if w:
-            # ascending bit order with strict < is the (load, id) rule
-            best_p = -1
-            best_l = 0
-            while w:
-                bit = w & -w
-                p = bit.bit_length() - 1
-                w ^= bit
-                lp = loads_l[p]
-                if best_p < 0 or lp < best_l:
-                    best_l = lp
-                    best_p = p
-            p = best_p
-        else:
+        p = _least_loaded(w, loads_l)
+        if p < 0:
             # case 4: list.index finds the first (lowest-id) minimum
             p = loads_l.index(min(loads_l))
         picks[i] = p
@@ -336,18 +339,26 @@ def clustering_chunk(
     counters[:] = (num_raw + born, len(mv), splits, migrations, allocations)
 
 
-def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapped, out):
+def transform_chunk(
+    u, v, k, nw, vp, divided, deg, loads, caps, replicas, underfull, counters,
+    check_mapped, out,
+):
     """Pass-3 cap/agreement/mirror/degree replay over one chunk.
 
     ``counters``: ``[spill_ptr, agreement, mirror_reuse, degree_cut,
-    balance_spill]``.  Returns 0 on success, 1 when no underfull
-    partition exists (unreachable once caps were validated to hold the
-    stream), 2 when ``check_mapped`` is set and an endpoint maps to -1
-    (checked up front, before any state mutation).
+    balance_spill]``; ``replicas`` holds ``nw`` mask words per vertex
+    (bit ``p`` once an edge of the vertex is placed on ``p``) and
+    ``underfull`` ``nw`` words, bit ``p`` while ``loads[p] < caps[p]``.
+    Returns 0 on success, 1 when no underfull partition exists
+    (unreachable once caps were validated to hold the stream), 2 when
+    ``check_mapped`` is set and an endpoint maps to -1 (checked up front,
+    before any state mutation).
 
     The rule table (agreement / mirror / degree) does not read the
     loads, so it is evaluated for the whole chunk as masks; the loop
-    applies the hard cap and the rotating spill pointer.
+    applies the hard cap and, when both endpoint partitions are full,
+    the replica-aware spill (where u and v both are, else where either
+    is, least loaded first) before the rotating pointer.
     """
     m = u.shape[0]
     if m == 0:
@@ -372,11 +383,15 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
     pv_l = pv.tolist()
     caps_l = caps.tolist()
     loads_l = loads.tolist()
+    vertices, lu, lv, sets = _sets_in(u, v, replicas, nw)
+    under = int.from_bytes(underfull.astype("<u8", copy=False).tobytes(), "little")
     sp, agreement, mirror_reuse, degree_cut, balance_spill = counters.tolist()
     out_l = [0] * m
     for i in range(m):
         p_u = pu_l[i]
         p_v = pv_l[i]
+        a = lu[i]
+        b = lv[i]
         if loads_l[p_u] < caps_l[p_u] and loads_l[p_v] < caps_l[p_v]:
             target = tentative[i]
             rc = rule_l[i]
@@ -392,17 +407,29 @@ def transform_chunk(u, v, k, vp, divided, deg, loads, caps, counters, check_mapp
             elif loads_l[p_v] < caps_l[p_v]:
                 target = p_v
             else:
-                while loads_l[sp] >= caps_l[sp]:
-                    sp += 1
-                    if sp == k:
-                        counters[0] = sp
-                        return 1
-                target = sp
+                w = sets[a] & sets[b] & under
+                if not w:
+                    w = (sets[a] | sets[b]) & under
+                target = _least_loaded(w, loads_l)
+                if target < 0:
+                    while loads_l[sp] >= caps_l[sp]:
+                        sp += 1
+                        if sp == k:
+                            counters[0] = sp
+                            return 1
+                    target = sp
             balance_spill += 1
         out_l[i] = target
+        bit = 1 << target
+        sets[a] |= bit
+        sets[b] |= bit
         loads_l[target] += 1
+        if loads_l[target] >= caps_l[target]:
+            under &= ~bit
     out[:] = out_l
     loads[:] = loads_l
+    underfull[:] = np.frombuffer(under.to_bytes(8 * nw, "little"), dtype="<u8")
+    _sets_out(replicas, nw, vertices, sets)
     counters[:] = (sp, agreement, mirror_reuse, degree_cut, balance_spill)
     return 0
 

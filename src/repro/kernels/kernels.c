@@ -244,15 +244,47 @@ void clustering_chunk(
 /* Pass 3: hard load cap + agreement / mirror / degree (Algorithm 1)  */
 /* ------------------------------------------------------------------ */
 
+/* The least-loaded underfull partition holding a replica of both u and
+ * v, else of either, ties to the lowest index; -1 when there is none.
+ * The min is written as selects so it compiles to conditional moves:
+ * the comparison is unpredictable. */
+static inline int64_t spill_to_replica(
+    const uint64_t *ru, const uint64_t *rv,
+    const uint64_t *underfull, int64_t nw, const int64_t *loads)
+{
+    int64_t common = 0;
+    for (int64_t w = 0; w < nw; w++) {
+        if (ru[w] & rv[w] & underfull[w]) { common = 1; break; }
+    }
+    int64_t best_p = -1;
+    int64_t best_l = INT64_MAX;
+    for (int64_t w = 0; w < nw; w++) {
+        uint64_t cand = (common ? ru[w] & rv[w] : ru[w] | rv[w]) & underfull[w];
+        while (cand) {
+            int64_t p = w * 64 + __builtin_ctzll(cand);
+            cand &= cand - 1;
+            int64_t l = loads[p];
+            int better = l < best_l;
+            best_l = better ? l : best_l;
+            best_p = better ? p : best_p;
+        }
+    }
+    return best_p;
+}
+
 /* counters: [spill_ptr, agreement, mirror_reuse, degree_cut,
- * balance_spill].  Returns 0 on success, 1 if no underfull partition
- * exists (unreachable when caps were validated to hold the stream),
- * 2 if check_mapped is set and some endpoint's vp entry is -1 (checked
- * up front, before any state mutation). */
+ * balance_spill].  replicas: nw = ceil(k / 64) words per vertex, bit p
+ * set once an edge of the vertex is placed on p; underfull: nw words,
+ * bit p set while loads[p] < caps[p] (the caller seeds it, the kernel
+ * clears a bit when its partition fills).  Returns 0 on success, 1 if
+ * no underfull partition exists (unreachable when caps were validated
+ * to hold the stream), 2 if check_mapped is set and some endpoint's vp
+ * entry is -1 (checked up front, before any state mutation). */
 int64_t transform_chunk(
-    const int64_t *u, const int64_t *v, int64_t m, int64_t k,
+    const int64_t *u, const int64_t *v, int64_t m, int64_t k, int64_t nw,
     const int64_t *vp, const uint8_t *divided, const int64_t *deg,
-    int64_t *loads, const int64_t *caps, int64_t *counters,
+    int64_t *loads, const int64_t *caps, uint64_t *replicas,
+    uint64_t *underfull, int64_t *counters,
     int64_t check_mapped,
     int64_t *out)
 {
@@ -271,6 +303,8 @@ int64_t transform_chunk(
         int64_t vi = v[i];
         int64_t pu = vp[ui];
         int64_t pv = vp[vi];
+        uint64_t *ru = replicas + ui * nw;
+        uint64_t *rv = replicas + vi * nw;
         int64_t target;
         if (loads[pu] >= caps[pu] || loads[pv] >= caps[pv]) {
             if (loads[pu] < caps[pu]) {
@@ -278,11 +312,16 @@ int64_t transform_chunk(
             } else if (loads[pv] < caps[pv]) {
                 target = pv;
             } else {
-                while (loads[sp] >= caps[sp]) {
-                    sp++;
-                    if (sp == k) return 1;
+                /* both full: where u and v already are, else where
+                 * either is, else the rotating pointer */
+                target = spill_to_replica(ru, rv, underfull, nw, loads);
+                if (target < 0) {
+                    while (loads[sp] >= caps[sp]) {
+                        sp++;
+                        if (sp == k) return 1;
+                    }
+                    target = sp;
                 }
-                target = sp;
             }
             balance_spill++;
         } else if (pu == pv) {
@@ -300,7 +339,10 @@ int64_t transform_chunk(
             degree_cut++;
         }
         out[i] = target;
-        loads[target] += 1;
+        uint64_t bit = 1ULL << (target & 63);
+        ru[target >> 6] |= bit;
+        rv[target >> 6] |= bit;
+        if (++loads[target] >= caps[target]) underfull[target >> 6] &= ~bit;
     }
     counters[0] = sp;
     counters[1] = agreement;

@@ -23,7 +23,6 @@ PARTITIONERS: dict[str, type | str] = {
     "mint": MintPartitioner,
     # lazy entries resolved in make_partitioner:
     "clugp": "repro.core.partitioner:ClugpPartitioner",
-    "clugp-s": "repro.core.partitioner:ClugpNoSplitPartitioner",
     "clugp-g": "repro.core.partitioner:ClugpGreedyPartitioner",
     "clugp-dist": "repro.core.distributed:DistributedClugpPartitioner",
 }

@@ -345,7 +345,7 @@ class TestGameImplFlags:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--game-impl", "jit"])
 
-    @pytest.mark.parametrize("algorithm", ["clugp", "clugp-s", "clugp-g"])
+    @pytest.mark.parametrize("algorithm", ["clugp", "clugp-g"])
     def test_partition_jit_matches_fast(self, tmp_path, algorithm):
         _assert_tiers_write_the_same_ids(tmp_path, "--algorithm", algorithm)
 

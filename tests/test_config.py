@@ -47,7 +47,7 @@ class TestGameConfig:
 class TestClugpConfig:
     def test_defaults(self):
         cfg = ClugpConfig()
-        assert cfg.enable_splitting is True
+        assert cfg.enable_splitting is False
         assert cfg.use_game is True
         assert cfg.imbalance_factor >= 1.0
 

@@ -11,7 +11,6 @@ from repro.core.clustering import ClusteringState
 from repro.core.transform import TransformState
 from repro.core.partitioner import (
     ClugpGreedyPartitioner,
-    ClugpNoSplitPartitioner,
     ClugpPartitioner,
     greedy_cluster_assignment,
 )
@@ -64,9 +63,18 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+class ClugpSplitRule(ClugpPartitioner):
+    """CLUGP with the paper's split rule (Algorithm 2), built as ``cls(k)``."""
+
+    def __init__(self, num_partitions, **kwargs):
+        super().__init__(
+            num_partitions, config=ClugpConfig(enable_splitting=True), **kwargs
+        )
+
+
 @pytest.mark.parametrize("chunk_size", [100, None])
 @pytest.mark.parametrize(
-    "cls", [ClugpPartitioner, ClugpNoSplitPartitioner, ClugpGreedyPartitioner]
+    "cls", [ClugpPartitioner, ClugpSplitRule, ClugpGreedyPartitioner]
 )
 class TestOnePathAtEveryChunkSize:
     """What the retired buffering path (``partition_chunked``) got wrong:
@@ -155,18 +163,36 @@ class TestPipeline:
         p = ClugpPartitioner(8, config=cfg)
         assert p.config.num_partitions == 8
 
-    def test_state_memory_accounts_vertex_tables(self, stream):
-        p = ClugpPartitioner(8)
+    @pytest.mark.parametrize("k,words", [(8, 1), (130, 3)])
+    def test_state_memory_accounts_vertex_tables(self, stream, k, words):
+        p = ClugpPartitioner(k)
         p.partition(stream)
-        assert p.state_memory_bytes(stream) >= 2 * stream.num_vertices * 8
+        # two vertex tables, three cluster tables and pass 3's replica
+        # bitset, ceil(k / 64) words a vertex
+        n, m = stream.num_vertices, p.last_clustering.num_clusters
+        assert p.state_memory_bytes(stream) == (2 + words) * n * 8 + 3 * m * 8
 
 
 class TestAblations:
-    def test_no_split_variant_never_splits(self, stream):
-        p = ClugpNoSplitPartitioner(8)
+    def test_the_default_never_splits(self, stream):
+        p = ClugpPartitioner(8)
         p.partition(stream)
         assert p.last_clustering.splits == 0
-        assert p.name == "clugp-s"
+        split = ClugpSplitRule(8)
+        split.partition(stream)
+        assert split.last_clustering.splits > 0
+
+    def test_config_switches_are_honoured(self):
+        # both switches come from the config, in either combination
+        cfg = ClugpConfig(num_partitions=8, enable_splitting=True, use_game=False)
+        p = ClugpPartitioner(8, config=cfg)
+        assert (p.config.enable_splitting, p.config.use_game) == (True, False)
+        cfg = cfg.with_(enable_splitting=False, use_game=True)
+        p = ClugpPartitioner(8, config=cfg)
+        assert (p.config.enable_splitting, p.config.use_game) == (False, True)
+        # CLUGP-G pins the greedy placement whatever the config says
+        g = ClugpGreedyPartitioner(8, config=cfg.with_(enable_splitting=True))
+        assert (g.config.enable_splitting, g.config.use_game) == (True, False)
 
     def test_greedy_variant_skips_game(self, stream):
         p = ClugpGreedyPartitioner(8)

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import web_crawl_graph
 from repro.graph.stream import EdgeStream
-from repro.core.clustering import streaming_clustering
+from repro.core.clustering import ClusteringResult, streaming_clustering
 from repro.core.cluster_graph import build_cluster_graph
 from repro.core.game import ClusterPartitioningGame
-from repro.core.transform import transform_partitions
+from repro.core.transform import TransformState, transform_partitions
 
 
 def pipeline_inputs(edges_or_graph, k, vmax=None):
@@ -98,6 +99,70 @@ class TestRules:
             s, clustering, cluster_partition, 8, imbalance_factor=1.2
         )
         assert stats.mirror_reuse > 0
+
+
+def _singletons(stream: EdgeStream) -> ClusteringResult:
+    """Every vertex its own undivided cluster: the cluster -> partition
+    map is then the vertex -> partition map."""
+    n = stream.num_vertices
+    degree = np.bincount(np.concatenate([stream.src, stream.dst]), minlength=n)
+    return ClusteringResult(
+        cluster_of=np.arange(n), degree=degree, volume=degree.copy(),
+        divided=np.zeros(n, dtype=bool), mirror_source={}, num_clusters=n,
+        max_volume=stream.num_edges,
+    )
+
+
+#: id -> (k, tau, edges, vertex partition, the last edge's partition).
+#: Vertices 0 and 1 live on partition 0, which the leading (0, 1) edges
+#: fill to the cap; each edge of 0 or 1 to a vertex elsewhere then goes
+#: to that vertex's partition and leaves a replica there.  The last (0, 1)
+#: finds both endpoint partitions full.  The rotating pointer would send
+#: it to partition 1, the least loaded and lowest underfull one; the spill
+#: takes the underfull partition that holds replicas of both endpoints,
+#: else of one, least loaded first, ties to the lower index.
+SPILLS = {
+    # cap 3: partition 2 holds 0 and 1 (load 2), partition 1 nothing
+    "both-endpoints": (3, 1.5, [(0, 1)] * 3 + [(0, 2), (1, 2), (0, 1)], [0, 0, 2], 2),
+    # cap 3: partition 2 holds 0 only
+    "one-endpoint": (3, 1.5, [(0, 1)] * 3 + [(0, 2), (0, 1)], [0, 0, 2], 2),
+    # cap 3: partitions 2 and 3 each hold 0 at load 1; the lower wins
+    "tie": (4, 2.0, [(0, 1)] * 3 + [(0, 2), (0, 3), (0, 1)], [0, 0, 2, 3], 2),
+    # cap 4: partition 3 holds both (load 2), partition 2 only 0 (load 1)
+    "both-before-either": (
+        4, 2.0, [(0, 1)] * 4 + [(0, 2), (0, 3), (1, 3), (0, 1)], [0, 0, 2, 3], 3,
+    ),
+}
+
+
+class TestSpill:
+    """Algorithm 1's "any underfull partition", taken where the replicas are."""
+
+    @pytest.mark.parametrize("case", SPILLS)
+    def test_reference_loop(self, case):
+        k, tau, edges, vp, expected = SPILLS[case]
+        s = EdgeStream(*zip(*edges), num_vertices=len(vp))
+        out, stats = transform_partitions(s, _singletons(s), np.array(vp), k, tau)
+        assert out[-1] == expected
+        assert np.bincount(out, minlength=k).max() <= stats.load_cap
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("chunk_size", [1, 2, 64])
+    @pytest.mark.parametrize("case", SPILLS)
+    def test_kernel_tiers(self, case, chunk_size, backend):
+        k, tau, edges, vp, expected = SPILLS[case]
+        s = EdgeStream(*zip(*edges), num_vertices=len(vp))
+        with kernel_backend(backend):
+            state = TransformState(
+                _singletons(s), np.array(vp), k, num_edges=s.num_edges,
+                num_vertices=s.num_vertices, imbalance_factor=tau,
+            )
+        out = np.empty(s.num_edges, dtype=np.int64)
+        state.run(s, chunk_size, out)
+        reference, stats = transform_partitions(s, _singletons(s), np.array(vp), k, tau)
+        assert out[-1] == expected
+        assert np.array_equal(out, reference)
+        assert state.stats.balance_spill == stats.balance_spill
 
 
 class TestValidation:

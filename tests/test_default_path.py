@@ -128,19 +128,19 @@ class TestCompiledBackendRuns:
         assert_all(spy, compiled=True)
 
 
-def test_registry_is_the_nine():
+def test_registry_is_the_eight():
     # the paper's comparators and CLUGP's variants; test_kernels.py's
     # differential sweeps every one of them
     assert set(PARTITIONERS) == {
         "hashing", "dbh", "greedy", "hdrf", "mint",
-        "clugp", "clugp-s", "clugp-g", "clugp-dist",
+        "clugp", "clugp-g", "clugp-dist",
     }
 
 
 class TestPythonTierIdentical:
     """``CLUGP_KERNEL_BACKEND=python``: same calls, same arrays."""
 
-    @pytest.mark.parametrize("name", ["clugp", "clugp-s", "clugp-g", "hdrf", "greedy"])
+    @pytest.mark.parametrize("name", ["clugp", "clugp-g", "hdrf", "greedy"])
     def test_partitioners(self, crawl_stream, name):
         default = make_partitioner(name, K, seed=2).partition(crawl_stream)
         with kernel_backend("python"):

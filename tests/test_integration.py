@@ -25,7 +25,6 @@ ALL_ALGORITHMS = [
     "hdrf",
     "mint",
     "clugp",
-    "clugp-s",
     "clugp-g",
 ]
 

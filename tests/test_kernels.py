@@ -110,13 +110,16 @@ CASES.update({
 })
 CASES["dbh-exact"] = ("dbh", 8, {"exact_degrees": True}, None)
 # CLUGP's knobs: the tightest balance cap (pass 3 spills the most edges),
-# small clusters (pass 1 splits often) with and without splitting, and
-# k = 1, where the game has one strategy
+# the same at k = 130, where the spill reads three replica-bitset words
+# a vertex, small clusters without and with the paper's split rule (pass
+# 1 splits often), and k = 1, where the game has one strategy
 CASES["clugp-imb1"] = ("clugp", 8, {"imbalance_factor": 1.0}, None)
-CASES.update({
-    f"{_name}-vol32": (_name, 8, {"max_cluster_volume": 32}, None)
-    for _name in ("clugp", "clugp-s")
-})
+CASES["clugp-k130-imb1"] = ("clugp", 130, {"imbalance_factor": 1.0}, None)
+CASES["clugp-vol32"] = ("clugp", 8, {"max_cluster_volume": 32}, None)
+CASES["clugp-split-vol32"] = (
+    "clugp", 8,
+    {"config": ClugpConfig(enable_splitting=True, max_cluster_volume=32)}, None,
+)
 CASES["clugp-k1"] = ("clugp", 1, {}, None)
 
 _oracles = {}
@@ -263,9 +266,7 @@ edge_lists = st.lists(
     max_size=120,
 )
 #: the partitioners whose answer could depend on where a chunk ends
-CHUNK_STREAMING = [
-    "hashing", "dbh", "greedy", "hdrf", "mint", "clugp", "clugp-s", "clugp-g"
-]
+CHUNK_STREAMING = ["hashing", "dbh", "greedy", "hdrf", "mint", "clugp", "clugp-g"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -648,14 +648,14 @@ GOLDEN = {  # fmt: skip
     ('sssp', 'clugp', 1): (3429267821, 5, 0, 0, 0.0011649499999999999, 0.1),
     ('connected_components', 'clugp', 1): (3208569366, 5, 0, 0, 0.0033784, 0.1),
     ('label_propagation', 'clugp', 1): (2276467566, 8, 0, 0, 0.00588775, 0.16),
-    ('pagerank', 'clugp', 4): (1887491185, 30, 39000, 624000, 0.0058845, 0.6784992),
-    ('sssp', 'clugp', 4): (3429267821, 5, 1964, 31424, 0.00040015, 0.1039531392),
-    ('connected_components', 'clugp', 4): (3208569366, 5, 5622, 89952, 0.00094155, 0.1113159616),
-    ('label_propagation', 'clugp', 4): (2276467566, 8, 10232, 269696, 0.0015605, 0.1806797568),
-    ('pagerank', 'clugp', 32): (3405985585, 30, 91380, 1462080, 0.0007454999999999996, 0.7839296639999995),
-    ('sssp', 'clugp', 32): (3429267821, 5, 4820, 77120, 0.0001084, 0.10970169599999999),
-    ('connected_components', 'clugp', 32): (3208569366, 5, 13052, 208832, 0.0001226, 0.12627106559999998),
-    ('label_propagation', 'clugp', 32): (2276467566, 8, 23762, 515896, 0.00019870000000000003, 0.20793671680000003),
+    ('pagerank', 'clugp', 4): (3104188449, 30, 32640, 522240, 0.005878500000000002, 0.6656977919999997),
+    ('sssp', 'clugp', 4): (3429267821, 5, 1666, 26656, 0.0005079, 0.10335332480000001),
+    ('connected_components', 'clugp', 4): (3208569366, 5, 4688, 75008, 0.0009202500000000001, 0.10943600640000001),
+    ('label_propagation', 'clugp', 4): (2276467566, 8, 8518, 210552, 0.0015674000000000003, 0.1772044416),
+    ('pagerank', 'clugp', 32): (2209010201, 30, 87360, 1397760, 0.0007470000000000002, 0.7758382080000003),
+    ('sssp', 'clugp', 32): (3429267821, 5, 4852, 77632, 0.0001106, 0.10976610560000001),
+    ('connected_components', 'clugp', 32): (3208569366, 5, 12474, 199584, 0.0001243, 0.1251076672),
+    ('label_propagation', 'clugp', 32): (2276467566, 8, 22660, 513056, 0.00019910000000000004, 0.20573044480000002),
     ('pagerank', 'hdrf', 1): (2982732779, 30, 0, 0, 0.022320000000000013, 0.6000000000000002),
     ('sssp', 'hdrf', 1): (3429267821, 5, 0, 0, 0.0011649499999999999, 0.1),
     ('connected_components', 'hdrf', 1): (3208569366, 5, 0, 0, 0.0033784, 0.1),

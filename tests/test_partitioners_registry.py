@@ -12,7 +12,8 @@ class TestRegistry:
             assert name in PARTITIONERS
 
     def test_ablations_registered(self):
-        assert "clugp-s" in PARTITIONERS and "clugp-g" in PARTITIONERS
+        # the split rule is ClugpConfig(enable_splitting=True), not a name
+        assert "clugp-g" in PARTITIONERS and "clugp-s" not in PARTITIONERS
 
     def test_make_basic(self):
         p = make_partitioner("hashing", 8)
@@ -36,5 +37,5 @@ class TestRegistry:
             make_partitioner("nope", 4)
 
     def test_lazy_entry_cached_after_first_use(self):
-        make_partitioner("clugp-s", 2)
-        assert not isinstance(PARTITIONERS["clugp-s"], str)
+        make_partitioner("clugp-g", 2)
+        assert not isinstance(PARTITIONERS["clugp-g"], str)

@@ -306,9 +306,10 @@ def crawl_batches(pages=500, batch=400, seed=3):
 
 @pytest.mark.parametrize("tier", list(TIERS), indirect=True)
 def test_crawl_feed_matches_the_rebuild_oracle(tier):
-    """A feed long enough to split, migrate, re-index and hit the cap."""
+    """A feed long enough to split, migrate, re-index and hit the cap
+    (with the paper's split rule on, so the service's split path runs)."""
     stream, batches = crawl_batches()
-    cfg = ClugpConfig(num_partitions=8)
+    cfg = ClugpConfig(num_partitions=8, enable_splitting=True)
     service = PartitionService(
         stream.num_vertices, cfg, migration_cap=16, expected_edges=stream.num_edges
     )
