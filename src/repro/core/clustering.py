@@ -28,10 +28,10 @@ Extends Hollocou et al.'s streaming vertex clustering (*allocation* +
   lower-volume cluster migrates to the other endpoint's cluster (if both
   clusters are below ``V_max``), gluing communities together bottom-up.
 
-With ``enable_splitting=False`` the procedure degenerates to Holl's
-allocation-migration (Figure 9's CLUGP-S ablation) — what the default
-pipeline runs, since ``ClugpConfig.enable_splitting`` defaults to
-``False`` (DESIGN.md §1).
+With ``enable_splitting=False`` — the default here and in
+``ClugpConfig`` (DESIGN.md §1) — the procedure degenerates to Holl's
+allocation-migration (Figure 9's CLUGP-S ablation); ``True`` runs the
+splitting operation above.
 
 Complexities (Section IV-A): time O(|E|), space O(|V|).
 
@@ -235,7 +235,7 @@ class LiveClustering:
 def streaming_clustering(
     stream: EdgeStream,
     max_volume: int,
-    enable_splitting: bool = True,
+    enable_splitting: bool = False,
 ) -> ClusteringResult:
     """Run Algorithm 2 over ``stream`` with cluster capacity ``max_volume``.
 
@@ -252,7 +252,8 @@ def streaming_clustering(
         ``V_max`` — volume capacity of a cluster (default pipeline choice
         is ``|E| / k``).
     enable_splitting:
-        ``False`` reproduces Holl (allocation-migration only).
+        ``True`` runs the splitting operation; the default ``False``
+        reproduces Holl (allocation-migration only).
     """
     check_positive_int(max_volume, "max_volume")
     n = stream.num_vertices
@@ -359,7 +360,7 @@ class ClusteringState:
         self,
         num_vertices: int,
         max_volume: int,
-        enable_splitting: bool = True,
+        enable_splitting: bool = False,
     ) -> None:
         check_positive_int(max_volume, "max_volume")
         self._backend = kernels.get_backend()

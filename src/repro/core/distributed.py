@@ -986,7 +986,7 @@ class DistributedClugpPartitioner(EdgePartitioner):
 
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """Rough per-node state footprint for the memory comparisons."""
-        # per-node vertex tables over its shard; upper-bounded by the
-        # single-node footprint times the node count in the worst case of
-        # fully-overlapping shards
-        return 2 * stream.num_vertices * 8
+        # per-node vertex tables over its shard (pass 1's two, pass 3's
+        # replica summary); upper-bounded by the single-node footprint
+        # times the node count in the worst case of fully-overlapping shards
+        return 3 * stream.num_vertices * 8

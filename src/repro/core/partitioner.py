@@ -575,10 +575,9 @@ class ClugpPartitioner(EdgePartitioner):
     def state_memory_bytes(self, stream: EdgeStream) -> int:
         """O(2|V|) vertex tables + cluster tables (Section VI: CLUGP keeps
         the vertex->cluster map and the degree array) + pass 3's replica
-        bitset, ``ceil(k / 64)`` uint64 words per vertex."""
+        summary, one uint64 word per vertex at any k."""
         m = self.last_clustering.num_clusters if self.last_clustering else 0
-        nw = -(-self.config.num_partitions // 64)
-        return 2 * stream.num_vertices * 8 + 3 * m * 8 + stream.num_vertices * nw * 8
+        return 3 * stream.num_vertices * 8 + 3 * m * 8
 
 
 class ClugpGreedyPartitioner(ClugpPartitioner):

@@ -21,10 +21,15 @@ and re-streams the edges to produce the final edge->partition assignment:
   cut (it will be replicated anyway on a power-law graph — the HDRF/DBH
   insight).
 
-Space O(|V| * ceil(k / 64)) beyond the pass-1 tables: the replica
-bitset, one bit per (vertex, partition) an edge of this pass was placed
-on.  Time O(|E|) plus O(ceil(k / 64) + candidates) per spilled edge (the
-pointer's scan is amortized O(k) total because partitions only fill up).
+The spill reads one replica-summary word per vertex: the partitions an
+edge of the vertex was placed on other than its own.  For ``k <= 64`` the
+word is that set exactly (bit ``p``); for larger ``k`` it holds the most
+recent ``64 // b`` of them (``b = k.bit_length()`` bits per field,
+``p + 1`` each, newest in the lowest field), so the space stays O(|V|)
+and independent of ``k``, as Section IV-A states — one word per vertex
+beyond pass 1's two tables.  Time O(|E|) plus, per spilled edge, O(1) for
+``k <= 64`` or O((64 / b)^2) field compares (the pointer's scan is
+amortized O(k) total because partitions only fill up).
 
 Chunked ingestion
 -----------------
@@ -151,16 +156,30 @@ def transform_partitions(
     loads = np.zeros(k, dtype=np.int64)
     out = np.empty(num_edges, dtype=np.int64)
     spill_ptr = 0  # rotates forward over partitions; loads only grow
-    # replicas[x]: bit p once an edge of x is placed on p
+    # replicas[x]: the summary word of the module docstring
     replicas = [0] * stream.num_vertices
+    exact = k <= 64
+    width = k.bit_length()
+    field = (1 << width) - 1
+    keep = (1 << (64 // width * width)) - 1
 
-    def least_loaded(cand: int) -> int:
-        """The least-loaded underfull partition among ``cand``'s bits,
-        ties to the lowest index; -1 when there is none."""
+    def members(w: int) -> list[int]:
+        """The partitions summary word ``w`` names."""
+        if exact:
+            return [p for p in range(k) if w >> p & 1]
+        held = []
+        while w:
+            held.append((w & field) - 1)
+            w >>= width
+        return held
+
+    def least_loaded(cand: list[int]) -> int:
+        """The least-loaded underfull partition in ``cand``, ties to the
+        lowest index; -1 when there is none."""
         best = -1
-        for p in range(k):
-            if cand >> p & 1 and loads[p] < load_cap and (
-                best < 0 or loads[p] < loads[best]
+        for p in cand:
+            if loads[p] < load_cap and (
+                best < 0 or (loads[p], p) < (loads[best], best)
             ):
                 best = p
         return best
@@ -181,9 +200,11 @@ def transform_partitions(
             else:
                 # both full: where u and v already are, else where either
                 # is, else the rotating pointer
-                target = least_loaded(replicas[u] & replicas[v])
+                held_u = members(replicas[u])
+                held_v = members(replicas[v])
+                target = least_loaded([p for p in held_u if p in held_v])
                 if target < 0:
-                    target = least_loaded(replicas[u] | replicas[v])
+                    target = least_loaded(held_u + held_v)
                 if target < 0:
                     while loads[spill_ptr] >= load_cap:
                         spill_ptr += 1
@@ -206,8 +227,13 @@ def transform_partitions(
             stats.degree_cut += 1
         out[i] = target
         loads[target] += 1
-        replicas[u] |= 1 << target
-        replicas[v] |= 1 << target
+        for x, px in ((u, pu), (v, pv)):
+            if target != px:
+                w = replicas[x]
+                if exact:
+                    replicas[x] = w | 1 << target
+                elif target not in members(w):
+                    replicas[x] = (w << width | target + 1) & keep
     return out, stats
 
 
@@ -343,13 +369,10 @@ class TransformState:
         self.loads = seeded
         self.spill_ptr = 0
         # the spill rule's state, crossing chunks: each vertex's replica
-        # bitset (nw = ceil(k / 64) words a row) and the underfull mask
-        # (bit p while loads[p] < caps[p]; the kernel clears it as p fills)
-        self._nw = -(-k // 64)
-        self._replicas = np.zeros(num_vertices * self._nw, dtype=np.uint64)
-        underfull = np.zeros(64 * self._nw, dtype=np.bool_)
-        underfull[:k] = seeded < self._caps
-        self._underfull = np.packbits(underfull, bitorder="little").view(np.uint64)
+        # summary word (module docstring).  A caller that carries pass 3
+        # across states (the service, between batches) may fill it before
+        # the first chunk.
+        self.replicas = np.zeros(num_vertices, dtype=np.uint64)
         # contiguous bool/int64 tables: what the kernels consume (the
         # flags viewed as uint8)
         self._vp = np.ascontiguousarray(vp, dtype=np.int64)
@@ -402,9 +425,8 @@ class TransformState:
             dtype=np.int64,
         )
         status = self._backend.transform_chunk(
-            u, v, self.k, self._nw, self._vp, self._div.view(np.uint8), self._deg,
-            self.loads, self._caps, self._replicas, self._underfull, counters,
-            self._external, out,
+            u, v, self.k, self._vp, self._div.view(np.uint8), self._deg,
+            self.loads, self._caps, self.replicas, counters, self._external, out,
         )
         if status == 2:
             raise ValueError(

@@ -125,9 +125,9 @@ KERNELS: dict[str, Kernel] = {
         "divided:u8[] vol:i64[] mirror_v:i64[] mirror_c:i64[] counters:i64[]"
     ),
     "transform_chunk": _row(
-        "u:i64[] v:i64[] m:len(u) k:i64 nw:i64 vp:i64[] divided:u8[] deg:i64[] "
-        "loads:i64[] caps:i64[] replicas:u64[] underfull:u64[] counters:i64[] "
-        "check_mapped:i64 out:i64[]",
+        "u:i64[] v:i64[] m:len(u) k:i64 vp:i64[] divided:u8[] deg:i64[] "
+        "loads:i64[] caps:i64[] replicas:u64[] counters:i64[] check_mapped:i64 "
+        "out:i64[]",
         "i64",
     ),
     "game_round": _row(

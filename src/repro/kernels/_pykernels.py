@@ -23,10 +23,12 @@ tiers against it — but in whatever form numpy runs fastest:
   they return that row, -1 for none, which :func:`checked_take` raises
   as ``IndexError``).
 
-Conventions shared with the C kernels: vertex partition sets are flat
-multiword uint64 bitmask rows (``nw = ceil(k / 64)`` words per vertex,
-vertex ``x`` owns ``words[x * nw : (x + 1) * nw]``); counters cross the
-boundary in small int64 arrays so one signature fits both tiers.
+Conventions shared with the C kernels: HDRF's and Greedy's vertex
+partition sets are flat multiword uint64 bitmask rows (``nw = ceil(k /
+64)`` words per vertex, vertex ``x`` owns ``words[x * nw : (x + 1) *
+nw]``), pass 3's replica summaries one uint64 word per vertex; counters
+cross the boundary in small int64 arrays so one signature fits both
+tiers.
 """
 
 from __future__ import annotations
@@ -339,20 +341,42 @@ def clustering_chunk(
     counters[:] = (num_raw + born, len(mv), splits, migrations, allocations)
 
 
+def _summary_fields(w, width, field):
+    """The partitions a k > 64 replica summary word holds, newest first
+    (fields of ``width`` bits, ``p + 1`` each, 0 = empty)."""
+    out = []
+    while w:
+        out.append((w & field) - 1)
+        w >>= width
+    return out
+
+
+def _summary_spill(su, sv, width, field, loads_l, caps_l):
+    """The least-loaded underfull partition in both summaries (k > 64),
+    else in either, ties to the lowest index; -1 when there is none."""
+    fu = _summary_fields(su, width, field)
+    fv = _summary_fields(sv, width, field)
+    for cand in ([p for p in fu if p in fv], fu + fv):
+        best = [(loads_l[p], p) for p in cand if loads_l[p] < caps_l[p]]
+        if best:
+            return min(best)[1]
+    return -1
+
+
 def transform_chunk(
-    u, v, k, nw, vp, divided, deg, loads, caps, replicas, underfull, counters,
-    check_mapped, out,
+    u, v, k, vp, divided, deg, loads, caps, replicas, counters, check_mapped, out,
 ):
     """Pass-3 cap/agreement/mirror/degree replay over one chunk.
 
     ``counters``: ``[spill_ptr, agreement, mirror_reuse, degree_cut,
-    balance_spill]``; ``replicas`` holds ``nw`` mask words per vertex
-    (bit ``p`` once an edge of the vertex is placed on ``p``) and
-    ``underfull`` ``nw`` words, bit ``p`` while ``loads[p] < caps[p]``.
-    Returns 0 on success, 1 when no underfull partition exists
-    (unreachable once caps were validated to hold the stream), 2 when
-    ``check_mapped`` is set and an endpoint maps to -1 (checked up front,
-    before any state mutation).
+    balance_spill]``; ``replicas`` holds one summary word per vertex of
+    the partitions its edges went to other than its own: for ``k <= 64``
+    the set (bit ``p``), else the most recent distinct ones, ``p + 1`` per
+    field of ``k.bit_length()`` bits, newest lowest.  Returns 0 on
+    success, 1 when no underfull partition exists (unreachable once caps
+    were validated to hold the stream), 2 when ``check_mapped`` is set
+    and an endpoint maps to -1 (checked up front, before any state
+    mutation).
 
     The rule table (agreement / mirror / degree) does not read the
     loads, so it is evaluated for the whole chunk as masks; the loop
@@ -383,8 +407,12 @@ def transform_chunk(
     pv_l = pv.tolist()
     caps_l = caps.tolist()
     loads_l = loads.tolist()
-    vertices, lu, lv, sets = _sets_in(u, v, replicas, nw)
-    under = int.from_bytes(underfull.astype("<u8", copy=False).tobytes(), "little")
+    vertices, lu, lv, sets = _sets_in(u, v, replicas, 1)
+    exact = k <= 64
+    width = int(k).bit_length()
+    field = (1 << width) - 1
+    keep = (1 << (64 // width * width)) - 1
+    under = sum(1 << p for p in range(k) if loads_l[p] < caps_l[p]) if exact else 0
     sp, agreement, mirror_reuse, degree_cut, balance_spill = counters.tolist()
     out_l = [0] * m
     for i in range(m):
@@ -407,10 +435,11 @@ def transform_chunk(
             elif loads_l[p_v] < caps_l[p_v]:
                 target = p_v
             else:
-                w = sets[a] & sets[b] & under
-                if not w:
-                    w = (sets[a] | sets[b]) & under
-                target = _least_loaded(w, loads_l)
+                if exact:
+                    w = sets[a] & sets[b] & under
+                    target = _least_loaded(w or (sets[a] | sets[b]) & under, loads_l)
+                else:
+                    target = _summary_spill(sets[a], sets[b], width, field, loads_l, caps_l)
                 if target < 0:
                     while loads_l[sp] >= caps_l[sp]:
                         sp += 1
@@ -421,15 +450,21 @@ def transform_chunk(
             balance_spill += 1
         out_l[i] = target
         bit = 1 << target
-        sets[a] |= bit
-        sets[b] |= bit
+        if exact:
+            if target != p_u:
+                sets[a] |= bit
+            if target != p_v:
+                sets[b] |= bit
+        else:
+            for x, p_x in ((a, p_u), (b, p_v)):
+                if target != p_x and target not in _summary_fields(sets[x], width, field):
+                    sets[x] = (sets[x] << width | target + 1) & keep
         loads_l[target] += 1
         if loads_l[target] >= caps_l[target]:
             under &= ~bit
     out[:] = out_l
     loads[:] = loads_l
-    underfull[:] = np.frombuffer(under.to_bytes(8 * nw, "little"), dtype="<u8")
-    _sets_out(replicas, nw, vertices, sets)
+    _sets_out(replicas, 1, vertices, sets)
     counters[:] = (sp, agreement, mirror_reuse, degree_cut, balance_spill)
     return 0
 

@@ -28,9 +28,10 @@
  *                        replica-slot index in counting passes, every
  *                        partition id and endpoint checked up front
  *
- * All state crosses the boundary as flat C-contiguous arrays; vertex
- * partition sets are multiword uint64 bitmask rows (nw = ceil(k / 64)
- * words per vertex).  Integer kernels are bit-identical by construction;
+ * All state crosses the boundary as flat C-contiguous arrays; HDRF's and
+ * Greedy's vertex partition sets are multiword uint64 bitmask rows
+ * (nw = ceil(k / 64) words per vertex), pass 3's replica summaries one
+ * uint64 word per vertex.  Integer kernels are bit-identical by construction;
  * hdrf_chunk keeps every floating-point expression in the reference's
  * evaluation order and must be compiled WITHOUT -ffast-math and with
  * -ffp-contract=off so IEEE double semantics match CPython's exactly.
@@ -96,6 +97,29 @@ void hdrf_chunk(
 /* Greedy: PowerGraph coordinated placement (Gonzalez 2012)           */
 /* ------------------------------------------------------------------ */
 
+/* Fold the set bits of cand -- partitions base .. base + 63 -- into the
+ * running least-loaded pick (*best_p, *best_l): ascending bits with a
+ * strict < keep the lowest index on ties.  The min is written as
+ * selects so it compiles to conditional moves: the comparison is
+ * unpredictable.  Shared by greedy_chunk and pass 3's spill. */
+static inline void least_loaded_bits(
+    uint64_t cand, int64_t base, const int64_t *loads,
+    int64_t *best_p, int64_t *best_l)
+{
+    int64_t bp = *best_p;
+    int64_t bl = *best_l;
+    while (cand) {
+        int64_t p = base + __builtin_ctzll(cand);
+        cand &= cand - 1;
+        int64_t l = loads[p];
+        int better = l < bl;
+        bl = better ? l : bl;
+        bp = better ? p : bp;
+    }
+    *best_p = bp;
+    *best_l = bl;
+}
+
 void greedy_chunk(
     const int64_t *u, const int64_t *v, int64_t m,
     int64_t k, int64_t nw,
@@ -109,25 +133,16 @@ void greedy_chunk(
         uint64_t *wv = words + vi * nw;
         /* cases 1-3: candidates = A(u) & A(v), else A(u) | A(v) (either
          * side may be empty); argmin over candidate bits with the
-         * (load, id) lexicographic tie-break = ascending p, strict < */
+         * (load, id) lexicographic tie-break */
         int64_t best_p = -1;
-        int64_t best_l = 0;
+        int64_t best_l = INT64_MAX;
         int64_t any_common = 0;
         for (int64_t w = 0; w < nw; w++) {
             if (wu[w] & wv[w]) { any_common = 1; break; }
         }
         for (int64_t w = 0; w < nw; w++) {
             uint64_t cand = any_common ? (wu[w] & wv[w]) : (wu[w] | wv[w]);
-            while (cand) {
-                uint64_t bit = cand & (~cand + 1);
-                int64_t p = w * 64 + __builtin_ctzll(cand);
-                cand ^= bit;
-                int64_t lp = loads[p];
-                if (best_p < 0 || lp < best_l) {
-                    best_l = lp;
-                    best_p = p;
-                }
-            }
+            least_loaded_bits(cand, w * 64, loads, &best_p, &best_l);
         }
         if (best_p < 0) {
             /* case 4: first least-loaded partition overall */
@@ -244,47 +259,66 @@ void clustering_chunk(
 /* Pass 3: hard load cap + agreement / mirror / degree (Algorithm 1)  */
 /* ------------------------------------------------------------------ */
 
-/* The least-loaded underfull partition holding a replica of both u and
- * v, else of either, ties to the lowest index; -1 when there is none.
- * The min is written as selects so it compiles to conditional moves:
- * the comparison is unpredictable. */
-static inline int64_t spill_to_replica(
-    const uint64_t *ru, const uint64_t *rv,
-    const uint64_t *underfull, int64_t nw, const int64_t *loads)
+/* Pass 3's replica summary: one uint64 per vertex recording the
+ * partitions an edge of the vertex went to other than its own.  For
+ * k <= 64 it is the exact set, bit p for partition p.  For k > 64 it
+ * holds the most recent distinct such partitions, p + 1 per field of
+ * width = bit length of k, newest in the lowest field, 0 = empty; the
+ * filled fields are the low ones, so a walk stops at the first 0. */
+static inline int summary_has(uint64_t w, uint64_t x, int64_t width, uint64_t field)
 {
-    int64_t common = 0;
-    for (int64_t w = 0; w < nw; w++) {
-        if (ru[w] & rv[w] & underfull[w]) { common = 1; break; }
+    for (; w; w >>= width) {
+        if ((w & field) == x) return 1;
     }
+    return 0;
+}
+
+/* Record partition p in summary w (k > 64): a new one shifts in as the
+ * newest field and the oldest drops off the top (keep masks the whole
+ * fields). */
+static inline uint64_t summary_push(
+    uint64_t w, int64_t p, int64_t width, uint64_t field, uint64_t keep)
+{
+    uint64_t x = (uint64_t)p + 1;
+    return summary_has(w, x, width, field) ? w : ((w << width) | x) & keep;
+}
+
+/* The least-loaded underfull partition in both summaries (k > 64), else
+ * in either, ties to the lowest index; -1 when there is none. */
+static int64_t summary_spill(
+    uint64_t su, uint64_t sv, int64_t width, uint64_t field,
+    const int64_t *loads, const int64_t *caps)
+{
     int64_t best_p = -1;
     int64_t best_l = INT64_MAX;
-    for (int64_t w = 0; w < nw; w++) {
-        uint64_t cand = (common ? ru[w] & rv[w] : ru[w] | rv[w]) & underfull[w];
-        while (cand) {
-            int64_t p = w * 64 + __builtin_ctzll(cand);
-            cand &= cand - 1;
-            int64_t l = loads[p];
-            int better = l < best_l;
-            best_l = better ? l : best_l;
-            best_p = better ? p : best_p;
+    for (int64_t both = 1; both >= 0 && best_p < 0; both--) {
+        for (int64_t side = 0; side <= 1 - both; side++) {
+            for (uint64_t w = side ? sv : su; w; w >>= width) {
+                uint64_t x = w & field;
+                if (both && !summary_has(sv, x, width, field)) continue;
+                int64_t p = (int64_t)x - 1;
+                int64_t l = loads[p];
+                if (l < caps[p] && (l < best_l || (l == best_l && p < best_p))) {
+                    best_l = l;
+                    best_p = p;
+                }
+            }
         }
     }
     return best_p;
 }
 
 /* counters: [spill_ptr, agreement, mirror_reuse, degree_cut,
- * balance_spill].  replicas: nw = ceil(k / 64) words per vertex, bit p
- * set once an edge of the vertex is placed on p; underfull: nw words,
- * bit p set while loads[p] < caps[p] (the caller seeds it, the kernel
- * clears a bit when its partition fills).  Returns 0 on success, 1 if
- * no underfull partition exists (unreachable when caps were validated
- * to hold the stream), 2 if check_mapped is set and some endpoint's vp
- * entry is -1 (checked up front, before any state mutation). */
+ * balance_spill]; replicas: one summary word per vertex (above).
+ * Returns 0 on success, 1 if no underfull partition exists (unreachable
+ * when caps were validated to hold the stream), 2 if check_mapped is set
+ * and some endpoint's vp entry is -1 (checked up front, before any state
+ * mutation). */
 int64_t transform_chunk(
-    const int64_t *u, const int64_t *v, int64_t m, int64_t k, int64_t nw,
+    const int64_t *u, const int64_t *v, int64_t m, int64_t k,
     const int64_t *vp, const uint8_t *divided, const int64_t *deg,
     int64_t *loads, const int64_t *caps, uint64_t *replicas,
-    uint64_t *underfull, int64_t *counters,
+    int64_t *counters,
     int64_t check_mapped,
     int64_t *out)
 {
@@ -298,13 +332,21 @@ int64_t transform_chunk(
     int64_t mirror_reuse = counters[2];
     int64_t degree_cut = counters[3];
     int64_t balance_spill = counters[4];
+    int64_t exact = k <= 64;
+    int64_t width = 64 - __builtin_clzll((uint64_t)k);
+    uint64_t field = (1ULL << width) - 1;
+    int64_t fields = 64 / width;
+    uint64_t keep = fields * width == 64 ? ~0ULL : (1ULL << (fields * width)) - 1;
+    /* k <= 64: bit p while loads[p] < caps[p] */
+    uint64_t under = 0;
+    for (int64_t p = 0; exact && p < k; p++) {
+        if (loads[p] < caps[p]) under |= 1ULL << p;
+    }
     for (int64_t i = 0; i < m; i++) {
         int64_t ui = u[i];
         int64_t vi = v[i];
         int64_t pu = vp[ui];
         int64_t pv = vp[vi];
-        uint64_t *ru = replicas + ui * nw;
-        uint64_t *rv = replicas + vi * nw;
         int64_t target;
         if (loads[pu] >= caps[pu] || loads[pv] >= caps[pv]) {
             if (loads[pu] < caps[pu]) {
@@ -314,7 +356,17 @@ int64_t transform_chunk(
             } else {
                 /* both full: where u and v already are, else where
                  * either is, else the rotating pointer */
-                target = spill_to_replica(ru, rv, underfull, nw, loads);
+                uint64_t su = replicas[ui];
+                uint64_t sv = replicas[vi];
+                if (exact) {
+                    uint64_t cand = su & sv & under;
+                    int64_t best_l = INT64_MAX;
+                    target = -1;
+                    least_loaded_bits(cand ? cand : (su | sv) & under, 0, loads,
+                                      &target, &best_l);
+                } else {
+                    target = summary_spill(su, sv, width, field, loads, caps);
+                }
                 if (target < 0) {
                     while (loads[sp] >= caps[sp]) {
                         sp++;
@@ -340,9 +392,15 @@ int64_t transform_chunk(
         }
         out[i] = target;
         uint64_t bit = 1ULL << (target & 63);
-        ru[target >> 6] |= bit;
-        rv[target >> 6] |= bit;
-        if (++loads[target] >= caps[target]) underfull[target >> 6] &= ~bit;
+        if (target != pu) {
+            replicas[ui] = exact ? replicas[ui] | bit
+                                 : summary_push(replicas[ui], target, width, field, keep);
+        }
+        if (target != pv) {
+            replicas[vi] = exact ? replicas[vi] | bit
+                                 : summary_push(replicas[vi], target, width, field, keep);
+        }
+        if (++loads[target] >= caps[target]) under &= ~bit;
     }
     counters[0] = sp;
     counters[1] = agreement;

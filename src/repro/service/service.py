@@ -22,11 +22,13 @@ unbounded sequence of edge batches:
   the served map into a bounded :class:`~repro.service.plan.
   MigrationPlan`; only edges incident to moved vertices plus the new
   batch re-stream through a :class:`~repro.core.transform.TransformState`
-  seeded with the retained per-partition loads (``initial_loads``) and
-  the uniform cap ``L_max`` of everything served so far (what the PR-5
-  quota exchange, :func:`~repro.core.distributed.balance_quotas`, hands
-  a single node), so churn is bounded by construction and the hard
-  balance cap keeps holding.
+  seeded with the retained per-partition loads (``initial_loads``), the
+  replica summaries of the batches before (so a spilled edge goes where
+  its endpoints already are) and the uniform cap ``L_max`` of everything
+  served so far (what the PR-5 quota exchange,
+  :func:`~repro.core.distributed.balance_quotas`, hands a single node),
+  so churn is bounded by construction and the hard balance cap keeps
+  holding.
 
 What a batch costs is what it touches: the cluster graph is kept as a
 raw-id delta layer (:class:`~repro.core.cluster_graph.ClusterGraphDelta`)
@@ -68,7 +70,7 @@ from .plan import BatchStats, MigrationPlan, plan_migrations
 __all__ = ["PartitionService"]
 
 #: checkpoint payload format version (bumped on incompatible layout changes)
-_CKPT_FORMAT = 1
+_CKPT_FORMAT = 2
 
 
 def _jsonable(obj):
@@ -174,6 +176,9 @@ class PartitionService:
         self._vp = np.full(n, -1, dtype=np.int64)  # served vertex->partition
         self._raw_assign = np.full(0, -1, dtype=np.int64)  # raw cluster->partition
         self._loads = np.zeros(self.k, dtype=np.int64)
+        # pass 3's replica summaries, carried from batch to batch so a
+        # spilled edge sees the replicas earlier batches placed
+        self._replicas = np.zeros(n, dtype=np.uint64)
         # derived state, rebuilt from the log and the clustering on restore:
         # the cluster graph under raw labels, and vertex -> incident edges
         self._delta: ClusterGraphDelta | None = None
@@ -298,6 +303,7 @@ class PartitionService:
             "vp": self._vp,
             "raw_assign": self._raw_assign,
             "loads": self._loads,
+            "replicas": self._replicas,
         }
         state_meta = None
         if self._state is not None:
@@ -339,6 +345,7 @@ class PartitionService:
         self._vp = np.ascontiguousarray(arrays["vp"], dtype=np.int64)
         self._raw_assign = np.ascontiguousarray(arrays["raw_assign"], dtype=np.int64)
         self._loads = np.ascontiguousarray(arrays["loads"], dtype=np.int64)
+        self._replicas = np.ascontiguousarray(arrays["replicas"], dtype=np.uint64)
         self.batch_index = int(meta["batch_index"])
         self.history = [BatchStats.from_dict(d) for d in meta["history"]]
         if meta["has_state"]:
@@ -593,6 +600,7 @@ class PartitionService:
                 load_caps=np.full(k, cap, dtype=np.int64),
                 initial_loads=loads,
             )
+            transform.replicas[:] = self._replicas
             re_parts = transform.ingest_pair(src[affected], dst[affected])
             new_parts = transform.ingest_pair(u, v)
         except BaseException:
@@ -608,6 +616,7 @@ class PartitionService:
         self._edge_part[old_edges:total] = new_parts
         self._num_edges = total
         self._loads = transform.loads
+        self._replicas = transform.replicas
         # the equilibrium persists against stable raw ids for the next batch
         self._raw_assign = grow_buffer(
             self._raw_assign, self._raw_assign.size,

@@ -92,14 +92,14 @@ class TestClusteringState:
         assert not result.mirror_clusters
 
     def test_ingest_after_finalize_rejected(self):
-        state = ClusteringState(4, 10)
+        state = ClusteringState(4, 10, enable_splitting=True)
         state.ingest_pair([0], [1])
         state.finalize()
         with pytest.raises(RuntimeError):
             state.ingest_pair([1], [2])
 
     def test_members_groupby_matches_loop(self, stream):
-        result = streaming_clustering(stream, max(1, stream.num_edges // 16))
+        result = streaming_clustering(stream, max(1, stream.num_edges // 16), enable_splitting=True)
         members = result.members()
         expected = {}
         for v, c in enumerate(result.cluster_of.tolist()):
@@ -113,7 +113,9 @@ class TestTransformState:
     def test_bit_identical_across_chunk_sizes(self, stream, tau):
         # tau=1.0 makes the load cap bite early, so the spill branch and
         # the rotating spill pointer run often and cross chunk boundaries
-        clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
+        clustering = streaming_clustering(
+            stream, max(1, stream.num_edges // 8), enable_splitting=True
+        )
         cg = build_cluster_graph(stream, clustering)
         game = ClusterPartitioningGame(cg, 4, GameConfig(seed=0)).run()
         ref, ref_stats = transform_partitions(
@@ -136,7 +138,9 @@ class TestTransformState:
             )
 
     def test_load_cap_strictly_enforced(self, stream):
-        clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
+        clustering = streaming_clustering(
+            stream, max(1, stream.num_edges // 8), enable_splitting=True
+        )
         cg = build_cluster_graph(stream, clustering)
         game = ClusterPartitioningGame(cg, 4, GameConfig(seed=0)).run()
         out, state = pass3(stream, clustering, game.assignment, 4, 1.0, 257)
@@ -144,7 +148,9 @@ class TestTransformState:
         assert loads.max() <= state.load_cap and np.array_equal(loads, state.loads)
 
     def test_rejects_bad_inputs(self, stream):
-        clustering = streaming_clustering(stream, max(1, stream.num_edges // 8))
+        clustering = streaming_clustering(
+            stream, max(1, stream.num_edges // 8), enable_splitting=True
+        )
         with pytest.raises(ValueError):
             TransformState(
                 clustering,
@@ -176,7 +182,9 @@ class TestTransformState:
 
 class TestGameVectorization:
     def test_vectorized_matches_reference_scorer(self, stream):
-        clustering = streaming_clustering(stream, max(1, stream.num_edges // 16))
+        clustering = streaming_clustering(
+            stream, max(1, stream.num_edges // 16), enable_splitting=True
+        )
         cg = build_cluster_graph(stream, clustering)
         for seed in range(3):
             ref = best_response_dynamics(cg, 8, GameConfig(seed=seed))

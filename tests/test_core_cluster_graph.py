@@ -23,7 +23,7 @@ from repro.core.game import ClusterPartitioningGame
 
 def clustered_stream(edges, vmax=1000):
     s = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    return s, streaming_clustering(s, max_volume=vmax)
+    return s, streaming_clustering(s, max_volume=vmax, enable_splitting=True)
 
 
 def csr_row(indptr, indices, weights, c):
@@ -129,7 +129,7 @@ class TestBuild:
     def test_rejects_unclustered_vertices(self):
         s = EdgeStream([0], [1], num_vertices=2)
         clustering = streaming_clustering(
-            EdgeStream([0], [1], num_vertices=2), max_volume=5
+            EdgeStream([0], [1], num_vertices=2), max_volume=5, enable_splitting=True
         )
         bigger = EdgeStream([0, 1], [1, 0], num_vertices=2)
         # same clustering works for a permuted stream over the same vertices
@@ -171,7 +171,7 @@ class TestBuild:
 
     def test_empty_stream(self):
         s = EdgeStream([], [], num_vertices=0)
-        clustering = streaming_clustering(s, max_volume=5)
+        clustering = streaming_clustering(s, max_volume=5, enable_splitting=True)
         cg = build_cluster_graph(s, clustering)
         assert cg.num_clusters == 0
         assert cg.total_internal() == 0

@@ -18,40 +18,42 @@ def stream_of(edges, n=None):
 class TestAllocation:
     def test_every_seen_vertex_gets_cluster(self):
         s = stream_of([(0, 1), (2, 3)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert (result.cluster_of[[0, 1, 2, 3]] >= 0).all()
 
     def test_unseen_vertex_stays_unclustered(self):
         g = DiGraph([0], [1], num_vertices=5)
-        result = streaming_clustering(EdgeStream.from_graph(g), max_volume=10)
+        result = streaming_clustering(
+            EdgeStream.from_graph(g), max_volume=10, enable_splitting=True
+        )
         assert result.cluster_of[4] == -1
 
     def test_degrees_counted_over_stream(self):
         s = stream_of([(0, 1), (0, 2), (1, 2)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert result.degree.tolist() == [2, 2, 2]
 
     def test_allocation_counter(self):
         s = stream_of([(0, 1), (2, 3), (0, 2)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert result.allocations == 4
 
 
 class TestMigration:
     def test_connected_pair_merges(self):
         s = stream_of([(0, 1)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert result.cluster_of[0] == result.cluster_of[1]
 
     def test_triangle_single_cluster(self):
         s = stream_of([(0, 1), (1, 2), (2, 0)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert np.unique(result.cluster_of).size == 1
 
     def test_communities_stay_separate(self):
         # two triangles joined by nothing
         s = stream_of([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert result.cluster_of[0] == result.cluster_of[1] == result.cluster_of[2]
         assert result.cluster_of[3] == result.cluster_of[4] == result.cluster_of[5]
         assert result.cluster_of[0] != result.cluster_of[3]
@@ -67,21 +69,21 @@ class TestMigration:
         # build cluster {0,1,2} (volume 6 after 3 edges), then a fresh pair
         # (3,4); edge (3,0) should pull 3 into the bigger cluster
         s = stream_of([(0, 1), (1, 2), (2, 0), (3, 4), (3, 0)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         assert result.cluster_of[3] == result.cluster_of[0]
 
 
 class TestSplitting:
     def test_no_split_below_capacity(self):
         s = stream_of([(0, 1), (1, 2)])
-        result = streaming_clustering(s, max_volume=1000)
+        result = streaming_clustering(s, max_volume=1000, enable_splitting=True)
         assert result.splits == 0
         assert not result.divided.any()
 
     def test_split_marks_divided_and_mirror(self):
         graph = web_crawl_graph(600, avg_out_degree=10, host_size=30, seed=2)
         s = EdgeStream.from_graph(graph)
-        result = streaming_clustering(s, max_volume=s.num_edges // 64)
+        result = streaming_clustering(s, max_volume=s.num_edges // 64, enable_splitting=True)
         assert result.splits > 0
         assert result.divided.sum() == len(result.mirror_clusters) or (
             # mirrors pointing at later-emptied clusters are dropped
@@ -95,7 +97,7 @@ class TestSplitting:
     def test_split_at_most_once_per_vertex(self):
         graph = web_crawl_graph(600, avg_out_degree=10, host_size=30, seed=2)
         s = EdgeStream.from_graph(graph)
-        result = streaming_clustering(s, max_volume=s.num_edges // 64)
+        result = streaming_clustering(s, max_volume=s.num_edges // 64, enable_splitting=True)
         assert result.splits == int(result.divided.sum())
         for mirrors in result.mirror_clusters.values():
             assert len(mirrors) == 1
@@ -122,7 +124,7 @@ class TestSplitting:
         extra = [(i, i + 1) for i in range(1, 20)]  # leaf chain adds volume
         edges = list(zip(g.src.tolist(), g.dst.tolist())) + extra
         s = stream_of(edges)
-        result = streaming_clustering(s, max_volume=30)
+        result = streaming_clustering(s, max_volume=30, enable_splitting=True)
         # the clustering must terminate and keep ids consistent
         assert (result.cluster_of[result.degree > 0] >= 0).all()
 
@@ -134,7 +136,7 @@ class TestVolumeAccounting:
         # so the final table must match an independent recomputation exactly
         graph = web_crawl_graph(500, avg_out_degree=8, seed=4)
         s = EdgeStream.from_graph(graph)
-        result = streaming_clustering(s, max_volume=s.num_edges // 16)
+        result = streaming_clustering(s, max_volume=s.num_edges // 16, enable_splitting=True)
         recomputed = np.zeros(result.num_clusters, dtype=np.int64)
         for v, c in enumerate(result.cluster_of.tolist()):
             if c >= 0:
@@ -144,7 +146,7 @@ class TestVolumeAccounting:
 
     def test_cluster_sizes_match_members(self):
         s = stream_of([(0, 1), (1, 2), (3, 4)])
-        result = streaming_clustering(s, max_volume=100)
+        result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         sizes = result.cluster_sizes()
         assert sizes.sum() == 5
         members = result.members()
@@ -157,7 +159,7 @@ class TestCompaction:
     def test_cluster_ids_dense(self):
         graph = web_crawl_graph(500, avg_out_degree=8, seed=5)
         s = EdgeStream.from_graph(graph)
-        result = streaming_clustering(s, max_volume=s.num_edges // 32)
+        result = streaming_clustering(s, max_volume=s.num_edges // 32, enable_splitting=True)
         active = result.cluster_of[result.cluster_of >= 0]
         assert active.max() == result.num_clusters - 1
         assert np.unique(active).size == result.num_clusters
@@ -165,7 +167,7 @@ class TestCompaction:
     def test_volume_indexed_by_compact_id(self):
         graph = web_crawl_graph(500, avg_out_degree=8, seed=5)
         s = EdgeStream.from_graph(graph)
-        result = streaming_clustering(s, max_volume=s.num_edges // 32)
+        result = streaming_clustering(s, max_volume=s.num_edges // 32, enable_splitting=True)
         assert result.volume.shape == (result.num_clusters,)
 
 
@@ -173,16 +175,16 @@ class TestValidation:
     def test_rejects_bad_vmax(self):
         s = stream_of([(0, 1)])
         with pytest.raises(ValueError):
-            streaming_clustering(s, max_volume=0)
+            streaming_clustering(s, max_volume=0, enable_splitting=True)
 
     def test_self_loops_handled(self):
         s = stream_of([(0, 0), (0, 1)])
-        result = streaming_clustering(s, max_volume=10)
+        result = streaming_clustering(s, max_volume=10, enable_splitting=True)
         assert result.degree[0] == 3  # self-loop counts twice
 
     def test_empty_stream(self):
         s = EdgeStream([], [], num_vertices=3)
-        result = streaming_clustering(s, max_volume=5)
+        result = streaming_clustering(s, max_volume=5, enable_splitting=True)
         assert result.num_clusters == 0
 
 
@@ -219,7 +221,7 @@ class TestRawClusterStability:
     """raw_clusters()/raw_ids — the service's cross-snapshot correlation."""
 
     def test_raw_clusters_before_and_after_ingest(self):
-        state = ClusteringState(6, max_volume=8)
+        state = ClusteringState(6, max_volume=8, enable_splitting=True)
         verts = np.arange(6)
         assert (state.raw_clusters(verts) == -1).all()
         state.ingest_pair(np.array([0, 1]), np.array([1, 2]))
@@ -228,7 +230,7 @@ class TestRawClusterStability:
         assert (raw[3:] == -1).all()
 
     def test_raw_ids_map_compact_to_raw(self):
-        state = ClusteringState(8, max_volume=4)
+        state = ClusteringState(8, max_volume=4, enable_splitting=True)
         state.ingest_pair(
             np.array([0, 1, 4, 5, 0]), np.array([1, 2, 5, 6, 4])
         )
@@ -247,8 +249,8 @@ class TestRawClusterStability:
         # to rebind raw_ids inside its mirror loop
         rng = np.random.default_rng(0)
         stream = EdgeStream(rng.integers(0, 50, 400), rng.integers(0, 50, 400), 50)
-        oracle = streaming_clustering(stream, max_volume=40)
-        state = ClusteringState(50, max_volume=40)
+        oracle = streaming_clustering(stream, max_volume=40, enable_splitting=True)
+        state = ClusteringState(50, max_volume=40, enable_splitting=True)
         state.ingest_pair(stream.src, stream.dst)
         assert oracle.splits > 0
         assert isinstance(oracle.raw_ids, np.ndarray)
@@ -259,7 +261,7 @@ class TestRawClusterStability:
         rng = np.random.default_rng(2)
         u = rng.integers(0, 40, size=200)
         v = rng.integers(0, 40, size=200)
-        state = ClusteringState(40, max_volume=10)
+        state = ClusteringState(40, max_volume=10, enable_splitting=True)
         state.ingest_pair(u[:100], v[:100])
         snap1 = state.snapshot()
         state.ingest_pair(u[100:], v[100:])

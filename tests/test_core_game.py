@@ -40,7 +40,7 @@ def crawl_cluster_graph(seed=0):
 
     g = web_crawl_graph(600, avg_out_degree=8, host_size=30, seed=seed)
     s = EdgeStream.from_graph(g)
-    clustering = streaming_clustering(s, max_volume=s.num_edges // 16)
+    clustering = streaming_clustering(s, max_volume=s.num_edges // 16, enable_splitting=True)
     return build_cluster_graph(s, clustering)
 
 
@@ -244,7 +244,7 @@ class TestRelativeWeight:
 )
 def test_property_game_reaches_stable_state(edges, k, seed):
     s = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2))
+    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2), enable_splitting=True)
     cg = build_cluster_graph(s, clustering)
     game = ClusterPartitioningGame(cg, k, GameConfig(seed=seed, max_rounds=200))
     result = game.run()

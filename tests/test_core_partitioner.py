@@ -163,14 +163,14 @@ class TestPipeline:
         p = ClugpPartitioner(8, config=cfg)
         assert p.config.num_partitions == 8
 
-    @pytest.mark.parametrize("k,words", [(8, 1), (130, 3)])
-    def test_state_memory_accounts_vertex_tables(self, stream, k, words):
+    @pytest.mark.parametrize("k", [8, 130])
+    def test_state_memory_accounts_vertex_tables(self, stream, k):
         p = ClugpPartitioner(k)
         p.partition(stream)
         # two vertex tables, three cluster tables and pass 3's replica
-        # bitset, ceil(k / 64) words a vertex
+        # summary, one word a vertex at any k
         n, m = stream.num_vertices, p.last_clustering.num_clusters
-        assert p.state_memory_bytes(stream) == (2 + words) * n * 8 + 3 * m * 8
+        assert p.state_memory_bytes(stream) == 3 * n * 8 + 3 * m * 8
 
 
 class TestAblations:

@@ -21,7 +21,7 @@ def pipeline_inputs(edges_or_graph, k, vmax=None):
         g = edges_or_graph
     s = EdgeStream.from_graph(g)
     vmax = vmax or max(1, s.num_edges // k)
-    clustering = streaming_clustering(s, vmax)
+    clustering = streaming_clustering(s, vmax, enable_splitting=True)
     cg = build_cluster_graph(s, clustering)
     game = ClusterPartitioningGame(cg, k)
     assignment = game.run().assignment
@@ -90,7 +90,7 @@ class TestRules:
     def test_mirror_rule_used_when_divided(self):
         graph = web_crawl_graph(800, avg_out_degree=10, host_size=20, seed=4)
         s = EdgeStream.from_graph(graph)
-        clustering = streaming_clustering(s, max_volume=s.num_edges // 32)
+        clustering = streaming_clustering(s, max_volume=s.num_edges // 32, enable_splitting=True)
         if clustering.splits == 0:
             pytest.skip("no splits triggered on this instance")
         cg = build_cluster_graph(s, clustering)
@@ -120,7 +120,9 @@ def _singletons(stream: EdgeStream) -> ClusteringResult:
 #: finds both endpoint partitions full.  The rotating pointer would send
 #: it to partition 1, the least loaded and lowest underfull one; the spill
 #: takes the underfull partition that holds replicas of both endpoints,
-#: else of one, least loaded first, ties to the lower index.
+#: else of one, least loaded first, ties to the lower index.  At k = 70
+#: the replica summary keeps the 64 // 7 = 9 newest partitions a vertex
+#: went to, so the tenth-newest is forgotten.
 SPILLS = {
     # cap 3: partition 2 holds 0 and 1 (load 2), partition 1 nothing
     "both-endpoints": (3, 1.5, [(0, 1)] * 3 + [(0, 2), (1, 2), (0, 1)], [0, 0, 2], 2),
@@ -131,6 +133,14 @@ SPILLS = {
     # cap 4: partition 3 holds both (load 2), partition 2 only 0 (load 1)
     "both-before-either": (
         4, 2.0, [(0, 1)] * 4 + [(0, 2), (0, 3), (1, 3), (0, 1)], [0, 0, 2, 3], 3,
+    ),
+    # cap 3: partition 65 holds 0 and 1 (load 2), partitions 1-64 nothing
+    "both-endpoints-k70": (70, 35.0, [(0, 1)] * 3 + [(0, 2), (1, 2), (0, 1)], [0, 0, 65], 65),
+    # cap 3: 0 went to partitions 60, 61, ..., 69 in turn (load 1 each);
+    # 60 is forgotten, so the lowest index it remembers is 61
+    "oldest-forgotten-k70": (
+        70, 15.0, [(0, 1)] * 3 + [(0, x) for x in range(2, 12)] + [(0, 1)],
+        [0, 0] + list(range(60, 70)), 61,
     ),
 }
 
@@ -193,7 +203,7 @@ class TestValidation:
 )
 def test_property_transform_invariants(edges, k, tau):
     s = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // k))
+    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // k), enable_splitting=True)
     cg = build_cluster_graph(s, clustering)
     cluster_partition = ClusterPartitioningGame(cg, k).run().assignment
     edge_partition, stats = transform_partitions(

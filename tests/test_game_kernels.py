@@ -42,7 +42,7 @@ from repro.kernels import _pykernels
 def cluster_graph():
     g = web_crawl_graph(600, avg_out_degree=8, host_size=30, seed=9)
     s = EdgeStream.from_graph(g)
-    clustering = streaming_clustering(s, max_volume=s.num_edges // 16)
+    clustering = streaming_clustering(s, max_volume=s.num_edges // 16, enable_splitting=True)
     return build_cluster_graph(s, clustering)
 
 
@@ -265,7 +265,7 @@ def test_vectorized_nash_check_block_boundaries(cluster_graph, monkeypatch):
 )
 def test_property_three_way_identity(edges, k, seed):
     s = EdgeStream.from_graph(DiGraph.from_edges(edges))
-    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2))
+    clustering = streaming_clustering(s, max_volume=max(1, s.num_edges // 2), enable_splitting=True)
     cg = build_cluster_graph(s, clustering)
     _assert_engines_match_oracle(cg, k, seed, "python", label="property")
     jit_game, jit = _run_engine(cg, k, seed, "python")

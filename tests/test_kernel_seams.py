@@ -70,14 +70,14 @@ part = rng.integers(0, k, m)
 
 
 def clustering(a, b):
-    state = ClusteringState(n, 40)
+    state = ClusteringState(n, 40, enable_splitting=True)
     state.ingest_pair(a, b)
     out = state.finalize()
     return out.cluster_of, out.degree, out.volume, out.divided.view(np.uint8)
 
 
 def transform(a, b):
-    clusters = streaming_clustering(stream, 40)
+    clusters = streaming_clustering(stream, 40, enable_splitting=True)
     to_partition = np.arange(clusters.num_clusters) % k
     state = TransformState(clusters, to_partition, k, num_edges=m, num_vertices=n)
     return state.ingest_pair(a, b), state.loads
@@ -458,8 +458,8 @@ N = 4
 
 def _chunk_state(entry):
     if entry == "clustering":
-        return ClusteringState(N, 10)
-    clusters = streaming_clustering(EdgeStream([0, 1, 2], [1, 2, 3], N), 10)
+        return ClusteringState(N, 10, enable_splitting=True)
+    clusters = streaming_clustering(EdgeStream([0, 1, 2], [1, 2, 3], N), 10, enable_splitting=True)
     to_partition = np.arange(clusters.num_clusters) % 2
     return TransformState(clusters, to_partition, 2, num_edges=8, num_vertices=N)
 

@@ -110,9 +110,10 @@ CASES.update({
 })
 CASES["dbh-exact"] = ("dbh", 8, {"exact_degrees": True}, None)
 # CLUGP's knobs: the tightest balance cap (pass 3 spills the most edges),
-# the same at k = 130, where the spill reads three replica-bitset words
-# a vertex, small clusters without and with the paper's split rule (pass
-# 1 splits often), and k = 1, where the game has one strategy
+# the same at k = 130, where the spill reads the replica summary's
+# recent-partition fields, small clusters without and with the paper's
+# split rule (pass 1 splits often), and k = 1, where the game has one
+# strategy
 CASES["clugp-imb1"] = ("clugp", 8, {"imbalance_factor": 1.0}, None)
 CASES["clugp-k130-imb1"] = ("clugp", 130, {"imbalance_factor": 1.0}, None)
 CASES["clugp-vol32"] = ("clugp", 8, {"max_cluster_volume": 32}, None)
@@ -317,9 +318,9 @@ def test_clustering_state_identity(backend, enable_splitting, stream):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_clustering_tiny_vmax_splitting_storm(backend, stream):
     # vmax=5 forces constant splitting/migration — the worst-case replay
-    oracle = streaming_clustering(stream, 5)
+    oracle = streaming_clustering(stream, 5, enable_splitting=True)
     with kernel_backend(backend):
-        state = ClusteringState(stream.num_vertices, 5)
+        state = ClusteringState(stream.num_vertices, 5, enable_splitting=True)
     assert_clustering_equal(oracle, state.run(stream, 13))
 
 
@@ -349,7 +350,7 @@ def test_from_state_refuses_what_the_kernel_cannot_index(backend, corrupt):
     # ids: a checkpoint they do not fit is refused at restore, before an
     # ingest reads past a table (cc died with SIGSEGV on the cut rows)
     with kernel_backend(backend):
-        state = ClusteringState(10, 4)
+        state = ClusteringState(10, 4, enable_splitting=True)
         state.ingest_pair([0, 1, 1, 2, 2, 0, 3], [1, 2, 2, 0, 3, 3, 1])
         arrays, meta = state.state_dict()
         assert state.splits and arrays["mirror_v"].size  # a journal to corrupt
@@ -366,7 +367,7 @@ def test_from_state_refuses_what_the_kernel_cannot_index(backend, corrupt):
 
 def _clustered(stream, k):
     vmax = max(1, stream.num_edges // k)
-    clustering = streaming_clustering(stream, vmax)
+    clustering = streaming_clustering(stream, vmax, enable_splitting=True)
     rng = np.random.default_rng(7)
     cluster_partition = rng.integers(0, k, size=clustering.num_clusters)
     return clustering, cluster_partition.astype(np.int64)
@@ -450,9 +451,9 @@ def _tiny_stream(pairs):
 @settings(max_examples=40, deadline=None)
 def test_hypothesis_clustering_identity_python_backend(pairs, chunk_size):
     tiny = _tiny_stream(pairs)
-    oracle = streaming_clustering(tiny, 3)
+    oracle = streaming_clustering(tiny, 3, enable_splitting=True)
     with kernel_backend("python"):
-        state = ClusteringState(tiny.num_vertices, 3)
+        state = ClusteringState(tiny.num_vertices, 3, enable_splitting=True)
     assert_clustering_equal(oracle, state.run(tiny, chunk_size))
 
 

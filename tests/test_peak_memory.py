@@ -68,7 +68,9 @@ def test_read_edges_binary_holds_the_columns_and_one_slab(crawl, tmp_path):
 
 def test_build_cluster_graph_holds_one_key_column(crawl):
     stream = EdgeStream.from_graph(crawl)
-    clustering = streaming_clustering(stream, max_volume=crawl.num_edges // 256)
+    clustering = streaming_clustering(
+        stream, max_volume=crawl.num_edges // 256, enable_splitting=True
+    )
     assert clustering.num_clusters**2 < 2**31  # the 4-byte key column
     graph, peak = peak_above_inputs(build_cluster_graph, stream, clustering)
     pairs = graph.indices.size + int((graph.internal > 0).sum())
@@ -82,7 +84,8 @@ def test_build_cluster_graph_holds_one_key_column(crawl):
 @needs_compiled
 def test_the_game_holds_nothing_sized_m_times_k(crawl):
     stream = EdgeStream.from_graph(crawl)
-    graph = build_cluster_graph(stream, streaming_clustering(stream, max_volume=80))
+    clustering = streaming_clustering(stream, max_volume=80, enable_splitting=True)
+    graph = build_cluster_graph(stream, clustering)
     m, k = graph.num_clusters, 1024
     assert 1500 < m < 2500
     graph.cut_degrees(), graph.out_rows()  # the graph's own lazy views

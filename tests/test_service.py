@@ -77,7 +77,7 @@ def test_single_batch_quality_stats_match_assignment():
 def test_snapshot_equals_prefix_reference(chunk):
     stream = crawl_stream(200)
     vmax = max(1, stream.num_edges // 4)
-    state = ClusteringState(stream.num_vertices, vmax)
+    state = ClusteringState(stream.num_vertices, vmax, enable_splitting=True)
     consumed = 0
     for src, dst in stream.batches(chunk):
         state.ingest_pair(src, dst)
@@ -86,7 +86,7 @@ def test_snapshot_equals_prefix_reference(chunk):
             prefix = EdgeStream(
                 stream.src[:consumed], stream.dst[:consumed], stream.num_vertices
             )
-            ref = streaming_clustering(prefix, vmax)
+            ref = streaming_clustering(prefix, vmax, enable_splitting=True)
             snap = state.snapshot()
             assert np.array_equal(snap.cluster_of, ref.cluster_of)
             assert np.array_equal(snap.volume, ref.volume)
@@ -94,14 +94,14 @@ def test_snapshot_equals_prefix_reference(chunk):
             assert snap.mirror_clusters == ref.mirror_clusters
             assert snap.num_clusters == ref.num_clusters
     final = state.finalize()
-    ref = streaming_clustering(stream, vmax)
+    ref = streaming_clustering(stream, vmax, enable_splitting=True)
     assert np.array_equal(final.cluster_of, ref.cluster_of)
 
 
 def test_snapshot_raw_ids_stable_across_batches():
     stream = crawl_stream(200)
     vmax = max(1, stream.num_edges // 4)
-    state = ClusteringState(stream.num_vertices, vmax)
+    state = ClusteringState(stream.num_vertices, vmax, enable_splitting=True)
     half = stream.num_edges // 2
     state.ingest_pair(stream.src[:half], stream.dst[:half])
     snap1 = state.snapshot()
@@ -123,8 +123,8 @@ def test_snapshot_raw_ids_stable_across_batches():
 def test_snapshot_does_not_end_ingestion():
     stream = crawl_stream(150)
     vmax = max(1, stream.num_edges // 4)
-    with_snap = ClusteringState(stream.num_vertices, vmax)
-    without = ClusteringState(stream.num_vertices, vmax)
+    with_snap = ClusteringState(stream.num_vertices, vmax, enable_splitting=True)
+    without = ClusteringState(stream.num_vertices, vmax, enable_splitting=True)
     half = stream.num_edges // 2
     for st_ in (with_snap, without):
         st_.ingest_pair(stream.src[:half], stream.dst[:half])
@@ -137,7 +137,7 @@ def test_snapshot_does_not_end_ingestion():
 
 
 def test_snapshot_after_finalize_raises():
-    state = ClusteringState(4, 2)
+    state = ClusteringState(4, 2, enable_splitting=True)
     state.ingest_pair(np.array([0, 1]), np.array([1, 2]))
     state.finalize()
     with pytest.raises(RuntimeError):

@@ -85,6 +85,7 @@ class RebuildOracle:
         self.vp = np.full(num_vertices, -1, dtype=np.int64)
         self.raw_assign = np.full(0, -1, dtype=np.int64)
         self.loads = np.zeros(self.k, dtype=np.int64)
+        self.replicas = np.zeros(num_vertices, dtype=np.uint64)
 
     def ingest_pair(self, u, v):
         """Apply one non-empty batch; returns its ``BatchStats`` counts."""
@@ -144,6 +145,7 @@ class RebuildOracle:
             imbalance_factor=cfg.imbalance_factor, vertex_partition=self.vp,
             load_caps=caps, initial_loads=loads,
         )
+        transform.replicas[:] = self.replicas
         churn = 0
         self.edge_part = np.concatenate([self.edge_part, np.empty(m_batch, dtype=np.int64)])
         if affected.size:
@@ -152,6 +154,7 @@ class RebuildOracle:
             churn = int((re_parts != old_parts).sum())
         self.edge_part[old_edges:total] = transform.ingest_pair(u, v)
         self.loads = transform.loads
+        self.replicas = transform.replicas
         return {
             "num_edges": m_batch, "total_edges": total, "clusters": m_clusters,
             "frontier_clusters": m_clusters, "game_rounds": result.rounds,
@@ -322,6 +325,38 @@ def test_crawl_feed_matches_the_rebuild_oracle(tier):
     assert sum(s.churn_edges for s in service.history) > 0
 
 
+def test_a_spill_sees_replicas_of_earlier_batches():
+    """The replica summaries cross batches.  Against a service whose
+    summaries are wiped before every batch (no migrations, so a batch
+    re-streams only its own edges, in order), the first edge the two
+    place differently is a spill, sent to a partition that an endpoint's
+    summary named before the batch began."""
+    stream, batches = crawl_batches()
+    cfg = ClugpConfig(num_partitions=8, imbalance_factor=1.0)
+    kept, wiped = (
+        PartitionService(stream.num_vertices, cfg, migration_cap=0,
+                         expected_edges=stream.num_edges)
+        for _ in range(2)
+    )
+    for u, v in batches:
+        before = kept._replicas.copy()
+        wiped._replicas[:] = 0
+        old_edges = kept.num_edges
+        kept.ingest_pair(u, v)
+        wiped.ingest_pair(u, v)
+        got = kept.edge_partition[old_edges:]
+        differ = np.flatnonzero(got != wiped.edge_partition[old_edges:])
+        if differ.size:
+            break
+    else:
+        pytest.fail("wiping the summaries never changed a placement")
+    i = int(differ[0])
+    x, y, target = int(u[i]), int(v[i]), int(got[i])
+    assert target not in (kept.vertex_partition[x], kept.vertex_partition[y])
+    assert (int(before[x]) | int(before[y])) >> target & 1
+    assert kept.batch_index > 1
+
+
 def test_single_batch_is_the_batch_pipeline():
     """Anchor I1 with the derived state in place."""
     stream, _ = crawl_batches()
@@ -354,7 +389,7 @@ def test_hot_path_builds_no_stream_and_no_graph(monkeypatch):
 
 def test_delta_layer_roundtrip_and_tripwire():
     stream, _ = crawl_batches()
-    state = ClusteringState(stream.num_vertices, 600)
+    state = ClusteringState(stream.num_vertices, 600, enable_splitting=True)
     state.ingest_pair(stream.src, stream.dst)
     snap = state.snapshot()
     graph = build_cluster_graph(stream, snap)
@@ -411,6 +446,7 @@ def test_failed_pass3_rolls_the_batch_back(monkeypatch, tier, fail_on_call):
         service.ingest_pair(u, v)
         clean.ingest_pair(u, v)
     before = (service.edge_partition, service.vertex_partition, service.loads)
+    replicas_before = service._replicas.copy()
     arrays_before, meta_before = service._state.state_dict()
     arrays_before = {key: a.copy() for key, a in arrays_before.items()}
 
@@ -432,6 +468,7 @@ def test_failed_pass3_rolls_the_batch_back(monkeypatch, tier, fail_on_call):
     for got, want in zip((service.edge_partition, service.vertex_partition, service.loads), before):
         assert np.array_equal(got, want)
     assert np.array_equal(service.loads, np.bincount(service.edge_partition, minlength=8))
+    assert np.array_equal(service._replicas, replicas_before)
     cap = math.ceil(cfg.imbalance_factor * service.num_edges / 8)
     assert int(service.loads.max()) <= cap
     assert service.batch_index == 3 and len(service.history) == 3
@@ -583,7 +620,7 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
     results = {}
     for impl in ("auto", "python"):
         with kernel_backend(impl):
-            state = ClusteringState(stream.num_vertices, 300)
+            state = ClusteringState(stream.num_vertices, 300, enable_splitting=True)
         for u, v in batches[:half]:
             state.ingest_pair(u, v)
         mid = state.snapshot()
@@ -621,7 +658,7 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
 @pytest.mark.parametrize("tier", list(TIERS), indirect=True)
 def test_savepoint_rollback_is_exact(tier):
     stream, batches = crawl_batches()
-    state = ClusteringState(stream.num_vertices, 300)
+    state = ClusteringState(stream.num_vertices, 300, enable_splitting=True)
     for u, v in batches[:3]:
         state.ingest_pair(u, v)
     arrays, meta = state.state_dict()
