@@ -54,9 +54,8 @@ partitioner = ClugpPartitioner(k, config=ClugpConfig(enable_splitting=True))
 rf_end_to_end = partitioner.partition(stream).replication_factor()
 clustering = partitioner.last_clustering
 active = int((clustering.degree > 0).sum())
-clustering_rf = 1.0 + sum(
-    len(m) for m in clustering.mirror_clusters.values()
-) / max(1, active)
+# a vertex splits at most once and leaves exactly one mirror behind
+clustering_rf = 1.0 + clustering.splits / max(1, active)
 rf_holl = ClugpPartitioner(k).partition(stream).replication_factor()
 bound = PowerLawModel(
     alpha=max(1.5, stats.alpha if np.isfinite(stats.alpha) else 2.1),

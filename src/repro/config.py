@@ -20,11 +20,14 @@ from ._util import check_positive_int
 __all__ = ["ClugpConfig", "GameConfig", "ReliabilityConfig"]
 
 #: fields that older checkpoints still carry in ``config`` /
-#: ``config["game"]`` and that were never state: the implementation
-#: selectors (every value produced the same arrays) and the batched
-#: game's knobs (the service always played the sequential game)
+#: ``config["game"]`` / ``config["reliability"]`` and that were never
+#: state: the implementation selectors (every value produced the same
+#: arrays), the batched game's knobs (the service always played the
+#: sequential game) and the ingest mode (the CLI hands ``--ingest-mode``
+#: straight to the edge-list reader; nothing read the field)
 _RETIRED_KEYS = ("chunk_impl", "kernel_backend", "parallel_game")
 _RETIRED_GAME_KEYS = ("game_impl", "kernel_backend", "batch_size", "num_threads")
+_RETIRED_RELIABILITY_KEYS = ("ingest_mode",)
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,6 @@ class ReliabilityConfig:
         Deterministic chaos spec (see :meth:`~repro.reliability.faults.
         FaultInjector.from_spec`), e.g. ``"crash,hang,seed=7"``; empty
         = no injection.  ``CLUGP_INJECT_FAULTS`` overrides it.
-    ingest_mode:
-        ``"strict"`` (typed errors on malformed edges) or ``"lenient"``
-        (counted drops) for hardened ingestion paths.
     """
 
     max_retries: int = 2
@@ -75,7 +75,6 @@ class ReliabilityConfig:
     checkpoint_keep: int = 2
     journal_sync: str = "commit"
     inject_faults: str = ""
-    ingest_mode: str = "strict"
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -89,10 +88,6 @@ class ReliabilityConfig:
         if self.journal_sync not in ("commit", "always"):
             raise ValueError(
                 f"journal_sync must be 'commit' or 'always', got {self.journal_sync!r}"
-            )
-        if self.ingest_mode not in ("strict", "lenient"):
-            raise ValueError(
-                f"ingest_mode must be 'strict' or 'lenient', got {self.ingest_mode!r}"
             )
 
     def with_(self, **kwargs) -> "ReliabilityConfig":
@@ -228,9 +223,10 @@ class ClugpConfig:
         """Rebuild a config from :meth:`to_dict` output (exact round trip).
 
         Older checkpoints still carry the retired fields
-        (:data:`_RETIRED_KEYS`, :data:`_RETIRED_GAME_KEYS`); those keys
-        are dropped at any value, since none of them was ever state.  Any
-        other unknown key raises.
+        (:data:`_RETIRED_KEYS`, :data:`_RETIRED_GAME_KEYS`,
+        :data:`_RETIRED_RELIABILITY_KEYS`); those keys are dropped at any
+        value, since none of them was ever state.  Any other unknown key
+        raises.
         """
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         if isinstance(data.get("game"), dict):
@@ -238,6 +234,10 @@ class ClugpConfig:
                 k: v for k, v in data["game"].items() if k not in _RETIRED_GAME_KEYS
             })
         if isinstance(data.get("reliability"), dict):
-            data["reliability"] = ReliabilityConfig(**data["reliability"])
+            data["reliability"] = ReliabilityConfig(**{
+                k: v
+                for k, v in data["reliability"].items()
+                if k not in _RETIRED_RELIABILITY_KEYS
+            })
         return cls(**data)
 

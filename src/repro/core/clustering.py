@@ -8,7 +8,7 @@ Extends Hollocou et al.'s streaming vertex clustering (*allocation* +
 * **splitting** — when a cluster's *volume* (sum of partial degrees of its
   member master vertices) reaches ``V_max``, the vertex that pushed it over
   is split out into a fresh cluster, leaving a *mirror* behind.  The vertex
-  is marked *divided*; pass 3 (Algorithm 1) uses the mirror locations.
+  is marked *divided*; pass 3 (Algorithm 1) reads that flag.
   Splitting provably lowers the worst-case replication factor on power-law
   graphs (Theorems 1-2): a vertex needs degree ~``(V_max-1)(r-1)/d_max``
   to reach r replicas under CLUGP vs degree ``r-1`` under Holl.
@@ -42,8 +42,8 @@ columns (:meth:`~ClusteringState.ingest_pair`; :meth:`~ClusteringState.run`
 is the one pass-1 driver over a stream's batches) and produces
 **bit-identical** results to the per-edge oracle
 :func:`streaming_clustering`.  The state is held in flat
-arrays (``cluster_of``, ``degree``, ``divided``, a growable ``volumes``
-buffer, parallel mirror tables), and each chunk is one call into the
+arrays (``cluster_of``, ``degree``, ``divided`` and a growable
+``volumes`` buffer), and each chunk is one call into the
 resolved :mod:`repro.kernels` backend's allocation/splitting/migration
 replay over them.
 """
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
-from .._util import check_positive_int, grow_buffer, stable_argsort_bounded
+from .._util import check_positive_int
 from ..graph.stream import EdgeStream, check_edge_columns
 
 __all__ = [
@@ -81,18 +81,13 @@ class ClusteringResult:
     volume:
         Final cluster volumes (indexed by compact cluster id).
     divided:
-        Boolean mask — vertices that triggered at least one split.
-    mirror_clusters:
-        For each divided vertex, the list of cluster ids (compact) that
-        retain a mirror of it; used by Algorithm 1 line 18.  Materialized
-        lazily from ``mirror_source`` on first access — nothing on the
-        pipeline hot path reads it, so ``finalize`` only has to store the
-        compacted journal arrays.
+        Boolean mask — vertices that triggered a split (each leaves
+        exactly one mirror behind, so ``splits == divided.sum()``).
     num_clusters:
         ``m`` — number of non-empty clusters.
     max_volume:
         The ``V_max`` used.
-    splits, migrations, allocations:
+    splits, migrations:
         Operation counters (for tests and the ablation analysis).
     raw_ids:
         ``raw_ids[c]`` — the pre-compaction (raw) id of compact cluster
@@ -108,49 +103,11 @@ class ClusteringResult:
     degree: np.ndarray
     volume: np.ndarray
     divided: np.ndarray
-    mirror_source: (
-        dict[int, list[int]] | tuple[np.ndarray, np.ndarray, int]
-    ) = field(repr=False)
     num_clusters: int
     max_volume: int
     splits: int = 0
     migrations: int = 0
-    allocations: int = 0
     raw_ids: np.ndarray | None = field(default=None, repr=False)
-    _members: dict[int, list[int]] | None = field(default=None, repr=False)
-    _mirror_dict: dict[int, list[int]] | None = field(default=None, repr=False)
-
-    @property
-    def mirror_clusters(self) -> dict[int, list[int]]:
-        """Divided vertex -> sorted compact mirror cluster ids (lazy).
-
-        ``mirror_source`` is either the finished dict (per-edge loop) or
-        the compacted ``(vertices, compact_ids, num_clusters)`` journal
-        arrays; the dict-of-lists — ~9k tiny Python lists on the bench
-        fixture — is only paid for by consumers that actually read it.
-        """
-        if self._mirror_dict is None:
-            src = self.mirror_source
-            if isinstance(src, dict):
-                self._mirror_dict = src
-            else:
-                mv, mc, num_used = src
-                mirrors: dict[int, list[int]] = {}
-                if mv.size:
-                    # sorted unique (vertex, compact id) pairs via one
-                    # scalar key; consecutive runs of the vertex
-                    # component are the dict groups
-                    keys = np.unique(mv * num_used + mc)
-                    vs = keys // num_used
-                    cs = (keys % num_used).tolist()
-                    vs_list = vs.tolist()
-                    starts = np.flatnonzero(
-                        np.r_[True, np.diff(vs) != 0]
-                    ).tolist()
-                    for a, b in zip(starts, starts[1:] + [len(cs)]):
-                        mirrors[vs_list[a]] = cs[a:b]
-                self._mirror_dict = mirrors
-        return self._mirror_dict
 
     def active_mask(self) -> np.ndarray:
         """Boolean mask of vertices seen by the stream (``cluster_of >= 0``).
@@ -160,32 +117,6 @@ class ClusteringResult:
         are all built against this mask.
         """
         return self.cluster_of >= 0
-
-    def members(self) -> dict[int, list[int]]:
-        """Cluster id -> sorted list of master-vertex ids (computed lazily).
-
-        One argsort-based group-by: active vertices are radix-grouped by
-        cluster id (stable, so members stay in ascending vertex order) and
-        the dict-of-lists is sliced out of the single sorted array.
-        """
-        if self._members is None:
-            active = np.flatnonzero(self.active_mask())
-            if active.size == 0:
-                self._members = {}
-            else:
-                labels = self.cluster_of[active]
-                order = stable_argsort_bounded(labels, self.num_clusters)
-                grouped = active[order]
-                counts = np.bincount(labels, minlength=self.num_clusters)
-                bounds = np.concatenate(
-                    [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-                )
-                self._members = {
-                    c: grouped[bounds[c] : bounds[c + 1]].tolist()
-                    for c in range(self.num_clusters)
-                    if counts[c]
-                }
-        return self._members
 
     def cluster_sizes(self) -> np.ndarray:
         """Number of master vertices per cluster."""
@@ -198,8 +129,8 @@ class LiveClustering:
     """A :class:`ClusteringState` read in place (:meth:`ClusteringState.live`).
 
     What :meth:`ClusteringState.snapshot` tells a consumer that keeps the
-    state alive across batches, without the |V|-sized copy, renumbering
-    and journal compaction: the three vertex tables are *views* of the
+    state alive across batches, without the |V|-sized copy and
+    renumbering: the three vertex tables are *views* of the
     live arrays (valid until the state next ingests or rolls back; do not
     write), and compact cluster ids are derived on demand — compaction
     renumbers the surviving raw ids in ascending order, so the compact id
@@ -260,9 +191,8 @@ def streaming_clustering(
     cluster_of = np.full(n, -1, dtype=np.int64)
     degree = np.zeros(n, dtype=np.int64)
     divided = np.zeros(n, dtype=bool)
-    mirror_clusters: dict[int, list[int]] = {}
     volumes: list[int] = []  # indexed by raw cluster id
-    splits = migrations = allocations = 0
+    splits = migrations = 0
 
     def new_cluster() -> int:
         volumes.append(0)
@@ -276,10 +206,8 @@ def streaming_clustering(
         # --- allocation -------------------------------------------------
         if clu[u] == -1:
             clu[u] = new_cluster()
-            allocations += 1
         if clu[v] == -1:
             clu[v] = new_cluster()
-            allocations += 1
         cu = int(clu[u])
         cv = int(clu[v])
         deg[u] += 1
@@ -295,7 +223,6 @@ def streaming_clustering(
             ):
                 c_new = new_cluster()
                 divided[u] = True
-                mirror_clusters.setdefault(u, []).append(cu)
                 volumes[cu] -= int(deg[u])
                 volumes[c_new] += int(deg[u])
                 clu[u] = c_new
@@ -308,7 +235,6 @@ def streaming_clustering(
             ):
                 c_new = new_cluster()
                 divided[v] = True
-                mirror_clusters.setdefault(v, []).append(cv)
                 volumes[cv] -= int(deg[v])
                 volumes[c_new] += int(deg[v])
                 clu[v] = c_new
@@ -328,15 +254,7 @@ def streaming_clustering(
             migrations += 1
 
     return _compact(
-        cluster_of,
-        degree,
-        volumes,
-        divided,
-        mirror_clusters,
-        max_volume,
-        splits,
-        migrations,
-        allocations,
+        cluster_of, degree, volumes, divided, max_volume, splits, migrations
     )
 
 
@@ -373,34 +291,10 @@ class ClusteringState:
         self._div = np.zeros(n, dtype=bool)
         self._vol = np.zeros(16, dtype=np.int64)
         self.num_raw = 0
-        # mirror journal: parallel growable (vertex, raw cluster) arrays,
-        # the first _num_mirrors entries live
-        self._mirror_v = np.empty(16, dtype=np.int64)
-        self._mirror_c = np.empty(16, dtype=np.int64)
-        self._num_mirrors = 0
         self.splits = 0
         self.migrations = 0
-        self.allocations = 0
         self.edges_ingested = 0
         self._finalized = False
-
-    def _append_mirrors(self, vertices, clusters) -> None:
-        """Append ``(vertex, raw cluster)`` pairs to the mirror journal."""
-        extra = len(vertices)
-        if extra:
-            used = self._num_mirrors
-            self._mirror_v = grow_buffer(self._mirror_v, used, extra)
-            self._mirror_c = grow_buffer(self._mirror_c, used, extra)
-            self._mirror_v[used : used + extra] = vertices
-            self._mirror_c[used : used + extra] = clusters
-            self._num_mirrors = used + extra
-
-    def _mirror_journal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The live journal as ``(vertices, raw clusters)`` views."""
-        return (
-            self._mirror_v[: self._num_mirrors],
-            self._mirror_c[: self._num_mirrors],
-        )
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -431,20 +325,16 @@ class ClusteringState:
             return
         self.edges_ingested += m
         # the kernel mutates _clu/_deg/_div/_vol in place and reports
-        # raw-cluster growth, new mirrors and the operation counters
-        # through a small int64 array; the per-chunk mirror buffers are
-        # sized 2 * m (each edge splits each endpoint at most once)
-        # worst case: 2 allocations + 2 splits per edge, one raw id each
+        # raw-cluster growth and the operation counters through a small
+        # int64 array; worst case: 2 new singletons + 2 splits per edge,
+        # one raw id each
         need = self.num_raw + 4 * m
         if need > self._vol.size:
             vol = np.zeros(max(need, 2 * self._vol.size), dtype=np.int64)
             vol[: self.num_raw] = self._vol[: self.num_raw]
             self._vol = vol
-        mirror_v = np.empty(2 * m, dtype=np.int64)
-        mirror_c = np.empty(2 * m, dtype=np.int64)
         counters = np.array(
-            [self.num_raw, 0, self.splits, self.migrations, self.allocations],
-            dtype=np.int64,
+            [self.num_raw, self.splits, self.migrations], dtype=np.int64
         )
         self._backend.clustering_chunk(
             u,
@@ -455,16 +345,9 @@ class ClusteringState:
             self._deg,
             self._div.view(np.uint8),
             self._vol,
-            mirror_v,
-            mirror_c,
             counters,
         )
-        self.num_raw = int(counters[0])
-        n_mirrors = int(counters[1])
-        self._append_mirrors(mirror_v[:n_mirrors], mirror_c[:n_mirrors])
-        self.splits = int(counters[2])
-        self.migrations = int(counters[3])
-        self.allocations = int(counters[4])
+        self.num_raw, self.splits, self.migrations = counters.tolist()
 
     # ------------------------------------------------------------------ #
     # checkpoint serialization
@@ -474,22 +357,19 @@ class ClusteringState:
         """Serialize the live state as ``(arrays, meta)`` for a checkpoint.
 
         Everything pass 1 needs to continue bit-identically is captured:
-        the vertex tables, raw cluster volumes, the mirror journal, and
-        the operation counters.  Raw ids survive the round trip, so a
-        restored state keeps the snapshot-stability invariant the
-        incremental service leans on.  Which tier ingested is *not*
+        the vertex tables, raw cluster volumes and the operation
+        counters.  Raw ids survive the round trip, so a restored state
+        keeps the snapshot-stability invariant the incremental service
+        leans on.  Which tier ingested is *not*
         state — the tiers are bit-identical, so :meth:`from_state` may
         restore in a process that resolves a different backend than the
         one that saved.
         """
-        mirror_v, mirror_c = self._mirror_journal()
         arrays = {
             "clu": self._clu,
             "deg": self._deg,
             "div": self._div,
             "vol": self._vol[: self.num_raw],
-            "mirror_v": mirror_v,
-            "mirror_c": mirror_c,
         }
         meta = {
             "num_vertices": self.num_vertices,
@@ -497,7 +377,6 @@ class ClusteringState:
             "enable_splitting": self.enable_splitting,
             "splits": self.splits,
             "migrations": self.migrations,
-            "allocations": self.allocations,
             "edges_ingested": self.edges_ingested,
         }
         return arrays, meta
@@ -509,9 +388,11 @@ class ClusteringState:
         The restored state continues ingestion exactly where the saved
         one stopped — same clusters, same raw ids, same counters — which
         is the pass-1 half of the bit-identical-resume invariant
-        (DESIGN.md §9).  Meta keys it does not read are ignored: older
-        checkpoints carry the counters of the numpy tier's retired chunk
-        classifier (``edges_suspect``, ``chunk_index``, ``scalar_bias``).
+        (DESIGN.md §9).  Arrays and meta keys it does not read are
+        ignored: older checkpoints carry the two arrays of the retired
+        mirror journal, a retired count of singleton clusters opened and
+        the counters of the numpy tier's retired chunk classifier
+        (``edges_suspect``, ``chunk_index``, ``scalar_bias``).
 
         The kernels index the tables with vertex and raw cluster ids, so
         shapes and ids that do not fit ``num_vertices`` and the saved
@@ -528,25 +409,17 @@ class ClusteringState:
             for key, dtype in (("clu", np.int64), ("deg", np.int64), ("div", bool))
         )
         vol = np.ascontiguousarray(arrays["vol"], dtype=np.int64)
-        mirror_v = np.asarray(arrays["mirror_v"], dtype=np.int64)
-        mirror_c = np.asarray(arrays["mirror_c"], dtype=np.int64)
         for key, table in (("clu", clu), ("deg", deg), ("div", div)):
             if table.shape != (n,):
                 raise ValueError(f"checkpoint {key} has shape {table.shape}, not ({n},)")
         if not _within(clu, -1, vol.size):
             raise ValueError(f"checkpoint clu names a cluster outside [-1, {vol.size})")
-        if mirror_v.shape != mirror_c.shape:
-            raise ValueError("checkpoint mirror_v and mirror_c differ in length")
-        if not (_within(mirror_v, 0, n) and _within(mirror_c, 0, vol.size)):
-            raise ValueError("checkpoint mirror journal names a vertex or cluster out of range")
         state._clu, state._deg, state._div = clu, deg, div
         state.num_raw = int(vol.size)
         state._vol = np.zeros(max(16, vol.size), dtype=np.int64)
         state._vol[: vol.size] = vol
-        state._append_mirrors(mirror_v, mirror_c)
         state.splits = int(meta["splits"])
         state.migrations = int(meta["migrations"])
-        state.allocations = int(meta["allocations"])
         state.edges_ingested = int(meta["edges_ingested"])
         return state
 
@@ -581,21 +454,20 @@ class ClusteringState:
         clusters = raw[raw >= 0]
         return (
             vertices, raw, self._deg[vertices], self._div[vertices],
-            clusters, self._vol[clusters], self.num_raw, self._num_mirrors,
-            (self.splits, self.migrations, self.allocations, self.edges_ingested),
+            clusters, self._vol[clusters], self.num_raw,
+            (self.splits, self.migrations, self.edges_ingested),
         )
 
     def rollback(self, saved: tuple) -> None:
         """Restore the state captured by :meth:`savepoint`."""
-        vertices, raw, deg, div, clusters, vol, num_raw, num_mirrors, scalars = saved
+        vertices, raw, deg, div, clusters, vol, num_raw, scalars = saved
         self._clu[vertices] = raw
         self._deg[vertices] = deg
         self._div[vertices] = div
         self._vol[clusters] = vol
         self._vol[num_raw : self.num_raw] = 0  # raw ids born since are unborn again
         self.num_raw = num_raw
-        self._num_mirrors = num_mirrors
-        self.splits, self.migrations, self.allocations, self.edges_ingested = scalars
+        self.splits, self.migrations, self.edges_ingested = scalars
 
     def live(self) -> LiveClustering:
         """The current clustering as views of the live tables; O(raw ids).
@@ -637,11 +509,9 @@ class ClusteringState:
             self._deg.copy(),
             self._vol[: self.num_raw],
             self._div.copy(),
-            self._mirror_journal(),
             self.max_volume,
             self.splits,
             self.migrations,
-            self.allocations,
         )
 
     def finalize(self) -> ClusteringResult:
@@ -652,11 +522,9 @@ class ClusteringState:
             self._deg,
             self._vol[: self.num_raw],
             self._div,
-            self._mirror_journal(),
             self.max_volume,
             self.splits,
             self.migrations,
-            self.allocations,
         )
 
 
@@ -670,26 +538,14 @@ def _compact(
     degree: np.ndarray,
     volumes,
     divided: np.ndarray,
-    mirror_clusters,
     max_volume: int,
     splits: int,
     migrations: int,
-    allocations: int,
 ) -> ClusteringResult:
     """Renumber surviving cluster ids to a dense ``0..m-1`` range.
 
-    Splits and migrations leave empty raw clusters behind; mirrors may also
-    point at clusters that later emptied — those mirror entries are kept
-    only if the cluster still has at least one master vertex (an empty
-    cluster is never mapped to a partition, so a mirror there is moot).
-
-    ``mirror_clusters`` is either the ``{vertex: [raw ids]}`` dict the
-    per-edge loop accumulates, or a ``(vertices, raw_ids)`` pair of
-    parallel sequences (the chunked state's journal) — the latter is
-    compacted vectorized and handed to the result as arrays, deferring
-    the dict-of-lists to :attr:`ClusteringResult.mirror_clusters`'s first
-    reader.  Both forms produce the same dict: sorted unique compact ids
-    per vertex, vertices with no surviving mirror dropped.
+    Splits and migrations leave empty raw clusters behind; only clusters
+    that still hold at least one master vertex get a compact id.
 
     The surviving raw ids are recorded on the result (``raw_ids``) so
     consumers that snapshot repeatedly (the incremental service) can
@@ -706,33 +562,14 @@ def _compact(
     remap[raw_ids] = np.arange(num_used, dtype=np.int64)
     compact_of = cluster_of.copy()
     compact_of[active] = remap[labels]
-    compact_volumes = np.asarray(volumes, dtype=np.int64)[raw_ids]
-    mirror_source: dict[int, list[int]] | tuple[np.ndarray, np.ndarray, int]
-    if isinstance(mirror_clusters, dict):
-        compact_mirrors: dict[int, list[int]] = {}
-        for v, mirrors in mirror_clusters.items():
-            kept = sorted({int(remap[c]) for c in mirrors if used[c]})
-            if kept:
-                compact_mirrors[v] = kept
-        mirror_source = compact_mirrors
-    else:
-        mv, mc = mirror_clusters
-        mv = np.asarray(mv, dtype=np.int64)
-        mc = np.asarray(mc, dtype=np.int64)
-        if mv.size:
-            kept = used[mc]
-            mv, mc = mv[kept], remap[mc[kept]]
-        mirror_source = (mv, mc, num_used)
     return ClusteringResult(
         cluster_of=compact_of,
         degree=degree,
-        volume=compact_volumes,
+        volume=np.asarray(volumes, dtype=np.int64)[raw_ids],
         divided=divided,
-        mirror_source=mirror_source,
         num_clusters=num_used,
         max_volume=max_volume,
         splits=splits,
         migrations=migrations,
-        allocations=allocations,
         raw_ids=raw_ids,
     )

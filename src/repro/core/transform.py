@@ -132,7 +132,7 @@ def transform_partitions(
     stream:
         The edge stream (third pass over the same edges).
     clustering:
-        Pass-1 output (cluster ids, degrees, divided flags, mirrors).
+        Pass-1 output (cluster ids, degrees, divided flags).
     cluster_partition:
         Pass-2 output — partition id per compact cluster id.
     num_partitions:

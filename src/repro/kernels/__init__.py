@@ -122,7 +122,7 @@ KERNELS: dict[str, Kernel] = {
     ),
     "clustering_chunk": _row(
         "u:i64[] v:i64[] m:len(u) vmax:i64 splitting:i64 clu:i64[] deg:i64[] "
-        "divided:u8[] vol:i64[] mirror_v:i64[] mirror_c:i64[] counters:i64[]"
+        "divided:u8[] vol:i64[] counters:i64[]"
     ),
     "transform_chunk": _row(
         "u:i64[] v:i64[] m:len(u) k:i64 vp:i64[] divided:u8[] deg:i64[] "

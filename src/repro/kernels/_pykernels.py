@@ -239,14 +239,11 @@ def greedy_chunk(u, v, k, nw, loads, words, out):
     _sets_out(words, nw, vertices, sets)
 
 
-def clustering_chunk(
-    u, v, vmax, splitting, clu, deg, divided, vol, mirror_v, mirror_c, counters
-):
+def clustering_chunk(u, v, vmax, splitting, clu, deg, divided, vol, counters):
     """Pass-1 allocation/splitting/migration replay over one chunk.
 
-    ``counters``: ``[num_raw, num_mirrors, splits, migrations,
-    allocations]``; ``vol`` needs capacity ``num_raw + 4 * m`` and the
-    mirror buffers ``2 * m`` (the caller guarantees both).
+    ``counters``: ``[num_raw, splits, migrations]``; ``vol`` needs
+    capacity ``num_raw + 4 * m`` (the caller guarantees it).
 
     An edge only reads and writes its endpoints' rows and the volumes of
     clusters that held a chunk vertex when the chunk began or were born
@@ -254,7 +251,7 @@ def clustering_chunk(
     by rank among the chunk's, old clusters by rank among theirs, new
     ones after them in birth order — which is the order of their raw ids.
     """
-    num_raw, _, splits, migrations, allocations = counters.tolist()
+    num_raw, splits, migrations = counters.tolist()
     vertices, us, vs = _local_ids(u, v, clu.shape[0])
     raw = clu[vertices]
     seen = raw >= 0
@@ -267,8 +264,6 @@ def clustering_chunk(
     div_l = divided[vertices].tolist()
     vol_l = vol[clusters].tolist()
     vol_append = vol_l.append
-    mv: list[int] = []
-    mc: list[int] = []
     # vcu/vcv shadow vol_l[cui]/vol_l[cvi] through the edge body, so the
     # hot path reads each cluster's volume once; every write keeps the
     # shadow and the list in step
@@ -277,12 +272,10 @@ def clustering_chunk(
         if cui == -1:
             clu_l[ui] = cui = len(vol_l)
             vol_append(0)
-            allocations += 1
         cvi = clu_l[vi]
         if cvi == -1:
             clu_l[vi] = cvi = len(vol_l)
             vol_append(0)
-            allocations += 1
         du = deg_l[ui] + 1
         deg_l[ui] = du
         dv = deg_l[vi] + 1
@@ -298,8 +291,6 @@ def clustering_chunk(
         if splitting and ui != vi:
             if vcu >= vmax and 1 < du < vmax and not div_l[ui]:
                 div_l[ui] = 1
-                mv.append(ui)
-                mc.append(cui)
                 vcu -= du
                 vol_l[cui] = vcu
                 if cvi == cui:
@@ -310,8 +301,6 @@ def clustering_chunk(
                 splits += 1
             if vcv >= vmax and 1 < dv < vmax and not div_l[vi]:
                 div_l[vi] = 1
-                mv.append(vi)
-                mc.append(cvi)
                 vcv -= dv
                 vol_l[cvi] = vcv
                 if cui == cvi:
@@ -336,9 +325,7 @@ def clustering_chunk(
     deg[vertices] = deg_l
     divided[vertices] = div_l
     vol[ids] = vol_l
-    mirror_v[: len(mv)] = vertices[mv]
-    mirror_c[: len(mc)] = ids[mc]
-    counters[:] = (num_raw + born, len(mv), splits, migrations, allocations)
+    counters[:] = (num_raw + born, splits, migrations)
 
 
 def _summary_fields(w, width, field):

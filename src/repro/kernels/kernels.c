@@ -167,21 +167,17 @@ void greedy_chunk(
 /* Pass 1: allocation / splitting / migration (Algorithm 2)           */
 /* ------------------------------------------------------------------ */
 
-/* counters: [num_raw, num_mirrors, splits, migrations, allocations].
- * num_mirrors indexes mirror_v / mirror_c (per-chunk buffers of
- * capacity >= 2 * m); vol must have capacity >= num_raw + 4 * m. */
+/* counters: [num_raw, splits, migrations]; vol must have capacity
+ * >= num_raw + 4 * m. */
 void clustering_chunk(
     const int64_t *u, const int64_t *v, int64_t m,
     int64_t vmax, int64_t splitting,
     int64_t *clu, int64_t *deg, uint8_t *divided,
-    int64_t *vol, int64_t *mirror_v, int64_t *mirror_c,
-    int64_t *counters)
+    int64_t *vol, int64_t *counters)
 {
     int64_t next_raw = counters[0];
-    int64_t n_mirrors = counters[1];
-    int64_t splits = counters[2];
-    int64_t migrations = counters[3];
-    int64_t allocations = counters[4];
+    int64_t splits = counters[1];
+    int64_t migrations = counters[2];
     for (int64_t i = 0; i < m; i++) {
         int64_t ui = u[i];
         int64_t vi = v[i];
@@ -191,14 +187,12 @@ void clustering_chunk(
             cu = next_raw++;
             vol[cu] = 0;
             clu[ui] = cu;
-            allocations++;
         }
         int64_t cv = clu[vi];
         if (cv == -1) {
             cv = next_raw++;
             vol[cv] = 0;
             clu[vi] = cv;
-            allocations++;
         }
         deg[ui] += 1;
         deg[vi] += 1;
@@ -210,9 +204,6 @@ void clustering_chunk(
             if (vol[cu] >= vmax && 1 < du && du < vmax && !divided[ui]) {
                 int64_t c_new = next_raw++;
                 divided[ui] = 1;
-                mirror_v[n_mirrors] = ui;
-                mirror_c[n_mirrors] = cu;
-                n_mirrors++;
                 vol[cu] -= du;
                 vol[c_new] = du;
                 clu[ui] = c_new;
@@ -223,9 +214,6 @@ void clustering_chunk(
             if (vol[cv] >= vmax && 1 < dv && dv < vmax && !divided[vi]) {
                 int64_t c_new = next_raw++;
                 divided[vi] = 1;
-                mirror_v[n_mirrors] = vi;
-                mirror_c[n_mirrors] = cv;
-                n_mirrors++;
                 vol[cv] -= dv;
                 vol[c_new] = dv;
                 clu[vi] = c_new;
@@ -249,10 +237,8 @@ void clustering_chunk(
         }
     }
     counters[0] = next_raw;
-    counters[1] = n_mirrors;
-    counters[2] = splits;
-    counters[3] = migrations;
-    counters[4] = allocations;
+    counters[1] = splits;
+    counters[2] = migrations;
 }
 
 /* ------------------------------------------------------------------ */

@@ -80,16 +80,12 @@ class TestClusteringState:
 
     def test_invariant_split_at_most_once(self, stream):
         result = pass1(stream, max(1, stream.num_edges // 32), 777)
-        assert result.splits == int(result.divided.sum())
-        for v, mirrors in result.mirror_clusters.items():
-            assert result.divided[v]
-            assert len(mirrors) == 1  # one mirror per divided vertex
+        assert result.splits == int(result.divided.sum()) > 0
 
     def test_no_splits_without_splitting(self, stream):
         result = pass1(stream, max(1, stream.num_edges // 32), 777, enable_splitting=False)
         assert result.splits == 0
         assert not result.divided.any()
-        assert not result.mirror_clusters
 
     def test_ingest_after_finalize_rejected(self):
         state = ClusteringState(4, 10, enable_splitting=True)
@@ -97,15 +93,6 @@ class TestClusteringState:
         state.finalize()
         with pytest.raises(RuntimeError):
             state.ingest_pair([1], [2])
-
-    def test_members_groupby_matches_loop(self, stream):
-        result = streaming_clustering(stream, max(1, stream.num_edges // 16), enable_splitting=True)
-        members = result.members()
-        expected = {}
-        for v, c in enumerate(result.cluster_of.tolist()):
-            if c >= 0:
-                expected.setdefault(c, []).append(v)
-        assert members == expected
 
 
 class TestTransformState:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ClugpConfig, GameConfig
+from repro.config import ClugpConfig, GameConfig, ReliabilityConfig
 
 
 class TestGameConfig:
@@ -76,6 +76,20 @@ class TestClugpConfig:
     def test_from_dict_rebuilds_the_nested_configs(self):
         cfg = ClugpConfig(game=GameConfig(seed=3))
         assert ClugpConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_from_dict_drops_the_retired_ingest_mode(self, mode):
+        # checkpoints store the reliability config with an ingest mode the
+        # config no longer has (the CLI's --ingest-mode goes to the reader)
+        cfg = ClugpConfig(reliability=ReliabilityConfig(checkpoint_every=3))
+        old = cfg.to_dict()
+        old["reliability"]["ingest_mode"] = mode
+        assert ClugpConfig.from_dict(old) == cfg
+        with pytest.raises(TypeError):
+            ReliabilityConfig(ingest_mode=mode)
+        old["reliability"]["strict"] = True
+        with pytest.raises(TypeError):
+            ClugpConfig.from_dict(old)
 
     def test_invalid_vmax(self):
         with pytest.raises(ValueError):

@@ -476,7 +476,6 @@ class TestGroupingBranches:
             degree=np.zeros(n, dtype=np.int64),
             volume=np.zeros(num_clusters, dtype=np.int64),
             divided=np.zeros(n, dtype=bool),
-            mirror_source={},
             num_clusters=num_clusters,
             max_volume=1,
         )

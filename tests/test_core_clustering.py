@@ -34,9 +34,10 @@ class TestAllocation:
         assert result.degree.tolist() == [2, 2, 2]
 
     def test_allocation_counter(self):
+        # one allocation per seen vertex: every one of them holds a cluster
         s = stream_of([(0, 1), (2, 3), (0, 2)])
         result = streaming_clustering(s, max_volume=100, enable_splitting=True)
-        assert result.allocations == 4
+        assert int((result.cluster_of >= 0).sum()) == 4
 
 
 class TestMigration:
@@ -85,22 +86,17 @@ class TestSplitting:
         s = EdgeStream.from_graph(graph)
         result = streaming_clustering(s, max_volume=s.num_edges // 64, enable_splitting=True)
         assert result.splits > 0
-        assert result.divided.sum() == len(result.mirror_clusters) or (
-            # mirrors pointing at later-emptied clusters are dropped
-            result.divided.sum() >= len(result.mirror_clusters)
-        )
-        for v, mirrors in result.mirror_clusters.items():
-            assert result.divided[v]
-            for c in mirrors:
-                assert 0 <= c < result.num_clusters
+        # a vertex splits only once its degree exceeds 1, and each split
+        # leaves exactly one mirror: one divided vertex per split
+        assert int(result.divided.sum()) == result.splits
+        assert (result.degree[result.divided] > 1).all()
+        assert (result.cluster_of[result.divided] >= 0).all()
 
     def test_split_at_most_once_per_vertex(self):
         graph = web_crawl_graph(600, avg_out_degree=10, host_size=30, seed=2)
         s = EdgeStream.from_graph(graph)
         result = streaming_clustering(s, max_volume=s.num_edges // 64, enable_splitting=True)
         assert result.splits == int(result.divided.sum())
-        for mirrors in result.mirror_clusters.values():
-            assert len(mirrors) == 1
 
     def test_disabled_splitting_is_holl(self):
         graph = web_crawl_graph(400, avg_out_degree=8, seed=3)
@@ -108,7 +104,6 @@ class TestSplitting:
         result = streaming_clustering(s, s.num_edges // 32, enable_splitting=False)
         assert result.splits == 0
         assert not result.divided.any()
-        assert not result.mirror_clusters
 
     def test_clugp_equals_holl_when_no_split_triggers(self):
         # Section IV-A: "if the splitting operation is not triggered, CLUGP
@@ -149,10 +144,8 @@ class TestVolumeAccounting:
         result = streaming_clustering(s, max_volume=100, enable_splitting=True)
         sizes = result.cluster_sizes()
         assert sizes.sum() == 5
-        members = result.members()
-        assert sorted(len(m) for m in members.values()) == sorted(
-            sizes[sizes > 0].tolist()
-        )
+        members = np.bincount(result.cluster_of[result.cluster_of >= 0])
+        assert np.array_equal(sizes, members)
 
 
 class TestCompaction:
@@ -211,10 +204,9 @@ def test_property_clustering_invariants(edges, vmax, split):
         active = result.cluster_of[result.cluster_of >= 0]
         assert active.max() < result.num_clusters
     assert result.volume.sum() == 2 * s.num_edges
-    # mirrors only for divided vertices, pointing at live clusters
-    for v, mirrors in result.mirror_clusters.items():
-        assert result.divided[v]
-        assert all(0 <= c < result.num_clusters for c in mirrors)
+    # only seen vertices split, each at most once
+    assert result.splits == int(result.divided.sum())
+    assert (result.cluster_of[result.divided] >= 0).all()
 
 
 class TestRawClusterStability:

@@ -108,7 +108,7 @@ def _singletons(stream: EdgeStream) -> ClusteringResult:
     degree = np.bincount(np.concatenate([stream.src, stream.dst]), minlength=n)
     return ClusteringResult(
         cluster_of=np.arange(n), degree=degree, volume=degree.copy(),
-        divided=np.zeros(n, dtype=bool), mirror_source={}, num_clusters=n,
+        divided=np.zeros(n, dtype=bool), num_clusters=n,
         max_volume=stream.num_edges,
     )
 

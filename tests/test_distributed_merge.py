@@ -137,7 +137,6 @@ class TestMergedGraphExactness:
             degree=crawl_stream.degrees(),
             volume=np.zeros(m, dtype=np.int64),
             divided=np.zeros(n, dtype=bool),
-            mirror_source={},
             num_clusters=m,
             max_volume=1,
         )

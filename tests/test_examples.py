@@ -10,11 +10,15 @@ EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
 )
 
+#: arguments for the examples whose default size is slow to smoke-test;
+#: every other example runs as a reader would first run it
+ARGS = {"partitioner_comparison": ["uk", "0.05"]}
+
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
 def test_example_runs(script):
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, str(script), *ARGS.get(script.stem, [])],
         capture_output=True,
         text=True,
         timeout=600,

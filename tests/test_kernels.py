@@ -112,11 +112,14 @@ CASES["dbh-exact"] = ("dbh", 8, {"exact_degrees": True}, None)
 # CLUGP's knobs: the tightest balance cap (pass 3 spills the most edges),
 # the same at k = 130, where the spill reads the replica summary's
 # recent-partition fields, small clusters without and with the paper's
-# split rule (pass 1 splits often), and k = 1, where the game has one
-# strategy
+# split rule (pass 1 splits often), the split rule at the default
+# V_max = |E| / k (Figure 9's CLUGP; ~350 of the crawl's 400 vertices
+# split, and pass 3 reuses their mirrors), and k = 1, where the game has
+# one strategy
 CASES["clugp-imb1"] = ("clugp", 8, {"imbalance_factor": 1.0}, None)
 CASES["clugp-k130-imb1"] = ("clugp", 130, {"imbalance_factor": 1.0}, None)
 CASES["clugp-vol32"] = ("clugp", 8, {"max_cluster_volume": 32}, None)
+CASES["clugp-split"] = ("clugp", 8, {"config": ClugpConfig(enable_splitting=True)}, None)
 CASES["clugp-split-vol32"] = (
     "clugp", 8,
     {"config": ClugpConfig(enable_splitting=True, max_cluster_volume=32)}, None,
@@ -339,11 +342,11 @@ def _shift(key, by):
         _cut_rows,
         _shift("clu", 100),
         _shift("clu", -5),
-        lambda arrays: {**arrays, "mirror_c": arrays["mirror_c"][:-1]},
-        _shift("mirror_v", 10),
-        _shift("mirror_c", 100),
+        lambda arrays: {**arrays, "deg": arrays["deg"][:-1]},
+        lambda arrays: {**arrays, "div": arrays["div"][:-1]},
+        lambda arrays: {**arrays, "vol": arrays["vol"][:1]},
     ],
-    ids=["rows", "clu-high", "clu-low", "mirror-lengths", "mirror-vertex", "mirror-cluster"],
+    ids=["rows", "clu-high", "clu-low", "deg-rows", "div-rows", "vol-short"],
 )
 def test_from_state_refuses_what_the_kernel_cannot_index(backend, corrupt):
     # the kernels index the restored tables with vertex and raw cluster
@@ -353,7 +356,7 @@ def test_from_state_refuses_what_the_kernel_cannot_index(backend, corrupt):
         state = ClusteringState(10, 4, enable_splitting=True)
         state.ingest_pair([0, 1, 1, 2, 2, 0, 3], [1, 2, 2, 0, 3, 3, 1])
         arrays, meta = state.state_dict()
-        assert state.splits and arrays["mirror_v"].size  # a journal to corrupt
+        assert state.splits  # a split cluster for vol-short to drop
         restored = ClusteringState.from_state(arrays, meta)
         restored.ingest_pair([9, 8], [8, 7])
         with pytest.raises(ValueError, match="checkpoint"):

@@ -91,7 +91,7 @@ def test_snapshot_equals_prefix_reference(chunk):
             assert np.array_equal(snap.cluster_of, ref.cluster_of)
             assert np.array_equal(snap.volume, ref.volume)
             assert np.array_equal(snap.degree, ref.degree)
-            assert snap.mirror_clusters == ref.mirror_clusters
+            assert np.array_equal(snap.divided, ref.divided)
             assert snap.num_clusters == ref.num_clusters
     final = state.finalize()
     ref = streaming_clustering(stream, vmax, enable_splitting=True)

@@ -2,7 +2,7 @@
 
 ``PartitionService._maintain`` updates three pieces of state instead of
 rebuilding them: the cluster graph (a raw-id delta layer), a vertex ->
-incident-edge index, and the pass-1 mirror journal.  Every served array
+incident-edge index, and the pass-1 state.  Every served array
 must stay bit-identical to the rebuild-everything maintenance cycle this
 replaced; that cycle lives on here, as :class:`RebuildOracle`, and the
 feeds below are checked against it after *every* batch:
@@ -19,14 +19,14 @@ feeds below are checked against it after *every* batch:
 Also pinned: no ``build_cluster_graph`` / ``EdgeStream`` / ``_compact`` on
 the hot path after batch 0, a failed batch leaves the service untouched (I5 included),
 ``resume()`` rebuilds the derived state, ``phase_seconds`` add up, and
-the array journal round-trips on every tier.
+the pass-1 state round-trips on every tier.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import kernel_backend
+from conftest import assert_clustering_equal, kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ClugpConfig, GameConfig
@@ -561,6 +561,59 @@ def test_resume_equals_uninterrupted_feed(tmp_path, stop_after, tier):
         assert_same_array(got[key], array, key)
 
 
+@pytest.mark.parametrize("tier", list(TIERS), indirect=True)
+def test_resume_reads_a_checkpoint_that_carries_the_mirror_journal(tmp_path, tier):
+    # checkpoints written while pass 1 kept a mirror journal carry its two
+    # arrays, an allocation counter in the state meta and an ingest mode
+    # in the reliability config; resume ignores all three and continues
+    # bit-identically (same format, no migration step)
+    stream, batches = crawl_batches()
+    cfg = ClugpConfig(num_partitions=8, enable_splitting=True)
+    stop_after = 3
+
+    def make(checkpoint_dir=None):
+        return PartitionService(
+            stream.num_vertices, cfg, migration_cap=16,
+            expected_edges=stream.num_edges, checkpoint_dir=checkpoint_dir,
+        )
+
+    whole = make()
+    for u, v in batches:
+        whole.ingest_pair(u, v)
+
+    first = make(str(tmp_path))
+    for u, v in batches[:stop_after]:
+        first.ingest_pair(u, v)
+    first.close()
+    written = sorted(tmp_path.glob("checkpoint-*.ckpt"))
+    assert written
+    for path in written:
+        arrays, meta = read_checkpoint(path)
+        assert "state__mirror_v" not in arrays
+        assert "allocations" not in meta["state_meta"]
+        divided = np.flatnonzero(arrays["state__div"])
+        assert divided.size == meta["state_meta"]["splits"] > 0
+        # one (vertex, raw cluster) pair per split, both in range
+        arrays["state__mirror_v"] = divided.astype(np.int64)
+        arrays["state__mirror_c"] = arrays["state__clu"][divided].astype(np.int64)
+        meta["state_meta"]["allocations"] = int((arrays["state__clu"] >= 0).sum())
+        meta["config"]["reliability"]["ingest_mode"] = "lenient"
+        write_checkpoint(path, arrays, meta)
+    resumed = PartitionService.resume(str(tmp_path))
+    assert resumed.batch_index == stop_after
+    for u, v in batches[stop_after:]:
+        resumed.ingest_pair(u, v)
+    resumed.close()
+    assert np.array_equal(resumed.edge_partition, whole.edge_partition)
+    assert np.array_equal(resumed.vertex_partition, whole.vertex_partition)
+    assert_same_array(resumed.loads, whole.loads, "loads")
+    assert_same_array(resumed._replicas, whole._replicas, "replica summaries")
+    (got, got_meta), (want, want_meta) = resumed._state.state_dict(), whole._state.state_dict()
+    assert got_meta == want_meta and sorted(got) == sorted(want)
+    for key, array in want.items():
+        assert_same_array(got[key], array, key)
+
+
 # --------------------------------------------------------------------- #
 # phase_seconds
 # --------------------------------------------------------------------- #
@@ -610,11 +663,11 @@ def test_phase_seconds_roundtrip_and_old_checkpoints():
 
 
 # --------------------------------------------------------------------- #
-# the array journal
+# the pass-1 state round trip
 # --------------------------------------------------------------------- #
 
 
-def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
+def test_snapshot_and_state_roundtrip_agree_across_impls():
     stream, batches = crawl_batches()
     half = len(batches) // 2
     results = {}
@@ -624,10 +677,10 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
         for u, v in batches[:half]:
             state.ingest_pair(u, v)
         mid = state.snapshot()
+        mid_tables = [a.copy() for a in (mid.cluster_of, mid.degree, mid.divided)]
         arrays, meta = state.state_dict()
-        for key in ("mirror_v", "mirror_c"):
-            assert arrays[key].dtype == np.int64 and arrays[key].ndim == 1
-        assert arrays["mirror_v"].size == state.splits > 0
+        assert sorted(arrays) == ["clu", "deg", "div", "vol"]
+        assert state.splits == int(arrays["div"].sum()) > 0
         with kernel_backend(impl):
             restored = ClusteringState.from_state(
                 {key: a.copy() for key, a in arrays.items()}, meta
@@ -636,21 +689,21 @@ def test_journal_snapshot_and_state_roundtrip_agree_across_impls():
             state.ingest_pair(u, v)
             restored.ingest_pair(u, v)
         # the outstanding snapshot did not move under later ingestion
-        assert mid.mirror_source[0].size <= half * batches[0][0].size
+        for a, b in zip(mid_tables, (mid.cluster_of, mid.degree, mid.divided)):
+            assert np.array_equal(a, b)
         end, end_restored = state.snapshot(), restored.snapshot()
-        assert end.mirror_clusters == end_restored.mirror_clusters
+        assert_clustering_equal(end, end_restored)
         for (ka, a), (kb, b) in zip(
             sorted(state.state_dict()[0].items()), sorted(restored.state_dict()[0].items())
         ):
             assert ka == kb and np.array_equal(a, b), ka
         final = state.finalize()
-        assert final.mirror_clusters == end.mirror_clusters
+        assert_clustering_equal(final, end)
         results[impl] = (mid, final, state.state_dict()[0])
     mid_ref, final_ref, arrays_ref = results["python"]
     mid, final, arrays = results["auto"]
-    assert mid.mirror_clusters == mid_ref.mirror_clusters
-    assert final.mirror_clusters == final_ref.mirror_clusters
-    assert np.array_equal(final.cluster_of, final_ref.cluster_of)
+    assert_clustering_equal(mid, mid_ref)
+    assert_clustering_equal(final, final_ref)
     for key, want in arrays_ref.items():
         assert_same_array(arrays[key], want, key)
 
