@@ -18,8 +18,9 @@ partitioner contract (``test_streaming_three_way_identity``): under it
 509, 65 536 and |E| — the pointer arithmetic a sanitizer is for.
 ``tests/test_default_path.py`` puts the default-constructed objects of
 every host (single process, service, distributed) on the instrumented
-library too, ``tests/test_distributed_gas.py`` the worker side of the
-GAS superstep, whose folds and puts run through the take kernels, and
+library too, ``tests/test_local_runtime.py`` and
+``tests/test_take_kernels.py`` the GAS superstep, whose folds and puts
+run through the take kernels, and
 ``tests/test_service_incremental.py`` the game kernel warm-started batch
 after batch from the previous equilibrium.
 ``tests/test_kernel_seams.py`` pins the seams where caller arrays reach
@@ -68,7 +69,6 @@ TESTS = [
     "tests/test_kernel_seams.py",
     "tests/test_local_runtime.py",
     "tests/test_take_kernels.py",
-    "tests/test_distributed_gas.py",
     "tests/test_service_incremental.py",
     "tests/test_core_cluster_graph.py",
 ]

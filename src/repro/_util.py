@@ -366,11 +366,11 @@ class StageTimes:
     ``counters`` holds integer event counts (retries, requeues, timeouts
     — the reliability layer's cost accounting) alongside the timings.
     ``overlaps`` records work that ran *under* another wall rather than
-    after it: seconds of stage work concurrent with another stage's wall,
-    and per-worker busy/idle splits of a resident pool.  Overlap entries
-    are diagnostics — they never feed :attr:`total` or
-    :attr:`critical_path`, which stay the summed work and the longest
-    measured wall respectively.
+    after it: the per-worker busy/idle splits of a resident pool
+    (``node<i>_busy`` / ``node<i>_idle``).  Overlap entries are
+    diagnostics — they never feed :attr:`total` or :attr:`critical_path`,
+    which stay the summed work and the longest measured wall
+    respectively.
     """
 
     stages: dict = field(default_factory=dict)

@@ -1,19 +1,16 @@
 """Persistent shared-memory worker runtime (the ``persistent`` backend).
 
-Long-lived node processes holding resident shard + clustering + app
-state, fed over ``multiprocessing.shared_memory`` rings and read back
-over per-worker result segments: the resident transport under
-``distributed_clugp``'s protocols and the process-backed distributed GAS
-runtime.  See ``docs/distributed.md``.
+Long-lived node processes holding resident shard + clustering state,
+fed over ``multiprocessing.shared_memory`` rings and read back over
+per-worker result segments: the resident transport under
+``distributed_clugp``'s protocols.  See ``docs/distributed.md``.
 """
 
-from .gas import DistributedGasRuntime
 from .runtime import PersistentRuntime, WorkerDiedError
 from .shm import SHM_PREFIX, EdgeChunkRing, RingWriter, leaked_segments
 from .transport import FramedConnection, ndarray_nbytes
 
 __all__ = [
-    "DistributedGasRuntime",
     "PersistentRuntime",
     "WorkerDiedError",
     "SHM_PREFIX",

@@ -7,10 +7,7 @@ framed command/result pipes.  It is the one process backend,
 ``backend="persistent"``, behind
 :func:`~repro.core.distributed.distributed_clugp`, the resident engine of
 :class:`~repro.core.distributed.DistributedClugpPartitioner` and
-:class:`~repro.service.service.PartitionService`, and the process fabric
-the distributed GAS runtime (:mod:`repro.distributed.gas`) runs apps on —
-the local runtime's superstep loop, each worker owning a contiguous
-range of partitions.
+:class:`~repro.service.service.PartitionService`.
 
 Supervision (:meth:`run_stage`) applies the retry policy of
 :func:`~repro.reliability.retry.run_reliable` (the thread backend's
@@ -319,9 +316,9 @@ class PersistentRuntime:
     def call(self, worker: int, msg: dict):
         """One unsupervised round trip; returns the reply payload.
 
-        Used by the replay path and the GAS runtime (whose in-flight app
-        state cannot survive a worker death anyway — see
-        docs/distributed.md on failure semantics).
+        Used by the replay path, which rebuilds a respawned worker's
+        resident state; a worker death here raises
+        :class:`WorkerDiedError`.
         """
         handle = self.workers[worker]
         try:
@@ -337,42 +334,6 @@ class PersistentRuntime:
             )
         handle.busy_seconds += reply.get("seconds", 0.0)
         return reply.get("payload")
-
-    def call_all(self, msgs: list[dict]) -> list[tuple]:
-        """One unsupervised round trip to every worker concurrently.
-
-        Sends all commands before reading any reply, so the workers
-        compute in parallel; returns ``(payload, seconds)`` per worker in
-        worker order.  Like :meth:`call`, a worker death raises
-        :class:`WorkerDiedError` — the GAS runtime's documented failure
-        semantics (in-flight app state does not survive a worker loss).
-        """
-        if len(msgs) != self.num_workers:
-            raise ValueError(f"expected {self.num_workers} commands, got {len(msgs)}")
-        for handle, msg in zip(self.workers, msgs):
-            try:
-                handle.cmd.send(msg)
-            except (OSError, BrokenPipeError) as exc:
-                raise WorkerDiedError(
-                    f"worker {handle.index} died before {msg.get('op')!r}"
-                ) from exc
-        out = []
-        for handle, msg in zip(self.workers, msgs):
-            try:
-                reply = handle.res.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerDiedError(
-                    f"worker {handle.index} died during {msg.get('op')!r}"
-                ) from exc
-            if not reply.get("ok"):
-                raise RuntimeError(
-                    f"worker {handle.index} failed {msg.get('op')!r}:\n"
-                    f"{reply.get('error')}"
-                )
-            seconds = reply.get("seconds", 0.0)
-            handle.busy_seconds += seconds
-            out.append((reply.get("payload"), seconds))
-        return out
 
     def run_stage(
         self,

@@ -22,8 +22,9 @@ Lifecycle rules (the part that goes wrong in real deployments):
   interpreters :func:`attach_segment` just attaches — fork children
   share the coordinator's tracker, so the duplicate registration is a
   set-level no-op (see the function docstring);
-* every segment name carries :data:`SHM_PREFIX`, so tests (and operators)
-  can assert ``/dev/shm`` cleanliness with :func:`leaked_segments`.
+* every segment name carries :data:`SHM_PREFIX` and the creating pid, so
+  a process can assert its own ``/dev/shm`` cleanliness with
+  :func:`leaked_segments`, whatever other runs share the host.
 """
 
 from __future__ import annotations
@@ -99,17 +100,19 @@ def unlink_segment(shm: shared_memory.SharedMemory | None) -> None:
 
 
 def leaked_segments() -> list[str]:
-    """Names of runtime-created segments still present in ``/dev/shm``.
+    """Names of the segments this process created still in ``/dev/shm``.
 
     The chaos tests assert this is empty after ``close()`` even when
-    workers were crash-injected mid-stage.  On platforms without a
-    ``/dev/shm`` view this returns an empty list (nothing to audit).
+    workers were crash-injected mid-stage; another run's segments on the
+    same host are not counted.  On platforms without a ``/dev/shm`` view
+    this returns an empty list (nothing to audit).
     """
     try:
         entries = os.listdir(_SHM_DIR)
     except OSError:
         return []
-    return sorted(e for e in entries if e.startswith(SHM_PREFIX))
+    mine = f"{SHM_PREFIX}{os.getpid()}-"
+    return sorted(e for e in entries if e.startswith(mine))
 
 
 class EdgeChunkRing:

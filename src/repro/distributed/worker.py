@@ -13,13 +13,7 @@ worker owns:
   (the resolution, the decision, one quota row);
 * its **result plane** — the coordinator-owned segment named by
   ``begin_shard``, into which ``commit`` writes the edge partition so the
-  reply is a length, not a pickled array;
-* its **app state** — one :class:`~repro.system.runtime.BlockRange` of
-  the distributed GAS runtime (:mod:`repro.distributed.gas`): a
-  contiguous range of partitions and their replica values, living on
-  the same process that partitioned the shard.  The ``gas_*`` handlers
-  only unpack a command and call that range's block functions — the
-  superstep code the local runtime runs.
+  reply is a length, not a pickled array.
 
 Protocol: commands arrive as dicts over the framed command pipe; every
 stage command gets exactly one reply ``{"node", "ok", "payload"/"error",
@@ -35,14 +29,12 @@ answers with respawn + deterministic replay.
 from __future__ import annotations
 
 import traceback
-from types import SimpleNamespace
 
 import numpy as np
 
 from .._util import Timer
 from ..core.distributed import NodeStages
 from ..graph.stream import EdgeStream
-from ..system.messages import DensePayload
 from .shm import EdgeChunkRing, ResultSegment, attach_segment
 from .transport import FramedConnection
 
@@ -50,7 +42,7 @@ __all__ = ["worker_main"]
 
 
 class _WorkerState:
-    """Everything resident between commands (shard, pipeline, app)."""
+    """Everything resident between commands (shard, pipeline)."""
 
     def __init__(self, node: int) -> None:
         self.node = node
@@ -59,7 +51,6 @@ class _WorkerState:
         self.count = 0
         self.stages = NodeStages(node)
         self.result: ResultSegment | None = None
-        self.gas: dict | None = None
         self._shard: EdgeStream | None = None
 
     def shard(self) -> EdgeStream:
@@ -130,65 +121,6 @@ def _run_stage_op(state: _WorkerState, msg: dict) -> dict:
     return {"payload": payload}
 
 
-# --------------------------------------------------------------------- #
-# distributed GAS handlers (see repro.distributed.gas for the protocol)
-# --------------------------------------------------------------------- #
-
-
-def _handle_gas_setup(state: _WorkerState, msg: dict) -> None:
-    state.gas = {
-        "block": msg["block"],  # a BlockRange: the worker's partitions
-        "program": msg["program"],
-        # what a program reads of the runtime worker-side: immutable
-        # globals (its static tables travel inside the program)
-        "facade": SimpleNamespace(
-            num_vertices=msg["num_vertices"], num_partitions=msg["num_partitions"]
-        ),
-    }
-
-
-def _unpack(bits: np.ndarray | None, n: int) -> np.ndarray | None:
-    """Unpack a packbits mask back to ``n`` booleans (``None`` = all set)."""
-    return None if bits is None else np.unpackbits(bits, count=n).astype(bool)
-
-
-def _inbox(rows: np.ndarray) -> DensePayload:
-    """Received rows as a payload: message ``i`` carries ``rows[i]``."""
-    return DensePayload(rows, np.arange(rows.size))
-
-
-def _handle_gas_gather(state: _WorkerState, msg: dict):
-    block, program = state.gas["block"], state.gas["program"]
-    active = _unpack(msg["active"], block.part.num_vertices)
-    payload, partials = block.gather(program, active, state.gas["facade"])
-    return payload.values, partials
-
-
-def _handle_gas_apply(state: _WorkerState, msg: dict):
-    block, program = state.gas["block"], state.gas["program"]
-    if msg["aggregate"] is not None:
-        program.receive_aggregate(msg["aggregate"])
-    gids, new_values, payload = block.apply(
-        program, msg["dst"], _inbox(msg["rows"]), state.gas["facade"]
-    )
-    return gids, new_values, payload.values
-
-
-def _handle_gas_sync(state: _WorkerState, msg: dict):
-    block = state.gas["block"]
-    block.put(_inbox(msg["rows"]))
-    changed = _unpack(msg["changed"], state.gas["facade"].num_vertices)
-    return None if changed is None else block.scatter(changed, msg["undirected"])
-
-
-_PLAIN_HANDLERS = {
-    "gas_setup": _handle_gas_setup,
-    "gas_gather": _handle_gas_gather,
-    "gas_apply": _handle_gas_apply,
-    "gas_sync": _handle_gas_sync,
-}
-
-
 def worker_main(node, cmd_conn, res_conn, ring_name, slot_edges, ring_slots) -> None:
     """Entry point of one persistent node process.
 
@@ -228,11 +160,8 @@ def worker_main(node, cmd_conn, res_conn, ring_name, slot_edges, ring_slots) -> 
                 res.send({"node": node, "ok": True, "payload": "pong", "seconds": 0.0})
                 continue
             try:
-                with Timer() as timer:
-                    if op in _PLAIN_HANDLERS:
-                        body = {"payload": _PLAIN_HANDLERS[op](state, msg)}
-                    else:  # a protocol stage: a NodeStages method by name
-                        body = _run_stage_op(state, msg)
+                with Timer() as timer:  # a protocol stage: a NodeStages method by name
+                    body = _run_stage_op(state, msg)
                 res.send({"node": node, "ok": True, "seconds": timer.elapsed, **body})
             except Exception:
                 res.send(

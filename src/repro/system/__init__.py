@@ -4,13 +4,11 @@ The paper evaluates partitionings on a real 32-node PowerGraph deployment
 (Figure 8).  This package executes vertex programs over the same
 master/mirror placement a PowerGraph cluster would derive from a
 vertex-cut partitioning, on one engine: :class:`LocalGasRuntime`, the
-partition-local runtime.  It holds one flat replica-slot index, writes
-the superstep once as block functions over contiguous partition ranges
-plus one loop, synchronizes mirrors and masters through typed message
-payloads, keeps sparse frontiers, and *measures*
-``SuperstepCost.messages``/``bytes`` by counting the exchanged rows.
-The same loop runs on worker processes as
-:class:`repro.distributed.DistributedGasRuntime`.
+partition-local runtime.  It holds one flat replica-slot index, runs
+the superstep as one loop over all of it, synchronizes mirrors and
+masters through typed message payloads, keeps sparse frontiers, and
+*measures* ``SuperstepCost.messages``/``bytes`` by counting the
+exchanged rows.
 
 The apps (PageRank, connected components, SSSP, label propagation) are
 one program class each against :class:`LocalContext`; the tests pin

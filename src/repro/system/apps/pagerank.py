@@ -21,10 +21,10 @@ __all__ = ["PageRankProgram", "pagerank"]
 class PageRankProgram:
     """Damped PageRank against the partition-local :class:`LocalContext` API.
 
-    The gather is a partition-local add-fold along a block's edge
-    sub-graph, the dangling mass a global aggregator assembled from
+    The gather is a partition-local add-fold along the flat index's edge
+    sub-graph, the dangling mass a global aggregate assembled from
     per-partition master partials, and convergence an L1 test on the
-    coordinator view.
+    global view.
 
     Parameters
     ----------
@@ -89,30 +89,21 @@ class PageRankProgram:
         self.accumulator.fold(partial, dst, contrib, src)
         return partial
 
-    def master_aggregate(self, part, values: np.ndarray, pid: int) -> float:
-        """Partition ``pid``'s dangling-mass partial: one pairwise
-        ``.sum()`` over its dangling masters' values, in slot order, read
-        from the block ``part`` (any block spanning ``pid``) and its
-        per-replica ``values``.
+    def aggregate(self, runtime, values: np.ndarray, values_global: np.ndarray) -> None:
+        """Install the dangling mass before ``apply`` runs: per partition
+        one pairwise ``.sum()`` over its dangling masters' slot ``values``,
+        added in pid order, then the edgeless dangling vertices no
+        partition hosts, read from ``values_global``.
 
-        The float contract shared by every host: the global aggregate is
-        these k partials added in pid order, then the coordinator's
-        unhosted share.  Each partial must stay its own ``ndarray.sum()``
+        The float contract: each partial stays its own ``ndarray.sum()``
         over the partition's contiguous slice — ``np.add.reduceat`` sums
-        sequentially instead of pairwise and changes the last bits — so
-        the process that holds the partition evaluates it, ships one
-        float, and every host reads the same bits.
+        sequentially instead of pairwise and changes the last bits.
         """
-        lo, hi = self._dangling_indptr[pid : pid + 2]
-        return float(values[self._dangling_slots[lo:hi] - part.slots.start].sum())
-
-    def unhosted_aggregate(self, runtime, values_global: np.ndarray) -> float:
-        """The coordinator's share: edgeless vertices no partition hosts."""
-        return float(values_global[self._unhosted_dangling].sum())
-
-    def receive_aggregate(self, value: float) -> None:
-        """Install the reduced global aggregate before ``apply`` runs."""
-        self._dangling_mass = value
+        mass = 0.0
+        bounds = self._dangling_indptr
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            mass += float(values[self._dangling_slots[lo:hi]].sum())
+        self._dangling_mass = mass + float(values_global[self._unhosted_dangling].sum())
 
     def apply(
         self,

@@ -16,9 +16,8 @@ and ``local id = slot - part_indptr[pid]``.  The partition-grouped edges
 carry slot endpoints — both inside the edge's own partition's range, i.e.
 the layout is block-diagonal — and the mirror<->master routing table
 (:class:`ReplicaRoutes`) is a pair of slot columns.  A partition-local
-kernel therefore runs unchanged on any contiguous range of partitions
-(:meth:`LocalIndex.block`, what a distributed worker owns) or on the
-whole concatenation at once (:attr:`LocalIndex.flat`, what
+kernel therefore runs unchanged on the whole concatenation at once
+(:attr:`LocalIndex.flat`, what
 :class:`~repro.system.runtime.LocalGasRuntime` runs): DESIGN.md §5.3.
 
 A deployment builds all of it — index, routes and :class:`Placement` —
@@ -130,19 +129,18 @@ def build_placement(assignment: PartitionAssignment) -> Placement:
 class LocalPartition:
     """A contiguous block of replica slots and the edges among them.
 
-    The partitions ``pids`` = ``range(lo, hi)`` as one block: one
-    partition (then ``pid`` is set), a distributed worker's range, or the
-    whole index (:attr:`LocalIndex.flat`).  Replicas get dense *local*
-    ids ``0..num_vertices-1`` = slot minus the block's first slot, in
+    The runtime's block is the whole index (:attr:`LocalIndex.flat`);
+    one partition's slot and edge ranges, rebased, are a block too (then
+    ``pid`` is set).  Replicas get dense *local* ids
+    ``0..num_vertices-1`` = slot minus the block's first slot, in
     ascending global-id order per partition; edges carry local endpoints
     plus their positions in the original stream (so per-edge attributes
     like SSSP weights can be sliced without a global array).
 
     Attributes
     ----------
-    pid, pids:
-        Partition id of a one-partition block (else ``None``); the
-        partitions the block spans.
+    pid:
+        Partition id of a one-partition block (else ``None``).
     slots, edges:
         The block's slot / grouped-edge ranges in the flat index: static
         per-slot or per-edge tables a program built over the flat index
@@ -158,7 +156,6 @@ class LocalPartition:
     """
 
     pid: int | None
-    pids: range
     slots: slice
     edges: slice
     vertices: np.ndarray
@@ -296,7 +293,6 @@ class LocalIndex:
         """The whole index as one block (zero-copy; local id = slot)."""
         return LocalPartition(
             pid=None,
-            pids=range(self.num_partitions),
             slots=slice(0, self.vertices.size),
             edges=slice(0, self.edge_ids.size),
             vertices=self.vertices,
@@ -305,33 +301,6 @@ class LocalIndex:
             dst_local=self.dst_slot,
             edge_ids=self.edge_ids,
         )
-
-    def block(self, lo: int, hi: int) -> LocalPartition:
-        """Partitions ``[lo, hi)`` as one block — one slot range and one
-        edge range of the index — endpoints rebased to its local ids."""
-        first = int(self.part_indptr[lo])
-        slots = slice(first, int(self.part_indptr[hi]))
-        edges = slice(int(self.edge_indptr[lo]), int(self.edge_indptr[hi]))
-        return LocalPartition(
-            pid=lo if hi == lo + 1 else None,
-            pids=range(lo, hi),
-            slots=slots,
-            edges=edges,
-            vertices=self.vertices[slots],
-            is_master=self.is_master[slots],
-            src_local=self.src_slot[edges] - first,
-            dst_local=self.dst_slot[edges] - first,
-            edge_ids=self.edge_ids[edges],
-        )
-
-    def partition(self, pid: int) -> LocalPartition:
-        """Partition ``pid``'s block."""
-        return self.block(pid, pid + 1)
-
-    @property
-    def partitions(self) -> list[LocalPartition]:
-        """Every partition's block, in pid order (built on each access)."""
-        return [self.partition(pid) for pid in range(self.num_partitions)]
 
     def active_counts(self, active: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Per-partition ``(active edges, active masters)`` of a slot

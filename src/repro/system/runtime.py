@@ -6,32 +6,27 @@ The runtime holds **no global compute state**: values live per replica
 exclusively through explicit typed message payloads
 (:mod:`repro.system.messages`) along the mirror table's rows.
 
-The superstep is written once: the partition-local work is the block
-functions of :class:`BlockRange`, each run over a contiguous range of
-partitions — one slot range and one edge range of the index — and one
-superstep loop, :meth:`LocalGasRuntime.run`, owns the rest.  The local host runs
-the one range ``[0, k)`` in-process, where with a dense accumulator each
-of a superstep's three index-table walks (the gather along the edges,
-both syncs along the routes) is one fused take-and-combine pass
-(:meth:`DenseAccumulator.fold`, :func:`take_put`);
-:class:`~repro.distributed.gas.DistributedGasRuntime` gives each worker
-process a range and ships route rows.
+The superstep is one loop, :meth:`LocalGasRuntime.run`, over the whole
+flat index at once — every partition's local kernel concatenated, which
+the block-diagonal layout makes exact.  With a dense accumulator each of
+a superstep's three index-table walks (the gather along the edges, both
+syncs along the routes) is one fused take-and-combine pass
+(:meth:`DenseAccumulator.fold`, :func:`take_put`).
 
 One BSP superstep over the sync-active set ``A`` (every vertex at step
 0, then the scatter-activated frontier), DESIGN.md section 5.1: local
 gather; gather sync, one message per mirror of each ``v in A``; apply at
-the active masters (and, by the coordinator, at edgeless vertices no
-partition hosts); apply sync, one message back per mirror; message-free
-scatter, OR-reduced into the next ``A``.  The measured message count is
-the paper's ``2 * sum(|P(v)| - 1)`` over ``A`` on every superstep, and
-the measured bytes are the exchanged rows' (a vertex header plus the
-payload), priced by :meth:`NetworkModel.comm_seconds`.
+the active masters (and at edgeless vertices no partition hosts); apply
+sync, one message back per mirror; message-free scatter, OR-reduced into
+the next ``A``.  The measured message count is the paper's
+``2 * sum(|P(v)| - 1)`` over ``A`` on every superstep, and the measured
+bytes are the exchanged rows' (a vertex header plus the payload), priced
+by :meth:`NetworkModel.comm_seconds`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -45,7 +40,6 @@ from .network import NetworkModel
 from .placement import LocalIndex, LocalPartition, build_local_index
 
 __all__ = [
-    "BlockRange",
     "DenseAccumulator",
     "LabelCountAccumulator",
     "LABEL_COUNT",
@@ -187,8 +181,9 @@ def _take_walk(kernel: str, dtype: np.dtype, out, dst, table, src) -> bool:
     the numpy form.
 
     The one place the system layer asks for a backend — per call, never
-    stored: vertex programs are pickled to distributed workers, and a
-    backend holds ctypes function pointers.
+    stored: the accumulators are class attributes built at import, before
+    a caller picks a tier (``CLUGP_KERNEL_BACKEND``), and a backend holds
+    ctypes function pointers, which would make a program unpicklable.
     """
     if not (
         kernels.indexable(out, dtype) and kernels.indexable(table, dtype)
@@ -265,22 +260,21 @@ LABEL_COUNT = LabelCountAccumulator()
 
 @dataclass
 class LocalContext:
-    """What a vertex program sees inside one block: local state only.
+    """What a vertex program sees in the local gather: local state only.
 
     Attributes
     ----------
     part:
-        The block's local index space and edge sub-graph — a distributed
-        worker's partition range, the whole flat index in the local runtime.
+        The local index space and edge sub-graph: the whole flat index as
+        one block (:attr:`LocalIndex.flat`, local id = slot).
     values:
-        Current values of the block's replicas, indexed by local id
-        (mirrors hold the last value their master broadcast).
+        Current values of the replicas, indexed by slot (mirrors hold the
+        last value their master broadcast).
     active:
-        Sync-active frontier restricted to local ids; ``None`` when every
-        replica is active (the dense case — kernels skip the mask).
+        Sync-active frontier over the slots; ``None`` when every replica
+        is active (the dense case — kernels skip the mask).
     runtime:
-        The driving runtime (a worker's stand-in for it), for immutable
-        globals (``num_vertices``).
+        The driving runtime, for immutable globals (``num_vertices``).
     """
 
     part: LocalPartition
@@ -309,11 +303,11 @@ class LocalVertexProgram(Protocol):
 
     Optional hooks: ``setup(runtime)`` builds static per-slot / per-edge
     tables over the flat index after ``init`` (kernels slice them with
-    ``ctx.part.slots`` / ``ctx.part.edges``); a global aggregate is
-    ``master_aggregate(part, values, pid)`` (partition ``pid``'s partial,
-    on the host holding it), ``unhosted_aggregate(runtime,
-    values_global)`` and ``receive_aggregate(total)``; and
-    ``post_superstep(runtime, step, changed)`` may rewrite the changed
+    ``ctx.part.slots`` / ``ctx.part.edges``);
+    ``aggregate(runtime, values, values_global)`` reduces a global
+    aggregate before each superstep's apply, from the per-slot ``values``
+    and, for the edgeless vertices no partition hosts, ``values_global``;
+    and ``post_superstep(runtime, step, changed)`` may rewrite the changed
     mask (label propagation's iteration bound).
     """
 
@@ -339,134 +333,50 @@ def _identity(spec, n: int):
     return np.zeros(n + 1, dtype=np.int64), empty, empty
 
 
-class BlockRange:
-    """Partitions ``[lo, hi)`` and their replicas' values: what a host
-    runs the block functions over (local id = slot minus the range's
-    first slot).  The local host holds ``[0, k)`` (the flat index,
-    zero-copy), a distributed worker its contiguous share.
+def _take(spec, acc, ids: np.ndarray, size: int):
+    """The accumulators of the slots ``ids``: dense values, or for the
+    ragged spec ``(indptr, labels, counts)`` histogram rows sliced out of
+    the slot-sorted COO triples over ``size`` slots (O(S + H) bincount
+    prefix sum)."""
+    if isinstance(spec, DenseAccumulator):
+        return acc[ids]
+    targets, labels, counts = acc
+    hist_indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=size), out=hist_indptr[1:])
+    starts = hist_indptr[ids]
+    lengths = hist_indptr[ids + 1] - starts
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    flat = ragged_take_indices(starts, lengths, indptr)
+    return indptr, labels[flat], counts[flat]
 
-    ``senders`` are the local ids of the range's mirrors in route-row
-    order — a range's route rows are one contiguous run.  Per superstep:
-    :meth:`gather`; :meth:`apply` with the rows the range's masters
-    received; when a next superstep reads them, :meth:`put` with the
-    rows its mirrors receive, and :meth:`scatter`.
-    """
 
-    def __init__(
-        self, index: LocalIndex, lo: int, hi: int, values_global: np.ndarray
-    ) -> None:
-        whole = (lo, hi) == (0, index.num_partitions)
-        self.part = part = index.flat if whole else index.block(lo, hi)
-        routes = index.routes
-        mirrors = routes.mirror_slot[routes.mirror_indptr[lo] : routes.mirror_indptr[hi]]
-        first = part.slots.start
-        self.senders = mirrors - first if first else mirrors
-        self.masters = index.master_slots if whole else np.flatnonzero(part.is_master)
-        self.master_vertices = part.vertices[self.masters]
-        # deterministic replicated init: every host evaluates init for its
-        # own replicas, so the initial load crosses no wires
-        self.values = values_global[part.vertices]
-        self.active = self.partial = self.sent = None
-
-    def gather(self, program, active, runtime):
-        """Local gather under the local frontier ``active`` (``None``:
-        all).  Returns the selected mirrors' partials as the gather
-        payload, described, and the range's aggregate partials in pid
-        order."""
-        part, senders = self.part, self.senders
-        self.active = active
-        self.sent = senders if active is None else senders[active[senders]]
-        self.partial = program.gather_local(LocalContext(part, self.values, active, runtime))
-        aggregates = []
-        if hasattr(program, "master_aggregate"):
-            aggregates = [program.master_aggregate(part, self.values, pid) for pid in part.pids]
-        spec = program.accumulator
-        if isinstance(spec, DenseAccumulator):
-            return DensePayload(self.partial, self.sent), aggregates
-        return RaggedPayload(*self._take(self.partial, self.sent, spec)), aggregates
-
-    def apply(self, program, dst: np.ndarray, payload, runtime):
-        """Fold the received rows (``payload`` for the local master ids
-        ``dst``) into the partials and apply at the active masters.
-        Returns their global ids and new values, and the apply payload
-        back to ``dst``'s mirrors."""
-        spec = program.accumulator
-        merged = self._deliver(dst, payload, spec, runtime.num_vertices)
-        if self.active is None:
-            ids, gids = self.masters, self.master_vertices
-        else:
-            ids = np.flatnonzero(self.part.is_master & self.active)
-            gids = self.part.vertices[ids]
-        old = self.values[ids]
-        new_values = (
-            program.apply(runtime, gids, old, self._take(merged, ids, spec)) if ids.size else old
-        )
-        self.values[ids] = new_values
-        return gids, new_values, DensePayload(self.values, dst)
-
-    def put(self, payload: DensePayload) -> None:
-        """Apply sync: the mirrors that sent receive their masters' new
-        values (in place on the local host: mirror and master slots are
-        disjoint)."""
-        take_put(self.values, self.sent, payload.table, payload.slots)
-
-    def scatter(self, changed: np.ndarray, undirected: bool) -> np.ndarray:
-        """Global ids of the range's replicas with a changed neighbor —
-        message-free: every edge is co-located with both endpoints."""
-        part = self.part
-        changed_local = changed[part.vertices]
-        marks = np.zeros(part.num_vertices, dtype=bool)
-        marks[part.dst_local[changed_local[part.src_local]]] = True
-        if undirected:
-            marks[part.src_local[changed_local[part.dst_local]]] = True
-        return part.vertices[marks]
-
-    def _take(self, acc, ids: np.ndarray, spec):
-        """The accumulators of ``ids``: dense values, or for the ragged
-        spec ``(indptr, labels, counts)`` histogram rows sliced out of
-        the id-sorted COO triples (O(S + H) bincount prefix sum)."""
-        if isinstance(spec, DenseAccumulator):
-            return acc[ids]
-        targets, labels, counts = acc
-        size = self.part.num_vertices
-        hist_indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=size), out=hist_indptr[1:])
-        starts = hist_indptr[ids]
-        lengths = hist_indptr[ids + 1] - starts
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        flat = ragged_take_indices(starts, lengths, indptr)
-        return indptr, labels[flat], counts[flat]
-
-    def _deliver(self, dst: np.ndarray, payload, spec, n_labels: int):
-        """Merge received accumulators into the masters' partials, in row
-        order: per master, ascending mirror partition.  Dense partials
-        merge in place (on the local host the payload's table *is* the
-        partials; the fold never reads a slot it writes)."""
-        if isinstance(spec, DenseAccumulator):
-            spec.fold(self.partial, dst, payload.table, payload.slots)
-            return self.partial
-        if dst.size == 0:  # a grouped, key-sorted partial is its own merge
-            return self.partial
-        own_t, own_lab, own_cnt = self.partial
-        recv_t = np.repeat(dst, np.diff(payload.indptr))
-        return group_label_counts(
-            np.concatenate([own_t, recv_t]),
-            np.concatenate([own_lab, payload.labels]),
-            n_labels,
-            counts=np.concatenate([own_cnt, payload.counts]),
-        )
+def _deliver(spec, partial, dst: np.ndarray, payload, n_labels: int):
+    """Merge the received rows (``payload`` for the master slots ``dst``)
+    into the partials, in row order: per master, ascending mirror
+    partition.  Dense partials merge in place — the payload's table *is*
+    the partials, and the fold never reads a slot it writes."""
+    if isinstance(spec, DenseAccumulator):
+        spec.fold(partial, dst, payload.table, payload.slots)
+        return partial
+    if dst.size == 0:  # a grouped, key-sorted partial is its own merge
+        return partial
+    own_t, own_lab, own_cnt = partial
+    recv_t = np.repeat(dst, np.diff(payload.indptr))
+    return group_label_counts(
+        np.concatenate([own_t, recv_t]),
+        np.concatenate([own_lab, payload.labels]),
+        n_labels,
+        counts=np.concatenate([own_cnt, payload.counts]),
+    )
 
 
 class LocalGasRuntime:
-    """Partition-local GAS runtime bound to one vertex-cut deployment:
-    the superstep loop, hosting its one block range in-process.
+    """Partition-local GAS runtime bound to one vertex-cut deployment.
 
     ``SuperstepCost.messages``/``bytes`` are measured from the exchanged
     rows; compute seconds are modeled from the active edges and masters
     at ``edges_per_second`` / ``vertices_per_second`` per partition.
-    Another host overrides the ``_start`` … ``_finish`` hooks, never
-    :meth:`run`.
     """
 
     mode = "local"
@@ -492,9 +402,7 @@ class LocalGasRuntime:
         self.index: LocalIndex = build_local_index(assignment)
         self.placement = self.index.placement
         self.num_vertices = self.stream.num_vertices
-        self.num_partitions = assignment.num_partitions
         self._unhosted = self.placement.replica_counts == 0
-        self._block: BlockRange | None = None  # during a run
         #: per-superstep sync masks of the last run (for the parity test)
         self.sync_masks: list[np.ndarray] = []
 
@@ -507,102 +415,93 @@ class LocalGasRuntime:
         values_global = np.ascontiguousarray(program.init(self))
         if hasattr(program, "setup"):
             program.setup(self)
-        index = self.index
-        n = self.num_vertices
+        index, part, spec = self.index, self.index.flat, program.accumulator
+        n, slots = self.num_vertices, self.index.vertices.size
+        dense = isinstance(spec, DenseAccumulator)
         sparse = program.frontier != "dense"
         undirected = program.edge_mode == "undirected"
+        master_vertices = index.vertices[index.master_slots]
         cost = RunCost()
         self.sync_masks = []
+        # deterministic replicated init: every replica evaluates init
+        # itself, so the initial load crosses no wires
+        values = values_global[index.vertices]
         active = np.ones(n, dtype=bool)
-        self._start(program, values_global)
-        try:
-            for step in range(max_supersteps):
-                started = time.perf_counter()
-                self.sync_masks.append(active)
-                # slot frontier; None = every replica (no mask to gather or apply)
-                active_slots = None if active.all() else active[index.vertices]
-                mirror, master = index.routes.select(active_slots)
-                # (1) gather on every range; the global aggregate is the
-                # partitions' partials added in pid order, then the
-                # unhosted share (a loop, not sum(): the float contract)
-                gathered, partials = self._gather(program, active_slots)
-                aggregate = None
-                if hasattr(program, "master_aggregate"):
-                    aggregate = 0.0
-                    for partial in partials:
-                        aggregate += partial
-                    aggregate += program.unhosted_aggregate(self, values_global)
-                    program.receive_aggregate(aggregate)
-                # (2)+(3) gather sync, apply at the active masters — and
-                # here at the active edgeless vertices no partition hosts
-                applied, applied_rows = self._apply(program, master, gathered, aggregate)
-                isolated = np.flatnonzero(active & self._unhosted)
-                if isolated.size:
-                    applied.append((isolated, program.apply(
-                        self, isolated, values_global[isolated],
-                        _identity(program.accumulator, isolated.size),
-                    )))
-                new_global = values_global.copy()
-                changed = np.zeros(n, dtype=bool)
-                for gids, new_values in applied:
-                    new_global[gids] = new_values
-                    if sparse:
-                        changed[gids] = new_values != values_global[gids]
-                if not sparse:
-                    converged = program.check_converged(self, values_global, new_global)
-                    changed = np.full(n, not converged, dtype=bool)
-                if hasattr(program, "post_superstep"):
-                    changed = program.post_superstep(self, step, changed)
-                # (4)+(5) apply sync and scatter, only when a next superstep
-                # reads them; the barrier ORs the activated replicas
-                more = bool(changed.any())
-                next_active = changed
-                if more:
-                    activated = self._sync(applied_rows, changed if sparse else None, undirected)
-                    if sparse:
-                        next_active = np.zeros(n, dtype=bool)
-                        for gids in activated:
-                            next_active[gids] = True
-                active_edges, active_masters = index.active_counts(active_slots)
-                # one gather and one apply message per selected route row
-                messages = 2 * mirror.size
-                volume = messages * VERTEX_HEADER_BYTES + gathered.nbytes + applied_rows.nbytes
-                cost.add(SuperstepCost(
-                    step, int(np.count_nonzero(active)), int(active_edges.sum()), messages,
-                    volume, *self._seconds(active_edges, active_masters, messages, volume, started),
-                ))
-                values_global = new_global
-                if not more:
-                    break
-                active = next_active
-        finally:
-            self._finish()
+        for step in range(max_supersteps):
+            self.sync_masks.append(active)
+            # slot frontier; None = every replica (no mask to gather or apply)
+            active_slots = None if active.all() else active[index.vertices]
+            mirror, master = index.routes.select(active_slots)
+            # (1) local gather; the selected mirrors' partials are the
+            # gather rows, described rather than copied
+            partial = program.gather_local(LocalContext(part, values, active_slots, self))
+            if dense:
+                gathered = DensePayload(partial, mirror)
+            else:
+                gathered = RaggedPayload(*_take(spec, partial, mirror, slots))
+            if hasattr(program, "aggregate"):
+                program.aggregate(self, values, values_global)
+            # (2)+(3) gather sync, apply at the active masters — and at
+            # the active edgeless vertices no partition hosts
+            merged = _deliver(spec, partial, master, gathered, n)
+            if active_slots is None:
+                ids, gids = index.master_slots, master_vertices
+            else:
+                ids = np.flatnonzero(index.is_master & active_slots)
+                gids = index.vertices[ids]
+            new_values = values[ids]
+            if ids.size:
+                new_values = program.apply(self, gids, new_values, _take(spec, merged, ids, slots))
+            values[ids] = new_values
+            applied_rows = DensePayload(values, master)
+            applied = [(gids, new_values)]
+            isolated = np.flatnonzero(active & self._unhosted)
+            if isolated.size:
+                applied.append((isolated, program.apply(
+                    self, isolated, values_global[isolated], _identity(spec, isolated.size),
+                )))
+            new_global = values_global.copy()
+            changed = np.zeros(n, dtype=bool)
+            for gids, new_values in applied:
+                new_global[gids] = new_values
+                if sparse:
+                    changed[gids] = new_values != values_global[gids]
+            if not sparse:
+                converged = program.check_converged(self, values_global, new_global)
+                changed = np.full(n, not converged, dtype=bool)
+            if hasattr(program, "post_superstep"):
+                changed = program.post_superstep(self, step, changed)
+            # (4)+(5) apply sync and scatter, only when a next superstep
+            # reads them
+            more = bool(changed.any())
+            next_active = changed
+            if more:
+                # the mirrors that sent receive their masters' new values,
+                # in place: mirror and master slots are disjoint
+                take_put(values, mirror, values, master)
+                if sparse:
+                    # message-free: every edge is co-located with both endpoints
+                    changed_slots = changed[index.vertices]
+                    marks = np.zeros(slots, dtype=bool)
+                    marks[part.dst_local[changed_slots[part.src_local]]] = True
+                    if undirected:
+                        marks[part.src_local[changed_slots[part.dst_local]]] = True
+                    next_active = np.zeros(n, dtype=bool)
+                    next_active[index.vertices[marks]] = True
+            active_edges, active_masters = index.active_counts(active_slots)
+            # one gather and one apply message per selected route row
+            messages = 2 * mirror.size
+            volume = messages * VERTEX_HEADER_BYTES + gathered.nbytes + applied_rows.nbytes
+            # the slowest partition's work, modeled
+            compute = (
+                active_edges / self.edges_per_second + active_masters / self.vertices_per_second
+            )
+            cost.add(SuperstepCost(
+                step, int(np.count_nonzero(active)), int(active_edges.sum()), messages, volume,
+                float(compute.max(initial=0.0)), self.network.comm_seconds(messages, volume),
+            ))
+            values_global = new_global
+            if not more:
+                break
+            active = next_active
         return values_global, cost
-
-    # the in-process host: one range [0, k), rows never copied
-
-    def _start(self, program, values_global: np.ndarray) -> None:
-        self._block = BlockRange(self.index, 0, self.num_partitions, values_global)
-
-    def _gather(self, program, active_slots):
-        """-> (gather payload, aggregate partials in pid order)"""
-        return self._block.gather(program, active_slots, self)
-
-    def _apply(self, program, master, gathered, aggregate):
-        """Deliver the gather rows to the ``master`` slots and apply.
-        -> ([(global ids, new values)], apply payload in row order)"""
-        gids, new_values, payload = self._block.apply(program, master, gathered, self)
-        return [(gids, new_values)], payload
-
-    def _sync(self, applied_rows, changed, undirected: bool) -> list:
-        """-> activated global ids per range (none without ``changed``)"""
-        self._block.put(applied_rows)
-        return [] if changed is None else [self._block.scatter(changed, undirected)]
-
-    def _seconds(self, active_edges, active_masters, messages, volume, started):
-        """-> (compute, comm): the slowest partition's work, modeled."""
-        compute = active_edges / self.edges_per_second + active_masters / self.vertices_per_second
-        return float(compute.max(initial=0.0)), self.network.comm_seconds(messages, volume)
-
-    def _finish(self) -> None:
-        self._block = None

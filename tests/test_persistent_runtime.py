@@ -20,8 +20,11 @@ Acceptance gates covered here:
 
 from __future__ import annotations
 
+import os
+import secrets
 import time
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ import pytest
 from repro.config import ClugpConfig, ReliabilityConfig
 from repro.core.distributed import DistributedClugpPartitioner, distributed_clugp
 from repro.distributed import (
+    SHM_PREFIX,
     EdgeChunkRing,
     PersistentRuntime,
     RingWriter,
@@ -130,6 +134,22 @@ class TestShmPrimitives:
         finally:
             unlink_segment(shm)
         _assert_shm_clean()
+
+    def test_leak_audit_lists_only_this_process_segments(self):
+        """Another run's live segments on the same host are not this
+        process's leak.  The foreign pid starts with this one's digits, so
+        the audit must match the whole ``clugp-shm-<pid>-`` prefix."""
+        foreign = shared_memory.SharedMemory(
+            name=f"{SHM_PREFIX}{os.getpid()}0-{secrets.token_hex(4)}", create=True, size=8
+        )
+        own = None
+        try:
+            own = create_segment(8)
+            listed = leaked_segments()
+            assert own.name in listed and foreign.name not in listed
+        finally:
+            unlink_segment(foreign)
+            unlink_segment(own)
 
     def test_ndarray_nbytes_walks_containers(self):
         msg = {

@@ -322,8 +322,9 @@ def test_user_defined_accumulator_program_runs(backend, crawl_stream):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_programs_hold_no_backend_handle(backend, crawl_stream):
-    """A program is pickled to distributed workers after ``setup`` and a
-    backend holds ctypes function pointers: nothing may cache one."""
+    """A program stays picklable after ``setup``: a backend holds ctypes
+    function pointers, and the tier is looked up per call, so nothing may
+    cache one."""
     assignment = PartitionAssignment(
         crawl_stream, np.arange(crawl_stream.num_edges) % 3, num_partitions=3
     )
