@@ -286,10 +286,9 @@ def replica_routes(vertices: np.ndarray, part_indptr: np.ndarray, master: np.nda
     """The mirror<->master routes of a replica-slot layout (slots grouped
     by partition, ``vertices[s]`` the vertex of slot ``s``) under a
     ``master`` column: ``(is_master, master_slots, mirror_slot,
-    master_slot, mirror_indptr, master_order, master_indptr)`` — every
-    non-master slot paired with its vertex's master slot (-1 where the
-    master partition hosts no replica), the rows stably grouped by mirror
-    and by master partition."""
+    master_slot, mirror_indptr)`` — every non-master slot paired with its
+    vertex's master slot (-1 where the master partition hosts no
+    replica), the rows grouped by mirror partition."""
     k = part_indptr.size - 1
     slot_part = np.repeat(np.arange(k, dtype=np.int64), np.diff(part_indptr))
     is_master = master[vertices] == slot_part
@@ -298,10 +297,9 @@ def replica_routes(vertices: np.ndarray, part_indptr: np.ndarray, master: np.nda
     slot_of = np.full(master.size, -1, dtype=np.int64)
     slot_of[vertices[master_slots]] = master_slots
     master_slot = slot_of[vertices[mirror_slot]]
-    master_order, master_indptr = group_by_bounded(slot_part[master_slot], k)
     return (
         is_master, master_slots, mirror_slot, master_slot,
-        np.searchsorted(mirror_slot, part_indptr), master_order, master_indptr,
+        np.searchsorted(mirror_slot, part_indptr),
     )
 
 

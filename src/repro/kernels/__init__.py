@@ -153,8 +153,7 @@ KERNELS: dict[str, Kernel] = {
         "edge_ids:i64[] edge_indptr:i64[] src_slot:i64[] dst_slot:i64[] "
         "vertices:i64[] part_indptr:i64[] master:i64[] replica_counts:i64[] "
         "is_master:bool[] master_slots:i64[] mirror_slot:i64[] master_slot:i64[] "
-        "mirror_indptr:i64[] master_order:i64[] master_indptr:i64[] "
-        "slot_of:i64[] words:u64[] sizes:i64[]",
+        "mirror_indptr:i64[] slot_of:i64[] words:u64[] sizes:i64[]",
         "i64",
     ),
 }

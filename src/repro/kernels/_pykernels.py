@@ -100,6 +100,9 @@ def _sets_out(words, nw, vertices, sets) -> None:
     words.reshape(-1, nw)[vertices] = np.frombuffer(raw, dtype="<u8").reshape(-1, nw)
 
 
+_INF = float("inf")
+
+
 def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
     """HDRF decision core over one chunk (mutates loads/degree/words).
 
@@ -133,44 +136,50 @@ def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
         wv = sets[b]
         scale = lam / (eps + (max_load - min_load))
         w = wu | wv
-        if w:
-            # score only the member partitions; ascending bit order and
-            # strict > keep the reference's first-maximum tie-break
-            best_p = -1
-            best_s = 0.0
-            while w:
-                bit = w & -w
-                p = bit.bit_length() - 1
-                w ^= bit
-                sc = scale * (max_load - loads_l[p])
-                if (wu >> p) & 1:
-                    sc += gu
-                if (wv >> p) & 1:
-                    sc += gv
-                if sc > best_s:
-                    best_s = sc
-                    best_p = p
-            if best_s <= scale * (max_load - min_load):
-                # a non-member's pure balance score could tie or beat the
-                # best member: the exact k-scan
-                best_p = 0
-                best_s = -1e300
-                for p in range(k):
-                    sc = scale * (max_load - loads_l[p])
-                    if (wu >> p) & 1:
+        p = -1
+        if scale != _INF:
+            # (an infinite scale, lam / eps overflowed, makes inf * 0 a nan
+            # score: the bound below fails and only the k-scan is exact)
+            if w:
+                # score only the member partitions; ascending bit order
+                # and strict > keep the reference's first-maximum
+                # tie-break
+                best_s = 0.0
+                while w:
+                    bit = w & -w
+                    q = bit.bit_length() - 1
+                    w ^= bit
+                    sc = scale * (max_load - loads_l[q])
+                    if (wu >> q) & 1:
                         sc += gu
-                    if (wv >> p) & 1:
+                    if (wv >> q) & 1:
                         sc += gv
                     if sc > best_s:
                         best_s = sc
-                        best_p = p
-            p = best_p
-        elif scale > 0.0:
-            # no members: the argmax is the first least-loaded partition
-            p = loads_l.index(min_load)
-        else:
-            # lambda_bal == 0: every score is +0.0, the first one wins
+                        p = q
+                if not best_s > scale * (max_load - min_load):
+                    # a non-member's pure balance score could tie or beat
+                    # the best member
+                    p = -1
+            elif scale > 0.0:
+                # no members: the argmax is the first least-loaded partition
+                p = loads_l.index(min_load)
+            else:
+                # lambda_bal == 0: every score is +0.0, the first one wins
+                p = 0
+        if p < 0:
+            # the exact k-scan
             p = 0
+            best_s = -1e300
+            for q in range(k):
+                sc = scale * (max_load - loads_l[q])
+                if (wu >> q) & 1:
+                    sc += gu
+                if (wv >> q) & 1:
+                    sc += gv
+                if sc > best_s:
+                    best_s = sc
+                    p = q
         picks[i] = p
         old = loads_l[p]
         new = old + 1.0
@@ -700,7 +709,6 @@ def slot_index(
     edge_ids, edge_indptr, src_slot, dst_slot,
     vertices, part_indptr, master, replica_counts,
     is_master, master_slots, mirror_slot, master_slot, mirror_indptr,
-    master_order, master_indptr,
     slot_of, words, sizes,
 ):
     """The flat replica-slot index of a vertex-cut assignment, built by
@@ -729,7 +737,7 @@ def slot_index(
     edge_part = part[edge_ids] * n
     src_slot[:] = np.searchsorted(keys, edge_part + src[edge_ids])
     dst_slot[:] = np.searchsorted(keys, edge_part + dst[edge_ids])
-    flags, masters, mirrors, master_of, mirror_ptr, order, order_ptr = replica_routes(
+    flags, masters, mirrors, master_of, mirror_ptr = replica_routes(
         slot_vertices, part_indptr, master
     )
     rows = mirrors.size
@@ -738,8 +746,6 @@ def slot_index(
     mirror_slot[:rows] = mirrors
     master_slot[:rows] = master_of
     mirror_indptr[:] = mirror_ptr
-    master_order[:rows] = order
-    master_indptr[:] = order_ptr
     sizes[:] = (slots, masters.size)
     return -1
 

@@ -6,6 +6,7 @@
  * DESIGN.md section 8 for the bit-identity argument):
  *
  *   hdrf_chunk        <- repro.partitioners.hdrf.HDRFPartitioner._per_edge
+ *                        (scoring only the candidates, DESIGN.md s4.2)
  *   greedy_chunk      <- repro.partitioners.greedy.GreedyPartitioner._per_edge
  *   clustering_chunk  <- repro.core.clustering.streaming_clustering
  *   transform_chunk   <- repro.core.transform.transform_partitions
@@ -44,9 +45,39 @@
 #include <stdint.h>
 
 /* ------------------------------------------------------------------ */
-/* HDRF: score all k partitions, first-maximum argmax (Petroni 2015)  */
+/* HDRF: first-maximum argmax over k partitions (Petroni 2015), with  */
+/* only A(u) | A(v) and the first least-loaded partition scored       */
 /* ------------------------------------------------------------------ */
 
+/* The least load, the first partition holding it (*first) and how many
+ * partitions hold it (the return value). */
+static int64_t least_load(const double *loads, int64_t k, double *min_load, int64_t *first)
+{
+    double lo = loads[0];
+    int64_t at = 0, count = 1;
+    for (int64_t p = 1; p < k; p++) {
+        if (loads[p] < lo) {
+            lo = loads[p];
+            at = p;
+            count = 1;
+        } else if (loads[p] == lo) {
+            count++;
+        }
+    }
+    *min_load = lo;
+    *first = at;
+    return count;
+}
+
+/* The shortcut is exact by DESIGN.md s4.2: a non-member's score is pure
+ * balance, scale*(max - L_p) <= scale*(max - min), and that bound is
+ * reached first at the first least-loaded partition.  So a best member
+ * strictly above the bound wins; otherwise the exact k-scan decides.
+ * Loads are whole numbers that only grow: max is a running max, and
+ * the min (with its first partition and its count) is rescanned only
+ * when its last partition leaves it.  An infinite scale (lam / eps
+ * overflowed) makes inf * 0 a NaN score, which breaks the bound, so it
+ * takes the k-scan too. */
 void hdrf_chunk(
     const int64_t *u, const int64_t *v, int64_t m,
     int64_t k, int64_t nw,
@@ -54,6 +85,13 @@ void hdrf_chunk(
     double *loads, int64_t *degree, uint64_t *words,
     int64_t *out)
 {
+    double max_load = loads[0];
+    for (int64_t p = 1; p < k; p++) {
+        if (loads[p] > max_load) max_load = loads[p];
+    }
+    double min_load;
+    int64_t first_min;
+    int64_t nmin = least_load(loads, k, &min_load, &first_min);
     for (int64_t i = 0; i < m; i++) {
         int64_t ui = u[i];
         int64_t vi = v[i];
@@ -64,29 +102,66 @@ void hdrf_chunk(
         double theta_u = du / (du + dv);
         double gu = 1.0 + (1.0 - theta_u);
         double gv = 1.0 + theta_u;
-        double max_load = loads[0];
-        double min_load = loads[0];
-        for (int64_t p = 1; p < k; p++) {
-            if (loads[p] > max_load) max_load = loads[p];
-            if (loads[p] < min_load) min_load = loads[p];
-        }
         double scale = lam / (eps + (max_load - min_load));
         const uint64_t *wu = words + ui * nw;
         const uint64_t *wv = words + vi * nw;
-        int64_t best_p = 0;
-        double best_score = -1e300;
-        for (int64_t p = 0; p < k; p++) {
-            double score = scale * (max_load - loads[p]);
-            uint64_t bit = 1ULL << (p & 63);
-            if (wu[p >> 6] & bit) score += gu;
-            if (wv[p >> 6] & bit) score += gv;
-            if (score > best_score) {
-                best_score = score;
-                best_p = p;
+        int64_t best_p = -1;
+        if (__builtin_isfinite(scale)) {
+            /* the members in ascending order; strict > keeps the
+             * reference's first maximum */
+            double best_s = 0.0;
+            uint64_t any = 0;
+            for (int64_t w = 0; w < nw; w++) {
+                uint64_t a = wu[w], b = wv[w], cand = a | b;
+                any |= cand;
+                while (cand) {
+                    int c = __builtin_ctzll(cand);
+                    cand &= cand - 1;
+                    int64_t p = (w << 6) + c;
+                    double score = scale * (max_load - loads[p]);
+                    if ((a >> c) & 1) score += gu;
+                    if ((b >> c) & 1) score += gv;
+                    if (score > best_s) {
+                        best_s = score;
+                        best_p = p;
+                    }
+                }
+            }
+            if (!any) {
+                /* no members: balance alone, first least-loaded; with
+                 * lam = 0 every score is +0.0 and partition 0 wins */
+                best_p = scale > 0.0 ? first_min : 0;
+            } else if (!(best_s > scale * (max_load - min_load))) {
+                best_p = -1;
+            }
+        }
+        if (best_p < 0) {
+            double best_score = -1e300;
+            best_p = 0;
+            for (int64_t p = 0; p < k; p++) {
+                double score = scale * (max_load - loads[p]);
+                uint64_t bit = 1ULL << (p & 63);
+                if (wu[p >> 6] & bit) score += gu;
+                if (wv[p >> 6] & bit) score += gv;
+                if (score > best_score) {
+                    best_score = score;
+                    best_p = p;
+                }
             }
         }
         out[i] = best_p;
-        loads[best_p] += 1.0;
+        double old = loads[best_p];
+        loads[best_p] = old + 1.0;
+        if (old + 1.0 > max_load) max_load = old + 1.0;
+        if (old == min_load) {
+            if (--nmin == 0) {
+                nmin = least_load(loads, k, &min_load, &first_min);
+            } else if (best_p == first_min) {
+                /* every partition before first_min is above the min,
+                 * and another one is still at it */
+                do first_min++; while (loads[first_min] != min_load);
+            }
+        }
         uint64_t bit = 1ULL << (best_p & 63);
         words[ui * nw + (best_p >> 6)] |= bit;
         words[vi * nw + (best_p >> 6)] |= bit;
@@ -683,7 +758,7 @@ static inline void mark(uint64_t *words, int64_t x, int64_t *lo, int64_t *hi)
 }
 
 /* The executable layout of a vertex-cut assignment (edge i = (src[i],
- * dst[i]) in partition part[i]) without a sort, in five passes:
+ * dst[i]) in partition part[i]) without a sort, in four passes:
  *
  *  1. a stable counting sort of the edges by partition: edge_ids /
  *     edge_indptr, with each edge's endpoints carried into src_slot /
@@ -693,19 +768,17 @@ static inline void mark(uint64_t *words, int64_t x, int64_t *lo, int64_t *hi)
  *     slots (vertices, part_indptr), numbered partition by partition,
  *     vertices ascending inside; the endpoint columns are rewritten in
  *     place from vertex ids to slots, and each slot's incident-edge
- *     count (a self-loop counts twice) goes to master_order, which is
- *     free until pass 5;
+ *     count (a self-loop counts twice) goes to master_slot, which is
+ *     free until pass 4;
  *  3. the slots in pid order: a strict > keeps each vertex's first
  *     maximal count, i.e. the master is the partition with the most
  *     incident edges, ties to the lowest pid; replica_counts counted;
  *  4. the slots once more: is_master, master_slots, the mirror rows
- *     (mirror_slot, master_slot) in slot order, mirror_indptr, and the
- *     rows per master partition counted into master_indptr;
- *  5. the rows stably grouped by master partition: master_order.
+ *     (mirror_slot, master_slot) in slot order and mirror_indptr.
  *
  * Every output is written in full (no precondition on its contents);
  * the per-slot arrays (vertices, is_master, master_slots, mirror_slot,
- * master_slot, master_order) need capacity 2 * m, and sizes
+ * master_slot) need capacity 2 * m, and sizes
  * receives [slots, masters].  slot_of (n entries) and words
  * (ceil(n / 64)) are scratch.  Cost O(m + slots + k + n / 64 + the sum of
  * the partitions' word ranges): no k * n term.  Partition ids and
@@ -720,10 +793,9 @@ int64_t slot_index(
     int64_t *master, int64_t *replica_counts,
     uint8_t *is_master, int64_t *master_slots,
     int64_t *mirror_slot, int64_t *master_slot, int64_t *mirror_indptr,
-    int64_t *master_order, int64_t *master_indptr,
     int64_t *slot_of, uint64_t *words, int64_t *sizes)
 {
-    int64_t *count = master_order;
+    int64_t *count = master_slot;
     for (int64_t i = 0; i < m; i++) {
         if (part[i] < 0 || part[i] >= k || src[i] < 0 || src[i] >= n
             || dst[i] < 0 || dst[i] >= n)
@@ -797,7 +869,6 @@ int64_t slot_index(
     }
     /* 4: masters and mirror rows in slot order */
     int64_t masters = 0, rows = 0;
-    for (int64_t p = 0; p <= k; p++) master_indptr[p] = 0;
     for (int64_t p = 0; p < k; p++) {
         mirror_indptr[p] = rows;
         for (int64_t s = part_indptr[p]; s < part_indptr[p + 1]; s++) {
@@ -809,18 +880,11 @@ int64_t slot_index(
                 is_master[s] = 0;
                 mirror_slot[rows] = s;
                 master_slot[rows] = slot_of[v];
-                master_indptr[master[v] + 1]++;
                 rows++;
             }
         }
     }
     mirror_indptr[k] = rows;
-    /* 5: rows stably grouped by master partition, as in pass 1 */
-    exclusive_starts(master_indptr, k);
-    for (int64_t r = 0; r < rows; r++) {
-        int64_t p = master[vertices[mirror_slot[r]]];
-        master_order[master_indptr[p + 1]++] = r;
-    }
     sizes[0] = slots;
     sizes[1] = masters;
     return -1;

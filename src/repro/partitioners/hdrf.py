@@ -13,9 +13,11 @@ and assigns the edge to the argmax.  Favoring partitions that already hold
 the *lower*-degree endpoint (the ``1 - theta`` term) replicates high-degree
 vertices first — the right trade on power-law graphs.
 
-This is the Table I "high quality / high time cost" representative: each
-edge scores all k partitions against a global table, so runtime grows with
-k (Figure 7) and state is the largest of the one-pass set (Figure 6).
+This is the Table I "high quality / high time cost" representative: as
+published, each edge scores all k partitions against a global table, so
+runtime grows with k (Figure 7) and state is the largest of the one-pass
+set (Figure 6).  Only :meth:`_per_edge` still does that; the chunk step
+scores the candidates below.
 
 Chunked hot path
 ----------------
@@ -26,9 +28,11 @@ sequential scalar core: each chunk is one call into the resolved
 load/degree/bitmask-word arrays, writing the chunk's slice of the result
 in place, bit-identical to :meth:`_per_edge`, the oracle behind
 :meth:`partition_per_edge` (same IEEE double evaluation order; DESIGN.md
-§8).  The ``python`` tier lifts the partial-degree reads out of the loop
-and scores only ``A(u) | A(v)`` plus the least-loaded partition, exact
-by the candidate-shortcut argument of DESIGN.md §4.2.
+§8).  Both tiers score only ``A(u) | A(v)`` plus the first
+least-loaded partition, exact by the candidate-shortcut argument of
+DESIGN.md §4.2, and keep the max and min load running instead of
+rescanning the k loads per edge; the ``python`` tier also lifts the
+partial-degree reads out of the loop.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ class HDRFPartitioner(ReplicaSetPartitioner):
 
     The chunk step is the :mod:`repro.kernels` ``hdrf_chunk`` kernel,
     bit-identical to :meth:`partition_per_edge`, which is the only path
-    that still scores one edge at a time in Python (what the fig-7
-    k-dependence benches time).
+    that still scores all k partitions of one edge at a time in Python
+    (what the fig-7 k-dependence benches time).
     """
 
     name = "hdrf"

@@ -189,8 +189,16 @@ class LocalPartition:
         """Map global vertex ids to one partition's local ids.
 
         Every id must be hosted here (``KeyError`` otherwise) — the local
-        runtime never addresses a replica a partition does not hold.
+        runtime never addresses a replica a partition does not hold.  A
+        block of several partitions (``pid is None``, e.g.
+        :attr:`LocalIndex.flat`) raises ``ValueError``: a vertex has one
+        slot per partition hosting it, so there is no one local id.
         """
+        if self.pid is None:
+            raise ValueError(
+                "to_local needs a one-partition block: in a block of several "
+                "partitions a vertex has one slot per partition hosting it"
+            )
         global_ids = np.asarray(global_ids, dtype=np.int64)
         local = np.searchsorted(self.vertices, global_ids)
         hosted = local < self.vertices.size
@@ -224,17 +232,11 @@ class ReplicaRoutes:
     mirror_indptr:
         ``(k + 1,)`` — rows ``[mirror_indptr[p], mirror_indptr[p+1])``
         belong to mirror partition ``p``.
-    master_order, master_indptr:
-        The rows stably grouped by *master* partition:
-        ``master_order[master_indptr[p]:master_indptr[p+1]]`` are the rows
-        partition ``p``'s masters receive, in row order.
     """
 
     mirror_slot: np.ndarray
     master_slot: np.ndarray
     mirror_indptr: np.ndarray
-    master_order: np.ndarray
-    master_indptr: np.ndarray
 
     @property
     def num_mirrors(self) -> int:
@@ -343,12 +345,10 @@ def build_local_index(
     columns = [np.ascontiguousarray(c, dtype=np.int64) for c in given]
     m = columns[0].size
     edge_ids, src_slot, dst_slot = (np.empty(m, dtype=np.int64) for _ in range(3))
-    edge_indptr, part_indptr, mirror_indptr, master_indptr = (
-        np.empty(k + 1, dtype=np.int64) for _ in range(4)
-    )
+    edge_indptr, part_indptr, mirror_indptr = (np.empty(k + 1, dtype=np.int64) for _ in range(3))
     master, replica_counts, slot_of = (np.empty(n, dtype=np.int64) for _ in range(3))
-    vertices, master_slots, mirror_slot, master_slot, master_order = (
-        _capacity(2 * m, np.int64) for _ in range(5)
+    vertices, master_slots, mirror_slot, master_slot = (
+        _capacity(2 * m, np.int64) for _ in range(4)
     )
     is_master = _capacity(2 * m, np.bool_)
     sizes = np.empty(2, dtype=np.int64)
@@ -357,7 +357,6 @@ def build_local_index(
         edge_ids, edge_indptr, src_slot, dst_slot,
         vertices, part_indptr, master, replica_counts,
         is_master, master_slots, mirror_slot, master_slot, mirror_indptr,
-        master_order, master_indptr,
         slot_of, np.empty((n + 63) // 64, dtype=np.uint64), sizes,
     )
     if row >= 0:
@@ -365,9 +364,7 @@ def build_local_index(
     slots, masters = (int(x) for x in sizes)
     rows = slots - masters
     vertices, is_master, master_slots = vertices[:slots], is_master[:slots], master_slots[:masters]
-    routes = ReplicaRoutes(
-        mirror_slot[:rows], master_slot[:rows], mirror_indptr, master_order[:rows], master_indptr
-    )
+    routes = ReplicaRoutes(mirror_slot[:rows], master_slot[:rows], mirror_indptr)
     if placement is None:
         mirrors = np.diff(mirror_indptr)
         placement = Placement(

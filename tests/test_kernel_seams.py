@@ -167,7 +167,7 @@ def _slot_index_args(n: int, k: int, m: int) -> list:
     """Every output and scratch array of ``slot_index``, sized as its
     caller sizes them and filled with a sentinel."""
     i64 = [m, k + 1, m, m, 2 * m, k + 1, n, n]
-    rest = [2 * m, 2 * m, 2 * m, k + 1, 2 * m, k + 1, n]
+    rest = [2 * m, 2 * m, 2 * m, k + 1, n]
     return (
         [np.full(size, 77, dtype=np.int64) for size in i64]
         + [np.ones(2 * m, dtype=bool)]

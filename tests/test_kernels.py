@@ -96,6 +96,12 @@ CASES.update({
     f"hdrf-lam{lam}-eps{eps}": ("hdrf", 6, {"lambda_bal": lam, "epsilon": eps}, None)
     for lam in (0.0, 0.5, 3.0) for eps in (0.25, 1.0)
 })
+# a balance scale lam / (eps + max - min) that overflows to inf: inf * 0
+# is a nan score, and both tiers must take the exact k-scan
+CASES.update({
+    f"hdrf-lam{lam}-eps{eps}": ("hdrf", 6, {"lambda_bal": float(lam), "epsilon": float(eps)}, None)
+    for lam, eps in (("1e300", "1e-10"), ("1e308", "5e-324"))
+})
 # 256 is coprime with the chunk sizes 7 and 509: games straddle chunks
 CASES["mint-batch256"] = ("mint", 4, {"batch_size": 256}, None)
 # Mint's other knobs: batches of one edge (a game per edge), no balance

@@ -192,9 +192,6 @@ def assert_index_matches_naive(assignment):
     assert np.array_equal(r.mirror_slot, offsets[routes[:, 0]] + routes[:, 2])
     assert np.array_equal(r.master_slot, offsets[routes[:, 3]] + routes[:, 4])
     assert np.array_equal(r.mirror_indptr, np.searchsorted(routes[:, 0], np.arange(k + 1)))
-    for pid in range(k):
-        rows = r.master_order[r.master_indptr[pid] : r.master_indptr[pid + 1]]
-        assert np.array_equal(rows, np.flatnonzero(routes[:, 3] == pid))
     return index, placement
 
 
@@ -325,6 +322,16 @@ class TestLocalIndex:
         # vertex 3 has no edge in partition 0
         with pytest.raises(KeyError):
             partition_views(index)[0].to_local([3])
+
+    def test_to_local_refuses_a_block_of_several_partitions(self):
+        # the flat vertices are [2, 3, 0, 1, 2]: vertex 2 has a slot in
+        # each partition, and vertex 0 (slot 2) is hosted though the
+        # column is not sorted, so no searchsorted of it can answer
+        stream = EdgeStream([2, 0, 1], [3, 1, 2], num_vertices=4)
+        index = build_local_index(PartitionAssignment(stream, [0, 1, 1], num_partitions=2))
+        assert index.flat.vertices.tolist() == [2, 3, 0, 1, 2]
+        with pytest.raises(ValueError, match="one slot per partition"):
+            index.flat.to_local([0])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_inconsistent_placement_rejected(self, backend):
