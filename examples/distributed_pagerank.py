@@ -8,8 +8,10 @@ the partition-local runtime, so the message counts and volumes below are
 *measured* off the mirror<->master sync buffers, not modeled.  Also
 sweeps the network RTT as the paper does with PUMBA (Figure 8 c).
 
-Run:  python examples/distributed_pagerank.py
+Run:  python examples/distributed_pagerank.py [scale]   (default 0.4)
 """
+
+import sys
 
 from repro import EdgeStream, load_dataset, make_partitioner
 from repro.system import LocalGasRuntime, NetworkModel, pagerank
@@ -29,7 +31,8 @@ def run_once(stream, name: str, k: int, network: NetworkModel):
 
 
 def main() -> None:
-    graph = load_dataset("it", scale=0.4, seed=3)
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.4
+    graph = load_dataset("it", scale=scale, seed=3)
     stream = EdgeStream.from_graph(graph, order="natural")
     k = 32
     print(f"|V|={graph.num_vertices} |E|={graph.num_edges} k={k}\n")

@@ -103,7 +103,8 @@ class GameConfig:
     ----------
     lambda_mode:
         ``"max"`` uses the Theorem-5 upper bound
-        ``k^2 * sum(cut(c_i)) / (sum(|c_i|))^2`` (paper default),
+        ``k^2 * sum(cut(c_i)) / (sum(w_i))^2`` (paper default, over the
+        player weights ``w_i = max(2|c_i|, cut(c_i))``),
         ``"balanced"`` solves Equation 15 iteratively from the current
         assignment, and ``"fixed"`` uses :attr:`lambda_value` directly.
     lambda_value:

@@ -99,6 +99,7 @@ class ClusterGraph:
     in_indices: np.ndarray
     in_weights: np.ndarray
     _cut_degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _player_weights: np.ndarray | None = field(default=None, repr=False, compare=False)
     _out_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
@@ -276,6 +277,20 @@ class ClusterGraph:
                 self.in_weights, self.in_indptr
             )
         return self._cut_degrees
+
+    def player_weights(self) -> np.ndarray:
+        """``max(2|c|, cut(c))`` per cluster: its weight in pass 2's game.
+
+        Pass 3 places a cluster's internal edges and, by the degree rule,
+        part of its cut edges on the cluster's partition, so a cluster
+        weighs at least its cut degree there even with ``|c| = 0``.  Where
+        ``2|c| >= cut(c)`` for every cluster the weights are ``2 * internal``
+        and the game is Equation 11's, scaled by a power of two (exact in
+        floating point; DESIGN.md §1).  One int64 array, cached.
+        """
+        if self._player_weights is None:
+            self._player_weights = np.maximum(2 * self.internal, self.cut_degrees())
+        return self._player_weights
 
     def cut_degree(self, c: int) -> int:
         """Total cut weight incident to cluster ``c``."""

@@ -3,20 +3,33 @@
 Each cluster is a selfish player choosing one of the ``k`` partitions to
 minimize its individual cost (Equation 11)::
 
-    phi(a_i) = (lambda / k) * |c_i| * |a_i|                (load balancing)
+    phi(a_i) = (lambda / k) * w_i * |a_i|                  (load balancing)
              + 1/2 * (|e(c_i, V\\a_i)| + |e(V\\a_i, c_i)|)  (edge cutting)
+
+where ``|a_i|`` is the summed weight of the players on partition ``a_i``.
+The paper weighs a player by its internal edges, ``w_i = |c_i|``; here
+``w_i = max(2|c_i|, cut(c_i))`` (:meth:`ClusterGraph.player_weights`).
+Pass 3 puts a cluster's cut edges on one endpoint's partition too, so a
+cluster with ``|c_i| = 0`` (R-MAT's and twitter's singletons) would
+weigh nothing in the game while the cut pulls it onto its hub's
+partition; the maximum charges it for the cut it brings.  Where
+``2|c_i| >= cut(c_i)`` for every cluster the weights are ``2|c_i|``:
+lambda_max (and lambda_balanced) scale by exactly 1/4, and every cost,
+move and potential is bit-identical to the paper's game (power-of-two
+scaling is exact in floating point; DESIGN.md §1).
 
 The game is an *exact potential game* (Theorem 4) with potential
 (Equation 13)::
 
     Phi(L) = (lambda / 2k) * sum_i |p_i|^2 + 1/2 * sum_i |e(p_i, V\\p_i)|
 
-so round-robin best response converges to a pure Nash equilibrium; rounds
+(``|p_i|`` the summed player weight on partition ``i``), so round-robin
+best response converges to a pure Nash equilibrium; rounds
 are bounded by the total inter-cluster edge count (Theorem 6), and the
 equilibrium quality is bounded by PoA <= k+1 / PoS <= 2 (Theorems 7-8).
 
 ``lambda`` defaults to its Theorem-5 maximum
-``k^2 * sum_i |e(c_i, V\\c_i)| / (sum_i |c_i|)^2`` (the paper's
+``k^2 * sum_i |e(c_i, V\\c_i)| / (sum_i w_i)^2`` (the paper's
 experimental setting); Figure 11(b)'s *relative weight* knob scales the
 load term by ``w / (1 - w)`` on top.
 
@@ -72,17 +85,17 @@ _IMPROVEMENT_EPS = 1e-9
 
 #: float64 holds every integer below this exactly.  The game kernel's
 #: O(1)-maintained ``sum(loads**2)`` is exact only under it, and
-#: ``sum(loads**2) <= (sum internal)**2`` bounds it before round 1.
+#: ``sum(loads**2) <= (sum weights)**2`` bounds it before round 1.
 _EXACT_INT_LIMIT = float(2**53)
 
 
 def compute_lambda_max(cluster_graph: ClusterGraph, num_partitions: int) -> float:
-    """Theorem-5 upper bound ``k^2 * sum(cut) / (sum |c_i|)^2``."""
-    total_internal = cluster_graph.total_internal()
-    if total_internal == 0:
+    """Theorem-5 upper bound ``k^2 * sum(cut) / (sum w_i)^2``."""
+    total_weight = int(cluster_graph.player_weights().sum())
+    if total_weight == 0:
         return 0.0
     return (
-        num_partitions**2 * cluster_graph.total_cut() / float(total_internal) ** 2
+        num_partitions**2 * cluster_graph.total_cut() / float(total_weight) ** 2
     )
 
 
@@ -92,7 +105,7 @@ def compute_lambda_balanced(
     """Equation 15: ``lambda = k * sum(cut(p_i)) / sum(|p_i|^2)`` for the
     given assignment (equal-importance normalization)."""
     loads = np.bincount(
-        assignment, weights=cluster_graph.internal, minlength=num_partitions
+        assignment, weights=cluster_graph.player_weights(), minlength=num_partitions
     )
     denom = float(np.sum(loads**2))
     if denom == 0.0:
@@ -181,9 +194,11 @@ class ClusterPartitioningGame:
             if init.size and (int(init.min()) < 0 or int(init.max()) >= self.k):
                 raise ValueError("initial_assignment partitions out of range")
             self.assignment = init
+        #: each player's weight w_i, the one cluster size every reader uses
+        self._sizes = cluster_graph.player_weights()
         # (astype: a bincount of no clusters is int64 zeros whatever the weights)
         self.loads = np.bincount(
-            self.assignment, weights=cluster_graph.internal, minlength=self.k
+            self.assignment, weights=self._sizes, minlength=self.k
         ).astype(np.float64, copy=False)
         self.lambda_value = self._resolve_lambda()
         w = self.config.relative_weight
@@ -222,7 +237,7 @@ class ClusterPartitioningGame:
         staying has cost based on the current load and moving accounts for
         the cluster's own size landing in the target.
         """
-        size = float(self.graph.internal[c])
+        size = float(self._sizes[c])
         cur = int(self.assignment[c])
         loads_wo = self.loads.copy()
         loads_wo[cur] -= size
@@ -248,7 +263,7 @@ class ClusterPartitioningGame:
         in-CSR slices, and every cost is one numpy expression over the
         ``(stop - start, k)`` matrix.
         """
-        sizes = self.graph.internal[start:stop].astype(np.float64)
+        sizes = self._sizes[start:stop].astype(np.float64)
         cur = assignment[start:stop]
         costs = sizes[:, None] + loads[None, :]
         costs[np.arange(stop - start), cur] = (loads[cur] - sizes) + sizes
@@ -267,14 +282,14 @@ class ClusterPartitioningGame:
     def global_cost(self, assignment: np.ndarray | None = None) -> float:
         """``phi(Lambda)`` (Equation 10) for the given/current assignment."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(a, weights=self.graph.internal, minlength=self.k)
+        loads = np.bincount(a, weights=self._sizes, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / self.k) * np.sum(loads**2) + cut)
 
     def potential(self, assignment: np.ndarray | None = None) -> float:
         """Exact potential ``Phi(Lambda)`` (Equation 13)."""
         a = self.assignment if assignment is None else np.asarray(assignment)
-        loads = np.bincount(a, weights=self.graph.internal, minlength=self.k)
+        loads = np.bincount(a, weights=self._sizes, minlength=self.k)
         cut = _total_partition_cut(self.graph, a)
         return float((self._lambda_eff / (2 * self.k)) * np.sum(loads**2) + 0.5 * cut)
 
@@ -291,7 +306,7 @@ class ClusterPartitioningGame:
         cur = int(self.assignment[c])
         best = int(np.argmin(costs))
         if costs[best] < costs[cur] - _IMPROVEMENT_EPS:
-            size = float(self.graph.internal[c])
+            size = float(self._sizes[c])
             self.loads[cur] -= size
             self.loads[best] += size
             self.assignment[c] = best
@@ -318,8 +333,9 @@ class ClusterPartitioningGame:
           per-round trace entry is priced from them with the same IEEE
           op sequence as :meth:`potential` — bit-identical while all
           quantities stay integer-valued below ``2**53``.  An instance
-          whose load mass could exceed that (``(sum internal)**2 >=
-          2**53``, from ~95M edges) has its trace priced by
+          whose load mass could exceed that (``(sum weights)**2 >=
+          2**53``; the weights sum to about ``2|E|``, so from ~47M
+          edges) has its trace priced by
           :meth:`potential` instead; the maintained value feeds the
           trace only, never a decision.  An end-of-game recompute
           parity check stays as the tripwire.
@@ -350,7 +366,7 @@ class ClusterPartitioningGame:
             dtype=np.float64,
         )
         lam_over_2k = self._lambda_eff / (2 * k)
-        exact = float(self.graph.internal.sum()) ** 2 < _EXACT_INT_LIMIT
+        exact = float(self._sizes.sum()) ** 2 < _EXACT_INT_LIMIT
 
         def priced() -> float:
             # the op sequence of potential() over the maintained [S, C]
@@ -377,7 +393,7 @@ class ClusterPartitioningGame:
                 backend.game_round(
                     k, lam_over_k, _IMPROVEMENT_EPS,
                     *self._csrs[0], *self._csrs[1],
-                    self.graph.internal, self._cut_degree,
+                    self._sizes, self._cut_degree,
                     self.assignment, self.loads,
                     last_eval, nbr_epoch, inc_epoch, dec_epoch,
                     counters, phi, move_buf, cost_buf, row_buf,
@@ -492,12 +508,12 @@ def exhaustive_optimum(
     k = num_partitions
     if k**m > 1 << 20:
         raise ValueError(f"instance too large for brute force: k^m = {k}^{m}")
-    internal = cluster_graph.internal.astype(np.float64)
+    weights = cluster_graph.player_weights().astype(np.float64)
     best_cost = np.inf
     best: np.ndarray | None = None
     for combo in product(range(k), repeat=m):
         a = np.asarray(combo, dtype=np.int64)
-        loads = np.bincount(a, weights=internal, minlength=k)
+        loads = np.bincount(a, weights=weights, minlength=k)
         cut = _total_partition_cut(cluster_graph, a)
         cost = (lambda_value / k) * float(np.sum(loads**2)) + cut
         if cost < best_cost:

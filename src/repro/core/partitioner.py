@@ -321,15 +321,18 @@ def greedy_cluster_assignment(cluster_graph: ClusterGraph, num_partitions: int) 
     """CLUGP-G pass 2: big clusters first, each into the lightest partition.
 
     This is the classic LPT bin-packing heuristic — balance-only, blind to
-    edge cutting — which is exactly what Figure 9 isolates.
+    edge cutting — which is exactly what Figure 9 isolates.  A cluster's
+    size is its game weight (:meth:`ClusterGraph.player_weights`), so the
+    game and the greedy pack the same items.
     """
-    order = np.argsort(-cluster_graph.internal, kind="stable")
+    weights = cluster_graph.player_weights()
+    order = np.argsort(-weights, kind="stable")
     loads = np.zeros(num_partitions, dtype=np.int64)
     assignment = np.empty(cluster_graph.num_clusters, dtype=np.int64)
     for c in order.tolist():
         target = int(np.argmin(loads))
         assignment[c] = target
-        loads[target] += int(cluster_graph.internal[c])
+        loads[target] += int(weights[c])
     return assignment
 
 

@@ -127,6 +127,7 @@ def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
     max_load = max(loads_l)
     min_load = min(loads_l)
     nmin = loads_l.count(min_load)
+    first_min = loads_l.index(min_load)
     for i in range(m):
         a = lu[i]
         b = lv[i]
@@ -163,7 +164,7 @@ def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
                     p = -1
             elif scale > 0.0:
                 # no members: the argmax is the first least-loaded partition
-                p = loads_l.index(min_load)
+                p = first_min
             else:
                 # lambda_bal == 0: every score is +0.0, the first one wins
                 p = 0
@@ -191,6 +192,11 @@ def hdrf_chunk(u, v, k, nw, lam, eps, loads, degree, words, out):
             if nmin == 0:
                 min_load = min(loads_l)
                 nmin = loads_l.count(min_load)
+                first_min = loads_l.index(min_load)
+            elif p == first_min:
+                # every partition before first_min is above the min, and
+                # another still holds it: the next one at the min is first
+                first_min = loads_l.index(min_load, p + 1)
         bit = 1 << p
         sets[a] = wu | bit
         sets[b] = wv | bit

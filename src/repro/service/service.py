@@ -650,8 +650,8 @@ class PartitionService:
         Every compact cluster whose raw id carried an assignment last
         batch inherits it; a newborn cluster adopts the served partition
         of its highest-degree previously-placed member (it probably split
-        or migrated out of that neighborhood), else the least-loaded
-        partition.  A newborn cluster's members all joined it this batch,
+        or migrated out of that neighborhood), else the partition least
+        loaded by player weight (the game's own size).  A newborn cluster's members all joined it this batch,
         so they are found among ``endpoints``.
         """
         raw_ids = live.raw_ids
@@ -675,12 +675,13 @@ class PartitionService:
             still = np.flatnonzero(init < 0)
             if still.size:
                 filled = init >= 0
+                weights = graph.player_weights()
                 load_init = np.bincount(
-                    init[filled], weights=graph.internal[filled].astype(np.float64),
+                    init[filled], weights=weights[filled].astype(np.float64),
                     minlength=self.k,
                 )
                 for c in still.tolist():
                     p = int(np.argmin(load_init))
                     init[c] = p
-                    load_init[p] += float(graph.internal[c])
+                    load_init[p] += float(weights[c])
         return init

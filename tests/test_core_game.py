@@ -8,6 +8,7 @@ brute-forced optima.
 
 import numpy as np
 import pytest
+from conftest import BACKENDS, kernel_backend
 from hypothesis import given, settings, strategies as st
 
 from repro.config import GameConfig
@@ -47,18 +48,22 @@ def crawl_cluster_graph(seed=0):
 class TestLambda:
     def test_lambda_max_formula(self):
         cg = make_cluster_graph(2, [3, 5], {(0, 1): 4})
-        # k^2 * total_cut / total_internal^2 = 4 * 4 / 64
-        assert compute_lambda_max(cg, 2) == pytest.approx(0.25)
+        # weights max(2|c|, cut) = [6, 10]: k^2 * total_cut / total_weight^2
+        # = 4 * 4 / 256, a quarter of the paper's 4 * 4 / 64 (2|c| >= cut)
+        assert compute_lambda_max(cg, 2) == 0.0625
 
     def test_lambda_max_zero_internal(self):
+        # clusters without internal edges weigh their cut: [3, 3]
         cg = make_cluster_graph(2, [0, 0], {(0, 1): 3})
-        assert compute_lambda_max(cg, 4) == 0.0
+        assert compute_lambda_max(cg, 4) == pytest.approx(16 * 3 / 36)
+        # only a graph without edges has no weight, and no load term
+        assert compute_lambda_max(make_cluster_graph(2, [0, 0], {}), 4) == 0.0
 
     def test_lambda_balanced_equalizes_terms(self):
         cg = crawl_cluster_graph()
         assignment = np.arange(cg.num_clusters) % 4
         lam = compute_lambda_balanced(cg, 4, assignment)
-        loads = np.bincount(assignment, weights=cg.internal, minlength=4)
+        loads = np.bincount(assignment, weights=cg.player_weights(), minlength=4)
         load_term = lam / 4 * np.sum(loads**2)
         cut = 0
         for c in range(cg.num_clusters):
@@ -68,11 +73,11 @@ class TestLambda:
         assert load_term == pytest.approx(cut)
 
     def test_lambda_nonnegative_and_bounded(self):
-        # Theorem 5: 0 <= lambda <= k^2 sum(cut) / (sum |c_i|)^2
+        # Theorem 5: 0 <= lambda <= k^2 sum(cut) / (sum w_i)^2
         cg = crawl_cluster_graph()
         for k in (2, 8, 32):
             lam = compute_lambda_max(cg, k)
-            bound = k**2 * cg.total_cut() / cg.total_internal() ** 2
+            bound = k**2 * cg.total_cut() / int(cg.player_weights().sum()) ** 2
             assert 0.0 <= lam <= bound + 1e-12
 
 
@@ -91,7 +96,7 @@ class TestExactPotential:
                 continue
             phi_before = game.individual_cost(c)
             pot_before = game.potential()
-            size = float(cg.internal[c])
+            size = float(cg.player_weights()[c])
             game.loads[cur] -= size
             game.loads[target] += size
             game.assignment[c] = target
@@ -299,3 +304,58 @@ class TestInitialAssignment:
         game = ClusterPartitioningGame(cg, 2, initial_assignment=[1.0, 0.0, 1.0])
         assert game.assignment.dtype == np.int64
         assert game.assignment.tolist() == [1, 0, 1]
+
+
+class TestPlayerWeights:
+    """Players weigh ``max(2|c|, cut(c))``, not Equation 11's ``|c|``."""
+
+    def test_weight_is_the_larger_of_twice_internal_and_cut(self):
+        cg = make_cluster_graph(3, [5, 0, 1], {(0, 1): 4, (1, 2): 3, (2, 0): 1})
+        # cut degrees [5, 7, 4]
+        assert cg.player_weights().tolist() == [10, 7, 4]
+        assert cg.player_weights().dtype == np.int64
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_weightless_singletons_do_not_pile_onto_the_hub(self, backend):
+        # one hub cluster and 40 singletons (internal 0), each with three
+        # edges to the hub and every other one an edge to its neighbour:
+        # weighed by |c| the singletons cost no load anywhere and the cut
+        # pulls all 40 onto the hub's partition
+        m = 41
+        inter = {(s, 0): 3 for s in range(1, m)}
+        inter.update({(s, s + 1): 1 for s in range(1, m - 1, 2)})
+        cg = make_cluster_graph(m, [60] + [0] * (m - 1), inter)
+        for seed in range(3):
+            with kernel_backend(backend):
+                game = ClusterPartitioningGame(cg, 4, GameConfig(seed=seed))
+            result = game.run()
+            on_hub = int((result.assignment[1:] == result.assignment[0]).sum())
+            assert on_hub < (m - 1) // 2, (seed, on_hub)
+            assert game.is_nash_equilibrium()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_game_is_unchanged_where_internal_edges_dominate(self, backend):
+        # 2|c| >= cut(c) for every cluster: the weights are 2|c|, and the
+        # run is bit for bit the one Equation 11's |c| gives (values
+        # recorded with |c| as the weight)
+        cg = make_cluster_graph(
+            10,
+            [9, 4, 7, 3, 6, 8, 2, 5, 6, 4],
+            {(0, 1): 3, (0, 2): 2, (1, 3): 2, (2, 4): 4, (3, 5): 1, (4, 6): 1,
+             (5, 7): 3, (6, 8): 2, (7, 9): 2, (8, 0): 3, (9, 2): 1, (5, 1): 2,
+             (4, 8): 2, (3, 9): 1},
+        )
+        assert np.array_equal(cg.player_weights(), 2 * cg.internal)
+        with kernel_backend(backend):
+            game = ClusterPartitioningGame(cg, 3, GameConfig(seed=1))
+        result = game.run(record_moves=True)
+        assert result.rounds == 4
+        assert result.assignment.tolist() == [0, 2, 1, 2, 1, 2, 0, 2, 0, 2]
+        assert result.move_log == [
+            (2, 2, 1), (4, 0, 2), (5, 0, 2), (6, 2, 0), (7, 2, 0),
+            (1, 1, 2), (4, 2, 1), (7, 0, 2), (9, 0, 2), (0, 1, 0),
+        ]
+        assert result.potential_trace == [
+            27.424897119341566, 24.089506172839506, 21.767489711934157,
+            19.924897119341566, 19.924897119341566,
+        ]

@@ -12,7 +12,7 @@ EXAMPLES = sorted(
 
 #: arguments for the examples whose default size is slow to smoke-test;
 #: every other example runs as a reader would first run it
-ARGS = {"partitioner_comparison": ["uk", "0.05"]}
+ARGS = {"partitioner_comparison": ["uk", "0.05"], "distributed_pagerank": ["0.05"]}
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)

@@ -182,14 +182,15 @@ class RebuildOracle:
             still = np.flatnonzero(init < 0)
             if still.size:
                 filled = init >= 0
+                weights = graph.player_weights()
                 load_init = np.bincount(
-                    init[filled], weights=graph.internal[filled].astype(np.float64),
+                    init[filled], weights=weights[filled].astype(np.float64),
                     minlength=self.k,
                 )
                 for c in still.tolist():
                     p = int(np.argmin(load_init))
                     init[c] = p
-                    load_init[p] += float(graph.internal[c])
+                    load_init[p] += float(weights[c])
         return init
 
 
