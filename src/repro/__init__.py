@@ -85,13 +85,7 @@ from .partitioners import (
     PARTITIONERS,
 )
 from .service import BatchStats, MigrationPlan, PartitionService
-from .analysis import (
-    quality_report,
-    QualityReport,
-    replication_factor,
-    relative_balance,
-    compare_partitioners,
-)
+from .analysis import quality_report, QualityReport, compare_partitioners
 
 __version__ = "1.1.0"
 
@@ -130,8 +124,6 @@ __all__ = [
     "PARTITIONERS",
     "quality_report",
     "QualityReport",
-    "replication_factor",
-    "relative_balance",
     "compare_partitioners",
     "__version__",
 ]

@@ -242,9 +242,9 @@ def vertex_partition_pairs(src, dst, edge_partition, num_partitions: int):
     Returns ``(vertices, partitions, counts)`` — one row per distinct
     (vertex, partition) pair over both endpoints of every edge, sorted by
     vertex then partition, with the number of incident edges backing each
-    pair.  This is the shared substrate behind replica counting, placement
-    construction, and the cut-edge metric; keeping the flat-key encoding
-    in one place keeps those paths consistent.
+    pair.  Replica counting (``PartitionAssignment.
+    vertex_partition_counts``) and the ``python`` tier's ``slot_index``
+    read it.
 
     One value sort of the ``vertex * k + partition`` keys (32-bit whenever
     the largest fits: about twice as fast to sort) and a run-length encode

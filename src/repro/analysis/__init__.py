@@ -1,38 +1,12 @@
 """Partition-quality metrics and comparison reporting."""
 
-from .metrics import (
-    replication_factor,
-    relative_balance,
-    partition_sizes,
-    vertex_partition_counts,
-    cut_edges,
-    mirror_count,
-    quality_report,
-    QualityReport,
-)
+from .metrics import mirror_count, quality_report, QualityReport
 from .report import ComparisonTable, compare_partitioners
-from .partition_stats import (
-    PartitionSummary,
-    communication_matrix,
-    mirror_distribution,
-    partition_summaries,
-    vertex_balance,
-)
 
 __all__ = [
-    "replication_factor",
-    "relative_balance",
-    "partition_sizes",
-    "vertex_partition_counts",
-    "cut_edges",
     "mirror_count",
     "quality_report",
     "QualityReport",
     "ComparisonTable",
     "compare_partitioners",
-    "PartitionSummary",
-    "communication_matrix",
-    "mirror_distribution",
-    "partition_summaries",
-    "vertex_balance",
 ]

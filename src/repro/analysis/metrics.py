@@ -1,48 +1,22 @@
-"""Partition-quality metrics (Section II-B of the paper).
+"""Partition-quality summaries (Section II-B of the paper).
 
-All functions accept a :class:`~repro.partitioners.PartitionAssignment`;
-the fundamental quantities are vectorized over numpy so metric computation
-stays cheap even when the partitioner itself is a Python loop.
+The quantities themselves — ``|p_i|``, ``|P(v)|``, the replication
+factor and the relative balance — are methods of
+:class:`~repro.partitioners.PartitionAssignment`; this module adds the
+mirror total and the one-row :class:`QualityReport` built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
-    "partition_sizes",
-    "vertex_partition_counts",
-    "replication_factor",
-    "relative_balance",
     "mirror_count",
-    "cut_edges",
     "QualityReport",
     "quality_report",
 ]
-
-
-def partition_sizes(assignment: PartitionAssignment) -> np.ndarray:
-    """``|p_i|`` — edges per partition."""
-    return assignment.partition_sizes()
-
-
-def vertex_partition_counts(assignment: PartitionAssignment) -> np.ndarray:
-    """``|P(v)|`` per vertex."""
-    return assignment.vertex_partition_counts()
-
-
-def replication_factor(assignment: PartitionAssignment) -> float:
-    """``(1/|V'|) sum_v |P(v)|`` over active vertices (Equation 1)."""
-    return assignment.replication_factor()
-
-
-def relative_balance(assignment: PartitionAssignment) -> float:
-    """``k * max|p_i| / |E|``; 1.0 is perfect balance."""
-    return assignment.relative_balance()
 
 
 def mirror_count(assignment: PartitionAssignment) -> int:
@@ -50,64 +24,6 @@ def mirror_count(assignment: PartitionAssignment) -> int:
     counts = assignment.vertex_partition_counts()
     active = counts[counts > 0]
     return int(active.sum() - active.size)
-
-
-def cut_edges(assignment: PartitionAssignment) -> int:
-    """Edges whose endpoints share no partition once the edge's own
-    placement is discounted — i.e. edges that forced a new endpoint
-    replica instead of landing where both endpoints already lived.
-
-    An edge (u, v) assigned to p trivially puts both endpoints in p, so
-    the naive "endpoint partition sets intersect" test is always true;
-    the meaningful question is whether they intersect *without* this
-    edge's contribution.  Vertices are summarized as multi-word partition
-    bitmasks (``ceil(k / 64)`` uint64 words each), so the metric stays
-    fully vectorized for any k.
-    """
-    k = assignment.num_partitions
-    stream = assignment.stream
-    if stream.num_edges == 0:
-        return 0
-    part = assignment.edge_partition
-    word = part // np.int64(64)
-    bit = np.uint64(1) << (part % np.int64(64)).astype(np.uint64)
-    # per-(vertex, partition) incidence counts: a partition survives the
-    # "without this edge" discount iff >= 2 incident edges back it
-    pair_vertex, pair_part, counts = assignment.replica_table()
-
-    def packed(vertices, parts):
-        rows = np.zeros((stream.num_vertices, (k + 63) // 64), dtype=np.uint64)
-        bits = np.uint64(1) << (parts % 64).astype(np.uint64)
-        np.bitwise_or.at(rows, (vertices, parts // 64), bits)
-        return rows
-
-    masks = packed(pair_vertex, pair_part)
-    backed = counts >= 2
-    masks2 = packed(pair_vertex[backed], pair_part[backed])
-    degrees = stream.degrees()
-    # chunk the (edges, words) intersection to bound temporary memory
-    cut = 0
-    chunk = 1 << 18
-    for start in range(0, stream.num_edges, chunk):
-        stop = start + chunk
-        u = stream.src[start:stop]
-        v = stream.dst[start:stop]
-        w = word[start:stop]
-        b = bit[start:stop]
-        rows = np.arange(u.size)
-        inter = masks[u] & masks[v]
-        # the edge's own partition counts only if both endpoints hold it
-        # through at least one other edge
-        own = masks2[u, w] & masks2[v, w] & b
-        inter[rows, w] = (inter[rows, w] & ~b) | own
-        cut_mask = ~inter.any(axis=1)
-        # self-loops double-count their own (u, p) pair, so decide them by
-        # degree: cut iff the loop is the vertex's only incident edge
-        loops = u == v
-        if loops.any():
-            cut_mask[loops] = degrees[u[loops]] == 2
-        cut += int(np.count_nonzero(cut_mask))
-    return cut
 
 
 @dataclass(frozen=True)

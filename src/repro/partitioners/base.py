@@ -8,8 +8,9 @@ source of ``(src, dst)`` column chunks, and produces a
 :class:`PartitionAssignment`: one partition id per edge (Problem 1 of the
 paper).  :class:`EdgePartitioner` owns the entry, the chunk loop, the
 clock and the result array; a subclass supplies a per-chunk step or its
-own passes.  Quality metrics (replication factor, relative balance) live
-on the result object and in :mod:`repro.analysis.metrics`.
+own passes.  The quality metrics (replication factor, relative balance)
+are methods of the result object; :mod:`repro.analysis.metrics` builds
+the one-row report from them.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class PartitionAssignment:
         self.edge_partition = edge_partition
         self.num_partitions = int(num_partitions)
         self.stage_times = stage_times or StageTimes()
-        self._replica_table = None
         self._vertex_partition_counts = None
 
     # ------------------------------------------------------------------ #
@@ -82,36 +82,22 @@ class PartitionAssignment:
             self.edge_partition, minlength=self.num_partitions
         ).astype(np.int64)
 
-    def replica_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse replica incidence ``(vertices, partitions, counts)`` (cached).
+    def vertex_partition_counts(self) -> np.ndarray:
+        """``|P(v)|`` per vertex — number of partitions holding v.
 
-        One row per (vertex, partition) pair backed by at least one edge,
-        sorted by vertex then partition, with the number of incident
-        edges behind it.  Replica counts and :func:`~repro.system.placement.
-        build_placement` read this one table, so they agree by
-        construction and the incidence is deduplicated once (the
-        runtime's index build derives the same incidence from the edges
-        without it).
+        A vertex is *in* a partition iff some incident edge is assigned
+        there.  Vertices with no edges have count 0.  One sort of the
+        2|E| (vertex, partition) keys, cached: the replication factor
+        reads the same counts however often it is asked.
         """
-        if self._replica_table is None:
-            self._replica_table = vertex_partition_pairs(
+        if self._vertex_partition_counts is None:
+            vertices, _, _ = vertex_partition_pairs(
                 self.stream.src,
                 self.stream.dst,
                 self.edge_partition,
                 self.num_partitions,
             )
-        return self._replica_table
-
-    def vertex_partition_counts(self) -> np.ndarray:
-        """``|P(v)|`` per vertex — number of partitions holding v.
-
-        A vertex is *in* a partition iff some incident edge is assigned
-        there.  Vertices with no edges have count 0.
-        """
-        if self._vertex_partition_counts is None:
-            counts = np.bincount(
-                self.replica_table()[0], minlength=self.stream.num_vertices
-            )
+            counts = np.bincount(vertices, minlength=self.stream.num_vertices)
             self._vertex_partition_counts = counts.astype(np.int64)
         return self._vertex_partition_counts
 
@@ -130,16 +116,6 @@ class PartitionAssignment:
         return float(
             self.num_partitions * self.partition_sizes().max() / self.stream.num_edges
         )
-
-    def vertex_sets(self) -> list[np.ndarray]:
-        """Per-partition arrays of vertex ids present in that partition."""
-        k = self.num_partitions
-        result: list[np.ndarray] = []
-        for p in range(k):
-            mask = self.edge_partition == p
-            verts = np.union1d(self.stream.src[mask], self.stream.dst[mask])
-            result.append(verts)
-        return result
 
     def total_time(self) -> float:
         """Total recorded partitioning work seconds (summed stages)."""

@@ -6,25 +6,24 @@ the rest are *mirrors*.  We pick the partition holding the most of the
 vertex's edges as master (ties -> lowest partition id), which is what a
 locality-aware PowerGraph build does.
 
-Beyond the aggregate tables (:class:`Placement`), this module builds the
-*executable* layout the partition-local runtime runs on
-(:func:`build_local_index`): one flat **replica-slot index**
-(:class:`LocalIndex`).  Every (partition, vertex) replica is a *slot*;
-slots are numbered partition by partition, vertices ascending inside a
-partition, so a partition's local id space is one contiguous slot range
-and ``local id = slot - part_indptr[pid]``.  The partition-grouped edges
-carry slot endpoints — both inside the edge's own partition's range, i.e.
-the layout is block-diagonal — and the mirror<->master routing table
-(:class:`ReplicaRoutes`) is a pair of slot columns.  A partition-local
-kernel therefore runs unchanged on the whole concatenation at once
-(:attr:`LocalIndex.flat`, what
+The layout is one flat **replica-slot index** (:class:`LocalIndex`,
+built by :func:`build_local_index`), the executable form the
+partition-local runtime runs on.  Every (partition, vertex) replica is a
+*slot*; slots are numbered partition by partition, vertices ascending
+inside a partition, so a partition's local id space is one contiguous
+slot range and ``local id = slot - part_indptr[pid]``.  The
+partition-grouped edges carry slot endpoints — both inside the edge's
+own partition's range, i.e. the layout is block-diagonal — and the
+mirror<->master routing table (:class:`ReplicaRoutes`) is a pair of slot
+columns.  A partition-local kernel therefore runs unchanged on the whole
+concatenation at once (:attr:`LocalIndex.flat`, what
 :class:`~repro.system.runtime.LocalGasRuntime` runs): DESIGN.md §5.3.
 
-A deployment builds all of it — index, routes and :class:`Placement` —
-in one kernel call (``repro.kernels`` ``slot_index``: on ``cc`` one walk
-over the partition-grouped edges, O(|E| + slots), no sort; on
-``python`` a sort of the replica table).  :func:`build_placement` stays
-the analysis API.
+The index, its routes and its :class:`Placement` come out of one kernel
+call (``repro.kernels`` ``slot_index``: on ``cc`` one walk over the
+partition-grouped edges, O(|E| + slots), no sort; on ``python`` a sort
+of the (vertex, partition) incidence).  It is the one derivation of a
+placement: :func:`build_placement` is the index build's placement.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .. import kernels
-from .._util import first_max_partition, replica_routes, segment_sums
+from .._util import replica_routes, segment_sums
 from ..partitioners.base import PartitionAssignment
 
 __all__ = [
@@ -51,73 +50,30 @@ __all__ = [
 
 @dataclass
 class Placement:
-    """The distributed layout implied by an edge partitioning.
+    """The master/mirror layout implied by an edge partitioning.
 
     Attributes
     ----------
-    num_partitions:
-        ``k``.
     master:
         Partition id of each vertex's master (-1 for edgeless vertices).
     replica_counts:
         ``|P(v)|`` per vertex.
-    mirrors_per_partition:
-        Number of mirror replicas hosted by each partition.
-    masters_per_partition:
-        Number of master replicas hosted by each partition.
-    edges_per_partition:
-        ``|p_i|``.
+    total_mirrors:
+        ``sum_v (|P(v)| - 1)`` over hosted vertices: the replicas that
+        are not their vertex's master.
     """
 
-    num_partitions: int
     master: np.ndarray
     replica_counts: np.ndarray
-    mirrors_per_partition: np.ndarray
-    masters_per_partition: np.ndarray
-    edges_per_partition: np.ndarray
-
-    @property
-    def total_mirrors(self) -> int:
-        return int(self.mirrors_per_partition.sum())
-
-    @property
-    def total_masters(self) -> int:
-        return int(self.masters_per_partition.sum())
-
-    def replication_factor(self) -> float:
-        active = self.replica_counts[self.replica_counts > 0]
-        return float(active.mean()) if active.size else 0.0
+    total_mirrors: int
 
 
 def build_placement(assignment: PartitionAssignment) -> Placement:
-    """Derive the master/mirror layout from an edge partitioning.
-
-    Works over the sparse (vertex, partition) incidence pairs — O(|E|)
-    space — rather than a dense ``n x k`` table, so placements of large
-    graphs at high partition counts stay cheap to build.  Master choice is
-    the partition with the most incident edges, ties to the lowest
-    partition id (same rule as the dense-table ``argmax``).  The analysis
-    API; a deployment gets the same placement from
-    :func:`build_local_index` without the replica table's sort.
-    """
-    k = assignment.num_partitions
-    # sparse (vertex, partition) incidence counts (cached on the assignment)
-    verts, parts, counts = assignment.replica_table()
-    replica_counts = assignment.vertex_partition_counts()
-    master = first_max_partition(verts, parts, counts, replica_counts)
-    masters_per_partition = np.bincount(
-        master[master >= 0], minlength=k
-    ).astype(np.int64)
-    replicas_per_partition = np.bincount(parts, minlength=k).astype(np.int64)
-    mirrors_per_partition = replicas_per_partition - masters_per_partition
-    return Placement(
-        num_partitions=k,
-        master=master,
-        replica_counts=replica_counts,
-        mirrors_per_partition=mirrors_per_partition,
-        masters_per_partition=masters_per_partition,
-        edges_per_partition=assignment.partition_sizes(),
-    )
+    """The master/mirror layout of an edge partitioning: each vertex's
+    master is the partition holding the most of its incident edges, ties
+    to the lowest partition id.  The placement a deployment's
+    :func:`build_local_index` derives along with the slots."""
+    return build_local_index(assignment).placement
 
 
 # ---------------------------------------------------------------------- #
@@ -328,8 +284,7 @@ def build_local_index(
     per-slot incidence counts read in pid order (the masters) and one
     pass over the slots (the routes) — O(|E| + slots) with no sort and no
     k x n term; on ``python`` the same arrays, dtype for dtype, from a
-    sort of the replica table.  The placement's masters are
-    :func:`build_placement`'s.
+    sort of the (vertex, partition) incidence.
 
     A caller's ``placement`` decides ``is_master`` and the routes; one
     naming a master partition that hosts no replica of the vertex raises
@@ -366,15 +321,7 @@ def build_local_index(
     vertices, is_master, master_slots = vertices[:slots], is_master[:slots], master_slots[:masters]
     routes = ReplicaRoutes(mirror_slot[:rows], master_slot[:rows], mirror_indptr)
     if placement is None:
-        mirrors = np.diff(mirror_indptr)
-        placement = Placement(
-            num_partitions=k,
-            master=master,
-            replica_counts=replica_counts,
-            mirrors_per_partition=mirrors,
-            masters_per_partition=np.diff(part_indptr) - mirrors,
-            edges_per_partition=np.diff(edge_indptr),
-        )
+        placement = Placement(master, replica_counts, rows)
     elif not np.array_equal(placement.master, master):
         is_master, master_slots, routes = _routes(vertices, part_indptr, placement.master)
     return LocalIndex(

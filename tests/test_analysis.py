@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    cut_edges,
-    mirror_count,
-    quality_report,
-    replication_factor,
-    relative_balance,
-)
+from repro.analysis.metrics import mirror_count, quality_report
 from repro.analysis.report import ComparisonTable, compare_partitioners, format_table
 from repro.graph.stream import EdgeStream
 from repro.partitioners import HashingPartitioner, GreedyPartitioner
@@ -24,11 +18,29 @@ def make_assignment(parts, k=2):
 class TestMetrics:
     def test_replication_factor(self):
         a = make_assignment([0, 0, 1, 1])
-        assert replication_factor(a) == pytest.approx(1.5)
+        assert quality_report(a).replication_factor == pytest.approx(1.5)
 
     def test_relative_balance(self):
         a = make_assignment([0, 0, 0, 1])
-        assert relative_balance(a) == pytest.approx(1.5)
+        assert quality_report(a).relative_balance == pytest.approx(1.5)
+
+    def test_quality_report_matches_brute_force_past_two_words(self):
+        # k = 130 spans three 64-bit words; partitions sit on the word
+        # edges, with self-loops and repeated edges
+        rng = np.random.default_rng(3)
+        n, m, k = 150, 400, 130
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        src[:30] = dst[:30]
+        part = rng.choice([0, 1, 63, 64, 65, 127, 128, 129], m)
+        report = quality_report(PartitionAssignment(EdgeStream(src, dst, n), part, num_partitions=k))
+        hosts = [set() for _ in range(n)]
+        for a, b, p in zip(src.tolist(), dst.tolist(), part.tolist()):
+            hosts[a].add(p)
+            hosts[b].add(p)
+        replicas = [len(h) for h in hosts if h]
+        assert report.num_vertices == len(replicas)
+        assert report.mirrors == sum(replicas) - len(replicas)
+        assert report.replication_factor == pytest.approx(sum(replicas) / len(replicas))
 
     def test_mirror_count(self):
         a = make_assignment([0, 0, 1, 1])
@@ -37,58 +49,6 @@ class TestMetrics:
     def test_mirror_count_zero_when_single_partition(self):
         a = make_assignment([0, 0, 0, 0], k=1)
         assert mirror_count(a) == 0
-
-    def test_cut_edges_zero_when_colocated(self):
-        # 4-cycle, all edges in one partition: every endpoint is backed by
-        # its other incident edge, so no edge forced a new replica
-        a = make_assignment([0, 0, 0, 0], k=2)
-        assert cut_edges(a) == 0
-
-    def test_cut_edges_counts_forced_replicas(self):
-        # path 0-1-2 split across partitions: each edge's endpoints share
-        # nothing once the edge's own placement is discounted
-        stream = EdgeStream([0, 1], [1, 2], num_vertices=3)
-        a = PartitionAssignment(stream, [0, 70], num_partitions=100)
-        assert cut_edges(a) == 2
-
-    def test_cut_edges_backed_by_second_edge(self):
-        # parallel edges in the same partition back each other up
-        stream = EdgeStream([0, 0], [1, 1], num_vertices=2)
-        a = PartitionAssignment(stream, [1, 1], num_partitions=2)
-        assert cut_edges(a) == 0
-
-    def test_cut_edges_self_loops(self):
-        # a lone self-loop is cut; a self-loop backed by another edge is not
-        lone = PartitionAssignment(
-            EdgeStream([0], [0], num_vertices=1), [0], num_partitions=2
-        )
-        assert cut_edges(lone) == 1
-        backed = PartitionAssignment(
-            EdgeStream([0, 0], [0, 1], num_vertices=2), [0, 0], num_partitions=2
-        )
-        assert cut_edges(backed) == 1  # loop is backed; the (0,1) edge forces v1
-
-    def test_cut_edges_matches_brute_force_past_two_words(self):
-        # k = 130 spans three 64-bit words; partitions sit on the word
-        # edges so intersections cross them, with self-loops and repeats
-        rng = np.random.default_rng(3)
-        n, m, k = 150, 400, 130
-        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
-        src[:30] = dst[:30]
-        part = rng.choice([0, 1, 63, 64, 65, 127, 128, 129], m)
-        assignment = PartitionAssignment(EdgeStream(src, dst, n), part, num_partitions=k)
-        incident = [[] for _ in range(n)]  # vertex -> its (edge, partition)s
-        for i, (a, b, p) in enumerate(zip(src.tolist(), dst.tolist(), part.tolist())):
-            incident[a].append((i, p))
-            if b != a:
-                incident[b].append((i, p))
-        # an edge is cut when its endpoints share no partition without it
-        expected = sum(
-            not {p for j, p in incident[a] if j != i} & {p for j, p in incident[b] if j != i}
-            for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist()))
-        )
-        assert 0 < expected < m
-        assert cut_edges(assignment) == expected
 
     def test_quality_report_fields(self):
         a = make_assignment([0, 0, 1, 1])

@@ -1,26 +1,56 @@
-"""Tests for the deeper partition diagnostics."""
+"""Per-partition statistics of a deployment, read off the slot index.
+
+The mirror -> master traffic between partitions comes from
+:class:`~repro.system.placement.ReplicaRoutes`, the replicas each
+partition hosts from ``LocalIndex.part_indptr``, each partition's edges,
+masters and mirrors from :meth:`LocalIndex.active_counts` and the routes'
+``mirror_indptr``, and the ``|P(v)|`` histogram from the placement's
+replica counts.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.partition_stats import (
-    communication_matrix,
-    mirror_distribution,
-    partition_summaries,
-    vertex_balance,
-)
 from repro.graph.stream import EdgeStream
 from repro.partitioners import HashingPartitioner
 from repro.partitioners.base import PartitionAssignment
 from repro.core.partitioner import ClugpPartitioner
-from repro.system.placement import build_placement
+from repro.system.placement import build_local_index, build_placement
 
 
 def make_assignment():
     stream = EdgeStream([0, 1, 2, 0], [1, 2, 3, 3], num_vertices=4)
     return PartitionAssignment(stream, [0, 0, 1, 1], num_partitions=2)
+
+
+def communication_matrix(assignment) -> np.ndarray:
+    """``M[i, j]`` = gather messages mirror partition ``i`` sends master
+    partition ``j`` in a full superstep: one per routing-table row."""
+    index = build_local_index(assignment)
+    routes = index.routes
+    k = index.num_partitions
+    mirror_part = np.repeat(np.arange(k), np.diff(routes.mirror_indptr))
+    slot_part = lambda slots: np.searchsorted(index.part_indptr, slots, side="right") - 1
+    assert np.array_equal(slot_part(routes.mirror_slot), mirror_part)
+    matrix = np.zeros((k, k), dtype=np.int64)
+    np.add.at(matrix, (mirror_part, slot_part(routes.master_slot)), 1)
+    return matrix
+
+
+def vertex_balance(assignment) -> float:
+    """``k * max(replicas hosted by a partition) / total replicas``."""
+    hosted = np.diff(build_local_index(assignment).part_indptr)
+    total = hosted.sum()
+    return 1.0 if total == 0 else float(assignment.num_partitions * hosted.max() / total)
+
+
+def mirror_distribution(assignment) -> np.ndarray:
+    """Entry ``r`` counts the vertices replicated into exactly ``r``
+    partitions."""
+    counts = build_placement(assignment).replica_counts
+    return np.bincount(counts[counts > 0], minlength=assignment.num_partitions + 1)
 
 
 class TestCommunicationMatrix:
@@ -33,7 +63,7 @@ class TestCommunicationMatrix:
         matrix = communication_matrix(a)
         counts = a.vertex_partition_counts()
         total_mirrors = int((counts[counts > 0] - 1).sum())
-        assert matrix.sum() == total_mirrors
+        assert matrix.sum() == total_mirrors == build_placement(a).total_mirrors
 
     def test_single_partition_silent(self):
         stream = EdgeStream([0, 1], [1, 2], num_vertices=3)
@@ -57,8 +87,8 @@ class TestCommunicationMatrix:
         st.randoms(use_true_random=False),
     )
     def test_equals_the_unique_key_formula(self, data, rng):
-        """The matrix read off the cached replica table == the per-call
-        ``np.unique`` of ``v * k + p`` keys it replaced."""
+        """The matrix read off the routing table == the ``np.unique`` of
+        ``v * k + p`` keys with each replica's vertex's master."""
         n, k, edges = data
         stream = EdgeStream([u for u, _ in edges], [v for _, v in edges], num_vertices=n)
         a = PartitionAssignment(stream, [rng.randrange(k) for _ in edges], num_partitions=k)
@@ -107,15 +137,19 @@ class TestMirrorDistribution:
 class TestPartitionSummaries:
     def test_rows_consistent(self):
         a = make_assignment()
-        rows = partition_summaries(a)
-        assert len(rows) == 2
-        assert sum(r.edges for r in rows) == 4
-        assert sum(r.masters for r in rows) == 4
-        total_replicas = sum(r.replicas for r in rows)
-        counts = a.vertex_partition_counts()
-        assert total_replicas == counts.sum()
+        index = build_local_index(a)
+        edges, masters = index.active_counts(None)
+        assert edges.tolist() == [2, 2]
+        assert masters.sum() == 4  # one master per active vertex
+        assert np.diff(index.part_indptr).sum() == a.vertex_partition_counts().sum()
 
     def test_replicas_property(self):
-        a = make_assignment()
-        row = partition_summaries(a)[0]
-        assert row.replicas == row.masters + row.mirrors
+        """Replicas hosted = masters + mirrors, partition by partition, and
+        the full-frontier counts are the ``None`` shortcut's."""
+        index = build_local_index(make_assignment())
+        every = np.ones(index.vertices.size, dtype=bool)
+        edges, masters = index.active_counts(every)
+        mirrors = np.diff(index.routes.mirror_indptr)
+        assert np.array_equal(np.diff(index.part_indptr), masters + mirrors)
+        for want, have in zip(index.active_counts(None), (edges, masters)):
+            assert np.array_equal(want, have)

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.metrics import mirror_count
-from repro.analysis.partition_stats import communication_matrix
+from repro.analysis.metrics import quality_report
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import EdgeStream
 from repro.partitioners.base import PartitionAssignment
 from repro.system.network import NetworkModel
 from repro.system.runtime import LocalGasRuntime
-from repro.system.placement import build_placement
+from repro.system.placement import build_local_index, build_placement
 from repro.system.apps.pagerank import pagerank
 
 
@@ -33,19 +32,23 @@ edge_lists = st.lists(
 @settings(max_examples=25, deadline=None)
 @given(edges=edge_lists, k=st.integers(1, 8), seed=st.integers(0, 100))
 def test_placement_rf_matches_assignment_rf(edges, k, seed):
+    # the slot index's replica counts and the sorted incidence's agree
     a = random_assignment(edges, k, seed)
     placement = build_placement(a)
-    assert placement.replication_factor() == pytest.approx(a.replication_factor())
+    assert np.array_equal(placement.replica_counts, a.vertex_partition_counts())
+    active = placement.replica_counts[placement.replica_counts > 0]
+    assert active.mean() == pytest.approx(a.replication_factor())
 
 
 @settings(max_examples=25, deadline=None)
 @given(edges=edge_lists, k=st.integers(1, 8), seed=st.integers(0, 100))
 def test_mirror_count_three_ways(edges, k, seed):
     a = random_assignment(edges, k, seed)
-    placement = build_placement(a)
-    # metrics path, placement path, and communication-matrix path agree
-    assert mirror_count(a) == placement.total_mirrors
-    assert communication_matrix(a).sum() == placement.total_mirrors
+    # the quality report (sorted incidence), the placement and the
+    # routing table (one row per mirror replica) agree
+    mirrors = quality_report(a).mirrors
+    assert build_placement(a).total_mirrors == mirrors
+    assert build_local_index(a).routes.num_mirrors == mirrors
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,7 +56,7 @@ def test_mirror_count_three_ways(edges, k, seed):
 def test_masters_equal_active_vertices(edges, k, seed):
     a = random_assignment(edges, k, seed)
     placement = build_placement(a)
-    assert placement.total_masters == a.stream.active_vertices().size
+    assert np.count_nonzero(placement.master >= 0) == a.stream.active_vertices().size
 
 
 @settings(max_examples=10, deadline=None)
@@ -72,11 +75,11 @@ def test_engine_message_accounting(edges, k, seed):
 @given(edges=edge_lists, k=st.integers(1, 6), seed=st.integers(0, 50))
 def test_vertex_partition_counts_vs_vertex_sets(edges, k, seed):
     a = random_assignment(edges, k, seed)
-    counts = a.vertex_partition_counts()
-    recomputed = np.zeros(a.stream.num_vertices, dtype=np.int64)
-    for p, verts in enumerate(a.vertex_sets()):
-        recomputed[verts] += 1
-    assert np.array_equal(counts, recomputed)
+    hosts = [set() for _ in range(a.stream.num_vertices)]
+    for u, v, p in zip(a.stream.src.tolist(), a.stream.dst.tolist(), a.edge_partition.tolist()):
+        hosts[u].add(p)
+        hosts[v].add(p)
+    assert a.vertex_partition_counts().tolist() == [len(h) for h in hosts]
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,6 +2,8 @@
 plus the paper's headline quality claims at bench scale.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,9 @@ class TestHeadlineClaims:
         # HDRF as published does; its compiled core scores only A(u) | A(v)
         # (DESIGN.md §4.2), so the claim is timed on the two per-edge
         # references, each in its preferred order: the best of five
-        # alternating runs, since one run of ~0.1 s moves by half with the
-        # host's load
+        # alternating runs, each timed in this process's CPU seconds — a
+        # wall clock also counts the time a competing process holds the
+        # core, and one run of ~0.1 s moves by half with the host's load
         runs = {}
         for name in ("hdrf", "clugp"):
             partitioner = make_partitioner(name, 16, seed=0)
@@ -110,7 +113,9 @@ class TestHeadlineClaims:
         seconds = {name: float("inf") for name in runs}
         for _ in range(5):
             for name, (partitioner, s) in runs.items():
-                seconds[name] = min(seconds[name], partitioner.partition_per_edge(s).total_time())
+                start = time.process_time()
+                partitioner.partition_per_edge(s)
+                seconds[name] = min(seconds[name], time.process_time() - start)
         assert seconds["clugp"] < seconds["hdrf"]
 
 

@@ -13,8 +13,8 @@ per-partition ``np.unique``/``searchsorted`` builder kept here as the
 oracle, by its block-diagonal invariants, by golden digests of all four
 apps recorded before the layout was flattened, and — the ``slot_index``
 kernel on both tiers — field for field and dtype for dtype, the compiled
-one-walk build against the ``python`` sort-based one and both against
-:func:`build_placement`.
+one-walk build against the ``python`` sort-based one, and the placement
+against a copy of the sort-based master rule the walk replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import zlib
 import gas_reference as ref
 import numpy as np
 import pytest
-from conftest import BACKENDS, kernel_backend
+from conftest import BACKENDS, kernel_backend, needs_compiled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +49,7 @@ from repro.system.apps import (
     sssp,
 )
 from repro.system.runtime import DenseAccumulator, take_put
-from repro._util import ragged_take_indices, segment_sums
+from repro._util import ragged_take_indices, segment_sums, vertex_partition_pairs
 
 #: the partitioners Figure 8 deploys (``bench_fig8_pagerank.py``)
 PARTITIONERS = ("hdrf", "greedy", "hashing", "dbh", "mint", "clugp")
@@ -297,16 +297,19 @@ class TestLocalIndex:
         assert np.array_equal(index.vertices[index.dst_slot], stream.dst[index.edge_ids])
 
     @settings(deadline=None, max_examples=60)
-    @given(edge_streams)
-    def test_master_rule_matches_dense_argmax(self, data):
-        """Most incident edges wins, ties to the lowest partition id."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(data=edge_streams)
+    def test_master_rule_matches_dense_argmax(self, backend, data):
+        """Most incident edges wins, ties to the lowest partition id — the
+        ``slot_index`` kernel's own rule on each tier."""
         assignment = build_random_assignment(data)
         stream = assignment.stream
         table = np.zeros((stream.num_vertices, assignment.num_partitions), dtype=np.int64)
         np.add.at(table, (stream.src, assignment.edge_partition), 1)
         np.add.at(table, (stream.dst, assignment.edge_partition), 1)
         expect = np.where(table.any(axis=1), table.argmax(axis=1), -1)
-        assert np.array_equal(build_placement(assignment).master, expect)
+        with kernel_backend(backend):
+            assert np.array_equal(build_placement(assignment).master, expect)
 
     def test_masters_partition_hosted_vertices(self):
         index = build_local_index(tiny_assignment())
@@ -343,39 +346,30 @@ class TestLocalIndex:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_index_ignores_a_corrupt_replica_table(self, backend):
-        """Both tiers derive the slots from the edges and never read the
-        assignment's cached replica table, however wrong it is."""
+        """Both tiers derive the slots and the placement from the edges
+        and never read the assignment's cached replica table, its
+        ``|P(v)|`` counts, however wrong they are."""
         assignment = tiny_assignment()
-        verts, parts, counts = assignment.replica_table()
-        # drop the (vertex 0, partition 0) replica the edge (0, 1) needs
-        assignment._replica_table = (verts[1:], parts[1:], counts[1:])
+        assignment.vertex_partition_counts()[:] = 7
         with kernel_backend(backend):
             assert_same_index(build_local_index(assignment), python_index(tiny_assignment()))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_replica_table_shared_by_counts_placement_and_index(self, backend, monkeypatch):
-        """One dedup of the incidence per assignment, however many readers
-        — and a deployment makes none."""
-        import repro.partitioners.base as base
-
-        calls = []
-        real = base.vertex_partition_pairs
-        monkeypatch.setattr(
-            base, "vertex_partition_pairs", lambda *a: calls.append(1) or real(*a)
-        )
+    def test_rf_sorts_the_incidence_once_per_assignment(self, backend, counted_pairs):
         with kernel_backend(backend):
-            assignment = tiny_assignment()
-            LocalGasRuntime(assignment)
-            build_local_index(assignment)
-            assert calls == []
-            assignment.replication_factor()
-            build_placement(assignment)
-        assert len(calls) == 1
+            for expect in (1, 2):
+                assignment = tiny_assignment()
+                assignment.replication_factor()
+                assignment.vertex_partition_counts()
+                assignment.replication_factor()
+                assert len(counted_pairs) == expect
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_deployment_builds_no_placement_and_reads_no_replica_table(
         self, backend, monkeypatch, crawl_stream
     ):
+        """A deployment takes its placement from its own slot index: it
+        calls no :func:`build_placement` and reads no cached ``|P(v)|``."""
         import repro.system.placement as placement_module
 
         calls = []
@@ -383,7 +377,9 @@ class TestLocalIndex:
             placement_module, "build_placement", lambda *a: calls.append("build_placement")
         )
         monkeypatch.setattr(
-            PartitionAssignment, "replica_table", lambda self: calls.append("replica_table")
+            PartitionAssignment,
+            "vertex_partition_counts",
+            lambda self: calls.append("vertex_partition_counts"),
         )
         assignment = PartitionAssignment(
             crawl_stream, np.arange(crawl_stream.num_edges) % 5, num_partitions=5
@@ -392,6 +388,37 @@ class TestLocalIndex:
             runtime = LocalGasRuntime(assignment)
         assert calls == []
         assert runtime.placement is runtime.index.placement
+
+    @needs_compiled
+    def test_deployment_and_placement_sort_no_incidence(self, counted_pairs, crawl_stream):
+        """On ``cc`` neither a deployment nor :func:`build_placement`
+        sorts the (vertex, partition) incidence: both are the slot
+        index's walk."""
+        assignment = PartitionAssignment(
+            crawl_stream, np.arange(crawl_stream.num_edges) % 5, num_partitions=5
+        )
+        with kernel_backend("auto"):
+            runtime = LocalGasRuntime(assignment)
+            placement = build_placement(assignment)
+        assert counted_pairs == []
+        assert runtime.placement is runtime.index.placement
+        assert np.array_equal(placement.master, runtime.placement.master)
+
+
+@pytest.fixture
+def counted_pairs(monkeypatch) -> list:
+    """Record every sort of the (vertex, partition) incidence — by the
+    replica counts or by the ``python`` ``slot_index``."""
+    import repro.kernels._pykernels as pykernels
+    import repro.partitioners.base as base
+
+    calls = []
+    real = base.vertex_partition_pairs
+    for module in (base, pykernels):
+        monkeypatch.setattr(
+            module, "vertex_partition_pairs", lambda *a: calls.append(1) or real(*a)
+        )
+    return calls
 
 
 # ---------------------------------------------------------------------- #
@@ -448,8 +475,7 @@ layouts = st.integers(0, 25).flatmap(
 def test_index_is_the_same_on_both_tiers(backend, data, with_placement):
     """Self-loops, duplicate edges, edgeless and isolated vertices, n = 0,
     |E| = 0, empty partitions anywhere, k from 1 to 4096, with and without
-    a caller's placement: every field, dtype for dtype, and the placement
-    is :func:`build_placement`'s."""
+    a caller's placement: every field, dtype for dtype."""
     n, edges, k, used, rng = data
     src = [u for u, _ in edges]
     dst = [v for _, v in edges]
@@ -465,11 +491,47 @@ def test_index_is_the_same_on_both_tiers(backend, data, with_placement):
 
     index = build(backend)
     assert_same_index(index, build("python"))
-    expect = build_placement(fresh())
-    for f in dataclasses.fields(expect):
-        want, have = getattr(expect, f.name), getattr(index.placement, f.name)
-        assert type(have) is type(want) and np.array_equal(have, want), f.name
-        assert not isinstance(want, np.ndarray) or have.dtype == want.dtype, f.name
+
+
+def sort_based_placement(assignment) -> tuple:
+    """``(master, replica_counts, total_mirrors)`` by the sort-based
+    build the slot index replaced, kept here as the oracle: the
+    (vertex, partition) incidence sorted by vertex then partition, and
+    each hosted vertex's master the first row of its run reaching the
+    run's maximal count."""
+    stream = assignment.stream
+    verts, parts, counts = vertex_partition_pairs(
+        stream.src, stream.dst, assignment.edge_partition, assignment.num_partitions
+    )
+    replica_counts = np.bincount(verts, minlength=stream.num_vertices).astype(np.int64)
+    master = np.full(stream.num_vertices, -1, dtype=np.int64)
+    hosted = np.flatnonzero(replica_counts)
+    if verts.size:
+        widths = replica_counts[hosted]
+        run_max = np.maximum.reduceat(counts, np.cumsum(widths) - widths)
+        at_max = np.flatnonzero(counts == np.repeat(run_max, widths))
+        owner = verts[at_max]
+        master[hosted] = parts[at_max[np.r_[True, owner[1:] != owner[:-1]]]]
+    return master, replica_counts, int(verts.size - hosted.size)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(deadline=None, max_examples=80)
+@given(layouts)
+def test_build_placement_is_the_sort_based_rule(backend, data):
+    """:func:`build_placement` — the slot index's placement — is the
+    sort-based rule's, array for array and dtype for dtype, on the
+    layouts above."""
+    n, edges, k, used, rng = data
+    parts = [rng.choice(used) % k for _ in edges]
+    stream = EdgeStream([u for u, _ in edges], [v for _, v in edges], n)
+    assignment = PartitionAssignment(stream, parts, num_partitions=k)
+    with kernel_backend(backend):
+        placement = build_placement(assignment)
+    master, replica_counts, total_mirrors = sort_based_placement(assignment)
+    for have, want in ((placement.master, master), (placement.replica_counts, replica_counts)):
+        assert have.dtype == want.dtype and np.array_equal(have, want)
+    assert type(placement.total_mirrors) is int and placement.total_mirrors == total_mirrors
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -480,7 +542,10 @@ def test_callers_placement_decides_the_masters(backend, data):
     master in the *highest* partition hosting it — is the one obeyed."""
     assignment = build_random_assignment(data)
     placement = build_placement(assignment)
-    verts, parts, _ = assignment.replica_table()
+    verts, parts, _ = vertex_partition_pairs(
+        assignment.stream.src, assignment.stream.dst,
+        assignment.edge_partition, assignment.num_partitions,
+    )
     last = np.flatnonzero(np.r_[verts[1:] != verts[:-1], True]) if verts.size else verts
     placement.master[verts[last]] = parts[last]
     fresh = PartitionAssignment(assignment.stream, assignment.edge_partition, assignment.num_partitions)

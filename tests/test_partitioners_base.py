@@ -65,9 +65,12 @@ class TestMetrics:
 
     def test_vertex_sets(self):
         a = make_assignment()
-        sets = a.vertex_sets()
-        assert sets[0].tolist() == [0, 1, 2]
-        assert sets[1].tolist() == [0, 2, 3]
+        sets = [set(), set()]
+        for u, v, p in zip(a.stream.src.tolist(), a.stream.dst.tolist(), a.edge_partition.tolist()):
+            sets[p] |= {u, v}
+        assert sets == [{0, 1, 2}, {0, 2, 3}]
+        expect = [sum(x in s for s in sets) for x in range(4)]
+        assert a.vertex_partition_counts().tolist() == expect
 
     def test_rf_at_least_one_for_any_assignment(self):
         a = make_assignment()

@@ -460,9 +460,12 @@ class TestPersistentChaos:
         _assert_shm_clean()
 
     def test_hang_timeout_respawns_bit_identical(self, chaos_stream):
+        # every stage's victim hangs, so the run waits out one task_timeout
+        # per stage (four) — the hang itself is cut short by the respawn's
+        # terminate; a healthy stage replies in milliseconds, far inside it
         baseline = _run_persistent(chaos_stream, "")
         chaotic = _run_persistent(
-            chaos_stream, "hang,seed=0,hang_seconds=30", timeout=2.0
+            chaos_stream, "hang,seed=0,hang_seconds=30", timeout=0.5
         )
         assert np.array_equal(
             baseline.assignment.edge_partition, chaotic.assignment.edge_partition
