@@ -13,10 +13,12 @@ K = 32
 
 
 def test_fig10c_distributed_critical_path(benchmark, uk_stream):
-    """Section III-C deployment: the distributed wall-clock is the slowest
-    node (``max_node`` critical path), not the summed node seconds —
-    sharding must therefore shrink the reported wall-clock even on one
-    machine, while the summed work stays in the same ballpark."""
+    """Section III-C deployment (the two-round cluster merge): the
+    distributed wall-clock is the ``critical_path`` wall — each node
+    fan-out counts its slowest node, plus the coordinator's serial merge
+    and game — not the summed node seconds, so sharding must shrink the
+    reported wall-clock even on one machine, while the summed work stays
+    in the same ballpark."""
     node_counts = [1, 2, 4, 8]
 
     def sweep():

@@ -6,8 +6,7 @@ process backend (DESIGN.md §11):
 
 * **bit-identity** — ``backend="persistent"``, spawned per call and
   resident, must reproduce the ``thread`` backend's edge partition
-  exactly, for both merge modes at num_nodes in {1, 4, 8}, hard gate in
-  every mode;
+  exactly, at num_nodes in {1, 4, 8}, hard gate in every mode;
 * **resident wall** — at 8 nodes on the ~100k-edge fixture the report
   carries the pool's spawn seconds (paid once per pool lifetime) and the
   best-of-3 per-call wall on the resident pool, next to the ``thread``
@@ -70,38 +69,28 @@ def build_stream(num_edges: int, seed: int = 11) -> EdgeStream:
 
 
 def run_identity_gate(stream, k) -> tuple[dict, list[str]]:
-    """persistent == thread, bit for bit, across the node/mode matrix."""
+    """persistent == thread, bit for bit, across the node matrix."""
     rows = []
     failures = []
-    for merge_mode in ("merged", "independent"):
-        for num_nodes in IDENTITY_NODES:
-            reference = distributed_clugp(
-                stream, k, num_nodes=num_nodes, seed=0,
-                merge_mode=merge_mode, backend="thread",
+    for num_nodes in IDENTITY_NODES:
+        reference = distributed_clugp(
+            stream, k, num_nodes=num_nodes, seed=0, backend="thread"
+        )
+        result = distributed_clugp(
+            stream, k, num_nodes=num_nodes, seed=0, backend="persistent"
+        )
+        identical = bool(
+            np.array_equal(
+                reference.assignment.edge_partition,
+                result.assignment.edge_partition,
             )
-            result = distributed_clugp(
-                stream, k, num_nodes=num_nodes, seed=0,
-                merge_mode=merge_mode, backend="persistent",
+        )
+        rows.append({"num_nodes": num_nodes, "identical": identical})
+        if not identical:
+            failures.append(
+                f"persistent: {num_nodes} nodes diverges from the thread backend"
             )
-            identical = bool(
-                np.array_equal(
-                    reference.assignment.edge_partition,
-                    result.assignment.edge_partition,
-                )
-            )
-            rows.append(
-                {"merge_mode": merge_mode, "num_nodes": num_nodes,
-                 "identical": identical}
-            )
-            if not identical:
-                failures.append(
-                    f"persistent: {merge_mode}@{num_nodes} nodes diverges "
-                    f"from the thread backend"
-                )
-            print(
-                f"persistent/identity: {merge_mode}@{num_nodes} "
-                f"identical={identical}"
-            )
+        print(f"persistent/identity: {num_nodes} nodes identical={identical}")
     return {"rows": rows}, failures
 
 
@@ -112,8 +101,7 @@ def run_resident_wall(stream, k) -> tuple[dict, list[str]]:
     for _ in range(REPEATS):
         with Timer() as t:
             thread_result = distributed_clugp(
-                stream, k, num_nodes=NUM_NODES, seed=0, merge_mode="merged",
-                backend="thread",
+                stream, k, num_nodes=NUM_NODES, seed=0, backend="thread",
             )
         t_thread = min(t_thread, t.elapsed)
 
@@ -126,7 +114,7 @@ def run_resident_wall(stream, k) -> tuple[dict, list[str]]:
             with Timer() as t:
                 persistent_result = distributed_clugp(
                     stream, k, num_nodes=NUM_NODES, seed=0,
-                    merge_mode="merged", backend="persistent", runtime=runtime,
+                    backend="persistent", runtime=runtime,
                 )
             t_persistent = min(t_persistent, t.elapsed)
         overlaps = persistent_result.assignment.stage_times.overlaps

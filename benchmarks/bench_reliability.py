@@ -182,7 +182,7 @@ def _distributed(stream, k, validate: bool, spec: str = "", backend="thread",
     )
     cfg = ClugpConfig(num_partitions=k, reliability=rel)
     return distributed_clugp(
-        stream, k, num_nodes=4, config=cfg, seed=0, merge_mode="merged",
+        stream, k, num_nodes=4, config=cfg, seed=0,
         backend=backend,
     )
 

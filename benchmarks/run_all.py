@@ -11,15 +11,15 @@ Sections (each with its own floors; exit status is non-zero if any fails):
 
 * ``clugp_stages`` — bench_clugp_stages: per-pass timings and the >= 4x
   end-to-end CLUGP chunked floor.
-* ``distributed_stages`` — stage-accounting smoke: the ``max_node``
-  critical-path wall must be positive and strictly below the summed node
-  total on a multi-node run.
-* ``distributed_merge`` — merged vs independent distributed CLUGP across
-  ``num_nodes in {1, 2, 4, 8}``: merged with one node must be
-  bit-identical to the single-machine pipeline, merged replication
-  factor must never exceed independent (strictly lower at 8 nodes),
-  merged balance must hold the global tau cap, and the per-run rows
-  record stage walls plus measured merge/broadcast/quota wire bytes.
+* ``distributed_stages`` — stage-accounting smoke: the
+  ``critical_path`` wall must be positive and strictly below the summed
+  node total on a multi-node run.
+* ``distributed_merge`` — distributed CLUGP across
+  ``num_nodes in {1, 2, 4, 8}``: one node must be bit-identical to the
+  single-machine pipeline, the replication factor must never exceed
+  that of per-shard CLUGP runs concatenated (strictly lower at 8 nodes),
+  balance must hold the global tau cap, and the per-run rows record
+  stage walls plus measured merge/broadcast/quota wire bytes.
 * ``incremental`` — bench_incremental_service: the PartitionService
   serving path — single-batch bit-identity vs the batch pipeline,
   sustained edges/sec over >= 50 batches, per-batch migration cap and
@@ -37,8 +37,8 @@ Sections (each with its own floors; exit status is non-zero if any fails):
   bit-identical on the thread and persistent backends).
 * ``persistent_workers`` — bench_persistent: the persistent
   shared-memory worker runtime — ``backend="persistent"``, spawned per
-  call and resident, bit-identical to ``thread`` for both merge modes at
-  num_nodes in {1, 4, 8}, the pool's spawn seconds and resident per-call
+  call and resident, bit-identical to ``thread`` at num_nodes in
+  {1, 4, 8}, the pool's spawn seconds and resident per-call
   wall at 8 nodes on the ~100k-edge fixture (reported, not gated),
   exactly 0 pickled ndarray bytes on the shared-memory ingest plane, and
   no leaked ``/dev/shm`` segments after pool teardown.
@@ -95,7 +95,7 @@ def _run_sub_bench(module, label: str, quick: bool) -> tuple[dict, list[str]]:
 
 
 def run_distributed_stage_smoke(quick: bool) -> tuple[dict, list[str]]:
-    """Check the max_node critical-path wall is recorded and sane."""
+    """Check the critical-path wall is recorded and sane."""
     num_pages = 2_000 if quick else 10_000
     graph = web_crawl_graph(num_pages, avg_out_degree=8, host_size=25, seed=3)
     stream = EdgeStream.from_graph(graph)
@@ -105,34 +105,51 @@ def run_distributed_stage_smoke(quick: bool) -> tuple[dict, list[str]]:
         num_partitions=8,
         num_nodes=num_nodes,
         config=ClugpConfig(num_partitions=8),
-        parallel_nodes=False,
     )
     times = result.assignment.stage_times
     total = times.total
-    max_node = times.walls.get("max_node", 0.0)
+    critical_path = times.walls.get("critical_path", 0.0)
     report = {
         "num_nodes": num_nodes,
         "summed_node_seconds": total,
-        "max_node_seconds": max_node,
+        "critical_path_seconds": critical_path,
         "wall_time": result.assignment.wall_time(),
     }
     failures = []
-    if not 0.0 < max_node < total:
+    if not 0.0 < critical_path < total:
         failures.append(
-            f"distributed_stages: max_node wall {max_node:.4f}s not within "
+            f"distributed_stages: critical_path wall {critical_path:.4f}s not within "
             f"(0, summed total {total:.4f}s) on a {num_nodes}-node run"
         )
-    if result.assignment.wall_time() != max_node:
-        failures.append("distributed_stages: wall_time() does not report the max_node wall")
+    if result.assignment.wall_time() != critical_path:
+        failures.append(
+            "distributed_stages: wall_time() does not report the critical_path wall"
+        )
     print(
         f"distributed_stages: {num_nodes} nodes: summed {total*1000:.0f}ms, "
-        f"critical path {max_node*1000:.0f}ms"
+        f"critical path {critical_path*1000:.0f}ms"
     )
     return report, failures
 
 
+def _per_shard_rf(stream, k: int, num_nodes: int, seed: int = 0) -> float:
+    """RF of CLUGP run on each of ``distributed_clugp``'s shards (node
+    ``i`` at ``seed + i``) with the assignments concatenated — the
+    no-exchange deployment the merge must beat."""
+    from repro.core.distributed import _shard_ranges
+    from repro.core.partitioner import ClugpPartitioner
+    from repro.partitioners.base import PartitionAssignment
+
+    out = np.empty(stream.num_edges, dtype=np.int64)
+    for node, (start, stop) in enumerate(_shard_ranges(stream.num_edges, num_nodes)):
+        shard = EdgeStream(stream.src[start:stop], stream.dst[start:stop], stream.num_vertices)
+        out[start:stop] = ClugpPartitioner(k, seed=seed + node).partition(shard).edge_partition
+    return PartitionAssignment(stream, out, k).replication_factor()
+
+
 def run_distributed_merge_bench(quick: bool) -> tuple[dict, list[str]]:
-    """Merged vs independent quality/wall across node counts (PR 5)."""
+    """Distributed CLUGP quality/wall across node counts against the
+    per-shard concatenation."""
     import math
 
     from repro.bench.harness import distributed_merge_sweep
@@ -145,14 +162,13 @@ def run_distributed_merge_bench(quick: bool) -> tuple[dict, list[str]]:
     stream = EdgeStream.from_graph(graph)
     node_counts = (1, 2, 4, 8)
     rows = distributed_merge_sweep(stream, k, node_counts=node_counts, seed=0)
-    by_mode: dict[tuple[str, int], dict] = {
-        (r["merge_mode"], r["num_nodes"]): r for r in rows
-    }
+    by_nodes = {r["num_nodes"]: r for r in rows}
+    rf_shards = {nodes: _per_shard_rf(stream, k, nodes) for nodes in node_counts}
 
     failures = []
-    # gate 1: merged single-node == single-machine, bit for bit
+    # gate 1: single-node == single-machine, bit for bit
     single = ClugpPartitioner(k, seed=0).partition(stream)
-    merged_one = distributed_clugp(stream, k, num_nodes=1, seed=0, merge_mode="merged")
+    merged_one = distributed_clugp(stream, k, num_nodes=1, seed=0)
     identical = bool(
         np.array_equal(
             single.edge_partition, merged_one.assignment.edge_partition
@@ -160,44 +176,44 @@ def run_distributed_merge_bench(quick: bool) -> tuple[dict, list[str]]:
     )
     if not identical:
         failures.append(
-            "distributed_merge: merged num_nodes=1 is not bit-identical "
+            "distributed_merge: num_nodes=1 is not bit-identical "
             "to the single-machine pipeline"
         )
-    # gate 2: merged RF <= independent everywhere, strictly lower at 8
+    # gate 2: merged RF <= per-shard concatenation everywhere, strictly lower at 8
     cap = math.ceil(tau * stream.num_edges / k)
     for nodes in node_counts:
-        rf_ind = by_mode[("independent", nodes)]["replication_factor"]
-        rf_mer = by_mode[("merged", nodes)]["replication_factor"]
-        if rf_mer > rf_ind:
+        rf_shard = rf_shards[nodes]
+        rf_mer = by_nodes[nodes]["replication_factor"]
+        if rf_mer > rf_shard:
             failures.append(
                 f"distributed_merge: merged RF {rf_mer:.4f} exceeds "
-                f"independent {rf_ind:.4f} at {nodes} nodes"
+                f"per-shard {rf_shard:.4f} at {nodes} nodes"
             )
         # gate 3: the quota exchange holds the *global* tau cap
-        bal = by_mode[("merged", nodes)]["relative_balance"]
+        bal = by_nodes[nodes]["relative_balance"]
         if bal * stream.num_edges / k > cap + 1e-9:
             failures.append(
                 f"distributed_merge: merged balance {bal:.4f} violates the "
                 f"global cap at {nodes} nodes"
             )
         print(
-            f"distributed_merge: {nodes} nodes: RF independent={rf_ind:.4f} "
+            f"distributed_merge: {nodes} nodes: RF per-shard={rf_shard:.4f} "
             f"merged={rf_mer:.4f} "
-            f"(sync {by_mode[('merged', nodes)]['merge']['merge_bytes'] / 1024:.0f}KB up)"
+            f"(sync {by_nodes[nodes]['merge']['merge_bytes'] / 1024:.0f}KB up)"
         )
-    rf_ind8 = by_mode[("independent", 8)]["replication_factor"]
-    rf_mer8 = by_mode[("merged", 8)]["replication_factor"]
-    if not rf_mer8 < rf_ind8:
+    rf_shard8 = rf_shards[8]
+    rf_mer8 = by_nodes[8]["replication_factor"]
+    if not rf_mer8 < rf_shard8:
         failures.append(
             f"distributed_merge: merged RF {rf_mer8:.4f} not strictly below "
-            f"independent {rf_ind8:.4f} at 8 nodes"
+            f"per-shard {rf_shard8:.4f} at 8 nodes"
         )
-    # gate 4: the persistent resident-worker backend reproduces the merged
-    # protocol bit for bit at 4 nodes (the full {1,4,8} x {merged,
-    # independent} matrix lives in the persistent_workers section)
-    merged_ref = distributed_clugp(stream, k, num_nodes=4, seed=0, merge_mode="merged")
+    # gate 4: the persistent resident-worker backend reproduces the
+    # protocol bit for bit at 4 nodes (the full {1, 4, 8} matrix lives in
+    # the persistent_workers section)
+    merged_ref = distributed_clugp(stream, k, num_nodes=4, seed=0)
     merged_persistent = distributed_clugp(
-        stream, k, num_nodes=4, seed=0, merge_mode="merged", backend="persistent"
+        stream, k, num_nodes=4, seed=0, backend="persistent"
     )
     persistent_identical = bool(
         np.array_equal(
@@ -207,11 +223,11 @@ def run_distributed_merge_bench(quick: bool) -> tuple[dict, list[str]]:
     )
     if not persistent_identical:
         failures.append(
-            "distributed_merge: backend='persistent' merged run is not "
+            "distributed_merge: backend='persistent' run is not "
             "bit-identical at 4 nodes"
         )
     print(
-        "distributed_merge: persistent backend merged 4 nodes "
+        "distributed_merge: persistent backend 4 nodes "
         f"bit-identical={persistent_identical}"
     )
     report = {
@@ -219,7 +235,7 @@ def run_distributed_merge_bench(quick: bool) -> tuple[dict, list[str]]:
         "num_partitions": k,
         "single_node_identical": identical,
         "persistent_identical": persistent_identical,
-        "rf_independent_8": rf_ind8,
+        "rf_per_shard_8": rf_shard8,
         "rf_merged_8": rf_mer8,
         "rows": rows,
     }
@@ -249,7 +265,7 @@ def main(argv=None) -> int:
     consolidated["distributed_stages"] = report
     failures += fails
 
-    print("\n=== distributed merge: merged vs independent ===")
+    print("\n=== distributed merge: merged vs per-shard concatenation ===")
     report, fails = run_distributed_merge_bench(args.quick)
     consolidated["distributed_merge"] = report
     failures += fails

@@ -2,16 +2,11 @@
 """Distributed CLUGP deployment (Section III-C of the paper).
 
 Shards the crawl stream across ingest nodes and combines the partial
-results under both protocols:
-
-* ``independent`` — every node runs the full three-pass pipeline on its
-  shard with no shared state and the edge assignments are concatenated.
-  No sync cost, but a vertex split across shards is placed
-  inconsistently, so replication inflates with the node count.
-* ``merged`` — nodes ship compact cluster summaries, the coordinator
-  unions the cluster graphs, runs one warm-started global game, and each
-  node replays pass 3 under the broadcast decision plus balance quotas.
-  The quality cliff becomes a measured wire cost.
+results with the two-round cluster merge: nodes ship compact cluster
+summaries, the coordinator unions the cluster graphs, runs one
+warm-started global game, and each node replays pass 3 under the
+broadcast decision plus balance quotas.  Keeping a vertex split across
+shards consistent costs measured wire bytes instead of replicas.
 
 Run:  python examples/distributed_deployment.py
 """
@@ -26,26 +21,19 @@ k = 32
 print(f"|V|={graph.num_vertices} |E|={graph.num_edges} k={k}\n")
 
 header = (
-    f"{'nodes':>5s} {'mode':>12s} {'RF':>7s} {'balance':>8s} "
+    f"{'nodes':>5s} {'RF':>7s} {'balance':>8s} "
     f"{'critical path':>14s} {'node work':>10s} {'sync wire':>10s}"
 )
 print(header)
 for num_nodes in (1, 2, 4, 8, 16):
-    for mode in ("independent", "merged"):
-        result = distributed_clugp(
-            stream, k, num_nodes=num_nodes, seed=0, merge_mode=mode
-        )
-        a = result.assignment
-        total_work = sum(n.seconds for n in result.nodes)
-        if result.merge is not None:
-            wire = f"{result.merge.total_wire_bytes() / 1024:8.0f}KB"
-        else:
-            wire = f"{'-':>10s}"
-        print(
-            f"{num_nodes:5d} {mode:>12s} {a.replication_factor():7.3f} "
-            f"{a.relative_balance():8.3f} {a.wall_time():13.3f}s "
-            f"{total_work:9.3f}s {wire}"
-        )
+    result = distributed_clugp(stream, k, num_nodes=num_nodes, seed=0)
+    a = result.assignment
+    total_work = sum(n.seconds for n in result.nodes)
+    print(
+        f"{num_nodes:5d} {a.replication_factor():7.3f} "
+        f"{a.relative_balance():8.3f} {a.wall_time():13.3f}s "
+        f"{total_work:9.3f}s {result.merge.total_wire_bytes() / 1024:8.0f}KB"
+    )
 
 # the serialized baseline for contrast
 hdrf = HDRFPartitioner(k)
@@ -55,8 +43,8 @@ print(
     f"time={assignment.total_time():.3f}s"
 )
 
-result = distributed_clugp(stream, k, num_nodes=8, seed=0, merge_mode="merged")
-print("\nmerged deployment, 8 nodes:")
+result = distributed_clugp(stream, k, num_nodes=8, seed=0)
+print("\ndeployment, 8 nodes:")
 print(result.summary())
 print("\nper-node diagnostics:")
 for node in result.nodes:

@@ -5,7 +5,7 @@ CI runs this over a fixed seed matrix (``--seed N``); each seed picks a
 different victim node per stage via the deterministic
 :class:`~repro.reliability.faults.FaultInjector`, so the matrix together
 exercises crash, hang, corrupt, and slow recovery on every stage of the
-merged protocol — the round-2 ``attribute`` stage and, on the persistent
+distributed protocol — the round-2 ``attribute`` stage and, on the persistent
 backend, the shared-memory result plane included.  Real process deaths
 and hangs run on the persistent backend, the one process transport.  The
 gate is exact: every chaotic edge partition, on both executor backends,
@@ -46,7 +46,7 @@ def _run(stream, spec: str, backend: str, timeout=None):
     )
     cfg = ClugpConfig(num_partitions=4, reliability=rel)
     return distributed_clugp(
-        stream, 4, num_nodes=3, config=cfg, seed=0, merge_mode="merged",
+        stream, 4, num_nodes=3, config=cfg, seed=0,
         backend=backend,
     )
 

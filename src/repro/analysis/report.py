@@ -14,7 +14,6 @@ from .metrics import QualityReport, quality_report
 __all__ = [
     "ComparisonTable",
     "compare_partitioners",
-    "distributed_modes_table",
     "format_table",
 ]
 
@@ -91,29 +90,3 @@ def compare_partitioners(
         )
     return table
 
-
-def distributed_modes_table(rows: list[dict], title: str = "") -> str:
-    """Render ``DistributedResult.to_dict()`` rows as an aligned table.
-
-    One row per (merge_mode, num_nodes) run: quality, the deployment
-    wall, the summed node work, and — for merged-mode rows — the sync
-    wire volume the protocol paid for it.
-    """
-    headers = ["mode", "nodes", "RF", "balance", "wall", "work", "sync wire"]
-    body_rows = []
-    for row in rows:
-        merge = row.get("merge") or {}
-        wire = merge.get("total_wire_bytes", 0)
-        body_rows.append(
-            (
-                row["merge_mode"],
-                row["num_nodes"],
-                f"{row['replication_factor']:.4f}",
-                f"{row['relative_balance']:.4f}",
-                f"{row['wall_seconds']:.3f}s",
-                f"{row['total_seconds']:.3f}s",
-                human_bytes(wire) if wire else "-",
-            )
-        )
-    body = format_table(headers, body_rows)
-    return f"{title}\n{body}" if title else body

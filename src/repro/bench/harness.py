@@ -229,30 +229,20 @@ def distributed_merge_sweep(
     node_counts=(1, 2, 4, 8),
     seed: int = 0,
     backend: str = "thread",
-    merge_modes=("independent", "merged"),
 ) -> list[dict]:
-    """Merged vs independent distributed CLUGP across node counts.
+    """Distributed CLUGP across node counts.
 
-    Returns one ``DistributedResult.to_dict()`` row per (mode, nodes)
-    pair — quality, per-stage walls, and merge wire bytes — the data
-    behind the ``distributed_merge`` benchmark section and the CLI
-    ``distribute`` sweep.  Node counts larger than the stream are
-    skipped.
+    Returns one ``DistributedResult.to_dict()`` row per node count —
+    quality, per-stage walls, and merge wire bytes — the data behind the
+    ``distributed_merge`` benchmark section.  Node counts larger than the
+    stream are skipped.
     """
     from ..core.distributed import distributed_clugp
 
-    rows: list[dict] = []
-    for num_nodes in node_counts:
-        if num_nodes > max(1, stream.num_edges):
-            continue
-        for mode in merge_modes:
-            result = distributed_clugp(
-                stream,
-                num_partitions,
-                num_nodes=num_nodes,
-                seed=seed,
-                merge_mode=mode,
-                backend=backend,
-            )
-            rows.append(result.to_dict())
-    return rows
+    return [
+        distributed_clugp(
+            stream, num_partitions, num_nodes=num_nodes, seed=seed, backend=backend
+        ).to_dict()
+        for num_nodes in node_counts
+        if num_nodes <= max(1, stream.num_edges)
+    ]

@@ -11,8 +11,8 @@ Commands
                partition-local GAS runtime (``run-app pagerank
                --partitioner clugp -k 8``)
 ``distribute`` shard the stream across ingest nodes and run the
-               distributed CLUGP deployment (``distribute --num-nodes 8
-               --merge-mode merged --backend persistent``)
+               distributed CLUGP deployment — the two-round cluster merge
+               (``distribute --num-nodes 8 --backend persistent``)
 ``serve``      replay a dataset as a timed batch feed through the
                incremental :class:`~repro.service.PartitionService`
                (``serve --num-batches 50 --migration-cap 64``); see
@@ -144,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-nodes", type=_positive_int, default=4, help="ingest nodes (default 4)"
     )
     p_dist.add_argument(
-        "--merge-mode",
-        default="merged",
-        choices=["independent", "merged"],
-        help="combine shard results by concatenation (independent) or via "
-        "the coordinator cluster-summary merge + global game (merged)",
-    )
-    p_dist.add_argument(
         "--backend",
         default="thread",
         choices=["thread", "persistent"],
@@ -160,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--chunk-size", type=_positive_int, default=None, metavar="N",
         help="each node reads its shard as chunks of at most N edges",
-    )
-    p_dist.add_argument(
-        "--compare-modes", action="store_true",
-        help="run both merge modes and print the comparison table",
     )
     p_dist.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
@@ -406,7 +395,6 @@ def _reliability_config(args):
 
 
 def _cmd_distribute(args) -> int:
-    from .analysis.report import distributed_modes_table
     from .core.distributed import distributed_clugp
 
     stream = _load_stream(args)
@@ -415,28 +403,6 @@ def _cmd_distribute(args) -> int:
         game=GameConfig(seed=args.seed),
         reliability=_reliability_config(args),
     )
-    if args.compare_modes:
-        rows = []
-        for mode in ("independent", "merged"):
-            result = distributed_clugp(
-                stream,
-                args.partitions,
-                num_nodes=args.num_nodes,
-                config=cfg,
-                seed=args.seed,
-                chunk_size=args.chunk_size,
-                merge_mode=mode,
-                backend=args.backend,
-            )
-            rows.append(result.to_dict())
-        print(
-            distributed_modes_table(
-                rows,
-                title=f"distributed CLUGP on {args.dataset}: "
-                f"{args.num_nodes} nodes, k={args.partitions}",
-            )
-        )
-        return 0
     result = distributed_clugp(
         stream,
         args.partitions,
@@ -444,7 +410,6 @@ def _cmd_distribute(args) -> int:
         config=cfg,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        merge_mode=args.merge_mode,
         backend=args.backend,
     )
     print(result.summary())

@@ -8,39 +8,37 @@
 
 This module simulates that deployment: the edge stream is sharded across
 ``num_nodes`` ingest nodes (contiguous ranges — each crawler node ingests
-a contiguous part of the crawl), and the partial results are combined
-under one of two protocols:
+a contiguous part of the crawl), and the partial results are combined by
+a two-round cluster merge:
 
-``merge_mode="independent"`` (the retained oracle)
-    Every node runs the full three-pass pipeline on its shard with no
-    shared state and the per-shard edge assignments are concatenated.
-    Nodes never exchange vertex state, so a vertex appearing in several
-    shards may be placed inconsistently — the quality price of the fully
-    parallel mode, visible as a replication factor that inflates with
-    ``num_nodes``.
+**Round 1.**  Nodes run pass 1 and a *local* game, then ship a
+:class:`~repro.core.partitioner.ClusterSummary` — per-cluster volumes,
+the local equilibrium, and the ``(vertex, cluster, degree)`` triples of
+their shard-boundary vertices.  No edge is in it.  The coordinator lays
+the node cluster tables end to end into one global id space, resolves
+each boundary vertex to one global cluster (highest local degree wins),
+and broadcasts that resolution.
+**Round 2.**  Each node labels *its own* edges with global cluster ids
+and ships them aggregated — a
+:class:`~repro.core.partitioner.GraphContribution`, every shard edge
+counted exactly once.  The coordinator unions the contributions in one
+barrier :meth:`~repro.core.cluster_graph.ClusterGraph.merge`, runs the
+game **once** on the merged global cluster graph — warm-started from the
+union of local equilibria, i.e. global game refinement — and broadcasts
+the cluster->partition map.  Each node then replays pass 3 locally under
+the global decision and per-node load quotas that keep the global
+balance cap.  Nobody — no node and not the coordinator — ever
+materializes another shard's edges; the sync cost is the measured
+summary/contribution/broadcast wire bytes and the coordinator's
+merge+game wall.
 
-``merge_mode="merged"`` (the two-round cluster merge)
-    **Round 1.**  Nodes run pass 1 and a *local* game, then ship a
-    :class:`~repro.core.partitioner.ClusterSummary` — per-cluster
-    volumes, the local equilibrium, and the ``(vertex, cluster, degree)``
-    triples of their shard-boundary vertices.  No edge is in it.  The
-    coordinator lays the node cluster tables end to end into one global
-    id space, resolves each boundary vertex to one global cluster
-    (highest local degree wins), and broadcasts that resolution.
-    **Round 2.**  Each node labels *its own* edges with global cluster
-    ids and ships them aggregated — a
-    :class:`~repro.core.partitioner.GraphContribution`, every shard edge
-    counted exactly once.  The coordinator unions the contributions in
-    one barrier :meth:`~repro.core.cluster_graph.ClusterGraph.merge`,
-    runs the game **once** on the merged global cluster graph
-    — warm-started from the union of local equilibria, i.e. global game
-    refinement — and broadcasts the cluster->partition map.  Each node
-    then replays pass 3 locally under the global decision.  Nobody — no
-    node and not the coordinator — ever materializes another shard's
-    edges; the sync cost is the measured summary/contribution/broadcast
-    wire bytes and the coordinator's merge+game wall.
+Concatenating per-shard pipelines that exchange nothing instead places a
+vertex seen by several shards inconsistently: the replication factor
+inflates with ``num_nodes`` and balance holds τ only per shard.  The
+tests keep that concatenation as the quality baseline the merge must
+beat (DESIGN.md §6).
 
-With a single node the merged protocol degenerates exactly to the
+With a single node the protocol degenerates exactly to the
 single-machine pipeline: no boundary vertices, an identity relabel, and a
 warm-started refinement game that proposes zero moves — the assignment is
 bit-identical (see ``tests/test_core_distributed.py``).
@@ -50,10 +48,10 @@ or ``backend="persistent"`` (worker processes from
 :mod:`repro.distributed`, fed and read over shared memory — the one
 process transport, and the oracle for real crashes, hangs and corrupt
 payloads; bit-identical to ``thread``).  The protocol itself is written
-once (:func:`_run_merged`, :func:`_run_independent`) over a two-method
-stage runner; a backend is only a transport.  :class:`DistributedResult`
-reports measured per-stage walls (shard/merge/game/transform critical
-path) plus wire bytes via ``to_dict()`` / ``summary()``.
+once (:func:`_run_merged`) over a two-method stage runner; a backend is
+only a transport.  :class:`DistributedResult` reports measured
+per-stage walls (shard/merge/game/transform critical path) plus wire
+bytes via ``to_dict()`` / ``summary()``.
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ __all__ = [
     "distributed_clugp",
 ]
 
-_MERGE_MODES = ("independent", "merged")
 _BACKENDS = ("thread", "persistent")
 
 
@@ -169,20 +166,14 @@ class DistributedResult:
     """Assignment plus per-node and merge-stage diagnostics."""
 
     assignment: PartitionAssignment
+    merge: MergeReport
     nodes: list[NodeReport] = field(default_factory=list)
-    merge_mode: str = "independent"
     backend: str = "thread"
-    merge: MergeReport | None = None
-
-    def max_node_seconds(self) -> float:
-        """Wall-clock of the slowest node — the deployment's critical path."""
-        return max((n.seconds for n in self.nodes), default=0.0)
 
     def to_dict(self) -> dict:
         """Machine-readable run profile (benchmark JSON, CLI --json)."""
         times = self.assignment.stage_times
         return {
-            "merge_mode": self.merge_mode,
             "backend": self.backend,
             "num_nodes": len(self.nodes),
             "num_partitions": self.assignment.num_partitions,
@@ -195,37 +186,30 @@ class DistributedResult:
             "reliability": dict(times.counters),
             "total_seconds": times.total,
             "wall_seconds": self.assignment.wall_time(),
-            "merge": self.merge.to_dict() if self.merge else None,
+            "merge": self.merge.to_dict(),
             "nodes": [n.to_dict() for n in self.nodes],
         }
 
     def summary(self) -> str:
         """One human-readable paragraph: quality, walls, sync cost."""
         a = self.assignment
+        m = self.merge
+        walls = a.stage_times.walls
         lines = [
-            f"distributed CLUGP [{self.merge_mode}/{self.backend}]: "
+            f"distributed CLUGP [{self.backend}]: "
             f"{len(self.nodes)} nodes, k={a.num_partitions}, |E|={a.stream.num_edges}",
             f"  RF={a.replication_factor():.4f} balance={a.relative_balance():.4f} "
             f"wall={a.wall_time():.3f}s work={a.stage_times.total:.3f}s",
+            f"  stages: shard={walls.get('shard', 0.0):.3f}s "
+            f"merge={m.merge_seconds:.3f}s game={m.game_seconds:.3f}s "
+            f"transform={walls.get('transform', 0.0):.3f}s (walls)",
+            f"  merge: {m.num_global_clusters} global clusters, "
+            f"{m.num_boundary_vertices} boundary vertices touched by "
+            f"{m.num_unresolved_edges} edges, "
+            f"wire={human_bytes(m.merge_bytes)} up + "
+            f"{human_bytes(m.broadcast_bytes)} down, "
+            f"refinement rounds={m.game_rounds} moves={m.game_moves}",
         ]
-        walls = a.stage_times.walls
-        if self.merge is not None:
-            m = self.merge
-            lines.append(
-                f"  stages: shard={walls.get('shard', 0.0):.3f}s "
-                f"merge={m.merge_seconds:.3f}s game={m.game_seconds:.3f}s "
-                f"transform={walls.get('transform', 0.0):.3f}s (walls)"
-            )
-            lines.append(
-                f"  merge: {m.num_global_clusters} global clusters, "
-                f"{m.num_boundary_vertices} boundary vertices touched by "
-                f"{m.num_unresolved_edges} edges, "
-                f"wire={human_bytes(m.merge_bytes)} up + "
-                f"{human_bytes(m.broadcast_bytes)} down, "
-                f"refinement rounds={m.game_rounds} moves={m.game_moves}"
-            )
-        else:
-            lines.append(f"  critical path (slowest node)={self.max_node_seconds():.3f}s")
         overlaps = a.stage_times.overlaps
         busy = sum(v for name, v in overlaps.items() if name.endswith("_busy"))
         if busy:
@@ -309,20 +293,6 @@ class NodeStages:
         self.global_cluster_of: np.ndarray | None = None
         self.vertex_partition: np.ndarray | None = None
 
-    def independent(self, shard: EdgeStream, msg: dict) -> dict:
-        """Full three-pass pipeline on the shard (merge_mode='independent')."""
-        partitioner = ClugpPartitioner(
-            msg["num_partitions"], seed=msg["seed"] + self.node, config=msg["config"]
-        )
-        assignment = partitioner.partition(shard, chunk_size=msg["chunk_size"])
-        return {
-            "edge_partition": assignment.edge_partition,
-            "stage_seconds": dict(assignment.stage_times.stages),
-            "num_clusters": partitioner.last_clustering.num_clusters,
-            "splits": partitioner.last_clustering.splits,
-            "game_rounds": partitioner.last_game_result.rounds,
-        }
-
     def summary(self, shard: EdgeStream, msg: dict) -> ClusterSummary:
         """Round 1: pass 1 + local game; ships cluster-level facts only."""
         partitioner = ClugpPartitioner(
@@ -403,7 +373,7 @@ def _pooled_stage_worker(task) -> tuple[object, NodeStages, float]:
 class _PooledStages:
     """Stage runner of the thread backend.
 
-    The runner is the only thing the protocol drivers know of a backend:
+    The runner is the only thing the protocol driver knows of a backend:
     ``run(stage, op, msgs, validate)`` executes ``NodeStages.<op>`` once
     per node and returns ``(payload, node_seconds)`` in node order;
     ``finish()`` lands whatever the transport itself measured in
@@ -418,14 +388,13 @@ class _PooledStages:
     (``<stage>_retries`` etc.).
     """
 
-    def __init__(self, stream, ranges, parallel, policy, inject):
+    def __init__(self, stream, ranges, policy, inject):
         self.times = StageTimes()
         self.shards = [
             EdgeStream(stream.src[start:stop], stream.dst[start:stop], stream.num_vertices)
             for start, stop in ranges
         ]
         self.nodes = [NodeStages(node) for node in range(len(ranges))]
-        self.parallel = parallel
         self.policy = policy
         self.inject = inject
 
@@ -439,7 +408,6 @@ class _PooledStages:
             tasks,
             _pooled_stage_worker,
             policy=self.policy,
-            parallel=self.parallel,
             stage=stage,
             validate=validate and (lambda item, index: validate(item[0], index)),
             inject=self.inject,
@@ -450,7 +418,7 @@ class _PooledStages:
         return [(item[0], item[2]) for item in results]
 
     def finish(self) -> None:
-        """Nothing beyond the node seconds the drivers already recorded."""
+        """Nothing beyond the node seconds the driver already recorded."""
 
 
 def balance_quotas(node_loads: np.ndarray, cap: int) -> np.ndarray:
@@ -580,10 +548,8 @@ def _global_game(
 # --------------------------------------------------------------------- #
 
 
-def _check_modes(merge_mode: str, backend: str) -> None:
-    """Refuse an unknown merge mode or backend, naming the allowed values."""
-    if merge_mode not in _MERGE_MODES:
-        raise ValueError(f"merge_mode must be one of {_MERGE_MODES}, got {merge_mode!r}")
+def _check_backend(backend: str) -> None:
+    """Refuse an unknown backend, naming the allowed values."""
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
 
@@ -594,9 +560,8 @@ def distributed_clugp(
     num_nodes: int,
     config: ClugpConfig | None = None,
     seed: int = 0,
-    parallel_nodes: bool = True,
     chunk_size: int | None = None,
-    merge_mode: str = "independent",
+    merge_mode: str = "merged",
     backend: str = "thread",
     runtime=None,
 ) -> DistributedResult:
@@ -614,19 +579,14 @@ def distributed_clugp(
     config:
         Per-node pipeline configuration (``V_max`` resolves against each
         shard's edge count, as a real node would).
-    parallel_nodes:
-        Execute node pipelines concurrently (the deployment model) or
-        sequentially (deterministic debugging).
     chunk_size:
         Each node reads its shard as chunks of at most ``chunk_size``
         edges in every pass (default: the partitioner's chunk size) —
         the node-local equivalent of a crawler handing the partitioner
         one fetch buffer at a time.
     merge_mode:
-        ``"independent"`` concatenates per-shard pipelines (no node
-        communication, the retained oracle); ``"merged"`` runs the
-        two-round merge protocol with one global game (see the module
-        docstring).
+        Only ``"merged"`` — the one protocol, the module docstring's two
+        rounds; any other value is refused.
     backend:
         ``"thread"`` — an in-process thread pool per stage — or
         ``"persistent"``: worker processes fed and read over shared
@@ -645,10 +605,14 @@ def distributed_clugp(
         raise ValueError(
             f"num_nodes={num_nodes} exceeds the number of edges {stream.num_edges}"
         )
-    _check_modes(merge_mode, backend)
+    if merge_mode != "merged":
+        raise ValueError(f"merge_mode must be 'merged', got {merge_mode!r}")
+    _check_backend(backend)
     config = config or ClugpConfig(num_partitions=num_partitions)
     if config.num_partitions != num_partitions:
         config = config.with_(num_partitions=num_partitions)
+    if chunk_size is None:
+        chunk_size = ClugpPartitioner.default_chunk_size
     ranges = _shard_ranges(stream.num_edges, num_nodes)
     rel = config.reliability
     policy = RetryPolicy(
@@ -659,12 +623,6 @@ def distributed_clugp(
         backoff_max=rel.backoff_max,
     )
     inject = FaultInjector.from_spec(rel.inject_faults)
-    if merge_mode == "merged":
-        protocol = _run_merged
-        if chunk_size is None:
-            chunk_size = ClugpPartitioner.default_chunk_size
-    else:
-        protocol = _run_independent
 
     if backend == "persistent":
         from ..distributed.pipeline import resident_stages
@@ -673,51 +631,9 @@ def distributed_clugp(
     elif runtime is not None:
         raise ValueError("runtime= requires backend='persistent'")
     else:
-        runner = contextlib.nullcontext(
-            _PooledStages(stream, ranges, parallel_nodes, policy, inject)
-        )
+        runner = contextlib.nullcontext(_PooledStages(stream, ranges, policy, inject))
     with runner as stages:
-        return protocol(stream, config, seed, chunk_size, ranges, stages, backend)
-
-
-def _run_independent(
-    stream, config, seed, chunk_size, ranges, stages, backend,
-) -> DistributedResult:
-    k = config.num_partitions
-    times = stages.times
-    msg = {"num_partitions": k, "seed": seed, "config": config, "chunk_size": chunk_size}
-    results = stages.run("independent", "independent", [msg] * len(ranges))
-
-    edge_partition = np.empty(stream.num_edges, dtype=np.int64)
-    reports: list[NodeReport] = []
-    for node, (payload, seconds) in enumerate(results):
-        start, stop = ranges[node]
-        edge_partition[start:stop] = payload["edge_partition"]
-        reports.append(
-            NodeReport(
-                node=node,
-                num_edges=stop - start,
-                num_clusters=payload["num_clusters"],
-                splits=payload["splits"],
-                game_rounds=payload["game_rounds"],
-                seconds=seconds,
-                transform_seconds=payload["stage_seconds"]["transform"],
-            )
-        )
-    # "total" is the summed node work (what a single machine would spend);
-    # the deployment's wall-clock is the slowest node — nodes run
-    # concurrently, so the critical path is a max, not a sum, and is
-    # recorded as a non-additive wall so it never inflates `total`.
-    times.add("total", sum(r.seconds for r in reports))
-    times.add_wall("max_node", max((r.seconds for r in reports), default=0.0))
-    stages.finish()
-    assignment = PartitionAssignment(stream, edge_partition, k, times)
-    return DistributedResult(
-        assignment=assignment,
-        nodes=reports,
-        merge_mode="independent",
-        backend=backend,
-    )
+        return _run_merged(stream, config, seed, chunk_size, ranges, stages, backend)
 
 
 def _run_merged(
@@ -874,11 +790,7 @@ def _run_merged(
         game_seconds=t_game.elapsed,
     )
     return DistributedResult(
-        assignment=assignment,
-        nodes=reports,
-        merge_mode="merged",
-        backend=backend,
-        merge=merge_report,
+        assignment=assignment, merge=merge_report, nodes=reports, backend=backend
     )
 
 
@@ -892,9 +804,6 @@ class DistributedClugpPartitioner(EdgePartitioner):
     chunk_size:
         This instance's :attr:`default_chunk_size`: what each node reads
         its shard in when :meth:`partition` is given none.
-    merge_mode:
-        ``"independent"`` (concatenate shard pipelines) or ``"merged"``
-        (cluster-summary merge + one global game).
     backend:
         Node executor: ``"thread"`` or ``"persistent"``.
         The persistent backend keeps a resident
@@ -913,7 +822,6 @@ class DistributedClugpPartitioner(EdgePartitioner):
         num_nodes: int = 4,
         config: ClugpConfig | None = None,
         chunk_size: int | None = None,
-        merge_mode: str = "independent",
         backend: str = "thread",
     ) -> None:
         super().__init__(num_partitions, seed)
@@ -921,8 +829,7 @@ class DistributedClugpPartitioner(EdgePartitioner):
         self.config = config
         if chunk_size is not None:
             self.default_chunk_size = check_positive_int(chunk_size, "chunk_size")
-        _check_modes(merge_mode, backend)
-        self.merge_mode = merge_mode
+        _check_backend(backend)
         self.backend = backend
         self.last_result: DistributedResult | None = None
         self._runtime = None
@@ -975,7 +882,6 @@ class DistributedClugpPartitioner(EdgePartitioner):
             config=self.config,
             seed=self.seed,
             chunk_size=chunk_size,
-            merge_mode=self.merge_mode,
             backend=self.backend,
             runtime=self.runtime_for(effective_nodes),
         )

@@ -3,7 +3,7 @@
 Long-lived node processes holding resident shard + clustering state,
 fed over ``multiprocessing.shared_memory`` rings and read back over
 per-worker result segments: the resident transport under
-``distributed_clugp``'s protocols.  See ``docs/distributed.md``.
+``distributed_clugp``'s protocol.  See ``docs/distributed.md``.
 """
 
 from .runtime import PersistentRuntime, WorkerDiedError

@@ -1,6 +1,6 @@
 """The persistent backend's stage runner.
 
-The distributed protocols are written once, in
+The distributed protocol is written once, in
 :mod:`repro.core.distributed`, over a two-method stage runner
 (``run`` / ``finish``).  This module is that runner for
 ``backend="persistent"``: the same stages, the same messages, the same

@@ -123,7 +123,7 @@ class PartitionAssignment:
 
     def wall_time(self) -> float:
         """Deployment wall-clock: the critical path across concurrent
-        workers when one was recorded (e.g. ``max_node`` for distributed
+        workers when one was recorded (e.g. ``critical_path`` for distributed
         CLUGP), else the summed stage total."""
         return self.stage_times.critical_path
 

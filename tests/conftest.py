@@ -25,7 +25,9 @@ except ImportError:  # pragma: no cover - hypothesis not installed
 
 from repro import kernels
 from repro.core.clustering import ClusteringState
+from repro.core.distributed import _shard_ranges
 from repro.core.game import ClusterPartitioningGame
+from repro.core.partitioner import ClugpPartitioner
 from repro.core.transform import TransformState
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
@@ -35,6 +37,7 @@ from repro.graph.generators import (
     web_crawl_graph,
 )
 from repro.graph.stream import EdgeStream
+from repro.partitioners.base import PartitionAssignment
 
 
 def kernel_backend(name: str):
@@ -70,6 +73,17 @@ def assert_clustering_equal(a, b):
     assert np.array_equal(a.divided, b.divided)
     assert a.num_clusters == b.num_clusters
     assert (a.splits, a.migrations) == (b.splits, b.migrations)
+
+
+def per_shard_rf(stream: EdgeStream, k: int, num_nodes: int, seed: int = 0) -> float:
+    """Replication factor of the no-exchange deployment the merge must
+    beat: CLUGP on each of ``distributed_clugp``'s shards (node ``i`` at
+    ``seed + i``), the assignments concatenated."""
+    out = np.empty(stream.num_edges, dtype=np.int64)
+    for node, (start, stop) in enumerate(_shard_ranges(stream.num_edges, num_nodes)):
+        shard = EdgeStream(stream.src[start:stop], stream.dst[start:stop], stream.num_vertices)
+        out[start:stop] = ClugpPartitioner(k, seed=seed + node).partition(shard).edge_partition
+    return PartitionAssignment(stream, out, k).replication_factor()
 
 
 @pytest.fixture

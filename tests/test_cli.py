@@ -184,27 +184,25 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run-app", "bogus"])
 
-    @pytest.mark.parametrize("mode", ["independent", "merged"])
-    def test_distribute(self, capsys, mode):
+    @pytest.mark.parametrize("num_nodes", [1, 3])
+    def test_distribute(self, capsys, num_nodes):
         rc = main(
-            ["distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "3",
-             "--merge-mode", mode]
+            ["distribute", "--scale", "0.03", "-k", "4", "--num-nodes", str(num_nodes)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert f"[{mode}/thread]" in out
+        assert "[thread]" in out
         assert "RF=" in out
-        assert "node 0:" in out and "node 2:" in out
-        if mode == "merged":
-            assert "boundary" in out and "wire=" in out
+        assert f"node {num_nodes - 1}:" in out and f"node {num_nodes}:" not in out
+        assert "boundary" in out and "wire=" in out
 
     def test_distribute_persistent_backend(self, capsys):
         rc = main(
             ["distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "2",
-             "--merge-mode", "merged", "--backend", "persistent"]
+             "--backend", "persistent"]
         )
         assert rc == 0
-        assert "[merged/persistent]" in capsys.readouterr().out
+        assert "[persistent]" in capsys.readouterr().out
 
     def test_distribute_refuses_process_backend(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -213,19 +211,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "--backend" in err and "'thread', 'persistent'" in err
 
-    def test_distribute_compare_modes(self, capsys):
-        rc = main(
-            ["distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "4",
-             "--compare-modes"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "independent" in out and "merged" in out
-        assert "sync wire" in out
-
-    def test_distribute_rejects_unknown_mode(self):
-        with pytest.raises(SystemExit):
-            main(["distribute", "--merge-mode", "bogus"])
+    @pytest.mark.parametrize("flag", [["--merge-mode", "merged"], ["--compare-modes"]])
+    def test_distribute_has_no_mode_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["distribute", "--scale", "0.03", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestServe:
@@ -435,7 +426,7 @@ class TestReliabilityFlags:
     def test_distribute_with_injected_crash_still_partitions(self, capsys):
         rc = main([
             "distribute", "--scale", "0.03", "-k", "4", "--num-nodes", "3",
-            "--merge-mode", "merged", "--inject-faults", "crash,seed=1",
+            "--inject-faults", "crash,seed=1",
         ])
         assert rc == 0
         assert "RF=" in capsys.readouterr().out

@@ -183,12 +183,8 @@ class TestGameVectorization:
 
 class TestDistributedChunked:
     def test_nodes_run_chunked_pipeline(self, stream):
-        a = distributed_clugp(
-            stream, 4, num_nodes=3, seed=5, parallel_nodes=False
-        )
-        b = distributed_clugp(
-            stream, 4, num_nodes=3, seed=5, parallel_nodes=False, chunk_size=211
-        )
+        a = distributed_clugp(stream, 4, num_nodes=3, seed=5)
+        b = distributed_clugp(stream, 4, num_nodes=3, seed=5, chunk_size=211)
         assert np.array_equal(
             a.assignment.edge_partition, b.assignment.edge_partition
         )

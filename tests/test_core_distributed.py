@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import per_shard_rf
 from repro.config import ClugpConfig
 from repro.core.distributed import (
     DistributedClugpPartitioner,
-    NodeStages,
     balance_quotas,
     _shard_ranges,
     distributed_clugp,
@@ -35,92 +35,22 @@ class TestShardRanges:
 
 
 class TestDistributedClugp:
-    def test_valid_global_assignment(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=4)
+    # 3 nodes cut the stream into unequal shards; 8 leaves each node few edges
+    @pytest.mark.parametrize("num_nodes", [1, 3, 4, 8])
+    def test_valid_global_assignment(self, stream, num_nodes):
+        result = distributed_clugp(stream, 8, num_nodes=num_nodes)
+        assert len(result.nodes) == num_nodes
         a = result.assignment
         assert a.edge_partition.shape == (stream.num_edges,)
         assert a.edge_partition.min() >= 0 and a.edge_partition.max() < 8
         assert a.partition_sizes().sum() == stream.num_edges
 
-    def test_one_node_equals_single_machine(self, stream):
-        single = ClugpPartitioner(8, seed=3).partition(stream)
-        dist = distributed_clugp(stream, 8, num_nodes=1, seed=3)
-        assert np.array_equal(single.edge_partition, dist.assignment.edge_partition)
-
-    def test_node_reports(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=4)
-        assert len(result.nodes) == 4
-        assert sum(n.num_edges for n in result.nodes) == stream.num_edges
-        assert all(n.num_clusters > 0 for n in result.nodes)
-        assert result.max_node_seconds() > 0.0
-        # an independent node is the three-pass pipeline: its passes are timed
-        assert all(0.0 < n.transform_seconds < n.seconds for n in result.nodes)
-
-    def test_independent_node_reports_per_pass_times(self, stream):
-        msg = {"num_partitions": 8, "seed": 0, "config": ClugpConfig(num_partitions=8),
-               "chunk_size": 100}
-        payload = NodeStages(0).independent(stream, msg)
-        assert set(payload["stage_seconds"]) == {"clustering", "game", "transform"}
-
-    def test_rejects_nonpositive_chunk_size(self, stream):
-        for mode in ("independent", "merged"):
-            with pytest.raises(ValueError, match="chunk_size"):
-                distributed_clugp(stream, 8, num_nodes=2, chunk_size=0, merge_mode=mode)
-
-    def test_parallel_matches_sequential(self, stream):
-        par = distributed_clugp(stream, 8, num_nodes=4, seed=1, parallel_nodes=True)
-        seq = distributed_clugp(stream, 8, num_nodes=4, seed=1, parallel_nodes=False)
-        assert np.array_equal(
-            par.assignment.edge_partition, seq.assignment.edge_partition
-        )
-
-    def test_stage_accounting_records_critical_path(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=4, parallel_nodes=False)
-        times = result.assignment.stage_times
-        max_node = max(n.seconds for n in result.nodes)
-        # summed node work stays the additive "total" stage
-        assert times["total"] == pytest.approx(sum(n.seconds for n in result.nodes))
-        # the deployment wall-clock is the slowest node, recorded as a
-        # non-additive wall so it does not inflate total_time()
-        assert times.walls["max_node"] == pytest.approx(max_node)
-        assert result.assignment.wall_time() == pytest.approx(max_node)
-        assert result.assignment.total_time() == pytest.approx(times["total"])
-        assert 0.0 < times.walls["max_node"] < times["total"]
-
-    def test_single_node_wall_equals_total(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=1, parallel_nodes=False)
-        times = result.assignment.stage_times
-        assert times.walls["max_node"] == pytest.approx(times["total"])
-        assert result.assignment.wall_time() == pytest.approx(times.total)
-
-    def test_quality_stays_competitive(self, stream):
-        # independent shards pay a quality price but must stay well below
-        # hashing (the sanity floor for any clustering-based approach)
-        dist = distributed_clugp(stream, 16, num_nodes=4)
-        rf_hash = HashingPartitioner(16).partition(stream).replication_factor()
-        assert dist.assignment.replication_factor() < rf_hash
-
-    def test_balance_roughly_held(self, stream):
-        # each node enforces tau on its shard; the merged result can exceed
-        # tau only by the shard-boundary rounding
-        result = distributed_clugp(
-            stream, 8, num_nodes=4, config=ClugpConfig(imbalance_factor=1.05)
-        )
-        assert result.assignment.relative_balance() <= 1.15
-
-    def test_rejects_too_many_nodes(self):
-        tiny = EdgeStream([0], [1], num_vertices=2)
-        with pytest.raises(ValueError, match="num_nodes"):
-            distributed_clugp(tiny, 2, num_nodes=5)
-
-
-class TestMergedMode:
     def test_single_node_bit_identical_to_single_machine(self, stream):
-        # the merged protocol with one node degenerates exactly: identity
+        # the protocol with one node degenerates exactly: identity
         # relabel, no boundary vertices, a warm-started refinement game
         # that proposes zero moves, and a quota equal to the uniform cap
         single = ClugpPartitioner(8, seed=3).partition(stream)
-        merged = distributed_clugp(stream, 8, num_nodes=1, seed=3, merge_mode="merged")
+        merged = distributed_clugp(stream, 8, num_nodes=1, seed=3)
         assert np.array_equal(
             single.edge_partition, merged.assignment.edge_partition
         )
@@ -131,82 +61,64 @@ class TestMergedMode:
     def test_single_node_identity_other_seeds_and_k(self, stream):
         for seed, k in ((0, 4), (7, 16)):
             single = ClugpPartitioner(k, seed=seed).partition(stream)
-            merged = distributed_clugp(
-                stream, k, num_nodes=1, seed=seed, merge_mode="merged"
-            )
+            merged = distributed_clugp(stream, k, num_nodes=1, seed=seed)
             assert np.array_equal(
                 single.edge_partition, merged.assignment.edge_partition
             )
 
-    def test_valid_global_assignment(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=4, merge_mode="merged")
-        a = result.assignment
-        assert a.edge_partition.shape == (stream.num_edges,)
-        assert a.edge_partition.min() >= 0 and a.edge_partition.max() < 8
-        assert a.partition_sizes().sum() == stream.num_edges
+    def test_node_reports(self, stream):
+        result = distributed_clugp(stream, 8, num_nodes=4)
+        assert len(result.nodes) == 4
+        assert sum(n.num_edges for n in result.nodes) == stream.num_edges
+        assert all(n.num_clusters > 0 for n in result.nodes)
+        # a node's seconds are its two rounds plus its pass-3 probe + commit
+        assert all(0.0 < n.transform_seconds < n.seconds for n in result.nodes)
 
-    def test_beats_independent_on_bench_fixture(self, stream):
+    def test_rejects_nonpositive_chunk_size(self, stream):
+        with pytest.raises(ValueError, match="chunk_size"):
+            distributed_clugp(stream, 8, num_nodes=2, chunk_size=0)
+
+    def test_quality_stays_competitive(self, stream):
+        # must stay well below hashing (the sanity floor for any
+        # clustering-based approach)
+        dist = distributed_clugp(stream, 16, num_nodes=4)
+        rf_hash = HashingPartitioner(16).partition(stream).replication_factor()
+        assert dist.assignment.replication_factor() < rf_hash
+
+    def test_beats_per_shard_concatenation_on_bench_fixture(self, stream):
         for num_nodes in (2, 4, 8):
-            ind = distributed_clugp(
-                stream, 8, num_nodes=num_nodes, merge_mode="independent"
-            )
-            mer = distributed_clugp(
-                stream, 8, num_nodes=num_nodes, merge_mode="merged"
-            )
-            assert (
-                mer.assignment.replication_factor()
-                <= ind.assignment.replication_factor()
+            mer = distributed_clugp(stream, 8, num_nodes=num_nodes)
+            assert mer.assignment.replication_factor() <= per_shard_rf(
+                stream, 8, num_nodes
             )
 
-    def test_balance_strictly_conforms(self, stream):
+    @pytest.mark.parametrize("num_nodes", [2, 4, 8])
+    def test_balance_strictly_conforms(self, stream, num_nodes):
         # the quota exchange caps every partition at the *global* L_max,
-        # so merged mode holds tau exactly (plus ceil rounding), unlike
-        # independent mode's per-shard rounding slack
+        # so the protocol holds tau exactly (plus ceil rounding) at every
+        # node count, unlike per-shard pipelines' rounding slack
         result = distributed_clugp(
-            stream, 8, num_nodes=4, merge_mode="merged",
-            config=ClugpConfig(imbalance_factor=1.05),
+            stream, 8, num_nodes=num_nodes, config=ClugpConfig(imbalance_factor=1.05),
         )
         cap = int(np.ceil(1.05 * stream.num_edges / 8))
         assert int(result.assignment.partition_sizes().max()) <= cap
 
-    def test_parallel_matches_sequential(self, stream):
-        par = distributed_clugp(
-            stream, 8, num_nodes=4, seed=1, merge_mode="merged", parallel_nodes=True
-        )
-        seq = distributed_clugp(
-            stream, 8, num_nodes=4, seed=1, merge_mode="merged", parallel_nodes=False
-        )
-        assert np.array_equal(
-            par.assignment.edge_partition, seq.assignment.edge_partition
-        )
+    def test_rejects_too_many_nodes(self):
+        tiny = EdgeStream([0], [1], num_vertices=2)
+        with pytest.raises(ValueError, match="num_nodes"):
+            distributed_clugp(tiny, 2, num_nodes=5)
 
     def test_persistent_backend_matches_thread(self, stream):
-        thread = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="merged", backend="thread"
-        )
+        thread = distributed_clugp(stream, 8, num_nodes=3, seed=2, backend="thread")
         persistent = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="merged", backend="persistent"
-        )
-        assert np.array_equal(
-            thread.assignment.edge_partition, persistent.assignment.edge_partition
-        )
-
-    def test_persistent_backend_independent_mode(self, stream):
-        thread = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="independent", backend="thread"
-        )
-        persistent = distributed_clugp(
-            stream, 8, num_nodes=3, seed=2, merge_mode="independent",
-            backend="persistent",
+            stream, 8, num_nodes=3, seed=2, backend="persistent"
         )
         assert np.array_equal(
             thread.assignment.edge_partition, persistent.assignment.edge_partition
         )
 
     def test_stage_walls_and_critical_path(self, stream):
-        result = distributed_clugp(
-            stream, 8, num_nodes=4, merge_mode="merged", parallel_nodes=False
-        )
+        result = distributed_clugp(stream, 8, num_nodes=4)
         times = result.assignment.stage_times
         for stage in ("shard", "merge", "game", "transform"):
             assert stage in times
@@ -225,21 +137,29 @@ class TestMergedMode:
         assert times.walls["shard"] <= times["shard"] + 1e-9
         assert times.walls["transform"] <= times["transform"] + 1e-9
 
-    def test_merge_report_wire_bytes(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=4, merge_mode="merged")
+    def test_single_node_wall_equals_total(self, stream):
+        result = distributed_clugp(stream, 8, num_nodes=1)
+        times = result.assignment.stage_times
+        assert times.walls["critical_path"] == pytest.approx(times.total)
+        assert result.assignment.wall_time() == pytest.approx(times.total)
+
+    @pytest.mark.parametrize("num_nodes", [2, 4])
+    def test_merge_report_wire_bytes(self, stream, num_nodes):
+        result = distributed_clugp(stream, 8, num_nodes=num_nodes)
         m = result.merge
-        assert m is not None
         assert m.merge_bytes == sum(n.summary_bytes for n in result.nodes)
         assert m.merge_bytes > 0
         assert m.broadcast_bytes > 0
-        assert m.quota_bytes == 2 * 4 * 8 * 8  # 2 exchanges * nodes * k * int64
+        # 2 exchanges * nodes * k * int64
+        assert m.quota_bytes == 2 * num_nodes * 8 * 8
         assert m.num_boundary_vertices > 0
         assert m.num_global_clusters == sum(n.num_clusters for n in result.nodes)
 
-    def test_to_dict_shape(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=2, merge_mode="merged")
+    @pytest.mark.parametrize("backend", ["thread", "persistent"])
+    def test_to_dict_shape(self, stream, backend):
+        result = distributed_clugp(stream, 8, num_nodes=2, backend=backend)
         d = result.to_dict()
-        assert d["merge_mode"] == "merged"
+        assert d["backend"] == backend
         assert d["num_nodes"] == 2
         assert d["replication_factor"] == pytest.approx(
             result.assignment.replication_factor()
@@ -252,19 +172,25 @@ class TestMergedMode:
         json.dumps(d)  # must be JSON-serializable as-is
 
     def test_summary_mentions_protocol(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=2, merge_mode="merged")
+        result = distributed_clugp(stream, 8, num_nodes=2)
         text = result.summary()
-        assert "merged" in text and "boundary" in text and "RF=" in text
+        assert "global clusters" in text and "boundary" in text and "RF=" in text
 
-    def test_independent_to_dict(self, stream):
-        result = distributed_clugp(stream, 8, num_nodes=2, merge_mode="independent")
-        d = result.to_dict()
-        assert d["merge"] is None
-        assert d["merge_mode"] == "independent"
+    def test_merged_is_the_one_mode(self, stream):
+        # callers may still name the protocol
+        named = distributed_clugp(stream, 8, num_nodes=2, merge_mode="merged")
+        default = distributed_clugp(stream, 8, num_nodes=2)
+        assert np.array_equal(
+            named.assignment.edge_partition, default.assignment.edge_partition
+        )
 
-    def test_rejects_unknown_mode_and_backend(self, stream):
-        with pytest.raises(ValueError, match="merge_mode"):
-            distributed_clugp(stream, 8, num_nodes=2, merge_mode="bogus")
+    @pytest.mark.parametrize("mode", ["independent", "bogus", "Merged"])
+    def test_rejects_other_merge_modes(self, stream, mode):
+        # the refusal names the one value that is left
+        with pytest.raises(ValueError, match="merge_mode must be 'merged'"):
+            distributed_clugp(stream, 8, num_nodes=2, merge_mode=mode)
+
+    def test_rejects_unknown_backend(self, stream):
         with pytest.raises(ValueError, match="backend"):
             distributed_clugp(stream, 8, num_nodes=2, backend="mpi")
         # one process transport remains; the refusal names both backends
@@ -313,17 +239,27 @@ class TestPartitionerInterface:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"merge_mode": "nope"}, "merge_mode must be one of .*'independent', 'merged'"),
             ({"backend": "bogus"}, "backend must be one of .*'thread', 'persistent'"),
             ({"backend": "process"}, "backend must be one of .*'thread', 'persistent'"),
         ],
-        ids=["merge_mode", "backend", "process"],
+        ids=["backend", "process"],
     )
-    def test_constructor_rejects_unknown_mode_and_backend(self, kwargs, match):
+    def test_constructor_rejects_unknown_backend(self, kwargs, match):
         """Refused at construction, with distributed_clugp's message —
         not later, inside partition()."""
         with pytest.raises(ValueError, match=match):
             DistributedClugpPartitioner(8, num_nodes=2, **kwargs)
+
+    def test_constructor_takes_no_merge_mode(self):
+        with pytest.raises(TypeError, match="merge_mode"):
+            DistributedClugpPartitioner(8, num_nodes=2, merge_mode="merged")
+
+    def test_runs_the_merged_protocol(self, stream):
+        p = DistributedClugpPartitioner(8, seed=1, num_nodes=3)
+        assignment = p.partition(stream)
+        direct = distributed_clugp(stream, 8, num_nodes=3, seed=1)
+        assert np.array_equal(assignment.edge_partition, direct.assignment.edge_partition)
+        assert p.last_result.merge.num_global_clusters > 0
 
     def test_partition_and_diagnostics(self, stream):
         p = DistributedClugpPartitioner(8, num_nodes=4)

@@ -61,7 +61,7 @@ def feed_service(stream, batches=4):
 
 
 def run_distributed(stream):
-    result = distributed_clugp(stream, K, num_nodes=2, merge_mode="merged")
+    result = distributed_clugp(stream, K, num_nodes=2)
     return result.assignment.edge_partition
 
 

@@ -7,7 +7,8 @@ Covers the three exactness/quality claims of DESIGN.md §6:
   the full stream and the assembled global clustering (cut attribution
   is exact, never modeled), and every shard edge is counted exactly once
   across the contributions;
-* merged-mode replication factor does not exceed independent-mode on
+* the merged replication factor does not exceed that of per-shard
+  pipelines concatenated (``conftest.per_shard_rf``) on
   community-structured streams (power-law web crawls, natural and random
   order) — the quality cliff the merge removes;
 * both payloads stay summaries: no edge array in either, their wire size
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_shard_rf
 from repro.config import ClugpConfig
 from repro.core.cluster_graph import ClusterGraph, build_cluster_graph
 from repro.core.clustering import ClusteringResult
@@ -337,7 +339,7 @@ class TestStagedApi:
             staged.transform_with_mapping(crawl_stream, vp)
 
     def test_merge_report_granularity_diagnostic(self, crawl_stream):
-        result = distributed_clugp(crawl_stream, 8, num_nodes=4, merge_mode="merged")
+        result = distributed_clugp(crawl_stream, 8, num_nodes=4)
         m = result.merge
         assert m.max_cluster_volume > 0
         assert m.total_wire_bytes() == (
@@ -347,14 +349,14 @@ class TestStagedApi:
 
 
 class TestMergedQualityProperties:
-    """Hypothesis sweeps of the merged <= independent RF property.
+    """Hypothesis sweeps of the merged <= per-shard concatenation RF property.
 
     The claim targets the quality cliff the merge removes: replication
     inflating with the node count on community-structured power-law
     crawl streams (the paper's setting).  The strategy therefore draws
     the inflation regime — k=8, 4-8 nodes, non-trivial size — in natural
     (BFS-crawl) and random stream order.  Outside it the property decays
-    into equilibrium noise: at 2 nodes or k=4 both modes land within a
+    into equilibrium noise: at 2 nodes or k=4 both land within a
     couple of RF percent of each other and either can win a given draw
     (measured: 0/100 violations with min margin 0.115 RF inside the
     regime vs occasional <1% inversions at num_nodes=2 or k=4; the same
@@ -370,22 +372,16 @@ class TestMergedQualityProperties:
         num_nodes=st.sampled_from([4, 8]),
         seed=st.integers(min_value=0, max_value=16),
     )
-    def test_merged_rf_le_independent_powerlaw(
+    def test_merged_rf_le_per_shard_powerlaw(
         self, pages, avg_degree, host_size, graph_seed, num_nodes, seed
     ):
         graph = web_crawl_graph(
             pages, avg_out_degree=avg_degree, host_size=host_size, seed=graph_seed
         )
         stream = EdgeStream.from_graph(graph, order="natural")
-        ind = distributed_clugp(
-            stream, 8, num_nodes=num_nodes, seed=seed, merge_mode="independent"
-        )
-        mer = distributed_clugp(
-            stream, 8, num_nodes=num_nodes, seed=seed, merge_mode="merged"
-        )
-        assert (
-            mer.assignment.replication_factor()
-            <= ind.assignment.replication_factor()
+        mer = distributed_clugp(stream, 8, num_nodes=num_nodes, seed=seed)
+        assert mer.assignment.replication_factor() <= per_shard_rf(
+            stream, 8, num_nodes, seed
         )
 
     @settings(max_examples=6, deadline=None)
@@ -395,30 +391,20 @@ class TestMergedQualityProperties:
         order_seed=st.integers(min_value=0, max_value=100),
         num_nodes=st.sampled_from([4, 8]),
     )
-    def test_merged_rf_le_independent_random_order(
+    def test_merged_rf_le_per_shard_random_order(
         self, pages, graph_seed, order_seed, num_nodes
     ):
         graph = web_crawl_graph(
             pages, avg_out_degree=8.0, host_size=30, seed=graph_seed
         )
         stream = EdgeStream.from_graph(graph, order="random", seed=order_seed)
-        ind = distributed_clugp(
-            stream, 8, num_nodes=num_nodes, seed=0, merge_mode="independent"
-        )
-        mer = distributed_clugp(
-            stream, 8, num_nodes=num_nodes, seed=0, merge_mode="merged"
-        )
-        assert (
-            mer.assignment.replication_factor()
-            <= ind.assignment.replication_factor()
+        mer = distributed_clugp(stream, 8, num_nodes=num_nodes, seed=0)
+        assert mer.assignment.replication_factor() <= per_shard_rf(
+            stream, 8, num_nodes
         )
 
     def test_merged_strictly_better_at_eight_nodes(self, crawl_stream):
         """The acceptance-criterion fixture: at 8 nodes the merge must
-        strictly beat independent concatenation."""
-        ind = distributed_clugp(crawl_stream, 8, num_nodes=8, merge_mode="independent")
-        mer = distributed_clugp(crawl_stream, 8, num_nodes=8, merge_mode="merged")
-        assert (
-            mer.assignment.replication_factor()
-            < ind.assignment.replication_factor()
-        )
+        strictly beat per-shard concatenation."""
+        mer = distributed_clugp(crawl_stream, 8, num_nodes=8)
+        assert mer.assignment.replication_factor() < per_shard_rf(crawl_stream, 8, 8)

@@ -3,8 +3,8 @@
 Acceptance gates covered here:
 
 * ``backend="persistent"``, spawned per call or resident, is
-  bit-identical to ``thread`` for both merge modes at num_nodes in
-  {1, 4, 8} — one protocol function, two transports;
+  bit-identical to ``thread`` at num_nodes in {1, 3, 4, 8} — one protocol
+  function, two transports;
 * zero pickled ndarray bytes ever cross the ingest plane, and the pass-3
   result comes back through each worker's result segment (grown when a
   larger shard arrives, re-attached by a respawned worker);
@@ -217,13 +217,12 @@ class TestThreadParity:
     """The acceptance matrix: persistent — spawned per call and resident —
     == thread, bit for bit."""
 
-    @pytest.mark.parametrize("merge_mode", ["merged", "independent"])
-    @pytest.mark.parametrize("num_nodes", [1, 4, 8])
-    def test_bit_identical_to_thread(self, ident_stream, merge_mode, num_nodes):
+    @pytest.mark.parametrize("num_nodes", [1, 3, 4, 8])
+    def test_bit_identical_to_thread(self, ident_stream, num_nodes):
         def run(backend, runtime=None):
             return distributed_clugp(
                 ident_stream, 8, num_nodes=num_nodes, seed=0,
-                merge_mode=merge_mode, backend=backend, runtime=runtime,
+                backend=backend, runtime=runtime,
             )
 
         reference = run("thread")
@@ -234,14 +233,13 @@ class TestThreadParity:
             assert np.array_equal(
                 reference.assignment.edge_partition, result.assignment.edge_partition
             )
-            if merge_mode == "merged":
-                assert reference.merge.to_dict().keys() == result.merge.to_dict().keys()
-                for field in (
-                    "num_global_clusters", "num_boundary_vertices",
-                    "num_unresolved_edges", "max_cluster_volume", "merge_bytes",
-                    "broadcast_bytes", "quota_bytes", "game_rounds", "game_moves",
-                ):
-                    assert getattr(reference.merge, field) == getattr(result.merge, field)
+            assert reference.merge.to_dict().keys() == result.merge.to_dict().keys()
+            for field in (
+                "num_global_clusters", "num_boundary_vertices",
+                "num_unresolved_edges", "max_cluster_volume", "merge_bytes",
+                "broadcast_bytes", "quota_bytes", "game_rounds", "game_moves",
+            ):
+                assert getattr(reference.merge, field) == getattr(result.merge, field)
         _assert_shm_clean()
 
     def test_node_reports_match_thread(self, ident_stream):
@@ -260,7 +258,7 @@ class TestThreadParity:
     def test_merged_node_reports_match_thread(self, ident_stream):
         reference, result = (
             distributed_clugp(
-                ident_stream, 8, num_nodes=4, seed=0, merge_mode="merged",
+                ident_stream, 8, num_nodes=4, seed=0,
                 backend=backend,
             )
             for backend in ("thread", "persistent")
@@ -333,14 +331,14 @@ class TestResidentReuse:
         )
         with PersistentRuntime(2) as runtime:
             first = distributed_clugp(
-                small, 8, num_nodes=2, seed=0, merge_mode="merged",
+                small, 8, num_nodes=2, seed=0,
                 backend="persistent", runtime=runtime,
             )
             names = [h.result.shm.name for h in runtime.workers]
             assert all(h.result.capacity >= small.num_edges // 2 for h in runtime.workers)
             assert all(h.result.capacity < m // 2 for h in runtime.workers)
             grown = distributed_clugp(
-                ident_stream, 8, num_nodes=2, seed=0, merge_mode="merged",
+                ident_stream, 8, num_nodes=2, seed=0,
                 backend="persistent", runtime=runtime,
             )
             assert all(h.result.capacity >= m // 2 for h in runtime.workers)
@@ -349,13 +347,13 @@ class TestResidentReuse:
             # and a smaller shard afterwards reuses the grown segment
             names = [h.result.shm.name for h in runtime.workers]
             again = distributed_clugp(
-                small, 8, num_nodes=2, seed=0, merge_mode="merged",
+                small, 8, num_nodes=2, seed=0,
                 backend="persistent", runtime=runtime,
             )
             assert [h.result.shm.name for h in runtime.workers] == names
         for stream, result in ((small, first), (ident_stream, grown), (small, again)):
             oracle = distributed_clugp(
-                stream, 8, num_nodes=2, seed=0, merge_mode="merged", backend="thread"
+                stream, 8, num_nodes=2, seed=0, backend="thread"
             )
             assert np.array_equal(
                 oracle.assignment.edge_partition, result.assignment.edge_partition
@@ -380,7 +378,7 @@ class TestResidentReuse:
 class TestPipelineAccounting:
     def test_overlap_and_busy_idle_surfaced(self, ident_stream):
         result = distributed_clugp(
-            ident_stream, 8, num_nodes=4, seed=0, merge_mode="merged",
+            ident_stream, 8, num_nodes=4, seed=0,
             backend="persistent",
         )
         overlaps = result.to_dict()["stage_overlaps"]
@@ -394,7 +392,7 @@ class TestPipelineAccounting:
 
     def test_overlaps_never_inflate_critical_path(self, ident_stream):
         result = distributed_clugp(
-            ident_stream, 8, num_nodes=4, seed=0, merge_mode="merged",
+            ident_stream, 8, num_nodes=4, seed=0,
             backend="persistent",
         )
         times = result.assignment.stage_times
@@ -411,7 +409,7 @@ class TestPipelineAccounting:
         pipes move in a call is less than the edge partition alone — which
         used to come back pickled — weighs."""
         result = distributed_clugp(
-            crawl_stream, 8, num_nodes=2, seed=0, merge_mode="merged",
+            crawl_stream, 8, num_nodes=2, seed=0,
             backend="persistent",
         )
         moved = result.to_dict()["reliability"]["control_plane_bytes"]
@@ -429,15 +427,14 @@ def chaos_stream() -> EdgeStream:
     return EdgeStream.from_graph(graph, order="natural")
 
 
-def _run_persistent(stream, spec, timeout=None, merge_mode="merged"):
+def _run_persistent(stream, spec, timeout=None):
     reliability = ReliabilityConfig(
         inject_faults=spec, task_timeout=timeout,
         backoff_base=0.0, backoff_max=0.0,
     )
     cfg = ClugpConfig(num_partitions=4, reliability=reliability)
     return distributed_clugp(
-        stream, 4, num_nodes=3, config=cfg, seed=0, merge_mode=merge_mode,
-        backend="persistent",
+        stream, 4, num_nodes=3, config=cfg, seed=0, backend="persistent",
     )
 
 
@@ -552,7 +549,7 @@ class TestPersistentExhaustion:
         ):
             distributed_clugp(
                 chaos_stream, 4, num_nodes=3, config=cfg, seed=0,
-                merge_mode="merged", backend="persistent",
+                backend="persistent",
             )
         _assert_shm_clean()
 
@@ -569,18 +566,19 @@ class TestPersistentExhaustion:
                 runtime=runtime,
             )
             msg = {
-                "op": "independent", "num_partitions": 4, "seed": 0,
-                "config": ClugpConfig(num_partitions=4), "chunk_size": None,
+                "op": "summary", "num_partitions": 4, "seed": 0,
+                "config": ClugpConfig(num_partitions=4), "boundary": None,
+                "chunk_size": None,
             }
             with pytest.raises(ShardTaskError, match="stage 'stall'"):
                 runtime.run_stage("stall", [msg] * 3, policy=policy, inject=inject)
             after = distributed_clugp(
-                chaos_stream, 4, num_nodes=3, seed=0, merge_mode="merged",
+                chaos_stream, 4, num_nodes=3, seed=0,
                 backend="persistent", runtime=runtime,
             )
         _assert_shm_clean()
         oracle = distributed_clugp(
-            chaos_stream, 4, num_nodes=3, seed=0, merge_mode="merged", backend="thread"
+            chaos_stream, 4, num_nodes=3, seed=0, backend="thread"
         )
         assert np.array_equal(
             oracle.assignment.edge_partition, after.assignment.edge_partition

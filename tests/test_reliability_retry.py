@@ -201,7 +201,7 @@ def _run_distributed(stream, spec, backend="thread", timeout=None):
     )
     cfg = ClugpConfig(num_partitions=4, reliability=rel)
     return distributed_clugp(
-        stream, 4, num_nodes=3, config=cfg, seed=0, merge_mode="merged",
+        stream, 4, num_nodes=3, config=cfg, seed=0,
         backend=backend,
     )
 

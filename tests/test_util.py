@@ -101,17 +101,17 @@ class TestTimers:
     def test_walls_do_not_inflate_total(self):
         times = StageTimes()
         times.add("total", 4.0)
-        times.add_wall("max_node", 1.5)
+        times.add_wall("critical_path", 1.5)
         assert times.total == pytest.approx(4.0)
-        assert times.walls["max_node"] == pytest.approx(1.5)
+        assert times.walls["critical_path"] == pytest.approx(1.5)
         assert times.critical_path == pytest.approx(1.5)
 
     def test_walls_keep_maximum(self):
         times = StageTimes()
-        times.add_wall("max_node", 1.0)
-        times.add_wall("max_node", 0.25)
-        times.add_wall("max_node", 2.0)
-        assert times.walls["max_node"] == pytest.approx(2.0)
+        times.add_wall("critical_path", 1.0)
+        times.add_wall("critical_path", 0.25)
+        times.add_wall("critical_path", 2.0)
+        assert times.walls["critical_path"] == pytest.approx(2.0)
 
     def test_critical_path_defaults_to_total(self):
         times = StageTimes()
